@@ -87,7 +87,9 @@ soak:
 repro:
 	$(GO) run ./cmd/mlv-bench
 
-# Short fuzz passes: RTL frontend, partition shard ladder, number formats.
+# Short fuzz passes: RTL frontend, partition shard ladder, number formats,
+# the lane-packed BFP mat-vec kernel against its unpacked oracle, the
+# workload DSL.
 # Raise FUZZTIME for a longer hunt; committed seed corpora under each
 # package's testdata/fuzz/ replay as plain regressions in `make test`.
 FUZZTIME ?= 15s
@@ -96,6 +98,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLexer -fuzztime=$(FUZZTIME) ./internal/rtl
 	$(GO) test -fuzz=FuzzBisect -fuzztime=$(FUZZTIME) ./internal/partition
 	$(GO) test -fuzz=FuzzQuantizeRoundTrip -fuzztime=$(FUZZTIME) ./internal/bfp
+	$(GO) test -fuzz=FuzzPackedMatVec -fuzztime=$(FUZZTIME) ./internal/bfp
 	$(GO) test -fuzz=FuzzParseMLW -fuzztime=$(FUZZTIME) ./internal/wdsl
 
 # Deterministic whole-cluster simulation sweep. Each seed drives one

@@ -269,7 +269,8 @@ func BenchmarkScaleOutReorder(b *testing.B) {
 }
 
 // BenchmarkBFPMatVec measures one 256x256 block-floating-point
-// matrix-vector product (a tile engine's inner loop).
+// matrix-vector product on the packed tile layout the accelerator serves
+// from (a tile engine's inner loop).
 func BenchmarkBFPMatVec(b *testing.B) {
 	codec := bfp.MustCodec(5)
 	r := rand.New(rand.NewSource(3))
@@ -281,7 +282,7 @@ func BenchmarkBFPMatVec(b *testing.B) {
 	for i := range vec {
 		vec[i] = r.NormFloat64()
 	}
-	m, err := codec.QuantizeMatrix(data, 256, 256, 128)
+	m, err := codec.QuantizeMatrixPacked(data, 256, 256, 128)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -289,9 +290,10 @@ func BenchmarkBFPMatVec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	out := make([]float64, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bfp.MatVec(m, vb); err != nil {
+		if err := m.MatVecInto(out, vb); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -146,13 +146,6 @@ func (m *Memory) WriteWords(addr int, vals []fp16.Num) error {
 	return nil
 }
 
-// matrixReg is one matrix register: the BFP-quantized tile contents in the
-// packed on-chip layout, plus shape.
-type matrixReg struct {
-	rows, cols int
-	mat        *bfp.PackedMatrix
-}
-
 // tileEntry records which DRAM range a matrix register's current contents
 // were quantized from. While valid, an m_rd of the same range and shape is
 // served from the register without touching DRAM or requantizing — the
@@ -160,7 +153,6 @@ type matrixReg struct {
 // a program's v_wr or from the host through DRAMPort) invalidates it.
 type tileEntry struct {
 	addr, words int
-	rows, cols  int
 	valid       bool
 }
 
@@ -265,7 +257,7 @@ type Machine struct {
 	cfg    Config
 	codec  *bfp.Codec
 	mshape []struct{ rows, cols int } // configured shapes for m_rd
-	mrf    []*matrixReg
+	mrf    []*bfp.PackedMatrix        // matrix registers: quantized tiles in the packed on-chip layout
 	tiles  []tileEntry
 	dram   *trackedDRAM
 	stats  ExecStats
@@ -277,8 +269,10 @@ type Machine struct {
 
 	// bvecs/bprods gather per-stream operands for the batched MVM without
 	// allocating per instruction.
-	bvecs  [][]bfp.Block
+	bvecs  []bfp.Vector
 	bprods [][]float64
+	// rowHalf stages one tile row of fp16 words through an m_rd miss.
+	rowHalf []fp16.Num
 	// runScs gathers the stream contexts a RunStreams call selects, reused
 	// so slot-granular stepping stays allocation-free.
 	runScs []*streamCtx
@@ -313,7 +307,7 @@ func NewWithDRAM(cfg Config, dram DRAM) (*Machine, error) {
 		cfg:    cfg,
 		codec:  codec,
 		mshape: make([]struct{ rows, cols int }, cfg.MRegs),
-		mrf:    make([]*matrixReg, cfg.MRegs),
+		mrf:    make([]*bfp.PackedMatrix, cfg.MRegs),
 		tiles:  make([]tileEntry, cfg.MRegs),
 	}
 	inner, _ := dram.(ReaderInto)

@@ -42,12 +42,12 @@ type streamCtx struct {
 	vrf [][]fp16.Num
 	ver []uint64 // bumped on every write to the corresponding vreg
 
-	// qblk memoizes the BFP quantization of each vector register; qver
-	// records the register version it was computed at. In an LSTM step the
-	// same x/h vector feeds four mv_muls, so the memo cuts vector
-	// quantization 4x.
+	// qvec memoizes the BFP quantization of each vector register (with the
+	// facts the packed kernel checks); qver records the register version it
+	// was computed at. In an LSTM step the same x/h vector feeds four
+	// mv_muls, so the memo cuts vector quantization 4x.
 	qver []uint64
-	qblk [][]bfp.Block
+	qvec []bfp.Vector
 
 	f64  []float64 // float64 staging for quantization
 	prod []float64 // mv_mul product staging
@@ -58,7 +58,7 @@ func (m *Machine) newStream() *streamCtx {
 		vrf:  make([][]fp16.Num, m.cfg.VRegs),
 		ver:  make([]uint64, m.cfg.VRegs),
 		qver: make([]uint64, m.cfg.VRegs),
-		qblk: make([][]bfp.Block, m.cfg.VRegs),
+		qvec: make([]bfp.Vector, m.cfg.VRegs),
 	}
 }
 
@@ -67,7 +67,7 @@ func (m *Machine) ensureStreams(n int) {
 		m.streams = append(m.streams, m.newStream())
 	}
 	for len(m.bvecs) < n {
-		m.bvecs = append(m.bvecs, nil)
+		m.bvecs = append(m.bvecs, bfp.Vector{})
 		m.bprods = append(m.bprods, nil)
 	}
 }
@@ -289,16 +289,27 @@ func (m *Machine) mRead(ins isa.Instr, nStreams int) error {
 		m.stats.TileCacheHits += int64(nStreams)
 		return nil
 	}
-	vals, err := m.dram.ReadWords(addr, words)
+	// The tile streams out of DRAM a row at a time, never held whole in a
+	// second format, into the register's old storage when the shape matches.
+	// Until the last row lands the register holds no tile.
+	old := m.mrf[ins.Dst]
+	m.mrf[ins.Dst], t.valid = nil, false
+	if cap(m.rowHalf) < shape.cols {
+		m.rowHalf = make([]fp16.Num, shape.cols)
+	}
+	half, f := m.rowHalf[:shape.cols], ensureF64(&m.streams[0].f64, shape.cols)
+	mat, err := m.codec.QuantizeRowsPacked(old, shape.rows, shape.cols, m.cfg.NativeDim, func(r int) ([]float64, error) {
+		if err := m.dram.ReadWordsInto(half, addr+r*shape.cols); err != nil {
+			return nil, err
+		}
+		fp16.ToSlice64Into(f, half)
+		return f, nil
+	})
 	if err != nil {
 		return err
 	}
-	mat, err := m.codec.QuantizeMatrixPacked(fp16.ToSlice64(vals), shape.rows, shape.cols, m.cfg.NativeDim)
-	if err != nil {
-		return err
-	}
-	m.mrf[ins.Dst] = &matrixReg{rows: shape.rows, cols: shape.cols, mat: mat}
-	m.tiles[ins.Dst] = tileEntry{addr: addr, words: words, rows: shape.rows, cols: shape.cols, valid: true}
+	m.mrf[ins.Dst] = mat
+	*t = tileEntry{addr: addr, words: words, valid: true}
 	m.stats.DRAMReads += int64(words)
 	m.stats.TileCacheMisses++
 	m.stats.TileCacheHits += int64(nStreams - 1)
@@ -307,8 +318,8 @@ func (m *Machine) mRead(ins isa.Instr, nStreams int) error {
 
 // mvMul executes one matrix-vector multiply for every stream against the
 // stationary tile: per-stream vectors are quantized (through the per-
-// register memo), gathered, and multiplied rows-outer/streams-inner so the
-// packed tile streams through the cache once per batch.
+// register memo), gathered, and multiplied row-groups-outer/streams-inner
+// so the packed tile streams through the cache once per batch.
 func (m *Machine) mvMul(ins isa.Instr, scs []*streamCtx) error {
 	dst, err := m.vreg(ins.Dst)
 	if err != nil {
@@ -317,36 +328,36 @@ func (m *Machine) mvMul(ins isa.Instr, scs []*streamCtx) error {
 	if int(ins.Src1) >= m.cfg.MRegs || m.mrf[ins.Src1] == nil {
 		return fmt.Errorf("matrix register r%d not loaded", ins.Src1)
 	}
-	mr := m.mrf[ins.Src1]
+	mat := m.mrf[ins.Src1]
 	src := int(ins.Src2)
 	for si, sc := range scs {
 		vec, err := m.loadedV(sc, ins.Src2)
 		if err != nil {
 			return err
 		}
-		if len(vec) != mr.cols {
-			return fmt.Errorf("mv_mul shape mismatch: matrix %dx%d, vector %d", mr.rows, mr.cols, len(vec))
+		if len(vec) != mat.Cols {
+			return fmt.Errorf("mv_mul shape mismatch: matrix %dx%d, vector %d", mat.Rows, mat.Cols, len(vec))
 		}
 		if sc.qver[src] != sc.ver[src] {
 			f := ensureF64(&sc.f64, len(vec))
 			fp16.ToSlice64Into(f, vec)
-			qb, err := m.codec.QuantizeVectorInto(sc.qblk[src], f, m.cfg.NativeDim)
+			qb, err := m.codec.QuantizeVectorInto(sc.qvec[src].Blocks, f, m.cfg.NativeDim)
 			if err != nil {
 				return err
 			}
-			sc.qblk[src] = qb
+			sc.qvec[src] = bfp.Describe(qb)
 			sc.qver[src] = sc.ver[src]
 		}
-		m.bvecs[si] = sc.qblk[src]
-		m.bprods[si] = ensureF64(&sc.prod, mr.rows)
+		m.bvecs[si] = sc.qvec[src]
+		m.bprods[si] = ensureF64(&sc.prod, mat.Rows)
 	}
-	if err := mr.mat.MatVecBatchInto(m.bprods[:len(scs)], m.bvecs[:len(scs)]); err != nil {
+	if err := mat.MatVecBatchInto(m.bprods[:len(scs)], m.bvecs[:len(scs)]); err != nil {
 		return err
 	}
 	for si, sc := range scs {
-		out := m.dstBuf(sc, dst, mr.rows)
+		out := m.dstBuf(sc, dst, mat.Rows)
 		fp16.FromSlice64Into(out, m.bprods[si])
-		m.stats.MACs += int64(mr.rows) * int64(mr.cols)
+		m.stats.MACs += int64(mat.Rows) * int64(mat.Cols)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mlvfpga/internal/fp16"
 	"mlvfpga/internal/isa"
 )
 
@@ -70,9 +71,13 @@ func TestTileCacheInvalidatedByOverlappingWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Overwrite one word inside the cached tile through the host port.
+	tile := m.mrf[0]
 	writeVec(t, m, 5, []float64{3}) // matrix[1][1]: 1 -> 3
 	if err := m.Run(p); err != nil {
 		t.Fatal(err)
+	}
+	if m.mrf[0] != tile {
+		t.Error("same-shape re-read built a new tile instead of refilling the register's storage")
 	}
 	st := m.Stats()
 	if st.TileCacheMisses != 2 {
@@ -203,6 +208,92 @@ func TestCachedMReadZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("cached m_rd allocates %v times, want 0", allocs)
+	}
+}
+
+// TestTileRefillAllocs: once a register holds a tile of some shape,
+// re-reading it after an invalidating write streams the rows through the
+// machine's staging into the same storage; the one allocation left is the
+// quantizer's block of scratch (NativeDim mantissas), not the tile.
+func TestTileRefillAllocs(t *testing.T) {
+	m, p := mvmMachine(t)
+	if err := m.Run(p); err != nil {
+		t.Fatal(err)
+	}
+	word := fp16.FromSlice64([]float64{3})
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := m.DRAMPort().WriteWords(5, word); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Run(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("invalidate + m_rd refill allocates %v times, want 1", allocs)
+	}
+	if st := m.Stats(); st.TileCacheMisses != 22 {
+		t.Errorf("misses = %d, want 22 (every run must requantize)", st.TileCacheMisses)
+	}
+}
+
+// TestFailedMReadUnloadsRegister: a tile that runs off the end of DRAM
+// part-way through must not leave a half-filled register behind.
+func TestFailedMReadUnloadsRegister(t *testing.T) {
+	m, p := mvmMachine(t)
+	if err := m.Run(p); err != nil {
+		t.Fatal(err)
+	}
+	bad, err := isa.Assemble("m_rd r0, 4090\nend_chain") // rows 0 fits, row 1 does not
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(bad); !errors.Is(err, ErrDRAMRange) {
+		t.Fatalf("m_rd past DRAM = %v, want ErrDRAMRange", err)
+	}
+	mul, _ := isa.Assemble("mv_mul r2, r0, r1\nend_chain")
+	if err := m.Run(mul); err == nil {
+		t.Error("mv_mul against a register whose m_rd failed must error")
+	}
+	if err := m.Run(p); err != nil {
+		t.Fatalf("reload after failed m_rd: %v", err)
+	}
+	if got, want := readVecReg(t, m, 2), []float64{2, 2, 3, -4}; !reflect.DeepEqual(got, want) {
+		t.Errorf("after reload mv_mul = %v, want %v", got, want)
+	}
+}
+
+// TestRunStreamsStepZeroAllocs is the serving plane's steady state: one
+// program step over a shuffled cohort of slots, every mv_mul going through
+// the batched packed kernel with per-stream quantization memos.
+func TestRunStreamsStepZeroAllocs(t *testing.T) {
+	const base = 16
+	m, _ := mvmMachine(t)
+	step, err := isa.Assemble(`
+		m_rd r0, 0
+		v_rd r1, 16
+		mv_mul r2, r0, r1
+		mv_mul r3, r0, r2
+		vv_add r1, r2, r3
+		v_wr r1, 16
+		end_chain`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams, offsets := []int{2, 0, 1}, []int{16, 0, 8}
+	for s := range streams {
+		writeVec(t, m, base+8*s, []float64{0.5, -0.25, float64(s), -1})
+	}
+	if err := m.RunStreams(step, base, streams, offsets); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := m.RunStreams(step, base, streams, offsets); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state RunStreams step allocates %v times, want 0", allocs)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // SnapshotStream returns a copy of a stream's architectural vector
 // register file: one slice per register, nil for registers the stream
 // never wrote. Only architectural state is captured — the quantization
-// memos (qver/qblk) are derived caches that RestoreStream invalidates,
+// memos (qver/qvec) are derived caches that RestoreStream invalidates,
 // and requantization is deterministic, so a restored stream's numerics
 // are bit-identical to the original's.
 func (m *Machine) SnapshotStream(stream int) ([][]fp16.Num, error) {

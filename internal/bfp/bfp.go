@@ -65,9 +65,6 @@ type Block struct {
 	Exp  int
 }
 
-// Len returns the number of elements in the block.
-func (b Block) Len() int { return len(b.Mant) }
-
 // Quantize converts xs into one shared-exponent block. The exponent is
 // chosen so the largest magnitude uses the full mantissa range; all other
 // elements are rounded to nearest (ties away from zero, matching a simple
@@ -152,61 +149,8 @@ func (b Block) Dequantize() []float64 {
 	return out
 }
 
-// Dot computes the inner product of two blocks exactly in the integer
-// domain: sum(a.Mant[i]*b.Mant[i]) * 2^(a.Exp+b.Exp). This is the operation
-// one BFP dot-product lane performs. It returns an error if lengths differ.
-func Dot(a, b Block) (float64, error) {
-	if len(a.Mant) != len(b.Mant) {
-		return 0, fmt.Errorf("bfp: dot length mismatch %d vs %d", len(a.Mant), len(b.Mant))
-	}
-	var acc int64
-	for i := range a.Mant {
-		acc += int64(a.Mant[i]) * int64(b.Mant[i])
-	}
-	return math.Ldexp(float64(acc), a.Exp+b.Exp), nil
-}
-
-// Matrix is a row-major matrix quantized row-block-wise: each row is split
-// into blocks of BlockSize elements sharing one exponent. This mirrors the
-// accelerator's tile layout, where one MVM tile holds a native-dimension
-// slice of the weight matrix.
-type Matrix struct {
-	Rows, Cols int
-	BlockSize  int
-	// Blocks[r][j] covers row r, columns [j*BlockSize, (j+1)*BlockSize).
-	Blocks [][]Block
-}
-
-// QuantizeMatrix converts a row-major rows x cols float matrix into a
-// block-quantized Matrix with the given block size. The final block in a row
-// may be shorter when cols is not a multiple of blockSize.
-func (c *Codec) QuantizeMatrix(data []float64, rows, cols, blockSize int) (*Matrix, error) {
-	if rows < 0 || cols < 0 || len(data) != rows*cols {
-		return nil, fmt.Errorf("bfp: matrix shape %dx%d does not match %d values", rows, cols, len(data))
-	}
-	if blockSize <= 0 {
-		return nil, fmt.Errorf("bfp: block size must be positive, got %d", blockSize)
-	}
-	m := &Matrix{Rows: rows, Cols: cols, BlockSize: blockSize}
-	m.Blocks = make([][]Block, rows)
-	for r := 0; r < rows; r++ {
-		row := data[r*cols : (r+1)*cols]
-		nb := (cols + blockSize - 1) / blockSize
-		m.Blocks[r] = make([]Block, nb)
-		for j := 0; j < nb; j++ {
-			lo := j * blockSize
-			hi := lo + blockSize
-			if hi > cols {
-				hi = cols
-			}
-			m.Blocks[r][j] = c.Quantize(row[lo:hi])
-		}
-	}
-	return m, nil
-}
-
 // QuantizeVector converts a vector into blocks matching a matrix's column
-// blocking, so MatVec can pair them up.
+// blocking, so a packed product can pair them up.
 func (c *Codec) QuantizeVector(xs []float64, blockSize int) ([]Block, error) {
 	return c.QuantizeVectorInto(nil, xs, blockSize)
 }
@@ -236,188 +180,236 @@ func (c *Codec) QuantizeVectorInto(dst []Block, xs []float64, blockSize int) ([]
 	return dst, nil
 }
 
-// MatVec multiplies a block-quantized matrix by a block-quantized vector,
-// accumulating per-block dot products in float64 (the accelerator
-// accumulates in a wide fixed-point format; float64 is a superset). The
-// vector blocking must match the matrix blocking.
-func MatVec(m *Matrix, v []Block) ([]float64, error) {
-	nb := (m.Cols + m.BlockSize - 1) / m.BlockSize
-	if len(v) != nb {
-		return nil, fmt.Errorf("bfp: vector has %d blocks, matrix needs %d", len(v), nb)
-	}
-	for j := 0; j < nb; j++ {
-		want := m.BlockSize
-		if j == nb-1 {
-			want = m.Cols - j*m.BlockSize
-		}
-		if v[j].Len() != want {
-			return nil, fmt.Errorf("bfp: vector block %d has %d elements, want %d", j, v[j].Len(), want)
-		}
-	}
-	out := make([]float64, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		var sum float64
-		for j := 0; j < nb; j++ {
-			d, err := Dot(m.Blocks[r][j], v[j])
-			if err != nil {
-				return nil, err
-			}
-			sum += d
-		}
-		out[r] = sum
-	}
-	return out, nil
+// fastExp bounds the block exponents the packed kernel scales by
+// multiplication: inside ±fastExp on both operands, 2^(we+ve) is a normal
+// float64 and float64(dot)·2^(we+ve) is exactly what math.Ldexp returns.
+const fastExp = 500
+
+// pow2 returns 2^k for |k| ≤ 2·fastExp, built from the exponent field.
+func pow2(k int) float64 { return math.Float64frombits(uint64(k+1023) << 52) }
+
+// peel splits the low bits-wide signed lane off a packed sum and returns the
+// remaining lanes shifted down. Subtracting the lane before the arithmetic
+// shift undoes the borrow a negative lane took from its neighbour.
+func peel(acc int64, bits uint) (lane, rest int64) {
+	lane = acc << (64 - bits) >> (64 - bits)
+	return lane, (acc - lane) >> bits
 }
 
 // PackedMatrix is the weight-stationary, on-chip form of a block-quantized
-// matrix: every row's mantissas live in one flat row-major array (rows are
-// padded to a whole number of blocks with zero lanes) and the per-block
-// shared exponents in a parallel array. This is the layout one MVM tile
-// actually holds after m_rd, and the flat contiguous storage is what lets
-// the dot-product loop stream through memory with no per-block pointer
-// chasing — the property the batched data plane relies on to keep a tile
-// hot while several input vectors consume it.
+// matrix, lane-packed the way narrow BFP mantissas share one DSP slice:
+// `lanes` consecutive rows (a group) share one int64 word per column,
+//
+//	word[g][c] = Σ_l mant[g·lanes+l][c] << (l·64/lanes)
+//
+// so one multiply, acc += word·x, advances every lane's exact integer block
+// dot at once and peel separates them. The lane count is the widest for
+// which a block dot of two codec-width operands provably fits its lane
+// (table in DESIGN.md §7): four for the 5-bit serving default, two up to
+// 13 bits, one beyond. Rows pad to whole blocks, groups to whole lanes.
 type PackedMatrix struct {
 	Rows, Cols, BlockSize int
-	// Stride is the padded row length in mantissas: NumBlocks()*BlockSize.
-	Stride int
-	// Mant holds Rows*Stride mantissas row-major; padding lanes are zero.
-	Mant []int32
-	// Exp holds Rows*NumBlocks() shared exponents row-major.
-	Exp []int32
+
+	nb     int   // column blocks per row
+	lanes  int   // rows per word: 4, 2 or 1
+	maxMag int64 // the codec's mantissa magnitude bound, which the weights obey
+	vecMax int64 // largest vector mantissa magnitude the lanes are proved for
+	exact  bool  // a weight exponent is outside ±fastExp: every product takes the exact path
+
+	words []int64 // [group][block][column in block]
+	exp   []int32 // shared exponents, [group][block][lane]
 }
 
-// NumBlocks returns the number of column blocks per row.
-func (pm *PackedMatrix) NumBlocks() int { return pm.Stride / pm.BlockSize }
-
-// QuantizeMatrixPacked converts a row-major rows x cols float matrix
-// directly into the packed on-chip layout. Mantissas and exponents are
-// identical to QuantizeMatrix's: each row block is quantized independently
-// with a shared exponent.
+// QuantizeMatrixPacked converts a row-major rows x cols float matrix into
+// the packed on-chip layout, each row block quantized independently with a
+// shared exponent.
 func (c *Codec) QuantizeMatrixPacked(data []float64, rows, cols, blockSize int) (*PackedMatrix, error) {
 	if rows < 0 || cols < 0 || len(data) != rows*cols {
 		return nil, fmt.Errorf("bfp: matrix shape %dx%d does not match %d values", rows, cols, len(data))
 	}
-	if blockSize <= 0 {
-		return nil, fmt.Errorf("bfp: block size must be positive, got %d", blockSize)
+	return c.QuantizeRowsPacked(nil, rows, cols, blockSize, func(r int) ([]float64, error) {
+		return data[r*cols : (r+1)*cols], nil
+	})
+}
+
+// QuantizeRowsPacked is QuantizeMatrixPacked fed one row at a time (row(r)
+// is valid until the next call), so a tile streaming out of DRAM is never
+// whole in float64. An into of the same shape and mantissa width is refilled
+// and returned, its old contents lost even on error; else it is ignored.
+func (c *Codec) QuantizeRowsPacked(into *PackedMatrix, rows, cols, blockSize int, row func(r int) ([]float64, error)) (*PackedMatrix, error) {
+	if rows < 0 || cols < 0 || blockSize <= 0 {
+		return nil, fmt.Errorf("bfp: matrix shape %dx%d in blocks of %d", rows, cols, blockSize)
 	}
-	nb := (cols + blockSize - 1) / blockSize
-	pm := &PackedMatrix{
-		Rows: rows, Cols: cols, BlockSize: blockSize,
-		Stride: nb * blockSize,
-		Mant:   make([]int32, rows*nb*blockSize),
-		Exp:    make([]int32, rows*nb),
+	pm := into
+	if pm != nil && pm.Rows == rows && pm.Cols == cols && pm.BlockSize == blockSize && pm.maxMag == int64(c.maxMag) {
+		clear(pm.words)
+		pm.exact = false
+	} else {
+		pm = &PackedMatrix{
+			Rows: rows, Cols: cols, BlockSize: blockSize,
+			nb: (cols + blockSize - 1) / blockSize, maxMag: int64(c.maxMag),
+		}
+		// Widest packing whose lanes hold maxMag·vecMax·blockLen, vecMax ≥ maxMag.
+		perUnit := pm.maxMag * int64(max(1, min(blockSize, cols)))
+		for pm.lanes = 4; pm.lanes > 1; pm.lanes /= 2 {
+			if pm.vecMax = (int64(1)<<(64/pm.lanes-1) - 1) / perUnit; pm.vecMax >= pm.maxMag {
+				break
+			}
+		}
+		if pm.lanes == 1 {
+			pm.vecMax = math.MaxInt64 // the plain int64 dot: no bound to hold
+		}
+		groups := (rows + pm.lanes - 1) / pm.lanes
+		pm.words = make([]int64, groups*pm.nb*blockSize)
+		pm.exp = make([]int32, groups*pm.nb*pm.lanes)
 	}
 	var scratch Block
 	for r := 0; r < rows; r++ {
-		row := data[r*cols : (r+1)*cols]
-		for j := 0; j < nb; j++ {
-			lo := j * blockSize
-			hi := lo + blockSize
-			if hi > cols {
-				hi = cols
+		xs, err := row(r)
+		if err != nil {
+			return nil, err
+		}
+		if len(xs) != cols {
+			return nil, fmt.Errorf("bfp: row %d has %d values, matrix has %d columns", r, len(xs), cols)
+		}
+		g, l := r/pm.lanes, r%pm.lanes
+		for j := 0; j < pm.nb; j++ {
+			c.QuantizeInto(&scratch, xs[j*blockSize:min((j+1)*blockSize, cols)])
+			pm.exp[(g*pm.nb+j)*pm.lanes+l] = int32(scratch.Exp)
+			pm.exact = pm.exact || scratch.Exp < -fastExp || scratch.Exp > fastExp
+			wm := pm.words[(g*pm.nb+j)*blockSize:]
+			for i, m := range scratch.Mant {
+				wm[i] += int64(m) << (l * (64 / pm.lanes))
 			}
-			c.QuantizeInto(&scratch, row[lo:hi])
-			copy(pm.Mant[r*pm.Stride+lo:], scratch.Mant)
-			pm.Exp[r*nb+j] = int32(scratch.Exp)
 		}
 	}
 	return pm, nil
 }
 
-// checkVec validates that v's blocking matches the matrix's columns, the
-// same contract MatVec enforces.
-func (pm *PackedMatrix) checkVec(v []Block) error {
-	nb := pm.NumBlocks()
-	if len(v) != nb {
-		return fmt.Errorf("bfp: vector has %d blocks, matrix needs %d", len(v), nb)
-	}
-	for j := 0; j < nb; j++ {
-		want := pm.BlockSize
-		if j == nb-1 {
-			want = pm.Cols - j*pm.BlockSize
-		}
-		if v[j].Len() != want {
-			return fmt.Errorf("bfp: vector block %d has %d elements, want %d", j, v[j].Len(), want)
-		}
-	}
-	return nil
+// Vector is a block-quantized vector with the facts that decide a packed
+// product's arm (largest mantissa magnitude, exponent range), gathered once
+// by Describe rather than once per product.
+type Vector struct {
+	Blocks []Block
+
+	maxMag         int64 // largest |mantissa|
+	minExp, maxExp int
 }
 
-// rowDot is one row's matrix-vector contribution: per-block integer dot
-// products scaled by exact powers of two and accumulated in block order,
-// bit-identical to summing Dot over the unpacked row.
-func (pm *PackedMatrix) rowDot(r int, v []Block) float64 {
-	nb := len(v)
-	base := r * pm.Stride
-	var sum float64
-	for j := range v {
-		vm := v[j].Mant
-		lo := base + j*pm.BlockSize
-		wm := pm.Mant[lo : lo+len(vm)]
-		var acc int64
-		for i := range vm {
-			acc += int64(wm[i]) * int64(vm[i])
+// Describe walks blocks once; the facts go stale if blocks change afterwards.
+func Describe(blocks []Block) Vector {
+	v := Vector{Blocks: blocks}
+	for j, b := range blocks {
+		if j == 0 {
+			v.minExp, v.maxExp = b.Exp, b.Exp
 		}
-		sum += math.Ldexp(float64(acc), int(pm.Exp[r*nb+j])+v[j].Exp)
+		v.minExp, v.maxExp = min(v.minExp, b.Exp), max(v.maxExp, b.Exp)
+		for _, m := range b.Mant {
+			v.maxMag = max(v.maxMag, int64(m), -int64(m))
+		}
 	}
-	return sum
+	return v
+}
+
+// fast reports whether v is inside the bounds the lanes were proved for;
+// a mantissa beyond vecMax or a deep-subnormal block takes the exact arm.
+func (pm *PackedMatrix) fast(v *Vector) bool {
+	return !pm.exact && v.maxMag <= pm.vecMax && v.minExp >= -fastExp && v.maxExp <= fastExp
+}
+
+// dotWords returns Σ w[i]·x[i] over len(x) columns, wrapping in int64: the
+// loop a request spends its time in, kept apart so it keeps its registers.
+func dotWords(w []int64, x []int32) int64 {
+	w = w[:len(x)]
+	var a0, a1, a2, a3 int64
+	for len(x) >= 8 && len(w) >= 8 {
+		a0 += w[0]*int64(x[0]) + w[4]*int64(x[4])
+		a1 += w[1]*int64(x[1]) + w[5]*int64(x[5])
+		a2 += w[2]*int64(x[2]) + w[6]*int64(x[6])
+		a3 += w[3]*int64(x[3]) + w[7]*int64(x[7])
+		w, x = w[8:], x[8:]
+	}
+	for i, xi := range x {
+		a0 += w[i] * int64(xi)
+	}
+	return a0 + a1 + a2 + a3
+}
+
+// laneDot is lane l's block dot taken the slow way: each word's lane is
+// peeled out and multiplied on its own, so nothing carries between lanes.
+func laneDot(w []int64, x []int32, l int, bits uint) (acc int64) {
+	for i, xi := range x {
+		m, rest := peel(w[i], bits)
+		for k := 0; k < l; k++ {
+			m, rest = peel(rest, bits)
+		}
+		acc += m * int64(xi)
+	}
+	return acc
+}
+
+// groupDot computes rows [g·lanes, (g+1)·lanes) of M·v. The fast arm runs
+// every lane's block dot in one pass of multiplies and scales by 2^k; the
+// exact arm (out-of-proof inputs, and the tests' reference) dots lane by
+// lane and scales with Ldexp. Same integers, same power-of-two scaling, same
+// block-order accumulation: where both apply they agree bit for bit.
+func (pm *PackedMatrix) groupDot(out []float64, g int, v []Block, fast bool) {
+	var sum [4]float64
+	bits := uint(64 / pm.lanes)
+	words, exps := pm.words[g*pm.nb*pm.BlockSize:], pm.exp[g*pm.nb*pm.lanes:]
+	for j := range v {
+		vm, wm := v[j].Mant, words[j*pm.BlockSize:]
+		var acc, d int64
+		if fast {
+			acc = dotWords(wm, vm)
+		}
+		for l := 0; l < pm.lanes; l++ {
+			k := int(exps[j*pm.lanes+l]) + v[j].Exp
+			if fast {
+				d, acc = peel(acc, bits)
+				sum[l] += float64(d) * pow2(k)
+			} else {
+				sum[l] += math.Ldexp(float64(laneDot(wm, vm, l, bits)), k)
+			}
+		}
+	}
+	dst := out[g*pm.lanes:] // shorter than a group when Rows is not a multiple of lanes
+	for l := 0; l < pm.lanes && l < len(dst); l++ {
+		dst[l] = sum[l]
+	}
 }
 
 // MatVecInto multiplies the packed matrix by a block-quantized vector into
-// out (length Rows) without allocating. Results are bit-identical to
-// MatVec on the equivalent unpacked Matrix.
+// out (length Rows) without allocating.
 func (pm *PackedMatrix) MatVecInto(out []float64, v []Block) error {
-	if err := pm.checkVec(v); err != nil {
-		return err
-	}
-	if len(out) != pm.Rows {
-		return fmt.Errorf("bfp: output has %d elements, matrix has %d rows", len(out), pm.Rows)
-	}
-	for r := 0; r < pm.Rows; r++ {
-		out[r] = pm.rowDot(r, v)
-	}
-	return nil
+	outs, vs := [1][]float64{out}, [1]Vector{Describe(v)}
+	return pm.MatVecBatchInto(outs[:], vs[:])
 }
 
 // MatVecBatchInto computes outs[s] = M * vs[s] for every stream s in one
-// pass over the matrix: rows iterate in the outer loop so each row's
-// mantissas are consumed by all B streams while hot in cache — the
-// BrainWave-style batched MVM that amortizes one weight-stationary tile
-// across a micro-batch. Each stream's result is bit-identical to a
-// standalone MatVecInto.
-func (pm *PackedMatrix) MatVecBatchInto(outs [][]float64, vs [][]Block) error {
+// pass over the matrix: the stream loop sits inside the row-group loop, so
+// one group of packed words serves every stream while it is in L1 — the
+// BrainWave-style batched MVM that amortizes a weight-stationary tile.
+// Each stream's result is bit-identical to a standalone MatVecInto.
+func (pm *PackedMatrix) MatVecBatchInto(outs [][]float64, vs []Vector) error {
 	if len(outs) != len(vs) {
 		return fmt.Errorf("bfp: %d outputs for %d vectors", len(outs), len(vs))
 	}
 	for s := range vs {
-		if err := pm.checkVec(vs[s]); err != nil {
-			return fmt.Errorf("stream %d: %w", s, err)
+		v := vs[s].Blocks
+		if len(v) != pm.nb || len(outs[s]) != pm.Rows {
+			return fmt.Errorf("bfp: stream %d: %d blocks into %d outputs, matrix has %d blocks and %d rows", s, len(v), len(outs[s]), pm.nb, pm.Rows)
 		}
-		if len(outs[s]) != pm.Rows {
-			return fmt.Errorf("bfp: stream %d output has %d elements, matrix has %d rows", s, len(outs[s]), pm.Rows)
+		for j := range v {
+			if want := min(pm.BlockSize, pm.Cols-j*pm.BlockSize); len(v[j].Mant) != want {
+				return fmt.Errorf("bfp: stream %d: vector block %d has %d elements, want %d", s, j, len(v[j].Mant), want)
+			}
 		}
 	}
-	for r := 0; r < pm.Rows; r++ {
+	for g := 0; g*pm.lanes < pm.Rows; g++ {
 		for s := range vs {
-			outs[s][r] = pm.rowDot(r, vs[s])
+			pm.groupDot(outs[s], g, vs[s].Blocks, pm.fast(&vs[s]))
 		}
 	}
 	return nil
-}
-
-// QuantError returns the max absolute error introduced by quantizing xs with
-// this codec, useful for accuracy experiments.
-func (c *Codec) QuantError(xs []float64) float64 {
-	back := c.Quantize(xs).Dequantize()
-	max := 0.0
-	for i, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			continue
-		}
-		if d := math.Abs(back[i] - x); d > max {
-			max = d
-		}
-	}
-	return max
 }

@@ -261,3 +261,19 @@ func TestQuickDotSymmetric(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// QuantError returns the max absolute error introduced by quantizing xs with
+// this codec, useful for accuracy experiments.
+func (c *Codec) QuantError(xs []float64) float64 {
+	back := c.Quantize(xs).Dequantize()
+	max := 0.0
+	for i, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			continue
+		}
+		if d := math.Abs(back[i] - x); d > max {
+			max = d
+		}
+	}
+	return max
+}

@@ -9,10 +9,9 @@ import (
 )
 
 // fuzzVals decodes the payload into float64s (8 bytes each, any bit
-// pattern: NaNs, infinities and subnormals included), capped so one
-// input cannot dominate the fuzz budget.
-func fuzzVals(data []byte) []float64 {
-	const maxVals = 256
+// pattern: NaNs, infinities and subnormals included), capped at maxVals so
+// one input cannot dominate the fuzz budget.
+func fuzzVals(data []byte, maxVals int) []float64 {
 	var out []float64
 	for len(data) >= 8 && len(out) < maxVals {
 		out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(data)))
@@ -45,7 +44,7 @@ func FuzzQuantizeRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewCodec(%d): %v", mantBits, err)
 		}
-		vals := fuzzVals(data[1:])
+		vals := fuzzVals(data[1:], 256)
 		if len(vals) == 0 {
 			return
 		}
@@ -57,8 +56,8 @@ func FuzzQuantizeRoundTrip(f *testing.F) {
 		// can overflow to Inf. The hardware never runs at either extreme,
 		// so the bound is asserted only between them.
 		b := codec.Quantize(vals)
-		if b.Len() != len(vals) {
-			t.Fatalf("block has %d elements for %d inputs", b.Len(), len(vals))
+		if len(b.Mant) != len(vals) {
+			t.Fatalf("block has %d elements for %d inputs", len(b.Mant), len(vals))
 		}
 		maxMag := int32(1)<<(mantBits-1) - 1
 		for i, m := range b.Mant {
@@ -158,5 +157,67 @@ func FuzzQuantizeRoundTrip(f *testing.F) {
 				t.Fatalf("fp16 element %d: %#04x round-tripped to %#04x", i, ns[i], rt[i])
 			}
 		}
+	})
+}
+
+// FuzzPackedMatVec holds the lane-packed kernel to the unpacked oracle,
+// bit for bit, for arbitrary weights, shapes, mantissa widths (so all
+// three lane counts) and 1–8 streams — through MatVecInto, MatVecBatchInto
+// and the exact arm. One header byte per stream may plant what the lanes
+// were not proved for: a mantissa far beyond the codec's width, or a block
+// exponent near ±1074. Those must take the exact path and still match.
+//
+// Layout: width, rows, block size, streams, eight per-stream tweaks, then
+// float64s — the matrix row-major, then one vector per stream.
+func FuzzPackedMatVec(f *testing.F) {
+	one := []byte{0, 0, 0, 0, 0, 0, 0xF0, 0x3F}
+	f.Add(append([]byte{3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, one...)) // too short for a column: skipped
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const header = 12
+		if len(data) < header {
+			return
+		}
+		codec := MustCodec(2 + int(data[0]%23))
+		rows := 1 + int(data[1]%9)
+		blockSize := []int{1, 2, 3, 4, 7, 16, 128, 512}[data[2]%8]
+		streams := 1 + int(data[3]%8)
+		vals := fuzzVals(data[header:], 2048)
+		cols := len(vals) / (rows + streams)
+		if cols == 0 {
+			return
+		}
+		pm, err := codec.QuantizeMatrixPacked(vals[:rows*cols], rows, cols, blockSize)
+		if err != nil {
+			t.Fatalf("QuantizeMatrixPacked: %v", err)
+		}
+		ref, err := codec.QuantizeMatrix(vals[:rows*cols], rows, cols, blockSize)
+		if err != nil {
+			t.Fatalf("QuantizeMatrix: %v", err)
+		}
+		vs := make([][]Block, streams)
+		for s := range vs {
+			lo := (rows + s) * cols
+			if vs[s], err = codec.QuantizeVector(vals[lo:lo+cols], blockSize); err != nil {
+				t.Fatalf("QuantizeVector: %v", err)
+			}
+			tweak := data[4+s]
+			b := &vs[s][int(tweak>>2)%len(vs[s])]
+			switch tweak & 3 {
+			case 1:
+				m := int32(tweak)<<23 | 1 // 2^23..2^31: beyond every codec width
+				if tweak&4 != 0 {
+					m = -m
+				}
+				b.Mant[int(tweak>>4)%len(b.Mant)] = m
+			case 2:
+				b.Exp = 1074 - int(tweak>>2)
+			case 3:
+				b.Exp = int(tweak>>2) - 1074
+			}
+			if v := Describe(vs[s]); tweak&3 >= 2 && pm.fast(&v) {
+				t.Fatalf("stream %d: block exponent %d stayed on the fast path", s, b.Exp)
+			}
+		}
+		packedAgainstOracle(t, pm, ref, vs)
 	})
 }

@@ -207,12 +207,23 @@ func (k *Kernel) NewBatchMachine(batch int) (*accel.Machine, error) {
 }
 
 func (k *Kernel) newMachine(cfg accel.Config, dram accel.DRAM) (*accel.Machine, error) {
+	// The kernel's own machines share its image (see imageDRAM); a
+	// caller's port gets a copy written into it.
+	own := dram == nil
+	if own {
+		var err error
+		if dram, err = newImageDRAM(k.Image, cfg.DRAMWords); err != nil {
+			return nil, err
+		}
+	}
 	m, err := accel.NewWithDRAM(cfg, dram)
 	if err != nil {
 		return nil, err
 	}
-	if err := m.DRAMPort().WriteWords(0, k.Image); err != nil {
-		return nil, err
+	if !own {
+		if err := m.DRAMPort().WriteWords(0, k.Image); err != nil {
+			return nil, err
+		}
 	}
 	wx, uh, _ := k.Spec.Kind.gateNames()
 	h := k.Spec.Hidden

@@ -754,11 +754,33 @@ func (dp *DataPlane) InferAs(tenantID string, leaseID int, inputs [][]float64) (
 		inputs: inputs, enqueued: time.Now(), resp: make(chan inferResponse, 1),
 		tenant: tenantID, weight: weight,
 	}
-	if err := e.submit(req); err != nil {
-		return nil, err
+	for {
+		err := e.submit(req)
+		if err == nil {
+			break
+		}
+		// A Resize may have swapped the engine between the lookup above and
+		// the submit, closing the one we hold: the request belongs on its
+		// replacement, not back with the caller.
+		next := dp.currentEngine(leaseID)
+		if !errors.Is(err, ErrLeaseClosing) || next == nil || next == e {
+			return nil, err
+		}
+		e = next
 	}
 	r := <-req.resp
 	return r.result, r.err
+}
+
+// currentEngine returns the lease's engine if one is installed and built,
+// without building one (a released or closed plane must stay that way).
+func (dp *DataPlane) currentEngine(leaseID int) leaseEngine {
+	dp.mu.RLock()
+	defer dp.mu.RUnlock()
+	if slot := dp.engines[leaseID]; slot != nil && slot.ready.Load() {
+		return slot.e
+	}
+	return nil
 }
 
 // engine returns the lease's serving engine, building it on first use.

@@ -110,7 +110,7 @@ func TestPreemptGoldenTwin(t *testing.T) {
 func TestResizeTransplantsResidentStreams(t *testing.T) {
 	opts := DefaultInferOptions()
 	opts.Machines = 1
-	opts.MaxBatch = 2
+	opts.MaxBatch = 4
 	opts.Shards = 1
 	_, dp, lease := preemptPlane(t, opts)
 
@@ -120,10 +120,17 @@ func TestResizeTransplantsResidentStreams(t *testing.T) {
 	// engine-swap window) keeps the old pool's slots full for the whole
 	// time Resize spends building the new pool, so the transplant always
 	// finds resident streams to checkpoint.
-	const N, patterns = 64, 8
+	// Sequence lengths differ (9..16 steps) so the four slots retire and
+	// refill at different rounds: with equal lengths every resident finishes
+	// in the same round, and a Resize landing on it finds nothing resident
+	// (one run in thirty, more often the faster the kernel). The backlog
+	// is sized to outlast Resize's engine build by several times.
+	const N, patterns = 192, 8
+	inputs := make([][][]float64, patterns)
 	refs := make([][][]float64, patterns)
 	for p := 0; p < patterns; p++ {
-		refs[p] = referenceOutputs(t, lease, opts, testInputs(lease.Spec, int64(500+p)))
+		inputs[p] = testInputs(lease.Spec, int64(500+p))[:lease.Spec.TimeSteps-p]
+		refs[p] = referenceOutputs(t, lease, opts, inputs[p])[:len(inputs[p])]
 	}
 	results := make([]*InferResult, N)
 	var wg sync.WaitGroup
@@ -131,7 +138,7 @@ func TestResizeTransplantsResidentStreams(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			in := testInputs(lease.Spec, int64(500+i%patterns))
+			in := inputs[i%patterns]
 			deadline := time.Now().Add(30 * time.Second)
 			for {
 				res, err := dp.Infer(lease.ID, in)
@@ -184,6 +191,55 @@ func TestResizeTransplantsResidentStreams(t *testing.T) {
 	if c, r := snapDelta(base, "mlv_snapshot_captures"), snapDelta(base, "mlv_snapshot_restores"); c != r {
 		t.Errorf("captures %d != restores %d", c, r)
 	}
+}
+
+// TestInferRacingResizeLandsOnNewEngine: a caller that looked the engine up
+// just before a Resize swapped it used to be answered ErrLeaseClosing when
+// its submit lost the race to the old engine's close. The request must land
+// on the replacement instead — the lease is resizing, not closing.
+func TestInferRacingResizeLandsOnNewEngine(t *testing.T) {
+	opts := DefaultInferOptions()
+	opts.Machines = 1
+	opts.MaxBatch = 2
+	opts.Shards = 1
+	_, dp, lease := preemptPlane(t, opts)
+	in := testInputs(lease.Spec, 700)[:2]
+	want := referenceOutputs(t, lease, opts, in)[:2]
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := dp.Infer(lease.ID, in)
+				if errors.Is(err, ErrBusy) {
+					continue
+				}
+				if err != nil {
+					t.Errorf("Infer across a Resize: %v", err)
+					return
+				}
+				if !reflect.DeepEqual(res.Outputs, want) {
+					t.Error("output differs across a Resize")
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 40; i++ {
+		if err := dp.Resize(lease.ID, 1+i%2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestAutoPreemptFavorsLatencyClass pins the scheduling tentpole: with
@@ -274,11 +330,12 @@ func TestCloseWithinCheckpointsAtDeadline(t *testing.T) {
 	}
 	// Fill the queue to its cap (MaxBatch * Machines * 8 = 16) with direct
 	// submissions, so the engine provably holds a deep backlog when the
-	// already-expired deadline lands.
+	// already-expired deadline lands. Lengths differ (9..16 steps) so the
+	// two slots never retire in the same round and leave nothing resident.
 	reqs := make([]*inferRequest, 16)
 	for i := range reqs {
 		reqs[i] = &inferRequest{
-			inputs:   testInputs(lease.Spec, int64(900+i)),
+			inputs:   testInputs(lease.Spec, int64(900+i))[:lease.Spec.TimeSteps-i%8],
 			enqueued: time.Now(), resp: make(chan inferResponse, 1),
 		}
 		if err := e.submit(reqs[i]); err != nil {
