@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check race cover bench bench-infer bench-infer-smoke bench-cluster bench-compile bench-tenant bench-preempt lint soak fuzz simtest scenario scenario-smoke repro examples clean
+.PHONY: all build test check race cover bench lint soak fuzz simtest scenario scenario-smoke repro examples clean
 
 all: check
 
@@ -23,47 +23,12 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-# Regenerate every paper table/figure as testing.B benchmarks.
+# The repository's benchmark: the four BENCHMARK.json workloads, 30 s
+# each, stopping on the first non-zero exit (see benchmark/README.md).
 bench:
-	$(GO) test -bench=. -benchmem ./...
-
-# Run the online data-plane benchmarks and refresh BENCH_infer.json.
-bench-infer:
-	$(GO) test -run '^$$' -bench 'BenchmarkInferSteadyState|BenchmarkInferBatched|BenchmarkServeConcurrent' -benchmem .
-	$(GO) run ./cmd/mlv-bench-infer
-
-# CI smoke: a tiny open-loop Poisson A/B of the flush vs continuous
-# serving planes. The binary self-validates its JSON report and exits
-# non-zero on a malformed file, so this doubles as the report-format gate.
-bench-infer-smoke:
-	$(GO) run ./cmd/mlv-bench-infer -smoke -o /tmp/bench_infer_smoke.json
-
-# Run the cluster soak + registry benchmarks and refresh BENCH_cluster.json.
-bench-cluster:
-	$(GO) run ./cmd/mlv-bench-cluster
-
-# Run the compilation-cache benchmarks (cold vs warm deploy, repeat
-# catalog sweep) and refresh BENCH_compile.json. SWEEP scales the sweep
-# length (CI smoke uses a short one).
-SWEEP ?= 10000
-bench-compile:
-	$(GO) test -run '^$$' -bench 'BenchmarkDeployColdVsWarm' -benchmem .
-	$(GO) run ./cmd/mlv-bench-compile -sweep $(SWEEP)
-
-# Multi-tenant fairness bench: a latency-class tenant's p99 under a
-# batch-class tenant's standing backlog must stay within 2x its solo p99
-# (the DRR fair-queue contract). Refreshes BENCH_tenant.json and fails on
-# a bound violation.
-bench-tenant:
-	$(GO) run ./cmd/mlv-bench-tenant
-
-# Preemptive-scheduling bench: a latency tenant's probe p99 against a
-# machine saturated by full-length batch sequences must improve when the
-# continuous plane may checkpoint batch streams instead of draining them.
-# Refreshes BENCH_preempt.json and fails if preemption doesn't beat
-# drain-only.
-bench-preempt:
-	$(GO) run ./cmd/mlv-bench-preempt
+	for w in serve_compute serve_small serve_batched fleet_sim; do \
+		$(GO) run ./benchmark -workload $$w -seed 1 || exit 1; \
+	done
 
 # Static analysis beyond go vet. Uses staticcheck when installed (CI
 # installs the pinned STATICCHECK_VERSION below; locally:

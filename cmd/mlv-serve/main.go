@@ -57,12 +57,10 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	restricted := flag.Bool("restricted", false, "use the same-type-only runtime policy")
-	maxBatch := flag.Int("max-batch", 8, "largest inference micro-batch (continuous plane: per-machine slot count)")
-	flushDelay := flag.Duration("flush-delay", 500*time.Microsecond, "partial-batch flush deadline (flush plane only)")
+	maxBatch := flag.Int("max-batch", 8, "batch slots per machine: how many streams one machine steps together")
 	machines := flag.Int("machines", 2, "per-lease machine pool size")
-	flushPlane := flag.Bool("flush-plane", false, "serve with the legacy flush-and-wait micro-batching engine instead of continuous batching")
-	shards := flag.Int("shards", 0, "continuous plane scheduler shards per lease (0 = GOMAXPROCS, capped at -machines)")
-	preempt := flag.Bool("preempt", false, "preemptive scheduling: a full machine checkpoints batch-class streams while latency-class requests wait (continuous plane only)")
+	shards := flag.Int("shards", 0, "scheduler shards per lease (0 = GOMAXPROCS, capped at -machines)")
+	preempt := flag.Bool("preempt", false, "preemptive scheduling: a full machine checkpoints batch-class streams while latency-class requests wait")
 	drainDeadline := flag.Duration("drain-deadline", 10*time.Second, "shutdown drain budget; streams still running at the deadline are checkpointed instead of served (0 = drain unbounded)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this private address (empty = disabled); enables mutex and block profiling")
 	heartbeat := flag.Duration("heartbeat", 500*time.Millisecond, "simulated device heartbeat interval")
@@ -95,9 +93,7 @@ func main() {
 	svc.SetCompiler(rms.NewCompiler(store, rms.CompilerOptions{}))
 	opts := rms.DefaultInferOptions()
 	opts.MaxBatch = *maxBatch
-	opts.FlushDelay = *flushDelay
 	opts.Machines = *machines
-	opts.Flush = *flushPlane
 	opts.Shards = *shards
 	opts.Preempt = *preempt
 	dp := rms.NewDataPlane(svc, opts)

@@ -55,11 +55,10 @@ func goldenInputs(spec kernels.LayerSpec, seed int64) [][]float64 {
 // weights are regenerated from the lease identity, not copied state.
 func TestMigratedLeaseServesGoldenOutputs(t *testing.T) {
 	opts := rms.InferOptions{
-		MaxBatch:   4,
-		FlushDelay: 100 * time.Microsecond,
-		Machines:   1,
-		Tiles:      1,
-		Seed:       42,
+		MaxBatch: 4,
+		Machines: 1,
+		Tiles:    1,
+		Seed:     42,
 	}
 	spec := kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 64, TimeSteps: 4}
 

@@ -121,8 +121,7 @@ type SoakResult struct {
 	// Reports is the full control-loop decision log.
 	Reports []*TickReport `json:"reports"`
 	// TickLatencies are the wall-clock costs of each control pass,
-	// sorted ascending (the control-plane latency numbers in
-	// BENCH_cluster.json).
+	// sorted ascending.
 	TickLatencies []time.Duration `json:"tick_latencies_ns"`
 	// Devices is the final fleet snapshot.
 	Devices []DeviceInfo `json:"devices"`
@@ -160,7 +159,6 @@ func RunSoak(o SoakOptions) (*SoakResult, error) {
 	// the queue, so depth scale-ups (which widen the machine pool) have
 	// observable work to absorb.
 	iopts := rms.DefaultInferOptions()
-	iopts.FlushDelay = 200 * time.Microsecond
 	iopts.MaxBatch = 4
 	iopts.Machines = 1
 	dp := rms.NewDataPlane(svc, iopts)

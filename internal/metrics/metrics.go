@@ -53,7 +53,8 @@ var (
 	LeasesActive = expvar.NewInt("mlv_leases_active")
 	// InfersServed counts answered inference requests.
 	InfersServed = expvar.NewInt("mlv_infers_served")
-	// BatchesFlushed counts executed micro-batches.
+	// BatchesFlushed counts fresh admission cohorts: one per fair-queue
+	// take that put at least one new stream into a slot.
 	BatchesFlushed = expvar.NewInt("mlv_batches_flushed")
 	// Migrations counts lease re-placements (depth changes and
 	// evacuations) performed by the cluster control plane.
@@ -115,15 +116,13 @@ var (
 	SlotsActive = expvar.NewInt("mlv_slots_active")
 	// SlotRounds counts executed step rounds; SlotRoundOccupancy sums the
 	// cohort size over those rounds, so occupancy/rounds is the mean
-	// co-resident stream count — the "batches no longer drain to empty"
-	// signal (a flush plane drains to zero between batches; continuous
-	// admission keeps this near MaxBatch under load).
+	// co-resident stream count (near MaxBatch when admission keeps the
+	// slots full under load).
 	SlotRounds         = expvar.NewInt("mlv_slot_rounds")
 	SlotRoundOccupancy = expvar.NewInt("mlv_slot_round_occupancy")
 	// Admissions counts streams admitted into slots;
 	// AdmissionsIntoRunning counts the subset admitted into a machine
-	// that already had live streams mid-flight — the continuous-batching
-	// moves a flush plane cannot make.
+	// that already had live streams mid-flight.
 	Admissions            = expvar.NewInt("mlv_admissions")
 	AdmissionsIntoRunning = expvar.NewInt("mlv_admissions_into_running")
 	// Steals counts scheduler rounds a worker ran on a machine stolen

@@ -12,14 +12,14 @@ import (
 	"mlvfpga/internal/metrics"
 )
 
-// contEngine is one lease's continuous-batching serving state: the same
-// compiled kernel and DRR fair queue as the flush engine, but machines
-// keep persistent batch slots. A stream that finishes retires its slot
-// immediately and the next request from the fair queue is admitted into
-// the freed slot of the already-running batch — no flush boundary, no
-// drain-to-empty between batches. The machine pool is sharded across
-// worker goroutines with per-shard run queues and work stealing, so one
-// lease's machines execute step rounds on every core at once.
+// contEngine is one lease's continuous-batching serving state: the
+// compiled kernel, a DRR fair queue, and machines that keep persistent
+// batch slots. A stream that finishes retires its slot immediately and the
+// next request from the fair queue is admitted into the freed slot of the
+// already-running batch — no drain-to-empty between batches. The machine
+// pool is sharded across worker goroutines with per-shard run queues and
+// work stealing, so one lease's machines execute step rounds on every core
+// at once.
 //
 // Bit-identity: the kernel's Step program reads and writes only the
 // slot's private banked window and vector registers, and mv_mul computes
@@ -43,7 +43,7 @@ type contEngine struct {
 
 	// Load observability (LoadStats).
 	served   atomic.Int64
-	cohorts  atomic.Int64 // admission cohorts — the "batches" analogue
+	cohorts  atomic.Int64 // fresh admission cohorts (LoadStats.Batches)
 	pending  atomic.Int64
 	waitEWMA atomic.Int64 // admission wait ns, alpha = 1/4
 
@@ -195,8 +195,9 @@ func newContEngine(lease *Lease, opts InferOptions, faults func() Faults) (*cont
 	return e, nil
 }
 
-// submit enqueues a request and kicks an idle machine. Same load-shed
-// contract as the flush engine: never block the caller.
+// submit enqueues a request and kicks an idle machine, unless the engine
+// is closing or the queue is at its bound (load shed: ErrBusy, never block
+// the caller).
 func (e *contEngine) submit(req *inferRequest) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -385,9 +386,9 @@ func (e *contEngine) park(cm *contMachine) {
 }
 
 // admitCohort installs a batch of freshly popped requests into free
-// slots. One take'n cohort counts as one "batch" for the flush-era
-// counters, so batches ≤ served holds in both planes and mean riders per
-// batch stays comparable.
+// slots. One taken cohort counts as one batch (mlv_batches_flushed,
+// LoadStats.Batches, the per-tenant batch counters), so batches ≤ served
+// holds and riders/batches is the mean cohort a request was admitted with.
 func (e *contEngine) admitCohort(cm *contMachine, reqs []*inferRequest) {
 	now := time.Now()
 	intoRunning := cm.stepping > 0
@@ -490,8 +491,7 @@ func (e *contEngine) retire(cm *contMachine, s int, sl *contSlot, cohort int) {
 			Outputs: outs,
 			// BatchSize is the retire round's co-resident cohort;
 			// BatchStats spans the slot's residency, so it includes the
-			// co-riders' overlapping work — the continuous analogue of
-			// "the batch that carried it".
+			// co-riders' overlapping work.
 			BatchSize: cohort,
 			Stream:    s,
 			// A preempted stream's earlier residencies carry into the

@@ -85,7 +85,7 @@ func TestContinuousInferMatchesSolo(t *testing.T) {
 // backlog of alternating short and long requests on one two-slot
 // machine, a short stream's retirement must open its slot to the next
 // queued request while the long co-rider is still mid-flight — an
-// admission into a running batch, which the flush plane cannot do.
+// admission into a running batch.
 func TestContinuousAdmitsIntoRunningBatch(t *testing.T) {
 	opts := DefaultInferOptions()
 	opts.Machines = 1

@@ -15,54 +15,52 @@ import (
 )
 
 // Regression test: Service.Release (the admission-surface release, not
-// DataPlane.Release) must drain the lease's in-flight data-plane batches
-// before freeing placements. The request below sits in the micro-batch
-// flush window when Release lands; the drain hook must serve it
-// immediately instead of leaving it to race the deallocation (or to wait
-// out the full FlushDelay on a leaked engine).
+// DataPlane.Release) must drain the lease's engine before freeing
+// placements. Full-length requests resident in the one slot or waiting in
+// the fair queue when Release lands must all be answered successfully by
+// the time it returns, not left to race the deallocation.
 func TestServiceReleaseDrainsDataPlane(t *testing.T) {
 	opts := DefaultInferOptions()
-	opts.Flush = true // the batch window under test is a flush-plane state
 	opts.Machines = 1
-	opts.MaxBatch = 4
-	opts.FlushDelay = 5 * time.Second
-	svc, dp, lease := testPlane(t, opts)
-
-	type answer struct {
-		res *InferResult
-		err error
+	opts.MaxBatch = 1
+	opts.Shards = 1
+	svc, dp, lease := preemptPlane(t, opts)
+	e, err := dp.engine(mustLease(t, svc, lease.ID))
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := make(chan answer, 1)
-	go func() {
-		res, err := dp.Infer(lease.ID, testInputs(lease.Spec, 7))
-		got <- answer{res, err}
-	}()
 
-	// Wait until the request is admitted (Pending), out of the queue, and
-	// not yet executing: the collector holds it and is sitting in the
-	// flush wait — the exact state Release must drain.
-	waitFor(t, "request to reach the batch window", func() bool {
-		st, ok := dp.Load(lease.ID)
-		return ok && st.Pending == 1 && st.QueueDepth == 0 && st.InFlight == 0 && st.Served == 0
-	})
+	// Eight 16-step requests on one slot: one is resident and the rest are
+	// queued for tens of milliseconds, far longer than the submits take.
+	reqs := make([]*inferRequest, 8)
+	for i := range reqs {
+		reqs[i] = &inferRequest{
+			inputs:   testInputs(lease.Spec, int64(7+i)),
+			enqueued: time.Now(), resp: make(chan inferResponse, 1),
+		}
+		if err := e.submit(reqs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, ok := dp.Load(lease.ID); !ok || st.Pending == 0 {
+		t.Fatalf("nothing resident or queued when Release lands: %+v, ok=%v", st, ok)
+	}
 
-	start := time.Now()
 	if err := svc.Release(lease.ID); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case a := <-got:
-		if a.err != nil {
-			t.Fatalf("queued infer lost to release: %v", a.err)
+	for i, req := range reqs {
+		select {
+		case r := <-req.resp:
+			if r.err != nil {
+				t.Fatalf("request %d lost to release: %v", i, r.err)
+			}
+			if len(r.result.Outputs) != lease.Spec.TimeSteps {
+				t.Errorf("request %d: drained infer returned %d outputs", i, len(r.result.Outputs))
+			}
+		default:
+			t.Fatalf("request %d still unanswered after Release returned", i)
 		}
-		if len(a.res.Outputs) != lease.Spec.TimeSteps {
-			t.Errorf("drained infer returned %d outputs", len(a.res.Outputs))
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("queued infer still pending after Release returned")
-	}
-	if el := time.Since(start); el > 2*time.Second {
-		t.Errorf("release drain took %v, want well under the %v flush delay", el, opts.FlushDelay)
 	}
 	if st := svc.Status(); st.ActiveLeases != 0 || st.Utilization != 0 {
 		t.Errorf("after release: %d leases, utilization %v", st.ActiveLeases, st.Utilization)

@@ -7,7 +7,7 @@ import (
 )
 
 // fairQueue is the weighted fair-share request queue feeding one lease's
-// micro-batch assembly: one FIFO per tenant, drained by deficit
+// slot admission: one FIFO per tenant, drained by deficit
 // round-robin. Each visit grants a tenant its weight in fresh deficit and
 // serves requests (cost 1 each) until the deficit or the FIFO runs out,
 // so over any window a tenant's share of batch slots converges to
@@ -15,9 +15,6 @@ import (
 // a latency-class tenant's requests more than one round back.
 type fairQueue struct {
 	mu sync.Mutex
-	// ready carries one wake-up token for collectors; pushes re-arm it and
-	// takes re-arm it when requests remain.
-	ready chan struct{}
 
 	byID map[string]*tenantFIFO
 	// ring holds the tenants with queued requests in round-robin order;
@@ -45,10 +42,10 @@ type tenantFIFO struct {
 }
 
 func newFairQueue() *fairQueue {
-	return &fairQueue{ready: make(chan struct{}, 1), byID: map[string]*tenantFIFO{}}
+	return &fairQueue{byID: map[string]*tenantFIFO{}}
 }
 
-// push enqueues a request under its tenant and wakes a collector.
+// push enqueues a request under its tenant.
 func (q *fairQueue) push(r *inferRequest) {
 	q.mu.Lock()
 	tf := q.byID[r.tenant]
@@ -72,20 +69,10 @@ func (q *fairQueue) push(r *inferRequest) {
 	if r.tenant != "" {
 		metrics.TenantQueueDepth.Add(r.tenant, 1)
 	}
-	q.signal()
-}
-
-func (q *fairQueue) signal() {
-	select {
-	case q.ready <- struct{}{}:
-	default:
-	}
 }
 
 // take collects up to max requests by deficit round-robin. It never
-// blocks; an empty queue returns nil. When requests remain after the
-// take, the ready token is re-armed so the next collector wakes
-// immediately.
+// blocks; an empty queue returns nil.
 func (q *fairQueue) take(max int) []*inferRequest {
 	q.mu.Lock()
 	var out []*inferRequest
@@ -128,15 +115,11 @@ func (q *fairQueue) take(max int) []*inferRequest {
 		}
 		q.pos++
 	}
-	remaining := q.size
 	q.mu.Unlock()
 	for _, r := range out {
 		if r.tenant != "" {
 			metrics.TenantQueueDepth.Add(r.tenant, -1)
 		}
-	}
-	if remaining > 0 {
-		q.signal()
 	}
 	return out
 }

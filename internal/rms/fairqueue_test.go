@@ -110,35 +110,6 @@ func TestFairQueueIdleTenantBanksNoCredit(t *testing.T) {
 	}
 }
 
-func TestFairQueueReadySignal(t *testing.T) {
-	q := newFairQueue()
-	q.push(fqReq("a", 1))
-	q.push(fqReq("a", 1))
-	select {
-	case <-q.ready:
-	default:
-		t.Fatal("push did not arm the ready token")
-	}
-	// Partial drain re-arms the token for the remaining request.
-	if got := q.take(1); len(got) != 1 {
-		t.Fatalf("take(1) = %d requests", len(got))
-	}
-	select {
-	case <-q.ready:
-	default:
-		t.Fatal("partial take did not re-arm the ready token")
-	}
-	// Full drain does not.
-	if got := q.take(1); len(got) != 1 {
-		t.Fatalf("final take = %d requests", len(got))
-	}
-	select {
-	case <-q.ready:
-		t.Fatal("empty queue left a stale ready token")
-	default:
-	}
-}
-
 // TestFairQueueLatencyFloodQuantumBound is the inverse starvation case
 // under continuous admission: a latency-class flood (weight 8) is
 // draining the queue one slot at a time — the slot-granular take pattern

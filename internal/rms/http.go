@@ -44,8 +44,7 @@ func Handler(s *Service) http.Handler { return handler(s, nil) }
 //
 // /release drains the lease's engine before freeing its blocks; /preempt
 // checkpoints up to slots resident streams of the lease back into its
-// fair queue (409 when the lease serves on the flush plane, which has no
-// resident streams to preempt).
+// fair queue.
 func (dp *DataPlane) Handler() http.Handler { return handler(dp.svc, dp) }
 
 // retryAfter is the backoff hint stamped on 429/503 responses.
@@ -242,8 +241,6 @@ func handler(s *Service, dp *DataPlane) http.Handler {
 			switch {
 			case errors.Is(err, ErrUnknownLease):
 				writeErr(w, http.StatusNotFound, err)
-			case errors.Is(err, ErrFlushPlane):
-				writeErr(w, http.StatusConflict, err)
 			case err != nil:
 				writeErr(w, http.StatusInternalServerError, err)
 			default:

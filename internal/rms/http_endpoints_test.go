@@ -240,8 +240,8 @@ func TestHTTPDeployWithDepthField(t *testing.T) {
 	}
 }
 
-// TestHTTPPreempt drives the /preempt endpoint: error contract, the
-// flush-plane 409, ownership gating, and a successful eviction count.
+// TestHTTPPreempt drives the /preempt endpoint: error contract and a
+// successful eviction count.
 func TestHTTPPreempt(t *testing.T) {
 	_, dp, lease := testPlane(t, DefaultInferOptions())
 	h := dp.Handler()
@@ -272,20 +272,6 @@ func TestHTTPPreempt(t *testing.T) {
 	}
 	if err := json.Unmarshal(w.Body.Bytes(), &rep); err != nil || rep.Evicted != 0 {
 		t.Fatalf("body %q, want {\"evicted\":0}", w.Body.String())
-	}
-
-	// Flush-plane leases have no resident streams to checkpoint: 409.
-	fopts := DefaultInferOptions()
-	fopts.Flush = true
-	_, fdp, flease := testPlane(t, fopts)
-	if _, err := fdp.Infer(flease.ID, testInputs(flease.Spec, 1)); err != nil {
-		t.Fatal(err)
-	}
-	fw := httptest.NewRecorder()
-	fdp.Handler().ServeHTTP(fw, httptest.NewRequest(http.MethodPost, "/preempt",
-		strings.NewReader(fmt.Sprintf(`{"id":%d,"slots":1}`, flease.ID))))
-	if fw.Code != http.StatusConflict {
-		t.Errorf("flush-plane preempt: %d, want 409 (body %s)", fw.Code, fw.Body.String())
 	}
 }
 

@@ -27,32 +27,17 @@ var ErrBusy = errors.New("rms: serving queue full")
 // (HTTP maps this to 429 + Retry-After).
 var ErrTenantBusy = errors.New("rms: tenant at in-flight request cap")
 
-// ErrFlushPlane is returned by preemption operations against a lease
-// served by the legacy flush plane, which has no persistent slots to
-// checkpoint.
-var ErrFlushPlane = errors.New("rms: lease is on the flush plane; preemption needs continuous batching")
-
 // InferOptions tunes the online data plane.
 type InferOptions struct {
-	// MaxBatch is the largest micro-batch one machine executes; a full
-	// batch flushes immediately. Under continuous batching it is the
-	// per-machine slot count.
+	// MaxBatch is the per-machine slot count: how many streams one
+	// machine steps together.
 	MaxBatch int
-	// FlushDelay bounds how long a partial batch waits for co-riders
-	// before it flushes (flush plane only; continuous admission has no
-	// flush boundary to wait for).
-	FlushDelay time.Duration
-	// Machines is the per-lease machine pool size: how many batches of a
-	// lease can execute concurrently.
+	// Machines is the per-lease machine pool size: how many cohorts of a
+	// lease can step concurrently.
 	Machines int
-	// Flush selects the legacy flush-and-wait micro-batching plane. The
-	// default (false) is continuous batching: persistent per-machine
-	// batch slots, immediate retirement, admission into running batches,
-	// and a sharded work-stealing scheduler (see contEngine).
-	Flush bool
-	// Shards is the continuous plane's scheduler shard count (per-shard
-	// run queues, one worker each, work stealing between them).
-	// 0 = GOMAXPROCS; capped at Machines.
+	// Shards is the scheduler shard count (per-shard run queues, one
+	// worker each, work stealing between them). 0 = GOMAXPROCS; capped at
+	// Machines.
 	Shards int
 	// Tiles is the simulated tile-engine count per machine.
 	Tiles int
@@ -61,31 +46,29 @@ type InferOptions struct {
 	// Seed derives per-lease weights (Seed + lease id), standing in for a
 	// real deployment's model upload.
 	Seed int64
-	// Preempt enables automatic preemption in the continuous plane: a
-	// machine with no free slots checkpoints batch-class streams while
-	// latency-class requests wait in the fair queue, instead of making
-	// them wait for a natural retirement. Explicit preemption
-	// (DataPlane.Preempt) works regardless of this flag.
+	// Preempt enables automatic preemption: a machine with no free slots
+	// checkpoints batch-class streams while latency-class requests wait in
+	// the fair queue, instead of making them wait for a natural
+	// retirement. Explicit preemption (DataPlane.Preempt) works regardless
+	// of this flag.
 	Preempt bool
 }
 
 // DefaultInferOptions returns the serving defaults.
 func DefaultInferOptions() InferOptions {
 	return InferOptions{
-		MaxBatch:   8,
-		FlushDelay: 500 * time.Microsecond,
-		Machines:   2,
-		Tiles:      2,
-		Seed:       1,
+		MaxBatch: 8,
+		Machines: 2,
+		Tiles:    2,
+		Seed:     1,
 	}
 }
 
 // InferResult is one request's answer plus batching observability: which
-// stream of how large a batch served it, how long it queued, and the
-// execution-stat delta of the batch that carried it (shared by its
-// co-riders — TileCacheHits there is what weight-stationary batching
-// saves). Under continuous batching, BatchSize is the co-resident cohort
-// at the request's retire round and BatchStats spans its slot residency.
+// slot served it, how long it queued, the co-resident cohort at its retire
+// round (BatchSize), and the machine's execution-stat delta over its slot
+// residency (BatchStats — shared with its co-riders, so TileCacheHits
+// there is what weight-stationary batching saves).
 type InferResult struct {
 	LeaseID    int             `json:"lease_id"`
 	Outputs    [][]float64     `json:"outputs"`
@@ -106,31 +89,13 @@ type inferRequest struct {
 	weight int
 	// resume, when set, carries a preempted stream's checkpoint: admission
 	// restores it and continues from the saved timestep instead of running
-	// StreamInit (continuous plane only).
+	// StreamInit.
 	resume *resumeToken
 }
 
 type inferResponse struct {
 	result *InferResult
 	err    error
-}
-
-// leaseEngine is the data plane's per-lease serving engine: the legacy
-// flush-and-wait micro-batcher (inferEngine) or the continuous-batching
-// plane (contEngine). Both preserve the DRR fair-queue contract and the
-// load-shed error surface.
-type leaseEngine interface {
-	submit(req *inferRequest) error
-	close()
-	load() LoadStats
-}
-
-// newLeaseEngine builds the engine the options select.
-func newLeaseEngine(lease *Lease, opts InferOptions, faults func() Faults) (leaseEngine, error) {
-	if opts.Flush {
-		return newInferEngine(lease, opts, faults)
-	}
-	return newContEngine(lease, opts, faults)
 }
 
 // buildKernel compiles a lease's layer with per-lease weights (Seed +
@@ -146,275 +111,6 @@ func buildKernel(lease *Lease, opts InferOptions) (*kernels.Kernel, error) {
 	return kern, nil
 }
 
-// inferEngine is one lease's serving state: the compiled kernel, a
-// free-list of warm machines (weights resident in every tile cache), and
-// the micro-batching collector goroutine.
-type inferEngine struct {
-	leaseID int
-	kern    *kernels.Kernel
-	opts    InferOptions
-	// faults reads the owning data plane's injected-fault flags (nil in
-	// tests that build engines directly).
-	faults func() Faults
-
-	queue *fairQueue
-	// queueCap bounds admitted-but-unanswered requests; submit sheds load
-	// with ErrBusy beyond it.
-	queueCap int
-	pool     chan *accel.Machine
-	done     chan struct{}
-	loopDone chan struct{}
-	running  sync.WaitGroup
-	// flushTimer is reused across partial-batch waits (collector-only).
-	flushTimer *time.Timer
-
-	// Load observability for the cluster control plane.
-	served   atomic.Int64
-	batches  atomic.Int64
-	inFlight atomic.Int64
-	pending  atomic.Int64
-	waitEWMA atomic.Int64 // nanoseconds, alpha = 1/4
-
-	mu     sync.RWMutex
-	closed bool
-}
-
-func newInferEngine(lease *Lease, opts InferOptions, faults func() Faults) (*inferEngine, error) {
-	kern, err := buildKernel(lease, opts)
-	if err != nil {
-		return nil, err
-	}
-	e := &inferEngine{
-		leaseID:  lease.ID,
-		kern:     kern,
-		opts:     opts,
-		faults:   faults,
-		queue:    newFairQueue(),
-		queueCap: opts.MaxBatch * opts.Machines * 8,
-		pool:     make(chan *accel.Machine, opts.Machines),
-		done:     make(chan struct{}),
-		loopDone: make(chan struct{}),
-	}
-	for i := 0; i < opts.Machines; i++ {
-		m, err := kern.NewBatchMachine(opts.MaxBatch)
-		if err != nil {
-			return nil, err
-		}
-		// Warm the tile cache (and size the register files) so the first
-		// request already runs the steady-state path.
-		if err := m.Run(kern.Prog); err != nil {
-			return nil, fmt.Errorf("rms: warming lease %d: %w", lease.ID, err)
-		}
-		e.pool <- m
-	}
-	go e.loop()
-	return e, nil
-}
-
-// submit enqueues a request unless the engine is closing or the queue is
-// at its bound (load shed: ErrBusy, never block the caller).
-func (e *inferEngine) submit(req *inferRequest) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return ErrLeaseClosing
-	}
-	if int(e.pending.Load()) >= e.queueCap {
-		return ErrBusy
-	}
-	e.pending.Add(1)
-	e.queue.push(req)
-	return nil
-}
-
-// close stops admission, serves everything already queued, and waits for
-// in-flight batches to finish.
-func (e *inferEngine) close() {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.closed = true
-	e.mu.Unlock()
-	close(e.done)
-	<-e.loopDone
-	e.running.Wait()
-}
-
-// loop collects micro-batches and dispatches each to a pooled machine.
-// Collection continues while a batch executes, so up to opts.Machines
-// batches of one lease run concurrently.
-func (e *inferEngine) loop() {
-	defer close(e.loopDone)
-	for {
-		batch, ok := e.collect()
-		if !ok {
-			return
-		}
-		m := <-e.pool
-		e.running.Add(1)
-		go e.execute(m, batch)
-	}
-}
-
-// collect blocks for the first request, then drains the fair-share queue
-// by deficit round-robin; a partial batch waits up to FlushDelay for
-// co-riders. A full batch flushes immediately. The queue's ready channel
-// carries one wake-up token re-armed whenever requests remain, so a take
-// that empties nothing (token raced a previous drain) just loops.
-func (e *inferEngine) collect() ([]*inferRequest, bool) {
-	var batch []*inferRequest
-	for len(batch) == 0 {
-		select {
-		case <-e.queue.ready:
-			batch = e.queue.take(e.opts.MaxBatch)
-		case <-e.done:
-			// Graceful drain: serve what is already queued, then stop.
-			batch = e.queue.take(e.opts.MaxBatch)
-			if len(batch) == 0 {
-				return nil, false
-			}
-		}
-	}
-	if len(batch) >= e.opts.MaxBatch || e.opts.FlushDelay <= 0 {
-		return batch, true
-	}
-	// One timer per engine, reused across partial-batch waits, instead of
-	// an allocation per collection. On every exit except the timer firing
-	// itself the timer is stopped and its channel drained, so the next
-	// Reset starts from a clean state. Only the collector goroutine
-	// touches it.
-	if e.flushTimer == nil {
-		e.flushTimer = time.NewTimer(e.opts.FlushDelay)
-	} else {
-		e.flushTimer.Reset(e.opts.FlushDelay)
-	}
-	fired := false
-	defer func() {
-		if fired {
-			return
-		}
-		if !e.flushTimer.Stop() {
-			select {
-			case <-e.flushTimer.C:
-			default:
-			}
-		}
-	}()
-	for len(batch) < e.opts.MaxBatch {
-		select {
-		case <-e.queue.ready:
-			batch = append(batch, e.queue.take(e.opts.MaxBatch-len(batch))...)
-		case <-e.flushTimer.C:
-			fired = true
-			return batch, true
-		case <-e.done:
-			return batch, true
-		}
-	}
-	return batch, true
-}
-
-// execute runs one micro-batch on m and answers every rider.
-func (e *inferEngine) execute(m *accel.Machine, batch []*inferRequest) {
-	defer e.running.Done()
-	defer func() { e.pool <- m }()
-	e.inFlight.Add(1)
-	defer e.inFlight.Add(-1)
-	defer e.pending.Add(-int64(len(batch)))
-
-	fail := func(err error) {
-		for _, req := range batch {
-			req.resp <- inferResponse{err: err}
-		}
-	}
-	w, err := e.kern.Window(len(batch))
-	if err != nil {
-		fail(err)
-		return
-	}
-	for s, req := range batch {
-		for t, x := range req.inputs {
-			if err := e.kern.SetInputStream(m, s, t, x); err != nil {
-				fail(err)
-				return
-			}
-		}
-	}
-	started := time.Now()
-	before := m.Stats()
-	if err := m.RunBatch(e.kern.Prog, w); err != nil {
-		fail(err)
-		return
-	}
-	delta := m.Stats().Minus(before)
-	e.batches.Add(1)
-	e.served.Add(int64(len(batch)))
-	metrics.BatchesFlushed.Add(1)
-	metrics.InfersServed.Add(int64(len(batch)))
-	skipServed := e.faults != nil && e.faults().SkipTenantServedMetric
-	riders := map[string]int64{}
-	for _, req := range batch {
-		if req.tenant != "" {
-			riders[req.tenant]++
-		}
-	}
-	for id, n := range riders {
-		metrics.TenantBatchRiders.Add(id, n)
-		metrics.TenantBatches.Add(id, 1)
-		if !skipServed {
-			metrics.TenantServed.Add(id, n)
-		}
-	}
-	for _, req := range batch {
-		// EWMA of queue wait, alpha 1/4: new = old + (sample-old)/4.
-		wait := int64(started.Sub(req.enqueued))
-		for {
-			old := e.waitEWMA.Load()
-			if e.waitEWMA.CompareAndSwap(old, old+(wait-old)/4) {
-				break
-			}
-		}
-	}
-	for s, req := range batch {
-		// Variable-length requests: only len(inputs) timesteps are live
-		// (the program still runs the full unrolled sequence; h_t for
-		// t < len depends only on inputs up to t).
-		outs := make([][]float64, len(req.inputs))
-		var rerr error
-		for t := range outs {
-			if outs[t], rerr = e.kern.ReadOutputStream(m, s, t); rerr != nil {
-				break
-			}
-		}
-		if rerr != nil {
-			req.resp <- inferResponse{err: rerr}
-			continue
-		}
-		req.resp <- inferResponse{result: &InferResult{
-			LeaseID:    e.leaseID,
-			Outputs:    outs,
-			BatchSize:  len(batch),
-			Stream:     s,
-			QueueWait:  started.Sub(req.enqueued),
-			BatchStats: delta,
-		}}
-	}
-}
-
-func (e *inferEngine) load() LoadStats {
-	return LoadStats{
-		QueueDepth:   e.queue.depth(),
-		InFlight:     int(e.inFlight.Load()),
-		Pending:      int(e.pending.Load()),
-		Served:       e.served.Load(),
-		Batches:      e.batches.Load(),
-		Machines:     e.opts.Machines,
-		AvgQueueWait: time.Duration(e.waitEWMA.Load()),
-	}
-}
-
 // Faults enables deliberate bug injection for the deterministic
 // simulation harness (internal/simtest): each flag disables one
 // correctness mechanism so the harness's invariant checkers and failure
@@ -426,7 +122,7 @@ type Faults struct {
 	// the tombstone map exists to prevent. CheckInvariants must catch the
 	// orphaned engine on the next sweep.
 	SkipReleaseTombstone bool
-	// SkipTenantServedMetric makes execute skip the per-tenant served
+	// SkipTenantServedMetric makes retire skip the per-tenant served
 	// counter — recreating the accounting-drift bug class the simtest
 	// per-tenant counter invariant exists to catch (served deltas must
 	// equal the event model's answered-request count).
@@ -452,9 +148,8 @@ type Faults struct {
 }
 
 // DataPlane serves inferences against admitted leases: per-lease machine
-// pools with resident (weight-stationary) tiles, fed by a fair-share
-// queue — continuously batched by default, flush micro-batched when
-// InferOptions.Flush is set.
+// pools with resident (weight-stationary) tiles and persistent batch
+// slots, fed by a fair-share queue (see contEngine).
 //
 // The submit path is de-contended: the engine table sits behind an
 // RWMutex taken shared on the hot path, fault flags and the tenant
@@ -542,7 +237,7 @@ type engineSlot struct {
 	// ready flips after e/err are final, so lock-free readers (Load) can
 	// check it without racing the once body.
 	ready atomic.Bool
-	e     leaseEngine
+	e     *contEngine
 	err   error
 }
 
@@ -574,14 +269,16 @@ func NewDataPlane(svc *Service, opts InferOptions) *DataPlane {
 // LoadStats is a lease's live serving load, the control plane's
 // depth-selection signal.
 type LoadStats struct {
-	// QueueDepth is the number of requests waiting for a batch right now.
+	// QueueDepth is the number of requests waiting for a slot right now.
 	QueueDepth int `json:"queue_depth"`
-	// InFlight is the number of batches executing right now.
+	// InFlight is the number of machines not idle right now (queued for a
+	// worker or stepping a cohort).
 	InFlight int `json:"in_flight"`
 	// Pending is the number of requests admitted and not yet answered:
-	// queued, riding an open batch window, or executing.
+	// queued or resident in a slot.
 	Pending int `json:"pending"`
-	// Served and Batches are lifetime totals for the engine.
+	// Served and Batches are lifetime totals for the engine: requests
+	// answered, and fresh admission cohorts.
 	Served  int64 `json:"served"`
 	Batches int64 `json:"batches"`
 	// Machines is the engine's current pool size.
@@ -605,9 +302,11 @@ func (dp *DataPlane) Load(leaseID int) (LoadStats, bool) {
 
 // Resize swaps the lease's engine for one with the given machine-pool
 // size (the data-plane side of a depth migration: a deeper deployment
-// executes more concurrent batches). The swap is lossless — new requests
-// go to the new engine immediately while the old engine drains its queue
-// and finishes in-flight batches before retiring.
+// steps more cohorts concurrently). The swap is lossless and
+// make-before-break — new requests go to the new engine immediately, and
+// the old engine's queued and resident streams move over: residents are
+// checkpointed and resume mid-sequence on the new pool instead of being
+// re-run.
 func (dp *DataPlane) Resize(leaseID, machines int) error {
 	lease, ok := dp.svc.Lease(leaseID)
 	if !ok {
@@ -618,7 +317,7 @@ func (dp *DataPlane) Resize(leaseID, machines int) error {
 	}
 	opts := dp.opts
 	opts.Machines = machines
-	e, err := newLeaseEngine(lease, opts, dp.faultState)
+	e, err := newContEngine(lease, opts, dp.faultState)
 	if err != nil {
 		return err
 	}
@@ -639,15 +338,7 @@ func (dp *DataPlane) Resize(leaseID, machines int) error {
 	if old != nil {
 		old.once.Do(func() {})
 		if old.e != nil {
-			if oldCE, ok := old.e.(*contEngine); ok {
-				if newCE, ok2 := e.(*contEngine); ok2 {
-					// Make-before-break: the new engine is serving, so move
-					// the old engine's queued and resident streams over —
-					// residents are checkpointed and resume mid-sequence on
-					// the new pool instead of being re-run.
-					oldCE.transplantTo(newCE)
-				}
-			}
+			old.e.transplantTo(e)
 			old.e.close()
 		}
 	}
@@ -673,11 +364,7 @@ func (dp *DataPlane) Preempt(leaseID, n int) (int, error) {
 	if slot == nil || !slot.ready.Load() || slot.e == nil {
 		return 0, nil
 	}
-	ce, ok := slot.e.(*contEngine)
-	if !ok {
-		return 0, ErrFlushPlane
-	}
-	return ce.preempt(n), nil
+	return slot.e.preempt(n), nil
 }
 
 // faultState reads the injected-fault flags (passed to engines as their
@@ -696,7 +383,7 @@ func (dp *DataPlane) Infer(leaseID int, inputs [][]float64) (*InferResult, error
 
 // InferAs runs the lease's layer on inputs (one vector of the layer's
 // hidden size per timestep, up to the layer's unrolled length — shorter
-// sequences retire early under continuous batching) on behalf of
+// sequences retire early) on behalf of
 // tenantID and returns the per-timestep hidden states. The request rides
 // a batch with whatever else is in flight for the lease, scheduled by
 // weighted fair share across tenants; a tenant at its MaxInFlight cap is
@@ -774,7 +461,7 @@ func (dp *DataPlane) InferAs(tenantID string, leaseID int, inputs [][]float64) (
 
 // currentEngine returns the lease's engine if one is installed and built,
 // without building one (a released or closed plane must stay that way).
-func (dp *DataPlane) currentEngine(leaseID int) leaseEngine {
+func (dp *DataPlane) currentEngine(leaseID int) *contEngine {
 	dp.mu.RLock()
 	defer dp.mu.RUnlock()
 	if slot := dp.engines[leaseID]; slot != nil && slot.ready.Load() {
@@ -785,7 +472,7 @@ func (dp *DataPlane) currentEngine(leaseID int) leaseEngine {
 
 // engine returns the lease's serving engine, building it on first use.
 // The steady-state lookup takes the read lock only.
-func (dp *DataPlane) engine(lease *Lease) (leaseEngine, error) {
+func (dp *DataPlane) engine(lease *Lease) (*contEngine, error) {
 	dp.mu.RLock()
 	released := dp.released[lease.ID]
 	slot, ok := dp.engines[lease.ID]
@@ -807,7 +494,7 @@ func (dp *DataPlane) engine(lease *Lease) (leaseEngine, error) {
 		dp.mu.Unlock()
 	}
 	slot.once.Do(func() {
-		slot.e, slot.err = newLeaseEngine(lease, dp.opts, dp.faultState)
+		slot.e, slot.err = newContEngine(lease, dp.opts, dp.faultState)
 		slot.ready.Store(true)
 	})
 	if slot.err != nil {
@@ -824,7 +511,7 @@ func (dp *DataPlane) Release(leaseID int) error {
 }
 
 // drainEngine retires the lease's engine: admission stops, queued
-// requests are served, in-flight batches finish. Idempotent.
+// requests are served, resident streams finish. Idempotent.
 func (dp *DataPlane) drainEngine(leaseID int) {
 	if dp.faultState().SkipReleaseTombstone {
 		return
@@ -862,11 +549,10 @@ func (dp *DataPlane) Close() {
 }
 
 // CloseWithin drains and stops every engine like Close, but bounded by
-// one shared deadline: continuous engines that cannot drain in time
-// checkpoint their still-running streams and answer their callers
-// ErrLeaseClosing (flush engines drain unbounded — they have no
-// checkpoint path). Returns how many in-flight streams were
-// checkpointed, for the server's shutdown log.
+// one shared deadline: engines that cannot drain in time checkpoint their
+// still-running streams and answer their callers ErrLeaseClosing. Returns
+// how many in-flight streams were checkpointed, for the server's shutdown
+// log.
 func (dp *DataPlane) CloseWithin(d time.Duration) int {
 	dp.mu.Lock()
 	slots := make([]*engineSlot, 0, len(dp.engines))
@@ -882,15 +568,11 @@ func (dp *DataPlane) CloseWithin(d time.Duration) int {
 		if s.e == nil {
 			continue
 		}
-		if ce, ok := s.e.(*contEngine); ok {
-			remain := time.Until(deadline)
-			if remain < 0 {
-				remain = 0
-			}
-			checkpointed += ce.closeWithin(remain)
-			continue
+		remain := time.Until(deadline)
+		if remain < 0 {
+			remain = 0
 		}
-		s.e.close()
+		checkpointed += s.e.closeWithin(remain)
 	}
 	return checkpointed
 }

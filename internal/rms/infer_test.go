@@ -111,63 +111,6 @@ func TestInferMatchesDirectKernel(t *testing.T) {
 	}
 }
 
-// TestInferBatchesConcurrentRequests forces co-riding: with a generous
-// flush delay, 4 concurrent requests must share one batch, every rider
-// must see BatchSize 4, and each must still get exactly its own
-// single-stream answer (batching determinism through the whole stack).
-func TestInferBatchesConcurrentRequests(t *testing.T) {
-	opts := DefaultInferOptions()
-	opts.Flush = true // co-riding via the flush window is the behavior under test
-	opts.Machines = 1
-	opts.MaxBatch = 4
-	opts.FlushDelay = 200 * time.Millisecond
-	_, dp, lease := testPlane(t, opts)
-
-	// Prime the engine so the batch window opens after all goroutines are
-	// submitting.
-	if _, err := dp.Infer(lease.ID, testInputs(lease.Spec, 99)); err != nil {
-		t.Fatal(err)
-	}
-
-	const B = 4
-	results := make([]*InferResult, B)
-	inputs := make([][][]float64, B)
-	var wg sync.WaitGroup
-	for i := 0; i < B; i++ {
-		inputs[i] = testInputs(lease.Spec, int64(i))
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := dp.Infer(lease.ID, inputs[i])
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[i] = res
-		}(i)
-	}
-	wg.Wait()
-	for i, res := range results {
-		if res == nil {
-			t.Fatal("missing result")
-		}
-		if res.BatchSize != B {
-			t.Errorf("request %d rode batch of %d, want %d", i, res.BatchSize, B)
-		}
-		want := referenceOutputs(t, lease, opts, inputs[i])
-		if !reflect.DeepEqual(res.Outputs, want) {
-			t.Errorf("request %d: batched result differs from solo execution", i)
-		}
-	}
-	// A warm batch serves every rider's m_rd from the tile cache.
-	if hits := results[0].BatchStats.TileCacheHits; hits == 0 {
-		t.Error("batched run recorded no tile-cache hits")
-	}
-	if misses := results[0].BatchStats.TileCacheMisses; misses != 0 {
-		t.Errorf("warm batch missed the tile cache %d times", misses)
-	}
-}
-
 func TestInferUnknownAndReleasedLease(t *testing.T) {
 	opts := DefaultInferOptions()
 	_, dp, lease := testPlane(t, opts)
@@ -204,7 +147,6 @@ func TestInferConcurrentLoad(t *testing.T) {
 	opts := DefaultInferOptions()
 	opts.Machines = 2
 	opts.MaxBatch = 4
-	opts.FlushDelay = 100 * time.Microsecond
 	_, dp, lease := testPlane(t, opts)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -309,6 +309,9 @@ func TestAutoPreemptFavorsLatencyClass(t *testing.T) {
 	if c, r := snapDelta(base, "mlv_snapshot_captures"), snapDelta(base, "mlv_snapshot_restores"); c != r {
 		t.Errorf("captures %d != restores %d", c, r)
 	}
+	if ev, rs := snapDelta(base, "mlv_preempt_evictions"), snapDelta(base, "mlv_preempt_restores"); ev != rs {
+		t.Errorf("evictions %d != restores %d", ev, rs)
+	}
 }
 
 // TestCloseWithinCheckpointsAtDeadline pins the deadline-bounded drain:
@@ -378,8 +381,7 @@ func TestCloseWithinCheckpointsAtDeadline(t *testing.T) {
 }
 
 // TestPreemptErrorSurface pins the operation's edges: unknown leases
-// error, leases with no engine yet report zero work, and the legacy
-// flush plane (no persistent slots) refuses with ErrFlushPlane.
+// error, and leases with no engine yet report zero work.
 func TestPreemptErrorSurface(t *testing.T) {
 	opts := DefaultInferOptions()
 	_, dp, lease := testPlane(t, opts)
@@ -388,16 +390,6 @@ func TestPreemptErrorSurface(t *testing.T) {
 	}
 	if n, err := dp.Preempt(lease.ID, 1); err != nil || n != 0 {
 		t.Errorf("no engine yet: got (%d, %v), want (0, nil)", n, err)
-	}
-
-	fopts := DefaultInferOptions()
-	fopts.Flush = true
-	_, fdp, flease := testPlane(t, fopts)
-	if _, err := fdp.Infer(flease.ID, testInputs(flease.Spec, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fdp.Preempt(flease.ID, 1); !errors.Is(err, ErrFlushPlane) {
-		t.Errorf("flush plane: err = %v, want ErrFlushPlane", err)
 	}
 }
 

@@ -126,11 +126,8 @@ func TestMigrateRespectsQuotaButAllowsEvacuation(t *testing.T) {
 
 func TestInferAsInFlightCap(t *testing.T) {
 	opts := DefaultInferOptions()
-	// One machine and a long flush delay so requests demonstrably pile up
-	// behind the first batch while we probe the cap.
 	opts.Machines = 1
 	opts.MaxBatch = 2
-	opts.FlushDelay = 50 * time.Millisecond
 	svc, dp, lease := testPlane(t, opts)
 	reg := quotaRegistry(t,
 		tenant.Tenant{ID: "capped", Key: "k", Quotas: tenant.Quotas{MaxInFlight: 2}},
@@ -259,7 +256,6 @@ func TestSubmitShedsAtQueueBound(t *testing.T) {
 	opts := DefaultInferOptions()
 	opts.Machines = 1
 	opts.MaxBatch = 1
-	opts.FlushDelay = 0
 	_, dp, lease := testPlane(t, opts)
 	e, err := dp.engine(mustLease(t, dp.svc, lease.ID))
 	if err != nil {
@@ -267,13 +263,12 @@ func TestSubmitShedsAtQueueBound(t *testing.T) {
 	}
 	// Fill the queue past its bound without running the scheduler (steal
 	// the pending count directly): submit must shed with ErrBusy.
-	ce := e.(*contEngine)
-	ce.pending.Store(int64(ce.queueCap))
+	e.pending.Store(int64(e.queueCap))
 	req := &inferRequest{inputs: testInputs(lease.Spec, 1), enqueued: time.Now(), resp: make(chan inferResponse, 1)}
 	if err := e.submit(req); !errors.Is(err, ErrBusy) {
 		t.Fatalf("submit at bound: %v, want ErrBusy", err)
 	}
-	ce.pending.Store(0)
+	e.pending.Store(0)
 }
 
 func mustLease(t *testing.T, svc *Service, id int) *Lease {

@@ -120,11 +120,10 @@ func DefaultOptions(seed int64) Options {
 		Cluster: resource.PaperCluster(),
 		Spec:    kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 64, TimeSteps: 2},
 		Infer: rms.InferOptions{
-			MaxBatch:   4,
-			FlushDelay: 100 * time.Microsecond,
-			Machines:   1,
-			Tiles:      1,
-			Seed:       7,
+			MaxBatch: 4,
+			Machines: 1,
+			Tiles:    1,
+			Seed:     7,
 			// Automatic latency-class preemption stays on in the sweep:
 			// preempted streams resume bit-identically, so traces remain
 			// deterministic while the checkpoint path earns real coverage.
@@ -1262,17 +1261,15 @@ func (h *harness) checkInvariants(step int) {
 			"mlv_slots_active residue %d with no request in flight", got)
 		return
 	}
-	if !h.o.Infer.Flush {
-		if got := sdelta("mlv_admissions"); got != h.expInfers {
-			h.fail(step, "slot-conservation",
-				"mlv_admissions moved %d, events account for %d", got, h.expInfers)
-			return
-		}
-		if occ, rounds := sdelta("mlv_slot_round_occupancy"), sdelta("mlv_slot_rounds"); occ < rounds {
-			h.fail(step, "slot-conservation",
-				"mlv_slot_round_occupancy %d below mlv_slot_rounds %d: a round ran with an empty cohort", occ, rounds)
-			return
-		}
+	if got := sdelta("mlv_admissions"); got != h.expInfers {
+		h.fail(step, "slot-conservation",
+			"mlv_admissions moved %d, events account for %d", got, h.expInfers)
+		return
+	}
+	if occ, rounds := sdelta("mlv_slot_round_occupancy"), sdelta("mlv_slot_rounds"); occ < rounds {
+		h.fail(step, "slot-conservation",
+			"mlv_slot_round_occupancy %d below mlv_slot_rounds %d: a round ran with an empty cohort", occ, rounds)
+		return
 	}
 }
 

@@ -112,9 +112,11 @@ func NewGuard(reg *Registry, opts GuardOptions) *Guard {
 }
 
 // reject answers an auth failure with a JSON error body and counts it
-// against the claimed tenant id ("unknown" when the request named none).
+// against the claimed tenant id when that tenant is registered, otherwise
+// against "unknown": the header is unauthenticated input, and each
+// distinct key stays in the expvar maps for the life of the process.
 func (g *Guard) reject(w http.ResponseWriter, code int, id, reason string) {
-	if id == "" {
+	if _, ok := g.reg.Lookup(id); !ok {
 		id = "unknown"
 	}
 	metrics.TenantAuthFailures.Add(id, 1)

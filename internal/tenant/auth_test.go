@@ -113,7 +113,7 @@ func TestGuardRejections(t *testing.T) {
 				return signedReq("mallory", "whatever", "/deploy", body, now, "n1")
 			},
 			code:    http.StatusUnauthorized,
-			counted: "mallory",
+			counted: "unknown",
 		},
 		{
 			name: "expired timestamp",
@@ -192,6 +192,48 @@ func TestGuardRejections(t *testing.T) {
 				t.Fatalf("auth failures for %s: delta %d, want 1", tc.counted, got-before)
 			}
 		})
+	}
+}
+
+// TestGuardRejectBoundsMetricKeys: the X-MLV-Tenant header is read before
+// the tenant is authenticated, so rejections may only create per-tenant
+// metric keys for registered ids — a thousand bogus ids share "unknown".
+func TestGuardRejectBoundsMetricKeys(t *testing.T) {
+	now := time.Unix(1_700_000_000, 0)
+	g := NewGuard(testRegistry(t), GuardOptions{Now: func() time.Time { return now }})
+	h := g.Wrap(echoTenant)
+	body := []byte(`{"id":1}`)
+	maps := []string{"mlv_tenant_auth_failures", "mlv_tenant_rejections"}
+
+	before := metrics.TenantCounters()
+	const N = 1000
+	for i := 0; i < N; i++ {
+		id := "bogus-" + strconv.Itoa(i)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, signedReq(id, "whatever", "/deploy", body, now, "k"+strconv.Itoa(i)))
+		if w.Code != http.StatusUnauthorized {
+			t.Fatalf("%s: code %d, want 401", id, w.Code)
+		}
+	}
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, signedReq("bob", "not-bobs-key", "/deploy", body, now, "kb"))
+	if w.Code != http.StatusUnauthorized {
+		t.Fatalf("bad signature: code %d, want 401", w.Code)
+	}
+
+	after := metrics.TenantCounters()
+	for _, name := range maps {
+		for id := range after[name] {
+			if _, had := before[name][id]; !had && id != "unknown" && id != "bob" {
+				t.Errorf("%s grew a key for unregistered id %q", name, id)
+			}
+		}
+		if d := after[name]["unknown"] - before[name]["unknown"]; d != N {
+			t.Errorf("%s[unknown] moved %d, want %d", name, d, N)
+		}
+		if d := after[name]["bob"] - before[name]["bob"]; d != 1 {
+			t.Errorf("%s[bob] moved %d, want 1", name, d)
+		}
 	}
 }
 
