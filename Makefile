@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check race cover bench lint soak fuzz simtest scenario scenario-smoke repro examples clean
+.PHONY: all build test check race cover bench lint loc soak fuzz simtest scenario scenario-smoke repro examples clean
 
 all: check
 
@@ -43,6 +43,12 @@ lint:
 		echo "lint: staticcheck not installed, ran go vet only (go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION))"; \
 	fi
 
+# Size of the tree, counted the way CHANGES.md has since PR 17 (a number
+# for the log, not a gate).
+loc:
+	@echo "non-test lines: $$(find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test lines:     $$(find . -name '*_test.go' | xargs cat | wc -l)"
+
 # Failure-injection soak: kill one device mid-run, drain another, assert
 # no request or lease is lost. -short keeps it CI-sized.
 soak:
@@ -54,7 +60,8 @@ repro:
 
 # Short fuzz passes: RTL frontend, partition shard ladder, number formats,
 # the lane-packed BFP mat-vec kernel against its unpacked oracle, the
-# workload DSL.
+# workload DSL, and the two decoders of outside bytes: the blob frame and
+# the slot-checkpoint payload sealed in it.
 # Raise FUZZTIME for a longer hunt; committed seed corpora under each
 # package's testdata/fuzz/ replay as plain regressions in `make test`.
 FUZZTIME ?= 15s
@@ -65,6 +72,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzQuantizeRoundTrip -fuzztime=$(FUZZTIME) ./internal/bfp
 	$(GO) test -fuzz=FuzzPackedMatVec -fuzztime=$(FUZZTIME) ./internal/bfp
 	$(GO) test -fuzz=FuzzParseMLW -fuzztime=$(FUZZTIME) ./internal/wdsl
+	$(GO) test -fuzz=FuzzOpen -fuzztime=$(FUZZTIME) ./internal/frame
+	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/snapshot
 
 # Deterministic whole-cluster simulation sweep. Each seed drives one
 # scripted run of the full stack (registry + control plane + data plane)

@@ -114,7 +114,7 @@ func BenchmarkCompileOverhead(b *testing.B) {
 	var r *experiments.CompileOverheadResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = experiments.CompileOverhead()
+		r, err = experiments.CompileOverhead(0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -164,14 +164,14 @@ func BenchmarkOfflineFlow(b *testing.B) {
 func BenchmarkOfflineFlowParallel(b *testing.B) {
 	tiles := core.DefaultTileCounts()
 	t0 := time.Now()
-	if _, err := core.InstanceCatalogParallel(tiles, 2, 1, 1); err != nil {
+	if _, err := core.InstanceCatalog(tiles, 2, 1, 1, nil); err != nil {
 		b.Fatal(err)
 	}
 	seq := time.Since(t0)
 	workers := runtime.GOMAXPROCS(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.InstanceCatalogParallel(tiles, 2, 1, workers); err != nil {
+		if _, err := core.InstanceCatalog(tiles, 2, 1, workers, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

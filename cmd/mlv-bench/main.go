@@ -67,7 +67,7 @@ func main() {
 		fmt.Println(experiments.FormatFig12(sum))
 	}
 	if run("compile") {
-		r, err := experiments.CompileOverhead()
+		r, err := experiments.CompileOverhead(0, nil)
 		if err != nil {
 			fail(err)
 		}

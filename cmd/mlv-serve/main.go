@@ -59,7 +59,6 @@ func main() {
 	restricted := flag.Bool("restricted", false, "use the same-type-only runtime policy")
 	maxBatch := flag.Int("max-batch", 8, "batch slots per machine: how many streams one machine steps together")
 	machines := flag.Int("machines", 2, "per-lease machine pool size")
-	shards := flag.Int("shards", 0, "scheduler shards per lease (0 = GOMAXPROCS, capped at -machines)")
 	preempt := flag.Bool("preempt", false, "preemptive scheduling: a full machine checkpoints batch-class streams while latency-class requests wait")
 	drainDeadline := flag.Duration("drain-deadline", 10*time.Second, "shutdown drain budget; streams still running at the deadline are checkpointed instead of served (0 = drain unbounded)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this private address (empty = disabled); enables mutex and block profiling")
@@ -94,7 +93,6 @@ func main() {
 	opts := rms.DefaultInferOptions()
 	opts.MaxBatch = *maxBatch
 	opts.Machines = *machines
-	opts.Shards = *shards
 	opts.Preempt = *preempt
 	dp := rms.NewDataPlane(svc, opts)
 

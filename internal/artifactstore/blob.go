@@ -1,33 +1,22 @@
 package artifactstore
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
+
+	"mlvfpga/internal/frame"
 )
 
-// On-disk blob layout, all integers little-endian:
-//
-//	offset  size  field
-//	0       8     magic + format version ("MLVART01")
-//	8       8     payload length in bytes
-//	16      8     FNV-64a checksum of the payload
-//	24      n     payload (codec-encoded artifact)
-//
-// The magic doubles as the layout version: any change to the framing or to
-// a codec's wire format bumps the trailing digits, so a new binary treats
-// old blobs as foreign files rather than corrupt ones. Writes go through a
-// temp file plus rename, so a reader never observes a half-written blob —
-// only complete blobs or blobs damaged at rest, which the checksum catches.
+// Blob files are frame.Seal(blobMagic, payload); internal/frame documents the
+// layout. Any change to a codec's wire format bumps the magic's trailing
+// digits. Writes go through a temp file plus rename, so a reader never
+// observes a half-written blob — only complete blobs or blobs damaged at
+// rest, which the checksum catches.
 
-// blobMagic names the blob framing and its version.
+// blobMagic names the artifact payload format and its version.
 const blobMagic = "MLVART01"
-
-// blobHeaderLen is the fixed prefix before the payload.
-const blobHeaderLen = len(blobMagic) + 8 + 8
 
 // blobExt is the on-disk file suffix for stored artifacts.
 const blobExt = ".mlva"
@@ -37,46 +26,8 @@ const blobExt = ".mlva"
 // recomputed and rewritten.
 var ErrCorrupt = errors.New("artifactstore: corrupt blob")
 
-// checksum is the blob payload digest: the same FNV-64a the structural
-// hasher uses (see rtl.CanonHash), applied to raw bytes.
-func checksum(payload []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(payload)
-	return h.Sum64()
-}
-
 // blobSize is the on-disk footprint of a payload.
-func blobSize(payloadLen int) int64 { return int64(blobHeaderLen + payloadLen) }
-
-// encodeBlob frames a payload.
-func encodeBlob(payload []byte) []byte {
-	buf := make([]byte, blobHeaderLen+len(payload))
-	copy(buf, blobMagic)
-	binary.LittleEndian.PutUint64(buf[len(blobMagic):], uint64(len(payload)))
-	binary.LittleEndian.PutUint64(buf[len(blobMagic)+8:], checksum(payload))
-	copy(buf[blobHeaderLen:], payload)
-	return buf
-}
-
-// decodeBlob validates framing and checksum and returns the payload.
-func decodeBlob(buf []byte) ([]byte, error) {
-	if len(buf) < blobHeaderLen {
-		return nil, fmt.Errorf("%w: %d bytes, want >= %d header", ErrCorrupt, len(buf), blobHeaderLen)
-	}
-	if string(buf[:len(blobMagic)]) != blobMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, buf[:len(blobMagic)])
-	}
-	n := binary.LittleEndian.Uint64(buf[len(blobMagic):])
-	want := binary.LittleEndian.Uint64(buf[len(blobMagic)+8:])
-	payload := buf[blobHeaderLen:]
-	if uint64(len(payload)) != n {
-		return nil, fmt.Errorf("%w: %d payload bytes, header says %d", ErrCorrupt, len(payload), n)
-	}
-	if got := checksum(payload); got != want {
-		return nil, fmt.Errorf("%w: checksum %#x, want %#x", ErrCorrupt, got, want)
-	}
-	return payload, nil
-}
+func blobSize(payloadLen int) int64 { return int64(frame.Overhead + payloadLen) }
 
 // readBlob loads and validates one blob file. A missing file returns the
 // underlying fs.ErrNotExist; a damaged one returns ErrCorrupt.
@@ -85,7 +36,11 @@ func readBlob(path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeBlob(buf)
+	payload, err := frame.Open(blobMagic, buf)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	return payload, nil
 }
 
 // writeBlob atomically persists a framed payload: temp file in the same
@@ -97,7 +52,7 @@ func writeBlob(path string, payload []byte) error {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(encodeBlob(payload)); err != nil {
+	if _, err := tmp.Write(frame.Seal(blobMagic, payload)); err != nil {
 		tmp.Close()
 		return err
 	}

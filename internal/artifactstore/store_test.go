@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mlvfpga/internal/frame"
 )
 
 // jsonCodec round-trips a map payload; enough to exercise the store
@@ -39,31 +41,42 @@ func mustGet(t *testing.T, s *Store, key Key, n int) (any, bool) {
 
 func TestBlobRoundTrip(t *testing.T) {
 	payload := []byte("the artifact payload")
-	buf := encodeBlob(payload)
-	got, err := decodeBlob(buf)
+	path := filepath.Join(t.TempDir(), "a"+blobExt)
+	if err := writeBlob(path, payload); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	got, err := readBlob(path)
 	if err != nil {
-		t.Fatalf("decode: %v", err)
+		t.Fatalf("read: %v", err)
 	}
 	if string(got) != string(payload) {
 		t.Fatalf("payload %q, want %q", got, payload)
 	}
 }
 
+// TestBlobRejectsDamage: every way internal/frame refuses a blob reaches
+// the store's callers as ErrCorrupt, with the frame's reason still attached.
 func TestBlobRejectsDamage(t *testing.T) {
-	payload := []byte("some bytes worth caching")
-	buf := encodeBlob(payload)
-	cases := map[string][]byte{
-		"empty":     {},
-		"truncated": buf[:len(buf)-3],
-		"short":     buf[:blobHeaderLen-1],
-		"badmagic":  append([]byte("XXVART01"), buf[8:]...),
-	}
+	buf := frame.Seal(blobMagic, []byte("some bytes worth caching"))
 	flipped := append([]byte{}, buf...)
-	flipped[blobHeaderLen+2] ^= 0x40
-	cases["bitflip"] = flipped
+	flipped[frame.Overhead+2] ^= 0x40
+	cases := map[string]struct {
+		blob []byte
+		why  error
+	}{
+		"empty":     {nil, frame.ErrTruncated},
+		"truncated": {buf[:len(buf)-3], frame.ErrLength},
+		"short":     {buf[:frame.Overhead-1], frame.ErrTruncated},
+		"badmagic":  {append([]byte("XXVART01"), buf[8:]...), frame.ErrBadMagic},
+		"bitflip":   {flipped, frame.ErrChecksum},
+	}
 	for name, c := range cases {
-		if _, err := decodeBlob(c); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		path := filepath.Join(t.TempDir(), "a"+blobExt)
+		if err := os.WriteFile(path, c.blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readBlob(path); !errors.Is(err, ErrCorrupt) || !errors.Is(err, c.why) {
+			t.Errorf("%s: err = %v, want ErrCorrupt wrapping %v", name, err, c.why)
 		}
 	}
 }
@@ -168,7 +181,7 @@ func TestUndecodablePayloadIsCorrupt(t *testing.T) {
 	// A well-framed blob whose payload the codec rejects: valid checksum,
 	// garbage JSON.
 	path := filepath.Join(dir, "k"+blobExt)
-	if err := os.WriteFile(path, encodeBlob([]byte("not json")), 0o644); err != nil {
+	if err := writeBlob(path, []byte("not json")); err != nil {
 		t.Fatal(err)
 	}
 	_, hit := mustGet(t, s, "k", 3)

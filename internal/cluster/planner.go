@@ -5,7 +5,6 @@ import (
 
 	"mlvfpga/internal/kernels"
 	"mlvfpga/internal/netmodel"
-	"mlvfpga/internal/partition"
 	"mlvfpga/internal/rms"
 )
 
@@ -83,21 +82,6 @@ func RNNLadder(spec kernels.LayerSpec, depths []int) []Rung {
 			bytes = int64(spec.Hidden) / int64(k) * 2
 		}
 		out = append(out, Rung{Pieces: k, StepBytes: bytes})
-	}
-	return out
-}
-
-// LadderFromPartition converts a partition tree's ladder (§2.2.2, Fig. 6)
-// into control-plane rungs: CutBits is bandwidth per element, so a depth's
-// per-step traffic is CutBits/8 bytes times the element count.
-func LadderFromPartition(res *partition.Result, elementsPerStep int) []Rung {
-	prs := res.Ladder()
-	out := make([]Rung, 0, len(prs))
-	for _, r := range prs {
-		out = append(out, Rung{
-			Pieces:    r.Pieces,
-			StepBytes: int64(r.CutBits) / 8 * int64(elementsPerStep),
-		})
 	}
 	return out
 }

@@ -19,7 +19,7 @@ import (
 // This file fronts the offline flow with the content-addressed artifact
 // store: CompileKey derives the canonical structural hash of everything
 // that determines a Compiled result, CompiledCodec frames the result as a
-// blob payload, and CompileAcceleratorCached / InstanceCatalogCached are
+// blob payload, and CompileAcceleratorCached / InstanceCatalog are
 // the cache-aware entry points the runtime and the experiment sweeps use.
 // A cache hit skips the entire decompose → partition → HS-compile
 // pipeline and, by construction, returns an artifact bit-identical to a
@@ -208,24 +208,26 @@ func CompileAcceleratorCached(opts Options, store *artifactstore.Store) (c *Comp
 	return v.(*Compiled), key, hit, nil
 }
 
-// InstanceCatalogCached compiles the instance catalog through the artifact
-// store: a repeat sweep over a warm store performs zero compiles and is
-// bound by cache lookups. Semantics otherwise match
-// InstanceCatalogParallel (nil store degrades to it).
-func InstanceCatalogCached(tileCounts []int, iterations int, seed int64, parallelism int, store *artifactstore.Store) ([]*Compiled, error) {
-	if store == nil {
-		return InstanceCatalogParallel(tileCounts, iterations, seed, parallelism)
-	}
-	workers := parpool.Workers(parallelism)
-	const inner = 1 // see InstanceCatalogParallel: instance-level fan-out saturates the pool
-	return parpool.Map(context.Background(), workers, len(tileCounts),
+// InstanceCatalog compiles the set of accelerator instances the evaluation
+// provides (§4.3: "10 different accelerator instances are provided for the
+// two types of FPGAs"), returning one Compiled per tile count. Instances
+// compile over a bounded worker pool (parallelism < 1 defaults to one
+// worker per logical CPU; 1 is strictly sequential) and through the
+// artifact store when one is given: a repeat sweep over a warm store
+// performs zero compiles and is bound by cache lookups (a nil store
+// compiles cold). The catalog is identical at every setting.
+func InstanceCatalog(tileCounts []int, iterations int, seed int64, parallelism int, store *artifactstore.Store) ([]*Compiled, error) {
+	return parpool.Map(context.Background(), parpool.Workers(parallelism), len(tileCounts),
 		func(_ context.Context, i int) (*Compiled, error) {
 			c, _, _, err := CompileAcceleratorCached(Options{
 				Tiles:               tileCounts[i],
 				PartitionIterations: iterations,
 				Seed:                seed,
 				PatternAware:        true,
-				Parallelism:         inner,
+				// The pool is saturated by instance-level jobs; nesting
+				// per-piece fan-out inside each would only oversubscribe
+				// the CPUs.
+				Parallelism: 1,
 			}, store)
 			if err != nil {
 				return nil, fmt.Errorf("core: instance with %d tiles: %w", tileCounts[i], err)

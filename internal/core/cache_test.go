@@ -140,14 +140,14 @@ func TestCompileAcceleratorCached(t *testing.T) {
 func TestInstanceCatalogCachedRepeatSweepIsCacheBound(t *testing.T) {
 	store := artifactstore.NewMemory(artifactstore.Options{})
 	tiles := []int{1, 2, 3}
-	first, err := InstanceCatalogCached(tiles, 2, 1, 1, store)
+	first, err := InstanceCatalog(tiles, 2, 1, 1, store)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := store.Stats(); st.Computes != int64(len(tiles)) {
 		t.Fatalf("first sweep stats = %+v", st)
 	}
-	second, err := InstanceCatalogCached(tiles, 2, 1, 1, store)
+	second, err := InstanceCatalog(tiles, 2, 1, 1, store)
 	if err != nil {
 		t.Fatal(err)
 	}

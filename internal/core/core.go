@@ -261,45 +261,6 @@ func calibratedBlock(b *softblock.Block, res resource.Vector) *softblock.Block {
 	return cp
 }
 
-// InstanceCatalog compiles the set of accelerator instances the evaluation
-// provides (§4.3: "10 different accelerator instances are provided for the
-// two types of FPGAs"), returning one Compiled per tile count. Instances
-// compile concurrently with one worker per logical CPU; use
-// InstanceCatalogParallel to pin the worker count.
-func InstanceCatalog(tileCounts []int, iterations int, seed int64) ([]*Compiled, error) {
-	return InstanceCatalogParallel(tileCounts, iterations, seed, 0)
-}
-
-// InstanceCatalogParallel compiles the instance catalog over a bounded
-// worker pool (parallelism < 1 defaults to one worker per logical CPU; 1 is
-// strictly sequential). Instance-level fan-out dominates, so each instance
-// compiles with its inner flow sequential when the catalog itself is
-// parallel; the catalog is identical at every setting.
-func InstanceCatalogParallel(tileCounts []int, iterations int, seed int64, parallelism int) ([]*Compiled, error) {
-	workers := parpool.Workers(parallelism)
-	// The pool is saturated by instance-level jobs; nesting per-piece
-	// fan-out inside each would only oversubscribe the CPUs.
-	const inner = 1
-	out, err := parpool.Map(context.Background(), workers, len(tileCounts),
-		func(_ context.Context, i int) (*Compiled, error) {
-			c, err := CompileAccelerator(Options{
-				Tiles:               tileCounts[i],
-				PartitionIterations: iterations,
-				Seed:                seed,
-				PatternAware:        true,
-				Parallelism:         inner,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("core: instance with %d tiles: %w", tileCounts[i], err)
-			}
-			return c, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // DefaultTileCounts is the 10-instance catalog of §4.3.
 func DefaultTileCounts() []int {
 	return []int{1, 2, 3, 4, 6, 8, 10, 13, 17, 21}

@@ -84,7 +84,7 @@ func TestPatternAwareHopsBeatNaive(t *testing.T) {
 
 func TestInstanceCatalog(t *testing.T) {
 	counts := []int{1, 4}
-	cat, err := InstanceCatalog(counts, 1, 1)
+	cat, err := InstanceCatalog(counts, 1, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestCompileAcceleratorErrors(t *testing.T) {
 	if _, err := CompileAccelerator(Options{Tiles: 2, PartitionIterations: -1}); err == nil {
 		t.Error("negative iterations must fail")
 	}
-	if _, err := InstanceCatalog([]int{0}, 1, 1); err == nil {
+	if _, err := InstanceCatalog([]int{0}, 1, 1, 0, nil); err == nil {
 		t.Error("bad catalog must fail")
 	}
 }
@@ -172,11 +172,11 @@ func TestCompileDeterministicAcrossParallelism(t *testing.T) {
 // the catalog sweep.
 func TestInstanceCatalogDeterministicAcrossParallelism(t *testing.T) {
 	tiles := []int{1, 2, 4}
-	seq, err := InstanceCatalogParallel(tiles, 2, 1, 1)
+	seq, err := InstanceCatalog(tiles, 2, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := InstanceCatalogParallel(tiles, 2, 1, 8)
+	par, err := InstanceCatalog(tiles, 2, 1, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

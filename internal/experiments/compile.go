@@ -40,38 +40,16 @@ type CompileOverheadResult struct {
 // CompileOverhead runs the offline flow for the 10-instance catalog and
 // accounts compile time with piece reuse. The catalog sweep is the hot
 // path: the ten instances compile concurrently (§4.3's per-piece builds are
-// embarrassingly parallel), while the reuse accounting below stays
-// sequential so the result is deterministic.
-func CompileOverhead() (*CompileOverheadResult, error) {
-	return CompileOverheadParallel(0)
-}
-
-// CompileOverheadParallel is CompileOverhead with an explicit worker bound
-// for the instance sweep (1 reproduces the sequential flow; < 1 one worker
-// per logical CPU).
-func CompileOverheadParallel(parallelism int) (*CompileOverheadResult, error) {
-	catalog, err := core.InstanceCatalogParallel(core.DefaultTileCounts(), 2, 1, parallelism)
+// embarrassingly parallel; parallelism 1 is the sequential flow, < 1 one
+// worker per logical CPU) while the reuse accounting stays sequential, so
+// the result is deterministic. Over a warm store a repeat run performs zero
+// compiles with identical accounting: the decompose/partition wall-clock
+// rides in the cached artifact.
+func CompileOverhead(parallelism int, store *artifactstore.Store) (*CompileOverheadResult, error) {
+	catalog, err := core.InstanceCatalog(core.DefaultTileCounts(), 2, 1, parallelism, store)
 	if err != nil {
 		return nil, err
 	}
-	return compileOverheadFrom(catalog)
-}
-
-// CompileOverheadCached is CompileOverheadParallel with the catalog sweep
-// running through the artifact store: a repeat run over a warm store
-// performs zero compiles, so the experiment becomes cache-bound. The
-// accounting is identical — the decompose/partition wall-clock rides in
-// the cached artifact, so the recorded fractions are stable across runs.
-func CompileOverheadCached(parallelism int, store *artifactstore.Store) (*CompileOverheadResult, error) {
-	catalog, err := core.InstanceCatalogCached(core.DefaultTileCounts(), 2, 1, parallelism, store)
-	if err != nil {
-		return nil, err
-	}
-	return compileOverheadFrom(catalog)
-}
-
-// compileOverheadFrom folds a compiled catalog into the §4.3 accounting.
-func compileOverheadFrom(catalog []*core.Compiled) (*CompileOverheadResult, error) {
 	res := &CompileOverheadResult{Instances: len(catalog)}
 
 	// pieceKey identifies a reusable scaled-down data-path piece: how many

@@ -12,7 +12,7 @@ import (
 // the cached artifacts).
 func TestCompileOverheadCachedRepeatIsCacheBound(t *testing.T) {
 	store := artifactstore.NewMemory(artifactstore.Options{MaxMemEntries: 32})
-	first, err := CompileOverheadCached(1, store)
+	first, err := CompileOverhead(1, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestCompileOverheadCachedRepeatIsCacheBound(t *testing.T) {
 	if computes != int64(first.Instances) {
 		t.Fatalf("first sweep: %d compiles for %d instances", computes, first.Instances)
 	}
-	second, err := CompileOverheadCached(1, store)
+	second, err := CompileOverhead(1, store)
 	if err != nil {
 		t.Fatal(err)
 	}

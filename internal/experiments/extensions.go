@@ -56,10 +56,7 @@ func LoadSweep(setIndex, numTasks int, seed int64) ([]LoadSweepPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		flex, err := rms.Simulate(tasks, rms.Config{
-			Cluster: cluster, Mode: rms.Flexible,
-			DB: rms.NewDatabase(rms.Flexible, p, scaleout.DefaultOptions()),
-		})
+		flex, err := simulate(tasks, cluster, rms.Flexible, rms.FIFOBackfill, p, scaleout.DefaultOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -108,18 +105,11 @@ func AblationPolicy(numTasks int, seed int64) ([]PolicyAblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		run := func(q rms.QueueDiscipline) (rms.Result, error) {
-			return rms.Simulate(tasks, rms.Config{
-				Cluster: cluster, Mode: rms.Flexible,
-				DB:         rms.NewDatabase(rms.Flexible, p, scaleout.DefaultOptions()),
-				Discipline: q,
-			})
-		}
-		fifo, err := run(rms.FIFOBackfill)
+		fifo, err := simulate(tasks, cluster, rms.Flexible, rms.FIFOBackfill, p, scaleout.DefaultOptions())
 		if err != nil {
 			return nil, err
 		}
-		sjf, err := run(rms.SJF)
+		sjf, err := simulate(tasks, cluster, rms.Flexible, rms.SJF, p, scaleout.DefaultOptions())
 		if err != nil {
 			return nil, err
 		}

@@ -89,6 +89,12 @@ func Fig12(opt Fig12Options) (*Fig12Summary, error) {
 	return sum, nil
 }
 
+// simulate runs a task sequence through the virtualized system under one
+// policy mode and queue discipline, over a fresh mapping database.
+func simulate(tasks []workload.Task, cluster resource.ClusterSpec, mode rms.PolicyMode, q rms.QueueDiscipline, p perf.Params, net scaleout.TwoFPGAOptions) (rms.Result, error) {
+	return rms.Simulate(tasks, rms.Config{Cluster: cluster, Mode: mode, DB: rms.NewDatabase(mode, p, net), Discipline: q})
+}
+
 // fig12Row simulates one workload set under the four systems.
 func fig12Row(comp workload.Composition, opt Fig12Options, cluster resource.ClusterSpec, p perf.Params, net scaleout.TwoFPGAOptions) (Fig12Row, error) {
 	tasks, err := workload.Generate(comp, workload.Options{
@@ -103,21 +109,15 @@ func fig12Row(comp workload.Composition, opt Fig12Options, cluster resource.Clus
 	if err != nil {
 		return Fig12Row{}, err
 	}
-	run := func(mode rms.PolicyMode) (rms.Result, error) {
-		return rms.Simulate(tasks, rms.Config{
-			Cluster: cluster, Mode: mode,
-			DB: rms.NewDatabase(mode, p, net),
-		})
-	}
-	restr, err := run(rms.SameTypeOnly)
+	restr, err := simulate(tasks, cluster, rms.SameTypeOnly, rms.FIFOBackfill, p, net)
 	if err != nil {
 		return Fig12Row{}, err
 	}
-	pinned, err := run(rms.StaticTarget)
+	pinned, err := simulate(tasks, cluster, rms.StaticTarget, rms.FIFOBackfill, p, net)
 	if err != nil {
 		return Fig12Row{}, err
 	}
-	flex, err := run(rms.Flexible)
+	flex, err := simulate(tasks, cluster, rms.Flexible, rms.FIFOBackfill, p, net)
 	if err != nil {
 		return Fig12Row{}, err
 	}

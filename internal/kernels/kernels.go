@@ -181,12 +181,7 @@ func (k *Kernel) OutputAddr(t int) int { return k.outputBase + t*k.Spec.Hidden }
 // NewMachine builds a machine loaded with the kernel's DRAM image and
 // matrix shapes.
 func (k *Kernel) NewMachine() (*accel.Machine, error) {
-	return k.newMachine(k.Cfg, nil)
-}
-
-// NewMachineWithDRAM is NewMachine over a caller-provided DRAM port.
-func (k *Kernel) NewMachineWithDRAM(dram accel.DRAM) (*accel.Machine, error) {
-	return k.newMachine(k.Cfg, dram)
+	return k.newMachine(k.Cfg)
 }
 
 // NewBatchMachine builds a machine sized for RunBatch over up to batch
@@ -203,27 +198,18 @@ func (k *Kernel) NewBatchMachine(batch int) (*accel.Machine, error) {
 		return nil, fmt.Errorf("kernels: batch %d needs %d DRAM words, board has %d", batch, need, cfg.DRAMWords)
 	}
 	cfg.DRAMWords = need
-	return k.newMachine(cfg, nil)
+	return k.newMachine(cfg)
 }
 
-func (k *Kernel) newMachine(cfg accel.Config, dram accel.DRAM) (*accel.Machine, error) {
-	// The kernel's own machines share its image (see imageDRAM); a
-	// caller's port gets a copy written into it.
-	own := dram == nil
-	if own {
-		var err error
-		if dram, err = newImageDRAM(k.Image, cfg.DRAMWords); err != nil {
-			return nil, err
-		}
+func (k *Kernel) newMachine(cfg accel.Config) (*accel.Machine, error) {
+	// The kernel's machines share its image (see imageDRAM).
+	dram, err := newImageDRAM(k.Image, cfg.DRAMWords)
+	if err != nil {
+		return nil, err
 	}
 	m, err := accel.NewWithDRAM(cfg, dram)
 	if err != nil {
 		return nil, err
-	}
-	if !own {
-		if err := m.DRAMPort().WriteWords(0, k.Image); err != nil {
-			return nil, err
-		}
 	}
 	wx, uh, _ := k.Spec.Kind.gateNames()
 	h := k.Spec.Hidden

@@ -1,8 +1,10 @@
 // Package metrics holds the process-wide expvar counters shared by the
 // runtime manager's data plane and the cluster control plane, so operators
-// and the control loop read one view. The counters are registered once at
-// init (expvar panics on duplicate names) and exported on every serving
-// mux under /debug/vars.
+// and the control loop read one view. Every counter is declared exactly
+// once — expvar name, variable and audited family — through declare, which
+// publishes it (expvar panics on duplicate names) and records it in the
+// package registry; the counters are exported on every serving mux under
+// /debug/vars.
 package metrics
 
 import (
@@ -10,66 +12,151 @@ import (
 	"sync/atomic"
 )
 
-// Counters snapshots every mlv_ counter by its expvar name. The
-// deterministic simulation harness (internal/simtest) diffs two snapshots
-// to check counter conservation: the delta across a simulated run must
-// equal the event-derived expectation (expvar counters are process-wide,
-// so absolute values are meaningless inside a shared test binary).
-func Counters() map[string]int64 {
-	return map[string]int64{
-		"mlv_leases_active":      LeasesActive.Value(),
-		"mlv_infers_served":      InfersServed.Value(),
-		"mlv_batches_flushed":    BatchesFlushed.Value(),
-		"mlv_migrations":         Migrations.Value(),
-		"mlv_migration_failures": MigrationFailures.Value(),
-		"mlv_heartbeat_misses":   HeartbeatMisses.Value(),
-		"mlv_devices_condemned":  DevicesCondemned.Value(),
-	}
+// Family names the conservation model with which the deterministic
+// simulation harness (internal/simtest) audits a counter; Unaudited ones
+// are operator-facing only (timing-dependent gauges, terminal drain
+// checkpoints, HTTP-level shedding).
+type Family string
+
+const (
+	Unaudited Family = ""
+	// ServingFamily: lease, inference and migration counters, pinned
+	// exactly by the harness's counter-conservation model.
+	ServingFamily Family = "serving"
+	// SlotFamily: continuous-batching counters (slot conservation).
+	SlotFamily Family = "slot"
+	// SnapshotFamily: checkpoint/restore counters — captures must be
+	// matched by restores, evictions by preempt-restores.
+	SnapshotFamily Family = "snapshot"
+	// ArtifactFamily: the offline-compilation cache and the RTL
+	// equivalence memo; asserted against artifactstore.Stats.
+	ArtifactFamily Family = "artifact"
+	// TenantFamily: the per-tenant maps, keyed by tenant id and checked
+	// against the harness's per-tenant event model.
+	TenantFamily Family = "tenant"
+)
+
+type decl struct {
+	name   string
+	family Family
+	v      expvar.Var
 }
 
-// ArtifactCounters snapshots the offline-compilation cache counters (the
-// artifact store plus the RTL equivalence oracle) by expvar name. They are
-// kept out of Counters() because the simulation harness's conservation
-// check models serving-path events only; cache behaviour is asserted
-// directly against artifactstore.Stats.
-func ArtifactCounters() map[string]int64 {
-	return map[string]int64{
-		"mlv_artifact_hits":       ArtifactHits.Value(),
-		"mlv_artifact_misses":     ArtifactMisses.Value(),
-		"mlv_artifact_compiles":   ArtifactCompiles.Value(),
-		"mlv_artifact_evictions":  ArtifactEvictions.Value(),
-		"mlv_artifact_corrupt":    ArtifactCorrupt.Value(),
-		"mlv_artifact_disk_bytes": ArtifactDiskBytes.Value(),
-		"mlv_equiv_queries":       EquivQueries.Value(),
-		"mlv_equiv_struct_hits":   EquivStructuralHits.Value(),
-		"mlv_equiv_cache_hits":    EquivCacheHits.Value(),
-		"mlv_equiv_sim_runs":      EquivSimRuns.Value(),
+var (
+	registry []decl
+	// index locates a declaration (and an Int's slot in Values.ints) by
+	// variable, so callers never address a counter by name.
+	index = map[expvar.Var]int{}
+)
+
+// declare publishes v under name and records the declaration.
+func declare[V expvar.Var](name string, family Family, v V) V {
+	expvar.Publish(name, v)
+	switch any(v).(type) {
+	case *expvar.Int, *expvar.Map: // an expvar.Func is not hashable, and nobody looks one up
+		index[v] = len(registry)
 	}
+	registry = append(registry, decl{name, family, v})
+	return v
 }
+
+// Name returns the expvar name a counter or per-tenant map was declared under.
+func Name(v expvar.Var) string { return registry[index[v]].name }
+
+func newInt(name string, family Family) *expvar.Int { return declare(name, family, new(expvar.Int)) }
+func newTenantMap(name string) *expvar.Map          { return declare(name, TenantFamily, new(expvar.Map)) }
+
+// Values is one reading of every registered counter. The counters are
+// process-wide, so in a shared test binary only a difference (Sub) means
+// anything.
+type Values struct {
+	ints    []int64 // by registry position
+	tenants map[tenantKey]int64
+}
+
+type tenantKey struct {
+	m  *expvar.Map
+	id string
+}
+
+// Snapshot reads every registered counter and per-tenant map once.
+func Snapshot() Values {
+	s := Values{ints: make([]int64, len(registry)), tenants: map[tenantKey]int64{}}
+	var m *expvar.Map // the map being walked; one closure serves all of them
+	add := func(kv expvar.KeyValue) {
+		if n, ok := kv.Value.(*expvar.Int); ok {
+			s.tenants[tenantKey{m, kv.Key}] = n.Value()
+		}
+	}
+	for i, d := range registry {
+		switch v := d.v.(type) {
+		case *expvar.Int:
+			s.ints[i] = v.Value()
+		case *expvar.Map:
+			m = v
+			v.Do(add)
+		}
+	}
+	return s
+}
+
+func (s Values) Int(v *expvar.Int) int64 { return s.ints[index[v]] }
+
+// Tenant reads one per-tenant map entry (0 if the tenant never touched it).
+func (s Values) Tenant(m *expvar.Map, id string) int64 { return s.tenants[tenantKey{m, id}] }
+
+// Sub subtracts base from s in place, counter by counter, and returns s
+// (the receiver is normally a fresh Snapshot, so nothing else sees it).
+func (s Values) Sub(base Values) Values {
+	for i := range s.ints {
+		s.ints[i] -= base.ints[i]
+	}
+	for k := range s.tenants {
+		s.tenants[k] -= base.tenants[k]
+	}
+	return s
+}
+
+// Family returns the family's Int counters by expvar name.
+func (s Values) Family(f Family) map[string]int64 {
+	out := map[string]int64{}
+	for i, d := range registry {
+		if _, ok := d.v.(*expvar.Int); ok && d.family == f {
+			out[d.name] = s.ints[i]
+		}
+	}
+	return out
+}
+
+// Counters and SlotCounters read one family by expvar name. They remain
+// only for benchmark/probes.go and benchmark/trace.go; everything else
+// reads Snapshot.
+func Counters() map[string]int64     { return Snapshot().Family(ServingFamily) }
+func SlotCounters() map[string]int64 { return Snapshot().Family(SlotFamily) }
 
 var (
 	// LeasesActive is a gauge of admitted deployments (+1 on Deploy,
 	// -1 on Release).
-	LeasesActive = expvar.NewInt("mlv_leases_active")
+	LeasesActive = newInt("mlv_leases_active", ServingFamily)
 	// InfersServed counts answered inference requests.
-	InfersServed = expvar.NewInt("mlv_infers_served")
+	InfersServed = newInt("mlv_infers_served", ServingFamily)
 	// BatchesFlushed counts fresh admission cohorts: one per fair-queue
 	// take that put at least one new stream into a slot.
-	BatchesFlushed = expvar.NewInt("mlv_batches_flushed")
+	BatchesFlushed = newInt("mlv_batches_flushed", ServingFamily)
 	// Migrations counts lease re-placements (depth changes and
 	// evacuations) performed by the cluster control plane.
-	Migrations = expvar.NewInt("mlv_migrations")
+	Migrations = newInt("mlv_migrations", ServingFamily)
 	// MigrationFailures counts migration attempts that found no
 	// capacity and went into backoff.
-	MigrationFailures = expvar.NewInt("mlv_migration_failures")
+	MigrationFailures = newInt("mlv_migration_failures", ServingFamily)
 	// HeartbeatMisses counts device health downgrades caused by missed
 	// heartbeats (healthy→suspect and suspect→dead sweep transitions).
-	HeartbeatMisses = expvar.NewInt("mlv_heartbeat_misses")
+	HeartbeatMisses = newInt("mlv_heartbeat_misses", ServingFamily)
 	// DevicesCondemned counts devices marked Dead on positive failure
 	// evidence (an explicit ReportDead, e.g. /cluster/kill or an observed
 	// scaleout.DeviceError) — kept separate from HeartbeatMisses so
 	// operators can tell confirmed failures from timeouts.
-	DevicesCondemned = expvar.NewInt("mlv_devices_condemned")
+	DevicesCondemned = newInt("mlv_devices_condemned", ServingFamily)
 )
 
 // Offline-compilation cache counters: the content-addressed artifact store
@@ -79,198 +166,123 @@ var (
 var (
 	// ArtifactHits counts artifact-store lookups served from cache
 	// (memory LRU or validated disk blob).
-	ArtifactHits = expvar.NewInt("mlv_artifact_hits")
+	ArtifactHits = newInt("mlv_artifact_hits", ArtifactFamily)
 	// ArtifactMisses counts lookups that found no usable artifact.
-	ArtifactMisses = expvar.NewInt("mlv_artifact_misses")
+	ArtifactMisses = newInt("mlv_artifact_misses", ArtifactFamily)
 	// ArtifactCompiles counts cold compiles the cache failed to absorb
 	// (one per miss; singleflight followers add nothing).
-	ArtifactCompiles = expvar.NewInt("mlv_artifact_compiles")
+	ArtifactCompiles = newInt("mlv_artifact_compiles", ArtifactFamily)
 	// ArtifactEvictions counts artifacts dropped by the memory LRU or the
 	// disk-bytes bound.
-	ArtifactEvictions = expvar.NewInt("mlv_artifact_evictions")
+	ArtifactEvictions = newInt("mlv_artifact_evictions", ArtifactFamily)
 	// ArtifactCorrupt counts blobs rejected by checksum/framing/decode
 	// validation and deleted (each one falls back to a recompile).
-	ArtifactCorrupt = expvar.NewInt("mlv_artifact_corrupt")
+	ArtifactCorrupt = newInt("mlv_artifact_corrupt", ArtifactFamily)
 	// ArtifactDiskBytes gauges the bytes currently held in blob files.
-	ArtifactDiskBytes = expvar.NewInt("mlv_artifact_disk_bytes")
+	ArtifactDiskBytes = newInt("mlv_artifact_disk_bytes", ArtifactFamily)
 
 	// EquivQueries counts rtl.EquivChecker.Equivalent calls.
-	EquivQueries = expvar.NewInt("mlv_equiv_queries")
+	EquivQueries = newInt("mlv_equiv_queries", ArtifactFamily)
 	// EquivStructuralHits counts queries decided by structural hashing
 	// alone (no simulation considered).
-	EquivStructuralHits = expvar.NewInt("mlv_equiv_struct_hits")
+	EquivStructuralHits = newInt("mlv_equiv_struct_hits", ArtifactFamily)
 	// EquivCacheHits counts queries answered from the hash-pair memo.
-	EquivCacheHits = expvar.NewInt("mlv_equiv_cache_hits")
+	EquivCacheHits = newInt("mlv_equiv_cache_hits", ArtifactFamily)
 	// EquivSimRuns counts memo misses that ran random-simulation
 	// equivalence.
-	EquivSimRuns = expvar.NewInt("mlv_equiv_sim_runs")
+	EquivSimRuns = newInt("mlv_equiv_sim_runs", ArtifactFamily)
 )
 
-// Continuous-batching data-plane counters. Kept out of Counters() — the
-// simulation harness audits them through SlotCounters() with its own
-// slot-conservation model (see internal/simtest).
+// Continuous-batching data-plane counters (SlotFamily: the simulation
+// harness's slot-conservation model, see internal/simtest).
 var (
 	// SlotsActive gauges streams currently resident in batch slots
 	// (+1 on admission, -1 when the slot is freed). At quiescence it must
 	// return to its baseline: a persistent residue is a leaked slot.
-	SlotsActive = expvar.NewInt("mlv_slots_active")
+	SlotsActive = newInt("mlv_slots_active", SlotFamily)
 	// SlotRounds counts executed step rounds; SlotRoundOccupancy sums the
 	// cohort size over those rounds, so occupancy/rounds is the mean
 	// co-resident stream count (near MaxBatch when admission keeps the
 	// slots full under load).
-	SlotRounds         = expvar.NewInt("mlv_slot_rounds")
-	SlotRoundOccupancy = expvar.NewInt("mlv_slot_round_occupancy")
+	SlotRounds         = newInt("mlv_slot_rounds", SlotFamily)
+	SlotRoundOccupancy = newInt("mlv_slot_round_occupancy", SlotFamily)
 	// Admissions counts streams admitted into slots;
 	// AdmissionsIntoRunning counts the subset admitted into a machine
 	// that already had live streams mid-flight.
-	Admissions            = expvar.NewInt("mlv_admissions")
-	AdmissionsIntoRunning = expvar.NewInt("mlv_admissions_into_running")
+	Admissions            = newInt("mlv_admissions", SlotFamily)
+	AdmissionsIntoRunning = newInt("mlv_admissions_into_running", SlotFamily)
 	// Steals counts scheduler rounds a worker ran on a machine stolen
 	// from another shard's run queue.
-	Steals = expvar.NewInt("mlv_steals")
+	Steals = newInt("mlv_steals", SlotFamily)
 	// AdmissionWaitNS gauges the most recent per-engine EWMA of
 	// queue-to-slot admission latency in nanoseconds.
-	AdmissionWaitNS = expvar.NewInt("mlv_admission_wait_ns")
+	AdmissionWaitNS = newInt("mlv_admission_wait_ns", Unaudited)
 )
 
-// SlotCounters snapshots the continuous-batching counters by expvar name
-// (the simulation harness diffs two snapshots for slot conservation).
-func SlotCounters() map[string]int64 {
-	return map[string]int64{
-		"mlv_slots_active":            SlotsActive.Value(),
-		"mlv_slot_rounds":             SlotRounds.Value(),
-		"mlv_slot_round_occupancy":    SlotRoundOccupancy.Value(),
-		"mlv_admissions":              Admissions.Value(),
-		"mlv_admissions_into_running": AdmissionsIntoRunning.Value(),
-		"mlv_steals":                  Steals.Value(),
-	}
-}
-
 // Checkpoint/restore counters: snapshot volume, preemptive scheduling
-// and defragmentation. Kept out of Counters() — the simulation harness
-// audits them through SnapshotCounters() with its own snapshot-
-// conservation model (captures from preemption must be matched by
-// restores; see internal/simtest).
+// and defragmentation (SnapshotFamily: captures from preemption must be
+// matched by restores; see internal/simtest).
 var (
 	// SnapshotCaptures counts slot checkpoints taken (preemption,
 	// transplant on resize, drain-deadline checkpointing);
 	// SnapshotRestores counts checkpoints installed into a slot.
-	SnapshotCaptures = expvar.NewInt("mlv_snapshot_captures")
-	SnapshotRestores = expvar.NewInt("mlv_snapshot_restores")
-	// SnapshotBytes sums the encoded payload size of every capture.
-	SnapshotBytes = expvar.NewInt("mlv_snapshot_bytes")
+	SnapshotCaptures = newInt("mlv_snapshot_captures", SnapshotFamily)
+	SnapshotRestores = newInt("mlv_snapshot_restores", SnapshotFamily)
+	// SnapshotBytes sums the framed size (frame.Overhead + Slot.Bytes())
+	// of every checkpoint taken, captures and drain checkpoints alike.
+	SnapshotBytes = newInt("mlv_snapshot_bytes", SnapshotFamily)
 	// PreemptEvictions counts streams evicted mid-flight from a slot
 	// (their checkpoints re-enter the fair queue as resume tokens);
 	// PreemptRestores counts evicted streams re-admitted from a token.
-	PreemptEvictions = expvar.NewInt("mlv_preempt_evictions")
-	PreemptRestores  = expvar.NewInt("mlv_preempt_restores")
+	PreemptEvictions = newInt("mlv_preempt_evictions", SnapshotFamily)
+	PreemptRestores  = newInt("mlv_preempt_restores", SnapshotFamily)
 	// PreemptRequests counts explicit or automatic preemption triggers
 	// (each may evict zero or more slots).
-	PreemptRequests = expvar.NewInt("mlv_preempt_requests")
+	PreemptRequests = newInt("mlv_preempt_requests", SnapshotFamily)
 	// DrainCheckpoints counts streams checkpointed because a shutdown
 	// drain deadline expired before they finished. Not part of the
 	// simtest conservation model (the harness never deadline-drains).
-	DrainCheckpoints = expvar.NewInt("mlv_drain_checkpoints")
+	DrainCheckpoints = newInt("mlv_drain_checkpoints", Unaudited)
 	// DefragRuns counts defragmentation planner invocations; DefragMoves
 	// counts the checkpoint-migrations those runs performed.
-	DefragRuns  = expvar.NewInt("mlv_defrag_runs")
-	DefragMoves = expvar.NewInt("mlv_defrag_moves")
+	DefragRuns  = newInt("mlv_defrag_runs", Unaudited)
+	DefragMoves = newInt("mlv_defrag_moves", SnapshotFamily)
 )
 
-// SnapshotCounters snapshots the checkpoint/restore counters by expvar
-// name (the simulation harness diffs two snapshots for snapshot
-// conservation; DrainCheckpoints and DefragRuns are excluded from the
-// equality model and audited directly).
-func SnapshotCounters() map[string]int64 {
-	return map[string]int64{
-		"mlv_snapshot_captures": SnapshotCaptures.Value(),
-		"mlv_snapshot_restores": SnapshotRestores.Value(),
-		"mlv_snapshot_bytes":    SnapshotBytes.Value(),
-		"mlv_preempt_evictions": PreemptEvictions.Value(),
-		"mlv_preempt_restores":  PreemptRestores.Value(),
-		"mlv_preempt_requests":  PreemptRequests.Value(),
-		"mlv_defrag_moves":      DefragMoves.Value(),
-	}
-}
-
 // Multi-tenant serving counters. The per-tenant maps are keyed by tenant
-// id; they are kept out of Counters() because the simulation harness
-// checks them through TenantCounters() with its own per-tenant event
-// model, and the serving-path counters above stay tenant-blind.
+// id (TenantFamily: the harness's per-tenant event model); the
+// serving-path counters above stay tenant-blind.
 var (
 	// CapacityRejections counts HTTP requests shed for lack of capacity
 	// (503 + Retry-After: deploy with no free blocks, serving queue full,
 	// lease draining) so load-shedding is observable and clients can back
 	// off.
-	CapacityRejections = expvar.NewInt("mlv_capacity_rejections")
+	CapacityRejections = newInt("mlv_capacity_rejections", Unaudited)
 
 	// TenantRequests counts admission attempts per tenant (deploys and
 	// infer submissions, accepted or not).
-	TenantRequests = expvar.NewMap("mlv_tenant_requests")
+	TenantRequests = newTenantMap("mlv_tenant_requests")
 	// TenantServed counts answered inference requests per tenant.
-	TenantServed = expvar.NewMap("mlv_tenant_infers_served")
+	TenantServed = newTenantMap("mlv_tenant_infers_served")
 	// TenantRejections counts per-tenant denials: quota exceeded,
 	// in-flight cap hit, and authentication failures attributed to a
 	// claimed tenant id.
-	TenantRejections = expvar.NewMap("mlv_tenant_rejections")
+	TenantRejections = newTenantMap("mlv_tenant_rejections")
 	// TenantAuthFailures counts signed-request authentication failures by
 	// claimed tenant id ("unknown" when the request named no tenant).
-	TenantAuthFailures = expvar.NewMap("mlv_tenant_auth_failures")
+	TenantAuthFailures = newTenantMap("mlv_tenant_auth_failures")
 	// TenantQueueDepth gauges requests waiting in the fair-share queues
 	// per tenant (+1 on enqueue, -1 when a batch collects the request).
-	TenantQueueDepth = expvar.NewMap("mlv_tenant_queue_depth")
+	TenantQueueDepth = newTenantMap("mlv_tenant_queue_depth")
 	// TenantBatchRiders counts micro-batch slots occupied per tenant;
 	// TenantBatches counts batches that carried at least one of the
 	// tenant's requests. Riders/Batches is the tenant's mean batch
 	// occupancy.
-	TenantBatchRiders = expvar.NewMap("mlv_tenant_batch_riders")
+	TenantBatchRiders = newTenantMap("mlv_tenant_batch_riders")
 	// TenantBatches counts batches carrying at least one request of the
 	// tenant (see TenantBatchRiders).
-	TenantBatches = expvar.NewMap("mlv_tenant_batches")
+	TenantBatches = newTenantMap("mlv_tenant_batches")
 )
-
-// TenantCounters snapshots every per-tenant map by expvar name, then by
-// tenant id. The simulation harness diffs two snapshots against its
-// per-tenant event model (maps are process-wide, so absolute values are
-// meaningless inside a shared test binary).
-func TenantCounters() map[string]map[string]int64 {
-	out := map[string]map[string]int64{}
-	for _, m := range []*expvar.Map{
-		TenantRequests, TenantServed, TenantRejections,
-		TenantAuthFailures, TenantQueueDepth, TenantBatchRiders, TenantBatches,
-	} {
-		byTenant := map[string]int64{}
-		m.Do(func(kv expvar.KeyValue) {
-			if v, ok := kv.Value.(*expvar.Int); ok {
-				byTenant[kv.Key] = v.Value()
-			}
-		})
-		out[mapName(m)] = byTenant
-	}
-	return out
-}
-
-// mapName recovers the registered expvar name of one of the package's
-// tenant maps (expvar.Map does not expose its name).
-func mapName(m *expvar.Map) string {
-	switch m {
-	case TenantRequests:
-		return "mlv_tenant_requests"
-	case TenantServed:
-		return "mlv_tenant_infers_served"
-	case TenantRejections:
-		return "mlv_tenant_rejections"
-	case TenantAuthFailures:
-		return "mlv_tenant_auth_failures"
-	case TenantQueueDepth:
-		return "mlv_tenant_queue_depth"
-	case TenantBatchRiders:
-		return "mlv_tenant_batch_riders"
-	case TenantBatches:
-		return "mlv_tenant_batches"
-	}
-	return "unknown"
-}
 
 // quotaHeadroom holds the callback behind the mlv_tenant_quota_headroom
 // expvar (expvar.Publish panics on duplicate names, so the Func is
@@ -278,14 +290,12 @@ func mapName(m *expvar.Map) string {
 // and servers can install their own view without re-registering).
 var quotaHeadroom atomic.Value // of func() any
 
-func init() {
-	expvar.Publish("mlv_tenant_quota_headroom", expvar.Func(func() any {
-		if fn, ok := quotaHeadroom.Load().(func() any); ok && fn != nil {
-			return fn()
-		}
-		return map[string]any{}
-	}))
-}
+var _ = declare("mlv_tenant_quota_headroom", Unaudited, expvar.Func(func() any {
+	if fn, ok := quotaHeadroom.Load().(func() any); ok && fn != nil {
+		return fn()
+	}
+	return map[string]any{}
+}))
 
 // SetQuotaHeadroom installs the callback that renders per-tenant quota
 // headroom (remaining leases/devices/blocks) under /debug/vars.

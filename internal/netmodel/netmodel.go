@@ -47,11 +47,6 @@ func DefaultRingLink() Link {
 	return Link{Latency: 400 * time.Nanosecond, BandwidthGBs: 3.0}
 }
 
-// DefaultPCIeLink is the host attachment (PCIe Gen3 x16 class).
-func DefaultPCIeLink() Link {
-	return Link{Latency: 900 * time.Nanosecond, BandwidthGBs: 12.0}
-}
-
 // Ring is a bidirectional ring of n nodes connected by identical links.
 type Ring struct {
 	n    int

@@ -135,11 +135,6 @@ func (v Vector) IsZero() bool {
 	return v == Vector{}
 }
 
-// NonNegative reports whether every count is >= 0.
-func (v Vector) NonNegative() bool {
-	return v.LUTs >= 0 && v.DFFs >= 0 && v.BRAMKb >= 0 && v.URAMKb >= 0 && v.DSPs >= 0
-}
-
 // Max returns the element-wise maximum of v and o.
 func (v Vector) Max(o Vector) Vector {
 	m := func(a, b int64) int64 {

@@ -55,16 +55,9 @@ func SimulateBaseline(tasks []workload.Task, cluster resource.ClusterSpec, p per
 		return total, nil
 	}
 
-	engine := des.New()
-	var res Result
-	var queue []workload.Task
-	var sumLatency, sumSojourn time.Duration
-	var lastCompletion time.Duration
-
-	var dispatchQueued func(now time.Duration)
-
-	// tryDispatch picks the free device offering the lowest latency.
-	tryDispatch := func(now time.Duration, task workload.Task) (bool, error) {
+	// The whole-device resource model: the free device offering the lowest
+	// latency, held until the task completes.
+	return runQueue(des.New(), tasks, nil, func(task workload.Task) (verdict, time.Duration, func(), error) {
 		var best *device
 		var bestLat time.Duration
 		for _, d := range devices {
@@ -73,70 +66,16 @@ func SimulateBaseline(tasks []workload.Task, cluster resource.ClusterSpec, p per
 			}
 			lat, err := latencyOn(task.Spec, d.name)
 			if err != nil {
-				return false, err
+				return waits, 0, nil, err
 			}
 			if best == nil || lat < bestLat {
 				best, bestLat = d, lat
 			}
 		}
 		if best == nil {
-			return false, nil
+			return waits, 0, nil, nil
 		}
 		best.busy = true
-		sumLatency += bestLat
-		sumSojourn += now - task.Arrival + bestLat
-		return true, engine.At(now+bestLat, func(n time.Duration) {
-			best.busy = false
-			res.Completed++
-			if n > lastCompletion {
-				lastCompletion = n
-			}
-			dispatchQueued(n)
-		})
-	}
-
-	dispatchQueued = func(now time.Duration) {
-		remaining := queue[:0]
-		for _, task := range queue {
-			started, err := tryDispatch(now, task)
-			if err != nil {
-				panic(fmt.Sprintf("rms: baseline dispatch: %v", err))
-			}
-			if !started {
-				remaining = append(remaining, task)
-			}
-		}
-		queue = remaining
-	}
-
-	for _, task := range tasks {
-		task := task
-		if err := engine.At(task.Arrival, func(now time.Duration) {
-			started, err := tryDispatch(now, task)
-			if err != nil {
-				panic(fmt.Sprintf("rms: baseline dispatch: %v", err))
-			}
-			if !started {
-				queue = append(queue, task)
-				if len(queue) > res.PeakQueue {
-					res.PeakQueue = len(queue)
-				}
-			}
-		}); err != nil {
-			return Result{}, err
-		}
-	}
-	engine.Run(0)
-	if len(queue) > 0 {
-		return Result{}, fmt.Errorf("rms: baseline left %d tasks queued", len(queue))
-	}
-	res.Makespan = lastCompletion
-	if res.Completed > 0 {
-		res.AvgLatency = sumLatency / time.Duration(res.Completed)
-		res.AvgSojourn = sumSojourn / time.Duration(res.Completed)
-	}
-	if res.Makespan > 0 {
-		res.ThroughputPerSec = float64(res.Completed) / res.Makespan.Seconds()
-	}
-	return res, nil
+		return started, bestLat, func() { best.busy = false }, nil
+	})
 }

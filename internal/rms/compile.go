@@ -8,7 +8,6 @@ import (
 	"mlvfpga/internal/core"
 	"mlvfpga/internal/kernels"
 	"mlvfpga/internal/perf"
-	"mlvfpga/internal/rtl"
 )
 
 // This file gives the admission service the paper's warm-start deploy: the
@@ -19,22 +18,6 @@ import (
 // once (the plan memo), addresses the full compilation product by its
 // structural hash, and relies on the store's singleflight guard so N
 // concurrent deploys of one design compile exactly once.
-
-// planSalt names the layer→instance plan keyspace; it shares the artifact
-// keys' canonical FNV-64a machinery (rtl.CanonHash).
-const planSalt = "mlvfpga/deploy-plan/v1"
-
-// SpecKey hashes a layer spec through the canonical hasher: the stable
-// identity of a deployment request, independent of how the layer renders.
-// Two specs that resolve to the same accelerator instance still share one
-// artifact — SpecKey names the request, core.CompileKey names the product.
-func SpecKey(spec kernels.LayerSpec) string {
-	return rtl.NewCanonHash(planSalt).
-		Field("kind", spec.Kind).
-		Field("hidden", spec.Hidden).
-		Field("timesteps", spec.TimeSteps).
-		Hex()
-}
 
 // CompilerOptions configures Deploy-triggered compiles.
 type CompilerOptions struct {

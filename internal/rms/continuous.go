@@ -152,13 +152,9 @@ func newContEngine(lease *Lease, opts InferOptions, faults func() Faults) (*cont
 	if err != nil {
 		return nil, err
 	}
-	shardN := opts.Shards
-	if shardN <= 0 {
-		shardN = runtime.GOMAXPROCS(0)
-	}
-	if shardN > opts.Machines {
-		shardN = opts.Machines
-	}
+	// One scheduler shard (run queue + worker, stealing from the others)
+	// per P, but never more than there are machines to run.
+	shardN := min(runtime.GOMAXPROCS(0), opts.Machines)
 	e := &contEngine{
 		leaseID:  lease.ID,
 		kern:     kern,

@@ -2,6 +2,7 @@ package rms
 
 import (
 	"errors"
+	"expvar"
 	"reflect"
 	"sync"
 	"testing"
@@ -20,10 +21,9 @@ func TestContinuousInferMatchesSolo(t *testing.T) {
 	opts := DefaultInferOptions()
 	opts.Machines = 2
 	opts.MaxBatch = 4
-	opts.Shards = 2
 	_, dp, lease := testPlane(t, opts)
 
-	slotsBase := metrics.SlotCounters()
+	base := metrics.Snapshot()
 	const N = 16
 	inputs := make([][][]float64, N)
 	results := make([]*InferResult, N)
@@ -66,17 +66,15 @@ func TestContinuousInferMatchesSolo(t *testing.T) {
 	// gauge drains back to its baseline (retirement decrements may land
 	// just after the response, so poll).
 	waitFor(t, "slot gauge to drain", func() bool {
-		return metrics.SlotCounters()["mlv_slots_active"] == slotsBase["mlv_slots_active"]
+		return metrics.SlotsActive.Value() == base.Int(metrics.SlotsActive)
 	})
-	delta := func(name string) int64 {
-		return metrics.SlotCounters()[name] - slotsBase[name]
-	}
-	if got := delta("mlv_admissions"); got != N {
+	delta := func(v *expvar.Int) int64 { return v.Value() - base.Int(v) }
+	if got := delta(metrics.Admissions); got != N {
 		t.Errorf("admissions delta = %d, want %d", got, N)
 	}
-	if rounds := delta("mlv_slot_rounds"); rounds <= 0 {
+	if rounds := delta(metrics.SlotRounds); rounds <= 0 {
 		t.Error("no step rounds recorded")
-	} else if occ := delta("mlv_slot_round_occupancy"); occ < rounds {
+	} else if occ := delta(metrics.SlotRoundOccupancy); occ < rounds {
 		t.Errorf("occupancy sum %d < rounds %d", occ, rounds)
 	}
 }
@@ -90,10 +88,9 @@ func TestContinuousAdmitsIntoRunningBatch(t *testing.T) {
 	opts := DefaultInferOptions()
 	opts.Machines = 1
 	opts.MaxBatch = 2
-	opts.Shards = 1
 	_, dp, lease := testPlane(t, opts)
 
-	base := metrics.SlotCounters()["mlv_admissions_into_running"]
+	base := metrics.AdmissionsIntoRunning.Value()
 	e, err := dp.engine(mustLease(t, dp.svc, lease.ID))
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +116,7 @@ func TestContinuousAdmitsIntoRunningBatch(t *testing.T) {
 			t.Fatalf("request %d: %v", i, r.err)
 		}
 	}
-	if got := metrics.SlotCounters()["mlv_admissions_into_running"] - base; got == 0 {
+	if got := metrics.AdmissionsIntoRunning.Value() - base; got == 0 {
 		t.Error("no admissions into a running batch — slots drained to empty between cohorts")
 	}
 }

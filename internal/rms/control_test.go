@@ -23,7 +23,6 @@ func TestServiceReleaseDrainsDataPlane(t *testing.T) {
 	opts := DefaultInferOptions()
 	opts.Machines = 1
 	opts.MaxBatch = 1
-	opts.Shards = 1
 	svc, dp, lease := preemptPlane(t, opts)
 	e, err := dp.engine(mustLease(t, svc, lease.ID))
 	if err != nil {

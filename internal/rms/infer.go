@@ -35,10 +35,6 @@ type InferOptions struct {
 	// Machines is the per-lease machine pool size: how many cohorts of a
 	// lease can step concurrently.
 	Machines int
-	// Shards is the scheduler shard count (per-shard run queues, one
-	// worker each, work stealing between them). 0 = GOMAXPROCS; capped at
-	// Machines.
-	Shards int
 	// Tiles is the simulated tile-engine count per machine.
 	Tiles int
 	// MantissaBits overrides the BFP mantissa width (0 = default).

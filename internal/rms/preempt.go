@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mlvfpga/internal/accel"
+	"mlvfpga/internal/frame"
 	"mlvfpga/internal/metrics"
 	"mlvfpga/internal/snapshot"
 )
@@ -82,14 +83,13 @@ func (e *contEngine) evictOne(cm *contMachine, s int, sl *contSlot, preempted bo
 		req.resp <- inferResponse{err: err}
 		return
 	}
-	blob := snap.Encode()
 	metrics.SnapshotCaptures.Add(1)
-	metrics.SnapshotBytes.Add(int64(len(blob)))
+	metrics.SnapshotBytes.Add(int64(frame.Overhead + snap.Bytes()))
 	if preempted {
 		metrics.PreemptEvictions.Add(1)
 	}
 	tok := &resumeToken{
-		data:      blob,
+		data:      snap.Encode(),
 		stats:     cm.m.Stats().Minus(sl.base).Plus(sl.carry),
 		wait:      sl.carryWait + sl.admitted.Sub(req.enqueued),
 		preempted: preempted,
@@ -294,7 +294,7 @@ func (e *contEngine) checkpointAbandon(cm *contMachine) {
 		req := sl.req
 		if snap, err := e.kern.SnapshotSlot(cm.m, s, sl.tau, sl.steps); err == nil {
 			metrics.DrainCheckpoints.Add(1)
-			metrics.SnapshotBytes.Add(int64(len(snap.Encode())))
+			metrics.SnapshotBytes.Add(int64(frame.Overhead + snap.Bytes()))
 			e.drainCheckpointed.Add(1)
 		}
 		cm.slots[s] = nil

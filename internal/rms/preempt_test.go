@@ -2,6 +2,7 @@ package rms
 
 import (
 	"errors"
+	"expvar"
 	"reflect"
 	"runtime"
 	"sync"
@@ -31,8 +32,9 @@ func preemptPlane(t *testing.T, opts InferOptions) (*Service, *DataPlane, *Lease
 	return svc, dp, lease
 }
 
-func snapDelta(base map[string]int64, name string) int64 {
-	return metrics.SnapshotCounters()[name] - base[name]
+// snapDelta is how far a counter has moved since base was read.
+func snapDelta(base metrics.Values, v *expvar.Int) int64 {
+	return v.Value() - base.Int(v)
 }
 
 // TestPreemptGoldenTwin is the data-plane golden preempted-twin: streams
@@ -44,10 +46,9 @@ func TestPreemptGoldenTwin(t *testing.T) {
 	opts := DefaultInferOptions()
 	opts.Machines = 1
 	opts.MaxBatch = 2
-	opts.Shards = 1
 	_, dp, lease := preemptPlane(t, opts)
 
-	base := metrics.SnapshotCounters()
+	base := metrics.Snapshot()
 	const N = 6
 	inputs := make([][][]float64, N)
 	results := make([]*InferResult, N)
@@ -70,7 +71,7 @@ func TestPreemptGoldenTwin(t *testing.T) {
 	// backlog still finishes.
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
-	for snapDelta(base, "mlv_preempt_evictions") == 0 {
+	for snapDelta(base, metrics.PreemptEvictions) == 0 {
 		select {
 		case <-done:
 			t.Fatal("backlog drained before any preemption landed")
@@ -94,10 +95,10 @@ func TestPreemptGoldenTwin(t *testing.T) {
 	}
 	// Snapshot conservation: by the time every request is answered, each
 	// capture has been consumed by exactly one restore.
-	if c, r := snapDelta(base, "mlv_snapshot_captures"), snapDelta(base, "mlv_snapshot_restores"); c != r {
+	if c, r := snapDelta(base, metrics.SnapshotCaptures), snapDelta(base, metrics.SnapshotRestores); c != r {
 		t.Errorf("captures %d != restores %d", c, r)
 	}
-	if ev, re := snapDelta(base, "mlv_preempt_evictions"), snapDelta(base, "mlv_preempt_restores"); ev != re {
+	if ev, re := snapDelta(base, metrics.PreemptEvictions), snapDelta(base, metrics.PreemptRestores); ev != re {
 		t.Errorf("preempt evictions %d != preempt restores %d", ev, re)
 	}
 }
@@ -111,11 +112,10 @@ func TestResizeTransplantsResidentStreams(t *testing.T) {
 	opts := DefaultInferOptions()
 	opts.Machines = 1
 	opts.MaxBatch = 4
-	opts.Shards = 1
 	_, dp, lease := preemptPlane(t, opts)
 
-	base := metrics.SnapshotCounters()
-	slotsBase := metrics.SlotCounters()["mlv_slots_active"]
+	base := metrics.Snapshot()
+	slotsBase := metrics.SlotsActive.Value()
 	// A deep backlog (retrying past the queue cap and the brief
 	// engine-swap window) keeps the old pool's slots full for the whole
 	// time Resize spends building the new pool, so the transplant always
@@ -163,7 +163,7 @@ func TestResizeTransplantsResidentStreams(t *testing.T) {
 	// whole backlog, but coarse-timer kernels can starve a sleeping poller
 	// under load.
 	resDeadline := time.Now().Add(10 * time.Second)
-	for metrics.SlotCounters()["mlv_slots_active"] <= slotsBase {
+	for metrics.SlotsActive.Value() <= slotsBase {
 		if time.Now().After(resDeadline) {
 			t.Fatal("streams never became resident")
 		}
@@ -185,10 +185,10 @@ func TestResizeTransplantsResidentStreams(t *testing.T) {
 	if st, ok := dp.Load(lease.ID); !ok || st.Machines != 2 {
 		t.Errorf("post-resize load = %+v, ok=%v, want 2 machines", st, ok)
 	}
-	if moved := snapDelta(base, "mlv_snapshot_captures"); moved == 0 {
+	if moved := snapDelta(base, metrics.SnapshotCaptures); moved == 0 {
 		t.Error("resize moved no checkpoints — transplant did not run")
 	}
-	if c, r := snapDelta(base, "mlv_snapshot_captures"), snapDelta(base, "mlv_snapshot_restores"); c != r {
+	if c, r := snapDelta(base, metrics.SnapshotCaptures), snapDelta(base, metrics.SnapshotRestores); c != r {
 		t.Errorf("captures %d != restores %d", c, r)
 	}
 }
@@ -201,7 +201,6 @@ func TestInferRacingResizeLandsOnNewEngine(t *testing.T) {
 	opts := DefaultInferOptions()
 	opts.Machines = 1
 	opts.MaxBatch = 2
-	opts.Shards = 1
 	_, dp, lease := preemptPlane(t, opts)
 	in := testInputs(lease.Spec, 700)[:2]
 	want := referenceOutputs(t, lease, opts, in)[:2]
@@ -251,7 +250,6 @@ func TestAutoPreemptFavorsLatencyClass(t *testing.T) {
 	opts := DefaultInferOptions()
 	opts.Machines = 1
 	opts.MaxBatch = 2
-	opts.Shards = 1
 	opts.Preempt = true
 	_, dp, lease := preemptPlane(t, opts)
 
@@ -259,8 +257,8 @@ func TestAutoPreemptFavorsLatencyClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := metrics.SnapshotCounters()
-	slotsBase := metrics.SlotCounters()["mlv_slots_active"]
+	base := metrics.Snapshot()
+	slotsBase := metrics.SlotsActive.Value()
 
 	const B = 6
 	reqs := make([]*inferRequest, 0, B+1)
@@ -280,7 +278,7 @@ func TestAutoPreemptFavorsLatencyClass(t *testing.T) {
 	// Once the machine is full of batch-class streams, a latency-class
 	// arrival must preempt rather than wait for a retirement.
 	waitFor(t, "machine to fill", func() bool {
-		return metrics.SlotCounters()["mlv_slots_active"]-slotsBase >= int64(opts.MaxBatch)
+		return metrics.SlotsActive.Value()-slotsBase >= int64(opts.MaxBatch)
 	})
 	in := testInputs(lease.Spec, 799)
 	rt := &inferRequest{
@@ -303,13 +301,13 @@ func TestAutoPreemptFavorsLatencyClass(t *testing.T) {
 			t.Errorf("request %d: outputs differ from solo run", i)
 		}
 	}
-	if snapDelta(base, "mlv_preempt_evictions") == 0 {
+	if snapDelta(base, metrics.PreemptEvictions) == 0 {
 		t.Error("latency-class arrival triggered no preemption on a full machine")
 	}
-	if c, r := snapDelta(base, "mlv_snapshot_captures"), snapDelta(base, "mlv_snapshot_restores"); c != r {
+	if c, r := snapDelta(base, metrics.SnapshotCaptures), snapDelta(base, metrics.SnapshotRestores); c != r {
 		t.Errorf("captures %d != restores %d", c, r)
 	}
-	if ev, rs := snapDelta(base, "mlv_preempt_evictions"), snapDelta(base, "mlv_preempt_restores"); ev != rs {
+	if ev, rs := snapDelta(base, metrics.PreemptEvictions), snapDelta(base, metrics.PreemptRestores); ev != rs {
 		t.Errorf("evictions %d != restores %d", ev, rs)
 	}
 }
@@ -322,10 +320,9 @@ func TestCloseWithinCheckpointsAtDeadline(t *testing.T) {
 	opts := DefaultInferOptions()
 	opts.Machines = 1
 	opts.MaxBatch = 2
-	opts.Shards = 1
 	_, dp, lease := preemptPlane(t, opts)
 
-	slotsBase := metrics.SlotCounters()["mlv_slots_active"]
+	slotsBase := metrics.SlotsActive.Value()
 	drainBase := metrics.DrainCheckpoints.Value()
 	e, err := dp.engine(mustLease(t, dp.svc, lease.ID))
 	if err != nil {
@@ -349,7 +346,7 @@ func TestCloseWithinCheckpointsAtDeadline(t *testing.T) {
 	// milliseconds, finer than time.Sleep's granularity on coarse-timer
 	// kernels, so yield instead of sleeping.
 	fillDeadline := time.Now().Add(5 * time.Second)
-	for metrics.SlotCounters()["mlv_slots_active"]-slotsBase < int64(opts.MaxBatch) {
+	for metrics.SlotsActive.Value()-slotsBase < int64(opts.MaxBatch) {
 		if time.Now().After(fillDeadline) {
 			t.Fatal("machine never filled")
 		}
@@ -375,7 +372,7 @@ func TestCloseWithinCheckpointsAtDeadline(t *testing.T) {
 	if got := metrics.DrainCheckpoints.Value() - drainBase; got != int64(n) {
 		t.Errorf("drain checkpoint counter delta = %d, CloseWithin reported %d", got, n)
 	}
-	if got := metrics.SlotCounters()["mlv_slots_active"]; got != slotsBase {
+	if got := metrics.SlotsActive.Value(); got != slotsBase {
 		t.Errorf("slot gauge residue after deadline drain: %d", got-slotsBase)
 	}
 }
@@ -402,12 +399,11 @@ func TestReleaseMidFlightCleansUp(t *testing.T) {
 	opts := DefaultInferOptions()
 	opts.Machines = 1
 	opts.MaxBatch = 2
-	opts.Shards = 1
 	opts.Preempt = true
 	svc, dp, lease := preemptPlane(t, opts)
 
-	slotsBase := metrics.SlotCounters()["mlv_slots_active"]
-	depthBase := metrics.TenantCounters()["mlv_tenant_queue_depth"]
+	slotsBase := metrics.SlotsActive.Value()
+	base := metrics.Snapshot()
 
 	e, err := dp.engine(mustLease(t, dp.svc, lease.ID))
 	if err != nil {
@@ -444,13 +440,13 @@ func TestReleaseMidFlightCleansUp(t *testing.T) {
 		}
 	}
 
-	if got := metrics.SlotCounters()["mlv_slots_active"]; got != slotsBase {
+	if got := metrics.SlotsActive.Value(); got != slotsBase {
 		t.Errorf("slot gauge residue after release: %d", got-slotsBase)
 	}
-	depth := metrics.TenantCounters()["mlv_tenant_queue_depth"]
+	moved := metrics.Snapshot().Sub(base)
 	for _, id := range []string{"bulk", "rt"} {
-		if depth[id] != depthBase[id] {
-			t.Errorf("tenant %q queue-depth residue: %d", id, depth[id]-depthBase[id])
+		if residue := moved.Tenant(metrics.TenantQueueDepth, id); residue != 0 {
+			t.Errorf("tenant %q queue-depth residue: %d", id, residue)
 		}
 	}
 	if _, ok := dp.Load(lease.ID); ok {

@@ -244,17 +244,6 @@ func TestSimulateErrors(t *testing.T) {
 	}
 }
 
-func TestSortTasksByArrival(t *testing.T) {
-	tasks := []workload.Task{
-		{ID: 0, Arrival: 3 * time.Millisecond},
-		{ID: 1, Arrival: time.Millisecond},
-	}
-	sortTasksByArrival(tasks)
-	if tasks[0].ID != 1 {
-		t.Error("sort failed")
-	}
-}
-
 func TestDeploymentAccessors(t *testing.T) {
 	d := Deployment{Pieces: []PieceReq{{Device: "XCVU37P", Blocks: 3}, {Device: "XCKU115", Blocks: 4}}}
 	if d.NumPieces() != 2 || d.TotalBlocks() != 7 {

@@ -24,13 +24,6 @@ const (
 	SJF
 )
 
-func (q QueueDiscipline) String() string {
-	if q == SJF {
-		return "sjf"
-	}
-	return "fifo-backfill"
-}
-
 // Config parameterizes the virtualized-system simulation.
 type Config struct {
 	Cluster resource.ClusterSpec
@@ -61,165 +54,64 @@ type Result struct {
 	PeakUtilization float64
 }
 
-// placement records where a running task's pieces live.
-type placement struct {
-	fpgas  []int
-	blocks []int
-}
+// verdict is a resource model's answer to one dispatch attempt.
+type verdict int
 
-// Simulate runs a task sequence through the virtualized framework on the
-// given cluster: the system controller consults the mapping database,
-// allocates virtual blocks greedily (fewest soft blocks first), and queued
-// tasks dispatch as completions free blocks.
-func Simulate(tasks []workload.Task, cfg Config) (Result, error) {
-	ctrl, err := hsvital.NewController(cfg.Cluster)
-	if err != nil {
-		return Result{}, err
-	}
-	db := cfg.DB
-	if db == nil {
-		return Result{}, fmt.Errorf("rms: nil database")
-	}
+const (
+	// waits: nothing fits right now; the task queues until a completion.
+	waits verdict = iota
+	// started: resources are held; the loop schedules the completion.
+	started
+	// rejected: this system can never host the task; it is dropped.
+	rejected
+)
 
-	engine := cfg.Engine
-	if engine == nil {
-		engine = des.New()
-	} else {
-		engine.Reset()
-	}
+// tryFunc is the resource model runQueue is parameterized by: try to start
+// the task now; on started, return its service time and how to give its
+// resources back at completion.
+type tryFunc func(task workload.Task) (v verdict, latency time.Duration, release func(), err error)
+
+// runQueue is the one discrete-event loop behind both Fig. 12 systems:
+// tasks arrive on the engine's clock, start if the resource model admits
+// them and queue otherwise; every completion releases its resources and
+// re-scans the queue — in arrival order (FIFO with backfill) unless order
+// re-sorts it first — starting whatever fits.
+func runQueue(engine *des.Engine, tasks []workload.Task, order func(queue []workload.Task), try tryFunc) (Result, error) {
 	var res Result
 	var queue []workload.Task
-	var sumLatency, sumSojourn time.Duration
-	var lastCompletion time.Duration
+	var sumLatency, sumSojourn, lastCompletion time.Duration
+	var rescan func(now time.Duration)
 
-	// tryPlace attempts to allocate a deployment's pieces on distinct
-	// FPGAs, best-fit (least free blocks that still fit) to limit
-	// fragmentation. Returns the chosen FPGA ids or nil.
-	tryPlace := func(dep Deployment) *placement {
-		used := map[int]bool{}
-		pl := &placement{}
-		for _, piece := range dep.Pieces {
-			bestID, bestFree := -1, 1<<30
-			for _, f := range ctrl.Devices() {
-				if used[f.ID] || f.Spec.Device.Name != piece.Device {
-					continue
+	// dispatch reports whether the task is done queueing (started or dropped).
+	dispatch := func(now time.Duration, task workload.Task) bool {
+		v, latency, release, err := try(task)
+		if err == nil && v == started {
+			sumLatency += latency
+			sumSojourn += now - task.Arrival + latency
+			err = engine.At(now+latency, func(n time.Duration) {
+				release()
+				res.Completed++
+				if n > lastCompletion {
+					lastCompletion = n
 				}
-				if free := f.FreeBlocks(); free >= piece.Blocks && free < bestFree {
-					bestID, bestFree = f.ID, free
-				}
-			}
-			if bestID < 0 {
-				return nil
-			}
-			used[bestID] = true
-			pl.fpgas = append(pl.fpgas, bestID)
-			pl.blocks = append(pl.blocks, piece.Blocks)
-		}
-		return pl
-	}
-
-	var dispatchQueued func(now time.Duration)
-
-	start := func(now time.Duration, task workload.Task, dep Deployment, pl *placement) error {
-		for i, id := range pl.fpgas {
-			if err := ctrl.Configure(id, pl.blocks[i]); err != nil {
-				return err
-			}
-		}
-		if u := ctrl.Utilization(); u > res.PeakUtilization {
-			res.PeakUtilization = u
-		}
-		sumLatency += dep.Latency
-		sumSojourn += now - task.Arrival + dep.Latency
-		done := now + dep.Latency
-		return engine.At(done, func(n time.Duration) {
-			for i, id := range pl.fpgas {
-				if err := ctrl.Release(id, pl.blocks[i]); err != nil {
-					panic(fmt.Sprintf("rms: release: %v", err))
-				}
-			}
-			res.Completed++
-			if n > lastCompletion {
-				lastCompletion = n
-			}
-			dispatchQueued(n)
-		})
-	}
-
-	// clusterFeasible reports whether a deployment could ever be placed on
-	// this cluster (enough devices of each type, even when idle).
-	countByType := map[string]int{}
-	for _, f := range ctrl.Devices() {
-		countByType[f.Spec.Device.Name]++
-	}
-	clusterFeasible := func(dep Deployment) bool {
-		need := map[string]int{}
-		for _, piece := range dep.Pieces {
-			need[piece.Device]++
-		}
-		for ty, n := range need {
-			if n > countByType[ty] {
-				return false
-			}
-		}
-		return true
-	}
-
-	// tryDispatch starts a task if any deployment option fits right now,
-	// walking the database's greedy order (fewest soft blocks, then lowest
-	// latency) and taking the first placeable option.
-	tryDispatch := func(now time.Duration, task workload.Task) (bool, error) {
-		opts, err := db.Options(task.Spec)
-		if err != nil {
-			res.Rejected++
-			return true, nil // drop: no deployment exists at all
-		}
-		anyFeasible := false
-		for _, dep := range opts {
-			if !clusterFeasible(dep) {
-				continue
-			}
-			anyFeasible = true
-			if pl := tryPlace(dep); pl != nil {
-				return true, start(now, task, dep, pl)
-			}
-		}
-		if !anyFeasible {
-			res.Rejected++
-			return true, nil // drop: this cluster can never host the task
-		}
-		return false, nil
-	}
-
-	// bestLatency is the SJF sort key: the task's fastest deployment.
-	bestLatency := func(task workload.Task) time.Duration {
-		opts, err := db.Options(task.Spec)
-		if err != nil || len(opts) == 0 {
-			return 1 << 62
-		}
-		best := opts[0].Latency
-		for _, o := range opts[1:] {
-			if o.Latency < best {
-				best = o.Latency
-			}
-		}
-		return best
-	}
-
-	dispatchQueued = func(now time.Duration) {
-		if cfg.Discipline == SJF {
-			sort.SliceStable(queue, func(i, j int) bool {
-				return bestLatency(queue[i]) < bestLatency(queue[j])
+				rescan(n)
 			})
 		}
-		// Scan in (arrival or SJF) order, keep what will not start.
+		if err != nil {
+			panic(fmt.Sprintf("rms: dispatch: %v", err))
+		}
+		if v == rejected {
+			res.Rejected++
+		}
+		return v != waits
+	}
+	rescan = func(now time.Duration) {
+		if order != nil {
+			order(queue)
+		}
 		remaining := queue[:0]
 		for _, task := range queue {
-			started, err := tryDispatch(now, task)
-			if err != nil {
-				panic(fmt.Sprintf("rms: dispatch: %v", err))
-			}
-			if !started {
+			if !dispatch(now, task) {
 				remaining = append(remaining, task)
 			}
 		}
@@ -229,11 +121,7 @@ func Simulate(tasks []workload.Task, cfg Config) (Result, error) {
 	for _, task := range tasks {
 		task := task
 		if err := engine.At(task.Arrival, func(now time.Duration) {
-			started, err := tryDispatch(now, task)
-			if err != nil {
-				panic(fmt.Sprintf("rms: dispatch: %v", err))
-			}
-			if !started {
+			if !dispatch(now, task) {
 				queue = append(queue, task)
 				if len(queue) > res.PeakQueue {
 					res.PeakQueue = len(queue)
@@ -243,7 +131,6 @@ func Simulate(tasks []workload.Task, cfg Config) (Result, error) {
 			return Result{}, err
 		}
 	}
-
 	engine.Run(0)
 
 	if len(queue) > 0 {
@@ -260,7 +147,79 @@ func Simulate(tasks []workload.Task, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// sortTasksByArrival is a helper for callers assembling custom sequences.
-func sortTasksByArrival(tasks []workload.Task) {
-	sort.SliceStable(tasks, func(i, j int) bool { return tasks[i].Arrival < tasks[j].Arrival })
+// Simulate runs a task sequence through the virtualized framework on the
+// given cluster: the system controller consults the mapping database,
+// walks a task's deployments in the database's greedy order (fewest soft
+// blocks, then lowest latency), best-fits the first placeable one onto
+// virtual blocks, and queued tasks dispatch as completions free blocks.
+func Simulate(tasks []workload.Task, cfg Config) (Result, error) {
+	ctrl, err := hsvital.NewController(cfg.Cluster)
+	if err != nil {
+		return Result{}, err
+	}
+	db := cfg.DB
+	if db == nil {
+		return Result{}, fmt.Errorf("rms: nil database")
+	}
+	engine := cfg.Engine
+	if engine == nil {
+		engine = des.New()
+	} else {
+		engine.Reset()
+	}
+
+	inv := inventory(ctrl)
+	var peakUtilization float64
+	try := func(task workload.Task) (verdict, time.Duration, func(), error) {
+		opts, err := db.Options(task.Spec)
+		if err != nil {
+			return rejected, 0, nil, nil // no deployment exists at all
+		}
+		v := rejected // until some deployment could ever fit this cluster
+		for _, dep := range opts {
+			if !dep.fitsInventory(inv) {
+				continue
+			}
+			v = waits
+			pls := bestFit(ctrl, dep, nil)
+			if pls == nil {
+				continue
+			}
+			if err := configure(ctrl, pls); err != nil {
+				return waits, 0, nil, err
+			}
+			if u := ctrl.Utilization(); u > peakUtilization {
+				peakUtilization = u
+			}
+			return started, dep.Latency, func() { release(ctrl, pls) }, nil
+		}
+		return v, 0, nil, nil
+	}
+
+	var order func(queue []workload.Task)
+	if cfg.Discipline == SJF {
+		// The SJF sort key is the task's fastest deployment.
+		bestLatency := func(task workload.Task) time.Duration {
+			opts, err := db.Options(task.Spec)
+			if err != nil || len(opts) == 0 {
+				return 1 << 62
+			}
+			best := opts[0].Latency
+			for _, o := range opts[1:] {
+				if o.Latency < best {
+					best = o.Latency
+				}
+			}
+			return best
+		}
+		order = func(queue []workload.Task) {
+			sort.SliceStable(queue, func(i, j int) bool {
+				return bestLatency(queue[i]) < bestLatency(queue[j])
+			})
+		}
+	}
+
+	res, err := runQueue(engine, tasks, order, try)
+	res.PeakUtilization = peakUtilization
+	return res, err
 }

@@ -290,11 +290,11 @@ func (s *Service) DeployWith(spec kernels.LayerSpec, po PlaceOptions) (*Lease, e
 			continue
 		}
 		quotaRoom = true
-		placements, ok := s.tryPlaceLocked(dep, po.Avoid)
-		if !ok {
+		placements := s.tryPlaceLocked(dep, po.Avoid)
+		if placements == nil {
 			continue
 		}
-		if err := s.configureLocked(placements); err != nil {
+		if err := configure(s.ctrl, placements); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrNoCapacity, err)
 		}
 		s.nextID++
@@ -328,20 +328,7 @@ func (s *Service) DeployWith(spec kernels.LayerSpec, po PlaceOptions) (*Lease, e
 // Depths returns the piece counts (partition-ladder rungs) the database
 // offers for a layer, ascending.
 func (s *Service) Depths(spec kernels.LayerSpec) ([]int, error) {
-	opts, err := s.db.Options(spec)
-	if err != nil {
-		return nil, err
-	}
-	seen := map[int]bool{}
-	var out []int
-	for _, dep := range opts {
-		if n := dep.NumPieces(); !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	sort.Ints(out)
-	return out, nil
+	return s.depths(spec, nil)
 }
 
 // FeasibleDepths filters Depths down to the rungs the physical cluster
@@ -351,36 +338,25 @@ func (s *Service) Depths(spec kernels.LayerSpec) ([]int, error) {
 // could not place even when empty (e.g. a 4×XCVU37P deployment on a
 // cluster with three).
 func (s *Service) FeasibleDepths(spec kernels.LayerSpec) ([]int, error) {
+	s.mu.Lock()
+	inv := inventory(s.ctrl)
+	s.mu.Unlock()
+	return s.depths(spec, inv)
+}
+
+// depths lists the distinct piece counts among the layer's deployments,
+// ascending — only those that fit inv when it is non-nil.
+func (s *Service) depths(spec kernels.LayerSpec, inv map[string]int) ([]int, error) {
 	opts, err := s.db.Options(spec)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	inventory := map[string]int{}
-	for _, f := range s.ctrl.Devices() {
-		inventory[f.Spec.Device.Name]++
-	}
-	s.mu.Unlock()
 	seen := map[int]bool{}
 	var out []int
 	for _, dep := range opts {
-		if seen[dep.NumPieces()] {
-			continue
-		}
-		need := map[string]int{}
-		for _, p := range dep.Pieces {
-			need[p.Device]++
-		}
-		fits := true
-		for typ, n := range need {
-			if inventory[typ] < n {
-				fits = false
-				break
-			}
-		}
-		if fits {
-			seen[dep.NumPieces()] = true
-			out = append(out, dep.NumPieces())
+		if n := dep.NumPieces(); !seen[n] && (inv == nil || dep.fitsInventory(inv)) {
+			seen[n] = true
+			out = append(out, n)
 		}
 	}
 	sort.Ints(out)
@@ -438,7 +414,7 @@ func (s *Service) Migrate(id, depth int, avoid func(fpgaID int) bool, force bool
 
 	place := func() (Deployment, []Placement, bool) {
 		for _, dep := range candidates {
-			if pls, ok := s.tryPlaceLocked(dep, avoid); ok {
+			if pls := s.tryPlaceLocked(dep, avoid); pls != nil {
 				return dep, pls, true
 			}
 		}
@@ -448,10 +424,10 @@ func (s *Service) Migrate(id, depth int, avoid func(fpgaID int) bool, force bool
 	old := lease.Placements
 	if dep, pls, ok := place(); ok {
 		// Make-before-break: configure new, then free old.
-		if err := s.configureLocked(pls); err != nil {
+		if err := configure(s.ctrl, pls); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrNoCapacity, err)
 		}
-		s.releasePlacementsLocked(old)
+		release(s.ctrl, old)
 		lease.Placements, lease.Latency, lease.Depth = pls, dep.Latency, depth
 		lease.Migrations++
 		return lease, nil
@@ -461,28 +437,27 @@ func (s *Service) Migrate(id, depth int, avoid func(fpgaID int) bool, force bool
 	}
 	// Break-before-make: free the old blocks (a dead device's blocks are
 	// unusable anyway) and try again; restore on failure.
-	s.releasePlacementsLocked(old)
+	release(s.ctrl, old)
 	if dep, pls, ok := place(); ok {
-		if err := s.configureLocked(pls); err == nil {
+		if err := configure(s.ctrl, pls); err == nil {
 			lease.Placements, lease.Latency, lease.Depth = pls, dep.Latency, depth
 			lease.Migrations++
 			return lease, nil
 		}
 	}
-	if err := s.configureLocked(old); err != nil {
+	if err := configure(s.ctrl, old); err != nil {
 		// Cannot happen: we hold the lock, so the freed blocks are intact.
 		panic(fmt.Sprintf("rms: restoring placements for lease %d: %v", id, err))
 	}
 	return nil, fmt.Errorf("%w: forced migration of lease %d to depth %d", ErrNoCapacity, id, depth)
 }
 
-// configureLocked occupies every placement's blocks, rolling back on
-// failure.
-func (s *Service) configureLocked(placements []Placement) error {
+// configure occupies every placement's blocks, rolling back on failure.
+func configure(ctrl *hsvital.Controller, placements []Placement) error {
 	for i, pl := range placements {
-		if err := s.ctrl.Configure(pl.FPGA, pl.Blocks); err != nil {
+		if err := ctrl.Configure(pl.FPGA, pl.Blocks); err != nil {
 			for _, done := range placements[:i] {
-				_ = s.ctrl.Release(done.FPGA, done.Blocks)
+				_ = ctrl.Release(done.FPGA, done.Blocks)
 			}
 			return err
 		}
@@ -490,30 +465,26 @@ func (s *Service) configureLocked(placements []Placement) error {
 	return nil
 }
 
-// releasePlacementsLocked frees every placement's blocks.
-func (s *Service) releasePlacementsLocked(placements []Placement) {
+func release(ctrl *hsvital.Controller, placements []Placement) {
 	for _, pl := range placements {
-		if err := s.ctrl.Release(pl.FPGA, pl.Blocks); err != nil {
+		if err := ctrl.Release(pl.FPGA, pl.Blocks); err != nil {
 			panic(fmt.Sprintf("rms: release: %v", err))
 		}
 	}
 }
 
-// tryPlaceLocked mirrors the simulator's best-fit placement, skipping
-// devices vetoed by the service-wide filter or the per-call avoid set.
-func (s *Service) tryPlaceLocked(dep Deployment, avoid func(int) bool) ([]Placement, bool) {
+// bestFit is the system controller's placement policy (§2.3), shared by
+// the Service and the Fig. 12 simulator: each piece goes to the device of
+// its type with the fewest free blocks that still fit it (limiting
+// fragmentation), no device hosting two pieces of one deployment and none
+// that skip vetoes. Returns nil when some piece has no home right now.
+func bestFit(ctrl *hsvital.Controller, dep Deployment, skip func(fpgaID int) bool) []Placement {
 	used := map[int]bool{}
-	var out []Placement
+	out := make([]Placement, 0, len(dep.Pieces))
 	for _, piece := range dep.Pieces {
 		bestID, bestFree := -1, 1<<30
-		for _, f := range s.ctrl.Devices() {
-			if used[f.ID] || f.Spec.Device.Name != piece.Device {
-				continue
-			}
-			if s.filter != nil && !s.filter(f.ID) {
-				continue
-			}
-			if avoid != nil && avoid(f.ID) {
+		for _, f := range ctrl.Devices() {
+			if used[f.ID] || f.Spec.Device.Name != piece.Device || (skip != nil && skip(f.ID)) {
 				continue
 			}
 			if free := f.FreeBlocks(); free >= piece.Blocks && free < bestFree {
@@ -521,12 +492,41 @@ func (s *Service) tryPlaceLocked(dep Deployment, avoid func(int) bool) ([]Placem
 			}
 		}
 		if bestID < 0 {
-			return nil, false
+			return nil
 		}
 		used[bestID] = true
 		out = append(out, Placement{FPGA: bestID, Device: piece.Device, Blocks: piece.Blocks})
 	}
-	return out, true
+	return out
+}
+
+// tryPlaceLocked best-fits a deployment (nil = no room), skipping devices vetoed by the
+// service-wide filter or the per-call avoid set.
+func (s *Service) tryPlaceLocked(dep Deployment, avoid func(int) bool) []Placement {
+	return bestFit(s.ctrl, dep, func(id int) bool {
+		return (s.filter != nil && !s.filter(id)) || (avoid != nil && avoid(id))
+	})
+}
+
+func inventory(ctrl *hsvital.Controller) map[string]int {
+	inv := map[string]int{}
+	for _, f := range ctrl.Devices() {
+		inv[f.Spec.Device.Name]++
+	}
+	return inv
+}
+
+// fitsInventory reports whether the cluster has enough devices of each
+// type to ever host the deployment, ignoring current occupancy.
+func (d Deployment) fitsInventory(inv map[string]int) bool {
+	need := map[string]int{}
+	for _, piece := range d.Pieces {
+		need[piece.Device]++
+		if need[piece.Device] > inv[piece.Device] {
+			return false
+		}
+	}
+	return true
 }
 
 // Release frees a lease's virtual blocks, draining the lease's data-plane
@@ -550,7 +550,7 @@ func (s *Service) Release(id int) error {
 		// A concurrent Release won the race after the drain.
 		return fmt.Errorf("%w: %d", ErrUnknownLease, id)
 	}
-	s.releasePlacementsLocked(lease.Placements)
+	release(s.ctrl, lease.Placements)
 	delete(s.leases, id)
 	metrics.LeasesActive.Add(-1)
 	return nil

@@ -2,6 +2,7 @@ package rms
 
 import (
 	"errors"
+	"expvar"
 	"sync"
 	"testing"
 	"time"
@@ -27,7 +28,7 @@ func TestDeployQuotaLeases(t *testing.T) {
 	))
 	spec := kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 256, TimeSteps: 2}
 
-	before := metrics.TenantCounters()["mlv_tenant_rejections"]["small"]
+	before := metrics.Snapshot()
 	for i := 0; i < 2; i++ {
 		if _, err := svc.DeployWith(spec, PlaceOptions{Tenant: "small"}); err != nil {
 			t.Fatalf("deploy %d within quota: %v", i, err)
@@ -37,8 +38,8 @@ func TestDeployQuotaLeases(t *testing.T) {
 	if !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("third deploy: %v, want ErrQuotaExceeded", err)
 	}
-	if got := metrics.TenantCounters()["mlv_tenant_rejections"]["small"]; got != before+1 {
-		t.Fatalf("rejection counter delta = %d, want 1", got-before)
+	if got := metrics.Snapshot().Sub(before).Tenant(metrics.TenantRejections, "small"); got != 1 {
+		t.Fatalf("rejection counter delta = %d, want 1", got)
 	}
 
 	// The cluster has plenty of room: an unconstrained tenant still fits.
@@ -153,12 +154,12 @@ func TestInferAsInFlightCap(t *testing.T) {
 	st.mu.Lock()
 	st.n["capped"] = 2
 	st.mu.Unlock()
-	before := metrics.TenantCounters()["mlv_tenant_rejections"]["capped"]
+	before := metrics.Snapshot()
 	if _, err := dp.InferAs("capped", lease.ID, inputs); !errors.Is(err, ErrTenantBusy) {
 		t.Fatalf("over-cap infer: %v, want ErrTenantBusy", err)
 	}
-	if got := metrics.TenantCounters()["mlv_tenant_rejections"]["capped"]; got != before+1 {
-		t.Fatalf("rejection delta = %d, want 1", got-before)
+	if got := metrics.Snapshot().Sub(before).Tenant(metrics.TenantRejections, "capped"); got != 1 {
+		t.Fatalf("rejection delta = %d, want 1", got)
 	}
 	st.mu.Lock()
 	st.n["capped"] = 0
@@ -195,30 +196,28 @@ func TestInferAsCountsTenantMetrics(t *testing.T) {
 	svc.SetTenants(reg)
 	dp.SetTenants(reg)
 
-	before := metrics.TenantCounters()
+	before := metrics.Snapshot()
 	const n = 5
 	for i := 0; i < n; i++ {
 		if _, err := dp.InferAs("meter", lease.ID, testInputs(lease.Spec, int64(i))); err != nil {
 			t.Fatalf("infer %d: %v", i, err)
 		}
 	}
-	after := metrics.TenantCounters()
-	delta := func(name string) int64 {
-		return after[name]["meter"] - before[name]["meter"]
-	}
-	if got := delta("mlv_tenant_requests"); got != n {
+	moved := metrics.Snapshot().Sub(before)
+	delta := func(m *expvar.Map) int64 { return moved.Tenant(m, "meter") }
+	if got := delta(metrics.TenantRequests); got != n {
 		t.Errorf("requests delta = %d, want %d", got, n)
 	}
-	if got := delta("mlv_tenant_infers_served"); got != n {
+	if got := delta(metrics.TenantServed); got != n {
 		t.Errorf("served delta = %d, want %d", got, n)
 	}
-	if got := delta("mlv_tenant_queue_depth"); got != 0 {
+	if got := delta(metrics.TenantQueueDepth); got != 0 {
 		t.Errorf("queue depth delta = %d, want 0 (all answered)", got)
 	}
-	if riders := delta("mlv_tenant_batch_riders"); riders != n {
+	if riders := delta(metrics.TenantBatchRiders); riders != n {
 		t.Errorf("batch riders delta = %d, want %d", riders, n)
 	}
-	if batches := delta("mlv_tenant_batches"); batches < 1 || batches > n {
+	if batches := delta(metrics.TenantBatches); batches < 1 || batches > n {
 		t.Errorf("batches delta = %d, want 1..%d", batches, n)
 	}
 }

@@ -4,11 +4,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"expvar"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -262,13 +264,13 @@ type harness struct {
 	loads   map[int]rms.LoadStats
 	armFail int
 
-	live     []int
-	killed   map[int]bool
-	drained  map[int]bool
-	golden   map[goldenKey]uint64
-	base     map[string]int64
-	slotBase map[string]int64
-	snapBase map[string]int64
+	live    []int
+	killed  map[int]bool
+	drained map[int]bool
+	golden  map[goldenKey]uint64
+	// base is the counter reading at harness birth (the counters are
+	// process-wide, so the checkers only ever look at deltas from it).
+	base metrics.Values
 
 	// Multi-spec model: which layer each live lease serves, and the set of
 	// distinct artifact keys ever sent to the deploy path. The compile runs
@@ -282,12 +284,9 @@ type harness struct {
 
 	// Tenant model: who owns each live lease, plus per-tenant expected
 	// counter deltas mirroring mlv_tenant_{requests,infers_served,
-	// rejections}. tenantBase snapshots the process-wide per-tenant
-	// expvars at harness birth (they are shared across runs in one test
-	// binary, so only deltas are meaningful).
+	// rejections}.
 	reg             *tenant.Registry
 	leaseTenant     map[int]string
-	tenantBase      map[string]map[string]int64
 	expTenantReq    map[string]int64
 	expTenantServed map[string]int64
 	expTenantRej    map[string]int64
@@ -392,31 +391,16 @@ func newHarness(o Options, preamble bool) (*harness, error) {
 	sort.Ints(h.devices)
 	// Counter baselines before the preamble, so the LeasesActive delta
 	// tracks len(h.live) exactly and per-tenant deltas start at zero.
-	h.base = metrics.Counters()
-	h.slotBase = metrics.SlotCounters()
-	h.snapBase = metrics.SnapshotCounters()
-	h.tenantBase = metrics.TenantCounters()
+	h.base = metrics.Snapshot()
 	// Preamble: two leases exist before the first event, so even a
 	// one-event minimal schedule has something to act on. With tenants
 	// configured they alternate owners, so both tenants hold state from
 	// step zero. (The scenario engine skips it and deploys from its spec.)
 	if preamble {
 		for i := 0; i < 2 && i < o.MaxLeases; i++ {
-			var po rms.PlaceOptions
-			if len(o.Tenants) > 0 {
-				po.Tenant = o.Tenants[i%len(o.Tenants)].ID
+			if l, _ := h.deployAs(0, o.Spec, h.tenantFor(uint64(i))); l == nil {
+				return nil, fmt.Errorf("simtest: preamble deploy shed or failed: %v", h.violation)
 			}
-			h.markSpec(o.Spec)
-			l, err := svc.DeployWith(o.Spec, po)
-			if err != nil {
-				return nil, fmt.Errorf("simtest: preamble deploy: %w", err)
-			}
-			if po.Tenant != "" {
-				h.expTenantReq[po.Tenant]++
-				h.leaseTenant[l.ID] = po.Tenant
-			}
-			h.leaseSpec[l.ID] = o.Spec
-			h.live = append(h.live, l.ID)
 		}
 	}
 	return h, nil
@@ -465,8 +449,24 @@ func (h *harness) fail(step int, invariant, format string, args ...any) {
 	}
 }
 
-func (h *harness) pickLive(r uint64) int {
-	return h.live[int(r%uint64(len(h.live)))]
+// pick resolves an event's PRNG draw to one of the candidates, or traces
+// the event's noop when there are none.
+func (h *harness) pick(step int, kind string, r uint64, from []int) (int, bool) {
+	if len(from) == 0 {
+		h.tracef(step, "%s noop", kind)
+		return 0, false
+	}
+	return from[int(r%uint64(len(from)))], true
+}
+
+func (h *harness) devicesWhere(ok func(d int) bool) []int {
+	var out []int
+	for _, d := range h.devices {
+		if ok(d) {
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
 // tenantFor resolves a PRNG draw to a tenant id (empty when the run is
@@ -504,31 +504,57 @@ func (h *harness) exec(step int, ev Event) {
 	}
 	switch ev.Kind {
 	case EvHeartbeat:
-		h.doHeartbeat(step)
+		h.heartbeat(step)
 	case EvTick:
-		h.doTick(step)
+		h.tick(step, "tick")
 	case EvInfer:
-		h.doInfer(step, ev.R)
+		h.serveBatch(step, ev.R, "infer", nil)
 	case EvLoad:
-		h.doLoad(step, ev.R)
+		if id, ok := h.pick(step, "load", ev.R, h.live); ok {
+			h.offerLoad(step, id, int((ev.R>>8)%10))
+		}
 	case EvDeploy:
-		h.doDeploy(step, ev.R)
+		if len(h.live) >= h.o.MaxLeases {
+			h.tracef(step, "deploy noop (at cap)")
+		} else {
+			h.deploy(step, h.o.Spec, h.tenantFor(ev.R>>24))
+		}
 	case EvRelease:
-		h.doRelease(step, ev.R)
+		if id, ok := h.pick(step, "release", ev.R, h.live); ok {
+			h.release(step, id)
+		}
 	case EvRedeploy:
 		h.doRedeploy(step, ev.R)
 	case EvKill:
-		h.doKill(step, ev.R)
+		// Keep at least two devices beating, so the sim never collapses
+		// into a fleet that cannot host anything.
+		alive := h.devicesWhere(func(d int) bool { return !h.killed[d] })
+		if len(alive) <= 2 {
+			alive = nil
+		}
+		if d, ok := h.pick(step, "kill", ev.R, alive); ok {
+			h.kill(step, d)
+		}
 	case EvRevive:
-		h.doRevive(step, ev.R)
+		if d, ok := h.pick(step, "revive", ev.R, h.devicesWhere(func(d int) bool { return h.killed[d] })); ok {
+			h.revive(step, d)
+		}
 	case EvDrain:
-		h.doDrain(step, ev.R)
+		if len(h.drained) > 0 {
+			h.tracef(step, "drain noop (one at a time)")
+		} else if d, ok := h.pick(step, "drain", ev.R, h.devicesWhere(func(d int) bool { return !h.killed[d] })); ok {
+			h.drain(step, d)
+		}
 	case EvUndrain:
-		h.doUndrain(step, ev.R)
+		if d, ok := h.pick(step, "undrain", ev.R, h.devicesWhere(func(d int) bool { return h.drained[d] })); ok {
+			h.undrain(step, d)
+		}
 	case EvCondemn:
 		h.doCondemn(step, ev.R)
 	case EvResizeFail:
-		h.doResizeFail(step, ev.R)
+		k := 1 + int(ev.R%2)
+		h.armFail += k
+		h.tracef(step, "resize_fail arm=%d", k)
 	case EvPreempt:
 		h.doPreempt(step, ev.R)
 	case EvRestore:
@@ -541,7 +567,9 @@ func (h *harness) exec(step int, ev Event) {
 	}
 }
 
-func (h *harness) doHeartbeat(step int) {
+// beatAll beats every device not currently killed and returns how many
+// beat, or false after recording a violation.
+func (h *harness) beatAll(step int) (int, bool) {
 	beat := 0
 	for _, d := range h.devices {
 		if h.killed[d] {
@@ -549,18 +577,26 @@ func (h *harness) doHeartbeat(step int) {
 		}
 		if err := h.cp.Heartbeat(d); err != nil {
 			h.fail(step, "heartbeat-error", "device %d: %v", d, err)
-			return
+			return beat, false
 		}
 		beat++
 	}
-	h.tracef(step, "heartbeat n=%d", beat)
+	return beat, true
 }
 
-func (h *harness) doTick(step int) {
+func (h *harness) heartbeat(step int) {
+	if beat, ok := h.beatAll(step); ok {
+		h.tracef(step, "heartbeat n=%d", beat)
+	}
+}
+
+// tick runs one control-plane round and folds its report into the counter
+// model; label names the trace line ("tick", or "settle" when quiescing).
+func (h *harness) tick(step int, label string) {
 	rep := h.cp.Tick()
 	h.accountTick(rep)
 	b, _ := json.Marshal(rep)
-	h.tracef(step, "tick %s", b)
+	h.tracef(step, "%s %s", label, b)
 }
 
 // accountTick folds a tick report into the expected-counter model. An
@@ -582,10 +618,6 @@ func (h *harness) accountTick(rep *cluster.TickReport) {
 			}
 		}
 	}
-}
-
-func (h *harness) doInfer(step int, r uint64) {
-	h.serveBatch(step, r, "infer", nil)
 }
 
 // doPreempt serves a concurrent batch while firing explicit preemptions
@@ -633,11 +665,10 @@ func (h *harness) doRestore(step int, r uint64) {
 // by mid (preemption, transplant), then joined and audited against the
 // golden memo.
 func (h *harness) serveBatch(step int, r uint64, kind string, mid func(id int)) {
-	if len(h.live) == 0 {
-		h.tracef(step, "%s noop", kind)
+	id, ok := h.pick(step, kind, r, h.live)
+	if !ok {
 		return
 	}
-	id := h.pickLive(r)
 	// The submitting tenant is drawn independently of the lease, so
 	// requests routinely ride leases owned by the other tenant — exactly
 	// the cross-tenant traffic the golden memo must prove leak-free
@@ -732,32 +763,20 @@ func (h *harness) doDefrag(step int) {
 	h.tracef(step, "defrag %s", b)
 }
 
-func (h *harness) doLoad(step int, r uint64) {
-	if len(h.live) == 0 {
-		h.tracef(step, "load noop")
-		return
-	}
-	id := h.pickLive(r)
-	qd := int((r >> 8) % 10)
-	h.loads[id] = rms.LoadStats{QueueDepth: qd}
-	h.tracef(step, "load lease=%d queue=%d", id, qd)
+func (h *harness) offerLoad(step, id, queueDepth int) {
+	h.loads[id] = rms.LoadStats{QueueDepth: queueDepth}
+	h.tracef(step, "load lease=%d queue=%d", id, queueDepth)
 }
 
-func (h *harness) doDeploy(step int, r uint64) {
-	if len(h.live) >= h.o.MaxLeases {
-		h.tracef(step, "deploy noop (at cap)")
-		return
-	}
-	who := h.tenantFor(r >> 24)
-	l, ok := h.deployAs(step, h.o.Spec, who)
-	if !ok {
-		return
-	}
-	if l == nil {
+// deploy is deployAs plus the deploy event's trace line.
+func (h *harness) deploy(step int, spec kernels.LayerSpec, who string) (*rms.Lease, bool) {
+	l, ok := h.deployAs(step, spec, who)
+	if ok && l == nil {
 		h.tracef(step, "deploy shed tenant=%s", who)
-		return
+	} else if ok {
+		h.tracef(step, "deploy lease=%d depth=%d tenant=%s", l.ID, l.Depth, who)
 	}
-	h.tracef(step, "deploy lease=%d depth=%d tenant=%s", l.ID, l.Depth, who)
+	return l, ok
 }
 
 // markSpec records a deploy attempt for the spec's compile plan and
@@ -826,24 +845,10 @@ func (h *harness) deployAs(step int, spec kernels.LayerSpec, who string) (*rms.L
 // store, so the replacement lease must come back warm — a redeploy that
 // compiles is an invariant breach, not just a slow path.
 func (h *harness) doRedeploy(step int, r uint64) {
-	if len(h.live) == 0 {
-		h.tracef(step, "redeploy noop")
+	id, ok := h.pick(step, "redeploy", r, h.live)
+	if !ok || !h.dropLease(step, id) {
 		return
 	}
-	id := h.pickLive(r)
-	if err := h.dp.Release(id); err != nil {
-		h.fail(step, "release-error", "lease %d: %v", id, err)
-		return
-	}
-	for i, v := range h.live {
-		if v == id {
-			h.live = append(h.live[:i], h.live[i+1:]...)
-			break
-		}
-	}
-	delete(h.loads, id)
-	delete(h.leaseTenant, id)
-	delete(h.leaseSpec, id)
 	// The replacement lease may land on a different tenant than the one
 	// released, so redeploys also churn ownership.
 	who := h.tenantFor(r >> 24)
@@ -858,15 +863,12 @@ func (h *harness) doRedeploy(step int, r uint64) {
 	h.tracef(step, "redeploy out=%d in=%d depth=%d tenant=%s", id, l.ID, l.Depth, who)
 }
 
-func (h *harness) doRelease(step int, r uint64) {
-	if len(h.live) == 0 {
-		h.tracef(step, "release noop")
-		return
-	}
-	id := h.pickLive(r)
+// dropLease releases a lease through the data plane's drain path and
+// forgets it in the model; redeploy and release trace it differently.
+func (h *harness) dropLease(step, id int) bool {
 	if err := h.dp.Release(id); err != nil {
 		h.fail(step, "release-error", "lease %d: %v", id, err)
-		return
+		return false
 	}
 	for i, v := range h.live {
 		if v == id {
@@ -877,97 +879,58 @@ func (h *harness) doRelease(step int, r uint64) {
 	delete(h.loads, id)
 	delete(h.leaseTenant, id)
 	delete(h.leaseSpec, id)
-	h.tracef(step, "release lease=%d", id)
+	return true
 }
 
-func (h *harness) doKill(step int, r uint64) {
-	var eligible []int
-	for _, d := range h.devices {
-		if !h.killed[d] {
-			eligible = append(eligible, d)
-		}
+func (h *harness) release(step, id int) {
+	if h.dropLease(step, id) {
+		h.tracef(step, "release lease=%d", id)
 	}
-	// Keep at least two devices beating, so the sim never collapses into
-	// a fleet that cannot host anything.
-	if len(eligible) <= 2 {
-		h.tracef(step, "kill noop")
-		return
-	}
-	d := eligible[int(r%uint64(len(eligible)))]
+}
+
+// kill silences a device's heartbeats until revive; the registry notices
+// after Control's SuspectAfter/DeadAfter windows.
+func (h *harness) kill(step, d int) {
 	h.killed[d] = true
 	h.tracef(step, "kill dev=%d", d)
 }
 
-func (h *harness) doRevive(step int, r uint64) {
-	var down []int
-	for _, d := range h.devices {
-		if h.killed[d] {
-			down = append(down, d)
-		}
-	}
-	if len(down) == 0 {
-		h.tracef(step, "revive noop")
-		return
-	}
-	d := down[int(r%uint64(len(down)))]
+// revive brings a killed device back and beats it once immediately.
+func (h *harness) revive(step, d int) bool {
 	delete(h.killed, d)
 	if err := h.cp.Heartbeat(d); err != nil {
 		h.fail(step, "heartbeat-error", "device %d: %v", d, err)
-		return
+		return false
 	}
 	h.tracef(step, "revive dev=%d", d)
+	return true
 }
 
-func (h *harness) doDrain(step int, r uint64) {
-	if len(h.drained) > 0 {
-		h.tracef(step, "drain noop (one at a time)")
-		return
-	}
-	var eligible []int
-	for _, d := range h.devices {
-		if !h.killed[d] && !h.drained[d] {
-			eligible = append(eligible, d)
-		}
-	}
-	if len(eligible) == 0 {
-		h.tracef(step, "drain noop")
-		return
-	}
-	d := eligible[int(r%uint64(len(eligible)))]
+func (h *harness) drain(step, d int) bool {
 	if err := h.cp.Drain(d); err != nil {
 		h.fail(step, "drain-error", "device %d: %v", d, err)
-		return
+		return false
 	}
 	h.drained[d] = true
 	h.tracef(step, "drain dev=%d", d)
+	return true
 }
 
-func (h *harness) doUndrain(step int, r uint64) {
-	var ds []int
-	for _, d := range h.devices {
-		if h.drained[d] {
-			ds = append(ds, d)
-		}
-	}
-	if len(ds) == 0 {
-		h.tracef(step, "undrain noop")
-		return
-	}
-	d := ds[int(r%uint64(len(ds)))]
+func (h *harness) undrain(step, d int) bool {
 	if err := h.cp.Undrain(d); err != nil {
 		h.fail(step, "undrain-error", "device %d: %v", d, err)
-		return
+		return false
 	}
 	delete(h.drained, d)
 	h.tracef(step, "undrain dev=%d", d)
+	return true
 }
 
 func (h *harness) doCondemn(step int, r uint64) {
-	if len(h.live) == 0 {
-		h.tracef(step, "condemn noop")
+	id, ok := h.pick(step, "condemn", r, h.live)
+	if !ok {
 		return
 	}
-	id := h.pickLive(r)
 	lease, ok := h.svc.Lease(id)
 	if !ok {
 		h.fail(step, "lease-conservation", "model says lease %d is live, service disagrees", id)
@@ -989,12 +952,6 @@ func (h *harness) doCondemn(step int, r uint64) {
 	h.tracef(step, "condemn lease=%d shard=%d fpga=%d prev=%s", id, shard, want, prev)
 }
 
-func (h *harness) doResizeFail(step int, r uint64) {
-	k := 1 + int(r%2)
-	h.armFail += k
-	h.tracef(step, "resize_fail arm=%d", k)
-}
-
 // settle is one post-schedule quiesce round: every surviving device
 // beats, then the control plane ticks, so pending evacuations and
 // backoffs resolve before the stranded check.
@@ -1003,19 +960,10 @@ func (h *harness) settle(step int) {
 		return
 	}
 	h.settling = true
-	for _, d := range h.devices {
-		if h.killed[d] {
-			continue
-		}
-		if err := h.cp.Heartbeat(d); err != nil {
-			h.fail(step, "heartbeat-error", "device %d: %v", d, err)
-			return
-		}
+	if _, ok := h.beatAll(step); !ok {
+		return
 	}
-	rep := h.cp.Tick()
-	h.accountTick(rep)
-	b, _ := json.Marshal(rep)
-	h.tracef(step, "settle %s", b)
+	h.tick(step, "settle")
 	h.checkInvariants(step)
 }
 
@@ -1091,14 +1039,7 @@ func (h *harness) checkInvariants(step int) {
 			}
 			ladders[l.Spec] = ladder
 		}
-		onLadder := false
-		for _, d := range ladder {
-			if d == l.Depth {
-				onLadder = true
-				break
-			}
-		}
-		if !onLadder {
+		if !slices.Contains(ladder, l.Depth) {
 			h.fail(step, "feasible-depth", "lease %d at depth %d, ladder is %v", l.ID, l.Depth, ladder)
 			return
 		}
@@ -1115,6 +1056,17 @@ func (h *harness) checkInvariants(step int) {
 	if err := h.dp.CheckInvariants(); err != nil {
 		h.fail(step, "engine-tombstone", "%v", err)
 		return
+	}
+
+	// One reading of every counter per audit; each family below checks its
+	// deltas since harness birth against the event model.
+	d := metrics.Snapshot().Sub(h.base)
+	exact := func(invariant string, v *expvar.Int, want int64) bool {
+		got := d.Int(v)
+		if got != want {
+			h.fail(step, invariant, "%s moved %d, events account for %d", metrics.Name(v), got, want)
+		}
+		return got == want
 	}
 
 	// Quota conservation: the service's per-tenant ownership and usage
@@ -1157,23 +1109,21 @@ func (h *harness) checkInvariants(step int) {
 		// delta must equal what the attributed events predict, the fair
 		// queue must drain to zero depth between events, and nothing in
 		// the sim path may trip the auth counters (no HTTP runs here).
-		tcur := metrics.TenantCounters()
-		tdelta := func(name, id string) int64 { return tcur[name][id] - h.tenantBase[name][id] }
 		for _, t := range h.reg.List() {
 			id := t.ID
 			for _, c := range []struct {
-				name string
+				m    *expvar.Map
 				want int64
 			}{
-				{"mlv_tenant_requests", h.expTenantReq[id]},
-				{"mlv_tenant_infers_served", h.expTenantServed[id]},
-				{"mlv_tenant_rejections", h.expTenantRej[id]},
-				{"mlv_tenant_queue_depth", 0},
-				{"mlv_tenant_auth_failures", 0},
+				{metrics.TenantRequests, h.expTenantReq[id]},
+				{metrics.TenantServed, h.expTenantServed[id]},
+				{metrics.TenantRejections, h.expTenantRej[id]},
+				{metrics.TenantQueueDepth, 0},
+				{metrics.TenantAuthFailures, 0},
 			} {
-				if got := tdelta(c.name, id); got != c.want {
+				if got := d.Tenant(c.m, id); got != c.want {
 					h.fail(step, "tenant-accounting",
-						"tenant %s: %s moved %d, events account for %d", id, c.name, got, c.want)
+						"tenant %s: %s moved %d, events account for %d", id, metrics.Name(c.m), got, c.want)
 					return
 				}
 			}
@@ -1202,49 +1152,42 @@ func (h *harness) checkInvariants(step int) {
 	// generic counter families because a dropped checkpoint also skews
 	// batch and admission accounting downstream — the root cause should
 	// name the violation.
-	pcur := metrics.SnapshotCounters()
-	pdelta := func(name string) int64 { return pcur[name] - h.snapBase[name] }
-	if c, rs := pdelta("mlv_snapshot_captures"), pdelta("mlv_snapshot_restores"); c != rs {
+	if c, rs := d.Int(metrics.SnapshotCaptures), d.Int(metrics.SnapshotRestores); c != rs {
 		h.fail(step, "snapshot-conservation",
-			"mlv_snapshot_captures moved %d, mlv_snapshot_restores %d: a checkpoint was captured and never restored", c, rs)
+			"%s moved %d, %s %d: a checkpoint was captured and never restored",
+			metrics.Name(metrics.SnapshotCaptures), c, metrics.Name(metrics.SnapshotRestores), rs)
 		return
 	}
-	if ev, rs := pdelta("mlv_preempt_evictions"), pdelta("mlv_preempt_restores"); ev != rs {
-		h.fail(step, "snapshot-conservation",
-			"mlv_preempt_evictions moved %d, mlv_preempt_restores %d", ev, rs)
+	if ev, rs := d.Int(metrics.PreemptEvictions), d.Int(metrics.PreemptRestores); ev != rs {
+		h.fail(step, "snapshot-conservation", "%s moved %d, %s %d",
+			metrics.Name(metrics.PreemptEvictions), ev, metrics.Name(metrics.PreemptRestores), rs)
 		return
 	}
-	if got := pdelta("mlv_defrag_moves"); got != h.expDefragMoves {
-		h.fail(step, "snapshot-conservation",
-			"mlv_defrag_moves moved %d, events account for %d", got, h.expDefragMoves)
+	if !exact("snapshot-conservation", metrics.DefragMoves, h.expDefragMoves) {
 		return
 	}
 
 	// Counter conservation: every expvar delta must equal what the event
 	// model predicts (batches are bounded, not pinned: riders per batch
 	// depend on goroutine interleaving, which the results never do).
-	cur := metrics.Counters()
-	delta := func(name string) int64 { return cur[name] - h.base[name] }
-	exact := []struct {
-		name string
+	for _, c := range []struct {
+		v    *expvar.Int
 		want int64
 	}{
-		{"mlv_leases_active", int64(len(h.live))},
-		{"mlv_infers_served", h.expInfers},
-		{"mlv_migrations", h.expMigrations},
-		{"mlv_migration_failures", h.expMigFailures},
-		{"mlv_heartbeat_misses", h.expHbMisses},
-		{"mlv_devices_condemned", h.expCondemned},
-	}
-	for _, c := range exact {
-		if got := delta(c.name); got != c.want {
-			h.fail(step, "counter-conservation", "%s moved %d, events account for %d", c.name, got, c.want)
+		{metrics.LeasesActive, int64(len(h.live))},
+		{metrics.InfersServed, h.expInfers},
+		{metrics.Migrations, h.expMigrations},
+		{metrics.MigrationFailures, h.expMigFailures},
+		{metrics.HeartbeatMisses, h.expHbMisses},
+		{metrics.DevicesCondemned, h.expCondemned},
+	} {
+		if !exact("counter-conservation", c.v, c.want) {
 			return
 		}
 	}
-	if bf := delta("mlv_batches_flushed"); bf < h.expInferEvents || bf > h.expInfers {
-		h.fail(step, "batch-conservation",
-			"mlv_batches_flushed moved %d, outside [%d, %d]", bf, h.expInferEvents, h.expInfers)
+	if bf := d.Int(metrics.BatchesFlushed); bf < h.expInferEvents || bf > h.expInfers {
+		h.fail(step, "batch-conservation", "%s moved %d, outside [%d, %d]",
+			metrics.Name(metrics.BatchesFlushed), bf, h.expInferEvents, h.expInfers)
 		return
 	}
 
@@ -1254,21 +1197,17 @@ func (h *harness) checkInvariants(step int) {
 	// active-slot gauge must be exactly back at its baseline (a residue is
 	// a leaked slot: admitted capacity that never came back), and each
 	// served request accounts for exactly one slot admission.
-	scur := metrics.SlotCounters()
-	sdelta := func(name string) int64 { return scur[name] - h.slotBase[name] }
-	if got := sdelta("mlv_slots_active"); got != 0 {
-		h.fail(step, "slot-conservation",
-			"mlv_slots_active residue %d with no request in flight", got)
+	if got := d.Int(metrics.SlotsActive); got != 0 {
+		h.fail(step, "slot-conservation", "%s residue %d with no request in flight",
+			metrics.Name(metrics.SlotsActive), got)
 		return
 	}
-	if got := sdelta("mlv_admissions"); got != h.expInfers {
-		h.fail(step, "slot-conservation",
-			"mlv_admissions moved %d, events account for %d", got, h.expInfers)
+	if !exact("slot-conservation", metrics.Admissions, h.expInfers) {
 		return
 	}
-	if occ, rounds := sdelta("mlv_slot_round_occupancy"), sdelta("mlv_slot_rounds"); occ < rounds {
-		h.fail(step, "slot-conservation",
-			"mlv_slot_round_occupancy %d below mlv_slot_rounds %d: a round ran with an empty cohort", occ, rounds)
+	if occ, rounds := d.Int(metrics.SlotRoundOccupancy), d.Int(metrics.SlotRounds); occ < rounds {
+		h.fail(step, "slot-conservation", "%s %d below %s %d: a round ran with an empty cohort",
+			metrics.Name(metrics.SlotRoundOccupancy), occ, metrics.Name(metrics.SlotRounds), rounds)
 		return
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -248,5 +250,30 @@ func TestSimCatchesInjectedBugs(t *testing.T) {
 			}
 			t.Logf("fault %q caught and minimized:\n%s", tc.fault, caught.Report())
 		})
+	}
+}
+
+// TestStackCounterDeltasKeySet pins the 20 counter names every committed
+// scenario report embeds: 7 serving + 6 slot + 7 snapshot.
+func TestStackCounterDeltasKeySet(t *testing.T) {
+	s, err := NewStack(DefaultOptions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var got []string
+	for name := range s.CounterDeltas() {
+		got = append(got, name)
+	}
+	sort.Strings(got)
+	want := []string{
+		"mlv_admissions", "mlv_admissions_into_running", "mlv_batches_flushed", "mlv_defrag_moves",
+		"mlv_devices_condemned", "mlv_heartbeat_misses", "mlv_infers_served", "mlv_leases_active",
+		"mlv_migration_failures", "mlv_migrations", "mlv_preempt_evictions", "mlv_preempt_requests",
+		"mlv_preempt_restores", "mlv_slot_round_occupancy", "mlv_slot_rounds", "mlv_slots_active",
+		"mlv_snapshot_bytes", "mlv_snapshot_captures", "mlv_snapshot_restores", "mlv_steals",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("CounterDeltas keys %v, want %v", got, want)
 	}
 }

@@ -70,24 +70,14 @@ func (s *Stack) Close() { s.h.dp.Close() }
 // lay their timeline onto it and call Run.
 func (s *Stack) Engine() *des.Engine { return s.h.eng }
 
-// Service exposes the resource-management service for read-side queries
-// (lease latency, placements, cluster status).
-func (s *Stack) Service() *rms.Service { return s.h.svc }
-
 // Step advances and returns the event counter used in traces/violations.
 func (s *Stack) Step() int { s.step++; return s.step }
 
 // Devices returns the device IDs in the simulated cluster, ascending.
 func (s *Stack) Devices() []int { return append([]int(nil), s.h.devices...) }
 
-// Live returns the IDs of leases the model says are live, in deploy order.
-func (s *Stack) Live() []int { return append([]int(nil), s.h.live...) }
-
 // Violation returns the first invariant breach, or nil while green.
 func (s *Stack) Violation() *Violation { return s.h.violation }
-
-// Trace returns the resolved deterministic event log so far.
-func (s *Stack) Trace() []string { return append([]string(nil), s.h.trace...) }
 
 // TraceHash folds the trace into the same FNV-64a digest Result uses.
 func (s *Stack) TraceHash() uint64 { return hashTrace(s.h.trace) }
@@ -98,39 +88,12 @@ func (s *Stack) TraceHash() uint64 { return hashTrace(s.h.trace) }
 // (nil, false) after recording a violation.
 func (s *Stack) Deploy(spec kernels.LayerSpec, who string) (*rms.Lease, bool) {
 	step := s.Step()
-	l, ok := s.h.deployAs(step, spec, who)
-	if !ok {
-		return nil, false
-	}
+	l, ok := s.h.deploy(step, spec, who)
 	if l == nil {
-		s.h.tracef(step, "deploy shed tenant=%s", who)
-		return nil, true
+		return nil, ok
 	}
-	s.h.tracef(step, "deploy lease=%d depth=%d tenant=%s", l.ID, l.Depth, who)
 	s.h.checkInvariants(step)
 	return l, s.h.violation == nil
-}
-
-// Release releases a lease and audits the teardown. Reports whether the
-// stack is still green.
-func (s *Stack) Release(id int) bool {
-	step := s.Step()
-	if err := s.h.dp.Release(id); err != nil {
-		s.h.fail(step, "release-error", "lease %d: %v", id, err)
-		return false
-	}
-	for i, v := range s.h.live {
-		if v == id {
-			s.h.live = append(s.h.live[:i], s.h.live[i+1:]...)
-			break
-		}
-	}
-	delete(s.h.loads, id)
-	delete(s.h.leaseTenant, id)
-	delete(s.h.leaseSpec, id)
-	s.h.tracef(step, "release lease=%d", id)
-	s.h.checkInvariants(step)
-	return s.h.violation == nil
 }
 
 // Serve runs one concurrent batch of len(seeds) requests on the lease,
@@ -146,55 +109,18 @@ func (s *Stack) Serve(id int, who string, seeds []int64) bool {
 	return s.h.violation == nil
 }
 
-// OfferLoad scripts the queue depth the autoscaler sees for a lease.
-func (s *Stack) OfferLoad(id, queueDepth int) {
-	step := s.Step()
-	s.h.loads[id] = rms.LoadStats{QueueDepth: queueDepth}
-	s.h.tracef(step, "load lease=%d queue=%d", id, queueDepth)
-}
-
 // Kill marks a device dead: it stops heartbeating until Revive. The
 // registry notices after Control's SuspectAfter/DeadAfter windows.
-func (s *Stack) Kill(device int) {
-	s.h.killed[device] = true
-	s.h.tracef(s.Step(), "kill dev=%d", device)
-}
+func (s *Stack) Kill(device int) { s.h.kill(s.Step(), device) }
 
 // Revive brings a killed device back and beats it once immediately.
-func (s *Stack) Revive(device int) bool {
-	step := s.Step()
-	delete(s.h.killed, device)
-	if err := s.h.cp.Heartbeat(device); err != nil {
-		s.h.fail(step, "heartbeat-error", "device %d: %v", device, err)
-		return false
-	}
-	s.h.tracef(step, "revive dev=%d", device)
-	return true
-}
+func (s *Stack) Revive(device int) bool { return s.h.revive(s.Step(), device) }
 
 // Drain starts an administrative drain of a device.
-func (s *Stack) Drain(device int) bool {
-	step := s.Step()
-	if err := s.h.cp.Drain(device); err != nil {
-		s.h.fail(step, "drain-error", "device %d: %v", device, err)
-		return false
-	}
-	s.h.drained[device] = true
-	s.h.tracef(step, "drain dev=%d", device)
-	return true
-}
+func (s *Stack) Drain(device int) bool { return s.h.drain(s.Step(), device) }
 
 // Undrain returns a draining device to service.
-func (s *Stack) Undrain(device int) bool {
-	step := s.Step()
-	if err := s.h.cp.Undrain(device); err != nil {
-		s.h.fail(step, "undrain-error", "device %d: %v", device, err)
-		return false
-	}
-	delete(s.h.drained, device)
-	s.h.tracef(step, "undrain dev=%d", device)
-	return true
-}
+func (s *Stack) Undrain(device int) bool { return s.h.undrain(s.Step(), device) }
 
 // HeartbeatAll beats every device not currently killed.
 func (s *Stack) HeartbeatAll() bool {
@@ -202,7 +128,7 @@ func (s *Stack) HeartbeatAll() bool {
 	if s.h.violation != nil {
 		return false
 	}
-	s.h.doHeartbeat(step)
+	s.h.heartbeat(step)
 	return s.h.violation == nil
 }
 
@@ -213,7 +139,7 @@ func (s *Stack) Tick() bool {
 	if s.h.violation != nil {
 		return false
 	}
-	s.h.doTick(step)
+	s.h.tick(step, "tick")
 	s.h.checkInvariants(step)
 	return s.h.violation == nil
 }
@@ -234,14 +160,6 @@ func (s *Stack) CheckStranded() bool {
 	return s.h.violation == nil
 }
 
-// Check audits every invariant family immediately.
-func (s *Stack) Check() bool {
-	if s.h.violation == nil {
-		s.h.checkInvariants(s.Step())
-	}
-	return s.h.violation == nil
-}
-
 // LeaseLatency returns the modelled per-inference latency of a live
 // lease — the scenario engine's queueing service time.
 func (s *Stack) LeaseLatency(id int) (time.Duration, bool) {
@@ -252,19 +170,16 @@ func (s *Stack) LeaseLatency(id int) (time.Duration, bool) {
 	return l.Latency, true
 }
 
-// CounterDeltas returns the process-global counters as deltas from the
-// stack's birth (the counters are shared across stacks in one process, so
-// only deltas are meaningful).
+// CounterDeltas returns the process-global counters of the three families
+// a scenario report carries, as deltas from the stack's birth (the counters
+// are shared across stacks in one process, so only deltas are meaningful).
 func (s *Stack) CounterDeltas() map[string]int64 {
+	d := metrics.Snapshot().Sub(s.h.base)
 	out := map[string]int64{}
-	for name, v := range metrics.Counters() {
-		out[name] = v - s.h.base[name]
-	}
-	for name, v := range metrics.SlotCounters() {
-		out[name] = v - s.h.slotBase[name]
-	}
-	for name, v := range metrics.SnapshotCounters() {
-		out[name] = v - s.h.snapBase[name]
+	for _, f := range []metrics.Family{metrics.ServingFamily, metrics.SlotFamily, metrics.SnapshotFamily} {
+		for name, v := range d.Family(f) {
+			out[name] = v
+		}
 	}
 	return out
 }

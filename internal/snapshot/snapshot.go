@@ -8,33 +8,30 @@
 // and quantization memos are derived caches that the restore path
 // invalidates so they are recomputed deterministically.
 //
-// The encoding mirrors the artifact store's blob discipline: a fixed
-// magic, little-endian length framing, and a trailing FNV-64a checksum
-// over the payload, so a truncated or corrupted checkpoint is detected
-// before any state is installed.
+// The encoding is a versioned little-endian payload sealed by
+// internal/frame (magic, length, FNV-64a checksum), so a truncated or
+// corrupted checkpoint is detected before any state is installed.
 package snapshot
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
+
+	"mlvfpga/internal/frame"
 )
 
 // Magic identifies a serialized snapshot blob.
-const Magic = "MLVSNAP1"
+const Magic = "MLVSNAP2"
 
 // FormatVersion is bumped whenever the payload layout changes; Decode
 // rejects snapshots written by a different version.
 const FormatVersion = 1
 
-// Codec errors.
-var (
-	ErrBadMagic  = errors.New("snapshot: bad magic")
-	ErrTruncated = errors.New("snapshot: truncated blob")
-	ErrChecksum  = errors.New("snapshot: checksum mismatch")
-	ErrVersion   = errors.New("snapshot: unsupported format version")
-)
+// ErrVersion rejects a payload written under another FormatVersion. Framing
+// damage surfaces as internal/frame's errors; a payload that ends early or
+// carries extra bytes is frame.ErrTruncated.
+var ErrVersion = errors.New("snapshot: unsupported format version")
 
 // Slot is one stream's checkpoint: the architectural state a preempted
 // or migrated stream needs to resume exactly where it stopped.
@@ -57,31 +54,24 @@ type Slot struct {
 	Window []uint16
 }
 
-// Bytes returns the encoded size of the slot's payload in bytes, used
-// for accounting snapshot volume.
-func (s *Slot) Bytes() int { return len(s.encode()) }
-
-// Encode serializes the slot: magic, LE payload length, payload,
-// FNV-64a checksum of the payload.
-func (s *Slot) Encode() []byte {
-	payload := s.encode()
-	buf := make([]byte, 0, len(Magic)+4+len(payload)+8)
-	buf = append(buf, Magic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	h := fnv.New64a()
-	h.Write(payload)
-	buf = binary.LittleEndian.AppendUint64(buf, h.Sum64())
-	return buf
-}
-
-func (s *Slot) encode() []byte {
+// Bytes returns the size of the slot's encoded payload in bytes (Encode
+// adds frame.Overhead), used for accounting snapshot volume.
+func (s *Slot) Bytes() int {
 	n := 2 + 8 + 4 + 4 + 2
 	for _, r := range s.Regs {
-		n += 1 + 4 + 2*len(r)
+		n++
+		if r != nil {
+			n += 4 + 2*len(r)
+		}
 	}
-	n += 4 + 2*len(s.Window)
-	b := make([]byte, 0, n)
+	return n + 4 + 2*len(s.Window)
+}
+
+// Encode serializes the slot into a sealed blob.
+func (s *Slot) Encode() []byte { return frame.Seal(Magic, s.encode()) }
+
+func (s *Slot) encode() []byte {
+	b := make([]byte, 0, s.Bytes())
 	b = binary.LittleEndian.AppendUint16(b, FormatVersion)
 	b = binary.LittleEndian.AppendUint64(b, s.KernelHash)
 	b = binary.LittleEndian.AppendUint32(b, s.Tau)
@@ -108,23 +98,9 @@ func (s *Slot) encode() []byte {
 // Decode parses an encoded slot, verifying magic, framing, format
 // version and checksum before returning any state.
 func Decode(blob []byte) (*Slot, error) {
-	if len(blob) < len(Magic)+4 {
-		return nil, ErrTruncated
-	}
-	if string(blob[:len(Magic)]) != Magic {
-		return nil, ErrBadMagic
-	}
-	plen := int(binary.LittleEndian.Uint32(blob[len(Magic):]))
-	rest := blob[len(Magic)+4:]
-	if len(rest) < plen+8 {
-		return nil, ErrTruncated
-	}
-	payload := rest[:plen]
-	want := binary.LittleEndian.Uint64(rest[plen:])
-	h := fnv.New64a()
-	h.Write(payload)
-	if h.Sum64() != want {
-		return nil, ErrChecksum
+	payload, err := frame.Open(Magic, blob)
+	if err != nil {
+		return nil, err
 	}
 	return decodePayload(payload)
 }
@@ -141,13 +117,21 @@ func decodePayload(b []byte) (*Slot, error) {
 		Steps:      r.u32(),
 	}
 	nregs := int(r.u16())
+	if r.err == nil && nregs > len(r.b) {
+		// Every register costs at least its presence byte: refuse before
+		// sizing the file from a count the payload cannot back.
+		r.err = frame.ErrTruncated
+	}
 	if r.err == nil {
 		s.Regs = make([][]uint16, nregs)
 		for i := 0; i < nregs && r.err == nil; i++ {
-			if r.u8() == 0 {
-				continue
+			switch present := r.u8(); present {
+			case 0:
+			case 1:
+				s.Regs[i] = r.words(int(r.u32()))
+			default:
+				return nil, fmt.Errorf("snapshot: register %d presence byte %d", i, present)
 			}
-			s.Regs[i] = r.words(int(r.u32()))
 		}
 	}
 	s.Window = r.words(int(r.u32()))
@@ -155,7 +139,7 @@ func decodePayload(b []byte) (*Slot, error) {
 		return nil, r.err
 	}
 	if len(r.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrTruncated, len(r.b))
+		return nil, fmt.Errorf("%w: %d trailing payload bytes", frame.ErrTruncated, len(r.b))
 	}
 	return s, nil
 }
@@ -172,7 +156,7 @@ func (r *reader) take(n int) []byte {
 		return nil
 	}
 	if n < 0 || len(r.b) < n {
-		r.err = ErrTruncated
+		r.err = frame.ErrTruncated
 		return nil
 	}
 	out := r.b[:n]

@@ -1,9 +1,13 @@
 package snapshot
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"mlvfpga/internal/frame"
 )
 
 func sample() *Slot {
@@ -66,47 +70,71 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 func TestDecodeRejectsBadMagic(t *testing.T) {
 	blob := sample().Encode()
 	blob[0] = 'X'
-	if _, err := Decode(blob); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("err = %v, want ErrBadMagic", err)
+	if _, err := Decode(blob); !errors.Is(err, frame.ErrBadMagic) {
+		t.Fatalf("err = %v, want frame.ErrBadMagic", err)
 	}
 }
 
 func TestDecodeRejectsFutureVersion(t *testing.T) {
-	s := sample()
-	payload := s.encode()
+	payload := sample().encode()
 	payload[0] = FormatVersion + 1 // little-endian version low byte
-	blob := append([]byte{}, Magic...)
-	blob = append(blob, byte(len(payload)), byte(len(payload)>>8), byte(len(payload)>>16), byte(len(payload)>>24))
-	blob = append(blob, payload...)
-	// Recompute a valid checksum so only the version differs.
-	good, err := Decode(s.Encode())
-	_ = good
-	if err != nil {
-		t.Fatalf("baseline decode: %v", err)
-	}
-	sum := fnvSum(payload)
-	for i := 0; i < 8; i++ {
-		blob = append(blob, byte(sum>>(8*i)))
-	}
-	if _, err := Decode(blob); !errors.Is(err, ErrVersion) {
+	if _, err := Decode(frame.Seal(Magic, payload)); !errors.Is(err, ErrVersion) {
 		t.Fatalf("err = %v, want ErrVersion", err)
 	}
 }
 
-func fnvSum(b []byte) uint64 {
-	const offset64 = 14695981039346656037
-	const prime64 = 1099511628211
-	h := uint64(offset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
+// TestDecodeRejectsTrailingBytes: nothing may follow the checksummed
+// payload, and the payload may not outrun its last field.
+func TestDecodeRejectsTrailingBytes(t *testing.T) {
+	if _, err := Decode(append(sample().Encode(), 0)); !errors.Is(err, frame.ErrLength) {
+		t.Fatalf("byte after the frame: err = %v, want frame.ErrLength", err)
 	}
-	return h
+	if _, err := Decode(frame.Seal(Magic, append(sample().encode(), 0))); !errors.Is(err, frame.ErrTruncated) {
+		t.Fatalf("byte after the window: err = %v, want frame.ErrTruncated", err)
+	}
 }
 
+// TestBytesMatchesEncodedPayload: Bytes is the payload size worked out
+// arithmetically — what Encode produces minus the frame — and measuring a
+// slot allocates nothing.
 func TestBytesMatchesEncodedPayload(t *testing.T) {
-	s := sample()
-	if got, want := s.Bytes(), len(s.encode()); got != want {
-		t.Fatalf("Bytes() = %d, want %d", got, want)
+	for name, s := range map[string]*Slot{
+		"full":     sample(),
+		"nil-regs": {KernelHash: 1, Regs: [][]uint16{nil, nil, nil}},
+		"empty":    {},
+	} {
+		if got, want := s.Bytes(), len(s.Encode())-frame.Overhead; got != want {
+			t.Errorf("%s: Bytes() = %d, want %d", name, got, want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _ = s.Bytes() }); allocs != 0 {
+			t.Errorf("%s: Bytes() allocates %v times", name, allocs)
+		}
 	}
+}
+
+// FuzzDecodeSnapshot: Decode never panics on arbitrary bytes, never
+// allocates more than a constant factor of the blob it was handed (a
+// forged count cannot size a buffer), and whatever it accepts re-encodes
+// to the same bytes. The second argument re-seals the input as a payload
+// so the fuzzer reaches decodePayload without having to guess a checksum.
+func FuzzDecodeSnapshot(f *testing.F) {
+	f.Add(sample().Encode(), false)
+	f.Add(sample().encode(), true)
+	f.Add((&Slot{}).encode(), true)
+	f.Fuzz(func(t *testing.T, data []byte, seal bool) {
+		blob := data
+		if seal {
+			blob = frame.Seal(Magic, data)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := Decode(blob)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(blob)+4096); got > limit {
+			t.Fatalf("Decode of %d bytes allocated %d (limit %d)", len(blob), got, limit)
+		}
+		if err == nil && !bytes.Equal(s.Encode(), blob) {
+			t.Fatalf("accepted blob % x re-encodes to % x", blob, s.Encode())
+		}
+	})
 }

@@ -3,9 +3,11 @@ package tenant
 import (
 	"bytes"
 	"encoding/json"
+	"expvar"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -41,7 +43,7 @@ func signedReq(id, key, path string, body []byte, now time.Time, nonce string) *
 }
 
 func authFailures(id string) int64 {
-	return metrics.TenantCounters()["mlv_tenant_auth_failures"][id]
+	return metrics.Snapshot().Tenant(metrics.TenantAuthFailures, id)
 }
 
 func TestGuardAcceptsSignedRequest(t *testing.T) {
@@ -203,9 +205,7 @@ func TestGuardRejectBoundsMetricKeys(t *testing.T) {
 	g := NewGuard(testRegistry(t), GuardOptions{Now: func() time.Time { return now }})
 	h := g.Wrap(echoTenant)
 	body := []byte(`{"id":1}`)
-	maps := []string{"mlv_tenant_auth_failures", "mlv_tenant_rejections"}
-
-	before := metrics.TenantCounters()
+	before := metrics.Snapshot()
 	const N = 1000
 	for i := 0; i < N; i++ {
 		id := "bogus-" + strconv.Itoa(i)
@@ -221,17 +221,18 @@ func TestGuardRejectBoundsMetricKeys(t *testing.T) {
 		t.Fatalf("bad signature: code %d, want 401", w.Code)
 	}
 
-	after := metrics.TenantCounters()
-	for _, name := range maps {
-		for id := range after[name] {
-			if _, had := before[name][id]; !had && id != "unknown" && id != "bob" {
-				t.Errorf("%s grew a key for unregistered id %q", name, id)
+	moved := metrics.Snapshot().Sub(before)
+	for _, m := range []*expvar.Map{metrics.TenantAuthFailures, metrics.TenantRejections} {
+		name := metrics.Name(m)
+		m.Do(func(kv expvar.KeyValue) {
+			if strings.HasPrefix(kv.Key, "bogus-") {
+				t.Errorf("%s grew a key for unregistered id %q", name, kv.Key)
 			}
-		}
-		if d := after[name]["unknown"] - before[name]["unknown"]; d != N {
+		})
+		if d := moved.Tenant(m, "unknown"); d != N {
 			t.Errorf("%s[unknown] moved %d, want %d", name, d, N)
 		}
-		if d := after[name]["bob"] - before[name]["bob"]; d != 1 {
+		if d := moved.Tenant(m, "bob"); d != 1 {
 			t.Errorf("%s[bob] moved %d, want 1", name, d)
 		}
 	}

@@ -303,7 +303,7 @@ var (
 	ReproduceTable4            = experiments.Table4
 	ReproduceFig11             = experiments.Fig11
 	ReproduceFig12             = experiments.Fig12
-	ReproduceCompileOverhead   = experiments.CompileOverhead
+	ReproduceCompileOverhead   = func() (*experiments.CompileOverheadResult, error) { return experiments.CompileOverhead(0, nil) }
 	ReproduceInstructionBuffer = experiments.InstructionBufferFit
 	ReproduceAblationPartition = experiments.AblationPartition
 	ReproduceAblationNumerics  = experiments.AblationNumerics
