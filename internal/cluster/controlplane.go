@@ -282,42 +282,28 @@ func (cp *ControlPlane) Tick() *TickReport {
 			}
 		}
 		ev := Event{Lease: l.ID, Kind: "evacuate", FromDepth: l.Depth, ToDepth: l.Depth}
+		var err error
 		for _, depth := range try {
 			ev.ToDepth = depth
-			_, err := cp.svc.Migrate(l.ID, depth, avoid, force)
-			if err == nil {
-				ev.Err = ""
-				break
-			}
-			ev.Err = err.Error()
 			// Walk the ladder on capacity AND quota misses alike: a
 			// shallower rung needs fewer devices and may slip under the
 			// tenant's remaining device quota.
-			if !errors.Is(err, rms.ErrNoCapacity) && !errors.Is(err, rms.ErrQuotaExceeded) {
+			if _, err = cp.svc.Migrate(l.ID, depth, avoid, force); err == nil ||
+				!errors.Is(err, rms.ErrNoCapacity) && !errors.Is(err, rms.ErrQuotaExceeded) {
 				break
 			}
 		}
-		if ev.Err != "" {
-			cp.failLocked(st, now)
-			metrics.MigrationFailures.Add(1)
-		} else {
-			cp.okLocked(st)
-			evacuated[l.ID] = true
-			if !cp.faults.SkipMigrationMetric {
-				metrics.Migrations.Add(1)
-			}
-			if ev.ToDepth != ev.FromDepth && cp.sizer != nil {
-				st.wantMachines = 0
-				if rerr := cp.sizer.Resize(l.ID, ev.ToDepth*cp.cfg.MachinesPerPiece); rerr != nil {
-					// The migration landed but the pool is still sized
-					// for the old depth: remember the debt and back off,
-					// so a later tick retries the resize.
-					ev.Err = rerr.Error()
-					st.wantMachines = ev.ToDepth * cp.cfg.MachinesPerPiece
-					cp.failLocked(st, now)
-				}
-			}
+		// The pool is sized by depth alone, so a same-depth evacuation
+		// keeps its engine: the lease is usually under traffic and a rebuild
+		// would checkpoint every resident stream for nothing. Defrag's
+		// same-depth moves do rebuild: its leases are quiet, so it is free,
+		// and the transplant carries over any stream that slipped in since
+		// the quiet check.
+		machines := 0
+		if ev.ToDepth != ev.FromDepth {
+			machines = ev.ToDepth * cp.cfg.MachinesPerPiece
 		}
+		evacuated[l.ID] = cp.landLocked(st, &ev, now, err, machines)
 		rep.Events = append(rep.Events, ev)
 	}
 
@@ -372,28 +358,41 @@ func (cp *ControlPlane) Tick() *TickReport {
 			kind = "scale_down"
 		}
 		ev := Event{Lease: l.ID, Kind: kind, FromDepth: l.Depth, ToDepth: target}
-		if _, err := cp.svc.Migrate(l.ID, target, avoid, false); err != nil {
-			ev.Err = err.Error()
-			cp.failLocked(st, now)
-			metrics.MigrationFailures.Add(1)
-		} else {
-			cp.okLocked(st)
+		_, err = cp.svc.Migrate(l.ID, target, avoid, false)
+		if cp.landLocked(st, &ev, now, err, target*cp.cfg.MachinesPerPiece) {
 			st.idleTicks = 0
-			if !cp.faults.SkipMigrationMetric {
-				metrics.Migrations.Add(1)
-			}
-			if cp.sizer != nil {
-				st.wantMachines = 0
-				if rerr := cp.sizer.Resize(l.ID, target*cp.cfg.MachinesPerPiece); rerr != nil {
-					ev.Err = rerr.Error()
-					st.wantMachines = target * cp.cfg.MachinesPerPiece
-					cp.failLocked(st, now)
-				}
-			}
 		}
 		rep.Events = append(rep.Events, ev)
 	}
 	return rep
+}
+
+// landLocked records how a lease move — evacuation, depth change or
+// defrag — ended, in the lease's state, the event and the counters, and
+// reports whether the migration landed. A landed one rebuilds the
+// data-plane pool at machines (0: keep it); if that fails the migration
+// stands, the lease remembers the pool it is owed in wantMachines and
+// backs off, and a later tick retries the resize alone.
+func (cp *ControlPlane) landLocked(st *leaseState, ev *Event, now time.Time, err error, machines int) bool {
+	if err != nil {
+		ev.Err = err.Error()
+		cp.failLocked(st, now)
+		metrics.MigrationFailures.Add(1)
+		return false
+	}
+	cp.okLocked(st)
+	if !cp.faults.SkipMigrationMetric {
+		metrics.Migrations.Add(1)
+	}
+	if machines > 0 && cp.sizer != nil {
+		st.wantMachines = 0
+		if rerr := cp.sizer.Resize(ev.Lease, machines); rerr != nil {
+			ev.Err = rerr.Error()
+			st.wantMachines = machines
+			cp.failLocked(st, now)
+		}
+	}
+	return true
 }
 
 // failLocked applies exponential backoff after a failed migration.

@@ -8,10 +8,12 @@ import (
 	"time"
 
 	"mlvfpga/internal/kernels"
+	"mlvfpga/internal/metrics"
 	"mlvfpga/internal/perf"
 	"mlvfpga/internal/resource"
 	"mlvfpga/internal/rms"
 	"mlvfpga/internal/scaleout"
+	"mlvfpga/internal/tenant"
 )
 
 // fakePlane scripts load observations and records resizes, standing in for
@@ -22,6 +24,9 @@ type fakePlane struct {
 	resized   map[int]int
 	resizeErr error
 	resizeCnt int
+	// onLoad, when set, runs at the start of every Load call (outside mu):
+	// a test's window into the middle of a control pass.
+	onLoad func(id int)
 }
 
 func newFakePlane() *fakePlane {
@@ -29,6 +34,9 @@ func newFakePlane() *fakePlane {
 }
 
 func (f *fakePlane) Load(id int) (rms.LoadStats, bool) {
+	if f.onLoad != nil {
+		f.onLoad(id)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	l, ok := f.loads[id]
@@ -375,5 +383,147 @@ func TestFailedResizeRetries(t *testing.T) {
 	}
 	if fp.resized[lease.ID] != 2*cfg.MachinesPerPiece {
 		t.Fatalf("pool sized to %d machines, want %d", fp.resized[lease.ID], 2*cfg.MachinesPerPiece)
+	}
+}
+
+// TestLeaseMoveOutcomes walks the three ways the control plane moves a
+// lease — evacuation, load-driven depth change, defrag — through the three
+// ways a move can end, and checks that each lands the same way: what the
+// event says, what the lease owes afterwards, whether it backs off, and
+// which counters moved.
+func TestLeaseMoveOutcomes(t *testing.T) {
+	cfg := DefaultConfig()
+	twoDevices := resource.ClusterSpec{resource.XCVU37P.Name: 2}
+	// Each move sets its scene and returns the lease that will move, the
+	// pool size a landed move asks for, and the pass that moves it.
+	// migrateFails arranges for svc.Migrate to refuse.
+	moves := []struct {
+		kind  string
+		stage func(t *testing.T, migrateFails bool) (cp *ControlPlane, fp *fakePlane, lease, machines int, pass func() []Event)
+	}{
+		{"evacuate", func(t *testing.T, migrateFails bool) (*ControlPlane, *fakePlane, int, int, func() []Event) {
+			// A two-piece lease loses one of its two devices: no room for
+			// depth 2, so the evacuation walks down to depth 1 — a depth
+			// change, the only kind of evacuation that resizes. With both
+			// devices dead there is nowhere to go at all.
+			cp, svc, fp, _ := testControlPlane(t, twoDevices, cfg)
+			l, err := svc.DeployWith(testSpec(), rms.PlaceOptions{Depth: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dead := []int{l.Placements[1].FPGA}
+			if migrateFails {
+				dead = append(dead, l.Placements[0].FPGA)
+			}
+			for _, id := range dead {
+				if err := cp.ReportDead(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return cp, fp, l.ID, 1 * cfg.MachinesPerPiece, func() []Event { return cp.Tick().Events }
+		}},
+		{"scale_up", func(t *testing.T, migrateFails bool) (*ControlPlane, *fakePlane, int, int, func() []Event) {
+			// A deep queue asks for depth 2; a one-device quota refuses it.
+			cp, svc, fp, _ := testControlPlane(t, resource.ClusterSpec{resource.XCVU37P.Name: 4}, cfg)
+			owner := tenant.Tenant{ID: "owner", Key: "k"}
+			if migrateFails {
+				owner.Quotas.MaxDevices = 1
+			}
+			reg, err := tenant.NewRegistry(owner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc.SetTenants(reg)
+			l, err := svc.DeployWith(testSpec(), rms.PlaceOptions{Tenant: owner.ID})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp.setLoad(l.ID, rms.LoadStats{QueueDepth: cfg.Planner.ScaleUpQueue + 2})
+			return cp, fp, l.ID, 2 * cfg.MachinesPerPiece, func() []Event { return cp.Tick().Events }
+		}},
+		{"defrag", func(t *testing.T, migrateFails bool) (*ControlPlane, *fakePlane, int, int, func() []Event) {
+			// Two leases on two half-empty devices, the second one busy so
+			// only the first may move. Defrag plans on a table read at the
+			// start of the pass; filling both devices after that (from the
+			// load probe) makes the planned move impossible by the time it
+			// is tried.
+			cp, svc, fp, _ := testControlPlane(t, twoDevices, cfg)
+			first, second := fragment(t, svc)
+			fp.setLoad(second.ID, rms.LoadStats{InFlight: 1})
+			if migrateFails {
+				fp.onLoad = func(id int) {
+					for err := error(nil); id == first.ID && err == nil; {
+						_, err = svc.Deploy(testSpec())
+					}
+				}
+			}
+			return cp, fp, first.ID, 1 * cfg.MachinesPerPiece, func() []Event { return cp.Defrag().Moves }
+		}},
+	}
+	outcomes := []struct {
+		name                      string
+		migrateFails, resizeFails bool
+	}{
+		{"migrate fails", true, false},
+		{"resize fails", false, true},
+		{"both succeed", false, false},
+	}
+	for _, mv := range moves {
+		for _, out := range outcomes {
+			t.Run(mv.kind+"/"+out.name, func(t *testing.T) {
+				cp, fp, lease, machines, pass := mv.stage(t, out.migrateFails)
+				if out.resizeFails {
+					fp.setResizeErr(fmt.Errorf("engine rebuild failed"))
+				}
+				base := metrics.Snapshot()
+				var ev *Event
+				for _, e := range pass() {
+					if e.Lease == lease && e.Kind == mv.kind {
+						ev = &e
+					}
+				}
+				if ev == nil {
+					t.Fatalf("the pass recorded no %s event for lease %d", mv.kind, lease)
+				}
+				landed := !out.migrateFails
+				failed := out.migrateFails || out.resizeFails
+				if (ev.Err != "") != failed {
+					t.Errorf("event error = %q, want one: %v", ev.Err, failed)
+				}
+				cp.mu.Lock()
+				st := *cp.leases[lease]
+				now := cp.clock.Now()
+				cp.mu.Unlock()
+				owed := 0
+				if out.resizeFails {
+					owed = machines
+				}
+				if st.wantMachines != owed {
+					t.Errorf("lease owes a pool of %d machines, want %d", st.wantMachines, owed)
+				}
+				if backedOff := st.backoff > 0 && st.backoffUntil.After(now); backedOff != failed {
+					t.Errorf("backoff %v until %v (now %v), want backing off: %v", st.backoff, st.backoffUntil, now, failed)
+				}
+				if landed && !out.resizeFails && fp.resized[lease] != machines {
+					t.Errorf("pool sized to %d machines, want %d", fp.resized[lease], machines)
+				}
+				moved := metrics.Snapshot().Sub(base)
+				count := func(b bool) int64 {
+					if b {
+						return 1
+					}
+					return 0
+				}
+				if got := moved.Int(metrics.Migrations); got != count(landed) {
+					t.Errorf("mlv_migrations moved by %d, want %d", got, count(landed))
+				}
+				if got := moved.Int(metrics.MigrationFailures); got != count(!landed) {
+					t.Errorf("mlv_migration_failures moved by %d, want %d", got, count(!landed))
+				}
+				if got := moved.Int(metrics.DefragMoves); got != count(landed && mv.kind == "defrag") {
+					t.Errorf("mlv_defrag_moves moved by %d, want %d", got, count(landed && mv.kind == "defrag"))
+				}
+			})
+		}
 	}
 }

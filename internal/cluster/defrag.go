@@ -172,28 +172,9 @@ func (cp *ControlPlane) Defrag() *DefragReport {
 		ev := Event{Lease: l.ID, Kind: "defrag", FromDepth: l.Depth, ToDepth: l.Depth}
 		moved2, err := cp.svc.Migrate(l.ID, l.Depth,
 			func(id int) bool { return avoid(id) || own[id] }, false)
-		if err != nil {
-			ev.Err = err.Error()
-			cp.failLocked(st, now)
-			metrics.MigrationFailures.Add(1)
-		} else {
-			cp.okLocked(st)
+		if cp.landLocked(st, &ev, now, err, l.Depth*cp.cfg.MachinesPerPiece) {
 			tab.apply(l.Placements, moved2.Placements)
 			metrics.DefragMoves.Add(1)
-			if !cp.faults.SkipMigrationMetric {
-				metrics.Migrations.Add(1)
-			}
-			if cp.sizer != nil {
-				// Rebuild the engine pool against the new placement; the
-				// transplant checkpoints any streams that slipped in since
-				// the quiet check and resumes them on the new devices.
-				st.wantMachines = 0
-				if rerr := cp.sizer.Resize(l.ID, l.Depth*cp.cfg.MachinesPerPiece); rerr != nil {
-					ev.Err = rerr.Error()
-					st.wantMachines = l.Depth * cp.cfg.MachinesPerPiece
-					cp.failLocked(st, now)
-				}
-			}
 		}
 		rep.Moves = append(rep.Moves, ev)
 	}

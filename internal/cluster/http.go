@@ -33,22 +33,35 @@ func (cp *ControlPlane) Handler(base http.Handler) http.Handler {
 	writeErr := func(w http.ResponseWriter, code int, err error) {
 		writeJSON(w, code, map[string]string{"error": err.Error()})
 	}
-	// deviceOp decodes {"id":N} and applies fn, sharing the shape of the
-	// drain/heartbeat/kill endpoints.
-	deviceOp := func(fn func(id int) error) http.HandlerFunc {
+	// post refuses anything but a POST (405) and, unless v is nil, decodes
+	// the JSON body into it (400); false means the response has been
+	// written.
+	post := func(w http.ResponseWriter, r *http.Request, v any) bool {
+		if r.Method != http.MethodPost {
+			writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
+			return false
+		}
+		if v == nil {
+			return true
+		}
+		if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return false
+		}
+		return true
+	}
+	// deviceOp decodes {"id":N,"undrain":bool} and applies fn, the shape
+	// the drain/heartbeat/kill endpoints share.
+	deviceOp := func(fn func(id int, undrain bool) error) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodPost {
-				writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-				return
-			}
 			var req struct {
-				ID int `json:"id"`
+				ID      int  `json:"id"`
+				Undrain bool `json:"undrain"`
 			}
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				writeErr(w, http.StatusBadRequest, err)
+			if !post(w, r, &req) {
 				return
 			}
-			if err := fn(req.ID); err != nil {
+			if err := fn(req.ID, req.Undrain); err != nil {
 				writeErr(w, http.StatusNotFound, err)
 				return
 			}
@@ -64,47 +77,25 @@ func (cp *ControlPlane) Handler(base http.Handler) http.Handler {
 		writeJSON(w, http.StatusOK, cp.reg.Snapshot())
 	})
 
-	mux.HandleFunc("/cluster/drain", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-			return
+	mux.Handle("/cluster/drain", deviceOp(func(id int, undrain bool) error {
+		if undrain {
+			return cp.Undrain(id)
 		}
-		var req struct {
-			ID      int  `json:"id"`
-			Undrain bool `json:"undrain"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		op := cp.Drain
-		if req.Undrain {
-			op = cp.Undrain
-		}
-		if err := op(req.ID); err != nil {
-			writeErr(w, http.StatusNotFound, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-
-	mux.Handle("/cluster/heartbeat", deviceOp(cp.Heartbeat))
-	mux.Handle("/cluster/kill", deviceOp(cp.ReportDead))
+		return cp.Drain(id)
+	}))
+	mux.Handle("/cluster/heartbeat", deviceOp(func(id int, _ bool) error { return cp.Heartbeat(id) }))
+	mux.Handle("/cluster/kill", deviceOp(func(id int, _ bool) error { return cp.ReportDead(id) }))
 
 	mux.HandleFunc("/cluster/rebalance", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-			return
+		if post(w, r, nil) {
+			writeJSON(w, http.StatusOK, cp.Tick())
 		}
-		writeJSON(w, http.StatusOK, cp.Tick())
 	})
 
 	mux.HandleFunc("/cluster/defrag", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-			return
+		if post(w, r, nil) {
+			writeJSON(w, http.StatusOK, cp.Defrag())
 		}
-		writeJSON(w, http.StatusOK, cp.Defrag())
 	})
 
 	if base != nil {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"mlvfpga/internal/accel"
 	"mlvfpga/internal/fp16"
@@ -46,6 +47,18 @@ func (k RNNKind) String() string {
 		return "Attention"
 	}
 	return fmt.Sprintf("RNNKind(%d)", int(k))
+}
+
+// ParseKind is String's inverse, ignoring case: the one table of cell
+// names for everything that reads a kind from outside (the /deploy body,
+// the .mlw workload DSL).
+func ParseKind(name string) (RNNKind, bool) {
+	for _, k := range []RNNKind{LSTM, GRU, Attention} {
+		if strings.EqualFold(name, k.String()) {
+			return k, true
+		}
+	}
+	return 0, false
 }
 
 // gateNames lists the weight matrices of each cell: W* act on the input

@@ -3,6 +3,7 @@ package rms
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,7 +39,6 @@ type contEngine struct {
 
 	shards   []*engineShard
 	machines []*contMachine
-	done     chan struct{}
 	wg       sync.WaitGroup
 
 	// Load observability (LoadStats).
@@ -47,19 +47,13 @@ type contEngine struct {
 	pending  atomic.Int64
 	waitEWMA atomic.Int64 // admission wait ns, alpha = 1/4
 
-	// resident counts streams currently occupying live slots across all
-	// machines (stepping, summed) — the transplant path polls it to zero.
-	resident atomic.Int64
 	// preemptReq is outstanding explicit-preemption demand in slots;
 	// each run round consumes what it can evict (see preempt.go).
 	preemptReq atomic.Int64
-	// evacuating switches run rounds to evict-only: every resident stream
-	// is checkpointed back into the queue so transplantTo can move it.
-	evacuating atomic.Bool
-	// drainCheckpoint switches run rounds to checkpoint-and-abandon:
-	// resident streams are snapshotted and their callers answered
-	// ErrLeaseClosing (deadline-bounded shutdown, see closeWithin).
-	drainCheckpoint   atomic.Bool
+	// mode is what every run round obeys (see stop); dst is where
+	// modeEvacuate rounds hand requests (see transplantTo).
+	mode              atomic.Int32
+	dst               *contEngine
 	drainCheckpointed atomic.Int64
 
 	// leakedSlot arms the LeakSlot fault at most once per engine, so the
@@ -68,8 +62,12 @@ type contEngine struct {
 	leakedSlot atomic.Bool
 	leakedSnap atomic.Bool
 
-	mu     sync.RWMutex
-	closed bool
+	// mu orders submits (shared) against stop (exclusive). done is closed
+	// once, when a stopping engine's last pending request is settled: the
+	// workers' exit signal.
+	mu       sync.RWMutex
+	done     chan struct{}
+	doneOnce sync.Once
 }
 
 // engineShard is one scheduler shard: a mutex-guarded run queue of
@@ -192,15 +190,20 @@ func newContEngine(lease *Lease, opts InferOptions, faults func() Faults) (*cont
 }
 
 // submit enqueues a request and kicks an idle machine, unless the engine
-// is closing or the queue is at its bound (load shed: ErrBusy, never block
+// is stopping or the queue is at its bound (load shed: ErrBusy, never block
 // the caller).
-func (e *contEngine) submit(req *inferRequest) error {
+func (e *contEngine) submit(req *inferRequest) error { return e.accept(req, e.queueCap) }
+
+// accept is submit under a given bound on pending. A transplant passes
+// none: the engine its requests come from admitted them already, and
+// pending moves with them.
+func (e *contEngine) accept(req *inferRequest, bound int) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.closed {
+	if e.mode.Load() != modeServe {
 		return ErrLeaseClosing
 	}
-	if int(e.pending.Load()) >= e.queueCap {
+	if int(e.pending.Load()) >= bound {
 		return ErrBusy
 	}
 	e.pending.Add(1)
@@ -247,16 +250,85 @@ func (e *contEngine) dequeue(worker int) (cm *contMachine, stolen bool) {
 	return nil, false
 }
 
-// close stops admission, serves everything already queued, and joins the
-// workers. Idempotent; concurrent closers all block until drained.
-func (e *contEngine) close() {
-	e.mu.Lock()
-	already := e.closed
-	e.closed = true
-	e.mu.Unlock()
-	if !already {
-		close(e.done)
+// An engine serves until stop moves it to one of three exits; the mode
+// only ever escalates, so a later, gentler stop changes nothing.
+const (
+	modeServe    int32 = iota
+	modeDrain          // serve everything already admitted
+	modeEvacuate       // checkpoint residents, hand every request to dst
+	modeAbandon        // checkpoint residents, answer everyone ErrLeaseClosing
+)
+
+// stop is the one way an engine stops: refuse new submits, set the mode
+// every round obeys from now on, wake every machine so none waits for
+// traffic that will not come. It does not wait: the workers exit when the
+// last pending request is settled, which wg.Wait observes.
+func (e *contEngine) stop(mode int32) {
+	e.mu.Lock() // waits out submits that saw modeServe
+	if mode > e.mode.Load() {
+		e.mode.Store(mode)
 	}
+	e.mu.Unlock()
+	e.finishIfEmpty()
+	e.kickAll()
+}
+
+// finishIfEmpty releases the workers of a stopping engine that holds no
+// request. Nothing adds to pending once the mode has left modeServe, so a
+// zero read here is final.
+func (e *contEngine) finishIfEmpty() {
+	if e.pending.Load() == 0 {
+		e.doneOnce.Do(func() { close(e.done) })
+	}
+}
+
+// settle takes one request off pending: it has been answered, or handed
+// to another engine.
+func (e *contEngine) settle() {
+	if e.pending.Add(-1) == 0 && e.mode.Load() != modeServe {
+		e.finishIfEmpty()
+	}
+}
+
+// answer is the only place a request is answered, accounting first: a
+// caller that has joined every request (the simtest harness) must find the
+// slot gauge and pending already settled. resp is buffered, so the send
+// cannot block.
+func (e *contEngine) answer(req *inferRequest, resp inferResponse) {
+	e.settle()
+	req.resp <- resp
+}
+
+// close stops admission, serves everything already admitted, and joins the
+// workers. Idempotent; concurrent closers all block until drained.
+func (e *contEngine) close() { e.closeBy(time.Time{}) }
+
+// closeBy is close bounded by a deadline (the zero time: none): streams
+// still resident when it passes are checkpointed and abandoned, and their
+// callers, like those of every queued request, are answered
+// ErrLeaseClosing. Returns how many streams were checkpointed (0 for a
+// clean drain).
+func (e *contEngine) closeBy(deadline time.Time) int {
+	e.stop(modeDrain)
+	if !deadline.IsZero() {
+		timer := time.NewTimer(time.Until(deadline))
+		defer timer.Stop()
+		select {
+		case <-e.done:
+		case <-timer.C:
+			e.stop(modeAbandon)
+		}
+	}
+	e.wg.Wait()
+	return int(e.drainCheckpointed.Load())
+}
+
+// transplantTo moves every request this engine holds — queued or resident
+// in a slot — to dst, checkpointing resident streams so they resume on
+// dst's machines mid-sequence, and joins the workers.
+func (e *contEngine) transplantTo(dst *contEngine) {
+	e.dst = dst // before the mode that makes rounds read it
+	e.stop(modeEvacuate)
 	e.wg.Wait()
 }
 
@@ -270,17 +342,7 @@ func (e *contEngine) worker(sh int) {
 		select {
 		case <-e.shards[sh].wake:
 		case <-e.done:
-			// Graceful drain: keep running rounds until every admitted
-			// request has been answered, then exit.
-			if cm, stolen := e.dequeue(sh); cm != nil {
-				e.runRound(cm, stolen)
-				continue
-			}
-			if e.pending.Load() == 0 {
-				return
-			}
-			// Another worker is finishing the tail; don't spin hard.
-			time.Sleep(20 * time.Microsecond)
+			return
 		}
 	}
 }
@@ -295,23 +357,20 @@ func (e *contEngine) runRound(cm *contMachine, stolen bool) {
 	if stolen {
 		metrics.Steals.Add(1)
 	}
-	if e.drainCheckpoint.Load() {
-		// Deadline-bounded shutdown: checkpoint and abandon (closeWithin).
+	switch e.mode.Load() {
+	case modeAbandon:
 		e.checkpointAbandon(cm)
-		cm.state.Store(cmIdle)
+		e.park(cm)
 		return
-	}
-	if e.evacuating.Load() {
-		// Transplant: evict everything back into the queue; transplantTo
-		// moves the queue to the destination engine. No admission here.
-		e.evictSlots(cm, len(cm.slots), 0, false, true)
-		cm.state.Store(cmIdle)
+	case modeEvacuate:
+		e.evacuate(cm)
+		e.park(cm)
 		return
 	}
 	// Explicit preemption demand: evict what this machine can supply,
 	// lowest priority class first.
 	if want := e.preemptReq.Load(); want > 0 {
-		if n := e.evictSlots(cm, int(want), 0, true, false); n > 0 {
+		if n := e.evictSlots(cm, int(want), 0, true); n > 0 {
 			if e.preemptReq.Add(-int64(n)) < 0 {
 				clampNonNegative(&e.preemptReq)
 			}
@@ -322,7 +381,7 @@ func (e *contEngine) runRound(cm *contMachine, stolen bool) {
 	// preemptive rather than drain-and-hope.
 	if e.opts.Preempt && cm.occupied >= e.opts.MaxBatch {
 		if lw := e.queue.latencyDepth(); lw > 0 {
-			if n := e.evictSlots(cm, lw, 1, true, false); n > 0 {
+			if n := e.evictSlots(cm, lw, 1, true); n > 0 {
 				metrics.PreemptRequests.Add(1)
 			}
 		}
@@ -416,61 +475,71 @@ func (e *contEngine) admitCohort(cm *contMachine, reqs []*inferRequest) {
 	}
 }
 
-// admit writes one request's inputs into a free slot and runs the
-// stream-init program (bias loads, state zeroing). Reports whether the
-// request now occupies a slot; on error the request is answered and
-// finished here.
+// admit puts one request into a free slot: a fresh one has its inputs
+// written and the stream-init program run (bias loads, state zeroing), a
+// preempted or transplanted one has its checkpoint restored (see restore).
+// Reports whether the request now occupies a slot; on error the request
+// is answered here.
 func (e *contEngine) admit(cm *contMachine, req *inferRequest, now time.Time) bool {
-	slot := -1
-	for s, sl := range cm.slots {
-		if sl == nil {
-			slot = s
-			break
-		}
-	}
-	if slot < 0 {
+	slot := slices.Index(cm.slots, nil)
+	var err error
+	sl := &contSlot{req: req, steps: len(req.inputs)}
+	tok := req.resume
+	switch {
+	case slot < 0:
 		// Cannot happen: take() is bounded by the free-slot count.
-		req.resp <- inferResponse{err: fmt.Errorf("rms: lease %d: no free slot", e.leaseID)}
-		e.pending.Add(-1)
-		return false
-	}
-	fail := func(err error) bool {
-		req.resp <- inferResponse{err: err}
-		e.pending.Add(-1)
-		return false
-	}
-	if tok := req.resume; tok != nil {
-		// A preempted or transplanted stream: install its checkpoint and
-		// resume at the saved timestep instead of re-running StreamInit.
+		err = fmt.Errorf("rms: lease %d: no free slot", e.leaseID)
+	case tok != nil:
 		req.resume = nil
-		return e.restore(cm, req, tok, slot, now, fail)
+		err = e.restore(cm, slot, sl, tok)
+	default:
+		err = e.initStream(cm, slot, req)
 	}
-	for t, x := range req.inputs {
-		if err := e.kern.SetInputStream(cm.m, slot, t, x); err != nil {
-			return fail(err)
-		}
+	if err != nil {
+		e.answer(req, inferResponse{err: err})
+		return false
 	}
-	if err := cm.m.RunStreams(e.kern.StreamInit, e.kern.WindowBase(),
-		[]int{slot}, []int{e.kern.SlotOffset(slot, 0)}); err != nil {
-		return fail(err)
+	if tok == nil {
+		// Only a fresh stream counts: a restored one was admitted when it
+		// first entered a slot, and the simtest admission model counts
+		// each request once.
+		metrics.Admissions.Add(1)
 	}
-	cm.slots[slot] = &contSlot{
-		req: req, steps: len(req.inputs), admitted: now, base: cm.m.Stats(),
-	}
-	cm.occupied++
-	cm.stepping++
-	e.resident.Add(1)
-	metrics.SlotsActive.Add(1)
-	metrics.Admissions.Add(1)
-	ewmaUpdate(&e.waitEWMA, int64(now.Sub(req.enqueued)))
-	metrics.AdmissionWaitNS.Set(e.waitEWMA.Load())
+	e.install(cm, slot, sl, now)
 	return true
 }
 
-// retire answers a finished stream and frees its slot — or, under the
-// injected LeakSlot fault, answers it and leaks the slot (a one-off
-// permanent capacity loss the simtest slot-conservation invariant must
-// catch: mlv_slots_active stays elevated at quiescence).
+// install makes sl resident in a free slot of cm, for a fresh stream and
+// a restored one alike.
+func (e *contEngine) install(cm *contMachine, slot int, sl *contSlot, now time.Time) {
+	sl.admitted, sl.base = now, cm.m.Stats()
+	cm.slots[slot] = sl
+	cm.occupied++
+	cm.stepping++
+	metrics.SlotsActive.Add(1)
+	ewmaUpdate(&e.waitEWMA, int64(now.Sub(sl.req.enqueued)))
+	metrics.AdmissionWaitNS.Set(e.waitEWMA.Load())
+}
+
+func (e *contEngine) initStream(cm *contMachine, slot int, req *inferRequest) error {
+	for t, x := range req.inputs {
+		if err := e.kern.SetInputStream(cm.m, slot, t, x); err != nil {
+			return err
+		}
+	}
+	return cm.m.RunStreams(e.kern.StreamInit, e.kern.WindowBase(),
+		[]int{slot}, []int{e.kern.SlotOffset(slot, 0)})
+}
+
+// vacate frees slot s of cm; the caller answers or requeues its request.
+func (e *contEngine) vacate(cm *contMachine, s int) {
+	cm.slots[s] = nil
+	cm.occupied--
+	cm.stepping--
+	metrics.SlotsActive.Add(-1)
+}
+
+// retire answers a finished stream and frees its slot.
 func (e *contEngine) retire(cm *contMachine, s int, sl *contSlot, cohort int) {
 	req := sl.req
 	outs := make([][]float64, sl.steps)
@@ -496,46 +565,31 @@ func (e *contEngine) retire(cm *contMachine, s int, sl *contSlot, cohort int) {
 			BatchStats: cm.m.Stats().Minus(sl.base).Plus(sl.carry),
 		}}
 	}
-	// All accounting lands before the response: a caller that has joined
-	// every request (the simtest harness) must see the slot gauge and
-	// pending count already settled. The resp channel is buffered, so the
-	// late send cannot block.
 	e.served.Add(1)
 	metrics.InfersServed.Add(1)
 	if req.tenant != "" && !(e.faults != nil && e.faults().SkipTenantServedMetric) {
 		metrics.TenantServed.Add(req.tenant, 1)
 	}
 	if e.faults != nil && e.faults().LeakSlot && !e.leakedSlot.Swap(true) {
-		sl.req = nil
-		sl.leaked = true
+		// Injected bug: skip vacate. The slot stays occupied for good (a
+		// one-off capacity loss the simtest slot-conservation invariant
+		// must catch: mlv_slots_active stays elevated at quiescence); it
+		// only leaves the live cohort, so the machine can still park.
+		sl.req, sl.leaked = nil, true
 		cm.stepping--
-		e.resident.Add(-1)
-		e.pending.Add(-1)
-		req.resp <- resp
-		return
+	} else {
+		e.vacate(cm, s)
 	}
-	cm.slots[s] = nil
-	cm.occupied--
-	cm.stepping--
-	e.resident.Add(-1)
-	metrics.SlotsActive.Add(-1)
-	e.pending.Add(-1)
-	req.resp <- resp
+	e.answer(req, resp)
 }
 
 // failCohort answers every live slot with err and frees them; a step
 // round that failed has no per-stream result to salvage.
 func (e *contEngine) failCohort(cm *contMachine, err error) {
 	for _, s := range cm.streams {
-		sl := cm.slots[s]
-		req := sl.req
-		cm.slots[s] = nil
-		cm.occupied--
-		cm.stepping--
-		e.resident.Add(-1)
-		metrics.SlotsActive.Add(-1)
-		e.pending.Add(-1)
-		req.resp <- inferResponse{err: err}
+		req := cm.slots[s].req
+		e.vacate(cm, s)
+		e.answer(req, inferResponse{err: err})
 	}
 }
 

@@ -3,7 +3,12 @@ package rms
 import (
 	"errors"
 	"expvar"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -173,4 +178,42 @@ func TestContinuousReleaseDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
+}
+
+// TestDataPlaneNeverSleeps is the gate on how this package waits: every
+// wait in the serving and shutdown paths blocks on a channel, a lock or a
+// WaitGroup that the awaited event signals. A time.Sleep or a
+// runtime.Gosched in non-test code is a poll loop — it burns the P the
+// awaited worker needs on a loaded host, and it is what made shutdown and
+// transplant latency a multiple of 20 µs.
+func TestDataPlaneNeverSleeps(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := 0
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			files++
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok &&
+						(x.Name == "time" && sel.Sel.Name == "Sleep" || x.Name == "runtime" && sel.Sel.Name == "Gosched") {
+						t.Errorf("%s: %s.%s in the data plane", fset.Position(call.Pos()), x.Name, sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if files == 0 {
+		t.Fatal("parsed no source files")
+	}
 }

@@ -6,7 +6,6 @@ import (
 	"expvar"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"mlvfpga/internal/kernels"
 	"mlvfpga/internal/metrics"
@@ -16,7 +15,7 @@ import (
 // Handler exposes a Service as a JSON HTTP API (the integration surface of
 // Fig. 7's "APIs for communicating with the high-level system"):
 //
-//	POST /deploy   {"kind":"LSTM","hidden":512,"timesteps":25} -> Lease
+//	POST /deploy   {"kind":"LSTM","hidden":512,"timesteps":25} -> Lease  (kind: LSTM, GRU, attention)
 //	POST /release  {"id":3}                                    -> 204
 //	GET  /status                                               -> ClusterStatus
 //	GET  /lease/{id}                                           -> Lease
@@ -71,35 +70,71 @@ func handler(s *Service, dp *DataPlane) http.Handler {
 		}
 		writeErr(w, code, err)
 	}
+	// fail answers a service error with the status it has on every
+	// endpoint; other is the endpoint's status for anything else.
+	fail := func(w http.ResponseWriter, err error, other int) {
+		switch {
+		case errors.Is(err, ErrUnknownLease):
+			writeErr(w, http.StatusNotFound, err)
+		case errors.Is(err, ErrQuotaExceeded), errors.Is(err, ErrTenantBusy):
+			shed(w, http.StatusTooManyRequests, err)
+		case errors.Is(err, ErrNoCapacity), errors.Is(err, ErrBusy), errors.Is(err, ErrLeaseClosing):
+			shed(w, http.StatusServiceUnavailable, err)
+		case errors.Is(err, ErrUndeployable), errors.Is(err, ErrNoSuchDepth):
+			writeErr(w, http.StatusUnprocessableEntity, err)
+		default:
+			writeErr(w, other, err)
+		}
+	}
 	// caller resolves the authenticated tenant id ("" when no guard is
 	// installed, i.e. anonymous -insecure mode).
 	caller := func(r *http.Request) (string, bool) {
 		t, _ := tenant.FromContext(r.Context())
 		return t.ID, t.Admin
 	}
-
-	mux.HandleFunc("/deploy", func(w http.ResponseWriter, r *http.Request) {
+	// post refuses anything but a POST (405) and decodes its JSON body
+	// into v (400); false means the response has been written.
+	post := func(w http.ResponseWriter, r *http.Request, v any) bool {
 		if r.Method != http.MethodPost {
 			writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-			return
+			return false
 		}
+		if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("malformed JSON body: %w", err))
+			return false
+		}
+		return true
+	}
+	// owns gates /release and /preempt: an authenticated tenant may only
+	// act on its own leases, admins on any. Anonymous mode (no tenant in
+	// context) keeps the historical allow-all behaviour. false means the
+	// 403 has been written and counted.
+	owns := func(w http.ResponseWriter, r *http.Request, leaseID int) bool {
+		who, admin := caller(r)
+		if who == "" || admin {
+			return true
+		}
+		if lease, ok := s.Lease(leaseID); ok && lease.Tenant != who {
+			metrics.TenantRejections.Add(who, 1)
+			writeErr(w, http.StatusForbidden,
+				fmt.Errorf("lease %d is not owned by tenant %s", leaseID, who))
+			return false
+		}
+		return true
+	}
+
+	mux.HandleFunc("/deploy", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			Kind      string `json:"kind"`
 			Hidden    int    `json:"hidden"`
 			TimeSteps int    `json:"timesteps"`
 			Depth     int    `json:"depth"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("malformed JSON body: %w", err))
+		if !post(w, r, &req) {
 			return
 		}
-		var kind kernels.RNNKind
-		switch strings.ToUpper(req.Kind) {
-		case "LSTM":
-			kind = kernels.LSTM
-		case "GRU":
-			kind = kernels.GRU
-		default:
+		kind, ok := kernels.ParseKind(req.Kind)
+		if !ok {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown cell kind %q", req.Kind))
 			return
 		}
@@ -112,53 +147,26 @@ func handler(s *Service, dp *DataPlane) http.Handler {
 			kernels.LayerSpec{Kind: kind, Hidden: req.Hidden, TimeSteps: req.TimeSteps},
 			PlaceOptions{Depth: req.Depth, Tenant: who},
 		)
-		switch {
-		case errors.Is(err, ErrQuotaExceeded):
-			shed(w, http.StatusTooManyRequests, err)
-		case errors.Is(err, ErrNoCapacity):
-			shed(w, http.StatusServiceUnavailable, err)
-		case errors.Is(err, ErrUndeployable), errors.Is(err, ErrNoSuchDepth):
-			writeErr(w, http.StatusUnprocessableEntity, err)
-		case err != nil:
-			writeErr(w, http.StatusInternalServerError, err)
-		default:
-			writeJSON(w, http.StatusOK, lease)
+		if err != nil {
+			fail(w, err, http.StatusInternalServerError)
+			return
 		}
+		writeJSON(w, http.StatusOK, lease)
 	})
 
 	mux.HandleFunc("/release", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-			return
-		}
 		var req struct {
 			ID int `json:"id"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("malformed JSON body: %w", err))
+		if !post(w, r, &req) || !owns(w, r, req.ID) {
 			return
-		}
-		// Ownership: an authenticated tenant may only release its own
-		// leases; admins may release anything. Anonymous mode (no tenant
-		// in context) keeps the historical allow-all behaviour.
-		if who, admin := caller(r); who != "" && !admin {
-			if lease, ok := s.Lease(req.ID); ok && lease.Tenant != who {
-				metrics.TenantRejections.Add(who, 1)
-				writeErr(w, http.StatusForbidden,
-					fmt.Errorf("lease %d is not owned by tenant %s", req.ID, who))
-				return
-			}
 		}
 		release := s.Release
 		if dp != nil {
 			release = dp.Release
 		}
 		if err := release(req.ID); err != nil {
-			if errors.Is(err, ErrUnknownLease) {
-				writeErr(w, http.StatusNotFound, err)
-				return
-			}
-			writeErr(w, http.StatusInternalServerError, err)
+			fail(w, err, http.StatusInternalServerError)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -184,68 +192,36 @@ func handler(s *Service, dp *DataPlane) http.Handler {
 
 	if dp != nil {
 		mux.HandleFunc("/infer", func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodPost {
-				writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-				return
-			}
 			var req struct {
 				ID     int         `json:"id"`
 				Inputs [][]float64 `json:"inputs"`
 			}
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("malformed JSON body: %w", err))
+			if !post(w, r, &req) {
 				return
 			}
 			who, _ := caller(r)
 			res, err := dp.InferAs(who, req.ID, req.Inputs)
-			switch {
-			case errors.Is(err, ErrUnknownLease):
-				writeErr(w, http.StatusNotFound, err)
-			case errors.Is(err, ErrTenantBusy):
-				shed(w, http.StatusTooManyRequests, err)
-			case errors.Is(err, ErrBusy), errors.Is(err, ErrLeaseClosing):
-				shed(w, http.StatusServiceUnavailable, err)
-			case err != nil:
-				writeErr(w, http.StatusBadRequest, err)
-			default:
-				writeJSON(w, http.StatusOK, res)
-			}
-		})
-	}
-
-	if dp != nil {
-		mux.HandleFunc("/preempt", func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodPost {
-				writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
+			if err != nil {
+				fail(w, err, http.StatusBadRequest)
 				return
 			}
+			writeJSON(w, http.StatusOK, res)
+		})
+
+		mux.HandleFunc("/preempt", func(w http.ResponseWriter, r *http.Request) {
 			var req struct {
 				ID    int `json:"id"`
 				Slots int `json:"slots"`
 			}
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("malformed JSON body: %w", err))
+			if !post(w, r, &req) || !owns(w, r, req.ID) {
 				return
 			}
-			// Ownership mirrors /release: a tenant may only preempt its own
-			// leases, admins (and anonymous mode) may preempt any.
-			if who, admin := caller(r); who != "" && !admin {
-				if lease, ok := s.Lease(req.ID); ok && lease.Tenant != who {
-					metrics.TenantRejections.Add(who, 1)
-					writeErr(w, http.StatusForbidden,
-						fmt.Errorf("lease %d is not owned by tenant %s", req.ID, who))
-					return
-				}
-			}
 			evicted, err := dp.Preempt(req.ID, req.Slots)
-			switch {
-			case errors.Is(err, ErrUnknownLease):
-				writeErr(w, http.StatusNotFound, err)
-			case err != nil:
-				writeErr(w, http.StatusInternalServerError, err)
-			default:
-				writeJSON(w, http.StatusOK, map[string]int{"evicted": evicted})
+			if err != nil {
+				fail(w, err, http.StatusInternalServerError)
+				return
 			}
+			writeJSON(w, http.StatusOK, map[string]int{"evicted": evicted})
 		})
 	}
 

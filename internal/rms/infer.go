@@ -228,13 +228,24 @@ func (dp *DataPlane) CheckInvariants() error {
 	return nil
 }
 
+// engineSlot is one lease's entry in the engine table. e is nil until the
+// build has succeeded, so lock-free readers (currentEngine) need nothing
+// else; err is the failed build's error, read only after once has run.
 type engineSlot struct {
 	once sync.Once
-	// ready flips after e/err are final, so lock-free readers (Load) can
-	// check it without racing the once body.
-	ready atomic.Bool
-	e     *contEngine
-	err   error
+	e    atomic.Pointer[contEngine]
+	err  error
+}
+
+// resolved waits out a lazy build that may still be in flight and returns
+// the slot's engine: nil if the build failed or never started (in which
+// case it never will), or if there is no slot.
+func (s *engineSlot) resolved() *contEngine {
+	if s == nil {
+		return nil
+	}
+	s.once.Do(func() {})
+	return s.e.Load()
 }
 
 // NewDataPlane builds a data plane over the admission service and
@@ -287,13 +298,11 @@ type LoadStats struct {
 // engine yet (nothing inferred since deploy or resize) — callers should
 // treat that as an idle lease.
 func (dp *DataPlane) Load(leaseID int) (LoadStats, bool) {
-	dp.mu.RLock()
-	slot := dp.engines[leaseID]
-	dp.mu.RUnlock()
-	if slot == nil || !slot.ready.Load() || slot.e == nil {
+	e := dp.currentEngine(leaseID)
+	if e == nil {
 		return LoadStats{}, false
 	}
-	return slot.e.load(), true
+	return e.load(), true
 }
 
 // Resize swaps the lease's engine for one with the given machine-pool
@@ -317,9 +326,9 @@ func (dp *DataPlane) Resize(leaseID, machines int) error {
 	if err != nil {
 		return err
 	}
-	slot := &engineSlot{e: e}
-	slot.once.Do(func() {}) // mark resolved: e is pre-built
-	slot.ready.Store(true)
+	slot := &engineSlot{}
+	slot.e.Store(e)
+	slot.resolved() // e is pre-built: engine() must not build another
 	dp.mu.Lock()
 	if dp.released[leaseID] {
 		// A concurrent Release drained the lease after the lookup above:
@@ -331,12 +340,8 @@ func (dp *DataPlane) Resize(leaseID, machines int) error {
 	old := dp.engines[leaseID]
 	dp.engines[leaseID] = slot
 	dp.mu.Unlock()
-	if old != nil {
-		old.once.Do(func() {})
-		if old.e != nil {
-			old.e.transplantTo(e)
-			old.e.close()
-		}
+	if oe := old.resolved(); oe != nil {
+		oe.transplantTo(e)
 	}
 	return nil
 }
@@ -354,13 +359,10 @@ func (dp *DataPlane) Preempt(leaseID, n int) (int, error) {
 	if n <= 0 {
 		n = dp.opts.MaxBatch
 	}
-	dp.mu.RLock()
-	slot := dp.engines[leaseID]
-	dp.mu.RUnlock()
-	if slot == nil || !slot.ready.Load() || slot.e == nil {
-		return 0, nil
+	if e := dp.currentEngine(leaseID); e != nil {
+		return e.preempt(n), nil
 	}
-	return slot.e.preempt(n), nil
+	return 0, nil
 }
 
 // faultState reads the injected-fault flags (passed to engines as their
@@ -388,22 +390,25 @@ func (dp *DataPlane) Infer(leaseID int, inputs [][]float64) (*InferResult, error
 func (dp *DataPlane) InferAs(tenantID string, leaseID int, inputs [][]float64) (*InferResult, error) {
 	weight := 0
 	if tenantID != "" {
-		metrics.TenantRequests.Add(tenantID, 1)
 		st := dp.stripe(tenantID)
 		st.mu.Lock()
 		if reg := dp.tenants.Load(); reg != nil {
 			t, ok := reg.Lookup(tenantID)
 			if !ok {
 				st.mu.Unlock()
-				metrics.TenantRejections.Add(tenantID, 1)
+				metrics.TenantRequests.Add(unknownTenant, 1)
+				metrics.TenantRejections.Add(unknownTenant, 1)
 				return nil, fmt.Errorf("%w: %s", ErrUnknownTenant, tenantID)
 			}
+			metrics.TenantRequests.Add(tenantID, 1)
 			if limit := t.Quotas.MaxInFlight; limit > 0 && st.n[tenantID] >= limit {
 				st.mu.Unlock()
 				metrics.TenantRejections.Add(tenantID, 1)
 				return nil, fmt.Errorf("%w: %s", ErrTenantBusy, tenantID)
 			}
 			weight = t.EffectiveWeight()
+		} else {
+			metrics.TenantRequests.Add(tenantID, 1)
 		}
 		st.n[tenantID]++
 		st.mu.Unlock()
@@ -460,8 +465,8 @@ func (dp *DataPlane) InferAs(tenantID string, leaseID int, inputs [][]float64) (
 func (dp *DataPlane) currentEngine(leaseID int) *contEngine {
 	dp.mu.RLock()
 	defer dp.mu.RUnlock()
-	if slot := dp.engines[leaseID]; slot != nil && slot.ready.Load() {
-		return slot.e
+	if slot := dp.engines[leaseID]; slot != nil {
+		return slot.e.Load()
 	}
 	return nil
 }
@@ -490,13 +495,12 @@ func (dp *DataPlane) engine(lease *Lease) (*contEngine, error) {
 		dp.mu.Unlock()
 	}
 	slot.once.Do(func() {
-		slot.e, slot.err = newContEngine(lease, dp.opts, dp.faultState)
-		slot.ready.Store(true)
+		var e *contEngine
+		if e, slot.err = newContEngine(lease, dp.opts, dp.faultState); slot.err == nil {
+			slot.e.Store(e)
+		}
 	})
-	if slot.err != nil {
-		return nil, slot.err
-	}
-	return slot.e, nil
+	return slot.e.Load(), slot.err
 }
 
 // Release frees the lease. The engine drain happens inside
@@ -517,39 +521,23 @@ func (dp *DataPlane) drainEngine(leaseID int) {
 	slot := dp.engines[leaseID]
 	delete(dp.engines, leaseID)
 	dp.mu.Unlock()
-	if slot != nil {
-		// Ensure the once has resolved before closing.
-		slot.once.Do(func() {})
-		if slot.e != nil {
-			slot.e.close()
-		}
+	if e := slot.resolved(); e != nil {
+		e.close()
 	}
 }
 
 // Close drains and stops every engine (leases stay admitted; pair with
 // Service.Release for a full teardown).
-func (dp *DataPlane) Close() {
-	dp.mu.Lock()
-	slots := make([]*engineSlot, 0, len(dp.engines))
-	for id, s := range dp.engines {
-		slots = append(slots, s)
-		delete(dp.engines, id)
-	}
-	dp.mu.Unlock()
-	for _, s := range slots {
-		s.once.Do(func() {})
-		if s.e != nil {
-			s.e.close()
-		}
-	}
-}
+func (dp *DataPlane) Close() { dp.closeBy(time.Time{}) }
 
 // CloseWithin drains and stops every engine like Close, but bounded by
 // one shared deadline: engines that cannot drain in time checkpoint their
 // still-running streams and answer their callers ErrLeaseClosing. Returns
 // how many in-flight streams were checkpointed, for the server's shutdown
 // log.
-func (dp *DataPlane) CloseWithin(d time.Duration) int {
+func (dp *DataPlane) CloseWithin(d time.Duration) int { return dp.closeBy(time.Now().Add(d)) }
+
+func (dp *DataPlane) closeBy(deadline time.Time) int {
 	dp.mu.Lock()
 	slots := make([]*engineSlot, 0, len(dp.engines))
 	for id, s := range dp.engines {
@@ -557,18 +545,11 @@ func (dp *DataPlane) CloseWithin(d time.Duration) int {
 		delete(dp.engines, id)
 	}
 	dp.mu.Unlock()
-	deadline := time.Now().Add(d)
 	checkpointed := 0
 	for _, s := range slots {
-		s.once.Do(func() {})
-		if s.e == nil {
-			continue
+		if e := s.resolved(); e != nil {
+			checkpointed += e.closeBy(deadline)
 		}
-		remain := time.Until(deadline)
-		if remain < 0 {
-			remain = 0
-		}
-		checkpointed += s.e.closeWithin(remain)
 	}
 	return checkpointed
 }

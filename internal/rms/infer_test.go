@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -170,6 +171,7 @@ func TestInferHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultInferOptions()
+	opts.MantissaBits = 9 // keeps BFP noise well under the reference tolerance below
 	dp := NewDataPlane(svc, opts)
 	defer dp.Close()
 	srv := httptest.NewServer(dp.Handler())
@@ -235,6 +237,47 @@ func TestInferHTTP(t *testing.T) {
 
 	if got := svc.Status().ActiveLeases; got != 0 {
 		t.Errorf("active leases after release = %d", got)
+	}
+
+	// The third cell kind, spelled the way the .mlw DSL spells it: /deploy
+	// used to know LSTM and GRU only. What it serves must be the attention
+	// cell: every step within quantization noise of the float64 reference.
+	attn := kernels.LayerSpec{Kind: kernels.Attention, Hidden: 64, TimeSteps: 3}
+	resp = post("/deploy", map[string]any{"kind": "attention", "hidden": attn.Hidden, "timesteps": attn.TimeSteps})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("deploy attention: %d", resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&lease); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if lease.SpecString != attn.String() {
+		t.Fatalf("deployed %s, want %v", lease.SpecString, attn)
+	}
+	in := testInputs(attn, 6)
+	resp = post("/infer", map[string]any{"id": lease.ID, "inputs": in})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("infer attention: %d", resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	ref := kernels.NewReference(kernels.RandomWeights(attn.Kind, attn.Hidden, opts.Seed+int64(lease.ID)))
+	worst := 0.0
+	for tt, x := range in {
+		want, err := ref.Step(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if d := math.Abs(res.Outputs[tt][i] - want[i]); d > worst {
+				worst = d
+			}
+		}
+	}
+	if worst > 0.08 { // the kernels package's own bound for this cell
+		t.Errorf("attention outputs up to %.4f off the float64 reference", worst)
 	}
 }
 

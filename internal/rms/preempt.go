@@ -1,6 +1,7 @@
 package rms
 
 import (
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -24,11 +25,10 @@ type resumeToken struct {
 // evictSlots checkpoints up to max resident streams of cm back into the
 // fair queue, batch-class victims first. maxWeight > 0 restricts victims
 // to that DRR weight class (automatic preemption never displaces
-// latency-class streams); maxWeight == 0 allows any. ignoreProgress
-// skips the livelock guard — evacuation and drain move every stream
-// regardless of progress because they never re-admit on this engine.
-// Caller must own cm (cmRunning).
-func (e *contEngine) evictSlots(cm *contMachine, max, maxWeight int, preempted, ignoreProgress bool) int {
+// latency-class streams); maxWeight == 0 allows any. An evacuation
+// (preempted false) takes every stream regardless of progress: it never
+// re-admits on this engine. Caller must own cm (cmRunning).
+func (e *contEngine) evictSlots(cm *contMachine, max, maxWeight int, preempted bool) int {
 	if max <= 0 {
 		return 0
 	}
@@ -48,7 +48,7 @@ func (e *contEngine) evictSlots(cm *contMachine, max, maxWeight int, preempted, 
 			// stepped past where this residency started, so every
 			// admission cycle completes at least one timestep and a
 			// preemption storm cannot livelock a stream.
-			if !ignoreProgress && sl.tau <= sl.resumedFrom {
+			if preempted && sl.tau <= sl.resumedFrom {
 				continue
 			}
 			e.evictOne(cm, s, sl, preempted)
@@ -68,19 +68,11 @@ func (e *contEngine) evictSlots(cm *contMachine, max, maxWeight int, preempted, 
 // shed load the engine already accepted.
 func (e *contEngine) evictOne(cm *contMachine, s int, sl *contSlot, preempted bool) {
 	req := sl.req
-	free := func() {
-		cm.slots[s] = nil
-		cm.occupied--
-		cm.stepping--
-		e.resident.Add(-1)
-		metrics.SlotsActive.Add(-1)
-	}
 	snap, err := e.kern.SnapshotSlot(cm.m, s, sl.tau, sl.steps)
 	if err != nil {
 		// Unsnapshottable slot: the stream cannot be moved, answer it.
-		free()
-		e.pending.Add(-1)
-		req.resp <- inferResponse{err: err}
+		e.vacate(cm, s)
+		e.answer(req, inferResponse{err: err})
 		return
 	}
 	metrics.SnapshotCaptures.Add(1)
@@ -101,45 +93,35 @@ func (e *contEngine) evictOne(cm *contMachine, s int, sl *contSlot, preempted bo
 	}
 	req.resume = tok
 	req.enqueued = time.Now()
-	free()
+	e.vacate(cm, s)
 	e.queue.push(req)
 }
 
-// restore installs a checkpoint into a free slot (the resume-token arm
-// of admit). It deliberately does not bump the Admissions counter: the
-// stream was admitted when it first entered a slot, and the simtest
-// admission model counts each request once.
-func (e *contEngine) restore(cm *contMachine, req *inferRequest, tok *resumeToken, slot int, now time.Time, fail func(error) bool) bool {
+// restore is the resume-token arm of admit: it loads the checkpoint into
+// the slot's window and registers and points sl at the saved timestep
+// instead of re-running StreamInit.
+func (e *contEngine) restore(cm *contMachine, slot int, sl *contSlot, tok *resumeToken) error {
 	snap, err := snapshot.Decode(tok.data)
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	if err := e.kern.RestoreSlot(cm.m, slot, snap); err != nil {
-		return fail(err)
+		return err
 	}
-	tau := int(snap.Tau)
+	sl.tau = int(snap.Tau)
 	if e.faults != nil && e.faults().RestoreAtZero {
 		// Injected bug: resume at timestep 0 instead of the saved PC; the
 		// restored register state is step-tau state, so outputs diverge
 		// from the never-preempted twin.
-		tau = 0
+		sl.tau = 0
 	}
-	cm.slots[slot] = &contSlot{
-		req: req, tau: tau, resumedFrom: tau, steps: int(snap.Steps),
-		admitted: now, base: cm.m.Stats(),
-		carry: tok.stats, carryWait: tok.wait,
-	}
-	cm.occupied++
-	cm.stepping++
-	e.resident.Add(1)
-	metrics.SlotsActive.Add(1)
+	sl.resumedFrom, sl.steps = sl.tau, int(snap.Steps)
+	sl.carry, sl.carryWait = tok.stats, tok.wait
 	metrics.SnapshotRestores.Add(1)
 	if tok.preempted {
 		metrics.PreemptRestores.Add(1)
 	}
-	ewmaUpdate(&e.waitEWMA, int64(now.Sub(req.enqueued)))
-	metrics.AdmissionWaitNS.Set(e.waitEWMA.Load())
-	return true
+	return nil
 }
 
 // preempt evicts up to n resident streams: synchronously from machines
@@ -160,7 +142,7 @@ func (e *contEngine) preempt(n int) int {
 		// CAS-owning an idle machine makes this goroutine its worker for
 		// the duration, preserving the single-owner slot rule.
 		if cm.state.CompareAndSwap(cmIdle, cmRunning) {
-			total += e.evictSlots(cm, n-total, 0, true, false)
+			total += e.evictSlots(cm, n-total, 0, true)
 			e.park(cm)
 		}
 	}
@@ -191,118 +173,41 @@ func clampNonNegative(a *atomic.Int64) {
 	}
 }
 
-// adopt enqueues a request moved from another engine of the same lease
-// (transplant). The request was already admitted there, so the queue cap
-// does not apply; pending transfers with it.
-func (e *contEngine) adopt(req *inferRequest) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return ErrLeaseClosing
+// evacuate is the modeEvacuate round: cm's resident streams are
+// checkpointed into the queue, and whatever the queue holds — theirs, other
+// machines', never-admitted requests — is handed to e.dst in fair-queue
+// order. A request dst refuses (it is closing too) is answered with that
+// error. Caller must own cm (cmRunning).
+func (e *contEngine) evacuate(cm *contMachine) {
+	e.evictSlots(cm, len(cm.slots), 0, false)
+	for _, req := range e.queue.take(int(e.pending.Load())) {
+		if err := e.dst.accept(req, math.MaxInt); err != nil {
+			e.answer(req, inferResponse{err: err})
+			continue
+		}
+		e.settle() // pending moved with the request; nothing is answered
 	}
-	e.pending.Add(1)
-	e.queue.push(req)
-	e.kick()
-	return nil
 }
 
-// transplantTo moves every request this engine holds — queued or
-// resident in a slot — to dst, checkpointing resident streams so they
-// resume on dst's machines mid-sequence. Admission stops first; the
-// engine is left drained (pending 0) but its workers still need close()
-// to join. Returns the number of requests moved.
-func (e *contEngine) transplantTo(dst *contEngine) int {
-	e.mu.Lock()
-	already := e.closed
-	e.closed = true
-	e.mu.Unlock()
-	e.evacuating.Store(true)
-	if !already {
-		close(e.done)
-	}
-	moved := 0
-	for e.pending.Load() > 0 {
-		e.kickAll()
-		if take := int(e.pending.Load()); take > 0 {
-			for _, req := range e.queue.take(take) {
-				e.pending.Add(-1)
-				if err := dst.adopt(req); err != nil {
-					req.resp <- inferResponse{err: err}
-					continue
-				}
-				moved++
-			}
-		}
-		if e.pending.Load() > 0 {
-			// Residents are still being checkpointed into the queue by
-			// the evacuating run rounds.
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-	return moved
-}
-
-// closeWithin closes the engine like close(), but bounded: if the
-// graceful drain has not finished within d, resident streams are
-// checkpointed and abandoned (callers answered ErrLeaseClosing) and
-// queued requests are shed the same way. Returns how many in-flight
-// streams were checkpointed at the deadline (0 for a clean drain).
-func (e *contEngine) closeWithin(d time.Duration) int {
-	e.mu.Lock()
-	already := e.closed
-	e.closed = true
-	e.mu.Unlock()
-	if !already {
-		close(e.done)
-	}
-	drained := make(chan struct{})
-	go func() {
-		e.wg.Wait()
-		close(drained)
-	}()
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-drained:
-		return 0
-	case <-timer.C:
-	}
-	e.drainCheckpoint.Store(true)
-	for e.pending.Load() > 0 {
-		e.kickAll()
-		for _, req := range e.queue.take(64) {
-			e.pending.Add(-1)
-			req.resp <- inferResponse{err: ErrLeaseClosing}
-		}
-		if e.pending.Load() > 0 {
-			time.Sleep(20 * time.Microsecond)
-		}
-	}
-	<-drained
-	return int(e.drainCheckpointed.Load())
-}
-
-// checkpointAbandon is the drain-deadline round: every resident stream
-// is checkpointed (counted as a drain checkpoint, not a preemption
-// capture — there is no restore coming) and its caller answered
+// checkpointAbandon is the modeAbandon round (closeBy's deadline has
+// passed): every resident stream is checkpointed (counted as a drain
+// checkpoint, not a preemption capture — there is no restore coming),
+// and its caller, like every caller still queued, is answered
 // ErrLeaseClosing. Caller must own cm (cmRunning).
 func (e *contEngine) checkpointAbandon(cm *contMachine) {
 	for s, sl := range cm.slots {
 		if sl == nil || sl.leaked {
 			continue
 		}
-		req := sl.req
 		if snap, err := e.kern.SnapshotSlot(cm.m, s, sl.tau, sl.steps); err == nil {
 			metrics.DrainCheckpoints.Add(1)
 			metrics.SnapshotBytes.Add(int64(frame.Overhead + snap.Bytes()))
 			e.drainCheckpointed.Add(1)
 		}
-		cm.slots[s] = nil
-		cm.occupied--
-		cm.stepping--
-		e.resident.Add(-1)
-		metrics.SlotsActive.Add(-1)
-		e.pending.Add(-1)
-		req.resp <- inferResponse{err: ErrLeaseClosing}
+		e.vacate(cm, s)
+		e.answer(sl.req, inferResponse{err: ErrLeaseClosing})
+	}
+	for _, req := range e.queue.take(int(e.pending.Load())) {
+		e.answer(req, inferResponse{err: ErrLeaseClosing})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"expvar"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -18,18 +17,100 @@ import (
 // testPlane's, so streams stay resident across many step rounds and
 // preemption reliably catches them mid-flight.
 func preemptPlane(t *testing.T, opts InferOptions) (*Service, *DataPlane, *Lease) {
+	return stepsPlane(t, opts, 16)
+}
+
+func stepsPlane(t *testing.T, opts InferOptions, steps int) (*Service, *DataPlane, *Lease) {
 	t.Helper()
 	svc, err := NewService(resource.PaperCluster(), testDB(Flexible))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lease, err := svc.Deploy(kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 256, TimeSteps: 16})
+	lease, err := svc.Deploy(kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 256, TimeSteps: steps})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dp := NewDataPlane(svc, opts)
 	t.Cleanup(dp.Close)
 	return svc, dp, lease
+}
+
+// backlog is a lease's engine loaded to its queue cap, for tests that act
+// on a transient state (a full machine, resident streams). The state has
+// to outlast a scheduler quantum by construction: with one P the worker
+// keeps the P for the whole 10-20 ms quantum before the test goroutine
+// runs again, and a backlog it can finish in that time is gone by then
+// (tier-1 failed that way at GOMAXPROCS=1). So the sequences are 48 steps
+// long — a full queue is ~70 ms of work at two slots — and their lengths
+// differ (45..48 steps) so the slots never all retire in one round and
+// leave nothing resident.
+type backlog struct {
+	e    *contEngine
+	reqs []*inferRequest
+	refs [][][]float64 // per request, the solo run's outputs
+}
+
+const backlogSteps = 48
+
+// loadBacklog submits all the queue holds, less spare, straight to the
+// engine under the given fair-queue tenant and waits until the machines
+// have filled once. It waits on mlv_admissions, which only grows: the
+// mlv_slots_active gauge can rise and fall between two looks.
+func loadBacklog(t *testing.T, dp *DataPlane, lease *Lease, spare int, tenant string, weight int) *backlog {
+	t.Helper()
+	e, err := dp.engine(mustLease(t, dp.svc, lease.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := e.queueCap - spare
+	const patterns = 4
+	var ins, refs [patterns][][]float64
+	for p := range ins {
+		ins[p] = testInputs(lease.Spec, int64(900+p))[:lease.Spec.TimeSteps-p]
+		refs[p] = referenceOutputs(t, lease, dp.opts, ins[p])[:len(ins[p])]
+	}
+	b := &backlog{e: e}
+	admitted := metrics.Admissions.Value()
+	for i := 0; i < n; i++ {
+		req := &inferRequest{
+			inputs: ins[i%patterns], enqueued: time.Now(), resp: make(chan inferResponse, 1),
+			tenant: tenant, weight: weight,
+		}
+		if err := e.submit(req); err != nil {
+			t.Fatal(err)
+		}
+		b.reqs = append(b.reqs, req)
+		b.refs = append(b.refs, refs[i%patterns])
+	}
+	full := int64(dp.opts.MaxBatch * dp.opts.Machines)
+	waitFor(t, "machines to fill", func() bool {
+		return metrics.Admissions.Value()-admitted >= full
+	})
+	return b
+}
+
+// join receives every response. A request answered with an error must
+// carry one the test allows (errors.Is); the rest must match their solo
+// run bit for bit. Returns how many were answered with an error.
+func (b *backlog) join(t *testing.T, allowed ...error) int {
+	t.Helper()
+	failed := 0
+	for i, req := range b.reqs {
+		r := <-req.resp
+		if r.err != nil {
+			failed++
+			ok := false
+			for _, a := range allowed {
+				ok = ok || errors.Is(r.err, a)
+			}
+			if !ok {
+				t.Errorf("request %d: %v", i, r.err)
+			}
+		} else if !reflect.DeepEqual(r.result.Outputs, b.refs[i]) {
+			t.Errorf("request %d: outputs differ from solo run", i)
+		}
+	}
+	return failed
 }
 
 // snapDelta is how far a counter has moved since base was read.
@@ -112,76 +193,17 @@ func TestResizeTransplantsResidentStreams(t *testing.T) {
 	opts := DefaultInferOptions()
 	opts.Machines = 1
 	opts.MaxBatch = 4
-	_, dp, lease := preemptPlane(t, opts)
+	_, dp, lease := stepsPlane(t, opts, backlogSteps)
 
 	base := metrics.Snapshot()
-	slotsBase := metrics.SlotsActive.Value()
-	// A deep backlog (retrying past the queue cap and the brief
-	// engine-swap window) keeps the old pool's slots full for the whole
-	// time Resize spends building the new pool, so the transplant always
-	// finds resident streams to checkpoint.
-	// Sequence lengths differ (9..16 steps) so the four slots retire and
-	// refill at different rounds: with equal lengths every resident finishes
-	// in the same round, and a Resize landing on it finds nothing resident
-	// (one run in thirty, more often the faster the kernel). The backlog
-	// is sized to outlast Resize's engine build by several times.
-	const N, patterns = 192, 8
-	inputs := make([][][]float64, patterns)
-	refs := make([][][]float64, patterns)
-	for p := 0; p < patterns; p++ {
-		inputs[p] = testInputs(lease.Spec, int64(500+p))[:lease.Spec.TimeSteps-p]
-		refs[p] = referenceOutputs(t, lease, opts, inputs[p])[:len(inputs[p])]
-	}
-	results := make([]*InferResult, N)
-	var wg sync.WaitGroup
-	for i := 0; i < N; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			in := inputs[i%patterns]
-			deadline := time.Now().Add(30 * time.Second)
-			for {
-				res, err := dp.Infer(lease.ID, in)
-				if errors.Is(err, ErrBusy) || errors.Is(err, ErrLeaseClosing) {
-					if time.Now().After(deadline) {
-						t.Errorf("request %d: still shed at deadline: %v", i, err)
-						return
-					}
-					time.Sleep(200 * time.Microsecond)
-					continue
-				}
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				results[i] = res
-				return
-			}
-		}(i)
-	}
-	// Busy-wait (yield, don't sleep): the residency window outlives the
-	// whole backlog, but coarse-timer kernels can starve a sleeping poller
-	// under load.
-	resDeadline := time.Now().Add(10 * time.Second)
-	for metrics.SlotsActive.Value() <= slotsBase {
-		if time.Now().After(resDeadline) {
-			t.Fatal("streams never became resident")
-		}
-		runtime.Gosched()
-	}
+	// The backlog outlasts Resize's engine build several times over, so
+	// the transplant finds the old pool's slots full.
+	b := loadBacklog(t, dp, lease, 0, "", 0)
 	if err := dp.Resize(lease.ID, 2); err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
+	b.join(t)
 
-	for i, res := range results {
-		if res == nil {
-			t.Fatal("missing result")
-		}
-		if !reflect.DeepEqual(res.Outputs, refs[i%patterns]) {
-			t.Errorf("request %d: transplanted stream differs from solo run", i)
-		}
-	}
 	if st, ok := dp.Load(lease.ID); !ok || st.Machines != 2 {
 		t.Errorf("post-resize load = %+v, ok=%v, want 2 machines", st, ok)
 	}
@@ -190,6 +212,9 @@ func TestResizeTransplantsResidentStreams(t *testing.T) {
 	}
 	if c, r := snapDelta(base, metrics.SnapshotCaptures), snapDelta(base, metrics.SnapshotRestores); c != r {
 		t.Errorf("captures %d != restores %d", c, r)
+	}
+	if got := b.e.load().Pending; got != 0 {
+		t.Errorf("old engine still counts %d pending after the transplant", got)
 	}
 }
 
@@ -251,58 +276,36 @@ func TestAutoPreemptFavorsLatencyClass(t *testing.T) {
 	opts.Machines = 1
 	opts.MaxBatch = 2
 	opts.Preempt = true
-	_, dp, lease := preemptPlane(t, opts)
+	_, dp, lease := stepsPlane(t, opts, backlogSteps)
 
-	e, err := dp.engine(mustLease(t, dp.svc, lease.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
 	base := metrics.Snapshot()
-	slotsBase := metrics.SlotsActive.Value()
-
-	const B = 6
-	reqs := make([]*inferRequest, 0, B+1)
-	inputs := make([][][]float64, 0, B+1)
-	for i := 0; i < B; i++ {
-		in := testInputs(lease.Spec, int64(700+i))
-		req := &inferRequest{
+	// Leave room under the queue cap for the latency-class arrival.
+	b := loadBacklog(t, dp, lease, 1, "bulk", 1)
+	// The machine is full of batch-class streams and stays so while the
+	// backlog lasts: a latency-class arrival must preempt rather than wait
+	// for a retirement. An arrival can still land in the one round in ~30
+	// where a stream has just retired and take the free slot instead, so
+	// up to four arrive, one after the other, until one has preempted.
+	in := testInputs(lease.Spec, 799)
+	ref := referenceOutputs(t, lease, opts, in)
+	for try := 0; try < 4 && snapDelta(base, metrics.PreemptEvictions) == 0; try++ {
+		rt := &inferRequest{
 			inputs: in, enqueued: time.Now(), resp: make(chan inferResponse, 1),
-			tenant: "bulk", weight: 1,
+			tenant: "rt", weight: 8,
 		}
-		if err := e.submit(req); err != nil {
+		if err := b.e.submit(rt); err != nil {
 			t.Fatal(err)
 		}
-		reqs = append(reqs, req)
-		inputs = append(inputs, in)
+		if r := <-rt.resp; r.err != nil {
+			t.Fatalf("latency-class request %d: %v", try, r.err)
+		} else if !reflect.DeepEqual(r.result.Outputs, ref) {
+			t.Errorf("latency-class request %d: outputs differ from solo run", try)
+		}
 	}
-	// Once the machine is full of batch-class streams, a latency-class
-	// arrival must preempt rather than wait for a retirement.
-	waitFor(t, "machine to fill", func() bool {
-		return metrics.SlotsActive.Value()-slotsBase >= int64(opts.MaxBatch)
-	})
-	in := testInputs(lease.Spec, 799)
-	rt := &inferRequest{
-		inputs: in, enqueued: time.Now(), resp: make(chan inferResponse, 1),
-		tenant: "rt", weight: 8,
-	}
-	if err := e.submit(rt); err != nil {
-		t.Fatal(err)
-	}
-	reqs = append(reqs, rt)
-	inputs = append(inputs, in)
+	b.join(t)
 
-	for i, req := range reqs {
-		r := <-req.resp
-		if r.err != nil {
-			t.Fatalf("request %d: %v", i, r.err)
-		}
-		ref := referenceOutputs(t, lease, opts, inputs[i])
-		if !reflect.DeepEqual(r.result.Outputs, ref) {
-			t.Errorf("request %d: outputs differ from solo run", i)
-		}
-	}
 	if snapDelta(base, metrics.PreemptEvictions) == 0 {
-		t.Error("latency-class arrival triggered no preemption on a full machine")
+		t.Error("latency-class arrivals triggered no preemption on a full machine")
 	}
 	if c, r := snapDelta(base, metrics.SnapshotCaptures), snapDelta(base, metrics.SnapshotRestores); c != r {
 		t.Errorf("captures %d != restores %d", c, r)
@@ -320,53 +323,18 @@ func TestCloseWithinCheckpointsAtDeadline(t *testing.T) {
 	opts := DefaultInferOptions()
 	opts.Machines = 1
 	opts.MaxBatch = 2
-	_, dp, lease := preemptPlane(t, opts)
+	_, dp, lease := stepsPlane(t, opts, backlogSteps)
 
 	slotsBase := metrics.SlotsActive.Value()
 	drainBase := metrics.DrainCheckpoints.Value()
-	e, err := dp.engine(mustLease(t, dp.svc, lease.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fill the queue to its cap (MaxBatch * Machines * 8 = 16) with direct
-	// submissions, so the engine provably holds a deep backlog when the
-	// already-expired deadline lands. Lengths differ (9..16 steps) so the
-	// two slots never retire in the same round and leave nothing resident.
-	reqs := make([]*inferRequest, 16)
-	for i := range reqs {
-		reqs[i] = &inferRequest{
-			inputs:   testInputs(lease.Spec, int64(900+i))[:lease.Spec.TimeSteps-i%8],
-			enqueued: time.Now(), resp: make(chan inferResponse, 1),
-		}
-		if err := e.submit(reqs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Busy-wait for the machine to fill: the residency window is a few
-	// milliseconds, finer than time.Sleep's granularity on coarse-timer
-	// kernels, so yield instead of sleeping.
-	fillDeadline := time.Now().Add(5 * time.Second)
-	for metrics.SlotsActive.Value()-slotsBase < int64(opts.MaxBatch) {
-		if time.Now().After(fillDeadline) {
-			t.Fatal("machine never filled")
-		}
-		runtime.Gosched()
-	}
+	// The engine provably holds a deep backlog, two streams of it
+	// resident, when the already-expired deadline lands.
+	b := loadBacklog(t, dp, lease, 0, "", 0)
 	n := dp.CloseWithin(0)
 	if n == 0 {
 		t.Error("deadline drain checkpointed no streams")
 	}
-	shed := 0
-	for i, req := range reqs {
-		r := <-req.resp
-		if r.err != nil {
-			if !errors.Is(r.err, ErrLeaseClosing) {
-				t.Errorf("request %d: %v", i, r.err)
-			}
-			shed++
-		}
-	}
-	if shed == 0 {
+	if shed := b.join(t, ErrLeaseClosing); shed == 0 {
 		t.Error("deadline drain shed no requests")
 	}
 	if got := metrics.DrainCheckpoints.Value() - drainBase; got != int64(n) {
@@ -374,6 +342,71 @@ func TestCloseWithinCheckpointsAtDeadline(t *testing.T) {
 	}
 	if got := metrics.SlotsActive.Value(); got != slotsBase {
 		t.Errorf("slot gauge residue after deadline drain: %d", got-slotsBase)
+	}
+}
+
+// TestCloseWithinGenerousDeadlineIsClose pins the equivalence close()
+// relies on (close is closeBy with no deadline): a deadline the
+// backlog finishes well inside checkpoints nothing and every request is
+// answered with its result.
+func TestCloseWithinGenerousDeadlineIsClose(t *testing.T) {
+	opts := DefaultInferOptions()
+	opts.Machines = 1
+	opts.MaxBatch = 2
+	_, dp, lease := preemptPlane(t, opts)
+
+	slotsBase := metrics.SlotsActive.Value()
+	b := loadBacklog(t, dp, lease, 0, "", 0)
+	if n := dp.CloseWithin(time.Minute); n != 0 {
+		t.Errorf("drain inside the deadline checkpointed %d streams", n)
+	}
+	if failed := b.join(t); failed != 0 {
+		t.Errorf("%d requests answered with an error", failed)
+	}
+	if st := b.e.load(); st.Pending != 0 || st.Served != int64(len(b.reqs)) {
+		t.Errorf("after the drain: pending %d, served %d of %d", st.Pending, st.Served, len(b.reqs))
+	}
+	if got := metrics.SlotsActive.Value(); got != slotsBase {
+		t.Errorf("slot gauge residue after the drain: %d", got-slotsBase)
+	}
+}
+
+// TestAdmitFailureSettlesBeforeAnswering reaches admit's failure arm,
+// which InferAs's width check normally shields: a directly submitted
+// request whose input is too narrow is answered with SetInputStream's
+// error, and the accounting — pending, the slot gauge — is already back at
+// rest when the response arrives.
+func TestAdmitFailureSettlesBeforeAnswering(t *testing.T) {
+	_, dp, lease := testPlane(t, DefaultInferOptions())
+	e, err := dp.engine(mustLease(t, dp.svc, lease.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	slotsBase := metrics.SlotsActive.Value()
+	admitted := metrics.Admissions.Value()
+	req := &inferRequest{
+		inputs:   [][]float64{make([]float64, lease.Spec.Hidden-1)},
+		enqueued: time.Now(), resp: make(chan inferResponse, 1),
+	}
+	if err := e.submit(req); err != nil {
+		t.Fatal(err)
+	}
+	r := <-req.resp
+	if r.err == nil {
+		t.Fatal("a request with a short input vector was served")
+	}
+	if got := e.load().Pending; got != 0 {
+		t.Errorf("pending = %d when the failure was answered", got)
+	}
+	if got := metrics.SlotsActive.Value(); got != slotsBase {
+		t.Errorf("slot gauge moved by %d for a request that never held a slot", got-slotsBase)
+	}
+	if got := metrics.Admissions.Value(); got != admitted {
+		t.Errorf("a failed admission was counted (%d)", got-admitted)
+	}
+	// The slot it was trying is free again: the next request is served.
+	if _, err := dp.Infer(lease.ID, testInputs(lease.Spec, 1)); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -117,6 +117,11 @@ var ErrQuotaExceeded = errors.New("rms: tenant quota exceeded")
 // HTTP guard rejects unknown tenants with 401 before admission).
 var ErrUnknownTenant = errors.New("rms: unknown tenant")
 
+// unknownTenant is the per-tenant counter key such requests share, as in
+// tenant.Guard: the id is the caller's word, and every distinct key stays
+// in the expvar maps for the life of the process.
+const unknownTenant = "unknown"
+
 // NewService builds a service over a fresh cluster.
 func NewService(cluster map[string]int, db *Database) (*Service, error) {
 	if db == nil {
@@ -268,17 +273,18 @@ func (s *Service) DeployWith(spec kernels.LayerSpec, po PlaceOptions) (*Lease, e
 		tBlocks   int
 		quotaRoom bool // some depth-eligible candidate passed the quota gate
 	)
-	if po.Tenant != "" {
-		metrics.TenantRequests.Add(po.Tenant, 1)
-	}
 	if po.Tenant != "" && s.tenants != nil {
 		t, ok := s.tenants.Lookup(po.Tenant)
 		if !ok {
-			metrics.TenantRejections.Add(po.Tenant, 1)
+			metrics.TenantRequests.Add(unknownTenant, 1)
+			metrics.TenantRejections.Add(unknownTenant, 1)
 			return nil, fmt.Errorf("%w: %s", ErrUnknownTenant, po.Tenant)
 		}
 		quotas, enforce = t.Quotas, true
 		tLeases, tDevices, tBlocks = s.usageLocked(po.Tenant, 0)
+	}
+	if po.Tenant != "" {
+		metrics.TenantRequests.Add(po.Tenant, 1)
 	}
 	sawDepth := false
 	for _, dep := range opts {

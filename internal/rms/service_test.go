@@ -184,6 +184,8 @@ func TestHTTPHandlerValidation(t *testing.T) {
 		want int
 	}{
 		{"/deploy", `{"kind":"CNN","hidden":512,"timesteps":1}`, http.StatusBadRequest},
+		{"/deploy", `{"kind":"attention","hidden":64,"timesteps":2}`, http.StatusOK},
+		{"/deploy", `{"kind":"Attention","hidden":64,"timesteps":2}`, http.StatusOK},
 		{"/deploy", `{"kind":"LSTM","hidden":-1,"timesteps":1}`, http.StatusBadRequest},
 		{"/deploy", `not json`, http.StatusBadRequest},
 		{"/release", `not json`, http.StatusBadRequest},

@@ -3,6 +3,7 @@ package rms
 import (
 	"errors"
 	"expvar"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -84,8 +85,42 @@ func TestDeployUnknownTenant(t *testing.T) {
 	svc := newService(t)
 	svc.SetTenants(quotaRegistry(t, tenant.Tenant{ID: "a", Key: "k"}))
 	spec := kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 256, TimeSteps: 2}
-	if _, err := svc.DeployWith(spec, PlaceOptions{Tenant: "ghost"}); !errors.Is(err, ErrUnknownTenant) {
-		t.Fatalf("deploy as unknown tenant: %v, want ErrUnknownTenant", err)
+	assertGhostsShareOneKey(t, func(ghost string) error {
+		_, err := svc.DeployWith(spec, PlaceOptions{Tenant: ghost})
+		return err
+	})
+}
+
+// assertGhostsShareOneKey calls op under 1,000 distinct unregistered
+// tenant ids: each must be refused with ErrUnknownTenant, and all of them
+// must be counted under the one key "unknown" — the id is the caller's
+// word, and a key added to an expvar map stays for the life of the process.
+func assertGhostsShareOneKey(t *testing.T, op func(ghost string) error) {
+	t.Helper()
+	keys := func() map[string]bool {
+		seen := map[string]bool{}
+		for _, m := range []*expvar.Map{metrics.TenantRequests, metrics.TenantRejections} {
+			m.Do(func(kv expvar.KeyValue) { seen[kv.Key] = true })
+		}
+		return seen
+	}
+	before, base := keys(), metrics.Snapshot()
+	const ghosts = 1000
+	for i := 0; i < ghosts; i++ {
+		if err := op(fmt.Sprintf("ghost-%d", i)); !errors.Is(err, ErrUnknownTenant) {
+			t.Fatalf("as unknown tenant: %v, want ErrUnknownTenant", err)
+		}
+	}
+	for k := range keys() {
+		if !before[k] && k != "unknown" {
+			t.Fatalf("unregistered id %q became a counter key", k)
+		}
+	}
+	moved := metrics.Snapshot().Sub(base)
+	for _, m := range []*expvar.Map{metrics.TenantRequests, metrics.TenantRejections} {
+		if got := moved.Tenant(m, "unknown"); got != ghosts {
+			t.Errorf("%d of %d refusals counted under \"unknown\"", got, ghosts)
+		}
 	}
 }
 
@@ -185,9 +220,11 @@ func TestInferAsUnknownTenant(t *testing.T) {
 	reg := quotaRegistry(t, tenant.Tenant{ID: "a", Key: "k"})
 	svc.SetTenants(reg)
 	dp.SetTenants(reg)
-	if _, err := dp.InferAs("ghost", lease.ID, testInputs(lease.Spec, 1)); !errors.Is(err, ErrUnknownTenant) {
-		t.Fatalf("InferAs ghost: %v, want ErrUnknownTenant", err)
-	}
+	in := testInputs(lease.Spec, 1)
+	assertGhostsShareOneKey(t, func(ghost string) error {
+		_, err := dp.InferAs(ghost, lease.ID, in)
+		return err
+	})
 }
 
 func TestInferAsCountsTenantMetrics(t *testing.T) {

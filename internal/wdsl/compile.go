@@ -278,9 +278,7 @@ func compileModel(m Model) (*ModelIR, error) {
 				return nil, &Error{Pos: l.Pos, Production: "layer",
 					Msg: fmt.Sprintf("%s layer needs hidden= and steps=", l.Kind)}
 			}
-			kind := map[string]kernels.RNNKind{
-				"lstm": kernels.LSTM, "gru": kernels.GRU, "attention": kernels.Attention,
-			}[l.Kind]
+			kind, _ := kernels.ParseKind(l.Kind) // the parser admits no other name
 			layer.Rnn = kernels.LayerSpec{Kind: kind, Hidden: hidden, TimeSteps: steps}
 		}
 		ir.Layers = append(ir.Layers, layer)
