@@ -257,14 +257,14 @@ func BenchmarkFunctionalLSTMStep(b *testing.B) {
 // a 50-step scaled LSTM program.
 func BenchmarkScaleOutReorder(b *testing.B) {
 	w := kernels.RandomWeights(kernels.LSTM, 64, 1)
-	sp, err := scaleout.BuildScaledPair(w, 50, 1)
+	sg, err := scaleout.BuildScaledGroup(w, 50, 1, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scaleout.ReorderForOverlap(sp.Progs[0],
-			uint32(sp.SyncCfg.SendAddr), uint32(sp.SyncCfg.RecvAddr))
+		scaleout.ReorderForOverlap(sg.Progs[0],
+			uint32(sg.SyncCfg.SendAddr), uint32(sg.SyncCfg.RecvAddr))
 	}
 }
 

@@ -28,22 +28,22 @@ func main() {
 	// --- Functional part: two scaled-down LSTMs joined by sync modules.
 	const hidden, steps = 64, 6
 	w := kernels.RandomWeights(kernels.LSTM, hidden, 77)
-	sp, err := scaleout.BuildScaledPair(w, steps, 1)
+	sg, err := scaleout.BuildScaledGroup(w, steps, 1, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sp.Cfg.MantissaBits = 9
+	sg.Cfg.MantissaBits = 9
 
 	// The reordering tool sinks the blocking receive past the next step's
 	// W*x products.
-	for d := 0; d < 2; d++ {
-		sp.Progs[d] = scaleout.ReorderForOverlap(sp.Progs[d],
-			uint32(sp.SyncCfg.SendAddr), uint32(sp.SyncCfg.RecvAddr))
+	for d := range sg.Progs {
+		sg.Progs[d] = scaleout.ReorderForOverlap(sg.Progs[d],
+			uint32(sg.SyncCfg.SendAddr), uint32(sg.SyncCfg.RecvAddr))
 	}
 	fmt.Printf("scaled LSTM h=%d onto 2 devices: %d instructions each, sync addresses %d/%d (out of DRAM range)\n",
-		hidden, len(sp.Progs[0]), sp.SyncCfg.SendAddr, sp.SyncCfg.RecvAddr)
+		hidden, len(sg.Progs[0]), sg.SyncCfg.SendAddr, sg.SyncCfg.RecvAddr)
 
-	ms, syncs, err := sp.NewMachines()
+	ms, syncs, err := sg.NewMachines()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,17 +56,17 @@ func main() {
 			x[i] = r.NormFloat64() * 0.5
 		}
 		inputs[t] = x
-		if err := sp.SetInput(ms, t, x); err != nil {
+		if err := sg.SetInput(ms, t, x); err != nil {
 			log.Fatal(err)
 		}
 	}
-	if err := sp.Run(ms); err != nil {
+	if err := sg.Run(ms); err != nil {
 		log.Fatal(err)
 	}
 	worst := 0.0
 	for t := range inputs {
 		want, _ := ref.Step(inputs[t])
-		got, err := sp.ReadOutput(ms, t)
+		got, err := sg.ReadOutput(ms, t)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -80,6 +80,7 @@ func main() {
 
 	// --- Analytic part: the Fig. 11 sweep.
 	p := perf.DefaultParams()
+	pair := []string{"XCVU37P", "XCVU37P"}
 	fmt.Println("Fig. 11 sweep: per-step latency on 2x XCVU37P vs added inter-FPGA latency")
 	for _, line := range []struct {
 		label string
@@ -97,12 +98,12 @@ func main() {
 		for added := time.Duration(0); added <= time.Microsecond; added += 250 * time.Nanosecond {
 			link := netmodel.DefaultRingLink()
 			link.AddedLatency = added
-			with, _, _, err := scaleout.TwoFPGAStep(line.spec, "XCVU37P", p,
+			with, _, _, err := scaleout.NFPGAStep(line.spec, pair, p,
 				scaleout.TwoFPGAOptions{Overlap: true, Link: link})
 			if err != nil {
 				log.Fatal(err)
 			}
-			without, _, _, err := scaleout.TwoFPGAStep(line.spec, "XCVU37P", p,
+			without, _, _, err := scaleout.NFPGAStep(line.spec, pair, p,
 				scaleout.TwoFPGAOptions{Overlap: false, Link: link})
 			if err != nil {
 				log.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mlvfpga/internal/metrics"
-	"mlvfpga/internal/netmodel"
 	"mlvfpga/internal/rms"
 	"mlvfpga/internal/scaleout"
 )
@@ -42,8 +41,6 @@ type Config struct {
 	// MachinesPerPiece sizes the data-plane machine pool as depth ×
 	// MachinesPerPiece on depth changes.
 	MachinesPerPiece int
-	// Ring, when set, prices scale-ups (see PlannerConfig.MaxStepComm).
-	Ring *netmodel.Ring
 }
 
 // DefaultConfig returns serving defaults.
@@ -121,8 +118,6 @@ type ControlPlane struct {
 	ticks   int
 	defrags int
 	faults  Faults
-	// comm caches the per-spec comm-cost function (keyed by spec string).
-	comm map[string]func(depth int) time.Duration
 }
 
 // InjectFaults arms deliberate bugs for the simulation harness.
@@ -165,7 +160,6 @@ func New(clock Clock, cfg Config, svc *rms.Service, dp interface {
 		reg:    NewRegistry(clock, cfg.Registry),
 		svc:    svc,
 		leases: map[int]*leaseState{},
-		comm:   map[string]func(depth int) time.Duration{},
 	}
 	if dp != nil {
 		cp.loads = dp
@@ -344,7 +338,7 @@ func (cp *ControlPlane) Tick() *TickReport {
 		if err != nil {
 			continue
 		}
-		target := cp.cfg.Planner.TargetDepth(l.Depth, st.idleTicks, load, ladder, cp.commCostLocked(l))
+		target := cp.cfg.Planner.TargetDepth(l.Depth, st.idleTicks, load, ladder)
 		if target == l.Depth {
 			continue
 		}
@@ -409,23 +403,4 @@ func (cp *ControlPlane) failLocked(st *leaseState, now time.Time) {
 func (cp *ControlPlane) okLocked(st *leaseState) {
 	st.backoff = 0
 	st.backoffUntil = time.Time{}
-}
-
-// commCostLocked returns the cached comm-cost function for a lease's spec
-// (nil when no ring is configured — no veto).
-func (cp *ControlPlane) commCostLocked(l *rms.Lease) func(depth int) time.Duration {
-	if cp.cfg.Ring == nil {
-		return nil
-	}
-	key := l.SpecString
-	if fn, ok := cp.comm[key]; ok {
-		return fn
-	}
-	depths, err := cp.svc.FeasibleDepths(l.Spec)
-	if err != nil {
-		return nil
-	}
-	fn := CommCost(cp.cfg.Ring, RNNLadder(l.Spec, depths))
-	cp.comm[key] = fn
-	return fn
 }

@@ -2,10 +2,7 @@ package cluster
 
 import (
 	"testing"
-	"time"
 
-	"mlvfpga/internal/kernels"
-	"mlvfpga/internal/netmodel"
 	"mlvfpga/internal/rms"
 )
 
@@ -14,74 +11,29 @@ func TestTargetDepth(t *testing.T) {
 	ladder := []int{1, 2, 4}
 
 	hot := rms.LoadStats{QueueDepth: cfg.ScaleUpQueue}
-	if got := cfg.TargetDepth(1, 0, hot, ladder, nil); got != 2 {
+	if got := cfg.TargetDepth(1, 0, hot, ladder); got != 2 {
 		t.Fatalf("hot depth-1 lease -> %d, want 2", got)
 	}
-	if got := cfg.TargetDepth(2, 0, hot, ladder, nil); got != 4 {
+	if got := cfg.TargetDepth(2, 0, hot, ladder); got != 4 {
 		t.Fatalf("hot depth-2 lease -> %d, want 4", got)
 	}
-	if got := cfg.TargetDepth(4, 0, hot, ladder, nil); got != 4 {
+	if got := cfg.TargetDepth(4, 0, hot, ladder); got != 4 {
 		t.Fatalf("hot lease at top rung -> %d, want 4", got)
 	}
 
 	idle := rms.LoadStats{}
-	if got := cfg.TargetDepth(2, cfg.ScaleDownIdleTicks-1, idle, ladder, nil); got != 2 {
+	if got := cfg.TargetDepth(2, cfg.ScaleDownIdleTicks-1, idle, ladder); got != 2 {
 		t.Fatalf("briefly idle lease moved to %d, want hysteresis hold at 2", got)
 	}
-	if got := cfg.TargetDepth(2, cfg.ScaleDownIdleTicks, idle, ladder, nil); got != 1 {
+	if got := cfg.TargetDepth(2, cfg.ScaleDownIdleTicks, idle, ladder); got != 1 {
 		t.Fatalf("idle lease -> %d, want 1", got)
 	}
-	if got := cfg.TargetDepth(1, 100, idle, ladder, nil); got != 1 {
+	if got := cfg.TargetDepth(1, 100, idle, ladder); got != 1 {
 		t.Fatalf("idle lease at bottom rung -> %d, want 1", got)
 	}
 	// In-flight work blocks a scale-down even with an empty queue.
 	busy := rms.LoadStats{InFlight: 1}
-	if got := cfg.TargetDepth(2, 100, busy, ladder, nil); got != 2 {
+	if got := cfg.TargetDepth(2, 100, busy, ladder); got != 2 {
 		t.Fatalf("busy lease scaled down to %d", got)
-	}
-}
-
-func TestTargetDepthCommVeto(t *testing.T) {
-	cfg := DefaultPlannerConfig()
-	cfg.MaxStepComm = time.Microsecond
-	ladder := []int{1, 2}
-	hot := rms.LoadStats{QueueDepth: cfg.ScaleUpQueue}
-	cheap := func(int) time.Duration { return 100 * time.Nanosecond }
-	costly := func(int) time.Duration { return 10 * time.Microsecond }
-	if got := cfg.TargetDepth(1, 0, hot, ladder, cheap); got != 2 {
-		t.Fatalf("cheap scale-up vetoed: got %d", got)
-	}
-	if got := cfg.TargetDepth(1, 0, hot, ladder, costly); got != 1 {
-		t.Fatalf("costly scale-up allowed: got %d", got)
-	}
-}
-
-func TestRNNLadderAndCommCost(t *testing.T) {
-	spec := kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 512, TimeSteps: 25}
-	rungs := RNNLadder(spec, []int{1, 2, 4})
-	if len(rungs) != 3 {
-		t.Fatalf("ladder has %d rungs", len(rungs))
-	}
-	if rungs[0].StepBytes != 0 {
-		t.Fatalf("single-device rung moves %d bytes, want 0", rungs[0].StepBytes)
-	}
-	// h/k fp16 words: 512/2*2 = 512, 512/4*2 = 256.
-	if rungs[1].StepBytes != 512 || rungs[2].StepBytes != 256 {
-		t.Fatalf("shard bytes = %d,%d, want 512,256", rungs[1].StepBytes, rungs[2].StepBytes)
-	}
-
-	ring, err := netmodel.NewRing(4, netmodel.DefaultRingLink())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cost := CommCost(ring, rungs)
-	if cost(1) != 0 {
-		t.Fatalf("depth-1 comm cost = %v, want 0", cost(1))
-	}
-	if c2, c4 := cost(2), cost(4); c2 <= 0 || c4 <= c2 {
-		t.Fatalf("comm costs %v (depth 2), %v (depth 4): want 0 < c2 < c4", c2, c4)
-	}
-	if CommCost(nil, rungs) != nil {
-		t.Fatal("nil ring must yield nil cost function")
 	}
 }

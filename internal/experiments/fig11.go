@@ -55,6 +55,7 @@ func Fig11Specs() []struct {
 func Fig11() ([]Fig11Series, error) {
 	p := perf.DefaultParams()
 	const device = "XCVU37P"
+	pair := []string{device, device}
 	var out []Fig11Series
 	for _, line := range Fig11Specs() {
 		series := Fig11Series{Label: line.Label, Spec: line.Spec, Device: device}
@@ -67,11 +68,11 @@ func Fig11() ([]Fig11Series, error) {
 		for added := time.Duration(0); added <= time.Microsecond; added += 100 * time.Nanosecond {
 			link := netmodel.DefaultRingLink()
 			link.AddedLatency = added
-			with, _, _, err := scaleout.TwoFPGAStep(line.Spec, device, p, scaleout.TwoFPGAOptions{Overlap: true, Link: link})
+			with, _, _, err := scaleout.NFPGAStep(line.Spec, pair, p, scaleout.TwoFPGAOptions{Overlap: true, Link: link})
 			if err != nil {
 				return nil, err
 			}
-			without, _, _, err := scaleout.TwoFPGAStep(line.Spec, device, p, scaleout.TwoFPGAOptions{Overlap: false, Link: link})
+			without, _, _, err := scaleout.NFPGAStep(line.Spec, pair, p, scaleout.TwoFPGAOptions{Overlap: false, Link: link})
 			if err != nil {
 				return nil, err
 			}

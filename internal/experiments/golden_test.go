@@ -76,3 +76,82 @@ func TestFig12Golden(t *testing.T) {
 		t.Errorf("policy set 4 sjf: %+v, want %+v", got, want)
 	}
 }
+
+// TestFig11Golden pins the three Fig. 11 series to the nanosecond: the
+// crossover budget and every {overlap, no-overlap} step time of the
+// 0..1 µs sweep. The literals were recorded while Fig. 11 still had its
+// own 2-FPGA copy of the step formula; the n-device model at n = 2 must
+// reproduce them bit for bit.
+func TestFig11Golden(t *testing.T) {
+	want := []struct {
+		label  string
+		budget time.Duration
+		points [11][2]time.Duration // {with overlap, without}, added = 0, 100ns, .. 1µs
+	}{
+		{"LSTM h=1024", 1448, [11][2]time.Duration{{6148, 6889}, {6148, 6989}, {6148, 7089}, {6148, 7189}, {6148, 7289}, {6148, 7389}, {6148, 7489}, {6148, 7589}, {6148, 7689}, {6148, 7789}, {6148, 7889}}},
+		{"GRU h=1024", 560, [11][2]time.Duration{{5550, 6291}, {5550, 6391}, {5550, 6491}, {5550, 6591}, {5550, 6691}, {5550, 6791}, {5590, 6891}, {5690, 6991}, {5790, 7091}, {5890, 7191}, {5990, 7291}}},
+		{"GRU h=2560", 126, [11][2]time.Duration{{5762, 7015}, {5762, 7115}, {5836, 7215}, {5936, 7315}, {6036, 7415}, {6136, 7515}, {6236, 7615}, {6336, 7715}, {6436, 7815}, {6536, 7915}, {6636, 8015}}},
+	}
+	series, err := Fig11()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series) != len(want) {
+		t.Fatalf("%d series, want %d", len(series), len(want))
+	}
+	for i, s := range series {
+		w := want[i]
+		if s.Label != w.label || s.CrossoverBudget != w.budget {
+			t.Errorf("series %d: %s budget %d, want %s budget %d", i, s.Label, s.CrossoverBudget, w.label, w.budget)
+		}
+		if len(s.Points) != len(w.points) {
+			t.Fatalf("%s: %d points, want %d", s.Label, len(s.Points), len(w.points))
+		}
+		for j, pt := range s.Points {
+			if got := [2]time.Duration{pt.StepWithOverlap, pt.StepNoOverlap}; got != w.points[j] {
+				t.Errorf("%s +%v: steps %v, want %v", s.Label, pt.AddedLatency, got, w.points[j])
+			}
+		}
+	}
+}
+
+// TestTable4Golden pins every instance size and base/virtualized latency
+// Table4 returns (TestTable4Shape only checks bands). Recorded before
+// perf's step-cycle formula gained its row-share and sync-instruction
+// parameters; the one-device case must not move.
+func TestTable4Golden(t *testing.T) {
+	want := []struct {
+		spec, device string
+		tiles        int
+		base, virt   time.Duration
+	}{
+		{"GRU h=512 t=1", "XCVU37P", 1, 13305, 13760},
+		{"GRU h=512 t=1", "XCKU115", 2, 17130, 17774},
+		{"GRU h=1024 t=1500", "XCVU37P", 4, 7860500, 8532500},
+		{"GRU h=1024 t=1500", "XCKU115", 5, 14777000, 15849500},
+		{"GRU h=1536 t=375", "XCVU37P", 8, 2050625, 2226500},
+		{"GRU h=1536 t=375", "XCKU115", 10, 3785000, 4061750},
+		{"LSTM h=256 t=150", "XCVU37P", 1, 734150, 791600},
+		{"LSTM h=256 t=150", "XCKU115", 1, 1597250, 1704800},
+		{"LSTM h=512 t=25", "XCVU37P", 2, 144325, 155425},
+		{"LSTM h=512 t=25", "XCKU115", 2, 293275, 313250},
+		{"LSTM h=1024 t=25", "XCVU37P", 5, 162275, 175150},
+		{"LSTM h=1024 t=25", "XCKU115", 6, 305925, 327175},
+		{"LSTM h=1536 t=50", "XCVU37P", 10, 327900, 354850},
+		{"LSTM h=1536 t=50", "XCKU115", 0, 0, 0}, // the "-" entry: does not fit
+	}
+	rows, err := Table4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(rows), len(want))
+	}
+	for i, r := range rows {
+		w := want[i]
+		if r.Spec.String() != w.spec || r.Device != w.device || r.Tiles != w.tiles || r.Baseline != w.base || r.ThisWork != w.virt {
+			t.Errorf("row %d: %v on %s tiles=%d base=%d virt=%d, want %+v",
+				i, r.Spec, r.Device, r.Tiles, r.Baseline, r.ThisWork, w)
+		}
+	}
+}

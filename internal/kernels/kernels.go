@@ -61,9 +61,9 @@ func ParseKind(name string) (RNNKind, bool) {
 	return 0, false
 }
 
-// gateNames lists the weight matrices of each cell: W* act on the input
+// GateNames lists the weight matrices of each cell: W* act on the input
 // x_t, U* act on the recurrent state h_{t-1}.
-func (k RNNKind) gateNames() (wx, uh, bias []string) {
+func (k RNNKind) GateNames() (wx, uh, bias []string) {
 	switch k {
 	case LSTM:
 		return []string{"Wi", "Wf", "Wo", "Wc"},
@@ -122,7 +122,7 @@ type Weights struct {
 func RandomWeights(kind RNNKind, hidden int, seed int64) *Weights {
 	r := rand.New(rand.NewSource(seed))
 	w := &Weights{Kind: kind, Hidden: hidden, M: map[string][]float64{}, B: map[string][]float64{}}
-	wx, uh, bias := kind.gateNames()
+	wx, uh, bias := kind.GateNames()
 	scale := 1.0 / sqrtf(float64(hidden))
 	for _, name := range append(append([]string{}, wx...), uh...) {
 		m := make([]float64, hidden*hidden)
@@ -224,7 +224,7 @@ func (k *Kernel) newMachine(cfg accel.Config) (*accel.Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	wx, uh, _ := k.Spec.Kind.gateNames()
+	wx, uh, _ := k.Spec.Kind.GateNames()
 	h := k.Spec.Hidden
 	for i := range append(append([]string{}, wx...), uh...) {
 		if err := m.ConfigureMatrix(i, h, h); err != nil {
@@ -349,7 +349,7 @@ func Build(w *Weights, timeSteps, tiles int) (*Kernel, error) {
 	h := w.Hidden
 
 	var alloc allocator
-	wx, uh, bias := w.Kind.gateNames()
+	wx, uh, bias := w.Kind.GateNames()
 	matAddr := map[string]int{}
 	for _, name := range append(append([]string{}, wx...), uh...) {
 		matAddr[name] = alloc.alloc(h * h)

@@ -2,7 +2,6 @@ package netmodel
 
 import (
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -32,134 +31,5 @@ func TestLinkErrors(t *testing.T) {
 	}
 	if _, err := (Link{BandwidthGBs: 1}).TransferTime(-1); err == nil {
 		t.Error("negative size must error")
-	}
-}
-
-func TestRingHops(t *testing.T) {
-	r, err := NewRing(4, DefaultRingLink())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct{ a, b, want int }{
-		{0, 0, 0}, {0, 1, 1}, {0, 2, 2}, {0, 3, 1}, {3, 1, 2}, {2, 3, 1},
-	}
-	for _, c := range cases {
-		got, err := r.Hops(c.a, c.b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != c.want {
-			t.Errorf("Hops(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-	if _, err := r.Hops(0, 4); err == nil {
-		t.Error("out-of-range node must error")
-	}
-}
-
-func TestRingTransfer(t *testing.T) {
-	link := Link{Latency: 100 * time.Nanosecond, BandwidthGBs: 1}
-	r, _ := NewRing(4, link)
-	got, err := r.TransferTime(0, 2, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 2*100*time.Nanosecond + time.Microsecond
-	if got != want {
-		t.Errorf("TransferTime = %v, want %v", got, want)
-	}
-	// Same node: free.
-	if d, _ := r.TransferTime(1, 1, 1000); d != 0 {
-		t.Errorf("self transfer = %v, want 0", d)
-	}
-}
-
-func TestRingWithAddedLatency(t *testing.T) {
-	r, _ := NewRing(2, Link{Latency: 100 * time.Nanosecond, BandwidthGBs: 1})
-	r2 := r.WithAddedLatency(time.Microsecond)
-	base, _ := r.TransferTime(0, 1, 0)
-	delayed, _ := r2.TransferTime(0, 1, 0)
-	if delayed-base != time.Microsecond {
-		t.Errorf("added latency delta = %v, want 1us", delayed-base)
-	}
-	if r.Link().AddedLatency != 0 {
-		t.Error("WithAddedLatency must not mutate the original")
-	}
-}
-
-func TestNewRingErrors(t *testing.T) {
-	if _, err := NewRing(0, DefaultRingLink()); err == nil {
-		t.Error("empty ring must error")
-	}
-	if _, err := NewRing(2, Link{}); err == nil {
-		t.Error("zero-bandwidth link must error")
-	}
-}
-
-// Property: hop count is symmetric and at most n/2.
-func TestQuickHopsSymmetric(t *testing.T) {
-	r, _ := NewRing(7, DefaultRingLink())
-	f := func(a, b uint8) bool {
-		x, y := int(a%7), int(b%7)
-		h1, err1 := r.Hops(x, y)
-		h2, err2 := r.Hops(y, x)
-		return err1 == nil && err2 == nil && h1 == h2 && h1 <= 3
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: transfer time is monotone in transfer size.
-func TestQuickTransferMonotone(t *testing.T) {
-	r, _ := NewRing(4, DefaultRingLink())
-	f := func(a, b uint8, n1, n2 uint32) bool {
-		x, y := int(a%4), int(b%4)
-		small, big := int64(n1), int64(n2)
-		if small > big {
-			small, big = big, small
-		}
-		t1, err1 := r.TransferTime(x, y, small)
-		t2, err2 := r.TransferTime(x, y, big)
-		return err1 == nil && err2 == nil && t1 <= t2
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAllGatherTime(t *testing.T) {
-	ring, err := NewRing(4, Link{Latency: 100 * time.Nanosecond, BandwidthGBs: 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Single member: no exchange.
-	if d, err := ring.AllGatherTime([]int{2}, 1000); err != nil || d != 0 {
-		t.Errorf("1-member all-gather = %v, %v", d, err)
-	}
-	// Adjacent pair: one hop plus one incoming shard (1000 B at 1 GB/s = 1us).
-	d, err := ring.AllGatherTime([]int{0, 1}, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 100*time.Nanosecond + time.Microsecond; d != want {
-		t.Errorf("pair all-gather = %v, want %v", d, want)
-	}
-	// Full ring: worst hop distance is 2, three incoming shards.
-	d4, err := ring.AllGatherTime([]int{0, 1, 2, 3}, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 200*time.Nanosecond + 3*time.Microsecond; d4 != want {
-		t.Errorf("4-way all-gather = %v, want %v", d4, want)
-	}
-	if d4 <= d {
-		t.Error("deeper deployments must pay more for the all-gather")
-	}
-	if _, err := ring.AllGatherTime([]int{0, 9}, 10); err == nil {
-		t.Error("out-of-range member accepted")
-	}
-	if _, err := ring.AllGatherTime([]int{0, 1}, -1); err == nil {
-		t.Error("negative shard size accepted")
 	}
 }

@@ -99,15 +99,6 @@ func matCount(kind kernels.RNNKind) int {
 	return 6
 }
 
-// gateCount is the number of input-dependent (W*·x) products per step:
-// one per gate for LSTM/GRU, the q/k/v projections for attention.
-func gateCount(kind kernels.RNNKind) int {
-	if kind == kernels.LSTM {
-		return 4
-	}
-	return 3
-}
-
 // weightFrac is the share of a tile's memory that can hold weights. On the
 // XCVU37P the deep URAMs store weights almost exclusively; on the BRAM-only
 // XCKU115 the same BRAMs also serve vectors, buffers and the latency-
@@ -144,27 +135,7 @@ func DeviceWeightCapacityKb(device string) (float64, error) {
 // MinTiles returns the smallest instance whose on-chip memory holds the
 // layer's weights on the device.
 func MinTiles(spec kernels.LayerSpec, device string) (int, error) {
-	return minTilesWith(spec, device, DefaultParams())
-}
-
-func minTilesWith(spec kernels.LayerSpec, device string, p Params) (int, error) {
-	perTile, err := tileWeightKb(device)
-	if err != nil {
-		return 0, err
-	}
-	need := WeightKb(spec, p)
-	tiles := int(need/perTile) + 1
-	if float64(tiles-1)*perTile >= need {
-		tiles--
-	}
-	if tiles < 1 {
-		tiles = 1
-	}
-	if tiles > hsvital.MaxTiles(device) {
-		return 0, fmt.Errorf("%w: %v needs %d tiles, %s holds %d",
-			ErrDoesNotFit, spec, tiles, device, hsvital.MaxTiles(device))
-	}
-	return tiles, nil
+	return MinTilesScaled(spec, device, 1)
 }
 
 // MinTilesScaled returns the per-device instance size when the layer's
@@ -225,26 +196,74 @@ type Breakdown struct {
 	Total    time.Duration
 }
 
-// stepCycles computes the baseline per-step cycle breakdown.
-func stepCycles(spec kernels.LayerSpec, inst Instance, p Params) (issue, mvm, vec float64) {
+// syncInstrs is what the §2.3 insertion tool adds to every step of a
+// scaled-down program: the send, the write of the own shard to the output
+// region, and the blocking receive.
+const syncInstrs = 3
+
+// stepCycles computes the per-step cycle breakdown of one device that holds
+// rows of the layer's h matrix rows and issues extra inserted instructions
+// per step on top of the cell's own: (h, 0) on a single device,
+// (h/n, syncInstrs) on a member of an n-device scale-out. perMVM and perVec
+// are the cost of one mv_mul and of one MFU pass, which the overlap window
+// is assembled from.
+func stepCycles(spec kernels.LayerSpec, inst Instance, p Params, rows, extra float64) (issue, mvm, vec, perMVM, perVec float64) {
 	h := float64(spec.Hidden)
-	nInstr := float64(kernels.StepInstructions(spec.Kind))
+	nInstr := float64(kernels.StepInstructions(spec.Kind)) + extra
 	issue = p.IssueCyclesPerInstr[inst.Device] * nInstr
 
 	nMVM := float64(kernels.MVMsPerStep(spec.Kind))
 	macsPerCycle := float64(inst.Tiles) * hsvital.TileMACsPerCycle
-	mvm = nMVM * (h*h/macsPerCycle + p.MVMFillCycles)
+	perMVM = rows*h/macsPerCycle + p.MVMFillCycles
+	mvm = nMVM * perMVM
 
-	nVec := nInstr - nMVM - 2 // minus the per-step v_rd and v_wr
+	nVec := nInstr - nMVM - 2 - extra // minus the per-step v_rd and v_wr and the inserted instructions
 	lanes := float64(inst.Tiles) * p.VecLanesPerTile
-	vec = nVec * (h/lanes + p.VecFillCycles)
-	return issue, mvm, vec
+	perVec = rows/lanes + p.VecFillCycles
+	vec = nVec * perVec
+	return issue, mvm, vec, perMVM, perVec
+}
+
+// ShardStep prices one member of an n-device scale-out (§2.3) in steady
+// state: the per-step compute time of the smallest instance on device that
+// holds 1/n of every weight matrix's rows, and the overlap window — the
+// x-dependent work of the next step that the reordering tool schedules
+// ahead of the blocking receive, which hides that much of the exchange.
+func ShardStep(spec kernels.LayerSpec, device string, n int, p Params) (compute, window time.Duration, err error) {
+	tiles, err := MinTilesScaled(spec, device, n)
+	if err != nil {
+		return 0, 0, err
+	}
+	m, err := hsvital.CalibratedAccelerator(device, tiles)
+	if err != nil {
+		return 0, 0, err
+	}
+	inst := Instance{Device: device, Tiles: tiles, ClockMHz: m.ClockMHz}
+	rows := float64(spec.Hidden) / float64(n)
+	issue, mvm, vec, perMVM, perVec := stepCycles(spec, inst, p, rows, syncInstrs)
+	compute = cyclesToTime(issue+mvm+vec, inst.ClockMHz)
+
+	// Per overlapped gate the window holds one W*x matrix-vector product
+	// plus its bias add — two issue slots, one MVM pass and one MFU pass.
+	// For the LSTM all four gates qualify; in the GRU the candidate gate's
+	// product serializes behind the reset gate, leaving two; of the
+	// attention cell's projections the three x-only ones (q, k, v) qualify
+	// and Wo waits on the normalized state.
+	overlapGates := 4.0
+	switch spec.Kind {
+	case kernels.GRU:
+		overlapGates = 2.0
+	case kernels.Attention:
+		overlapGates = 3.0
+	}
+	windowCycles := overlapGates * (perMVM + 2*p.IssueCyclesPerInstr[device] + perVec)
+	return compute, cyclesToTime(windowCycles, inst.ClockMHz), nil
 }
 
 // Baseline models one inference on the non-virtualized accelerator (the
 // AS ISA-only baseline system of Table 4).
 func Baseline(spec kernels.LayerSpec, inst Instance, p Params) Breakdown {
-	issue, mvm, vec := stepCycles(spec, inst, p)
+	issue, mvm, vec, _, _ := stepCycles(spec, inst, p, float64(spec.Hidden), 0)
 	cyclesPerStep := issue + mvm + vec
 	step := cyclesToTime(cyclesPerStep, inst.ClockMHz)
 	total := p.InvokeOverhead + time.Duration(spec.TimeSteps)*step
@@ -264,7 +283,7 @@ func Virtualized(spec kernels.LayerSpec, inst Instance, hops int, p Params) (Bre
 	if err != nil {
 		return Breakdown{}, err
 	}
-	issue, mvm, vec := stepCycles(spec, inst, p)
+	issue, mvm, vec, _, _ := stepCycles(spec, inst, p, float64(spec.Hidden), 0)
 	issueV := issue * (1 + p.StallIssueFrac)
 	computeV := (mvm + vec) * (1 + p.StallComputeFrac)
 	hopCycles := float64(hops * vspec.InterfaceLatencyCycles)
@@ -312,19 +331,6 @@ func StreamingLatency(spec kernels.LayerSpec, device string, p Params) (Breakdow
 	}
 	b.Total = b.Invoke + time.Duration(spec.TimeSteps)*b.StepTime
 	return b, nil
-}
-
-// XPrefixTime returns the per-step time of the input-dependent prefix —
-// the W*x matrix-vector products and their issue slots, which do not
-// depend on h_{t-1}. The scale-out optimization (§2.3) overlaps the
-// inter-FPGA transfer of h_t with exactly this window of the next step.
-func XPrefixTime(spec kernels.LayerSpec, inst Instance, p Params) time.Duration {
-	h := float64(spec.Hidden)
-	nX := float64(gateCount(spec.Kind)) // one W*x MVM per gate
-	macsPerCycle := float64(inst.Tiles) * hsvital.TileMACsPerCycle
-	mvm := nX * (h*h/macsPerCycle + p.MVMFillCycles)
-	issue := nX * p.IssueCyclesPerInstr[inst.Device]
-	return cyclesToTime(mvm+issue, inst.ClockMHz)
 }
 
 func cyclesToTime(cycles, clockMHz float64) time.Duration {

@@ -40,6 +40,16 @@ func TestMinTilesScaled(t *testing.T) {
 	if _, err := MinTilesScaled(spec, "bogus", 2); err == nil {
 		t.Error("unknown device must fail")
 	}
+	// The single-device rule is the n = 1 case of the sharded one, fit or not.
+	for _, layer := range kernels.DeepBenchSuite() {
+		for _, dev := range []string{"XCVU37P", "XCKU115"} {
+			got, gotErr := MinTiles(layer, dev)
+			want, wantErr := MinTilesScaled(layer, dev, 1)
+			if got != want || errors.Is(gotErr, ErrDoesNotFit) != errors.Is(wantErr, ErrDoesNotFit) {
+				t.Errorf("%v on %s: MinTiles = %d, %v; MinTilesScaled(.., 1) = %d, %v", layer, dev, got, gotErr, want, wantErr)
+			}
+		}
+	}
 }
 
 func TestDeviceWeightCapacityKb(t *testing.T) {

@@ -149,23 +149,6 @@ func TestVirtualizedHopsMatter(t *testing.T) {
 	}
 }
 
-func TestXPrefixTime(t *testing.T) {
-	p := DefaultParams()
-	spec := kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 1024, TimeSteps: 1}
-	inst, _ := ChooseInstance(spec, "XCVU37P")
-	prefix := XPrefixTime(spec, inst, p)
-	full := Baseline(spec, inst, p).StepTime
-	if prefix <= 0 || prefix >= full {
-		t.Errorf("x-prefix %v must be positive and below the full step %v", prefix, full)
-	}
-	// LSTM (4 W*x MVMs) has a longer prefix than GRU (3) at equal h/tiles.
-	gspec := kernels.LayerSpec{Kind: kernels.GRU, Hidden: 1024, TimeSteps: 1}
-	gprefix := XPrefixTime(gspec, inst, p)
-	if gprefix >= prefix {
-		t.Errorf("GRU prefix %v must be below LSTM prefix %v", gprefix, prefix)
-	}
-}
-
 func TestWeightKb(t *testing.T) {
 	p := DefaultParams()
 	lstm := WeightKb(kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 1024}, p)

@@ -33,101 +33,43 @@ func (f *flakyDRAM) WriteWords(addr int, vals []fp16.Num) error {
 	return f.inner.WriteWords(addr, vals)
 }
 
-// A device failing mid-run must abort the pair: the peer unblocks from the
-// barrier and Run returns the injected error instead of deadlocking.
-func TestPairSurvivesDeviceFailure(t *testing.T) {
-	w := kernels.RandomWeights(kernels.LSTM, 16, 1)
-	sp, err := BuildScaledPair(w, 6, 1)
+// A device failing mid-run must abort the group: the peers unblock from
+// the barrier and Run returns the injected error instead of deadlocking.
+func survivesDeviceFailure(t *testing.T, kind kernels.RNNKind, n, flaky, accesses int) {
+	w := kernels.RandomWeights(kind, 16, 1)
+	sg, err := BuildScaledGroup(w, 6, 1, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Build machines by hand so device 0's DRAM is flaky underneath the
-	// sync module.
-	mem0 := accel.NewMemory(sp.Cfg.DRAMWords)
-	mem1 := accel.NewMemory(sp.Cfg.DRAMWords)
-	s0, s1, err := NewSyncPair(&flakyDRAM{inner: mem0, remaining: 20}, mem1, sp.SyncCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ms [2]*accel.Machine
-	for dev, s := range []accel.DRAM{s0, s1} {
-		m, err := accel.NewWithDRAM(sp.Cfg, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.DRAMPort().WriteWords(0, sp.Images[dev]); err != nil {
-			t.Fatal(err)
-		}
-		for i := range sp.Images[dev][:0] {
-			_ = i
-		}
-		h2 := sp.Spec.Hidden / 2
-		for i := 0; i < 8; i++ {
-			if err := m.ConfigureMatrix(i, h2, sp.Spec.Hidden); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ms[dev] = m
-	}
-	for tt := 0; tt < sp.Spec.TimeSteps; tt++ {
-		if err := sp.SetInput(ms, tt, make([]float64, sp.Spec.Hidden)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	done := make(chan error, 1)
-	go func() { done <- sp.Run(ms) }()
-	select {
-	case err := <-done:
-		if !errors.Is(err, errInjected) {
-			t.Errorf("Run = %v, want the injected failure", err)
-		}
-		var de *DeviceError
-		if !errors.As(err, &de) {
-			t.Fatalf("Run = %v, want a *DeviceError the control plane can act on", err)
-		}
-		if de.Device != 0 {
-			t.Errorf("DeviceError.Device = %d, want 0 (the flaky member)", de.Device)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("pair deadlocked after device failure")
-	}
-}
-
-// Same for the n-way group: one dead device must not hang the other three.
-func TestGroupSurvivesDeviceFailure(t *testing.T) {
-	w := kernels.RandomWeights(kernels.GRU, 16, 1)
-	sg, err := BuildScaledGroup(w, 6, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inners := make([]accel.DRAM, 4)
+	// Build machines by hand so the flaky device's DRAM fails underneath
+	// its sync module.
+	inners := make([]accel.DRAM, n)
 	for i := range inners {
 		inners[i] = accel.NewMemory(sg.Cfg.DRAMWords)
 	}
-	inners[2] = &flakyDRAM{inner: inners[2], remaining: 12}
+	inners[flaky] = &flakyDRAM{inner: inners[flaky], remaining: accesses}
 	syncs, err := NewSyncGroup(inners, sg.SyncCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := make([]*accel.Machine, 4)
-	shard := sg.Spec.Hidden / 4
-	for dev := 0; dev < 4; dev++ {
+	ms := make([]*accel.Machine, n)
+	wx, uh, _ := kind.GateNames()
+	for dev := range ms {
 		m, err := accel.NewWithDRAM(sg.Cfg, syncs[dev])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.DRAMPort().WriteWords(0, sg.Images[dev]); err != nil && dev != 2 {
+		if err := m.DRAMPort().WriteWords(0, sg.Images[dev]); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 6; i++ {
-			if err := m.ConfigureMatrix(i, shard, sg.Spec.Hidden); err != nil {
+		for i := 0; i < len(wx)+len(uh); i++ {
+			if err := m.ConfigureMatrix(i, sg.Spec.Hidden/n, sg.Spec.Hidden); err != nil {
 				t.Fatal(err)
 			}
 		}
 		ms[dev] = m
 	}
+
 	done := make(chan error, 1)
 	go func() { done <- sg.Run(ms) }()
 	select {
@@ -140,48 +82,51 @@ func TestGroupSurvivesDeviceFailure(t *testing.T) {
 		// control plane mark the right device dead instead of stalling.
 		var de *DeviceError
 		if !errors.As(err, &de) {
-			t.Fatalf("Run = %v, want a *DeviceError", err)
+			t.Fatalf("Run = %v, want a *DeviceError the control plane can act on", err)
 		}
-		if de.Device != 2 {
-			t.Errorf("DeviceError.Device = %d, want 2 (the flaky member)", de.Device)
+		if de.Device != flaky {
+			t.Errorf("DeviceError.Device = %d, want %d (the flaky member)", de.Device, flaky)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("group deadlocked after device failure")
+		t.Fatalf("%d-device group deadlocked after device failure", n)
 	}
+}
+
+func TestPairSurvivesDeviceFailure(t *testing.T) {
+	survivesDeviceFailure(t, kernels.LSTM, 2, 0, 14)
+}
+
+// One dead device must not hang the other three.
+func TestGroupSurvivesDeviceFailure(t *testing.T) {
+	survivesDeviceFailure(t, kernels.GRU, 4, 2, 12)
 }
 
 // Abort is idempotent and unblocks subsequent waits immediately.
 func TestAbortIdempotent(t *testing.T) {
-	mem0, mem1 := accel.NewMemory(64), accel.NewMemory(64)
-	s0, s1, err := NewSyncPair(mem0, mem1, Config{SendAddr: 100, RecvAddr: 101, HalfWords: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s0.Abort()
-	s0.Abort() // idempotent: no panic
-	// After the abort, sends stop blocking: within a few attempts the
-	// buffer fills and the abort path must fire (select between a ready
-	// buffer slot and the closed abort channel is racy by design, so only
-	// the eventual outcome is deterministic).
-	aborted := false
-	for i := 0; i < 3 && !aborted; i++ {
-		if err := s1.WriteWords(100, make([]fp16.Num, 2)); errors.Is(err, ErrPeerAborted) {
-			aborted = true
+	for _, n := range groupSizes {
+		_, syncs := newTestGroup(t, n)
+		syncs[0].Abort()
+		syncs[0].Abort() // idempotent: no panic
+		// After the abort, sends stop blocking: within a few attempts the
+		// buffer fills and the abort path must fire (select between a ready
+		// buffer slot and the closed abort channel is racy by design, so only
+		// the eventual outcome is deterministic).
+		aborted := false
+		for i := 0; i < 3 && !aborted; i++ {
+			if err := syncs[1].WriteWords(100, make([]fp16.Num, 2)); errors.Is(err, ErrPeerAborted) {
+				aborted = true
+			}
 		}
-	}
-	if !aborted {
-		t.Error("sends after abort never returned ErrPeerAborted")
-	}
-	// On a fresh pair with no peer data in flight, a receive after abort
-	// fails immediately instead of blocking.
-	f0, _, err := NewSyncPair(accel.NewMemory(64), accel.NewMemory(64),
-		Config{SendAddr: 100, RecvAddr: 101, HalfWords: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f0.lastOwn = make([]fp16.Num, 2)
-	f0.Abort()
-	if _, err := f0.ReadWords(101, 4); !errors.Is(err, ErrPeerAborted) {
-		t.Errorf("receive after abort = %v, want ErrPeerAborted", err)
+		if !aborted {
+			t.Errorf("n=%d: sends after abort never returned ErrPeerAborted", n)
+		}
+		// On a fresh group with no peer data in flight, a receive after abort
+		// fails immediately instead of blocking.
+		_, fresh := newTestGroup(t, n)
+		fresh[0].lastOwn = make([]fp16.Num, 2)
+		fresh[0].Abort()
+		if _, err := fresh[0].ReadWords(101, 2*n); !errors.Is(err, ErrPeerAborted) {
+			t.Errorf("n=%d: receive after abort = %v, want ErrPeerAborted", n, err)
+		}
 	}
 }

@@ -11,142 +11,20 @@ import (
 	"mlvfpga/internal/kernels"
 )
 
-// This file generalizes the 2-device sync pair to n devices, the
-// functional counterpart of the runtime's 4-piece heterogeneous
-// deployments: each device holds a 1/n row-shard of every weight matrix
-// and the sync modules all-gather the hidden-state shards each step.
-
-// GroupSync is the n-way generalization of SyncModule: a write to the send
-// address broadcasts the device's shard to every peer; a read from the
-// receive address blocks until all peers' shards arrive and returns the
-// full vector assembled in device order.
-type GroupSync struct {
-	inner accel.DRAM
-
-	sendAddr, recvAddr int
-	shardWords         int
-	index, n           int
-
-	outs    []chan<- []fp16.Num // one per peer, indexed by peer id (own slot nil)
-	ins     []<-chan []fp16.Num
-	lastOwn []fp16.Num
-	abort   *abortState
-
-	stats SyncStats
-}
-
-// Abort unblocks every device's barrier waits; further sync accesses fail
-// with ErrPeerAborted.
-func (g *GroupSync) Abort() { g.abort.abort() }
-
-// NewSyncGroup links n DRAM ports with all-gather sync modules. Device i
-// holds shard i. shardWords is the per-device shard length.
-func NewSyncGroup(inners []accel.DRAM, cfg Config) ([]*GroupSync, error) {
-	n := len(inners)
-	if n < 2 {
-		return nil, fmt.Errorf("scaleout: sync group needs >= 2 devices, got %d", n)
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	// chans[from][to]; buffered so the all-send phase never blocks.
-	chans := make([][]chan []fp16.Num, n)
-	for i := range chans {
-		chans[i] = make([]chan []fp16.Num, n)
-		for j := range chans[i] {
-			if i != j {
-				chans[i][j] = make(chan []fp16.Num, 1)
-			}
-		}
-	}
-	shared := newAbortState()
-	out := make([]*GroupSync, n)
-	for i := 0; i < n; i++ {
-		outs := make([]chan<- []fp16.Num, n)
-		ins := make([]<-chan []fp16.Num, n)
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			outs[j] = chans[i][j]
-			ins[j] = chans[j][i]
-		}
-		out[i] = &GroupSync{
-			inner:    inners[i],
-			sendAddr: cfg.SendAddr, recvAddr: cfg.RecvAddr,
-			shardWords: cfg.HalfWords, index: i, n: n,
-			outs: outs, ins: ins, abort: shared,
-		}
-	}
-	return out, nil
-}
-
-// Stats returns the traffic counters.
-func (g *GroupSync) Stats() SyncStats { return g.stats }
-
-// WriteWords traps writes to the send address, broadcasting the shard.
-func (g *GroupSync) WriteWords(addr int, vals []fp16.Num) error {
-	if addr != g.sendAddr {
-		return g.inner.WriteWords(addr, vals)
-	}
-	if len(vals) != g.shardWords {
-		return fmt.Errorf("scaleout: group send of %d words, module configured for %d", len(vals), g.shardWords)
-	}
-	cp := append([]fp16.Num{}, vals...)
-	g.lastOwn = cp
-	for j, out := range g.outs {
-		if j == g.index || out == nil {
-			continue
-		}
-		select {
-		case out <- cp:
-		case <-g.abort.ch:
-			return ErrPeerAborted
-		}
-		g.stats.WordsSent += int64(len(cp))
-	}
-	g.stats.Sends++
-	return nil
-}
-
-// ReadWords traps reads from the receive address: it blocks until every
-// peer's shard arrives (barrier) and assembles the full vector.
-func (g *GroupSync) ReadWords(addr, n int) ([]fp16.Num, error) {
-	if addr != g.recvAddr {
-		return g.inner.ReadWords(addr, n)
-	}
-	if n != g.n*g.shardWords {
-		return nil, fmt.Errorf("scaleout: group receive of %d words, want %d", n, g.n*g.shardWords)
-	}
-	if g.lastOwn == nil {
-		return nil, errors.New("scaleout: group receive before any send")
-	}
-	out := make([]fp16.Num, 0, n)
-	for j := 0; j < g.n; j++ {
-		if j == g.index {
-			out = append(out, g.lastOwn...)
-			continue
-		}
-		var shard []fp16.Num
-		select {
-		case shard = <-g.ins[j]:
-		case <-g.abort.ch:
-			return nil, ErrPeerAborted
-		}
-		g.stats.WordsReceived += int64(len(shard))
-		out = append(out, shard...)
-	}
-	g.stats.Receives++
-	return out, nil
-}
-
-// ScaledGroup is an n-device scaled-down deployment of one RNN layer.
+// ScaledGroup is an n-FPGA deployment of one RNN layer: each device runs a
+// scaled-down accelerator computing 1/n of the hidden dimension.
 type ScaledGroup struct {
-	Spec    kernels.LayerSpec
-	N       int
-	Progs   []isa.Program
-	Images  [][]fp16.Num
-	Cfg     accel.Config
+	Spec  kernels.LayerSpec
+	N     int
+	Progs []isa.Program
+	// Images are the per-device initial DRAM contents (the device's rows
+	// of every matrix plus its bias shards).
+	Images [][]fp16.Num
+	// Cfg is the per-device machine configuration (scaled-down tile count,
+	// full VecLen — the exchange reassembles full h vectors).
+	Cfg accel.Config
+	// SyncCfg parameterizes the template modules. The trap addresses are
+	// intentionally out of the DRAM range, as in the paper.
 	SyncCfg Config
 
 	inputBase, outputBase int
@@ -186,9 +64,12 @@ func BuildScaledGroup(w *kernels.Weights, timeSteps, tilesPerDevice, n int) (*Sc
 	cfg := kernels.DefaultConfig(spec, tilesPerDevice)
 	sg := &ScaledGroup{Spec: spec, N: n, Cfg: cfg}
 
-	mats := matNames(w.Kind)
-	biases := biasNames(w.Kind)
+	// Matrix registers load in kernels' order: W* then U*.
+	wx, uh, biases := w.Kind.GateNames()
+	mats := append(append([]string{}, wx...), uh...)
 
+	// Per-device DRAM layout: matrix shards (shard*h), bias shards, inputs
+	// (full h per step), outputs (own shard per step).
 	next := 0
 	alloc := func(words int) int { a := next; next += words; return a }
 	matAddr := map[string]int{}
@@ -205,8 +86,8 @@ func BuildScaledGroup(w *kernels.Weights, timeSteps, tilesPerDevice, n int) (*Sc
 		return nil, fmt.Errorf("scaleout: layer needs %d DRAM words, have %d", next, cfg.DRAMWords)
 	}
 	sg.SyncCfg = Config{
-		SendAddr:  cfg.DRAMWords,
-		RecvAddr:  cfg.DRAMWords + 1,
+		SendAddr:  cfg.DRAMWords,     // predefined out-of-range addresses
+		RecvAddr:  cfg.DRAMWords + 1, // (paper §2.3)
 		HalfWords: shard,
 	}
 
@@ -223,19 +104,22 @@ func BuildScaledGroup(w *kernels.Weights, timeSteps, tilesPerDevice, n int) (*Sc
 		sg.Images = append(sg.Images, image)
 	}
 
+	// The program is identical on every device (their DRAM contents and
+	// sync index registers differ).
 	var p isa.Program
 	for i, name := range mats {
 		p = append(p, isa.Instr{Op: isa.OpMRead, Dst: uint8(i), Imm: uint32(matAddr[name])})
 	}
 	for i, name := range biases {
+		// Bias shards load with the 1/n length mode.
 		p = append(p, isa.Instr{Op: isa.OpVRead, Dst: uint8(3 + i), Src2: mode, Imm: uint32(biasAddr[name])})
 	}
-	p = append(p, isa.Instr{Op: isa.OpVConst, Dst: 1, Imm: 0})
+	p = append(p, isa.Instr{Op: isa.OpVConst, Dst: 1, Imm: 0}) // h_full = 0
 	switch w.Kind {
 	case kernels.LSTM:
-		p = append(p, isa.Instr{Op: isa.OpVConst, Dst: 2, Src1: mode, Imm: 0})
+		p = append(p, isa.Instr{Op: isa.OpVConst, Dst: 2, Src1: mode, Imm: 0}) // c_shard = 0
 	case kernels.GRU:
-		p = append(p, isa.Instr{Op: isa.OpVConst, Dst: 12, Src1: mode, Imm: 0})
+		p = append(p, isa.Instr{Op: isa.OpVConst, Dst: 12, Src1: mode, Imm: 0}) // h_own = 0
 	}
 	for t := 0; t < timeSteps; t++ {
 		p = append(p, isa.Instr{Op: isa.OpVRead, Dst: 0, Imm: uint32(sg.InputAddr(t))})
@@ -245,6 +129,8 @@ func BuildScaledGroup(w *kernels.Weights, timeSteps, tilesPerDevice, n int) (*Sc
 		case kernels.GRU:
 			p = append(p, scaledGRUStep()...)
 		}
+		// Insertion tool: own shard to the peers (trapped), own shard to the
+		// local output region, full h back from the sync module (barrier).
 		own := uint8(14)
 		if w.Kind == kernels.GRU {
 			own = 12
@@ -269,7 +155,7 @@ func (sg *ScaledGroup) InputAddr(t int) int { return sg.inputBase + t*sg.Spec.Hi
 func (sg *ScaledGroup) OutputAddr(t int) int { return sg.outputBase + t*sg.Spec.Hidden/sg.N }
 
 // NewMachines builds the n linked machines.
-func (sg *ScaledGroup) NewMachines() ([]*accel.Machine, []*GroupSync, error) {
+func (sg *ScaledGroup) NewMachines() ([]*accel.Machine, []*SyncModule, error) {
 	inners := make([]accel.DRAM, sg.N)
 	for i := range inners {
 		inners[i] = accel.NewMemory(sg.Cfg.DRAMWords)
@@ -280,6 +166,7 @@ func (sg *ScaledGroup) NewMachines() ([]*accel.Machine, []*GroupSync, error) {
 	}
 	ms := make([]*accel.Machine, sg.N)
 	shard := sg.Spec.Hidden / sg.N
+	wx, uh, _ := sg.Spec.Kind.GateNames()
 	for dev := 0; dev < sg.N; dev++ {
 		m, err := accel.NewWithDRAM(sg.Cfg, syncs[dev])
 		if err != nil {
@@ -288,7 +175,7 @@ func (sg *ScaledGroup) NewMachines() ([]*accel.Machine, []*GroupSync, error) {
 		if err := m.DRAMPort().WriteWords(0, sg.Images[dev]); err != nil {
 			return nil, nil, err
 		}
-		for i := range matNames(sg.Spec.Kind) {
+		for i := 0; i < len(wx)+len(uh); i++ {
 			if err := m.ConfigureMatrix(i, shard, sg.Spec.Hidden); err != nil {
 				return nil, nil, err
 			}
@@ -339,7 +226,7 @@ func (sg *ScaledGroup) Run(ms []*accel.Machine) error {
 			defer wg.Done()
 			errs[d] = ms[d].Run(sg.Progs[d])
 			if errs[d] != nil {
-				if s, ok := accel.UnwrapDRAM(ms[d].DRAMPort()).(*GroupSync); ok {
+				if s, ok := accel.UnwrapDRAM(ms[d].DRAMPort()).(*SyncModule); ok {
 					s.Abort()
 				}
 			}

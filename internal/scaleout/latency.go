@@ -1,22 +1,27 @@
 package scaleout
 
 import (
+	"fmt"
 	"time"
 
-	"mlvfpga/internal/hsvital"
 	"mlvfpga/internal/kernels"
 	"mlvfpga/internal/netmodel"
 	"mlvfpga/internal/perf"
 )
 
-// This file models the Fig. 11 experiment: one AS ISA-based accelerator
-// deployed onto two FPGA devices, with a programmable delay module
-// sweeping the added inter-FPGA latency. Per step, each device computes
-// its half of the hidden state, exchanges it with the peer, and
-// (optionally, with the §2.3 optimization) overlaps the transfer with the
-// next step's input-dependent matrix products.
+// This file is the latency model of a scaled-out deployment: one AS
+// ISA-based accelerator deployed onto len(devices) FPGAs, possibly of
+// different device types — the heterogeneous multi-FPGA deployments that
+// distinguish the proposed framework from existing HS abstractions (§4.4).
+// Per step, each device computes its 1/n share of the hidden state, the
+// shares are all-gathered over the ring, and (optionally, with the §2.3
+// optimization) the transfer overlaps the next step's input-dependent
+// matrix products. The Fig. 11 experiment is the n = 2 case with a
+// programmable delay module sweeping the added inter-FPGA latency; the
+// runtime prices every multi-device lease with the same function.
 
-// TwoFPGAOptions configures the two-device latency model.
+// TwoFPGAOptions configures the scale-out latency model for any group
+// size; the Fig. 11 pair it is named after is the n = 2 case.
 type TwoFPGAOptions struct {
 	// Overlap enables the §2.3 optimization (instruction insertion +
 	// reordering); without it the transfer serializes after each step.
@@ -26,74 +31,66 @@ type TwoFPGAOptions struct {
 	Link netmodel.Link
 }
 
-// TwoFPGAStep returns the steady-state per-timestep latency of a layer on
-// two scaled-down accelerators, plus the exchange time and the overlap
-// window for inspection.
-func TwoFPGAStep(spec kernels.LayerSpec, device string, p perf.Params, opt TwoFPGAOptions) (step, comm, window time.Duration, err error) {
-	tiles, err := perf.MinTilesScaled(spec, device, 2)
+// DefaultOptions returns the standard configuration: overlap enabled over
+// the default ring link.
+func DefaultOptions() TwoFPGAOptions {
+	return TwoFPGAOptions{Overlap: true, Link: netmodel.DefaultRingLink()}
+}
+
+// NFPGAStep returns the steady-state per-timestep latency of a layer on
+// len(devices) scaled-down accelerators — the slowest device's compute
+// plus the exposed (non-overlapped) communication — and, for inspection,
+// the all-gather time and the overlap window of the device that hides
+// least. Device i holds 1/n of every weight matrix's rows.
+func NFPGAStep(spec kernels.LayerSpec, devices []string, p perf.Params, opt TwoFPGAOptions) (step, comm, window time.Duration, err error) {
+	n := len(devices)
+	if n < 2 {
+		return 0, 0, 0, fmt.Errorf("scaleout: NFPGAStep needs >= 2 devices, got %d", n)
+	}
+	if spec.Hidden%n != 0 {
+		return 0, 0, 0, fmt.Errorf("scaleout: hidden %d not divisible by %d devices", spec.Hidden, n)
+	}
+	var worstCompute time.Duration
+	window = time.Duration(1 << 62)
+	for _, dev := range devices {
+		compute, w, err := perf.ShardStep(spec, dev, n, p)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		if compute > worstCompute {
+			worstCompute = compute
+		}
+		if w < window {
+			window = w
+		}
+	}
+
+	// All-gather: every device receives the other n-1 shares (2 bytes per
+	// element). On the bidirectional ring the shares stream both ways
+	// concurrently, so the serialized volume per device is half the
+	// missing data, but at least one share.
+	share := float64(spec.Hidden) / float64(n)
+	gatherWords := share * float64(n-1) / 2
+	if gatherWords < share {
+		gatherWords = share
+	}
+	comm, err = opt.Link.TransferTime(int64(gatherWords) * 2)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	m, err := hsvital.CalibratedAccelerator(device, tiles)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	clock := m.ClockMHz
-	h := float64(spec.Hidden)
-	h2 := h / 2
-
-	// Per-device compute: each step issues the same instruction count plus
-	// the three inserted sync instructions; each MVM covers the device's
-	// h/2 rows by the full h columns; vector ops cover h/2 elements.
-	nInstr := float64(kernels.StepInstructions(spec.Kind)) + 3
-	nMVM := float64(kernels.MVMsPerStep(spec.Kind))
-	issue := p.IssueCyclesPerInstr[device] * nInstr
-	macsPerCycle := float64(tiles) * hsvital.TileMACsPerCycle
-	mvm := nMVM * (h2*h/macsPerCycle + p.MVMFillCycles)
-	nVec := nInstr - nMVM - 5 // v_rd x, v_wr out, and the 3 sync instructions
-	vec := nVec * (h2/(float64(tiles)*p.VecLanesPerTile) + p.VecFillCycles)
-	compute := cyclesToTime(issue+mvm+vec, clock)
-
-	// Exchange: each device ships its h/2 half (2 bytes per element); the
-	// ring is bidirectional so the two directions proceed concurrently.
-	comm, err = opt.Link.TransferTime(int64(h2) * 2)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-
-	// Overlap window: the x-dependent work of the next step that the
-	// reordering tool schedules before the blocking receive. Per
-	// overlapped gate that is one W*x matrix-vector product plus its bias
-	// add — two issue slots, one MVM pass and one MFU pass. For the LSTM
-	// all four gates qualify; in the GRU the candidate gate's product
-	// serializes behind the reset gate, leaving two.
-	overlapGates := 4.0
-	switch spec.Kind {
-	case kernels.GRU:
-		overlapGates = 2.0
-	case kernels.Attention:
-		// The three x-only projections (q, k, v) schedule ahead of the
-		// blocking receive; Wo waits on the normalized state.
-		overlapGates = 3.0
-	}
-	perMVM := h2 * h / macsPerCycle
-	windowCycles := overlapGates * (perMVM + p.MVMFillCycles +
-		2*p.IssueCyclesPerInstr[device] + (h2/(float64(tiles)*p.VecLanesPerTile) + p.VecFillCycles))
-	window = cyclesToTime(windowCycles, clock)
-
 	if opt.Overlap {
 		exposed := comm - window
 		if exposed < 0 {
 			exposed = 0
 		}
-		return compute + exposed, comm, window, nil
+		return worstCompute + exposed, comm, window, nil
 	}
-	return compute + comm, comm, window, nil
+	return worstCompute + comm, comm, window, nil
 }
 
-// TwoFPGALatency returns the full-inference latency on two devices.
-func TwoFPGALatency(spec kernels.LayerSpec, device string, p perf.Params, opt TwoFPGAOptions) (time.Duration, error) {
-	step, _, _, err := TwoFPGAStep(spec, device, p, opt)
+// NFPGALatency is the full-inference latency of an n-device deployment.
+func NFPGALatency(spec kernels.LayerSpec, devices []string, p perf.Params, opt TwoFPGAOptions) (time.Duration, error) {
+	step, _, _, err := NFPGAStep(spec, devices, p, opt)
 	if err != nil {
 		return 0, err
 	}
@@ -101,10 +98,10 @@ func TwoFPGALatency(spec kernels.LayerSpec, device string, p perf.Params, opt Tw
 }
 
 // HiddenLatencyBudget returns the largest added inter-FPGA latency the
-// overlap technique can still fully hide for a layer (the Fig. 11
-// crossover).
+// overlap technique can still fully hide for a layer on two devices of one
+// type (the Fig. 11 crossover).
 func HiddenLatencyBudget(spec kernels.LayerSpec, device string, p perf.Params, base netmodel.Link) (time.Duration, error) {
-	_, comm, window, err := TwoFPGAStep(spec, device, p, TwoFPGAOptions{Overlap: true, Link: base})
+	_, comm, window, err := NFPGAStep(spec, []string{device, device}, p, TwoFPGAOptions{Overlap: true, Link: base})
 	if err != nil {
 		return 0, err
 	}
@@ -113,8 +110,4 @@ func HiddenLatencyBudget(spec kernels.LayerSpec, device string, p perf.Params, b
 		budget = 0
 	}
 	return budget, nil
-}
-
-func cyclesToTime(cycles, clockMHz float64) time.Duration {
-	return time.Duration(cycles / clockMHz * float64(time.Microsecond))
 }

@@ -23,104 +23,138 @@ func TestSyncConfigValidate(t *testing.T) {
 	}
 }
 
-func TestSyncPairExchange(t *testing.T) {
-	mem0, mem1 := accel.NewMemory(64), accel.NewMemory(64)
-	cfg := Config{SendAddr: 100, RecvAddr: 101, HalfWords: 2}
-	s0, s1, err := NewSyncPair(mem0, mem1, cfg)
+// newTestGroup links n 64-word memories with shard length 2, trapping
+// addresses 100 (send) and 101 (receive).
+func newTestGroup(t *testing.T, n int) ([]*accel.Memory, []*SyncModule) {
+	t.Helper()
+	mems := make([]*accel.Memory, n)
+	inners := make([]accel.DRAM, n)
+	for i := range mems {
+		mems[i] = accel.NewMemory(64)
+		inners[i] = mems[i]
+	}
+	syncs, err := NewSyncGroup(inners, Config{SendAddr: 100, RecvAddr: 101, HalfWords: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := []fp16.Num{fp16.FromFloat64(1), fp16.FromFloat64(2)}
-	b := []fp16.Num{fp16.FromFloat64(3), fp16.FromFloat64(4)}
-	if err := s0.WriteWords(100, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.WriteWords(100, b); err != nil {
-		t.Fatal(err)
-	}
-	got0, err := s0.ReadWords(101, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got1, err := s1.ReadWords(101, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Device 0: own half first -> [1 2 3 4]; device 1: peer first -> same.
-	for i, want := range []float64{1, 2, 3, 4} {
-		if got0[i].Float64() != want || got1[i].Float64() != want {
-			t.Errorf("combined[%d] = %v / %v, want %v", i, got0[i].Float64(), got1[i].Float64(), want)
+	return mems, syncs
+}
+
+// groupSizes are the deployments the transform supports (lengthMode).
+var groupSizes = []int{2, 4}
+
+// Device i sends [10i, 10i+1]; every device must gather the shards in
+// device order — at n = 2 the index-register merge (device 0: own half
+// first, device 1: peer half first) — and count one shard per peer.
+func syncExchange(t *testing.T, n int) {
+	const shard = 2
+	_, syncs := newTestGroup(t, n)
+	var want []float64
+	for i, s := range syncs {
+		own := []float64{float64(10 * i), float64(10*i + 1)}
+		want = append(want, own...)
+		if err := s.WriteWords(100, fp16.FromSlice64(own)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	st := s0.Stats()
-	if st.Sends != 1 || st.Receives != 1 || st.WordsSent != 2 || st.WordsReceived != 2 {
-		t.Errorf("stats = %+v", st)
+	for i, s := range syncs {
+		got, err := s.ReadWords(101, n*shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want {
+			if got[j].Float64() != want[j] {
+				t.Errorf("device %d gathered[%d] = %v, want %v", i, j, got[j].Float64(), want[j])
+			}
+		}
+		moved := int64(shard * (n - 1))
+		if st := s.Stats(); st.Sends != 1 || st.Receives != 1 || st.WordsSent != moved || st.WordsReceived != moved {
+			t.Errorf("device %d stats = %+v", i, st)
+		}
 	}
 }
 
+func TestSyncPairExchange(t *testing.T)   { syncExchange(t, 2) }
+func TestSyncGroupAllGather(t *testing.T) { syncExchange(t, 4) }
+
 func TestSyncPassThrough(t *testing.T) {
-	mem0, mem1 := accel.NewMemory(64), accel.NewMemory(64)
-	s0, _, err := NewSyncPair(mem0, mem1, Config{SendAddr: 100, RecvAddr: 101, HalfWords: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := []fp16.Num{7}
-	if err := s0.WriteWords(5, vals); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s0.ReadWords(5, 1)
-	if err != nil || got[0] != 7 {
-		t.Errorf("pass-through failed: %v %v", got, err)
-	}
-	// The trapped write must NOT have touched DRAM.
-	if err := s0.WriteWords(100, []fp16.Num{9, 9}); err != nil {
-		t.Fatal(err)
-	}
-	inner, _ := mem0.ReadWords(0, 64)
-	for i, w := range inner {
-		if i == 5 {
-			continue
+	for _, n := range groupSizes {
+		mems, syncs := newTestGroup(t, n)
+		s0 := syncs[0]
+		vals := []fp16.Num{7}
+		if err := s0.WriteWords(5, vals); err != nil {
+			t.Fatal(err)
 		}
-		if w != 0 {
-			t.Fatalf("trapped write leaked into DRAM at %d", i)
+		got, err := s0.ReadWords(5, 1)
+		if err != nil || got[0] != 7 {
+			t.Errorf("n=%d: pass-through failed: %v %v", n, got, err)
+		}
+		// The trapped write must NOT have touched DRAM.
+		if err := s0.WriteWords(100, []fp16.Num{9, 9}); err != nil {
+			t.Fatal(err)
+		}
+		inner, _ := mems[0].ReadWords(0, 64)
+		for i, w := range inner {
+			if i == 5 {
+				continue
+			}
+			if w != 0 {
+				t.Fatalf("n=%d: trapped write leaked into DRAM at %d", n, i)
+			}
 		}
 	}
 }
 
 func TestSyncErrors(t *testing.T) {
-	mem0, mem1 := accel.NewMemory(64), accel.NewMemory(64)
-	s0, _, _ := NewSyncPair(mem0, mem1, Config{SendAddr: 100, RecvAddr: 101, HalfWords: 2})
-	if err := s0.WriteWords(100, make([]fp16.Num, 3)); err == nil {
-		t.Error("wrong send size must fail")
-	}
-	if _, err := s0.ReadWords(101, 3); err == nil {
-		t.Error("wrong receive size must fail")
-	}
-	if _, err := s0.ReadWords(101, 4); err == nil {
-		t.Error("receive before send must fail")
-	}
-	if _, _, err := NewSyncPair(mem0, mem1, Config{SendAddr: 1, RecvAddr: 1, HalfWords: 1}); err == nil {
-		t.Error("bad config must fail")
+	for _, n := range groupSizes {
+		_, syncs := newTestGroup(t, n)
+		s0 := syncs[0]
+		if err := s0.WriteWords(100, make([]fp16.Num, 3)); err == nil {
+			t.Errorf("n=%d: wrong send size must fail", n)
+		}
+		if _, err := s0.ReadWords(101, 2*n-1); err == nil {
+			t.Errorf("n=%d: wrong receive size must fail", n)
+		}
+		if _, err := s0.ReadWords(101, 2*n); err == nil {
+			t.Errorf("n=%d: receive before send must fail", n)
+		}
 	}
 }
 
-// The functional heart of §2.3: two scaled-down accelerators connected by
-// sync modules compute the same results as the float64 reference.
-func runScaledPair(t *testing.T, kind kernels.RNNKind, hidden, steps int, reorder bool) {
+func TestSyncGroupErrors(t *testing.T) {
+	if _, err := NewSyncGroup([]accel.DRAM{accel.NewMemory(8)}, Config{SendAddr: 1, RecvAddr: 2, HalfWords: 1}); err == nil {
+		t.Error("single-device group must fail")
+	}
+	for _, n := range groupSizes {
+		inners := make([]accel.DRAM, n)
+		for i := range inners {
+			inners[i] = accel.NewMemory(8)
+		}
+		if _, err := NewSyncGroup(inners, Config{SendAddr: 1, RecvAddr: 1, HalfWords: 1}); err == nil {
+			t.Errorf("n=%d: bad config must fail", n)
+		}
+	}
+}
+
+// The functional heart of §2.3: n scaled-down accelerators connected by
+// sync modules compute the same results as the float64 reference, for
+// both cell kinds — the functional counterpart of the runtime's 2- and
+// 4-piece deployments. Returns the outputs per step.
+func runScaled(t *testing.T, kind kernels.RNNKind, hidden, steps, n int, reorder bool) [][]float64 {
 	t.Helper()
 	w := kernels.RandomWeights(kind, hidden, 99)
-	sp, err := BuildScaledPair(w, steps, 1)
+	sg, err := BuildScaledGroup(w, steps, 1, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp.Cfg.MantissaBits = 9
+	sg.Cfg.MantissaBits = 9
 	if reorder {
-		for d := 0; d < 2; d++ {
-			sp.Progs[d] = ReorderForOverlap(sp.Progs[d],
-				uint32(sp.SyncCfg.SendAddr), uint32(sp.SyncCfg.RecvAddr))
+		for d := range sg.Progs {
+			sg.Progs[d] = ReorderForOverlap(sg.Progs[d],
+				uint32(sg.SyncCfg.SendAddr), uint32(sg.SyncCfg.RecvAddr))
 		}
 	}
-	ms, syncs, err := sp.NewMachines()
+	ms, syncs, err := sg.NewMachines()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,53 +167,101 @@ func runScaledPair(t *testing.T, kind kernels.RNNKind, hidden, steps int, reorde
 			x[i] = r.NormFloat64() * 0.5
 		}
 		inputs[tt] = x
-		if err := sp.SetInput(ms, tt, x); err != nil {
+		if err := sg.SetInput(ms, tt, x); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := sp.Run(ms); err != nil {
+	if err := sg.Run(ms); err != nil {
 		t.Fatal(err)
 	}
+	outputs := make([][]float64, steps)
 	for tt := 0; tt < steps; tt++ {
 		want, err := ref.Step(inputs[tt])
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sp.ReadOutput(ms, tt)
+		got, err := sg.ReadOutput(ms, tt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 0.1 {
-				t.Fatalf("%v reorder=%v step %d elem %d: got %v, want %v",
-					kind, reorder, tt, i, got[i], want[i])
+				t.Fatalf("%v n=%d reorder=%v step %d elem %d: got %v, want %v",
+					kind, n, reorder, tt, i, got[i], want[i])
 			}
 		}
+		outputs[tt] = got
 	}
-	// Every step exchanged exactly one half-vector each way.
-	for d := 0; d < 2; d++ {
-		st := syncs[d].Stats()
-		if st.Sends != steps || st.Receives != steps {
-			t.Errorf("device %d sync stats = %+v, want %d sends/receives", d, st, steps)
+	// Every step moved exactly one shard to, and from, each peer (one
+	// half-vector each way at n = 2).
+	moved := int64(steps * (hidden / n) * (n - 1))
+	for d, s := range syncs {
+		st := s.Stats()
+		if st.Sends != steps || st.Receives != steps || st.WordsSent != moved || st.WordsReceived != moved {
+			t.Errorf("n=%d device %d sync stats = %+v, want %d sends/receives of %d words in all", n, d, st, steps, moved)
+		}
+	}
+	return outputs
+}
+
+// The reordering tool only permutes under dependency constraints, so the
+// reordered programs must produce bit-identical outputs, at every
+// supported group size.
+func runReordered(t *testing.T, kind kernels.RNNKind, hidden, steps int) {
+	t.Helper()
+	for _, n := range groupSizes {
+		plain := runScaled(t, kind, hidden, steps, n, false)
+		reordered := runScaled(t, kind, hidden, steps, n, true)
+		for tt := range plain {
+			for i := range plain[tt] {
+				if reordered[tt][i] != plain[tt][i] {
+					t.Fatalf("%v n=%d step %d elem %d: reordered %v, program order %v",
+						kind, n, tt, i, reordered[tt][i], plain[tt][i])
+				}
+			}
 		}
 	}
 }
 
-func TestScaledLSTMMatchesReference(t *testing.T) { runScaledPair(t, kernels.LSTM, 32, 4, false) }
-func TestScaledGRUMatchesReference(t *testing.T)  { runScaledPair(t, kernels.GRU, 32, 4, false) }
-func TestScaledLSTMReordered(t *testing.T)        { runScaledPair(t, kernels.LSTM, 32, 5, true) }
-func TestScaledGRUReordered(t *testing.T)         { runScaledPair(t, kernels.GRU, 32, 5, true) }
-func TestScaledLongerSequence(t *testing.T)       { runScaledPair(t, kernels.LSTM, 24, 10, true) }
+func TestScaledLSTMMatchesReference(t *testing.T) { runScaled(t, kernels.LSTM, 32, 4, 2, false) }
+func TestScaledGRUMatchesReference(t *testing.T)  { runScaled(t, kernels.GRU, 32, 4, 2, false) }
+func TestScaledGroup4LSTM(t *testing.T)           { runScaled(t, kernels.LSTM, 32, 4, 4, false) }
+func TestScaledGroup4GRU(t *testing.T)            { runScaled(t, kernels.GRU, 32, 4, 4, false) }
+func TestScaledLSTMReordered(t *testing.T)        { runReordered(t, kernels.LSTM, 32, 5) }
+func TestScaledGRUReordered(t *testing.T)         { runReordered(t, kernels.GRU, 32, 5) }
+func TestScaledLongerSequence(t *testing.T)       { runReordered(t, kernels.LSTM, 24, 10) }
+
+// At n = 2 the group is the Fig. 11 pair: one half-vector each way per
+// step (the word counts runScaled checks), on a sequence length the other
+// rows do not use.
+func TestScaledGroup2MatchesPairSemantics(t *testing.T) {
+	runScaled(t, kernels.LSTM, 32, 3, 2, false)
+}
 
 func TestBuildScaledPairErrors(t *testing.T) {
 	w := kernels.RandomWeights(kernels.GRU, 32, 1)
-	if _, err := BuildScaledPair(w, 0, 1); err == nil {
+	if _, err := BuildScaledGroup(w, 0, 1, 2); err == nil {
 		t.Error("zero steps must fail")
 	}
 	wOdd := kernels.RandomWeights(kernels.GRU, 32, 1)
 	wOdd.Hidden = 33
-	if _, err := BuildScaledPair(wOdd, 1, 1); err == nil {
+	if _, err := BuildScaledGroup(wOdd, 1, 1, 2); err == nil {
 		t.Error("odd hidden must fail")
+	}
+}
+
+func TestBuildScaledGroupErrors(t *testing.T) {
+	w := kernels.RandomWeights(kernels.GRU, 32, 1)
+	if _, err := BuildScaledGroup(w, 1, 1, 3); err == nil {
+		t.Error("n=3 must fail (no length mode)")
+	}
+	if _, err := BuildScaledGroup(w, 0, 1, 4); err == nil {
+		t.Error("zero steps must fail")
+	}
+	wOdd := kernels.RandomWeights(kernels.GRU, 32, 1)
+	wOdd.Hidden = 30
+	if _, err := BuildScaledGroup(wOdd, 1, 1, 4); err == nil {
+		t.Error("hidden not divisible by 4 must fail")
 	}
 }
 
@@ -189,12 +271,12 @@ func TestBuildScaledPairErrors(t *testing.T) {
 // permutation with identical multiset of instructions.
 func TestReorderMovesReceiveLater(t *testing.T) {
 	w := kernels.RandomWeights(kernels.LSTM, 32, 1)
-	sp, err := BuildScaledPair(w, 3, 1)
+	sg, err := BuildScaledGroup(w, 3, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	send, recv := uint32(sp.SyncCfg.SendAddr), uint32(sp.SyncCfg.RecvAddr)
-	orig := sp.Progs[0]
+	send, recv := uint32(sg.SyncCfg.SendAddr), uint32(sg.SyncCfg.RecvAddr)
+	orig := sg.Progs[0]
 	re := ReorderForOverlap(orig, send, recv)
 	if len(re) != len(orig) {
 		t.Fatalf("length changed: %d vs %d", len(re), len(orig))
@@ -273,18 +355,20 @@ func TestFig11Shape(t *testing.T) {
 func TestTwoFPGAStepMonotoneInAddedLatency(t *testing.T) {
 	p := perf.DefaultParams()
 	spec := kernels.LayerSpec{Kind: kernels.GRU, Hidden: 2560, TimeSteps: 1}
-	prev := time.Duration(0)
-	for _, added := range []time.Duration{0, 200, 400, 600, 800, 1000} {
-		link := netmodel.DefaultRingLink()
-		link.AddedLatency = added * time.Nanosecond
-		step, _, _, err := TwoFPGAStep(spec, "XCVU37P", p, TwoFPGAOptions{Overlap: true, Link: link})
-		if err != nil {
-			t.Fatal(err)
+	for _, devices := range [][]string{{vu, vu}, {vu, vu, vu, vu}} {
+		prev := time.Duration(0)
+		for _, added := range []time.Duration{0, 200, 400, 600, 800, 1000} {
+			link := netmodel.DefaultRingLink()
+			link.AddedLatency = added * time.Nanosecond
+			step, _, _, err := NFPGAStep(spec, devices, p, TwoFPGAOptions{Overlap: true, Link: link})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if step < prev {
+				t.Errorf("n=%d: step time decreased with added latency at %v", len(devices), added)
+			}
+			prev = step
 		}
-		if step < prev {
-			t.Errorf("step time decreased with added latency at %v", added)
-		}
-		prev = step
 	}
 }
 
@@ -297,11 +381,11 @@ func TestOverlapNeverWorse(t *testing.T) {
 	} {
 		link := netmodel.DefaultRingLink()
 		link.AddedLatency = 600 * time.Nanosecond
-		with, err := TwoFPGALatency(spec, "XCVU37P", p, TwoFPGAOptions{Overlap: true, Link: link})
+		with, err := NFPGALatency(spec, []string{vu, vu}, p, TwoFPGAOptions{Overlap: true, Link: link})
 		if err != nil {
 			t.Fatal(err)
 		}
-		without, err := TwoFPGALatency(spec, "XCVU37P", p, TwoFPGAOptions{Overlap: false, Link: link})
+		without, err := NFPGALatency(spec, []string{vu, vu}, p, TwoFPGAOptions{Overlap: false, Link: link})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,11 +398,11 @@ func TestOverlapNeverWorse(t *testing.T) {
 func TestTwoFPGAErrors(t *testing.T) {
 	p := perf.DefaultParams()
 	spec := kernels.LayerSpec{Kind: kernels.GRU, Hidden: 1024, TimeSteps: 1}
-	if _, _, _, err := TwoFPGAStep(spec, "bogus", p, TwoFPGAOptions{Link: netmodel.DefaultRingLink()}); err == nil {
+	if _, _, _, err := NFPGAStep(spec, []string{vu, "bogus"}, p, TwoFPGAOptions{Link: netmodel.DefaultRingLink()}); err == nil {
 		t.Error("unknown device must fail")
 	}
 	bad := netmodel.Link{}
-	if _, _, _, err := TwoFPGAStep(spec, "XCVU37P", p, TwoFPGAOptions{Link: bad}); err == nil {
+	if _, _, _, err := NFPGAStep(spec, []string{vu, vu}, p, TwoFPGAOptions{Link: bad}); err == nil {
 		t.Error("zero-bandwidth link must fail")
 	}
 	if _, err := perf.MinTilesScaled(spec, "XCVU37P", 0); err == nil {
@@ -330,22 +414,24 @@ func TestTwoFPGAErrors(t *testing.T) {
 // trapped addresses declared.
 func TestScaledProgramsValidate(t *testing.T) {
 	for _, kind := range []kernels.RNNKind{kernels.LSTM, kernels.GRU} {
-		w := kernels.RandomWeights(kind, 64, 3)
-		sp, err := BuildScaledPair(w, 4, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec := isa.MachineSpec{
-			VRegs:         sp.Cfg.VRegs,
-			MRegs:         sp.Cfg.MRegs,
-			DRAMWords:     sp.Cfg.DRAMWords,
-			InstrBufBytes: sp.Cfg.InstrBufBytes,
-			TrappedAddrs:  []uint32{uint32(sp.SyncCfg.SendAddr), uint32(sp.SyncCfg.RecvAddr)},
-		}
-		for d := 0; d < 2; d++ {
-			prog := ReorderForOverlap(sp.Progs[d], uint32(sp.SyncCfg.SendAddr), uint32(sp.SyncCfg.RecvAddr))
-			if issues := isa.Validate(prog, spec); len(issues) != 0 {
-				t.Errorf("%v device %d: %d issues; first: %v", kind, d, len(issues), issues[0])
+		for _, n := range groupSizes {
+			w := kernels.RandomWeights(kind, 64, 3)
+			sg, err := BuildScaledGroup(w, 4, 1, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := isa.MachineSpec{
+				VRegs:         sg.Cfg.VRegs,
+				MRegs:         sg.Cfg.MRegs,
+				DRAMWords:     sg.Cfg.DRAMWords,
+				InstrBufBytes: sg.Cfg.InstrBufBytes,
+				TrappedAddrs:  []uint32{uint32(sg.SyncCfg.SendAddr), uint32(sg.SyncCfg.RecvAddr)},
+			}
+			for d := range sg.Progs {
+				prog := ReorderForOverlap(sg.Progs[d], uint32(sg.SyncCfg.SendAddr), uint32(sg.SyncCfg.RecvAddr))
+				if issues := isa.Validate(prog, spec); len(issues) != 0 {
+					t.Errorf("%v n=%d device %d: %d issues; first: %v", kind, n, d, len(issues), issues[0])
+				}
 			}
 		}
 	}
@@ -363,15 +449,15 @@ func TestMeasuredOverlapMatchesModel(t *testing.T) {
 		{kernels.GRU, 2},
 	} {
 		w := kernels.RandomWeights(tc.kind, 32, 1)
-		sp, err := BuildScaledPair(w, 4, 1)
+		sg, err := BuildScaledGroup(w, 4, 1, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		send, recv := uint32(sp.SyncCfg.SendAddr), uint32(sp.SyncCfg.RecvAddr)
-		re := ReorderForOverlap(sp.Progs[0], send, recv)
+		send, recv := uint32(sg.SyncCfg.SendAddr), uint32(sg.SyncCfg.RecvAddr)
+		re := ReorderForOverlap(sg.Progs[0], send, recv)
 		overlaps := OverlapMVMs(re, send, recv)
-		if len(overlaps) != sp.Spec.TimeSteps {
-			t.Fatalf("%v: %d overlap windows for %d steps", tc.kind, len(overlaps), sp.Spec.TimeSteps)
+		if len(overlaps) != sg.Spec.TimeSteps {
+			t.Fatalf("%v: %d overlap windows for %d steps", tc.kind, len(overlaps), sg.Spec.TimeSteps)
 		}
 		// The last step has no successor to overlap with; every earlier
 		// step must cover at least the model's window.
@@ -382,7 +468,7 @@ func TestMeasuredOverlapMatchesModel(t *testing.T) {
 			}
 		}
 		// Before reordering there is nothing between send and receive.
-		for _, n := range OverlapMVMs(sp.Progs[0], send, recv) {
+		for _, n := range OverlapMVMs(sg.Progs[0], send, recv) {
 			if n != 0 {
 				t.Errorf("%v: unreordered program already overlaps %d MVMs", tc.kind, n)
 			}

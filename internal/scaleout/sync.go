@@ -27,12 +27,13 @@ type SyncStats struct {
 }
 
 // SyncModule is the parameterized template module of Fig. 8b, interposed
-// on an accelerator's DRAM port. A write to SendAddr forwards the data
-// entry to the peer accelerator over the inter-FPGA network; a read from
-// RecvAddr blocks until the peer's data arrives (barrier synchronization
-// for an in-order processor) and returns it combined with the locally
-// produced half according to the index register. Both trapped requests are
-// invalidated against the real DRAM to preserve functional correctness.
+// on an accelerator's DRAM port. A write to SendAddr forwards the device's
+// shard to every peer accelerator over the inter-FPGA network; a read from
+// RecvAddr blocks until all peers' shards arrive (barrier synchronization
+// for an in-order processor) and returns the full vector assembled in
+// device order, the local shard placed by the index register. Both trapped
+// requests are invalidated against the real DRAM to preserve functional
+// correctness.
 //
 // The module's parameters — buffer width, the predefined addresses and the
 // index register — are fixed at offline compilation time (§2.3), i.e. at
@@ -41,13 +42,13 @@ type SyncModule struct {
 	inner accel.DRAM
 
 	sendAddr, recvAddr int
-	halfWords          int
-	// index is the position of the local half in the combined vector:
-	// 0 = local half first, 1 = peer half first.
-	index int
+	shardWords         int
+	// index is the position of the local shard in the assembled vector,
+	// n the number of devices in the group.
+	index, n int
 
-	peerIn  <-chan []fp16.Num
-	peerOut chan<- []fp16.Num
+	outs    []chan<- []fp16.Num // one per peer, indexed by peer id (own slot nil)
+	ins     []<-chan []fp16.Num
 	lastOwn []fp16.Num
 	abort   *abortState
 
@@ -69,13 +70,13 @@ func (a *abortState) abort() { a.once.Do(func() { close(a.ch) }) }
 // accelerator aborted its chain.
 var ErrPeerAborted = errors.New("scaleout: peer accelerator aborted")
 
-// Config parameterizes one side of a sync pair.
+// Config parameterizes the sync modules of one group.
 type Config struct {
 	// SendAddr and RecvAddr are the predefined (out-of-range) DRAM word
 	// addresses the module traps.
 	SendAddr, RecvAddr int
-	// HalfWords is the exchanged vector length (the scaled-down
-	// accelerator's share of the hidden dimension).
+	// HalfWords is the exchanged shard length: each scaled-down
+	// accelerator's 1/n share of the hidden dimension (half at n = 2).
 	HalfWords int
 }
 
@@ -90,85 +91,111 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// NewSyncPair interposes sync modules over two accelerators' DRAMs,
-// connected back-to-back over the inter-FPGA network. Device 0 holds the
-// first half of every exchanged vector, device 1 the second (the index
-// registers are configured accordingly).
-func NewSyncPair(inner0, inner1 accel.DRAM, cfg Config) (*SyncModule, *SyncModule, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
+// NewSyncGroup interposes sync modules over n >= 2 accelerators' DRAM
+// ports, connected over the inter-FPGA network. Device i holds shard i of
+// every exchanged vector (the index registers are configured accordingly).
+func NewSyncGroup(inners []accel.DRAM, cfg Config) ([]*SyncModule, error) {
+	n := len(inners)
+	if n < 2 {
+		return nil, fmt.Errorf("scaleout: sync group needs >= 2 devices, got %d", n)
 	}
-	// Buffered channels: both sides send before receiving, so capacity 1
-	// prevents the symmetric-send deadlock.
-	ab := make(chan []fp16.Num, 1)
-	ba := make(chan []fp16.Num, 1)
-	shared := newAbortState()
-	mk := func(inner accel.DRAM, in <-chan []fp16.Num, out chan<- []fp16.Num, index int) *SyncModule {
-		return &SyncModule{
-			inner:    inner,
-			sendAddr: cfg.SendAddr, recvAddr: cfg.RecvAddr,
-			halfWords: cfg.HalfWords, index: index,
-			peerIn: in, peerOut: out, abort: shared,
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	// chans[from][to], capacity 1: every device sends before it receives,
+	// so the all-send phase must not block (the symmetric-send deadlock).
+	chans := make([][]chan []fp16.Num, n)
+	for i := range chans {
+		chans[i] = make([]chan []fp16.Num, n)
+		for j := range chans[i] {
+			if i != j {
+				chans[i][j] = make(chan []fp16.Num, 1)
+			}
 		}
 	}
-	return mk(inner0, ba, ab, 0), mk(inner1, ab, ba, 1), nil
+	shared := newAbortState()
+	out := make([]*SyncModule, n)
+	for i := 0; i < n; i++ {
+		outs := make([]chan<- []fp16.Num, n)
+		ins := make([]<-chan []fp16.Num, n)
+		for j := 0; j < n; j++ {
+			if i == j {
+				continue
+			}
+			outs[j] = chans[i][j]
+			ins[j] = chans[j][i]
+		}
+		out[i] = &SyncModule{
+			inner:    inners[i],
+			sendAddr: cfg.SendAddr, recvAddr: cfg.RecvAddr,
+			shardWords: cfg.HalfWords, index: i, n: n,
+			outs: outs, ins: ins, abort: shared,
+		}
+	}
+	return out, nil
 }
 
 // Stats returns the traffic counters.
 func (s *SyncModule) Stats() SyncStats { return s.stats }
 
-// Abort unblocks any barrier waits on either side of the pair; further
-// sync accesses fail with ErrPeerAborted. Call when one device's chain
-// errors out so the other does not deadlock.
+// Abort unblocks every device's barrier waits; further sync accesses fail
+// with ErrPeerAborted.
 func (s *SyncModule) Abort() { s.abort.abort() }
 
-// WriteWords traps writes to the send address (forwarding to the peer and
-// invalidating the DRAM write) and passes everything else through.
+// WriteWords traps writes to the send address (broadcasting the shard to
+// every peer and invalidating the DRAM write) and passes everything else
+// through.
 func (s *SyncModule) WriteWords(addr int, vals []fp16.Num) error {
-	if addr == s.sendAddr {
-		if len(vals) != s.halfWords {
-			return fmt.Errorf("scaleout: send of %d words, module configured for %d", len(vals), s.halfWords)
+	if addr != s.sendAddr {
+		return s.inner.WriteWords(addr, vals)
+	}
+	if len(vals) != s.shardWords {
+		return fmt.Errorf("scaleout: send of %d words, module configured for %d", len(vals), s.shardWords)
+	}
+	cp := append([]fp16.Num{}, vals...)
+	s.lastOwn = cp
+	for j, out := range s.outs {
+		if j == s.index || out == nil {
+			continue
 		}
-		cp := append([]fp16.Num{}, vals...)
-		s.lastOwn = cp
 		select {
-		case s.peerOut <- cp:
+		case out <- cp:
 		case <-s.abort.ch:
 			return ErrPeerAborted
 		}
-		s.stats.Sends++
-		s.stats.WordsSent += int64(len(vals))
-		return nil
+		s.stats.WordsSent += int64(len(cp))
 	}
-	return s.inner.WriteWords(addr, vals)
+	s.stats.Sends++
+	return nil
 }
 
-// ReadWords traps reads from the receive address: it blocks until the peer
-// half arrives (barrier) and returns the full vector assembled from the
-// local and peer halves per the index register.
+// ReadWords traps reads from the receive address: it blocks until every
+// peer's shard arrives (barrier) and assembles the full vector.
 func (s *SyncModule) ReadWords(addr, n int) ([]fp16.Num, error) {
-	if addr == s.recvAddr {
-		if n != 2*s.halfWords {
-			return nil, fmt.Errorf("scaleout: receive of %d words, want %d", n, 2*s.halfWords)
+	if addr != s.recvAddr {
+		return s.inner.ReadWords(addr, n)
+	}
+	if n != s.n*s.shardWords {
+		return nil, fmt.Errorf("scaleout: receive of %d words, want %d", n, s.n*s.shardWords)
+	}
+	if s.lastOwn == nil {
+		return nil, errors.New("scaleout: receive before any send (no local shard buffered)")
+	}
+	out := make([]fp16.Num, 0, n)
+	for j := 0; j < s.n; j++ {
+		if j == s.index {
+			out = append(out, s.lastOwn...)
+			continue
 		}
-		if s.lastOwn == nil {
-			return nil, errors.New("scaleout: receive before any send (no local half buffered)")
-		}
-		var peer []fp16.Num
+		var shard []fp16.Num
 		select {
-		case peer = <-s.peerIn:
+		case shard = <-s.ins[j]:
 		case <-s.abort.ch:
 			return nil, ErrPeerAborted
 		}
-		s.stats.Receives++
-		s.stats.WordsReceived += int64(len(peer))
-		out := make([]fp16.Num, 0, 2*s.halfWords)
-		if s.index == 0 {
-			out = append(append(out, s.lastOwn...), peer...)
-		} else {
-			out = append(append(out, peer...), s.lastOwn...)
-		}
-		return out, nil
+		s.stats.WordsReceived += int64(len(shard))
+		out = append(out, shard...)
 	}
-	return s.inner.ReadWords(addr, n)
+	s.stats.Receives++
+	return out, nil
 }

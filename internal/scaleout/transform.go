@@ -1,175 +1,33 @@
 package scaleout
 
-import (
-	"fmt"
-	"sync"
-
-	"mlvfpga/internal/accel"
-	"mlvfpga/internal/fp16"
-	"mlvfpga/internal/isa"
-	"mlvfpga/internal/kernels"
-)
+import "mlvfpga/internal/isa"
 
 // This file holds the two custom tools of §2.3:
 //
 //   - the scale-down transform / instruction-insertion tool, which builds
-//     per-device programs for a 2-FPGA deployment (each device keeps the
-//     unmodified control path but half the data processing units and half
-//     of every weight matrix's rows) and inserts the DRAM-mapped send/
-//     receive instructions;
+//     per-device programs for an n-FPGA deployment (each device keeps the
+//     unmodified control path but 1/n of the data processing units and
+//     1/n of every weight matrix's rows) and inserts the DRAM-mapped send/
+//     receive instructions (BuildScaledGroup, group.go; the per-step
+//     programs it stitches together are here);
 //   - the instruction reordering tool, which moves the blocking receive as
 //     late as dependencies allow (and the send as early as possible) so
 //     the inter-FPGA transfer overlaps the next step's x-dependent
 //     computation.
 
-// ScaledPair is a 2-FPGA deployment of one RNN layer: each device runs a
-// scaled-down accelerator computing half of the hidden dimension.
-type ScaledPair struct {
-	Spec  kernels.LayerSpec
-	Progs [2]isa.Program
-	// Images are the per-device initial DRAM contents (the device's rows
-	// of every matrix plus its bias halves).
-	Images [2][]fp16.Num
-	// Cfg is the per-device machine configuration (halved tile count,
-	// full VecLen — the exchange reassembles full h vectors).
-	Cfg accel.Config
-	// SyncCfg parameterizes the template modules. The trap addresses are
-	// intentionally out of the DRAM range, as in the paper.
-	SyncCfg Config
-
-	inputBase, outputBase int
-}
-
-// matrix register order must match kernels' convention: W* then U*.
-func matNames(kind kernels.RNNKind) []string {
-	if kind == kernels.LSTM {
-		return []string{"Wi", "Wf", "Wo", "Wc", "Ui", "Uf", "Uo", "Uc"}
-	}
-	return []string{"Wz", "Wr", "Wn", "Uz", "Ur", "Un"}
-}
-
-func biasNames(kind kernels.RNNKind) []string {
-	if kind == kernels.LSTM {
-		return []string{"bi", "bf", "bo", "bc"}
-	}
-	return []string{"bz", "br", "bn"}
-}
-
-// BuildScaledPair compiles a layer for two scaled-down accelerators with
-// tilesPerDevice tile engines each. The hidden dimension must be even.
-func BuildScaledPair(w *kernels.Weights, timeSteps, tilesPerDevice int) (*ScaledPair, error) {
-	if timeSteps <= 0 {
-		return nil, fmt.Errorf("scaleout: timeSteps = %d", timeSteps)
-	}
-	if w.Kind != kernels.LSTM && w.Kind != kernels.GRU {
-		return nil, fmt.Errorf("scaleout: no scaled step program for %v", w.Kind)
-	}
-	h := w.Hidden
-	if h%2 != 0 {
-		return nil, fmt.Errorf("scaleout: hidden dimension %d must be even", h)
-	}
-	h2 := h / 2
-	spec := kernels.LayerSpec{Kind: w.Kind, Hidden: h, TimeSteps: timeSteps}
-	cfg := kernels.DefaultConfig(spec, tilesPerDevice)
-	sp := &ScaledPair{Spec: spec, Cfg: cfg}
-
-	mats := matNames(w.Kind)
-	biases := biasNames(w.Kind)
-
-	// Per-device DRAM layout: half matrices (h2*h), half biases (h2),
-	// inputs (full h per step), outputs (own half per step).
-	next := 0
-	alloc := func(words int) int { a := next; next += words; return a }
-	matAddr := map[string]int{}
-	for _, name := range mats {
-		matAddr[name] = alloc(h2 * h)
-	}
-	biasAddr := map[string]int{}
-	for _, name := range biases {
-		biasAddr[name] = alloc(h2)
-	}
-	sp.inputBase = alloc(h * timeSteps)
-	sp.outputBase = alloc(h2 * timeSteps)
-	if next > cfg.DRAMWords {
-		return nil, fmt.Errorf("scaleout: layer needs %d DRAM words, have %d", next, cfg.DRAMWords)
-	}
-	sp.SyncCfg = Config{
-		SendAddr:  cfg.DRAMWords,     // predefined out-of-range addresses
-		RecvAddr:  cfg.DRAMWords + 1, // (paper §2.3)
-		HalfWords: h2,
-	}
-
-	for dev := 0; dev < 2; dev++ {
-		image := make([]fp16.Num, sp.inputBase)
-		for _, name := range mats {
-			full := w.M[name]
-			rows := full[dev*h2*h : (dev+1)*h2*h]
-			copy(image[matAddr[name]:], fp16.FromSlice64(rows))
-		}
-		for _, name := range biases {
-			half := w.B[name][dev*h2 : (dev+1)*h2]
-			copy(image[biasAddr[name]:], fp16.FromSlice64(half))
-		}
-		sp.Images[dev] = image
-	}
-
-	// The program is identical on both devices (their DRAM contents and
-	// sync index registers differ).
-	var p isa.Program
-	for i, name := range mats {
-		p = append(p, isa.Instr{Op: isa.OpMRead, Dst: uint8(i), Imm: uint32(matAddr[name])})
-	}
-	for i, name := range biases {
-		// Bias halves load with the half-length mode (Src2 = 1).
-		p = append(p, isa.Instr{Op: isa.OpVRead, Dst: uint8(3 + i), Src2: 1, Imm: uint32(biasAddr[name])})
-	}
-	p = append(p, isa.Instr{Op: isa.OpVConst, Dst: 1, Imm: 0}) // h_full = 0
-	switch w.Kind {
-	case kernels.LSTM:
-		p = append(p, isa.Instr{Op: isa.OpVConst, Dst: 2, Src1: 1, Imm: 0}) // c_half = 0
-	case kernels.GRU:
-		p = append(p, isa.Instr{Op: isa.OpVConst, Dst: 12, Src1: 1, Imm: 0}) // h_own = 0
-	}
-
-	for t := 0; t < timeSteps; t++ {
-		p = append(p, isa.Instr{Op: isa.OpVRead, Dst: 0, Imm: uint32(sp.InputAddr(t))})
-		switch w.Kind {
-		case kernels.LSTM:
-			p = append(p, scaledLSTMStep()...)
-		case kernels.GRU:
-			p = append(p, scaledGRUStep()...)
-		}
-		// Insertion tool: own half to the peer (trapped), own half to the
-		// local output region, full h back from the sync module (barrier).
-		own := uint8(14)
-		if w.Kind == kernels.GRU {
-			own = 12
-		}
-		p = append(p,
-			isa.Instr{Op: isa.OpVWrite, Src1: own, Imm: uint32(sp.SyncCfg.SendAddr)},
-			isa.Instr{Op: isa.OpVWrite, Src1: own, Imm: uint32(sp.OutputAddr(t))},
-			isa.Instr{Op: isa.OpVRead, Dst: 1, Imm: uint32(sp.SyncCfg.RecvAddr)},
-		)
-	}
-	p = append(p, isa.Instr{Op: isa.OpEndChain})
-	sp.Progs[0] = p
-	sp.Progs[1] = append(isa.Program{}, p...)
-	return sp, nil
-}
-
-// scaledLSTMStep: as kernels.lstmStep but every gate is h/2 long (the
-// device's matrix rows) and the new own half lands in r14. The step is
+// scaledLSTMStep: as kernels.lstmStep but every gate is h/n long (the
+// device's matrix rows) and the new own shard lands in r14. The step is
 // scheduled x-first: every W*x product precedes the first U*h product, so
 // the reordering tool can sink the blocking receive past the whole
 // x-dependent prefix ("maximally overlap", §2.3).
-// r0=x (full h), r1=h (full), r2=c (half), r3..r6 bias halves.
+// r0=x (full h), r1=h (full), r2=c (shard), r3..r6 bias shards.
 func scaledLSTMStep() isa.Program {
 	I := func(op isa.Opcode, d, s1, s2 uint8) isa.Instr {
 		return isa.Instr{Op: op, Dst: d, Src1: s1, Src2: s2}
 	}
 	return isa.Program{
 		// x-dependent prefix: all four W*x products.
-		I(isa.OpMVMul, 7, 0, 0),  // Wi x -> h/2
+		I(isa.OpMVMul, 7, 0, 0),  // Wi x -> h/n
 		I(isa.OpMVMul, 8, 1, 0),  // Wf x
 		I(isa.OpMVMul, 9, 2, 0),  // Wo x
 		I(isa.OpMVMul, 10, 3, 0), // Wc x
@@ -194,11 +52,11 @@ func scaledLSTMStep() isa.Program {
 		I(isa.OpVVMul, 12, 7, 10), // i*g
 		I(isa.OpVVAdd, 2, 11, 12), // c'
 		I(isa.OpVTanh, 13, 2, 0),
-		I(isa.OpVVMul, 14, 9, 13), // own half of h'
+		I(isa.OpVVMul, 14, 9, 13), // own shard of h'
 	}
 }
 
-// scaledGRUStep: r12 holds the device's own half of h across steps
+// scaledGRUStep: r12 holds the device's own shard of h across steps
 // (needed for z .* h, which uses only local elements). Scheduled x-first,
 // as for the LSTM.
 func scaledGRUStep() isa.Program {
@@ -256,95 +114,6 @@ func OverlapMVMs(p isa.Program, sendAddr, recvAddr uint32) []int {
 		}
 	}
 	return out
-}
-
-// InputAddr returns the DRAM address of x_t (same on both devices).
-func (sp *ScaledPair) InputAddr(t int) int { return sp.inputBase + t*sp.Spec.Hidden }
-
-// OutputAddr returns where a device stores its own half of h_t.
-func (sp *ScaledPair) OutputAddr(t int) int { return sp.outputBase + t*sp.Spec.Hidden/2 }
-
-// NewMachines builds the two linked machines with their DRAM images and
-// sync modules installed.
-func (sp *ScaledPair) NewMachines() ([2]*accel.Machine, [2]*SyncModule, error) {
-	var ms [2]*accel.Machine
-	var syncs [2]*SyncModule
-	mem0 := accel.NewMemory(sp.Cfg.DRAMWords)
-	mem1 := accel.NewMemory(sp.Cfg.DRAMWords)
-	s0, s1, err := NewSyncPair(mem0, mem1, sp.SyncCfg)
-	if err != nil {
-		return ms, syncs, err
-	}
-	syncs[0], syncs[1] = s0, s1
-	for dev := 0; dev < 2; dev++ {
-		m, err := accel.NewWithDRAM(sp.Cfg, syncs[dev])
-		if err != nil {
-			return ms, syncs, err
-		}
-		if err := m.DRAMPort().WriteWords(0, sp.Images[dev]); err != nil {
-			return ms, syncs, err
-		}
-		h2 := sp.Spec.Hidden / 2
-		nMats := len(matNames(sp.Spec.Kind))
-		for i := 0; i < nMats; i++ {
-			if err := m.ConfigureMatrix(i, h2, sp.Spec.Hidden); err != nil {
-				return ms, syncs, err
-			}
-		}
-		ms[dev] = m
-	}
-	return ms, syncs, nil
-}
-
-// SetInput writes x_t into both devices' DRAM (the input is broadcast).
-func (sp *ScaledPair) SetInput(ms [2]*accel.Machine, t int, x []float64) error {
-	if len(x) != sp.Spec.Hidden {
-		return fmt.Errorf("scaleout: input length %d, want %d", len(x), sp.Spec.Hidden)
-	}
-	words := fp16.FromSlice64(x)
-	for dev := 0; dev < 2; dev++ {
-		if err := ms[dev].DRAMPort().WriteWords(sp.InputAddr(t), words); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadOutput reassembles h_t from the two devices' output regions.
-func (sp *ScaledPair) ReadOutput(ms [2]*accel.Machine, t int) ([]float64, error) {
-	h2 := sp.Spec.Hidden / 2
-	out := make([]float64, 0, sp.Spec.Hidden)
-	for dev := 0; dev < 2; dev++ {
-		words, err := ms[dev].DRAMPort().ReadWords(sp.OutputAddr(t), h2)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, fp16.ToSlice64(words)...)
-	}
-	return out, nil
-}
-
-// Run executes both devices concurrently (the sync modules provide the
-// barrier) and returns the first error as a *DeviceError naming the
-// failed member. A failing device aborts the sync pair so its peer
-// unblocks instead of deadlocking on the barrier.
-func (sp *ScaledPair) Run(ms [2]*accel.Machine) error {
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for dev := 0; dev < 2; dev++ {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			errs[d] = ms[d].Run(sp.Progs[d])
-			if errs[d] != nil {
-				if s, ok := accel.UnwrapDRAM(ms[d].DRAMPort()).(*SyncModule); ok {
-					s.Abort()
-				}
-			}
-		}(dev)
-	}
-	wg.Wait()
-	return firstDeviceError(errs)
 }
 
 // ReorderForOverlap is the §2.3 reordering tool: under the dependency
