@@ -46,40 +46,48 @@ func TestExamplesRun(t *testing.T) {
 	}
 }
 
-// TestCLISmoke runs each CLI tool's cheapest invocation.
+// TestCLISmoke runs each CLI tool's cheapest invocation — the five offline
+// tools are subcommands of one mlv binary, built once — and the two
+// front doors' refusal of a name they do not know.
 func TestCLISmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke is slow under -short")
 	}
 	bin := t.TempDir()
+	for _, tool := range []string{"mlv", "mlv-bench"} {
+		build := exec.Command("go", "build", "-o", filepath.Join(bin, tool), "./cmd/"+tool)
+		if out, err := build.CombinedOutput(); err != nil {
+			t.Fatalf("build %s: %v\n%s", tool, err, out)
+		}
+	}
 	asm := filepath.Join(t.TempDir(), "p.asm")
 	if err := os.WriteFile(asm, []byte("v_const r0, 0\nend_chain\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
+		name string // the tool's name before the five became subcommands
 		tool string
 		args []string
+		exit int
 		want string
 	}{
-		{"mlv-decompose", []string{"-tiles", "2"}, "data-path tree"},
-		{"mlv-partition", []string{"-tiles", "2", "-n", "1"}, "partition tree"},
-		{"mlv-compile", []string{"-tiles", "2", "-n", "1"}, "mapping results"},
-		{"mlv-sim", []string{"-set", "1", "-tasks", "40"}, "baseline (AS ISA only)"},
-		{"mlv-bench", []string{"-only", "table2"}, "BW-V37"},
-		{"mlv-asm", []string{"-check", asm}, "no issues"},
+		{"mlv-decompose", "mlv", []string{"decompose", "-tiles", "2"}, 0, "data-path tree"},
+		{"mlv-partition", "mlv", []string{"partition", "-tiles", "2", "-n", "1"}, 0, "partition tree"},
+		{"mlv-compile", "mlv", []string{"compile", "-tiles", "2", "-n", "1"}, 0, "mapping results"},
+		{"mlv-sim", "mlv", []string{"sim", "-set", "1", "-tasks", "40"}, 0, "baseline (AS ISA only)"},
+		{"mlv-bench", "mlv-bench", []string{"-only", "table2"}, 0, "BW-V37"},
+		{"mlv-asm", "mlv", []string{"asm", "-check", asm}, 0, "no issues"},
+		{"unknown-experiment", "mlv-bench", []string{"-only", "bogus"}, 2, "table2|table3|table4|fig11|fig12|compile|ibuf|ablation|load|numerics|policy"},
+		{"unknown-subcommand", "mlv", []string{"bogus"}, 2, "asm|decompose|partition|compile|sim"},
 	}
 	for _, c := range cases {
 		c := c
-		t.Run(c.tool, func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			exe := filepath.Join(bin, c.tool)
-			build := exec.Command("go", "build", "-o", exe, "./cmd/"+c.tool)
-			if out, err := build.CombinedOutput(); err != nil {
-				t.Fatalf("build: %v\n%s", err, out)
-			}
-			out, err := exec.Command(exe, c.args...).CombinedOutput()
-			if err != nil {
-				t.Fatalf("run: %v\n%s", err, out)
+			cmd := exec.Command(filepath.Join(bin, c.tool), c.args...)
+			out, err := cmd.CombinedOutput()
+			if code := cmd.ProcessState.ExitCode(); code != c.exit {
+				t.Fatalf("exit %d (%v), want %d\n%s", code, err, c.exit, out)
 			}
 			if !strings.Contains(string(out), c.want) {
 				t.Errorf("output missing %q:\n%s", c.want, out)

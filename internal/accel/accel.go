@@ -336,11 +336,6 @@ func (m *Machine) Stats() ExecStats {
 	return st
 }
 
-// ResetStats zeroes the statistics.
-func (m *Machine) ResetStats() {
-	m.stats = ExecStats{ByOp: map[isa.Opcode]int{}}
-}
-
 // invalidateTiles drops every cached tile overlapping the written range.
 func (m *Machine) invalidateTiles(addr, n int) {
 	if n <= 0 {
@@ -371,15 +366,9 @@ func (m *Machine) ConfigureMatrix(reg, rows, cols int) error {
 	return nil
 }
 
-// ReadVector returns a copy of a vector register (for tests and the host
-// interface). It reads stream 0, the context Run executes in.
-func (m *Machine) ReadVector(reg int) ([]fp16.Num, error) {
-	return m.ReadVectorStream(0, reg)
-}
-
-// ReadVectorStream returns a copy of a vector register in the given batch
+// readVectorStream returns a copy of a vector register in the given batch
 // stream's register file.
-func (m *Machine) ReadVectorStream(stream, reg int) ([]fp16.Num, error) {
+func (m *Machine) readVectorStream(stream, reg int) ([]fp16.Num, error) {
 	if stream < 0 || stream >= len(m.streams) {
 		return nil, fmt.Errorf("accel: stream %d out of range (%d)", stream, len(m.streams))
 	}

@@ -93,7 +93,7 @@ func writeVec(t *testing.T, m *Machine, addr int, xs []float64) {
 
 func readVecReg(t *testing.T, m *Machine, reg int) []float64 {
 	t.Helper()
-	v, err := m.ReadVector(reg)
+	v, err := m.readVectorStream(0, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,17 +260,6 @@ func TestEndChainStopsExecution(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	m := runProgram(t, "v_const r0, 0\nend_chain", nil)
-	if m.Stats().Instructions == 0 {
-		t.Fatal("no stats recorded")
-	}
-	m.ResetStats()
-	if m.Stats().Instructions != 0 || len(m.Stats().ByOp) != 0 {
-		t.Error("ResetStats did not clear")
-	}
-}
-
 func TestConfigureMatrixErrors(t *testing.T) {
 	m, _ := New(smallConfig())
 	if err := m.ConfigureMatrix(99, 2, 2); err == nil {
@@ -283,10 +272,10 @@ func TestConfigureMatrixErrors(t *testing.T) {
 
 func TestReadVectorErrors(t *testing.T) {
 	m, _ := New(smallConfig())
-	if _, err := m.ReadVector(99); err == nil {
+	if _, err := m.readVectorStream(0, 99); err == nil {
 		t.Error("register out of range")
 	}
-	if _, err := m.ReadVector(0); err == nil {
+	if _, err := m.readVectorStream(0, 0); err == nil {
 		t.Error("empty register")
 	}
 }

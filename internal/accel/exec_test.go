@@ -369,11 +369,11 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, reg := range []int{2, 3, 4} {
-			want, err := sm.ReadVector(reg)
+			want, err := sm.readVectorStream(0, reg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := bm.ReadVectorStream(s, reg)
+			got, err := bm.readVectorStream(s, reg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -522,11 +522,11 @@ func TestRunStreamsMatchesRunBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := range inputs {
-		want, err := bm.ReadVectorStream(s, 3)
+		want, err := bm.readVectorStream(s, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sm.ReadVectorStream(s, 3)
+		got, err := sm.readVectorStream(s, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,14 +43,10 @@ func TestGenerateBounds(t *testing.T) {
 
 func TestBasicModules(t *testing.T) {
 	d := generate(t, Profile{Tiles: 2, UseURAM: true})
-	basics := map[string]bool{}
-	for _, b := range d.BasicModules() {
-		basics[b] = true
-	}
 	for _, want := range []string{"instr_decoder", "sequencer", "fp16_to_bfp",
 		"vector_regfile", "mvm_tile", "accum_unit", "mfu"} {
-		if !basics[want] {
-			t.Errorf("module %s must be basic; got %v", want, d.BasicModules())
+		if m := d.Modules[want]; m == nil || !m.IsBasic(d.IsPrimitive) {
+			t.Errorf("module %s must be basic", want)
 		}
 	}
 }

@@ -34,14 +34,15 @@ type Config struct {
 	MigrationBudget int
 	// RetryBackoff is the initial wait after a failed migration before
 	// the lease is retried; it doubles per consecutive failure up to
-	// MaxBackoff.
+	// maxBackoff.
 	RetryBackoff time.Duration
-	// MaxBackoff caps the exponential retry backoff.
-	MaxBackoff time.Duration
 	// MachinesPerPiece sizes the data-plane machine pool as depth ×
 	// MachinesPerPiece on depth changes.
 	MachinesPerPiece int
 }
+
+// maxBackoff caps the exponential retry backoff.
+const maxBackoff = 4 * time.Second
 
 // DefaultConfig returns serving defaults.
 func DefaultConfig() Config {
@@ -50,7 +51,6 @@ func DefaultConfig() Config {
 		Planner:          DefaultPlannerConfig(),
 		MigrationBudget:  4,
 		RetryBackoff:     250 * time.Millisecond,
-		MaxBackoff:       4 * time.Second,
 		MachinesPerPiece: 2,
 	}
 }
@@ -141,9 +141,6 @@ func New(clock Clock, cfg Config, svc *rms.Service, dp interface {
 	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = def.RetryBackoff
-	}
-	if cfg.MaxBackoff < cfg.RetryBackoff {
-		cfg.MaxBackoff = def.MaxBackoff
 	}
 	if cfg.MachinesPerPiece <= 0 {
 		cfg.MachinesPerPiece = def.MachinesPerPiece
@@ -393,8 +390,8 @@ func (cp *ControlPlane) landLocked(st *leaseState, ev *Event, now time.Time, err
 func (cp *ControlPlane) failLocked(st *leaseState, now time.Time) {
 	if st.backoff <= 0 {
 		st.backoff = cp.cfg.RetryBackoff
-	} else if st.backoff *= 2; st.backoff > cp.cfg.MaxBackoff {
-		st.backoff = cp.cfg.MaxBackoff
+	} else if st.backoff *= 2; st.backoff > maxBackoff {
+		st.backoff = maxBackoff
 	}
 	st.backoffUntil = now.Add(st.backoff)
 }

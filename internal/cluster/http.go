@@ -20,7 +20,7 @@ import (
 //
 // The mutating /cluster/* operations condemn hardware and move tenant
 // workloads, so servers must put this handler behind a tenant.Guard
-// (whose default AdminPrefixes covers /cluster/) unless running with an
+// (which reserves /cluster/ for admin tenants) unless running with an
 // explicit -insecure flag; the guard rejects non-admin tenants with 403.
 func (cp *ControlPlane) Handler(base http.Handler) http.Handler {
 	mux := http.NewServeMux()

@@ -44,9 +44,6 @@ type Options struct {
 	ControlModules []string
 	// Seed drives the random-simulation equivalence checker.
 	Seed int64
-	// EquivVectors overrides the number of random vectors per equivalence
-	// query (0 = checker default).
-	EquivVectors int
 	// Parallelism bounds the worker goroutines for the per-leaf resource
 	// estimation pre-pass and the equivalence oracle's simulation batches
 	// (1 strictly sequential; < 1 one worker per logical CPU). The result
@@ -98,9 +95,6 @@ func Decompose(d *rtl.Design, top string, params map[string]uint64, opts Options
 		checker: rtl.NewEquivChecker(d, opts.Seed),
 		classes: map[string]string{},
 		classOf: map[string]*rtl.ElabModule{},
-	}
-	if opts.EquivVectors > 0 {
-		dec.checker.Vectors = opts.EquivVectors
 	}
 	dec.checker.Parallelism = parpool.Workers(opts.Parallelism)
 	return dec.run(top, bg)

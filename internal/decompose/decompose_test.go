@@ -347,7 +347,7 @@ func TestDecomposeResourceConservation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		total := res.Accelerator.TotalResources()
+		total := res.Accelerator.Control.Resources.Add(res.Accelerator.Data.Resources)
 		got := total.LUTs + total.DFFs + total.DSPs
 		if got != want {
 			t.Errorf("%s: resources not conserved: got %d, want %d", tc.top, got, want)

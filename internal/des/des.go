@@ -77,9 +77,6 @@ func (e *Engine) Reset() {
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Processed returns the number of events executed so far.
-func (e *Engine) Processed() int { return e.processed }
-
 // Pending returns the number of events waiting in the queue.
 func (e *Engine) Pending() int { return e.queue.Len() }
 
@@ -100,26 +97,6 @@ func (e *Engine) After(delay time.Duration, fn func(now time.Duration)) error {
 		return ErrPast
 	}
 	return e.At(e.now+delay, fn)
-}
-
-// Every schedules fn at start, then every interval thereafter for as long
-// as fn returns true — the periodic pump used for heartbeats and control
-// ticks in simulated clusters. Rescheduling happens after fn runs, so fn
-// observes a strictly increasing virtual time.
-func (e *Engine) Every(start, interval time.Duration, fn func(now time.Duration) bool) error {
-	if interval <= 0 {
-		return errors.New("des: non-positive interval")
-	}
-	var tick func(now time.Duration)
-	tick = func(now time.Duration) {
-		if !fn(now) {
-			return
-		}
-		if err := e.At(now+interval, tick); err != nil {
-			panic(err) // unreachable: now+interval is never in the past
-		}
-	}
-	return e.At(start, tick)
 }
 
 // Step executes the earliest pending event. It reports whether an event was

@@ -18,8 +18,8 @@ func TestOrdering(t *testing.T) {
 	if e.Now() != 3*time.Millisecond {
 		t.Errorf("Now = %v", e.Now())
 	}
-	if e.Processed() != 3 {
-		t.Errorf("Processed = %d", e.Processed())
+	if e.processed != 3 {
+		t.Errorf("Processed = %d", e.processed)
 	}
 }
 
@@ -92,9 +92,9 @@ func TestReset(t *testing.T) {
 	e.At(5*time.Millisecond, func(time.Duration) {}) // left pending on purpose
 
 	e.Reset()
-	if e.Now() != 0 || e.Pending() != 0 || e.Processed() != 0 {
+	if e.Now() != 0 || e.Pending() != 0 || e.processed != 0 {
 		t.Fatalf("after Reset: Now=%v Pending=%d Processed=%d, want all zero",
-			e.Now(), e.Pending(), e.Processed())
+			e.Now(), e.Pending(), e.processed)
 	}
 
 	// A reused engine must behave exactly like a fresh one, including the
@@ -107,38 +107,7 @@ func TestReset(t *testing.T) {
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
 		t.Errorf("reused engine broke FIFO tie-break: %v", order)
 	}
-	if e.Now() != time.Millisecond || e.Processed() != 2 {
-		t.Errorf("reused engine state: Now=%v Processed=%d", e.Now(), e.Processed())
-	}
-}
-
-func TestEvery(t *testing.T) {
-	e := New()
-	var fired []time.Duration
-	if err := e.Every(10*time.Millisecond, 5*time.Millisecond, func(now time.Duration) bool {
-		fired = append(fired, now)
-		return len(fired) < 4
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// An interleaved one-shot event must see the pump's FIFO behavior.
-	if err := e.Every(0, time.Millisecond, func(now time.Duration) bool { return false }); err != nil {
-		t.Fatal(err)
-	}
-	e.Run(0)
-	want := []time.Duration{10 * time.Millisecond, 15 * time.Millisecond, 20 * time.Millisecond, 25 * time.Millisecond}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %d times, want %d", len(fired), len(want))
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Errorf("tick %d at %v, want %v", i, fired[i], want[i])
-		}
-	}
-	if e.Pending() != 0 {
-		t.Errorf("%d events pending after a stopped pump", e.Pending())
-	}
-	if err := e.Every(0, 0, func(time.Duration) bool { return false }); err == nil {
-		t.Error("zero interval accepted")
+	if e.Now() != time.Millisecond || e.processed != 2 {
+		t.Errorf("reused engine state: Now=%v Processed=%d", e.Now(), e.processed)
 	}
 }

@@ -5,10 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"mlvfpga/internal/perf"
-	"mlvfpga/internal/resource"
 	"mlvfpga/internal/rms"
-	"mlvfpga/internal/scaleout"
 	"mlvfpga/internal/workload"
 )
 
@@ -38,8 +35,6 @@ func LoadSweep(setIndex, numTasks int, seed int64) ([]LoadSweepPoint, error) {
 	if setIndex < 1 || setIndex > len(comps) {
 		return nil, fmt.Errorf("experiments: set %d out of range", setIndex)
 	}
-	p := perf.DefaultParams()
-	cluster := resource.PaperCluster()
 	var out []LoadSweepPoint
 	for _, inter := range []time.Duration{
 		2 * time.Millisecond, 1 * time.Millisecond, 500 * time.Microsecond,
@@ -52,11 +47,7 @@ func LoadSweep(setIndex, numTasks int, seed int64) ([]LoadSweepPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, err := rms.SimulateBaseline(tasks, cluster, p)
-		if err != nil {
-			return nil, err
-		}
-		flex, err := simulate(tasks, cluster, rms.Flexible, rms.FIFOBackfill, p, scaleout.DefaultOptions())
+		base, virt, err := Systems(tasks, rms.Flexible)
 		if err != nil {
 			return nil, err
 		}
@@ -64,9 +55,9 @@ func LoadSweep(setIndex, numTasks int, seed int64) ([]LoadSweepPoint, error) {
 			MeanInterarrival: inter,
 			OfferedPerSec:    1 / inter.Seconds(),
 			Baseline:         base.ThroughputPerSec,
-			Proposed:         flex.ThroughputPerSec,
+			Proposed:         virt[0].ThroughputPerSec,
 			BaselineSojourn:  base.AvgSojourn,
-			ProposedSojourn:  flex.AvgSojourn,
+			ProposedSojourn:  virt[0].AvgSojourn,
 		})
 	}
 	return out, nil
@@ -95,8 +86,6 @@ type PolicyAblationRow struct {
 // shortest-job-first on every workload set — the runtime-policy
 // exploration the paper leaves as future work.
 func AblationPolicy(numTasks int, seed int64) ([]PolicyAblationRow, error) {
-	p := perf.DefaultParams()
-	cluster := resource.PaperCluster()
 	var rows []PolicyAblationRow
 	for _, comp := range workload.Table1() {
 		tasks, err := workload.Generate(comp, workload.Options{
@@ -105,11 +94,11 @@ func AblationPolicy(numTasks int, seed int64) ([]PolicyAblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		fifo, err := simulate(tasks, cluster, rms.Flexible, rms.FIFOBackfill, p, scaleout.DefaultOptions())
+		fifo, err := simulate(tasks, rms.Flexible, rms.FIFOBackfill)
 		if err != nil {
 			return nil, err
 		}
-		sjf, err := simulate(tasks, cluster, rms.Flexible, rms.SJF, p, scaleout.DefaultOptions())
+		sjf, err := simulate(tasks, rms.Flexible, rms.SJF)
 		if err != nil {
 			return nil, err
 		}

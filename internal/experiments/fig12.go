@@ -65,14 +65,9 @@ type Fig12Summary struct {
 // accumulated sequentially afterwards, so the summary is bit-identical to
 // the sequential run.
 func Fig12(opt Fig12Options) (*Fig12Summary, error) {
-	p := perf.DefaultParams()
-	net := scaleout.DefaultOptions()
-	cluster := resource.PaperCluster()
 	comps := workload.Table1()
 	rows, err := parpool.Map(context.Background(), opt.Parallelism, len(comps),
-		func(_ context.Context, i int) (Fig12Row, error) {
-			return fig12Row(comps[i], opt, cluster, p, net)
-		})
+		func(_ context.Context, i int) (Fig12Row, error) { return fig12Row(comps[i], opt) })
 	if err != nil {
 		return nil, err
 	}
@@ -89,14 +84,40 @@ func Fig12(opt Fig12Options) (*Fig12Summary, error) {
 	return sum, nil
 }
 
-// simulate runs a task sequence through the virtualized system under one
-// policy mode and queue discipline, over a fresh mapping database.
-func simulate(tasks []workload.Task, cluster resource.ClusterSpec, mode rms.PolicyMode, q rms.QueueDiscipline, p perf.Params, net scaleout.TwoFPGAOptions) (rms.Result, error) {
-	return rms.Simulate(tasks, rms.Config{Cluster: cluster, Mode: mode, DB: rms.NewDatabase(mode, p, net), Discipline: q})
+// simulate runs a task sequence through the virtualized system on the
+// paper's cluster under one policy mode and queue discipline, over a fresh
+// mapping database.
+func simulate(tasks []workload.Task, mode rms.PolicyMode, q rms.QueueDiscipline) (rms.Result, error) {
+	return rms.Simulate(tasks, rms.Config{
+		Cluster:    resource.PaperCluster(),
+		Mode:       mode,
+		DB:         rms.NewDatabase(mode, perf.DefaultParams(), scaleout.DefaultOptions()),
+		Discipline: q,
+	})
+}
+
+// Systems runs one task sequence on the paper's cluster under the AS
+// ISA-only baseline and under the virtualized system (FIFO-backfill queue)
+// in each of the wanted policy modes; virt is in the order of modes. It is
+// the one "baseline against the framework" run behind Fig. 12, the load
+// sweep, `mlv sim` and the facade's SimulateCluster.
+func Systems(tasks []workload.Task, modes ...rms.PolicyMode) (base rms.Result, virt []rms.Result, err error) {
+	base, err = rms.SimulateBaseline(tasks, resource.PaperCluster(), perf.DefaultParams())
+	if err != nil {
+		return base, nil, err
+	}
+	for _, mode := range modes {
+		r, err := simulate(tasks, mode, rms.FIFOBackfill)
+		if err != nil {
+			return base, nil, err
+		}
+		virt = append(virt, r)
+	}
+	return base, virt, nil
 }
 
 // fig12Row simulates one workload set under the four systems.
-func fig12Row(comp workload.Composition, opt Fig12Options, cluster resource.ClusterSpec, p perf.Params, net scaleout.TwoFPGAOptions) (Fig12Row, error) {
+func fig12Row(comp workload.Composition, opt Fig12Options) (Fig12Row, error) {
 	tasks, err := workload.Generate(comp, workload.Options{
 		NumTasks:         opt.NumTasks,
 		MeanInterarrival: opt.MeanInterarrival,
@@ -105,28 +126,16 @@ func fig12Row(comp workload.Composition, opt Fig12Options, cluster resource.Clus
 	if err != nil {
 		return Fig12Row{}, err
 	}
-	base, err := rms.SimulateBaseline(tasks, cluster, p)
-	if err != nil {
-		return Fig12Row{}, err
-	}
-	restr, err := simulate(tasks, cluster, rms.SameTypeOnly, rms.FIFOBackfill, p, net)
-	if err != nil {
-		return Fig12Row{}, err
-	}
-	pinned, err := simulate(tasks, cluster, rms.StaticTarget, rms.FIFOBackfill, p, net)
-	if err != nil {
-		return Fig12Row{}, err
-	}
-	flex, err := simulate(tasks, cluster, rms.Flexible, rms.FIFOBackfill, p, net)
+	base, virt, err := Systems(tasks, rms.SameTypeOnly, rms.StaticTarget, rms.Flexible)
 	if err != nil {
 		return Fig12Row{}, err
 	}
 	row := Fig12Row{
 		Composition:  comp,
 		Baseline:     base.ThroughputPerSec,
-		Restricted:   restr.ThroughputPerSec,
-		StaticTarget: pinned.ThroughputPerSec,
-		Proposed:     flex.ThroughputPerSec,
+		Restricted:   virt[0].ThroughputPerSec,
+		StaticTarget: virt[1].ThroughputPerSec,
+		Proposed:     virt[2].ThroughputPerSec,
 	}
 	if row.Baseline > 0 {
 		row.VsBaseline = row.Proposed / row.Baseline

@@ -20,15 +20,11 @@ type Num uint16
 // Special values.
 const (
 	PositiveZero     Num = 0x0000
-	NegativeZero     Num = 0x8000
-	PositiveInfinity Num = 0x7C00
-	NegativeInfinity Num = 0xFC00
-	// QuietNaN is the canonical quiet NaN produced by this package.
-	QuietNaN Num = 0x7E00
-	// MaxValue is the largest finite binary16 value, 65504.
-	MaxValue Num = 0x7BFF
-	// SmallestSubnormal is the smallest positive value, 2^-24.
-	SmallestSubnormal Num = 0x0001
+	negativeZero     Num = 0x8000
+	positiveInfinity Num = 0x7C00
+	negativeInfinity Num = 0xFC00
+	// quietNaN is the canonical quiet NaN produced by this package.
+	quietNaN Num = 0x7E00
 )
 
 // FromFloat32 rounds a float32 to the nearest binary16 value using
@@ -147,9 +143,6 @@ func (n Num) IsInf(sign int) bool {
 // IsZero reports whether n is +0 or -0.
 func (n Num) IsZero() bool { return n&0x7FFF == 0 }
 
-// Neg returns -n.
-func (n Num) Neg() Num { return n ^ 0x8000 }
-
 // Abs returns |n|.
 func (n Num) Abs() Num { return n &^ 0x8000 }
 
@@ -161,15 +154,6 @@ func Sub(a, b Num) Num { return FromFloat32(a.Float32() - b.Float32()) }
 
 // Mul returns a*b rounded to binary16.
 func Mul(a, b Num) Num { return FromFloat32(a.Float32() * b.Float32()) }
-
-// Div returns a/b rounded to binary16.
-func Div(a, b Num) Num { return FromFloat32(a.Float32() / b.Float32()) }
-
-// FMA returns a*b+c with a single rounding, matching a fused hardware
-// multiply-accumulate (the MFU's vv_madd path).
-func FMA(a, b, c Num) Num {
-	return FromFloat64(float64(a.Float32())*float64(b.Float32()) + float64(c.Float32()))
-}
 
 // Sigmoid returns 1/(1+exp(-n)) rounded to binary16, the accelerator's
 // v_sigm activation.

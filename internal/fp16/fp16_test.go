@@ -51,38 +51,34 @@ func TestDecodeKnown(t *testing.T) {
 }
 
 func TestSpecials(t *testing.T) {
-	if !PositiveInfinity.IsInf(1) || !NegativeInfinity.IsInf(-1) || !PositiveInfinity.IsInf(0) {
+	if !positiveInfinity.IsInf(1) || !negativeInfinity.IsInf(-1) || !positiveInfinity.IsInf(0) {
 		t.Error("IsInf misclassifies infinities")
 	}
-	if PositiveInfinity.IsInf(-1) || NegativeInfinity.IsInf(1) {
+	if positiveInfinity.IsInf(-1) || negativeInfinity.IsInf(1) {
 		t.Error("IsInf sign confusion")
 	}
-	if !QuietNaN.IsNaN() || PositiveInfinity.IsNaN() {
+	if !quietNaN.IsNaN() || positiveInfinity.IsNaN() {
 		t.Error("IsNaN misclassifies")
 	}
-	if !PositiveZero.IsZero() || !NegativeZero.IsZero() || Num(0x3C00).IsZero() {
+	if !PositiveZero.IsZero() || !negativeZero.IsZero() || Num(0x3C00).IsZero() {
 		t.Error("IsZero misclassifies")
 	}
 	if !FromFloat64(math.NaN()).IsNaN() {
 		t.Error("NaN must round-trip to NaN")
 	}
-	if !math.IsNaN(QuietNaN.Float64()) {
+	if !math.IsNaN(quietNaN.Float64()) {
 		t.Error("NaN must decode to NaN")
 	}
 	if !FromFloat64(math.Inf(1)).IsInf(1) {
 		t.Error("+Inf must encode to +Inf")
 	}
-	if FromFloat64(math.Copysign(0, -1)) != NegativeZero {
+	if FromFloat64(math.Copysign(0, -1)) != negativeZero {
 		t.Error("-0 must encode to negative zero")
 	}
 }
 
 func TestNegAbs(t *testing.T) {
-	one := FromFloat64(1)
-	if one.Neg().Float64() != -1 {
-		t.Error("Neg(1) != -1")
-	}
-	if one.Neg().Abs() != one {
+	if FromFloat64(-1).Abs() != FromFloat64(1) {
 		t.Error("Abs(-1) != 1")
 	}
 }
@@ -118,12 +114,6 @@ func TestArithmetic(t *testing.T) {
 	if got := Mul(a, b).Float64(); got != 3.375 {
 		t.Errorf("1.5*2.25 = %v", got)
 	}
-	if got := Div(FromFloat64(1), FromFloat64(4)).Float64(); got != 0.25 {
-		t.Errorf("1/4 = %v", got)
-	}
-	if got := FMA(a, b, FromFloat64(1)).Float64(); got != 4.375 {
-		t.Errorf("fma(1.5,2.25,1) = %v", got)
-	}
 }
 
 func TestActivations(t *testing.T) {
@@ -146,7 +136,7 @@ func TestLess(t *testing.T) {
 	if !Less(FromFloat64(1), FromFloat64(2)) || Less(FromFloat64(2), FromFloat64(1)) {
 		t.Error("Less ordering wrong")
 	}
-	if Less(QuietNaN, FromFloat64(1)) || Less(FromFloat64(1), QuietNaN) {
+	if Less(quietNaN, FromFloat64(1)) || Less(FromFloat64(1), quietNaN) {
 		t.Error("NaN must compare false")
 	}
 }

@@ -62,9 +62,6 @@ func (c *Controller) Devices() []*PhysFPGA {
 	return append([]*PhysFPGA{}, c.fpgas...)
 }
 
-// NumDevices returns the cluster size.
-func (c *Controller) NumDevices() int { return len(c.fpgas) }
-
 // Device returns one FPGA by id.
 func (c *Controller) Device(id int) (*PhysFPGA, error) {
 	if id < 0 || id >= len(c.fpgas) {
@@ -109,8 +106,8 @@ func (c *Controller) Release(id, n int) error {
 	return nil
 }
 
-// TotalFreeBlocks sums free blocks across the cluster.
-func (c *Controller) TotalFreeBlocks() int {
+// totalFreeBlocks sums free blocks across the cluster.
+func (c *Controller) totalFreeBlocks() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	total := 0

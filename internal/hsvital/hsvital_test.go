@@ -220,12 +220,12 @@ func TestControllerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.NumDevices() != 4 {
-		t.Fatalf("NumDevices = %d", c.NumDevices())
+	if len(c.fpgas) != 4 {
+		t.Fatalf("NumDevices = %d", len(c.fpgas))
 	}
 	// 3x12 + 1x9 = 45 blocks.
-	if c.TotalFreeBlocks() != 45 {
-		t.Errorf("TotalFreeBlocks = %d, want 45", c.TotalFreeBlocks())
+	if c.totalFreeBlocks() != 45 {
+		t.Errorf("TotalFreeBlocks = %d, want 45", c.totalFreeBlocks())
 	}
 	if c.Utilization() != 0 {
 		t.Errorf("initial utilization = %v", c.Utilization())
@@ -246,8 +246,8 @@ func TestControllerLifecycle(t *testing.T) {
 	if err := c.Release(0, 5); err != nil {
 		t.Fatal(err)
 	}
-	if c.TotalFreeBlocks() != 45 {
-		t.Errorf("after release = %d", c.TotalFreeBlocks())
+	if c.totalFreeBlocks() != 45 {
+		t.Errorf("after release = %d", c.totalFreeBlocks())
 	}
 	if err := c.Release(0, 1); err == nil {
 		t.Error("over-release must fail")
@@ -299,14 +299,14 @@ func TestControllerConcurrency(t *testing.T) {
 		go func(id int) {
 			ok := true
 			for i := 0; i < 200; i++ {
-				dev := (id + i) % c.NumDevices()
+				dev := (id + i) % len(c.fpgas)
 				if err := c.Configure(dev, 1); err == nil {
 					if err := c.Release(dev, 1); err != nil {
 						ok = false
 					}
 				}
 				_ = c.Utilization()
-				_ = c.TotalFreeBlocks()
+				_ = c.totalFreeBlocks()
 			}
 			done <- ok
 		}(w)
@@ -316,7 +316,7 @@ func TestControllerConcurrency(t *testing.T) {
 			t.Error("release failed after successful configure")
 		}
 	}
-	if c.TotalFreeBlocks() != 45 {
-		t.Errorf("blocks leaked: %d free, want 45", c.TotalFreeBlocks())
+	if c.totalFreeBlocks() != 45 {
+		t.Errorf("blocks leaked: %d free, want 45", c.totalFreeBlocks())
 	}
 }

@@ -257,16 +257,3 @@ type ClusterSpec map[string]int
 func PaperCluster() ClusterSpec {
 	return ClusterSpec{XCVU37P.Name: 3, XCKU115.Name: 1}
 }
-
-// TotalCapacity sums the capacity of every device in the spec.
-func (s ClusterSpec) TotalCapacity() (Vector, error) {
-	var total Vector
-	for name, n := range s {
-		d, err := LookupDevice(name)
-		if err != nil {
-			return Vector{}, err
-		}
-		total = total.Add(d.Capacity.Scale(int64(n)))
-	}
-	return total, nil
-}

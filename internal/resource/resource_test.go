@@ -98,20 +98,6 @@ func TestPaperCluster(t *testing.T) {
 	if spec["XCVU37P"] != 3 || spec["XCKU115"] != 1 {
 		t.Fatalf("PaperCluster = %v", spec)
 	}
-	total, err := spec.TotalCapacity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := XCVU37P.Capacity.Scale(3).Add(XCKU115.Capacity)
-	if total != want {
-		t.Errorf("TotalCapacity = %v, want %v", total, want)
-	}
-}
-
-func TestTotalCapacityUnknown(t *testing.T) {
-	if _, err := (ClusterSpec{"nope": 1}).TotalCapacity(); err == nil {
-		t.Error("unknown device in spec must error")
-	}
 }
 
 func randomVector(r *rand.Rand) Vector {

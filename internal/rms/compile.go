@@ -21,11 +21,6 @@ import (
 
 // CompilerOptions configures Deploy-triggered compiles.
 type CompilerOptions struct {
-	// PartitionIterations is the offline flow's ladder depth
-	// (0 = 2, matching the database's 1/2/4-device deployments).
-	PartitionIterations int
-	// Seed drives the decomposer's equivalence oracle (0 = 1).
-	Seed int64
 	// Parallelism bounds worker goroutines for cold compiles
 	// (0 = one per logical CPU).
 	Parallelism int
@@ -51,12 +46,6 @@ type planEntry struct {
 // NewCompiler builds a compiler over the store (nil store = compile cold
 // on every miss of the plan memo's instance, without persistence).
 func NewCompiler(store *artifactstore.Store, opts CompilerOptions) *Compiler {
-	if opts.PartitionIterations <= 0 {
-		opts.PartitionIterations = 2
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
 	return &Compiler{store: store, opts: opts, plans: map[kernels.LayerSpec]planEntry{}}
 }
 
@@ -80,8 +69,8 @@ func (c *Compiler) optionsFor(spec kernels.LayerSpec) (core.Options, error) {
 	if err == nil {
 		pe.opts = core.Options{
 			Tiles:               tiles,
-			PartitionIterations: c.opts.PartitionIterations,
-			Seed:                c.opts.Seed,
+			PartitionIterations: 2, // the database's 1/2/4-device deployments
+			Seed:                1,
 			PatternAware:        true,
 			Parallelism:         c.opts.Parallelism,
 		}

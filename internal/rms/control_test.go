@@ -76,7 +76,7 @@ func TestDeployWithDepth(t *testing.T) {
 	}
 	spec := kernels.LayerSpec{Kind: kernels.GRU, Hidden: 256, TimeSteps: 2}
 
-	depths, err := svc.Depths(spec)
+	depths, err := svc.depths(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestFeasibleDepths(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 256, TimeSteps: 10}
-	all, err := svc.Depths(spec)
+	all, err := svc.depths(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

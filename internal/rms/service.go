@@ -331,14 +331,9 @@ func (s *Service) DeployWith(spec kernels.LayerSpec, po PlaceOptions) (*Lease, e
 	return nil, fmt.Errorf("%w: %v", ErrNoCapacity, spec)
 }
 
-// Depths returns the piece counts (partition-ladder rungs) the database
-// offers for a layer, ascending.
-func (s *Service) Depths(spec kernels.LayerSpec) ([]int, error) {
-	return s.depths(spec, nil)
-}
-
-// FeasibleDepths filters Depths down to the rungs the physical cluster
-// can host at all: depths with at least one deployment whose device-type
+// FeasibleDepths returns the piece counts (partition-ladder rungs) the
+// database offers for a layer, ascending, that the physical cluster can
+// host at all: depths with at least one deployment whose device-type
 // requirements fit the inventory, ignoring current occupancy. The control
 // plane plans against this ladder so it never chases a depth the fleet
 // could not place even when empty (e.g. a 4×XCVU37P deployment on a

@@ -141,7 +141,7 @@ func TestMigrateRespectsQuotaButAllowsEvacuation(t *testing.T) {
 		t.Fatalf("same-depth migration at quota ceiling: %v", err)
 	}
 	// Scaling up to two devices breaches MaxDevices=1.
-	depths, err := svc.Depths(spec)
+	depths, err := svc.depths(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,18 +75,6 @@ func (d *Design) SortedModuleNames() []string {
 	return names
 }
 
-// BasicModules returns the names of all basic modules — modules that
-// instantiate no other design module (paper §2.1).
-func (d *Design) BasicModules() []string {
-	var out []string
-	for _, name := range d.SortedModuleNames() {
-		if d.Modules[name].IsBasic(d.IsPrimitive) {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
 // Validate checks that every instance connects to declared ports of defined
 // modules, and that positional connections can be resolved.
 func (d *Design) Validate() error {

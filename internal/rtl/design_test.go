@@ -40,9 +40,8 @@ func TestBasicModules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	basics := d.BasicModules()
-	if len(basics) != 1 || basics[0] != "add8" {
-		t.Errorf("BasicModules = %v, want [add8]", basics)
+	if !d.Modules["add8"].IsBasic(d.IsPrimitive) || d.Modules["top"].IsBasic(d.IsPrimitive) {
+		t.Error("want add8 basic and top not")
 	}
 }
 

@@ -32,14 +32,9 @@ import (
 // of the oracle's user: the copies it groups really did agree on every
 // tested stimulus.
 
-// StructuralHash returns a canonical hash of an elaborated module. Two
-// elaborations with identical structure — up to net names, instance names
-// and child module names — share a hash.
-func (d *Design) StructuralHash(em *ElabModule) string {
-	memo := map[*ElabModule]string{}
-	return d.structuralHash(em, memo)
-}
-
+// structuralHash returns a canonical hash of an elaborated module,
+// memoized per elaboration. Two elaborations with identical structure — up
+// to net names, instance names and child module names — share a hash.
 func (d *Design) structuralHash(em *ElabModule, memo map[*ElabModule]string) string {
 	if h, ok := memo[em]; ok {
 		return h
@@ -247,13 +242,6 @@ func (c *EquivChecker) Stats() EquivStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// Hash returns the memoized structural hash of em.
-func (c *EquivChecker) Hash(em *ElabModule) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.d.structuralHash(em, c.hashMemo)
 }
 
 // Equivalent reports whether a and b implement identical hardware. The fast

@@ -2,6 +2,11 @@ package rtl
 
 import "testing"
 
+// hashOf is structuralHash without a shared memo.
+func hashOf(d *Design, em *ElabModule) string {
+	return d.structuralHash(em, map[*ElabModule]string{})
+}
+
 func elab(t *testing.T, d *Design, name string) *ElabModule {
 	t.Helper()
 	em, err := d.Elaborate(name, nil)
@@ -31,8 +36,8 @@ func TestStructuralHashIdenticalModules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ha := d.StructuralHash(elab(t, d, "alpha"))
-	hb := d.StructuralHash(elab(t, d, "beta"))
+	ha := hashOf(d, elab(t, d, "alpha"))
+	hb := hashOf(d, elab(t, d, "beta"))
 	if ha != hb {
 		t.Error("alpha and beta must share a structural hash")
 	}
@@ -49,7 +54,7 @@ func TestStructuralHashDifferentLogic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.StructuralHash(elab(t, d, "inc")) == d.StructuralHash(elab(t, d, "dec")) {
+	if hashOf(d, elab(t, d, "inc")) == hashOf(d, elab(t, d, "dec")) {
 		t.Error("inc and dec must not collide")
 	}
 }
@@ -69,7 +74,7 @@ func TestStructuralHashHierarchy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.StructuralHash(elab(t, d, "w1")) != d.StructuralHash(elab(t, d, "w2")) {
+	if hashOf(d, elab(t, d, "w1")) != hashOf(d, elab(t, d, "w2")) {
 		t.Error("wrappers of identical children must hash equal")
 	}
 }
@@ -101,7 +106,7 @@ func TestEquivalentFunctionalNotStructural(t *testing.T) {
 	}
 	c := NewEquivChecker(d, 1)
 	a, b := elab(t, d, "dbl1"), elab(t, d, "dbl2")
-	if c.Hash(a) == c.Hash(b) {
+	if hashOf(d, a) == hashOf(d, b) {
 		t.Fatal("test premise broken: hashes collide")
 	}
 	eq, err := c.Equivalent(a, b)

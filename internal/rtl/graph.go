@@ -43,9 +43,9 @@ type BasicGraph struct {
 	Edges []BasicEdge
 }
 
-// Bandwidth sums the bits of all edges between nodes a and b (either
+// bandwidth sums the bits of all edges between nodes a and b (either
 // direction).
-func (g *BasicGraph) Bandwidth(a, b int) int {
+func (g *BasicGraph) bandwidth(a, b int) int {
 	total := 0
 	for _, e := range g.Edges {
 		if (e.From == a && e.To == b) || (e.From == b && e.To == a) {

@@ -39,13 +39,13 @@ func TestBasicGraphChain(t *testing.T) {
 		byPath[n.Path] = i
 	}
 	// s0 -> s1 with 32 bits, s1 -> s2 with 32 bits.
-	if bw := g.Bandwidth(byPath["s0"], byPath["s1"]); bw != 32 {
+	if bw := g.bandwidth(byPath["s0"], byPath["s1"]); bw != 32 {
 		t.Errorf("s0-s1 bandwidth = %d, want 32\n%s", bw, g)
 	}
-	if bw := g.Bandwidth(byPath["s1"], byPath["s2"]); bw != 32 {
+	if bw := g.bandwidth(byPath["s1"], byPath["s2"]); bw != 32 {
 		t.Errorf("s1-s2 bandwidth = %d, want 32", bw)
 	}
-	if bw := g.Bandwidth(byPath["s0"], byPath["s2"]); bw != 0 {
+	if bw := g.bandwidth(byPath["s0"], byPath["s2"]); bw != 0 {
 		t.Errorf("s0-s2 bandwidth = %d, want 0", bw)
 	}
 	// Boundary edges exist: in -> s0, s2 -> out, clk -> everyone.
@@ -86,7 +86,7 @@ func TestBasicGraphHierarchical(t *testing.T) {
 	if g.Insts[0].Path != "m.l0" || g.Insts[1].Path != "m.l1" {
 		t.Errorf("paths = %q, %q", g.Insts[0].Path, g.Insts[1].Path)
 	}
-	if bw := g.Bandwidth(0, 1); bw != 16 {
+	if bw := g.bandwidth(0, 1); bw != 16 {
 		t.Errorf("l0-l1 bandwidth = %d, want 16\n%s", bw, g)
 	}
 }
@@ -126,10 +126,10 @@ func TestBasicGraphFanout(t *testing.T) {
 	for i, n := range g.Insts {
 		byPath[n.Path] = i
 	}
-	if bw := g.Bandwidth(byPath["p"], byPath["c1"]); bw != 8 {
+	if bw := g.bandwidth(byPath["p"], byPath["c1"]); bw != 8 {
 		t.Errorf("p-c1 = %d, want 8", bw)
 	}
-	if bw := g.Bandwidth(byPath["p"], byPath["c2"]); bw != 8 {
+	if bw := g.bandwidth(byPath["p"], byPath["c2"]); bw != 8 {
 		t.Errorf("p-c2 = %d, want 8", bw)
 	}
 	// The two consumers share an elaboration, visible to the decomposer.

@@ -139,7 +139,7 @@ func TestGraphString(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := g.String()
-	if len(s) == 0 || g.Bandwidth(0, 99) != 0 {
+	if len(s) == 0 || g.bandwidth(0, 99) != 0 {
 		t.Error("graph debug output or bandwidth lookup broken")
 	}
 }

@@ -26,7 +26,7 @@ func roundTrip(t *testing.T, src, top string) {
 		if err != nil {
 			t.Fatalf("module %s missing after round trip: %v", name, err)
 		}
-		if d1.StructuralHash(em1) != d2.StructuralHash(em2) {
+		if hashOf(d1, em1) != hashOf(d2, em2) {
 			t.Errorf("module %s structural hash changed after round trip:\n%s",
 				name, WriteModule(d2.Modules[name]))
 		}

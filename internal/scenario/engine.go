@@ -11,14 +11,6 @@ import (
 	"mlvfpga/internal/wdsl"
 )
 
-// settle rounds after the described duration: heartbeats + ticks that let
-// evacuations and retry backoffs quiesce before the stranded audit (the
-// period must comfortably exceed the control plane's max backoff).
-const (
-	settleRounds = 12
-	settlePeriod = time.Second
-)
-
 // minService floors the queue model's service time, so a lease whose
 // modelled latency rounds to zero still accumulates backlog.
 const minService = 100 * time.Microsecond
@@ -192,8 +184,11 @@ func Run(spec *wdsl.Spec, name string) (*Report, error) {
 		}
 	}
 
-	for k := 0; k < settleRounds; k++ {
-		eng.At(ir.Duration+time.Duration(k+1)*settlePeriod, func(time.Duration) { stack.Settle() })
+	// Settle rounds after the described duration (the sweep's count and
+	// period): heartbeats + ticks that let evacuations and retry backoffs
+	// quiesce before the stranded audit.
+	for k := 0; k < o.SettleSteps; k++ {
+		eng.At(ir.Duration+time.Duration(k+1)*o.SettlePeriod, func(time.Duration) { stack.Settle() })
 	}
 
 	eng.Run(0)

@@ -5,10 +5,15 @@
 // rebalance ticks, injected resize failures — executes against the real
 // stack (rms admission service + data plane, cluster control plane,
 // registry) on the discrete-event engine's virtual clock, and a set of
-// invariant checkers runs after every event. On a violation the harness
+// invariant checkers runs after every event. On a violation the sweep
 // re-executes with a shrinking pass (ddmin-style chunk removal) and
 // reports a minimal event schedule plus the seed, so any failure found
 // by a seed sweep is a one-line reproduction.
+//
+// One type, Stack, is the simulator: the stack under test plus the model
+// the checkers compare it with. It has two clients — the random sweep
+// here (Run: events drawn from the seed) and deterministic external
+// drivers that choose their own events (internal/scenario, benchmark).
 //
 // Everything time-dependent rides cluster.DESClock over des.Engine, and
 // every random choice derives from the schedule's seed, so the same seed

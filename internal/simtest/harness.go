@@ -11,24 +11,20 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"mlvfpga/internal/artifactstore"
 	"mlvfpga/internal/cluster"
-	"mlvfpga/internal/des"
 	"mlvfpga/internal/kernels"
 	"mlvfpga/internal/metrics"
-	"mlvfpga/internal/perf"
 	"mlvfpga/internal/resource"
 	"mlvfpga/internal/rms"
 	"mlvfpga/internal/scaleout"
 	"mlvfpga/internal/tenant"
 )
 
-// resizeFailMsg is the distinctive error the harness's resize interceptor
+// resizeFailMsg is the distinctive error the Stack's resize interceptor
 // injects. The counter-conservation checker matches it verbatim to tell
 // "migration landed but the pool resize failed" (counts as a migration,
 // retried as resize debt) apart from a migration that found no capacity.
@@ -40,8 +36,6 @@ const resizeFailMsg = "simtest: injected resize failure"
 type Fault string
 
 const (
-	// FaultNone runs the unmodified stack.
-	FaultNone Fault = ""
 	// FaultSkipTombstone arms rms.Faults.SkipReleaseTombstone: releases
 	// leak the lease's engine. Caught by the engine/tombstone invariant.
 	FaultSkipTombstone Fault = "skip-tombstone"
@@ -101,7 +95,7 @@ type Options struct {
 	// SettleSteps heartbeat+tick rounds run after the schedule so
 	// evacuations and backoffs quiesce before the end-of-run stranded
 	// check; SettlePeriod is their spacing (it must comfortably exceed
-	// Control.MaxBackoff/SettleSteps so retries burn off).
+	// the control plane's 4 s backoff cap / SettleSteps so retries burn off).
 	SettleSteps  int
 	SettlePeriod time.Duration
 	// Fault arms a deliberate bug (see Fault).
@@ -153,15 +147,8 @@ type Violation struct {
 	// Step indexes the schedule event after which the breach was seen
 	// (settle rounds continue the numbering past the schedule).
 	Step int
-	// Invariant names the checker: "lease-conservation",
-	// "placement-shape", "duplicate-device", "placement-conservation",
-	// "feasible-depth", "engine-tombstone", "counter-conservation",
-	// "batch-conservation", "slot-conservation", "golden-equivalence",
-	// "infer-served", "warm-deploy", "artifact-cache",
-	// "stranded-placement", "quota-conservation", "tenant-accounting",
-	// "snapshot-conservation",
-	// or an *-error for an operation that failed when the model says it
-	// cannot.
+	// Invariant names the checker: one of InvariantFamilies, or an
+	// *-error for an operation that failed when the model says it cannot.
 	Invariant string
 	Detail    string
 }
@@ -223,7 +210,7 @@ func Run(o Options) (*Result, error) {
 		Seed:      o.Seed,
 		Schedule:  sched,
 		Trace:     out.trace,
-		TraceHash: hashTrace(out.trace),
+		TraceHash: out.TraceHash(),
 		Violation: out.violation,
 	}
 	if out.violation != nil {
@@ -235,11 +222,6 @@ func Run(o Options) (*Result, error) {
 	return res, nil
 }
 
-type outcome struct {
-	trace     []string
-	violation *Violation
-}
-
 // goldenKey memoizes inference outputs by (lease, input seed): the same
 // lease has fixed weights, so the same input must produce bit-identical
 // outputs for the rest of its life, across every migration and resize.
@@ -248,220 +230,71 @@ type goldenKey struct {
 	seed  int64
 }
 
-// harness wires one fresh stack (service, data plane, control plane) to
-// one DES engine and owns the model state the checkers compare against.
-// All schedule execution is single-goroutine (DES callbacks); the only
-// concurrency is inside an infer event, which joins before returning.
-type harness struct {
-	o     Options
-	eng   *des.Engine
-	svc   *rms.Service
-	dp    *rms.DataPlane
-	cp    *cluster.ControlPlane
-	store *artifactstore.Store
-
-	devices []int
-	loads   map[int]rms.LoadStats
-	armFail int
-
-	live    []int
-	killed  map[int]bool
-	drained map[int]bool
-	golden  map[goldenKey]uint64
-	// base is the counter reading at harness birth (the counters are
-	// process-wide, so the checkers only ever look at deltas from it).
-	base metrics.Values
-
-	// Multi-spec model: which layer each live lease serves, and the set of
-	// distinct artifact keys ever sent to the deploy path. The compile runs
-	// before admission (and its artifact survives a failed placement), so
-	// the expected artifact-store compute count is exactly len(keySeen).
-	// Keys, not specs: distinct layers resolving to the same accelerator
-	// instance share one compilation product.
-	comp      *rms.Compiler
-	leaseSpec map[int]kernels.LayerSpec
-	keySeen   map[artifactstore.Key]bool
-
-	// Tenant model: who owns each live lease, plus per-tenant expected
-	// counter deltas mirroring mlv_tenant_{requests,infers_served,
-	// rejections}.
-	reg             *tenant.Registry
-	leaseTenant     map[int]string
-	expTenantReq    map[string]int64
-	expTenantServed map[string]int64
-	expTenantRej    map[string]int64
-
-	expInfers      int64
-	expInferEvents int64
-	expMigrations  int64
-	expMigFailures int64
-	expHbMisses    int64
-	expCondemned   int64
-	expDefragMoves int64
-
-	settling bool
-	// excused marks leases whose settle-phase evacuation failed for lack
-	// of capacity: they are allowed to end the run stranded.
-	excused map[int]bool
-
-	trace     []string
-	violation *Violation
-}
-
-// simPlane is the LoadSource/Resizer the control plane sees: loads come
-// from the schedule's scripted map (live queue depths are timing-
-// dependent and would break determinism) and resizes pass through to the
-// real data plane unless an injected failure is armed.
-type simPlane struct{ h *harness }
-
-func (p simPlane) Load(leaseID int) (rms.LoadStats, bool) {
-	l, ok := p.h.loads[leaseID]
-	return l, ok
-}
-
-func (p simPlane) Resize(leaseID, machines int) error {
-	if p.h.armFail > 0 {
-		p.h.armFail--
-		return errors.New(resizeFailMsg)
-	}
-	return p.h.dp.Resize(leaseID, machines)
-}
-
-func newHarness(o Options, preamble bool) (*harness, error) {
-	eng := des.New()
-	db := rms.NewDatabase(rms.Flexible, perf.DefaultParams(), scaleout.DefaultOptions())
-	svc, err := rms.NewService(o.Cluster, db)
-	if err != nil {
-		return nil, fmt.Errorf("simtest: building service: %w", err)
-	}
-	// The warm-start compile path runs over a memory-backed artifact
-	// store, so every deploy after the preamble's first must be a cache
-	// hit — the artifact-cache and warm-deploy invariants pin that.
-	store := artifactstore.NewMemory(artifactstore.Options{})
-	comp := rms.NewCompiler(store, rms.CompilerOptions{Parallelism: 1})
-	svc.SetCompiler(comp)
-	dp := rms.NewDataPlane(svc, o.Infer)
-	h := &harness{
-		o:               o,
-		eng:             eng,
-		svc:             svc,
-		dp:              dp,
-		store:           store,
-		comp:            comp,
-		loads:           map[int]rms.LoadStats{},
-		killed:          map[int]bool{},
-		drained:         map[int]bool{},
-		golden:          map[goldenKey]uint64{},
-		excused:         map[int]bool{},
-		leaseSpec:       map[int]kernels.LayerSpec{},
-		keySeen:         map[artifactstore.Key]bool{},
-		leaseTenant:     map[int]string{},
-		expTenantReq:    map[string]int64{},
-		expTenantServed: map[string]int64{},
-		expTenantRej:    map[string]int64{},
-	}
-	if len(o.Tenants) > 0 {
-		reg, rerr := tenant.NewRegistry(o.Tenants...)
-		if rerr != nil {
-			return nil, fmt.Errorf("simtest: tenant registry: %w", rerr)
-		}
-		h.reg = reg
-		svc.SetTenants(reg)
-		dp.SetTenants(reg)
-	}
-	clk := cluster.DESClock{Engine: eng, Epoch: time.Unix(0, 0).UTC()}
-	h.cp = cluster.New(clk, o.Control, svc, simPlane{h})
-	switch o.Fault {
-	case FaultSkipTombstone:
-		dp.InjectFaults(rms.Faults{SkipReleaseTombstone: true})
-	case FaultSkipMigrationMetric:
-		h.cp.InjectFaults(cluster.Faults{SkipMigrationMetric: true})
-	case FaultSkipTenantServed:
-		dp.InjectFaults(rms.Faults{SkipTenantServedMetric: true})
-	case FaultLeakSlot:
-		dp.InjectFaults(rms.Faults{LeakSlot: true})
-	case FaultLeakSnapshot:
-		dp.InjectFaults(rms.Faults{LeakSnapshot: true})
-	case FaultRestoreAtZero:
-		dp.InjectFaults(rms.Faults{RestoreAtZero: true})
-	}
-	for _, f := range svc.Status().FPGAs {
-		h.devices = append(h.devices, f.ID)
-	}
-	sort.Ints(h.devices)
-	// Counter baselines before the preamble, so the LeasesActive delta
-	// tracks len(h.live) exactly and per-tenant deltas start at zero.
-	h.base = metrics.Snapshot()
-	// Preamble: two leases exist before the first event, so even a
-	// one-event minimal schedule has something to act on. With tenants
-	// configured they alternate owners, so both tenants hold state from
-	// step zero. (The scenario engine skips it and deploys from its spec.)
-	if preamble {
-		for i := 0; i < 2 && i < o.MaxLeases; i++ {
-			if l, _ := h.deployAs(0, o.Spec, h.tenantFor(uint64(i))); l == nil {
-				return nil, fmt.Errorf("simtest: preamble deploy shed or failed: %v", h.violation)
-			}
-		}
-	}
-	return h, nil
-}
-
 // runSchedule executes an explicit schedule (used directly by the
-// minimizer; Run derives the schedule from the seed). The events are laid
-// onto the DES engine at fixed spacing, followed by the settle rounds.
-func runSchedule(o Options, sched []Event) (*outcome, error) {
-	h, err := newHarness(o, true)
+// minimizer; Run derives the schedule from the seed) as a client of Stack:
+// two preamble leases, the events laid onto the DES engine at fixed
+// spacing and stamped with their schedule index, the settle rounds, the
+// stranded audit. It returns the finished (closed) Stack for its trace
+// and verdict.
+func runSchedule(o Options, sched []Event) (*Stack, error) {
+	s, err := NewStack(o)
 	if err != nil {
 		return nil, err
 	}
-	defer h.dp.Close()
+	defer s.Close()
+	// Preamble: two leases exist before the first event, so even a
+	// one-event minimal schedule has something to act on. With tenants
+	// configured they alternate owners, so both tenants hold state from
+	// step zero.
+	for i := 0; i < 2 && i < o.MaxLeases; i++ {
+		if l, _ := s.deployAs(o.Spec, s.tenantFor(uint64(i))); l == nil {
+			return nil, fmt.Errorf("simtest: preamble deploy shed or failed: %v", s.violation)
+		}
+	}
+	at := func(when time.Duration, step int, op func()) error {
+		return s.eng.At(when, func(time.Duration) { s.step = step; op() })
+	}
 	for i := range sched {
-		i, ev := i, sched[i]
-		if err := h.eng.At(time.Duration(i+1)*o.Spacing, func(time.Duration) {
-			h.exec(i, ev)
-		}); err != nil {
+		ev := sched[i]
+		if err := at(time.Duration(i+1)*o.Spacing, i, func() { s.exec(ev) }); err != nil {
 			return nil, err
 		}
 	}
 	settleStart := time.Duration(len(sched)+1) * o.Spacing
 	for k := 0; k < o.SettleSteps; k++ {
-		step := len(sched) + k
-		if err := h.eng.At(settleStart+time.Duration(k)*o.SettlePeriod, func(time.Duration) {
-			h.settle(step)
-		}); err != nil {
+		if err := at(settleStart+time.Duration(k)*o.SettlePeriod, len(sched)+k, s.settle); err != nil {
 			return nil, err
 		}
 	}
-	h.eng.Run(0)
-	if h.violation == nil {
-		h.checkStranded(len(sched) + o.SettleSteps)
-	}
-	return &outcome{trace: h.trace, violation: h.violation}, nil
+	s.eng.Run(0)
+	s.step = len(sched) + o.SettleSteps
+	s.checkStranded()
+	return s, nil
 }
 
-func (h *harness) tracef(step int, format string, args ...any) {
-	h.trace = append(h.trace, fmt.Sprintf("%04d ", step)+fmt.Sprintf(format, args...))
+func (s *Stack) tracef(format string, args ...any) {
+	s.trace = append(s.trace, fmt.Sprintf("%04d ", s.step)+fmt.Sprintf(format, args...))
 }
 
-func (h *harness) fail(step int, invariant, format string, args ...any) {
-	if h.violation == nil {
-		h.violation = &Violation{Step: step, Invariant: invariant, Detail: fmt.Sprintf(format, args...)}
+func (s *Stack) fail(invariant, format string, args ...any) {
+	if s.violation == nil {
+		s.violation = &Violation{Step: s.step, Invariant: invariant, Detail: fmt.Sprintf(format, args...)}
 	}
 }
 
 // pick resolves an event's PRNG draw to one of the candidates, or traces
 // the event's noop when there are none.
-func (h *harness) pick(step int, kind string, r uint64, from []int) (int, bool) {
+func (s *Stack) pick(kind string, r uint64, from []int) (int, bool) {
 	if len(from) == 0 {
-		h.tracef(step, "%s noop", kind)
+		s.tracef("%s noop", kind)
 		return 0, false
 	}
 	return from[int(r%uint64(len(from)))], true
 }
 
-func (h *harness) devicesWhere(ok func(d int) bool) []int {
+func (s *Stack) devicesWhere(ok func(d int) bool) []int {
 	var out []int
-	for _, d := range h.devices {
+	for _, d := range s.devices {
 		if ok(d) {
 			out = append(out, d)
 		}
@@ -472,111 +305,109 @@ func (h *harness) devicesWhere(ok func(d int) bool) []int {
 // tenantFor resolves a PRNG draw to a tenant id (empty when the run is
 // tenantless). Callers pass distinct shifted views of the event's R so the
 // tenant choice does not correlate with lease or seed choices.
-func (h *harness) tenantFor(r uint64) string {
-	if len(h.o.Tenants) == 0 {
+func (s *Stack) tenantFor(r uint64) string {
+	if len(s.o.Tenants) == 0 {
 		return ""
 	}
-	return h.o.Tenants[int(r%uint64(len(h.o.Tenants)))].ID
+	return s.o.Tenants[int(r%uint64(len(s.o.Tenants)))].ID
 }
 
 // tenantAtLeaseCap answers whether the model says the tenant has spent its
 // MaxLeases quota — the oracle the deploy path is checked against.
-func (h *harness) tenantAtLeaseCap(who string) bool {
-	if who == "" || h.reg == nil {
+func (s *Stack) tenantAtLeaseCap(who string) bool {
+	if who == "" || s.reg == nil {
 		return false
 	}
-	t, ok := h.reg.Lookup(who)
+	t, ok := s.reg.Lookup(who)
 	if !ok || t.Quotas.MaxLeases <= 0 {
 		return false
 	}
 	n := 0
-	for _, id := range h.live {
-		if h.leaseTenant[id] == who {
+	for _, id := range s.live {
+		if s.leaseTenant[id] == who {
 			n++
 		}
 	}
 	return n >= t.Quotas.MaxLeases
 }
 
-func (h *harness) exec(step int, ev Event) {
-	if h.violation != nil {
+func (s *Stack) exec(ev Event) {
+	if s.violation != nil {
 		return // fail-stop: later events would check against a broken model
 	}
 	switch ev.Kind {
 	case EvHeartbeat:
-		h.heartbeat(step)
+		s.heartbeat()
 	case EvTick:
-		h.tick(step, "tick")
+		s.tick("tick")
 	case EvInfer:
-		h.serveBatch(step, ev.R, "infer", nil)
+		s.serveBatch(ev.R, "infer", nil)
 	case EvLoad:
-		if id, ok := h.pick(step, "load", ev.R, h.live); ok {
-			h.offerLoad(step, id, int((ev.R>>8)%10))
+		if id, ok := s.pick("load", ev.R, s.live); ok {
+			s.offerLoad(id, int((ev.R>>8)%10))
 		}
 	case EvDeploy:
-		if len(h.live) >= h.o.MaxLeases {
-			h.tracef(step, "deploy noop (at cap)")
+		if len(s.live) >= s.o.MaxLeases {
+			s.tracef("deploy noop (at cap)")
 		} else {
-			h.deploy(step, h.o.Spec, h.tenantFor(ev.R>>24))
+			s.deploy(s.o.Spec, s.tenantFor(ev.R>>24))
 		}
 	case EvRelease:
-		if id, ok := h.pick(step, "release", ev.R, h.live); ok {
-			h.release(step, id)
+		if id, ok := s.pick("release", ev.R, s.live); ok {
+			s.release(id)
 		}
 	case EvRedeploy:
-		h.doRedeploy(step, ev.R)
+		s.doRedeploy(ev.R)
 	case EvKill:
 		// Keep at least two devices beating, so the sim never collapses
 		// into a fleet that cannot host anything.
-		alive := h.devicesWhere(func(d int) bool { return !h.killed[d] })
+		alive := s.devicesWhere(func(d int) bool { return !s.killed[d] })
 		if len(alive) <= 2 {
 			alive = nil
 		}
-		if d, ok := h.pick(step, "kill", ev.R, alive); ok {
-			h.kill(step, d)
+		if d, ok := s.pick("kill", ev.R, alive); ok {
+			s.kill(d)
 		}
 	case EvRevive:
-		if d, ok := h.pick(step, "revive", ev.R, h.devicesWhere(func(d int) bool { return h.killed[d] })); ok {
-			h.revive(step, d)
+		if d, ok := s.pick("revive", ev.R, s.devicesWhere(func(d int) bool { return s.killed[d] })); ok {
+			s.revive(d)
 		}
 	case EvDrain:
-		if len(h.drained) > 0 {
-			h.tracef(step, "drain noop (one at a time)")
-		} else if d, ok := h.pick(step, "drain", ev.R, h.devicesWhere(func(d int) bool { return !h.killed[d] })); ok {
-			h.drain(step, d)
+		if len(s.drained) > 0 {
+			s.tracef("drain noop (one at a time)")
+		} else if d, ok := s.pick("drain", ev.R, s.devicesWhere(func(d int) bool { return !s.killed[d] })); ok {
+			s.drain(d)
 		}
 	case EvUndrain:
-		if d, ok := h.pick(step, "undrain", ev.R, h.devicesWhere(func(d int) bool { return h.drained[d] })); ok {
-			h.undrain(step, d)
+		if d, ok := s.pick("undrain", ev.R, s.devicesWhere(func(d int) bool { return s.drained[d] })); ok {
+			s.undrain(d)
 		}
 	case EvCondemn:
-		h.doCondemn(step, ev.R)
+		s.doCondemn(ev.R)
 	case EvResizeFail:
 		k := 1 + int(ev.R%2)
-		h.armFail += k
-		h.tracef(step, "resize_fail arm=%d", k)
+		s.armFail += k
+		s.tracef("resize_fail arm=%d", k)
 	case EvPreempt:
-		h.doPreempt(step, ev.R)
+		s.doPreempt(ev.R)
 	case EvRestore:
-		h.doRestore(step, ev.R)
+		s.doRestore(ev.R)
 	case EvDefrag:
-		h.doDefrag(step)
+		s.doDefrag()
 	}
-	if h.violation == nil {
-		h.checkInvariants(step)
-	}
+	s.checkInvariants()
 }
 
 // beatAll beats every device not currently killed and returns how many
 // beat, or false after recording a violation.
-func (h *harness) beatAll(step int) (int, bool) {
+func (s *Stack) beatAll() (int, bool) {
 	beat := 0
-	for _, d := range h.devices {
-		if h.killed[d] {
+	for _, d := range s.devices {
+		if s.killed[d] {
 			continue
 		}
-		if err := h.cp.Heartbeat(d); err != nil {
-			h.fail(step, "heartbeat-error", "device %d: %v", d, err)
+		if err := s.cp.Heartbeat(d); err != nil {
+			s.fail("heartbeat-error", "device %d: %v", d, err)
 			return beat, false
 		}
 		beat++
@@ -584,36 +415,36 @@ func (h *harness) beatAll(step int) (int, bool) {
 	return beat, true
 }
 
-func (h *harness) heartbeat(step int) {
-	if beat, ok := h.beatAll(step); ok {
-		h.tracef(step, "heartbeat n=%d", beat)
+func (s *Stack) heartbeat() {
+	if beat, ok := s.beatAll(); ok {
+		s.tracef("heartbeat n=%d", beat)
 	}
 }
 
 // tick runs one control-plane round and folds its report into the counter
 // model; label names the trace line ("tick", or "settle" when quiescing).
-func (h *harness) tick(step int, label string) {
-	rep := h.cp.Tick()
-	h.accountTick(rep)
+func (s *Stack) tick(label string) {
+	rep := s.cp.Tick()
+	s.accountTick(rep)
 	b, _ := json.Marshal(rep)
-	h.tracef(step, "%s %s", label, b)
+	s.tracef("%s %s", label, b)
 }
 
 // accountTick folds a tick report into the expected-counter model. An
 // evacuate/scale event whose only error is the injected resize failure
 // still migrated (the resize is owed as debt); a "resize" retry event
 // touches no counter either way.
-func (h *harness) accountTick(rep *cluster.TickReport) {
-	h.expHbMisses += int64(len(rep.Transitions))
+func (s *Stack) accountTick(rep *cluster.TickReport) {
+	s.expHbMisses += int64(len(rep.Transitions))
 	for _, ev := range rep.Events {
 		switch ev.Kind {
 		case "evacuate", "scale_up", "scale_down":
 			if ev.Err == "" || ev.Err == resizeFailMsg {
-				h.expMigrations++
+				s.expMigrations++
 			} else {
-				h.expMigFailures++
-				if h.settling && ev.Kind == "evacuate" {
-					h.excused[ev.Lease] = true
+				s.expMigFailures++
+				if s.settling && ev.Kind == "evacuate" {
+					s.excused[ev.Lease] = true
 				}
 			}
 		}
@@ -627,11 +458,11 @@ func (h *harness) accountTick(rep *cluster.TickReport) {
 // conservation invariants pin the bookkeeping instead, and any demand
 // left unconsumed here preempts streams of later events (more coverage,
 // same invariants).
-func (h *harness) doPreempt(step int, r uint64) {
-	h.serveBatch(step, r, "preempt", func(id int) {
+func (s *Stack) doPreempt(r uint64) {
+	s.serveBatch(r, "preempt", func(id int) {
 		for k := 0; k < 24; k++ {
-			if _, err := h.dp.Preempt(id, 1); err != nil {
-				h.fail(step, "preempt-error", "lease %d: %v", id, err)
+			if _, err := s.dp.Preempt(id, 1); err != nil {
+				s.fail("preempt-error", "lease %d: %v", id, err)
 				return
 			}
 			runtime.Gosched() // 1-CPU boxes: let workers hit the demand
@@ -642,20 +473,20 @@ func (h *harness) doPreempt(step int, r uint64) {
 // doRestore rebuilds the lease's engine pool mid-batch at its current
 // size: the transplant checkpoints every queued and resident stream and
 // restores them onto the fresh machines, bit-identically.
-func (h *harness) doRestore(step int, r uint64) {
-	h.serveBatch(step, r, "restore", func(id int) {
-		lease, ok := h.svc.Lease(id)
+func (s *Stack) doRestore(r uint64) {
+	s.serveBatch(r, "restore", func(id int) {
+		lease, ok := s.svc.Lease(id)
 		if !ok {
-			h.fail(step, "lease-conservation", "model says lease %d is live, service disagrees", id)
+			s.fail("lease-conservation", "model says lease %d is live, service disagrees", id)
 			return
 		}
-		per := h.o.Control.MachinesPerPiece
+		per := s.o.Control.MachinesPerPiece
 		if per <= 0 {
 			per = cluster.DefaultConfig().MachinesPerPiece
 		}
 		runtime.Gosched()
-		if err := h.dp.Resize(id, lease.Depth*per); err != nil {
-			h.fail(step, "restore-error", "lease %d: %v", id, err)
+		if err := s.dp.Resize(id, lease.Depth*per); err != nil {
+			s.fail("restore-error", "lease %d: %v", id, err)
 		}
 	})
 }
@@ -664,8 +495,8 @@ func (h *harness) doRestore(step int, r uint64) {
 // concurrent request batch on one lease, optionally disturbed mid-flight
 // by mid (preemption, transplant), then joined and audited against the
 // golden memo.
-func (h *harness) serveBatch(step int, r uint64, kind string, mid func(id int)) {
-	id, ok := h.pick(step, kind, r, h.live)
+func (s *Stack) serveBatch(r uint64, kind string, mid func(id int)) {
+	id, ok := s.pick(kind, r, s.live)
 	if !ok {
 		return
 	}
@@ -673,7 +504,7 @@ func (h *harness) serveBatch(step int, r uint64, kind string, mid func(id int)) 
 	// requests routinely ride leases owned by the other tenant — exactly
 	// the cross-tenant traffic the golden memo must prove leak-free
 	// (outputs depend on (lease, seed) alone, never on the submitter).
-	who := h.tenantFor(r >> 48)
+	who := s.tenantFor(r >> 48)
 	n := 1 + int((r>>16)%3)
 	seeds := make([]int64, n)
 	for j := range seeds {
@@ -682,17 +513,17 @@ func (h *harness) serveBatch(step int, r uint64, kind string, mid func(id int)) 
 		// the golden memo gets real coverage.
 		seeds[j] = int64(((r >> 32) + uint64(j)) % 8)
 	}
-	h.serveOn(step, id, who, seeds, kind, mid)
+	s.serveOn(id, who, seeds, kind, mid)
 }
 
 // serveOn serves one explicit concurrent batch on a lease: the core of
 // serveBatch, also driven directly by the scenario engine with its own
 // (lease, tenant, seeds) choices.
-func (h *harness) serveOn(step, id int, who string, seeds []int64, kind string, mid func(id int)) {
+func (s *Stack) serveOn(id int, who string, seeds []int64, kind string, mid func(id int)) {
 	n := len(seeds)
-	spec, ok := h.leaseSpec[id]
+	spec, ok := s.leaseSpec[id]
 	if !ok {
-		h.fail(step, "lease-conservation", "serve on lease %d the model never deployed", id)
+		s.fail("lease-conservation", "serve on lease %d the model never deployed", id)
 		return
 	}
 	results := make([]*rms.InferResult, n)
@@ -703,7 +534,7 @@ func (h *harness) serveOn(step, id int, who string, seeds []int64, kind string, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[j], errs[j] = h.dp.InferAs(who, id, inputsFor(spec, id, seeds[j]))
+			results[j], errs[j] = s.dp.InferAs(who, id, inputsFor(spec, id, seeds[j]))
 		}()
 	}
 	if mid != nil {
@@ -712,69 +543,69 @@ func (h *harness) serveOn(step, id int, who string, seeds []int64, kind string, 
 	wg.Wait()
 	if who != "" {
 		// InferAs counts every attempt before shedding or serving.
-		h.expTenantReq[who] += int64(n)
+		s.expTenantReq[who] += int64(n)
 	}
-	if h.violation != nil {
+	if s.violation != nil {
 		return // mid already failed; the joined requests are accounted above
 	}
 	hashes := make([]string, n)
 	for j := 0; j < n; j++ {
 		if errs[j] != nil {
-			h.fail(step, "infer-served", "lease %d seed %d tenant %s: %v", id, seeds[j], who, errs[j])
+			s.fail("infer-served", "lease %d seed %d tenant %s: %v", id, seeds[j], who, errs[j])
 			return
 		}
 		hash := hashOutputs(results[j].Outputs)
 		hashes[j] = fmt.Sprintf("%016x", hash)
 		key := goldenKey{lease: id, seed: seeds[j]}
-		if prev, ok := h.golden[key]; ok {
+		if prev, ok := s.golden[key]; ok {
 			if prev != hash {
-				h.fail(step, "golden-equivalence",
+				s.fail("golden-equivalence",
 					"lease %d seed %d: output hash %016x, previously %016x", id, seeds[j], hash, prev)
 				return
 			}
 		} else {
-			h.golden[key] = hash
+			s.golden[key] = hash
 		}
 	}
 	if who != "" {
-		h.expTenantServed[who] += int64(n)
+		s.expTenantServed[who] += int64(n)
 	}
-	h.expInfers += int64(n)
-	h.expInferEvents++
-	h.tracef(step, "%s lease=%d tenant=%s n=%d seeds=%v out=%v", kind, id, who, n, seeds, hashes)
+	s.expInfers += int64(n)
+	s.expInferEvents++
+	s.tracef("%s lease=%d tenant=%s n=%d seeds=%v out=%v", kind, id, who, n, seeds, hashes)
 }
 
 // doDefrag runs one consolidation pass. The report is deterministic (the
 // quiet gate reads the scripted load map, placements are a pure function
 // of event history), so it is traced whole.
-func (h *harness) doDefrag(step int) {
-	rep := h.cp.Defrag()
+func (s *Stack) doDefrag() {
+	rep := s.cp.Defrag()
 	for _, ev := range rep.Moves {
 		if ev.Err == "" || ev.Err == resizeFailMsg {
 			// The consolidation migration landed (a resize failure is owed
 			// as debt and retried by a later tick's "resize" event).
-			h.expMigrations++
-			h.expDefragMoves++
+			s.expMigrations++
+			s.expDefragMoves++
 		} else {
-			h.expMigFailures++
+			s.expMigFailures++
 		}
 	}
 	b, _ := json.Marshal(rep)
-	h.tracef(step, "defrag %s", b)
+	s.tracef("defrag %s", b)
 }
 
-func (h *harness) offerLoad(step, id, queueDepth int) {
-	h.loads[id] = rms.LoadStats{QueueDepth: queueDepth}
-	h.tracef(step, "load lease=%d queue=%d", id, queueDepth)
+func (s *Stack) offerLoad(id, queueDepth int) {
+	s.loads[id] = rms.LoadStats{QueueDepth: queueDepth}
+	s.tracef("load lease=%d queue=%d", id, queueDepth)
 }
 
 // deploy is deployAs plus the deploy event's trace line.
-func (h *harness) deploy(step int, spec kernels.LayerSpec, who string) (*rms.Lease, bool) {
-	l, ok := h.deployAs(step, spec, who)
+func (s *Stack) deploy(spec kernels.LayerSpec, who string) (*rms.Lease, bool) {
+	l, ok := s.deployAs(spec, who)
 	if ok && l == nil {
-		h.tracef(step, "deploy shed tenant=%s", who)
+		s.tracef("deploy shed tenant=%s", who)
 	} else if ok {
-		h.tracef(step, "deploy lease=%d depth=%d tenant=%s", l.ID, l.Depth, who)
+		s.tracef("deploy lease=%d depth=%d tenant=%s", l.ID, l.Depth, who)
 	}
 	return l, ok
 }
@@ -783,13 +614,13 @@ func (h *harness) deploy(step int, spec kernels.LayerSpec, who string) (*rms.Lea
 // reports whether its artifact was already ensured — i.e. whether the
 // deploy must come back warm. Undeployable specs resolve to no plan and
 // trigger no compile.
-func (h *harness) markSpec(spec kernels.LayerSpec) bool {
-	key, err := h.comp.PlanKey(spec)
+func (s *Stack) markSpec(spec kernels.LayerSpec) bool {
+	key, err := s.comp.PlanKey(spec)
 	if err != nil {
 		return false
 	}
-	seen := h.keySeen[key]
-	h.keySeen[key] = true
+	seen := s.keySeen[key]
+	s.keySeen[key] = true
 	return seen
 }
 
@@ -797,21 +628,21 @@ func (h *harness) markSpec(spec kernels.LayerSpec) bool {
 // against the quota model. Returns (lease, true) on admission, (nil, true)
 // on a correctly-shed attempt (quota or capacity), and (nil, false) after
 // recording a violation.
-func (h *harness) deployAs(step int, spec kernels.LayerSpec, who string) (*rms.Lease, bool) {
-	atCap := h.tenantAtLeaseCap(who)
+func (s *Stack) deployAs(spec kernels.LayerSpec, who string) (*rms.Lease, bool) {
+	atCap := s.tenantAtLeaseCap(who)
 	if who != "" {
-		h.expTenantReq[who]++
+		s.expTenantReq[who]++
 	}
 	// The compile runs before admission, so even a deploy that will be shed
 	// on quota or capacity leaves its artifact behind: mark the spec's plan
 	// seen before the attempt, and expect a warm lease exactly when its
 	// artifact was already ensured.
-	wantWarm := h.markSpec(spec)
-	l, err := h.svc.DeployWith(spec, rms.PlaceOptions{Tenant: who})
+	wantWarm := s.markSpec(spec)
+	l, err := s.svc.DeployWith(spec, rms.PlaceOptions{Tenant: who})
 	if errors.Is(err, rms.ErrQuotaExceeded) {
-		h.expTenantRej[who]++
+		s.expTenantRej[who]++
 		if !atCap {
-			h.fail(step, "quota-conservation", "tenant %s shed below its lease quota: %v", who, err)
+			s.fail("quota-conservation", "tenant %s shed below its lease quota: %v", who, err)
 			return nil, false
 		}
 		return nil, true
@@ -820,23 +651,23 @@ func (h *harness) deployAs(step int, spec kernels.LayerSpec, who string) (*rms.L
 		return nil, true
 	}
 	if err != nil {
-		h.fail(step, "deploy-error", "%v", err)
+		s.fail("deploy-error", "%v", err)
 		return nil, false
 	}
 	if atCap {
-		h.fail(step, "quota-conservation", "tenant %s admitted past MaxLeases as lease %d", who, l.ID)
+		s.fail("quota-conservation", "tenant %s admitted past MaxLeases as lease %d", who, l.ID)
 		return nil, false
 	}
 	if wantWarm != l.WarmDeploy {
-		h.fail(step, "warm-deploy", "lease %d warm=%v, want %v (artifact store had %d plans)",
-			l.ID, l.WarmDeploy, wantWarm, len(h.keySeen))
+		s.fail("warm-deploy", "lease %d warm=%v, want %v (artifact store had %d plans)",
+			l.ID, l.WarmDeploy, wantWarm, len(s.keySeen))
 		return nil, false
 	}
 	if who != "" {
-		h.leaseTenant[l.ID] = who
+		s.leaseTenant[l.ID] = who
 	}
-	h.leaseSpec[l.ID] = spec
-	h.live = append(h.live, l.ID)
+	s.leaseSpec[l.ID] = spec
+	s.live = append(s.live, l.ID)
 	return l, true
 }
 
@@ -844,143 +675,143 @@ func (h *harness) deployAs(step int, spec kernels.LayerSpec, who string) (*rms.L
 // then deploy the same spec again. The preamble populated the artifact
 // store, so the replacement lease must come back warm — a redeploy that
 // compiles is an invariant breach, not just a slow path.
-func (h *harness) doRedeploy(step int, r uint64) {
-	id, ok := h.pick(step, "redeploy", r, h.live)
-	if !ok || !h.dropLease(step, id) {
+func (s *Stack) doRedeploy(r uint64) {
+	id, ok := s.pick("redeploy", r, s.live)
+	if !ok || !s.dropLease(id) {
 		return
 	}
 	// The replacement lease may land on a different tenant than the one
 	// released, so redeploys also churn ownership.
-	who := h.tenantFor(r >> 24)
-	l, ok := h.deployAs(step, h.o.Spec, who)
+	who := s.tenantFor(r >> 24)
+	l, ok := s.deployAs(s.o.Spec, who)
 	if !ok {
 		return
 	}
 	if l == nil {
-		h.tracef(step, "redeploy out=%d shed tenant=%s", id, who)
+		s.tracef("redeploy out=%d shed tenant=%s", id, who)
 		return
 	}
-	h.tracef(step, "redeploy out=%d in=%d depth=%d tenant=%s", id, l.ID, l.Depth, who)
+	s.tracef("redeploy out=%d in=%d depth=%d tenant=%s", id, l.ID, l.Depth, who)
 }
 
 // dropLease releases a lease through the data plane's drain path and
 // forgets it in the model; redeploy and release trace it differently.
-func (h *harness) dropLease(step, id int) bool {
-	if err := h.dp.Release(id); err != nil {
-		h.fail(step, "release-error", "lease %d: %v", id, err)
+func (s *Stack) dropLease(id int) bool {
+	if err := s.dp.Release(id); err != nil {
+		s.fail("release-error", "lease %d: %v", id, err)
 		return false
 	}
-	for i, v := range h.live {
+	for i, v := range s.live {
 		if v == id {
-			h.live = append(h.live[:i], h.live[i+1:]...)
+			s.live = append(s.live[:i], s.live[i+1:]...)
 			break
 		}
 	}
-	delete(h.loads, id)
-	delete(h.leaseTenant, id)
-	delete(h.leaseSpec, id)
+	delete(s.loads, id)
+	delete(s.leaseTenant, id)
+	delete(s.leaseSpec, id)
 	return true
 }
 
-func (h *harness) release(step, id int) {
-	if h.dropLease(step, id) {
-		h.tracef(step, "release lease=%d", id)
+func (s *Stack) release(id int) {
+	if s.dropLease(id) {
+		s.tracef("release lease=%d", id)
 	}
 }
 
 // kill silences a device's heartbeats until revive; the registry notices
 // after Control's SuspectAfter/DeadAfter windows.
-func (h *harness) kill(step, d int) {
-	h.killed[d] = true
-	h.tracef(step, "kill dev=%d", d)
+func (s *Stack) kill(d int) {
+	s.killed[d] = true
+	s.tracef("kill dev=%d", d)
 }
 
 // revive brings a killed device back and beats it once immediately.
-func (h *harness) revive(step, d int) bool {
-	delete(h.killed, d)
-	if err := h.cp.Heartbeat(d); err != nil {
-		h.fail(step, "heartbeat-error", "device %d: %v", d, err)
+func (s *Stack) revive(d int) bool {
+	delete(s.killed, d)
+	if err := s.cp.Heartbeat(d); err != nil {
+		s.fail("heartbeat-error", "device %d: %v", d, err)
 		return false
 	}
-	h.tracef(step, "revive dev=%d", d)
+	s.tracef("revive dev=%d", d)
 	return true
 }
 
-func (h *harness) drain(step, d int) bool {
-	if err := h.cp.Drain(d); err != nil {
-		h.fail(step, "drain-error", "device %d: %v", d, err)
+func (s *Stack) drain(d int) bool {
+	if err := s.cp.Drain(d); err != nil {
+		s.fail("drain-error", "device %d: %v", d, err)
 		return false
 	}
-	h.drained[d] = true
-	h.tracef(step, "drain dev=%d", d)
+	s.drained[d] = true
+	s.tracef("drain dev=%d", d)
 	return true
 }
 
-func (h *harness) undrain(step, d int) bool {
-	if err := h.cp.Undrain(d); err != nil {
-		h.fail(step, "undrain-error", "device %d: %v", d, err)
+func (s *Stack) undrain(d int) bool {
+	if err := s.cp.Undrain(d); err != nil {
+		s.fail("undrain-error", "device %d: %v", d, err)
 		return false
 	}
-	delete(h.drained, d)
-	h.tracef(step, "undrain dev=%d", d)
+	delete(s.drained, d)
+	s.tracef("undrain dev=%d", d)
 	return true
 }
 
-func (h *harness) doCondemn(step int, r uint64) {
-	id, ok := h.pick(step, "condemn", r, h.live)
+func (s *Stack) doCondemn(r uint64) {
+	id, ok := s.pick("condemn", r, s.live)
 	if !ok {
 		return
 	}
-	lease, ok := h.svc.Lease(id)
+	lease, ok := s.svc.Lease(id)
 	if !ok {
-		h.fail(step, "lease-conservation", "model says lease %d is live, service disagrees", id)
+		s.fail("lease-conservation", "model says lease %d is live, service disagrees", id)
 		return
 	}
 	shard := int((r >> 8) % uint64(len(lease.Placements)))
 	want := lease.Placements[shard].FPGA
-	prev, _ := h.cp.Registry().State(want)
+	prev, _ := s.cp.Registry().State(want)
 	derr := &scaleout.DeviceError{Device: shard, Err: errors.New("simtest: injected device fault")}
-	got, ok := h.cp.ObserveError(id, fmt.Errorf("serving lease %d: %w", id, derr))
+	got, ok := s.cp.ObserveError(id, fmt.Errorf("serving lease %d: %w", id, derr))
 	if !ok || got != want {
-		h.fail(step, "condemn-routing",
+		s.fail("condemn-routing",
 			"lease %d shard %d: condemned fpga %d (ok=%v), placements say %d", id, shard, got, ok, want)
 		return
 	}
 	if prev != cluster.Dead {
-		h.expCondemned++
+		s.expCondemned++
 	}
-	h.tracef(step, "condemn lease=%d shard=%d fpga=%d prev=%s", id, shard, want, prev)
+	s.tracef("condemn lease=%d shard=%d fpga=%d prev=%s", id, shard, want, prev)
 }
 
 // settle is one post-schedule quiesce round: every surviving device
 // beats, then the control plane ticks, so pending evacuations and
 // backoffs resolve before the stranded check.
-func (h *harness) settle(step int) {
-	if h.violation != nil {
+func (s *Stack) settle() {
+	if s.violation != nil {
 		return
 	}
-	h.settling = true
-	if _, ok := h.beatAll(step); !ok {
+	s.settling = true
+	if _, ok := s.beatAll(); !ok {
 		return
 	}
-	h.tick(step, "settle")
-	h.checkInvariants(step)
+	s.tick("settle")
+	s.checkInvariants()
 }
 
 // checkStranded runs once after the settle rounds: no lease may still
 // hold blocks on a dead or draining device, unless its evacuation
 // verifiably failed for lack of capacity during settle (the control
 // plane's correct answer then is to keep the lease and keep retrying).
-func (h *harness) checkStranded(step int) {
-	reg := h.cp.Registry()
-	for _, l := range h.svc.Leases() {
-		if h.excused[l.ID] {
+func (s *Stack) checkStranded() {
+	reg := s.cp.Registry()
+	for _, l := range s.svc.Leases() {
+		if s.excused[l.ID] {
 			continue
 		}
 		for _, pl := range l.Placements {
 			if reg.Evacuate(pl.FPGA) {
 				st, _ := reg.State(pl.FPGA)
-				h.fail(step, "stranded-placement",
+				s.fail("stranded-placement",
 					"lease %d still holds %d blocks on %s device %d after settle", l.ID, pl.Blocks, st, pl.FPGA)
 				return
 			}
@@ -988,24 +819,35 @@ func (h *harness) checkStranded(step int) {
 	}
 }
 
-// checkInvariants audits the stack against the harness's model after
-// every event. First breach wins; later events are skipped.
-func (h *harness) checkInvariants(step int) {
-	leases := h.svc.Leases()
+// checkInvariants audits the stack against the model after an event and
+// reports whether it is still green. First breach wins: once one is
+// recorded nothing is audited again.
+func (s *Stack) checkInvariants() bool {
+	if s.violation != nil {
+		return false
+	}
+	s.auditInvariants()
+	return s.violation == nil
+}
+
+// auditInvariants runs every family in InvariantFamilies order, stopping
+// at the first breach.
+func (s *Stack) auditInvariants() {
+	leases := s.svc.Leases()
 
 	// No lost or duplicated leases: the service's live set must equal the
 	// model's, exactly.
 	liveSet := map[int]bool{}
-	for _, id := range h.live {
+	for _, id := range s.live {
 		liveSet[id] = true
 	}
-	if len(leases) != len(h.live) {
-		h.fail(step, "lease-conservation", "service has %d leases, model has %d", len(leases), len(h.live))
+	if len(leases) != len(s.live) {
+		s.fail("lease-conservation", "service has %d leases, model has %d", len(leases), len(s.live))
 		return
 	}
 	for _, l := range leases {
 		if !liveSet[l.ID] {
-			h.fail(step, "lease-conservation", "service lease %d not in model", l.ID)
+			s.fail("lease-conservation", "service lease %d not in model", l.ID)
 			return
 		}
 	}
@@ -1017,13 +859,13 @@ func (h *harness) checkInvariants(step int) {
 	ladders := map[kernels.LayerSpec][]int{}
 	for _, l := range leases {
 		if len(l.Placements) != l.Depth {
-			h.fail(step, "placement-shape", "lease %d: %d placements at depth %d", l.ID, len(l.Placements), l.Depth)
+			s.fail("placement-shape", "lease %d: %d placements at depth %d", l.ID, len(l.Placements), l.Depth)
 			return
 		}
 		seen := map[int]bool{}
 		for _, pl := range l.Placements {
 			if seen[pl.FPGA] {
-				h.fail(step, "duplicate-device", "lease %d holds device %d twice", l.ID, pl.FPGA)
+				s.fail("duplicate-device", "lease %d holds device %d twice", l.ID, pl.FPGA)
 				return
 			}
 			seen[pl.FPGA] = true
@@ -1032,39 +874,39 @@ func (h *harness) checkInvariants(step int) {
 		ladder, ok := ladders[l.Spec]
 		if !ok {
 			var lerr error
-			ladder, lerr = h.svc.FeasibleDepths(l.Spec)
+			ladder, lerr = s.svc.FeasibleDepths(l.Spec)
 			if lerr != nil {
-				h.fail(step, "feasible-depth", "FeasibleDepths(%v): %v", l.Spec, lerr)
+				s.fail("feasible-depth", "FeasibleDepths(%v): %v", l.Spec, lerr)
 				return
 			}
 			ladders[l.Spec] = ladder
 		}
 		if !slices.Contains(ladder, l.Depth) {
-			h.fail(step, "feasible-depth", "lease %d at depth %d, ladder is %v", l.ID, l.Depth, ladder)
+			s.fail("feasible-depth", "lease %d at depth %d, ladder is %v", l.ID, l.Depth, ladder)
 			return
 		}
 	}
-	for _, f := range h.svc.Status().FPGAs {
+	for _, f := range s.svc.Status().FPGAs {
 		if got := f.TotalBlocks - f.FreeBlocks; got != occupied[f.ID] {
-			h.fail(step, "placement-conservation",
+			s.fail("placement-conservation",
 				"device %d: %d blocks occupied, leases account for %d", f.ID, got, occupied[f.ID])
 			return
 		}
 	}
 
 	// Engine/tombstone consistency in the data plane.
-	if err := h.dp.CheckInvariants(); err != nil {
-		h.fail(step, "engine-tombstone", "%v", err)
+	if err := s.dp.CheckInvariants(); err != nil {
+		s.fail("engine-tombstone", "%v", err)
 		return
 	}
 
 	// One reading of every counter per audit; each family below checks its
-	// deltas since harness birth against the event model.
-	d := metrics.Snapshot().Sub(h.base)
+	// deltas since the Stack's birth against the event model.
+	d := metrics.Snapshot().Sub(s.base)
 	exact := func(invariant string, v *expvar.Int, want int64) bool {
 		got := d.Int(v)
 		if got != want {
-			h.fail(step, invariant, "%s moved %d, events account for %d", metrics.Name(v), got, want)
+			s.fail(invariant, "%s moved %d, events account for %d", metrics.Name(v), got, want)
 		}
 		return got == want
 	}
@@ -1072,11 +914,11 @@ func (h *harness) checkInvariants(step int) {
 	// Quota conservation: the service's per-tenant ownership and usage
 	// must match the model's lease-owner map exactly, and no tenant may
 	// ever hold more than any configured quota grants.
-	if h.reg != nil {
+	if s.reg != nil {
 		owned := map[string]int{}
 		for _, l := range leases {
-			if want := h.leaseTenant[l.ID]; l.Tenant != want {
-				h.fail(step, "quota-conservation",
+			if want := s.leaseTenant[l.ID]; l.Tenant != want {
+				s.fail("quota-conservation",
 					"lease %d owned by %q, model says %q", l.ID, l.Tenant, want)
 				return
 			}
@@ -1084,23 +926,23 @@ func (h *harness) checkInvariants(step int) {
 				owned[l.Tenant]++
 			}
 		}
-		for _, t := range h.reg.List() {
-			lu, du, bu := h.svc.TenantUsage(t.ID)
+		for _, t := range s.reg.List() {
+			lu, du, bu := s.svc.TenantUsage(t.ID)
 			if lu != owned[t.ID] {
-				h.fail(step, "quota-conservation",
+				s.fail("quota-conservation",
 					"tenant %s: service reports %d leases, model owns %d", t.ID, lu, owned[t.ID])
 				return
 			}
 			if q := t.Quotas.MaxLeases; q > 0 && lu > q {
-				h.fail(step, "quota-conservation", "tenant %s holds %d leases over quota %d", t.ID, lu, q)
+				s.fail("quota-conservation", "tenant %s holds %d leases over quota %d", t.ID, lu, q)
 				return
 			}
 			if q := t.Quotas.MaxDevices; q > 0 && du > q {
-				h.fail(step, "quota-conservation", "tenant %s holds %d devices over quota %d", t.ID, du, q)
+				s.fail("quota-conservation", "tenant %s holds %d devices over quota %d", t.ID, du, q)
 				return
 			}
 			if q := t.Quotas.MaxBlocks; q > 0 && bu > q {
-				h.fail(step, "quota-conservation", "tenant %s holds %d blocks over quota %d", t.ID, bu, q)
+				s.fail("quota-conservation", "tenant %s holds %d blocks over quota %d", t.ID, bu, q)
 				return
 			}
 		}
@@ -1109,20 +951,20 @@ func (h *harness) checkInvariants(step int) {
 		// delta must equal what the attributed events predict, the fair
 		// queue must drain to zero depth between events, and nothing in
 		// the sim path may trip the auth counters (no HTTP runs here).
-		for _, t := range h.reg.List() {
+		for _, t := range s.reg.List() {
 			id := t.ID
 			for _, c := range []struct {
 				m    *expvar.Map
 				want int64
 			}{
-				{metrics.TenantRequests, h.expTenantReq[id]},
-				{metrics.TenantServed, h.expTenantServed[id]},
-				{metrics.TenantRejections, h.expTenantRej[id]},
+				{metrics.TenantRequests, s.expTenantReq[id]},
+				{metrics.TenantServed, s.expTenantServed[id]},
+				{metrics.TenantRejections, s.expTenantRej[id]},
 				{metrics.TenantQueueDepth, 0},
 				{metrics.TenantAuthFailures, 0},
 			} {
 				if got := d.Tenant(c.m, id); got != c.want {
-					h.fail(step, "tenant-accounting",
+					s.fail("tenant-accounting",
 						"tenant %s: %s moved %d, events account for %d", id, metrics.Name(c.m), got, c.want)
 					return
 				}
@@ -1134,8 +976,8 @@ func (h *harness) checkInvariants(step int) {
 	// compile plan ever attempted (the singleflight memo absorbs every
 	// repeat, including deploys later shed on quota or capacity), and
 	// nothing may be dropped as corrupt.
-	if st, want := h.store.Stats(), int64(len(h.keySeen)); st.Computes != want || st.CorruptDropped != 0 {
-		h.fail(step, "artifact-cache",
+	if st, want := s.store.Stats(), int64(len(s.keySeen)); st.Computes != want || st.CorruptDropped != 0 {
+		s.fail("artifact-cache",
 			"computes=%d corrupt=%d, want exactly %d compiles and 0 corrupt drops", st.Computes, st.CorruptDropped, want)
 		return
 	}
@@ -1153,17 +995,17 @@ func (h *harness) checkInvariants(step int) {
 	// batch and admission accounting downstream — the root cause should
 	// name the violation.
 	if c, rs := d.Int(metrics.SnapshotCaptures), d.Int(metrics.SnapshotRestores); c != rs {
-		h.fail(step, "snapshot-conservation",
+		s.fail("snapshot-conservation",
 			"%s moved %d, %s %d: a checkpoint was captured and never restored",
 			metrics.Name(metrics.SnapshotCaptures), c, metrics.Name(metrics.SnapshotRestores), rs)
 		return
 	}
 	if ev, rs := d.Int(metrics.PreemptEvictions), d.Int(metrics.PreemptRestores); ev != rs {
-		h.fail(step, "snapshot-conservation", "%s moved %d, %s %d",
+		s.fail("snapshot-conservation", "%s moved %d, %s %d",
 			metrics.Name(metrics.PreemptEvictions), ev, metrics.Name(metrics.PreemptRestores), rs)
 		return
 	}
-	if !exact("snapshot-conservation", metrics.DefragMoves, h.expDefragMoves) {
+	if !exact("snapshot-conservation", metrics.DefragMoves, s.expDefragMoves) {
 		return
 	}
 
@@ -1174,20 +1016,20 @@ func (h *harness) checkInvariants(step int) {
 		v    *expvar.Int
 		want int64
 	}{
-		{metrics.LeasesActive, int64(len(h.live))},
-		{metrics.InfersServed, h.expInfers},
-		{metrics.Migrations, h.expMigrations},
-		{metrics.MigrationFailures, h.expMigFailures},
-		{metrics.HeartbeatMisses, h.expHbMisses},
-		{metrics.DevicesCondemned, h.expCondemned},
+		{metrics.LeasesActive, int64(len(s.live))},
+		{metrics.InfersServed, s.expInfers},
+		{metrics.Migrations, s.expMigrations},
+		{metrics.MigrationFailures, s.expMigFailures},
+		{metrics.HeartbeatMisses, s.expHbMisses},
+		{metrics.DevicesCondemned, s.expCondemned},
 	} {
 		if !exact("counter-conservation", c.v, c.want) {
 			return
 		}
 	}
-	if bf := d.Int(metrics.BatchesFlushed); bf < h.expInferEvents || bf > h.expInfers {
-		h.fail(step, "batch-conservation", "%s moved %d, outside [%d, %d]",
-			metrics.Name(metrics.BatchesFlushed), bf, h.expInferEvents, h.expInfers)
+	if bf := d.Int(metrics.BatchesFlushed); bf < s.expInferEvents || bf > s.expInfers {
+		s.fail("batch-conservation", "%s moved %d, outside [%d, %d]",
+			metrics.Name(metrics.BatchesFlushed), bf, s.expInferEvents, s.expInfers)
 		return
 	}
 
@@ -1198,15 +1040,15 @@ func (h *harness) checkInvariants(step int) {
 	// a leaked slot: admitted capacity that never came back), and each
 	// served request accounts for exactly one slot admission.
 	if got := d.Int(metrics.SlotsActive); got != 0 {
-		h.fail(step, "slot-conservation", "%s residue %d with no request in flight",
+		s.fail("slot-conservation", "%s residue %d with no request in flight",
 			metrics.Name(metrics.SlotsActive), got)
 		return
 	}
-	if !exact("slot-conservation", metrics.Admissions, h.expInfers) {
+	if !exact("slot-conservation", metrics.Admissions, s.expInfers) {
 		return
 	}
 	if occ, rounds := d.Int(metrics.SlotRoundOccupancy), d.Int(metrics.SlotRounds); occ < rounds {
-		h.fail(step, "slot-conservation", "%s %d below %s %d: a round ran with an empty cohort",
+		s.fail("slot-conservation", "%s %d below %s %d: a round ran with an empty cohort",
 			metrics.Name(metrics.SlotRoundOccupancy), occ, metrics.Name(metrics.SlotRounds), rounds)
 		return
 	}

@@ -40,7 +40,7 @@ func writeReport(t *testing.T, res *Result) {
 	t.Logf("wrote failure report to %s", path)
 }
 
-// TestSimSweep is the harness's front door: one deterministic run per
+// TestSimSweep is the sweep's front door: one deterministic run per
 // seed, failing with the minimized schedule on any invariant violation.
 func TestSimSweep(t *testing.T) {
 	seeds, steps := *flagSeeds, *flagSteps
@@ -109,7 +109,7 @@ func TestSimPreemptionSchedule(t *testing.T) {
 	for i := range sched {
 		sched[i] = Event{Kind: pattern[i%len(pattern)], R: rng.Uint64()}
 	}
-	run := func() *outcome {
+	run := func() *Stack {
 		out, err := runSchedule(o, sched)
 		if err != nil {
 			t.Fatal(err)

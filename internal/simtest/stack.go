@@ -1,15 +1,23 @@
 package simtest
 
 import (
+	"errors"
+	"fmt"
+	"sort"
 	"time"
 
+	"mlvfpga/internal/artifactstore"
+	"mlvfpga/internal/cluster"
 	"mlvfpga/internal/des"
 	"mlvfpga/internal/kernels"
 	"mlvfpga/internal/metrics"
+	"mlvfpga/internal/perf"
 	"mlvfpga/internal/rms"
+	"mlvfpga/internal/scaleout"
+	"mlvfpga/internal/tenant"
 )
 
-// InvariantFamilies lists every invariant the harness audits after each
+// InvariantFamilies lists every invariant the Stack audits after each
 // event, in the order checkInvariants runs them. Scenario reports embed
 // the list so a report is self-describing about what "green" certified.
 func InvariantFamilies() []string {
@@ -34,66 +42,198 @@ func InvariantFamilies() []string {
 	}
 }
 
-// Stack is the exported face of the simtest harness: one fresh
-// service + data plane + control plane wired to one DES engine, with the
-// model-based invariant checkers attached. The random-schedule sweep in
-// this package drives the same harness through Run; Stack exposes it to
-// deterministic external drivers (the scenario engine) that choose their
-// own events — explicit devices, explicit leases, explicit request seeds —
-// instead of drawing them from a PRNG.
+// Stack is the simulator: one fresh service + data plane + control plane
+// wired to one DES engine, plus the model state the invariant checkers
+// compare the real stack against. It has two clients. The random-schedule
+// sweep in this package (Run) draws its events from a PRNG and stamps each
+// with its schedule index; deterministic external drivers (the scenario
+// engine, the benchmark) choose their own events — explicit devices,
+// explicit leases, explicit request seeds — through the exported
+// operations, each of which advances the step counter by one.
 //
-// The Stack starts empty: no preamble leases, no specs compiled. All
-// methods must be called from the DES goroutine (timer callbacks or
-// between Run calls); the only internal concurrency is inside Serve,
-// which joins before returning.
+// The Stack starts empty: no leases, no specs compiled. All methods must
+// be called from the DES goroutine (timer callbacks or between Run calls);
+// the only internal concurrency is inside a serve, which joins before
+// returning.
 type Stack struct {
-	h *harness
-	// step is the event counter stamped on traces and violations; external
-	// drivers advance it via Step.
+	o     Options
+	eng   *des.Engine
+	svc   *rms.Service
+	dp    *rms.DataPlane
+	cp    *cluster.ControlPlane
+	store *artifactstore.Store
+
+	devices []int
+	loads   map[int]rms.LoadStats
+	armFail int
+
+	live    []int
+	killed  map[int]bool
+	drained map[int]bool
+	golden  map[goldenKey]uint64
+	// base is the counter reading at the Stack's birth (the counters are
+	// process-wide, so the checkers only ever look at deltas from it).
+	base metrics.Values
+
+	// Multi-spec model: which layer each live lease serves, and the set of
+	// distinct artifact keys ever sent to the deploy path. The compile runs
+	// before admission (and its artifact survives a failed placement), so
+	// the expected artifact-store compute count is exactly len(keySeen).
+	// Keys, not specs: distinct layers resolving to the same accelerator
+	// instance share one compilation product.
+	comp      *rms.Compiler
+	leaseSpec map[int]kernels.LayerSpec
+	keySeen   map[artifactstore.Key]bool
+
+	// Tenant model: who owns each live lease, plus per-tenant expected
+	// counter deltas mirroring mlv_tenant_{requests,infers_served,
+	// rejections}.
+	reg             *tenant.Registry
+	leaseTenant     map[int]string
+	expTenantReq    map[string]int64
+	expTenantServed map[string]int64
+	expTenantRej    map[string]int64
+
+	expInfers      int64
+	expInferEvents int64
+	expMigrations  int64
+	expMigFailures int64
+	expHbMisses    int64
+	expCondemned   int64
+	expDefragMoves int64
+
+	settling bool
+	// excused marks leases whose settle-phase evacuation failed for lack
+	// of capacity: they are allowed to end the run stranded.
+	excused map[int]bool
+
+	trace     []string
+	violation *Violation
+
+	// step is the event number stamped on trace lines and violations: the
+	// sweep sets it to the schedule index, external drivers advance it
+	// through Step.
 	step int
 }
 
-// NewStack builds a fresh stack from the options. Unlike the sweep
-// harness, no preamble leases are deployed — the driver owns every deploy.
-func NewStack(o Options) (*Stack, error) {
-	h, err := newHarness(o, false)
-	if err != nil {
-		return nil, err
+// simPlane is the LoadSource/Resizer the control plane sees: loads come
+// from the schedule's scripted map (live queue depths are timing-
+// dependent and would break determinism) and resizes pass through to the
+// real data plane unless an injected failure is armed.
+type simPlane struct{ s *Stack }
+
+func (p simPlane) Load(leaseID int) (rms.LoadStats, bool) {
+	l, ok := p.s.loads[leaseID]
+	return l, ok
+}
+
+func (p simPlane) Resize(leaseID, machines int) error {
+	if p.s.armFail > 0 {
+		p.s.armFail--
+		return errors.New(resizeFailMsg)
 	}
-	return &Stack{h: h}, nil
+	return p.s.dp.Resize(leaseID, machines)
+}
+
+// NewStack builds a fresh, empty stack from the options.
+func NewStack(o Options) (*Stack, error) {
+	eng := des.New()
+	db := rms.NewDatabase(rms.Flexible, perf.DefaultParams(), scaleout.DefaultOptions())
+	svc, err := rms.NewService(o.Cluster, db)
+	if err != nil {
+		return nil, fmt.Errorf("simtest: building service: %w", err)
+	}
+	// The warm-start compile path runs over a memory-backed artifact
+	// store, so every deploy after the preamble's first must be a cache
+	// hit — the artifact-cache and warm-deploy invariants pin that.
+	store := artifactstore.NewMemory(artifactstore.Options{})
+	comp := rms.NewCompiler(store, rms.CompilerOptions{Parallelism: 1})
+	svc.SetCompiler(comp)
+	dp := rms.NewDataPlane(svc, o.Infer)
+	s := &Stack{
+		o:               o,
+		eng:             eng,
+		svc:             svc,
+		dp:              dp,
+		store:           store,
+		comp:            comp,
+		loads:           map[int]rms.LoadStats{},
+		killed:          map[int]bool{},
+		drained:         map[int]bool{},
+		golden:          map[goldenKey]uint64{},
+		excused:         map[int]bool{},
+		leaseSpec:       map[int]kernels.LayerSpec{},
+		keySeen:         map[artifactstore.Key]bool{},
+		leaseTenant:     map[int]string{},
+		expTenantReq:    map[string]int64{},
+		expTenantServed: map[string]int64{},
+		expTenantRej:    map[string]int64{},
+	}
+	if len(o.Tenants) > 0 {
+		reg, rerr := tenant.NewRegistry(o.Tenants...)
+		if rerr != nil {
+			return nil, fmt.Errorf("simtest: tenant registry: %w", rerr)
+		}
+		s.reg = reg
+		svc.SetTenants(reg)
+		dp.SetTenants(reg)
+	}
+	clk := cluster.DESClock{Engine: eng, Epoch: time.Unix(0, 0).UTC()}
+	s.cp = cluster.New(clk, o.Control, svc, simPlane{s})
+	switch o.Fault {
+	case FaultSkipTombstone:
+		dp.InjectFaults(rms.Faults{SkipReleaseTombstone: true})
+	case FaultSkipMigrationMetric:
+		s.cp.InjectFaults(cluster.Faults{SkipMigrationMetric: true})
+	case FaultSkipTenantServed:
+		dp.InjectFaults(rms.Faults{SkipTenantServedMetric: true})
+	case FaultLeakSlot:
+		dp.InjectFaults(rms.Faults{LeakSlot: true})
+	case FaultLeakSnapshot:
+		dp.InjectFaults(rms.Faults{LeakSnapshot: true})
+	case FaultRestoreAtZero:
+		dp.InjectFaults(rms.Faults{RestoreAtZero: true})
+	}
+	for _, f := range svc.Status().FPGAs {
+		s.devices = append(s.devices, f.ID)
+	}
+	sort.Ints(s.devices)
+	// Counter baselines before any deploy, so the LeasesActive delta
+	// tracks len(s.live) exactly and per-tenant deltas start at zero.
+	s.base = metrics.Snapshot()
+	return s, nil
 }
 
 // Close shuts the data plane down. After Close the stack must not be used.
-func (s *Stack) Close() { s.h.dp.Close() }
+func (s *Stack) Close() { s.dp.Close() }
 
 // Engine returns the DES engine the control plane's clock reads. Drivers
 // lay their timeline onto it and call Run.
-func (s *Stack) Engine() *des.Engine { return s.h.eng }
+func (s *Stack) Engine() *des.Engine { return s.eng }
 
 // Step advances and returns the event counter used in traces/violations.
 func (s *Stack) Step() int { s.step++; return s.step }
 
 // Devices returns the device IDs in the simulated cluster, ascending.
-func (s *Stack) Devices() []int { return append([]int(nil), s.h.devices...) }
+func (s *Stack) Devices() []int { return append([]int(nil), s.devices...) }
 
 // Violation returns the first invariant breach, or nil while green.
-func (s *Stack) Violation() *Violation { return s.h.violation }
+func (s *Stack) Violation() *Violation { return s.violation }
 
 // TraceHash folds the trace into the same FNV-64a digest Result uses.
-func (s *Stack) TraceHash() uint64 { return hashTrace(s.h.trace) }
+func (s *Stack) TraceHash() uint64 { return hashTrace(s.trace) }
 
 // Deploy deploys one lease of the given spec for the given tenant (empty
 // for a tenantless run) and audits the admission decision. Returns
 // (lease, true) on admission, (nil, true) on a correctly-shed attempt, and
 // (nil, false) after recording a violation.
 func (s *Stack) Deploy(spec kernels.LayerSpec, who string) (*rms.Lease, bool) {
-	step := s.Step()
-	l, ok := s.h.deploy(step, spec, who)
+	s.Step()
+	l, ok := s.deploy(spec, who)
 	if l == nil {
 		return nil, ok
 	}
-	s.h.checkInvariants(step)
-	return l, s.h.violation == nil
+	return l, s.checkInvariants()
 }
 
 // Serve runs one concurrent batch of len(seeds) requests on the lease,
@@ -101,69 +241,61 @@ func (s *Stack) Deploy(spec kernels.LayerSpec, who string) (*rms.Lease, bool) {
 // golden (lease, seed) memo plus every invariant family. Reports whether
 // the stack is still green.
 func (s *Stack) Serve(id int, who string, seeds []int64) bool {
-	step := s.Step()
-	s.h.serveOn(step, id, who, seeds, "infer", nil)
-	if s.h.violation == nil {
-		s.h.checkInvariants(step)
-	}
-	return s.h.violation == nil
+	s.Step()
+	s.serveOn(id, who, seeds, "infer", nil)
+	return s.checkInvariants()
 }
 
 // Kill marks a device dead: it stops heartbeating until Revive. The
 // registry notices after Control's SuspectAfter/DeadAfter windows.
-func (s *Stack) Kill(device int) { s.h.kill(s.Step(), device) }
+func (s *Stack) Kill(device int) { s.Step(); s.kill(device) }
 
 // Revive brings a killed device back and beats it once immediately.
-func (s *Stack) Revive(device int) bool { return s.h.revive(s.Step(), device) }
+func (s *Stack) Revive(device int) bool { s.Step(); return s.revive(device) }
 
 // Drain starts an administrative drain of a device.
-func (s *Stack) Drain(device int) bool { return s.h.drain(s.Step(), device) }
+func (s *Stack) Drain(device int) bool { s.Step(); return s.drain(device) }
 
 // Undrain returns a draining device to service.
-func (s *Stack) Undrain(device int) bool { return s.h.undrain(s.Step(), device) }
+func (s *Stack) Undrain(device int) bool { s.Step(); return s.undrain(device) }
 
 // HeartbeatAll beats every device not currently killed.
 func (s *Stack) HeartbeatAll() bool {
-	step := s.Step()
-	if s.h.violation != nil {
-		return false
+	s.Step()
+	if s.violation == nil {
+		s.heartbeat()
 	}
-	s.h.heartbeat(step)
-	return s.h.violation == nil
+	return s.violation == nil
 }
 
 // Tick runs one control-plane reconciliation round (health decay,
 // evacuations, autoscaling) and folds its report into the counter model.
 func (s *Stack) Tick() bool {
-	step := s.Step()
-	if s.h.violation != nil {
-		return false
+	s.Step()
+	if s.violation == nil {
+		s.tick("tick")
 	}
-	s.h.tick(step, "tick")
-	s.h.checkInvariants(step)
-	return s.h.violation == nil
+	return s.checkInvariants()
 }
 
 // Settle runs one quiesce round: heartbeat survivors, tick, check. The
 // stack enters settling mode, so evacuations that verifiably fail for
 // lack of capacity excuse their lease from the stranded check.
-func (s *Stack) Settle() bool {
-	s.h.settle(s.Step())
-	return s.h.violation == nil
-}
+func (s *Stack) Settle() bool { s.Step(); s.settle(); return s.violation == nil }
 
 // CheckStranded runs the end-of-run stranded-placement audit.
 func (s *Stack) CheckStranded() bool {
-	if s.h.violation == nil {
-		s.h.checkStranded(s.Step())
+	if s.violation == nil {
+		s.Step()
+		s.checkStranded()
 	}
-	return s.h.violation == nil
+	return s.violation == nil
 }
 
 // LeaseLatency returns the modelled per-inference latency of a live
 // lease — the scenario engine's queueing service time.
 func (s *Stack) LeaseLatency(id int) (time.Duration, bool) {
-	l, ok := s.h.svc.Lease(id)
+	l, ok := s.svc.Lease(id)
 	if !ok {
 		return 0, false
 	}
@@ -174,7 +306,7 @@ func (s *Stack) LeaseLatency(id int) (time.Duration, bool) {
 // a scenario report carries, as deltas from the stack's birth (the counters
 // are shared across stacks in one process, so only deltas are meaningful).
 func (s *Stack) CounterDeltas() map[string]int64 {
-	d := metrics.Snapshot().Sub(s.h.base)
+	d := metrics.Snapshot().Sub(s.base)
 	out := map[string]int64{}
 	for _, f := range []metrics.Family{metrics.ServingFamily, metrics.SlotFamily, metrics.SnapshotFamily} {
 		for name, v := range d.Family(f) {

@@ -6,7 +6,7 @@ import (
 )
 
 // DOT renders the soft-block tree in Graphviz format for visual inspection
-// (e.g. `mlv-decompose -dot tree.dot && dot -Tsvg tree.dot`). Leaves show
+// (e.g. `mlv decompose -dot tree.dot && dot -Tsvg tree.dot`). Leaves show
 // their module and resources; pattern nodes show their kind, with pipeline
 // edges labelled by stage bandwidth.
 func (b *Block) DOT(name string) string {

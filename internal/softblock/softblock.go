@@ -349,11 +349,6 @@ func (a *Accelerator) Validate() error {
 	return nil
 }
 
-// TotalResources sums control and data resources.
-func (a *Accelerator) TotalResources() resource.Vector {
-	return a.Control.Resources.Add(a.Data.Resources)
-}
-
 // MarshalJSON/Unmarshal round-trip through the standard encoder; provided
 // as explicit helpers for the tool CLIs.
 func (a *Accelerator) Encode() ([]byte, error) { return json.MarshalIndent(a, "", "  ") }

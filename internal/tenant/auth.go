@@ -11,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -67,6 +68,10 @@ func FromContext(ctx context.Context) (Tenant, bool) {
 	return t, ok
 }
 
+// adminPrefix is the path prefix whose mutating operations require an
+// admin tenant.
+const adminPrefix = "/cluster/"
+
 // GuardOptions tunes the authentication middleware.
 type GuardOptions struct {
 	// MaxSkew bounds |server time - request timestamp| (default 2m).
@@ -75,9 +80,6 @@ type GuardOptions struct {
 	// 64k); a nonce stays rejected for 2×MaxSkew, the widest interval a
 	// timestamp inside the skew bound could be replayed over.
 	MaxNonces int
-	// AdminPrefixes are path prefixes whose mutating operations require
-	// an admin tenant (default: /cluster/).
-	AdminPrefixes []string
 	// Now overrides the clock (tests). Nil means time.Now.
 	Now func() time.Time
 }
@@ -101,9 +103,6 @@ func NewGuard(reg *Registry, opts GuardOptions) *Guard {
 	}
 	if opts.MaxNonces <= 0 {
 		opts.MaxNonces = 1 << 16
-	}
-	if len(opts.AdminPrefixes) == 0 {
-		opts.AdminPrefixes = []string{"/cluster/"}
 	}
 	if opts.Now == nil {
 		opts.Now = time.Now
@@ -177,13 +176,9 @@ func (g *Guard) Wrap(next http.Handler) http.Handler {
 			g.reject(w, http.StatusUnauthorized, id, "replayed nonce")
 			return
 		}
-		if !t.Admin {
-			for _, p := range g.opts.AdminPrefixes {
-				if len(r.URL.Path) >= len(p) && r.URL.Path[:len(p)] == p {
-					g.reject(w, http.StatusForbidden, id, "admin tenant required")
-					return
-				}
-			}
+		if !t.Admin && strings.HasPrefix(r.URL.Path, adminPrefix) {
+			g.reject(w, http.StatusForbidden, id, "admin tenant required")
+			return
 		}
 		next.ServeHTTP(w, r.WithContext(WithTenant(r.Context(), t)))
 	})

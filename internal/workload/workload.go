@@ -40,8 +40,9 @@ func (c Class) String() string {
 	return fmt.Sprintf("Class(%d)", int(c))
 }
 
-// Classify buckets a hidden size per Table 1.
-func Classify(hidden int) Class {
+// classify buckets a hidden size per Table 1: the rule classLayers'
+// entries are checked against.
+func classify(hidden int) Class {
 	switch {
 	case hidden <= 1024:
 		return Small
@@ -75,11 +76,6 @@ var classLayers = map[Class][]kernels.LayerSpec{
 		{Kind: kernels.LSTM, Hidden: 2304, TimeSteps: 64},
 		{Kind: kernels.GRU, Hidden: 3072, TimeSteps: 80},
 	},
-}
-
-// ClassLayers returns the layer menu of a class.
-func ClassLayers(c Class) []kernels.LayerSpec {
-	return append([]kernels.LayerSpec{}, classLayers[c]...)
 }
 
 // Composition is one Table 1 workload mix.

@@ -9,8 +9,8 @@ import (
 func TestClassify(t *testing.T) {
 	cases := map[int]Class{256: Small, 1024: Small, 1025: Medium, 2048: Medium, 2049: Large, 3072: Large}
 	for h, want := range cases {
-		if got := Classify(h); got != want {
-			t.Errorf("Classify(%d) = %v, want %v", h, got, want)
+		if got := classify(h); got != want {
+			t.Errorf("classify(%d) = %v, want %v", h, got, want)
 		}
 	}
 }
@@ -23,12 +23,12 @@ func TestClassStrings(t *testing.T) {
 
 func TestClassLayersConsistent(t *testing.T) {
 	for _, c := range []Class{Small, Medium, Large} {
-		layers := ClassLayers(c)
+		layers := classLayers[c]
 		if len(layers) == 0 {
 			t.Fatalf("class %v has no layers", c)
 		}
 		for _, l := range layers {
-			if Classify(l.Hidden) != c {
+			if classify(l.Hidden) != c {
 				t.Errorf("layer %v listed under class %v", l, c)
 			}
 			if l.Hidden%4 != 0 {

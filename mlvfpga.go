@@ -36,7 +36,6 @@ import (
 	"mlvfpga/internal/resource"
 	"mlvfpga/internal/rms"
 	"mlvfpga/internal/rtl"
-	"mlvfpga/internal/scaleout"
 	"mlvfpga/internal/softblock"
 	"mlvfpga/internal/workload"
 )
@@ -281,17 +280,11 @@ func SimulateCluster(setIndex, numTasks int, seed int64) (proposed, baseline Wor
 	if err != nil {
 		return proposed, baseline, err
 	}
-	p := perf.DefaultParams()
-	baseline, err = rms.SimulateBaseline(tasks, resource.PaperCluster(), p)
+	baseline, virt, err := experiments.Systems(tasks, rms.Flexible)
 	if err != nil {
 		return proposed, baseline, err
 	}
-	proposed, err = rms.Simulate(tasks, rms.Config{
-		Cluster: resource.PaperCluster(),
-		Mode:    rms.Flexible,
-		DB:      rms.NewDatabase(rms.Flexible, p, scaleout.DefaultOptions()),
-	})
-	return proposed, baseline, err
+	return virt[0], baseline, nil
 }
 
 // Reproduction entry points: one per paper table/figure. See
