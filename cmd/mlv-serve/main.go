@@ -62,7 +62,6 @@ func main() {
 	preempt := flag.Bool("preempt", false, "preemptive scheduling: a full machine checkpoints batch-class streams while latency-class requests wait")
 	drainDeadline := flag.Duration("drain-deadline", 10*time.Second, "shutdown drain budget; streams still running at the deadline are checkpointed instead of served (0 = drain unbounded)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this private address (empty = disabled); enables mutex and block profiling")
-	heartbeat := flag.Duration("heartbeat", 500*time.Millisecond, "simulated device heartbeat interval")
 	tick := flag.Duration("tick", time.Second, "control-plane tick interval (0 disables the loop)")
 	cacheDir := flag.String("cache-dir", "", "content-addressed compilation cache directory (empty = in-memory for this process); known designs warm-start deploys")
 	tenantsFile := flag.String("tenants", "", "tenant registry JSON (id, HMAC key, class, quotas); enables signed-request auth")
@@ -158,12 +157,12 @@ func main() {
 
 	cp := cluster.New(cluster.WallClock{}, cluster.DefaultConfig(), svc, dp)
 
-	// Simulated device agents: every registered device heartbeats on the
-	// interval, except devices an operator killed (POST /cluster/kill) —
+	// Simulated device agents: every registered device heartbeats every
+	// cluster.HeartbeatInterval, except devices an operator killed (POST /cluster/kill) —
 	// those stay Dead until an explicit /cluster/heartbeat revives them.
 	stop := make(chan struct{})
 	go func() {
-		t := time.NewTicker(*heartbeat)
+		t := time.NewTicker(cluster.HeartbeatInterval)
 		defer t.Stop()
 		for {
 			select {

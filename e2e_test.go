@@ -47,14 +47,15 @@ func TestExamplesRun(t *testing.T) {
 }
 
 // TestCLISmoke runs each CLI tool's cheapest invocation — the five offline
-// tools are subcommands of one mlv binary, built once — and the two
-// front doors' refusal of a name they do not know.
+// tools are subcommands of one mlv binary, built once — the two front
+// doors' refusal of a name they do not know, mlv's refusal of a netlist
+// that connects an undeclared port, and mlv-serve's of its removed flag.
 func TestCLISmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke is slow under -short")
 	}
 	bin := t.TempDir()
-	for _, tool := range []string{"mlv", "mlv-bench"} {
+	for _, tool := range []string{"mlv", "mlv-bench", "mlv-serve"} {
 		build := exec.Command("go", "build", "-o", filepath.Join(bin, tool), "./cmd/"+tool)
 		if out, err := build.CombinedOutput(); err != nil {
 			t.Fatalf("build %s: %v\n%s", tool, err, out)
@@ -62,6 +63,18 @@ func TestCLISmoke(t *testing.T) {
 	}
 	asm := filepath.Join(t.TempDir(), "p.asm")
 	if err := os.WriteFile(asm, []byte("v_const r0, 0\nend_chain\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	badRTL := filepath.Join(t.TempDir(), "bad.v")
+	if err := os.WriteFile(badRTL, []byte(`module sub(input a, output y);
+  assign y = a;
+endmodule
+module top(input x, output z);
+  wire m;
+  sub u0 (.a(x), .y(m));
+  sub u1 (.a(m), .nosuch(z));
+endmodule
+`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
@@ -79,6 +92,8 @@ func TestCLISmoke(t *testing.T) {
 		{"mlv-asm", "mlv", []string{"asm", "-check", asm}, 0, "no issues"},
 		{"unknown-experiment", "mlv-bench", []string{"-only", "bogus"}, 2, "table2|table3|table4|fig11|fig12|compile|ibuf|ablation|load|numerics|policy"},
 		{"unknown-subcommand", "mlv", []string{"bogus"}, 2, "asm|decompose|partition|compile|sim"},
+		{"undeclared-port", "mlv", []string{"decompose", "-rtl", badRTL, "-top", "top"}, 1, `top.u1: no port "nosuch" on module sub`},
+		{"removed-heartbeat-flag", "mlv-serve", []string{"-heartbeat", "1s"}, 2, "flag provided but not defined: -heartbeat"},
 	}
 	for _, c := range cases {
 		c := c

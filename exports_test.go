@@ -3,112 +3,330 @@ package mlvfpga
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// allowedOrphans are exported names only tests reference, each with the
-// reason it is exported anyway. Keyed "pkg.Name" or "pkg.Type.Method".
+// allowedOrphans are exported names only tests reference, and option
+// fields only tests set, each with the reason it stays. Keyed "pkg.Name",
+// "pkg.Type.Method" or "pkg.Type.Field"; "pkg.Type.{A,B}" lists several
+// members of one type kept for one reason.
 var allowedOrphans = map[string]string{
 	"perf.Cosim":                "the instruction-level timing model: an independent oracle tests hold the analytic model against",
 	"scaleout.OverlapMVMs":      "a measurement of the reordered schedule that TestMeasuredOverlapMatchesModel compares with the model's gate table",
 	"cluster.FakeClock.Advance": "the test fake's only control: simulation harnesses outside the package drive time through it",
-	"accel.Machine.RunBatch":    "the window-at-a-time batch executor: the reference the step-program serving path is held bit-identical to",
 	"kernels.ReferenceMLP":      "the float64 MLP the AS ISA kernel's outputs are compared with",
-	"wdsl.File.Print":           "the parse → print → parse oracle FuzzParseMLW closes the loop with",
-	"rtl.WriteDesign":           "the design printer: the parse → write → parse round trip the rtl and bwrtl tests hold the frontend to",
-	"partition.Result.Ladder":   "the shard ladder FuzzBisect's monotonicity property reads",
-	"bfp.MustCodec":             "constructor of the unpacked reference codec below",
-	"bfp.Codec.Quantize":        "the unpacked codec: the oracle FuzzPackedMatVec and the kernel tests hold the lane-packed mat-vec to",
-	"bfp.Codec.QuantizeVector":  "unpacked oracle, as bfp.Codec.Quantize",
-	"bfp.Block.Dequantize":      "unpacked oracle, as bfp.Codec.Quantize",
+	"kernels.MLPKernel.{NewMachine,SetInput,ReadOutput}": "the only way to execute the MLP program, which the kernel tests run against ReferenceMLP; the scenario compiler only counts its instructions",
+	"wdsl.File.Print":                     "the parse → print → parse oracle FuzzParseMLW closes the loop with",
+	"rtl.WriteDesign":                     "the design printer: the parse → write → parse round trip the rtl and bwrtl tests hold the frontend to",
+	"partition.Result.Ladder":             "the shard ladder FuzzBisect's monotonicity property reads",
+	"bfp.MustCodec":                       "constructor of the unpacked reference codec below",
+	"bfp.Codec.{Quantize,QuantizeVector}": "the unpacked codec: the oracle FuzzPackedMatVec and the kernel tests hold the lane-packed mat-vec to",
+	"bfp.Block.Dequantize":                "unpacked oracle, as bfp.Codec.Quantize",
+	"simtest.Run":                         "the `make simtest` harness (sweep, determinism, fault-gate and minimizer tests drive it); it lives in non-test files because Stack, which scenario and the benchmark build on, is its other half",
+	"simtest.Result.Report":               "the failure report of the simtest.Run harness above",
+	"simtest.Options.{Seed,Steps,Spec,Control,MaxLeases,Spacing,SettleSteps,SettlePeriod,Fault}": "the script of the simtest.Run harness above: its test flags (-seed, -seeds, -steps) and fault-gate cases fill them; scenario and the benchmark start from DefaultOptions and set the rest",
+	"experiments.Fig12Options.{MeanInterarrival,Seed}":                                           "re-exported by the facade as mlvfpga.Fig12Options, whose callers are outside the module; inside it every run uses DefaultFig12Options' values",
+	"resource.Vector.{Sub,Fits,Max,Utilization}":                                                 "capacity algebra no binary calls; kept only because deleting it deletes TestVectorFits, TestUtilization, TestQuickMax and TestQuickFitsAdditive, more removed tests than one PR is allowed: delete the four methods and the four tests together",
 }
 
-// orphanExports parses Go sources (slash-separated module-relative path →
-// content) and reports every exported top-level identifier or method
-// declared in non-test code under internal/ that no non-test file
-// mentions, except names in allowed — and every allowed entry that is no
-// longer such an orphan. Methods named MarshalJSON/UnmarshalJSON are
-// exempt by rule: encoding/json reaches them, no one names them. Matching
-// is by bare name, so a method shares its use count with every same-named
-// identifier in the module — coarse, but it never reports a name in use.
-func orphanExports(srcs map[string]string, allowed map[string]string) ([]string, error) {
-	fset := token.NewFileSet()
-	type decl struct {
-		key string
-		pos token.Pos
+// reachedByName are methods the runtime or the standard library calls on
+// a value without any module file selecting them: encoding/json's hooks,
+// fmt's Stringer and error, errors.Unwrap, and sort.Interface plus
+// container/heap's two. Exempt by rule, whatever the receiver.
+var reachedByName = map[string]bool{
+	"MarshalJSON": true, "UnmarshalJSON": true, "String": true, "Error": true, "Unwrap": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+}
+
+// The standard library is type-checked from GOROOT source once per test
+// binary and shared by every gate run below; nothing is cached on disk.
+var (
+	gateFset = token.NewFileSet()
+	gateStd  = importer.ForCompiler(gateFset, "source", nil)
+)
+
+// gateImporter resolves module packages from the parsed sources and
+// everything else from the standard library.
+type gateImporter struct {
+	files map[string][]*ast.File // import path → non-test files
+	pkgs  map[string]*types.Package
+	info  *types.Info
+}
+
+func (g *gateImporter) Import(p string) (*types.Package, error) {
+	if pkg, ok := g.pkgs[p]; ok {
+		if pkg == nil {
+			return nil, fmt.Errorf("import cycle through %s", p)
+		}
+		return pkg, nil
 	}
-	var decls []decl
-	declared := map[*ast.Ident]bool{}
-	uses := map[string]int{}
-	for path, src := range srcs {
-		if strings.HasSuffix(path, "_test.go") {
+	files, ok := g.files[p]
+	if !ok {
+		return gateStd.Import(p)
+	}
+	g.pkgs[p] = nil
+	pkg, err := (&types.Config{Importer: g}).Check(p, gateFset, files, g.info)
+	if err != nil {
+		return nil, err
+	}
+	g.pkgs[p] = pkg
+	return pkg, nil
+}
+
+// orphanExports type-checks the non-test Go sources of one module
+// (slash-separated module-relative path → content) and reports, for
+// packages under internal/:
+//
+//   - every exported package-level name and every exported method that no
+//     non-test file uses. Names resolve through go/types, so a method is
+//     matched by its receiver, not by its spelling. A method also counts
+//     as used when a non-test file calls a same-named method through an
+//     interface its type implements, and when the runtime reaches it by
+//     name (reachedByName);
+//   - every exported field of an exported struct named *Options or *Config
+//     that no non-test code writes outside the declaring package's
+//     defaulting code — a Default* function, or an assignment of a
+//     constant inside the declaring package. Such a field has one value
+//     in every binary and is a constant with a longer name;
+//   - every entry of allowed that is not, or no longer, such an orphan.
+//
+// Runs in about 3 s un-raced on the 2-vCPU reference box (16 s under
+// -race), nearly all of it the one pass over the standard library's source.
+func orphanExports(module string, srcs map[string]string, allowed map[string]string) ([]string, error) {
+	g := &gateImporter{
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+	}
+	for p, src := range srcs {
+		if strings.HasSuffix(p, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(gateFset, p, src, parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
-		if strings.HasPrefix(path, "internal/") {
-			add := func(id *ast.Ident, recv string) {
-				declared[id] = true
-				jsonHook := recv != "" && (id.Name == "MarshalJSON" || id.Name == "UnmarshalJSON")
-				if id.IsExported() && !jsonHook {
-					decls = append(decls, decl{f.Name.Name + "." + recv + id.Name, id.Pos()})
-				}
+		ip := path.Join(module, path.Dir(p))
+		g.files[ip] = append(g.files[ip], f)
+	}
+	var paths []string
+	for ip := range g.files {
+		paths = append(paths, ip)
+	}
+	sort.Strings(paths)
+	for _, ip := range paths {
+		if _, err := g.Import(ip); err != nil {
+			return nil, err
+		}
+	}
+
+	// What non-test code uses: objects named directly, and methods called
+	// through an interface.
+	origin := func(o types.Object) types.Object {
+		switch o := o.(type) {
+		case *types.Func:
+			return o.Origin()
+		case *types.Var:
+			return o.Origin()
+		}
+		return o
+	}
+	used := map[types.Object]bool{}
+	for _, o := range g.info.Uses {
+		used[origin(o)] = true
+	}
+	type ifaceCall struct {
+		iface *types.Interface
+		name  string
+	}
+	calls := map[ifaceCall]bool{}
+	for _, sel := range g.info.Selections {
+		if iface, ok := sel.Recv().Underlying().(*types.Interface); ok && sel.Kind() != types.FieldVal {
+			calls[ifaceCall{iface, sel.Obj().Name()}] = true
+		}
+	}
+	for _, ip := range paths {
+		scope := g.pkgs[ip].Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+				continue
 			}
-			for _, d := range f.Decls {
-				switch d := d.(type) {
-				case *ast.FuncDecl:
-					recv := ""
-					if d.Recv != nil && len(d.Recv.List) == 1 {
-						typ := d.Recv.List[0].Type
-						if star, ok := typ.(*ast.StarExpr); ok {
-							typ = star.X
-						}
-						if id, ok := typ.(*ast.Ident); ok {
-							recv = id.Name + "."
-						}
-					}
-					add(d.Name, recv)
-				case *ast.GenDecl:
-					for _, spec := range d.Specs {
-						switch spec := spec.(type) {
-						case *ast.TypeSpec:
-							add(spec.Name, "")
-						case *ast.ValueSpec:
-							for _, id := range spec.Names {
-								add(id, "")
-							}
-						}
+			ptr := types.NewPointer(tn.Type())
+			for c := range calls {
+				if types.Implements(ptr, c.iface) {
+					if m, _, _ := types.LookupFieldOrMethod(ptr, false, g.pkgs[ip], c.name); m != nil {
+						used[origin(m)] = true
 					}
 				}
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				uses[id.Name]++
-			}
+	}
+
+	// Which option fields non-test code writes outside defaulting code.
+	written := map[types.Object]bool{}
+	deref := func(t types.Type) types.Type {
+		if p, ok := t.Underlying().(*types.Pointer); ok {
+			return p.Elem()
+		}
+		return t
+	}
+	// derived: e is built from constants and fields of the option struct
+	// itself (cfg.F = def.F, cfg.Dead = cfg.Suspect * 3), so it chooses
+	// nothing a caller could have chosen differently.
+	var derived func(e ast.Expr, owner types.Type) bool
+	derived = func(e ast.Expr, owner types.Type) bool {
+		if g.info.Types[e].Value != nil {
 			return true
-		})
+		}
+		switch e := e.(type) {
+		case *ast.ParenExpr:
+			return derived(e.X, owner)
+		case *ast.UnaryExpr:
+			return derived(e.X, owner)
+		case *ast.BinaryExpr:
+			return derived(e.X, owner) && derived(e.Y, owner)
+		case *ast.SelectorExpr:
+			sel := g.info.Selections[e]
+			return sel != nil && sel.Kind() == types.FieldVal && types.Identical(deref(sel.Recv()), owner)
+		}
+		return false
+	}
+	// write records the fields an assignment or literal element sets: the
+	// selected field and, for cfg.Planner.Depth = 2, every field on the way.
+	// rhs == nil means a value the gate cannot see (&cfg.F handed to a setter).
+	write := func(lhs, rhs ast.Expr, owner types.Type, pkg *types.Package, inDefault bool) {
+		if sel, ok := lhs.(*ast.SelectorExpr); ok && g.info.Selections[sel] != nil {
+			owner = deref(g.info.Selections[sel].Recv())
+		}
+		defaulting := inDefault || rhs != nil && owner != nil && derived(rhs, owner)
+		for {
+			id, _ := lhs.(*ast.Ident) // a composite-literal key, or the variable a selector chain ends in
+			sel, _ := lhs.(*ast.SelectorExpr)
+			if sel != nil {
+				id, lhs = sel.Sel, sel.X
+			}
+			if f, ok := g.info.Uses[id].(*types.Var); ok && f.IsField() && !(f.Pkg() == pkg && defaulting) {
+				written[origin(f)] = true
+			}
+			if sel == nil {
+				return
+			}
+		}
+	}
+	for ip, files := range g.files {
+		pkg := g.pkgs[ip]
+		for _, f := range files {
+			for _, d := range f.Decls {
+				fn, _ := d.(*ast.FuncDecl)
+				inDefault := fn != nil && strings.HasPrefix(strings.ToLower(fn.Name.Name), "default")
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						t := deref(g.info.Types[n].Type)
+						st, ok := t.Underlying().(*types.Struct)
+						if !ok {
+							break
+						}
+						for i, el := range n.Elts {
+							if kv, ok := el.(*ast.KeyValueExpr); ok {
+								write(kv.Key, kv.Value, t, pkg, inDefault)
+							} else if fld := st.Field(i); fld.Pkg() != pkg || !(inDefault || derived(el, t)) {
+								written[fld] = true
+							}
+						}
+					case *ast.AssignStmt:
+						for i, lhs := range n.Lhs {
+							if len(n.Rhs) == len(n.Lhs) {
+								write(lhs, n.Rhs[i], nil, pkg, inDefault)
+							} else {
+								write(lhs, nil, nil, pkg, inDefault)
+							}
+						}
+					case *ast.IncDecStmt:
+						write(n.X, n.X, nil, pkg, inDefault)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							write(n.X, nil, nil, pkg, inDefault)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	// "pkg.Type.{A,B}" stands for pkg.Type.A and pkg.Type.B.
+	group := allowed
+	allowed = map[string]string{}
+	for key, reason := range group {
+		if i := strings.Index(key, "{"); i >= 0 && strings.HasSuffix(key, "}") {
+			for _, member := range strings.Split(key[i+1:len(key)-1], ",") {
+				allowed[key[:i]+member] = reason
+			}
+		} else {
+			allowed[key] = reason
+		}
 	}
 
 	var problems []string
 	seen := map[string]bool{}
-	for _, d := range decls {
-		if uses[d.key[strings.LastIndex(d.key, ".")+1:]] > 0 {
+	report := func(o types.Object, key, what string) {
+		seen[key] = true
+		if allowed[key] == "" {
+			problems = append(problems, fmt.Sprintf("%s: %s %s; delete it, or add it to allowedOrphans with the reason",
+				gateFset.Position(o.Pos()), key, what))
+		}
+	}
+	const orphan = "is exported but only tests use it"
+	for _, ip := range paths {
+		if !strings.HasPrefix(ip, module+"/internal/") {
 			continue
 		}
-		seen[d.key] = true
-		if allowed[d.key] == "" {
-			problems = append(problems, fmt.Sprintf("%s: %s is exported but only tests mention it; delete it, unexport it, or add it to allowedOrphans with the reason",
-				fset.Position(d.pos), d.key))
+		pkg := g.pkgs[ip]
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			o := scope.Lookup(name)
+			if !o.Exported() {
+				continue
+			}
+			if !used[o] {
+				report(o, pkg.Name()+"."+name, orphan)
+			}
+			tn, ok := o.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if named, ok := tn.Type().(*types.Named); ok {
+				for i := 0; i < named.NumMethods(); i++ {
+					if m := named.Method(i); m.Exported() && !used[m] && !reachedByName[m.Name()] {
+						report(m, pkg.Name()+"."+name+"."+m.Name(), orphan)
+					}
+				}
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok || !(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config")) {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !written[f] {
+					report(f, pkg.Name()+"."+name+"."+f.Name(), "is an option no non-test code sets outside its package's defaults: make it a constant")
+				}
+			}
 		}
 	}
 	for key := range allowed {
@@ -123,7 +341,8 @@ func orphanExports(srcs map[string]string, allowed map[string]string) ([]string,
 // TestNoOrphanExports runs the gate over the module. An exported name
 // nothing runs reads as a supported path, drifts from the one in use
 // (perf.XPrefixTime priced a GRU's overlap window at three products while
-// the scheduler said two), and every refactor has to carry it.
+// the scheduler said two), and every refactor has to carry it; an option
+// nothing sets doubles the configurations a reader has to consider.
 func TestNoOrphanExports(t *testing.T) {
 	srcs := map[string]string{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -146,7 +365,7 @@ func TestNoOrphanExports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	problems, err := orphanExports(srcs, allowedOrphans)
+	problems, err := orphanExports("mlvfpga", srcs, allowedOrphans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,18 +389,36 @@ func TestOrphanGate(t *testing.T) {
 		{"mentioned only from a test file is reported",
 			map[string]string{"internal/p/p.go": "package p\nfunc Used() {}\nfunc Probe() {}\n", "internal/p/p_test.go": "package p\nfunc init() { Probe() }\n", "cmd/x/main.go": user},
 			nil, []string{"p.Probe is exported"}},
-		{"a MarshalJSON method is not",
-			map[string]string{"internal/p/p.go": "package p\nfunc Used() T { return 0 }\ntype T int\nfunc (T) MarshalJSON() ([]byte, error) { return nil, nil }\nfunc (*T) UnmarshalJSON([]byte) error { return nil }\n", "cmd/x/main.go": user},
+		{"a same-named function in another package is not a use",
+			map[string]string{"internal/p/p.go": "package p\nfunc Used() {}\n", "internal/q/q.go": "package q\nfunc Used() {}\n", "cmd/x/main.go": user},
+			nil, []string{"q.Used is exported"}},
+		{"a method is matched by receiver: another type's used Dir does not cover it",
+			map[string]string{"internal/p/p.go": "package p\nfunc Used() string { return A{}.Dir() }\ntype A struct{}\nfunc (A) Dir() string { return \"\" }\ntype B struct{}\nfunc (B) Dir() string { return \"\" }\nvar _ = B{}\n", "cmd/x/main.go": user},
+			nil, []string{"p.B.Dir is exported"}},
+		{"a method called only through an interface its type implements is used",
+			map[string]string{"internal/p/p.go": "package p\ntype Clock interface{ Now() int }\ntype Wall struct{}\nfunc (Wall) Now() int { return 0 }\nfunc Used() {}\nfunc Read(c Clock) int { return c.Now() }\n",
+				"cmd/x/main.go": "package main\nimport \"m/internal/p\"\nfunc main() { p.Used(); p.Read(p.Wall{}) }\n"},
 			nil, nil},
-		{"an allow-listed orphan passes, a stale entry is reported",
-			map[string]string{"internal/p/p.go": "package p\nfunc Used() {}\ntype T int\nfunc (T) Oracle() {}\n", "cmd/x/main.go": user},
-			map[string]string{"p.T.Oracle": "reference", "p.Used": "stale"}, []string{"allowedOrphans lists p.Used"}},
+		{"methods the runtime reaches by name are not reported",
+			map[string]string{"internal/p/p.go": "package p\nfunc Used() T { return 0 }\ntype T int\nfunc (T) MarshalJSON() ([]byte, error) { return nil, nil }\nfunc (*T) UnmarshalJSON([]byte) error { return nil }\nfunc (T) String() string { return \"\" }\nfunc (T) Error() string { return \"\" }\nfunc (T) Unwrap() error { return nil }\n", "cmd/x/main.go": user},
+			nil, nil},
+		{"an allow-listed orphan passes, grouped or single; a stale entry is reported",
+			map[string]string{"internal/p/p.go": "package p\nfunc Used() {}\ntype T int\nfunc (T) Oracle() {}\nfunc (T) Twin() {}\nfunc (T) Third() {}\n", "cmd/x/main.go": user},
+			map[string]string{"p.T.{Oracle,Twin}": "reference", "p.T.Third": "reference", "p.Used": "stale"}, []string{"allowedOrphans lists p.Used"}},
+		{"an option written only by its package's defaults is reported: a Default* function, a constant clamp, a copy of the default",
+			map[string]string{"internal/p/p.go": "package p\ntype Options struct{ Depth, Cap, Budget, Set int }\nfunc DefaultOptions() Options { return Options{Depth: 2, Cap: 8, Budget: 4} }\nfunc Used(o Options) Options {\n\tif o.Cap <= 0 {\n\t\to.Cap = 8\n\t}\n\tif o.Budget <= 0 {\n\t\to.Budget = DefaultOptions().Budget\n\t}\n\treturn o\n}\n",
+				"cmd/x/main.go": "package main\nimport \"m/internal/p\"\nfunc main() { o := p.DefaultOptions(); o.Set = 3; p.Used(o) }\n"},
+			nil, []string{"p.Options.Depth is an option", "p.Options.Cap is an option", "p.Options.Budget is an option"}},
+		{"an option a test sets is still reported; one a nested write reaches is not",
+			map[string]string{"internal/p/p.go": "package p\ntype Inner struct{ N int }\ntype Config struct {\n\tKnob int\n\tIn   Inner\n}\nfunc Used(Config) {}\n", "internal/p/p_test.go": "package p\nfunc init() { Used(Config{Knob: 1}) }\n",
+				"cmd/x/main.go": "package main\nimport \"m/internal/p\"\nfunc main() { var c p.Config; c.In.N = 1; p.Used(c) }\n"},
+			nil, []string{"p.Config.Knob is an option"}},
 		{"names outside internal/ are not gated",
 			map[string]string{"lib.go": "package m\nfunc Facade() {}\n"},
 			nil, nil},
 	}
 	for _, c := range cases {
-		got, err := orphanExports(c.srcs, c.allowed)
+		got, err := orphanExports("m", c.srcs, c.allowed)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

@@ -14,7 +14,7 @@
 // once and caches it in the packed on-chip layout until an overlapping DRAM
 // write or a shape reconfiguration invalidates it, and the steady-state
 // step loop reuses preallocated register/scratch buffers so repeated Run
-// calls perform no heap allocation. RunBatch executes one program over
+// calls perform no heap allocation. RunStreams executes one program over
 // several banked input streams, amortizing each cached tile across the
 // whole micro-batch (see exec.go).
 package accel
@@ -109,9 +109,6 @@ type Memory struct {
 
 // NewMemory allocates a DRAM of n float16 words.
 func NewMemory(n int) *Memory { return &Memory{words: make([]fp16.Num, n)} }
-
-// Size returns the capacity in words.
-func (m *Memory) Size() int { return len(m.words) }
 
 // ErrDRAMRange is returned for out-of-range accesses.
 var ErrDRAMRange = errors.New("accel: DRAM access out of range")
@@ -265,7 +262,7 @@ type Machine struct {
 	// streams holds per-stream register files and scratch arenas; stream 0
 	// is the default context Run executes in. See exec.go.
 	streams []*streamCtx
-	base    int // banked-window base of the current RunBatch
+	base    int // banked-window base of the current RunStreams
 
 	// bvecs/bprods gather per-stream operands for the batched MVM without
 	// allocating per instruction.
@@ -317,9 +314,6 @@ func NewWithDRAM(cfg Config, dram DRAM) (*Machine, error) {
 	m.stats.ByOp = map[isa.Opcode]int{}
 	return m, nil
 }
-
-// Config returns the instance configuration.
-func (m *Machine) Config() Config { return m.cfg }
 
 // DRAMPort returns the machine's DRAM port. Writes through it are tracked
 // for tile-cache invalidation; UnwrapDRAM recovers the wrapped device.

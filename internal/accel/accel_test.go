@@ -41,9 +41,6 @@ func TestConfigValidate(t *testing.T) {
 
 func TestMemoryBounds(t *testing.T) {
 	m := NewMemory(16)
-	if m.Size() != 16 {
-		t.Errorf("Size = %d", m.Size())
-	}
 	if _, err := m.ReadWords(10, 10); !errors.Is(err, ErrDRAMRange) {
 		t.Error("overflow read must fail")
 	}

@@ -72,22 +72,12 @@ func (m *Machine) ensureStreams(n int) {
 	}
 }
 
-// StreamWindow describes how a batched execution banks DRAM: addresses at
-// or above Base are per-stream (stream s accesses addr+Offsets[s]); lower
-// addresses are shared across streams (weights, biases, code constants).
-// m_rd addresses are never banked — the whole point of batching is that
-// every stream multiplies against the same stationary tile.
-type StreamWindow struct {
-	Base    int
-	Offsets []int
-}
-
 // ErrProgramTooLarge is returned when a program exceeds the instruction
 // buffer.
 var ErrProgramTooLarge = errors.New("accel: program exceeds instruction buffer")
 
-// ErrNoStreams is returned by RunBatch when the window has no offsets.
-var ErrNoStreams = errors.New("accel: RunBatch requires at least one stream")
+// ErrNoStreams is returned by RunStreams for an empty selection.
+var ErrNoStreams = errors.New("accel: RunStreams requires at least one stream")
 
 // ErrStreamRange is returned by RunStreams for a negative stream index or
 // mismatched streams/offsets lengths.
@@ -101,34 +91,20 @@ func (m *Machine) Run(p isa.Program) error {
 	return m.exec(p, m.streams[:1])
 }
 
-// RunBatch executes one program over len(w.Offsets) input streams.
-// Stream s runs against a private register file, with DRAM accesses at or
-// above w.Base shifted by w.Offsets[s]; each m_rd tile is fetched and
-// quantized (or served from cache) once for the whole batch. The results —
-// register files, DRAM writes and accumulated ExecStats — are bit-identical
-// to running the program sequentially once per stream, provided the
-// per-stream DRAM ranges do not overlap each other or the shared window.
-func (m *Machine) RunBatch(p isa.Program, w StreamWindow) error {
-	if len(w.Offsets) == 0 {
-		return ErrNoStreams
-	}
-	m.ensureStreams(len(w.Offsets))
-	for i, off := range w.Offsets {
-		m.streams[i].off = off
-	}
-	m.base = w.Base
-	return m.exec(p, m.streams[:len(w.Offsets)])
-}
-
-// RunStreams executes p over an explicit subset of the machine's streams:
-// streams[i] selects a stream context and offsets[i] is the banking offset
-// applied to its DRAM accesses at or above base. Unlike RunBatch, the
-// selection need not be a contiguous prefix and the offsets are free per
-// call, so a slot-granular serving engine can step a cohort of streams
-// sitting at different positions of their programs: register files persist
-// across calls, and each stream's results are bit-identical to running its
-// instruction sequence alone (per-stream state is private; shared tiles
-// are read-only).
+// RunStreams executes p over a selection of the machine's streams, banking
+// DRAM per stream: streams[i] selects a stream context (a private register
+// file), and its DRAM accesses at or above base are shifted by offsets[i];
+// lower addresses are shared (weights, biases, code constants). m_rd
+// addresses are never banked — the point of batching is that every stream
+// multiplies against the same stationary tile, fetched and quantized (or
+// served from cache) once for the whole selection. The selection need not
+// be a contiguous prefix and the offsets are free per call, so a
+// slot-granular serving engine can step a cohort of streams sitting at
+// different positions of their programs: register files persist across
+// calls. The results — register files, DRAM writes and accumulated
+// ExecStats — are bit-identical to running each stream's instruction
+// sequence alone, provided the per-stream DRAM ranges do not overlap each
+// other or the shared window.
 func (m *Machine) RunStreams(p isa.Program, base int, streams, offsets []int) error {
 	if len(streams) == 0 {
 		return ErrNoStreams

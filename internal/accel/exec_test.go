@@ -299,8 +299,8 @@ func TestRunStreamsStepZeroAllocs(t *testing.T) {
 
 func TestRunBatchRequiresStreams(t *testing.T) {
 	m, p := mvmMachine(t)
-	if err := m.RunBatch(p, StreamWindow{}); !errors.Is(err, ErrNoStreams) {
-		t.Errorf("RunBatch with no offsets = %v, want ErrNoStreams", err)
+	if err := m.RunStreams(p, 16, []int{}, []int{}); !errors.Is(err, ErrNoStreams) {
+		t.Errorf("RunStreams with no streams = %v, want ErrNoStreams", err)
 	}
 }
 
@@ -343,12 +343,12 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeVec(t, bm, 0, mat)
-	w := StreamWindow{Base: base}
+	var streams, offsets []int
 	for s := 0; s < B; s++ {
 		writeVec(t, bm, base+8*s, inputs[s])
-		w.Offsets = append(w.Offsets, 8*s)
+		streams, offsets = append(streams, s), append(offsets, 8*s)
 	}
-	if err := bm.RunBatch(p, w); err != nil {
+	if err := bm.RunStreams(p, base, streams, offsets); err != nil {
 		t.Fatal(err)
 	}
 
@@ -467,8 +467,10 @@ func TestRunStreamsValidation(t *testing.T) {
 }
 
 // TestRunStreamsMatchesRunBatch runs the same program over the same banked
-// windows through RunStreams (non-contiguous selection, explicit offsets)
-// and RunBatch, and demands bit-identical registers and DRAM.
+// windows as one whole-batch call (the identity selection, which
+// TestRunBatchMatchesSequential holds to sequential machines) and as two
+// calls over a permuted, non-prefix selection, and demands bit-identical
+// registers and DRAM.
 func TestRunStreamsMatchesRunBatch(t *testing.T) {
 	const base = 16
 	mat := []float64{
@@ -509,7 +511,7 @@ func TestRunStreamsMatchesRunBatch(t *testing.T) {
 	}
 
 	bm := build()
-	if err := bm.RunBatch(p, StreamWindow{Base: base, Offsets: []int{0, 8, 16}}); err != nil {
+	if err := bm.RunStreams(p, base, []int{0, 1, 2}, []int{0, 8, 16}); err != nil {
 		t.Fatal(err)
 	}
 	sm := build()

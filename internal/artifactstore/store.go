@@ -19,7 +19,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -55,22 +54,18 @@ type Codec interface {
 	Decode(data []byte) (any, error)
 }
 
-// DefaultMaxMemEntries bounds the decoded-artifact LRU when Options leaves
-// it zero. An entry is one fully compiled instance (~100s of KB), so the
-// default comfortably covers the 10-instance catalog plus a fleet of
-// distinct tenant designs.
-const DefaultMaxMemEntries = 128
+// maxMemEntries bounds the decoded-artifact LRU. An entry is one fully
+// compiled instance (~100s of KB); a serving process sees one key per
+// instance size, at most 21 (hsvital.MaxTiles on the largest device), so
+// the bound is a backstop against a caller that keeps inventing designs,
+// not a limit a deployment meets.
+const maxMemEntries = 128
 
-// Options configures a store.
-type Options struct {
-	// MaxMemEntries bounds the in-process LRU of decoded artifacts
-	// (0 = DefaultMaxMemEntries).
-	MaxMemEntries int
-	// MaxDiskBytes bounds the total on-disk blob bytes. When a write
-	// pushes past the bound, the oldest blobs (by modification time) are
-	// evicted, never the one just written. 0 = unbounded.
-	MaxDiskBytes int64
-}
+// Options configures a store and has no field: the memory bound is the
+// constant above and the disk is unbounded (one blob of ~100s of KB per
+// distinct design). The type stays because the benchmark and the facade's
+// ArtifactStoreOptions name it in their calls to Open and NewMemory.
+type Options struct{}
 
 // Stats snapshots the store's counters. Hits = MemHits + DiskHits;
 // Computes counts invocations of the caller's compute function, which is
@@ -85,7 +80,6 @@ type Stats struct {
 	// in-flight computation instead of starting their own.
 	SingleflightWaits int64
 	MemEvictions      int64
-	DiskEvictions     int64
 	// CorruptDropped counts blobs rejected by framing, checksum, or codec
 	// decode and removed from disk.
 	CorruptDropped int64
@@ -98,8 +92,7 @@ type Stats struct {
 
 // Store is a content-addressed artifact cache. Safe for concurrent use.
 type Store struct {
-	dir  string
-	opts Options
+	dir string
 
 	mu      sync.Mutex
 	mem     map[Key]*memEntry
@@ -129,13 +122,9 @@ type flight struct {
 // existing blobs (sizes only; payloads are validated lazily on first use).
 // An empty dir yields a memory-only store: no persistence, same LRU and
 // singleflight semantics.
-func Open(dir string, opts Options) (*Store, error) {
-	if opts.MaxMemEntries <= 0 {
-		opts.MaxMemEntries = DefaultMaxMemEntries
-	}
+func Open(dir string, _ Options) (*Store, error) {
 	s := &Store{
 		dir:     dir,
-		opts:    opts,
 		mem:     map[Key]*memEntry{},
 		flights: map[Key]*flight{},
 		disk:    map[Key]int64{},
@@ -176,9 +165,6 @@ func NewMemory(opts Options) *Store {
 	}
 	return s
 }
-
-// Dir returns the backing directory ("" for a memory-only store).
-func (s *Store) Dir() string { return s.dir }
 
 // Stats returns a snapshot of the counters.
 func (s *Store) Stats() Stats {
@@ -289,7 +275,6 @@ func (s *Store) fill(key Key, codec Codec, compute func() (any, error)) (any, bo
 			s.mu.Unlock()
 		} else {
 			s.noteWrite(key, blobSize(len(payload)))
-			s.evictDisk(key)
 		}
 	}
 	return v, false, nil
@@ -325,68 +310,6 @@ func (s *Store) noteWrite(key Key, size int64) {
 	metrics.ArtifactDiskBytes.Add(size)
 }
 
-// evictDisk enforces MaxDiskBytes by deleting the oldest blobs (by
-// modification time, then name for determinism), never touching keep.
-func (s *Store) evictDisk(keep Key) {
-	if s.opts.MaxDiskBytes <= 0 {
-		return
-	}
-	s.mu.Lock()
-	over := s.stats.BytesOnDisk > s.opts.MaxDiskBytes
-	var keys []Key
-	if over {
-		for k := range s.disk {
-			if k != keep {
-				keys = append(keys, k)
-			}
-		}
-	}
-	s.mu.Unlock()
-	if !over {
-		return
-	}
-	type cand struct {
-		key   Key
-		size  int64
-		mtime int64
-	}
-	var cands []cand
-	for _, k := range keys {
-		info, err := os.Stat(s.blobPath(k))
-		if err != nil {
-			continue
-		}
-		cands = append(cands, cand{key: k, size: info.Size(), mtime: info.ModTime().UnixNano()})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].mtime != cands[j].mtime {
-			return cands[i].mtime < cands[j].mtime
-		}
-		return cands[i].key < cands[j].key
-	})
-	for _, c := range cands {
-		s.mu.Lock()
-		done := s.stats.BytesOnDisk <= s.opts.MaxDiskBytes
-		s.mu.Unlock()
-		if done {
-			return
-		}
-		if err := os.Remove(s.blobPath(c.key)); err != nil {
-			continue
-		}
-		s.mu.Lock()
-		if sz, ok := s.disk[c.key]; ok {
-			delete(s.disk, c.key)
-			s.stats.BlobsOnDisk--
-			s.stats.BytesOnDisk -= sz
-			metrics.ArtifactDiskBytes.Add(-sz)
-		}
-		s.stats.DiskEvictions++
-		s.mu.Unlock()
-		metrics.ArtifactEvictions.Add(1)
-	}
-}
-
 // memInsertLocked adds a decoded artifact to the LRU front, evicting the
 // tail past capacity. Caller holds s.mu.
 func (s *Store) memInsertLocked(key Key, val any) {
@@ -398,7 +321,7 @@ func (s *Store) memInsertLocked(key Key, val any) {
 	e := &memEntry{key: key, val: val}
 	s.mem[key] = e
 	s.lruPushFront(e)
-	for len(s.mem) > s.opts.MaxMemEntries {
+	for len(s.mem) > maxMemEntries {
 		tail := s.lruTail
 		s.lruUnlink(tail)
 		delete(s.mem, tail.key)

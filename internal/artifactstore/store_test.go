@@ -247,48 +247,21 @@ func TestComputeErrorPropagatesAndRetries(t *testing.T) {
 }
 
 func TestMemLRUEviction(t *testing.T) {
-	s := NewMemory(Options{MaxMemEntries: 2})
-	mustGet(t, s, "a", 1)
-	mustGet(t, s, "b", 2)
-	mustGet(t, s, "a", 0) // touch a so b is the LRU victim
-	mustGet(t, s, "c", 3) // evicts b
-	if _, hit := mustGet(t, s, "a", 0); !hit {
+	s := NewMemory(Options{})
+	key := func(i int) Key { return Key(fmt.Sprintf("k%d", i)) }
+	for i := 0; i < maxMemEntries; i++ {
+		mustGet(t, s, key(i), i)
+	}
+	mustGet(t, s, key(0), 0)                         // touch k0 so k1 is the LRU victim
+	mustGet(t, s, key(maxMemEntries), maxMemEntries) // one past the bound: evicts k1
+	if _, hit := mustGet(t, s, key(0), 0); !hit {
 		t.Fatal("recently used entry evicted")
 	}
-	if _, hit := mustGet(t, s, "b", 2); hit {
+	if _, hit := mustGet(t, s, key(1), 1); hit {
 		t.Fatal("evicted entry still hit")
 	}
 	if st := s.Stats(); st.MemEvictions < 1 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestDiskEvictionBound(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{MaxDiskBytes: 2 * blobSize(len(`{"n":1}`))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		key := Key(fmt.Sprintf("k%d", i))
-		mustGet(t, s, key, i)
-		// Distinct mtimes so the eviction order is well-defined even on
-		// coarse filesystem clocks.
-		old := time.Now().Add(-time.Duration(4-i) * time.Hour)
-		if err := os.Chtimes(filepath.Join(dir, string(key)+blobExt), old, old); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.BytesOnDisk > s.opts.MaxDiskBytes {
-		t.Fatalf("disk bytes %d over bound %d", st.BytesOnDisk, s.opts.MaxDiskBytes)
-	}
-	if st.DiskEvictions == 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// The newest key survives.
-	if _, err := readBlob(filepath.Join(dir, "k3"+blobExt)); err != nil {
-		t.Fatalf("newest blob evicted: %v", err)
 	}
 }
 

@@ -55,9 +55,6 @@ func MustCodec(mantissaBits int) *Codec {
 	return c
 }
 
-// MantissaBits returns the configured mantissa width including the sign bit.
-func (c *Codec) MantissaBits() int { return c.mantBits }
-
 // Block is a quantized vector: integer mantissas scaled by 2^Exp.
 // value[i] = Mant[i] * 2^Exp.
 type Block struct {

@@ -18,8 +18,8 @@ func TestNewCodecBounds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewCodec(%d): %v", w, err)
 		}
-		if c.MantissaBits() != w {
-			t.Errorf("MantissaBits = %d, want %d", c.MantissaBits(), w)
+		if c.mantBits != w {
+			t.Errorf("mantissa bits = %d, want %d", c.mantBits, w)
 		}
 	}
 }

@@ -24,33 +24,28 @@ type Resizer interface {
 
 // Config tunes the control plane.
 type Config struct {
-	// Registry tunes the health state machine.
-	Registry RegistryConfig
 	// Planner tunes depth selection.
 	Planner PlannerConfig
-	// MigrationBudget bounds migrations attempted per tick (evacuations
-	// and rebalances combined), so a mass failure cannot stampede the
-	// fleet. Zero means the default.
-	MigrationBudget int
-	// RetryBackoff is the initial wait after a failed migration before
-	// the lease is retried; it doubles per consecutive failure up to
-	// maxBackoff.
-	RetryBackoff time.Duration
 	// MachinesPerPiece sizes the data-plane machine pool as depth ×
 	// MachinesPerPiece on depth changes.
 	MachinesPerPiece int
 }
 
-// maxBackoff caps the exponential retry backoff.
-const maxBackoff = 4 * time.Second
+const (
+	// migrationBudget bounds migrations attempted per tick (evacuations,
+	// rebalances and defrag moves combined), so a mass failure cannot
+	// stampede the fleet.
+	migrationBudget = 4
+	// retryBackoff is the initial wait after a failed migration before the
+	// lease is retried; it doubles per consecutive failure up to maxBackoff.
+	retryBackoff = 250 * time.Millisecond
+	maxBackoff   = 4 * time.Second
+)
 
 // DefaultConfig returns serving defaults.
 func DefaultConfig() Config {
 	return Config{
-		Registry:         DefaultRegistryConfig(),
 		Planner:          DefaultPlannerConfig(),
-		MigrationBudget:  4,
-		RetryBackoff:     250 * time.Millisecond,
 		MachinesPerPiece: 2,
 	}
 }
@@ -136,12 +131,6 @@ func New(clock Clock, cfg Config, svc *rms.Service, dp interface {
 	Resizer
 }) *ControlPlane {
 	def := DefaultConfig()
-	if cfg.MigrationBudget <= 0 {
-		cfg.MigrationBudget = def.MigrationBudget
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = def.RetryBackoff
-	}
 	if cfg.MachinesPerPiece <= 0 {
 		cfg.MachinesPerPiece = def.MachinesPerPiece
 	}
@@ -154,7 +143,7 @@ func New(clock Clock, cfg Config, svc *rms.Service, dp interface {
 	cp := &ControlPlane{
 		clock:  clock,
 		cfg:    cfg,
-		reg:    NewRegistry(clock, cfg.Registry),
+		reg:    NewRegistry(clock),
 		svc:    svc,
 		leases: map[int]*leaseState{},
 	}
@@ -221,7 +210,7 @@ func (cp *ControlPlane) Tick() *TickReport {
 	rep := &TickReport{Tick: cp.ticks}
 	rep.Transitions = cp.reg.Sweep()
 	now := cp.clock.Now()
-	budget := cp.cfg.MigrationBudget
+	budget := migrationBudget
 	avoid := func(id int) bool { return !cp.reg.Placeable(id) }
 
 	leases := cp.svc.Leases()
@@ -389,7 +378,7 @@ func (cp *ControlPlane) landLocked(st *leaseState, ev *Event, now time.Time, err
 // failLocked applies exponential backoff after a failed migration.
 func (cp *ControlPlane) failLocked(st *leaseState, now time.Time) {
 	if st.backoff <= 0 {
-		st.backoff = cp.cfg.RetryBackoff
+		st.backoff = retryBackoff
 	} else if st.backoff *= 2; st.backoff > maxBackoff {
 		st.backoff = maxBackoff
 	}

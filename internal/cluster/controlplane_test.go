@@ -238,11 +238,10 @@ func TestDepthAdaptsToLoad(t *testing.T) {
 }
 
 func TestMigrationBudgetBoundsATick(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MigrationBudget = 1
-	cp, svc, fp, _ := testControlPlane(t, resource.PaperCluster(), cfg)
+	cp, svc, fp, _ := testControlPlane(t, resource.PaperCluster(), DefaultConfig())
+	// One more loaded lease than a tick may migrate.
 	var ids []int
-	for i := 0; i < 2; i++ {
+	for i := 0; i < migrationBudget+1; i++ {
 		lease, err := svc.Deploy(testSpec())
 		if err != nil {
 			t.Fatal(err)
@@ -251,15 +250,18 @@ func TestMigrationBudgetBoundsATick(t *testing.T) {
 		fp.setLoad(lease.ID, rms.LoadStats{QueueDepth: 100})
 	}
 	rep := cp.Tick()
-	if len(rep.Events) != 1 || rep.Deferred != 1 {
-		t.Fatalf("budgeted tick: %d events, %d deferred, want 1 and 1", len(rep.Events), rep.Deferred)
+	if len(rep.Events) != migrationBudget || rep.Deferred != 1 {
+		t.Fatalf("budgeted tick: %d events, %d deferred, want %d and 1", len(rep.Events), rep.Deferred, migrationBudget)
 	}
-	// The deferred lease gets its turn on the next tick (the first one's
-	// burst has passed, so it no longer competes for the budget).
-	fp.setLoad(ids[0], rms.LoadStats{})
+	// The deferred lease gets its turn on the next tick (the others'
+	// burst has passed, so they no longer compete for the budget).
+	last := ids[migrationBudget]
+	for _, id := range ids[:migrationBudget] {
+		fp.setLoad(id, rms.LoadStats{})
+	}
 	rep = cp.Tick()
-	if len(rep.Events) != 1 || rep.Events[0].Lease != ids[1] {
-		t.Fatalf("second tick events = %+v, want lease %d", rep.Events, ids[1])
+	if len(rep.Events) != 1 || rep.Events[0].Lease != last {
+		t.Fatalf("second tick events = %+v, want lease %d", rep.Events, last)
 	}
 }
 
@@ -288,12 +290,12 @@ func TestFailedMigrationBacksOff(t *testing.T) {
 		t.Fatalf("tick inside backoff: %+v (deferred %d)", rep.Events, rep.Deferred)
 	}
 	// Past the window it retries (and fails again, doubling the backoff).
-	clk.Advance(cfg.RetryBackoff + time.Millisecond)
+	clk.Advance(retryBackoff + time.Millisecond)
 	rep = cp.Tick()
 	if len(rep.Events) != 1 || rep.Events[0].Err == "" {
 		t.Fatalf("tick after backoff: %+v", rep.Events)
 	}
-	clk.Advance(cfg.RetryBackoff + time.Millisecond) // first doubling: still inside
+	clk.Advance(retryBackoff + time.Millisecond) // first doubling: still inside
 	rep = cp.Tick()
 	if rep.Deferred != 1 {
 		t.Fatalf("backoff did not double: %+v", rep)
@@ -376,7 +378,7 @@ func TestFailedResizeRetries(t *testing.T) {
 	// Past the window the resize (and only the resize) is retried, so the
 	// machine pool finally matches the depth.
 	fp.setResizeErr(nil)
-	clk.Advance(cfg.RetryBackoff + time.Millisecond)
+	clk.Advance(retryBackoff + time.Millisecond)
 	rep = cp.Tick()
 	if len(rep.Events) != 1 || rep.Events[0].Kind != "resize" || rep.Events[0].Err != "" {
 		t.Fatalf("events = %+v, want one clean resize retry", rep.Events)

@@ -135,7 +135,7 @@ func (cp *ControlPlane) Defrag() *DefragReport {
 	metrics.DefragRuns.Add(1)
 	rep := &DefragReport{Run: cp.defrags}
 	now := cp.clock.Now()
-	budget := cp.cfg.MigrationBudget
+	budget := migrationBudget
 	avoid := func(id int) bool { return !cp.reg.Placeable(id) }
 
 	tab := newFragTable(cp.svc.Status())

@@ -6,40 +6,50 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"mlvfpga/internal/metrics"
 	"mlvfpga/internal/resource"
 	"mlvfpga/internal/rms"
 )
 
-// fragment deploys leases until one lands on a second device, then
-// releases the intermediates, leaving exactly two idle single-piece
-// leases stranded on two partially-occupied devices — the canonical
-// fragmented layout a consolidation pass must fix.
-func fragment(t *testing.T, svc *rms.Service) (*rms.Lease, *rms.Lease) {
+// fragmentN deploys leases until n devices each hold one, then releases
+// every other lease, leaving n idle single-piece leases stranded on n
+// partially-occupied devices, in device order.
+func fragmentN(t *testing.T, svc *rms.Service, n int) []*rms.Lease {
 	t.Helper()
-	first, err := svc.Deploy(testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
+	var lone []*rms.Lease
 	var extras []int
-	for i := 0; i < 64; i++ {
+	seen := map[int]bool{}
+	for i := 0; i < 64*n && len(lone) < n; i++ {
 		l, err := svc.Deploy(testSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if l.Placements[0].FPGA != first.Placements[0].FPGA {
-			for _, id := range extras {
-				if err := svc.Release(id); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return first, l
+		if fpga := l.Placements[0].FPGA; !seen[fpga] {
+			seen[fpga] = true
+			lone = append(lone, l)
+		} else {
+			extras = append(extras, l.ID)
 		}
-		extras = append(extras, l.ID)
 	}
-	t.Fatal("64 deploys never spilled onto a second device")
-	return nil, nil
+	if len(lone) < n {
+		t.Fatalf("%d deploys reached only %d devices, want %d", 64*n, len(lone), n)
+	}
+	for _, id := range extras {
+		if err := svc.Release(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return lone
+}
+
+// fragment is the canonical fragmented layout a consolidation pass must
+// fix: two idle leases on two devices.
+func fragment(t *testing.T, svc *rms.Service) (*rms.Lease, *rms.Lease) {
+	t.Helper()
+	lone := fragmentN(t, svc, 2)
+	return lone[0], lone[1]
 }
 
 func TestDefragConsolidatesIdleLeases(t *testing.T) {
@@ -122,25 +132,36 @@ func TestDefragSkipsBusyLeases(t *testing.T) {
 }
 
 func TestDefragRespectsBudgetAndBackoff(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MigrationBudget = 0 // floor-clamped to the default by New
-	cp, svc, _, _ := testControlPlane(t, resource.ClusterSpec{resource.XCVU37P.Name: 4}, cfg)
-	fragment(t, svc)
+	// One more stranded lease than a pass may move.
+	n := migrationBudget + 2
+	cp, svc, _, clk := testControlPlane(t, resource.ClusterSpec{resource.XCVU37P.Name: n}, DefaultConfig())
+	fragmentN(t, svc, n)
 
-	// Exhaust the budget artificially by shrinking it after construction.
-	cp.mu.Lock()
-	cp.cfg.MigrationBudget = 0
-	cp.mu.Unlock()
 	rep := cp.Defrag()
-	if len(rep.Moves) != 0 || rep.Skipped == 0 {
-		t.Fatalf("budget-less pass acted: %+v", rep)
+	if len(rep.Moves) != migrationBudget || rep.Skipped == 0 {
+		t.Fatalf("first pass: %d moves, %d skipped, want %d moves and the rest deferred", len(rep.Moves), rep.Skipped, migrationBudget)
+	}
+	// A lease in backoff is left alone even with budget to spare.
+	cp.mu.Lock()
+	for _, st := range cp.leases {
+		st.backoffUntil = clk.Now().Add(time.Second)
+	}
+	cp.mu.Unlock()
+	if rep := cp.Defrag(); len(rep.Moves) != 0 {
+		t.Fatalf("pass inside backoff acted: %+v", rep)
+	}
+	clk.Advance(2 * time.Second)
+	if rep := cp.Defrag(); len(rep.Moves) != 1 {
+		t.Fatalf("pass after backoff: %+v, want the deferred move", rep.Moves)
 	}
 }
 
 func TestDefragHTTPAndCLIShape(t *testing.T) {
 	cp, svc, _, _ := testControlPlane(t, resource.ClusterSpec{resource.XCVU37P.Name: 4}, DefaultConfig())
 	fragment(t, svc)
-	srv := httptest.NewServer(cp.Handler(rms.Handler(svc)))
+	dp := rms.NewDataPlane(svc, rms.DefaultInferOptions())
+	defer dp.Close()
+	srv := httptest.NewServer(cp.Handler(dp.Handler()))
 	defer srv.Close()
 
 	resp, err := http.Post(srv.URL+"/cluster/defrag", "application/json", strings.NewReader(""))

@@ -82,7 +82,7 @@ func TestMigratedLeaseServesGoldenOutputs(t *testing.T) {
 	const requests = 24
 	outputsAt := func(s *goldenStack, i int) []byte {
 		t.Helper()
-		res, err := s.dp.Infer(leaseA.ID, goldenInputs(spec, int64(i)))
+		res, err := s.dp.InferAs("", leaseA.ID, goldenInputs(spec, int64(i)))
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}

@@ -13,7 +13,9 @@ import (
 
 func TestClusterHTTP(t *testing.T) {
 	cp, svc, _, _ := testControlPlane(t, resource.PaperCluster(), DefaultConfig())
-	srv := httptest.NewServer(cp.Handler(rms.Handler(svc)))
+	dp := rms.NewDataPlane(svc, rms.DefaultInferOptions())
+	defer dp.Close()
+	srv := httptest.NewServer(cp.Handler(dp.Handler()))
 	defer srv.Close()
 
 	post := func(path, body string) *http.Response {

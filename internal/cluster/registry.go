@@ -15,7 +15,7 @@ import (
 //	            heartbeat                 heartbeat
 //	   ┌─────────────────────┐   ┌─────────────────────────┐
 //	   ▼                     │   ▼                         │
-//	Healthy ──SuspectAfter──► Suspect ──DeadAfter──► Dead ─┘
+//	Healthy ──suspectAfter──► Suspect ──deadAfter───► Dead ─┘
 //	   │
 //	   └──Drain()──► Draining ──Undrain()──► Healthy
 //
@@ -28,10 +28,10 @@ type State int
 const (
 	// Healthy devices heartbeat on time and accept placements.
 	Healthy State = iota
-	// Suspect devices missed heartbeats for SuspectAfter: no new
+	// Suspect devices missed heartbeats for suspectAfter: no new
 	// placements, existing leases stay put pending recovery.
 	Suspect
-	// Dead devices missed heartbeats for DeadAfter: leases are
+	// Dead devices missed heartbeats for deadAfter: leases are
 	// force-migrated off.
 	Dead
 	// Draining devices are administratively leaving: no new placements
@@ -77,20 +77,19 @@ func (s *State) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// RegistryConfig tunes the health state machine.
-type RegistryConfig struct {
-	// SuspectAfter is the missed-heartbeat window before Healthy devices
-	// turn Suspect.
-	SuspectAfter time.Duration
-	// DeadAfter is the window before Suspect devices turn Dead.
-	DeadAfter time.Duration
-}
+// HeartbeatInterval is how often a device agent reports in. The agents are
+// simulated in-process, so the interval has one sensible value, and the
+// health windows below are multiples of it: a registry whose windows and
+// beat were set apart could only flap healthy devices or sweep them Dead.
+const HeartbeatInterval = 500 * time.Millisecond
 
-// DefaultRegistryConfig matches a 500ms heartbeat interval: suspect after
-// three missed beats, dead after ten.
-func DefaultRegistryConfig() RegistryConfig {
-	return RegistryConfig{SuspectAfter: 1500 * time.Millisecond, DeadAfter: 5 * time.Second}
-}
+const (
+	// suspectAfter is the silence after which a Healthy device turns
+	// Suspect: three missed beats.
+	suspectAfter = 3 * HeartbeatInterval
+	// deadAfter is the silence after which a device turns Dead: ten.
+	deadAfter = 10 * HeartbeatInterval
+)
 
 // device is the registry's record of one fleet member.
 type device struct {
@@ -126,19 +125,12 @@ type Transition struct {
 type Registry struct {
 	mu      sync.Mutex
 	clock   Clock
-	cfg     RegistryConfig
 	devices map[int]*device
 }
 
 // NewRegistry builds an empty registry.
-func NewRegistry(clock Clock, cfg RegistryConfig) *Registry {
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = DefaultRegistryConfig().SuspectAfter
-	}
-	if cfg.DeadAfter <= cfg.SuspectAfter {
-		cfg.DeadAfter = cfg.SuspectAfter * 3
-	}
-	return &Registry{clock: clock, cfg: cfg, devices: map[int]*device{}}
+func NewRegistry(clock Clock) *Registry {
+	return &Registry{clock: clock, devices: map[int]*device{}}
 }
 
 // Register adds a device with its typed capacity, initially Healthy as of
@@ -233,13 +225,13 @@ func (r *Registry) Sweep() []Transition {
 		next := d.state
 		switch d.state {
 		case Healthy, Draining:
-			if overdue > r.cfg.DeadAfter {
+			if overdue > deadAfter {
 				next = Dead
-			} else if overdue > r.cfg.SuspectAfter {
+			} else if overdue > suspectAfter {
 				next = Suspect
 			}
 		case Suspect:
-			if overdue > r.cfg.DeadAfter {
+			if overdue > deadAfter {
 				next = Dead
 			}
 		}

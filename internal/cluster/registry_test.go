@@ -9,7 +9,7 @@ import (
 func testRegistry(t *testing.T) (*Registry, *FakeClock) {
 	t.Helper()
 	clk := NewFakeClock(time.Unix(1000, 0))
-	r := NewRegistry(clk, DefaultRegistryConfig())
+	r := NewRegistry(clk)
 	for id, typ := range []string{"a", "a", "b"} {
 		if err := r.Register(id, typ, 12); err != nil {
 			t.Fatal(err)
@@ -27,8 +27,25 @@ func TestHealthStateMachine(t *testing.T) {
 		t.Fatal("healthy device not placeable")
 	}
 
-	// Devices 0 and 2 heartbeat; device 1 goes silent.
-	clk.Advance(2 * time.Second)
+	// Devices beating every HeartbeatInterval stay Healthy however often
+	// the registry sweeps in between: the windows are multiples of the
+	// beat, so no setting of one can make healthy devices flap or die.
+	for beat := 0; beat < 12; beat++ {
+		for i := 0; i < 4; i++ {
+			clk.Advance(HeartbeatInterval / 4)
+			if tr := r.Sweep(); len(tr) != 0 {
+				t.Fatalf("beat %d: healthy fleet swept to %v", beat, tr)
+			}
+		}
+		for id := 0; id < 3; id++ {
+			if err := r.Heartbeat(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// Devices 0 and 2 heartbeat; device 1 goes silent past suspectAfter.
+	clk.Advance(suspectAfter + HeartbeatInterval)
 	for _, id := range []int{0, 2} {
 		if err := r.Heartbeat(id); err != nil {
 			t.Fatal(err)
@@ -45,8 +62,8 @@ func TestHealthStateMachine(t *testing.T) {
 		t.Fatal("suspect device must keep its leases")
 	}
 
-	// Still silent past DeadAfter: suspect -> dead, now evacuated.
-	clk.Advance(4 * time.Second)
+	// Still silent past deadAfter: suspect -> dead, now evacuated.
+	clk.Advance(deadAfter - suspectAfter)
 	_ = r.Heartbeat(0)
 	_ = r.Heartbeat(2)
 	tr = r.Sweep()

@@ -261,7 +261,6 @@ func runSoak(o soakOptions) (*soakResult, error) {
 	defer dp.Close()
 
 	cfg := DefaultConfig()
-	cfg.RetryBackoff = 100 * time.Millisecond
 	// The engine queue saturates at MaxBatch×Machines entries, so the
 	// scale-up trigger must sit below that ceiling to ever observe a
 	// backlog.
@@ -329,7 +328,7 @@ func runSoak(o soakOptions) (*soakResult, error) {
 		}
 	}
 
-	beat := cfg.Registry.SuspectAfter / 3 // the nominal heartbeat interval
+	beat := HeartbeatInterval
 	clientsDone := make(chan struct{})
 	go func() { wg.Wait(); close(clientsDone) }()
 	// Keep ticking until the clients finish, the scripted steps have run,

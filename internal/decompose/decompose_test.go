@@ -77,7 +77,7 @@ func TestDecomposeSIMD(t *testing.T) {
 	if res.Stats.DataMerges == 0 {
 		t.Error("expected data-parallel merges")
 	}
-	if acc.Control.Resources.IsZero() {
+	if acc.Control.Resources.LUTs == 0 {
 		t.Error("control block must carry the controller's resources")
 	}
 }

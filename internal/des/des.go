@@ -49,8 +49,6 @@ type Engine struct {
 	now    time.Duration
 	queue  eventHeap
 	nextID int
-	// processed counts executed events.
-	processed int
 }
 
 // New returns an engine at virtual time zero.
@@ -60,25 +58,8 @@ func New() *Engine {
 	return e
 }
 
-// Reset returns the engine to its initial state: virtual time zero, an
-// empty queue, and — so the sequence counter backing the FIFO tie-break
-// cannot grow without bound across reuses — a zeroed event sequence.
-// A Reset engine behaves identically to a fresh New one.
-func (e *Engine) Reset() {
-	e.now = 0
-	for i := range e.queue {
-		e.queue[i] = nil // release event callbacks for GC
-	}
-	e.queue = e.queue[:0]
-	e.nextID = 0
-	e.processed = 0
-}
-
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
-
-// Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return e.queue.Len() }
 
 // At schedules fn at absolute virtual time t.
 func (e *Engine) At(t time.Duration, fn func(now time.Duration)) error {
@@ -91,14 +72,6 @@ func (e *Engine) At(t time.Duration, fn func(now time.Duration)) error {
 	return nil
 }
 
-// After schedules fn delay after the current virtual time.
-func (e *Engine) After(delay time.Duration, fn func(now time.Duration)) error {
-	if delay < 0 {
-		return ErrPast
-	}
-	return e.At(e.now+delay, fn)
-}
-
 // Step executes the earliest pending event. It reports whether an event was
 // executed.
 func (e *Engine) Step() bool {
@@ -107,7 +80,6 @@ func (e *Engine) Step() bool {
 	}
 	ev := heap.Pop(&e.queue).(*Event)
 	e.now = ev.At
-	e.processed++
 	ev.Fn(e.now)
 	return true
 }

@@ -18,9 +18,6 @@ func TestOrdering(t *testing.T) {
 	if e.Now() != 3*time.Millisecond {
 		t.Errorf("Now = %v", e.Now())
 	}
-	if e.processed != 3 {
-		t.Errorf("Processed = %d", e.processed)
-	}
 }
 
 func TestFIFOTieBreak(t *testing.T) {
@@ -37,9 +34,9 @@ func TestFIFOTieBreak(t *testing.T) {
 func TestAfterAndNestedScheduling(t *testing.T) {
 	e := New()
 	var fired []time.Duration
-	e.After(time.Millisecond, func(now time.Duration) {
+	e.At(time.Millisecond, func(now time.Duration) {
 		fired = append(fired, now)
-		e.After(2*time.Millisecond, func(now time.Duration) {
+		e.At(now+2*time.Millisecond, func(now time.Duration) {
 			fired = append(fired, now)
 		})
 	})
@@ -56,9 +53,6 @@ func TestPastRejected(t *testing.T) {
 	if err := e.At(time.Millisecond, func(time.Duration) {}); err != ErrPast {
 		t.Errorf("scheduling in the past = %v, want ErrPast", err)
 	}
-	if err := e.After(-time.Millisecond, func(time.Duration) {}); err != ErrPast {
-		t.Errorf("negative delay = %v, want ErrPast", err)
-	}
 }
 
 func TestHorizon(t *testing.T) {
@@ -72,8 +66,8 @@ func TestHorizon(t *testing.T) {
 	if stop != 5*time.Millisecond {
 		t.Errorf("Run returned %v, want horizon", stop)
 	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", e.Pending())
+	if len(e.queue) != 1 {
+		t.Errorf("%d events pending, want 1", len(e.queue))
 	}
 }
 
@@ -81,33 +75,5 @@ func TestStepOnEmpty(t *testing.T) {
 	e := New()
 	if e.Step() {
 		t.Error("Step on empty queue must return false")
-	}
-}
-
-func TestReset(t *testing.T) {
-	e := New()
-	e.At(time.Millisecond, func(time.Duration) {})
-	e.At(2*time.Millisecond, func(time.Duration) {})
-	e.Run(0)
-	e.At(5*time.Millisecond, func(time.Duration) {}) // left pending on purpose
-
-	e.Reset()
-	if e.Now() != 0 || e.Pending() != 0 || e.processed != 0 {
-		t.Fatalf("after Reset: Now=%v Pending=%d Processed=%d, want all zero",
-			e.Now(), e.Pending(), e.processed)
-	}
-
-	// A reused engine must behave exactly like a fresh one, including the
-	// FIFO tie-break among equal timestamps (the seq counter restarts at
-	// zero rather than continuing to grow across reuses).
-	var order []string
-	e.At(time.Millisecond, func(time.Duration) { order = append(order, "a") })
-	e.At(time.Millisecond, func(time.Duration) { order = append(order, "b") })
-	e.Run(0)
-	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
-		t.Errorf("reused engine broke FIFO tie-break: %v", order)
-	}
-	if e.Now() != time.Millisecond || e.processed != 2 {
-		t.Errorf("reused engine state: Now=%v Processed=%d", e.Now(), e.processed)
 	}
 }

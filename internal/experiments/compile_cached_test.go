@@ -11,7 +11,7 @@ import (
 // to the first run (the measured decompose/partition wall-clock rides in
 // the cached artifacts).
 func TestCompileOverheadCachedRepeatIsCacheBound(t *testing.T) {
-	store := artifactstore.NewMemory(artifactstore.Options{MaxMemEntries: 32})
+	store := artifactstore.NewMemory(artifactstore.Options{})
 	first, err := CompileOverhead(1, store)
 	if err != nil {
 		t.Fatal(err)

@@ -131,21 +131,6 @@ func (n Num) Float64() float64 { return float64(n.Float32()) }
 // IsNaN reports whether n is a NaN.
 func (n Num) IsNaN() bool { return n&0x7C00 == 0x7C00 && n&0x3FF != 0 }
 
-// IsInf reports whether n is +Inf (sign>0), -Inf (sign<0) or either (sign=0).
-func (n Num) IsInf(sign int) bool {
-	if n&0x7FFF != 0x7C00 {
-		return false
-	}
-	neg := n&0x8000 != 0
-	return sign == 0 || (sign > 0 && !neg) || (sign < 0 && neg)
-}
-
-// IsZero reports whether n is +0 or -0.
-func (n Num) IsZero() bool { return n&0x7FFF == 0 }
-
-// Abs returns |n|.
-func (n Num) Abs() Num { return n &^ 0x8000 }
-
 // Add returns a+b rounded to binary16.
 func Add(a, b Num) Num { return FromFloat32(a.Float32() + b.Float32()) }
 

@@ -62,14 +62,6 @@ func (c *Controller) Devices() []*PhysFPGA {
 	return append([]*PhysFPGA{}, c.fpgas...)
 }
 
-// Device returns one FPGA by id.
-func (c *Controller) Device(id int) (*PhysFPGA, error) {
-	if id < 0 || id >= len(c.fpgas) {
-		return nil, fmt.Errorf("hsvital: device %d out of range", id)
-	}
-	return c.fpgas[id], nil
-}
-
 // Configure occupies n virtual blocks on device id (the "configure FPGA"
 // request of Fig. 7). It fails without side effects if the device lacks
 // free blocks.

@@ -1,10 +1,12 @@
 package kernels
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"mlvfpga/internal/accel"
 	"mlvfpga/internal/fp16"
 )
 
@@ -25,9 +27,9 @@ func batchInputs(k *Kernel, b int, seed int64) [][][]float64 {
 	return seqs
 }
 
-// TestRunBatchGolden is the ISSUE's golden test: RunBatch over B streams is
-// bit-identical — outputs as fp16 words AND accumulated ExecStats — to B
-// sequential Runs on one warm machine.
+// TestRunBatchGolden: the whole program run once over B banked streams
+// (RunStreams, identity selection) is bit-identical — outputs as fp16 words
+// AND accumulated ExecStats — to B sequential Runs on one warm machine.
 func TestRunBatchGolden(t *testing.T) {
 	for _, kind := range []RNNKind{LSTM, GRU} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -69,7 +71,7 @@ func TestRunBatchGolden(t *testing.T) {
 			}
 			seqDelta := sm.Stats().Minus(seqBase)
 
-			// Batched: one warm machine, one RunBatch.
+			// Batched: one warm machine, one RunStreams over all B slots.
 			bm, err := k.NewBatchMachine(B)
 			if err != nil {
 				t.Fatal(err)
@@ -78,18 +80,16 @@ func TestRunBatchGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			batchBase := bm.Stats()
-			win, err := k.Window(B)
-			if err != nil {
-				t.Fatal(err)
-			}
+			var slots, offsets []int
 			for s := 0; s < B; s++ {
+				slots, offsets = append(slots, s), append(offsets, k.SlotOffset(s, 0))
 				for tt, x := range seqs[s] {
 					if err := k.SetInputStream(bm, s, tt, x); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
-			if err := bm.RunBatch(k.Prog, win); err != nil {
+			if err := bm.RunStreams(k.Prog, k.WindowBase(), slots, offsets); err != nil {
 				t.Fatal(err)
 			}
 			batchDelta := bm.Stats().Minus(batchBase)
@@ -106,7 +106,7 @@ func TestRunBatchGolden(t *testing.T) {
 				}
 			}
 			if !reflect.DeepEqual(batchDelta, seqDelta) {
-				t.Errorf("RunBatch stats delta = %+v,\nsequential delta = %+v", batchDelta, seqDelta)
+				t.Errorf("batched stats delta = %+v,\nsequential delta = %+v", batchDelta, seqDelta)
 			}
 		})
 	}
@@ -128,8 +128,12 @@ func TestNewBatchMachineBounds(t *testing.T) {
 	// Right-sized DRAM: image plus 4 banked stream windows, not the full
 	// default board.
 	want := k.inputBase + 4*k.StreamStride()
-	if got := m.Config().DRAMWords; got != want {
-		t.Errorf("DRAMWords = %d, want %d", got, want)
+	word := []fp16.Num{0}
+	if err := m.DRAMPort().WriteWords(want-1, word); err != nil {
+		t.Errorf("last word of the sized DRAM (%d): %v", want-1, err)
+	}
+	if err := m.DRAMPort().WriteWords(want, word); !errors.Is(err, accel.ErrDRAMRange) {
+		t.Errorf("DRAM holds more than %d words: write past the end = %v", want, err)
 	}
 	// A batch that cannot fit the default board fails loudly.
 	huge := (k.Cfg.DRAMWords-k.inputBase)/k.StreamStride() + 1

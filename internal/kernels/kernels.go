@@ -197,7 +197,7 @@ func (k *Kernel) NewMachine() (*accel.Machine, error) {
 	return k.newMachine(k.Cfg)
 }
 
-// NewBatchMachine builds a machine sized for RunBatch over up to batch
+// NewBatchMachine builds a machine sized for RunStreams over up to batch
 // input streams. The DRAM is right-sized to the shared image plus the
 // banked per-stream windows instead of the full default board, so a
 // serving pool of batch machines stays cheap.
@@ -234,7 +234,7 @@ func (k *Kernel) newMachine(cfg accel.Config) (*accel.Machine, error) {
 	return m, nil
 }
 
-// WindowBase is the banking base address for RunStreams/RunBatch:
+// WindowBase is the banking base address for RunStreams:
 // addresses below it (weights, biases) are shared by every stream,
 // addresses at or above it are banked per slot.
 func (k *Kernel) WindowBase() int { return k.inputBase }
@@ -252,21 +252,6 @@ func (k *Kernel) SlotOffset(slot, step int) int {
 // per-timestep input block followed by the per-timestep output block
 // (contiguous in the kernel layout).
 func (k *Kernel) StreamStride() int { return 2 * k.Spec.Hidden * k.Spec.TimeSteps }
-
-// Window returns the StreamWindow for a RunBatch over batch streams:
-// everything below inputBase (weights, biases) is shared; stream s's
-// inputs and outputs live at the kernel's addresses shifted by
-// s*StreamStride().
-func (k *Kernel) Window(batch int) (accel.StreamWindow, error) {
-	if batch <= 0 {
-		return accel.StreamWindow{}, fmt.Errorf("kernels: batch = %d", batch)
-	}
-	offs := make([]int, batch)
-	for s := range offs {
-		offs[s] = s * k.StreamStride()
-	}
-	return accel.StreamWindow{Base: k.inputBase, Offsets: offs}, nil
-}
 
 // StreamInputAddr returns the DRAM word address of stream s's x_t.
 func (k *Kernel) StreamInputAddr(s, t int) int { return k.InputAddr(t) + s*k.StreamStride() }

@@ -26,9 +26,6 @@ func NewReference(w *Weights) *Reference {
 	}
 }
 
-// State returns the current hidden state.
-func (r *Reference) State() []float64 { return append([]float64{}, r.h...) }
-
 // Step consumes one input vector and returns the new hidden state.
 func (r *Reference) Step(x []float64) ([]float64, error) {
 	if len(x) != r.w.Hidden {

@@ -87,7 +87,8 @@ func FuzzBisect(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := &treeDecoder{data: data}
 		root := d.build(0)
-		if err := root.Validate(); err != nil {
+		ctrl := softblock.NewLeaf("ctrl", "ctrl", "top.ctrl", resource.Vector{}, 0, 0)
+		if err := (&softblock.Accelerator{Control: ctrl, Data: root}).Validate(); err != nil {
 			t.Fatalf("generator built an invalid tree: %v\n%s", err, root)
 		}
 		iterations := int(d.byte() % 4)

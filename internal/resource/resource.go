@@ -72,24 +72,6 @@ func (v Vector) Get(k Kind) int64 {
 	return 0
 }
 
-// Set overwrites the count for one resource class and returns the updated
-// vector.
-func (v Vector) Set(k Kind, n int64) Vector {
-	switch k {
-	case LUT:
-		v.LUTs = n
-	case DFF:
-		v.DFFs = n
-	case BRAMKb:
-		v.BRAMKb = n
-	case URAMKb:
-		v.URAMKb = n
-	case DSP:
-		v.DSPs = n
-	}
-	return v
-}
-
 // Add returns v + o element-wise.
 func (v Vector) Add(o Vector) Vector {
 	return Vector{
@@ -128,11 +110,6 @@ func (v Vector) Scale(n int64) Vector {
 func (v Vector) Fits(c Vector) bool {
 	return v.LUTs <= c.LUTs && v.DFFs <= c.DFFs &&
 		v.BRAMKb <= c.BRAMKb && v.URAMKb <= c.URAMKb && v.DSPs <= c.DSPs
-}
-
-// IsZero reports whether every count is zero.
-func (v Vector) IsZero() bool {
-	return v == Vector{}
 }
 
 // Max returns the element-wise maximum of v and o.

@@ -42,10 +42,7 @@ func TestVectorFits(t *testing.T) {
 }
 
 func TestVectorGetSetRoundTrip(t *testing.T) {
-	var v Vector
-	for i, k := range Kinds {
-		v = v.Set(k, int64(i+1))
-	}
+	v := Vector{LUTs: 1, DFFs: 2, BRAMKb: 3, URAMKb: 4, DSPs: 5} // in Kinds order
 	for i, k := range Kinds {
 		if v.Get(k) != int64(i+1) {
 			t.Errorf("Get(%v) = %d, want %d", k, v.Get(k), i+1)

@@ -144,11 +144,11 @@ func TestConcurrentDeploySingleflight(t *testing.T) {
 
 	inputs := deterministicInputs(spec)
 	for _, lease := range leases {
-		got, err := dp.Infer(lease.ID, inputs)
+		got, err := dp.InferAs("", lease.ID, inputs)
 		if err != nil {
 			t.Fatalf("infer lease %d: %v", lease.ID, err)
 		}
-		want, err := twin.Infer(lease.ID, inputs)
+		want, err := twin.InferAs("", lease.ID, inputs)
 		if err != nil {
 			t.Fatalf("twin infer lease %d: %v", lease.ID, err)
 		}
@@ -219,7 +219,7 @@ func TestDeployCorruptBlobRecovery(t *testing.T) {
 	// The recovered lease serves.
 	dp := NewDataPlane(svc2, InferOptions{MaxBatch: 1, Machines: 1, Tiles: 1, Seed: 7})
 	defer dp.Close()
-	if _, err := dp.Infer(lease.ID, deterministicInputs(spec)); err != nil {
+	if _, err := dp.InferAs("", lease.ID, deterministicInputs(spec)); err != nil {
 		t.Fatalf("infer on recovered lease: %v", err)
 	}
 }

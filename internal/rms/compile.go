@@ -49,9 +49,6 @@ func NewCompiler(store *artifactstore.Store, opts CompilerOptions) *Compiler {
 	return &Compiler{store: store, opts: opts, plans: map[kernels.LayerSpec]planEntry{}}
 }
 
-// Store exposes the backing artifact store for stats and ops surfaces.
-func (c *Compiler) Store() *artifactstore.Store { return c.store }
-
 // optionsFor resolves a layer to the accelerator instance the offline
 // flow compiles for it: the smallest feasible single-device instance in
 // the database's largest-first device order, falling back to the scaled

@@ -41,7 +41,7 @@ func TestContinuousInferMatchesSolo(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := dp.Infer(lease.ID, inputs[i])
+			res, err := dp.InferAs("", lease.ID, inputs[i])
 			if err != nil {
 				t.Error(err)
 				return
@@ -134,13 +134,13 @@ func TestContinuousResize(t *testing.T) {
 	opts.Machines = 1
 	_, dp, lease := testPlane(t, opts)
 
-	if _, err := dp.Infer(lease.ID, testInputs(lease.Spec, 1)); err != nil {
+	if _, err := dp.InferAs("", lease.ID, testInputs(lease.Spec, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := dp.Resize(lease.ID, 3); err != nil {
 		t.Fatal(err)
 	}
-	res, err := dp.Infer(lease.ID, testInputs(lease.Spec, 2))
+	res, err := dp.InferAs("", lease.ID, testInputs(lease.Spec, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestContinuousReleaseDrains(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := dp.Infer(lease.ID, testInputs(lease.Spec, int64(i)))
+			_, err := dp.InferAs("", lease.ID, testInputs(lease.Spec, int64(i)))
 			if err != nil && !errors.Is(err, ErrLeaseClosing) && !errors.Is(err, ErrUnknownLease) {
 				t.Errorf("infer during release: %v", err)
 			}

@@ -108,9 +108,12 @@ func TestDeployWithDepth(t *testing.T) {
 		t.Errorf("depth 3: %v, want ErrNoSuchDepth", err)
 	}
 
-	// Avoid must keep placements off the vetoed device.
-	lease, err := svc.DeployWith(spec, PlaceOptions{Depth: 2, Avoid: func(id int) bool { return id == 0 }})
+	// A per-call veto (Migrate's avoid) must keep placements off the device.
+	lease, err := svc.DeployWith(spec, PlaceOptions{Depth: 2})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if lease, err = svc.Migrate(lease.ID, 2, func(id int) bool { return id == 0 }, false); err != nil {
 		t.Fatal(err)
 	}
 	for _, pl := range lease.Placements {
@@ -231,7 +234,7 @@ func TestDataPlaneResize(t *testing.T) {
 	opts.Machines = 1
 	_, dp, lease := testPlane(t, opts)
 	inputs := testInputs(lease.Spec, 11)
-	want, err := dp.Infer(lease.ID, inputs)
+	want, err := dp.InferAs("", lease.ID, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +244,7 @@ func TestDataPlaneResize(t *testing.T) {
 	if err := dp.Resize(lease.ID, 3); err != nil {
 		t.Fatal(err)
 	}
-	got, err := dp.Infer(lease.ID, inputs)
+	got, err := dp.InferAs("", lease.ID, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +277,7 @@ func TestDeployCapacity503(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(Handler(svc))
+	srv := httptest.NewServer(testHandler(t, svc))
 	defer srv.Close()
 
 	body := `{"kind":"LSTM","hidden":1024,"timesteps":4}`
@@ -304,7 +307,7 @@ func TestExpvarOnMux(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(Handler(svc))
+	srv := httptest.NewServer(testHandler(t, svc))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/debug/vars")
 	if err != nil {

@@ -12,16 +12,24 @@ import (
 	"mlvfpga/internal/tenant"
 )
 
-// Handler exposes a Service as a JSON HTTP API (the integration surface of
-// Fig. 7's "APIs for communicating with the high-level system"):
+// retryAfter is the backoff hint stamped on 429/503 responses.
+const retryAfter = "1"
+
+// Handler exposes the service and its data plane as a JSON HTTP API (the
+// integration surface of Fig. 7's "APIs for communicating with the
+// high-level system"):
 //
 //	POST /deploy   {"kind":"LSTM","hidden":512,"timesteps":25} -> Lease  (kind: LSTM, GRU, attention)
 //	POST /release  {"id":3}                                    -> 204
 //	GET  /status                                               -> ClusterStatus
 //	GET  /lease/{id}                                           -> Lease
+//	POST /infer    {"id":3,"inputs":[[...h floats...], ...]}   -> InferResult
+//	POST /preempt  {"id":3,"slots":2}                          -> {"evicted":N}
+//	GET  /healthz                                              -> 200 "ok"
 //
-// Handler exposes the admission API only; DataPlane.Handler adds the
-// /infer and /healthz serving endpoints.
+// /release drains the lease's engine before freeing its blocks; /preempt
+// checkpoints up to slots resident streams of the lease back into its
+// fair queue.
 //
 // Behind a tenant.Guard the authenticated tenant in the request context
 // attributes deploys, gates releases (owner or admin only) and drives
@@ -33,23 +41,8 @@ import (
 // Retry-After when the caller's quota or in-flight cap is spent, 503 +
 // Retry-After when the cluster is out of capacity (also counted in
 // mlv_capacity_rejections).
-func Handler(s *Service) http.Handler { return handler(s, nil) }
-
-// Handler exposes the admission API plus the serving endpoints:
-//
-//	POST /infer    {"id":3,"inputs":[[...h floats...], ...]}   -> InferResult
-//	POST /preempt  {"id":3,"slots":2}                          -> {"evicted":N}
-//	GET  /healthz                                              -> 200 "ok"
-//
-// /release drains the lease's engine before freeing its blocks; /preempt
-// checkpoints up to slots resident streams of the lease back into its
-// fair queue.
-func (dp *DataPlane) Handler() http.Handler { return handler(dp.svc, dp) }
-
-// retryAfter is the backoff hint stamped on 429/503 responses.
-const retryAfter = "1"
-
-func handler(s *Service, dp *DataPlane) http.Handler {
+func (dp *DataPlane) Handler() http.Handler {
+	s := dp.svc
 	mux := http.NewServeMux()
 
 	writeJSON := func(w http.ResponseWriter, code int, v any) {
@@ -161,11 +154,7 @@ func handler(s *Service, dp *DataPlane) http.Handler {
 		if !post(w, r, &req) || !owns(w, r, req.ID) {
 			return
 		}
-		release := s.Release
-		if dp != nil {
-			release = dp.Release
-		}
-		if err := release(req.ID); err != nil {
+		if err := dp.Release(req.ID); err != nil {
 			fail(w, err, http.StatusInternalServerError)
 			return
 		}
@@ -190,40 +179,38 @@ func handler(s *Service, dp *DataPlane) http.Handler {
 	// operators and the cluster control plane.
 	mux.Handle("/debug/vars", expvar.Handler())
 
-	if dp != nil {
-		mux.HandleFunc("/infer", func(w http.ResponseWriter, r *http.Request) {
-			var req struct {
-				ID     int         `json:"id"`
-				Inputs [][]float64 `json:"inputs"`
-			}
-			if !post(w, r, &req) {
-				return
-			}
-			who, _ := caller(r)
-			res, err := dp.InferAs(who, req.ID, req.Inputs)
-			if err != nil {
-				fail(w, err, http.StatusBadRequest)
-				return
-			}
-			writeJSON(w, http.StatusOK, res)
-		})
+	mux.HandleFunc("/infer", func(w http.ResponseWriter, r *http.Request) {
+		var req struct {
+			ID     int         `json:"id"`
+			Inputs [][]float64 `json:"inputs"`
+		}
+		if !post(w, r, &req) {
+			return
+		}
+		who, _ := caller(r)
+		res, err := dp.InferAs(who, req.ID, req.Inputs)
+		if err != nil {
+			fail(w, err, http.StatusBadRequest)
+			return
+		}
+		writeJSON(w, http.StatusOK, res)
+	})
 
-		mux.HandleFunc("/preempt", func(w http.ResponseWriter, r *http.Request) {
-			var req struct {
-				ID    int `json:"id"`
-				Slots int `json:"slots"`
-			}
-			if !post(w, r, &req) || !owns(w, r, req.ID) {
-				return
-			}
-			evicted, err := dp.Preempt(req.ID, req.Slots)
-			if err != nil {
-				fail(w, err, http.StatusInternalServerError)
-				return
-			}
-			writeJSON(w, http.StatusOK, map[string]int{"evicted": evicted})
-		})
-	}
+	mux.HandleFunc("/preempt", func(w http.ResponseWriter, r *http.Request) {
+		var req struct {
+			ID    int `json:"id"`
+			Slots int `json:"slots"`
+		}
+		if !post(w, r, &req) || !owns(w, r, req.ID) {
+			return
+		}
+		evicted, err := dp.Preempt(req.ID, req.Slots)
+		if err != nil {
+			fail(w, err, http.StatusInternalServerError)
+			return
+		}
+		writeJSON(w, http.StatusOK, map[string]int{"evicted": evicted})
+	})
 
 	mux.HandleFunc("/lease/", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {

@@ -122,7 +122,7 @@ func TestHTTPQuotaResponses(t *testing.T) {
 // deploy answers 503 + Retry-After and counts in mlv_capacity_rejections.
 func TestHTTPCapacity503RetryAfter(t *testing.T) {
 	svc := newService(t)
-	h := Handler(svc)
+	h := testHandler(t, svc)
 	// Fill the paper cluster with big leases until a deploy fails.
 	spec := `{"kind":"GRU","hidden":2560,"timesteps":100}`
 	before := metrics.CapacityRejections.Value()
@@ -231,7 +231,7 @@ func TestHTTPUnauthenticatedMutationsRejected(t *testing.T) {
 // ErrNoSuchDepth to 422.
 func TestHTTPDeployWithDepthField(t *testing.T) {
 	svc := newService(t)
-	h := Handler(svc)
+	h := testHandler(t, svc)
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/deploy",
 		strings.NewReader(`{"kind":"LSTM","hidden":256,"timesteps":2,"depth":3}`)))

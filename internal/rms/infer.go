@@ -37,8 +37,6 @@ type InferOptions struct {
 	Machines int
 	// Tiles is the simulated tile-engine count per machine.
 	Tiles int
-	// MantissaBits overrides the BFP mantissa width (0 = default).
-	MantissaBits int
 	// Seed derives per-lease weights (Seed + lease id), standing in for a
 	// real deployment's model upload.
 	Seed int64
@@ -103,7 +101,6 @@ func buildKernel(lease *Lease, opts InferOptions) (*kernels.Kernel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rms: building kernel for lease %d: %w", lease.ID, err)
 	}
-	kern.Cfg.MantissaBits = opts.MantissaBits
 	return kern, nil
 }
 
@@ -372,11 +369,6 @@ func (dp *DataPlane) faultState() Faults {
 		return *f
 	}
 	return Faults{}
-}
-
-// Infer runs the lease's layer on inputs anonymously (see InferAs).
-func (dp *DataPlane) Infer(leaseID int, inputs [][]float64) (*InferResult, error) {
-	return dp.InferAs("", leaseID, inputs)
 }
 
 // InferAs runs the lease's layer on inputs (one vector of the layer's

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -30,6 +29,15 @@ func testPlane(t *testing.T, opts InferOptions) (*Service, *DataPlane, *Lease) {
 	dp := NewDataPlane(svc, opts)
 	t.Cleanup(dp.Close)
 	return svc, dp, lease
+}
+
+// testHandler is the HTTP surface over a service with a default data plane
+// behind it, closed with the test.
+func testHandler(t *testing.T, svc *Service) http.Handler {
+	t.Helper()
+	dp := NewDataPlane(svc, DefaultInferOptions())
+	t.Cleanup(dp.Close)
+	return dp.Handler()
 }
 
 // waitFor polls a state predicate until it holds, failing the test after a
@@ -96,7 +104,7 @@ func TestInferMatchesDirectKernel(t *testing.T) {
 	opts.Machines = 1
 	_, dp, lease := testPlane(t, opts)
 	inputs := testInputs(lease.Spec, 3)
-	res, err := dp.Infer(lease.ID, inputs)
+	res, err := dp.InferAs("", lease.ID, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,16 +123,16 @@ func TestInferMatchesDirectKernel(t *testing.T) {
 func TestInferUnknownAndReleasedLease(t *testing.T) {
 	opts := DefaultInferOptions()
 	_, dp, lease := testPlane(t, opts)
-	if _, err := dp.Infer(9999, testInputs(lease.Spec, 1)); !errors.Is(err, ErrUnknownLease) {
+	if _, err := dp.InferAs("", 9999, testInputs(lease.Spec, 1)); !errors.Is(err, ErrUnknownLease) {
 		t.Errorf("unknown lease: %v", err)
 	}
-	if _, err := dp.Infer(lease.ID, testInputs(lease.Spec, 1)); err != nil {
+	if _, err := dp.InferAs("", lease.ID, testInputs(lease.Spec, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := dp.Release(lease.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dp.Infer(lease.ID, testInputs(lease.Spec, 1)); !errors.Is(err, ErrUnknownLease) {
+	if _, err := dp.InferAs("", lease.ID, testInputs(lease.Spec, 1)); !errors.Is(err, ErrUnknownLease) {
 		t.Errorf("released lease: %v", err)
 	}
 }
@@ -132,12 +140,12 @@ func TestInferUnknownAndReleasedLease(t *testing.T) {
 func TestInferValidatesShape(t *testing.T) {
 	opts := DefaultInferOptions()
 	_, dp, lease := testPlane(t, opts)
-	if _, err := dp.Infer(lease.ID, [][]float64{{1, 2}}); err == nil {
+	if _, err := dp.InferAs("", lease.ID, [][]float64{{1, 2}}); err == nil {
 		t.Error("short input accepted")
 	}
 	bad := testInputs(lease.Spec, 1)
 	bad[1] = bad[1][:10]
-	if _, err := dp.Infer(lease.ID, bad); err == nil {
+	if _, err := dp.InferAs("", lease.ID, bad); err == nil {
 		t.Error("wrong hidden size accepted")
 	}
 }
@@ -155,7 +163,7 @@ func TestInferConcurrentLoad(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				if _, err := dp.Infer(lease.ID, testInputs(lease.Spec, int64(g*10+i))); err != nil {
+				if _, err := dp.InferAs("", lease.ID, testInputs(lease.Spec, int64(g*10+i))); err != nil {
 					t.Error(err)
 					return
 				}
@@ -171,7 +179,6 @@ func TestInferHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultInferOptions()
-	opts.MantissaBits = 9 // keeps BFP noise well under the reference tolerance below
 	dp := NewDataPlane(svc, opts)
 	defer dp.Close()
 	srv := httptest.NewServer(dp.Handler())
@@ -241,7 +248,7 @@ func TestInferHTTP(t *testing.T) {
 
 	// The third cell kind, spelled the way the .mlw DSL spells it: /deploy
 	// used to know LSTM and GRU only. What it serves must be the attention
-	// cell: every step within quantization noise of the float64 reference.
+	// cell: bit-identical to the attention kernel built from the same weights.
 	attn := kernels.LayerSpec{Kind: kernels.Attention, Hidden: 64, TimeSteps: 3}
 	resp = post("/deploy", map[string]any{"kind": "attention", "hidden": attn.Hidden, "timesteps": attn.TimeSteps})
 	if resp.StatusCode != http.StatusOK {
@@ -263,21 +270,9 @@ func TestInferHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	ref := kernels.NewReference(kernels.RandomWeights(attn.Kind, attn.Hidden, opts.Seed+int64(lease.ID)))
-	worst := 0.0
-	for tt, x := range in {
-		want, err := ref.Step(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if d := math.Abs(res.Outputs[tt][i] - want[i]); d > worst {
-				worst = d
-			}
-		}
-	}
-	if worst > 0.08 { // the kernels package's own bound for this cell
-		t.Errorf("attention outputs up to %.4f off the float64 reference", worst)
+	want := referenceOutputs(t, &Lease{ID: lease.ID, Spec: attn}, opts, in)
+	if !reflect.DeepEqual(res.Outputs, want) {
+		t.Errorf("served attention outputs differ from the attention kernel run directly (which kernels holds to the float64 reference)")
 	}
 }
 

@@ -139,7 +139,7 @@ func TestPreemptGoldenTwin(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := dp.Infer(lease.ID, inputs[i])
+			res, err := dp.InferAs("", lease.ID, inputs[i])
 			if err != nil {
 				t.Error(err)
 				return
@@ -242,7 +242,7 @@ func TestInferRacingResizeLandsOnNewEngine(t *testing.T) {
 					return
 				default:
 				}
-				res, err := dp.Infer(lease.ID, in)
+				res, err := dp.InferAs("", lease.ID, in)
 				if errors.Is(err, ErrBusy) {
 					continue
 				}
@@ -405,7 +405,7 @@ func TestAdmitFailureSettlesBeforeAnswering(t *testing.T) {
 		t.Errorf("a failed admission was counted (%d)", got-admitted)
 	}
 	// The slot it was trying is free again: the next request is served.
-	if _, err := dp.Infer(lease.ID, testInputs(lease.Spec, 1)); err != nil {
+	if _, err := dp.InferAs("", lease.ID, testInputs(lease.Spec, 1)); err != nil {
 		t.Fatal(err)
 	}
 }

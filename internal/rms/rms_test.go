@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"mlvfpga/internal/des"
 	"mlvfpga/internal/kernels"
 	"mlvfpga/internal/perf"
 	"mlvfpga/internal/resource"
@@ -169,9 +168,6 @@ func TestFig12ThroughputGain(t *testing.T) {
 	p := perf.DefaultParams()
 	var sum float64
 	comps := workload.Table1()
-	// One engine Reset and reused across the ten sequential simulations
-	// rather than reallocating per set.
-	engine := des.New()
 	for _, comp := range comps {
 		tasks, err := workload.Generate(comp, workload.Options{
 			NumTasks: 200, MeanInterarrival: 20 * time.Microsecond, Seed: int64(comp.Index),
@@ -185,7 +181,6 @@ func TestFig12ThroughputGain(t *testing.T) {
 		}
 		flex, err := Simulate(tasks, Config{
 			Cluster: resource.PaperCluster(), Mode: Flexible, DB: testDB(Flexible),
-			Engine: engine,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -203,30 +198,22 @@ func TestFig12ThroughputGain(t *testing.T) {
 	}
 }
 
-// TestSimulateEngineReuse pins the Config.Engine contract: a Reset-and-
-// reused engine produces the same Result as a freshly allocated one.
+// TestSimulateEngineReuse: every Simulate call owns a fresh event engine,
+// so back-to-back runs over one shared Database return the same Result.
 func TestSimulateEngineReuse(t *testing.T) {
 	tasks := quickSet(t, workload.Table1()[6], 120)
-	fresh, err := Simulate(tasks, Config{
-		Cluster: resource.PaperCluster(), Mode: Flexible, DB: testDB(Flexible),
-	})
+	cfg := Config{Cluster: resource.PaperCluster(), Mode: Flexible, DB: testDB(Flexible)}
+	fresh, err := Simulate(tasks, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := des.New()
-	// Dirty the engine so Reset has real work to do.
-	engine.At(time.Second, func(time.Duration) {})
-	engine.Run(0)
 	for i := 0; i < 2; i++ {
-		reused, err := Simulate(tasks, Config{
-			Cluster: resource.PaperCluster(), Mode: Flexible, DB: testDB(Flexible),
-			Engine: engine,
-		})
+		again, err := Simulate(tasks, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if reused != fresh {
-			t.Errorf("run %d with reused engine: %+v, want %+v", i, reused, fresh)
+		if again != fresh {
+			t.Errorf("run %d over the same database: %+v, want %+v", i, again, fresh)
 		}
 	}
 }

@@ -31,12 +31,6 @@ type Config struct {
 	DB      *Database
 	// Discipline selects the queue policy (default FIFOBackfill).
 	Discipline QueueDiscipline
-	// Engine, when non-nil, is Reset and reused for the simulation instead
-	// of allocating a fresh one — handy for back-to-back runs. The engine's
-	// FIFO tie-break among equal timestamps holds after Reset, so a reused
-	// engine yields the same Result as a fresh one. Engines must not be
-	// shared across concurrent Simulate calls.
-	Engine *des.Engine
 }
 
 // Result summarizes one system-level run (a Fig. 12 data point).
@@ -161,12 +155,7 @@ func Simulate(tasks []workload.Task, cfg Config) (Result, error) {
 	if db == nil {
 		return Result{}, fmt.Errorf("rms: nil database")
 	}
-	engine := cfg.Engine
-	if engine == nil {
-		engine = des.New()
-	} else {
-		engine.Reset()
-	}
+	engine := des.New()
 
 	inv := inventory(ctrl)
 	var peakUtilization float64

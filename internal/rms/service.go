@@ -139,9 +139,6 @@ type PlaceOptions struct {
 	// Depth restricts placement to deployments with exactly this many
 	// pieces (0 = any, walked in the database's greedy order).
 	Depth int
-	// Avoid vetoes devices for this placement, in addition to the
-	// service-wide placement filter.
-	Avoid func(fpgaID int) bool
 	// Tenant attributes the lease to a tenant id; when the service has a
 	// registry installed the tenant's quotas gate the admission. Empty
 	// means anonymous (no quota checks).
@@ -296,7 +293,7 @@ func (s *Service) DeployWith(spec kernels.LayerSpec, po PlaceOptions) (*Lease, e
 			continue
 		}
 		quotaRoom = true
-		placements := s.tryPlaceLocked(dep, po.Avoid)
+		placements := s.tryPlaceLocked(dep, nil)
 		if placements == nil {
 			continue
 		}

@@ -109,7 +109,7 @@ func TestServiceErrors(t *testing.T) {
 
 func TestHTTPHandler(t *testing.T) {
 	s := newService(t)
-	srv := httptest.NewServer(Handler(s))
+	srv := httptest.NewServer(testHandler(t, s))
 	defer srv.Close()
 
 	post := func(path string, body any) *http.Response {
@@ -175,7 +175,7 @@ func TestHTTPHandler(t *testing.T) {
 
 func TestHTTPHandlerValidation(t *testing.T) {
 	s := newService(t)
-	srv := httptest.NewServer(Handler(s))
+	srv := httptest.NewServer(testHandler(t, s))
 	defer srv.Close()
 
 	cases := []struct {
@@ -224,7 +224,7 @@ func TestHTTPHandlerValidation(t *testing.T) {
 // undeployable through the API.
 func TestHTTPUndeployable(t *testing.T) {
 	s := newService(t)
-	srv := httptest.NewServer(Handler(s))
+	srv := httptest.NewServer(testHandler(t, s))
 	defer srv.Close()
 	body := []byte(`{"kind":"LSTM","hidden":8192,"timesteps":1}`)
 	resp, err := http.Post(srv.URL+"/deploy", "application/json", bytes.NewReader(body))

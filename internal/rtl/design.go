@@ -16,7 +16,10 @@ type Design struct {
 	Top     string
 }
 
-// NewDesign builds a design from parsed modules. The top module must exist.
+// NewDesign builds a design from parsed modules. The top module must exist,
+// and every instance of a defined module must connect ports that module
+// declares (by name, or by a position inside its port list); instances of
+// undefined modules are blackbox primitives and are not checked.
 func NewDesign(mods []*Module, top string) (*Design, error) {
 	d := &Design{Modules: map[string]*Module{}, Top: top}
 	for _, m := range mods {
@@ -27,6 +30,27 @@ func NewDesign(mods []*Module, top string) (*Design, error) {
 	}
 	if _, ok := d.Modules[top]; !ok {
 		return nil, fmt.Errorf("%w: top module %q", ErrNotFound, top)
+	}
+	for _, name := range d.SortedModuleNames() {
+		for _, inst := range d.Modules[name].Instances {
+			child, defined := d.Modules[inst.ModuleName]
+			if !defined {
+				continue
+			}
+			for key := range inst.Conns {
+				if idx, pos := isPositionalKey(key); pos {
+					if idx >= len(child.Ports) {
+						return nil, fmt.Errorf("rtl: %s.%s: positional connection %d exceeds %d ports of %s",
+							name, inst.Name, idx, len(child.Ports), child.Name)
+					}
+					continue
+				}
+				if _, ok := child.PortByName(key); !ok {
+					return nil, fmt.Errorf("rtl: %s.%s: no port %q on module %s",
+						name, inst.Name, key, child.Name)
+				}
+			}
+		}
 	}
 	return d, nil
 }
@@ -50,12 +74,6 @@ func ParseDesignParallel(src, top string, workers int) (*Design, error) {
 	return NewDesign(mods, top)
 }
 
-// Module returns a module by name.
-func (d *Design) Module(name string) (*Module, bool) {
-	m, ok := d.Modules[name]
-	return m, ok
-}
-
 // IsPrimitive reports whether name refers to a hard primitive cell rather
 // than a module of the design. Any instance whose module has no definition
 // in the design is treated as a blackbox primitive; the well-known Xilinx
@@ -73,34 +91,6 @@ func (d *Design) SortedModuleNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Validate checks that every instance connects to declared ports of defined
-// modules, and that positional connections can be resolved.
-func (d *Design) Validate() error {
-	for _, name := range d.SortedModuleNames() {
-		m := d.Modules[name]
-		for _, inst := range m.Instances {
-			child, defined := d.Modules[inst.ModuleName]
-			if !defined {
-				continue // blackbox primitive: nothing to check
-			}
-			for key := range inst.Conns {
-				if idx, pos := isPositionalKey(key); pos {
-					if idx >= len(child.Ports) {
-						return fmt.Errorf("rtl: %s.%s: positional connection %d exceeds %d ports of %s",
-							name, inst.Name, idx, len(child.Ports), child.Name)
-					}
-					continue
-				}
-				if _, ok := child.PortByName(key); !ok {
-					return fmt.Errorf("rtl: %s.%s: no port %q on module %s",
-						name, inst.Name, key, child.Name)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ func TestNewDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := d.Module("add8"); !ok {
+	if d.Modules["add8"] == nil {
 		t.Error("add8 missing")
 	}
 	if d.IsPrimitive("add8") || !d.IsPrimitive("DSP48E2") {
@@ -45,21 +45,40 @@ func TestBasicModules(t *testing.T) {
 	}
 }
 
+// TestValidate: every way into a Design checks instance connections, so a
+// netlist wiring a port its module does not declare never reaches
+// decompose (mlv decompose -rtl used to print a tree for this one).
 func TestValidate(t *testing.T) {
-	good, _ := ParseDesign(adderDesign, "top")
-	if err := good.Validate(); err != nil {
+	if _, err := ParseDesign(adderDesign, "top"); err != nil {
 		t.Errorf("valid design rejected: %v", err)
 	}
-	bad, err := ParseDesign(`
+	const bad = `
 		module sub(input a, output y); assign y = a; endmodule
 		module top(input x, output z);
-		  sub u0 (.nosuch(x), .y(z));
-		endmodule`, "top")
-	if err != nil {
-		t.Fatal(err)
+		  wire m;
+		  sub u0 (.a(x), .y(m));
+		  sub u1 (.a(m), .nosuch(z));
+		endmodule`
+	for name, parse := range map[string]func() (*Design, error){
+		"ParseDesign":         func() (*Design, error) { return ParseDesign(bad, "top") },
+		"ParseDesignParallel": func() (*Design, error) { return ParseDesignParallel(bad, "top", 4) },
+	} {
+		_, err := parse()
+		if err == nil {
+			t.Errorf("%s: undeclared port accepted", name)
+			continue
+		}
+		for _, want := range []string{"top.u1", `"nosuch"`, "module sub"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %s", name, err, want)
+			}
+		}
 	}
-	if err := bad.Validate(); err == nil {
-		t.Error("bad port connection must fail validation")
+	_, err := ParseDesign(`
+		module sub(input a, output y); assign y = a; endmodule
+		module top(input x, output z); sub u0 (x, z, x); endmodule`, "top")
+	if err == nil || !strings.Contains(err.Error(), "positional connection 2") {
+		t.Errorf("third positional connection to a two-port module: err = %v", err)
 	}
 }
 

@@ -347,9 +347,6 @@ func (c *CanonHash) Raw(b []byte) *CanonHash {
 	return c
 }
 
-// Sum returns the 64-bit digest.
-func (c *CanonHash) Sum() uint64 { return c.h.Sum64() }
-
 // Hex renders the digest as fixed-width lowercase hex, the form artifact
 // keys embed.
 func (c *CanonHash) Hex() string { return fmt.Sprintf("%016x", c.h.Sum64()) }

@@ -81,12 +81,6 @@ func (s *Simulator) InputPorts() []string {
 // OutputPorts returns the names of output ports in declaration order.
 func (s *Simulator) OutputPorts() []string { return append([]string{}, s.outputs...) }
 
-// Width returns the width of a net or port.
-func (s *Simulator) Width(name string) (int, bool) {
-	w, ok := s.widths[name]
-	return w, ok
-}
-
 func mask(v uint64, w int) uint64 {
 	if w >= 64 {
 		return v
@@ -473,9 +467,4 @@ func (s *Simulator) Tick() error {
 		}
 	}
 	return s.Settle()
-}
-
-// Reset zeroes all state.
-func (s *Simulator) Reset() {
-	s.vals = map[string]uint64{}
 }

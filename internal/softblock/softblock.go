@@ -217,17 +217,13 @@ var (
 	ErrDataMismatch     = errors.New("softblock: data-parallel children are not interchangeable")
 )
 
-// Validate checks the structural invariants of the subtree:
+// validate checks the structural invariants of the subtree, recording the
+// IDs it meets in seen:
 //   - leaves have no children and name a module;
 //   - pattern nodes have >= 2 children;
 //   - pipeline nodes carry len(children)-1 stage bandwidths;
 //   - data-parallel children expose identical module structure;
 //   - IDs are unique.
-func (b *Block) Validate() error {
-	seen := map[string]bool{}
-	return b.validate(seen)
-}
-
 func (b *Block) validate(seen map[string]bool) error {
 	if seen[b.ID] {
 		return fmt.Errorf("%w: %q", ErrDuplicateID, b.ID)

@@ -48,7 +48,7 @@ func TestRollups(t *testing.T) {
 
 func TestValidateGood(t *testing.T) {
 	nested := NewPipeline("root", []*Block{sampleData(), samplePipeline()}, []int{128})
-	if err := nested.Validate(); err != nil {
+	if err := nested.validate(map[string]bool{}); err != nil {
 		t.Errorf("valid tree rejected: %v", err)
 	}
 }
@@ -56,37 +56,37 @@ func TestValidateGood(t *testing.T) {
 func TestValidateErrors(t *testing.T) {
 	bad := leaf("l", 1)
 	bad.Children = []*Block{leaf("c", 1)}
-	if err := bad.Validate(); !errors.Is(err, ErrLeafWithChildren) {
+	if err := bad.validate(map[string]bool{}); !errors.Is(err, ErrLeafWithChildren) {
 		t.Errorf("leaf with children: %v", err)
 	}
 
 	single := NewPipeline("p", []*Block{leaf("a", 1)}, nil)
-	if err := single.Validate(); !errors.Is(err, ErrTooFewChildren) {
+	if err := single.validate(map[string]bool{}); !errors.Is(err, ErrTooFewChildren) {
 		t.Errorf("single-child pipeline: %v", err)
 	}
 
 	badBits := NewPipeline("p", []*Block{leaf("a", 1), leaf("b", 1)}, []int{1, 2})
-	if err := badBits.Validate(); !errors.Is(err, ErrStageBits) {
+	if err := badBits.validate(map[string]bool{}); !errors.Is(err, ErrStageBits) {
 		t.Errorf("stage bits mismatch: %v", err)
 	}
 
 	dup := NewPipeline("p", []*Block{leaf("a", 1), leaf("a", 1)}, []int{8})
-	if err := dup.Validate(); !errors.Is(err, ErrDuplicateID) {
+	if err := dup.validate(map[string]bool{}); !errors.Is(err, ErrDuplicateID) {
 		t.Errorf("duplicate id: %v", err)
 	}
 
 	mixed := NewDataParallel("d", []*Block{leafOf("a", "m1", 1), leafOf("b", "m2", 1)})
-	if err := mixed.Validate(); !errors.Is(err, ErrDataMismatch) {
+	if err := mixed.validate(map[string]bool{}); !errors.Is(err, ErrDataMismatch) {
 		t.Errorf("non-interchangeable data children: %v", err)
 	}
 
 	noMod := &Block{ID: "x", Kind: Leaf}
-	if err := noMod.Validate(); err == nil {
+	if err := noMod.validate(map[string]bool{}); err == nil {
 		t.Error("leaf without module must fail")
 	}
 
 	badKind := &Block{ID: "x", Kind: Kind(9)}
-	if err := badKind.Validate(); err == nil {
+	if err := badKind.validate(map[string]bool{}); err == nil {
 		t.Error("invalid kind must fail")
 	}
 }
@@ -253,7 +253,7 @@ func TestQuickTreeInvariants(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		gen := 0
 		tree := randomTree(r, 3, &gen)
-		if err := tree.Validate(); err != nil {
+		if err := tree.validate(map[string]bool{}); err != nil {
 			t.Logf("invalid random tree: %v\n%s", err, tree)
 			return false
 		}

@@ -72,14 +72,15 @@ func FromContext(ctx context.Context) (Tenant, bool) {
 // admin tenant.
 const adminPrefix = "/cluster/"
 
+// maxNonces caps one tenant's live replay-window entries; a nonce stays
+// rejected for 2×MaxSkew, the widest interval a timestamp inside the skew
+// bound could be replayed over.
+const maxNonces = 1 << 16
+
 // GuardOptions tunes the authentication middleware.
 type GuardOptions struct {
 	// MaxSkew bounds |server time - request timestamp| (default 2m).
 	MaxSkew time.Duration
-	// MaxNonces caps one tenant's live replay-window entries (default
-	// 64k); a nonce stays rejected for 2×MaxSkew, the widest interval a
-	// timestamp inside the skew bound could be replayed over.
-	MaxNonces int
 	// Now overrides the clock (tests). Nil means time.Now.
 	Now func() time.Time
 }
@@ -100,9 +101,6 @@ type Guard struct {
 func NewGuard(reg *Registry, opts GuardOptions) *Guard {
 	if opts.MaxSkew <= 0 {
 		opts.MaxSkew = 2 * time.Minute
-	}
-	if opts.MaxNonces <= 0 {
-		opts.MaxNonces = 1 << 16
 	}
 	if opts.Now == nil {
 		opts.Now = time.Now
@@ -186,7 +184,7 @@ func (g *Guard) Wrap(next http.Handler) http.Handler {
 
 // admitNonce records the nonce inside its replay window, rejecting
 // repeats. Expired entries are pruned opportunistically; a tenant's
-// window is additionally capped at MaxNonces live entries, oldest-expiry
+// window is additionally capped at maxNonces live entries, oldest-expiry
 // pruned first (a full window rejects rather than forgets).
 func (g *Guard) admitNonce(id, nonce string, now time.Time) bool {
 	window := 2 * g.opts.MaxSkew
@@ -205,7 +203,7 @@ func (g *Guard) admitNonce(id, nonce string, now time.Time) bool {
 	if exp, dup := seen[nonce]; dup && !now.After(exp) {
 		return false
 	}
-	if len(seen) >= g.opts.MaxNonces {
+	if len(seen) >= maxNonces {
 		return false
 	}
 	seen[nonce] = now.Add(window)

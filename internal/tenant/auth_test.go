@@ -267,9 +267,15 @@ func TestGuardReplayedNonce(t *testing.T) {
 
 func TestGuardNonceCap(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
-	g := NewGuard(testRegistry(t), GuardOptions{MaxNonces: 2, Now: func() time.Time { return now }})
+	g := NewGuard(testRegistry(t), GuardOptions{Now: func() time.Time { return now }})
 	h := g.Wrap(echoTenant)
 	body := []byte(`{}`)
+	// Two short of a full window, so the third request below meets the cap.
+	live := make(map[string]time.Time, maxNonces)
+	for i := 0; i < maxNonces-2; i++ {
+		live["old-"+strconv.Itoa(i)] = now.Add(time.Minute)
+	}
+	g.nonces["bob"] = live
 	for i, want := range []int{200, 200, 401} {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, signedReq("bob", "bob-secret", "/infer", body, now, "cap-"+strconv.Itoa(i)))

@@ -62,14 +62,6 @@ func formatFloat(f float64) string {
 	return s
 }
 
-// equalValue compares semantic content (position excluded).
-func equalValue(a, b Value) bool {
-	if a.Kind != b.Kind {
-		return false
-	}
-	return a.Int == b.Int && a.Float == b.Float && a.Dur == b.Dur && a.Str == b.Str
-}
-
 // Attr is one `name = value` attribute.
 type Attr struct {
 	Pos   Pos
@@ -209,76 +201,4 @@ func sortedKeys(m map[string]int) []string {
 		}
 	}
 	return keys
-}
-
-// Equal reports semantic equality of two files (positions excluded).
-func (f *File) Equal(g *File) bool {
-	if len(f.Models) != len(g.Models) || len(f.Tenants) != len(g.Tenants) {
-		return false
-	}
-	for i := range f.Models {
-		a, b := f.Models[i], g.Models[i]
-		if a.Name != b.Name || len(a.Layers) != len(b.Layers) {
-			return false
-		}
-		for j := range a.Layers {
-			if a.Layers[j].Kind != b.Layers[j].Kind || !equalAttrs(a.Layers[j].Attrs, b.Layers[j].Attrs) {
-				return false
-			}
-		}
-	}
-	for i := range f.Tenants {
-		if f.Tenants[i].Name != g.Tenants[i].Name || !equalAttrs(f.Tenants[i].Attrs, g.Tenants[i].Attrs) {
-			return false
-		}
-	}
-	if (f.Scenario == nil) != (g.Scenario == nil) {
-		return false
-	}
-	if f.Scenario == nil {
-		return true
-	}
-	a, b := f.Scenario, g.Scenario
-	if !equalAttrs(a.Settings, b.Settings) || a.DeviceCount != b.DeviceCount {
-		return false
-	}
-	if (a.Devices == nil) != (b.Devices == nil) || len(a.Devices) != len(b.Devices) {
-		return false
-	}
-	for k, v := range a.Devices {
-		if b.Devices[k] != v {
-			return false
-		}
-	}
-	if len(a.Deploys) != len(b.Deploys) || len(a.Traffic) != len(b.Traffic) || len(a.Storms) != len(b.Storms) {
-		return false
-	}
-	for i := range a.Deploys {
-		if a.Deploys[i].Model != b.Deploys[i].Model || !equalAttrs(a.Deploys[i].Attrs, b.Deploys[i].Attrs) {
-			return false
-		}
-	}
-	for i := range a.Traffic {
-		if a.Traffic[i].Shape != b.Traffic[i].Shape || !equalAttrs(a.Traffic[i].Attrs, b.Traffic[i].Attrs) {
-			return false
-		}
-	}
-	for i := range a.Storms {
-		if a.Storms[i].Kind != b.Storms[i].Kind || !equalAttrs(a.Storms[i].Attrs, b.Storms[i].Attrs) {
-			return false
-		}
-	}
-	return true
-}
-
-func equalAttrs(a, b []Attr) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Name != b[i].Name || !equalValue(a[i].Value, b[i].Value) {
-			return false
-		}
-	}
-	return true
 }

@@ -148,12 +148,13 @@ func CompileInstanceWithOptions(opts CompileOptions) (*Compiled, error) {
 // on disk, with an in-process LRU in front.
 type ArtifactStore = artifactstore.Store
 
-// ArtifactStoreOptions tunes an ArtifactStore's memory and disk bounds.
+// ArtifactStoreOptions is the option set an ArtifactStore is opened with;
+// it has no fields (the memory bound is fixed, the disk unbounded).
 type ArtifactStoreOptions = artifactstore.Options
 
 // OpenArtifactCache opens (creating if needed) the on-disk compilation
-// cache at dir with default bounds. dir == "" yields a memory-only cache
-// for the life of the process.
+// cache at dir. dir == "" yields a memory-only cache for the life of the
+// process.
 func OpenArtifactCache(dir string) (*ArtifactStore, error) {
 	return artifactstore.Open(dir, artifactstore.Options{})
 }
