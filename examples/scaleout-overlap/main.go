@@ -32,7 +32,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sg.Cfg.MantissaBits = 9
+	for _, k := range sg.Kernels {
+		k.Cfg.MantissaBits = 9
+	}
 
 	// The reordering tool sinks the blocking receive past the next step's
 	// W*x products.

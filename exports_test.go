@@ -36,7 +36,6 @@ var allowedOrphans = map[string]string{
 	"simtest.Result.Report":               "the failure report of the simtest.Run harness above",
 	"simtest.Options.{Seed,Steps,Spec,Control,MaxLeases,Spacing,SettleSteps,SettlePeriod,Fault}": "the script of the simtest.Run harness above: its test flags (-seed, -seeds, -steps) and fault-gate cases fill them; scenario and the benchmark start from DefaultOptions and set the rest",
 	"experiments.Fig12Options.{MeanInterarrival,Seed}":                                           "re-exported by the facade as mlvfpga.Fig12Options, whose callers are outside the module; inside it every run uses DefaultFig12Options' values",
-	"resource.Vector.{Sub,Fits,Max,Utilization}":                                                 "capacity algebra no binary calls; kept only because deleting it deletes TestVectorFits, TestUtilization, TestQuickMax and TestQuickFitsAdditive, more removed tests than one PR is allowed: delete the four methods and the four tests together",
 }
 
 // reachedByName are methods the runtime or the standard library calls on

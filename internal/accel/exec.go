@@ -230,18 +230,30 @@ func (m *Machine) bankAddr(sc *streamCtx, imm uint32) int {
 	return addr
 }
 
+// shardDivisors[mode] divides VecLen for length-register selector mode: the
+// one table behind shardLen (selector → length) and LengthMode (group size
+// → selector).
+var shardDivisors = [...]int{1, 2, 4}
+
 // shardLen decodes a length-register selector: 0 = VecLen, 1 = VecLen/2,
 // 2 = VecLen/4.
 func (m *Machine) shardLen(mode uint8) (int, error) {
-	switch mode {
-	case 0:
-		return m.cfg.VecLen, nil
-	case 1:
-		return m.cfg.VecLen / 2, nil
-	case 2:
-		return m.cfg.VecLen / 4, nil
+	if int(mode) >= len(shardDivisors) {
+		return 0, fmt.Errorf("unknown vector length mode %d", mode)
 	}
-	return 0, fmt.Errorf("unknown vector length mode %d", mode)
+	return m.cfg.VecLen / shardDivisors[mode], nil
+}
+
+// LengthMode returns the v_rd/v_const length selector for a 1/n shard of
+// the vector length: what a program scaled down across n devices (§2.3)
+// loads its bias shards and zeroes its state with.
+func LengthMode(n int) (uint8, error) {
+	for mode, d := range shardDivisors {
+		if d == n {
+			return uint8(mode), nil
+		}
+	}
+	return 0, fmt.Errorf("accel: no vector length mode for a 1/%d shard (want 1, 2 or 4)", n)
 }
 
 // mRead executes m_rd once for the whole batch: on a tile-cache hit the

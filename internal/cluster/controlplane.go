@@ -268,7 +268,7 @@ func (cp *ControlPlane) Tick() *TickReport {
 			// Walk the ladder on capacity AND quota misses alike: a
 			// shallower rung needs fewer devices and may slip under the
 			// tenant's remaining device quota.
-			if _, err = cp.svc.Migrate(l.ID, depth, avoid, force); err == nil ||
+			if _, err = cp.svc.Migrate(l.ID, depth, avoid, force, nil); err == nil ||
 				!errors.Is(err, rms.ErrNoCapacity) && !errors.Is(err, rms.ErrQuotaExceeded) {
 				break
 			}
@@ -338,7 +338,7 @@ func (cp *ControlPlane) Tick() *TickReport {
 			kind = "scale_down"
 		}
 		ev := Event{Lease: l.ID, Kind: kind, FromDepth: l.Depth, ToDepth: target}
-		_, err = cp.svc.Migrate(l.ID, target, avoid, false)
+		_, err = cp.svc.Migrate(l.ID, target, avoid, false, nil)
 		if cp.landLocked(st, &ev, now, err, target*cp.cfg.MachinesPerPiece) {
 			st.idleTicks = 0
 		}

@@ -445,19 +445,42 @@ func TestLeaseMoveOutcomes(t *testing.T) {
 		}},
 		{"defrag", func(t *testing.T, migrateFails bool) (*ControlPlane, *fakePlane, int, int, func() []Event) {
 			// Two leases on two half-empty devices, the second one busy so
-			// only the first may move. Defrag plans on a table read at the
-			// start of the pass; filling both devices after that (from the
-			// load probe) makes the planned move impossible by the time it
-			// is tried.
+			// only the first may move. The service places and the pass
+			// accepts in one step, so a layout that changes mid-pass is a
+			// skipped lease, not a failed move; what still fails a move is
+			// the service refusing it: the mover's tenant has had its
+			// quota cut below what the lease already holds.
 			cp, svc, fp, _ := testControlPlane(t, twoDevices, cfg)
 			first, second := fragment(t, svc)
 			fp.setLoad(second.ID, rms.LoadStats{InFlight: 1})
 			if migrateFails {
-				fp.onLoad = func(id int) {
-					for err := error(nil); id == first.ID && err == nil; {
-						_, err = svc.Deploy(testSpec())
+				owner := tenant.Tenant{ID: "owner", Key: "k"}
+				setQuotas := func(q tenant.Quotas) {
+					owner.Quotas = q
+					reg, err := tenant.NewRegistry(owner)
+					if err != nil {
+						t.Fatal(err)
 					}
+					svc.SetTenants(reg)
 				}
+				// Re-deploy the first lease as the tenant's, steered back
+				// onto its own device.
+				setQuotas(tenant.Quotas{})
+				other := second.Placements[0].FPGA
+				if err := svc.Release(first.ID); err != nil {
+					t.Fatal(err)
+				}
+				if err := cp.Drain(other); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				if first, err = svc.DeployWith(testSpec(), rms.PlaceOptions{Tenant: owner.ID}); err != nil {
+					t.Fatal(err)
+				}
+				if err := cp.Undrain(other); err != nil {
+					t.Fatal(err)
+				}
+				setQuotas(tenant.Quotas{MaxBlocks: 1})
 			}
 			return cp, fp, first.ID, 1 * cfg.MachinesPerPiece, func() []Event { return cp.Defrag().Moves }
 		}},

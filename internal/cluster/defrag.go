@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"errors"
+
 	"mlvfpga/internal/metrics"
 	"mlvfpga/internal/rms"
 )
@@ -67,46 +69,6 @@ func (t *fragTable) empty() int {
 	return n
 }
 
-// preview best-fit places the lease's current piece shapes onto devices
-// other than its own, mirroring the service's placement policy (fewest
-// free blocks that still fit), and returns the score the move would
-// yield. ok is false when no such placement exists.
-func (t *fragTable) preview(l *rms.Lease, placeable func(int) bool) (score int, ok bool) {
-	own := map[int]bool{}
-	for _, pl := range l.Placements {
-		own[pl.FPGA] = true
-	}
-	trial := map[int]int{}
-	for id, f := range t.free {
-		trial[id] = f
-	}
-	for _, pl := range l.Placements {
-		trial[pl.FPGA] += pl.Blocks // vacating frees the old blocks first
-	}
-	used := map[int]bool{}
-	for _, pl := range l.Placements {
-		best, bestFree := -1, 1<<30
-		for _, id := range t.ids {
-			if own[id] || used[id] || t.typ[id] != pl.Device || !placeable(id) {
-				continue
-			}
-			if f := trial[id]; f >= pl.Blocks && f < bestFree {
-				best, bestFree = id, f
-			}
-		}
-		if best < 0 {
-			return 0, false
-		}
-		used[best] = true
-		trial[best] -= pl.Blocks
-	}
-	saved := t.free
-	t.free = trial
-	score = t.score()
-	t.free = saved
-	return score, true
-}
-
 // apply replays a committed migration into the working table.
 func (t *fragTable) apply(old, new []rms.Placement) {
 	for _, pl := range old {
@@ -159,21 +121,30 @@ func (cp *ControlPlane) Defrag() *DefragReport {
 				continue
 			}
 		}
-		moved, ok := tab.preview(l, cp.reg.Placeable)
-		if !ok || moved >= tab.score() {
-			rep.Skipped++
-			continue
-		}
-		budget--
 		own := map[int]bool{}
 		for _, pl := range l.Placements {
 			own[pl.FPGA] = true
 		}
+		// One placement decision: the service best-fits the lease off its
+		// own devices and the pass accepts what it is about to configure
+		// only if the table's score drops.
+		improves := func(pls []rms.Placement) bool {
+			before := tab.score()
+			tab.apply(l.Placements, pls)
+			after := tab.score()
+			tab.apply(pls, l.Placements)
+			return after < before
+		}
 		ev := Event{Lease: l.ID, Kind: "defrag", FromDepth: l.Depth, ToDepth: l.Depth}
-		moved2, err := cp.svc.Migrate(l.ID, l.Depth,
-			func(id int) bool { return avoid(id) || own[id] }, false)
+		moved, err := cp.svc.Migrate(l.ID, l.Depth,
+			func(id int) bool { return avoid(id) || own[id] }, false, improves)
+		if errors.Is(err, rms.ErrNoCapacity) {
+			rep.Skipped++
+			continue
+		}
+		budget--
 		if cp.landLocked(st, &ev, now, err, l.Depth*cp.cfg.MachinesPerPiece) {
-			tab.apply(l.Placements, moved2.Placements)
+			tab.apply(l.Placements, moved.Placements)
 			metrics.DefragMoves.Add(1)
 		}
 		rep.Moves = append(rep.Moves, ev)

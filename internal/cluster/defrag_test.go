@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mlvfpga/internal/kernels"
 	"mlvfpga/internal/metrics"
 	"mlvfpga/internal/resource"
 	"mlvfpga/internal/rms"
@@ -188,5 +189,78 @@ func TestDefragHTTPAndCLIShape(t *testing.T) {
 	defer getResp.Body.Close()
 	if getResp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /cluster/defrag: %d, want 405", getResp.StatusCode)
+	}
+}
+
+// A pass must never raise the score it exists to lower. The planner used
+// to preview a move with its own best-fit over the lease's current piece
+// shapes, then call a Migrate that walks every deployment of that depth in
+// greedy order: here the preview scored the lone XCKU115 lease joining its
+// neighbours (9 → 0) while Migrate landed it on the empty XCVU37P (9 → 13).
+// The placement Migrate is about to configure is now the one that is
+// scored, so the lease either consolidates or stays.
+func TestDefragNeverRaisesScore(t *testing.T) {
+	cp, svc, _, _ := testControlPlane(t,
+		resource.ClusterSpec{resource.XCVU37P.Name: 2, resource.XCKU115.Name: 3}, DefaultConfig())
+	ids := []int{0, 1, 2, 3, 4}
+	// deployOn steers a deployment with drains: only device dev is placeable.
+	deployOn := func(dev int, spec kernels.LayerSpec) {
+		t.Helper()
+		for _, id := range ids {
+			if id != dev {
+				if err := cp.Drain(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		l, err := svc.Deploy(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(l.Placements) != 1 || l.Placements[0].FPGA != dev {
+			t.Fatalf("%v landed on %+v, want device %d", spec, l.Placements, dev)
+		}
+		for _, id := range ids {
+			if err := cp.Undrain(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	small := kernels.LayerSpec{Kind: kernels.GRU, Hidden: 512, TimeSteps: 1}
+	big := kernels.LayerSpec{Kind: kernels.GRU, Hidden: 1536, TimeSteps: 10}
+	deployOn(2, small) // alone on an XCKU115
+	deployOn(3, small) // two neighbours on the next
+	deployOn(3, small)
+	deployOn(0, big) // one XCVU37P full, the other empty
+	deployOn(0, big)
+
+	rep := cp.Defrag()
+	if rep.ScoreAfter > rep.ScoreBefore {
+		t.Fatalf("defrag raised the score %d -> %d: %+v", rep.ScoreBefore, rep.ScoreAfter, rep.Moves)
+	}
+	if st := svc.Status(); st.FPGAs[1].FreeBlocks != st.FPGAs[1].TotalBlocks {
+		t.Fatalf("defrag spent the empty device: %+v", st.FPGAs[1])
+	}
+}
+
+// The pass scores on a table read at its start but places through the
+// service, so a fleet that fills up mid-pass leaves nothing to accept: the
+// lease is skipped, not charged a failed migration and a backoff.
+func TestDefragSkipsWhenFleetFillsMidPass(t *testing.T) {
+	cp, svc, fp, _ := testControlPlane(t, resource.ClusterSpec{resource.XCVU37P.Name: 2}, DefaultConfig())
+	first, second := fragment(t, svc)
+	fp.setLoad(second.ID, rms.LoadStats{InFlight: 1})
+	fp.onLoad = func(id int) {
+		for err := error(nil); id == first.ID && err == nil; {
+			_, err = svc.Deploy(testSpec())
+		}
+	}
+	failures := metrics.MigrationFailures.Value()
+	rep := cp.Defrag()
+	if len(rep.Moves) != 0 || rep.Skipped != 2 {
+		t.Fatalf("pass over a full fleet: %d moves, %d skipped, want 0 and 2", len(rep.Moves), rep.Skipped)
+	}
+	if got := metrics.MigrationFailures.Value() - failures; got != 0 {
+		t.Fatalf("mlv_migration_failures moved by %d, want 0", got)
 	}
 }

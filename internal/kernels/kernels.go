@@ -37,14 +37,71 @@ const (
 	Attention
 )
 
+// cell is everything the package knows about one recurrent cell: names,
+// state zeroing, the step program, its instruction and mat-vec counts and
+// Reference.Step all read this one table. Adding a cell is one entry here
+// plus its float64 reference.
+type cell struct {
+	name string
+	// wx act on the step input x_t, uh on the recurrent state h_{t-1}.
+	// Matrix register i holds the i-th of wx then uh, r(3+i) bias i.
+	wx, uh, bias []string
+	// state lists the registers besides h (HiddenReg) that carry state
+	// across timesteps and start at zero, each one device's share long.
+	state []uint8
+	// step emits one timestep, the device's rows of h' landing in own: on
+	// one device HiddenReg itself, on a scaled-down device (§2.3, where
+	// HiddenReg holds the full h the sync module reassembles) shardOwn, or
+	// no scaled step program when that is 0. readsOwn: the step also reads
+	// own's previous value, so a shard zeroes it like state.
+	step     func(own uint8) isa.Program
+	shardOwn uint8
+	readsOwn bool
+	ref      func(*Reference, []float64) []float64
+}
+
+var cells = [...]cell{
+	LSTM: {
+		name: "LSTM",
+		wx:   []string{"Wi", "Wf", "Wo", "Wc"},
+		uh:   []string{"Ui", "Uf", "Uo", "Uc"},
+		bias: []string{"bi", "bf", "bo", "bc"},
+		// r2 = c.
+		state: []uint8{2}, step: lstmStep, shardOwn: 14, ref: (*Reference).stepLSTM,
+	},
+	GRU: {
+		name: "GRU",
+		wx:   []string{"Wz", "Wr", "Wn"},
+		uh:   []string{"Uz", "Ur", "Un"},
+		bias: []string{"bz", "br", "bn"},
+		// z ⊙ h uses only the device's own elements of h: r12 carries them.
+		step: gruStep, shardOwn: 12, readsOwn: true, ref: (*Reference).stepGRU,
+	},
+	Attention: {
+		name: "Attention",
+		// All four projections act on the step input (the recurrence runs
+		// through the (S, z) accumulators, not through matrices on h).
+		wx:   []string{"Wq", "Wk", "Wv", "Wo"},
+		bias: []string{"bq", "bk", "bv", "bo"},
+		// r2 = S, r15 = z. Wo·y needs the full y, a second exchange per
+		// step the insertion tool does not make: no scaled step program.
+		state: []uint8{2, 15}, step: attnStep, ref: (*Reference).stepAttention,
+	},
+}
+
+func (k RNNKind) cell() (cell, bool) {
+	if k < 0 || int(k) >= len(cells) {
+		return cell{}, false
+	}
+	return cells[k], true
+}
+
+// mats lists the cell's matrices in matrix-register order.
+func (c cell) mats() []string { return append(append([]string{}, c.wx...), c.uh...) }
+
 func (k RNNKind) String() string {
-	switch k {
-	case LSTM:
-		return "LSTM"
-	case GRU:
-		return "GRU"
-	case Attention:
-		return "Attention"
+	if c, ok := k.cell(); ok {
+		return c.name
 	}
 	return fmt.Sprintf("RNNKind(%d)", int(k))
 }
@@ -53,34 +110,12 @@ func (k RNNKind) String() string {
 // names for everything that reads a kind from outside (the /deploy body,
 // the .mlw workload DSL).
 func ParseKind(name string) (RNNKind, bool) {
-	for _, k := range []RNNKind{LSTM, GRU, Attention} {
-		if strings.EqualFold(name, k.String()) {
-			return k, true
+	for k, c := range cells {
+		if strings.EqualFold(name, c.name) {
+			return RNNKind(k), true
 		}
 	}
 	return 0, false
-}
-
-// GateNames lists the weight matrices of each cell: W* act on the input
-// x_t, U* act on the recurrent state h_{t-1}.
-func (k RNNKind) GateNames() (wx, uh, bias []string) {
-	switch k {
-	case LSTM:
-		return []string{"Wi", "Wf", "Wo", "Wc"},
-			[]string{"Ui", "Uf", "Uo", "Uc"},
-			[]string{"bi", "bf", "bo", "bc"}
-	case GRU:
-		return []string{"Wz", "Wr", "Wn"},
-			[]string{"Uz", "Ur", "Un"},
-			[]string{"bz", "br", "bn"}
-	case Attention:
-		// All four projections act on the step input (the recurrence runs
-		// through the (S, z) accumulators, not through matrices on h).
-		return []string{"Wq", "Wk", "Wv", "Wo"},
-			nil,
-			[]string{"bq", "bk", "bv", "bo"}
-	}
-	return nil, nil, nil
 }
 
 // LayerSpec is one benchmark layer: the paper reports latency per
@@ -122,16 +157,16 @@ type Weights struct {
 func RandomWeights(kind RNNKind, hidden int, seed int64) *Weights {
 	r := rand.New(rand.NewSource(seed))
 	w := &Weights{Kind: kind, Hidden: hidden, M: map[string][]float64{}, B: map[string][]float64{}}
-	wx, uh, bias := kind.GateNames()
+	c, _ := kind.cell()
 	scale := 1.0 / sqrtf(float64(hidden))
-	for _, name := range append(append([]string{}, wx...), uh...) {
+	for _, name := range c.mats() {
 		m := make([]float64, hidden*hidden)
 		for i := range m {
 			m[i] = r.NormFloat64() * scale
 		}
 		w.M[name] = m
 	}
-	for _, name := range bias {
+	for _, name := range c.bias {
 		b := make([]float64, hidden)
 		for i := range b {
 			b[i] = r.NormFloat64() * 0.1
@@ -149,7 +184,8 @@ func sqrtf(x float64) float64 {
 }
 
 // Kernel is a compiled inference task: the program, the initial DRAM
-// image, and the address map.
+// image, and the address map — of a whole layer (Build), or of one device's
+// share of a layer scaled down across n (BuildShard; Build is its n = 1).
 type Kernel struct {
 	Spec LayerSpec
 	Prog isa.Program
@@ -183,18 +219,47 @@ type Kernel struct {
 	Cfg accel.Config
 	// inputBase/outputBase locate per-timestep vectors.
 	inputBase, outputBase int
+	// rows is the device's share of Hidden: the rows it holds of every
+	// matrix and bias and the width of the h_t it stores (OutputAddr's
+	// stride stays Hidden, so inputs and outputs bank under one SlotOffset).
+	rows int
 }
 
 // InputAddr returns the DRAM word address of x_t.
 func (k *Kernel) InputAddr(t int) int { return k.inputBase + t*k.Spec.Hidden }
 
-// OutputAddr returns the DRAM word address where h_t is stored.
+// OutputAddr returns the DRAM word address where the device's rows of h_t
+// are stored.
 func (k *Kernel) OutputAddr(t int) int { return k.outputBase + t*k.Spec.Hidden }
 
 // NewMachine builds a machine loaded with the kernel's DRAM image and
 // matrix shapes.
 func (k *Kernel) NewMachine() (*accel.Machine, error) {
-	return k.newMachine(k.Cfg)
+	dram, err := k.NewDRAM()
+	if err != nil {
+		return nil, err
+	}
+	return k.NewMachineOn(dram)
+}
+
+// NewDRAM returns the DRAM NewMachine builds over, for callers that wrap
+// it (the scale-out sync module) and hand the result to NewMachineOn. Its
+// image is shared by every machine of the kernel (see imageDRAM).
+func (k *Kernel) NewDRAM() (accel.DRAM, error) { return newImageDRAM(k.Image, k.Cfg.DRAMWords) }
+
+// NewMachineOn builds the kernel's machine over dram, which must serve the
+// kernel's image at address 0.
+func (k *Kernel) NewMachineOn(dram accel.DRAM) (*accel.Machine, error) {
+	m, err := accel.NewWithDRAM(k.Cfg, dram)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < MVMsPerStep(k.Spec.Kind); i++ {
+		if err := m.ConfigureMatrix(i, k.rows, k.Spec.Hidden); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
 }
 
 // NewBatchMachine builds a machine sized for RunStreams over up to batch
@@ -205,33 +270,13 @@ func (k *Kernel) NewBatchMachine(batch int) (*accel.Machine, error) {
 	if batch <= 0 {
 		return nil, fmt.Errorf("kernels: batch = %d", batch)
 	}
-	cfg := k.Cfg
 	need := k.inputBase + batch*k.StreamStride()
-	if need > cfg.DRAMWords {
-		return nil, fmt.Errorf("kernels: batch %d needs %d DRAM words, board has %d", batch, need, cfg.DRAMWords)
+	if need > k.Cfg.DRAMWords {
+		return nil, fmt.Errorf("kernels: batch %d needs %d DRAM words, board has %d", batch, need, k.Cfg.DRAMWords)
 	}
-	cfg.DRAMWords = need
-	return k.newMachine(cfg)
-}
-
-func (k *Kernel) newMachine(cfg accel.Config) (*accel.Machine, error) {
-	// The kernel's machines share its image (see imageDRAM).
-	dram, err := newImageDRAM(k.Image, cfg.DRAMWords)
-	if err != nil {
-		return nil, err
-	}
-	m, err := accel.NewWithDRAM(cfg, dram)
-	if err != nil {
-		return nil, err
-	}
-	wx, uh, _ := k.Spec.Kind.GateNames()
-	h := k.Spec.Hidden
-	for i := range append(append([]string{}, wx...), uh...) {
-		if err := m.ConfigureMatrix(i, h, h); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
+	sized := *k
+	sized.Cfg.DRAMWords = need
+	return sized.NewMachine()
 }
 
 // WindowBase is the banking base address for RunStreams:
@@ -272,14 +317,14 @@ func (k *Kernel) SetInputStream(m *accel.Machine, s, t int, x []float64) error {
 	return m.DRAMPort().WriteWords(k.StreamInputAddr(s, t), fp16.FromSlice64(x))
 }
 
-// ReadOutput reads h_t back from DRAM.
+// ReadOutput reads the device's rows of h_t back from DRAM.
 func (k *Kernel) ReadOutput(m *accel.Machine, t int) ([]float64, error) {
 	return k.ReadOutputStream(m, 0, t)
 }
 
 // ReadOutputStream reads stream s's h_t back from DRAM.
 func (k *Kernel) ReadOutputStream(m *accel.Machine, s, t int) ([]float64, error) {
-	words, err := m.DRAMPort().ReadWords(k.StreamOutputAddr(s, t), k.Spec.Hidden)
+	words, err := m.DRAMPort().ReadWords(k.StreamOutputAddr(s, t), k.rows)
 	if err != nil {
 		return nil, err
 	}
@@ -316,177 +361,180 @@ func DefaultConfig(spec LayerSpec, tiles int) accel.Config {
 	}
 }
 
+// HiddenReg is the vector register the step programs read h_{t-1} from in
+// full: what a scaled-down device's blocking receive loads (§2.3).
+const HiddenReg = 1
+
 // Build compiles a layer into a kernel: weights and biases are laid out in
 // DRAM, the per-timestep instruction sequence is generated, and the
 // program is terminated with end_chain.
 func Build(w *Weights, timeSteps, tiles int) (*Kernel, error) {
+	return BuildShard(w, timeSteps, tiles, 0, 1)
+}
+
+// BuildShard compiles device dev's share of a layer scaled down across n
+// devices (§2.3): the unmodified control path — the same step program —
+// over rows [dev*h/n, (dev+1)*h/n) of every matrix and bias, so gates are
+// h/n long (bias loads and state zeroing carry the 1/n length mode) and the
+// device stores its own rows of every h_t. For n > 1 the exchange that
+// refills HiddenReg is still missing; scaleout.InsertSync adds it.
+func BuildShard(w *Weights, timeSteps, tiles, dev, n int) (*Kernel, error) {
 	if timeSteps <= 0 {
 		return nil, fmt.Errorf("kernels: timeSteps = %d", timeSteps)
 	}
-	switch w.Kind {
-	case LSTM, GRU, Attention:
-	default:
+	c, ok := w.Kind.cell()
+	if !ok {
 		return nil, fmt.Errorf("kernels: unknown cell %v", w.Kind)
 	}
-	spec := LayerSpec{Kind: w.Kind, Hidden: w.Hidden, TimeSteps: timeSteps}
-	cfg := DefaultConfig(spec, tiles)
-	k := &Kernel{Spec: spec, Cfg: cfg}
+	mode, err := accel.LengthMode(n)
+	if err != nil {
+		return nil, fmt.Errorf("kernels: %w", err)
+	}
 	h := w.Hidden
+	if h%n != 0 || dev < 0 || dev >= n {
+		return nil, fmt.Errorf("kernels: device %d of %d for hidden %d", dev, n, h)
+	}
+	own := c.shardOwn
+	if n == 1 {
+		own = HiddenReg
+	} else if own == 0 {
+		return nil, fmt.Errorf("kernels: no scaled step program for %v", w.Kind)
+	}
+	rows := h / n
+	spec := LayerSpec{Kind: w.Kind, Hidden: h, TimeSteps: timeSteps}
+	cfg := DefaultConfig(spec, tiles)
+	k := &Kernel{Spec: spec, Cfg: cfg, rows: rows}
 
-	var alloc allocator
-	wx, uh, bias := w.Kind.GateNames()
-	matAddr := map[string]int{}
-	for _, name := range append(append([]string{}, wx...), uh...) {
-		matAddr[name] = alloc.alloc(h * h)
+	// DRAM layout: the device's rows of every matrix, then of every bias
+	// (together the image), then the inputs and the outputs (zero).
+	mats := c.mats()
+	imageWords := (len(mats)*h + len(c.bias)) * rows
+	k.inputBase, k.outputBase = imageWords, imageWords+h*timeSteps
+	if need := k.outputBase + h*timeSteps; need > cfg.DRAMWords {
+		return nil, fmt.Errorf("kernels: layer needs %d DRAM words, have %d", need, cfg.DRAMWords)
 	}
-	biasAddr := map[string]int{}
-	for _, name := range bias {
-		biasAddr[name] = alloc.alloc(h)
-	}
-	k.inputBase = alloc.alloc(h * timeSteps)
-	k.outputBase = alloc.alloc(h * timeSteps)
-	if alloc.next > cfg.DRAMWords {
-		return nil, fmt.Errorf("kernels: layer needs %d DRAM words, have %d", alloc.next, cfg.DRAMWords)
-	}
-
-	// DRAM image: weights then biases (inputs/outputs zero).
-	k.Image = make([]fp16.Num, k.inputBase)
-	place := func(addr int, vals []float64) {
-		copy(k.Image[addr:], fp16.FromSlice64(vals))
-	}
-	for name, addr := range matAddr {
-		place(addr, w.M[name])
-	}
-	for name, addr := range biasAddr {
-		place(addr, w.B[name])
-	}
+	k.Image = make([]fp16.Num, imageWords)
 
 	// Prologue: load matrices (m0..), biases (r3..), zero the state.
-	var p isa.Program
-	var shared, sinit, step isa.Program
-	for i, name := range append(append([]string{}, wx...), uh...) {
-		ins := isa.Instr{Op: isa.OpMRead, Dst: uint8(i), Imm: uint32(matAddr[name])}
-		p = append(p, ins)
-		shared = append(shared, ins)
+	var alloc allocator
+	var shared, sinit isa.Program
+	for i, name := range mats {
+		addr := alloc.alloc(rows * h)
+		copy(k.Image[addr:], fp16.FromSlice64(w.M[name][dev*rows*h:(dev+1)*rows*h]))
+		shared = append(shared, isa.Instr{Op: isa.OpMRead, Dst: uint8(i), Imm: uint32(addr)})
 	}
-	for i, name := range bias {
-		ins := isa.Instr{Op: isa.OpVRead, Dst: uint8(3 + i), Imm: uint32(biasAddr[name])}
-		p = append(p, ins)
-		sinit = append(sinit, ins)
+	for i, name := range c.bias {
+		addr := alloc.alloc(rows)
+		copy(k.Image[addr:], fp16.FromSlice64(w.B[name][dev*rows:(dev+1)*rows]))
+		sinit = append(sinit, isa.Instr{Op: isa.OpVRead, Dst: uint8(3 + i), Src2: mode, Imm: uint32(addr)})
 	}
-	zero := isa.Instr{Op: isa.OpVConst, Dst: 1, Imm: 0} // h = 0
-	p = append(p, zero)
-	sinit = append(sinit, zero)
-	switch w.Kind {
-	case LSTM:
-		zc := isa.Instr{Op: isa.OpVConst, Dst: 2, Imm: 0} // c = 0
-		p = append(p, zc)
-		sinit = append(sinit, zc)
-	case Attention:
-		for _, dst := range []uint8{2, 15} { // S = 0, z = 0
-			zs := isa.Instr{Op: isa.OpVConst, Dst: dst, Imm: 0}
-			p = append(p, zs)
-			sinit = append(sinit, zs)
-		}
+	zero := func(r, mode uint8) {
+		sinit = append(sinit, isa.Instr{Op: isa.OpVConst, Dst: r, Src1: mode})
+	}
+	zero(HiddenReg, 0)
+	for _, r := range c.state {
+		zero(r, mode)
+	}
+	if n > 1 && c.readsOwn {
+		zero(own, mode)
 	}
 
-	cell := func() isa.Program {
-		switch w.Kind {
-		case LSTM:
-			return lstmStep()
-		case Attention:
-			return attnStep()
-		}
-		return gruStep()
+	timestep := func(t int) isa.Program {
+		s := isa.Program{{Op: isa.OpVRead, Dst: 0, Imm: uint32(k.InputAddr(t))}}
+		s = append(s, c.step(own)...)
+		return append(s, isa.Instr{Op: isa.OpVWrite, Src1: own, Imm: uint32(k.OutputAddr(t))})
 	}
+	p := append(append(isa.Program{}, shared...), sinit...)
 	for t := 0; t < timeSteps; t++ {
-		p = append(p, isa.Instr{Op: isa.OpVRead, Dst: 0, Imm: uint32(k.InputAddr(t))})
-		p = append(p, cell()...)
-		p = append(p, isa.Instr{Op: isa.OpVWrite, Src1: 1, Imm: uint32(k.OutputAddr(t))})
+		p = append(p, timestep(t)...)
 	}
-	p = append(p, isa.Instr{Op: isa.OpEndChain})
-	k.Prog = p
-
+	k.Prog = append(p, isa.Instr{Op: isa.OpEndChain})
 	// The step program is timestep 0's slice; SlotOffset banks it onto any
 	// (slot, timestep) pair.
-	step = append(step, isa.Instr{Op: isa.OpVRead, Dst: 0, Imm: uint32(k.InputAddr(0))})
-	step = append(step, cell()...)
-	step = append(step, isa.Instr{Op: isa.OpVWrite, Src1: 1, Imm: uint32(k.OutputAddr(0))})
+	k.Step = append(timestep(0), isa.Instr{Op: isa.OpEndChain})
 	k.SharedInit = append(shared, isa.Instr{Op: isa.OpEndChain})
 	k.StreamInit = append(sinit, isa.Instr{Op: isa.OpEndChain})
-	k.Step = append(step, isa.Instr{Op: isa.OpEndChain})
 	return k, nil
 }
 
+// Every step is scheduled x-first: each W·x product precedes the first
+// product on h, so on a scaled-down device the reordering tool can sink the
+// blocking receive of h past the whole x-dependent prefix ("maximally
+// overlap", §2.3). One device runs the same order.
+
 // lstmStep emits one LSTM timestep. Register convention:
 // r0=x_t r1=h r2=c r3..r6=bi,bf,bo,bc; m0..m3=Wi,Wf,Wo,Wc; m4..m7=Ui..Uc.
-func lstmStep() isa.Program {
+func lstmStep(own uint8) isa.Program {
 	I := func(op isa.Opcode, d, s1, s2 uint8) isa.Instr {
 		return isa.Instr{Op: op, Dst: d, Src1: s1, Src2: s2}
 	}
 	return isa.Program{
-		I(isa.OpMVMul, 7, 0, 0), // Wi x
-		I(isa.OpMVMul, 8, 4, 1), // Ui h
-		I(isa.OpVVAdd, 7, 7, 8),
-		I(isa.OpVVAdd, 7, 7, 3),
-		I(isa.OpVSigm, 7, 7, 0), // i
-		I(isa.OpMVMul, 8, 1, 0), // Wf x
-		I(isa.OpMVMul, 9, 5, 1), // Uf h
-		I(isa.OpVVAdd, 8, 8, 9),
-		I(isa.OpVVAdd, 8, 8, 4),
-		I(isa.OpVSigm, 8, 8, 0),  // f
+		// x-dependent prefix: all four W*x products.
+		I(isa.OpMVMul, 7, 0, 0),  // Wi x
+		I(isa.OpMVMul, 8, 1, 0),  // Wf x
 		I(isa.OpMVMul, 9, 2, 0),  // Wo x
-		I(isa.OpMVMul, 10, 6, 1), // Uo h
-		I(isa.OpVVAdd, 9, 9, 10),
-		I(isa.OpVVAdd, 9, 9, 5),
-		I(isa.OpVSigm, 9, 9, 0),  // o
 		I(isa.OpMVMul, 10, 3, 0), // Wc x
+		// h-dependent products and gate math.
+		I(isa.OpMVMul, 11, 4, 1), // Ui h
+		I(isa.OpVVAdd, 7, 7, 11),
+		I(isa.OpMVMul, 11, 5, 1), // Uf h
+		I(isa.OpVVAdd, 8, 8, 11),
+		I(isa.OpMVMul, 11, 6, 1), // Uo h
+		I(isa.OpVVAdd, 9, 9, 11),
 		I(isa.OpMVMul, 11, 7, 1), // Uc h
 		I(isa.OpVVAdd, 10, 10, 11),
+		I(isa.OpVVAdd, 7, 7, 3),
+		I(isa.OpVSigm, 7, 7, 0), // i
+		I(isa.OpVVAdd, 8, 8, 4),
+		I(isa.OpVSigm, 8, 8, 0), // f
+		I(isa.OpVVAdd, 9, 9, 5),
+		I(isa.OpVSigm, 9, 9, 0), // o
 		I(isa.OpVVAdd, 10, 10, 6),
-		I(isa.OpVTanh, 10, 10, 0), // g
-		I(isa.OpVVMul, 11, 8, 2),  // f*c
-		I(isa.OpVVMul, 12, 7, 10), // i*g
-		I(isa.OpVVAdd, 2, 11, 12), // c'
-		I(isa.OpVTanh, 13, 2, 0),  // tanh(c')
-		I(isa.OpVVMul, 1, 9, 13),  // h' = o * tanh(c')
+		I(isa.OpVTanh, 10, 10, 0),  // g
+		I(isa.OpVVMul, 11, 8, 2),   // f*c
+		I(isa.OpVVMul, 12, 7, 10),  // i*g
+		I(isa.OpVVAdd, 2, 11, 12),  // c'
+		I(isa.OpVTanh, 13, 2, 0),   // tanh(c')
+		I(isa.OpVVMul, own, 9, 13), // h' = o * tanh(c')
 	}
 }
 
 // gruStep emits one GRU timestep. Register convention:
 // r0=x_t r1=h r3..r5=bz,br,bn; m0..m2=Wz,Wr,Wn; m3..m5=Uz,Ur,Un.
-func gruStep() isa.Program {
+func gruStep(own uint8) isa.Program {
 	const one = 0x3C00 // float16 1.0
 	I := func(op isa.Opcode, d, s1, s2 uint8) isa.Instr {
 		return isa.Instr{Op: op, Dst: d, Src1: s1, Src2: s2}
 	}
 	return isa.Program{
+		// x-dependent prefix: all three W*x products.
 		I(isa.OpMVMul, 7, 0, 0), // Wz x
-		I(isa.OpMVMul, 8, 3, 1), // Uz h
-		I(isa.OpVVAdd, 7, 7, 8),
-		I(isa.OpVVAdd, 7, 7, 3),
-		I(isa.OpVSigm, 7, 7, 0), // z
 		I(isa.OpMVMul, 8, 1, 0), // Wr x
-		I(isa.OpMVMul, 9, 4, 1), // Ur h
-		I(isa.OpVVAdd, 8, 8, 9),
+		I(isa.OpMVMul, 9, 2, 0), // Wn x
+		// h-dependent gate math.
+		I(isa.OpMVMul, 10, 3, 1), // Uz h
+		I(isa.OpVVAdd, 7, 7, 10),
+		I(isa.OpVVAdd, 7, 7, 3),
+		I(isa.OpVSigm, 7, 7, 0),  // z
+		I(isa.OpMVMul, 10, 4, 1), // Ur h
+		I(isa.OpVVAdd, 8, 8, 10),
 		I(isa.OpVVAdd, 8, 8, 4),
-		I(isa.OpVSigm, 8, 8, 0),  // r
-		I(isa.OpMVMul, 9, 5, 1),  // Un h
-		I(isa.OpVVMul, 9, 8, 9),  // r ⊙ (Un h)
-		I(isa.OpMVMul, 10, 2, 0), // Wn x
+		I(isa.OpVSigm, 8, 8, 0),   // r
+		I(isa.OpMVMul, 10, 5, 1),  // Un h
+		I(isa.OpVVMul, 10, 8, 10), // r ⊙ (Un h)
 		I(isa.OpVVAdd, 9, 9, 10),
 		I(isa.OpVVAdd, 9, 9, 5),
 		I(isa.OpVTanh, 9, 9, 0),                       // n
 		{Op: isa.OpVRsub, Dst: 10, Src1: 7, Imm: one}, // 1-z
 		I(isa.OpVVMul, 10, 10, 9),                     // (1-z) n
-		I(isa.OpVVMul, 11, 7, 1),                      // z h
-		I(isa.OpVVAdd, 1, 10, 11),                     // h'
+		I(isa.OpVVMul, 11, 7, own),                    // z ⊙ the own rows of h
+		I(isa.OpVVAdd, own, 10, 11),                   // h'
 	}
 }
 
 // attnStep emits one recurrent-attention timestep. Register convention:
 // r0=x_t r1=h r2=S r15=z r3..r6=bq,bk,bv,bo; m0..m3=Wq,Wk,Wv,Wo.
-func attnStep() isa.Program {
+func attnStep(own uint8) isa.Program {
 	I := func(op isa.Opcode, d, s1, s2 uint8) isa.Instr {
 		return isa.Instr{Op: op, Dst: d, Src1: s1, Src2: s2}
 	}
@@ -503,35 +551,26 @@ func attnStep() isa.Program {
 		I(isa.OpVVAdd, 15, 15, 8), // z += e
 		I(isa.OpVSigm, 7, 7, 0),   // σ(q)
 		I(isa.OpVRecip, 10, 15, 0),
-		I(isa.OpVVMul, 10, 2, 10), // S / z
-		I(isa.OpVVMul, 10, 7, 10), // y = σ(q) ⊙ (S/z)
-		I(isa.OpMVMul, 11, 3, 10), // Wo y
-		I(isa.OpVVAdd, 1, 11, 6),  // h' = Wo y + bo
+		I(isa.OpVVMul, 10, 2, 10),  // S / z
+		I(isa.OpVVMul, 10, 7, 10),  // y = σ(q) ⊙ (S/z)
+		I(isa.OpMVMul, 11, 3, 10),  // Wo y
+		I(isa.OpVVAdd, own, 11, 6), // h' = Wo y + bo
 	}
 }
 
 // StepInstructions returns the number of instructions one timestep costs
 // (including the x_t load and h_t store), used by the timing model.
 func StepInstructions(kind RNNKind) int {
-	switch kind {
-	case LSTM:
-		return len(lstmStep()) + 2
-	case GRU:
-		return len(gruStep()) + 2
-	case Attention:
-		return len(attnStep()) + 2
+	c, ok := kind.cell()
+	if !ok {
+		return 0
 	}
-	return 0
+	return len(c.step(HiddenReg)) + 2
 }
 
 // MVMsPerStep returns how many h x h matrix-vector products one timestep
-// performs.
+// performs: one per weight matrix the cell holds resident.
 func MVMsPerStep(kind RNNKind) int {
-	switch kind {
-	case LSTM:
-		return 8
-	case Attention:
-		return 4
-	}
-	return 6
+	c, _ := kind.cell()
+	return len(c.wx) + len(c.uh)
 }

@@ -31,15 +31,11 @@ func (r *Reference) Step(x []float64) ([]float64, error) {
 	if len(x) != r.w.Hidden {
 		return nil, fmt.Errorf("kernels: reference input length %d, want %d", len(x), r.w.Hidden)
 	}
-	switch r.w.Kind {
-	case LSTM:
-		return r.stepLSTM(x), nil
-	case GRU:
-		return r.stepGRU(x), nil
-	case Attention:
-		return r.stepAttention(x), nil
+	c, ok := r.w.Kind.cell()
+	if !ok {
+		return nil, fmt.Errorf("kernels: unknown cell %v", r.w.Kind)
 	}
-	return nil, fmt.Errorf("kernels: unknown cell %v", r.w.Kind)
+	return c.ref(r, x), nil
 }
 
 func (r *Reference) stepLSTM(x []float64) []float64 {

@@ -79,24 +79,12 @@ type Instance struct {
 // (LSTM h=1536 on XCKU115).
 var ErrDoesNotFit = errors.New("perf: layer does not fit device")
 
-// WeightKb returns the on-chip weight storage a layer needs.
+// WeightKb returns the on-chip weight storage a layer needs: every h×h
+// matrix the cell multiplies by per step stays resident.
 func WeightKb(spec kernels.LayerSpec, p Params) float64 {
-	nMat := float64(matCount(spec.Kind))
+	nMat := float64(kernels.MVMsPerStep(spec.Kind))
 	bits := nMat * float64(spec.Hidden) * float64(spec.Hidden) * p.WeightBitsPerValue
 	return bits / 1024
-}
-
-// matCount is the number of h×h weight matrices the cell holds resident:
-// W*+U* pairs for the recurrent cells, the four projections for attention
-// (whose recurrence runs through vector accumulators, not matrices).
-func matCount(kind kernels.RNNKind) int {
-	switch kind {
-	case kernels.LSTM:
-		return 8
-	case kernels.Attention:
-		return 4
-	}
-	return 6
 }
 
 // weightFrac is the share of a tile's memory that can hold weights. On the
@@ -196,9 +184,12 @@ type Breakdown struct {
 	Total    time.Duration
 }
 
-// syncInstrs is what the §2.3 insertion tool adds to every step of a
-// scaled-down program: the send, the write of the own shard to the output
-// region, and the blocking receive.
+// syncInstrs is what the model charges every step of a scaled-down program
+// on top of the cell's own instructions: the send and the blocking receive
+// the §2.3 insertion tool adds, and one more slot for the store of the own
+// shard — which StepInstructions already counts, so a shard step is priced
+// one issue slot high. The committed scale-out goldens carry that slot;
+// ROADMAP item G's audit owns changing it.
 const syncInstrs = 3
 
 // stepCycles computes the per-step cycle breakdown of one device that holds

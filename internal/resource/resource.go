@@ -83,18 +83,6 @@ func (v Vector) Add(o Vector) Vector {
 	}
 }
 
-// Sub returns v - o element-wise. Counts may go negative; use Fits to test
-// capacity instead.
-func (v Vector) Sub(o Vector) Vector {
-	return Vector{
-		LUTs:   v.LUTs - o.LUTs,
-		DFFs:   v.DFFs - o.DFFs,
-		BRAMKb: v.BRAMKb - o.BRAMKb,
-		URAMKb: v.URAMKb - o.URAMKb,
-		DSPs:   v.DSPs - o.DSPs,
-	}
-}
-
 // Scale returns v * n element-wise.
 func (v Vector) Scale(n int64) Vector {
 	return Vector{
@@ -104,50 +92,6 @@ func (v Vector) Scale(n int64) Vector {
 		URAMKb: v.URAMKb * n,
 		DSPs:   v.DSPs * n,
 	}
-}
-
-// Fits reports whether v fits within capacity c on every resource class.
-func (v Vector) Fits(c Vector) bool {
-	return v.LUTs <= c.LUTs && v.DFFs <= c.DFFs &&
-		v.BRAMKb <= c.BRAMKb && v.URAMKb <= c.URAMKb && v.DSPs <= c.DSPs
-}
-
-// Max returns the element-wise maximum of v and o.
-func (v Vector) Max(o Vector) Vector {
-	m := func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	return Vector{
-		LUTs:   m(v.LUTs, o.LUTs),
-		DFFs:   m(v.DFFs, o.DFFs),
-		BRAMKb: m(v.BRAMKb, o.BRAMKb),
-		URAMKb: m(v.URAMKb, o.URAMKb),
-		DSPs:   m(v.DSPs, o.DSPs),
-	}
-}
-
-// Utilization returns v/c as a fraction in [0,1] per class, taking the
-// maximum across classes. Classes with zero capacity are skipped unless v
-// demands them, in which case the utilization is reported as +Inf via >1.
-func (v Vector) Utilization(c Vector) float64 {
-	max := 0.0
-	for _, k := range Kinds {
-		need, have := v.Get(k), c.Get(k)
-		if have == 0 {
-			if need > 0 {
-				return 2 // cannot fit: signal over-utilization
-			}
-			continue
-		}
-		u := float64(need) / float64(have)
-		if u > max {
-			max = u
-		}
-	}
-	return max
 }
 
 // String renders the vector in table form, e.g.

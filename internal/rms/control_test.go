@@ -113,7 +113,7 @@ func TestDeployWithDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lease, err = svc.Migrate(lease.ID, 2, func(id int) bool { return id == 0 }, false); err != nil {
+	if lease, err = svc.Migrate(lease.ID, 2, func(id int) bool { return id == 0 }, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, pl := range lease.Placements {
@@ -159,7 +159,7 @@ func TestMigrateAcrossDepths(t *testing.T) {
 	id := lease.ID
 	baseline := svc.Status().Utilization
 
-	up, err := svc.Migrate(id, 2, nil, false)
+	up, err := svc.Migrate(id, 2, nil, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestMigrateAcrossDepths(t *testing.T) {
 		t.Errorf("after scale-up: %+v", up)
 	}
 
-	down, err := svc.Migrate(id, 1, nil, false)
+	down, err := svc.Migrate(id, 1, nil, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +178,10 @@ func TestMigrateAcrossDepths(t *testing.T) {
 		t.Errorf("utilization %v after round-trip migration, want %v", got, baseline)
 	}
 
-	if _, err := svc.Migrate(id, 3, nil, false); !errors.Is(err, ErrNoSuchDepth) {
+	if _, err := svc.Migrate(id, 3, nil, false, nil); !errors.Is(err, ErrNoSuchDepth) {
 		t.Errorf("migrate to depth 3: %v, want ErrNoSuchDepth", err)
 	}
-	if _, err := svc.Migrate(9999, 1, nil, false); !errors.Is(err, ErrUnknownLease) {
+	if _, err := svc.Migrate(9999, 1, nil, false, nil); !errors.Is(err, ErrUnknownLease) {
 		t.Errorf("migrate unknown lease: %v, want ErrUnknownLease", err)
 	}
 
@@ -190,10 +190,10 @@ func TestMigrateAcrossDepths(t *testing.T) {
 	// exactly as before.
 	before, _ := svc.Lease(id)
 	all := func(int) bool { return true }
-	if _, err := svc.Migrate(id, 2, all, false); !errorsIsCapacity(err) {
+	if _, err := svc.Migrate(id, 2, all, false, nil); !errorsIsCapacity(err) {
 		t.Errorf("vetoed migrate: %v, want ErrNoCapacity", err)
 	}
-	if _, err := svc.Migrate(id, 2, all, true); !errorsIsCapacity(err) {
+	if _, err := svc.Migrate(id, 2, all, true, nil); !errorsIsCapacity(err) {
 		t.Errorf("forced vetoed migrate: %v, want ErrNoCapacity", err)
 	}
 	after, ok := svc.Lease(id)
@@ -218,7 +218,7 @@ func TestForcedMigrationEvacuatesDevice(t *testing.T) {
 	}
 	dead := lease.Placements[0].FPGA
 	avoid := func(id int) bool { return id == dead }
-	moved, err := svc.Migrate(lease.ID, 1, avoid, true)
+	moved, err := svc.Migrate(lease.ID, 1, avoid, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -368,8 +368,12 @@ func (s *Service) depths(spec kernels.LayerSpec, inv map[string]int) ([]int, err
 // headroom but never strands the lease. With force set (used when the old
 // placement includes a dead device) the old blocks are freed first; if no
 // new placement fits, the old one is restored and ErrNoCapacity returned
-// so the control plane can back off and retry.
-func (s *Service) Migrate(id, depth int, avoid func(fpgaID int) bool, force bool) (*Lease, error) {
+// so the control plane can back off and retry. A non-nil accept sees every
+// placement Migrate is about to configure and may decline it (the next
+// deployment of that depth is tried; none accepted is ErrNoCapacity): the
+// caller's policy judges the placement that will happen, not a preview of
+// its own. accept runs under the service lock and must not call back in.
+func (s *Service) Migrate(id, depth int, avoid func(fpgaID int) bool, force bool, accept func([]Placement) bool) (*Lease, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	lease, ok := s.leases[id]
@@ -412,7 +416,7 @@ func (s *Service) Migrate(id, depth int, avoid func(fpgaID int) bool, force bool
 
 	place := func() (Deployment, []Placement, bool) {
 		for _, dep := range candidates {
-			if pls := s.tryPlaceLocked(dep, avoid); pls != nil {
+			if pls := s.tryPlaceLocked(dep, avoid); pls != nil && (accept == nil || accept(pls)) {
 				return dep, pls, true
 			}
 		}

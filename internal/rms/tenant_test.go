@@ -137,7 +137,7 @@ func TestMigrateRespectsQuotaButAllowsEvacuation(t *testing.T) {
 	// Same-depth migration (an evacuation) keeps usage flat: must pass
 	// even at the quota ceiling.
 	from := l.Placements[0].FPGA
-	if _, err := svc.Migrate(l.ID, 1, func(id int) bool { return id == from }, false); err != nil {
+	if _, err := svc.Migrate(l.ID, 1, func(id int) bool { return id == from }, false, nil); err != nil {
 		t.Fatalf("same-depth migration at quota ceiling: %v", err)
 	}
 	// Scaling up to two devices breaches MaxDevices=1.
@@ -155,7 +155,7 @@ func TestMigrateRespectsQuotaButAllowsEvacuation(t *testing.T) {
 	if wantDeeper == 0 {
 		t.Skip("database offers no deeper deployment for this layer")
 	}
-	if _, err := svc.Migrate(l.ID, wantDeeper, nil, false); !errors.Is(err, ErrQuotaExceeded) {
+	if _, err := svc.Migrate(l.ID, wantDeeper, nil, false, nil); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("scale-up past device quota: %v, want ErrQuotaExceeded", err)
 	}
 }

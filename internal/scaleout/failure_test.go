@@ -44,8 +44,10 @@ func survivesDeviceFailure(t *testing.T, kind kernels.RNNKind, n, flaky, accesse
 	// Build machines by hand so the flaky device's DRAM fails underneath
 	// its sync module.
 	inners := make([]accel.DRAM, n)
-	for i := range inners {
-		inners[i] = accel.NewMemory(sg.Cfg.DRAMWords)
+	for i, k := range sg.Kernels {
+		if inners[i], err = k.NewDRAM(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	inners[flaky] = &flakyDRAM{inner: inners[flaky], remaining: accesses}
 	syncs, err := NewSyncGroup(inners, sg.SyncCfg)
@@ -53,21 +55,10 @@ func survivesDeviceFailure(t *testing.T, kind kernels.RNNKind, n, flaky, accesse
 		t.Fatal(err)
 	}
 	ms := make([]*accel.Machine, n)
-	wx, uh, _ := kind.GateNames()
-	for dev := range ms {
-		m, err := accel.NewWithDRAM(sg.Cfg, syncs[dev])
-		if err != nil {
+	for dev, k := range sg.Kernels {
+		if ms[dev], err = k.NewMachineOn(syncs[dev]); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.DRAMPort().WriteWords(0, sg.Images[dev]); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < len(wx)+len(uh); i++ {
-			if err := m.ConfigureMatrix(i, sg.Spec.Hidden/n, sg.Spec.Hidden); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ms[dev] = m
 	}
 
 	done := make(chan error, 1)

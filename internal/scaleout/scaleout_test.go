@@ -1,8 +1,10 @@
 package scaleout
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -15,11 +17,11 @@ import (
 )
 
 func TestSyncConfigValidate(t *testing.T) {
-	if err := (Config{SendAddr: 1, RecvAddr: 1, HalfWords: 4}).Validate(); err == nil {
+	if err := (Config{SendAddr: 1, RecvAddr: 1, ShardWords: 4}).Validate(); err == nil {
 		t.Error("colliding addresses must fail")
 	}
-	if err := (Config{SendAddr: 1, RecvAddr: 2, HalfWords: 0}).Validate(); err == nil {
-		t.Error("zero half words must fail")
+	if err := (Config{SendAddr: 1, RecvAddr: 2, ShardWords: 0}).Validate(); err == nil {
+		t.Error("zero shard words must fail")
 	}
 }
 
@@ -33,14 +35,14 @@ func newTestGroup(t *testing.T, n int) ([]*accel.Memory, []*SyncModule) {
 		mems[i] = accel.NewMemory(64)
 		inners[i] = mems[i]
 	}
-	syncs, err := NewSyncGroup(inners, Config{SendAddr: 100, RecvAddr: 101, HalfWords: 2})
+	syncs, err := NewSyncGroup(inners, Config{SendAddr: 100, RecvAddr: 101, ShardWords: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return mems, syncs
 }
 
-// groupSizes are the deployments the transform supports (lengthMode).
+// groupSizes are the deployments the transform supports (accel.LengthMode).
 var groupSizes = []int{2, 4}
 
 // Device i sends [10i, 10i+1]; every device must gather the shards in
@@ -122,7 +124,7 @@ func TestSyncErrors(t *testing.T) {
 }
 
 func TestSyncGroupErrors(t *testing.T) {
-	if _, err := NewSyncGroup([]accel.DRAM{accel.NewMemory(8)}, Config{SendAddr: 1, RecvAddr: 2, HalfWords: 1}); err == nil {
+	if _, err := NewSyncGroup([]accel.DRAM{accel.NewMemory(8)}, Config{SendAddr: 1, RecvAddr: 2, ShardWords: 1}); err == nil {
 		t.Error("single-device group must fail")
 	}
 	for _, n := range groupSizes {
@@ -130,7 +132,7 @@ func TestSyncGroupErrors(t *testing.T) {
 		for i := range inners {
 			inners[i] = accel.NewMemory(8)
 		}
-		if _, err := NewSyncGroup(inners, Config{SendAddr: 1, RecvAddr: 1, HalfWords: 1}); err == nil {
+		if _, err := NewSyncGroup(inners, Config{SendAddr: 1, RecvAddr: 1, ShardWords: 1}); err == nil {
 			t.Errorf("n=%d: bad config must fail", n)
 		}
 	}
@@ -147,7 +149,9 @@ func runScaled(t *testing.T, kind kernels.RNNKind, hidden, steps, n int, reorder
 	if err != nil {
 		t.Fatal(err)
 	}
-	sg.Cfg.MantissaBits = 9
+	for _, k := range sg.Kernels {
+		k.Cfg.MantissaBits = 9
+	}
 	if reorder {
 		for d := range sg.Progs {
 			sg.Progs[d] = ReorderForOverlap(sg.Progs[d],
@@ -420,14 +424,15 @@ func TestScaledProgramsValidate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec := isa.MachineSpec{
-				VRegs:         sg.Cfg.VRegs,
-				MRegs:         sg.Cfg.MRegs,
-				DRAMWords:     sg.Cfg.DRAMWords,
-				InstrBufBytes: sg.Cfg.InstrBufBytes,
-				TrappedAddrs:  []uint32{uint32(sg.SyncCfg.SendAddr), uint32(sg.SyncCfg.RecvAddr)},
-			}
 			for d := range sg.Progs {
+				cfg := sg.Kernels[d].Cfg
+				spec := isa.MachineSpec{
+					VRegs:         cfg.VRegs,
+					MRegs:         cfg.MRegs,
+					DRAMWords:     cfg.DRAMWords,
+					InstrBufBytes: cfg.InstrBufBytes,
+					TrappedAddrs:  []uint32{uint32(sg.SyncCfg.SendAddr), uint32(sg.SyncCfg.RecvAddr)},
+				}
 				prog := ReorderForOverlap(sg.Progs[d], uint32(sg.SyncCfg.SendAddr), uint32(sg.SyncCfg.RecvAddr))
 				if issues := isa.Validate(prog, spec); len(issues) != 0 {
 					t.Errorf("%v n=%d device %d: %d issues; first: %v", kind, n, d, len(issues), issues[0])
@@ -472,6 +477,169 @@ func TestMeasuredOverlapMatchesModel(t *testing.T) {
 			if n != 0 {
 				t.Errorf("%v: unreordered program already overlaps %d MVMs", tc.kind, n)
 			}
+		}
+	}
+}
+
+// groupVsSingle runs one layer twice on the same weights and inputs — on
+// one device (kernels.Build) and on an n-device group — and reports the
+// first output word that differs, or a device whose sync module did not see
+// exactly one send and one receive per timestep. The boards are shrunk to
+// the layout's end so a fuzz run does not page in n+1 full DRAMs per input.
+func groupVsSingle(kind kernels.RNNKind, hidden, steps, n, mantissa int, seed int64, reorder bool) error {
+	w := kernels.RandomWeights(kind, hidden, seed)
+	single, err := kernels.Build(w, steps, 1)
+	if err != nil {
+		return err
+	}
+	sg, err := BuildScaledGroup(w, steps, 1, n)
+	if err != nil {
+		return err
+	}
+	for _, k := range append([]*kernels.Kernel{single}, sg.Kernels...) {
+		k.Cfg.MantissaBits = mantissa
+		k.Cfg.DRAMWords = k.OutputAddr(steps)
+	}
+	if reorder {
+		for d := range sg.Progs {
+			sg.Progs[d] = ReorderForOverlap(sg.Progs[d], uint32(sg.SyncCfg.SendAddr), uint32(sg.SyncCfg.RecvAddr))
+		}
+	}
+	m, err := single.NewMachine()
+	if err != nil {
+		return err
+	}
+	ms, syncs, err := sg.NewMachines()
+	if err != nil {
+		return err
+	}
+	r := rand.New(rand.NewSource(seed + 1))
+	for tt := 0; tt < steps; tt++ {
+		x := make([]float64, hidden)
+		for i := range x {
+			x[i] = r.NormFloat64() * 0.5
+		}
+		if err := single.SetInput(m, tt, x); err != nil {
+			return err
+		}
+		if err := sg.SetInput(ms, tt, x); err != nil {
+			return err
+		}
+	}
+	if err := m.Run(single.Prog); err != nil {
+		return err
+	}
+	if err := sg.Run(ms); err != nil {
+		return err
+	}
+	for tt := 0; tt < steps; tt++ {
+		want, err := m.DRAMPort().ReadWords(single.OutputAddr(tt), hidden)
+		if err != nil {
+			return err
+		}
+		got, err := sg.ReadOutput(ms, tt)
+		if err != nil {
+			return err
+		}
+		// fp16 → float64 is exact, so the round trip recovers the words.
+		for i, word := range fp16.FromSlice64(got) {
+			if word != want[i] {
+				return fmt.Errorf("step %d elem %d: group %#04x, single device %#04x", tt, i, word, want[i])
+			}
+		}
+	}
+	for d, s := range syncs {
+		if st := s.Stats(); st.Sends != steps || st.Receives != steps {
+			return fmt.Errorf("device %d: %d sends, %d receives over %d steps", d, st.Sends, st.Receives, steps)
+		}
+	}
+	return nil
+}
+
+// The scaled group is the single-device kernel sharded: same step program,
+// same dataflow, so its outputs equal the n = 1 kernel's fp16 words exactly
+// (the reference tests above only hold it to float64 within 0.1), in
+// program order and after the reordering tool.
+func TestScaledGroupMatchesSingleDevice(t *testing.T) {
+	for _, kind := range []kernels.RNNKind{kernels.LSTM, kernels.GRU} {
+		for _, n := range groupSizes {
+			for _, mantissa := range []int{0, 9} {
+				for _, reorder := range []bool{false, true} {
+					if err := groupVsSingle(kind, 32, 4, n, mantissa, 99, reorder); err != nil {
+						t.Errorf("%v n=%d mantissa=%d reorder=%v: %v", kind, n, mantissa, reorder, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzScaledMatchesSingle: over cell kind, hidden size (multiples of 4 up
+// to 64), sequence length (≤ 4), group size, weight/input seed and the
+// reordering tool on or off, the group's output words equal the single
+// device's and every sync module counts T sends and T receives.
+func FuzzScaledMatchesSingle(f *testing.F) {
+	f.Add(uint8(0), uint8(7), uint8(3), false, int64(1), false)
+	f.Add(uint8(1), uint8(15), uint8(2), true, int64(2), true)
+	f.Fuzz(func(t *testing.T, kind, hq, steps uint8, quad bool, seed int64, reorder bool) {
+		n := 2
+		if quad {
+			n = 4
+		}
+		k := []kernels.RNNKind{kernels.LSTM, kernels.GRU}[kind%2]
+		hidden, T := 4*(1+int(hq%16)), 1+int(steps%4)
+		if err := groupVsSingle(k, hidden, T, n, 0, seed, reorder); err != nil {
+			t.Errorf("%v h=%d t=%d n=%d seed=%d reorder=%v: %v", k, hidden, T, n, seed, reorder, err)
+		}
+	})
+}
+
+// The insertion tool adds exactly the send before and the receive after
+// every per-step output write — two instructions per timestep — and moves
+// nothing else; what it produces passes the static validator once the
+// trapped addresses are declared.
+func TestInsertSync(t *testing.T) {
+	for _, tc := range []struct {
+		kind     kernels.RNNKind
+		n, steps int
+	}{
+		{kernels.LSTM, 2, 1}, {kernels.LSTM, 4, 3}, {kernels.GRU, 2, 5}, {kernels.GRU, 4, 2},
+	} {
+		k, err := kernels.BuildShard(kernels.RandomWeights(tc.kind, 32, 5), tc.steps, 1, tc.n-1, tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{SendAddr: k.Cfg.DRAMWords, RecvAddr: k.Cfg.DRAMWords + 1, ShardWords: 32 / tc.n}
+		send, recv := uint32(cfg.SendAddr), uint32(cfg.RecvAddr)
+		got := InsertSync(k.Prog, cfg)
+		if len(got) != len(k.Prog)+2*tc.steps {
+			t.Errorf("%v n=%d: %d instructions from %d over %d steps, want +2 per step",
+				tc.kind, tc.n, len(got), len(k.Prog), tc.steps)
+		}
+		var rest isa.Program
+		for i, ins := range got {
+			switch {
+			case ins.Op == isa.OpVWrite && ins.Imm == send:
+				if next := got[i+1]; next.Op != isa.OpVWrite || next.Src1 != ins.Src1 || next.Imm == send {
+					t.Errorf("%v n=%d: send at %d is followed by %v, want the output write of r%d", tc.kind, tc.n, i, next, ins.Src1)
+				}
+			case ins.Op == isa.OpVRead && ins.Imm == recv:
+				if prev := got[i-1]; prev.Op != isa.OpVWrite || prev.Imm == send || ins.Dst != kernels.HiddenReg {
+					t.Errorf("%v n=%d: receive at %d (into r%d) follows %v, want an output write", tc.kind, tc.n, i, ins.Dst, prev)
+				}
+			default:
+				rest = append(rest, ins)
+			}
+		}
+		if !reflect.DeepEqual(rest, k.Prog) {
+			t.Errorf("%v n=%d: the instructions besides send/receive are not the input program in order", tc.kind, tc.n)
+		}
+		issues := isa.Validate(got, isa.MachineSpec{
+			VRegs: k.Cfg.VRegs, MRegs: k.Cfg.MRegs, DRAMWords: k.Cfg.DRAMWords,
+			InstrBufBytes: k.Cfg.InstrBufBytes, TrappedAddrs: []uint32{send, recv},
+		})
+		if len(issues) != 0 {
+			t.Errorf("%v n=%d: %d static issues; first: %v", tc.kind, tc.n, len(issues), issues[0])
 		}
 	}
 }

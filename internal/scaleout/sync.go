@@ -75,15 +75,15 @@ type Config struct {
 	// SendAddr and RecvAddr are the predefined (out-of-range) DRAM word
 	// addresses the module traps.
 	SendAddr, RecvAddr int
-	// HalfWords is the exchanged shard length: each scaled-down
-	// accelerator's 1/n share of the hidden dimension (half at n = 2).
-	HalfWords int
+	// ShardWords is the exchanged shard length: each scaled-down
+	// accelerator's 1/n share of the hidden dimension.
+	ShardWords int
 }
 
 // Validate checks the parameters.
 func (c Config) Validate() error {
-	if c.HalfWords <= 0 {
-		return fmt.Errorf("scaleout: HalfWords = %d", c.HalfWords)
+	if c.ShardWords <= 0 {
+		return fmt.Errorf("scaleout: ShardWords = %d", c.ShardWords)
 	}
 	if c.SendAddr == c.RecvAddr {
 		return errors.New("scaleout: send and receive addresses collide")
@@ -128,7 +128,7 @@ func NewSyncGroup(inners []accel.DRAM, cfg Config) ([]*SyncModule, error) {
 		out[i] = &SyncModule{
 			inner:    inners[i],
 			sendAddr: cfg.SendAddr, recvAddr: cfg.RecvAddr,
-			shardWords: cfg.HalfWords, index: i, n: n,
+			shardWords: cfg.ShardWords, index: i, n: n,
 			outs: outs, ins: ins, abort: shared,
 		}
 	}

@@ -1,93 +1,41 @@
 package scaleout
 
-import "mlvfpga/internal/isa"
+import (
+	"mlvfpga/internal/isa"
+	"mlvfpga/internal/kernels"
+)
 
-// This file holds the two custom tools of §2.3:
+// This file holds the two custom tools of §2.3, both functions from program
+// to program. The scale-down itself — each device keeps the unmodified
+// control path but 1/n of the data processing units and 1/n of every weight
+// matrix's rows — is kernels.BuildShard, the one program generator.
 //
-//   - the scale-down transform / instruction-insertion tool, which builds
-//     per-device programs for an n-FPGA deployment (each device keeps the
-//     unmodified control path but 1/n of the data processing units and
-//     1/n of every weight matrix's rows) and inserts the DRAM-mapped send/
-//     receive instructions (BuildScaledGroup, group.go; the per-step
-//     programs it stitches together are here);
-//   - the instruction reordering tool, which moves the blocking receive as
-//     late as dependencies allow (and the send as early as possible) so
-//     the inter-FPGA transfer overlaps the next step's x-dependent
-//     computation.
+//   - InsertSync, the instruction-insertion tool, adds the DRAM-mapped
+//     send/receive instructions to a scaled-down program;
+//   - ReorderForOverlap, the instruction reordering tool, moves the blocking
+//     receive as late as dependencies allow (and the send as early as
+//     possible) so the inter-FPGA transfer overlaps the next step's
+//     x-dependent computation.
 
-// scaledLSTMStep: as kernels.lstmStep but every gate is h/n long (the
-// device's matrix rows) and the new own shard lands in r14. The step is
-// scheduled x-first: every W*x product precedes the first U*h product, so
-// the reordering tool can sink the blocking receive past the whole
-// x-dependent prefix ("maximally overlap", §2.3).
-// r0=x (full h), r1=h (full), r2=c (shard), r3..r6 bias shards.
-func scaledLSTMStep() isa.Program {
-	I := func(op isa.Opcode, d, s1, s2 uint8) isa.Instr {
-		return isa.Instr{Op: op, Dst: d, Src1: s1, Src2: s2}
+// InsertSync is the §2.3 insertion tool. A scaled-down program's only DRAM
+// writes are the per-step stores of the device's own rows of h_t; around
+// each, the tool adds the trapped send of the same register before it
+// (own shard to the peers) and the blocking receive of the full h_t from
+// the sync module after it (the barrier), into the register the next step
+// reads h from. Every other instruction stays in place.
+func InsertSync(p isa.Program, cfg Config) isa.Program {
+	out := make(isa.Program, 0, len(p))
+	for _, ins := range p {
+		if ins.Op != isa.OpVWrite {
+			out = append(out, ins)
+			continue
+		}
+		out = append(out,
+			isa.Instr{Op: isa.OpVWrite, Src1: ins.Src1, Imm: uint32(cfg.SendAddr)},
+			ins,
+			isa.Instr{Op: isa.OpVRead, Dst: kernels.HiddenReg, Imm: uint32(cfg.RecvAddr)})
 	}
-	return isa.Program{
-		// x-dependent prefix: all four W*x products.
-		I(isa.OpMVMul, 7, 0, 0),  // Wi x -> h/n
-		I(isa.OpMVMul, 8, 1, 0),  // Wf x
-		I(isa.OpMVMul, 9, 2, 0),  // Wo x
-		I(isa.OpMVMul, 10, 3, 0), // Wc x
-		// h-dependent products and gate math.
-		I(isa.OpMVMul, 11, 4, 1), // Ui h
-		I(isa.OpVVAdd, 7, 7, 11),
-		I(isa.OpMVMul, 11, 5, 1), // Uf h
-		I(isa.OpVVAdd, 8, 8, 11),
-		I(isa.OpMVMul, 11, 6, 1), // Uo h
-		I(isa.OpVVAdd, 9, 9, 11),
-		I(isa.OpMVMul, 11, 7, 1), // Uc h
-		I(isa.OpVVAdd, 10, 10, 11),
-		I(isa.OpVVAdd, 7, 7, 3),
-		I(isa.OpVSigm, 7, 7, 0), // i
-		I(isa.OpVVAdd, 8, 8, 4),
-		I(isa.OpVSigm, 8, 8, 0), // f
-		I(isa.OpVVAdd, 9, 9, 5),
-		I(isa.OpVSigm, 9, 9, 0), // o
-		I(isa.OpVVAdd, 10, 10, 6),
-		I(isa.OpVTanh, 10, 10, 0), // g
-		I(isa.OpVVMul, 11, 8, 2),  // f*c
-		I(isa.OpVVMul, 12, 7, 10), // i*g
-		I(isa.OpVVAdd, 2, 11, 12), // c'
-		I(isa.OpVTanh, 13, 2, 0),
-		I(isa.OpVVMul, 14, 9, 13), // own shard of h'
-	}
-}
-
-// scaledGRUStep: r12 holds the device's own shard of h across steps
-// (needed for z .* h, which uses only local elements). Scheduled x-first,
-// as for the LSTM.
-func scaledGRUStep() isa.Program {
-	const one = 0x3C00
-	I := func(op isa.Opcode, d, s1, s2 uint8) isa.Instr {
-		return isa.Instr{Op: op, Dst: d, Src1: s1, Src2: s2}
-	}
-	return isa.Program{
-		// x-dependent prefix: all three W*x products.
-		I(isa.OpMVMul, 7, 0, 0), // Wz x
-		I(isa.OpMVMul, 8, 1, 0), // Wr x
-		I(isa.OpMVMul, 9, 2, 0), // Wn x
-		// h-dependent gate math.
-		I(isa.OpMVMul, 10, 3, 1), // Uz h
-		I(isa.OpVVAdd, 7, 7, 10),
-		I(isa.OpVVAdd, 7, 7, 3),
-		I(isa.OpVSigm, 7, 7, 0),  // z
-		I(isa.OpMVMul, 10, 4, 1), // Ur h
-		I(isa.OpVVAdd, 8, 8, 10),
-		I(isa.OpVVAdd, 8, 8, 4),
-		I(isa.OpVSigm, 8, 8, 0),  // r
-		I(isa.OpMVMul, 10, 5, 1), // Un h
-		I(isa.OpVVMul, 10, 8, 10),
-		I(isa.OpVVAdd, 9, 9, 10),
-		I(isa.OpVVAdd, 9, 9, 5),
-		I(isa.OpVTanh, 9, 9, 0), // n
-		{Op: isa.OpVRsub, Dst: 10, Src1: 7, Imm: one},
-		I(isa.OpVVMul, 10, 10, 9),
-		I(isa.OpVVMul, 11, 7, 12), // z .* h_own
-		I(isa.OpVVAdd, 12, 10, 11),
-	}
+	return out
 }
 
 // OverlapMVMs measures, per steady-state timestep of a reordered program,

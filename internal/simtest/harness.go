@@ -580,6 +580,9 @@ func (s *Stack) serveOn(id int, who string, seeds []int64, kind string, mid func
 // of event history), so it is traced whole.
 func (s *Stack) doDefrag() {
 	rep := s.cp.Defrag()
+	if rep.ScoreAfter > rep.ScoreBefore {
+		s.fail("defrag-error", "pass %d raised the fragmentation score %d -> %d", rep.Run, rep.ScoreBefore, rep.ScoreAfter)
+	}
 	for _, ev := range rep.Moves {
 		if ev.Err == "" || ev.Err == resizeFailMsg {
 			// The consolidation migration landed (a resize failure is owed
