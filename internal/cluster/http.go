@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+
+	"mlvfpga/internal/tenant"
 )
 
 // Handler exposes the control plane as a JSON HTTP API, layered over the
@@ -33,9 +35,9 @@ func (cp *ControlPlane) Handler(base http.Handler) http.Handler {
 	writeErr := func(w http.ResponseWriter, code int, err error) {
 		writeJSON(w, code, map[string]string{"error": err.Error()})
 	}
-	// post refuses anything but a POST (405) and, unless v is nil, decodes
-	// the JSON body into it (400); false means the response has been
-	// written.
+	// post refuses anything but a POST (405) and, unless v is nil, reads
+	// the body (413 over tenant.MaxBody) and decodes its JSON into v (400);
+	// false means the response has been written.
 	post := func(w http.ResponseWriter, r *http.Request, v any) bool {
 		if r.Method != http.MethodPost {
 			writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
@@ -44,7 +46,16 @@ func (cp *ControlPlane) Handler(base http.Handler) http.Handler {
 		if v == nil {
 			return true
 		}
-		if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		body, err := tenant.ReadBody(r)
+		if errors.Is(err, tenant.ErrBodyTooLarge) {
+			writeErr(w, http.StatusRequestEntityTooLarge, err)
+			return false
+		}
+		if err == nil {
+			defer tenant.FreeBody(body)
+			err = json.Unmarshal(body.Bytes(), v)
+		}
+		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return false
 		}

@@ -9,6 +9,7 @@ import (
 
 	"mlvfpga/internal/resource"
 	"mlvfpga/internal/rms"
+	"mlvfpga/internal/tenant"
 )
 
 func TestClusterHTTP(t *testing.T) {
@@ -104,6 +105,24 @@ func TestClusterHTTP(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET rebalance: %d", resp.StatusCode)
+	}
+
+	// Bytes after the object are malformed, not ignored; a body over the
+	// cap is refused unread.
+	resp = post("/cluster/kill", `{"id":2} x`)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("kill with trailing bytes: %d, want 400", resp.StatusCode)
+	}
+	r := httptest.NewRequest(http.MethodPost, "/cluster/drain", strings.NewReader(`{"id":2}`))
+	r.ContentLength = tenant.MaxBody + 1
+	w := httptest.NewRecorder()
+	srv.Config.Handler.ServeHTTP(w, r)
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("drain claiming %d bytes: %d, want 413", r.ContentLength, w.Code)
+	}
+	if st, _ := cp.Registry().State(2); st != Healthy {
+		t.Fatalf("device 2 = %v after two refused requests", st)
 	}
 }
 

@@ -131,6 +131,9 @@ func (n Num) Float64() float64 { return float64(n.Float32()) }
 // IsNaN reports whether n is a NaN.
 func (n Num) IsNaN() bool { return n&0x7C00 == 0x7C00 && n&0x3FF != 0 }
 
+// IsFinite reports whether n is neither an infinity nor a NaN.
+func (n Num) IsFinite() bool { return n&0x7C00 != 0x7C00 }
+
 // Add returns a+b rounded to binary16.
 func Add(a, b Num) Num { return FromFloat32(a.Float32() + b.Float32()) }
 

@@ -84,7 +84,7 @@ func TestRunBatchGolden(t *testing.T) {
 			for s := 0; s < B; s++ {
 				slots, offsets = append(slots, s), append(offsets, k.SlotOffset(s, 0))
 				for tt, x := range seqs[s] {
-					if err := k.SetInputStream(bm, s, tt, x); err != nil {
+					if err := k.SetInputStream(bm, s, tt, x, make([]fp16.Num, len(x))); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -306,29 +306,35 @@ func (k *Kernel) StreamOutputAddr(s, t int) int { return k.OutputAddr(t) + s*k.S
 
 // SetInput writes x_t into the machine's DRAM.
 func (k *Kernel) SetInput(m *accel.Machine, t int, x []float64) error {
-	return k.SetInputStream(m, 0, t, x)
+	return k.SetInputStream(m, 0, t, x, make([]fp16.Num, len(x)))
 }
 
-// SetInputStream writes stream s's x_t into the machine's DRAM.
-func (k *Kernel) SetInputStream(m *accel.Machine, s, t int, x []float64) error {
+// SetInputStream writes stream s's x_t into the machine's DRAM, rounding it
+// to binary16 through half, a scratch of at least Hidden words.
+func (k *Kernel) SetInputStream(m *accel.Machine, s, t int, x []float64, half []fp16.Num) error {
 	if len(x) != k.Spec.Hidden {
 		return fmt.Errorf("kernels: input length %d, want %d", len(x), k.Spec.Hidden)
 	}
-	return m.DRAMPort().WriteWords(k.StreamInputAddr(s, t), fp16.FromSlice64(x))
+	fp16.FromSlice64Into(half, x)
+	return m.DRAMPort().WriteWords(k.StreamInputAddr(s, t), half[:len(x)])
 }
 
 // ReadOutput reads the device's rows of h_t back from DRAM.
 func (k *Kernel) ReadOutput(m *accel.Machine, t int) ([]float64, error) {
-	return k.ReadOutputStream(m, 0, t)
+	out := make([]float64, k.rows)
+	return out, k.ReadOutputStream(m, 0, t, out, make([]fp16.Num, k.rows))
 }
 
-// ReadOutputStream reads stream s's h_t back from DRAM.
-func (k *Kernel) ReadOutputStream(m *accel.Machine, s, t int) ([]float64, error) {
-	words, err := m.DRAMPort().ReadWords(k.StreamOutputAddr(s, t), k.rows)
-	if err != nil {
-		return nil, err
+// ReadOutputStream widens stream s's h_t — the device's rows of it — into
+// dst, reading through half; both hold at least that many words. (The
+// machine's DRAM port always reads into a buffer.)
+func (k *Kernel) ReadOutputStream(m *accel.Machine, s, t int, dst []float64, half []fp16.Num) error {
+	half = half[:k.rows]
+	if err := m.DRAMPort().(accel.ReaderInto).ReadWordsInto(half, k.StreamOutputAddr(s, t)); err != nil {
+		return err
 	}
-	return fp16.ToSlice64(words), nil
+	fp16.ToSlice64Into(dst, half)
+	return nil
 }
 
 // allocator hands out DRAM addresses sequentially.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mlvfpga/internal/accel"
+	"mlvfpga/internal/fp16"
 	"mlvfpga/internal/snapshot"
 )
 
@@ -39,7 +40,7 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				for tt, x := range inputs {
-					if err := kk.SetInputStream(m, slot, tt, x); err != nil {
+					if err := kk.SetInputStream(m, slot, tt, x, make([]fp16.Num, len(x))); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -57,7 +58,7 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 			runSlot(k, twin, 0, 0, T)
 			want := make([][]float64, T)
 			for tt := 0; tt < T; tt++ {
-				out, err := k.ReadOutputStream(twin, 0, tt)
+				out, err := k.ReadOutput(twin, tt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -106,8 +107,8 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 			}
 			runSlot(k2, mb, 1, int(restored.Tau), T)
 			for tt := 0; tt < T; tt++ {
-				got, err := k2.ReadOutputStream(mb, 1, tt)
-				if err != nil {
+				got := make([]float64, k2.Spec.Hidden)
+				if err := k2.ReadOutputStream(mb, 1, tt, got, make([]fp16.Num, len(got))); err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want[tt]) {

@@ -76,7 +76,7 @@ func TestStepProgramsMatchMonolithic(t *testing.T) {
 			}
 			admit := func(slot, seq int) *stepSlot {
 				for tt := 0; tt < lens[seq]; tt++ {
-					if err := k.SetInputStream(m, slot, tt, seqs[seq][tt]); err != nil {
+					if err := k.SetInputStream(m, slot, tt, seqs[seq][tt], make([]fp16.Num, k.Spec.Hidden)); err != nil {
 						t.Fatal(err)
 					}
 				}

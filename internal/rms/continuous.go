@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mlvfpga/internal/accel"
+	"mlvfpga/internal/fp16"
 	"mlvfpga/internal/kernels"
 	"mlvfpga/internal/metrics"
 )
@@ -121,8 +122,10 @@ type contMachine struct {
 	occupied int         // non-nil slots, including leaked ones
 	stepping int         // occupied minus leaked: the live cohort
 
-	// Scratch reused across rounds so the steady state is allocation-free.
+	// Scratch reused across rounds so the steady state is allocation-free;
+	// half carries one timestep between float64 and the machine's binary16.
 	streams, offs []int
+	half          []fp16.Num
 }
 
 // contSlot is one admitted stream's residency in a batch slot.
@@ -180,6 +183,7 @@ func newContEngine(lease *Lease, opts InferOptions, faults func() Faults) (*cont
 			slots:   make([]*contSlot, opts.MaxBatch),
 			streams: make([]int, 0, opts.MaxBatch),
 			offs:    make([]int, 0, opts.MaxBatch),
+			half:    make([]fp16.Num, lease.Spec.Hidden),
 		})
 	}
 	for i := range e.shards {
@@ -523,7 +527,7 @@ func (e *contEngine) install(cm *contMachine, slot int, sl *contSlot, now time.T
 
 func (e *contEngine) initStream(cm *contMachine, slot int, req *inferRequest) error {
 	for t, x := range req.inputs {
-		if err := e.kern.SetInputStream(cm.m, slot, t, x); err != nil {
+		if err := e.kern.SetInputStream(cm.m, slot, t, x, cm.half); err != nil {
 			return err
 		}
 	}
@@ -542,10 +546,13 @@ func (e *contEngine) vacate(cm *contMachine, s int) {
 // retire answers a finished stream and frees its slot.
 func (e *contEngine) retire(cm *contMachine, s int, sl *contSlot, cohort int) {
 	req := sl.req
-	outs := make([][]float64, sl.steps)
+	// One backing array holds every timestep's outputs.
+	h := e.kern.Spec.Hidden
+	back, outs := make([]float64, sl.steps*h), make([][]float64, sl.steps)
 	var rerr error
 	for t := range outs {
-		if outs[t], rerr = e.kern.ReadOutputStream(cm.m, s, t); rerr != nil {
+		outs[t] = back[t*h : (t+1)*h : (t+1)*h]
+		if rerr = e.kern.ReadOutputStream(cm.m, s, t, outs[t], cm.half); rerr != nil {
 			break
 		}
 	}

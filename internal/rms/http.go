@@ -37,7 +37,8 @@ const retryAfter = "1"
 // requests are anonymous.
 //
 // Error responses are uniform JSON {"error": "..."}: 405 on a wrong
-// method, 400 on malformed JSON, 404 for unknown leases, 429 +
+// method, 400 on malformed JSON (trailing bytes included), 413 on a body
+// over tenant.MaxBody, 404 for unknown leases, 429 +
 // Retry-After when the caller's quota or in-flight cap is spent, 503 +
 // Retry-After when the cluster is out of capacity (also counted in
 // mlv_capacity_rejections).
@@ -75,6 +76,8 @@ func (dp *DataPlane) Handler() http.Handler {
 			shed(w, http.StatusServiceUnavailable, err)
 		case errors.Is(err, ErrUndeployable), errors.Is(err, ErrNoSuchDepth):
 			writeErr(w, http.StatusUnprocessableEntity, err)
+		case errors.Is(err, tenant.ErrBodyTooLarge):
+			writeErr(w, http.StatusRequestEntityTooLarge, err)
 		default:
 			writeErr(w, other, err)
 		}
@@ -85,14 +88,25 @@ func (dp *DataPlane) Handler() http.Handler {
 		t, _ := tenant.FromContext(r.Context())
 		return t.ID, t.Admin
 	}
-	// post refuses anything but a POST (405) and decodes its JSON body
-	// into v (400); false means the response has been written.
+	// post refuses anything but a POST (405), reads its body into a pooled
+	// buffer (413 over the cap, 400 unreadable) and decodes it into v
+	// (400); false means the response has been written.
 	post := func(w http.ResponseWriter, r *http.Request, v any) bool {
 		if r.Method != http.MethodPost {
 			writeErr(w, http.StatusMethodNotAllowed, errors.New("POST required"))
 			return false
 		}
-		if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		body, err := tenant.ReadBody(r)
+		if err != nil {
+			fail(w, err, http.StatusBadRequest)
+			return false
+		}
+		defer tenant.FreeBody(body)
+		// An /infer body in the canonical shape skips encoding/json.
+		if req, ok := v.(*inferBody); ok && scanInfer(body.Bytes(), req) {
+			return true
+		}
+		if err := json.Unmarshal(body.Bytes(), v); err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("malformed JSON body: %w", err))
 			return false
 		}
@@ -180,10 +194,7 @@ func (dp *DataPlane) Handler() http.Handler {
 	mux.Handle("/debug/vars", expvar.Handler())
 
 	mux.HandleFunc("/infer", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			ID     int         `json:"id"`
-			Inputs [][]float64 `json:"inputs"`
-		}
+		var req inferBody
 		if !post(w, r, &req) {
 			return
 		}

@@ -1,11 +1,12 @@
 package rms
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -15,12 +16,19 @@ import (
 )
 
 // TestHTTPErrorPaths table-drives the hardened error contract: every
-// endpoint answers a wrong method with 405 and malformed JSON with 400,
-// always as a JSON {"error": ...} body.
+// endpoint answers a wrong method with 405, malformed JSON (trailing bytes
+// included) with 400 and a body over the cap with 413, guarded or not,
+// always as a JSON {"error": ...} body — and no error path but reading an
+// oversized body allocates in proportion to the request.
 func TestHTTPErrorPaths(t *testing.T) {
-	svc, dp, lease := testPlane(t, DefaultInferOptions())
-	_ = svc
+	_, dp, lease := testPlane(t, DefaultInferOptions())
+	reg, err := tenant.NewRegistry(tenant.Tenant{ID: "a", Key: "k"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	h := dp.Handler()
+	guarded := tenant.NewGuard(reg, tenant.GuardOptions{}).Wrap(h)
+	outOfRange := fmt.Sprintf(`{"id":%d,"inputs":[[%s70000]]}`, lease.ID, strings.Repeat("0,", lease.Spec.Hidden-1))
 
 	cases := []struct {
 		name   string
@@ -28,35 +36,63 @@ func TestHTTPErrorPaths(t *testing.T) {
 		path   string
 		body   string
 		code   int
+		// signed sends the request through the guard, claim overrides its
+		// Content-Length, and oversize makes the body MaxBody+1 bytes of
+		// whitespace without one.
+		signed, oversize bool
+		claim            int64
 	}{
-		{"deploy wrong method", http.MethodGet, "/deploy", "", http.StatusMethodNotAllowed},
-		{"deploy delete", http.MethodDelete, "/deploy", "", http.StatusMethodNotAllowed},
-		{"deploy malformed json", http.MethodPost, "/deploy", "{not json", http.StatusBadRequest},
-		{"deploy unknown kind", http.MethodPost, "/deploy", `{"kind":"CNN","hidden":8,"timesteps":2}`, http.StatusBadRequest},
-		{"deploy non-positive dims", http.MethodPost, "/deploy", `{"kind":"LSTM","hidden":0,"timesteps":2}`, http.StatusBadRequest},
-		{"release wrong method", http.MethodGet, "/release", "", http.StatusMethodNotAllowed},
-		{"release malformed json", http.MethodPost, "/release", "][", http.StatusBadRequest},
-		{"release unknown lease", http.MethodPost, "/release", `{"id":424242}`, http.StatusNotFound},
-		{"infer wrong method", http.MethodPut, "/infer", "", http.StatusMethodNotAllowed},
-		{"infer malformed json", http.MethodPost, "/infer", `{"id":`, http.StatusBadRequest},
-		{"infer unknown lease", http.MethodPost, "/infer", `{"id":424242,"inputs":[[0]]}`, http.StatusNotFound},
-		{fmt.Sprintf("infer bad shape for lease %d", lease.ID), http.MethodPost, "/infer",
-			fmt.Sprintf(`{"id":%d,"inputs":[[1,2,3]]}`, lease.ID), http.StatusBadRequest},
-		{"lease wrong method", http.MethodPost, "/lease/1", "", http.StatusMethodNotAllowed},
-		{"lease bad id", http.MethodGet, "/lease/banana", "", http.StatusBadRequest},
-		{"lease unknown id", http.MethodGet, "/lease/424242", "", http.StatusNotFound},
-		{"status wrong method", http.MethodPost, "/status", "", http.StatusMethodNotAllowed},
+		{name: "deploy wrong method", method: http.MethodGet, path: "/deploy", code: http.StatusMethodNotAllowed},
+		{name: "deploy delete", method: http.MethodDelete, path: "/deploy", code: http.StatusMethodNotAllowed},
+		{name: "deploy malformed json", method: http.MethodPost, path: "/deploy", body: "{not json", code: http.StatusBadRequest},
+		{name: "deploy unknown kind", method: http.MethodPost, path: "/deploy", body: `{"kind":"CNN","hidden":8,"timesteps":2}`, code: http.StatusBadRequest},
+		{name: "deploy non-positive dims", method: http.MethodPost, path: "/deploy", body: `{"kind":"LSTM","hidden":0,"timesteps":2}`, code: http.StatusBadRequest},
+		{name: "release wrong method", method: http.MethodGet, path: "/release", code: http.StatusMethodNotAllowed},
+		{name: "release malformed json", method: http.MethodPost, path: "/release", body: "][", code: http.StatusBadRequest},
+		{name: "release unknown lease", method: http.MethodPost, path: "/release", body: `{"id":424242}`, code: http.StatusNotFound},
+		{name: "infer wrong method", method: http.MethodPut, path: "/infer", code: http.StatusMethodNotAllowed},
+		{name: "infer malformed json", method: http.MethodPost, path: "/infer", body: `{"id":`, code: http.StatusBadRequest},
+		{name: "infer unknown lease", method: http.MethodPost, path: "/infer", body: `{"id":424242,"inputs":[[0]]}`, code: http.StatusNotFound},
+		{name: fmt.Sprintf("infer bad shape for lease %d", lease.ID), method: http.MethodPost, path: "/infer",
+			body: fmt.Sprintf(`{"id":%d,"inputs":[[1,2,3]]}`, lease.ID), code: http.StatusBadRequest},
+		{name: "lease wrong method", method: http.MethodPost, path: "/lease/1", code: http.StatusMethodNotAllowed},
+		{name: "lease bad id", method: http.MethodGet, path: "/lease/banana", code: http.StatusBadRequest},
+		{name: "lease unknown id", method: http.MethodGet, path: "/lease/424242", code: http.StatusNotFound},
+		{name: "status wrong method", method: http.MethodPost, path: "/status", code: http.StatusMethodNotAllowed},
+		{name: "infer element outside binary16", method: http.MethodPost, path: "/infer", body: outOfRange, code: http.StatusBadRequest},
+		// json.Decoder used to stop at the end of the first value.
+		{name: "deploy trailing bytes", method: http.MethodPost, path: "/deploy", body: `{"kind":"LSTM","hidden":8,"timesteps":2} x`, code: http.StatusBadRequest},
+		{name: "release trailing bytes", method: http.MethodPost, path: "/release", body: fmt.Sprintf(`{"id":%d} x`, lease.ID), code: http.StatusBadRequest},
+		{name: "infer trailing bytes", method: http.MethodPost, path: "/infer", body: fmt.Sprintf(`{"id":%d,"inputs":[[0]]} x`, lease.ID), code: http.StatusBadRequest},
+		{name: "preempt trailing bytes", method: http.MethodPost, path: "/preempt", body: fmt.Sprintf(`{"id":%d,"slots":1}{}`, lease.ID), code: http.StatusBadRequest},
+		{name: "infer body over the cap", method: http.MethodPost, path: "/infer", oversize: true, code: http.StatusRequestEntityTooLarge},
+		{name: "infer body over the cap, guarded", method: http.MethodPost, path: "/infer", oversize: true, signed: true, code: http.StatusRequestEntityTooLarge},
+		{name: "infer Content-Length over the cap", method: http.MethodPost, path: "/infer", body: `{"id":1}`, claim: tenant.MaxBody + 1, code: http.StatusRequestEntityTooLarge},
+		{name: "infer Content-Length over the cap, guarded", method: http.MethodPost, path: "/infer", body: `{"id":1}`, claim: tenant.MaxBody + 1, signed: true, code: http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var body *bytes.Reader
-			if tc.body == "" {
-				body = bytes.NewReader(nil)
-			} else {
-				body = bytes.NewReader([]byte(tc.body))
+			var body io.Reader = strings.NewReader(tc.body)
+			if tc.oversize {
+				body = io.LimitReader(spaces{}, tenant.MaxBody+1)
+			}
+			r := httptest.NewRequest(tc.method, tc.path, body)
+			if tc.claim != 0 {
+				r.ContentLength = tc.claim
+			}
+			target := h
+			if tc.signed {
+				tenant.SignRequest(r, "a", []byte("k"), []byte(tc.body), time.Now(), tc.name)
+				target = guarded
 			}
 			w := httptest.NewRecorder()
-			h.ServeHTTP(w, httptest.NewRequest(tc.method, tc.path, body))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			target.ServeHTTP(w, r)
+			runtime.ReadMemStats(&after)
+			if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 && !tc.oversize {
+				t.Errorf("allocated %d bytes", n)
+			}
 			if w.Code != tc.code {
 				t.Fatalf("code %d, want %d (body %s)", w.Code, tc.code, w.Body.String())
 			}
@@ -71,6 +107,16 @@ func TestHTTPErrorPaths(t *testing.T) {
 			}
 		})
 	}
+}
+
+// spaces is an endless body of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
 }
 
 // TestHTTPQuotaResponses checks the 429-with-Retry-After contract for

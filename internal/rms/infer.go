@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mlvfpga/internal/accel"
+	"mlvfpga/internal/fp16"
 	"mlvfpga/internal/kernels"
 	"mlvfpga/internal/metrics"
 	"mlvfpga/internal/tenant"
@@ -26,6 +27,18 @@ var ErrBusy = errors.New("rms: serving queue full")
 // request cap — the cluster may be idle, the tenant has spent its share
 // (HTTP maps this to 429 + Retry-After).
 var ErrTenantBusy = errors.New("rms: tenant at in-flight request cap")
+
+// InputRangeError rejects an input element binary16 cannot represent
+// (|x| ≥ 65520, or NaN). The machine's quantizer would flush it to zero and
+// answer for an input the caller did not send (HTTP maps this to 400).
+type InputRangeError struct {
+	Step, Elem int
+	Value      float64
+}
+
+func (e *InputRangeError) Error() string {
+	return fmt.Sprintf("rms: input %d element %d is %g, outside binary16's finite range", e.Step, e.Elem, e.Value)
+}
 
 // InferOptions tunes the online data plane.
 type InferOptions struct {
@@ -424,6 +437,11 @@ func (dp *DataPlane) InferAs(tenantID string, leaseID int, inputs [][]float64) (
 	for t, x := range inputs {
 		if len(x) != spec.Hidden {
 			return nil, fmt.Errorf("rms: input %d has %d elements, hidden size is %d", t, len(x), spec.Hidden)
+		}
+		for i, v := range x {
+			if !fp16.FromFloat64(v).IsFinite() {
+				return nil, &InputRangeError{Step: t, Elem: i, Value: v}
+			}
 		}
 	}
 	e, err := dp.engine(lease)

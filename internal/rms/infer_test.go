@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -147,6 +148,21 @@ func TestInferValidatesShape(t *testing.T) {
 	bad[1] = bad[1][:10]
 	if _, err := dp.InferAs("", lease.ID, bad); err == nil {
 		t.Error("wrong hidden size accepted")
+	}
+	// Elements binary16 rounds to ±Inf or NaN would be flushed to zero by
+	// the quantizer and answered as if the input were 0.
+	for _, v := range []float64{65520, -1e30, math.Inf(1), math.NaN()} {
+		in := testInputs(lease.Spec, 1)
+		in[1][7] = v
+		var rerr *InputRangeError
+		if _, err := dp.InferAs("", lease.ID, in); !errors.As(err, &rerr) || rerr.Step != 1 || rerr.Elem != 7 {
+			t.Errorf("input element %g: err %v, want an InputRangeError at input 1 element 7", v, err)
+		}
+	}
+	in := testInputs(lease.Spec, 1)
+	in[0][0] = 65519 // rounds to 65504, the largest finite binary16
+	if _, err := dp.InferAs("", lease.ID, in); err != nil {
+		t.Errorf("largest representable input refused: %v", err)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -36,10 +36,22 @@ const (
 // Sign computes the request signature a client must send (and the guard
 // recomputes): hex HMAC-SHA256 over the canonical string.
 func Sign(key []byte, method, path string, body []byte, unixTS int64, nonce string) string {
+	sig := sign(key, method, path, body, unixTS, nonce)
+	return string(sig[:])
+}
+
+// sign is Sign into a fixed array, which the guard compares as it is. The
+// canonical string is appended into a buffer sized for typical requests.
+func sign(key []byte, method, path string, body []byte, unixTS int64, nonce string) (sig [2 * sha256.Size]byte) {
 	sum := sha256.Sum256(body)
+	var buf [256]byte
+	msg := append(append(append(append(buf[:0], method...), '\n'), path...), '\n')
+	msg = append(strconv.AppendInt(append(hex.AppendEncode(msg, sum[:]), '\n'), unixTS, 10), '\n')
 	mac := hmac.New(sha256.New, key)
-	fmt.Fprintf(mac, "%s\n%s\n%s\n%d\n%s", method, path, hex.EncodeToString(sum[:]), unixTS, nonce)
-	return hex.EncodeToString(mac.Sum(nil))
+	mac.Write(append(msg, nonce...))
+	var m [sha256.Size]byte
+	hex.Encode(sig[:], mac.Sum(m[:0]))
+	return sig
 }
 
 // SignRequest stamps the four auth headers onto an outgoing request whose
@@ -76,6 +88,44 @@ const adminPrefix = "/cluster/"
 // rejected for 2×MaxSkew, the widest interval a timestamp inside the skew
 // bound could be replayed over.
 const maxNonces = 1 << 16
+
+// MaxBody caps a request body, and with it what a request can make the
+// server allocate unauthenticated. The largest legitimate body, an /infer
+// for GRU h=1024 T=1500 (Table 4's largest layer), is 1.54 M numbers × ≤ 25
+// bytes ≈ 38 MB.
+const MaxBody = 64 << 20
+
+// ErrBodyTooLarge refuses a body over MaxBody, or a Content-Length
+// claiming one; servers answer it with 413.
+var ErrBodyTooLarge = errors.New("request body exceeds 64 MiB")
+
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// ReadBody reads r's body into a pooled buffer presized from
+// Content-Length, which is untrusted: a claim over MaxBody is refused before
+// anything is allocated. A warm pool holds buffers as large as the bodies
+// before, so the read allocates nothing in proportion to the body.
+// FreeBody returns the buffer.
+func ReadBody(r *http.Request) (*bytes.Buffer, error) {
+	if r.ContentLength > MaxBody {
+		return nil, ErrBodyTooLarge
+	}
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	buf.Grow(int(r.ContentLength) + bytes.MinRead) // so ReadFrom meets EOF without growing it
+	_, err := buf.ReadFrom(io.LimitReader(r.Body, MaxBody+1))
+	if err == nil && buf.Len() > MaxBody {
+		return nil, ErrBodyTooLarge // dropped, not pooled
+	}
+	if err != nil {
+		FreeBody(buf)
+		return nil, err
+	}
+	return buf, nil
+}
+
+// FreeBody returns a ReadBody buffer to the pool.
+func FreeBody(buf *bytes.Buffer) { bodyPool.Put(buf) }
 
 // GuardOptions tunes the authentication middleware.
 type GuardOptions struct {
@@ -128,6 +178,7 @@ func (g *Guard) reject(w http.ResponseWriter, code int, id, reason string) {
 //	401 — missing headers, unknown tenant, timestamp outside the skew
 //	      window, replayed nonce, or signature mismatch
 //	403 — authenticated non-admin tenant on an admin-only operation
+//	413 — a body over MaxBody, refused before it is hashed
 func (g *Guard) Wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet || r.Method == http.MethodHead {
@@ -157,16 +208,25 @@ func (g *Guard) Wrap(next http.Handler) http.Handler {
 			g.reject(w, http.StatusUnauthorized, id, "timestamp outside allowed clock skew")
 			return
 		}
-		body, err := io.ReadAll(r.Body)
+		// The body is capped before it is hashed: an oversized one costs at
+		// most MaxBody of reading, and no hashing, to refuse.
+		body, err := ReadBody(r)
+		if errors.Is(err, ErrBodyTooLarge) {
+			g.reject(w, http.StatusRequestEntityTooLarge, id, err.Error())
+			return
+		}
 		if err != nil {
 			g.reject(w, http.StatusUnauthorized, id, "unreadable body")
 			return
 		}
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		want := Sign([]byte(t.Key), r.Method, r.URL.Path, body, ts, nonce)
-		// Constant-time compare: the hex strings have fixed length, so the
-		// comparison leaks nothing about where a forgery diverges.
-		if !hmac.Equal([]byte(want), []byte(sig)) {
+		defer FreeBody(body)
+		want := sign([]byte(t.Key), r.Method, r.URL.Path, body.Bytes(), ts, nonce)
+		r.Body = io.NopCloser(body)
+		// Constant-time compare of fixed-length hex, so the comparison leaks
+		// nothing about where a forgery diverges.
+		var got [len(want)]byte
+		copy(got[:], sig)
+		if len(sig) != len(got) || !hmac.Equal(want[:], got[:]) {
 			g.reject(w, http.StatusUnauthorized, id, "bad signature")
 			return
 		}

@@ -2,12 +2,18 @@ package tenant
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"expvar"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -175,6 +181,16 @@ func TestGuardRejections(t *testing.T) {
 			code:    http.StatusUnauthorized,
 			counted: "bob",
 		},
+		{
+			name: "Content-Length over the cap",
+			build: func() *http.Request {
+				r := signedReq("bob", "bob-secret", "/deploy", body, now, "n8")
+				r.ContentLength = MaxBody + 1
+				return r
+			},
+			code:    http.StatusRequestEntityTooLarge,
+			counted: "bob",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -238,6 +254,41 @@ func TestGuardRejectBoundsMetricKeys(t *testing.T) {
 	}
 }
 
+// TestGuardConcurrentBodies sends distinct signed bodies from several
+// goroutines through the guard to a handler that reads its body again
+// with ReadBody, as the rms and cluster handlers do: the pooled buffers
+// must never carry one request's bytes into another.
+func TestGuardConcurrentBodies(t *testing.T) {
+	now := time.Unix(1_700_000_000, 0)
+	g := NewGuard(testRegistry(t), GuardOptions{Now: func() time.Time { return now }})
+	h := g.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := ReadBody(r)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		defer FreeBody(body)
+		_, _ = w.Write(body.Bytes())
+	}))
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				body := bytes.Repeat([]byte{byte('a' + c)}, 100+50*c+i)
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, signedReq("bob", "bob-secret", "/infer", body, now, fmt.Sprintf("c%d-%d", c, i)))
+				if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), body) {
+					t.Errorf("client %d request %d: code %d, body %.20q…", c, i, w.Code, w.Body.String())
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}
+
 func TestGuardReplayedNonce(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	g := NewGuard(testRegistry(t), GuardOptions{Now: func() time.Time { return now }})
@@ -296,5 +347,34 @@ func TestSignDeterministic(t *testing.T) {
 	}
 	if a == Sign([]byte("k"), "POST", "/deploy", []byte("b"), 43, "n") {
 		t.Fatal("timestamp does not affect signature")
+	}
+
+	// The fmt formula Sign used to be is the oracle: every signature a
+	// client (mlv-sign, mlv-cluster) computes stays byte-identical.
+	oracle := func(key []byte, method, path string, body []byte, ts int64, nonce string) string {
+		sum := sha256.Sum256(body)
+		mac := hmac.New(sha256.New, key)
+		fmt.Fprintf(mac, "%s\n%s\n%s\n%d\n%s", method, path, hex.EncodeToString(sum[:]), ts, nonce)
+		return hex.EncodeToString(mac.Sum(nil))
+	}
+	rng := rand.New(rand.NewSource(1))
+	text := func(max int) string {
+		b := make([]byte, rng.Intn(max))
+		rng.Read(b)
+		return string(b)
+	}
+	for i := 0; i < 500; i++ {
+		key, body := []byte(text(100)), []byte(text(2000))
+		// Up to 300-byte paths overflow sign's stack buffer.
+		method, path, nonce := text(10), "/"+text(300), text(40)
+		ts := rng.Int63() - rng.Int63()
+		if got, want := Sign(key, method, path, body, ts, nonce), oracle(key, method, path, body, ts, nonce); got != want {
+			t.Fatalf("case %d: Sign = %s, fmt oracle = %s", i, got, want)
+		}
+	}
+	// Called twice per signed request, by the client and by the guard.
+	key, body := []byte("bob-secret"), []byte(`{"id":1,"inputs":[[0.5]]}`)
+	if n := testing.AllocsPerRun(100, func() { _ = Sign(key, "POST", "/infer", body, 1_700_000_000, "7-123456") }); n > 8 {
+		t.Errorf("Sign allocates %v times, want ≤ 8 (the fmt formula took 15)", n)
 	}
 }
