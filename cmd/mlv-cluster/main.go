@@ -179,14 +179,12 @@ func main() {
 		}
 		out := post("/preempt", map[string]any{"id": leaseID, "slots": slots})
 		var rep struct {
-			Evicted int `json:"evicted"`
+			Requested int `json:"requested"`
 		}
 		if err := json.Unmarshal(out, &rep); err != nil {
 			fatalf("decoding response: %v", err)
 		}
-		// The server reports synchronous evictions only; machines that were
-		// mid-round consume the demand at their next round boundary.
-		fmt.Printf("preempted %d resident streams of lease %d synchronously; busy machines evict at their next round (watch mlv_preempt_evictions)\n", rep.Evicted, leaseID)
+		fmt.Printf("requested %d evictions from lease %d; busy machines act on them at their next round (watch mlv_preempt_evictions)\n", rep.Requested, leaseID)
 	case "status":
 		var st rms.ClusterStatus
 		get("/status", &st)

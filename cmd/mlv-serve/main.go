@@ -60,7 +60,7 @@ func main() {
 	maxBatch := flag.Int("max-batch", 8, "batch slots per machine: how many streams one machine steps together")
 	machines := flag.Int("machines", 2, "per-lease machine pool size")
 	preempt := flag.Bool("preempt", false, "preemptive scheduling: a full machine checkpoints batch-class streams while latency-class requests wait")
-	drainDeadline := flag.Duration("drain-deadline", 10*time.Second, "shutdown drain budget; streams still running at the deadline are checkpointed instead of served (0 = drain unbounded)")
+	drainDeadline := flag.Duration("drain-deadline", 10*time.Second, "shutdown drain budget; streams still running at the deadline are abandoned instead of served (0 = drain unbounded)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this private address (empty = disabled); enables mutex and block profiling")
 	tick := flag.Duration("tick", time.Second, "control-plane tick interval (0 disables the loop)")
 	cacheDir := flag.String("cache-dir", "", "content-addressed compilation cache directory (empty = in-memory for this process); known designs warm-start deploys")
@@ -240,7 +240,7 @@ func main() {
 	// The engine drain runs concurrently with the HTTP shutdown: /infer
 	// handlers block on their in-flight inferences, so Shutdown can only
 	// return once the data plane has answered them — gracefully within
-	// -drain-deadline, or by checkpointing still-running streams at the
+	// -drain-deadline, or by abandoning still-running streams at the
 	// deadline (their callers get a 503 lease-closing answer and can retry
 	// against the next instance). Draining after Shutdown instead would
 	// make the deadline dead code: Shutdown would wait out the full
@@ -258,7 +258,7 @@ func main() {
 		log.Printf("mlv-serve: shutdown: %v", err)
 	}
 	if n := <-drained; n > 0 {
-		log.Printf("mlv-serve: drain deadline: checkpointed %d in-flight streams", n)
+		log.Printf("mlv-serve: drain deadline: abandoned %d in-flight streams", n)
 	}
 	for _, lease := range svc.Leases() {
 		if err := svc.Release(lease.ID); err != nil {

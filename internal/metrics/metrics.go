@@ -14,8 +14,8 @@ import (
 
 // Family names the conservation model with which the deterministic
 // simulation harness (internal/simtest) audits a counter; Unaudited ones
-// are operator-facing only (timing-dependent gauges, terminal drain
-// checkpoints, HTTP-level shedding).
+// are operator-facing only (timing-dependent gauges, streams abandoned
+// at a drain deadline, HTTP-level shedding).
 type Family string
 
 const (
@@ -211,9 +211,6 @@ var (
 	// that already had live streams mid-flight.
 	Admissions            = newInt("mlv_admissions", SlotFamily)
 	AdmissionsIntoRunning = newInt("mlv_admissions_into_running", SlotFamily)
-	// Steals counts scheduler rounds a worker ran on a machine stolen
-	// from another shard's run queue.
-	Steals = newInt("mlv_steals", SlotFamily)
 	// AdmissionWaitNS gauges the most recent per-engine EWMA of
 	// queue-to-slot admission latency in nanoseconds.
 	AdmissionWaitNS = newInt("mlv_admission_wait_ns", Unaudited)
@@ -223,13 +220,13 @@ var (
 // and defragmentation (SnapshotFamily: captures from preemption must be
 // matched by restores; see internal/simtest).
 var (
-	// SnapshotCaptures counts slot checkpoints taken (preemption,
-	// transplant on resize, drain-deadline checkpointing);
+	// SnapshotCaptures counts slot checkpoints taken (preemption and
+	// transplant on resize);
 	// SnapshotRestores counts checkpoints installed into a slot.
 	SnapshotCaptures = newInt("mlv_snapshot_captures", SnapshotFamily)
 	SnapshotRestores = newInt("mlv_snapshot_restores", SnapshotFamily)
 	// SnapshotBytes sums the framed size (frame.Overhead + Slot.Bytes())
-	// of every checkpoint taken, captures and drain checkpoints alike.
+	// of every checkpoint captured.
 	SnapshotBytes = newInt("mlv_snapshot_bytes", SnapshotFamily)
 	// PreemptEvictions counts streams evicted mid-flight from a slot
 	// (their checkpoints re-enter the fair queue as resume tokens);
@@ -239,10 +236,10 @@ var (
 	// PreemptRequests counts explicit or automatic preemption triggers
 	// (each may evict zero or more slots).
 	PreemptRequests = newInt("mlv_preempt_requests", SnapshotFamily)
-	// DrainCheckpoints counts streams checkpointed because a shutdown
-	// drain deadline expired before they finished. Not part of the
-	// simtest conservation model (the harness never deadline-drains).
-	DrainCheckpoints = newInt("mlv_drain_checkpoints", Unaudited)
+	// DrainAbandoned counts streams abandoned because a shutdown drain
+	// deadline expired before they finished. Not part of the simtest
+	// conservation model (the harness never deadline-drains).
+	DrainAbandoned = newInt("mlv_drain_abandoned", Unaudited)
 	// DefragRuns counts defragmentation planner invocations; DefragMoves
 	// counts the checkpoint-migrations those runs performed.
 	DefragRuns  = newInt("mlv_defrag_runs", Unaudited)

@@ -42,13 +42,13 @@ func TestRegistryMatchesExpvar(t *testing.T) {
 	for name := range declared {
 		t.Errorf("%s is in the registry but not exported", name)
 	}
-	if len(registry) != 42 {
-		t.Errorf("%d declarations, want 42", len(registry))
+	if len(registry) != 41 {
+		t.Errorf("%d declarations, want 41", len(registry))
 	}
 }
 
 // TestFamilyKeySets pins the two key sets the frozen benchmark reads and
-// the third that, with them, makes up the 20 counters scenario reports
+// the third that, with them, makes up the 19 counters scenario reports
 // embed (simtest.Stack.CounterDeltas).
 func TestFamilyKeySets(t *testing.T) {
 	if got, want := keys(Counters()), []string{
@@ -59,7 +59,7 @@ func TestFamilyKeySets(t *testing.T) {
 	}
 	if got, want := keys(SlotCounters()), []string{
 		"mlv_admissions", "mlv_admissions_into_running", "mlv_slot_round_occupancy",
-		"mlv_slot_rounds", "mlv_slots_active", "mlv_steals",
+		"mlv_slot_rounds", "mlv_slots_active",
 	}; !reflect.DeepEqual(got, want) {
 		t.Errorf("SlotCounters() keys %v, want %v", got, want)
 	}

@@ -2,7 +2,6 @@ package rms
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -18,9 +17,9 @@ import (
 // compiled kernel, a DRR fair queue, and machines that keep persistent
 // batch slots. A stream that finishes retires its slot immediately and the
 // next request from the fair queue is admitted into the freed slot of the
-// already-running batch — no drain-to-empty between batches. The machine
-// pool is sharded across worker goroutines with per-shard run queues and
-// work stealing, so one lease's machines execute step rounds on every core
+// already-running batch — no drain-to-empty between batches. Every machine
+// runs on its own goroutine (see run), and the Go scheduler spreads those
+// over the cores, so one lease's machines execute step rounds on every core
 // at once.
 //
 // Bit-identity: the kernel's Step program reads and writes only the
@@ -37,10 +36,7 @@ type contEngine struct {
 
 	queue    *fairQueue
 	queueCap int
-
-	shards   []*engineShard
-	machines []*contMachine
-	wg       sync.WaitGroup
+	wg       sync.WaitGroup // one count per machine goroutine
 
 	// Load observability (LoadStats).
 	served   atomic.Int64
@@ -48,14 +44,14 @@ type contEngine struct {
 	pending  atomic.Int64
 	waitEWMA atomic.Int64 // admission wait ns, alpha = 1/4
 
-	// preemptReq is outstanding explicit-preemption demand in slots;
-	// each run round consumes what it can evict (see preempt.go).
+	// preemptReq is outstanding explicit-preemption demand in slots
+	// (posted by DataPlane.Preempt); each round consumes what it can evict.
 	preemptReq atomic.Int64
-	// mode is what every run round obeys (see stop); dst is where
+	// mode is what every round obeys (see stop); dst is where
 	// modeEvacuate rounds hand requests (see transplantTo).
-	mode              atomic.Int32
-	dst               *contEngine
-	drainCheckpointed atomic.Int64
+	mode      atomic.Int32
+	dst       *contEngine
+	abandoned atomic.Int64
 
 	// leakedSlot arms the LeakSlot fault at most once per engine, so the
 	// injected capacity leak never starves serving outright; leakedSnap
@@ -65,58 +61,16 @@ type contEngine struct {
 
 	// mu orders submits (shared) against stop (exclusive). done is closed
 	// once, when a stopping engine's last pending request is settled: the
-	// workers' exit signal.
+	// machines' exit signal.
 	mu       sync.RWMutex
 	done     chan struct{}
 	doneOnce sync.Once
 }
 
-// engineShard is one scheduler shard: a mutex-guarded run queue of
-// machines plus a one-token wake channel for its worker. Workers pop
-// their own queue from the front and steal from other shards' tails.
-type engineShard struct {
-	mu   sync.Mutex
-	runq []*contMachine
-	wake chan struct{}
-}
-
-func (s *engineShard) pop() *contMachine {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.runq) == 0 {
-		return nil
-	}
-	cm := s.runq[0]
-	s.runq = s.runq[1:]
-	return cm
-}
-
-func (s *engineShard) steal() *contMachine {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.runq) == 0 {
-		return nil
-	}
-	cm := s.runq[len(s.runq)-1]
-	s.runq = s.runq[:len(s.runq)-1]
-	return cm
-}
-
-// contMachine state machine: idle (no slots, not scheduled) → queued (in
-// a shard run queue) → running (a worker owns it for one step round) →
-// queued | idle. A machine is in at most one run queue; only the owning
-// worker touches slots, so slot state needs no lock — the shard mutex
-// hand-off orders the accesses.
-const (
-	cmIdle int32 = iota
-	cmQueued
-	cmRunning
-)
-
+// contMachine is one machine and its batch slots. Only the machine's own
+// goroutine touches them, so slot state needs no lock.
 type contMachine struct {
-	m     *accel.Machine
-	home  int // home shard
-	state atomic.Int32
+	m *accel.Machine
 
 	slots    []*contSlot // len MaxBatch; nil = free
 	occupied int         // non-nil slots, including leaked ones
@@ -153,9 +107,6 @@ func newContEngine(lease *Lease, opts InferOptions, faults func() Faults) (*cont
 	if err != nil {
 		return nil, err
 	}
-	// One scheduler shard (run queue + worker, stealing from the others)
-	// per P, but never more than there are machines to run.
-	shardN := min(runtime.GOMAXPROCS(0), opts.Machines)
 	e := &contEngine{
 		leaseID:  lease.ID,
 		kern:     kern,
@@ -165,10 +116,8 @@ func newContEngine(lease *Lease, opts InferOptions, faults func() Faults) (*cont
 		queueCap: opts.MaxBatch * opts.Machines * 8,
 		done:     make(chan struct{}),
 	}
-	for i := 0; i < shardN; i++ {
-		e.shards = append(e.shards, &engineShard{wake: make(chan struct{}, 1)})
-	}
-	for i := 0; i < opts.Machines; i++ {
+	machines := make([]*contMachine, opts.Machines)
+	for i := range machines {
 		m, err := kern.NewBatchMachine(opts.MaxBatch)
 		if err != nil {
 			return nil, err
@@ -178,23 +127,23 @@ func newContEngine(lease *Lease, opts InferOptions, faults func() Faults) (*cont
 		if err := m.Run(kern.SharedInit); err != nil {
 			return nil, fmt.Errorf("rms: warming lease %d: %w", lease.ID, err)
 		}
-		e.machines = append(e.machines, &contMachine{
-			m: m, home: i % shardN,
+		machines[i] = &contMachine{
+			m:       m,
 			slots:   make([]*contSlot, opts.MaxBatch),
 			streams: make([]int, 0, opts.MaxBatch),
 			offs:    make([]int, 0, opts.MaxBatch),
 			half:    make([]fp16.Num, lease.Spec.Hidden),
-		})
+		}
 	}
-	for i := range e.shards {
-		e.wg.Add(1)
-		go e.worker(i)
+	e.wg.Add(len(machines))
+	for _, cm := range machines {
+		go e.run(cm)
 	}
 	return e, nil
 }
 
-// submit enqueues a request and kicks an idle machine, unless the engine
-// is stopping or the queue is at its bound (load shed: ErrBusy, never block
+// submit enqueues a request, waking a parked machine, unless the engine is
+// stopping or the queue is at its bound (load shed: ErrBusy, never block
 // the caller).
 func (e *contEngine) submit(req *inferRequest) error { return e.accept(req, e.queueCap) }
 
@@ -212,46 +161,7 @@ func (e *contEngine) accept(req *inferRequest, bound int) error {
 	}
 	e.pending.Add(1)
 	e.queue.push(req)
-	e.kick()
 	return nil
-}
-
-// kick schedules one idle machine to pick the queue up. If every machine
-// is queued or running, nothing to do — running machines re-admit from
-// the queue every round and requeue themselves while work remains.
-func (e *contEngine) kick() {
-	for _, cm := range e.machines {
-		if cm.state.CompareAndSwap(cmIdle, cmQueued) {
-			e.enqueue(cm)
-			return
-		}
-	}
-}
-
-func (e *contEngine) enqueue(cm *contMachine) {
-	sh := e.shards[cm.home]
-	sh.mu.Lock()
-	sh.runq = append(sh.runq, cm)
-	sh.mu.Unlock()
-	select {
-	case sh.wake <- struct{}{}:
-	default:
-	}
-}
-
-// dequeue pops the worker's own shard, then tries to steal from the
-// other shards' tails.
-func (e *contEngine) dequeue(worker int) (cm *contMachine, stolen bool) {
-	if cm := e.shards[worker].pop(); cm != nil {
-		return cm, false
-	}
-	n := len(e.shards)
-	for i := 1; i < n; i++ {
-		if cm := e.shards[(worker+i)%n].steal(); cm != nil {
-			return cm, true
-		}
-	}
-	return nil, false
 }
 
 // An engine serves until stop moves it to one of three exits; the mode
@@ -260,13 +170,14 @@ const (
 	modeServe    int32 = iota
 	modeDrain          // serve everything already admitted
 	modeEvacuate       // checkpoint residents, hand every request to dst
-	modeAbandon        // checkpoint residents, answer everyone ErrLeaseClosing
+	modeAbandon        // answer residents and queue ErrLeaseClosing
 )
 
-// stop is the one way an engine stops: refuse new submits, set the mode
-// every round obeys from now on, wake every machine so none waits for
-// traffic that will not come. It does not wait: the workers exit when the
-// last pending request is settled, which wg.Wait observes.
+// stop is the one way an engine stops: refuse new submits and set the mode
+// every round obeys from now on. It wakes no machine: a parked one holds
+// nothing the mode could act on, and the machines with residents obey it
+// at their next round. It does not wait: the machines exit when the last
+// pending request is settled, which wg.Wait observes.
 func (e *contEngine) stop(mode int32) {
 	e.mu.Lock() // waits out submits that saw modeServe
 	if mode > e.mode.Load() {
@@ -274,15 +185,21 @@ func (e *contEngine) stop(mode int32) {
 	}
 	e.mu.Unlock()
 	e.finishIfEmpty()
-	e.kickAll()
 }
 
-// finishIfEmpty releases the workers of a stopping engine that holds no
-// request. Nothing adds to pending once the mode has left modeServe, so a
-// zero read here is final.
+// finishIfEmpty releases the machines of a stopping engine that holds no
+// request: done closes and every parked machine wakes to exit. Nothing adds
+// to pending once the mode has left modeServe, so a zero read here is
+// final. The broadcast holds the queue's mutex, so it cannot fall between
+// a machine's check in await and its wait.
 func (e *contEngine) finishIfEmpty() {
 	if e.pending.Load() == 0 {
-		e.doneOnce.Do(func() { close(e.done) })
+		e.doneOnce.Do(func() {
+			close(e.done)
+			e.queue.mu.Lock()
+			e.queue.wake.Broadcast()
+			e.queue.mu.Unlock()
+		})
 	}
 }
 
@@ -304,14 +221,13 @@ func (e *contEngine) answer(req *inferRequest, resp inferResponse) {
 }
 
 // close stops admission, serves everything already admitted, and joins the
-// workers. Idempotent; concurrent closers all block until drained.
+// machines. Idempotent; concurrent closers all block until drained.
 func (e *contEngine) close() { e.closeBy(time.Time{}) }
 
 // closeBy is close bounded by a deadline (the zero time: none): streams
-// still resident when it passes are checkpointed and abandoned, and their
-// callers, like those of every queued request, are answered
-// ErrLeaseClosing. Returns how many streams were checkpointed (0 for a
-// clean drain).
+// still resident when it passes are abandoned, and their callers, like
+// those of every queued request, are answered ErrLeaseClosing. Returns how
+// many streams were abandoned (0 for a clean drain).
 func (e *contEngine) closeBy(deadline time.Time) int {
 	e.stop(modeDrain)
 	if !deadline.IsZero() {
@@ -324,51 +240,62 @@ func (e *contEngine) closeBy(deadline time.Time) int {
 		}
 	}
 	e.wg.Wait()
-	return int(e.drainCheckpointed.Load())
+	return int(e.abandoned.Load())
 }
 
 // transplantTo moves every request this engine holds — queued or resident
 // in a slot — to dst, checkpointing resident streams so they resume on
-// dst's machines mid-sequence, and joins the workers.
+// dst's machines mid-sequence, and joins the machines.
 func (e *contEngine) transplantTo(dst *contEngine) {
 	e.dst = dst // before the mode that makes rounds read it
 	e.stop(modeEvacuate)
 	e.wg.Wait()
 }
 
-func (e *contEngine) worker(sh int) {
+// run is cm's goroutine, the only code that touches cm's slots: rounds
+// while there is work, parked in await while there is none, until the
+// stopping engine has settled its last request.
+func (e *contEngine) run(cm *contMachine) {
 	defer e.wg.Done()
-	for {
-		if cm, stolen := e.dequeue(sh); cm != nil {
-			e.runRound(cm, stolen)
-			continue
-		}
-		select {
-		case <-e.shards[sh].wake:
-		case <-e.done:
-			return
-		}
+	for e.await(cm) {
+		e.round(cm)
 	}
 }
 
-// runRound is one scheduler turn on one machine: admit from the fair
-// queue into free slots, execute one step round over the resident
-// cohort, retire finished streams, and reschedule. Taking at most one
-// step per turn before requeueing keeps machines of the same shard (and
-// leases sharing a worker) round-robin fair.
-func (e *contEngine) runRound(cm *contMachine, stolen bool) {
-	cm.state.Store(cmRunning)
-	if stolen {
-		metrics.Steals.Add(1)
+// await returns true at once while cm has a live cohort. Otherwise it parks
+// cm on the queue's wake until a request is queued, and returns false once
+// the engine is stopping and holds nothing. The emptiness check and the
+// wait are one critical section under the queue's mutex, which push holds
+// to grow the queue (it signals after) and finishIfEmpty holds to
+// broadcast, so no wake-up can fall between them.
+func (e *contEngine) await(cm *contMachine) bool {
+	if cm.stepping > 0 {
+		return true
 	}
+	q := e.queue
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.size == 0 {
+		if e.mode.Load() != modeServe && e.pending.Load() == 0 {
+			return false
+		}
+		q.parked++
+		q.wake.Wait()
+		q.parked--
+	}
+	return true
+}
+
+// round is one turn of cm's goroutine: obey the engine's mode, consume
+// preemption demand, admit from the fair queue into free slots, execute
+// one step round over the live cohort, and retire finished streams.
+func (e *contEngine) round(cm *contMachine) {
 	switch e.mode.Load() {
 	case modeAbandon:
-		e.checkpointAbandon(cm)
-		e.park(cm)
+		e.abandon(cm)
 		return
 	case modeEvacuate:
 		e.evacuate(cm)
-		e.park(cm)
 		return
 	}
 	// Explicit preemption demand: evict what this machine can supply,
@@ -396,7 +323,6 @@ func (e *contEngine) runRound(cm *contMachine, stolen bool) {
 		}
 	}
 	if cm.stepping == 0 {
-		e.park(cm)
 		return
 	}
 
@@ -412,7 +338,6 @@ func (e *contEngine) runRound(cm *contMachine, stolen bool) {
 	cohort := len(cm.streams)
 	if err := cm.m.RunStreams(e.kern.Step, e.kern.WindowBase(), cm.streams, cm.offs); err != nil {
 		e.failCohort(cm, err)
-		e.park(cm)
 		return
 	}
 	metrics.SlotRounds.Add(1)
@@ -423,24 +348,6 @@ func (e *contEngine) runRound(cm *contMachine, stolen bool) {
 		if sl.tau >= sl.steps {
 			e.retire(cm, s, sl, cohort)
 		}
-	}
-
-	if cm.stepping > 0 {
-		cm.state.Store(cmQueued)
-		e.enqueue(cm)
-		return
-	}
-	e.park(cm)
-}
-
-// park sets the machine idle, then re-checks the queue: a submit that
-// raced the machine's last (empty) take would otherwise be stranded with
-// every machine idle and no wake owed. The CAS loses to a concurrent
-// kick, which has already enqueued the machine.
-func (e *contEngine) park(cm *contMachine) {
-	cm.state.Store(cmIdle)
-	if e.queue.depth() > 0 && cm.state.CompareAndSwap(cmIdle, cmQueued) {
-		e.enqueue(cm)
 	}
 }
 
@@ -601,15 +508,13 @@ func (e *contEngine) failCohort(cm *contMachine, err error) {
 }
 
 func (e *contEngine) load() LoadStats {
-	inFlight := 0
-	for _, cm := range e.machines {
-		if cm.state.Load() != cmIdle {
-			inFlight++
-		}
-	}
+	q := e.queue
+	q.mu.Lock()
+	depth, parked := q.size, q.parked
+	q.mu.Unlock()
 	return LoadStats{
-		QueueDepth:   e.queue.depth(),
-		InFlight:     inFlight,
+		QueueDepth:   depth,
+		InFlight:     e.opts.Machines - parked,
 		Pending:      int(e.pending.Load()),
 		Served:       e.served.Load(),
 		Batches:      e.cohorts.Load(),

@@ -17,14 +17,15 @@ import (
 )
 
 // TestContinuousInferMatchesSolo is the continuous plane's end-to-end
-// golden: concurrent variable-length requests through the sharded
-// scheduler must each return exactly the solo-machine answer
-// (bit-identical float64s from the same fp16 words), and slot accounting
-// must conserve — every admission retires and the active-slot gauge
-// returns to its baseline.
+// golden: concurrent variable-length requests over more machines than CI
+// has Ps must each return exactly the solo-machine answer (bit-identical
+// float64s from the same fp16 words), and slot accounting must conserve —
+// every admission retires and the active-slot gauge returns to its
+// baseline. Afterwards every machine parks: nothing queued, pending or in
+// flight.
 func TestContinuousInferMatchesSolo(t *testing.T) {
 	opts := DefaultInferOptions()
-	opts.Machines = 2
+	opts.Machines = 4
 	opts.MaxBatch = 4
 	_, dp, lease := testPlane(t, opts)
 
@@ -82,6 +83,28 @@ func TestContinuousInferMatchesSolo(t *testing.T) {
 	} else if occ := delta(metrics.SlotRoundOccupancy); occ < rounds {
 		t.Errorf("occupancy sum %d < rounds %d", occ, rounds)
 	}
+	waitFor(t, "every machine to park", func() bool {
+		st, ok := dp.Load(lease.ID)
+		return ok && st.InFlight == 0 && st.QueueDepth == 0 && st.Pending == 0
+	})
+}
+
+// TestStepRoundAllocatesNothing pins the steady state of a machine's
+// rounds: a request allocates as much with one timestep as with eight, so
+// the rounds in between allocate nothing.
+func TestStepRoundAllocatesNothing(t *testing.T) {
+	_, dp, lease := stepsPlane(t, DefaultInferOptions(), 8)
+	in := testInputs(lease.Spec, 1)
+	allocs := func(steps int) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if _, err := dp.InferAs("", lease.ID, in[:steps]); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, all := allocs(1), allocs(len(in)); one != all {
+		t.Errorf("InferAs allocates %v times with 1 timestep and %v with %d", one, all, len(in))
+	}
 }
 
 // TestContinuousAdmitsIntoRunningBatch pins the tentpole behavior: with a
@@ -126,9 +149,8 @@ func TestContinuousAdmitsIntoRunningBatch(t *testing.T) {
 	}
 }
 
-// TestContinuousResize exercises the engine-swap path over the sharded
-// pools: the lease keeps serving across a Resize and the new engine
-// reports the new pool size.
+// TestContinuousResize exercises the engine-swap path: the lease keeps
+// serving across a Resize and the new engine reports the new pool size.
 func TestContinuousResize(t *testing.T) {
 	opts := DefaultInferOptions()
 	opts.Machines = 1

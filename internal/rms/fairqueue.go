@@ -31,6 +31,12 @@ type fairQueue struct {
 	// tenants) — the automatic-preemption trigger: a machine with no free
 	// slots evicts batch-class streams only while latency work waits.
 	latency int
+
+	// wake parks the engine's machines that have nothing to step (see
+	// contEngine.await): push signals one, a finished engine broadcasts.
+	// parked counts the machines waiting on it.
+	wake   sync.Cond
+	parked int
 }
 
 type tenantFIFO struct {
@@ -42,10 +48,12 @@ type tenantFIFO struct {
 }
 
 func newFairQueue() *fairQueue {
-	return &fairQueue{byID: map[string]*tenantFIFO{}}
+	q := &fairQueue{byID: map[string]*tenantFIFO{}}
+	q.wake.L = &q.mu
+	return q
 }
 
-// push enqueues a request under its tenant.
+// push enqueues a request under its tenant and wakes one parked machine.
 func (q *fairQueue) push(r *inferRequest) {
 	q.mu.Lock()
 	tf := q.byID[r.tenant]
@@ -66,6 +74,9 @@ func (q *fairQueue) push(r *inferRequest) {
 	}
 	q.size++
 	q.mu.Unlock()
+	// Outside the lock, so the woken machine does not block on it. A
+	// machine that saw size == 0 under the lock is already on wake's list.
+	q.wake.Signal()
 	if r.tenant != "" {
 		metrics.TenantQueueDepth.Add(r.tenant, 1)
 	}
@@ -122,13 +133,6 @@ func (q *fairQueue) take(max int) []*inferRequest {
 		}
 	}
 	return out
-}
-
-// depth reports the queued request count (LoadStats.QueueDepth).
-func (q *fairQueue) depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.size
 }
 
 // latencyDepth reports how many queued requests carry a latency-class

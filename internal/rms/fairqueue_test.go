@@ -22,8 +22,8 @@ func TestFairQueueFIFOWithinTenant(t *testing.T) {
 	if got := q.take(8); len(got) != 1 || got[0] != a3 {
 		t.Fatalf("second take = %v, want [a3]", got)
 	}
-	if q.depth() != 0 {
-		t.Fatalf("depth = %d after draining", q.depth())
+	if q.size != 0 {
+		t.Fatalf("depth = %d after draining", q.size)
 	}
 }
 

@@ -24,12 +24,12 @@ const retryAfter = "1"
 //	GET  /status                                               -> ClusterStatus
 //	GET  /lease/{id}                                           -> Lease
 //	POST /infer    {"id":3,"inputs":[[...h floats...], ...]}   -> InferResult
-//	POST /preempt  {"id":3,"slots":2}                          -> {"evicted":N}
+//	POST /preempt  {"id":3,"slots":2}                          -> {"requested":N}
 //	GET  /healthz                                              -> 200 "ok"
 //
 // /release drains the lease's engine before freeing its blocks; /preempt
-// checkpoints up to slots resident streams of the lease back into its
-// fair queue.
+// requests that up to slots resident streams of the lease be checkpointed
+// back into its fair queue, which busy machines do at their next round.
 //
 // Behind a tenant.Guard the authenticated tenant in the request context
 // attributes deploys, gates releases (owner or admin only) and drives
@@ -215,12 +215,12 @@ func (dp *DataPlane) Handler() http.Handler {
 		if !post(w, r, &req) || !owns(w, r, req.ID) {
 			return
 		}
-		evicted, err := dp.Preempt(req.ID, req.Slots)
+		requested, err := dp.Preempt(req.ID, req.Slots)
 		if err != nil {
 			fail(w, err, http.StatusInternalServerError)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]int{"evicted": evicted})
+		writeJSON(w, http.StatusOK, map[string]int{"requested": requested})
 	})
 
 	mux.HandleFunc("/lease/", func(w http.ResponseWriter, r *http.Request) {

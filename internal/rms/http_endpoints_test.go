@@ -286,8 +286,8 @@ func TestHTTPDeployWithDepthField(t *testing.T) {
 	}
 }
 
-// TestHTTPPreempt drives the /preempt endpoint: error contract and a
-// successful eviction count.
+// TestHTTPPreempt drives the /preempt endpoint: error contract and the
+// requested eviction count, zero before the lease has an engine.
 func TestHTTPPreempt(t *testing.T) {
 	_, dp, lease := testPlane(t, DefaultInferOptions())
 	h := dp.Handler()
@@ -308,16 +308,27 @@ func TestHTTPPreempt(t *testing.T) {
 		t.Errorf("unknown lease: %d, want 404", w.Code)
 	}
 
-	// No engine yet: a valid no-op answering zero evictions.
-	w := do(http.MethodPost, fmt.Sprintf(`{"id":%d,"slots":1}`, lease.ID))
-	if w.Code != http.StatusOK {
-		t.Fatalf("preempt idle lease: %d %s", w.Code, w.Body.String())
-	}
-	var rep struct {
-		Evicted int `json:"evicted"`
-	}
-	if err := json.Unmarshal(w.Body.Bytes(), &rep); err != nil || rep.Evicted != 0 {
-		t.Fatalf("body %q, want {\"evicted\":0}", w.Body.String())
+	// No engine yet: a valid no-op requesting zero evictions. Once the
+	// lease has served, the slots asked for are requested.
+	for _, c := range []struct {
+		infer     bool
+		requested int
+	}{{false, 0}, {true, 2}} {
+		if c.infer {
+			if _, err := dp.InferAs("", lease.ID, testInputs(lease.Spec, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w := do(http.MethodPost, fmt.Sprintf(`{"id":%d,"slots":2}`, lease.ID))
+		if w.Code != http.StatusOK {
+			t.Fatalf("preempt lease: %d %s", w.Code, w.Body.String())
+		}
+		var rep struct {
+			Requested int `json:"requested"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &rep); err != nil || rep.Requested != c.requested {
+			t.Fatalf("body %q, want {\"requested\":%d}", w.Body.String(), c.requested)
+		}
 	}
 }
 

@@ -288,8 +288,8 @@ func NewDataPlane(svc *Service, opts InferOptions) *DataPlane {
 type LoadStats struct {
 	// QueueDepth is the number of requests waiting for a slot right now.
 	QueueDepth int `json:"queue_depth"`
-	// InFlight is the number of machines not idle right now (queued for a
-	// worker or stepping a cohort).
+	// InFlight is the number of machines not parked right now: stepping a
+	// cohort, or about to take from the queue.
 	InFlight int `json:"in_flight"`
 	// Pending is the number of requests admitted and not yet answered:
 	// queued or resident in a slot.
@@ -356,12 +356,12 @@ func (dp *DataPlane) Resize(leaseID, machines int) error {
 	return nil
 }
 
-// Preempt checkpoints up to n of the lease's resident streams back into
-// its fair queue (n <= 0 means one machine's full slot count). The
-// returned count is what was evicted synchronously from idle machines;
-// the remainder is posted as demand the running machines consume on
-// their next step rounds. A lease with no engine yet has nothing
-// resident and reports 0.
+// Preempt requests that up to n of the lease's resident streams be
+// checkpointed back into its fair queue (n <= 0 means one machine's full
+// slot count). It posts n as demand, which machines with a live cohort
+// consume at their next step rounds (mlv_preempt_evictions counts what
+// they evict), and returns the count it posted. A lease with no engine
+// yet has nothing resident and reports 0.
 func (dp *DataPlane) Preempt(leaseID, n int) (int, error) {
 	if _, ok := dp.svc.Lease(leaseID); !ok {
 		return 0, fmt.Errorf("%w: %d", ErrUnknownLease, leaseID)
@@ -369,10 +369,13 @@ func (dp *DataPlane) Preempt(leaseID, n int) (int, error) {
 	if n <= 0 {
 		n = dp.opts.MaxBatch
 	}
-	if e := dp.currentEngine(leaseID); e != nil {
-		return e.preempt(n), nil
+	e := dp.currentEngine(leaseID)
+	if e == nil {
+		return 0, nil
 	}
-	return 0, nil
+	metrics.PreemptRequests.Add(1)
+	e.preemptReq.Add(int64(n))
+	return n, nil
 }
 
 // faultState reads the injected-fault flags (passed to engines as their
@@ -541,9 +544,9 @@ func (dp *DataPlane) drainEngine(leaseID int) {
 func (dp *DataPlane) Close() { dp.closeBy(time.Time{}) }
 
 // CloseWithin drains and stops every engine like Close, but bounded by
-// one shared deadline: engines that cannot drain in time checkpoint their
+// one shared deadline: engines that cannot drain in time abandon their
 // still-running streams and answer their callers ErrLeaseClosing. Returns
-// how many in-flight streams were checkpointed, for the server's shutdown
+// how many in-flight streams were abandoned, for the server's shutdown
 // log.
 func (dp *DataPlane) CloseWithin(d time.Duration) int { return dp.closeBy(time.Now().Add(d)) }
 
@@ -555,11 +558,11 @@ func (dp *DataPlane) closeBy(deadline time.Time) int {
 		delete(dp.engines, id)
 	}
 	dp.mu.Unlock()
-	checkpointed := 0
+	abandoned := 0
 	for _, s := range slots {
 		if e := s.resolved(); e != nil {
-			checkpointed += e.closeBy(deadline)
+			abandoned += e.closeBy(deadline)
 		}
 	}
-	return checkpointed
+	return abandoned
 }

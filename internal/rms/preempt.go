@@ -27,7 +27,7 @@ type resumeToken struct {
 // to that DRR weight class (automatic preemption never displaces
 // latency-class streams); maxWeight == 0 allows any. An evacuation
 // (preempted false) takes every stream regardless of progress: it never
-// re-admits on this engine. Caller must own cm (cmRunning).
+// re-admits on this engine. Runs on cm's goroutine.
 func (e *contEngine) evictSlots(cm *contMachine, max, maxWeight int, preempted bool) int {
 	if max <= 0 {
 		return 0
@@ -124,45 +124,6 @@ func (e *contEngine) restore(cm *contMachine, slot int, sl *contSlot, tok *resum
 	return nil
 }
 
-// preempt evicts up to n resident streams: synchronously from machines
-// it can CAS-own while they are idle, and by posting the remainder as
-// demand the running machines consume at their next rounds (kicked so
-// nothing waits for organic traffic). Returns the synchronous count;
-// the rest drains asynchronously.
-func (e *contEngine) preempt(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	metrics.PreemptRequests.Add(1)
-	total := 0
-	for _, cm := range e.machines {
-		if total >= n {
-			break
-		}
-		// CAS-owning an idle machine makes this goroutine its worker for
-		// the duration, preserving the single-owner slot rule.
-		if cm.state.CompareAndSwap(cmIdle, cmRunning) {
-			total += e.evictSlots(cm, n-total, 0, true)
-			e.park(cm)
-		}
-	}
-	if total < n {
-		e.preemptReq.Add(int64(n - total))
-		e.kickAll()
-	}
-	return total
-}
-
-// kickAll schedules every idle machine (preemption demand and drains
-// must not wait for organic submits to wake the pool).
-func (e *contEngine) kickAll() {
-	for _, cm := range e.machines {
-		if cm.state.CompareAndSwap(cmIdle, cmQueued) {
-			e.enqueue(cm)
-		}
-	}
-}
-
 // clampNonNegative floors an over-consumed demand counter at zero.
 func clampNonNegative(a *atomic.Int64) {
 	for {
@@ -177,7 +138,7 @@ func clampNonNegative(a *atomic.Int64) {
 // checkpointed into the queue, and whatever the queue holds — theirs, other
 // machines', never-admitted requests — is handed to e.dst in fair-queue
 // order. A request dst refuses (it is closing too) is answered with that
-// error. Caller must own cm (cmRunning).
+// error. Runs on cm's goroutine.
 func (e *contEngine) evacuate(cm *contMachine) {
 	e.evictSlots(cm, len(cm.slots), 0, false)
 	for _, req := range e.queue.take(int(e.pending.Load())) {
@@ -189,21 +150,17 @@ func (e *contEngine) evacuate(cm *contMachine) {
 	}
 }
 
-// checkpointAbandon is the modeAbandon round (closeBy's deadline has
-// passed): every resident stream is checkpointed (counted as a drain
-// checkpoint, not a preemption capture — there is no restore coming),
-// and its caller, like every caller still queued, is answered
-// ErrLeaseClosing. Caller must own cm (cmRunning).
-func (e *contEngine) checkpointAbandon(cm *contMachine) {
+// abandon is the modeAbandon round (closeBy's deadline has passed): every
+// resident stream is abandoned — counted, not checkpointed, since there is
+// no restore coming — and its caller, like every caller still queued, is
+// answered ErrLeaseClosing. Runs on cm's goroutine.
+func (e *contEngine) abandon(cm *contMachine) {
 	for s, sl := range cm.slots {
 		if sl == nil || sl.leaked {
 			continue
 		}
-		if snap, err := e.kern.SnapshotSlot(cm.m, s, sl.tau, sl.steps); err == nil {
-			metrics.DrainCheckpoints.Add(1)
-			metrics.SnapshotBytes.Add(int64(frame.Overhead + snap.Bytes()))
-			e.drainCheckpointed.Add(1)
-		}
+		metrics.DrainAbandoned.Add(1)
+		e.abandoned.Add(1)
 		e.vacate(cm, s)
 		e.answer(sl.req, inferResponse{err: ErrLeaseClosing})
 	}

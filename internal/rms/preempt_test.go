@@ -37,10 +37,10 @@ func stepsPlane(t *testing.T, opts InferOptions, steps int) (*Service, *DataPlan
 
 // backlog is a lease's engine loaded to its queue cap, for tests that act
 // on a transient state (a full machine, resident streams). The state has
-// to outlast a scheduler quantum by construction: with one P the worker
-// keeps the P for the whole 10-20 ms quantum before the test goroutine
-// runs again, and a backlog it can finish in that time is gone by then
-// (tier-1 failed that way at GOMAXPROCS=1). So the sequences are 48 steps
+// to outlast a scheduler quantum by construction: with one P a machine's
+// goroutine keeps the P for the whole 10-20 ms quantum before the test
+// goroutine runs again, and a backlog it can finish in that time is gone by
+// then (tier-1 failed that way at GOMAXPROCS=1). So the sequences are 48 steps
 // long — a full queue is ~70 ms of work at two slots — and their lengths
 // differ (45..48 steps) so the slots never all retire in one round and
 // leave nothing resident.
@@ -316,8 +316,8 @@ func TestAutoPreemptFavorsLatencyClass(t *testing.T) {
 }
 
 // TestCloseWithinCheckpointsAtDeadline pins the deadline-bounded drain:
-// streams still resident when the deadline passes are checkpointed
-// (counted for the shutdown log) and their callers answered
+// streams still resident when the deadline passes are abandoned (counted
+// for the shutdown log, not checkpointed) and their callers answered
 // ErrLeaseClosing, and the slot gauge still drains to its baseline.
 func TestCloseWithinCheckpointsAtDeadline(t *testing.T) {
 	opts := DefaultInferOptions()
@@ -326,19 +326,22 @@ func TestCloseWithinCheckpointsAtDeadline(t *testing.T) {
 	_, dp, lease := stepsPlane(t, opts, backlogSteps)
 
 	slotsBase := metrics.SlotsActive.Value()
-	drainBase := metrics.DrainCheckpoints.Value()
 	// The engine provably holds a deep backlog, two streams of it
 	// resident, when the already-expired deadline lands.
 	b := loadBacklog(t, dp, lease, 0, "", 0)
+	base := metrics.Snapshot()
 	n := dp.CloseWithin(0)
 	if n == 0 {
-		t.Error("deadline drain checkpointed no streams")
+		t.Error("deadline drain abandoned no streams")
 	}
 	if shed := b.join(t, ErrLeaseClosing); shed == 0 {
 		t.Error("deadline drain shed no requests")
 	}
-	if got := metrics.DrainCheckpoints.Value() - drainBase; got != int64(n) {
-		t.Errorf("drain checkpoint counter delta = %d, CloseWithin reported %d", got, n)
+	if got := snapDelta(base, metrics.DrainAbandoned); got != int64(n) {
+		t.Errorf("drain abandoned counter delta = %d, CloseWithin reported %d", got, n)
+	}
+	if got := snapDelta(base, metrics.SnapshotBytes); got != 0 {
+		t.Errorf("deadline drain took %d bytes of checkpoints it throws away", got)
 	}
 	if got := metrics.SlotsActive.Value(); got != slotsBase {
 		t.Errorf("slot gauge residue after deadline drain: %d", got-slotsBase)
@@ -411,7 +414,8 @@ func TestAdmitFailureSettlesBeforeAnswering(t *testing.T) {
 }
 
 // TestPreemptErrorSurface pins the operation's edges: unknown leases
-// error, and leases with no engine yet report zero work.
+// error, leases with no engine yet report zero work, and a lease with an
+// engine reports the demand it posted (n <= 0: one machine's slots).
 func TestPreemptErrorSurface(t *testing.T) {
 	opts := DefaultInferOptions()
 	_, dp, lease := testPlane(t, opts)
@@ -420,6 +424,14 @@ func TestPreemptErrorSurface(t *testing.T) {
 	}
 	if n, err := dp.Preempt(lease.ID, 1); err != nil || n != 0 {
 		t.Errorf("no engine yet: got (%d, %v), want (0, nil)", n, err)
+	}
+	if _, err := dp.InferAs("", lease.ID, testInputs(lease.Spec, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ n, want int }{{3, 3}, {0, opts.MaxBatch}} {
+		if n, err := dp.Preempt(lease.ID, c.n); err != nil || n != c.want {
+			t.Errorf("Preempt(%d) with an engine: got (%d, %v), want (%d, nil)", c.n, n, err, c.want)
+		}
 	}
 }
 

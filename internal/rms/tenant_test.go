@@ -297,8 +297,8 @@ func TestSubmitShedsAtQueueBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fill the queue past its bound without running the scheduler (steal
-	// the pending count directly): submit must shed with ErrBusy.
+	// Fill the queue past its bound without running a machine (set the
+	// pending count directly): submit must shed with ErrBusy.
 	e.pending.Store(int64(e.queueCap))
 	req := &inferRequest{inputs: testInputs(lease.Spec, 1), enqueued: time.Now(), resp: make(chan inferResponse, 1)}
 	if err := e.submit(req); !errors.Is(err, ErrBusy) {

@@ -253,8 +253,8 @@ func TestSimCatchesInjectedBugs(t *testing.T) {
 	}
 }
 
-// TestStackCounterDeltasKeySet pins the 20 counter names every committed
-// scenario report embeds: 7 serving + 6 slot + 7 snapshot.
+// TestStackCounterDeltasKeySet pins the 19 counter names every committed
+// scenario report embeds: 7 serving + 5 slot + 7 snapshot.
 func TestStackCounterDeltasKeySet(t *testing.T) {
 	s, err := NewStack(DefaultOptions(1))
 	if err != nil {
@@ -271,7 +271,7 @@ func TestStackCounterDeltasKeySet(t *testing.T) {
 		"mlv_devices_condemned", "mlv_heartbeat_misses", "mlv_infers_served", "mlv_leases_active",
 		"mlv_migration_failures", "mlv_migrations", "mlv_preempt_evictions", "mlv_preempt_requests",
 		"mlv_preempt_restores", "mlv_slot_round_occupancy", "mlv_slot_rounds", "mlv_slots_active",
-		"mlv_snapshot_bytes", "mlv_snapshot_captures", "mlv_snapshot_restores", "mlv_steals",
+		"mlv_snapshot_bytes", "mlv_snapshot_captures", "mlv_snapshot_restores",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("CounterDeltas keys %v, want %v", got, want)
