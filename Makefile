@@ -48,7 +48,7 @@ lint:
 # shrinks the tree lowers the ceiling to its own count rounded up to the
 # next 50; a PR that must grow it raises the ceiling in the same diff, where
 # a reviewer sees it.
-LOC_CEILING = 25900
+LOC_CEILING = 25800
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	echo "non-test lines: $$n (ceiling $(LOC_CEILING))"; \
@@ -66,10 +66,11 @@ repro:
 
 # Short fuzz passes: RTL frontend, partition shard ladder, number formats,
 # the lane-packed BFP mat-vec kernel against its unpacked oracle, the
-# workload DSL, the three decoders of outside bytes (the blob frame, the
-# slot-checkpoint payload sealed in it, and the /infer body scanner against
-# encoding/json), and the §2.3 tools: a scaled-down group after insertion
-# (and reordering) against the single device.
+# workload DSL, the four decoders of outside bytes (the blob frame, the
+# compiled-artifact and slot-checkpoint payloads sealed in it, and the
+# /infer body scanner against encoding/json), and the §2.3 tools: a
+# scaled-down group after insertion (and reordering) against the single
+# device.
 # Raise FUZZTIME for a longer hunt; committed seed corpora under each
 # package's testdata/fuzz/ replay as plain regressions in `make test`.
 FUZZTIME ?= 15s
@@ -81,6 +82,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzPackedMatVec -fuzztime=$(FUZZTIME) ./internal/bfp
 	$(GO) test -fuzz=FuzzParseMLW -fuzztime=$(FUZZTIME) ./internal/wdsl
 	$(GO) test -fuzz=FuzzOpen -fuzztime=$(FUZZTIME) ./internal/frame
+	$(GO) test -fuzz=FuzzDecodeBlob -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/snapshot
 	$(GO) test -fuzz=FuzzInferBody -fuzztime=$(FUZZTIME) ./internal/rms
 	$(GO) test -fuzz=FuzzScaledMatchesSingle -fuzztime=$(FUZZTIME) ./internal/scaleout

@@ -41,7 +41,8 @@ var allowedOrphans = map[string]string{
 // reachedByName are methods the runtime or the standard library calls on
 // a value without any module file selecting them: encoding/json's hooks,
 // fmt's Stringer and error, errors.Unwrap, and sort.Interface plus
-// container/heap's two. Exempt by rule, whatever the receiver.
+// container/heap's two. A reached type's methods of these names are
+// reached.
 var reachedByName = map[string]bool{
 	"MarshalJSON": true, "UnmarshalJSON": true, "String": true, "Error": true, "Unwrap": true,
 	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
@@ -82,26 +83,33 @@ func (g *gateImporter) Import(p string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// orphanExports type-checks the non-test Go sources of one module
-// (slash-separated module-relative path → content) and reports, for
-// packages under internal/:
+// orphans type-checks the non-test Go sources of one module
+// (slash-separated module-relative path → content) and reports:
 //
-//   - every exported package-level name and every exported method that no
-//     non-test file uses. Names resolve through go/types, so a method is
-//     matched by its receiver, not by its spelling. A method also counts
-//     as used when a non-test file calls a same-named method through an
-//     interface its type implements, and when the runtime reaches it by
-//     name (reachedByName);
-//   - every exported field of an exported struct named *Options or *Config
-//     that no non-test code writes outside the declaring package's
-//     defaulting code — a Default* function, or an assignment of a
-//     constant inside the declaring package. Such a field has one value
-//     in every binary and is a constant with a longer name;
-//   - every entry of allowed that is not, or no longer, such an orphan.
+//   - every package-level func, type, var and const and every method that
+//     no entry point reaches. This is rapid type analysis (Bacon & Sweeney,
+//     OOPSLA 1996). The roots are each main package's main, the exported
+//     package-level names of the module's root package (the facade), every
+//     init and package-level var initializer, and every allowed entry.
+//     Everything reached code names is reached, resolved through go/types,
+//     so a method is matched by its receiver, not by its spelling. A method
+//     of a reached type is also reached when reached code names an
+//     interface that asks for it and the type implements that interface
+//     (a call through the interface, a marker method, a value handed to a
+//     standard-library parameter), and when its name is in reachedByName.
+//     Code under benchmark/ is a root but is never reported, and neither is
+//     the trailing count sentinel of an iota block;
+//   - every exported field of an exported struct under internal/ named
+//     *Options or *Config that no non-test code writes outside the
+//     declaring package's defaulting code — a Default* function, or an
+//     assignment of a constant inside the declaring package. Such a field
+//     has one value in every binary and is a constant with a longer name;
+//   - every entry of allowed that nothing needs: gone, reached without it,
+//     or an option field that non-test code sets.
 //
-// Runs in about 3 s un-raced on the 2-vCPU reference box (16 s under
+// Runs in about 3 s un-raced on the 2-vCPU reference box (17 s under
 // -race), nearly all of it the one pass over the standard library's source.
-func orphanExports(module string, srcs map[string]string, allowed map[string]string) ([]string, error) {
+func orphans(module string, srcs map[string]string, allowed map[string]string) ([]string, error) {
 	g := &gateImporter{
 		files: map[string][]*ast.File{},
 		pkgs:  map[string]*types.Package{},
@@ -109,6 +117,7 @@ func orphanExports(module string, srcs map[string]string, allowed map[string]str
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Uses:       map[*ast.Ident]types.Object{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Defs:       map[*ast.Ident]types.Object{},
 		},
 	}
 	for p, src := range srcs {
@@ -133,8 +142,6 @@ func orphanExports(module string, srcs map[string]string, allowed map[string]str
 		}
 	}
 
-	// What non-test code uses: objects named directly, and methods called
-	// through an interface.
 	origin := func(o types.Object) types.Object {
 		switch o := o.(type) {
 		case *types.Func:
@@ -143,37 +150,6 @@ func orphanExports(module string, srcs map[string]string, allowed map[string]str
 			return o.Origin()
 		}
 		return o
-	}
-	used := map[types.Object]bool{}
-	for _, o := range g.info.Uses {
-		used[origin(o)] = true
-	}
-	type ifaceCall struct {
-		iface *types.Interface
-		name  string
-	}
-	calls := map[ifaceCall]bool{}
-	for _, sel := range g.info.Selections {
-		if iface, ok := sel.Recv().Underlying().(*types.Interface); ok && sel.Kind() != types.FieldVal {
-			calls[ifaceCall{iface, sel.Obj().Name()}] = true
-		}
-	}
-	for _, ip := range paths {
-		scope := g.pkgs[ip].Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
-				continue
-			}
-			ptr := types.NewPointer(tn.Type())
-			for c := range calls {
-				if types.Implements(ptr, c.iface) {
-					if m, _, _ := types.LookupFieldOrMethod(ptr, false, g.pkgs[ip], c.name); m != nil {
-						used[origin(m)] = true
-					}
-				}
-			}
-		}
 	}
 
 	// Which option fields non-test code writes outside defaulting code.
@@ -282,16 +258,238 @@ func orphanExports(module string, srcs map[string]string, allowed map[string]str
 		}
 	}
 
+	// decl maps each package-level declaration and method to the syntax
+	// that names what it needs; roots holds the init functions and the
+	// package-level var specs with initializers.
+	decl := map[types.Object]ast.Node{}
+	var roots []ast.Node
+	sentinel := map[types.Object]bool{}
+	usesIota := func(n ast.Node) (found bool) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && id.Name == "iota" {
+				found = true
+			}
+			return !found
+		})
+		return found
+	}
+	for _, files := range g.files {
+		for _, f := range files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil && d.Name.Name == "init" {
+						roots = append(roots, d)
+					} else {
+						decl[g.info.Defs[d.Name]] = d
+					}
+				case *ast.GenDecl:
+					for i, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							decl[g.info.Defs[s.Name]] = s
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								if id.Name != "_" {
+									decl[g.info.Defs[id]] = s
+								}
+							}
+							if d.Tok == token.VAR && len(s.Values) > 0 {
+								roots = append(roots, s)
+							}
+							if d.Tok == token.CONST && i > 0 && i == len(d.Specs)-1 && len(s.Values) == 0 && usesIota(d.Specs[0]) {
+								sentinel[g.info.Defs[s.Names[0]]] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	reached := map[types.Object]bool{}
+	var queue []types.Object
+	mark := func(o types.Object) {
+		if o = origin(o); decl[o] != nil && !reached[o] {
+			reached[o] = true
+			queue = append(queue, o)
+		}
+	}
+	// A reached type implementing an interface that reached code names has
+	// that interface's methods reached.
+	var (
+		concrete []*types.Named
+		ifaces   []*types.Interface
+		noted    = map[types.Type]bool{}
+	)
+	implement := func(n *types.Named, it *types.Interface) {
+		ptr := types.NewPointer(n)
+		if !types.Implements(ptr, it) {
+			return
+		}
+		for i := 0; i < it.NumMethods(); i++ {
+			m := it.Method(i)
+			if f, _, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name()); f != nil {
+				mark(f)
+			}
+		}
+	}
+	// note records the interfaces t names: t itself, or those among its
+	// element, parameter and result types.
+	var note func(t types.Type)
+	note = func(t types.Type) {
+		if noted[t] {
+			return
+		}
+		noted[t] = true
+		switch u := t.Underlying().(type) {
+		case *types.Interface:
+			if u.NumMethods() > 0 {
+				ifaces = append(ifaces, u)
+				for _, n := range concrete {
+					implement(n, u)
+				}
+			}
+		case *types.Signature:
+			for _, tuple := range []*types.Tuple{u.Params(), u.Results()} {
+				for i := 0; i < tuple.Len(); i++ {
+					note(tuple.At(i).Type())
+				}
+			}
+		case *types.Pointer:
+			note(u.Elem())
+		case *types.Slice:
+			note(u.Elem())
+		case *types.Array:
+			note(u.Elem())
+		case *types.Chan:
+			note(u.Elem())
+		case *types.Map:
+			note(u.Key())
+			note(u.Elem())
+		}
+	}
+	visit := func(n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok || g.info.Uses[id] == nil {
+				return true
+			}
+			u := g.info.Uses[id]
+			mark(u)
+			note(u.Type())
+			switch u := u.(type) {
+			case *types.Func: // a method called through an interface names the interface
+				if recv := u.Type().(*types.Signature).Recv(); recv != nil {
+					note(recv.Type())
+				}
+			case *types.Var, *types.Const: // a value of a type reaches the type
+				if n, ok := deref(u.Type()).(*types.Named); ok {
+					mark(n.Obj())
+				}
+			}
+			return true
+		})
+	}
+	drain := func() {
+		for len(queue) > 0 {
+			o := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			visit(decl[o])
+			tn, ok := o.(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+				continue
+			}
+			n := tn.Type().(*types.Named)
+			concrete = append(concrete, n)
+			for _, it := range ifaces {
+				implement(n, it)
+			}
+			for i := 0; i < n.NumMethods(); i++ {
+				if reachedByName[n.Method(i).Name()] {
+					mark(n.Method(i))
+				}
+			}
+		}
+	}
+	for _, ip := range paths {
+		scope := g.pkgs[ip].Scope()
+		switch {
+		case g.pkgs[ip].Name() == "main":
+			mark(scope.Lookup("main"))
+		case ip == module:
+			for _, name := range scope.Names() {
+				if o := scope.Lookup(name); o.Exported() {
+					mark(o)
+				}
+			}
+		}
+	}
+	for _, n := range roots {
+		visit(n)
+	}
+	drain()
+
+	// The allowed entries are roots too, once the program's own roots have
+	// shown which of them nothing else reaches. An entry naming an option
+	// field is for the option rule below.
 	var problems []string
+	stale := func(key string) {
+		problems = append(problems, fmt.Sprintf("allowedOrphans lists %s, which is now in use or gone: drop the entry", key))
+	}
+	byName := map[string][]*types.Package{}
+	for _, pkg := range g.pkgs {
+		byName[pkg.Name()] = append(byName[pkg.Name()], pkg)
+	}
+	resolve := func(key string) types.Object {
+		parts := strings.Split(key, ".")
+		for _, pkg := range byName[parts[0]] {
+			o := pkg.Scope().Lookup(parts[1])
+			if o != nil && len(parts) == 3 {
+				o, _, _ = types.LookupFieldOrMethod(types.NewPointer(o.Type()), false, pkg, parts[2])
+			}
+			if o != nil {
+				return o
+			}
+		}
+		return nil
+	}
+	var extra []types.Object
+	for key := range allowed {
+		o := resolve(key)
+		if f, ok := o.(*types.Var); ok && f.IsField() {
+			continue
+		}
+		if o == nil || reached[origin(o)] {
+			stale(key)
+		}
+		extra = append(extra, o)
+	}
+	for _, o := range extra {
+		if o != nil {
+			mark(o)
+		}
+	}
+	drain()
+
 	seen := map[string]bool{}
 	report := func(o types.Object, key, what string) {
 		seen[key] = true
 		if allowed[key] == "" {
-			problems = append(problems, fmt.Sprintf("%s: %s %s; delete it, or add it to allowedOrphans with the reason",
-				gateFset.Position(o.Pos()), key, what))
+			problems = append(problems, fmt.Sprintf("%s: %s %s", gateFset.Position(o.Pos()), key, what))
 		}
 	}
-	const orphan = "is exported but only tests use it"
+	const dead = "is reached from no entry point; delete it, move it into the tests that use it, or add it to allowedOrphans with the reason"
+	for o := range decl {
+		if reached[o] || sentinel[o] || o.Name() == "main" || strings.HasPrefix(o.Pkg().Path(), module+"/benchmark") {
+			continue
+		}
+		key := o.Pkg().Name() + "." + o.Name()
+		if sig, ok := o.Type().(*types.Signature); ok && sig.Recv() != nil {
+			key = o.Pkg().Name() + "." + deref(sig.Recv().Type()).(*types.Named).Obj().Name() + "." + o.Name()
+		}
+		report(o, key, dead)
+	}
 	for _, ip := range paths {
 		if !strings.HasPrefix(ip, module+"/internal/") {
 			continue
@@ -299,23 +497,9 @@ func orphanExports(module string, srcs map[string]string, allowed map[string]str
 		pkg := g.pkgs[ip]
 		scope := pkg.Scope()
 		for _, name := range scope.Names() {
-			o := scope.Lookup(name)
-			if !o.Exported() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || !tn.Exported() {
 				continue
-			}
-			if !used[o] {
-				report(o, pkg.Name()+"."+name, orphan)
-			}
-			tn, ok := o.(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			if named, ok := tn.Type().(*types.Named); ok {
-				for i := 0; i < named.NumMethods(); i++ {
-					if m := named.Method(i); m.Exported() && !used[m] && !reachedByName[m.Name()] {
-						report(m, pkg.Name()+"."+name+"."+m.Name(), orphan)
-					}
-				}
 			}
 			st, ok := tn.Type().Underlying().(*types.Struct)
 			if !ok || !(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config")) {
@@ -323,22 +507,22 @@ func orphanExports(module string, srcs map[string]string, allowed map[string]str
 			}
 			for i := 0; i < st.NumFields(); i++ {
 				if f := st.Field(i); f.Exported() && !written[f] {
-					report(f, pkg.Name()+"."+name+"."+f.Name(), "is an option no non-test code sets outside its package's defaults: make it a constant")
+					report(f, pkg.Name()+"."+name+"."+f.Name(), "is an option no non-test code sets outside its package's defaults: make it a constant, or add it to allowedOrphans with the reason")
 				}
 			}
 		}
 	}
 	for key := range allowed {
-		if !seen[key] {
-			problems = append(problems, fmt.Sprintf("allowedOrphans lists %s, which is now in use or gone: drop the entry", key))
+		if f, ok := resolve(key).(*types.Var); ok && f.IsField() && !seen[key] {
+			stale(key)
 		}
 	}
 	sort.Strings(problems)
 	return problems, nil
 }
 
-// TestNoOrphanExports runs the gate over the module. An exported name
-// nothing runs reads as a supported path, drifts from the one in use
+// TestNoOrphanExports runs the gate over the module. Code no entry point
+// reaches reads as a supported path, drifts from the one in use
 // (perf.XPrefixTime priced a GRU's overlap window at three products while
 // the scheduler said two), and every refactor has to carry it; an option
 // nothing sets doubles the configurations a reader has to consider.
@@ -364,7 +548,7 @@ func TestNoOrphanExports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	problems, err := orphanExports("mlvfpga", srcs, allowedOrphans)
+	problems, err := orphans("mlvfpga", srcs, allowedOrphans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,23 +568,42 @@ func TestOrphanGate(t *testing.T) {
 	}{
 		{"exported and unmentioned is reported",
 			map[string]string{"internal/p/p.go": "package p\nfunc Used() {}\nfunc Orphan() {}\n", "cmd/x/main.go": user},
-			nil, []string{"p.Orphan is exported"}},
+			nil, []string{"p.Orphan is reached from no"}},
 		{"mentioned only from a test file is reported",
 			map[string]string{"internal/p/p.go": "package p\nfunc Used() {}\nfunc Probe() {}\n", "internal/p/p_test.go": "package p\nfunc init() { Probe() }\n", "cmd/x/main.go": user},
-			nil, []string{"p.Probe is exported"}},
+			nil, []string{"p.Probe is reached from no"}},
 		{"a same-named function in another package is not a use",
 			map[string]string{"internal/p/p.go": "package p\nfunc Used() {}\n", "internal/q/q.go": "package q\nfunc Used() {}\n", "cmd/x/main.go": user},
-			nil, []string{"q.Used is exported"}},
+			nil, []string{"q.Used is reached from no"}},
 		{"a method is matched by receiver: another type's used Dir does not cover it",
 			map[string]string{"internal/p/p.go": "package p\nfunc Used() string { return A{}.Dir() }\ntype A struct{}\nfunc (A) Dir() string { return \"\" }\ntype B struct{}\nfunc (B) Dir() string { return \"\" }\nvar _ = B{}\n", "cmd/x/main.go": user},
-			nil, []string{"p.B.Dir is exported"}},
-		{"a method called only through an interface its type implements is used",
-			map[string]string{"internal/p/p.go": "package p\ntype Clock interface{ Now() int }\ntype Wall struct{}\nfunc (Wall) Now() int { return 0 }\nfunc Used() {}\nfunc Read(c Clock) int { return c.Now() }\n",
-				"cmd/x/main.go": "package main\nimport \"m/internal/p\"\nfunc main() { p.Used(); p.Read(p.Wall{}) }\n"},
+			nil, []string{"p.B.Dir is reached from no"}},
+		{"a method is reached through an interface call; one whose interface only dead code names is not",
+			map[string]string{"internal/p/p.go": "package p\ntype Clock interface{ Now() int }\ntype Wall struct{}\nfunc (Wall) Now() int { return 0 }\nfunc Read(c Clock) int { return c.Now() }\ntype Ticker interface{ Tick() }\ntype Metro struct{}\nfunc (Metro) Tick() {}\nfunc tick(t Ticker) { t.Tick() }\n",
+				"cmd/x/main.go": "package main\nimport \"m/internal/p\"\nfunc main() { p.Read(p.Wall{}); _ = p.Metro{} }\n"},
+			nil, []string{"p.Ticker is reached from no", "p.Metro.Tick is reached from no", "p.tick is reached from no"}},
+		{"a marker method that only satisfies an interface reached code names is reached",
+			map[string]string{"internal/p/p.go": "package p\ntype Node interface{ IsNode() }\ntype Lit struct{}\nfunc (Lit) IsNode() {}\nfunc Used() Node { return Lit{} }\n", "cmd/x/main.go": user},
+			nil, nil},
+		{"an unexported function only tests call is reported",
+			map[string]string{"internal/p/p.go": "package p\nfunc Used() {}\nfunc probe() {}\n", "internal/p/p_test.go": "package p\nfunc init() { probe() }\n", "cmd/x/main.go": user},
+			nil, []string{"p.probe is reached from no"}},
+		{"an exported function only dead code calls is reported with its caller",
+			map[string]string{"internal/p/p.go": "package p\nfunc Used() {}\nfunc Outer() { Inner() }\nfunc Inner() {}\n", "cmd/x/main.go": user},
+			nil, []string{"p.Outer is reached from no", "p.Inner is reached from no"}},
+		{"an init's and a var initializer's callees are reached; a var nothing reads is not",
+			map[string]string{"internal/p/p.go": "package p\nfunc Used() {}\nfunc init() { register() }\nfunc register() {}\nvar table = build()\nfunc build() []int { return nil }\n", "cmd/x/main.go": user},
+			nil, []string{"p.table is reached from no"}},
+		{"benchmark/ is a root but never reported, and neither is an iota block's count sentinel",
+			map[string]string{"internal/p/p.go": "package p\nfunc Used() {}\nfunc ForBench() {}\ntype K int\nconst (\n\tA K = iota\n\tB\n\tnumK\n)\nvar _ = []K{A, B}\n",
+				"benchmark/main.go": "package main\nimport \"m/internal/p\"\nfunc main() { p.ForBench() }\nfunc unused() {}\n", "cmd/x/main.go": user},
 			nil, nil},
 		{"methods the runtime reaches by name are not reported",
 			map[string]string{"internal/p/p.go": "package p\nfunc Used() T { return 0 }\ntype T int\nfunc (T) MarshalJSON() ([]byte, error) { return nil, nil }\nfunc (*T) UnmarshalJSON([]byte) error { return nil }\nfunc (T) String() string { return \"\" }\nfunc (T) Error() string { return \"\" }\nfunc (T) Unwrap() error { return nil }\n", "cmd/x/main.go": user},
 			nil, nil},
+		{"an allow-listed oracle's private helpers are reached through its entry",
+			map[string]string{"internal/p/p.go": "package p\nfunc Used() {}\nfunc Oracle() int { return helper() }\nfunc helper() int { return 1 }\nfunc stray() {}\n", "cmd/x/main.go": user},
+			map[string]string{"p.Oracle": "reference"}, []string{"p.stray is reached from no"}},
 		{"an allow-listed orphan passes, grouped or single; a stale entry is reported",
 			map[string]string{"internal/p/p.go": "package p\nfunc Used() {}\ntype T int\nfunc (T) Oracle() {}\nfunc (T) Twin() {}\nfunc (T) Third() {}\n", "cmd/x/main.go": user},
 			map[string]string{"p.T.{Oracle,Twin}": "reference", "p.T.Third": "reference", "p.Used": "stale"}, []string{"allowedOrphans lists p.Used"}},
@@ -412,12 +615,12 @@ func TestOrphanGate(t *testing.T) {
 			map[string]string{"internal/p/p.go": "package p\ntype Inner struct{ N int }\ntype Config struct {\n\tKnob int\n\tIn   Inner\n}\nfunc Used(Config) {}\n", "internal/p/p_test.go": "package p\nfunc init() { Used(Config{Knob: 1}) }\n",
 				"cmd/x/main.go": "package main\nimport \"m/internal/p\"\nfunc main() { var c p.Config; c.In.N = 1; p.Used(c) }\n"},
 			nil, []string{"p.Config.Knob is an option"}},
-		{"names outside internal/ are not gated",
-			map[string]string{"lib.go": "package m\nfunc Facade() {}\n"},
-			nil, nil},
+		{"the facade's exported names are roots; its unexported dead code is reported",
+			map[string]string{"lib.go": "package m\nfunc Facade() { helper() }\nfunc helper() {}\nfunc unused() {}\n"},
+			nil, []string{"m.unused is reached from no"}},
 	}
 	for _, c := range cases {
-		got, err := orphanExports("m", c.srcs, c.allowed)
+		got, err := orphans("m", c.srcs, c.allowed)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

@@ -359,19 +359,3 @@ func (m *Machine) ConfigureMatrix(reg, rows, cols int) error {
 	m.mshape[reg] = struct{ rows, cols int }{rows, cols}
 	return nil
 }
-
-// readVectorStream returns a copy of a vector register in the given batch
-// stream's register file.
-func (m *Machine) readVectorStream(stream, reg int) ([]fp16.Num, error) {
-	if stream < 0 || stream >= len(m.streams) {
-		return nil, fmt.Errorf("accel: stream %d out of range (%d)", stream, len(m.streams))
-	}
-	if reg < 0 || reg >= m.cfg.VRegs {
-		return nil, fmt.Errorf("accel: vector register %d out of range", reg)
-	}
-	sc := m.streams[stream]
-	if sc.vrf[reg] == nil {
-		return nil, fmt.Errorf("accel: vector register %d is empty", reg)
-	}
-	return append([]fp16.Num{}, sc.vrf[reg]...), nil
-}

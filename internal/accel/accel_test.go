@@ -2,6 +2,7 @@ package accel
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -275,4 +276,20 @@ func TestReadVectorErrors(t *testing.T) {
 	if _, err := m.readVectorStream(0, 0); err == nil {
 		t.Error("empty register")
 	}
+}
+
+// readVectorStream returns a copy of a vector register in the given batch
+// stream's register file.
+func (m *Machine) readVectorStream(stream, reg int) ([]fp16.Num, error) {
+	if stream < 0 || stream >= len(m.streams) {
+		return nil, fmt.Errorf("accel: stream %d out of range (%d)", stream, len(m.streams))
+	}
+	if reg < 0 || reg >= m.cfg.VRegs {
+		return nil, fmt.Errorf("accel: vector register %d out of range", reg)
+	}
+	sc := m.streams[stream]
+	if sc.vrf[reg] == nil {
+		return nil, fmt.Errorf("accel: vector register %d is empty", reg)
+	}
+	return append([]fp16.Num{}, sc.vrf[reg]...), nil
 }

@@ -214,15 +214,23 @@ func (s *Store) GetOrCompute(key Key, codec Codec, compute func() (any, error)) 
 	s.flights[key] = fl
 	s.mu.Unlock()
 
+	// The flight ends however fill does. A panic reaches joined waiters as
+	// the flight's error and keeps unwinding this caller's stack.
+	panicked := true
+	defer func() {
+		if panicked {
+			fl.err = fmt.Errorf("artifactstore: filling %s panicked", key)
+		}
+		s.mu.Lock()
+		delete(s.flights, key)
+		if fl.err == nil {
+			s.memInsertLocked(key, fl.val)
+		}
+		s.mu.Unlock()
+		close(fl.done)
+	}()
 	fl.val, fl.hit, fl.err = s.fill(key, codec, compute)
-
-	s.mu.Lock()
-	delete(s.flights, key)
-	if fl.err == nil {
-		s.memInsertLocked(key, fl.val)
-	}
-	s.mu.Unlock()
-	close(fl.done)
+	panicked = false
 	return fl.val, fl.hit, fl.err
 }
 

@@ -246,6 +246,32 @@ func TestComputeErrorPropagatesAndRetries(t *testing.T) {
 	}
 }
 
+// TestPanicReleasesKey: a compute that panics must not leave its flight
+// behind, or every later call for the key blocks forever.
+func TestPanicReleasesKey(t *testing.T) {
+	s := NewMemory(Options{})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("compute's panic did not reach the caller")
+			}
+		}()
+		s.GetOrCompute("k", jsonCodec{}, func() (any, error) { panic("compute bug") })
+	}()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if v, hit := mustGet(t, s, "k", 5); hit || v.(map[string]int)["n"] != 5 {
+			t.Errorf("after the panic: hit=%v v=%v", hit, v)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("GetOrCompute still blocked on the panicked flight")
+	}
+}
+
 func TestMemLRUEviction(t *testing.T) {
 	s := NewMemory(Options{})
 	key := func(i int) Key { return Key(fmt.Sprintf("k%d", i)) }

@@ -7,7 +7,6 @@ import (
 
 	"mlvfpga/internal/metrics"
 	"mlvfpga/internal/rms"
-	"mlvfpga/internal/scaleout"
 )
 
 // LoadSource supplies a lease's live serving load. *rms.DataPlane
@@ -174,29 +173,6 @@ func (cp *ControlPlane) Undrain(id int) error { return cp.reg.Undrain(id) }
 
 // ReportDead marks a device failed immediately.
 func (cp *ControlPlane) ReportDead(id int) error { return cp.reg.ReportDead(id) }
-
-// ObserveError inspects a serving error from the lease for positive
-// device-failure evidence (a scaleout.DeviceError) and marks the failed
-// device Dead without waiting out the heartbeat timers, returning the
-// condemned FPGA id. DeviceError.Device is the failing member's index
-// within the scaled group (its shard position), so it is translated to a
-// cluster-wide id through the lease's placements, which hold one entry
-// per soft block in shard order.
-func (cp *ControlPlane) ObserveError(leaseID int, err error) (int, bool) {
-	var de *scaleout.DeviceError
-	if !errors.As(err, &de) {
-		return 0, false
-	}
-	lease, ok := cp.svc.Lease(leaseID)
-	if !ok || de.Device < 0 || de.Device >= len(lease.Placements) {
-		return 0, false
-	}
-	fpga := lease.Placements[de.Device].FPGA
-	if cp.reg.ReportDead(fpga) != nil {
-		return 0, false
-	}
-	return fpga, true
-}
 
 // Tick runs one control pass: sweep the health state machine, evacuate
 // leases off dead and draining devices, then re-partition leases against

@@ -307,44 +307,6 @@ func TestFailedMigrationBacksOff(t *testing.T) {
 	}
 }
 
-func TestObserveError(t *testing.T) {
-	cp, svc, _, _ := testControlPlane(t, resource.PaperCluster(), DefaultConfig())
-	// Drain device 0 so the lease lands elsewhere: the group's shard index
-	// (DeviceError.Device) must then be translated through the lease's
-	// placements, not used as an FPGA id directly.
-	if err := cp.Drain(0); err != nil {
-		t.Fatal(err)
-	}
-	lease, err := svc.Deploy(testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	home := lease.Placements[0].FPGA
-	if home == 0 {
-		t.Fatal("placement landed on drained device 0")
-	}
-	serr := fmt.Errorf("serving: %w", &scaleout.DeviceError{Device: 0, Err: fmt.Errorf("link down")})
-	dev, ok := cp.ObserveError(lease.ID, serr)
-	if !ok || dev != home {
-		t.Fatalf("ObserveError = %d,%v, want shard 0 condemned as FPGA %d", dev, ok, home)
-	}
-	if st, _ := cp.Registry().State(home); st != Dead {
-		t.Fatalf("device %d state = %v, want dead", home, st)
-	}
-	if st, _ := cp.Registry().State(0); st == Dead {
-		t.Fatal("shard index condemned FPGA 0 instead of the lease's placement")
-	}
-	if _, ok := cp.ObserveError(lease.ID, fmt.Errorf("plain error")); ok {
-		t.Fatal("plain error condemned a device")
-	}
-	if _, ok := cp.ObserveError(lease.ID, &scaleout.DeviceError{Device: 99}); ok {
-		t.Fatal("out-of-range shard index condemned a device")
-	}
-	if _, ok := cp.ObserveError(lease.ID+100, &scaleout.DeviceError{Device: 0}); ok {
-		t.Fatal("unknown lease condemned a device")
-	}
-}
-
 func TestFailedResizeRetries(t *testing.T) {
 	cfg := DefaultConfig()
 	cp, svc, fp, clk := testControlPlane(t, resource.ClusterSpec{resource.XCVU37P.Name: 4}, cfg)

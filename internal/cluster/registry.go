@@ -196,8 +196,8 @@ func (r *Registry) Undrain(id int) error {
 }
 
 // ReportDead marks a device Dead immediately — the path for positive
-// failure evidence (a scaleout.DeviceError) that should not wait out the
-// heartbeat timers.
+// failure evidence (an operator's /cluster/kill) that should not wait out
+// the heartbeat timers.
 func (r *Registry) ReportDead(id int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

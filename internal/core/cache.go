@@ -154,6 +154,9 @@ func (compiledCodec) Decode(data []byte) (any, error) {
 	if snap.Accelerator == nil || snap.Partition == nil || snap.Partition.Root == nil {
 		return nil, fmt.Errorf("core: snapshot missing accelerator or partition tree")
 	}
+	if !twoOrNoChildren(snap.Partition.Root) {
+		return nil, fmt.Errorf("core: snapshot partition tree has a node with one child")
+	}
 	pieces := snap.Partition.AllPieces()
 	c := &Compiled{
 		Opts:           snap.Opts,
@@ -184,6 +187,15 @@ func (compiledCodec) Decode(data []byte) (any, error) {
 		return nil, ErrNoImages
 	}
 	return c, nil
+}
+
+// twoOrNoChildren reports whether every node of a decoded partition tree
+// is a leaf or has both halves, the shape Result.Walk relies on.
+func twoOrNoChildren(n *partition.Node) bool {
+	if n.Left == nil || n.Right == nil {
+		return n.Left == n.Right
+	}
+	return twoOrNoChildren(n.Left) && twoOrNoChildren(n.Right)
 }
 
 // CompileAcceleratorCached is CompileAccelerator fronted by the artifact

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"mlvfpga/internal/artifactstore"
@@ -159,4 +160,41 @@ func TestInstanceCatalogCachedRepeatSweepIsCacheBound(t *testing.T) {
 			t.Fatalf("instance %d not shared on repeat sweep", i)
 		}
 	}
+}
+
+// FuzzDecodeBlob feeds the artifact decoder damaged blobs, such as a file
+// planted in the cache directory: it must return an error, never panic,
+// and an artifact it accepts must re-encode to bytes that decode and
+// re-encode identically.
+func FuzzDecodeBlob(f *testing.F) {
+	cold, err := CompileAccelerator(testOpts())
+	if err != nil {
+		f.Fatal(err)
+	}
+	blob, err := CompiledCodec.Encode(cold)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, err := CompiledCodec.Decode(data)
+		if err != nil {
+			return
+		}
+		once, err := CompiledCodec.Encode(v)
+		if err != nil {
+			t.Fatalf("accepted artifact does not re-encode: %v", err)
+		}
+		v, err = CompiledCodec.Decode(once)
+		if err != nil {
+			t.Fatalf("re-encoded artifact does not decode: %v", err)
+		}
+		twice, err := CompiledCodec.Encode(v)
+		if err != nil {
+			t.Fatalf("second re-encode: %v", err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatal("re-encoding is not a fixed point")
+		}
+	})
 }

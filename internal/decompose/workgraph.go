@@ -81,9 +81,6 @@ func (g *workGraph) addEdge(a, b, bits int) {
 	g.in[b][a] += bits
 }
 
-// size returns the node count.
-func (g *workGraph) size() int { return len(g.nodes) }
-
 // ids returns node ids in ascending order for deterministic iteration.
 func (g *workGraph) ids() []int {
 	out := make([]int, 0, len(g.nodes))

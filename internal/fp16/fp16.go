@@ -17,15 +17,8 @@ import "math"
 // 1 sign bit, 5 exponent bits (bias 15), 10 mantissa bits.
 type Num uint16
 
-// Special values.
-const (
-	PositiveZero     Num = 0x0000
-	negativeZero     Num = 0x8000
-	positiveInfinity Num = 0x7C00
-	negativeInfinity Num = 0xFC00
-	// quietNaN is the canonical quiet NaN produced by this package.
-	quietNaN Num = 0x7E00
-)
+// PositiveZero is binary16 +0.
+const PositiveZero Num = 0x0000
 
 // FromFloat32 rounds a float32 to the nearest binary16 value using
 // round-to-nearest-even, the IEEE default rounding mode.

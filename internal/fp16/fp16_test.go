@@ -218,3 +218,11 @@ func TestQuickAlgebra(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Special values the tests compare against.
+const (
+	negativeZero     Num = 0x8000
+	positiveInfinity Num = 0x7C00
+	negativeInfinity Num = 0xFC00
+	quietNaN         Num = 0x7E00 // the canonical quiet NaN the package produces
+)

@@ -98,17 +98,6 @@ func (c *Controller) Release(id, n int) error {
 	return nil
 }
 
-// totalFreeBlocks sums free blocks across the cluster.
-func (c *Controller) totalFreeBlocks() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := 0
-	for _, f := range c.fpgas {
-		total += f.free
-	}
-	return total
-}
-
 // Utilization returns occupied/total virtual blocks across the cluster.
 func (c *Controller) Utilization() float64 {
 	c.mu.Lock()

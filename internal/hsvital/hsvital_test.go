@@ -326,3 +326,14 @@ func TestControllerConcurrency(t *testing.T) {
 		t.Errorf("blocks leaked: %d free, want 45", c.totalFreeBlocks())
 	}
 }
+
+// totalFreeBlocks sums free blocks across the cluster.
+func (c *Controller) totalFreeBlocks() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	total := 0
+	for _, f := range c.fpgas {
+		total += f.free
+	}
+	return total
+}

@@ -153,8 +153,8 @@ var (
 	// heartbeats (healthy→suspect and suspect→dead sweep transitions).
 	HeartbeatMisses = newInt("mlv_heartbeat_misses", ServingFamily)
 	// DevicesCondemned counts devices marked Dead on positive failure
-	// evidence (an explicit ReportDead, e.g. /cluster/kill or an observed
-	// scaleout.DeviceError) — kept separate from HeartbeatMisses so
+	// evidence (an explicit ReportDead: /cluster/kill, or simtest's condemn
+	// event) — kept separate from HeartbeatMisses so
 	// operators can tell confirmed failures from timeouts.
 	DevicesCondemned = newInt("mlv_devices_condemned", ServingFamily)
 )

@@ -68,10 +68,18 @@ func (d *treeDecoder) build(depth int) *softblock.Block {
 	kids := []*softblock.Block{proto}
 	for i := 1; i < n; i++ {
 		c := proto.Clone()
-		c.Walk(func(b *softblock.Block) { b.ID = d.id() })
+		d.reID(c)
 		kids = append(kids, c)
 	}
 	return softblock.NewDataParallel(d.id(), kids)
+}
+
+// reID gives every block of a cloned subtree a fresh ID, parents first.
+func (d *treeDecoder) reID(b *softblock.Block) {
+	b.ID = d.id()
+	for _, c := range b.Children {
+		d.reID(c)
+	}
 }
 
 // FuzzBisect drives Partition over arbitrary soft-block trees and checks

@@ -22,7 +22,6 @@ const (
 	BRAMKb // block RAM capacity in kilobits
 	URAMKb // UltraRAM capacity in kilobits
 	DSP
-	numKinds
 )
 
 // Kinds lists every resource class in canonical order.

@@ -43,18 +43,6 @@ type BasicGraph struct {
 	Edges []BasicEdge
 }
 
-// bandwidth sums the bits of all edges between nodes a and b (either
-// direction).
-func (g *BasicGraph) bandwidth(a, b int) int {
-	total := 0
-	for _, e := range g.Edges {
-		if (e.From == a && e.To == b) || (e.From == b && e.To == a) {
-			total += e.Bits
-		}
-	}
-	return total
-}
-
 // netClasses is a union-find over hierarchical net names.
 type netClasses struct {
 	parent map[string]string

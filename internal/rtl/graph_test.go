@@ -241,3 +241,15 @@ func TestPrimitiveCost(t *testing.T) {
 		t.Error("unknown blackbox must report not-known")
 	}
 }
+
+// bandwidth sums the bits of all edges between nodes a and b (either
+// direction).
+func (g *BasicGraph) bandwidth(a, b int) int {
+	total := 0
+	for _, e := range g.Edges {
+		if (e.From == a && e.To == b) || (e.From == b && e.To == a) {
+			total += e.Bits
+		}
+	}
+	return total
+}

@@ -104,8 +104,7 @@ func (sg *ScaledGroup) ReadOutput(ms []*accel.Machine, t int) ([]float64, error)
 
 // Run executes all devices concurrently; a failing device aborts the
 // group so the others unblock. The originating failure is returned as a
-// *DeviceError naming the failed group member, so a control plane can
-// mark that device unhealthy and re-place the work instead of guessing.
+// *DeviceError naming the failed group member.
 func (sg *ScaledGroup) Run(ms []*accel.Machine) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(ms))

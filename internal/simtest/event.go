@@ -59,7 +59,7 @@ const (
 	// EvUndrain returns the drained device to service.
 	EvUndrain
 	// EvCondemn reports positive failure evidence for one shard of a live
-	// lease (a scaleout.DeviceError routed through ObserveError).
+	// lease: the control plane marks the shard's device Dead.
 	EvCondemn
 	// EvResizeFail arms the resize interceptor to fail the next machine
 	// pool resizes, exercising the control plane's resize-debt retry.

@@ -20,7 +20,6 @@ import (
 	"mlvfpga/internal/metrics"
 	"mlvfpga/internal/resource"
 	"mlvfpga/internal/rms"
-	"mlvfpga/internal/scaleout"
 	"mlvfpga/internal/tenant"
 )
 
@@ -773,11 +772,8 @@ func (s *Stack) doCondemn(r uint64) {
 	shard := int((r >> 8) % uint64(len(lease.Placements)))
 	want := lease.Placements[shard].FPGA
 	prev, _ := s.cp.Registry().State(want)
-	derr := &scaleout.DeviceError{Device: shard, Err: errors.New("simtest: injected device fault")}
-	got, ok := s.cp.ObserveError(id, fmt.Errorf("serving lease %d: %w", id, derr))
-	if !ok || got != want {
-		s.fail("condemn-routing",
-			"lease %d shard %d: condemned fpga %d (ok=%v), placements say %d", id, shard, got, ok, want)
+	if err := s.cp.ReportDead(want); err != nil {
+		s.fail("condemn-error", "lease %d shard %d: fpga %d: %v", id, shard, want, err)
 		return
 	}
 	if prev != cluster.Dead {

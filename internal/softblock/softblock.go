@@ -183,14 +183,6 @@ func (b *Block) Depth() int {
 	return max + 1
 }
 
-// Walk visits every block in the subtree, parents before children.
-func (b *Block) Walk(fn func(*Block)) {
-	fn(b)
-	for _, c := range b.Children {
-		c.Walk(fn)
-	}
-}
-
 // Clone deep-copies the subtree.
 func (b *Block) Clone() *Block {
 	cp := *b

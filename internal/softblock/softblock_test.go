@@ -307,3 +307,11 @@ func TestDOT(t *testing.T) {
 		}
 	})
 }
+
+// Walk visits every block in the subtree, parents before children.
+func (b *Block) Walk(fn func(*Block)) {
+	fn(b)
+	for _, c := range b.Children {
+		c.Walk(fn)
+	}
+}

@@ -40,19 +40,6 @@ func (c Class) String() string {
 	return fmt.Sprintf("Class(%d)", int(c))
 }
 
-// classify buckets a hidden size per Table 1: the rule classLayers'
-// entries are checked against.
-func classify(hidden int) Class {
-	switch {
-	case hidden <= 1024:
-		return Small
-	case hidden <= 2048:
-		return Medium
-	default:
-		return Large
-	}
-}
-
 // classLayers lists the concrete model configurations each class draws
 // from. Small layers come from the Table 4 DeepBench set; medium and large
 // extend the same cells past the class boundaries.

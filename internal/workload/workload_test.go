@@ -141,3 +141,16 @@ func TestMixEmpty(t *testing.T) {
 		t.Error("empty mix must be zero")
 	}
 }
+
+// classify buckets a hidden size per Table 1: the rule classLayers'
+// entries are checked against.
+func classify(hidden int) Class {
+	switch {
+	case hidden <= 1024:
+		return Small
+	case hidden <= 2048:
+		return Medium
+	default:
+		return Large
+	}
+}
