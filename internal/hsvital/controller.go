@@ -12,7 +12,7 @@ import (
 // bookkeeping.
 type Controller struct {
 	mu    sync.Mutex
-	fpgas []*PhysFPGA
+	fpgas []PhysFPGA
 }
 
 // PhysFPGA is one physical device in the cluster.
@@ -32,11 +32,15 @@ func (f *PhysFPGA) FreeBlocks() int { return f.free }
 // e.g. resource.PaperCluster(). Devices are ordered largest type first,
 // and IDs define the ring positions.
 func NewController(spec map[string]int) (*Controller, error) {
-	c := &Controller{}
+	total := 0
+	for _, n := range spec {
+		total += n
+	}
+	c := &Controller{fpgas: make([]PhysFPGA, 0, total)}
 	for _, s := range AllSpecs() {
 		n := spec[s.Device.Name]
 		for i := 0; i < n; i++ {
-			c.fpgas = append(c.fpgas, &PhysFPGA{
+			c.fpgas = append(c.fpgas, PhysFPGA{
 				ID:   len(c.fpgas),
 				Spec: s,
 				free: s.BlocksPerDevice,
@@ -55,12 +59,10 @@ func NewController(spec map[string]int) (*Controller, error) {
 	return c, nil
 }
 
-// Devices returns the physical FPGAs (callers must not mutate).
-func (c *Controller) Devices() []*PhysFPGA {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]*PhysFPGA{}, c.fpgas...)
-}
+// Devices returns the controller's own device table, fixed at construction.
+// Callers must not mutate it, and must order FreeBlocks reads against
+// Configure and Release themselves (rms.Service does, under its lock).
+func (c *Controller) Devices() []PhysFPGA { return c.fpgas }
 
 // Configure occupies n virtual blocks on device id (the "configure FPGA"
 // request of Fig. 7). It fails without side effects if the device lacks
@@ -74,7 +76,7 @@ func (c *Controller) Configure(id, n int) error {
 	if n <= 0 {
 		return fmt.Errorf("hsvital: configure %d blocks", n)
 	}
-	f := c.fpgas[id]
+	f := &c.fpgas[id]
 	if f.free < n {
 		return fmt.Errorf("hsvital: device %d has %d free blocks, need %d", id, f.free, n)
 	}
@@ -89,7 +91,7 @@ func (c *Controller) Release(id, n int) error {
 	if id < 0 || id >= len(c.fpgas) {
 		return fmt.Errorf("hsvital: device %d out of range", id)
 	}
-	f := c.fpgas[id]
+	f := &c.fpgas[id]
 	if n <= 0 || f.free+n > f.Spec.BlocksPerDevice {
 		return fmt.Errorf("hsvital: release %d blocks on device %d with %d free of %d",
 			n, id, f.free, f.Spec.BlocksPerDevice)

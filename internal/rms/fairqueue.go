@@ -54,7 +54,13 @@ func newFairQueue() *fairQueue {
 }
 
 // push enqueues a request under its tenant and wakes one parked machine.
+// The tenant's depth gauge moves before the request becomes takeable: a
+// machine may take, serve and answer it before push returns, and its -1
+// must never land ahead of this +1.
 func (q *fairQueue) push(r *inferRequest) {
+	if r.tenant != "" {
+		metrics.TenantQueueDepth.Add(r.tenant, 1)
+	}
 	q.mu.Lock()
 	tf := q.byID[r.tenant]
 	if tf == nil {
@@ -77,9 +83,6 @@ func (q *fairQueue) push(r *inferRequest) {
 	// Outside the lock, so the woken machine does not block on it. A
 	// machine that saw size == 0 under the lock is already on wake's list.
 	q.wake.Signal()
-	if r.tenant != "" {
-		metrics.TenantQueueDepth.Add(r.tenant, 1)
-	}
 }
 
 // take collects up to max requests by deficit round-robin. It never

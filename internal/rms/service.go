@@ -1,9 +1,10 @@
 package rms
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -23,6 +24,7 @@ type Service struct {
 	mu   sync.Mutex
 	ctrl *hsvital.Controller
 	db   *Database
+	inv  map[string]int // devices per type, fixed at construction
 
 	nextID int
 	leases map[int]*Lease
@@ -131,7 +133,7 @@ func NewService(cluster map[string]int, db *Database) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Service{ctrl: ctrl, db: db, leases: map[int]*Lease{}}, nil
+	return &Service{ctrl: ctrl, db: db, inv: inventory(ctrl), leases: map[int]*Lease{}}, nil
 }
 
 // PlaceOptions constrains a deployment beyond the default greedy policy.
@@ -336,10 +338,7 @@ func (s *Service) DeployWith(spec kernels.LayerSpec, po PlaceOptions) (*Lease, e
 // could not place even when empty (e.g. a 4×XCVU37P deployment on a
 // cluster with three).
 func (s *Service) FeasibleDepths(spec kernels.LayerSpec) ([]int, error) {
-	s.mu.Lock()
-	inv := inventory(s.ctrl)
-	s.mu.Unlock()
-	return s.depths(spec, inv)
+	return s.depths(spec, s.inv)
 }
 
 // depths lists the distinct piece counts among the layer's deployments,
@@ -349,16 +348,14 @@ func (s *Service) depths(spec kernels.LayerSpec, inv map[string]int) ([]int, err
 	if err != nil {
 		return nil, err
 	}
-	seen := map[int]bool{}
-	var out []int
+	out := make([]int, 0, len(opts))
 	for _, dep := range opts {
-		if n := dep.NumPieces(); !seen[n] && (inv == nil || dep.fitsInventory(inv)) {
-			seen[n] = true
-			out = append(out, n)
+		if inv == nil || dep.fitsInventory(inv) {
+			out = append(out, dep.NumPieces())
 		}
 	}
-	sort.Ints(out)
-	return out, nil
+	slices.Sort(out)
+	return slices.Compact(out), nil
 }
 
 // Migrate re-places a lease at the requested depth, avoiding the vetoed
@@ -483,9 +480,11 @@ func release(ctrl *hsvital.Controller, placements []Placement) {
 func bestFit(ctrl *hsvital.Controller, dep Deployment, skip func(fpgaID int) bool) []Placement {
 	used := map[int]bool{}
 	out := make([]Placement, 0, len(dep.Pieces))
+	devs := ctrl.Devices()
 	for _, piece := range dep.Pieces {
 		bestID, bestFree := -1, 1<<30
-		for _, f := range ctrl.Devices() {
+		for i := range devs {
+			f := &devs[i]
 			if used[f.ID] || f.Spec.Device.Name != piece.Device || (skip != nil && skip(f.ID)) {
 				continue
 			}
@@ -558,29 +557,33 @@ func (s *Service) Release(id int) error {
 	return nil
 }
 
-// snapshotLocked copies a lease so callers never observe a concurrent
-// migration mutating placements in place.
-func snapshotLocked(l *Lease) *Lease {
-	cp := *l
-	cp.Placements = append([]Placement{}, l.Placements...)
-	return &cp
-}
-
 // Leases returns snapshots of the active leases sorted by id (used by
 // graceful shutdown to drain every deployment, and by the control plane's
-// deterministic rebalance sweep).
+// deterministic rebalance sweep), carved from one Lease and one Placement
+// slab; each lease's placements are capped at their own length.
 func (s *Service) Leases() []*Lease {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	n := 0
+	for _, l := range s.leases {
+		n += len(l.Placements)
+	}
+	slab := make([]Lease, 0, len(s.leases))
+	pls := make([]Placement, 0, n)
 	out := make([]*Lease, 0, len(s.leases))
 	for _, l := range s.leases {
-		out = append(out, snapshotLocked(l))
+		from := len(pls)
+		pls = append(pls, l.Placements...)
+		slab = append(slab, *l)
+		slab[len(slab)-1].Placements = pls[from:len(pls):len(pls)]
+		out = append(out, &slab[len(slab)-1])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b *Lease) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
-// Lease returns a snapshot of an active lease by id.
+// Lease returns a snapshot of an active lease by id: a copy, so callers
+// never observe a concurrent migration mutating placements in place.
 func (s *Service) Lease(id int) (*Lease, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -588,18 +591,23 @@ func (s *Service) Lease(id int) (*Lease, bool) {
 	if !ok {
 		return nil, false
 	}
-	return snapshotLocked(l), true
+	cp := *l
+	cp.Placements = append([]Placement{}, l.Placements...)
+	return &cp, true
 }
 
 // Status snapshots the cluster.
 func (s *Service) Status() ClusterStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	devs := s.ctrl.Devices()
 	st := ClusterStatus{
+		FPGAs:        make([]FPGAStatus, 0, len(devs)),
 		Utilization:  s.ctrl.Utilization(),
 		ActiveLeases: len(s.leases),
 	}
-	for _, f := range s.ctrl.Devices() {
+	for i := range devs {
+		f := &devs[i]
 		st.FPGAs = append(st.FPGAs, FPGAStatus{
 			ID:          f.ID,
 			Device:      f.Spec.Device.Name,
@@ -608,4 +616,25 @@ func (s *Service) Status() ClusterStatus {
 		})
 	}
 	return st
+}
+
+// CheckInvariants audits placement conservation: each device's occupied
+// blocks equal the sum of the live leases' placements on it.
+func (s *Service) CheckInvariants() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	held := map[int]int{}
+	for _, l := range s.leases {
+		for _, pl := range l.Placements {
+			held[pl.FPGA] += pl.Blocks
+		}
+	}
+	devs := s.ctrl.Devices()
+	for i := range devs {
+		f := &devs[i]
+		if got := f.Spec.BlocksPerDevice - f.FreeBlocks(); got != held[f.ID] {
+			return fmt.Errorf("device %d: %d blocks occupied, leases account for %d", f.ID, got, held[f.ID])
+		}
+	}
+	return nil
 }

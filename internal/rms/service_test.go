@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -234,5 +235,88 @@ func TestHTTPUndeployable(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("undeployable status = %d", resp.StatusCode)
+	}
+}
+
+// TestFleetReadsDoNotCopy pins the per-event readers on a 1000-device
+// fleet, whose membership is fixed at construction: the device table is
+// read in place, the feasible ladder costs a constant handful of
+// allocations, and a lease snapshot costs as much for 50 leases as for 1.
+func TestFleetReadsDoNotCopy(t *testing.T) {
+	s, err := NewService(map[string]int{"XCVU37P": 750, "XCKU115": 250}, testDB(Flexible))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = s.ctrl.Devices() }); n != 0 {
+		t.Errorf("Controller.Devices allocates %v times, want 0", n)
+	}
+	spec := kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 512, TimeSteps: 25}
+	if _, err := s.FeasibleDepths(spec); err != nil { // fills the database's cache
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(10, func() { _, _ = s.FeasibleDepths(spec) }); n > 3 {
+		t.Errorf("FeasibleDepths allocates %v times, want <= 3", n)
+	}
+	snapshot := func() float64 { return testing.AllocsPerRun(10, func() { _ = s.Leases() }) }
+	var one float64
+	for i := 1; i <= 50; i++ {
+		if _, err := s.Deploy(spec); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			one = snapshot()
+		}
+	}
+	if fifty := snapshot(); fifty != one {
+		t.Errorf("Leases allocates %v times for 1 lease and %v for 50", one, fifty)
+	}
+}
+
+// TestServiceCheckInvariants: a service driven only through its own API
+// stays conserved through deploy, migrate and release, and blocks
+// configured behind its back are reported by device with both counts.
+func TestServiceCheckInvariants(t *testing.T) {
+	s := newService(t)
+	check := func(when string) {
+		t.Helper()
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	check("fresh")
+	spec := kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 512, TimeSteps: 25}
+	lease, err := s.Deploy(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after deploy")
+	from := lease.Placements[0]
+	moved, err := s.Migrate(lease.ID, lease.Depth, func(id int) bool { return id == from.FPGA }, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after migrate")
+
+	to := moved.Placements[0]
+	if err := s.ctrl.Configure(to.FPGA, 1); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("device %d: %d blocks occupied, leases account for %d", to.FPGA, to.Blocks+1, to.Blocks)
+	if err := s.CheckInvariants(); err == nil || err.Error() != want {
+		t.Fatalf("leaked block: CheckInvariants = %v, want %q", err, want)
+	}
+	if err := s.ctrl.Release(to.FPGA, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Release(lease.ID); err != nil {
+		t.Fatal(err)
+	}
+	check("after release")
+	if err := s.ctrl.Configure(from.FPGA, 3); err != nil {
+		t.Fatal(err)
+	}
+	want = fmt.Sprintf("device %d: 3 blocks occupied, leases account for 0", from.FPGA)
+	if err := s.CheckInvariants(); err == nil || err.Error() != want {
+		t.Fatalf("leaked blocks: CheckInvariants = %v, want %q", err, want)
 	}
 }

@@ -851,11 +851,8 @@ func (s *Stack) auditInvariants() {
 		}
 	}
 
-	// No stranded or double-freed placements: per-device occupancy must
-	// equal the sum of lease placements, with no device used twice by one
-	// lease and exactly one placement per piece.
-	occupied := map[int]int{}
-	ladders := map[kernels.LayerSpec][]int{}
+	// Exactly one placement per piece, no device used twice by one lease,
+	// and every depth on the layer's feasible ladder.
 	for _, l := range leases {
 		if len(l.Placements) != l.Depth {
 			s.fail("placement-shape", "lease %d: %d placements at depth %d", l.ID, len(l.Placements), l.Depth)
@@ -868,29 +865,22 @@ func (s *Stack) auditInvariants() {
 				return
 			}
 			seen[pl.FPGA] = true
-			occupied[pl.FPGA] += pl.Blocks
 		}
-		ladder, ok := ladders[l.Spec]
-		if !ok {
-			var lerr error
-			ladder, lerr = s.svc.FeasibleDepths(l.Spec)
-			if lerr != nil {
-				s.fail("feasible-depth", "FeasibleDepths(%v): %v", l.Spec, lerr)
-				return
-			}
-			ladders[l.Spec] = ladder
+		ladder, err := s.svc.FeasibleDepths(l.Spec)
+		if err != nil {
+			s.fail("feasible-depth", "FeasibleDepths(%v): %v", l.Spec, err)
+			return
 		}
 		if !slices.Contains(ladder, l.Depth) {
 			s.fail("feasible-depth", "lease %d at depth %d, ladder is %v", l.ID, l.Depth, ladder)
 			return
 		}
 	}
-	for _, f := range s.svc.Status().FPGAs {
-		if got := f.TotalBlocks - f.FreeBlocks; got != occupied[f.ID] {
-			s.fail("placement-conservation",
-				"device %d: %d blocks occupied, leases account for %d", f.ID, got, occupied[f.ID])
-			return
-		}
+	// No stranded or double-freed blocks: the service audits its own
+	// placements against the controller's occupancy.
+	if err := s.svc.CheckInvariants(); err != nil {
+		s.fail("placement-conservation", "%v", err)
+		return
 	}
 
 	// Engine/tombstone consistency in the data plane.
