@@ -20,8 +20,11 @@
 package accel
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"sort"
+	"strconv"
 
 	"mlvfpga/internal/bfp"
 	"mlvfpga/internal/fp16"
@@ -186,16 +189,65 @@ func (t *trackedDRAM) WriteWords(addr int, vals []fp16.Num) error {
 // Unwrap returns the DRAM the tracker wraps.
 func (t *trackedDRAM) Unwrap() DRAM { return t.inner }
 
+// OpCounts counts executed instructions by opcode. An array, not a map, so
+// stats snapshots, deltas and sums are plain copies that never allocate.
+type OpCounts [isa.NumOpcodes]int
+
+// jsonOpOrder is the order encoding/json writes a map's integer keys in:
+// sorted as decimal strings ("1", "10", …, "16", "2", …).
+var jsonOpOrder = func() []int {
+	ops := make([]int, isa.NumOpcodes)
+	for i := range ops {
+		ops[i] = i
+	}
+	sort.Slice(ops, func(i, j int) bool { return strconv.Itoa(ops[i]) < strconv.Itoa(ops[j]) })
+	return ops
+}()
+
+// MarshalJSON writes the non-zero counts as {"<opcode>":n,…}, byte for byte
+// what a map[isa.Opcode]int encodes to.
+func (c OpCounts) MarshalJSON() ([]byte, error) {
+	b := append(make([]byte, 0, 128), '{')
+	for _, op := range jsonOpOrder {
+		if c[op] == 0 {
+			continue
+		}
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(append(b, '"'), int64(op), 10)
+		b = strconv.AppendInt(append(b, '"', ':'), int64(c[op]), 10)
+	}
+	return append(b, '}'), nil
+}
+
+// UnmarshalJSON reads the form MarshalJSON writes; a key naming no opcode
+// is an error.
+func (c *OpCounts) UnmarshalJSON(b []byte) error {
+	var m map[isa.Opcode]int
+	if err := json.Unmarshal(b, &m); err != nil {
+		return err
+	}
+	*c = OpCounts{}
+	for op, n := range m {
+		if op >= isa.NumOpcodes {
+			return fmt.Errorf("accel: by_op key %d is not an opcode", op)
+		}
+		c[op] = n
+	}
+	return nil
+}
+
 // ExecStats counts executed work, consumed by the timing model, the
 // instruction-buffer experiment, and the serving data plane's batching
 // observability.
 type ExecStats struct {
-	Instructions int                `json:"instructions"`
-	ByOp         map[isa.Opcode]int `json:"by_op,omitempty"`
-	MACs         int64              `json:"macs"`        // multiply-accumulates performed by mv_mul
-	VectorOps    int64              `json:"vector_ops"`  // element-wise operations performed by the MFUs
-	DRAMReads    int64              `json:"dram_reads"`  // words read
-	DRAMWrites   int64              `json:"dram_writes"` // words written
+	Instructions int      `json:"instructions"`
+	ByOp         OpCounts `json:"by_op"`
+	MACs         int64    `json:"macs"`        // multiply-accumulates performed by mv_mul
+	VectorOps    int64    `json:"vector_ops"`  // element-wise operations performed by the MFUs
+	DRAMReads    int64    `json:"dram_reads"`  // words read
+	DRAMWrites   int64    `json:"dram_writes"` // words written
 	// TileCacheHits counts m_rd instructions served from the
 	// weight-stationary tile cache (no DRAM read, no requantization);
 	// TileCacheMisses counts m_rd instructions that had to quantize.
@@ -208,7 +260,6 @@ type ExecStats struct {
 func (s ExecStats) Minus(prev ExecStats) ExecStats {
 	d := ExecStats{
 		Instructions:    s.Instructions - prev.Instructions,
-		ByOp:            map[isa.Opcode]int{},
 		MACs:            s.MACs - prev.MACs,
 		VectorOps:       s.VectorOps - prev.VectorOps,
 		DRAMReads:       s.DRAMReads - prev.DRAMReads,
@@ -216,10 +267,8 @@ func (s ExecStats) Minus(prev ExecStats) ExecStats {
 		TileCacheHits:   s.TileCacheHits - prev.TileCacheHits,
 		TileCacheMisses: s.TileCacheMisses - prev.TileCacheMisses,
 	}
-	for op, c := range s.ByOp {
-		if dc := c - prev.ByOp[op]; dc != 0 {
-			d.ByOp[op] = dc
-		}
+	for op := range d.ByOp {
+		d.ByOp[op] = s.ByOp[op] - prev.ByOp[op]
 	}
 	return d
 }
@@ -230,7 +279,6 @@ func (s ExecStats) Minus(prev ExecStats) ExecStats {
 func (s ExecStats) Plus(o ExecStats) ExecStats {
 	d := ExecStats{
 		Instructions:    s.Instructions + o.Instructions,
-		ByOp:            map[isa.Opcode]int{},
 		MACs:            s.MACs + o.MACs,
 		VectorOps:       s.VectorOps + o.VectorOps,
 		DRAMReads:       s.DRAMReads + o.DRAMReads,
@@ -238,11 +286,8 @@ func (s ExecStats) Plus(o ExecStats) ExecStats {
 		TileCacheHits:   s.TileCacheHits + o.TileCacheHits,
 		TileCacheMisses: s.TileCacheMisses + o.TileCacheMisses,
 	}
-	for op, c := range s.ByOp {
-		d.ByOp[op] += c
-	}
-	for op, c := range o.ByOp {
-		d.ByOp[op] += c
+	for op := range d.ByOp {
+		d.ByOp[op] = s.ByOp[op] + o.ByOp[op]
 	}
 	return d
 }
@@ -311,7 +356,6 @@ func NewWithDRAM(cfg Config, dram DRAM) (*Machine, error) {
 	m.dram = &trackedDRAM{inner: dram, innerInto: inner, m: m}
 	m.sigm, m.tanh, m.exp, m.recip = actTables()
 	m.ensureStreams(1)
-	m.stats.ByOp = map[isa.Opcode]int{}
 	return m, nil
 }
 
@@ -319,16 +363,9 @@ func NewWithDRAM(cfg Config, dram DRAM) (*Machine, error) {
 // for tile-cache invalidation; UnwrapDRAM recovers the wrapped device.
 func (m *Machine) DRAMPort() DRAM { return m.dram }
 
-// Stats returns execution statistics so far. The returned ByOp map is a
-// copy, so the result is a stable snapshot (usable as a Minus baseline).
-func (m *Machine) Stats() ExecStats {
-	st := m.stats
-	st.ByOp = make(map[isa.Opcode]int, len(m.stats.ByOp))
-	for op, c := range m.stats.ByOp {
-		st.ByOp[op] = c
-	}
-	return st
-}
+// Stats returns execution statistics so far, a stable snapshot (usable as
+// a Minus baseline).
+func (m *Machine) Stats() ExecStats { return m.stats }
 
 // invalidateTiles drops every cached tile overlapping the written range.
 func (m *Machine) invalidateTiles(addr, n int) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"mlvfpga/internal/fp16"
@@ -216,6 +217,19 @@ func TestRunErrors(t *testing.T) {
 		}
 		if err := m.Run(p); err == nil {
 			t.Errorf("program %q must fail", src)
+		}
+	}
+}
+
+// TestUndefinedOpcodeIsAnError: Instr is a public struct, so a program built
+// in Go can carry any opcode; one outside the ISA fails Run, it does not
+// index past the per-opcode counts.
+func TestUndefinedOpcodeIsAnError(t *testing.T) {
+	m, _ := New(smallConfig())
+	for _, op := range []isa.Opcode{0, isa.NumOpcodes, 200} {
+		err := m.Run(isa.Program{{Op: op}})
+		if err == nil || !strings.Contains(err.Error(), "unimplemented opcode") {
+			t.Errorf("opcode %d: Run = %v, want unimplemented opcode", op, err)
 		}
 	}
 }

@@ -156,7 +156,9 @@ func (m *Machine) exec(p isa.Program, scs []*streamCtx) error {
 func (m *Machine) stepAll(ins isa.Instr, scs []*streamCtx) (done bool, err error) {
 	n := len(scs)
 	m.stats.Instructions += n
-	m.stats.ByOp[ins.Op] += n
+	if ins.Op < isa.NumOpcodes { // an opcode past the ISA is step1's error, not a panic
+		m.stats.ByOp[ins.Op] += n
+	}
 	switch ins.Op {
 	case isa.OpMRead:
 		return false, m.mRead(ins, n)

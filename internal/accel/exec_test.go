@@ -354,7 +354,6 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 
 	// Reference: B independent sequential machines (same cold start).
 	var wantStats ExecStats
-	wantStats.ByOp = map[isa.Opcode]int{}
 	for s := 0; s < B; s++ {
 		sm, err := New(smallConfig())
 		if err != nil {

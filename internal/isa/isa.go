@@ -60,7 +60,9 @@ const (
 	// normalization, replacing a divide the MFUs do not have).
 	OpVRecip
 
-	opMax
+	// NumOpcodes bounds the opcode space: every defined opcode is below
+	// it, so a [NumOpcodes] array indexes by opcode.
+	NumOpcodes
 )
 
 var opNames = map[Opcode]string{

@@ -23,7 +23,7 @@ func TestDecodeRejectsBadOpcode(t *testing.T) {
 	if _, err := Decode(w); err == nil {
 		t.Error("opcode 0 must be invalid")
 	}
-	w[0] = byte(opMax)
+	w[0] = byte(NumOpcodes)
 	if _, err := Decode(w); err == nil {
 		t.Error("opcode past range must be invalid")
 	}
@@ -176,7 +176,7 @@ func TestDependsOn(t *testing.T) {
 // Property: every valid instruction survives encode/decode.
 func TestQuickEncodeDecode(t *testing.T) {
 	f := func(op, dst, s1, s2 uint8, im uint32) bool {
-		o := Opcode(op%uint8(opMax-1)) + 1
+		o := Opcode(op%uint8(NumOpcodes-1)) + 1
 		ins := Instr{Op: o, Dst: dst, Src1: s1, Src2: s2, Imm: im}
 		got, err := Decode(ins.Encode())
 		return err == nil && got == ins
@@ -191,7 +191,7 @@ func TestQuickAsmRoundTrip(t *testing.T) {
 	f := func(ops []uint8) bool {
 		var p Program
 		for _, b := range ops {
-			o := Opcode(b%uint8(opMax-1)) + 1
+			o := Opcode(b%uint8(NumOpcodes-1)) + 1
 			p = append(p, Instr{Op: o, Dst: b % 16, Src1: (b + 1) % 16, Src2: (b + 2) % 16, Imm: uint32(b) * 3})
 		}
 		// Normalize: String omits fields an opcode does not use, so zero

@@ -33,7 +33,7 @@ func FromStats(st accel.ExecStats, inst Instance, p Params) (Breakdown, error) {
 	lanes := float64(inst.Tiles) * p.VecLanesPerTile
 	nVec := 0.0
 	for op, count := range st.ByOp {
-		switch op {
+		switch isa.Opcode(op) {
 		case isa.OpVVAdd, isa.OpVVSub, isa.OpVVMul,
 			isa.OpVSigm, isa.OpVTanh, isa.OpVRelu, isa.OpVPass,
 			isa.OpVConst, isa.OpVRsub, isa.OpVExp, isa.OpVRecip:

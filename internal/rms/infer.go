@@ -429,11 +429,18 @@ func (dp *DataPlane) InferAs(tenantID string, leaseID int, inputs [][]float64) (
 			st.mu.Unlock()
 		}()
 	}
-	lease, ok := dp.svc.Lease(leaseID)
-	if !ok {
+	// A built engine implies a live lease (Release drains the engine before
+	// it deletes the lease) and holds the layer, so the steady state takes
+	// no service lock. Without one, inputs are checked before a build.
+	var spec kernels.LayerSpec
+	lease, e := (*Lease)(nil), dp.currentEngine(leaseID)
+	if e != nil {
+		spec = e.kern.Spec
+	} else if l, ok := dp.svc.Lease(leaseID); ok {
+		lease, spec = l, l.Spec
+	} else {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownLease, leaseID)
 	}
-	spec := lease.Spec
 	if len(inputs) == 0 || len(inputs) > spec.TimeSteps {
 		return nil, fmt.Errorf("rms: got %d input vectors, layer takes 1..%d timesteps", len(inputs), spec.TimeSteps)
 	}
@@ -447,9 +454,11 @@ func (dp *DataPlane) InferAs(tenantID string, leaseID int, inputs [][]float64) (
 			}
 		}
 	}
-	e, err := dp.engine(lease)
-	if err != nil {
-		return nil, err
+	if e == nil {
+		var err error
+		if e, err = dp.engine(lease); err != nil {
+			return nil, err
+		}
 	}
 	req := &inferRequest{
 		inputs: inputs, enqueued: time.Now(), resp: make(chan inferResponse, 1),

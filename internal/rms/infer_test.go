@@ -9,10 +9,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"mlvfpga/internal/accel"
 	"mlvfpga/internal/kernels"
 	"mlvfpga/internal/resource"
 )
@@ -141,28 +143,35 @@ func TestInferUnknownAndReleasedLease(t *testing.T) {
 func TestInferValidatesShape(t *testing.T) {
 	opts := DefaultInferOptions()
 	_, dp, lease := testPlane(t, opts)
-	if _, err := dp.InferAs("", lease.ID, [][]float64{{1, 2}}); err == nil {
-		t.Error("short input accepted")
-	}
-	bad := testInputs(lease.Spec, 1)
-	bad[1] = bad[1][:10]
-	if _, err := dp.InferAs("", lease.ID, bad); err == nil {
-		t.Error("wrong hidden size accepted")
-	}
-	// Elements binary16 rounds to ±Inf or NaN would be flushed to zero by
-	// the quantizer and answered as if the input were 0.
-	for _, v := range []float64{65520, -1e30, math.Inf(1), math.NaN()} {
-		in := testInputs(lease.Spec, 1)
-		in[1][7] = v
-		var rerr *InputRangeError
-		if _, err := dp.InferAs("", lease.ID, in); !errors.As(err, &rerr) || rerr.Step != 1 || rerr.Elem != 7 {
-			t.Errorf("input element %g: err %v, want an InputRangeError at input 1 element 7", v, err)
+	// Once against the service's lease, before any engine is built, and
+	// once against the built engine's kernel.
+	for _, built := range []bool{false, true} {
+		if _, err := dp.InferAs("", lease.ID, [][]float64{{1, 2}}); err == nil {
+			t.Error("short input accepted")
 		}
-	}
-	in := testInputs(lease.Spec, 1)
-	in[0][0] = 65519 // rounds to 65504, the largest finite binary16
-	if _, err := dp.InferAs("", lease.ID, in); err != nil {
-		t.Errorf("largest representable input refused: %v", err)
+		bad := testInputs(lease.Spec, 1)
+		bad[1] = bad[1][:10]
+		if _, err := dp.InferAs("", lease.ID, bad); err == nil || !strings.Contains(err.Error(), "hidden size") {
+			t.Errorf("wrong hidden size: err %v, want the shape error", err)
+		}
+		// Elements binary16 rounds to ±Inf or NaN would be flushed to zero by
+		// the quantizer and answered as if the input were 0.
+		for _, v := range []float64{65520, -1e30, math.Inf(1), math.NaN()} {
+			in := testInputs(lease.Spec, 1)
+			in[1][7] = v
+			var rerr *InputRangeError
+			if _, err := dp.InferAs("", lease.ID, in); !errors.As(err, &rerr) || rerr.Step != 1 || rerr.Elem != 7 {
+				t.Errorf("input element %g: err %v, want an InputRangeError at input 1 element 7", v, err)
+			}
+		}
+		if _, ok := dp.Load(lease.ID); ok != built {
+			t.Fatalf("engine built = %v after refused requests, want %v", ok, built)
+		}
+		in := testInputs(lease.Spec, 1)
+		in[0][0] = 65519 // rounds to 65504, the largest finite binary16
+		if _, err := dp.InferAs("", lease.ID, in); err != nil {
+			t.Errorf("largest representable input refused: %v", err)
+		}
 	}
 }
 
@@ -238,6 +247,9 @@ func TestInferHTTP(t *testing.T) {
 	resp.Body.Close()
 	if len(res.Outputs) != 2 || len(res.Outputs[0]) != 256 {
 		t.Errorf("infer outputs shape %dx%d", len(res.Outputs), len(res.Outputs[0]))
+	}
+	if res.BatchStats.ByOp == (accel.OpCounts{}) {
+		t.Error("infer response carries no batch_stats.by_op")
 	}
 
 	resp = post("/infer", map[string]any{"id": lease.ID, "inputs": [][]float64{{1}}})
