@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strings"
 
 	"mlvfpga/internal/tenant"
 )
@@ -18,7 +19,8 @@ import (
 //	POST /cluster/rebalance                 -> TickReport (one control pass, on demand)
 //	POST /cluster/defrag                    -> DefragReport (one consolidation pass)
 //
-// base may be nil when the control plane runs standalone.
+// Paths under /cluster/ go to the control plane's mux and all others
+// straight to base, so a request takes one route lookup.
 //
 // The mutating /cluster/* operations condemn hardware and move tenant
 // workloads, so servers must put this handler behind a tenant.Guard
@@ -28,7 +30,7 @@ func (cp *ControlPlane) Handler(base http.Handler) http.Handler {
 	mux := http.NewServeMux()
 
 	writeJSON := func(w http.ResponseWriter, code int, v any) {
-		w.Header().Set("Content-Type", "application/json")
+		w.Header()["Content-Type"] = jsonContentType
 		w.WriteHeader(code)
 		_ = json.NewEncoder(w).Encode(v)
 	}
@@ -109,8 +111,14 @@ func (cp *ControlPlane) Handler(base http.Handler) http.Handler {
 		}
 	})
 
-	if base != nil {
-		mux.Handle("/", base)
-	}
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/cluster/") {
+			mux.ServeHTTP(w, r)
+			return
+		}
+		base.ServeHTTP(w, r)
+	})
 }
+
+// jsonContentType is every JSON response's Content-Type, never written to.
+var jsonContentType = []string{"application/json"}

@@ -4,9 +4,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"strings"
 	"testing"
+	"time"
 
+	"mlvfpga/internal/kernels"
 	"mlvfpga/internal/resource"
 	"mlvfpga/internal/rms"
 	"mlvfpga/internal/tenant"
@@ -129,4 +132,156 @@ func TestClusterHTTP(t *testing.T) {
 func itoa(n int) string {
 	b, _ := json.Marshal(n)
 	return string(b)
+}
+
+// servingChain is mlv-serve's handler stack over a paper cluster holding
+// one small LSTM lease: the control plane over the data plane, bare (the
+// -insecure server) and behind a guard that trusts an admin tenant "ops".
+// The guard's clock reads the chain's now.
+type servingChain struct {
+	insecure, guarded http.Handler
+	lease             *rms.Lease
+	now               time.Time
+}
+
+func newServingChain(t *testing.T) *servingChain {
+	t.Helper()
+	cp, svc, _, _ := testControlPlane(t, resource.PaperCluster(), DefaultConfig())
+	reg, err := tenant.NewRegistry(tenant.Tenant{ID: "ops", Key: "ops-key", Admin: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.SetTenants(reg)
+	dp := rms.NewDataPlane(svc, rms.DefaultInferOptions())
+	dp.SetTenants(reg)
+	t.Cleanup(dp.Close)
+	c := &servingChain{now: time.Unix(1_700_000_000, 0)}
+	spec := kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 64, TimeSteps: 2}
+	if c.lease, err = svc.DeployWith(spec, rms.PlaceOptions{Tenant: "ops"}); err != nil {
+		t.Fatal(err)
+	}
+	c.insecure = cp.Handler(dp.Handler())
+	c.guarded = tenant.NewGuard(reg, tenant.GuardOptions{Now: func() time.Time { return c.now }}).Wrap(c.insecure)
+	return c
+}
+
+// inferBody is a valid /infer body for the chain's lease.
+func (c *servingChain) inferBody() string {
+	row := strings.TrimSuffix(strings.Repeat("0.25,", c.lease.Spec.Hidden), ",")
+	return `{"id":` + itoa(c.lease.ID) + `,"inputs":[[` + row + `],[` + row + `]]}`
+}
+
+// request builds a request for the chain; a POST is signed as "ops" at the
+// chain's clock with the given nonce.
+func (c *servingChain) request(method, path, body, nonce string) *http.Request {
+	r := httptest.NewRequest(method, path, strings.NewReader(body))
+	if method == http.MethodPost {
+		tenant.SignRequest(r, "ops", []byte("ops-key"), []byte(body), c.now, nonce)
+	}
+	return r
+}
+
+// TestRoutingStatusAndLocation pins what each chain answers, status and
+// Location, for the paths where the control plane's routes meet the data
+// plane's: exact routes on both sides, unknown /cluster paths, and paths
+// that http.ServeMux cleans or redirects to a trailing slash.
+func TestRoutingStatusAndLocation(t *testing.T) {
+	c := newServingChain(t)
+	infer := c.inferBody()
+	cases := []struct {
+		method, path, body string
+		code               int
+		location           string
+	}{
+		{"POST", "/infer", infer, http.StatusOK, ""},
+		{"GET", "/infer", "", http.StatusMethodNotAllowed, ""},
+		{"GET", "/lease/" + itoa(c.lease.ID), "", http.StatusOK, ""},
+		{"GET", "/lease", "", http.StatusMovedPermanently, "/lease/"},
+		{"GET", "/cluster/devices", "", http.StatusOK, ""},
+		{"GET", "/cluster/nope", "", http.StatusNotFound, ""},
+		{"GET", "/cluster", "", http.StatusNotFound, ""},
+		{"GET", "/cluster/devices/", "", http.StatusNotFound, ""},
+		{"POST", "//infer", infer, http.StatusMovedPermanently, "/infer"},
+		{"POST", "/cluster/../infer", infer, http.StatusMovedPermanently, "/infer"},
+		{"POST", "/infer/../cluster/kill", `{"id":0}`, http.StatusMovedPermanently, "/cluster/kill"},
+		{"GET", "/debug/vars", "", http.StatusOK, ""},
+	}
+	for name, h := range map[string]http.Handler{"insecure": c.insecure, "guarded": c.guarded} {
+		for i, tc := range cases {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, c.request(tc.method, tc.path, tc.body, name+itoa(i)))
+			if w.Code != tc.code || w.Header().Get("Location") != tc.location {
+				t.Errorf("%s %s %s: %d Location %q, want %d %q (body %.80q)", name, tc.method, tc.path,
+					w.Code, w.Header().Get("Location"), tc.code, tc.location, w.Body.String())
+			}
+		}
+	}
+}
+
+// discardWriter is a reusable ResponseWriter that keeps the status only.
+type discardWriter struct {
+	hdr  http.Header
+	code int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.hdr }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestGuardedInferAllocations holds a warmed, signed /infer through the
+// whole chain to its allocation count. The requests are built and signed
+// beforehand, so the count is the server's alone: the guard's WithContext
+// and WithValue (2), the /infer scan (2), InferAs (9), and the response's
+// JSON encoding and by_op (2). Before the guard stopped allocating this
+// was 35: an HMAC built per request, every header key canonicalised as it
+// was read, the body wrapped in a LimitReader and a NopCloser and read
+// twice, three mux lookups, and a boxed Tenant and Content-Type value.
+func TestGuardedInferAllocations(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	c := newServingChain(t)
+	body := c.inferBody()
+	const warm, runs = 50, 200
+	reqs := make([]*http.Request, warm+runs+1)
+	stamps := make([]time.Time, len(reqs))
+	for i := range reqs {
+		// A clock an hour on per request keeps the nonce table at one entry.
+		stamps[i] = c.now.Add(time.Duration(i) * time.Hour)
+		c.now = stamps[i]
+		reqs[i] = c.request(http.MethodPost, "/infer", body, "a"+itoa(i))
+	}
+	w := &discardWriter{hdr: http.Header{}}
+	n := 0
+	serve := func() {
+		clear(w.hdr)
+		w.code = 0
+		c.now = stamps[n]
+		c.guarded.ServeHTTP(w, reqs[n])
+		if w.code != http.StatusOK {
+			t.Fatalf("request %d: %d", n, w.code)
+		}
+		n++
+	}
+	for n < warm { // the engine, the pools and the JSON encoder
+		serve()
+	}
+	allocs := testing.AllocsPerRun(runs, serve)
+	if allocs > 15 {
+		t.Errorf("guarded /infer allocates %v times, want ≤ 15", allocs)
+	}
+}
+
+// raceEnabled reports a -race build.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

@@ -15,6 +15,9 @@ import (
 // retryAfter is the backoff hint stamped on 429/503 responses.
 const retryAfter = "1"
 
+// jsonContentType is every JSON response's Content-Type, never written to.
+var jsonContentType = []string{"application/json"}
+
 // Handler exposes the service and its data plane as a JSON HTTP API (the
 // integration surface of Fig. 7's "APIs for communicating with the
 // high-level system"):
@@ -47,7 +50,7 @@ func (dp *DataPlane) Handler() http.Handler {
 	mux := http.NewServeMux()
 
 	writeJSON := func(w http.ResponseWriter, code int, v any) {
-		w.Header().Set("Content-Type", "application/json")
+		w.Header()["Content-Type"] = jsonContentType
 		w.WriteHeader(code)
 		_ = json.NewEncoder(w).Encode(v)
 	}

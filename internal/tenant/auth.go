@@ -33,6 +33,10 @@ const (
 	HeaderSignature = "X-MLV-Signature"
 )
 
+// The same headers as http.Header keys them; a key in any other form is
+// canonicalised, which allocates, on every Header.Get or Header.Set.
+const keyTenant, keyTimestamp, keyNonce, keySignature = "X-Mlv-Tenant", "X-Mlv-Timestamp", "X-Mlv-Nonce", "X-Mlv-Signature"
+
 // Sign computes the request signature a client must send (and the guard
 // recomputes): hex HMAC-SHA256 over the canonical string.
 func Sign(key []byte, method, path string, body []byte, unixTS int64, nonce string) string {
@@ -40,17 +44,31 @@ func Sign(key []byte, method, path string, body []byte, unixTS int64, nonce stri
 	return string(sig[:])
 }
 
-// sign is Sign into a fixed array, which the guard compares as it is. The
-// canonical string is appended into a buffer sized for typical requests.
-func sign(key []byte, method, path string, body []byte, unixTS int64, nonce string) (sig [2 * sha256.Size]byte) {
+// sign is Sign into a fixed array, which the guard compares as it is: HMAC
+// by its definition (RFC 2104), H((K0⊕opad) ‖ H((K0⊕ipad) ‖ msg)), over a
+// stack buffer sized for typical requests that a longer one spills from.
+// K0 is the key zero-padded to one block, or its digest if longer.
+func sign[K string | []byte](key K, method, path string, body []byte, unixTS int64, nonce string) (sig [2 * sha256.Size]byte) {
+	var k0 [sha256.BlockSize]byte
+	var buf [sha256.BlockSize + 256]byte
+	if len(key) > len(k0) {
+		d := sha256.Sum256(append(buf[:0], key...))
+		copy(k0[:], d[:])
+	} else {
+		copy(k0[:], key)
+	}
+	for i, b := range k0 {
+		buf[i] = b ^ 0x36
+	}
 	sum := sha256.Sum256(body)
-	var buf [256]byte
-	msg := append(append(append(append(buf[:0], method...), '\n'), path...), '\n')
+	msg := append(append(append(append(buf[:len(k0)], method...), '\n'), path...), '\n')
 	msg = append(strconv.AppendInt(append(hex.AppendEncode(msg, sum[:]), '\n'), unixTS, 10), '\n')
-	mac := hmac.New(sha256.New, key)
-	mac.Write(append(msg, nonce...))
-	var m [sha256.Size]byte
-	hex.Encode(sig[:], mac.Sum(m[:0]))
+	inner := sha256.Sum256(append(msg, nonce...))
+	for i, b := range k0 {
+		buf[i] = b ^ 0x5c
+	}
+	mac := sha256.Sum256(append(buf[:len(k0)], inner[:]...))
+	hex.Encode(sig[:], mac[:])
 	return sig
 }
 
@@ -58,26 +76,27 @@ func sign(key []byte, method, path string, body []byte, unixTS int64, nonce stri
 // body bytes are supplied explicitly (the caller keeps r.Body readable).
 func SignRequest(r *http.Request, id string, key []byte, body []byte, now time.Time, nonce string) {
 	ts := now.Unix()
-	r.Header.Set(HeaderTenant, id)
-	r.Header.Set(HeaderTimestamp, strconv.FormatInt(ts, 10))
-	r.Header.Set(HeaderNonce, nonce)
-	r.Header.Set(HeaderSignature, Sign(key, r.Method, r.URL.Path, body, ts, nonce))
+	v := []string{id, strconv.FormatInt(ts, 10), nonce, Sign(key, r.Method, r.URL.Path, body, ts, nonce)}
+	h := r.Header
+	h[keyTenant], h[keyTimestamp], h[keyNonce], h[keySignature] = v[0:1:1], v[1:2:2], v[2:3:3], v[3:4:4]
 }
 
-// ctxKey is the context key carrying the authenticated tenant.
+// ctxKey is the context key carrying the authenticated *Tenant.
 type ctxKey struct{}
 
 // WithTenant returns ctx carrying t as the authenticated caller.
 func WithTenant(ctx context.Context, t Tenant) context.Context {
-	return context.WithValue(ctx, ctxKey{}, t)
+	return context.WithValue(ctx, ctxKey{}, &t)
 }
 
 // FromContext returns the authenticated tenant, if any. Handlers behind a
 // guard always see one on mutating requests; in insecure (anonymous) mode
 // ok is false.
 func FromContext(ctx context.Context) (Tenant, bool) {
-	t, ok := ctx.Value(ctxKey{}).(Tenant)
-	return t, ok
+	if t, ok := ctx.Value(ctxKey{}).(*Tenant); ok {
+		return *t, true
+	}
+	return Tenant{}, false
 }
 
 // adminPrefix is the path prefix whose mutating operations require an
@@ -99,33 +118,52 @@ const MaxBody = 64 << 20
 // claiming one; servers answer it with 413.
 var ErrBodyTooLarge = errors.New("request body exceeds 64 MiB")
 
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// Body is a request body read whole into a pooled buffer. It is also an
+// io.ReadCloser, so the guard hands it on as the request's body.
+type Body struct {
+	bytes.Buffer
+	lim  io.LimitedReader
+	lent bool // handed on by a guard, which frees it after the handler
+}
+
+// Close does nothing; FreeBody is what returns the buffer.
+func (*Body) Close() error { return nil }
+
+var bodyPool = sync.Pool{New: func() any { return new(Body) }}
 
 // ReadBody reads r's body into a pooled buffer presized from
 // Content-Length, which is untrusted: a claim over MaxBody is refused before
 // anything is allocated. A warm pool holds buffers as large as the bodies
 // before, so the read allocates nothing in proportion to the body.
-// FreeBody returns the buffer.
-func ReadBody(r *http.Request) (*bytes.Buffer, error) {
+// FreeBody returns the buffer. Behind a guard, ReadBody returns its Body.
+func ReadBody(r *http.Request) (*Body, error) {
+	if b, ok := r.Body.(*Body); ok && b.lent {
+		return b, nil
+	}
 	if r.ContentLength > MaxBody {
 		return nil, ErrBodyTooLarge
 	}
-	buf := bodyPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	buf.Grow(int(r.ContentLength) + bytes.MinRead) // so ReadFrom meets EOF without growing it
-	_, err := buf.ReadFrom(io.LimitReader(r.Body, MaxBody+1))
-	if err == nil && buf.Len() > MaxBody {
+	b := bodyPool.Get().(*Body)
+	b.Reset()
+	b.Grow(int(r.ContentLength) + bytes.MinRead) // so ReadFrom meets EOF without growing it
+	b.lim = io.LimitedReader{R: r.Body, N: MaxBody + 1}
+	_, err := b.ReadFrom(&b.lim)
+	if err == nil && b.Len() > MaxBody {
 		return nil, ErrBodyTooLarge // dropped, not pooled
 	}
 	if err != nil {
-		FreeBody(buf)
+		FreeBody(b)
 		return nil, err
 	}
-	return buf, nil
+	return b, nil
 }
 
-// FreeBody returns a ReadBody buffer to the pool.
-func FreeBody(buf *bytes.Buffer) { bodyPool.Put(buf) }
+// FreeBody returns a ReadBody buffer to the pool, unless a guard lent it.
+func FreeBody(b *Body) {
+	if !b.lent {
+		bodyPool.Put(b)
+	}
+}
 
 // GuardOptions tunes the authentication middleware.
 type GuardOptions struct {
@@ -185,15 +223,15 @@ func (g *Guard) Wrap(next http.Handler) http.Handler {
 			next.ServeHTTP(w, r)
 			return
 		}
-		id := r.Header.Get(HeaderTenant)
-		tsRaw := r.Header.Get(HeaderTimestamp)
-		nonce := r.Header.Get(HeaderNonce)
-		sig := r.Header.Get(HeaderSignature)
+		id := r.Header.Get(keyTenant)
+		tsRaw := r.Header.Get(keyTimestamp)
+		nonce := r.Header.Get(keyNonce)
+		sig := r.Header.Get(keySignature)
 		if id == "" || tsRaw == "" || nonce == "" || sig == "" {
 			g.reject(w, http.StatusUnauthorized, id, "missing signed-request headers")
 			return
 		}
-		t, ok := g.reg.Lookup(id)
+		t, ok := g.reg.entry(id)
 		if !ok {
 			g.reject(w, http.StatusUnauthorized, id, "unknown tenant")
 			return
@@ -219,9 +257,10 @@ func (g *Guard) Wrap(next http.Handler) http.Handler {
 			g.reject(w, http.StatusUnauthorized, id, "unreadable body")
 			return
 		}
-		defer FreeBody(body)
-		want := sign([]byte(t.Key), r.Method, r.URL.Path, body.Bytes(), ts, nonce)
-		r.Body = io.NopCloser(body)
+		body.lent = true // so the handler's FreeBody leaves it to this one
+		defer func() { body.lent = false; FreeBody(body) }()
+		want := sign(t.Key, r.Method, r.URL.Path, body.Bytes(), ts, nonce)
+		r.Body = body
 		// Constant-time compare of fixed-length hex, so the comparison leaks
 		// nothing about where a forgery diverges.
 		var got [len(want)]byte
@@ -238,7 +277,7 @@ func (g *Guard) Wrap(next http.Handler) http.Handler {
 			g.reject(w, http.StatusForbidden, id, "admin tenant required")
 			return
 		}
-		next.ServeHTTP(w, r.WithContext(WithTenant(r.Context(), t)))
+		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), ctxKey{}, t)))
 	})
 }
 

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -254,32 +255,45 @@ func TestGuardRejectBoundsMetricKeys(t *testing.T) {
 	}
 }
 
-// TestGuardConcurrentBodies sends distinct signed bodies from several
-// goroutines through the guard to a handler that reads its body again
-// with ReadBody, as the rms and cluster handlers do: the pooled buffers
-// must never carry one request's bytes into another.
+// TestGuardConcurrentBodies sends distinct signed bodies from 64
+// goroutines through the guard. The handler reads its body again with
+// ReadBody, as the rms and cluster handlers do, and must get the guard's
+// buffer back rather than a second copy; every fourth request goes to a
+// handler that never reads it. The pooled buffers must never carry one
+// request's bytes into another, which a buffer put back twice would.
 func TestGuardConcurrentBodies(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	g := NewGuard(testRegistry(t), GuardOptions{Now: func() time.Time { return now }})
 	h := g.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/skip" {
+			return
+		}
 		body, err := ReadBody(r)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		defer FreeBody(body)
+		if body != r.Body {
+			http.Error(w, "body read twice", http.StatusInternalServerError)
+			return
+		}
 		_, _ = w.Write(body.Bytes())
 	}))
 	var wg sync.WaitGroup
-	for c := 0; c < 4; c++ {
+	for c := 0; c < 64; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				body := bytes.Repeat([]byte{byte('a' + c)}, 100+50*c+i)
+			for i := 0; i < 40; i++ {
+				body := bytes.Repeat([]byte{byte('a' + c%26), byte('0' + c/26)}, 50+25*c+i)
+				path, want := "/infer", body
+				if i%4 == 3 {
+					path, want = "/skip", nil
+				}
 				w := httptest.NewRecorder()
-				h.ServeHTTP(w, signedReq("bob", "bob-secret", "/infer", body, now, fmt.Sprintf("c%d-%d", c, i)))
-				if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), body) {
+				h.ServeHTTP(w, signedReq("bob", "bob-secret", path, body, now, fmt.Sprintf("c%d-%d", c, i)))
+				if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want) {
 					t.Errorf("client %d request %d: code %d, body %.20q…", c, i, w.Code, w.Body.String())
 					return
 				}
@@ -349,32 +363,129 @@ func TestSignDeterministic(t *testing.T) {
 		t.Fatal("timestamp does not affect signature")
 	}
 
-	// The fmt formula Sign used to be is the oracle: every signature a
-	// client (mlv-sign, mlv-cluster) computes stays byte-identical.
-	oracle := func(key []byte, method, path string, body []byte, ts int64, nonce string) string {
-		sum := sha256.Sum256(body)
-		mac := hmac.New(sha256.New, key)
-		fmt.Fprintf(mac, "%s\n%s\n%s\n%d\n%s", method, path, hex.EncodeToString(sum[:]), ts, nonce)
-		return hex.EncodeToString(mac.Sum(nil))
-	}
+	// crypto/hmac over the fmt formula Sign used to be is the oracle: every
+	// signature a client (mlv-sign, mlv-cluster) computes stays
+	// byte-identical.
 	rng := rand.New(rand.NewSource(1))
 	text := func(max int) string {
 		b := make([]byte, rng.Intn(max))
 		rng.Read(b)
 		return string(b)
 	}
-	for i := 0; i < 500; i++ {
-		key, body := []byte(text(100)), []byte(text(2000))
-		// Up to 300-byte paths overflow sign's stack buffer.
-		method, path, nonce := text(10), "/"+text(300), text(40)
-		ts := rng.Int63() - rng.Int63()
-		if got, want := Sign(key, method, path, body, ts, nonce), oracle(key, method, path, body, ts, nonce); got != want {
-			t.Fatalf("case %d: Sign = %s, fmt oracle = %s", i, got, want)
+	// Keys of every length across the 64-byte block, where a longer one is
+	// hashed first; paths and nonces up to 300 bytes overflow sign's stack
+	// buffer.
+	for klen := 0; klen <= 200; klen++ {
+		for i := 0; i < 5; i++ {
+			key := make([]byte, klen)
+			rng.Read(key)
+			body := []byte(text(2000))
+			method, path, nonce := text(10), "/"+text(300), text(300)
+			ts := rng.Int63() - rng.Int63()
+			if got, want := Sign(key, method, path, body, ts, nonce), hmacOracle(key, method, path, body, ts, nonce); got != want {
+				t.Fatalf("key length %d case %d: Sign = %s, crypto/hmac = %s", klen, i, got, want)
+			}
 		}
 	}
-	// Called twice per signed request, by the client and by the guard.
-	key, body := []byte("bob-secret"), []byte(`{"id":1,"inputs":[[0.5]]}`)
-	if n := testing.AllocsPerRun(100, func() { _ = Sign(key, "POST", "/infer", body, 1_700_000_000, "7-123456") }); n > 8 {
-		t.Errorf("Sign allocates %v times, want ≤ 8 (the fmt formula took 15)", n)
+	// Called twice per signed request, by the client and by the guard; the
+	// returned string is all it allocates, at any key length.
+	body := []byte(`{"id":1,"inputs":[[0.5]]}`)
+	for _, key := range [][]byte{[]byte("bob-secret"), bytes.Repeat([]byte("k"), 100)} {
+		if n := testing.AllocsPerRun(100, func() { _ = Sign(key, "POST", "/infer", body, 1_700_000_000, "7-123456") }); n > 1 {
+			t.Errorf("Sign with a %d-byte key allocates %v times, want ≤ 1 (crypto/hmac took 8)", len(key), n)
+		}
 	}
+}
+
+// hmacOracle is the signature by crypto/hmac and fmt.
+func hmacOracle(key []byte, method, path string, body []byte, ts int64, nonce string) string {
+	sum := sha256.Sum256(body)
+	mac := hmac.New(sha256.New, key)
+	fmt.Fprintf(mac, "%s\n%s\n%s\n%d\n%s", method, path, hex.EncodeToString(sum[:]), ts, nonce)
+	return hex.EncodeToString(mac.Sum(nil))
+}
+
+func FuzzSign(f *testing.F) {
+	f.Add([]byte("bob-secret"), "POST", "/infer", []byte(`{"id":1}`), int64(1_700_000_000), "n1")
+	f.Add(bytes.Repeat([]byte{0xff}, 65), "", "", []byte(nil), int64(-1), "")
+	f.Add(bytes.Repeat([]byte("k"), 64), "DELETE", "/"+strings.Repeat("p", 300), []byte("b"), int64(0), strings.Repeat("n", 300))
+	f.Fuzz(func(t *testing.T, key []byte, method, path string, body []byte, ts int64, nonce string) {
+		if got, want := Sign(key, method, path, body, ts, nonce), hmacOracle(key, method, path, body, ts, nonce); got != want {
+			t.Fatalf("Sign = %s, crypto/hmac = %s", got, want)
+		}
+	})
+}
+
+// The guard reads the headers by their canonical keys, which must be the
+// exported names as http.Header keys them, or no request would verify.
+func TestCanonicalHeaderKeys(t *testing.T) {
+	for exported, key := range map[string]string{
+		HeaderTenant: keyTenant, HeaderTimestamp: keyTimestamp, HeaderNonce: keyNonce, HeaderSignature: keySignature,
+	} {
+		if c := http.CanonicalHeaderKey(exported); c != key {
+			t.Errorf("CanonicalHeaderKey(%q) = %q, the guard reads %q", exported, c, key)
+		}
+	}
+}
+
+// TestSignAndVerifyAllocations: signing a request allocates its header
+// values (3), and the guard's verify path into a handler that never reads
+// the body allocates only WithContext and WithValue (2), at key lengths
+// on both sides of the 64-byte block. The handler not reading shows the
+// guard puts the body back: a body left unfreed would be a pool miss per
+// request.
+func TestSignAndVerifyAllocations(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	body := []byte(`{"id":1,"inputs":[[0.5,0.25]]}`)
+	now := time.Unix(1_700_000_000, 0)
+	r := signedReq("bob", "bob-secret", "/infer", body, now, "n")
+	if n := testing.AllocsPerRun(100, func() { SignRequest(r, "bob", []byte("bob-secret"), body, now, "n") }); n > 3 {
+		t.Errorf("SignRequest allocates %v times, want ≤ 3", n)
+	}
+
+	for _, klen := range []int{7, 64, 100} {
+		key := strings.Repeat("k", klen)
+		reg, err := NewRegistry(Tenant{ID: "t", Key: key})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock := now
+		h := NewGuard(reg, GuardOptions{Now: func() time.Time { return clock }}).Wrap(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+		// Requests are signed beforehand, an hour apart so that the nonce
+		// table holds one entry.
+		const runs = 100
+		reqs := make([]*http.Request, runs+1)
+		for i := range reqs {
+			reqs[i] = signedReq("t", key, "/infer", body, now.Add(time.Duration(i)*time.Hour), "n"+strconv.Itoa(i))
+		}
+		w := httptest.NewRecorder()
+		i := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			clock = now.Add(time.Duration(i) * time.Hour)
+			h.ServeHTTP(w, reqs[i])
+			i++
+		})
+		if w.Code != http.StatusOK {
+			t.Fatalf("key length %d: code %d (%s)", klen, w.Code, w.Body.String())
+		}
+		if allocs > 2 {
+			t.Errorf("key length %d: the guard allocates %v times per request, want ≤ 2", klen, allocs)
+		}
+	}
+}
+
+// raceEnabled reports a -race build.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

@@ -114,12 +114,12 @@ func (t Tenant) EffectiveWeight() int {
 // Registry is the tenant table, safe for concurrent use.
 type Registry struct {
 	mu   sync.RWMutex
-	byID map[string]Tenant
+	byID map[string]*Tenant
 }
 
 // NewRegistry builds a registry over the given tenants.
 func NewRegistry(tenants ...Tenant) (*Registry, error) {
-	r := &Registry{byID: map[string]Tenant{}}
+	r := &Registry{byID: map[string]*Tenant{}}
 	for _, t := range tenants {
 		if err := r.Add(t); err != nil {
 			return nil, err
@@ -141,12 +141,20 @@ func (r *Registry) Add(t Tenant) error {
 	if _, dup := r.byID[t.ID]; dup {
 		return fmt.Errorf("tenant: duplicate id %q", t.ID)
 	}
-	r.byID[t.ID] = t
+	r.byID[t.ID] = &t
 	return nil
 }
 
 // Lookup returns the tenant by id.
 func (r *Registry) Lookup(id string) (Tenant, bool) {
+	if t, ok := r.entry(id); ok {
+		return *t, true
+	}
+	return Tenant{}, false
+}
+
+// entry is Lookup without the copy: an entry is never written after Add.
+func (r *Registry) entry(id string) (*Tenant, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	t, ok := r.byID[id]
@@ -159,7 +167,7 @@ func (r *Registry) List() []Tenant {
 	defer r.mu.RUnlock()
 	out := make([]Tenant, 0, len(r.byID))
 	for _, t := range r.byID {
-		out = append(out, t)
+		out = append(out, *t)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
