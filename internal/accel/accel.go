@@ -154,6 +154,7 @@ func (m *Memory) WriteWords(addr int, vals []fp16.Num) error {
 type tileEntry struct {
 	addr, words int
 	valid       bool
+	shared      bool // the tile is bound into another machine too (ShareTiles)
 }
 
 // trackedDRAM interposes on the machine's DRAM port so every write — from
@@ -376,6 +377,19 @@ func (m *Machine) invalidateTiles(addr, n int) {
 		t := &m.tiles[i]
 		if t.valid && addr < t.addr+t.words && t.addr < addr+n {
 			t.valid = false
+		}
+	}
+}
+
+// ShareTiles binds src's loaded tiles read-only into m where configuration
+// and shape agree (m's DRAM must hold src's words there), so m's m_rd of
+// them hits. Both sides mark a bound tile shared; an invalidated shared
+// register is refilled into fresh storage. Neither machine may be running.
+func (m *Machine) ShareTiles(src *Machine) {
+	for i, t := range src.tiles {
+		if t.valid && m.cfg == src.cfg && m.mshape[i] == src.mshape[i] {
+			src.tiles[i].shared, t.shared = true, true
+			m.mrf[i], m.tiles[i] = src.mrf[i], t
 		}
 	}
 }

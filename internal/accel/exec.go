@@ -280,9 +280,13 @@ func (m *Machine) mRead(ins isa.Instr, nStreams int) error {
 		return nil
 	}
 	// The tile streams out of DRAM a row at a time, never held whole in a
-	// second format, into the register's old storage when the shape matches.
-	// Until the last row lands the register holds no tile.
+	// second format, into the register's old storage when the shape matches
+	// and no other machine holds it. Until the last row lands the register
+	// holds no tile.
 	old := m.mrf[ins.Dst]
+	if t.shared {
+		old = nil
+	}
 	m.mrf[ins.Dst], t.valid = nil, false
 	if cap(m.rowHalf) < shape.cols {
 		m.rowHalf = make([]fp16.Num, shape.cols)

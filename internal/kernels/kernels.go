@@ -158,29 +158,23 @@ func RandomWeights(kind RNNKind, hidden int, seed int64) *Weights {
 	r := rand.New(rand.NewSource(seed))
 	w := &Weights{Kind: kind, Hidden: hidden, M: map[string][]float64{}, B: map[string][]float64{}}
 	c, _ := kind.cell()
-	scale := 1.0 / sqrtf(float64(hidden))
+	scale := 1.0 / math.Sqrt(float64(hidden))
 	for _, name := range c.mats() {
-		m := make([]float64, hidden*hidden)
-		for i := range m {
-			m[i] = r.NormFloat64() * scale
-		}
-		w.M[name] = m
+		w.M[name] = normals(r, hidden*hidden, scale)
 	}
 	for _, name := range c.bias {
-		b := make([]float64, hidden)
-		for i := range b {
-			b[i] = r.NormFloat64() * 0.1
-		}
-		w.B[name] = b
+		w.B[name] = normals(r, hidden, 0.1)
 	}
 	return w
 }
 
-func sqrtf(x float64) float64 {
-	if x <= 0 {
-		return 1
+// normals returns the next n standard normal draws of r, times scale.
+func normals(r *rand.Rand, n int, scale float64) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = r.NormFloat64() * scale
 	}
-	return math.Sqrt(x)
+	return xs
 }
 
 // Kernel is a compiled inference task: the program, the initial DRAM
@@ -378,6 +372,25 @@ func Build(w *Weights, timeSteps, tiles int) (*Kernel, error) {
 	return BuildShard(w, timeSteps, tiles, 0, 1)
 }
 
+// BuildRandom is Build(RandomWeights(spec.Kind, spec.Hidden, seed),
+// spec.TimeSteps, tiles), word for word, for callers that never read the
+// float64 weights: the same draws, rounded straight into the image.
+func BuildRandom(spec LayerSpec, tiles int, seed int64) (*Kernel, error) {
+	k, err := build(spec, tiles, 0, 1, nil)
+	if err != nil {
+		return nil, err
+	}
+	r, scale := rand.New(rand.NewSource(seed)), 1.0/math.Sqrt(float64(spec.Hidden))
+	mats := MVMsPerStep(spec.Kind) * spec.Hidden * spec.Hidden
+	for i := range k.Image {
+		if i == mats {
+			scale = 0.1 // the biases follow the matrices
+		}
+		k.Image[i] = fp16.FromFloat64(r.NormFloat64() * scale)
+	}
+	return k, nil
+}
+
 // BuildShard compiles device dev's share of a layer scaled down across n
 // devices (§2.3): the unmodified control path — the same step program —
 // over rows [dev*h/n, (dev+1)*h/n) of every matrix and bias, so gates are
@@ -385,18 +398,23 @@ func Build(w *Weights, timeSteps, tiles int) (*Kernel, error) {
 // device stores its own rows of every h_t. For n > 1 the exchange that
 // refills HiddenReg is still missing; scaleout.InsertSync adds it.
 func BuildShard(w *Weights, timeSteps, tiles, dev, n int) (*Kernel, error) {
-	if timeSteps <= 0 {
-		return nil, fmt.Errorf("kernels: timeSteps = %d", timeSteps)
+	return build(LayerSpec{Kind: w.Kind, Hidden: w.Hidden, TimeSteps: timeSteps}, tiles, dev, n, w)
+}
+
+// build is BuildShard over w's rows, or over a zero image when w is nil.
+func build(spec LayerSpec, tiles, dev, n int, w *Weights) (*Kernel, error) {
+	if spec.TimeSteps <= 0 {
+		return nil, fmt.Errorf("kernels: timeSteps = %d", spec.TimeSteps)
 	}
-	c, ok := w.Kind.cell()
+	c, ok := spec.Kind.cell()
 	if !ok {
-		return nil, fmt.Errorf("kernels: unknown cell %v", w.Kind)
+		return nil, fmt.Errorf("kernels: unknown cell %v", spec.Kind)
 	}
 	mode, err := accel.LengthMode(n)
 	if err != nil {
 		return nil, fmt.Errorf("kernels: %w", err)
 	}
-	h := w.Hidden
+	h, timeSteps := spec.Hidden, spec.TimeSteps
 	if h%n != 0 || dev < 0 || dev >= n {
 		return nil, fmt.Errorf("kernels: device %d of %d for hidden %d", dev, n, h)
 	}
@@ -404,10 +422,9 @@ func BuildShard(w *Weights, timeSteps, tiles, dev, n int) (*Kernel, error) {
 	if n == 1 {
 		own = HiddenReg
 	} else if own == 0 {
-		return nil, fmt.Errorf("kernels: no scaled step program for %v", w.Kind)
+		return nil, fmt.Errorf("kernels: no scaled step program for %v", spec.Kind)
 	}
 	rows := h / n
-	spec := LayerSpec{Kind: w.Kind, Hidden: h, TimeSteps: timeSteps}
 	cfg := DefaultConfig(spec, tiles)
 	k := &Kernel{Spec: spec, Cfg: cfg, rows: rows}
 
@@ -426,12 +443,16 @@ func BuildShard(w *Weights, timeSteps, tiles, dev, n int) (*Kernel, error) {
 	var shared, sinit isa.Program
 	for i, name := range mats {
 		addr := alloc.alloc(rows * h)
-		copy(k.Image[addr:], fp16.FromSlice64(w.M[name][dev*rows*h:(dev+1)*rows*h]))
+		if w != nil {
+			fp16.FromSlice64Into(k.Image[addr:], w.M[name][dev*rows*h:(dev+1)*rows*h])
+		}
 		shared = append(shared, isa.Instr{Op: isa.OpMRead, Dst: uint8(i), Imm: uint32(addr)})
 	}
 	for i, name := range c.bias {
 		addr := alloc.alloc(rows)
-		copy(k.Image[addr:], fp16.FromSlice64(w.B[name][dev*rows:(dev+1)*rows]))
+		if w != nil {
+			fp16.FromSlice64Into(k.Image[addr:], w.B[name][dev*rows:(dev+1)*rows])
+		}
 		sinit = append(sinit, isa.Instr{Op: isa.OpVRead, Dst: uint8(3 + i), Src2: mode, Imm: uint32(addr)})
 	}
 	zero := func(r, mode uint8) {

@@ -3,6 +3,7 @@ package kernels
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mlvfpga/internal/isa"
@@ -51,6 +52,33 @@ func TestRandomWeightsShape(t *testing.T) {
 	w3 := RandomWeights(LSTM, 64, 2)
 	if w.M["Wi"][0] == w3.M["Wi"][0] {
 		t.Error("different seeds must differ")
+	}
+}
+
+// TestBuildRandomMatchesBuild: drawing straight into the binary16 image
+// builds, word for word, the kernel Build makes from RandomWeights: image,
+// programs (Prog, SharedInit, StreamInit, Step), Cfg and address map.
+func TestBuildRandomMatchesBuild(t *testing.T) {
+	for kind := range cells {
+		for _, hidden := range []int{8, 32, 64, 256} {
+			for seed := int64(1); seed <= 3; seed++ {
+				spec := LayerSpec{Kind: RNNKind(kind), Hidden: hidden, TimeSteps: 3}
+				want, err := Build(RandomWeights(spec.Kind, hidden, seed), spec.TimeSteps, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := BuildRandom(spec, 2, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%v seed %d: BuildRandom differs from Build(RandomWeights)", spec, seed)
+				}
+			}
+		}
+	}
+	if _, err := BuildRandom(LayerSpec{Kind: LSTM, Hidden: 8}, 2, 1); err == nil {
+		t.Error("BuildRandom accepted zero timesteps")
 	}
 }
 

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"mlvfpga/internal/accel"
@@ -79,18 +80,10 @@ func RandomMLPWeights(spec MLPSpec, seed int64) (*MLPWeights, error) {
 	}
 	r := rand.New(rand.NewSource(seed))
 	w := &MLPWeights{Spec: spec}
-	scale := 1.0 / sqrtf(float64(spec.Dim))
+	scale := 1.0 / math.Sqrt(float64(spec.Dim))
 	for l := 0; l < spec.Layers; l++ {
-		mat := make([]float64, spec.Dim*spec.Dim)
-		for i := range mat {
-			mat[i] = r.NormFloat64() * scale
-		}
-		bias := make([]float64, spec.Dim)
-		for i := range bias {
-			bias[i] = r.NormFloat64() * 0.1
-		}
-		w.W = append(w.W, mat)
-		w.B = append(w.B, bias)
+		w.W = append(w.W, normals(r, spec.Dim*spec.Dim, scale))
+		w.B = append(w.B, normals(r, spec.Dim, 0.1))
 	}
 	return w, nil
 }
@@ -122,27 +115,19 @@ func BuildMLP(w *MLPWeights, tiles int) (*MLPKernel, error) {
 	}
 	k := &MLPKernel{Spec: spec, Cfg: cfg}
 
-	var alloc allocator
-	matAddr := make([]int, spec.Layers)
-	biasAddr := make([]int, spec.Layers)
-	for l := 0; l < spec.Layers; l++ {
-		matAddr[l] = alloc.alloc(spec.Dim * spec.Dim)
-		biasAddr[l] = alloc.alloc(spec.Dim)
-	}
-	k.inputAddr = alloc.alloc(spec.Dim)
-	k.outAddr = alloc.alloc(spec.Dim)
-
+	// DRAM: each layer's matrix then bias (the image), the input, the output.
+	k.inputAddr = spec.Layers * (spec.Dim*spec.Dim + spec.Dim)
+	k.outAddr = k.inputAddr + spec.Dim
 	k.Image = make([]fp16.Num, k.inputAddr)
-	for l := 0; l < spec.Layers; l++ {
-		copy(k.Image[matAddr[l]:], fp16.FromSlice64(w.W[l]))
-		copy(k.Image[biasAddr[l]:], fp16.FromSlice64(w.B[l]))
-	}
-
+	var alloc allocator
 	var p isa.Program
 	for l := 0; l < spec.Layers; l++ {
+		mat, bias := alloc.alloc(spec.Dim*spec.Dim), alloc.alloc(spec.Dim)
+		fp16.FromSlice64Into(k.Image[mat:], w.W[l])
+		fp16.FromSlice64Into(k.Image[bias:], w.B[l])
 		p = append(p,
-			isa.Instr{Op: isa.OpMRead, Dst: uint8(l), Imm: uint32(matAddr[l])},
-			isa.Instr{Op: isa.OpVRead, Dst: uint8(2 + l), Imm: uint32(biasAddr[l])},
+			isa.Instr{Op: isa.OpMRead, Dst: uint8(l), Imm: uint32(mat)},
+			isa.Instr{Op: isa.OpVRead, Dst: uint8(2 + l), Imm: uint32(bias)},
 		)
 	}
 	p = append(p, isa.Instr{Op: isa.OpVRead, Dst: 0, Imm: uint32(k.inputAddr)})

@@ -59,8 +59,7 @@ func FromStats(st accel.ExecStats, inst Instance, p Params) (Breakdown, error) {
 // ISA simulator with zero inputs, and returns both the stats-derived and
 // the analytic latencies for comparison.
 func Cosim(spec kernels.LayerSpec, inst Instance, p Params, seed int64) (fromStats, analytic Breakdown, err error) {
-	w := kernels.RandomWeights(spec.Kind, spec.Hidden, seed)
-	k, err := kernels.Build(w, spec.TimeSteps, inst.Tiles)
+	k, err := kernels.BuildRandom(spec, inst.Tiles, seed)
 	if err != nil {
 		return Breakdown{}, Breakdown{}, err
 	}

@@ -102,10 +102,14 @@ type contSlot struct {
 	carryWait time.Duration
 }
 
-func newContEngine(lease *Lease, opts InferOptions, faults func() Faults) (*contEngine, error) {
-	kern, err := buildKernel(lease, opts)
-	if err != nil {
-		return nil, err
+// newContEngine builds the lease's engine over kern, or if nil over per-lease
+// weights (Seed + lease id stands in for a real deployment's model upload).
+func newContEngine(lease *Lease, kern *kernels.Kernel, opts InferOptions, faults func() Faults) (*contEngine, error) {
+	if kern == nil {
+		var err error
+		if kern, err = kernels.BuildRandom(lease.Spec, opts.Tiles, opts.Seed+int64(lease.ID)); err != nil {
+			return nil, fmt.Errorf("rms: building kernel for lease %d: %w", lease.ID, err)
+		}
 	}
 	e := &contEngine{
 		leaseID:  lease.ID,
@@ -122,8 +126,11 @@ func newContEngine(lease *Lease, opts InferOptions, faults func() Faults) (*cont
 		if err != nil {
 			return nil, err
 		}
-		// Load the weight tiles once; they stay resident across every
-		// stream the machine will ever serve.
+		// Machine 0 quantizes the weight tiles, once per lease; the rest bind
+		// them read-only. They stay resident across every stream served.
+		if i > 0 {
+			m.ShareTiles(machines[0].m)
+		}
 		if err := m.Run(kern.SharedInit); err != nil {
 			return nil, fmt.Errorf("rms: warming lease %d: %w", lease.ID, err)
 		}

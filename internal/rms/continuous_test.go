@@ -8,11 +8,13 @@ import (
 	"go/token"
 	"io/fs"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"mlvfpga/internal/kernels"
 	"mlvfpga/internal/metrics"
 )
 
@@ -167,8 +169,12 @@ func TestContinuousResize(t *testing.T) {
 	if _, err := dp.InferAs("", lease.ID, testInputs(lease.Spec, 1)); err != nil {
 		t.Fatal(err)
 	}
+	kern := dp.currentEngine(lease.ID).kern
 	if err := dp.Resize(lease.ID, 3); err != nil {
 		t.Fatal(err)
+	}
+	if dp.currentEngine(lease.ID).kern != kern {
+		t.Error("Resize redrew the lease's weights instead of reusing its kernel")
 	}
 	res, err := dp.InferAs("", lease.ID, testInputs(lease.Spec, 2))
 	if err != nil {
@@ -181,6 +187,33 @@ func TestContinuousResize(t *testing.T) {
 	st, ok := dp.Load(lease.ID)
 	if !ok || st.Machines != 3 {
 		t.Errorf("post-resize load = %+v, ok=%v, want 3 machines", st, ok)
+	}
+}
+
+// TestLeaseTilesPaidOnce: a lease's machines quantize its weights once. At
+// LSTM h=256 one machine's packed tiles take about 1 MB; an engine of four
+// machines allocates less than that more than an engine of one, where each
+// extra machine used to quantize its own copy (about 3 MB more).
+func TestLeaseTilesPaidOnce(t *testing.T) {
+	lease := &Lease{ID: 1, Spec: kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 256, TimeSteps: 2}}
+	built := func(machines int) int64 {
+		opts := DefaultInferOptions()
+		opts.Machines = machines
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		e, err := newContEngine(lease, nil, opts, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.close()
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	one, four := built(1), built(4)
+	t.Logf("newContEngine: %d kB at one machine, %d kB at four", one>>10, four>>10)
+	if four-one >= 1<<20 {
+		t.Errorf("three more machines allocate %d kB more, want < 1024 kB: the tiles are paid per machine", (four-one)>>10)
 	}
 }
 

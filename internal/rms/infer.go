@@ -105,18 +105,6 @@ type inferResponse struct {
 	err    error
 }
 
-// buildKernel compiles a lease's layer with per-lease weights (Seed +
-// lease id stands in for a real deployment's model upload).
-func buildKernel(lease *Lease, opts InferOptions) (*kernels.Kernel, error) {
-	spec := lease.Spec
-	w := kernels.RandomWeights(spec.Kind, spec.Hidden, opts.Seed+int64(lease.ID))
-	kern, err := kernels.Build(w, spec.TimeSteps, opts.Tiles)
-	if err != nil {
-		return nil, fmt.Errorf("rms: building kernel for lease %d: %w", lease.ID, err)
-	}
-	return kern, nil
-}
-
 // Faults enables deliberate bug injection for the deterministic
 // simulation harness (internal/simtest): each flag disables one
 // correctness mechanism so the harness's invariant checkers and failure
@@ -332,7 +320,13 @@ func (dp *DataPlane) Resize(leaseID, machines int) error {
 	}
 	opts := dp.opts
 	opts.Machines = machines
-	e, err := newContEngine(lease, opts, dp.faultState)
+	// Reuse the immutable kernel (its image is copy-on-write) but not the old
+	// machines' tiles: ShareTiles needs them idle, and they are still running.
+	var kern *kernels.Kernel
+	if old := dp.currentEngine(leaseID); old != nil {
+		kern = old.kern
+	}
+	e, err := newContEngine(lease, kern, opts, dp.faultState)
 	if err != nil {
 		return err
 	}
@@ -518,7 +512,7 @@ func (dp *DataPlane) engine(lease *Lease) (*contEngine, error) {
 	}
 	slot.once.Do(func() {
 		var e *contEngine
-		if e, slot.err = newContEngine(lease, dp.opts, dp.faultState); slot.err == nil {
+		if e, slot.err = newContEngine(lease, nil, dp.opts, dp.faultState); slot.err == nil {
 			slot.e.Store(e)
 		}
 	})

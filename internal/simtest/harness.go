@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -529,11 +528,11 @@ func (s *Stack) serveOn(id int, who string, seeds []int64, kind string, mid func
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for j := 0; j < n; j++ {
-		j := j
+		in := s.inputsFor(spec, id, seeds[j])
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[j], errs[j] = s.dp.InferAs(who, id, inputsFor(spec, id, seeds[j]))
+			results[j], errs[j] = s.dp.InferAs(who, id, in)
 		}()
 	}
 	if mid != nil {
@@ -1044,16 +1043,17 @@ func (s *Stack) auditInvariants() {
 }
 
 // inputsFor derives a request's input tensor from (lease, seed) alone, so
-// replaying the pair replays the exact bits.
-func inputsFor(spec kernels.LayerSpec, leaseID int, seed int64) [][]float64 {
-	rng := rand.New(rand.NewSource(seed<<20 ^ int64(leaseID)))
-	in := make([][]float64, spec.TimeSteps)
+// replaying the pair replays the exact bits. Seed resets the Stack's one
+// generator exactly as NewSource would build a fresh one.
+func (s *Stack) inputsFor(spec kernels.LayerSpec, leaseID int, seed int64) [][]float64 {
+	s.inputRng.Seed(seed<<20 ^ int64(leaseID))
+	h := spec.Hidden
+	back, in := make([]float64, spec.TimeSteps*h), make([][]float64, spec.TimeSteps)
 	for t := range in {
-		v := make([]float64, spec.Hidden)
-		for i := range v {
-			v[i] = rng.NormFloat64()
+		in[t] = back[t*h : (t+1)*h]
+		for i := range in[t] {
+			in[t][i] = s.inputRng.NormFloat64()
 		}
-		in[t] = v
 	}
 	return in
 }

@@ -3,6 +3,7 @@ package simtest
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sort"
 	"time"
 
@@ -71,6 +72,8 @@ type Stack struct {
 	killed  map[int]bool
 	drained map[int]bool
 	golden  map[goldenKey]uint64
+	// inputRng draws every request's inputs (see inputsFor).
+	inputRng *rand.Rand
 	// base is the counter reading at the Stack's birth (the counters are
 	// process-wide, so the checkers only ever look at deltas from it).
 	base metrics.Values
@@ -161,6 +164,7 @@ func NewStack(o Options) (*Stack, error) {
 		killed:          map[int]bool{},
 		drained:         map[int]bool{},
 		golden:          map[goldenKey]uint64{},
+		inputRng:        rand.New(rand.NewSource(0)),
 		excused:         map[int]bool{},
 		leaseSpec:       map[int]kernels.LayerSpec{},
 		keySeen:         map[artifactstore.Key]bool{},

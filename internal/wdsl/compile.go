@@ -488,8 +488,7 @@ func BuildKernels(spec *Spec, seed int64) (map[string][]int, error) {
 				counts = append(counts, len(k.Prog))
 				continue
 			}
-			w := kernels.RandomWeights(l.Rnn.Kind, l.Rnn.Hidden, seed+int64(i))
-			k, err := kernels.Build(w, l.Rnn.TimeSteps, 1)
+			k, err := kernels.BuildRandom(l.Rnn, 1, seed+int64(i))
 			if err != nil {
 				return nil, fmt.Errorf("wdsl: model %q layer %d: %w", m.Name, i, err)
 			}
