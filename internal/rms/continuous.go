@@ -72,17 +72,19 @@ type contEngine struct {
 type contMachine struct {
 	m *accel.Machine
 
-	slots    []*contSlot // len MaxBatch; nil = free
-	occupied int         // non-nil slots, including leaked ones
-	stepping int         // occupied minus leaked: the live cohort
+	slots    []contSlot // len MaxBatch; the zero value = free
+	occupied int        // non-free slots, including leaked ones
+	stepping int        // occupied minus leaked: the live cohort
 
 	// Scratch reused across rounds so the steady state is allocation-free;
 	// half carries one timestep between float64 and the machine's binary16.
 	streams, offs []int
 	half          []fp16.Num
+	taken         []*inferRequest // one round's admissions
 }
 
-// contSlot is one admitted stream's residency in a batch slot.
+// contSlot is one admitted stream's residency in a batch slot. req is nil
+// in a free slot and in a leaked one.
 type contSlot struct {
 	req      *inferRequest
 	tau      int // next timestep to execute
@@ -136,10 +138,11 @@ func newContEngine(lease *Lease, kern *kernels.Kernel, opts InferOptions, faults
 		}
 		machines[i] = &contMachine{
 			m:       m,
-			slots:   make([]*contSlot, opts.MaxBatch),
+			slots:   make([]contSlot, opts.MaxBatch),
 			streams: make([]int, 0, opts.MaxBatch),
 			offs:    make([]int, 0, opts.MaxBatch),
 			half:    make([]fp16.Num, lease.Spec.Hidden),
+			taken:   make([]*inferRequest, 0, opts.MaxBatch),
 		}
 	}
 	e.wg.Add(len(machines))
@@ -220,11 +223,12 @@ func (e *contEngine) settle() {
 
 // answer is the only place a request is answered, accounting first: a
 // caller that has joined every request (the simtest harness) must find the
-// slot gauge and pending already settled. resp is buffered, so the send
-// cannot block.
-func (e *contEngine) answer(req *inferRequest, resp inferResponse) {
+// slot gauge and pending already settled. A request is answered once and
+// done is buffered, so the send cannot block; after it, req is its caller's.
+func (e *contEngine) answer(req *inferRequest, res *InferResult, err error) {
 	e.settle()
-	req.resp <- resp
+	req.res, req.err = res, err
+	req.done <- struct{}{}
 }
 
 // close stops admission, serves everything already admitted, and joins the
@@ -325,8 +329,8 @@ func (e *contEngine) round(cm *contMachine) {
 		}
 	}
 	if free := e.opts.MaxBatch - cm.occupied; free > 0 {
-		if reqs := e.queue.take(free); len(reqs) > 0 {
-			e.admitCohort(cm, reqs)
+		if cm.taken = e.queue.take(cm.taken, free); len(cm.taken) > 0 {
+			e.admitCohort(cm, cm.taken)
 		}
 	}
 	if cm.stepping == 0 {
@@ -335,12 +339,11 @@ func (e *contEngine) round(cm *contMachine) {
 
 	cm.streams = cm.streams[:0]
 	cm.offs = cm.offs[:0]
-	for s, sl := range cm.slots {
-		if sl == nil || sl.leaked {
-			continue
+	for s := range cm.slots {
+		if sl := &cm.slots[s]; sl.req != nil {
+			cm.streams = append(cm.streams, s)
+			cm.offs = append(cm.offs, e.kern.SlotOffset(s, sl.tau))
 		}
-		cm.streams = append(cm.streams, s)
-		cm.offs = append(cm.offs, e.kern.SlotOffset(s, sl.tau))
 	}
 	cohort := len(cm.streams)
 	if err := cm.m.RunStreams(e.kern.Step, e.kern.WindowBase(), cm.streams, cm.offs); err != nil {
@@ -350,7 +353,7 @@ func (e *contEngine) round(cm *contMachine) {
 	metrics.SlotRounds.Add(1)
 	metrics.SlotRoundOccupancy.Add(int64(cohort))
 	for _, s := range cm.streams {
-		sl := cm.slots[s]
+		sl := &cm.slots[s]
 		sl.tau++
 		if sl.tau >= sl.steps {
 			e.retire(cm, s, sl, cohort)
@@ -399,9 +402,9 @@ func (e *contEngine) admitCohort(cm *contMachine, reqs []*inferRequest) {
 // Reports whether the request now occupies a slot; on error the request
 // is answered here.
 func (e *contEngine) admit(cm *contMachine, req *inferRequest, now time.Time) bool {
-	slot := slices.Index(cm.slots, nil)
+	slot := slices.Index(cm.slots, contSlot{})
 	var err error
-	sl := &contSlot{req: req, steps: len(req.inputs)}
+	sl := contSlot{req: req, steps: len(req.inputs)}
 	tok := req.resume
 	switch {
 	case slot < 0:
@@ -409,12 +412,12 @@ func (e *contEngine) admit(cm *contMachine, req *inferRequest, now time.Time) bo
 		err = fmt.Errorf("rms: lease %d: no free slot", e.leaseID)
 	case tok != nil:
 		req.resume = nil
-		err = e.restore(cm, slot, sl, tok)
+		err = e.restore(cm, slot, &sl, tok)
 	default:
 		err = e.initStream(cm, slot, req)
 	}
 	if err != nil {
-		e.answer(req, inferResponse{err: err})
+		e.answer(req, nil, err)
 		return false
 	}
 	if tok == nil {
@@ -423,7 +426,7 @@ func (e *contEngine) admit(cm *contMachine, req *inferRequest, now time.Time) bo
 		// each request once.
 		metrics.Admissions.Add(1)
 	}
-	e.install(cm, slot, sl, now)
+	e.install(cm, slot, &sl, now)
 	return true
 }
 
@@ -431,7 +434,7 @@ func (e *contEngine) admit(cm *contMachine, req *inferRequest, now time.Time) bo
 // a restored one alike.
 func (e *contEngine) install(cm *contMachine, slot int, sl *contSlot, now time.Time) {
 	sl.admitted, sl.base = now, cm.m.Stats()
-	cm.slots[slot] = sl
+	cm.slots[slot] = *sl
 	cm.occupied++
 	cm.stepping++
 	metrics.SlotsActive.Add(1)
@@ -451,7 +454,7 @@ func (e *contEngine) initStream(cm *contMachine, slot int, req *inferRequest) er
 
 // vacate frees slot s of cm; the caller answers or requeues its request.
 func (e *contEngine) vacate(cm *contMachine, s int) {
-	cm.slots[s] = nil
+	cm.slots[s] = contSlot{}
 	cm.occupied--
 	cm.stepping--
 	metrics.SlotsActive.Add(-1)
@@ -470,9 +473,9 @@ func (e *contEngine) retire(cm *contMachine, s int, sl *contSlot, cohort int) {
 			break
 		}
 	}
-	resp := inferResponse{err: rerr}
+	var res *InferResult
 	if rerr == nil {
-		resp = inferResponse{result: &InferResult{
+		res = &InferResult{
 			LeaseID: e.leaseID,
 			Outputs: outs,
 			// BatchSize is the retire round's co-resident cohort;
@@ -484,7 +487,7 @@ func (e *contEngine) retire(cm *contMachine, s int, sl *contSlot, cohort int) {
 			// final report, so the totals match a never-preempted run's.
 			QueueWait:  sl.carryWait + sl.admitted.Sub(req.enqueued),
 			BatchStats: cm.m.Stats().Minus(sl.base).Plus(sl.carry),
-		}}
+		}
 	}
 	e.served.Add(1)
 	metrics.InfersServed.Add(1)
@@ -501,7 +504,7 @@ func (e *contEngine) retire(cm *contMachine, s int, sl *contSlot, cohort int) {
 	} else {
 		e.vacate(cm, s)
 	}
-	e.answer(req, resp)
+	e.answer(req, res, rerr)
 }
 
 // failCohort answers every live slot with err and frees them; a step
@@ -510,7 +513,7 @@ func (e *contEngine) failCohort(cm *contMachine, err error) {
 	for _, s := range cm.streams {
 		req := cm.slots[s].req
 		e.vacate(cm, s)
-		e.answer(req, inferResponse{err: err})
+		e.answer(req, nil, err)
 	}
 }
 

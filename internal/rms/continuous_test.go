@@ -9,13 +9,15 @@ import (
 	"io/fs"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"mlvfpga/internal/kernels"
 	"mlvfpga/internal/metrics"
+	"mlvfpga/internal/resource"
 )
 
 // TestContinuousInferMatchesSolo is the continuous plane's end-to-end
@@ -95,6 +97,9 @@ func TestContinuousInferMatchesSolo(t *testing.T) {
 // rounds: a request allocates as much with one timestep as with eight, so
 // the rounds in between allocate nothing.
 func TestStepRoundAllocatesNothing(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops items under -race")
+	}
 	_, dp, lease := stepsPlane(t, DefaultInferOptions(), 8)
 	in := testInputs(lease.Spec, 1)
 	allocs := func(steps int) float64 {
@@ -108,13 +113,109 @@ func TestStepRoundAllocatesNothing(t *testing.T) {
 	if one != all {
 		t.Errorf("InferAs allocates %v times with 1 timestep and %v with %d", one, all, len(in))
 	}
-	// What is left per request: the request and its response channel (3),
-	// its slot (1), the outputs (2), the InferResult (1), and the fair
-	// queue's push and take (2). Execution stats are values and a built
-	// engine is reached without copying the lease, so neither adds any.
-	if all > 9 {
-		t.Errorf("warmed anonymous InferAs allocates %v times, want ≤ 9", all)
+	// What is left per request is what its caller keeps: the outputs (2)
+	// and the InferResult (1). The request and its completion are pooled,
+	// slots live in the machine, the fair queue links requests through
+	// themselves, execution stats are values, and a built engine is reached
+	// without copying the lease.
+	if all > 3 {
+		t.Errorf("warmed anonymous InferAs allocates %v times, want ≤ 3", all)
 	}
+}
+
+// TestPooledRequestAnswersItsOwnCaller: requests are pooled, so an answer
+// written into a request its caller has already let go of, or read after
+// the request was reused, reaches the wrong caller. 32 clients each send
+// their own seeded inputs, over and over, while a driver preempts the
+// lease, resizes it between 1 and 3 machines, and releases it. Every
+// answer must be the client's own solo run bit for bit, every error one
+// the lifecycle explains, and the slot gauge must return to its baseline.
+func TestPooledRequestAnswersItsOwnCaller(t *testing.T) {
+	opts := DefaultInferOptions()
+	opts.Machines = 2
+	opts.MaxBatch = 2
+	opts.Preempt = true
+	svc, err := NewService(resource.PaperCluster(), testDB(Flexible))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease, err := svc.Deploy(kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 64, TimeSteps: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp := NewDataPlane(svc, opts)
+	t.Cleanup(dp.Close)
+
+	slotsBase, base := metrics.SlotsActive.Value(), metrics.Snapshot()
+	const clients = 32
+	var served atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		in := testInputs(lease.Spec, int64(2000+c))[:1+c%lease.Spec.TimeSteps]
+		want := referenceOutputs(t, lease, opts, in)[:len(in)]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				res, err := dp.InferAs("", lease.ID, in)
+				switch {
+				case errors.Is(err, ErrBusy):
+				case errors.Is(err, ErrLeaseClosing), errors.Is(err, ErrUnknownLease):
+					return
+				case err != nil:
+					t.Errorf("client %d: %v", c, err)
+					return
+				case res == nil || !reflect.DeepEqual(res.Outputs, want):
+					t.Errorf("client %d: answer is not its own inputs' solo run", c)
+					return
+				default:
+					served.Add(1)
+				}
+			}
+		}()
+	}
+	// Each lifecycle step lands while the clients are being served.
+	progress := func() {
+		n := served.Load()
+		waitFor(t, "more answers", func() bool { return served.Load() > n+clients })
+	}
+	progress()
+	for i := 0; i < 3; i++ {
+		if _, err := dp.Preempt(lease.ID, 0); err != nil {
+			t.Fatal(err)
+		}
+		progress()
+	}
+	for _, machines := range []int{1, 3, 1, 3} {
+		if err := dp.Resize(lease.ID, machines); err != nil {
+			t.Fatal(err)
+		}
+		progress()
+	}
+	if err := dp.Release(lease.ID); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if got := metrics.SlotsActive.Value(); got != slotsBase {
+		t.Errorf("slot gauge residue after release: %d", got-slotsBase)
+	}
+	if snapDelta(base, metrics.SnapshotCaptures) == 0 {
+		t.Error("no stream was checkpointed: preemption and resize moved nothing")
+	}
+}
+
+// raceEnabled reports a -race build.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 // TestContinuousAdmitsIntoRunningBatch pins the tentpole behavior: with a
@@ -139,19 +240,14 @@ func TestContinuousAdmitsIntoRunningBatch(t *testing.T) {
 	reqs := make([]*inferRequest, N)
 	for i := 0; i < N; i++ {
 		full := testInputs(lease.Spec, int64(i))
-		reqs[i] = &inferRequest{
-			inputs:   full[:1+i%2],
-			enqueued: time.Now(),
-			resp:     make(chan inferResponse, 1),
-		}
+		reqs[i] = newRequest(full[:1+i%2], "", 0)
 		if err := e.submit(reqs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, req := range reqs {
-		r := <-req.resp
-		if r.err != nil {
-			t.Fatalf("request %d: %v", i, r.err)
+		if _, err := req.wait(); err != nil {
+			t.Fatalf("request %d: %v", i, err)
 		}
 	}
 	if got := metrics.AdmissionsIntoRunning.Value() - base; got == 0 {

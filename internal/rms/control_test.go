@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"mlvfpga/internal/kernels"
 	"mlvfpga/internal/resource"
@@ -33,10 +32,7 @@ func TestServiceReleaseDrainsDataPlane(t *testing.T) {
 	// queued for tens of milliseconds, far longer than the submits take.
 	reqs := make([]*inferRequest, 8)
 	for i := range reqs {
-		reqs[i] = &inferRequest{
-			inputs:   testInputs(lease.Spec, int64(7+i)),
-			enqueued: time.Now(), resp: make(chan inferResponse, 1),
-		}
+		reqs[i] = newRequest(testInputs(lease.Spec, int64(7+i)), "", 0)
 		if err := e.submit(reqs[i]); err != nil {
 			t.Fatal(err)
 		}
@@ -50,12 +46,12 @@ func TestServiceReleaseDrainsDataPlane(t *testing.T) {
 	}
 	for i, req := range reqs {
 		select {
-		case r := <-req.resp:
-			if r.err != nil {
-				t.Fatalf("request %d lost to release: %v", i, r.err)
+		case <-req.done:
+			if req.err != nil {
+				t.Fatalf("request %d lost to release: %v", i, req.err)
 			}
-			if len(r.result.Outputs) != lease.Spec.TimeSteps {
-				t.Errorf("request %d: drained infer returned %d outputs", i, len(r.result.Outputs))
+			if len(req.res.Outputs) != lease.Spec.TimeSteps {
+				t.Errorf("request %d: drained infer returned %d outputs", i, len(req.res.Outputs))
 			}
 		default:
 			t.Fatalf("request %d still unanswered after Release returned", i)

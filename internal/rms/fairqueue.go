@@ -40,11 +40,11 @@ type fairQueue struct {
 }
 
 type tenantFIFO struct {
-	id      string
-	weight  int
-	deficit int
-	reqs    []*inferRequest
-	active  bool
+	id         string
+	weight     int
+	deficit    int
+	head, tail *inferRequest // linked through inferRequest.next
+	active     bool
 }
 
 func newFairQueue() *fairQueue {
@@ -70,7 +70,12 @@ func (q *fairQueue) push(r *inferRequest) {
 	if r.weight > 0 {
 		tf.weight = r.weight
 	}
-	tf.reqs = append(tf.reqs, r)
+	if tf.head == nil {
+		tf.head = r
+	} else {
+		tf.tail.next = r
+	}
+	tf.tail = r
 	if r.weight > 1 {
 		q.latency++
 	}
@@ -85,11 +90,11 @@ func (q *fairQueue) push(r *inferRequest) {
 	q.wake.Signal()
 }
 
-// take collects up to max requests by deficit round-robin. It never
-// blocks; an empty queue returns nil.
-func (q *fairQueue) take(max int) []*inferRequest {
+// take collects up to max requests by deficit round-robin into out[:0]
+// and returns it. It never blocks; an empty queue returns it empty.
+func (q *fairQueue) take(out []*inferRequest, max int) []*inferRequest {
+	out = out[:0]
 	q.mu.Lock()
-	var out []*inferRequest
 	for q.size > 0 && len(out) < max {
 		if q.pos >= len(q.ring) {
 			q.pos = 0
@@ -99,9 +104,9 @@ func (q *fairQueue) take(max int) []*inferRequest {
 			tf.deficit += tf.weight
 		}
 		q.resuming = false
-		for tf.deficit > 0 && len(tf.reqs) > 0 && len(out) < max {
-			r := tf.reqs[0]
-			tf.reqs = tf.reqs[1:]
+		for tf.deficit > 0 && tf.head != nil && len(out) < max {
+			r := tf.head
+			tf.head, r.next = r.next, nil
 			tf.deficit--
 			q.size--
 			if r.weight > 1 {
@@ -109,7 +114,7 @@ func (q *fairQueue) take(max int) []*inferRequest {
 			}
 			out = append(out, r)
 		}
-		if len(tf.reqs) == 0 {
+		if tf.head == nil {
 			// Emptied: leave the ring and forfeit leftover deficit, so an
 			// idle tenant cannot bank credit against the others.
 			tf.deficit = 0

@@ -85,10 +85,15 @@ type InferResult struct {
 	BatchStats accel.ExecStats `json:"batch_stats"`
 }
 
+// inferRequest is one request from submit to answer. It is pooled: answer
+// writes res and err, then sends on done (buffered 1, made with the pooled
+// request) exactly once, and the caller frees it after reading them.
 type inferRequest struct {
 	inputs   [][]float64
 	enqueued time.Time
-	resp     chan inferResponse
+	done     chan struct{}
+	res      *InferResult
+	err      error
 	// tenant and weight drive the fair-share queue: requests are queued
 	// per tenant and drained by deficit round-robin with this DRR quantum.
 	// Anonymous requests share the "" tenant at weight 1.
@@ -98,11 +103,28 @@ type inferRequest struct {
 	// restores it and continues from the saved timestep instead of running
 	// StreamInit.
 	resume *resumeToken
+	next   *inferRequest // the tenant FIFO's link while queued
 }
 
-type inferResponse struct {
-	result *InferResult
-	err    error
+var requestPool = sync.Pool{New: func() any { return &inferRequest{done: make(chan struct{}, 1)} }}
+
+// newRequest takes a request from the pool, stamped as enqueued now.
+func newRequest(inputs [][]float64, tenantID string, weight int) *inferRequest {
+	req := requestPool.Get().(*inferRequest)
+	req.inputs, req.enqueued, req.tenant, req.weight = inputs, time.Now(), tenantID, weight
+	return req
+}
+
+// wait blocks until the request is answered and returns the answer.
+func (r *inferRequest) wait() (*InferResult, error) {
+	<-r.done
+	return r.res, r.err
+}
+
+// free clears every reference the request holds and returns it to the pool.
+func (r *inferRequest) free() {
+	*r = inferRequest{done: r.done}
+	requestPool.Put(r)
 }
 
 // Faults enables deliberate bug injection for the deterministic
@@ -454,10 +476,7 @@ func (dp *DataPlane) InferAs(tenantID string, leaseID int, inputs [][]float64) (
 			return nil, err
 		}
 	}
-	req := &inferRequest{
-		inputs: inputs, enqueued: time.Now(), resp: make(chan inferResponse, 1),
-		tenant: tenantID, weight: weight,
-	}
+	req := newRequest(inputs, tenantID, weight)
 	for {
 		err := e.submit(req)
 		if err == nil {
@@ -468,12 +487,14 @@ func (dp *DataPlane) InferAs(tenantID string, leaseID int, inputs [][]float64) (
 		// replacement, not back with the caller.
 		next := dp.currentEngine(leaseID)
 		if !errors.Is(err, ErrLeaseClosing) || next == nil || next == e {
+			req.free()
 			return nil, err
 		}
 		e = next
 	}
-	r := <-req.resp
-	return r.result, r.err
+	res, err := req.wait()
+	req.free()
+	return res, err
 }
 
 // currentEngine returns the lease's engine if one is installed and built,

@@ -34,14 +34,12 @@ func (e *contEngine) evictSlots(cm *contMachine, max, maxWeight int, preempted b
 	}
 	evicted := 0
 	pass := func(limit int) {
-		for s, sl := range cm.slots {
+		for s := range cm.slots {
 			if evicted >= max {
 				return
 			}
-			if sl == nil || sl.leaked {
-				continue
-			}
-			if limit > 0 && sl.req.weight > limit {
+			sl := &cm.slots[s]
+			if sl.req == nil || limit > 0 && sl.req.weight > limit {
 				continue
 			}
 			// Progress guard: a slot is preemptible only once it has
@@ -72,7 +70,7 @@ func (e *contEngine) evictOne(cm *contMachine, s int, sl *contSlot, preempted bo
 	if err != nil {
 		// Unsnapshottable slot: the stream cannot be moved, answer it.
 		e.vacate(cm, s)
-		e.answer(req, inferResponse{err: err})
+		e.answer(req, nil, err)
 		return
 	}
 	metrics.SnapshotCaptures.Add(1)
@@ -141,9 +139,9 @@ func clampNonNegative(a *atomic.Int64) {
 // error. Runs on cm's goroutine.
 func (e *contEngine) evacuate(cm *contMachine) {
 	e.evictSlots(cm, len(cm.slots), 0, false)
-	for _, req := range e.queue.take(int(e.pending.Load())) {
+	for _, req := range e.queue.take(nil, int(e.pending.Load())) {
 		if err := e.dst.accept(req, math.MaxInt); err != nil {
-			e.answer(req, inferResponse{err: err})
+			e.answer(req, nil, err)
 			continue
 		}
 		e.settle() // pending moved with the request; nothing is answered
@@ -155,16 +153,17 @@ func (e *contEngine) evacuate(cm *contMachine) {
 // no restore coming — and its caller, like every caller still queued, is
 // answered ErrLeaseClosing. Runs on cm's goroutine.
 func (e *contEngine) abandon(cm *contMachine) {
-	for s, sl := range cm.slots {
-		if sl == nil || sl.leaked {
+	for s := range cm.slots {
+		req := cm.slots[s].req
+		if req == nil {
 			continue
 		}
 		metrics.DrainAbandoned.Add(1)
 		e.abandoned.Add(1)
 		e.vacate(cm, s)
-		e.answer(sl.req, inferResponse{err: ErrLeaseClosing})
+		e.answer(req, nil, ErrLeaseClosing)
 	}
-	for _, req := range e.queue.take(int(e.pending.Load())) {
-		e.answer(req, inferResponse{err: ErrLeaseClosing})
+	for _, req := range e.queue.take(nil, int(e.pending.Load())) {
+		e.answer(req, nil, ErrLeaseClosing)
 	}
 }

@@ -72,10 +72,7 @@ func loadBacklog(t *testing.T, dp *DataPlane, lease *Lease, spare int, tenant st
 	b := &backlog{e: e}
 	admitted := metrics.Admissions.Value()
 	for i := 0; i < n; i++ {
-		req := &inferRequest{
-			inputs: ins[i%patterns], enqueued: time.Now(), resp: make(chan inferResponse, 1),
-			tenant: tenant, weight: weight,
-		}
+		req := newRequest(ins[i%patterns], tenant, weight)
 		if err := e.submit(req); err != nil {
 			t.Fatal(err)
 		}
@@ -96,17 +93,17 @@ func (b *backlog) join(t *testing.T, allowed ...error) int {
 	t.Helper()
 	failed := 0
 	for i, req := range b.reqs {
-		r := <-req.resp
-		if r.err != nil {
+		res, err := req.wait()
+		if err != nil {
 			failed++
 			ok := false
 			for _, a := range allowed {
-				ok = ok || errors.Is(r.err, a)
+				ok = ok || errors.Is(err, a)
 			}
 			if !ok {
-				t.Errorf("request %d: %v", i, r.err)
+				t.Errorf("request %d: %v", i, err)
 			}
-		} else if !reflect.DeepEqual(r.result.Outputs, b.refs[i]) {
+		} else if !reflect.DeepEqual(res.Outputs, b.refs[i]) {
 			t.Errorf("request %d: outputs differ from solo run", i)
 		}
 	}
@@ -289,16 +286,13 @@ func TestAutoPreemptFavorsLatencyClass(t *testing.T) {
 	in := testInputs(lease.Spec, 799)
 	ref := referenceOutputs(t, lease, opts, in)
 	for try := 0; try < 4 && snapDelta(base, metrics.PreemptEvictions) == 0; try++ {
-		rt := &inferRequest{
-			inputs: in, enqueued: time.Now(), resp: make(chan inferResponse, 1),
-			tenant: "rt", weight: 8,
-		}
+		rt := newRequest(in, "rt", 8)
 		if err := b.e.submit(rt); err != nil {
 			t.Fatal(err)
 		}
-		if r := <-rt.resp; r.err != nil {
-			t.Fatalf("latency-class request %d: %v", try, r.err)
-		} else if !reflect.DeepEqual(r.result.Outputs, ref) {
+		if res, err := rt.wait(); err != nil {
+			t.Fatalf("latency-class request %d: %v", try, err)
+		} else if !reflect.DeepEqual(res.Outputs, ref) {
 			t.Errorf("latency-class request %d: outputs differ from solo run", try)
 		}
 	}
@@ -387,15 +381,11 @@ func TestAdmitFailureSettlesBeforeAnswering(t *testing.T) {
 	}
 	slotsBase := metrics.SlotsActive.Value()
 	admitted := metrics.Admissions.Value()
-	req := &inferRequest{
-		inputs:   [][]float64{make([]float64, lease.Spec.Hidden-1)},
-		enqueued: time.Now(), resp: make(chan inferResponse, 1),
-	}
+	req := newRequest([][]float64{make([]float64, lease.Spec.Hidden-1)}, "", 0)
 	if err := e.submit(req); err != nil {
 		t.Fatal(err)
 	}
-	r := <-req.resp
-	if r.err == nil {
+	if _, err := req.wait(); err == nil {
 		t.Fatal("a request with a short input vector was served")
 	}
 	if got := e.load().Pending; got != 0 {
@@ -461,11 +451,7 @@ func TestReleaseMidFlightCleansUp(t *testing.T) {
 		if i%4 == 3 {
 			tenant, weight = "rt", 8
 		}
-		reqs[i] = &inferRequest{
-			inputs:   testInputs(lease.Spec, int64(1100+i)),
-			enqueued: time.Now(), resp: make(chan inferResponse, 1),
-			tenant: tenant, weight: weight,
-		}
+		reqs[i] = newRequest(testInputs(lease.Spec, int64(1100+i)), tenant, weight)
 		if err := e.submit(reqs[i]); err != nil {
 			t.Fatal(err)
 		}
@@ -479,9 +465,8 @@ func TestReleaseMidFlightCleansUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, req := range reqs {
-		r := <-req.resp
-		if r.err != nil && !errors.Is(r.err, ErrLeaseClosing) {
-			t.Errorf("request %d: %v", i, r.err)
+		if _, err := req.wait(); err != nil && !errors.Is(err, ErrLeaseClosing) {
+			t.Errorf("request %d: %v", i, err)
 		}
 	}
 

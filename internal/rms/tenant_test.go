@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"mlvfpga/internal/kernels"
 	"mlvfpga/internal/metrics"
@@ -300,7 +299,7 @@ func TestSubmitShedsAtQueueBound(t *testing.T) {
 	// Fill the queue past its bound without running a machine (set the
 	// pending count directly): submit must shed with ErrBusy.
 	e.pending.Store(int64(e.queueCap))
-	req := &inferRequest{inputs: testInputs(lease.Spec, 1), enqueued: time.Now(), resp: make(chan inferResponse, 1)}
+	req := newRequest(testInputs(lease.Spec, 1), "", 0)
 	if err := e.submit(req); !errors.Is(err, ErrBusy) {
 		t.Fatalf("submit at bound: %v, want ErrBusy", err)
 	}
