@@ -6,7 +6,7 @@
 // plane runs on top: simulated device agents heartbeat the fleet registry,
 // a periodic control tick evacuates dead or draining devices and
 // re-partitions leases against their live load, and the /cluster endpoints
-// expose the fleet to operators (see cmd/mlv-cluster).
+// expose the fleet to operators (see `mlv cluster`).
 //
 // Usage:
 //
@@ -22,7 +22,7 @@
 //	curl -X POST localhost:8080/release -d '{"id":1}'
 //
 // With -tenants, every mutating request must carry the X-MLV-* signed
-// headers (see internal/tenant and cmd/mlv-sign); the /cluster/* mutations
+// headers (see internal/tenant and `mlv sign`); the /cluster/* mutations
 // additionally require an admin tenant. The unauthenticated curl examples
 // above only work under -insecure.
 //

@@ -1,5 +1,7 @@
-// mlv is the offline toolchain (§2.2) and the system-level simulator
-// (§4.4) behind one front door.
+// mlv is the framework's client in one binary: the offline toolchain
+// (§2.2), the system-level simulator (§4.4), the paper's evaluation, the
+// workload-DSL scenario runner, and the signing and operator clients of a
+// running mlv-serve (§2.3).
 //
 // Usage:
 //
@@ -16,20 +18,39 @@
 //	                                     # partition -> map onto every device
 //	mlv sim -set 7 -tasks 300            # a Table 1 set under the baseline,
 //	mlv sim -set 3 -interarrival 50us    # the restricted policies, the framework
+//	mlv repro                            # every table and figure, paper values
+//	mlv repro -only table4 -tasks 500    # side by side (experiments.All)
+//	mlv scenario run -out report.json testdata/scenarios/diurnal-1000.mlw
+//	mlv scenario check testdata/scenarios/smoke.mlw
+//	mlv sign -tenant alice -key alice-secret -path /deploy -body "$BODY"
+//	mlv cluster [-addr host:port] [-tenant id -key secret] devices
+//	mlv cluster ... drain|undrain|kill|heartbeat <device-id>
+//	mlv cluster ... status|rebalance|defrag
+//	mlv cluster ... preempt <lease-id> [slots]
 //
-// `mlv <subcommand> -h` lists a subcommand's flags.
+// `mlv <subcommand> -h` lists a subcommand's flags. A usage error exits 2,
+// a failure (or a scenario's invariant violation) exits 1.
 package main
 
 import (
+	"bytes"
+	"crypto/rand"
+	"encoding/hex"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
+	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	"mlvfpga/internal/artifactstore"
 	"mlvfpga/internal/bwrtl"
+	"mlvfpga/internal/cluster"
 	"mlvfpga/internal/core"
 	"mlvfpga/internal/decompose"
 	"mlvfpga/internal/experiments"
@@ -38,17 +59,20 @@ import (
 	"mlvfpga/internal/partition"
 	"mlvfpga/internal/rms"
 	"mlvfpga/internal/rtl"
+	"mlvfpga/internal/scenario"
 	"mlvfpga/internal/softblock"
+	"mlvfpga/internal/tenant"
+	"mlvfpga/internal/wdsl"
 	"mlvfpga/internal/workload"
 )
 
 func main() {
 	run := map[string]func(*flag.FlagSet, []string){
 		"asm": asmCmd, "decompose": decomposeCmd, "partition": partitionCmd, "compile": compileCmd, "sim": simCmd,
+		"repro": reproCmd, "scenario": scenarioCmd, "sign": signCmd, "cluster": clusterCmd,
 	}
 	if len(os.Args) < 2 || run[os.Args[1]] == nil {
-		fmt.Fprintln(os.Stderr, "usage: mlv asm|decompose|partition|compile|sim [flags]   (-h lists a subcommand's flags)")
-		os.Exit(2)
+		usage("usage: mlv asm|decompose|partition|compile|sim|repro|scenario|sign|cluster [flags]   (-h lists a subcommand's flags)")
 	}
 	run[os.Args[1]](flag.NewFlagSet("mlv "+os.Args[1], flag.ExitOnError), os.Args[2:])
 }
@@ -57,6 +81,12 @@ func main() {
 func fail(err error) {
 	fmt.Fprintf(os.Stderr, "mlv %s: %v\n", os.Args[1], err)
 	os.Exit(1)
+}
+
+// usage prints text and exits 2.
+func usage(text string) {
+	fmt.Fprintln(os.Stderr, text)
+	os.Exit(2)
 }
 
 func readFile(path string) []byte {
@@ -315,5 +345,332 @@ func simCmd(fs *flag.FlagSet, args []string) {
 	report("baseline (AS ISA only)", base)
 	for i, mode := range modes {
 		report(mode.String(), virt[i])
+	}
+}
+
+func reproCmd(fs *flag.FlagSet, args []string) {
+	all := experiments.All()
+	names := make([]string, len(all))
+	for i, e := range all {
+		names[i] = e.Name
+	}
+	only := fs.String("only", "", "run a single experiment ("+strings.Join(names, "|")+")")
+	tasks := fs.Int("tasks", 0, "override the Fig. 12 workload size")
+	fs.Parse(args)
+	ran := false
+	for _, e := range all {
+		if *only != "" && *only != e.Name {
+			continue
+		}
+		out, err := e.Run(*tasks)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Println(out)
+		ran = true
+	}
+	if !ran {
+		usage(fmt.Sprintf("mlv repro: unknown experiment %q (want %s)", *only, strings.Join(names, "|")))
+	}
+}
+
+// scenarioCmd runs a workload-DSL spec (.mlw) on the deterministic
+// simulation stack: its models compile to AS-ISA kernels, its fleet boots
+// as a simulated cluster, and arrivals and fault storms play out in
+// virtual time with every simtest invariant family checked per event.
+// run prints the SLO report (and writes it as JSON with -out); check
+// parses, compiles and builds every kernel without running the scenario.
+func scenarioCmd(fs *flag.FlagSet, args []string) {
+	const use = "usage: mlv scenario run [-out report.json] spec.mlw\n       mlv scenario check spec.mlw"
+	if len(args) == 0 || (args[0] != "run" && args[0] != "check") {
+		usage(use)
+	}
+	fs.Init("mlv scenario "+args[0], flag.ExitOnError)
+	out := ""
+	if args[0] == "run" {
+		fs.StringVar(&out, "out", "", "write the SLO report JSON here (default: stdout only)")
+	}
+	fs.Parse(args[1:])
+	if fs.NArg() != 1 {
+		usage(use)
+	}
+	path := fs.Arg(0)
+	f, err := wdsl.Parse(string(readFile(path)))
+	if err != nil {
+		fail(fmt.Errorf("%s: %w", path, err))
+	}
+	spec, err := wdsl.Compile(f)
+	if err != nil {
+		fail(fmt.Errorf("%s: %w", path, err))
+	}
+	if args[0] == "check" {
+		seed := int64(1)
+		if spec.Scenario != nil {
+			seed = spec.Scenario.Seed
+		}
+		counts, err := wdsl.BuildKernels(spec, seed)
+		if err != nil {
+			fail(err)
+		}
+		names := make([]string, 0, len(counts))
+		for n := range counts {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		for _, n := range names {
+			fmt.Printf("%s: %d layer(s), instructions %v\n", n, len(counts[n]), counts[n])
+		}
+		fmt.Println("OK")
+		return
+	}
+
+	rep, err := scenario.Run(spec, filepath.Base(path))
+	if err != nil {
+		fail(err)
+	}
+	if out != "" {
+		blob, err := json.MarshalIndent(rep, "", "  ")
+		if err != nil {
+			fail(err)
+		}
+		writeFile(out, append(blob, '\n'))
+		// Validate what was written: the artifact on disk is the
+		// contract, not the in-memory struct.
+		rep = new(scenario.Report)
+		if err := json.Unmarshal(readFile(out), rep); err != nil {
+			fail(fmt.Errorf("re-reading %s: %w", out, err))
+		}
+	}
+	if err := rep.Validate(); err != nil {
+		fail(fmt.Errorf("report failed self-validation: %w", err))
+	}
+
+	fmt.Printf("%s: seed %d, %d devices, %s, %d leases\n",
+		rep.Spec, rep.Seed, rep.Devices, rep.Duration, rep.Leases)
+	fmt.Printf("  arrivals %d  sampled-on-stack %d  trace %s\n",
+		rep.Arrivals, rep.Sampled, rep.TraceHash)
+	printSLOs := func(label string, m map[string]*scenario.SLO) {
+		keys := make([]string, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			s := m[k]
+			fmt.Printf("  %s %-10s req %6d  served %6d  shed %5d (%.2f%%)  p50 %8.3fms  p99 %8.3fms\n",
+				label, k, s.Requests, s.Served, s.Shed, 100*s.ShedRate, s.P50Ms, s.P99Ms)
+		}
+	}
+	printSLOs("tenant", rep.Tenants)
+	printSLOs("class ", rep.Classes)
+	green := 0
+	for _, v := range rep.Invariants {
+		if v.Status == "green" {
+			green++
+		}
+	}
+	fmt.Printf("  invariants: %d/%d green\n", green, len(rep.Invariants))
+	if !rep.Valid {
+		fail(fmt.Errorf("INVARIANT VIOLATION: %s", rep.Violation))
+	}
+	fmt.Println("  PASS")
+}
+
+// nonce is a fresh random request nonce for tenant signing.
+func nonce() string {
+	b := make([]byte, 16)
+	if _, err := rand.Read(b); err != nil {
+		fail(err)
+	}
+	return hex.EncodeToString(b)
+}
+
+// signCmd prints the headers a tenant signs a mutating mlv-serve call with
+// (internal/tenant has the scheme): curl -H arguments, so a signed request
+// is one command substitution away, or "Name: value" lines.
+func signCmd(fs *flag.FlagSet, args []string) {
+	id := fs.String("tenant", "", "tenant id")
+	key := fs.String("key", "", "tenant HMAC key")
+	method := fs.String("method", "POST", "HTTP method to sign")
+	path := fs.String("path", "", "request path to sign (e.g. /deploy)")
+	body := fs.String("body", "", "request body to sign (use -stdin to read it from stdin)")
+	stdin := fs.Bool("stdin", false, "read the request body from stdin")
+	format := fs.String("format", "curl", `output format: "curl" (-H arguments) or "headers" (Name: value lines)`)
+	fs.Parse(args)
+	if *id == "" || *key == "" || *path == "" {
+		usage("usage: mlv sign -tenant id -key secret -method POST -path /deploy [-body JSON | -stdin]")
+	}
+	if *format != "curl" && *format != "headers" {
+		usage(fmt.Sprintf("mlv sign: unknown format %q", *format))
+	}
+	payload := []byte(*body)
+	if *stdin {
+		var err error
+		if payload, err = io.ReadAll(os.Stdin); err != nil {
+			fail(fmt.Errorf("reading stdin: %w", err))
+		}
+	}
+	n, ts := nonce(), time.Now().Unix()
+	headers := [][2]string{
+		{tenant.HeaderTenant, *id},
+		{tenant.HeaderTimestamp, strconv.FormatInt(ts, 10)},
+		{tenant.HeaderNonce, n},
+		{tenant.HeaderSignature, tenant.Sign([]byte(*key), *method, *path, payload, ts, n)},
+	}
+	for _, h := range headers {
+		if *format == "curl" {
+			fmt.Printf("-H %s:%s ", h[0], h[1])
+		} else {
+			fmt.Printf("%s: %s\n", h[0], h[1])
+		}
+	}
+	if *format == "curl" {
+		fmt.Println()
+	}
+}
+
+// clusterCmd is the operator client of a running mlv-serve's /cluster
+// surface: inspect device health, drain or revive devices, inject
+// failures, force a control pass, defragment, preempt. Against a server
+// started with -tenants, the mutations need an admin tenant's -tenant/-key;
+// reads work without credentials.
+func clusterCmd(fs *flag.FlagSet, args []string) {
+	const use = "usage: mlv cluster [-addr host:port] [-tenant id -key secret] <devices|drain|undrain|kill|heartbeat|rebalance|defrag|preempt|status> [args]"
+	addr := fs.String("addr", "localhost:8080", "mlv-serve address")
+	tenantID := fs.String("tenant", "", "tenant id for signed requests (admin required for mutations)")
+	tenantKey := fs.String("key", "", "tenant HMAC key for signed requests")
+	fs.Usage = func() { fmt.Fprintln(os.Stderr, use); fs.PrintDefaults() }
+	fs.Parse(args)
+	if fs.NArg() < 1 {
+		usage(use)
+	}
+	if (*tenantID == "") != (*tenantKey == "") {
+		fail(fmt.Errorf("-tenant and -key must be given together"))
+	}
+	client := &http.Client{Timeout: 10 * time.Second}
+
+	// call GETs path (body nil) or POSTs body to it, signed when
+	// credentials are given, and decodes a 2xx reply into v unless v is nil.
+	call := func(path string, body, v any) {
+		method, b, err := http.MethodGet, []byte(nil), error(nil)
+		if body != nil {
+			method = http.MethodPost
+			if b, err = json.Marshal(body); err != nil {
+				fail(err)
+			}
+		}
+		req, err := http.NewRequest(method, "http://"+*addr+path, bytes.NewReader(b))
+		if err != nil {
+			fail(err)
+		}
+		if body != nil {
+			req.Header.Set("Content-Type", "application/json")
+			if *tenantID != "" {
+				tenant.SignRequest(req, *tenantID, []byte(*tenantKey), b, time.Now(), nonce())
+			}
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			fail(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			fail(fmt.Errorf("reading %s: %w", path, err))
+		}
+		if resp.StatusCode >= 300 {
+			fail(fmt.Errorf("%s: %s %s", path, resp.Status, bytes.TrimSpace(out)))
+		}
+		if v != nil {
+			if err := json.Unmarshal(out, v); err != nil {
+				fail(fmt.Errorf("decoding %s: %w", path, err))
+			}
+		}
+	}
+	intArg := func(i int, what string) int {
+		n, err := strconv.Atoi(fs.Arg(i))
+		if err != nil {
+			fail(fmt.Errorf("bad %s %q", what, fs.Arg(i)))
+		}
+		return n
+	}
+	deviceArg := func() int {
+		if fs.NArg() != 2 {
+			usage(use)
+		}
+		return intArg(1, "device id")
+	}
+
+	switch fs.Arg(0) {
+	case "devices":
+		var devs []cluster.DeviceInfo
+		call("/cluster/devices", nil, &devs)
+		fmt.Printf("%-4s %-10s %-7s %-9s %s\n", "ID", "TYPE", "BLOCKS", "STATE", "LAST BEAT")
+		for _, d := range devs {
+			fmt.Printf("%-4d %-10s %-7d %-9s %s ago\n", d.ID, d.Type, d.Blocks, d.State, d.SinceBeat.Round(time.Millisecond))
+		}
+	case "drain", "undrain", "kill", "heartbeat":
+		path, body := "/cluster/"+fs.Arg(0), map[string]any{"id": deviceArg()}
+		if fs.Arg(0) == "undrain" {
+			path, body["undrain"] = "/cluster/drain", true
+		}
+		call(path, body, nil)
+		fmt.Println("ok")
+	case "rebalance":
+		var rep cluster.TickReport
+		call("/cluster/rebalance", struct{}{}, &rep)
+		fmt.Printf("tick %d: %d transitions, %d actions, %d deferred\n",
+			rep.Tick, len(rep.Transitions), len(rep.Events), rep.Deferred)
+		for _, tr := range rep.Transitions {
+			fmt.Printf("  device %d: %s -> %s\n", tr.Device, tr.From, tr.To)
+		}
+		for _, ev := range rep.Events {
+			line := fmt.Sprintf("  lease %d: %s %d -> %d", ev.Lease, ev.Kind, ev.FromDepth, ev.ToDepth)
+			if ev.Err != "" {
+				line += " FAILED: " + ev.Err
+			}
+			fmt.Println(line)
+		}
+	case "defrag":
+		var rep cluster.DefragReport
+		call("/cluster/defrag", struct{}{}, &rep)
+		fmt.Printf("defrag %d: stranded blocks %d -> %d, empty devices %d -> %d, %d moves, %d skipped\n",
+			rep.Run, rep.ScoreBefore, rep.ScoreAfter, rep.EmptyBefore, rep.EmptyAfter, len(rep.Moves), rep.Skipped)
+		for _, ev := range rep.Moves {
+			line := fmt.Sprintf("  lease %d: %s at depth %d", ev.Lease, ev.Kind, ev.ToDepth)
+			if ev.Err != "" {
+				line += " FAILED: " + ev.Err
+			}
+			fmt.Println(line)
+		}
+	case "preempt":
+		if fs.NArg() < 2 || fs.NArg() > 3 {
+			usage(use)
+		}
+		leaseID, slots := intArg(1, "lease id"), 0 // 0: the server default, the lease's full batch width
+		if fs.NArg() == 3 {
+			slots = intArg(2, "slot count")
+		}
+		var rep struct {
+			Requested int `json:"requested"`
+		}
+		call("/preempt", map[string]any{"id": leaseID, "slots": slots}, &rep)
+		fmt.Printf("requested %d evictions from lease %d; busy machines act on them at their next round (watch mlv_preempt_evictions)\n", rep.Requested, leaseID)
+	case "status":
+		var st rms.ClusterStatus
+		call("/status", nil, &st)
+		var devs []cluster.DeviceInfo
+		call("/cluster/devices", nil, &devs)
+		states := map[int]cluster.State{}
+		for _, d := range devs {
+			states[d.ID] = d.State
+		}
+		fmt.Printf("utilization %.1f%%, %d active leases\n", st.Utilization*100, st.ActiveLeases)
+		for _, f := range st.FPGAs {
+			fmt.Printf("  fpga %d (%s): %d/%d blocks free, %s\n",
+				f.ID, f.Device, f.FreeBlocks, f.TotalBlocks, states[f.ID])
+		}
+	default:
+		usage(use)
 	}
 }

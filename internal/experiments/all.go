@@ -1,7 +1,7 @@
 package experiments
 
 // Experiment is one table or figure of the evaluation (§4) or one of the
-// extensions: the name mlv-bench's -only selects it by, and a run that
+// extensions: the name `mlv repro -only` selects it by, and a run that
 // computes it and renders it as text. tasks > 0 overrides the workload
 // size of the experiments that simulate task sequences at saturation.
 type Experiment struct {
@@ -9,7 +9,7 @@ type Experiment struct {
 	Run  func(tasks int) (string, error)
 }
 
-// All lists every experiment in the order mlv-bench prints them. It is the
+// All lists every experiment in the order `mlv repro` prints them. It is the
 // one place the set is enumerated: the CLI, its usage text and `make
 // repro` are loops over it.
 func All() []Experiment {

@@ -1,6 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§4). Each experiment returns typed rows/series consumed by
-// the root benchmarks, cmd/mlv-bench, and EXPERIMENTS.md. Paper reference
+// the root benchmarks, `mlv repro`, and EXPERIMENTS.md. Paper reference
 // values are embedded so outputs can print side-by-side comparisons.
 package experiments
 

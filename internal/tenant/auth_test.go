@@ -364,7 +364,7 @@ func TestSignDeterministic(t *testing.T) {
 	}
 
 	// crypto/hmac over the fmt formula Sign used to be is the oracle: every
-	// signature a client (mlv-sign, mlv-cluster) computes stays
+	// signature a client (`mlv sign`, `mlv cluster`) computes stays
 	// byte-identical.
 	rng := rand.New(rand.NewSource(1))
 	text := func(max int) string {

@@ -18,7 +18,7 @@
 //
 // Every table and figure of the paper's evaluation can be regenerated; see
 // the Reproduce* functions, the benchmarks in bench_test.go, and
-// cmd/mlv-bench.
+// `mlv repro`.
 package mlvfpga
 
 import (
