@@ -2,6 +2,7 @@ package rms
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -36,6 +37,7 @@ type contEngine struct {
 
 	queue    *fairQueue
 	queueCap int
+	machines []*contMachine
 	wg       sync.WaitGroup // one count per machine goroutine
 
 	// Load observability (LoadStats).
@@ -47,11 +49,6 @@ type contEngine struct {
 	// preemptReq is outstanding explicit-preemption demand in slots
 	// (posted by DataPlane.Preempt); each round consumes what it can evict.
 	preemptReq atomic.Int64
-	// mode is what every round obeys (see stop); dst is where
-	// modeEvacuate rounds hand requests (see transplantTo).
-	mode      atomic.Int32
-	dst       *contEngine
-	abandoned atomic.Int64
 
 	// leakedSlot arms the LeakSlot fault at most once per engine, so the
 	// injected capacity leak never starves serving outright; leakedSnap
@@ -59,16 +56,16 @@ type contEngine struct {
 	leakedSlot atomic.Bool
 	leakedSnap atomic.Bool
 
-	// mu orders submits (shared) against stop (exclusive). done is closed
-	// once, when a stopping engine's last pending request is settled: the
-	// machines' exit signal.
-	mu       sync.RWMutex
-	done     chan struct{}
-	doneOnce sync.Once
+	// mu orders submits (shared) against stop (exclusive). stopped and
+	// halted only ever go from false to true (see stop and await).
+	mu      sync.RWMutex
+	stopped atomic.Bool
+	halted  atomic.Bool
 }
 
 // contMachine is one machine and its batch slots. Only the machine's own
-// goroutine touches them, so slot state needs no lock.
+// goroutine touches them, and the engine's stopper once that goroutine is
+// joined, so slot state needs no lock.
 type contMachine struct {
 	m *accel.Machine
 
@@ -120,7 +117,6 @@ func newContEngine(lease *Lease, kern *kernels.Kernel, opts InferOptions, faults
 		faults:   faults,
 		queue:    newFairQueue(),
 		queueCap: opts.MaxBatch * opts.Machines * 8,
-		done:     make(chan struct{}),
 	}
 	machines := make([]*contMachine, opts.Machines)
 	for i := range machines {
@@ -145,6 +141,7 @@ func newContEngine(lease *Lease, kern *kernels.Kernel, opts InferOptions, faults
 			taken:   make([]*inferRequest, 0, opts.MaxBatch),
 		}
 	}
+	e.machines = machines
 	e.wg.Add(len(machines))
 	for _, cm := range machines {
 		go e.run(cm)
@@ -163,7 +160,7 @@ func (e *contEngine) submit(req *inferRequest) error { return e.accept(req, e.qu
 func (e *contEngine) accept(req *inferRequest, bound int) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.mode.Load() != modeServe {
+	if e.stopped.Load() {
 		return ErrLeaseClosing
 	}
 	if int(e.pending.Load()) >= bound {
@@ -174,51 +171,28 @@ func (e *contEngine) accept(req *inferRequest, bound int) error {
 	return nil
 }
 
-// An engine serves until stop moves it to one of three exits; the mode
-// only ever escalates, so a later, gentler stop changes nothing.
-const (
-	modeServe    int32 = iota
-	modeDrain          // serve everything already admitted
-	modeEvacuate       // checkpoint residents, hand every request to dst
-	modeAbandon        // answer residents and queue ErrLeaseClosing
-)
-
-// stop is the one way an engine stops: refuse new submits and set the mode
-// every round obeys from now on. It wakes no machine: a parked one holds
-// nothing the mode could act on, and the machines with residents obey it
-// at their next round. It does not wait: the machines exit when the last
-// pending request is settled, which wg.Wait observes.
-func (e *contEngine) stop(mode int32) {
-	e.mu.Lock() // waits out submits that saw modeServe
-	if mode > e.mode.Load() {
-		e.mode.Store(mode)
+// stop is the one way an engine stops: refuse new submits, and wake every
+// parked machine to apply the exit rule in await. A stopped engine's
+// machines still serve everything already admitted; a halted one's leave
+// at their next await, whatever they hold. Both flags only ever go from
+// false to true. stop does not wait: the caller joins the machines with
+// wg.Wait and then answers or moves what they left (closeBy, transplantTo).
+//
+// Each engine has exactly one stopper: whoever removed it from the data
+// plane's table, or Resize for an engine it never installed. So nothing
+// after wg.Wait races another caller over the machines' slots.
+func (e *contEngine) stop(halt bool) {
+	e.mu.Lock() // waits out submits that saw the engine serving
+	e.stopped.Store(true)
+	if halt {
+		e.halted.Store(true)
 	}
 	e.mu.Unlock()
-	e.finishIfEmpty()
-}
-
-// finishIfEmpty releases the machines of a stopping engine that holds no
-// request: done closes and every parked machine wakes to exit. Nothing adds
-// to pending once the mode has left modeServe, so a zero read here is
-// final. The broadcast holds the queue's mutex, so it cannot fall between
-// a machine's check in await and its wait.
-func (e *contEngine) finishIfEmpty() {
-	if e.pending.Load() == 0 {
-		e.doneOnce.Do(func() {
-			close(e.done)
-			e.queue.mu.Lock()
-			e.queue.wake.Broadcast()
-			e.queue.mu.Unlock()
-		})
-	}
-}
-
-// settle takes one request off pending: it has been answered, or handed
-// to another engine.
-func (e *contEngine) settle() {
-	if e.pending.Add(-1) == 0 && e.mode.Load() != modeServe {
-		e.finishIfEmpty()
-	}
+	// Under the queue's mutex, so the broadcast cannot fall between a
+	// machine's check in await and its wait.
+	e.queue.mu.Lock()
+	e.queue.wake.Broadcast()
+	e.queue.mu.Unlock()
 }
 
 // answer is the only place a request is answered, accounting first: a
@@ -226,46 +200,75 @@ func (e *contEngine) settle() {
 // slot gauge and pending already settled. A request is answered once and
 // done is buffered, so the send cannot block; after it, req is its caller's.
 func (e *contEngine) answer(req *inferRequest, res *InferResult, err error) {
-	e.settle()
+	e.pending.Add(-1)
 	req.res, req.err = res, err
 	req.done <- struct{}{}
 }
 
 // close stops admission, serves everything already admitted, and joins the
-// machines. Idempotent; concurrent closers all block until drained.
+// machines.
 func (e *contEngine) close() { e.closeBy(time.Time{}) }
 
-// closeBy is close bounded by a deadline (the zero time: none): streams
-// still resident when it passes are abandoned, and their callers, like
-// those of every queued request, are answered ErrLeaseClosing. Returns how
-// many streams were abandoned (0 for a clean drain).
+// closeBy is close bounded by a deadline (the zero time: none): once it
+// passes the machines are halted, the streams still resident are
+// abandoned, and their callers, like those of every queued request, are
+// answered ErrLeaseClosing. Returns how many streams were abandoned (0 for
+// a clean drain).
 func (e *contEngine) closeBy(deadline time.Time) int {
-	e.stop(modeDrain)
+	e.stop(false)
 	if !deadline.IsZero() {
-		timer := time.NewTimer(time.Until(deadline))
+		timer := time.AfterFunc(time.Until(deadline), func() { e.stop(true) })
 		defer timer.Stop()
-		select {
-		case <-e.done:
-		case <-timer.C:
-			e.stop(modeAbandon)
-		}
 	}
 	e.wg.Wait()
-	return int(e.abandoned.Load())
+	return e.abandon()
 }
 
-// transplantTo moves every request this engine holds — queued or resident
-// in a slot — to dst, checkpointing resident streams so they resume on
-// dst's machines mid-sequence, and joins the machines.
+// transplantTo halts the engine, joins its machines, and moves every
+// request it holds — resident in a slot or queued — to dst: residents are
+// checkpointed so they resume on dst's machines mid-sequence. A request
+// dst refuses (it is closing too) is answered with that error.
 func (e *contEngine) transplantTo(dst *contEngine) {
-	e.dst = dst // before the mode that makes rounds read it
-	e.stop(modeEvacuate)
+	e.stop(true)
 	e.wg.Wait()
+	for _, cm := range e.machines {
+		e.evictSlots(cm, len(cm.slots), 0, false)
+	}
+	for _, req := range e.queue.take(nil, int(e.pending.Load())) {
+		if err := dst.accept(req, math.MaxInt); err != nil {
+			e.answer(req, nil, err)
+			continue
+		}
+		e.pending.Add(-1) // pending moved with the request
+	}
 }
 
-// run is cm's goroutine, the only code that touches cm's slots: rounds
-// while there is work, parked in await while there is none, until the
-// stopping engine has settled its last request.
+// abandon answers ErrLeaseClosing to every request a joined engine's
+// machines left: the streams still resident are abandoned — counted, not
+// checkpointed, since there is no restore coming — and so is every queued
+// caller. Returns the abandoned-stream count; after a clean drain nothing
+// is left and it returns 0.
+func (e *contEngine) abandon() int {
+	n := 0
+	for _, cm := range e.machines {
+		for s := range cm.slots {
+			if req := cm.slots[s].req; req != nil {
+				n++
+				e.vacate(cm, s)
+				e.answer(req, nil, ErrLeaseClosing)
+			}
+		}
+	}
+	metrics.DrainAbandoned.Add(int64(n))
+	for _, req := range e.queue.take(nil, int(e.pending.Load())) {
+		e.answer(req, nil, ErrLeaseClosing)
+	}
+	return n
+}
+
+// run is cm's goroutine, the only code that touches cm's slots while the
+// engine runs: rounds while there is work, parked in await while there is
+// none, until await's exit rule holds.
 func (e *contEngine) run(cm *contMachine) {
 	defer e.wg.Done()
 	for e.await(cm) {
@@ -274,41 +277,34 @@ func (e *contEngine) run(cm *contMachine) {
 }
 
 // await returns true at once while cm has a live cohort. Otherwise it parks
-// cm on the queue's wake until a request is queued, and returns false once
-// the engine is stopping and holds nothing. The emptiness check and the
-// wait are one critical section under the queue's mutex, which push holds
-// to grow the queue (it signals after) and finishIfEmpty holds to
-// broadcast, so no wake-up can fall between them.
+// cm on the queue's wake until a request is queued or the engine stops.
+// It returns false once the engine is halted, or once it is stopped and cm
+// has no live cohort and the queue is empty. That rule is local, yet the
+// last machine to leave finds nothing queued: a stopped engine's queue
+// only grows by a running machine's own evictions, and that machine takes
+// them back in the same round. The emptiness check and the wait are one
+// critical section under the queue's mutex, which push holds to grow the
+// queue (it signals after) and stop holds to broadcast, so no wake-up can
+// fall between them.
 func (e *contEngine) await(cm *contMachine) bool {
 	if cm.stepping > 0 {
-		return true
+		return !e.halted.Load()
 	}
 	q := e.queue
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.size == 0 {
-		if e.mode.Load() != modeServe && e.pending.Load() == 0 {
-			return false
-		}
+	for q.size == 0 && !e.stopped.Load() {
 		q.parked++
 		q.wake.Wait()
 		q.parked--
 	}
-	return true
+	return q.size > 0 && !e.halted.Load()
 }
 
-// round is one turn of cm's goroutine: obey the engine's mode, consume
-// preemption demand, admit from the fair queue into free slots, execute
-// one step round over the live cohort, and retire finished streams.
+// round is one turn of cm's goroutine: consume preemption demand, admit
+// from the fair queue into free slots, execute one step round over the
+// live cohort, and retire finished streams.
 func (e *contEngine) round(cm *contMachine) {
-	switch e.mode.Load() {
-	case modeAbandon:
-		e.abandon(cm)
-		return
-	case modeEvacuate:
-		e.evacuate(cm)
-		return
-	}
 	// Explicit preemption demand: evict what this machine can supply,
 	// lowest priority class first.
 	if want := e.preemptReq.Load(); want > 0 {

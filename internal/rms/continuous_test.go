@@ -192,7 +192,7 @@ func TestPooledRequestAnswersItsOwnCaller(t *testing.T) {
 		}
 		progress()
 	}
-	if err := dp.Release(lease.ID); err != nil {
+	if err := dp.svc.Release(lease.ID); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -333,7 +333,7 @@ func TestContinuousReleaseDrains(t *testing.T) {
 			}
 		}(i)
 	}
-	if err := dp.Release(lease.ID); err != nil {
+	if err := dp.svc.Release(lease.ID); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()

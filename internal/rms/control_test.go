@@ -13,9 +13,8 @@ import (
 	"mlvfpga/internal/resource"
 )
 
-// Regression test: Service.Release (the admission-surface release, not
-// DataPlane.Release) must drain the lease's engine before freeing
-// placements. Full-length requests resident in the one slot or waiting in
+// Regression test: Service.Release, the one release surface, must drain
+// the lease's engine before freeing placements. Full-length requests resident in the one slot or waiting in
 // the fair queue when Release lands must all be answered successfully by
 // the time it returns, not left to race the deallocation.
 func TestServiceReleaseDrainsDataPlane(t *testing.T) {

@@ -33,7 +33,7 @@ type fairQueue struct {
 	latency int
 
 	// wake parks the engine's machines that have nothing to step (see
-	// contEngine.await): push signals one, a finished engine broadcasts.
+	// contEngine.await): push signals one, contEngine.stop broadcasts.
 	// parked counts the machines waiting on it.
 	wake   sync.Cond
 	parked int

@@ -171,7 +171,7 @@ func (dp *DataPlane) Handler() http.Handler {
 		if !post(w, r, &req) || !owns(w, r, req.ID) {
 			return
 		}
-		if err := dp.Release(req.ID); err != nil {
+		if err := s.Release(req.ID); err != nil {
 			fail(w, err, http.StatusInternalServerError)
 			return
 		}

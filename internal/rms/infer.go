@@ -540,13 +540,6 @@ func (dp *DataPlane) engine(lease *Lease) (*contEngine, error) {
 	return slot.e.Load(), slot.err
 }
 
-// Release frees the lease. The engine drain happens inside
-// Service.Release via the registered drain hook, so releasing through
-// either surface is equivalent.
-func (dp *DataPlane) Release(leaseID int) error {
-	return dp.svc.Release(leaseID)
-}
-
 // drainEngine retires the lease's engine: admission stops, queued
 // requests are served, resident streams finish. Idempotent.
 func (dp *DataPlane) drainEngine(leaseID int) {

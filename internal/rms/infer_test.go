@@ -132,7 +132,7 @@ func TestInferUnknownAndReleasedLease(t *testing.T) {
 	if _, err := dp.InferAs("", lease.ID, testInputs(lease.Spec, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := dp.Release(lease.ID); err != nil {
+	if err := dp.svc.Release(lease.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dp.InferAs("", lease.ID, testInputs(lease.Spec, 1)); !errors.Is(err, ErrUnknownLease) {

@@ -1,7 +1,6 @@
 package rms
 
 import (
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -27,7 +26,8 @@ type resumeToken struct {
 // to that DRR weight class (automatic preemption never displaces
 // latency-class streams); maxWeight == 0 allows any. An evacuation
 // (preempted false) takes every stream regardless of progress: it never
-// re-admits on this engine. Runs on cm's goroutine.
+// re-admits on this engine. Runs on cm's goroutine, or on the stopper's
+// once the machines are joined (transplantTo).
 func (e *contEngine) evictSlots(cm *contMachine, max, maxWeight int, preempted bool) int {
 	if max <= 0 {
 		return 0
@@ -129,41 +129,5 @@ func clampNonNegative(a *atomic.Int64) {
 		if v >= 0 || a.CompareAndSwap(v, 0) {
 			return
 		}
-	}
-}
-
-// evacuate is the modeEvacuate round: cm's resident streams are
-// checkpointed into the queue, and whatever the queue holds — theirs, other
-// machines', never-admitted requests — is handed to e.dst in fair-queue
-// order. A request dst refuses (it is closing too) is answered with that
-// error. Runs on cm's goroutine.
-func (e *contEngine) evacuate(cm *contMachine) {
-	e.evictSlots(cm, len(cm.slots), 0, false)
-	for _, req := range e.queue.take(nil, int(e.pending.Load())) {
-		if err := e.dst.accept(req, math.MaxInt); err != nil {
-			e.answer(req, nil, err)
-			continue
-		}
-		e.settle() // pending moved with the request; nothing is answered
-	}
-}
-
-// abandon is the modeAbandon round (closeBy's deadline has passed): every
-// resident stream is abandoned — counted, not checkpointed, since there is
-// no restore coming — and its caller, like every caller still queued, is
-// answered ErrLeaseClosing. Runs on cm's goroutine.
-func (e *contEngine) abandon(cm *contMachine) {
-	for s := range cm.slots {
-		req := cm.slots[s].req
-		if req == nil {
-			continue
-		}
-		metrics.DrainAbandoned.Add(1)
-		e.abandoned.Add(1)
-		e.vacate(cm, s)
-		e.answer(req, nil, ErrLeaseClosing)
-	}
-	for _, req := range e.queue.take(nil, int(e.pending.Load())) {
-		e.answer(req, nil, ErrLeaseClosing)
 	}
 }

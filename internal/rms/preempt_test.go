@@ -3,6 +3,7 @@ package rms
 import (
 	"errors"
 	"expvar"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -185,7 +186,8 @@ func TestPreemptGoldenTwin(t *testing.T) {
 // path of a depth migration: a Resize mid-flight checkpoints the old
 // pool's resident streams and resumes them on the new pool — different
 // machine count, same bit-exact outputs, nothing re-run from scratch and
-// nothing answered with an error.
+// nothing answered with an error. The old engine is left with nothing:
+// no pending request, an empty queue, every slot free, and no admission.
 func TestResizeTransplantsResidentStreams(t *testing.T) {
 	opts := DefaultInferOptions()
 	opts.Machines = 1
@@ -210,8 +212,19 @@ func TestResizeTransplantsResidentStreams(t *testing.T) {
 	if c, r := snapDelta(base, metrics.SnapshotCaptures), snapDelta(base, metrics.SnapshotRestores); c != r {
 		t.Errorf("captures %d != restores %d", c, r)
 	}
-	if got := b.e.load().Pending; got != 0 {
-		t.Errorf("old engine still counts %d pending after the transplant", got)
+	if st := b.e.load(); st.Pending != 0 || st.QueueDepth != 0 {
+		t.Errorf("old engine holds %d pending, %d queued after the transplant", st.Pending, st.QueueDepth)
+	}
+	for i, cm := range b.e.machines {
+		for s, sl := range cm.slots {
+			if sl != (contSlot{}) {
+				t.Errorf("old engine machine %d slot %d still occupied after the transplant", i, s)
+			}
+		}
+	}
+	req := newRequest(testInputs(lease.Spec, 1), "", 0)
+	if err := b.e.submit(req); !errors.Is(err, ErrLeaseClosing) {
+		t.Errorf("submit to the transplanted engine: err = %v, want ErrLeaseClosing", err)
 	}
 }
 
@@ -312,10 +325,11 @@ func TestAutoPreemptFavorsLatencyClass(t *testing.T) {
 // TestCloseWithinCheckpointsAtDeadline pins the deadline-bounded drain:
 // streams still resident when the deadline passes are abandoned (counted
 // for the shutdown log, not checkpointed) and their callers answered
-// ErrLeaseClosing, and the slot gauge still drains to its baseline.
+// ErrLeaseClosing, and the slot gauge still drains to its baseline. Two
+// machines, so the abandoned streams are collected from more than one.
 func TestCloseWithinCheckpointsAtDeadline(t *testing.T) {
 	opts := DefaultInferOptions()
-	opts.Machines = 1
+	opts.Machines = 2
 	opts.MaxBatch = 2
 	_, dp, lease := stepsPlane(t, opts, backlogSteps)
 
@@ -345,26 +359,32 @@ func TestCloseWithinCheckpointsAtDeadline(t *testing.T) {
 // TestCloseWithinGenerousDeadlineIsClose pins the equivalence close()
 // relies on (close is closeBy with no deadline): a deadline the
 // backlog finishes well inside checkpoints nothing and every request is
-// answered with its result.
+// answered with its solo run. At four machines the drain runs on more
+// machine goroutines than a GOMAXPROCS=1 or 2 run has Ps, and each machine
+// leaves on its own once it is idle and the queue is empty.
 func TestCloseWithinGenerousDeadlineIsClose(t *testing.T) {
-	opts := DefaultInferOptions()
-	opts.Machines = 1
-	opts.MaxBatch = 2
-	_, dp, lease := preemptPlane(t, opts)
+	for _, machines := range []int{1, 4} {
+		t.Run(fmt.Sprintf("machines=%d", machines), func(t *testing.T) {
+			opts := DefaultInferOptions()
+			opts.Machines = machines
+			opts.MaxBatch = 2
+			_, dp, lease := preemptPlane(t, opts)
 
-	slotsBase := metrics.SlotsActive.Value()
-	b := loadBacklog(t, dp, lease, 0, "", 0)
-	if n := dp.CloseWithin(time.Minute); n != 0 {
-		t.Errorf("drain inside the deadline checkpointed %d streams", n)
-	}
-	if failed := b.join(t); failed != 0 {
-		t.Errorf("%d requests answered with an error", failed)
-	}
-	if st := b.e.load(); st.Pending != 0 || st.Served != int64(len(b.reqs)) {
-		t.Errorf("after the drain: pending %d, served %d of %d", st.Pending, st.Served, len(b.reqs))
-	}
-	if got := metrics.SlotsActive.Value(); got != slotsBase {
-		t.Errorf("slot gauge residue after the drain: %d", got-slotsBase)
+			slotsBase := metrics.SlotsActive.Value()
+			b := loadBacklog(t, dp, lease, 0, "", 0)
+			if n := dp.CloseWithin(time.Minute); n != 0 {
+				t.Errorf("drain inside the deadline checkpointed %d streams", n)
+			}
+			if failed := b.join(t); failed != 0 {
+				t.Errorf("%d requests answered with an error", failed)
+			}
+			if st := b.e.load(); st.Pending != 0 || st.Served != int64(len(b.reqs)) {
+				t.Errorf("after the drain: pending %d, served %d of %d", st.Pending, st.Served, len(b.reqs))
+			}
+			if got := metrics.SlotsActive.Value(); got != slotsBase {
+				t.Errorf("slot gauge residue after the drain: %d", got-slotsBase)
+			}
+		})
 	}
 }
 
@@ -461,7 +481,7 @@ func TestReleaseMidFlightCleansUp(t *testing.T) {
 	if _, err := dp.Preempt(lease.ID, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := dp.Release(lease.ID); err != nil {
+	if err := dp.svc.Release(lease.ID); err != nil {
 		t.Fatal(err)
 	}
 	for i, req := range reqs {

@@ -698,7 +698,7 @@ func (s *Stack) doRedeploy(r uint64) {
 // dropLease releases a lease through the data plane's drain path and
 // forgets it in the model; redeploy and release trace it differently.
 func (s *Stack) dropLease(id int) bool {
-	if err := s.dp.Release(id); err != nil {
+	if err := s.svc.Release(id); err != nil {
 		s.fail("release-error", "lease %d: %v", id, err)
 		return false
 	}
