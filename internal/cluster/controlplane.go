@@ -150,9 +150,11 @@ func New(clock Clock, cfg Config, svc *rms.Service, dp interface {
 		cp.loads = dp
 		cp.sizer = dp
 	}
-	for _, f := range svc.Status().FPGAs {
+	fleet := svc.Status().FPGAs
+	cp.reg.devices = make([]device, 0, len(fleet))
+	for _, f := range fleet {
 		if err := cp.reg.Register(f.ID, f.Device, f.TotalBlocks); err != nil {
-			panic(err) // unreachable: Status lists each device once
+			panic(err) // unreachable: Status lists each device once, by ascending id
 		}
 	}
 	svc.SetPlacementFilter(cp.reg.Placeable)

@@ -3,7 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -53,7 +53,7 @@ func (s State) String() string {
 
 // MarshalJSON renders the state name for API clients.
 func (s State) MarshalJSON() ([]byte, error) {
-	return []byte(fmt.Sprintf("%q", s.String())), nil
+	return strconv.AppendQuote(nil, s.String()), nil
 }
 
 // UnmarshalJSON parses a state name (the CLI reads device snapshots).
@@ -121,28 +121,38 @@ type Transition struct {
 }
 
 // Registry is the fleet's device table: typed capacities plus the health
-// state machine, driven entirely by the injected clock.
+// state machine, driven entirely by the injected clock. Fleet ids are
+// dense from 0, so the table is a slab indexed by id.
 type Registry struct {
 	mu      sync.Mutex
 	clock   Clock
-	devices map[int]*device
+	devices []device
 }
 
 // NewRegistry builds an empty registry.
 func NewRegistry(clock Clock) *Registry {
-	return &Registry{clock: clock, devices: map[int]*device{}}
+	return &Registry{clock: clock}
 }
 
 // Register adds a device with its typed capacity, initially Healthy as of
-// the current clock.
+// the current clock. Ids must arrive in order from 0: a duplicate or a gap
+// is refused.
 func (r *Registry) Register(id int, deviceType string, blocks int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.devices[id]; ok {
-		return fmt.Errorf("cluster: device %d already registered", id)
+	if id != len(r.devices) {
+		return fmt.Errorf("cluster: device %d registered twice or out of order, want %d", id, len(r.devices))
 	}
-	r.devices[id] = &device{id: id, typ: deviceType, blocks: blocks, lastBeat: r.clock.Now()}
+	r.devices = append(r.devices, device{id: id, typ: deviceType, blocks: blocks, lastBeat: r.clock.Now()})
 	return nil
+}
+
+// lookup returns the device's record; the caller holds r.mu.
+func (r *Registry) lookup(id int) (*device, bool) {
+	if id < 0 || id >= len(r.devices) {
+		return nil, false
+	}
+	return &r.devices[id], true
 }
 
 // Heartbeat records a liveness beat, reviving Suspect and Dead devices.
@@ -150,7 +160,7 @@ func (r *Registry) Register(id int, deviceType string, blocks int) error {
 func (r *Registry) Heartbeat(id int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	d, ok := r.devices[id]
+	d, ok := r.lookup(id)
 	if !ok {
 		return fmt.Errorf("cluster: heartbeat from unknown device %d", id)
 	}
@@ -169,7 +179,7 @@ func (r *Registry) Heartbeat(id int) error {
 func (r *Registry) Drain(id int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	d, ok := r.devices[id]
+	d, ok := r.lookup(id)
 	if !ok {
 		return fmt.Errorf("cluster: drain of unknown device %d", id)
 	}
@@ -184,7 +194,7 @@ func (r *Registry) Drain(id int) error {
 func (r *Registry) Undrain(id int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	d, ok := r.devices[id]
+	d, ok := r.lookup(id)
 	if !ok {
 		return fmt.Errorf("cluster: undrain of unknown device %d", id)
 	}
@@ -201,7 +211,7 @@ func (r *Registry) Undrain(id int) error {
 func (r *Registry) ReportDead(id int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	d, ok := r.devices[id]
+	d, ok := r.lookup(id)
 	if !ok {
 		return fmt.Errorf("cluster: failure report for unknown device %d", id)
 	}
@@ -213,14 +223,15 @@ func (r *Registry) ReportDead(id int) error {
 }
 
 // Sweep advances the health state machine against the clock and returns
-// the transitions, sorted by device id (deterministic under a fake
+// the transitions in device id order (deterministic under a fake
 // clock). Each downgrade counts as a heartbeat miss.
 func (r *Registry) Sweep() []Transition {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := r.clock.Now()
 	var out []Transition
-	for _, d := range r.devices {
+	for i := range r.devices {
+		d := &r.devices[i]
 		overdue := now.Sub(d.lastBeat)
 		next := d.state
 		switch d.state {
@@ -241,7 +252,6 @@ func (r *Registry) Sweep() []Transition {
 			metrics.HeartbeatMisses.Add(1)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Device < out[j].Device })
 	return out
 }
 
@@ -249,7 +259,7 @@ func (r *Registry) Sweep() []Transition {
 func (r *Registry) State(id int) (State, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	d, ok := r.devices[id]
+	d, ok := r.lookup(id)
 	if !ok {
 		return Healthy, false
 	}
@@ -270,7 +280,7 @@ func (r *Registry) Evacuate(id int) bool {
 	return ok && (st == Dead || st == Draining)
 }
 
-// Snapshot lists every device sorted by id.
+// Snapshot lists every device in id order.
 func (r *Registry) Snapshot() []DeviceInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -282,6 +292,5 @@ func (r *Registry) Snapshot() []DeviceInfo {
 			State: d.state, SinceBeat: now.Sub(d.lastBeat),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

@@ -172,3 +172,71 @@ func TestSnapshotSortedAndJSON(t *testing.T) {
 		t.Fatalf("state marshalled as %v, want \"draining\"", got["state"])
 	}
 }
+
+// TestRegisterDenseIDs: the table is a slab indexed by id, so ids must
+// arrive in order from 0; a duplicate or a gap is refused and leaves the
+// table unchanged.
+func TestRegisterDenseIDs(t *testing.T) {
+	r, _ := testRegistry(t)
+	if err := r.Register(1, "a", 12); err == nil {
+		t.Error("duplicate id registered")
+	}
+	if err := r.Register(4, "a", 12); err == nil {
+		t.Error("out-of-order id registered")
+	}
+	if err := r.Register(-1, "a", 12); err == nil {
+		t.Error("negative id registered")
+	}
+	if n := len(r.Snapshot()); n != 3 {
+		t.Fatalf("refused registrations changed the table: %d devices", n)
+	}
+	if _, ok := r.State(-1); ok {
+		t.Error("State(-1) found a device")
+	}
+	if err := r.Register(3, "b", 12); err != nil {
+		t.Fatalf("next id refused: %v", err)
+	}
+}
+
+// TestSweepInIDOrder: with no sort left in Sweep, transitions still come
+// back in device id order, as every trace that prints them relies on.
+func TestSweepInIDOrder(t *testing.T) {
+	clk := NewFakeClock(time.Unix(1000, 0))
+	r := NewRegistry(clk)
+	for id := 0; id < 40; id++ {
+		if err := r.Register(id, "a", 12); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.Advance(suspectAfter + HeartbeatInterval)
+	for id := 0; id < 40; id += 3 {
+		_ = r.Heartbeat(id)
+	}
+	tr := r.Sweep()
+	if len(tr) != 26 {
+		t.Fatalf("%d transitions, want 26", len(tr))
+	}
+	for i := 1; i < len(tr); i++ {
+		if tr[i-1].Device >= tr[i].Device {
+			t.Fatalf("transitions out of id order: %v", tr)
+		}
+	}
+}
+
+// TestRegisterFleetAllocations: registering a pre-sized 1,000-device fleet
+// makes a constant number of allocations, not one per device.
+func TestRegisterFleetAllocations(t *testing.T) {
+	clk := NewFakeClock(time.Unix(1000, 0))
+	n := testing.AllocsPerRun(5, func() {
+		r := NewRegistry(clk)
+		r.devices = make([]device, 0, 1000)
+		for id := 0; id < 1000; id++ {
+			if err := r.Register(id, "a", 12); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if n > 2 {
+		t.Errorf("registering 1000 devices allocates %v times, want <= 2", n)
+	}
+}

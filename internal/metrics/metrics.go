@@ -80,8 +80,16 @@ type tenantKey struct {
 }
 
 // Snapshot reads every registered counter and per-tenant map once.
-func Snapshot() Values {
-	s := Values{ints: make([]int64, len(registry)), tenants: map[tenantKey]int64{}}
+func Snapshot() (v Values) { v.Read(); return v }
+
+// Read refills s with a fresh reading of every counter, reusing its
+// storage: a caller that reads once per event keeps one Values and
+// allocates only for tenant keys it has not seen before.
+func (s *Values) Read() {
+	if s.tenants == nil { // the registry is complete once the package is initialized
+		*s = Values{ints: make([]int64, len(registry)), tenants: map[tenantKey]int64{}}
+	}
+	clear(s.tenants)
 	var m *expvar.Map // the map being walked; one closure serves all of them
 	add := func(kv expvar.KeyValue) {
 		if n, ok := kv.Value.(*expvar.Int); ok {
@@ -97,7 +105,6 @@ func Snapshot() Values {
 			v.Do(add)
 		}
 	}
-	return s
 }
 
 func (s Values) Int(v *expvar.Int) int64 { return s.ints[index[v]] }
@@ -106,7 +113,7 @@ func (s Values) Int(v *expvar.Int) int64 { return s.ints[index[v]] }
 func (s Values) Tenant(m *expvar.Map, id string) int64 { return s.tenants[tenantKey{m, id}] }
 
 // Sub subtracts base from s in place, counter by counter, and returns s
-// (the receiver is normally a fresh Snapshot, so nothing else sees it).
+// (the receiver is normally a fresh reading, so nothing else sees it).
 func (s Values) Sub(base Values) Values {
 	for i := range s.ints {
 		s.ints[i] -= base.ints[i]

@@ -89,3 +89,25 @@ func TestSnapshotSub(t *testing.T) {
 		t.Errorf("family view of the delta %d, want 3", got)
 	}
 }
+
+// TestReadRefills: Read reuses a Values' storage without carrying anything
+// over. A refilled reading equals a fresh Snapshot, a tenant key gone from
+// its map is gone from the reading, and a steady-state refill allocates
+// nothing.
+func TestReadRefills(t *testing.T) {
+	TenantServed.Add("metrics-stale", 1)
+	var v Values
+	v.Read()
+	TenantServed.Delete("metrics-stale")
+	Migrations.Add(1)
+	v.Read()
+	if !reflect.DeepEqual(v, Snapshot()) {
+		t.Error("refilled reading differs from a fresh Snapshot")
+	}
+	if _, ok := v.tenants[tenantKey{TenantServed, "metrics-stale"}]; ok {
+		t.Error("refilled reading kept a deleted tenant key")
+	}
+	if n := testing.AllocsPerRun(10, v.Read); n != 0 {
+		t.Errorf("Read allocates %v times on a warm Values, want 0", n)
+	}
+}

@@ -224,24 +224,20 @@ func (dp *DataPlane) InjectFaults(f Faults) {
 }
 
 // CheckInvariants audits the data plane's engine and tombstone tables
-// against the admission service's live-lease set: every registered engine
-// must belong to a live lease, and no live lease may carry a release
-// tombstone. The deterministic simulation harness runs this after every
-// event; any error is a consistency bug, not an operational condition.
-func (dp *DataPlane) CheckInvariants() error {
-	live := map[int]bool{}
-	for _, l := range dp.svc.Leases() {
-		live[l.ID] = true
-	}
+// against the live-lease set, which the caller has proved equal to the
+// service's: every registered engine must belong to a live lease, and no
+// live lease may carry a release tombstone. The deterministic simulation
+// harness runs this after every event; any error is a consistency bug.
+func (dp *DataPlane) CheckInvariants(live func(id int) bool) error {
 	dp.mu.Lock()
 	defer dp.mu.Unlock()
 	for id := range dp.engines {
-		if !live[id] {
+		if !live(id) {
 			return fmt.Errorf("rms: engine registered for non-live lease %d", id)
 		}
 	}
 	for id := range dp.released {
-		if live[id] {
+		if live(id) {
 			return fmt.Errorf("rms: release tombstone for live lease %d", id)
 		}
 	}

@@ -21,10 +21,11 @@ import (
 // task trace through virtual time, Service is the interactive admission
 // API a real deployment would integrate against.
 type Service struct {
-	mu   sync.Mutex
-	ctrl *hsvital.Controller
-	db   *Database
-	inv  map[string]int // devices per type, fixed at construction
+	mu      sync.Mutex
+	ctrl    *hsvital.Controller
+	db      *Database
+	inv     map[string]int              // devices per type, fixed at construction
+	ladders map[kernels.LayerSpec][]int // FeasibleDepths' memo, guarded by mu
 
 	nextID int
 	leases map[int]*Lease
@@ -133,7 +134,7 @@ func NewService(cluster map[string]int, db *Database) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Service{ctrl: ctrl, db: db, inv: inventory(ctrl), leases: map[int]*Lease{}}, nil
+	return &Service{ctrl: ctrl, db: db, inv: inventory(ctrl), ladders: map[kernels.LayerSpec][]int{}, leases: map[int]*Lease{}}, nil
 }
 
 // PlaceOptions constrains a deployment beyond the default greedy policy.
@@ -336,9 +337,19 @@ func (s *Service) DeployWith(spec kernels.LayerSpec, po PlaceOptions) (*Lease, e
 // requirements fit the inventory, ignoring current occupancy. The control
 // plane plans against this ladder so it never chases a depth the fleet
 // could not place even when empty (e.g. a 4×XCVU37P deployment on a
-// cluster with three).
+// cluster with three). The inventory is fixed, so each spec's ladder is
+// priced once and shared: callers must not modify the returned slice.
 func (s *Service) FeasibleDepths(spec kernels.LayerSpec) ([]int, error) {
-	return s.depths(spec, s.inv)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ladder, ok := s.ladders[spec]; ok {
+		return ladder, nil
+	}
+	ladder, err := s.depths(spec, s.inv)
+	if err == nil {
+		s.ladders[spec] = ladder
+	}
+	return ladder, err
 }
 
 // depths lists the distinct piece counts among the layer's deployments,

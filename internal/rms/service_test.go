@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"mlvfpga/internal/kernels"
 	"mlvfpga/internal/resource"
+	"mlvfpga/internal/workload"
 )
 
 func newService(t *testing.T) *Service {
@@ -240,8 +242,8 @@ func TestHTTPUndeployable(t *testing.T) {
 
 // TestFleetReadsDoNotCopy pins the per-event readers on a 1000-device
 // fleet, whose membership is fixed at construction: the device table is
-// read in place, the feasible ladder costs a constant handful of
-// allocations, and a lease snapshot costs as much for 50 leases as for 1.
+// read in place, the feasible ladder is priced once per spec and then
+// costs nothing, and a lease snapshot costs as much for 50 leases as for 1.
 func TestFleetReadsDoNotCopy(t *testing.T) {
 	s, err := NewService(map[string]int{"XCVU37P": 750, "XCKU115": 250}, testDB(Flexible))
 	if err != nil {
@@ -251,11 +253,11 @@ func TestFleetReadsDoNotCopy(t *testing.T) {
 		t.Errorf("Controller.Devices allocates %v times, want 0", n)
 	}
 	spec := kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 512, TimeSteps: 25}
-	if _, err := s.FeasibleDepths(spec); err != nil { // fills the database's cache
+	if _, err := s.FeasibleDepths(spec); err != nil { // prices the ladder
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(10, func() { _, _ = s.FeasibleDepths(spec) }); n > 3 {
-		t.Errorf("FeasibleDepths allocates %v times, want <= 3", n)
+	if n := testing.AllocsPerRun(10, func() { _, _ = s.FeasibleDepths(spec) }); n != 0 {
+		t.Errorf("FeasibleDepths allocates %v times, want 0", n)
 	}
 	snapshot := func() float64 { return testing.AllocsPerRun(10, func() { _ = s.Leases() }) }
 	var one float64
@@ -269,6 +271,32 @@ func TestFleetReadsDoNotCopy(t *testing.T) {
 	}
 	if fifty := snapshot(); fifty != one {
 		t.Errorf("Leases allocates %v times for 1 lease and %v for 50", one, fifty)
+	}
+}
+
+// TestFeasibleDepthsMemo: the memoized ladder is the one depths would
+// price afresh against the inventory, for every layer the workload
+// catalog draws.
+func TestFeasibleDepthsMemo(t *testing.T) {
+	s := newService(t)
+	seen := map[kernels.LayerSpec]bool{}
+	for _, comp := range workload.Table1() {
+		for _, task := range quickSet(t, comp, 60) {
+			if seen[task.Spec] {
+				continue
+			}
+			seen[task.Spec] = true
+			want, wantErr := s.depths(task.Spec, s.inv)
+			for range 2 {
+				got, err := s.FeasibleDepths(task.Spec)
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
+					t.Fatalf("%v: FeasibleDepths = %v, %v; depths = %v, %v", task.Spec, got, err, want, wantErr)
+				}
+			}
+		}
+	}
+	if len(seen) < 10 {
+		t.Fatalf("catalog drew only %d distinct specs", len(seen))
 	}
 }
 

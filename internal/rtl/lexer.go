@@ -100,16 +100,16 @@ func (l *lexer) next() (token, error) {
 	if l.pos >= len(l.src) {
 		return token{kind: tokEOF, line: l.line, col: l.col}, nil
 	}
-	startLine, startCol := l.line, l.col
+	startLine, startCol, start := l.line, l.col, l.pos
 	c := l.peekByte()
 
+	// Token texts are substrings of src, not copies.
 	switch {
 	case isIdentStart(c):
-		var sb strings.Builder
 		for l.pos < len(l.src) && isIdentCont(l.peekByte()) {
-			sb.WriteByte(l.advance())
+			l.advance()
 		}
-		text := sb.String()
+		text := l.src[start:l.pos]
 		kind := tokIdent
 		if keywords[text] {
 			kind = tokKeyword
@@ -119,32 +119,29 @@ func (l *lexer) next() (token, error) {
 	case c == '\\':
 		// Escaped identifier: backslash to next whitespace.
 		l.advance()
-		var sb strings.Builder
 		for l.pos < len(l.src) {
 			b := l.peekByte()
 			if b == ' ' || b == '\t' || b == '\n' || b == '\r' {
 				break
 			}
-			sb.WriteByte(l.advance())
+			l.advance()
 		}
-		if sb.Len() == 0 {
+		if l.pos == start+1 {
 			return token{}, &SyntaxError{Line: startLine, Col: startCol, Msg: "empty escaped identifier"}
 		}
-		return token{kind: tokIdent, text: sb.String(), line: startLine, col: startCol}, nil
+		return token{kind: tokIdent, text: l.src[start+1 : l.pos], line: startLine, col: startCol}, nil
 
 	case unicode.IsDigit(rune(c)) || c == '\'':
 		// Numeric literal: optional size, optional 'b/'h/'d/'o base, digits.
-		var sb strings.Builder
 		for l.pos < len(l.src) && unicode.IsDigit(rune(l.peekByte())) {
-			sb.WriteByte(l.advance())
+			l.advance()
 		}
 		if l.pos < len(l.src) && l.peekByte() == '\'' {
-			sb.WriteByte(l.advance())
+			l.advance()
 			if l.pos >= len(l.src) {
 				return token{}, &SyntaxError{Line: startLine, Col: startCol, Msg: "truncated based literal"}
 			}
 			base := l.advance()
-			sb.WriteByte(base)
 			switch base {
 			case 'b', 'B', 'h', 'H', 'd', 'D', 'o', 'O':
 			default:
@@ -158,7 +155,7 @@ func (l *lexer) next() (token, error) {
 					continue
 				}
 				if isHexDigit(b) {
-					sb.WriteByte(l.advance())
+					l.advance()
 					nDigits++
 					continue
 				}
@@ -168,7 +165,9 @@ func (l *lexer) next() (token, error) {
 				return token{}, &SyntaxError{Line: startLine, Col: startCol, Msg: "based literal has no digits"}
 			}
 		}
-		return token{kind: tokNumber, text: sb.String(), line: startLine, col: startCol}, nil
+		// Digit separators are dropped; only a literal that has one is copied.
+		text := strings.ReplaceAll(l.src[start:l.pos], "_", "")
+		return token{kind: tokNumber, text: text, line: startLine, col: startCol}, nil
 
 	default:
 		// Punctuation; prefer two-character operators.
@@ -184,7 +183,7 @@ func (l *lexer) next() (token, error) {
 		case '(', ')', '[', ']', '{', '}', ';', ',', '.', ':', '#', '=', '@',
 			'?', '+', '-', '*', '/', '%', '&', '|', '^', '~', '!', '<', '>':
 			l.advance()
-			return token{kind: tokPunct, text: string(c), line: startLine, col: startCol}, nil
+			return token{kind: tokPunct, text: l.src[start:l.pos], line: startLine, col: startCol}, nil
 		}
 		return token{}, &SyntaxError{Line: startLine, Col: startCol, Msg: "unexpected character '" + string(c) + "'"}
 	}
@@ -198,7 +197,8 @@ func isHexDigit(b byte) bool {
 // lexAll tokenizes the whole input, returning the token stream.
 func lexAll(src string) ([]token, error) {
 	l := newLexer(src)
-	var toks []token
+	// Generated RTL runs about 3.4 bytes per token: one allocation covers it.
+	toks := make([]token, 0, len(src)/3+1)
 	for {
 		t, err := l.next()
 		if err != nil {

@@ -38,20 +38,18 @@ func ParseParallel(src string, workers int) ([]*Module, error) {
 		return parseStream(toks)
 	}
 	return parpool.Map(context.Background(), workers, len(spans), func(_ context.Context, i int) (*Module, error) {
-		// Three-index slice: the appended EOF sentinel must not clobber
-		// the next span's first token in the shared backing array.
-		lo, hi := spans[i][0], spans[i][1]
-		spanToks := append(toks[lo:hi:hi], token{kind: tokEOF, line: toks[hi-1].line, col: toks[hi-1].col})
-		p := &parser{toks: spanToks}
+		// The stream from the module's first token on is exactly what the
+		// sequential parser sees there, so the span needs no copy.
+		p := &parser{toks: toks[spans[i]:]}
 		return p.parseModule()
 	})
 }
 
-// moduleSpans splits a token stream into per-module half-open index ranges,
-// each ending just past its "endmodule". It reports false when the stream
-// does not look like a plain module sequence.
-func moduleSpans(toks []token) ([][2]int, bool) {
-	var spans [][2]int
+// moduleSpans splits a token stream at its top-level modules, returning
+// the index of each "module" token. It reports false when the stream does
+// not look like a plain module sequence.
+func moduleSpans(toks []token) ([]int, bool) {
+	var spans []int
 	i := 0
 	for i < len(toks) && toks[i].kind != tokEOF {
 		if !toks[i].is("module") {
@@ -64,7 +62,7 @@ func moduleSpans(toks []token) ([][2]int, bool) {
 		if j >= len(toks) || !toks[j].is("endmodule") {
 			return nil, false
 		}
-		spans = append(spans, [2]int{i, j + 1})
+		spans = append(spans, i)
 		i = j + 1
 	}
 	return spans, true

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"mlvfpga/internal/bwrtl"
 )
 
 func mustParse(t *testing.T, src string) []*Module {
@@ -171,6 +173,24 @@ func TestParseNumbers(t *testing.T) {
 	}
 }
 
+// TestLexAllocations: identifiers, punctuation and plain numbers are
+// slices of the source, so lexing the 4-tile accelerator costs the token
+// slice and little else, while a literal with digit separators is still
+// lexed without them.
+func TestLexAllocations(t *testing.T) {
+	src := bwSource(t, 4)
+	if n := testing.AllocsPerRun(5, func() { _, _ = lexAll(src) }); n > 2 {
+		t.Errorf("lexAll of the 4-tile RTL allocates %v times, want <= 2", n)
+	}
+	toks, err := lexAll("x = 16'hBE_EF + 8'd2_5;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if toks[2].text != "16'hBEEF" || toks[4].text != "8'd25" {
+		t.Errorf("separated literals lexed as %q and %q", toks[2].text, toks[4].text)
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []string{
 		"module",                               // truncated
@@ -306,19 +326,44 @@ endmodule
 	return sb.String()
 }
 
-func TestParseParallelMatchesSequential(t *testing.T) {
-	src := genManyModules(17)
-	seq, err := ParseParallel(src, 1)
+// sequential parses src as one stream, module after module: the oracle
+// ParseParallel's per-module fan-out must match.
+func sequential(src string) ([]*Module, error) {
+	toks, err := lexAll(src)
+	if err != nil {
+		return nil, err
+	}
+	return parseStream(toks)
+}
+
+// bwSource generates the accelerator RTL of the given tile count.
+func bwSource(t *testing.T, tiles int) string {
+	t.Helper()
+	src, err := bwrtl.Generate(bwrtl.Profile{Tiles: tiles, UseURAM: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 8, 32} {
-		par, err := ParseParallel(src, workers)
+	return src
+}
+
+func TestParseParallelMatchesSequential(t *testing.T) {
+	srcs := []string{genManyModules(17)}
+	for _, tiles := range []int{1, 2, 4} {
+		srcs = append(srcs, bwSource(t, tiles))
+	}
+	for i, src := range srcs {
+		seq, err := sequential(src)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("workers=%d: parallel parse differs from sequential", workers)
+		for _, workers := range []int{1, 2, 8, 32} {
+			par, err := ParseParallel(src, workers)
+			if err != nil {
+				t.Fatalf("source %d, workers=%d: %v", i, workers, err)
+			}
+			if !reflect.DeepEqual(seq, par) {
+				t.Fatalf("source %d, workers=%d: parallel parse differs from sequential", i, workers)
+			}
 		}
 	}
 }
@@ -337,6 +382,23 @@ module bad2(input a, output y); assign = a; endmodule`
 	_, parErr := ParseParallel(src, 8)
 	if parErr == nil || parErr.Error() != seqErr.Error() {
 		t.Errorf("parallel error = %v, sequential = %v", parErr, seqErr)
+	}
+
+	// One malformed module in the middle of the accelerator's RTL (its
+	// header loses its ';'): every worker count reports the sequential
+	// parser's error.
+	src = bwSource(t, 2)
+	at := strings.Index(src, "module mvm_tile")
+	at += strings.Index(src[at:], ";")
+	src = src[:at] + src[at+1:]
+	_, seqErr = sequential(src)
+	if seqErr == nil {
+		t.Fatal("corrupted RTL parsed")
+	}
+	for _, workers := range []int{1, 2, 8} {
+		if _, err := ParseParallel(src, workers); err == nil || err.Error() != seqErr.Error() {
+			t.Errorf("workers=%d: error = %v, sequential = %v", workers, err, seqErr)
+		}
 	}
 }
 

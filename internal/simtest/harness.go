@@ -10,6 +10,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -270,8 +271,15 @@ func runSchedule(o Options, sched []Event) (*Stack, error) {
 	return s, nil
 }
 
+// tracef formats a "%04d "-stamped line in s.line and keeps its string.
 func (s *Stack) tracef(format string, args ...any) {
-	s.trace = append(s.trace, fmt.Sprintf("%04d ", s.step)+fmt.Sprintf(format, args...))
+	b := s.line[:0]
+	for w := 1000; w > 1 && s.step < w; w /= 10 {
+		b = append(b, '0')
+	}
+	b = append(strconv.AppendInt(b, int64(s.step), 10), ' ')
+	s.line = fmt.Appendf(b, format, args...)
+	s.trace = append(s.trace, string(s.line))
 }
 
 func (s *Stack) fail(invariant, format string, args ...any) {
@@ -835,16 +843,16 @@ func (s *Stack) auditInvariants() {
 
 	// No lost or duplicated leases: the service's live set must equal the
 	// model's, exactly.
-	liveSet := map[int]bool{}
+	clear(s.liveSet)
 	for _, id := range s.live {
-		liveSet[id] = true
+		s.liveSet[id] = true
 	}
 	if len(leases) != len(s.live) {
 		s.fail("lease-conservation", "service has %d leases, model has %d", len(leases), len(s.live))
 		return
 	}
 	for _, l := range leases {
-		if !liveSet[l.ID] {
+		if !s.liveSet[l.ID] {
 			s.fail("lease-conservation", "service lease %d not in model", l.ID)
 			return
 		}
@@ -857,13 +865,11 @@ func (s *Stack) auditInvariants() {
 			s.fail("placement-shape", "lease %d: %d placements at depth %d", l.ID, len(l.Placements), l.Depth)
 			return
 		}
-		seen := map[int]bool{}
-		for _, pl := range l.Placements {
-			if seen[pl.FPGA] {
+		for i, pl := range l.Placements {
+			if slices.ContainsFunc(l.Placements[:i], func(p rms.Placement) bool { return p.FPGA == pl.FPGA }) {
 				s.fail("duplicate-device", "lease %d holds device %d twice", l.ID, pl.FPGA)
 				return
 			}
-			seen[pl.FPGA] = true
 		}
 		ladder, err := s.svc.FeasibleDepths(l.Spec)
 		if err != nil {
@@ -882,15 +888,17 @@ func (s *Stack) auditInvariants() {
 		return
 	}
 
-	// Engine/tombstone consistency in the data plane.
-	if err := s.dp.CheckInvariants(); err != nil {
+	// Engine/tombstone consistency in the data plane, against the live set
+	// lease-conservation has just proved equal to the service's.
+	if err := s.dp.CheckInvariants(func(id int) bool { return s.liveSet[id] }); err != nil {
 		s.fail("engine-tombstone", "%v", err)
 		return
 	}
 
 	// One reading of every counter per audit; each family below checks its
 	// deltas since the Stack's birth against the event model.
-	d := metrics.Snapshot().Sub(s.base)
+	s.vals.Read()
+	d := s.vals.Sub(s.base)
 	exact := func(invariant string, v *expvar.Int, want int64) bool {
 		got := d.Int(v)
 		if got != want {
@@ -903,7 +911,7 @@ func (s *Stack) auditInvariants() {
 	// must match the model's lease-owner map exactly, and no tenant may
 	// ever hold more than any configured quota grants.
 	if s.reg != nil {
-		owned := map[string]int{}
+		clear(s.owned) // reused per audit: a stale count breaks quota-conservation
 		for _, l := range leases {
 			if want := s.leaseTenant[l.ID]; l.Tenant != want {
 				s.fail("quota-conservation",
@@ -911,14 +919,14 @@ func (s *Stack) auditInvariants() {
 				return
 			}
 			if l.Tenant != "" {
-				owned[l.Tenant]++
+				s.owned[l.Tenant]++
 			}
 		}
-		for _, t := range s.reg.List() {
+		for _, t := range s.tenants {
 			lu, du, bu := s.svc.TenantUsage(t.ID)
-			if lu != owned[t.ID] {
+			if lu != s.owned[t.ID] {
 				s.fail("quota-conservation",
-					"tenant %s: service reports %d leases, model owns %d", t.ID, lu, owned[t.ID])
+					"tenant %s: service reports %d leases, model owns %d", t.ID, lu, s.owned[t.ID])
 				return
 			}
 			if q := t.Quotas.MaxLeases; q > 0 && lu > q {
@@ -939,7 +947,7 @@ func (s *Stack) auditInvariants() {
 		// delta must equal what the attributed events predict, the fair
 		// queue must drain to zero depth between events, and nothing in
 		// the sim path may trip the auth counters (no HTTP runs here).
-		for _, t := range s.reg.List() {
+		for _, t := range s.tenants {
 			id := t.ID
 			for _, c := range []struct {
 				m    *expvar.Map

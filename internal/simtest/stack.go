@@ -78,6 +78,12 @@ type Stack struct {
 	// process-wide, so the checkers only ever look at deltas from it).
 	base metrics.Values
 
+	// The audit's per-event scratch, and tracef's line buffer.
+	vals    metrics.Values
+	liveSet map[int]bool
+	owned   map[string]int
+	line    []byte
+
 	// Multi-spec model: which layer each live lease serves, and the set of
 	// distinct artifact keys ever sent to the deploy path. The compile runs
 	// before admission (and its artifact survives a failed placement), so
@@ -92,6 +98,7 @@ type Stack struct {
 	// counter deltas mirroring mlv_tenant_{requests,infers_served,
 	// rejections}.
 	reg             *tenant.Registry
+	tenants         []tenant.Tenant // reg.List(), fixed at NewStack
 	leaseTenant     map[int]string
 	expTenantReq    map[string]int64
 	expTenantServed map[string]int64
@@ -166,6 +173,8 @@ func NewStack(o Options) (*Stack, error) {
 		golden:          map[goldenKey]uint64{},
 		inputRng:        rand.New(rand.NewSource(0)),
 		excused:         map[int]bool{},
+		liveSet:         map[int]bool{},
+		owned:           map[string]int{},
 		leaseSpec:       map[int]kernels.LayerSpec{},
 		keySeen:         map[artifactstore.Key]bool{},
 		leaseTenant:     map[int]string{},
@@ -178,7 +187,7 @@ func NewStack(o Options) (*Stack, error) {
 		if rerr != nil {
 			return nil, fmt.Errorf("simtest: tenant registry: %w", rerr)
 		}
-		s.reg = reg
+		s.reg, s.tenants = reg, reg.List()
 		svc.SetTenants(reg)
 		dp.SetTenants(reg)
 	}
