@@ -69,7 +69,8 @@ repro:
 # workload DSL, the five decoders of outside bytes (the blob frame, the
 # compiled-artifact and slot-checkpoint payloads sealed in it, the /infer
 # body scanner against encoding/json, and the per-opcode counts of an
-# /infer response's batch_stats), the request signature against
+# /infer response's batch_stats), the /infer handler against
+# json.Unmarshal → InferAs → encoding/json, the request signature against
 # crypto/hmac, and the §2.3 tools: a scaled-down group after insertion (and
 # reordering) against the single device.
 # Raise FUZZTIME for a longer hunt; committed seed corpora under each
@@ -86,6 +87,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeBlob -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/snapshot
 	$(GO) test -fuzz=FuzzInferBody -fuzztime=$(FUZZTIME) ./internal/rms
+	$(GO) test -fuzz=FuzzInferHandler -fuzztime=$(FUZZTIME) ./internal/rms
 	$(GO) test -fuzz=FuzzOpCountsJSON -fuzztime=$(FUZZTIME) ./internal/accel
 	$(GO) test -fuzz=FuzzSign -fuzztime=$(FUZZTIME) ./internal/tenant
 	$(GO) test -fuzz=FuzzScaledMatchesSingle -fuzztime=$(FUZZTIME) ./internal/scaleout

@@ -21,19 +21,17 @@ import (
 // "pkg.Type.Method" or "pkg.Type.Field"; "pkg.Type.{A,B}" lists several
 // members of one type kept for one reason.
 var allowedOrphans = map[string]string{
-	"perf.Cosim":                "the instruction-level timing model: an independent oracle tests hold the analytic model against",
-	"scaleout.OverlapMVMs":      "a measurement of the reordered schedule that TestMeasuredOverlapMatchesModel compares with the model's gate table",
-	"cluster.FakeClock.Advance": "the test fake's only control: simulation harnesses outside the package drive time through it",
-	"kernels.ReferenceMLP":      "the float64 MLP the AS ISA kernel's outputs are compared with",
+	"cluster.FakeClock.Advance":                          "the test fake's only control: simulation harnesses outside the package drive time through it",
+	"kernels.ReferenceMLP":                               "the float64 MLP the AS ISA kernel's outputs are compared with",
 	"kernels.MLPKernel.{NewMachine,SetInput,ReadOutput}": "the only way to execute the MLP program, which the kernel tests run against ReferenceMLP; the scenario compiler only counts its instructions",
-	"wdsl.File.Print":                     "the parse → print → parse oracle FuzzParseMLW closes the loop with",
-	"rtl.WriteDesign":                     "the design printer: the parse → write → parse round trip the rtl and bwrtl tests hold the frontend to",
-	"partition.Result.Ladder":             "the shard ladder FuzzBisect's monotonicity property reads",
-	"bfp.MustCodec":                       "constructor of the unpacked reference codec below",
-	"bfp.Codec.{Quantize,QuantizeVector}": "the unpacked codec: the oracle FuzzPackedMatVec and the kernel tests hold the lane-packed mat-vec to",
-	"bfp.Block.Dequantize":                "unpacked oracle, as bfp.Codec.Quantize",
-	"simtest.Run":                         "the `make simtest` harness (sweep, determinism, fault-gate and minimizer tests drive it); it lives in non-test files because Stack, which scenario and the benchmark build on, is its other half",
-	"simtest.Result.Report":               "the failure report of the simtest.Run harness above",
+	"wdsl.File.Print":                                    "the parse → print → parse oracle FuzzParseMLW closes the loop with",
+	"rtl.WriteDesign":                                    "the design printer: the parse → write → parse round trip the rtl and bwrtl tests hold the frontend to",
+	"partition.Result.Ladder":                            "the shard ladder FuzzBisect's monotonicity property reads",
+	"bfp.MustCodec":                                      "constructor of the unpacked reference codec below",
+	"bfp.Codec.{Quantize,QuantizeVector}":                "the unpacked codec: the oracle FuzzPackedMatVec and the kernel tests hold the lane-packed mat-vec to",
+	"bfp.Block.Dequantize":                               "unpacked oracle, as bfp.Codec.Quantize",
+	"simtest.Run":                                        "the `make simtest` harness (sweep, determinism, fault-gate and minimizer tests drive it); it lives in non-test files because Stack, which scenario and the benchmark build on, is its other half",
+	"simtest.Result.Report":                              "the failure report of the simtest.Run harness above",
 	"simtest.Options.{Seed,Steps,Spec,Control,MaxLeases,Spacing,SettleSteps,SettlePeriod,Fault}": "the script of the simtest.Run harness above: its test flags (-seed, -seeds, -steps) and fault-gate cases fill them; scenario and the benchmark start from DefaultOptions and set the rest",
 	"experiments.Fig12Options.{MeanInterarrival,Seed}":                                           "re-exported by the facade as mlvfpga.Fig12Options, whose callers are outside the module; inside it every run uses DefaultFig12Options' values",
 }

@@ -198,10 +198,11 @@ func (e *contEngine) stop(halt bool) {
 // answer is the only place a request is answered, accounting first: a
 // caller that has joined every request (the simtest harness) must find the
 // slot gauge and pending already settled. A request is answered once and
-// done is buffered, so the send cannot block; after it, req is its caller's.
-func (e *contEngine) answer(req *inferRequest, res *InferResult, err error) {
+// done is buffered, so the send cannot block; after it, req and the result
+// it carries are its caller's.
+func (e *contEngine) answer(req *inferRequest, err error) {
 	e.pending.Add(-1)
-	req.res, req.err = res, err
+	req.err = err
 	req.done <- struct{}{}
 }
 
@@ -236,7 +237,7 @@ func (e *contEngine) transplantTo(dst *contEngine) {
 	}
 	for _, req := range e.queue.take(nil, int(e.pending.Load())) {
 		if err := dst.accept(req, math.MaxInt); err != nil {
-			e.answer(req, nil, err)
+			e.answer(req, err)
 			continue
 		}
 		e.pending.Add(-1) // pending moved with the request
@@ -255,13 +256,13 @@ func (e *contEngine) abandon() int {
 			if req := cm.slots[s].req; req != nil {
 				n++
 				e.vacate(cm, s)
-				e.answer(req, nil, ErrLeaseClosing)
+				e.answer(req, ErrLeaseClosing)
 			}
 		}
 	}
 	metrics.DrainAbandoned.Add(int64(n))
 	for _, req := range e.queue.take(nil, int(e.pending.Load())) {
-		e.answer(req, nil, ErrLeaseClosing)
+		e.answer(req, ErrLeaseClosing)
 	}
 	return n
 }
@@ -413,7 +414,7 @@ func (e *contEngine) admit(cm *contMachine, req *inferRequest, now time.Time) bo
 		err = e.initStream(cm, slot, req)
 	}
 	if err != nil {
-		e.answer(req, nil, err)
+		e.answer(req, err)
 		return false
 	}
 	if tok == nil {
@@ -456,35 +457,23 @@ func (e *contEngine) vacate(cm *contMachine, s int) {
 	metrics.SlotsActive.Add(-1)
 }
 
-// retire answers a finished stream and frees its slot.
+// retire answers a finished stream and frees its slot. It reads the
+// outputs into the result the submitter attached, shaped one row per
+// timestep, and allocates nothing.
 func (e *contEngine) retire(cm *contMachine, s int, sl *contSlot, cohort int) {
-	req := sl.req
-	// One backing array holds every timestep's outputs.
-	h := e.kern.Spec.Hidden
-	back, outs := make([]float64, sl.steps*h), make([][]float64, sl.steps)
+	req, res := sl.req, sl.req.res
 	var rerr error
-	for t := range outs {
-		outs[t] = back[t*h : (t+1)*h : (t+1)*h]
-		if rerr = e.kern.ReadOutputStream(cm.m, s, t, outs[t], cm.half); rerr != nil {
-			break
-		}
+	for t := 0; t < len(res.Outputs) && rerr == nil; t++ {
+		rerr = e.kern.ReadOutputStream(cm.m, s, t, res.Outputs[t], cm.half)
 	}
-	var res *InferResult
-	if rerr == nil {
-		res = &InferResult{
-			LeaseID: e.leaseID,
-			Outputs: outs,
-			// BatchSize is the retire round's co-resident cohort;
-			// BatchStats spans the slot's residency, so it includes the
-			// co-riders' overlapping work.
-			BatchSize: cohort,
-			Stream:    s,
-			// A preempted stream's earlier residencies carry into the
-			// final report, so the totals match a never-preempted run's.
-			QueueWait:  sl.carryWait + sl.admitted.Sub(req.enqueued),
-			BatchStats: cm.m.Stats().Minus(sl.base).Plus(sl.carry),
-		}
-	}
+	res.LeaseID = e.leaseID
+	// BatchSize is the retire round's co-resident cohort; BatchStats spans
+	// the slot's residency, so it includes the co-riders' overlapping work.
+	res.BatchSize, res.Stream = cohort, s
+	// A preempted stream's earlier residencies carry into the final report,
+	// so the totals match a never-preempted run's.
+	res.QueueWait = sl.carryWait + sl.admitted.Sub(req.enqueued)
+	res.BatchStats = cm.m.Stats().Minus(sl.base).Plus(sl.carry)
 	e.served.Add(1)
 	metrics.InfersServed.Add(1)
 	if req.tenant != "" && !(e.faults != nil && e.faults().SkipTenantServedMetric) {
@@ -500,7 +489,7 @@ func (e *contEngine) retire(cm *contMachine, s int, sl *contSlot, cohort int) {
 	} else {
 		e.vacate(cm, s)
 	}
-	e.answer(req, res, rerr)
+	e.answer(req, rerr)
 }
 
 // failCohort answers every live slot with err and frees them; a step
@@ -509,7 +498,7 @@ func (e *contEngine) failCohort(cm *contMachine, err error) {
 	for _, s := range cm.streams {
 		req := cm.slots[s].req
 		e.vacate(cm, s)
-		e.answer(req, nil, err)
+		e.answer(req, err)
 	}
 }
 

@@ -1,12 +1,16 @@
 package rms
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"expvar"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -113,11 +117,12 @@ func TestStepRoundAllocatesNothing(t *testing.T) {
 	if one != all {
 		t.Errorf("InferAs allocates %v times with 1 timestep and %v with %d", one, all, len(in))
 	}
-	// What is left per request is what its caller keeps: the outputs (2)
-	// and the InferResult (1). The request and its completion are pooled,
-	// slots live in the machine, the fair queue links requests through
-	// themselves, execution stats are values, and a built engine is reached
-	// without copying the lease.
+	// What is left per request is what its caller keeps: the InferResult,
+	// its outputs' backing array and row headers (3), which InferAs
+	// attaches before submit for retire to read into. The request and its
+	// completion are pooled, slots live in the machine, the fair queue
+	// links requests through themselves, execution stats are values, and a
+	// built engine is reached without copying the lease.
 	if all > 3 {
 		t.Errorf("warmed anonymous InferAs allocates %v times, want ≤ 3", all)
 	}
@@ -204,6 +209,105 @@ func TestPooledRequestAnswersItsOwnCaller(t *testing.T) {
 	}
 }
 
+// TestInferScratchAnswersItsOwnCaller is TestPooledRequestAnswersItsOwnCaller
+// through POST /infer, where the decoded inputs, the result retire fills and
+// the response buffer are pooled too: a scratch pooled while its stream is
+// still resident, or reused before its response is written, answers the
+// wrong caller. 64 clients each post their own inputs while the lease is
+// preempted, resized and released; every 200 must be the client's own solo
+// run bit for bit, and every other answer one the lifecycle explains.
+func TestInferScratchAnswersItsOwnCaller(t *testing.T) {
+	opts := DefaultInferOptions()
+	// Two machines of four slots queue 64 requests, so no client spins on
+	// 503s while the others are served.
+	opts.Machines = 2
+	opts.MaxBatch = 4
+	opts.Preempt = true
+	svc, err := NewService(resource.PaperCluster(), testDB(Flexible))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease, err := svc.Deploy(kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 64, TimeSteps: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp := NewDataPlane(svc, opts)
+	t.Cleanup(dp.Close)
+	h := dp.Handler()
+
+	base := metrics.Snapshot()
+	const clients = 64
+	var served atomic.Int64
+	var wg sync.WaitGroup
+	// Each client's want is its solo run through the data plane, which
+	// TestContinuousInferMatchesSolo holds to the reference machine.
+	bodies, wants := make([][]byte, clients), make([][][]float64, clients)
+	for c := range bodies {
+		in := testInputs(lease.Spec, int64(3000+c))[:1+c%lease.Spec.TimeSteps]
+		solo, err := dp.InferAs("", lease.ID, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bodies[c], err = json.Marshal(inferBody{ID: lease.ID, Inputs: in}); err != nil {
+			t.Fatal(err)
+		}
+		wants[c] = solo.Outputs
+	}
+	for c := 0; c < clients; c++ {
+		body, want := bodies[c], wants[c]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/infer", bytes.NewReader(body)))
+				var res struct {
+					Outputs [][]float64 `json:"outputs"`
+					Error   string      `json:"error"`
+				}
+				err := json.Unmarshal(w.Body.Bytes(), &res)
+				switch {
+				case w.Code == http.StatusServiceUnavailable && res.Error == ErrBusy.Error():
+				case w.Code == http.StatusServiceUnavailable && res.Error == ErrLeaseClosing.Error(), w.Code == http.StatusNotFound:
+					return
+				case w.Code != http.StatusOK || err != nil:
+					t.Errorf("client %d: %d %.200s", c, w.Code, w.Body.Bytes())
+					return
+				case !reflect.DeepEqual(res.Outputs, want):
+					t.Errorf("client %d: answer is not its own inputs' solo run", c)
+					return
+				default:
+					served.Add(1)
+				}
+			}
+		}()
+	}
+	progress := func() {
+		n := served.Load()
+		waitFor(t, "more answers", func() bool { return served.Load() > n+clients })
+	}
+	progress()
+	for i := 0; i < 3; i++ {
+		if _, err := dp.Preempt(lease.ID, 0); err != nil {
+			t.Fatal(err)
+		}
+		progress()
+	}
+	for _, machines := range []int{3, 2, 3} {
+		if err := dp.Resize(lease.ID, machines); err != nil {
+			t.Fatal(err)
+		}
+		progress()
+	}
+	if err := svc.Release(lease.ID); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if snapDelta(base, metrics.SnapshotCaptures) == 0 {
+		t.Error("no stream was checkpointed: preemption and resize moved nothing")
+	}
+}
+
 // raceEnabled reports a -race build.
 func raceEnabled() bool {
 	bi, ok := debug.ReadBuildInfo()
@@ -216,6 +320,14 @@ func raceEnabled() bool {
 		}
 	}
 	return false
+}
+
+// shapedRequest is newRequest answering into a fresh result shaped for
+// inputs, as inferInto attaches one.
+func shapedRequest(inputs [][]float64, tenantID string, weight int) *inferRequest {
+	res := new(InferResult)
+	res.Outputs, _ = shapeRows(nil, nil, len(inputs), len(inputs[0]))
+	return newRequest(inputs, res, tenantID, weight)
 }
 
 // TestContinuousAdmitsIntoRunningBatch pins the tentpole behavior: with a
@@ -240,13 +352,13 @@ func TestContinuousAdmitsIntoRunningBatch(t *testing.T) {
 	reqs := make([]*inferRequest, N)
 	for i := 0; i < N; i++ {
 		full := testInputs(lease.Spec, int64(i))
-		reqs[i] = newRequest(full[:1+i%2], "", 0)
+		reqs[i] = shapedRequest(full[:1+i%2], "", 0)
 		if err := e.submit(reqs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, req := range reqs {
-		if _, err := req.wait(); err != nil {
+		if err := req.wait(); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}

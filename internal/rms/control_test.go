@@ -31,7 +31,7 @@ func TestServiceReleaseDrainsDataPlane(t *testing.T) {
 	// queued for tens of milliseconds, far longer than the submits take.
 	reqs := make([]*inferRequest, 8)
 	for i := range reqs {
-		reqs[i] = newRequest(testInputs(lease.Spec, int64(7+i)), "", 0)
+		reqs[i] = shapedRequest(testInputs(lease.Spec, int64(7+i)), "", 0)
 		if err := e.submit(reqs[i]); err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,13 @@
 package rms
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
 	"net/http"
+	"sync"
 
 	"mlvfpga/internal/kernels"
 	"mlvfpga/internal/metrics"
@@ -17,6 +19,37 @@ const retryAfter = "1"
 
 // jsonContentType is every JSON response's Content-Type, never written to.
 var jsonContentType = []string{"application/json"}
+
+// responseBuf is a pooled response body and the encoder that writes into
+// it. A buffer grows to the largest response served, which for /infer is
+// one live layer's outputs.
+type responseBuf struct {
+	bytes.Buffer
+	enc *json.Encoder
+}
+
+var responsePool = sync.Pool{New: func() any {
+	rb := new(responseBuf)
+	rb.enc = json.NewEncoder(&rb.Buffer)
+	return rb
+}}
+
+// writeJSON answers code with v as encoding/json encodes it, in one Write.
+// v is encoded before anything is written, so a value encoding/json
+// refuses (NaN, ±Inf) is a 500 with its reason, not a 200 with no body.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	rb := responsePool.Get().(*responseBuf)
+	defer responsePool.Put(rb)
+	rb.Reset()
+	if err := rb.enc.Encode(v); err != nil {
+		rb.Reset()
+		code = http.StatusInternalServerError
+		_ = rb.enc.Encode(map[string]string{"error": "rms: encoding the response: " + err.Error()})
+	}
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(code)
+	_, _ = w.Write(rb.Bytes())
+}
 
 // Handler exposes the service and its data plane as a JSON HTTP API (the
 // integration surface of Fig. 7's "APIs for communicating with the
@@ -44,16 +77,11 @@ var jsonContentType = []string{"application/json"}
 // over tenant.MaxBody, 404 for unknown leases, 429 +
 // Retry-After when the caller's quota or in-flight cap is spent, 503 +
 // Retry-After when the cluster is out of capacity (also counted in
-// mlv_capacity_rejections).
+// mlv_capacity_rejections), 500 for a response encoding/json refuses.
 func (dp *DataPlane) Handler() http.Handler {
 	s := dp.svc
 	mux := http.NewServeMux()
 
-	writeJSON := func(w http.ResponseWriter, code int, v any) {
-		w.Header()["Content-Type"] = jsonContentType
-		w.WriteHeader(code)
-		_ = json.NewEncoder(w).Encode(v)
-	}
 	writeErr := func(w http.ResponseWriter, code int, err error) {
 		writeJSON(w, code, map[string]string{"error": err.Error()})
 	}
@@ -105,9 +133,13 @@ func (dp *DataPlane) Handler() http.Handler {
 			return false
 		}
 		defer tenant.FreeBody(body)
-		// An /infer body in the canonical shape skips encoding/json.
-		if req, ok := v.(*inferBody); ok && scanInfer(body.Bytes(), req) {
-			return true
+		// An /infer body in the canonical shape skips encoding/json; any
+		// other is decoded by it into a fresh body.
+		if sc, ok := v.(*inferScratch); ok {
+			if scanInfer(body.Bytes(), sc) {
+				return true
+			}
+			v = &sc.body
 		}
 		if err := json.Unmarshal(body.Bytes(), v); err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("malformed JSON body: %w", err))
@@ -196,13 +228,17 @@ func (dp *DataPlane) Handler() http.Handler {
 	// operators and the cluster control plane.
 	mux.Handle("/debug/vars", expvar.Handler())
 
+	// /infer borrows its decoded inputs and the result retire fills from a
+	// pooled scratch (see freeScratch), and its response buffer from
+	// writeJSON's pool, so a warmed request allocates nothing of its own.
 	mux.HandleFunc("/infer", func(w http.ResponseWriter, r *http.Request) {
-		var req inferBody
-		if !post(w, r, &req) {
+		sc := scratchPool.Get().(*inferScratch)
+		defer dp.freeScratch(sc)
+		if !post(w, r, sc) {
 			return
 		}
 		who, _ := caller(r)
-		res, err := dp.InferAs(who, req.ID, req.Inputs)
+		res, err := dp.inferInto(who, sc.body.ID, sc.body.Inputs, sc)
 		if err != nil {
 			fail(w, err, http.StatusBadRequest)
 			return

@@ -1,9 +1,11 @@
 package rms
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -18,8 +20,9 @@ import (
 // TestHTTPErrorPaths table-drives the hardened error contract: every
 // endpoint answers a wrong method with 405, malformed JSON (trailing bytes
 // included) with 400 and a body over the cap with 413, guarded or not,
-// always as a JSON {"error": ...} body — and no error path but reading an
-// oversized body allocates in proportion to the request.
+// always as a JSON {"error": ...} body — and no error path but an
+// oversized or bulky body allocates in proportion to the request, nor
+// leaves an /infer scratch in the pool larger than the lease's layer.
 func TestHTTPErrorPaths(t *testing.T) {
 	_, dp, lease := testPlane(t, DefaultInferOptions())
 	reg, err := tenant.NewRegistry(tenant.Tenant{ID: "a", Key: "k"})
@@ -29,6 +32,16 @@ func TestHTTPErrorPaths(t *testing.T) {
 	h := dp.Handler()
 	guarded := tenant.NewGuard(reg, tenant.GuardOptions{}).Wrap(h)
 	outOfRange := fmt.Sprintf(`{"id":%d,"inputs":[[%s70000]]}`, lease.ID, strings.Repeat("0,", lease.Spec.Hidden-1))
+	// One row of half a million numbers, ≈ 1 MB, for a lease of 2 × 256:
+	// decoded whole, refused by shape, and its scratch never pooled.
+	bulky := fmt.Sprintf(`{"id":%d,"inputs":[[%s0]]}`, lease.ID, strings.Repeat("0,", 500_000))
+	// The lease's engine is built, so scratch named for it may be pooled,
+	// and two collections empty the pool of what earlier tests left.
+	if _, err := dp.InferAs("", lease.ID, testInputs(lease.Spec, 1)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
 
 	cases := []struct {
 		name   string
@@ -37,10 +50,11 @@ func TestHTTPErrorPaths(t *testing.T) {
 		body   string
 		code   int
 		// signed sends the request through the guard, claim overrides its
-		// Content-Length, and oversize makes the body MaxBody+1 bytes of
-		// whitespace without one.
-		signed, oversize bool
-		claim            int64
+		// Content-Length, oversize makes the body MaxBody+1 bytes of
+		// whitespace without one, and bulk marks a body that is decoded
+		// whole before it is refused.
+		signed, oversize, bulk bool
+		claim                  int64
 	}{
 		{name: "deploy wrong method", method: http.MethodGet, path: "/deploy", code: http.StatusMethodNotAllowed},
 		{name: "deploy delete", method: http.MethodDelete, path: "/deploy", code: http.StatusMethodNotAllowed},
@@ -60,6 +74,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 		{name: "lease unknown id", method: http.MethodGet, path: "/lease/424242", code: http.StatusNotFound},
 		{name: "status wrong method", method: http.MethodPost, path: "/status", code: http.StatusMethodNotAllowed},
 		{name: "infer element outside binary16", method: http.MethodPost, path: "/infer", body: outOfRange, code: http.StatusBadRequest},
+		{name: "infer 1 MB body of another shape", method: http.MethodPost, path: "/infer", body: bulky, bulk: true, code: http.StatusBadRequest},
 		// json.Decoder used to stop at the end of the first value.
 		{name: "deploy trailing bytes", method: http.MethodPost, path: "/deploy", body: `{"kind":"LSTM","hidden":8,"timesteps":2} x`, code: http.StatusBadRequest},
 		{name: "release trailing bytes", method: http.MethodPost, path: "/release", body: fmt.Sprintf(`{"id":%d} x`, lease.ID), code: http.StatusBadRequest},
@@ -90,8 +105,16 @@ func TestHTTPErrorPaths(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			target.ServeHTTP(w, r)
 			runtime.ReadMemStats(&after)
-			if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 && !tc.oversize {
+			if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 && !tc.oversize && !tc.bulk {
 				t.Errorf("allocated %d bytes", n)
+			}
+			for i := 0; i < 8; i++ {
+				sc := scratchPool.Get().(*inferScratch)
+				if steps := lease.Spec.TimeSteps; cap(sc.rows) > steps || cap(sc.res.Outputs) > steps ||
+					cap(sc.back) > steps*lease.Spec.Hidden || cap(sc.out) > steps*lease.Spec.Hidden {
+					t.Errorf("pooled scratch holds %d rows over %d inputs, %d over %d outputs: more than the %d × %d layer",
+						cap(sc.rows), cap(sc.back), cap(sc.res.Outputs), cap(sc.out), steps, lease.Spec.Hidden)
+				}
 			}
 			if w.Code != tc.code {
 				t.Fatalf("code %d, want %d (body %s)", w.Code, tc.code, w.Body.String())
@@ -106,6 +129,39 @@ func TestHTTPErrorPaths(t *testing.T) {
 				t.Fatalf("body %q is not a JSON error", w.Body.String())
 			}
 		})
+	}
+}
+
+// TestWriteJSONMatchesEncoder: a response body is encoding/json's,
+// byte for byte, for the values it prints differently (signed zero,
+// exponent form below 1e-6 and from 1e21, binary16's extremes), and a
+// value it refuses is a 500 with a JSON error where it was a 200 with an
+// empty body.
+func TestWriteJSONMatchesEncoder(t *testing.T) {
+	row := []float64{0, math.Copysign(0, -1), 1e-7, 9.99e-7, 1e-6, 5e-324, 1e20, 1e21, -1.5e300,
+		65504, -65504, 6.103515625e-05, 5.960464477539063e-08, 0.1, 1.0 / 3}
+	res := InferResult{LeaseID: 3, Outputs: [][]float64{row, row[:2]}, BatchSize: 2, Stream: 1, QueueWait: 1234}
+	res.BatchStats.Instructions, res.BatchStats.MACs = 7, 1<<40
+	res.BatchStats.ByOp[1], res.BatchStats.ByOp[5] = 3, 4
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(&res); err != nil {
+		t.Fatal(err)
+	}
+	w := httptest.NewRecorder()
+	writeJSON(w, http.StatusOK, &res)
+	if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want.Bytes()) {
+		t.Errorf("%d %s\nencoding/json writes %s", w.Code, w.Body.Bytes(), want.Bytes())
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		res.Outputs[1][1] = v
+		w := httptest.NewRecorder()
+		writeJSON(w, http.StatusOK, &res)
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &e); w.Code != http.StatusInternalServerError || err != nil || e.Error == "" {
+			t.Errorf("output %v: %d %q, want 500 and a JSON error", v, w.Code, w.Body.String())
+		}
 	}
 }
 

@@ -85,9 +85,29 @@ type InferResult struct {
 	BatchStats accel.ExecStats `json:"batch_stats"`
 }
 
-// inferRequest is one request from submit to answer. It is pooled: answer
-// writes res and err, then sends on done (buffered 1, made with the pooled
-// request) exactly once, and the caller frees it after reading them.
+// shapeRows returns n rows of width w over one backing array, reusing rows
+// and back and growing only what is too small.
+func shapeRows(rows [][]float64, back []float64, n, w int) ([][]float64, []float64) {
+	rows, back = grow(rows, n), grow(back, n*w)
+	for t := range rows {
+		rows[t] = back[t*w : (t+1)*w : (t+1)*w]
+	}
+	return rows, back
+}
+
+// grow returns s resliced to length n, or a fresh slice if s is too small
+// (or nil, so an empty result is never nil, as in encoding/json).
+func grow[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// inferRequest is one request from submit to answer. It is pooled: the
+// submitter attaches res, shaped for its outputs; the engine writes res,
+// or err, then sends on done (buffered 1, made with the pooled request)
+// exactly once, and the caller frees it after reading them.
 type inferRequest struct {
 	inputs   [][]float64
 	enqueued time.Time
@@ -108,17 +128,18 @@ type inferRequest struct {
 
 var requestPool = sync.Pool{New: func() any { return &inferRequest{done: make(chan struct{}, 1)} }}
 
-// newRequest takes a request from the pool, stamped as enqueued now.
-func newRequest(inputs [][]float64, tenantID string, weight int) *inferRequest {
+// newRequest takes a request from the pool, stamped as enqueued now, that
+// answers into res.
+func newRequest(inputs [][]float64, res *InferResult, tenantID string, weight int) *inferRequest {
 	req := requestPool.Get().(*inferRequest)
-	req.inputs, req.enqueued, req.tenant, req.weight = inputs, time.Now(), tenantID, weight
+	req.inputs, req.res, req.enqueued, req.tenant, req.weight = inputs, res, time.Now(), tenantID, weight
 	return req
 }
 
-// wait blocks until the request is answered and returns the answer.
-func (r *inferRequest) wait() (*InferResult, error) {
+// wait blocks until the request is answered and returns its error.
+func (r *inferRequest) wait() error {
 	<-r.done
-	return r.res, r.err
+	return r.err
 }
 
 // free clears every reference the request holds and returns it to the pool.
@@ -408,6 +429,13 @@ func (dp *DataPlane) faultState() Faults {
 // shed with ErrTenantBusy. An empty tenantID is anonymous: weight 1, no
 // cap.
 func (dp *DataPlane) InferAs(tenantID string, leaseID int, inputs [][]float64) (*InferResult, error) {
+	return dp.inferInto(tenantID, leaseID, inputs, nil)
+}
+
+// inferInto is InferAs answering into sc's result, which retire fills in
+// place, or into a fresh one if sc is nil. The outputs are shaped only
+// once the inputs have passed every check.
+func (dp *DataPlane) inferInto(tenantID string, leaseID int, inputs [][]float64, sc *inferScratch) (*InferResult, error) {
 	weight := 0
 	if tenantID != "" {
 		st := dp.stripe(tenantID)
@@ -472,7 +500,15 @@ func (dp *DataPlane) InferAs(tenantID string, leaseID int, inputs [][]float64) (
 			return nil, err
 		}
 	}
-	req := newRequest(inputs, tenantID, weight)
+	var res *InferResult
+	if sc == nil {
+		res = new(InferResult)
+		res.Outputs, _ = shapeRows(nil, nil, len(inputs), spec.Hidden)
+	} else {
+		res = &sc.res
+		res.Outputs, sc.out = shapeRows(res.Outputs, sc.out, len(inputs), spec.Hidden)
+	}
+	req := newRequest(inputs, res, tenantID, weight)
 	for {
 		err := e.submit(req)
 		if err == nil {
@@ -488,9 +524,12 @@ func (dp *DataPlane) InferAs(tenantID string, leaseID int, inputs [][]float64) (
 		}
 		e = next
 	}
-	res, err := req.wait()
+	err := req.wait()
 	req.free()
-	return res, err
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // currentEngine returns the lease's engine if one is installed and built,

@@ -1,6 +1,9 @@
 package rms
 
-import "strconv"
+import (
+	"strconv"
+	"sync"
+)
 
 // inferBody is the POST /infer request.
 type inferBody struct {
@@ -8,23 +11,54 @@ type inferBody struct {
 	Inputs [][]float64 `json:"inputs"`
 }
 
+// inferScratch is what one /infer borrows for its caller and gives back:
+// the decoded body, the row headers and backing array scanInfer decodes
+// into, and the result retire reads the outputs into with its rows'
+// backing array.
+type inferScratch struct {
+	body inferBody // views rows after a scan; json.Unmarshal's own otherwise
+	rows [][]float64
+	back []float64
+	res  InferResult
+	out  []float64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(inferScratch) }}
+
+// freeScratch drops what sc's body references and pools sc only if every
+// array it holds fits the named lease's TimeSteps × Hidden, so the pool
+// holds no more than the largest live layer, whatever body (up to
+// tenant.MaxBody) grew it. Scratch named for a lease with no engine is
+// dropped with its request.
+func (dp *DataPlane) freeScratch(sc *inferScratch) {
+	e := dp.currentEngine(sc.body.ID)
+	sc.body = inferBody{}
+	if e == nil {
+		return
+	}
+	steps, size := e.kern.Spec.TimeSteps, e.kern.Spec.TimeSteps*e.kern.Spec.Hidden
+	if max(cap(sc.rows), cap(sc.res.Outputs)) <= steps && max(cap(sc.back), cap(sc.out)) <= size {
+		scratchPool.Put(sc)
+	}
+}
+
 // scanInfer decodes the canonical /infer body {"id":N,"inputs":[[x,…],…]}
-// into req without reflection. A first pass checks the shape and the JSON
-// grammar (whitespace between tokens allowed) and counts; a second parses
-// with encoding/json's own strconv.ParseFloat, so values are bit-identical,
-// into one exact-sized backing array. Any other body — other keys or key
-// order, null, a number ParseFloat refuses, trailing bytes — leaves req
-// alone and returns false, for json.Unmarshal to decide (FuzzInferBody).
-func scanInfer(b []byte, req *inferBody) bool {
-	var out inferBody
-	var back []float64
+// into sc.body without reflection. A first pass checks the shape and the
+// JSON grammar (whitespace between tokens allowed) and counts; a second
+// parses with encoding/json's own strconv.ParseFloat, so values are
+// bit-identical, into sc's row headers and one backing array, grown only
+// when too small. Any other body — other keys or key order, null, a number
+// ParseFloat refuses, trailing bytes — leaves sc.body alone and returns
+// false, for json.Unmarshal to decide (FuzzInferBody).
+func scanInfer(b []byte, sc *inferScratch) bool {
+	id := 0
 	var err error
 	for pass := 0; pass < 2; pass++ {
 		s := scanner{b: b}
 		if !s.lit(`{`) || !s.lit(`"id"`) || !s.lit(`:`) {
 			return false
 		}
-		out.ID, err = strconv.Atoi(string(s.number()))
+		id, err = strconv.Atoi(string(s.number()))
 		if err != nil || !s.lit(`,`) || !s.lit(`"inputs"`) || !s.lit(`:`) || !s.lit(`[`) {
 			return false
 		}
@@ -40,24 +74,24 @@ func scanInfer(b []byte, req *inferBody) bool {
 				}
 				num := s.number()
 				if pass == 1 && num != nil {
-					back[nums], err = strconv.ParseFloat(string(num), 64)
+					sc.back[nums], err = strconv.ParseFloat(string(num), 64)
 				}
 				if num == nil || err != nil {
 					return false
 				}
 			}
 			if pass == 1 {
-				out.Inputs[rows] = back[start:nums:nums]
+				sc.rows[rows] = sc.back[start:nums:nums]
 			}
 		}
 		if !s.lit(`}`) || s.ws() < len(b) {
 			return false
 		}
 		if pass == 0 {
-			out.Inputs, back = make([][]float64, rows), make([]float64, nums)
+			sc.rows, sc.back = grow(sc.rows, rows), grow(sc.back, nums)
 		}
 	}
-	*req = out
+	sc.body = inferBody{ID: id, Inputs: sc.rows}
 	return true
 }
 

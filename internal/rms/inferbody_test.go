@@ -1,11 +1,18 @@
 package rms
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"mlvfpga/internal/kernels"
+	"mlvfpga/internal/resource"
 )
 
 // FuzzInferBody holds /infer's decoder — scanInfer, falling back to
@@ -15,19 +22,19 @@ import (
 // the scanner must decline (reordered keys, an extra field, "ID", null
 // rows, trailing bytes) beside canonical and pretty-printed bodies.
 func FuzzInferBody(f *testing.F) {
-	// The canonical body takes the fast path, in two allocations: the row
-	// headers and their one backing array.
+	// The canonical body takes the fast path, and on a scratch that has
+	// held one as large allocates nothing.
 	spec := kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 64, TimeSteps: 4}
 	canonical, err := json.Marshal(inferBody{ID: 7, Inputs: testInputs(spec, 1)})
 	if err != nil {
 		f.Fatal(err)
 	}
-	var req inferBody
-	if !scanInfer(canonical, &req) {
+	var sc inferScratch
+	if !scanInfer(canonical, &sc) {
 		f.Fatalf("scanInfer declined json.Marshal's own /infer body %.80s…", canonical)
 	}
-	if n := testing.AllocsPerRun(10, func() { scanInfer(canonical, &req) }); n != 2 {
-		f.Errorf("scanInfer allocates %v times, want 2", n)
+	if n := testing.AllocsPerRun(10, func() { scanInfer(canonical, &sc) }); n != 0 {
+		f.Errorf("scanInfer allocates %v times on a warmed scratch, want 0", n)
 	}
 	f.Add(canonical)
 	for _, num := range []string{"-0", "1e5", "2.5E-3", "-1.5e+300", "1e-400", "1e400", "01", "+1", ".5", "1.", "-", "1e", "0x1"} {
@@ -35,12 +42,15 @@ func FuzzInferBody(f *testing.F) {
 		f.Add([]byte(`{"id":` + num + `,"inputs":[[1]]}`))
 	}
 
+	// One scratch serves every input, as a pooled one serves requests.
 	f.Fuzz(func(t *testing.T, b []byte) {
-		var got, want inferBody
+		sc.body = inferBody{}
+		var want inferBody
 		var gotErr error
-		if !scanInfer(b, &got) {
-			gotErr = json.Unmarshal(b, &got)
+		if !scanInfer(b, &sc) {
+			gotErr = json.Unmarshal(b, &sc.body)
 		}
+		got := sc.body
 		wantErr := json.Unmarshal(b, &want)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("%q: decoder error %v, json.Unmarshal error %v", b, gotErr, wantErr)
@@ -60,6 +70,68 @@ func FuzzInferBody(f *testing.F) {
 					t.Fatalf("%q: [%d][%d] = %v, json.Unmarshal has %v", b, r, i, got.Inputs[r][i], v)
 				}
 			}
+		}
+	})
+}
+
+// FuzzInferHandler holds POST /infer to the path its scanner and pools
+// short-cut: for any body the handler answers what json.Unmarshal, then
+// InferAs, then encoding/json answer, status and bytes alike, except
+// queue_wait_ns, which is measured, not computed. No body gets a 5xx.
+func FuzzInferHandler(f *testing.F) {
+	svc, err := NewService(resource.PaperCluster(), testDB(Flexible))
+	if err != nil {
+		f.Fatal(err)
+	}
+	lease, err := svc.Deploy(kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 64, TimeSteps: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	// One machine, requests one at a time: every answer rides slot 0 alone.
+	opts := DefaultInferOptions()
+	opts.Machines = 1
+	dp := NewDataPlane(svc, opts)
+	f.Cleanup(dp.Close)
+	h := dp.Handler()
+
+	in := testInputs(lease.Spec, 1)
+	for _, body := range []inferBody{{lease.ID, in}, {lease.ID, in[:1]}, {lease.ID, [][]float64{in[0][:3]}}, {lease.ID + 1, in}, {lease.ID, nil}} {
+		b, err := json.Marshal(body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		f.Add(bytes.ReplaceAll(b, []byte(","), []byte(" ,\n")))
+	}
+	f.Add([]byte(fmt.Sprintf(`{"inputs":[[%s1]],"id":%d}`, strings.Repeat("0.5,", lease.Spec.Hidden-1), lease.ID)))
+	f.Add([]byte(fmt.Sprintf(`{"id":%d,"inputs":[[%s70000]]}`, lease.ID, strings.Repeat("-0,", lease.Spec.Hidden-1))))
+	f.Add([]byte(`{"id":`))
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/infer", bytes.NewReader(b)))
+
+		var body inferBody
+		var res *InferResult
+		code, err := http.StatusOK, json.Unmarshal(b, &body)
+		if err != nil {
+			code, err = http.StatusBadRequest, fmt.Errorf("malformed JSON body: %w", err)
+		} else if res, err = dp.InferAs("", body.ID, body.Inputs); errors.Is(err, ErrUnknownLease) {
+			code = http.StatusNotFound
+		} else if err != nil {
+			code = http.StatusBadRequest
+		}
+		var want bytes.Buffer
+		if err != nil {
+			_ = json.NewEncoder(&want).Encode(map[string]string{"error": err.Error()})
+		} else {
+			var got InferResult
+			_ = json.Unmarshal(w.Body.Bytes(), &got)
+			res.QueueWait = got.QueueWait
+			_ = json.NewEncoder(&want).Encode(res)
+		}
+		if w.Code >= 500 || w.Code != code || !bytes.Equal(w.Body.Bytes(), want.Bytes()) {
+			t.Fatalf("%.200q: handler answers %d %.300s\nreference path answers %d %.300s", b, w.Code, w.Body.Bytes(), code, want.Bytes())
 		}
 	})
 }

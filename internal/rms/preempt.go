@@ -70,7 +70,7 @@ func (e *contEngine) evictOne(cm *contMachine, s int, sl *contSlot, preempted bo
 	if err != nil {
 		// Unsnapshottable slot: the stream cannot be moved, answer it.
 		e.vacate(cm, s)
-		e.answer(req, nil, err)
+		e.answer(req, err)
 		return
 	}
 	metrics.SnapshotCaptures.Add(1)

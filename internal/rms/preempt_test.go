@@ -73,7 +73,7 @@ func loadBacklog(t *testing.T, dp *DataPlane, lease *Lease, spare int, tenant st
 	b := &backlog{e: e}
 	admitted := metrics.Admissions.Value()
 	for i := 0; i < n; i++ {
-		req := newRequest(ins[i%patterns], tenant, weight)
+		req := shapedRequest(ins[i%patterns], tenant, weight)
 		if err := e.submit(req); err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func (b *backlog) join(t *testing.T, allowed ...error) int {
 	t.Helper()
 	failed := 0
 	for i, req := range b.reqs {
-		res, err := req.wait()
+		err := req.wait()
 		if err != nil {
 			failed++
 			ok := false
@@ -104,7 +104,7 @@ func (b *backlog) join(t *testing.T, allowed ...error) int {
 			if !ok {
 				t.Errorf("request %d: %v", i, err)
 			}
-		} else if !reflect.DeepEqual(res.Outputs, b.refs[i]) {
+		} else if !reflect.DeepEqual(req.res.Outputs, b.refs[i]) {
 			t.Errorf("request %d: outputs differ from solo run", i)
 		}
 	}
@@ -222,7 +222,7 @@ func TestResizeTransplantsResidentStreams(t *testing.T) {
 			}
 		}
 	}
-	req := newRequest(testInputs(lease.Spec, 1), "", 0)
+	req := shapedRequest(testInputs(lease.Spec, 1), "", 0)
 	if err := b.e.submit(req); !errors.Is(err, ErrLeaseClosing) {
 		t.Errorf("submit to the transplanted engine: err = %v, want ErrLeaseClosing", err)
 	}
@@ -299,13 +299,13 @@ func TestAutoPreemptFavorsLatencyClass(t *testing.T) {
 	in := testInputs(lease.Spec, 799)
 	ref := referenceOutputs(t, lease, opts, in)
 	for try := 0; try < 4 && snapDelta(base, metrics.PreemptEvictions) == 0; try++ {
-		rt := newRequest(in, "rt", 8)
+		rt := shapedRequest(in, "rt", 8)
 		if err := b.e.submit(rt); err != nil {
 			t.Fatal(err)
 		}
-		if res, err := rt.wait(); err != nil {
+		if err := rt.wait(); err != nil {
 			t.Fatalf("latency-class request %d: %v", try, err)
-		} else if !reflect.DeepEqual(res.Outputs, ref) {
+		} else if !reflect.DeepEqual(rt.res.Outputs, ref) {
 			t.Errorf("latency-class request %d: outputs differ from solo run", try)
 		}
 	}
@@ -401,11 +401,11 @@ func TestAdmitFailureSettlesBeforeAnswering(t *testing.T) {
 	}
 	slotsBase := metrics.SlotsActive.Value()
 	admitted := metrics.Admissions.Value()
-	req := newRequest([][]float64{make([]float64, lease.Spec.Hidden-1)}, "", 0)
+	req := shapedRequest([][]float64{make([]float64, lease.Spec.Hidden-1)}, "", 0)
 	if err := e.submit(req); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := req.wait(); err == nil {
+	if err := req.wait(); err == nil {
 		t.Fatal("a request with a short input vector was served")
 	}
 	if got := e.load().Pending; got != 0 {
@@ -471,7 +471,7 @@ func TestReleaseMidFlightCleansUp(t *testing.T) {
 		if i%4 == 3 {
 			tenant, weight = "rt", 8
 		}
-		reqs[i] = newRequest(testInputs(lease.Spec, int64(1100+i)), tenant, weight)
+		reqs[i] = shapedRequest(testInputs(lease.Spec, int64(1100+i)), tenant, weight)
 		if err := e.submit(reqs[i]); err != nil {
 			t.Fatal(err)
 		}
@@ -485,7 +485,7 @@ func TestReleaseMidFlightCleansUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, req := range reqs {
-		if _, err := req.wait(); err != nil && !errors.Is(err, ErrLeaseClosing) {
+		if err := req.wait(); err != nil && !errors.Is(err, ErrLeaseClosing) {
 			t.Errorf("request %d: %v", i, err)
 		}
 	}

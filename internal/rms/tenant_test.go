@@ -299,7 +299,7 @@ func TestSubmitShedsAtQueueBound(t *testing.T) {
 	// Fill the queue past its bound without running a machine (set the
 	// pending count directly): submit must shed with ErrBusy.
 	e.pending.Store(int64(e.queueCap))
-	req := newRequest(testInputs(lease.Spec, 1), "", 0)
+	req := shapedRequest(testInputs(lease.Spec, 1), "", 0)
 	if err := e.submit(req); !errors.Is(err, ErrBusy) {
 		t.Fatalf("submit at bound: %v, want ErrBusy", err)
 	}

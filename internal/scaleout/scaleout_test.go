@@ -643,3 +643,29 @@ func TestInsertSync(t *testing.T) {
 		}
 	}
 }
+
+// OverlapMVMs measures, per steady-state timestep of a reordered program,
+// how many matrix-vector products execute between the sync send and the
+// blocking receive — the work that actually overlaps the inter-FPGA
+// transfer. It validates the timing model's overlap-window assumption
+// against the real instruction schedule.
+func OverlapMVMs(p isa.Program, sendAddr, recvAddr uint32) []int {
+	var out []int
+	counting := false
+	count := 0
+	for _, ins := range p {
+		switch {
+		case ins.Op == isa.OpVWrite && ins.Imm == sendAddr:
+			counting = true
+			count = 0
+		case ins.Op == isa.OpVRead && ins.Imm == recvAddr:
+			if counting {
+				out = append(out, count)
+			}
+			counting = false
+		case counting && ins.Op == isa.OpMVMul:
+			count++
+		}
+	}
+	return out
+}
