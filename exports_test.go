@@ -24,9 +24,6 @@ var allowedOrphans = map[string]string{
 	"cluster.FakeClock.Advance":                          "the test fake's only control: simulation harnesses outside the package drive time through it",
 	"kernels.ReferenceMLP":                               "the float64 MLP the AS ISA kernel's outputs are compared with",
 	"kernels.MLPKernel.{NewMachine,SetInput,ReadOutput}": "the only way to execute the MLP program, which the kernel tests run against ReferenceMLP; the scenario compiler only counts its instructions",
-	"wdsl.File.Print":                                    "the parse → print → parse oracle FuzzParseMLW closes the loop with",
-	"rtl.WriteDesign":                                    "the design printer: the parse → write → parse round trip the rtl and bwrtl tests hold the frontend to",
-	"partition.Result.Ladder":                            "the shard ladder FuzzBisect's monotonicity property reads",
 	"bfp.MustCodec":                                      "constructor of the unpacked reference codec below",
 	"bfp.Codec.{Quantize,QuantizeVector}":                "the unpacked codec: the oracle FuzzPackedMatVec and the kernel tests hold the lane-packed mat-vec to",
 	"bfp.Block.Dequantize":                               "unpacked oracle, as bfp.Codec.Quantize",

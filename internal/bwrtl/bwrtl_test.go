@@ -135,33 +135,3 @@ func TestDecomposesToFig9Tree(t *testing.T) {
 		}
 	}
 }
-
-// The generated accelerator must survive an RTL write/re-parse round trip
-// and still decompose to the same tree (exercises the writer across every
-// construct the generator emits).
-func TestWriterRoundTripDecomposesSame(t *testing.T) {
-	src, err := Generate(Profile{Tiles: 3, UseURAM: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1, err := rtl.ParseDesign(src, TopModule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := rtl.ParseDesign(rtl.WriteDesign(d1), TopModule)
-	if err != nil {
-		t.Fatalf("rendered accelerator does not re-parse: %v", err)
-	}
-	r1, err := decompose.Decompose(d1, TopModule, nil, decompose.Options{ControlModules: ControlModules(), Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := decompose.Decompose(d2, TopModule, nil, decompose.Options{ControlModules: ControlModules(), Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Accelerator.Data.Signature() != r2.Accelerator.Data.Signature() {
-		t.Errorf("decomposition changed after round trip:\n%s\nvs\n%s",
-			r1.Accelerator.Data, r2.Accelerator.Data)
-	}
-}

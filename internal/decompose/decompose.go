@@ -162,7 +162,7 @@ func (dec *decomposer) run(top string, bg *rtl.BasicGraph) (*Result, error) {
 	var controlKeys []string
 	controlBits := [2]int{}
 	nodeOf := map[int]int{} // basic-graph index -> work-graph node id
-	g := newWorkGraph()
+	g := newWorkGraph(len(bg.Insts) + 1)
 	boundary := g.addAnchor()
 
 	// Per-instance resource estimation is pure and independent, so it fans

@@ -2,6 +2,7 @@ package decompose
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mlvfpga/internal/softblock"
@@ -19,11 +20,12 @@ type workGraph struct {
 	nextID int
 }
 
-func newWorkGraph() *workGraph {
+// newWorkGraph sizes a graph for n nodes; merges add more.
+func newWorkGraph(n int) *workGraph {
 	return &workGraph{
-		nodes:  map[int]*softblock.Block{},
-		out:    map[int]map[int]int{},
-		in:     map[int]map[int]int{},
+		nodes:  make(map[int]*softblock.Block, n),
+		out:    make(map[int]map[int]int, n),
+		in:     make(map[int]map[int]int, n),
 		anchor: map[int]bool{},
 	}
 }
@@ -52,13 +54,7 @@ func (g *workGraph) isAnchor(id int) bool { return g.anchor[id] }
 
 // dataIds returns the non-anchor node ids in ascending order.
 func (g *workGraph) dataIds() []int {
-	var out []int
-	for _, id := range g.ids() {
-		if !g.anchor[id] {
-			out = append(out, id)
-		}
-	}
-	return out
+	return slices.DeleteFunc(g.ids(), g.isAnchor)
 }
 
 // dataSize counts non-anchor nodes.
@@ -97,19 +93,15 @@ func (g *workGraph) edgeBits(a, b int) int { return g.out[a][b] }
 // merge contracts the member nodes into a single node holding parent.
 // External edges are inherited (bits summed); edges among members vanish.
 func (g *workGraph) merge(members []int, parent *softblock.Block) int {
-	inSet := map[int]bool{}
-	for _, m := range members {
-		inSet[m] = true
-	}
 	id := g.addNode(parent)
 	for _, m := range members {
 		for to, bits := range g.out[m] {
-			if !inSet[to] {
+			if !slices.Contains(members, to) {
 				g.addEdge(id, to, bits)
 			}
 		}
 		for from, bits := range g.in[m] {
-			if !inSet[from] {
+			if !slices.Contains(members, from) {
 				g.addEdge(from, id, bits)
 			}
 		}

@@ -233,36 +233,6 @@ func (r *Result) TotalCutBits(frontier []*Node) int {
 	return total
 }
 
-// Rung is one supported deployment depth of the partition tree: deploying
-// onto Pieces devices costs CutBits of inter-device bandwidth per element.
-type Rung struct {
-	// Pieces is the deployment's device count.
-	Pieces int
-	// CutBits is the total communication bandwidth (bits per element)
-	// crossing the cuts above this frontier — what the runtime pays the
-	// interconnect for every step at this depth.
-	CutBits int
-}
-
-// Ladder enumerates every supported deployment depth with its
-// communication cost: rung k deploys the accelerator onto k devices
-// (Fig. 6's 1..2^N ladder). The cluster control plane walks this ladder
-// when trading extra devices (throughput) against inter-device traffic.
-func (r *Result) Ladder() []Rung {
-	max := r.MaxPieces()
-	out := make([]Rung, 0, max)
-	for k := 1; k <= max; k++ {
-		frontier, err := r.Frontier(k)
-		if err != nil {
-			// Frontier(k) for k <= MaxPieces only fails on degenerate
-			// trees; skip the rung rather than invent a cost.
-			continue
-		}
-		out = append(out, Rung{Pieces: k, CutBits: r.TotalCutBits(frontier)})
-	}
-	return out
-}
-
 // Walk visits every node of the partition tree, parents first.
 func (r *Result) Walk(fn func(*Node, int)) {
 	var rec func(n *Node, depth int)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // ErrNotFound is returned when a referenced module does not exist.
@@ -231,7 +232,10 @@ func rangeWidth(r Range, env map[string]uint64) (int, error) {
 // (already evaluated to constants). Parameters and localparams are
 // evaluated in declaration order so later ones may reference earlier ones.
 func (d *Design) paramEnv(m *Module, overrides map[string]uint64) (map[string]uint64, error) {
-	env := map[string]uint64{}
+	var env map[string]uint64 // nil when m has no parameters
+	if len(m.Params) > 0 {
+		env = make(map[string]uint64, len(m.Params))
+	}
 	for _, p := range m.Params {
 		if v, ok := overrides[p.Name]; ok && !p.IsLocal {
 			env[p.Name] = v
@@ -297,6 +301,10 @@ type ElabModule struct {
 	// Children are the elaborated sub-instances, in declaration order.
 	// Blackbox primitive instances have a nil Elab.
 	Children []ElabInstance
+
+	widthsOnce sync.Once // guards widths and widthsErr (NetWidths)
+	widths     map[string]int
+	widthsErr  error
 }
 
 // ElabInstance is one instantiation inside an elaborated module.
@@ -343,7 +351,8 @@ func (d *Design) elaborate(name string, overrides map[string]uint64, cache map[s
 		return em, nil
 	}
 	cache[key] = nil // mark in progress to detect recursion
-	em := &ElabModule{Module: m, Env: env, Key: key, PortWidths: map[string]int{}}
+	em := &ElabModule{Module: m, Env: env, Key: key, PortWidths: make(map[string]int, len(m.Ports)),
+		Children: make([]ElabInstance, 0, len(m.Instances))}
 	for _, p := range m.Ports {
 		w, err := rangeWidth(p.Range, env)
 		if err != nil {
@@ -357,7 +366,10 @@ func (d *Design) elaborate(name string, overrides map[string]uint64, cache map[s
 			em.Children = append(em.Children, ElabInstance{Inst: inst})
 			continue
 		}
-		childOverrides := map[string]uint64{}
+		var childOverrides map[string]uint64
+		if len(inst.Params) > 0 {
+			childOverrides = make(map[string]uint64, len(inst.Params))
+		}
 		for pname, pexpr := range inst.Params {
 			v, err := EvalConst(pexpr, env)
 			if err != nil {
@@ -377,7 +389,17 @@ func (d *Design) elaborate(name string, overrides map[string]uint64, cache map[s
 
 // resolveConns returns the instance's connections keyed by formal port name,
 // resolving positional connections against the child module's port order.
+// Without positional connections that is inst.Conns itself: callers must
+// not modify the map.
 func resolveConns(inst *Instance, child *Module) (map[string]Expr, error) {
+	positional := false
+	for key := range inst.Conns {
+		_, pos := isPositionalKey(key)
+		positional = positional || pos
+	}
+	if !positional {
+		return inst.Conns, nil
+	}
 	out := map[string]Expr{}
 	for key, val := range inst.Conns {
 		if idx, pos := isPositionalKey(key); pos {
@@ -396,20 +418,26 @@ func resolveConns(inst *Instance, child *Module) (map[string]Expr, error) {
 }
 
 // NetWidths resolves the width of every port and net of an elaborated
-// module, keyed by name.
+// module, keyed by name. They are resolved once, on first use, and the
+// map is shared by every caller (the decomposer's estimation workers read
+// it concurrently): callers must not modify it.
 func (em *ElabModule) NetWidths() (map[string]int, error) {
-	widths := map[string]int{}
-	for name, w := range em.PortWidths {
-		widths[name] = w
-	}
-	for _, n := range em.Module.Nets {
-		w, err := rangeWidth(n.Range, em.Env)
-		if err != nil {
-			return nil, fmt.Errorf("rtl: module %s net %s: %w", em.Module.Name, n.Name, err)
+	em.widthsOnce.Do(func() {
+		widths := make(map[string]int, len(em.PortWidths)+len(em.Module.Nets))
+		for name, w := range em.PortWidths {
+			widths[name] = w
 		}
-		widths[n.Name] = w
-	}
-	return widths, nil
+		for _, n := range em.Module.Nets {
+			w, err := rangeWidth(n.Range, em.Env)
+			if err != nil {
+				em.widthsErr = fmt.Errorf("rtl: module %s net %s: %w", em.Module.Name, n.Name, err)
+				return
+			}
+			widths[n.Name] = w
+		}
+		em.widths = widths
+	})
+	return em.widths, em.widthsErr
 }
 
 // InferWidth computes the bit width of an expression given net widths and

@@ -9,6 +9,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -32,156 +33,194 @@ import (
 // of the oracle's user: the copies it groups really did agree on every
 // tested stimulus.
 
-// structuralHash returns a canonical hash of an elaborated module,
-// memoized per elaboration. Two elaborations with identical structure — up
-// to net names, instance names and child module names — share a hash.
-func (d *Design) structuralHash(em *ElabModule, memo map[*ElabModule]string) string {
-	if h, ok := memo[em]; ok {
-		return h
+// hasher computes canonical structural hashes of elaborations, memoized
+// per elaboration. Two elaborations with identical structure — up to net
+// names, instance names and child module names — share a hash. A module's
+// canonical text is appended into one buffer that, like the net renaming
+// and the key scratch, is reused from module to module; the text also
+// seeds random simulation (pairSeed), so its bytes are pinned by
+// testdata/structural_hash.golden.
+type hasher struct {
+	memo map[*ElabModule]string
+	buf  []byte
+	// names maps a net to its canonical index in first-use order; ports
+	// map to -1 and are rendered verbatim.
+	names map[string]int
+	next  int
+	keys  []string
+}
+
+func newHasher() *hasher {
+	return &hasher{memo: map[*ElabModule]string{}, names: map[string]int{}}
+}
+
+// hash returns em's structural hash.
+func (h *hasher) hash(em *ElabModule) string {
+	if s, ok := h.memo[em]; ok {
+		return s
 	}
-	var sb strings.Builder
-	rename := newRenamer()
+	// Children first, so the scratch below serves one module at a time.
+	for _, child := range em.Children {
+		if child.Elab != nil {
+			h.hash(child.Elab)
+		}
+	}
+	clear(h.names)
+	h.next = 0
+	b := h.buf[:0]
 	// Ports: names are part of the interface and therefore of the hash.
 	for _, p := range em.Module.Ports {
-		fmt.Fprintf(&sb, "port %s %s %d %v;", p.Name, p.Dir, em.PortWidths[p.Name], p.IsReg)
-		rename.keep(p.Name)
+		b = append(append(append(append(b, "port "...), p.Name...), ' '), p.Dir.String()...)
+		b = strconv.AppendInt(append(b, ' '), int64(em.PortWidths[p.Name]), 10)
+		b = append(strconv.AppendBool(append(b, ' '), p.IsReg), ';')
+		h.names[p.Name] = -1
 	}
 	widths, err := em.NetWidths()
 	if err != nil {
 		// Width errors surface during elaboration; treat as unique.
-		fmt.Fprintf(&sb, "widtherr %v;", err)
+		b = append(append(append(b, "widtherr "...), err.Error()...), ';')
 	}
 	for _, n := range em.Module.Nets {
-		fmt.Fprintf(&sb, "net %s %d %v;", rename.of(n.Name), widths[n.Name], n.IsReg)
+		b = h.appendName(append(b, "net "...), n.Name)
+		b = strconv.AppendInt(append(b, ' '), int64(widths[n.Name]), 10)
+		b = append(strconv.AppendBool(append(b, ' '), n.IsReg), ';')
 	}
 	for _, a := range em.Module.Assigns {
-		fmt.Fprintf(&sb, "assign %s = %s;", canonExpr(a.LHS, rename, em.Env), canonExpr(a.RHS, rename, em.Env))
+		b = h.appendCanon(append(b, "assign "...), a.LHS, em.Env)
+		b = append(h.appendCanon(append(b, " = "...), a.RHS, em.Env), ';')
 	}
 	for _, alw := range em.Module.Alwayses {
-		fmt.Fprintf(&sb, "always %s %v {", rename.of(alw.Clock), alw.Negedge)
+		b = h.appendName(append(b, "always "...), alw.Clock)
+		b = append(strconv.AppendBool(append(b, ' '), alw.Negedge), " {"...)
 		for _, sa := range alw.Body {
 			for _, g := range sa.Guard {
-				fmt.Fprintf(&sb, "[%s]", canonExpr(g, rename, em.Env))
+				b = append(h.appendCanon(append(b, '['), g, em.Env), ']')
 			}
-			fmt.Fprintf(&sb, "%s <= %s;", canonExpr(sa.LHS, rename, em.Env), canonExpr(sa.RHS, rename, em.Env))
+			b = h.appendCanon(b, sa.LHS, em.Env)
+			b = append(h.appendCanon(append(b, " <= "...), sa.RHS, em.Env), ';')
 		}
-		sb.WriteString("}")
+		b = append(b, '}')
 	}
 	for _, child := range em.Children {
 		inst := child.Inst
-		var childID string
+		b = append(b, "inst "...)
 		if child.Elab != nil {
-			childID = d.structuralHash(child.Elab, memo)
+			b = append(b, h.memo[child.Elab]...)
 		} else {
 			// Blackbox primitives are identified by name and parameters.
-			childID = "prim:" + inst.ModuleName + canonParams(inst.Params, em.Env)
+			b = h.appendParams(append(append(b, "prim:"...), inst.ModuleName...), inst.Params, em.Env)
 		}
-		fmt.Fprintf(&sb, "inst %s (", childID)
-		var conns map[string]Expr
+		b = append(b, " ("...)
+		conns := inst.Conns
 		if child.Elab != nil {
-			conns, err = resolveConns(inst, child.Elab.Module)
-			if err != nil {
-				conns = inst.Conns
+			if resolved, err := resolveConns(inst, child.Elab.Module); err == nil {
+				conns = resolved
 			}
-		} else {
-			conns = inst.Conns
 		}
-		keys := make([]string, 0, len(conns))
-		for k := range conns {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if conns[k] == nil {
-				fmt.Fprintf(&sb, ".%s(),", k)
-				continue
+		for _, k := range h.sortedKeys(conns) {
+			b = append(append(append(b, '.'), k...), '(')
+			if conns[k] != nil {
+				b = h.appendCanon(b, conns[k], em.Env)
 			}
-			fmt.Fprintf(&sb, ".%s(%s),", k, canonExpr(conns[k], rename, em.Env))
+			b = append(b, "),"...)
 		}
-		sb.WriteString(");")
+		b = append(b, ");"...)
 	}
-	sum := sha256.Sum256([]byte(sb.String()))
-	h := hex.EncodeToString(sum[:16])
-	memo[em] = h
-	return h
+	sum := sha256.Sum256(b)
+	h.buf = hex.AppendEncode(b, sum[:16])
+	s := string(h.buf[len(b):])
+	h.memo[em] = s
+	return s
 }
 
-// renamer assigns canonical names to nets in first-use order; port names
-// are kept verbatim.
-type renamer struct {
-	m    map[string]string
-	next int
-}
-
-func newRenamer() *renamer { return &renamer{m: map[string]string{}} }
-
-func (r *renamer) keep(name string) { r.m[name] = name }
-
-func (r *renamer) of(name string) string {
-	if c, ok := r.m[name]; ok {
-		return c
+// sortedKeys returns m's keys in order, in the hasher's key scratch.
+func (h *hasher) sortedKeys(m map[string]Expr) []string {
+	h.keys = h.keys[:0]
+	for k := range m {
+		h.keys = append(h.keys, k)
 	}
-	c := fmt.Sprintf("n%d", r.next)
-	r.next++
-	r.m[name] = c
-	return c
+	sort.Strings(h.keys)
+	return h.keys
 }
 
-// canonExpr serializes an expression with canonical net names and
+// appendName appends a net's canonical name: ports verbatim, other nets
+// numbered n0, n1, ... in first-use order.
+func (h *hasher) appendName(b []byte, name string) []byte {
+	i, ok := h.names[name]
+	if !ok {
+		i = h.next
+		h.next++
+		h.names[name] = i
+	}
+	if i < 0 {
+		return append(b, name...)
+	}
+	return strconv.AppendInt(append(b, 'n'), int64(i), 10)
+}
+
+// appendCanon appends an expression with canonical net names and
 // parameters folded to constants.
-func canonExpr(e Expr, r *renamer, env map[string]uint64) string {
+func (h *hasher) appendCanon(b []byte, e Expr, env map[string]uint64) []byte {
 	switch v := e.(type) {
 	case *Ident:
 		if val, isParam := env[v.Name]; isParam {
-			if _, alsoNet := r.m[v.Name]; !alsoNet {
-				return fmt.Sprintf("#%d", val)
+			if _, alsoNet := h.names[v.Name]; !alsoNet {
+				return strconv.AppendUint(append(b, '#'), val, 10)
 			}
 		}
-		return r.of(v.Name)
+		return h.appendName(b, v.Name)
 	case *Number:
-		return fmt.Sprintf("#%d/%d", v.Value, v.Width)
+		b = strconv.AppendUint(append(b, '#'), v.Value, 10)
+		return strconv.AppendInt(append(b, '/'), int64(v.Width), 10)
 	case *Unary:
-		return v.Op + "(" + canonExpr(v.X, r, env) + ")"
+		return append(h.appendCanon(append(append(b, v.Op...), '('), v.X, env), ')')
 	case *Binary:
-		return "(" + canonExpr(v.L, r, env) + v.Op + canonExpr(v.R, r, env) + ")"
+		b = h.appendCanon(append(b, '('), v.L, env)
+		return append(h.appendCanon(append(b, v.Op...), v.R, env), ')')
 	case *Cond:
-		return "(" + canonExpr(v.If, r, env) + "?" + canonExpr(v.Then, r, env) + ":" + canonExpr(v.Else, r, env) + ")"
+		b = h.appendCanon(append(b, '('), v.If, env)
+		b = h.appendCanon(append(b, '?'), v.Then, env)
+		return append(h.appendCanon(append(b, ':'), v.Else, env), ')')
 	case *Index:
-		return canonExpr(v.X, r, env) + "[" + canonExpr(v.At, r, env) + "]"
+		b = h.appendCanon(b, v.X, env)
+		return append(h.appendCanon(append(b, '['), v.At, env), ']')
 	case *Slice:
-		return canonExpr(v.X, r, env) + "[" + canonExpr(v.Msb, r, env) + ":" + canonExpr(v.Lsb, r, env) + "]"
+		b = h.appendCanon(b, v.X, env)
+		b = h.appendCanon(append(b, '['), v.Msb, env)
+		return append(h.appendCanon(append(b, ':'), v.Lsb, env), ']')
 	case *Concat:
-		parts := make([]string, len(v.Parts))
+		b = append(b, '{')
 		for i, p := range v.Parts {
-			parts[i] = canonExpr(p, r, env)
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = h.appendCanon(b, p, env)
 		}
-		return "{" + strings.Join(parts, ",") + "}"
+		return append(b, '}')
 	case *Repl:
-		return "{" + canonExpr(v.Count, r, env) + "{" + canonExpr(v.X, r, env) + "}}"
+		b = h.appendCanon(append(b, '{'), v.Count, env)
+		return append(h.appendCanon(append(b, '{'), v.X, env), "}}"...)
 	}
-	return fmt.Sprintf("?%T", e)
+	return fmt.Appendf(b, "?%T", e)
 }
 
-func canonParams(params map[string]Expr, env map[string]uint64) string {
+// appendParams appends a primitive's parameter overrides, folded to
+// constants, in name order.
+func (h *hasher) appendParams(b []byte, params map[string]Expr, env map[string]uint64) []byte {
 	if len(params) == 0 {
-		return ""
+		return b
 	}
-	keys := make([]string, 0, len(params))
-	for k := range params {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	sb.WriteByte('#')
-	for _, k := range keys {
-		v, err := EvalConst(params[k], env)
-		if err != nil {
-			fmt.Fprintf(&sb, "%s=?,", k)
-			continue
+	b = append(b, '#')
+	for _, k := range h.sortedKeys(params) {
+		b = append(append(b, k...), '=')
+		if v, err := EvalConst(params[k], env); err != nil {
+			b = append(b, '?')
+		} else {
+			b = strconv.AppendUint(b, v, 10)
 		}
-		fmt.Fprintf(&sb, "%s=%d,", k, v)
+		b = append(b, ',')
 	}
-	return sb.String()
+	return b
 }
 
 // EquivStats counts what the equivalence oracle did. The memoization cache
@@ -218,10 +257,10 @@ type EquivChecker struct {
 	// the sequential path so plain NewEquivChecker use stays single-core).
 	Parallelism int
 
-	mu       sync.Mutex
-	hashMemo map[*ElabModule]string
-	simMemo  map[[2]string]bool
-	stats    EquivStats
+	mu      sync.Mutex
+	hashes  *hasher
+	simMemo map[[2]string]bool
+	stats   EquivStats
 }
 
 // NewEquivChecker builds a checker with a deterministic random source.
@@ -232,7 +271,7 @@ func NewEquivChecker(d *Design, seed int64) *EquivChecker {
 		Vectors:     64,
 		Cycles:      4,
 		Parallelism: 1,
-		hashMemo:    map[*ElabModule]string{},
+		hashes:      newHasher(),
 		simMemo:     map[[2]string]bool{},
 	}
 }
@@ -259,8 +298,8 @@ func (c *EquivChecker) Equivalent(a, b *ElabModule) (bool, error) {
 		metrics.EquivStructuralHits.Add(1)
 		return true, nil
 	}
-	ha := c.d.structuralHash(a, c.hashMemo)
-	hb := c.d.structuralHash(b, c.hashMemo)
+	ha := c.hashes.hash(a)
+	hb := c.hashes.hash(b)
 	if ha == hb {
 		c.stats.StructuralHits++
 		c.mu.Unlock()

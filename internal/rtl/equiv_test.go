@@ -4,7 +4,7 @@ import "testing"
 
 // hashOf is structuralHash without a shared memo.
 func hashOf(d *Design, em *ElabModule) string {
-	return d.structuralHash(em, map[*ElabModule]string{})
+	return newHasher().hash(em)
 }
 
 func elab(t *testing.T, d *Design, name string) *ElabModule {

@@ -1,8 +1,9 @@
 package rtl
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file extracts the "block graph" of §2.2.1 step 1: the design is
@@ -43,58 +44,86 @@ type BasicGraph struct {
 	Edges []BasicEdge
 }
 
-// netClasses is a union-find over hierarchical net names.
-type netClasses struct {
-	parent map[string]string
-}
-
-func newNetClasses() *netClasses { return &netClasses{parent: map[string]string{}} }
-
-func (nc *netClasses) find(x string) string {
-	p, ok := nc.parent[x]
-	if !ok {
-		nc.parent[x] = x
-		return x
-	}
-	if p == x {
-		return x
-	}
-	root := nc.find(p)
-	nc.parent[x] = root
-	return root
-}
-
-func (nc *netClasses) union(a, b string) {
-	ra, rb := nc.find(a), nc.find(b)
-	if ra != rb {
-		nc.parent[ra] = rb
-	}
+// scopedNet names a net by the instance scope it lives in (0 is the
+// design's top, every walked instance opens a new one) and its local name,
+// so the walk builds no hierarchical name strings.
+type scopedNet struct {
+	scope int
+	name  string
 }
 
 // attachment is one point where a basic instance or the boundary touches a
 // net class.
 type attachment struct {
+	net   int // net id, resolved to its class root before edges are built
 	inst  int // index into Insts, or Boundary
 	dir   Dir // direction as seen by the attached node
 	width int
 }
 
+// graphBuilder is a union-find over the design's nets plus the points
+// where basic instances and the boundary attach to them.
+type graphBuilder struct {
+	d      *Design
+	g      *BasicGraph
+	ids    map[scopedNet]int
+	parent []int
+	atts   []attachment
+	refs   []netRef // scratch for referencedNets
+	scopes int
+}
+
+// net returns the id of a net, adding it as its own class on first use.
+func (b *graphBuilder) net(scope int, name string) int {
+	k := scopedNet{scope, name}
+	id, ok := b.ids[k]
+	if !ok {
+		id = len(b.parent)
+		b.ids[k] = id
+		b.parent = append(b.parent, id)
+	}
+	return id
+}
+
+func (b *graphBuilder) find(x int) int {
+	for b.parent[x] != x {
+		b.parent[x] = b.parent[b.parent[x]]
+		x = b.parent[x]
+	}
+	return x
+}
+
+func (b *graphBuilder) union(x, y int) {
+	if rx, ry := b.find(x), b.find(y); rx != ry {
+		b.parent[rx] = ry
+	}
+}
+
+// alias joins every net e references in scope with anchor.
+func (b *graphBuilder) alias(anchor, scope int, e Expr, widths map[string]int) {
+	b.refs = referencedNets(b.refs[:0], e, 0, widths)
+	for _, n := range b.refs {
+		b.union(anchor, b.net(scope, n.name))
+	}
+}
+
 // BasicGraph builds the block graph of the elaborated design em.
 func (d *Design) BasicGraph(em *ElabModule) (*BasicGraph, error) {
 	g := &BasicGraph{}
-	nc := newNetClasses()
-	attachments := map[string][]attachment{} // net-class root resolved later
-
-	var rawAttach []struct {
-		net string
-		att attachment
+	if em.Module.IsBasic(d.IsPrimitive) {
+		// A design whose top is already basic decomposes to one node.
+		g.Insts = append(g.Insts, BasicInst{Path: em.Module.Name, Elab: em})
+		return g, nil
 	}
-	addAttach := func(net string, att attachment) {
-		rawAttach = append(rawAttach, struct {
-			net string
-			att attachment
-		}{net, att})
+	// The top's nets and its children's ports: all of a two-level design.
+	size := len(em.Module.Ports) + len(em.Module.Nets)
+	for _, c := range em.Children {
+		if c.Elab != nil {
+			size += len(c.Elab.Module.Ports)
+		}
 	}
+	b := &graphBuilder{d: d, g: g, ids: make(map[scopedNet]int, size),
+		parent: make([]int, 0, size), atts: make([]attachment, 0, size)}
 
 	// Top-level ports attach to the boundary. From the graph's perspective
 	// a top input is driven by the boundary, so the boundary acts as an
@@ -104,132 +133,110 @@ func (d *Design) BasicGraph(em *ElabModule) (*BasicGraph, error) {
 		if p.Dir == Output {
 			boundaryDir = Input
 		}
-		addAttach(p.Name, attachment{inst: Boundary, dir: boundaryDir, width: em.PortWidths[p.Name]})
+		b.atts = append(b.atts, attachment{net: b.net(0, p.Name), inst: Boundary, dir: boundaryDir, width: em.PortWidths[p.Name]})
 	}
-
-	var walk func(m *ElabModule, prefix string) error
-	walk = func(m *ElabModule, prefix string) error {
-		// Glue assigns alias their nets conservatively.
-		widths, err := m.NetWidths()
-		if err != nil {
-			return err
-		}
-		aliasExpr := func(anchor string, e Expr) {
-			for _, n := range referencedNets(e, widths) {
-				nc.union(anchor, prefix+n.name)
-			}
-		}
-		for _, a := range m.Module.Assigns {
-			lhsNets := referencedNets(a.LHS, widths)
-			if len(lhsNets) == 0 {
-				continue
-			}
-			anchor := prefix + lhsNets[0].name
-			for _, n := range lhsNets[1:] {
-				nc.union(anchor, prefix+n.name)
-			}
-			aliasExpr(anchor, a.RHS)
-		}
-		for ci := range m.Children {
-			child := &m.Children[ci]
-			inst := child.Inst
-			if child.Elab == nil {
-				continue // primitive cells inside non-basic modules: decoration
-			}
-			childPrefix := prefix + inst.Name + "."
-			conns, err := resolveConns(inst, child.Elab.Module)
-			if err != nil {
-				return err
-			}
-			// Union each formal port with its actual's nets.
-			for _, p := range child.Elab.Module.Ports {
-				actual, ok := conns[p.Name]
-				if !ok || actual == nil {
-					continue
-				}
-				aliasExpr(childPrefix+p.Name, actual)
-			}
-			if child.Elab.Module.IsBasic(d.IsPrimitive) {
-				idx := len(g.Insts)
-				g.Insts = append(g.Insts, BasicInst{
-					Path: prefix + inst.Name,
-					Elab: child.Elab,
-				})
-				for _, p := range child.Elab.Module.Ports {
-					addAttach(childPrefix+p.Name, attachment{
-						inst:  idx,
-						dir:   p.Dir,
-						width: child.Elab.PortWidths[p.Name],
-					})
-				}
-				continue
-			}
-			if err := walk(child.Elab, childPrefix); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	if em.Module.IsBasic(d.IsPrimitive) {
-		// A design whose top is already basic decomposes to one node.
-		g.Insts = append(g.Insts, BasicInst{Path: em.Module.Name, Elab: em})
-		return g, nil
-	}
-	if err := walk(em, ""); err != nil {
+	if err := b.walk(em, 0, ""); err != nil {
 		return nil, err
 	}
 
-	// Resolve attachments to final class roots.
-	for _, ra := range rawAttach {
-		root := nc.find(ra.net)
-		attachments[root] = append(attachments[root], ra.att)
+	// Group the attachments by class; every driver (Output attachment)
+	// feeds every reader (Input attachment) in its class.
+	for i := range b.atts {
+		b.atts[i].net = b.find(b.atts[i].net)
 	}
-
-	// Build edges: every driver (Output attachment) feeds every reader
-	// (Input attachment) in its class.
-	type edgeKey struct{ from, to int }
-	acc := map[edgeKey]int{}
-	roots := make([]string, 0, len(attachments))
-	for root := range attachments {
-		roots = append(roots, root)
-	}
-	sort.Strings(roots)
-	for _, root := range roots {
-		atts := attachments[root]
-		for _, drv := range atts {
+	slices.SortFunc(b.atts, func(x, y attachment) int { return cmp.Compare(x.net, y.net) })
+	for lo := 0; lo < len(b.atts); {
+		hi := lo + 1
+		for hi < len(b.atts) && b.atts[hi].net == b.atts[lo].net {
+			hi++
+		}
+		class := b.atts[lo:hi]
+		for _, drv := range class {
 			if drv.dir != Output {
 				continue
 			}
-			for _, snk := range atts {
-				if snk.dir != Input {
+			for _, snk := range class {
+				if snk.dir != Input || drv.inst == snk.inst {
 					continue
 				}
-				if drv.inst == snk.inst {
-					continue
-				}
-				bits := snk.width
-				if drv.width < bits {
-					bits = drv.width
-				}
-				acc[edgeKey{drv.inst, snk.inst}] += bits
+				g.Edges = append(g.Edges, BasicEdge{From: drv.inst, To: snk.inst, Bits: min(drv.width, snk.width)})
 			}
 		}
+		lo = hi
 	}
-	keys := make([]edgeKey, 0, len(acc))
-	for k := range acc {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].from != keys[j].from {
-			return keys[i].from < keys[j].from
-		}
-		return keys[i].to < keys[j].to
+	// Sum parallel edges, in (From, To) order.
+	slices.SortFunc(g.Edges, func(x, y BasicEdge) int {
+		return cmp.Or(cmp.Compare(x.From, y.From), cmp.Compare(x.To, y.To))
 	})
-	for _, k := range keys {
-		g.Edges = append(g.Edges, BasicEdge{From: k.from, To: k.to, Bits: acc[k]})
+	n := 0
+	for _, e := range g.Edges {
+		if n > 0 && g.Edges[n-1].From == e.From && g.Edges[n-1].To == e.To {
+			g.Edges[n-1].Bits += e.Bits
+			continue
+		}
+		g.Edges[n] = e
+		n++
 	}
+	g.Edges = g.Edges[:n]
 	return g, nil
+}
+
+// walk unions m's nets (in scope, under the instance path prefix) with its
+// children's ports, records basic instances and their attachments, and
+// descends into the other children.
+func (b *graphBuilder) walk(m *ElabModule, scope int, prefix string) error {
+	widths, err := m.NetWidths()
+	if err != nil {
+		return err
+	}
+	// Glue assigns alias their nets conservatively.
+	for _, a := range m.Module.Assigns {
+		b.refs = referencedNets(b.refs[:0], a.LHS, 0, widths)
+		if len(b.refs) == 0 {
+			continue
+		}
+		anchor := b.net(scope, b.refs[0].name)
+		for _, n := range b.refs[1:] {
+			b.union(anchor, b.net(scope, n.name))
+		}
+		b.alias(anchor, scope, a.RHS, widths)
+	}
+	for ci := range m.Children {
+		child := &m.Children[ci]
+		inst := child.Inst
+		if child.Elab == nil {
+			continue // primitive cells inside non-basic modules: decoration
+		}
+		b.scopes++
+		childScope := b.scopes
+		conns, err := resolveConns(inst, child.Elab.Module)
+		if err != nil {
+			return err
+		}
+		// Union each formal port with its actual's nets.
+		for _, p := range child.Elab.Module.Ports {
+			if actual := conns[p.Name]; actual != nil {
+				b.alias(b.net(childScope, p.Name), scope, actual, widths)
+			}
+		}
+		if child.Elab.Module.IsBasic(b.d.IsPrimitive) {
+			idx := len(b.g.Insts)
+			b.g.Insts = append(b.g.Insts, BasicInst{Path: prefix + inst.Name, Elab: child.Elab})
+			for _, p := range child.Elab.Module.Ports {
+				b.atts = append(b.atts, attachment{
+					net:   b.net(childScope, p.Name),
+					inst:  idx,
+					dir:   p.Dir,
+					width: child.Elab.PortWidths[p.Name],
+				})
+			}
+			continue
+		}
+		if err := b.walk(child.Elab, childScope, prefix+inst.Name+"."); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // netRef is one net referenced by an expression with the bit width of the
@@ -239,52 +246,46 @@ type netRef struct {
 	bits int
 }
 
-// referencedNets lists the nets an expression touches. Widths are
+// referencedNets appends the nets e touches to dst. Widths are
 // best-effort (full net width for plain identifiers, slice width for part
-// selects).
-func referencedNets(e Expr, widths map[string]int) []netRef {
-	var out []netRef
-	var walk func(x Expr, bits int)
-	walk = func(x Expr, bits int) {
-		switch v := x.(type) {
-		case *Ident:
-			if w, ok := widths[v.Name]; ok {
-				if bits <= 0 || bits > w {
-					bits = w
-				}
-				out = append(out, netRef{v.Name, bits})
+// selects); bits is the width the enclosing select imposes, 0 for none.
+func referencedNets(dst []netRef, e Expr, bits int, widths map[string]int) []netRef {
+	switch v := e.(type) {
+	case *Ident:
+		if w, ok := widths[v.Name]; ok {
+			if bits <= 0 || bits > w {
+				bits = w
 			}
-		case *Number:
-		case *Unary:
-			walk(v.X, 0)
-		case *Binary:
-			walk(v.L, 0)
-			walk(v.R, 0)
-		case *Cond:
-			walk(v.If, 0)
-			walk(v.Then, 0)
-			walk(v.Else, 0)
-		case *Index:
-			walk(v.X, 1)
-			walk(v.At, 0)
-		case *Slice:
-			w := 0
-			if msb, err := EvalConst(v.Msb, nil); err == nil {
-				if lsb, err := EvalConst(v.Lsb, nil); err == nil && msb >= lsb {
-					w = int(msb-lsb) + 1
-				}
-			}
-			walk(v.X, w)
-		case *Concat:
-			for _, p := range v.Parts {
-				walk(p, 0)
-			}
-		case *Repl:
-			walk(v.X, 0)
+			dst = append(dst, netRef{v.Name, bits})
 		}
+	case *Unary:
+		dst = referencedNets(dst, v.X, 0, widths)
+	case *Binary:
+		dst = referencedNets(dst, v.L, 0, widths)
+		dst = referencedNets(dst, v.R, 0, widths)
+	case *Cond:
+		dst = referencedNets(dst, v.If, 0, widths)
+		dst = referencedNets(dst, v.Then, 0, widths)
+		dst = referencedNets(dst, v.Else, 0, widths)
+	case *Index:
+		dst = referencedNets(dst, v.X, 1, widths)
+		dst = referencedNets(dst, v.At, 0, widths)
+	case *Slice:
+		w := 0
+		if msb, err := EvalConst(v.Msb, nil); err == nil {
+			if lsb, err := EvalConst(v.Lsb, nil); err == nil && msb >= lsb {
+				w = int(msb-lsb) + 1
+			}
+		}
+		dst = referencedNets(dst, v.X, w, widths)
+	case *Concat:
+		for _, p := range v.Parts {
+			dst = referencedNets(dst, p, 0, widths)
+		}
+	case *Repl:
+		dst = referencedNets(dst, v.X, 0, widths)
 	}
-	walk(e, 0)
-	return out
+	return dst
 }
 
 // String renders the graph for debugging.

@@ -1,22 +1,13 @@
 package rtl
 
-import (
-	"strings"
-	"unicode"
-)
+import "unicode"
 
 // lexer turns source text into tokens. It handles // and /* */ comments,
 // identifiers (including escaped \name ), sized and unsized numeric
 // literals, and one- and two-character punctuation.
 type lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
-}
-
-func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1, col: 1}
+	src string
+	pos int
 }
 
 // twoCharOps are the multi-character operators the subset supports.
@@ -25,27 +16,13 @@ var twoCharOps = map[string]bool{
 	"<=": true, ">=": true, "&&": true, "||": true,
 }
 
-func (l *lexer) errorf(msg string) *SyntaxError {
-	return &SyntaxError{Line: l.line, Col: l.col, Msg: msg}
-}
+func (l *lexer) errorAt(off int, msg string) *SyntaxError { return syntaxError(l.src, off, msg) }
 
 func (l *lexer) peekByte() byte {
 	if l.pos >= len(l.src) {
 		return 0
 	}
 	return l.src[l.pos]
-}
-
-func (l *lexer) advance() byte {
-	c := l.src[l.pos]
-	l.pos++
-	if c == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
-	}
-	return c
 }
 
 // skipSpaceAndComments consumes whitespace and comments; it returns an error
@@ -55,27 +32,25 @@ func (l *lexer) skipSpaceAndComments() error {
 		c := l.peekByte()
 		switch {
 		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			l.advance()
+			l.pos++
 		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/':
 			for l.pos < len(l.src) && l.peekByte() != '\n' {
-				l.advance()
+				l.pos++
 			}
 		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '*':
-			start := *l
-			l.advance()
-			l.advance()
+			start := l.pos
+			l.pos += 2
 			closed := false
-			for l.pos+1 < len(l.src)+1 && l.pos < len(l.src) {
+			for l.pos < len(l.src) {
 				if l.peekByte() == '*' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/' {
-					l.advance()
-					l.advance()
+					l.pos += 2
 					closed = true
 					break
 				}
-				l.advance()
+				l.pos++
 			}
 			if !closed {
-				return start.errorf("unterminated block comment")
+				return l.errorAt(start, "unterminated block comment")
 			}
 		default:
 			return nil
@@ -97,95 +72,91 @@ func (l *lexer) next() (token, error) {
 	if err := l.skipSpaceAndComments(); err != nil {
 		return token{}, err
 	}
-	if l.pos >= len(l.src) {
-		return token{kind: tokEOF, line: l.line, col: l.col}, nil
+	start := l.pos
+	span := func(kind tokKind, begin int) (token, error) {
+		return token{begin: uint32(begin), end: uint32(l.pos), kind: kind}, nil
 	}
-	startLine, startCol, start := l.line, l.col, l.pos
+	if l.pos >= len(l.src) {
+		return span(tokEOF, start)
+	}
 	c := l.peekByte()
 
-	// Token texts are substrings of src, not copies.
 	switch {
 	case isIdentStart(c):
 		for l.pos < len(l.src) && isIdentCont(l.peekByte()) {
-			l.advance()
+			l.pos++
 		}
-		text := l.src[start:l.pos]
-		kind := tokIdent
-		if keywords[text] {
-			kind = tokKeyword
+		if keywords[l.src[start:l.pos]] {
+			return span(tokKeyword, start)
 		}
-		return token{kind: kind, text: text, line: startLine, col: startCol}, nil
+		return span(tokIdent, start)
 
 	case c == '\\':
 		// Escaped identifier: backslash to next whitespace.
-		l.advance()
+		l.pos++
 		for l.pos < len(l.src) {
 			b := l.peekByte()
 			if b == ' ' || b == '\t' || b == '\n' || b == '\r' {
 				break
 			}
-			l.advance()
+			l.pos++
 		}
 		if l.pos == start+1 {
-			return token{}, &SyntaxError{Line: startLine, Col: startCol, Msg: "empty escaped identifier"}
+			return token{}, l.errorAt(start, "empty escaped identifier")
 		}
-		return token{kind: tokIdent, text: l.src[start+1 : l.pos], line: startLine, col: startCol}, nil
+		return span(tokIdent, start+1)
 
 	case unicode.IsDigit(rune(c)) || c == '\'':
-		// Numeric literal: optional size, optional 'b/'h/'d/'o base, digits.
+		// Numeric literal: optional size, optional 'b/'h/'d/'o base, digits
+		// with optional _ separators (parseNumber skips them).
 		for l.pos < len(l.src) && unicode.IsDigit(rune(l.peekByte())) {
-			l.advance()
+			l.pos++
 		}
 		if l.pos < len(l.src) && l.peekByte() == '\'' {
-			l.advance()
+			l.pos++
 			if l.pos >= len(l.src) {
-				return token{}, &SyntaxError{Line: startLine, Col: startCol, Msg: "truncated based literal"}
+				return token{}, l.errorAt(start, "truncated based literal")
 			}
-			base := l.advance()
+			base := l.src[l.pos]
+			l.pos++
 			switch base {
 			case 'b', 'B', 'h', 'H', 'd', 'D', 'o', 'O':
 			default:
-				return token{}, &SyntaxError{Line: startLine, Col: startCol, Msg: "bad number base '" + string(base) + "'"}
+				return token{}, l.errorAt(start, "bad number base '"+string(base)+"'")
 			}
 			nDigits := 0
 			for l.pos < len(l.src) {
 				b := l.peekByte()
 				if b == '_' {
-					l.advance()
+					l.pos++
 					continue
 				}
 				if isHexDigit(b) {
-					l.advance()
+					l.pos++
 					nDigits++
 					continue
 				}
 				break
 			}
 			if nDigits == 0 {
-				return token{}, &SyntaxError{Line: startLine, Col: startCol, Msg: "based literal has no digits"}
+				return token{}, l.errorAt(start, "based literal has no digits")
 			}
 		}
-		// Digit separators are dropped; only a literal that has one is copied.
-		text := strings.ReplaceAll(l.src[start:l.pos], "_", "")
-		return token{kind: tokNumber, text: text, line: startLine, col: startCol}, nil
+		return span(tokNumber, start)
 
 	default:
 		// Punctuation; prefer two-character operators.
-		if l.pos+1 < len(l.src) {
-			two := l.src[l.pos : l.pos+2]
-			if twoCharOps[two] {
-				l.advance()
-				l.advance()
-				return token{kind: tokPunct, text: two, line: startLine, col: startCol}, nil
-			}
+		if l.pos+1 < len(l.src) && twoCharOps[l.src[l.pos:l.pos+2]] {
+			l.pos += 2
+			return span(tokPunct, start)
 		}
 		switch c {
 		case '(', ')', '[', ']', '{', '}', ';', ',', '.', ':', '#', '=', '@',
 			'?', '+', '-', '*', '/', '%', '&', '|', '^', '~', '!', '<', '>':
-			l.advance()
-			return token{kind: tokPunct, text: l.src[start:l.pos], line: startLine, col: startCol}, nil
+			l.pos++
+			return span(tokPunct, start)
 		}
-		return token{}, &SyntaxError{Line: startLine, Col: startCol, Msg: "unexpected character '" + string(c) + "'"}
+		return token{}, l.errorAt(start, "unexpected character '"+string(c)+"'")
 	}
 }
 
@@ -196,7 +167,7 @@ func isHexDigit(b byte) bool {
 
 // lexAll tokenizes the whole input, returning the token stream.
 func lexAll(src string) ([]token, error) {
-	l := newLexer(src)
+	l := &lexer{src: src}
 	// Generated RTL runs about 3.4 bytes per token: one allocation covers it.
 	toks := make([]token, 0, len(src)/3+1)
 	for {

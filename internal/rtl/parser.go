@@ -10,9 +10,47 @@ import (
 )
 
 // parser is a recursive-descent parser over a pre-lexed token stream.
+// Each module's leaf nodes (identifiers, numbers, unary and binary
+// operators, selects), its sequential assignments and its instances'
+// connection orders are carved from slabs reserve sizes from the module's
+// tokens, so a module's AST costs a handful of allocations, not one per
+// node.
 type parser struct {
+	src  string
 	toks []token
 	pos  int
+
+	idents   slab[Ident]
+	numbers  slab[Number]
+	unaries  slab[Unary]
+	binaries slab[Binary]
+	indexes  slab[Index]
+	slices   slab[Slice]
+	seqs     []SeqAssign  // backing of the module's Always bodies
+	order    slab[string] // backing of the module's Instance.Order lists
+}
+
+// slab hands out elements of one backing array. reserve sizes it from an
+// upper bound on what the module needs; a short count only costs a fresh
+// array.
+type slab[T any] []T
+
+func (s *slab[T]) next() *T {
+	if len(*s) == cap(*s) {
+		*s = make([]T, 0, cap(*s)+8)
+	}
+	*s = (*s)[:len(*s)+1]
+	return &(*s)[len(*s)-1]
+}
+
+// take returns an empty slice with room for exactly n elements.
+func (s *slab[T]) take(n int) []T {
+	if cap(*s)-len(*s) < n {
+		*s = make([]T, 0, max(n, cap(*s)))
+	}
+	l := len(*s)
+	*s = (*s)[:l+n]
+	return (*s)[l : l : l+n]
 }
 
 // Parse parses Verilog-subset source text into a list of modules.
@@ -31,16 +69,16 @@ func ParseParallel(src string, workers int) ([]*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	spans, ok := moduleSpans(toks)
+	spans, ok := moduleSpans(src, toks)
 	if !ok || len(spans) < 2 {
 		// Malformed top level (or nothing to fan out): the single-stream
 		// parser produces the canonical error positions.
-		return parseStream(toks)
+		return parseStream(src, toks)
 	}
 	return parpool.Map(context.Background(), workers, len(spans), func(_ context.Context, i int) (*Module, error) {
 		// The stream from the module's first token on is exactly what the
 		// sequential parser sees there, so the span needs no copy.
-		p := &parser{toks: toks[spans[i]:]}
+		p := &parser{src: src, toks: toks[spans[i]:]}
 		return p.parseModule()
 	})
 }
@@ -48,18 +86,19 @@ func ParseParallel(src string, workers int) ([]*Module, error) {
 // moduleSpans splits a token stream at its top-level modules, returning
 // the index of each "module" token. It reports false when the stream does
 // not look like a plain module sequence.
-func moduleSpans(toks []token) ([]int, bool) {
+func moduleSpans(src string, toks []token) ([]int, bool) {
+	p := parser{src: src}
 	var spans []int
 	i := 0
 	for i < len(toks) && toks[i].kind != tokEOF {
-		if !toks[i].is("module") {
+		if !p.is(toks[i], "module") {
 			return nil, false
 		}
 		j := i + 1
-		for j < len(toks) && !toks[j].is("endmodule") && toks[j].kind != tokEOF {
+		for j < len(toks) && !p.is(toks[j], "endmodule") && toks[j].kind != tokEOF {
 			j++
 		}
-		if j >= len(toks) || !toks[j].is("endmodule") {
+		if j >= len(toks) || !p.is(toks[j], "endmodule") {
 			return nil, false
 		}
 		spans = append(spans, i)
@@ -69,8 +108,8 @@ func moduleSpans(toks []token) ([]int, bool) {
 }
 
 // parseStream parses a whole token stream module by module.
-func parseStream(toks []token) ([]*Module, error) {
-	p := &parser{toks: toks}
+func parseStream(src string, toks []token) ([]*Module, error) {
+	p := &parser{src: src, toks: toks}
 	var mods []*Module
 	for !p.at(tokEOF) {
 		m, err := p.parseModule()
@@ -90,10 +129,18 @@ func (p *parser) peek() token {
 	return p.toks[len(p.toks)-1]
 }
 
+// text is the token's source text.
+func (p *parser) text(t token) string { return p.src[t.begin:t.end] }
+
+// is reports whether the token is the given punctuation or keyword text.
+func (p *parser) is(t token, text string) bool {
+	return (t.kind == tokPunct || t.kind == tokKeyword) && p.text(t) == text
+}
+
 func (p *parser) at(k tokKind) bool { return p.cur().kind == k }
 
 func (p *parser) accept(text string) bool {
-	if p.cur().is(text) {
+	if p.is(p.cur(), text) {
 		p.pos++
 		return true
 	}
@@ -102,28 +149,215 @@ func (p *parser) accept(text string) bool {
 
 func (p *parser) expect(text string) error {
 	if !p.accept(text) {
-		return p.errorf("expected %q, found %s", text, p.cur())
+		return p.errorf("expected %q, found %s", text, p.describe(p.cur()))
 	}
 	return nil
 }
 
+// describe names a token for an error message, quoting a number without
+// its separators.
+func (p *parser) describe(t token) string {
+	text := strconv.Quote(p.text(t))
+	switch t.kind {
+	case tokEOF:
+		return "end of input"
+	case tokIdent:
+		return "identifier " + text
+	case tokNumber:
+		return "number " + strconv.Quote(strings.ReplaceAll(p.text(t), "_", ""))
+	case tokKeyword:
+		return "keyword " + text
+	}
+	return text
+}
+
+// errorAt positions msg at token t; an escaped identifier's position is
+// its backslash.
+func (p *parser) errorAt(t token, msg string) error {
+	off := int(t.begin)
+	if off > 0 && p.src[off-1] == '\\' {
+		off--
+	}
+	return syntaxError(p.src, off, msg)
+}
+
 func (p *parser) errorf(format string, args ...any) error {
-	t := p.cur()
-	return &SyntaxError{Line: t.line, Col: t.col, Msg: fmt.Sprintf(format, args...)}
+	return p.errorAt(p.cur(), fmt.Sprintf(format, args...))
 }
 
 func (p *parser) ident() (string, error) {
 	if !p.at(tokIdent) {
-		return "", p.errorf("expected identifier, found %s", p.cur())
+		return "", p.errorf("expected identifier, found %s", p.describe(p.cur()))
 	}
-	name := p.cur().text
+	name := p.text(p.cur())
 	p.pos++
 	return name, nil
 }
 
+// reserve sizes the slabs and m's item slices from the tokens of the
+// module starting at p.pos, so that parsing it allocates each once. A
+// count is exact for the generated accelerator and at worst a little high
+// otherwise: an identifier in a name position (after ".", a declaration
+// keyword or a range; an instance's module and instance names) is no Ident
+// node, an operator after an operand is binary and before one unary, "["
+// after an operand opens a select, "<=" at depth 0 is a sequential
+// assignment, "else" negates a guard, and a declaration list's commas
+// bound its names. A count that falls short costs one more array.
+func (p *parser) reserve(m *Module) {
+	var idents, numbers, unaries, binaries, indexes, slices, seqs, conns int
+	var ports, nets, params, assigns, alwayses, insts int
+	depth, header, netDecl := 0, true, false
+	toks := p.toks[p.pos-1:] // from the module's name on
+	for i := 1; toks[i].kind != tokEOF && !p.is(toks[i], "endmodule"); i++ {
+		t, prev, next := toks[i], toks[i-1], toks[i+1]
+		operand := prev.kind == tokIdent || prev.kind == tokNumber ||
+			p.is(prev, ")") || p.is(prev, "]") || p.is(prev, "}")
+		switch t.kind {
+		case tokIdent:
+			if !p.isName(prev, next) {
+				idents++
+			}
+		case tokNumber:
+			numbers++
+		case tokKeyword:
+			switch p.text(t) {
+			case "wire", "reg":
+				if depth == 0 {
+					nets++
+					netDecl = true
+				}
+			case "parameter", "localparam":
+				params++
+			case "assign":
+				assigns++
+			case "always":
+				alwayses++
+			case "else":
+				unaries++
+			}
+		case tokPunct:
+			switch p.text(t) {
+			case "(":
+				if depth == 0 && !header && prev.kind == tokIdent {
+					n, _ := p.group(toks[i:]) // an instance's connections
+					insts, conns = insts+1, conns+n
+				}
+				depth++
+			case "{":
+				depth++
+			case "[":
+				depth++
+				if !operand {
+					break
+				}
+				if _, slice := p.group(toks[i:]); slice {
+					slices++
+				} else {
+					indexes++
+				}
+			case ")", "]", "}":
+				depth--
+			case ";":
+				if depth == 0 {
+					header, netDecl = false, false
+				}
+			case ",":
+				switch {
+				case header && depth == 1:
+					ports++
+				case netDecl && depth == 0:
+					nets++
+				}
+			case "<=":
+				if depth == 0 {
+					seqs++
+				} else {
+					binaries++
+				}
+			case "-", "&", "|", "^":
+				if operand {
+					binaries++
+				} else {
+					unaries++
+				}
+			case "~", "!":
+				unaries++
+			case "||", "&&", "==", "!=", "<", ">", ">=", "<<", ">>", "+", "*", "/", "%":
+				binaries++
+			}
+		}
+	}
+	p.idents = make(slab[Ident], 0, idents)
+	p.numbers = make(slab[Number], 0, numbers)
+	p.unaries = make(slab[Unary], 0, unaries)
+	p.binaries = make(slab[Binary], 0, binaries)
+	p.indexes = make(slab[Index], 0, indexes)
+	p.slices = make(slab[Slice], 0, slices)
+	p.seqs = make([]SeqAssign, 0, seqs)
+	p.order = make(slab[string], 0, conns)
+	m.Params = make([]Param, 0, params)
+	m.Ports = make([]Port, 0, ports+1)
+	m.Nets = make([]Net, 0, nets)
+	m.Assigns = make([]Assign, 0, assigns)
+	m.Alwayses = make([]Always, 0, alwayses)
+	m.Instances = make([]Instance, 0, insts)
+}
+
+// isName reports whether an identifier between prev and next names
+// something — a declaration, a clock, an instance's module or the instance,
+// a connected port — rather than reading a net.
+func (p *parser) isName(prev, next token) bool {
+	switch {
+	case prev.kind == tokIdent || next.kind == tokIdent || p.is(next, "#"):
+		return true
+	case prev.kind == tokKeyword:
+		switch p.text(prev) {
+		case "assign", "begin", "else", "end":
+			return false
+		}
+		return true
+	}
+	return p.is(prev, ".") || p.is(prev, "]")
+}
+
+// group scans the bracketed group opening at toks[0]: entries counts its
+// top-level commas plus one (0 when empty), and slice reports a top-level
+// ":" that closes no "?" — what makes a select a part select.
+func (p *parser) group(toks []token) (entries int, slice bool) {
+	depth, conds := 0, 0
+	for i, t := range toks {
+		switch {
+		case t.kind == tokEOF:
+			return entries + 1, slice
+		case p.is(t, "(") || p.is(t, "[") || p.is(t, "{"):
+			depth++
+		case p.is(t, ")") || p.is(t, "]") || p.is(t, "}"):
+			if depth--; depth == 0 {
+				if i == 1 {
+					return 0, false
+				}
+				return entries + 1, slice
+			}
+		case depth == 1 && p.is(t, ","):
+			entries++
+		case depth == 1 && p.is(t, "?"):
+			conds++
+		case depth == 1 && p.is(t, ":"):
+			slice, conds = slice || conds == 0, max(conds-1, 0)
+		}
+	}
+	return entries + 1, slice
+}
+
+// entries counts the entries of the list opening at the current token.
+func (p *parser) entries() int {
+	n, _ := p.group(p.toks[p.pos:])
+	return n
+}
+
 // parseModule parses one complete module ... endmodule.
 func (p *parser) parseModule() (*Module, error) {
-	srcLine := p.cur().line
+	srcLine, _ := position(p.src, int(p.cur().begin))
 	if err := p.expect("module"); err != nil {
 		return nil, err
 	}
@@ -132,6 +366,7 @@ func (p *parser) parseModule() (*Module, error) {
 		return nil, err
 	}
 	m := &Module{Name: name, SrcLine: srcLine}
+	p.reserve(m)
 
 	// Optional parameter list: #(parameter N = 8, parameter M = 4)
 	if p.accept("#") {
@@ -140,7 +375,7 @@ func (p *parser) parseModule() (*Module, error) {
 		}
 		for {
 			if !p.accept("parameter") {
-				return nil, p.errorf("expected \"parameter\" in parameter port list, found %s", p.cur())
+				return nil, p.errorf("expected \"parameter\" in parameter port list, found %s", p.describe(p.cur()))
 			}
 			prm, err := p.parseParamDecl(false)
 			if err != nil {
@@ -161,11 +396,9 @@ func (p *parser) parseModule() (*Module, error) {
 	if p.accept("(") {
 		if !p.accept(")") {
 			for {
-				ports, err := p.parsePortDecl()
-				if err != nil {
+				if err := p.parsePortDecl(m); err != nil {
 					return nil, err
 				}
-				m.Ports = append(m.Ports, ports...)
 				if p.accept(",") {
 					continue
 				}
@@ -181,7 +414,7 @@ func (p *parser) parseModule() (*Module, error) {
 	}
 
 	// Module items.
-	for !p.cur().is("endmodule") {
+	for !p.is(p.cur(), "endmodule") {
 		if p.at(tokEOF) {
 			return nil, p.errorf("unexpected end of input inside module %q", m.Name)
 		}
@@ -209,10 +442,10 @@ func (p *parser) parseParamDecl(isLocal bool) (Param, error) {
 	return Param{Name: name, Default: e, IsLocal: isLocal}, nil
 }
 
-// parsePortDecl parses one port declaration group: direction, optional reg,
-// optional range, then one or more names (a, b, c). All names share the
-// declaration.
-func (p *parser) parsePortDecl() ([]Port, error) {
+// parsePortDecl parses one port declaration group into m.Ports: direction,
+// optional reg, optional range, then one or more names (a, b, c). All
+// names share the declaration.
+func (p *parser) parsePortDecl(m *Module) error {
 	var dir Dir
 	switch {
 	case p.accept("input"):
@@ -222,31 +455,29 @@ func (p *parser) parsePortDecl() ([]Port, error) {
 	case p.accept("inout"):
 		dir = Inout
 	default:
-		return nil, p.errorf("expected port direction, found %s", p.cur())
+		return p.errorf("expected port direction, found %s", p.describe(p.cur()))
 	}
 	isReg := p.accept("reg")
 	p.accept("wire") // "input wire x" is legal; wire is the default
 	rng, err := p.parseOptRange()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var ports []Port
 	for {
 		name, err := p.ident()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ports = append(ports, Port{Name: name, Dir: dir, Range: rng, IsReg: isReg})
+		m.Ports = append(m.Ports, Port{Name: name, Dir: dir, Range: rng, IsReg: isReg})
 		// Multiple names within one decl group are separated by commas but a
 		// comma may also start a whole new decl; only continue if the next
 		// token after the comma is another identifier.
-		if p.cur().is(",") && p.peek().kind == tokIdent {
+		if p.is(p.cur(), ",") && p.peek().kind == tokIdent {
 			p.pos++ // consume comma, stay in group
 			continue
 		}
-		break
+		return nil
 	}
-	return ports, nil
 }
 
 // parseOptRange parses [msb:lsb] if present.
@@ -290,8 +521,8 @@ func (p *parser) parseModuleItem(m *Module) error {
 		m.Params = append(m.Params, prm)
 		return p.expect(";")
 
-	case p.cur().is("wire") || p.cur().is("reg"):
-		isReg := p.cur().text == "reg"
+	case p.is(p.cur(), "wire") || p.is(p.cur(), "reg"):
+		isReg := p.text(p.cur()) == "reg"
 		p.pos++
 		rng, err := p.parseOptRange()
 		if err != nil {
@@ -334,15 +565,11 @@ func (p *parser) parseModuleItem(m *Module) error {
 		return nil
 
 	case p.at(tokIdent):
-		inst, err := p.parseInstance()
-		if err != nil {
-			return err
-		}
-		m.Instances = append(m.Instances, inst)
-		return nil
+		m.Instances = append(m.Instances, Instance{})
+		return p.parseInstance(&m.Instances[len(m.Instances)-1])
 
 	default:
-		return p.errorf("unexpected %s in module body", p.cur())
+		return p.errorf("unexpected %s in module body", p.describe(p.cur()))
 	}
 }
 
@@ -362,7 +589,7 @@ func (p *parser) parseAlways() (Always, error) {
 	case p.accept("negedge"):
 		a.Negedge = true
 	default:
-		return a, p.errorf("expected posedge or negedge, found %s", p.cur())
+		return a, p.errorf("expected posedge or negedge, found %s", p.describe(p.cur()))
 	}
 	clk, err := p.ident()
 	if err != nil {
@@ -372,110 +599,104 @@ func (p *parser) parseAlways() (Always, error) {
 	if err := p.expect(")"); err != nil {
 		return a, err
 	}
-	body, err := p.parseSeqStmt(nil)
-	if err != nil {
+	start := len(p.seqs)
+	if err := p.parseSeqStmt(nil); err != nil {
 		return a, err
 	}
-	a.Body = body
+	if n := len(p.seqs); n > start {
+		a.Body = p.seqs[start:n:n]
+	}
 	return a, nil
 }
 
 // parseSeqStmt parses one sequential statement under the given guard chain,
-// returning the flattened nonblocking assignments.
-func (p *parser) parseSeqStmt(guard []Expr) ([]SeqAssign, error) {
+// appending the flattened nonblocking assignments to p.seqs.
+func (p *parser) parseSeqStmt(guard []Expr) error {
 	switch {
 	case p.accept("begin"):
-		var out []SeqAssign
 		for !p.accept("end") {
 			if p.at(tokEOF) {
-				return nil, p.errorf("unexpected end of input in begin block")
+				return p.errorf("unexpected end of input in begin block")
 			}
-			stmts, err := p.parseSeqStmt(guard)
-			if err != nil {
-				return nil, err
+			if err := p.parseSeqStmt(guard); err != nil {
+				return err
 			}
-			out = append(out, stmts...)
 		}
-		return out, nil
+		return nil
 
 	case p.accept("if"):
 		if err := p.expect("("); err != nil {
-			return nil, err
+			return err
 		}
 		cond, err := p.parseExpr()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := p.expect(")"); err != nil {
-			return nil, err
+			return err
 		}
-		thenGuard := append(append([]Expr{}, guard...), cond)
-		out, err := p.parseSeqStmt(thenGuard)
-		if err != nil {
-			return nil, err
+		if err := p.parseSeqStmt(append(guard[:len(guard):len(guard)], cond)); err != nil {
+			return err
 		}
 		if p.accept("else") {
-			elseGuard := append(append([]Expr{}, guard...), &Unary{Op: "!", X: cond})
-			elseStmts, err := p.parseSeqStmt(elseGuard)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, elseStmts...)
+			not := p.unaries.next()
+			*not = Unary{Op: "!", X: cond}
+			return p.parseSeqStmt(append(guard[:len(guard):len(guard)], not))
 		}
-		return out, nil
+		return nil
 
 	default:
 		lhs, err := p.parsePrimary()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := p.expect("<="); err != nil {
-			return nil, err
+			return err
 		}
 		rhs, err := p.parseExpr()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := p.expect(";"); err != nil {
-			return nil, err
+			return err
 		}
-		return []SeqAssign{{LHS: lhs, RHS: rhs, Guard: guard}}, nil
+		p.seqs = append(p.seqs, SeqAssign{LHS: lhs, RHS: rhs, Guard: guard})
+		return nil
 	}
 }
 
-// parseInstance parses: modname [#(.P(v),...)] instname ( .port(expr), ... );
-// Positional connections ( expr, expr ) are also accepted.
-func (p *parser) parseInstance() (Instance, error) {
-	var inst Instance
+// parseInstance parses into inst: modname [#(.P(v),...)] instname
+// ( .port(expr), ... ); Positional connections ( expr, expr ) are also
+// accepted.
+func (p *parser) parseInstance(inst *Instance) error {
 	modName, err := p.ident()
 	if err != nil {
-		return inst, err
+		return err
 	}
 	inst.ModuleName = modName
-	inst.Conns = map[string]Expr{}
 
 	if p.accept("#") {
+		inst.Params = make(map[string]Expr, p.entries())
 		if err := p.expect("("); err != nil {
-			return inst, err
+			return err
 		}
-		inst.Params = map[string]Expr{}
 		for {
 			if err := p.expect("."); err != nil {
-				return inst, err
+				return err
 			}
 			pname, err := p.ident()
 			if err != nil {
-				return inst, err
+				return err
 			}
 			if err := p.expect("("); err != nil {
-				return inst, err
+				return err
 			}
 			val, err := p.parseExpr()
 			if err != nil {
-				return inst, err
+				return err
 			}
 			if err := p.expect(")"); err != nil {
-				return inst, err
+				return err
 			}
 			inst.Params[pname] = val
 			if p.accept(",") {
@@ -484,18 +705,21 @@ func (p *parser) parseInstance() (Instance, error) {
 			break
 		}
 		if err := p.expect(")"); err != nil {
-			return inst, err
+			return err
 		}
 	}
 
 	iname, err := p.ident()
 	if err != nil {
-		return inst, err
+		return err
 	}
 	inst.Name = iname
 
+	n := p.entries()
+	inst.Conns = make(map[string]Expr, n)
+	inst.Order = p.order.take(n)
 	if err := p.expect("("); err != nil {
-		return inst, err
+		return err
 	}
 	if !p.accept(")") {
 		positional := 0
@@ -503,30 +727,30 @@ func (p *parser) parseInstance() (Instance, error) {
 			if p.accept(".") {
 				pname, err := p.ident()
 				if err != nil {
-					return inst, err
+					return err
 				}
 				if err := p.expect("("); err != nil {
-					return inst, err
+					return err
 				}
 				var val Expr
-				if !p.cur().is(")") {
+				if !p.is(p.cur(), ")") {
 					val, err = p.parseExpr()
 					if err != nil {
-						return inst, err
+						return err
 					}
 				}
 				if err := p.expect(")"); err != nil {
-					return inst, err
+					return err
 				}
 				if _, dup := inst.Conns[pname]; dup {
-					return inst, p.errorf("duplicate connection to port %q", pname)
+					return p.errorf("duplicate connection to port %q", pname)
 				}
 				inst.Conns[pname] = val
 				inst.Order = append(inst.Order, pname)
 			} else {
 				val, err := p.parseExpr()
 				if err != nil {
-					return inst, err
+					return err
 				}
 				key := positionalKey(positional)
 				positional++
@@ -539,15 +763,15 @@ func (p *parser) parseInstance() (Instance, error) {
 			break
 		}
 		if err := p.expect(")"); err != nil {
-			return inst, err
+			return err
 		}
 	}
-	return inst, p.expect(";")
+	return p.expect(";")
 }
 
 // positionalKey encodes a positional connection index as a reserved key that
 // cannot collide with a legal port name.
-func positionalKey(i int) string { return fmt.Sprintf("$pos%d", i) }
+func positionalKey(i int) string { return "$pos" + strconv.Itoa(i) }
 
 // isPositionalKey decodes positionalKey, returning the index.
 func isPositionalKey(k string) (int, bool) {
@@ -575,6 +799,9 @@ var precedence = [][]string{
 	{"+", "-"},
 	{"*", "/", "%"},
 }
+
+// unaryOps are the prefix operators, in the order parseUnary tries them.
+var unaryOps = []string{"~", "!", "-", "&", "|", "^"}
 
 // parseExpr parses a full expression including ?:.
 func (p *parser) parseExpr() (Expr, error) {
@@ -610,13 +837,15 @@ func (p *parser) parseBinary(level int) (Expr, error) {
 	for {
 		matched := false
 		for _, op := range precedence[level] {
-			if p.cur().is(op) {
+			if p.is(p.cur(), op) {
 				p.pos++
 				right, err := p.parseBinary(level + 1)
 				if err != nil {
 					return nil, err
 				}
-				left = &Binary{Op: op, L: left, R: right}
+				b := p.binaries.next()
+				*b = Binary{Op: op, L: left, R: right}
+				left = b
 				matched = true
 				break
 			}
@@ -628,14 +857,16 @@ func (p *parser) parseBinary(level int) (Expr, error) {
 }
 
 func (p *parser) parseUnary() (Expr, error) {
-	for _, op := range []string{"~", "!", "-", "&", "|", "^"} {
-		if p.cur().is(op) {
+	for _, op := range unaryOps {
+		if p.is(p.cur(), op) {
 			p.pos++
 			x, err := p.parseUnary()
 			if err != nil {
 				return nil, err
 			}
-			return &Unary{Op: op, X: x}, nil
+			u := p.unaries.next()
+			*u = Unary{Op: op, X: x}
+			return u, nil
 		}
 	}
 	return p.parsePrimary()
@@ -646,21 +877,23 @@ func (p *parser) parseUnary() (Expr, error) {
 func (p *parser) parsePrimary() (Expr, error) {
 	switch {
 	case p.at(tokIdent):
-		name := p.cur().text
+		id := p.idents.next()
+		id.Name = p.text(p.cur())
 		p.pos++
-		var e Expr = &Ident{Name: name}
-		return p.parseSelects(e)
+		return p.parseSelects(id)
 
 	case p.at(tokNumber):
-		n, err := parseNumber(p.cur().text)
+		v, err := parseNumber(p.text(p.cur()))
 		if err != nil {
-			t := p.cur()
-			return nil, &SyntaxError{Line: t.line, Col: t.col, Msg: err.Error()}
+			return nil, p.errorAt(p.cur(), err.Error())
 		}
 		p.pos++
+		n := p.numbers.next()
+		*n = v
 		return n, nil
 
-	case p.accept("("):
+	case p.is(p.cur(), "("):
+		p.pos++
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -670,7 +903,9 @@ func (p *parser) parsePrimary() (Expr, error) {
 		}
 		return p.parseSelects(e)
 
-	case p.accept("{"):
+	case p.is(p.cur(), "{"):
+		n := p.entries()
+		p.pos++
 		first, err := p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -689,7 +924,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 			}
 			return &Repl{Count: first, X: x}, nil
 		}
-		parts := []Expr{first}
+		parts := append(make([]Expr, 0, n), first)
 		for p.accept(",") {
 			e, err := p.parseExpr()
 			if err != nil {
@@ -703,7 +938,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return &Concat{Parts: parts}, nil
 
 	default:
-		return nil, p.errorf("expected expression, found %s", p.cur())
+		return nil, p.errorf("expected expression, found %s", p.describe(p.cur()))
 	}
 }
 
@@ -722,38 +957,46 @@ func (p *parser) parseSelects(e Expr) (Expr, error) {
 			if err := p.expect("]"); err != nil {
 				return nil, err
 			}
-			e = &Slice{X: e, Msb: first, Lsb: lsb}
+			s := p.slices.next()
+			*s = Slice{X: e, Msb: first, Lsb: lsb}
+			e = s
 			continue
 		}
 		if err := p.expect("]"); err != nil {
 			return nil, err
 		}
-		e = &Index{X: e, At: first}
+		ix := p.indexes.next()
+		*ix = Index{X: e, At: first}
+		e = ix
 	}
 	return e, nil
 }
 
-// parseNumber decodes a numeric literal token: 42, 8'hFF, 4'b1010, 16'd9.
-// x/z digits are treated as 0 (two-valued subset).
-func parseNumber(text string) (*Number, error) {
+// parseNumber decodes a numeric literal token: 42, 8'hFF, 4'b1010, 16'd9,
+// skipping _ separators. x/z digits are treated as 0 (two-valued subset).
+func parseNumber(text string) (Number, error) {
+	// Messages quote the literal without its separators.
+	bad := func(format string) (Number, error) {
+		return Number{}, fmt.Errorf(format, strings.ReplaceAll(text, "_", ""))
+	}
 	tick := strings.IndexByte(text, '\'')
 	if tick < 0 {
 		v, err := strconv.ParseUint(text, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad number %q", text)
+			return bad("bad number %q")
 		}
-		return &Number{Value: v}, nil
+		return Number{Value: v}, nil
 	}
 	width := 32
 	if tick > 0 {
 		w, err := strconv.Atoi(text[:tick])
 		if err != nil || w <= 0 || w > 64 {
-			return nil, fmt.Errorf("bad width in %q", text)
+			return bad("bad width in %q")
 		}
 		width = w
 	}
 	if tick+1 >= len(text) {
-		return nil, fmt.Errorf("truncated literal %q", text)
+		return bad("truncated literal %q")
 	}
 	base := 10
 	switch text[tick+1] {
@@ -761,8 +1004,6 @@ func parseNumber(text string) (*Number, error) {
 		base = 2
 	case 'o', 'O':
 		base = 8
-	case 'd', 'D':
-		base = 10
 	case 'h', 'H':
 		base = 16
 	}
@@ -777,10 +1018,10 @@ func parseNumber(text string) (*Number, error) {
 	}, text[tick+2:])
 	v, err := strconv.ParseUint(digits, base, 64)
 	if err != nil {
-		return nil, fmt.Errorf("bad digits in %q", text)
+		return bad("bad digits in %q")
 	}
 	if width < 64 {
 		v &= (uint64(1) << uint(width)) - 1
 	}
-	return &Number{Value: v, Width: width}, nil
+	return Number{Value: v, Width: width}, nil
 }

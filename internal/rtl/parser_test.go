@@ -108,6 +108,33 @@ func TestParseAlways(t *testing.T) {
 	}
 }
 
+// TestParseNestedGuards: each branch of a deep if/else chain keeps its
+// own guard chain; a then-branch's guards sharing an array with the
+// else-branch's would read the else's negated condition.
+func TestParseNestedGuards(t *testing.T) {
+	mods := mustParse(t, `
+		module m(input clk, input a, input b, input c, input d, output reg [2:0] q);
+		  always @(posedge clk)
+		    if (a) if (b) if (c) if (d) q <= 3'd1; else q <= 3'd2; else q <= 3'd3;
+		endmodule`)
+	var got []string
+	for _, sa := range mods[0].Alwayses[0].Body {
+		var g []string
+		for _, e := range sa.Guard {
+			g = append(g, e.String())
+		}
+		got = append(got, strings.Join(g, " ")+" => "+sa.RHS.String())
+	}
+	want := []string{
+		"a b c d => 3'h1",
+		"a b c !(d) => 3'h2",
+		"a b !(c) => 3'h3",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("guards = %q, want %q", got, want)
+	}
+}
+
 func TestParseInstances(t *testing.T) {
 	mods := mustParse(t, `
 		module sub(input a, output y); assign y = a; endmodule
@@ -173,21 +200,26 @@ func TestParseNumbers(t *testing.T) {
 	}
 }
 
-// TestLexAllocations: identifiers, punctuation and plain numbers are
-// slices of the source, so lexing the 4-tile accelerator costs the token
-// slice and little else, while a literal with digit separators is still
-// lexed without them.
+// TestLexAllocations: a token is a span of the source, so lexing the
+// 4-tile accelerator costs the token slice and nothing else, and a literal
+// with digit separators spans them; parseNumber skips them.
 func TestLexAllocations(t *testing.T) {
 	src := bwSource(t, 4)
-	if n := testing.AllocsPerRun(5, func() { _, _ = lexAll(src) }); n > 2 {
-		t.Errorf("lexAll of the 4-tile RTL allocates %v times, want <= 2", n)
+	if n := testing.AllocsPerRun(5, func() { _, _ = lexAll(src) }); n > 1 {
+		t.Errorf("lexAll of the 4-tile RTL allocates %v times, want <= 1", n)
 	}
-	toks, err := lexAll("x = 16'hBE_EF + 8'd2_5;")
+	src = "x = 16'hBE_EF + 8'd2_5;"
+	toks, err := lexAll(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[2].text != "16'hBEEF" || toks[4].text != "8'd25" {
-		t.Errorf("separated literals lexed as %q and %q", toks[2].text, toks[4].text)
+	if a, b := src[toks[2].begin:toks[2].end], src[toks[4].begin:toks[4].end]; a != "16'hBE_EF" || b != "8'd2_5" {
+		t.Errorf("separated literals lexed as %q and %q", a, b)
+	}
+	for i, want := range map[int]uint64{2: 0xBEEF, 4: 25} {
+		if n, err := parseNumber(src[toks[i].begin:toks[i].end]); err != nil || n.Value != want {
+			t.Errorf("token %d parses as %v, %v; want %d", i, n.Value, err, want)
+		}
 	}
 }
 
@@ -333,7 +365,7 @@ func sequential(src string) ([]*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	return parseStream(toks)
+	return parseStream(src, toks)
 }
 
 // bwSource generates the accelerator RTL of the given tile count.
@@ -419,5 +451,53 @@ module b(); endmodule`
 	_, parErr = ParseParallel(src, 8)
 	if seqErr == nil || parErr == nil || parErr.Error() != seqErr.Error() {
 		t.Errorf("truncated: parallel error = %v, sequential = %v", parErr, seqErr)
+	}
+}
+
+// TestReserveIsExact: reserve's counts are exact for the generated
+// accelerator, so every module's node slabs and item slices are filled to
+// capacity; and a module whose counts are off (a comparison "<=" at depth
+// 0 counts as a sequential assignment, not a Binary node; a parameterized
+// instance's name counts as an operand) still parses whole.
+func TestReserveIsExact(t *testing.T) {
+	for _, tiles := range []int{1, 2, 4} {
+		src := bwSource(t, tiles)
+		toks, err := lexAll(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &parser{src: src, toks: toks}
+		for !p.at(tokEOF) {
+			m, err := p.parseModule()
+			if err != nil {
+				t.Fatal(err)
+			}
+			spare := map[string]int{
+				"idents": cap(p.idents) - len(p.idents), "numbers": cap(p.numbers) - len(p.numbers),
+				"unaries": cap(p.unaries) - len(p.unaries), "binaries": cap(p.binaries) - len(p.binaries),
+				"indexes": cap(p.indexes) - len(p.indexes), "slices": cap(p.slices) - len(p.slices),
+				"seqs": cap(p.seqs) - len(p.seqs), "order": cap(p.order) - len(p.order),
+				"params": cap(m.Params) - len(m.Params), "ports": cap(m.Ports) - len(m.Ports),
+				"nets": cap(m.Nets) - len(m.Nets), "assigns": cap(m.Assigns) - len(m.Assigns),
+				"alwayses": cap(m.Alwayses) - len(m.Alwayses), "instances": cap(m.Instances) - len(m.Instances),
+			}
+			for slab, n := range spare {
+				if n != 0 {
+					t.Errorf("tiles=%d module %s: %d spare %s", tiles, m.Name, n, slab)
+				}
+			}
+		}
+	}
+	short := `module m #(parameter W = 2) (input clk, input [3:0] a, output reg q);
+  wire [3:0] t;
+  sub #(.W(W)) u (a[0], t[W-1:0]);
+  always @(posedge clk) q <= a <= t;
+endmodule`
+	mods, err := Parse(short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := WriteModule(mods[0]); !strings.Contains(got, "q <= (a <= t);") || !strings.Contains(got, "sub #(.W(W)) u (a[0], t[(W - 1):0]);") {
+		t.Errorf("short counts parsed as:\n%s", got)
 	}
 }

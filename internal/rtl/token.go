@@ -1,9 +1,12 @@
 package rtl
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // tokKind enumerates lexical token kinds of the Verilog subset.
-type tokKind int
+type tokKind uint8
 
 const (
 	tokEOF tokKind = iota
@@ -25,38 +28,31 @@ var keywords = map[string]bool{
 	"parameter": true, "localparam": true,
 }
 
-// token is one lexical token with its source position.
+// token is one lexical token: its text is src[begin:end]. An escaped
+// identifier's span starts after its backslash. Line and column are not
+// stored; position computes them from the offset when an error needs them.
 type token struct {
-	kind tokKind
-	text string
-	line int
-	col  int
+	begin, end uint32
+	kind       tokKind
 }
 
-func (t token) String() string {
-	switch t.kind {
-	case tokEOF:
-		return "end of input"
-	case tokIdent:
-		return fmt.Sprintf("identifier %q", t.text)
-	case tokNumber:
-		return fmt.Sprintf("number %q", t.text)
-	case tokKeyword:
-		return fmt.Sprintf("keyword %q", t.text)
-	default:
-		return fmt.Sprintf("%q", t.text)
-	}
-}
-
-// is reports whether the token is the given punctuation or keyword text.
-func (t token) is(text string) bool {
-	return (t.kind == tokPunct || t.kind == tokKeyword) && t.text == text
+// position returns the 1-based line and column of byte offset off in src.
+func position(src string, off int) (line, col int) {
+	line = 1 + strings.Count(src[:off], "\n")
+	return line, off - strings.LastIndexByte(src[:off], '\n')
 }
 
 // SyntaxError reports a lexical or parse error with position information.
 type SyntaxError struct {
 	Line, Col int
 	Msg       string
+	off       int // byte offset of the position in the source
+}
+
+// syntaxError positions msg at byte offset off of src.
+func syntaxError(src string, off int, msg string) *SyntaxError {
+	line, col := position(src, off)
+	return &SyntaxError{Line: line, Col: col, Msg: msg, off: off}
 }
 
 func (e *SyntaxError) Error() string {

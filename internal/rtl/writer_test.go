@@ -1,6 +1,9 @@
 package rtl
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -150,4 +153,140 @@ func TestWriterRoundTripSimulates(t *testing.T) {
 			t.Fatalf("cycle %d: original %x, round-tripped %x", i, v1, v2)
 		}
 	}
+}
+
+// WriteModule renders a module back to Verilog-subset source text. The
+// output re-parses to an equivalent module (same structure, elaboration
+// and structural hash), which the tests verify by round-trip.
+func WriteModule(m *Module) string {
+	var sb strings.Builder
+	sb.WriteString("module ")
+	sb.WriteString(m.Name)
+
+	var publicParams, localParams []Param
+	for _, p := range m.Params {
+		if p.IsLocal {
+			localParams = append(localParams, p)
+		} else {
+			publicParams = append(publicParams, p)
+		}
+	}
+	if len(publicParams) > 0 {
+		sb.WriteString(" #(")
+		for i, p := range publicParams {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			fmt.Fprintf(&sb, "parameter %s = %s", p.Name, p.Default)
+		}
+		sb.WriteString(")")
+	}
+
+	sb.WriteString("(")
+	for i, p := range m.Ports {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(p.Dir.String())
+		if p.IsReg {
+			sb.WriteString(" reg")
+		}
+		sb.WriteString(writeRange(p.Range))
+		sb.WriteString(" ")
+		sb.WriteString(p.Name)
+	}
+	sb.WriteString(");\n")
+
+	for _, p := range localParams {
+		fmt.Fprintf(&sb, "  localparam %s = %s;\n", p.Name, p.Default)
+	}
+	for _, n := range m.Nets {
+		kind := "wire"
+		if n.IsReg {
+			kind = "reg"
+		}
+		fmt.Fprintf(&sb, "  %s%s %s;\n", kind, writeRange(n.Range), n.Name)
+	}
+	for _, inst := range m.Instances {
+		sb.WriteString("  ")
+		sb.WriteString(inst.ModuleName)
+		if len(inst.Params) > 0 {
+			sb.WriteString(" #(")
+			names := make([]string, 0, len(inst.Params))
+			for name := range inst.Params {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			for i, name := range names {
+				if i > 0 {
+					sb.WriteString(", ")
+				}
+				fmt.Fprintf(&sb, ".%s(%s)", name, inst.Params[name])
+			}
+			sb.WriteString(")")
+		}
+		fmt.Fprintf(&sb, " %s (", inst.Name)
+		for i, key := range inst.Order {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			val := inst.Conns[key]
+			if idx, pos := isPositionalKey(key); pos {
+				_ = idx
+				if val != nil {
+					sb.WriteString(val.String())
+				}
+				continue
+			}
+			if val == nil {
+				fmt.Fprintf(&sb, ".%s()", key)
+			} else {
+				fmt.Fprintf(&sb, ".%s(%s)", key, val)
+			}
+		}
+		sb.WriteString(");\n")
+	}
+	for _, a := range m.Assigns {
+		fmt.Fprintf(&sb, "  assign %s = %s;\n", a.LHS, a.RHS)
+	}
+	for _, alw := range m.Alwayses {
+		edge := "posedge"
+		if alw.Negedge {
+			edge = "negedge"
+		}
+		fmt.Fprintf(&sb, "  always @(%s %s) begin\n", edge, alw.Clock)
+		for _, sa := range alw.Body {
+			sb.WriteString("    ")
+			for _, g := range sa.Guard {
+				fmt.Fprintf(&sb, "if (%s) ", g)
+			}
+			fmt.Fprintf(&sb, "%s <= %s;\n", sa.LHS, sa.RHS)
+		}
+		sb.WriteString("  end\n")
+	}
+	sb.WriteString("endmodule\n")
+	return sb.String()
+}
+
+// WriteDesign renders every module of a design, top module last (Verilog
+// accepts any order; last placement reads naturally).
+func WriteDesign(d *Design) string {
+	var sb strings.Builder
+	names := d.SortedModuleNames()
+	for _, n := range names {
+		if n == d.Top {
+			continue
+		}
+		sb.WriteString(WriteModule(d.Modules[n]))
+		sb.WriteString("\n")
+	}
+	sb.WriteString(WriteModule(d.Modules[d.Top]))
+	return sb.String()
+}
+
+func writeRange(r Range) string {
+	if r.IsScalar() {
+		return ""
+	}
+	return fmt.Sprintf(" [%s:%s]", r.Msb, r.Lsb)
 }

@@ -12,11 +12,13 @@ import (
 // copy of the 1000-device table breaks the byte budget at once. A lease's
 // engine draws its weights straight into binary16 and quantizes them once,
 // not once per machine. The device registry is one slab, the audit refills
-// scratch the Stack owns, and the RTL lexer slices its source: one Run
-// measures about 2,130 kB and 4,600 objects, and paying the tiles per
+// scratch the Stack owns, and the stack's one cold compile allocates per
+// module, not per token or AST leaf (core.TestCompileAllocations): one Run
+// measures about 2,030 kB and 3,350 objects (3,630 under -race), per-node
+// parsing and hashing add about 1,250 objects, and paying the tiles per
 // machine again adds about 1 MB.
 func TestScenarioAllocBudget(t *testing.T) {
-	const maxKB, maxObjects = 2500, 7000
+	const maxKB, maxObjects = 2500, 4200
 	spec := loadSpec(t, "../../testdata/scenarios/diurnal-1000.mlw")
 	if _, err := Run(spec, "warm-up"); err != nil {
 		t.Fatal(err)
