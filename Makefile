@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check race cover bench lint loc soak fuzz simtest scenario scenario-smoke repro examples clean
+.PHONY: all build test check race cover bench lint loc allocs soak fuzz simtest scenario scenario-smoke repro examples clean
 
 all: check
 
@@ -54,6 +54,13 @@ loc:
 	echo "non-test lines: $$n (ceiling $(LOC_CEILING))"; \
 	echo "test lines:     $$(find . -name '*_test.go' | xargs cat | wc -l)"; \
 	[ $$n -le $(LOC_CEILING) ] || { echo "loc: $$n non-test lines exceed LOC_CEILING=$(LOC_CEILING)"; exit 1; }
+
+# Allocation levels, without the race detector: under -race sync.Pool
+# drops items, so the pooled-path tests skip, and every budget inflates.
+# Runs each package that holds a count through testing.AllocsPerRun or a
+# runtime.MemStats delta.
+allocs:
+	$(GO) test -count=1 $$(grep -rl --include='*_test.go' -e AllocsPerRun -e ReadMemStats . | xargs -n1 dirname | sort -u)
 
 # Failure-injection soak: kill one device mid-run, drain another, assert
 # no request or lease is lost. -short keeps it CI-sized.

@@ -272,7 +272,10 @@ func BenchmarkScaleOutReorder(b *testing.B) {
 // matrix-vector product on the packed tile layout the accelerator serves
 // from (a tile engine's inner loop).
 func BenchmarkBFPMatVec(b *testing.B) {
-	codec := bfp.MustCodec(5)
+	codec, err := bfp.NewCodec(5)
+	if err != nil {
+		b.Fatal(err)
+	}
 	r := rand.New(rand.NewSource(3))
 	data := make([]float64, 256*256)
 	for i := range data {
@@ -286,7 +289,7 @@ func BenchmarkBFPMatVec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	vb, err := codec.QuantizeVector(vec, 128)
+	vb, err := codec.QuantizeVectorInto(nil, vec, 128)
 	if err != nil {
 		b.Fatal(err)
 	}

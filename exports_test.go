@@ -24,9 +24,6 @@ var allowedOrphans = map[string]string{
 	"cluster.FakeClock.Advance":                          "the test fake's only control: simulation harnesses outside the package drive time through it",
 	"kernels.ReferenceMLP":                               "the float64 MLP the AS ISA kernel's outputs are compared with",
 	"kernels.MLPKernel.{NewMachine,SetInput,ReadOutput}": "the only way to execute the MLP program, which the kernel tests run against ReferenceMLP; the scenario compiler only counts its instructions",
-	"bfp.MustCodec":                                      "constructor of the unpacked reference codec below",
-	"bfp.Codec.{Quantize,QuantizeVector}":                "the unpacked codec: the oracle FuzzPackedMatVec and the kernel tests hold the lane-packed mat-vec to",
-	"bfp.Block.Dequantize":                               "unpacked oracle, as bfp.Codec.Quantize",
 	"simtest.Run":                                        "the `make simtest` harness (sweep, determinism, fault-gate and minimizer tests drive it); it lives in non-test files because Stack, which scenario and the benchmark build on, is its other half",
 	"simtest.Result.Report":                              "the failure report of the simtest.Run harness above",
 	"simtest.Options.{Seed,Steps,Spec,Control,MaxLeases,Spacing,SettleSteps,SettlePeriod,Fault}": "the script of the simtest.Run harness above: its test flags (-seed, -seeds, -steps) and fault-gate cases fill them; scenario and the benchmark start from DefaultOptions and set the rest",

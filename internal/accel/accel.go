@@ -207,19 +207,23 @@ var jsonOpOrder = func() []int {
 
 // MarshalJSON writes the non-zero counts as {"<opcode>":n,…}, byte for byte
 // what a map[isa.Opcode]int encodes to.
-func (c OpCounts) MarshalJSON() ([]byte, error) {
-	b := append(make([]byte, 0, 128), '{')
+func (c OpCounts) MarshalJSON() ([]byte, error) { return c.AppendJSON(make([]byte, 0, 128)), nil }
+
+// AppendJSON appends MarshalJSON's bytes to b.
+func (c OpCounts) AppendJSON(b []byte) []byte {
+	b = append(b, '{')
+	open := len(b)
 	for _, op := range jsonOpOrder {
 		if c[op] == 0 {
 			continue
 		}
-		if len(b) > 1 {
+		if len(b) > open {
 			b = append(b, ',')
 		}
 		b = strconv.AppendInt(append(b, '"'), int64(op), 10)
 		b = strconv.AppendInt(append(b, '"', ':'), int64(c[op]), 10)
 	}
-	return append(b, '}'), nil
+	return append(b, '}')
 }
 
 // UnmarshalJSON reads the form MarshalJSON writes; a key naming no opcode

@@ -80,7 +80,8 @@ func TestStatsArithmeticAllocatesNothing(t *testing.T) {
 }
 
 // FuzzOpCountsJSON: arbitrary bytes never panic the decoder, and whatever
-// it accepts re-encodes to a form that decodes to the same counts.
+// it accepts re-encodes, by MarshalJSON and by AppendJSON after a prefix,
+// to a form that decodes to the same counts.
 func FuzzOpCountsJSON(f *testing.F) {
 	for _, seed := range []string{
 		`{"1":3,"12":4,"14":1,"16":7,"3":2,"4":8,"8":6}`, `{}`, `null`,
@@ -96,6 +97,9 @@ func FuzzOpCountsJSON(f *testing.F) {
 		b, err := json.Marshal(c)
 		if err != nil {
 			t.Fatalf("Marshal(%v): %v", c, err)
+		}
+		if a := c.AppendJSON([]byte("x")); string(a) != "x"+string(b) {
+			t.Fatalf("AppendJSON after a prefix wrote %s, MarshalJSON %s", a, b)
 		}
 		var back OpCounts
 		if err := json.Unmarshal(b, &back); err != nil {

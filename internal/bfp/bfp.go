@@ -46,15 +46,6 @@ func NewCodec(mantissaBits int) (*Codec, error) {
 	}, nil
 }
 
-// MustCodec is like NewCodec but panics on error; for package-level defaults.
-func MustCodec(mantissaBits int) *Codec {
-	c, err := NewCodec(mantissaBits)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Block is a quantized vector: integer mantissas scaled by 2^Exp.
 // value[i] = Mant[i] * 2^Exp.
 type Block struct {
@@ -62,20 +53,12 @@ type Block struct {
 	Exp  int
 }
 
-// Quantize converts xs into one shared-exponent block. The exponent is
-// chosen so the largest magnitude uses the full mantissa range; all other
-// elements are rounded to nearest (ties away from zero, matching a simple
-// hardware rounder).
-func (c *Codec) Quantize(xs []float64) Block {
-	var b Block
-	c.QuantizeInto(&b, xs)
-	return b
-}
-
-// QuantizeInto is Quantize writing into b, reusing b.Mant's backing array
-// when it is large enough. It is the allocation-free quantization path the
-// accelerator's steady-state execution engine runs per mv_mul; results are
-// identical to Quantize.
+// QuantizeInto converts xs into one shared-exponent block written into b,
+// reusing b.Mant's backing array when it is large enough: the
+// allocation-free quantization the accelerator runs per mv_mul. The
+// exponent is chosen so the largest magnitude uses the full mantissa range;
+// all other elements are rounded to nearest (ties away from zero, matching a
+// simple hardware rounder).
 func (c *Codec) QuantizeInto(b *Block, xs []float64) {
 	mant := b.Mant
 	if cap(mant) < len(xs) {
@@ -135,26 +118,11 @@ func (c *Codec) QuantizeInto(b *Block, xs []float64) {
 	b.Exp = exp
 }
 
-// Dequantize converts a block back to float64. Ldexp keeps the scaling
-// exact across the whole exponent range (a precomputed 2^Exp would
-// saturate for deep-subnormal blocks).
-func (b Block) Dequantize() []float64 {
-	out := make([]float64, len(b.Mant))
-	for i, m := range b.Mant {
-		out[i] = math.Ldexp(float64(m), b.Exp)
-	}
-	return out
-}
-
-// QuantizeVector converts a vector into blocks matching a matrix's column
-// blocking, so a packed product can pair them up.
-func (c *Codec) QuantizeVector(xs []float64, blockSize int) ([]Block, error) {
-	return c.QuantizeVectorInto(nil, xs, blockSize)
-}
-
-// QuantizeVectorInto is QuantizeVector reusing dst's blocks and their
-// mantissa arrays. It returns the (possibly regrown) block slice; after a
-// warm-up call with the same shape it performs no allocation.
+// QuantizeVectorInto converts a vector into blocks matching a matrix's
+// column blocking, so a packed product can pair them up, reusing dst's
+// blocks and their mantissa arrays (nil allocates). It returns the
+// (possibly regrown) block slice; after a warm-up call with the same shape
+// it performs no allocation.
 func (c *Codec) QuantizeVectorInto(dst []Block, xs []float64, blockSize int) ([]Block, error) {
 	if blockSize <= 0 {
 		return nil, fmt.Errorf("bfp: block size must be positive, got %d", blockSize)
@@ -203,7 +171,8 @@ func peel(acc int64, bits uint) (lane, rest int64) {
 // dot at once and peel separates them. The lane count is the widest for
 // which a block dot of two codec-width operands provably fits its lane
 // (table in DESIGN.md §7): four for the 5-bit serving default, two up to
-// 13 bits, one beyond. Rows pad to whole blocks, groups to whole lanes.
+// 13 bits, one beyond. Groups pad to whole lanes; a row's last block is
+// stored at its own width, so a group takes exactly Cols words.
 type PackedMatrix struct {
 	Rows, Cols, BlockSize int
 
@@ -213,7 +182,7 @@ type PackedMatrix struct {
 	vecMax int64 // largest vector mantissa magnitude the lanes are proved for
 	exact  bool  // a weight exponent is outside ±fastExp: every product takes the exact path
 
-	words []int64 // [group][block][column in block]
+	words []int64 // [group][column]
 	exp   []int32 // shared exponents, [group][block][lane]
 }
 
@@ -257,7 +226,7 @@ func (c *Codec) QuantizeRowsPacked(into *PackedMatrix, rows, cols, blockSize int
 			pm.vecMax = math.MaxInt64 // the plain int64 dot: no bound to hold
 		}
 		groups := (rows + pm.lanes - 1) / pm.lanes
-		pm.words = make([]int64, groups*pm.nb*blockSize)
+		pm.words = make([]int64, groups*cols)
 		pm.exp = make([]int32, groups*pm.nb*pm.lanes)
 	}
 	var scratch Block
@@ -274,7 +243,7 @@ func (c *Codec) QuantizeRowsPacked(into *PackedMatrix, rows, cols, blockSize int
 			c.QuantizeInto(&scratch, xs[j*blockSize:min((j+1)*blockSize, cols)])
 			pm.exp[(g*pm.nb+j)*pm.lanes+l] = int32(scratch.Exp)
 			pm.exact = pm.exact || scratch.Exp < -fastExp || scratch.Exp > fastExp
-			wm := pm.words[(g*pm.nb+j)*blockSize:]
+			wm := pm.words[g*cols+j*blockSize:]
 			for i, m := range scratch.Mant {
 				wm[i] += int64(m) << (l * (64 / pm.lanes))
 			}
@@ -353,7 +322,7 @@ func laneDot(w []int64, x []int32, l int, bits uint) (acc int64) {
 func (pm *PackedMatrix) groupDot(out []float64, g int, v []Block, fast bool) {
 	var sum [4]float64
 	bits := uint(64 / pm.lanes)
-	words, exps := pm.words[g*pm.nb*pm.BlockSize:], pm.exp[g*pm.nb*pm.lanes:]
+	words, exps := pm.words[g*pm.Cols:], pm.exp[g*pm.nb*pm.lanes:]
 	for j := range v {
 		vm, wm := v[j].Mant, words[j*pm.BlockSize:]
 		var acc, d int64

@@ -8,6 +8,39 @@ import (
 // The unpacked block matrix below is the test oracle for PackedMatrix: one
 // Block per (row, column block), multiplied with Dot. Nothing serves from it.
 
+// MustCodec is like NewCodec but panics on error.
+func MustCodec(mantissaBits int) *Codec {
+	c, err := NewCodec(mantissaBits)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// Quantize converts xs into one shared-exponent block (QuantizeInto into a
+// fresh block).
+func (c *Codec) Quantize(xs []float64) Block {
+	var b Block
+	c.QuantizeInto(&b, xs)
+	return b
+}
+
+// QuantizeVector is QuantizeVectorInto into fresh blocks.
+func (c *Codec) QuantizeVector(xs []float64, blockSize int) ([]Block, error) {
+	return c.QuantizeVectorInto(nil, xs, blockSize)
+}
+
+// Dequantize converts a block back to float64. Ldexp keeps the scaling
+// exact across the whole exponent range (a precomputed 2^Exp would
+// saturate for deep-subnormal blocks).
+func (b Block) Dequantize() []float64 {
+	out := make([]float64, len(b.Mant))
+	for i, m := range b.Mant {
+		out[i] = math.Ldexp(float64(m), b.Exp)
+	}
+	return out
+}
+
 // Dot computes the inner product of two blocks exactly in the integer
 // domain: sum(a.Mant[i]*b.Mant[i]) * 2^(a.Exp+b.Exp). This is the operation
 // one BFP dot-product lane performs. It returns an error if lengths differ.

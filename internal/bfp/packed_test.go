@@ -213,38 +213,60 @@ func TestPackedShapeErrors(t *testing.T) {
 
 // TestPackedRefill refills a matrix in place — same storage, the second
 // tile's products and not a blend of the two, no tile-sized allocation — and
-// checks that a different shape or mantissa width gets fresh storage.
+// checks that a different shape or mantissa width gets fresh storage. The
+// second shape has a ragged last block at the serving block size.
 func TestPackedRefill(t *testing.T) {
 	c := MustCodec(5)
 	r := rand.New(rand.NewSource(5))
-	data := make([]float64, 6*10)
-	rows := func(i int) ([]float64, error) { return data[i*10 : (i+1)*10], nil }
-	refill := func(into *PackedMatrix) *PackedMatrix {
-		for i := range data {
-			data[i] = r.NormFloat64()
+	for _, sh := range []struct{ rows, cols, bs int }{{6, 10, 4}, {5, 200, 128}} {
+		data := make([]float64, sh.rows*sh.cols)
+		rows := func(i int) ([]float64, error) { return data[i*sh.cols : (i+1)*sh.cols], nil }
+		refill := func(into *PackedMatrix) *PackedMatrix {
+			for i := range data {
+				data[i] = r.NormFloat64()
+			}
+			pm, err := c.QuantizeRowsPacked(into, sh.rows, sh.cols, sh.bs, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pm
 		}
-		pm, err := c.QuantizeRowsPacked(into, 6, 10, 4, rows)
+		first := refill(nil)
+		pm := refill(first)
+		if pm != first {
+			t.Fatalf("%dx%d/%d: same-shape refill allocated a new matrix", sh.rows, sh.cols, sh.bs)
+		}
+		ref, _ := c.QuantizeMatrix(data, sh.rows, sh.cols, sh.bs)
+		xs := make([]float64, sh.cols)
+		for i := range xs {
+			xs[i] = float64((i%7)-3) * 1.5
+		}
+		v, _ := c.QuantizeVector(xs, sh.bs)
+		packedAgainstOracle(t, pm, ref, [][]Block{v})
+		if n := testing.AllocsPerRun(10, func() { refill(pm) }); n > 1 {
+			t.Errorf("%dx%d/%d: in-place refill allocates %v times, want 1 (one block of quantizer scratch)", sh.rows, sh.cols, sh.bs, n)
+		}
+		if other, _ := c.QuantizeRowsPacked(pm, sh.rows-1, sh.cols, sh.bs, rows); other == pm {
+			t.Errorf("a %d-row matrix reused %d-row storage", sh.rows-1, sh.rows)
+		}
+		if other, _ := MustCodec(9).QuantizeRowsPacked(pm, sh.rows, sh.cols, sh.bs, rows); other == pm {
+			t.Error("9-bit mantissas reused storage whose lanes were proved for 5")
+		}
+	}
+}
+
+// TestPackedTileBytes pins the [group][column] layout: a tile holds
+// ⌈Rows/lanes⌉·Cols words and no padding to whole blocks, so an h=64 tile
+// at the native dimension 128 is not stored at twice its width.
+func TestPackedTileBytes(t *testing.T) {
+	for _, cols := range []int{1, 31, 64, 128, 129, 200} {
+		pm, err := MustCodec(DefaultMantissaBits).QuantizeMatrixPacked(make([]float64, 9*cols), 9, cols, 128)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pm
-	}
-	first := refill(nil)
-	pm := refill(first)
-	if pm != first {
-		t.Fatal("same-shape refill allocated a new matrix")
-	}
-	ref, _ := c.QuantizeMatrix(data, 6, 10, 4)
-	v, _ := c.QuantizeVector([]float64{1, -2, 3, -4, 5, -6, 7, -8, 9, -10}, 4)
-	packedAgainstOracle(t, pm, ref, [][]Block{v})
-	if n := testing.AllocsPerRun(10, func() { refill(pm) }); n > 1 {
-		t.Errorf("in-place refill allocates %v times, want 1 (one block of quantizer scratch)", n)
-	}
-	if other, _ := c.QuantizeRowsPacked(pm, 5, 10, 4, rows); other == pm {
-		t.Error("a 5-row matrix reused 6-row storage")
-	}
-	if other, _ := MustCodec(9).QuantizeRowsPacked(pm, 6, 10, 4, rows); other == pm {
-		t.Error("9-bit mantissas reused storage whose lanes were proved for 5")
+		if want := (9 + pm.lanes - 1) / pm.lanes * cols; len(pm.words) != want || cap(pm.words) != want {
+			t.Errorf("9x%d at block 128, %d lanes: %d words (cap %d), want %d", cols, pm.lanes, len(pm.words), cap(pm.words), want)
+		}
 	}
 }
 

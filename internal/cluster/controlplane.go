@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"maps"
 	"sync"
 	"time"
 
@@ -112,6 +113,10 @@ type ControlPlane struct {
 	ticks   int
 	defrags int
 	faults  Faults
+
+	// A pass's scratch, refilled by each Tick or Defrag under mu.
+	view            rms.LeaseView
+	live, evacuated map[int]bool
 }
 
 // InjectFaults arms deliberate bugs for the simulation harness.
@@ -145,16 +150,17 @@ func New(clock Clock, cfg Config, svc *rms.Service, dp interface {
 		reg:    NewRegistry(clock),
 		svc:    svc,
 		leases: map[int]*leaseState{},
+		live:   map[int]bool{}, evacuated: map[int]bool{},
 	}
 	if dp != nil {
 		cp.loads = dp
 		cp.sizer = dp
 	}
-	fleet := svc.Status().FPGAs
+	fleet := svc.Devices()
 	cp.reg.devices = make([]device, 0, len(fleet))
 	for _, f := range fleet {
-		if err := cp.reg.Register(f.ID, f.Device, f.TotalBlocks); err != nil {
-			panic(err) // unreachable: Status lists each device once, by ascending id
+		if err := cp.reg.Register(f.ID, f.Spec.Device.Name, f.Spec.BlocksPerDevice); err != nil {
+			panic(err) // unreachable: the device table lists each device once, by ascending id
 		}
 	}
 	svc.SetPlacementFilter(cp.reg.Placeable)
@@ -191,22 +197,19 @@ func (cp *ControlPlane) Tick() *TickReport {
 	budget := migrationBudget
 	avoid := func(id int) bool { return !cp.reg.Placeable(id) }
 
-	leases := cp.svc.Leases()
-	live := map[int]bool{}
+	leases := cp.svc.ReadLeases(&cp.view)
+	live, evacuated := cp.live, cp.evacuated
+	clear(live)
+	clear(evacuated)
 	for _, l := range leases {
 		live[l.ID] = true
 		if cp.leases[l.ID] == nil {
 			cp.leases[l.ID] = &leaseState{}
 		}
 	}
-	for id := range cp.leases {
-		if !live[id] {
-			delete(cp.leases, id)
-		}
-	}
+	maps.DeleteFunc(cp.leases, func(id int, _ *leaseState) bool { return !live[id] })
 
 	// Phase 1: evacuate leases touching dead or draining devices.
-	evacuated := map[int]bool{}
 	for _, l := range leases {
 		force := false
 		hit := false

@@ -103,7 +103,7 @@ func (cp *ControlPlane) Defrag() *DefragReport {
 	tab := newFragTable(cp.svc.Status())
 	rep.ScoreBefore, rep.EmptyBefore = tab.score(), tab.empty()
 
-	for _, l := range cp.svc.Leases() {
+	for _, l := range cp.svc.ReadLeases(&cp.view) {
 		st := cp.leases[l.ID]
 		if st == nil {
 			st = &leaseState{}

@@ -19,8 +19,9 @@ type Controller struct {
 type PhysFPGA struct {
 	// ID is the device's index in the cluster (also its ring position).
 	ID int
-	// Spec is the device's virtual-block abstraction.
-	Spec Spec
+	// Spec is the device's virtual-block abstraction, shared read-only by
+	// every device of its type.
+	Spec *Spec
 	// free is the number of unoccupied virtual blocks.
 	free int
 }
@@ -42,7 +43,7 @@ func NewController(spec map[string]int) (*Controller, error) {
 		for i := 0; i < n; i++ {
 			c.fpgas = append(c.fpgas, PhysFPGA{
 				ID:   len(c.fpgas),
-				Spec: s,
+				Spec: &s,
 				free: s.BlocksPerDevice,
 			})
 		}

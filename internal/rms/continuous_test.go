@@ -425,6 +425,34 @@ func TestLeaseTilesPaidOnce(t *testing.T) {
 	}
 }
 
+// TestLeaseTilesAtColumnWidth: the warm-up that quantizes a lease's tiles
+// stores each at its own width. An LSTM h=64 lease's eight 64×64 tiles take
+// 64 kB in the packed layout at NativeDim 128; padded to whole blocks they
+// took 128 kB.
+func TestLeaseTilesAtColumnWidth(t *testing.T) {
+	kern, err := kernels.BuildRandom(kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 64, TimeSteps: 2}, DefaultInferOptions().Tiles, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := kern.NewBatchMachine(DefaultInferOptions().MaxBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	err = m.Run(kern.SharedInit)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb := (after.TotalAlloc - before.TotalAlloc) >> 10
+	t.Logf("warming an h=64 lease: %d kB", kb)
+	if kb > 70 {
+		t.Errorf("warming an h=64 lease allocates %d kB, want ≤ 70 kB: tiles are padded to whole blocks", kb)
+	}
+}
+
 // TestContinuousReleaseDrains asserts the close contract: a Release
 // racing live traffic loses no admitted request — every Infer either
 // completes or is shed with a closing/unknown-lease error, and close

@@ -243,7 +243,10 @@ func (dp *DataPlane) Handler() http.Handler {
 			fail(w, err, http.StatusBadRequest)
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
+		ws := &sc.wire.BatchStats
+		sc.wire.InferResult, ws.ExecStats, ws.Instructions = res, &res.BatchStats, res.BatchStats.Instructions
+		ws.ByOp = res.BatchStats.ByOp.AppendJSON(ws.ByOp[:0])
+		writeJSON(w, http.StatusOK, &sc.wire)
 	})
 
 	mux.HandleFunc("/preempt", func(w http.ResponseWriter, r *http.Request) {

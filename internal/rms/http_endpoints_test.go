@@ -147,10 +147,15 @@ func TestWriteJSONMatchesEncoder(t *testing.T) {
 	if err := json.NewEncoder(&want).Encode(&res); err != nil {
 		t.Fatal(err)
 	}
-	w := httptest.NewRecorder()
-	writeJSON(w, http.StatusOK, &res)
-	if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want.Bytes()) {
-		t.Errorf("%d %s\nencoding/json writes %s", w.Code, w.Body.Bytes(), want.Bytes())
+	var wire inferWire
+	wire.InferResult, wire.BatchStats.ExecStats, wire.BatchStats.Instructions = &res, &res.BatchStats, res.BatchStats.Instructions
+	wire.BatchStats.ByOp = res.BatchStats.ByOp.AppendJSON(nil)
+	for _, v := range []any{&res, &wire} {
+		w := httptest.NewRecorder()
+		writeJSON(w, http.StatusOK, v)
+		if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want.Bytes()) {
+			t.Errorf("%T: %d %s\nencoding/json writes %s", v, w.Code, w.Body.Bytes(), want.Bytes())
+		}
 	}
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		res.Outputs[1][1] = v

@@ -1,8 +1,11 @@
 package rms
 
 import (
+	"encoding/json"
 	"strconv"
 	"sync"
+
+	"mlvfpga/internal/accel"
 )
 
 // inferBody is the POST /infer request.
@@ -13,14 +16,28 @@ type inferBody struct {
 
 // inferScratch is what one /infer borrows for its caller and gives back:
 // the decoded body, the row headers and backing array scanInfer decodes
-// into, and the result retire reads the outputs into with its rows'
-// backing array.
+// into, the result retire reads the outputs into with its rows' backing
+// array, and the response's by_op bytes.
 type inferScratch struct {
 	body inferBody // views rows after a scan; json.Unmarshal's own otherwise
 	rows [][]float64
 	back []float64
 	res  InferResult
 	out  []float64
+	wire inferWire
+}
+
+// inferWire encodes as its InferResult does, byte for byte: each shallow
+// field shadows the embedded one of its name and keeps its place, and by_op
+// arrives encoded into the pooled scratch, so encoding/json copies it
+// rather than asking OpCounts.MarshalJSON for a fresh slice.
+type inferWire struct {
+	*InferResult
+	BatchStats struct {
+		Instructions int             `json:"instructions"`
+		ByOp         json.RawMessage `json:"by_op"`
+		*accel.ExecStats
+	} `json:"batch_stats"`
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(inferScratch) }}

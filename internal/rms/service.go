@@ -569,29 +569,46 @@ func (s *Service) Release(id int) error {
 }
 
 // Leases returns snapshots of the active leases sorted by id (used by
-// graceful shutdown to drain every deployment, and by the control plane's
-// deterministic rebalance sweep), carved from one Lease and one Placement
-// slab; each lease's placements are capped at their own length.
-func (s *Service) Leases() []*Lease {
+// graceful shutdown to drain every deployment), in a view of their own.
+func (s *Service) Leases() []*Lease { return s.ReadLeases(new(LeaseView)) }
+
+// LeaseView is storage for lease snapshots that its owner refills once per
+// pass (the control plane per tick, the simulator per audit) instead of
+// allocating a fresh copy each time, as metrics.Values does for counters.
+type LeaseView struct {
+	slab []Lease
+	pls  []Placement
+	out  []*Lease
+}
+
+// ReadLeases refills v with snapshots of the active leases, sorted by id and
+// carved from one Lease and one Placement slab (each lease's placements
+// capped), which share nothing with the service and last until v's next read.
+func (s *Service) ReadLeases(v *LeaseView) []*Lease {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
 	for _, l := range s.leases {
 		n += len(l.Placements)
 	}
-	slab := make([]Lease, 0, len(s.leases))
-	pls := make([]Placement, 0, n)
-	out := make([]*Lease, 0, len(s.leases))
+	// Grown first, so no append below moves what was carved before it.
+	v.slab = slices.Grow(v.slab[:0], len(s.leases))
+	v.pls = slices.Grow(v.pls[:0], n)
+	v.out = slices.Grow(v.out[:0], len(s.leases))
 	for _, l := range s.leases {
-		from := len(pls)
-		pls = append(pls, l.Placements...)
-		slab = append(slab, *l)
-		slab[len(slab)-1].Placements = pls[from:len(pls):len(pls)]
-		out = append(out, &slab[len(slab)-1])
+		from := len(v.pls)
+		v.pls = append(v.pls, l.Placements...)
+		v.slab = append(v.slab, *l)
+		v.slab[len(v.slab)-1].Placements = v.pls[from:len(v.pls):len(v.pls)]
+		v.out = append(v.out, &v.slab[len(v.slab)-1])
 	}
-	slices.SortFunc(out, func(a, b *Lease) int { return cmp.Compare(a.ID, b.ID) })
-	return out
+	slices.SortFunc(v.out, func(a, b *Lease) int { return cmp.Compare(a.ID, b.ID) })
+	return v.out
 }
+
+// Devices returns the controller's device table in place, for its ids,
+// types and block counts (fixed at construction), never its FreeBlocks.
+func (s *Service) Devices() []hsvital.PhysFPGA { return s.ctrl.Devices() }
 
 // Lease returns a snapshot of an active lease by id: a copy, so callers
 // never observe a concurrent migration mutating placements in place.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -271,6 +272,54 @@ func TestFleetReadsDoNotCopy(t *testing.T) {
 	}
 	if fifty := snapshot(); fifty != one {
 		t.Errorf("Leases allocates %v times for 1 lease and %v for 50", one, fifty)
+	}
+}
+
+// TestLeaseViewRefill: a refilled view equals Leases element by element,
+// before and after a migration, refills without allocating, and shares no
+// placement with the service: scribbling over the view changes nothing the
+// service reports.
+func TestLeaseViewRefill(t *testing.T) {
+	s := newService(t)
+	for _, spec := range []kernels.LayerSpec{
+		{Kind: kernels.LSTM, Hidden: 512, TimeSteps: 25},
+		{Kind: kernels.GRU, Hidden: 256, TimeSteps: 10},
+		{Kind: kernels.LSTM, Hidden: 1024, TimeSteps: 25},
+	} {
+		if _, err := s.Deploy(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var v LeaseView
+	same := func(when string) {
+		t.Helper()
+		got, want := s.ReadLeases(&v), s.Leases()
+		if len(got) != len(want) {
+			t.Fatalf("%s: view has %d leases, Leases %d", when, len(got), len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%s: view lease %d = %+v, Leases has %+v", when, i, got[i], want[i])
+			}
+		}
+	}
+	same("first read")
+	l := s.Leases()[0]
+	if _, err := s.Migrate(l.ID, l.Depth, func(id int) bool { return id == l.Placements[0].FPGA }, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	same("after migrate")
+	for _, l := range s.ReadLeases(&v) {
+		want, _ := s.Lease(l.ID) // a copy of its own
+		for i := range l.Placements {
+			l.Placements[i] = Placement{FPGA: -1}
+		}
+		if got, _ := s.Lease(l.ID); !reflect.DeepEqual(got, want) {
+			t.Errorf("writing through the view changed lease %d: %+v, was %+v", l.ID, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { s.ReadLeases(&v) }); n != 0 {
+		t.Errorf("refilling a view allocates %v times, want 0", n)
 	}
 }
 

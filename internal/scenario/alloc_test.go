@@ -9,16 +9,19 @@ import (
 // warmed Run of the 1000-device diurnal spec stays inside a byte and an
 // object budget. The fleet is fixed at construction, so the per-event
 // audit and the control tick read it in place; a per-event or per-lease
-// copy of the 1000-device table breaks the byte budget at once. A lease's
-// engine draws its weights straight into binary16 and quantizes them once,
-// not once per machine. The device registry is one slab, the audit refills
-// scratch the Stack owns, and the stack's one cold compile allocates per
-// module, not per token or AST leaf (core.TestCompileAllocations): one Run
-// measures about 2,030 kB and 3,350 objects (3,630 under -race), per-node
-// parsing and hashing add about 1,250 objects, and paying the tiles per
-// machine again adds about 1 MB.
+// copy of the 1000-device table breaks the byte budget at once. The device
+// registry is one slab and the controller's devices share one spec per
+// type; the audit and the tick refill lease views and scratch their owners
+// keep; the stack's one cold compile allocates per module, not per token
+// (core.TestCompileAllocations). One Run measures about 1,250 kB and 2,990
+// objects (about 1,290 kB and 3,360 under -race). Of the bytes, the leases'
+// binary16 weight images take about 320 kB and their packed tiles, stored
+// at their column width and paid once per lease, about 285 kB (padded to
+// whole 128-column blocks, the h=64 and h=32 tiles took about 300 kB more);
+// the arrival sequence takes about 75 kB and the registry's device slab
+// about 70 kB.
 func TestScenarioAllocBudget(t *testing.T) {
-	const maxKB, maxObjects = 2500, 4200
+	const maxKB, maxObjects = 1430, 3440
 	spec := loadSpec(t, "../../testdata/scenarios/diurnal-1000.mlw")
 	if _, err := Run(spec, "warm-up"); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,11 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -17,24 +19,20 @@ const minService = 100 * time.Microsecond
 
 // lease is one deployed serving endpoint in the engine's model.
 type leaseInfo struct {
-	id     int
-	model  string
-	tenant string
-	class  string
+	id int
 	// service is the queue model's per-request service time (the lease's
 	// modelled inference latency at deploy time).
 	service time.Duration
 }
 
 // arrival is one offered request, priced by the queue plane and
-// optionally executed on the stack.
+// optionally executed on the stack. Its tenant and class are its traffic
+// block's.
 type arrival struct {
 	at      time.Duration
-	block   int // traffic block index
-	seq     int // sequence within the block
-	tenant  string
-	class   string
-	lease   int // index into leases
+	block   int32 // traffic block index
+	seq     int32 // sequence within the block
+	lease   int32 // index into leases
 	sampled bool
 }
 
@@ -57,6 +55,10 @@ func Run(spec *wdsl.Spec, name string) (*Report, error) {
 	classOf := map[string]string{}
 	for _, t := range spec.Tenants {
 		classOf[t.ID] = t.Class.String()
+	}
+	blockClass := make([]string, len(ir.Traffic))
+	for bi, tr := range ir.Traffic {
+		blockClass[bi] = cmp.Or(classOf[tr.Tenant], "latency") // a tenant without a class, or none
 	}
 
 	stack, err := simtest.NewStack(o)
@@ -88,14 +90,8 @@ func Run(spec *wdsl.Spec, name string) (*Report, error) {
 				if svc < minService {
 					svc = minService
 				}
-				class := classOf[d.Tenant]
-				if class == "" {
-					class = "latency"
-				}
 				leasesByModel[d.Model] = append(leasesByModel[d.Model], len(leases))
-				leases = append(leases, leaseInfo{
-					id: l.ID, model: d.Model, tenant: d.Tenant, class: class, service: svc,
-				})
+				leases = append(leases, leaseInfo{id: l.ID, service: svc})
 			}
 		}
 	}
@@ -110,7 +106,7 @@ func Run(spec *wdsl.Spec, name string) (*Report, error) {
 	}
 
 	// Arrivals: generate each traffic block's point process, then merge.
-	arrivals := genArrivals(ir, spec, classOf, leasesByModel, leases)
+	arrivals := genArrivals(ir, leasesByModel)
 
 	// --- Lay the timeline onto the DES engine. ---
 	for t := ir.Heartbeat; t <= ir.Duration; t += ir.Heartbeat {
@@ -151,15 +147,16 @@ func Run(spec *wdsl.Spec, name string) (*Report, error) {
 	// The queue plane prices every arrival now (it is virtual-time math,
 	// not stack work); sampled, un-shed arrivals additionally execute on
 	// the stack at their arrival instant.
-	busyUntil := map[int]time.Duration{}
+	busyUntil := make([]time.Duration, len(leases))
 	tenants := map[string]*rollup{}
 	classes := map[string]*rollup{}
 	sampled := 0
 	for i := range arrivals {
 		a := &arrivals[i]
 		li := leases[a.lease]
-		tr := getRollup(tenants, a.tenant)
-		cr := getRollup(classes, a.class)
+		who := ir.Traffic[a.block].Tenant
+		tr := getRollup(tenants, who)
+		cr := getRollup(classes, blockClass[a.block])
 		tr.requests++
 		cr.requests++
 		wait := busyUntil[a.lease] - a.at
@@ -179,7 +176,7 @@ func Run(spec *wdsl.Spec, name string) (*Report, error) {
 		cr.sojourns = append(cr.sojourns, sojournMs)
 		if a.sampled {
 			sampled++
-			id, who, seed := li.id, a.tenant, int64(a.seq%8)
+			id, seed := li.id, int64(a.seq%8)
 			eng.At(a.at, func(time.Duration) { stack.Serve(id, who, []int64{seed}) })
 		}
 	}
@@ -279,17 +276,12 @@ func stormVictims(storms []wdsl.StormIR, devices []int, rng *rand.Rand) ([][]int
 // genArrivals expands every traffic block into a merged, time-ordered
 // arrival sequence. Each block gets its own derived PRNG, so adding a
 // block never perturbs another block's draw sequence.
-func genArrivals(ir *wdsl.ScenarioIR, spec *wdsl.Spec, classOf map[string]string,
-	leasesByModel map[string][]int, leases []leaseInfo) []arrival {
+func genArrivals(ir *wdsl.ScenarioIR, leasesByModel map[string][]int) []arrival {
 	var out []arrival
 	for bi, tr := range ir.Traffic {
 		rng := rand.New(rand.NewSource(ir.Seed ^ (int64(bi+1) * 0x9e3779b9)))
-		class := classOf[tr.Tenant]
-		if class == "" {
-			class = "latency"
-		}
 		pool := leasesByModel[tr.Model]
-		seq := 0
+		var seq int32
 		// Poisson process at peak rate; diurnal blocks thin it against
 		// the day curve λ(t) = rate·(trough + (1−trough)·½(1−cos 2πt/T)).
 		for t := time.Duration(0); ; {
@@ -306,25 +298,17 @@ func genArrivals(ir *wdsl.ScenarioIR, spec *wdsl.Spec, classOf map[string]string
 			}
 			out = append(out, arrival{
 				at:      t,
-				block:   bi,
+				block:   int32(bi),
 				seq:     seq,
-				tenant:  tr.Tenant,
-				class:   class,
-				lease:   pool[rng.Intn(len(pool))],
+				lease:   int32(pool[rng.Intn(len(pool))]),
 				sampled: rng.Float64() < ir.Sample,
 			})
 			seq++
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.block != b.block {
-			return a.block < b.block
-		}
-		return a.seq < b.seq
+	// (at, block, seq) is unique per arrival, so the order is total.
+	slices.SortFunc(out, func(a, b arrival) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.block, b.block), cmp.Compare(a.seq, b.seq))
 	})
 	return out
 }

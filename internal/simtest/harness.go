@@ -810,7 +810,7 @@ func (s *Stack) settle() {
 // plane's correct answer then is to keep the lease and keep retrying).
 func (s *Stack) checkStranded() {
 	reg := s.cp.Registry()
-	for _, l := range s.svc.Leases() {
+	for _, l := range s.svc.ReadLeases(&s.leases) {
 		if s.excused[l.ID] {
 			continue
 		}
@@ -839,7 +839,7 @@ func (s *Stack) checkInvariants() bool {
 // auditInvariants runs every family in InvariantFamilies order, stopping
 // at the first breach.
 func (s *Stack) auditInvariants() {
-	leases := s.svc.Leases()
+	leases := s.svc.ReadLeases(&s.leases)
 
 	// No lost or duplicated leases: the service's live set must equal the
 	// model's, exactly.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"mlvfpga/internal/artifactstore"
@@ -80,6 +79,7 @@ type Stack struct {
 
 	// The audit's per-event scratch, and tracef's line buffer.
 	vals    metrics.Values
+	leases  rms.LeaseView
 	liveSet map[int]bool
 	owned   map[string]int
 	line    []byte
@@ -207,10 +207,11 @@ func NewStack(o Options) (*Stack, error) {
 	case FaultRestoreAtZero:
 		dp.InjectFaults(rms.Faults{RestoreAtZero: true})
 	}
-	for _, f := range svc.Status().FPGAs {
-		s.devices = append(s.devices, f.ID)
+	fleet := svc.Devices()
+	s.devices = make([]int, len(fleet))
+	for i := range fleet {
+		s.devices[i] = fleet[i].ID // ascending: the table is indexed by id
 	}
-	sort.Ints(s.devices)
 	// Counter baselines before any deploy, so the LeasesActive delta
 	// tracks len(s.live) exactly and per-tenant deltas start at zero.
 	s.base = metrics.Snapshot()
