@@ -327,11 +327,6 @@ type Machine struct {
 	sigm, tanh, exp, recip *[1 << 16]fp16.Num
 }
 
-// New builds a machine with a fresh private DRAM.
-func New(cfg Config) (*Machine, error) {
-	return NewWithDRAM(cfg, nil)
-}
-
 // NewWithDRAM builds a machine over the given DRAM port (nil allocates a
 // private Memory of cfg.DRAMWords). The machine's own port (DRAMPort)
 // wraps dram to track writes for tile-cache invalidation; use UnwrapDRAM

@@ -11,6 +11,11 @@ import (
 	"mlvfpga/internal/isa"
 )
 
+// New builds a machine with a fresh private DRAM.
+func New(cfg Config) (*Machine, error) {
+	return NewWithDRAM(cfg, nil)
+}
+
 func smallConfig() Config {
 	return Config{
 		Name: "test", NativeDim: 4, NumTiles: 1,
@@ -85,7 +90,9 @@ func runProgram(t *testing.T, src string, setup func(*Machine)) *Machine {
 
 func writeVec(t *testing.T, m *Machine, addr int, xs []float64) {
 	t.Helper()
-	if err := m.DRAMPort().WriteWords(addr, fp16.FromSlice64(xs)); err != nil {
+	words := make([]fp16.Num, len(xs))
+	fp16.FromSlice64Into(words, xs)
+	if err := m.DRAMPort().WriteWords(addr, words); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -96,7 +103,9 @@ func readVecReg(t *testing.T, m *Machine, reg int) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fp16.ToSlice64(v)
+	out := make([]float64, len(v))
+	fp16.ToSlice64Into(out, v)
+	return out
 }
 
 func TestVectorOps(t *testing.T) {
@@ -190,7 +199,7 @@ func TestMVMul(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp16.ToSlice64(back)[0] != got[0] {
+	if back[0].Float64() != got[0] {
 		t.Error("v_wr did not store the register")
 	}
 	st := m.Stats()

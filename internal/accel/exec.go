@@ -49,7 +49,7 @@ type streamCtx struct {
 	qver []uint64
 	qvec []bfp.Vector
 
-	f64  []float64 // float64 staging for quantization
+	f64  []float64 // float64 staging for vector quantization
 	prod []float64 // mv_mul product staging
 }
 
@@ -215,9 +215,9 @@ func (m *Machine) dstBuf(sc *streamCtx, idx, n int) []fp16.Num {
 	return buf
 }
 
-func ensureF64(buf *[]float64, n int) []float64 {
+func grow[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]float64, n)
+		*buf = make([]T, n)
 	}
 	return (*buf)[:n]
 }
@@ -279,25 +279,17 @@ func (m *Machine) mRead(ins isa.Instr, nStreams int) error {
 		m.stats.TileCacheHits += int64(nStreams)
 		return nil
 	}
-	// The tile streams out of DRAM a row at a time, never held whole in a
-	// second format, into the register's old storage when the shape matches
-	// and no other machine holds it. Until the last row lands the register
-	// holds no tile.
+	// The tile streams out of DRAM a row at a time, never widened, into the
+	// register's old storage when the shape matches and no other machine
+	// holds it. Until the last row lands the register holds no tile.
 	old := m.mrf[ins.Dst]
 	if t.shared {
 		old = nil
 	}
 	m.mrf[ins.Dst], t.valid = nil, false
-	if cap(m.rowHalf) < shape.cols {
-		m.rowHalf = make([]fp16.Num, shape.cols)
-	}
-	half, f := m.rowHalf[:shape.cols], ensureF64(&m.streams[0].f64, shape.cols)
-	mat, err := m.codec.QuantizeRowsPacked(old, shape.rows, shape.cols, m.cfg.NativeDim, func(r int) ([]float64, error) {
-		if err := m.dram.ReadWordsInto(half, addr+r*shape.cols); err != nil {
-			return nil, err
-		}
-		fp16.ToSlice64Into(f, half)
-		return f, nil
+	half := grow(&m.rowHalf, shape.cols)
+	mat, err := m.codec.QuantizeHalfPacked(old, shape.rows, shape.cols, m.cfg.NativeDim, func(r int) ([]fp16.Num, error) {
+		return half, m.dram.ReadWordsInto(half, addr+r*shape.cols)
 	})
 	if err != nil {
 		return err
@@ -333,7 +325,7 @@ func (m *Machine) mvMul(ins isa.Instr, scs []*streamCtx) error {
 			return fmt.Errorf("mv_mul shape mismatch: matrix %dx%d, vector %d", mat.Rows, mat.Cols, len(vec))
 		}
 		if sc.qver[src] != sc.ver[src] {
-			f := ensureF64(&sc.f64, len(vec))
+			f := grow(&sc.f64, len(vec))
 			fp16.ToSlice64Into(f, vec)
 			qb, err := m.codec.QuantizeVectorInto(sc.qvec[src].Blocks, f, m.cfg.NativeDim)
 			if err != nil {
@@ -343,7 +335,7 @@ func (m *Machine) mvMul(ins isa.Instr, scs []*streamCtx) error {
 			sc.qver[src] = sc.ver[src]
 		}
 		m.bvecs[si] = sc.qvec[src]
-		m.bprods[si] = ensureF64(&sc.prod, mat.Rows)
+		m.bprods[si] = grow(&sc.prod, mat.Rows)
 	}
 	if err := mat.MatVecBatchInto(m.bprods[:len(scs)], m.bvecs[:len(scs)]); err != nil {
 		return err

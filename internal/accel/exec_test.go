@@ -212,15 +212,15 @@ func TestCachedMReadZeroAllocs(t *testing.T) {
 }
 
 // TestTileRefillAllocs: once a register holds a tile of some shape,
-// re-reading it after an invalidating write streams the rows through the
-// machine's staging into the same storage; the one allocation left is the
-// quantizer's block of scratch (NativeDim mantissas), not the tile.
+// re-reading it after an invalidating write streams the binary16 rows
+// through the machine's staging into the same storage, quantized from
+// their bits with no scratch block: no allocation at all.
 func TestTileRefillAllocs(t *testing.T) {
 	m, p := mvmMachine(t)
 	if err := m.Run(p); err != nil {
 		t.Fatal(err)
 	}
-	word := fp16.FromSlice64([]float64{3})
+	word := []fp16.Num{fp16.FromFloat64(3)}
 	allocs := testing.AllocsPerRun(20, func() {
 		if err := m.DRAMPort().WriteWords(5, word); err != nil {
 			t.Fatal(err)
@@ -229,8 +229,8 @@ func TestTileRefillAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 1 {
-		t.Errorf("invalidate + m_rd refill allocates %v times, want 1", allocs)
+	if allocs != 0 {
+		t.Errorf("invalidate + m_rd refill allocates %v times, want 0", allocs)
 	}
 	if st := m.Stats(); st.TileCacheMisses != 22 {
 		t.Errorf("misses = %d, want 22 (every run must requantize)", st.TileCacheMisses)

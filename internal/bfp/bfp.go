@@ -17,6 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"mlvfpga/internal/fp16"
 )
 
 // DefaultMantissaBits is the mantissa width (including the sign bit) used by
@@ -81,16 +83,7 @@ func (c *Codec) QuantizeInto(b *Block, xs []float64) {
 		}
 		return
 	}
-	// Choose exp so that maxAbs/2^exp fits in maxMag:
-	// exp = ceil(log2(maxAbs / maxMag)). The log is taken via Frexp
-	// because the direct quotient underflows to zero for deep-subnormal
-	// maxAbs, and ceil(log2(0)) = MinInt64 wedges the guard loop below.
-	fr, e2 := math.Frexp(maxAbs)
-	exp := int(math.Ceil(float64(e2) + math.Log2(fr) - math.Log2(float64(c.maxMag))))
-	// Guard against boundary rounding pushing past the max magnitude.
-	for math.Round(math.Ldexp(maxAbs, -exp)) > float64(c.maxMag) {
-		exp++
-	}
+	exp := c.blockExp(maxAbs)
 	scale := math.Ldexp(1, -exp)
 	// For deep-subnormal blocks -exp can exceed the float64 exponent range
 	// and the precomputed scale degenerates to Inf (or 0); fall back to
@@ -116,6 +109,22 @@ func (c *Codec) QuantizeInto(b *Block, xs []float64) {
 		mant[i] = int32(m)
 	}
 	b.Exp = exp
+}
+
+// blockExp is the shared exponent of a block whose largest finite
+// magnitude is maxAbs > 0: the least exp for which maxAbs/2^exp rounds
+// into maxMag.
+func (c *Codec) blockExp(maxAbs float64) int {
+	// exp = ceil(log2(maxAbs / maxMag)). The log is taken via Frexp
+	// because the direct quotient underflows to zero for deep-subnormal
+	// maxAbs, and ceil(log2(0)) = MinInt64 wedges the guard loop below.
+	fr, e2 := math.Frexp(maxAbs)
+	exp := int(math.Ceil(float64(e2) + math.Log2(fr) - math.Log2(float64(c.maxMag))))
+	// Guard against boundary rounding pushing past the max magnitude.
+	for math.Round(math.Ldexp(maxAbs, -exp)) > float64(c.maxMag) {
+		exp++
+	}
+	return exp
 }
 
 // QuantizeVectorInto converts a vector into blocks matching a matrix's
@@ -203,31 +212,9 @@ func (c *Codec) QuantizeMatrixPacked(data []float64, rows, cols, blockSize int) 
 // whole in float64. An into of the same shape and mantissa width is refilled
 // and returned, its old contents lost even on error; else it is ignored.
 func (c *Codec) QuantizeRowsPacked(into *PackedMatrix, rows, cols, blockSize int, row func(r int) ([]float64, error)) (*PackedMatrix, error) {
-	if rows < 0 || cols < 0 || blockSize <= 0 {
-		return nil, fmt.Errorf("bfp: matrix shape %dx%d in blocks of %d", rows, cols, blockSize)
-	}
-	pm := into
-	if pm != nil && pm.Rows == rows && pm.Cols == cols && pm.BlockSize == blockSize && pm.maxMag == int64(c.maxMag) {
-		clear(pm.words)
-		pm.exact = false
-	} else {
-		pm = &PackedMatrix{
-			Rows: rows, Cols: cols, BlockSize: blockSize,
-			nb: (cols + blockSize - 1) / blockSize, maxMag: int64(c.maxMag),
-		}
-		// Widest packing whose lanes hold maxMag·vecMax·blockLen, vecMax ≥ maxMag.
-		perUnit := pm.maxMag * int64(max(1, min(blockSize, cols)))
-		for pm.lanes = 4; pm.lanes > 1; pm.lanes /= 2 {
-			if pm.vecMax = (int64(1)<<(64/pm.lanes-1) - 1) / perUnit; pm.vecMax >= pm.maxMag {
-				break
-			}
-		}
-		if pm.lanes == 1 {
-			pm.vecMax = math.MaxInt64 // the plain int64 dot: no bound to hold
-		}
-		groups := (rows + pm.lanes - 1) / pm.lanes
-		pm.words = make([]int64, groups*cols)
-		pm.exp = make([]int32, groups*pm.nb*pm.lanes)
+	pm, err := c.packedFor(into, rows, cols, blockSize)
+	if err != nil {
+		return nil, err
 	}
 	var scratch Block
 	for r := 0; r < rows; r++ {
@@ -241,8 +228,7 @@ func (c *Codec) QuantizeRowsPacked(into *PackedMatrix, rows, cols, blockSize int
 		g, l := r/pm.lanes, r%pm.lanes
 		for j := 0; j < pm.nb; j++ {
 			c.QuantizeInto(&scratch, xs[j*blockSize:min((j+1)*blockSize, cols)])
-			pm.exp[(g*pm.nb+j)*pm.lanes+l] = int32(scratch.Exp)
-			pm.exact = pm.exact || scratch.Exp < -fastExp || scratch.Exp > fastExp
+			pm.setExp(g, j, l, scratch.Exp)
 			wm := pm.words[g*cols+j*blockSize:]
 			for i, m := range scratch.Mant {
 				wm[i] += int64(m) << (l * (64 / pm.lanes))
@@ -250,6 +236,137 @@ func (c *Codec) QuantizeRowsPacked(into *PackedMatrix, rows, cols, blockSize int
 		}
 	}
 	return pm, nil
+}
+
+// QuantizeHalfPacked is QuantizeRowsPacked for binary16 rows, the form a
+// tile has in DRAM, quantized from the bits (maxFinite, blockExp of the
+// block maximum, halfShifts) into exactly what QuantizeInto makes of the
+// widened values.
+func (c *Codec) QuantizeHalfPacked(into *PackedMatrix, rows, cols, blockSize int, row func(r int) ([]fp16.Num, error)) (*PackedMatrix, error) {
+	pm, err := c.packedFor(into, rows, cols, blockSize)
+	if err != nil {
+		return nil, err
+	}
+	sh := halfShifts{exp: math.MinInt}
+	for r := 0; r < rows; r++ {
+		hs, err := row(r)
+		if err != nil {
+			return nil, err
+		}
+		if len(hs) != cols {
+			return nil, fmt.Errorf("bfp: row %d has %d values, matrix has %d columns", r, len(hs), cols)
+		}
+		g, l := r/pm.lanes, r%pm.lanes
+		for j := 0; j < pm.nb; j++ {
+			lo, hi := j*blockSize, min((j+1)*blockSize, cols)
+			exp := 0
+			if a := maxFinite(hs[lo:hi]); a != 0 {
+				exp = c.blockExp(a.Float64())
+			}
+			pm.setExp(g, j, l, exp)
+			if exp != sh.exp {
+				sh.set(exp)
+			}
+			sh.pack(pm.words[g*cols+lo:g*cols+hi], hs[lo:hi], uint(l*(64/pm.lanes)))
+		}
+	}
+	return pm, nil
+}
+
+// maxFinite returns the largest finite magnitude in hs as its bits
+// (binary16 magnitudes order like their bit patterns), four running maxima
+// at a time so no compare waits on the one before.
+func maxFinite(hs []fp16.Num) fp16.Num {
+	var m0, m1, m2, m3 uint32
+	for ; len(hs) >= 4; hs = hs[4:] {
+		m0, m1 = max(m0, finiteBits(hs[0])), max(m1, finiteBits(hs[1]))
+		m2, m3 = max(m2, finiteBits(hs[2])), max(m3, finiteBits(hs[3]))
+	}
+	for _, h := range hs {
+		m0 = max(m0, finiteBits(h))
+	}
+	return fp16.Num(max(m0, m1, m2, m3))
+}
+
+// finiteBits is h's magnitude bits, or 0 for an infinity or NaN (whose
+// magnitude bits plus 0x400 carry into bit 15).
+func finiteBits(h fp16.Num) uint32 {
+	a := uint32(h & 0x7fff)
+	return a &^ -((a + 0x400) >> 15)
+}
+
+// halfShifts quantizes binary16 values into a block of exponent exp. A
+// finite ±s·2^(e−25) (s the significand with its hidden bit, e the
+// exponent field, 1 for subnormals) has mantissa ±round(s·2^(e−25−exp)):
+// s·2^51 plus 2^(r−1), shifted right by r = 76+exp−e ≥ 38, rounds it half
+// away from zero exactly. Tables indexed by the exponent field hold the
+// addend (with the hidden bit) and r; non-finite values get r = 63, which
+// flushes them to zero. No clamp is needed: rounding is monotonic and
+// blockExp fits the block's maximum into maxMag.
+type halfShifts struct {
+	exp      int
+	add, shr [32]uint64
+}
+
+func (sh *halfShifts) set(exp int) {
+	sh.exp = exp
+	for e := range 32 {
+		r := 63
+		if e < 31 { // r ≥ 1 also for fields above the block maximum's, never looked up
+			r = min(max(76+exp-max(e, 1), 1), 63)
+		}
+		sh.shr[e], sh.add[e] = uint64(r), uint64(min(e, 1))<<61+1<<(r-1)
+	}
+}
+
+// pack adds each value's mantissa, moved up to its lane, to its packed
+// word.
+func (sh *halfShifts) pack(words []int64, hs []fp16.Num, lane uint) {
+	words = words[:len(hs)]
+	for i, h := range hs {
+		e := h >> 10 & 31
+		m := int64((uint64(h&0x3ff)<<51 + sh.add[e]) >> (sh.shr[e] & 63))
+		neg := -int64(h >> 15) // all ones when negative: a branch would mispredict on half the weights
+		words[i] += (m ^ neg - neg) << (lane & 63)
+	}
+}
+
+// packedFor checks a packed matrix's shape and returns into, cleared, when
+// it has the same shape and mantissa width; else a new matrix at the
+// widest lane count whose lanes provably hold a block dot.
+func (c *Codec) packedFor(into *PackedMatrix, rows, cols, blockSize int) (*PackedMatrix, error) {
+	if rows < 0 || cols < 0 || blockSize <= 0 {
+		return nil, fmt.Errorf("bfp: matrix shape %dx%d in blocks of %d", rows, cols, blockSize)
+	}
+	if pm := into; pm != nil && pm.Rows == rows && pm.Cols == cols && pm.BlockSize == blockSize && pm.maxMag == int64(c.maxMag) {
+		clear(pm.words)
+		pm.exact = false
+		return pm, nil
+	}
+	pm := &PackedMatrix{
+		Rows: rows, Cols: cols, BlockSize: blockSize,
+		nb: (cols + blockSize - 1) / blockSize, maxMag: int64(c.maxMag),
+	}
+	// Widest packing whose lanes hold maxMag·vecMax·blockLen, vecMax ≥ maxMag.
+	perUnit := pm.maxMag * int64(max(1, min(blockSize, cols)))
+	for pm.lanes = 4; pm.lanes > 1; pm.lanes /= 2 {
+		if pm.vecMax = (int64(1)<<(64/pm.lanes-1) - 1) / perUnit; pm.vecMax >= pm.maxMag {
+			break
+		}
+	}
+	if pm.lanes == 1 {
+		pm.vecMax = math.MaxInt64 // the plain int64 dot: no bound to hold
+	}
+	groups := (rows + pm.lanes - 1) / pm.lanes
+	pm.words = make([]int64, groups*cols)
+	pm.exp = make([]int32, groups*pm.nb*pm.lanes)
+	return pm, nil
+}
+
+// setExp records row g·lanes+l's exponent for block j.
+func (pm *PackedMatrix) setExp(g, j, l, exp int) {
+	pm.exp[(g*pm.nb+j)*pm.lanes+l] = int32(exp)
+	pm.exact = pm.exact || exp < -fastExp || exp > fastExp
 }
 
 // Vector is a block-quantized vector with the facts that decide a packed

@@ -3,6 +3,7 @@ package bfp
 import (
 	"encoding/binary"
 	"math"
+	"reflect"
 	"testing"
 
 	"mlvfpga/internal/fp16"
@@ -28,8 +29,9 @@ func fuzzVals(data []byte, maxVals int) []float64 {
 //     zero, and mantissas respect the configured width;
 //   - bfp: the allocation-free *Into variants produce bit-identical
 //     blocks to the allocating variants, even over dirty reused buffers;
-//   - fp16: FromSlice64/ToSlice64 match their *Into variants exactly, and
-//     a binary16 value survives a float64 round trip unchanged.
+//   - fp16: FromSlice64Into/ToSlice64Into match the scalar conversions
+//     exactly, and a binary16 value survives a float64 round trip
+//     unchanged.
 func FuzzQuantizeRoundTrip(f *testing.F) {
 	f.Add([]byte{5})
 	f.Add([]byte{5, 0, 0, 0, 0, 0, 0, 0xF0, 0x3F, 0, 0, 0, 0, 0, 0, 0xF0, 0xBF})              // 1.0, -1.0
@@ -127,25 +129,22 @@ func FuzzQuantizeRoundTrip(f *testing.F) {
 			}
 		}
 
-		// fp16: slice conversions match their Into variants bit for bit,
-		// and binary16 survives the float64 round trip.
-		ns := fp16.FromSlice64(vals)
-		nsInto := make([]fp16.Num, len(vals))
-		fp16.FromSlice64Into(nsInto, vals)
+		// fp16: slice conversions match the scalar ones bit for bit, and
+		// binary16 survives the float64 round trip.
+		ns := make([]fp16.Num, len(vals))
+		fp16.FromSlice64Into(ns, vals)
+		fs := make([]float64, len(ns))
+		fp16.ToSlice64Into(fs, ns)
 		for i := range ns {
-			if ns[i] != nsInto[i] {
-				t.Fatalf("fp16 element %d: FromSlice64 %#04x, Into %#04x", i, ns[i], nsInto[i])
+			if ns[i] != fp16.FromFloat64(vals[i]) {
+				t.Fatalf("fp16 element %d: FromSlice64Into %#04x, FromFloat64 %#04x", i, ns[i], fp16.FromFloat64(vals[i]))
+			}
+			if math.Float64bits(fs[i]) != math.Float64bits(ns[i].Float64()) {
+				t.Fatalf("fp16 element %d: ToSlice64Into %v, Float64 %v", i, fs[i], ns[i].Float64())
 			}
 		}
-		fs := fp16.ToSlice64(ns)
-		fsInto := make([]float64, len(ns))
-		fp16.ToSlice64Into(fsInto, ns)
-		for i := range fs {
-			if math.Float64bits(fs[i]) != math.Float64bits(fsInto[i]) {
-				t.Fatalf("fp16 element %d: ToSlice64 %v, Into %v", i, fs[i], fsInto[i])
-			}
-		}
-		rt := fp16.FromSlice64(fs)
+		rt := make([]fp16.Num, len(fs))
+		fp16.FromSlice64Into(rt, fs)
 		for i := range ns {
 			if ns[i].IsNaN() {
 				if !rt[i].IsNaN() {
@@ -166,6 +165,9 @@ func FuzzQuantizeRoundTrip(f *testing.F) {
 // and the exact arm. One header byte per stream may plant what the lanes
 // were not proved for: a mantissa far beyond the codec's width, or a block
 // exponent near ±1074. Those must take the exact path and still match.
+// The binary16 arm reads the same payload bytes as binary16 weights (any
+// pattern) and holds QuantizeHalfPacked to QuantizeMatrixPacked of the
+// widened values, field for field.
 //
 // Layout: width, rows, block size, streams, eight per-stream tweaks, then
 // float64s — the matrix row-major, then one vector per stream.
@@ -219,5 +221,17 @@ func FuzzPackedMatVec(f *testing.F) {
 			}
 		}
 		packedAgainstOracle(t, pm, ref, vs)
+
+		hs := make([]fp16.Num, rows*cols)
+		for i := range hs {
+			hs[i] = fp16.Num(binary.LittleEndian.Uint16(data[header+2*i:]))
+		}
+		fromBits, err := codec.QuantizeHalfPacked(nil, rows, cols, blockSize, halfRows(hs, cols))
+		if err != nil {
+			t.Fatalf("QuantizeHalfPacked: %v", err)
+		}
+		if fromFloat, _ := codec.QuantizeMatrixPacked(widen(hs), rows, cols, blockSize); !reflect.DeepEqual(fromBits, fromFloat) {
+			t.Fatalf("binary16 weights %#04x: the bits and the widened values quantize differently", hs)
+		}
 	})
 }

@@ -97,8 +97,8 @@ type device struct {
 	typ      string
 	blocks   int
 	state    State
-	draining bool // sticky admin flag, survives health transitions
-	lastBeat time.Time
+	draining bool          // sticky admin flag, survives health transitions
+	lastBeat time.Duration // since the registry's epoch
 }
 
 // DeviceInfo is a point-in-time view of a registry entry.
@@ -122,17 +122,23 @@ type Transition struct {
 
 // Registry is the fleet's device table: typed capacities plus the health
 // state machine, driven entirely by the injected clock. Fleet ids are
-// dense from 0, so the table is a slab indexed by id.
+// dense from 0, so the table is a slab indexed by id. Beat times are
+// durations since the clock's reading at construction, monotonic under
+// WallClock: a step of the wall clock moves no device's age.
 type Registry struct {
 	mu      sync.Mutex
 	clock   Clock
+	epoch   time.Time
 	devices []device
 }
 
 // NewRegistry builds an empty registry.
 func NewRegistry(clock Clock) *Registry {
-	return &Registry{clock: clock}
+	return &Registry{clock: clock, epoch: clock.Now()}
 }
+
+// now reads the clock once, as a duration since the epoch.
+func (r *Registry) now() time.Duration { return r.clock.Now().Sub(r.epoch) }
 
 // Register adds a device with its typed capacity, initially Healthy as of
 // the current clock. Ids must arrive in order from 0: a duplicate or a gap
@@ -143,7 +149,7 @@ func (r *Registry) Register(id int, deviceType string, blocks int) error {
 	if id != len(r.devices) {
 		return fmt.Errorf("cluster: device %d registered twice or out of order, want %d", id, len(r.devices))
 	}
-	r.devices = append(r.devices, device{id: id, typ: deviceType, blocks: blocks, lastBeat: r.clock.Now()})
+	r.devices = append(r.devices, device{id: id, typ: deviceType, blocks: blocks, lastBeat: r.now()})
 	return nil
 }
 
@@ -155,24 +161,40 @@ func (r *Registry) lookup(id int) (*device, bool) {
 	return &r.devices[id], true
 }
 
-// Heartbeat records a liveness beat, reviving Suspect and Dead devices.
-// Draining devices stay Draining — the beat only refreshes their clock.
+// Heartbeat records a liveness beat from one device.
 func (r *Registry) Heartbeat(id int) error {
+	_, err := r.HeartbeatEach([]int{id}, nil)
+	return err
+}
+
+// HeartbeatEach beats ids in order under one lock and one clock reading,
+// skipping those with silent[id] set (an id beyond silent beats): the
+// whole fleet's round in one pass. A beat revives Suspect and Dead
+// devices; Draining devices stay Draining — the beat only refreshes their
+// clock. It stops at the first unknown id and returns how many beat.
+func (r *Registry) HeartbeatEach(ids []int, silent []bool) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	d, ok := r.lookup(id)
-	if !ok {
-		return fmt.Errorf("cluster: heartbeat from unknown device %d", id)
-	}
-	d.lastBeat = r.clock.Now()
-	if d.state == Suspect || d.state == Dead {
-		if d.draining {
-			d.state = Draining
-		} else {
-			d.state = Healthy
+	now, beat := r.now(), 0
+	for _, id := range ids {
+		if id >= 0 && id < len(silent) && silent[id] {
+			continue
+		}
+		d, ok := r.lookup(id)
+		if !ok {
+			return beat, fmt.Errorf("cluster: heartbeat from unknown device %d", id)
+		}
+		beat++
+		d.lastBeat = now
+		if d.state == Suspect || d.state == Dead {
+			if d.draining {
+				d.state = Draining
+			} else {
+				d.state = Healthy
+			}
 		}
 	}
-	return nil
+	return beat, nil
 }
 
 // Drain marks a device as administratively leaving.
@@ -228,11 +250,11 @@ func (r *Registry) ReportDead(id int) error {
 func (r *Registry) Sweep() []Transition {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	now := r.clock.Now()
+	now := r.now()
 	var out []Transition
 	for i := range r.devices {
 		d := &r.devices[i]
-		overdue := now.Sub(d.lastBeat)
+		overdue := now - d.lastBeat
 		next := d.state
 		switch d.state {
 		case Healthy, Draining:
@@ -284,12 +306,12 @@ func (r *Registry) Evacuate(id int) bool {
 func (r *Registry) Snapshot() []DeviceInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	now := r.clock.Now()
+	now := r.now()
 	out := make([]DeviceInfo, 0, len(r.devices))
 	for _, d := range r.devices {
 		out = append(out, DeviceInfo{
 			ID: d.id, Type: d.typ, Blocks: d.blocks,
-			State: d.state, SinceBeat: now.Sub(d.lastBeat),
+			State: d.state, SinceBeat: now - d.lastBeat,
 		})
 	}
 	return out

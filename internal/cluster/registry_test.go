@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"encoding/json"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -238,5 +240,98 @@ func TestRegisterFleetAllocations(t *testing.T) {
 	})
 	if n > 2 {
 		t.Errorf("registering 1000 devices allocates %v times, want <= 2", n)
+	}
+}
+
+// TestHeartbeatEachMatchesHeartbeat drives two registries on one clock
+// through the same random mix of fleet beats, single beats, kills
+// (silenced beats), revivals, failure reports, drains, undrains, sweeps and
+// clock steps. One beats the fleet through HeartbeatEach, the other id by
+// id through Heartbeat; their snapshots, sweep transitions, beat counts
+// and unknown-id errors must agree after every step.
+func TestHeartbeatEachMatchesHeartbeat(t *testing.T) {
+	const devices, seeds, steps = 12, 50, 200
+	for seed := int64(1); seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		clk := NewFakeClock(time.Unix(1000, 0))
+		batch, single := NewRegistry(clk), NewRegistry(clk)
+		for id := 0; id < devices; id++ {
+			if batch.Register(id, "a", 12) != nil || single.Register(id, "a", 12) != nil {
+				t.Fatal("register failed")
+			}
+		}
+		ids, silent := make([]int, devices), make([]bool, devices)
+		for id := range ids {
+			ids[id] = id
+		}
+		errText := func(err error) string {
+			if err == nil {
+				return ""
+			}
+			return err.Error()
+		}
+		for step := 0; step < steps; step++ {
+			id := rng.Intn(devices+2) - 1 // -1 and devices are unknown
+			what := ""
+			switch rng.Intn(9) {
+			case 0, 1: // beat the fleet, now and then with an unknown id inside it
+				what = "beat-all"
+				fleet := ids
+				if rng.Intn(4) == 0 {
+					at := rng.Intn(devices + 1)
+					fleet = append(append(append([]int{}, ids[:at]...), []int{-1, devices}[rng.Intn(2)]), ids[at:]...)
+				}
+				got, gotErr := batch.HeartbeatEach(fleet, silent)
+				want, wantErr := 0, error(nil)
+				for _, d := range fleet {
+					if d >= 0 && d < devices && silent[d] {
+						continue
+					}
+					if wantErr = single.Heartbeat(d); wantErr != nil {
+						break
+					}
+					want++
+				}
+				if got != want || errText(gotErr) != errText(wantErr) {
+					t.Fatalf("seed %d step %d: HeartbeatEach beat %d (%v), Heartbeat one by one %d (%v)", seed, step, got, gotErr, want, wantErr)
+				}
+			case 2:
+				what = "beat-one"
+				if a, b := batch.Heartbeat(id), single.Heartbeat(id); errText(a) != errText(b) {
+					t.Fatalf("seed %d step %d: heartbeat errors %v and %v", seed, step, a, b)
+				}
+			case 3:
+				what = "kill"
+				if id >= 0 && id < devices {
+					silent[id] = true
+					if rng.Intn(2) == 0 {
+						_, _ = batch.ReportDead(id), single.ReportDead(id)
+					}
+				}
+			case 4:
+				what = "revive"
+				if id >= 0 && id < devices {
+					silent[id] = false
+					_, _ = batch.Heartbeat(id), single.Heartbeat(id)
+				}
+			case 5:
+				what = "drain"
+				_, _ = batch.Drain(id), single.Drain(id)
+			case 6:
+				what = "undrain"
+				_, _ = batch.Undrain(id), single.Undrain(id)
+			case 7:
+				what = "sweep"
+				if a, b := batch.Sweep(), single.Sweep(); !reflect.DeepEqual(a, b) {
+					t.Fatalf("seed %d step %d: sweeps %v and %v", seed, step, a, b)
+				}
+			case 8:
+				what = "advance"
+				clk.Advance(time.Duration(rng.Int63n(int64(4 * HeartbeatInterval))))
+			}
+			if a, b := batch.Snapshot(), single.Snapshot(); !reflect.DeepEqual(a, b) {
+				t.Fatalf("seed %d step %d (%s %d): snapshots differ:\n%+v\n%+v", seed, step, what, id, a, b)
+			}
+		}
 	}
 }

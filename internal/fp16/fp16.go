@@ -168,27 +168,8 @@ func Less(a, b Num) bool {
 	return a.Float32() < b.Float32()
 }
 
-// FromSlice64 converts a float64 slice to binary16, rounding each element.
-func FromSlice64(xs []float64) []Num {
-	out := make([]Num, len(xs))
-	for i, x := range xs {
-		out[i] = FromFloat64(x)
-	}
-	return out
-}
-
-// ToSlice64 converts a binary16 slice to float64.
-func ToSlice64(ns []Num) []float64 {
-	out := make([]float64, len(ns))
-	for i, n := range ns {
-		out[i] = n.Float64()
-	}
-	return out
-}
-
 // FromSlice64Into rounds xs element-wise into dst, which must be at least
-// as long as xs. It is the allocation-free form of FromSlice64 used by the
-// accelerator's steady-state execution engine.
+// as long as xs.
 func FromSlice64Into(dst []Num, xs []float64) {
 	for i, x := range xs {
 		dst[i] = FromFloat64(x)
@@ -196,7 +177,7 @@ func FromSlice64Into(dst []Num, xs []float64) {
 }
 
 // ToSlice64Into widens ns element-wise into dst, which must be at least as
-// long as ns. It is the allocation-free form of ToSlice64.
+// long as ns.
 func ToSlice64Into(dst []float64, ns []Num) {
 	for i, n := range ns {
 		dst[i] = n.Float64()

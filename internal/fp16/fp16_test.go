@@ -137,7 +137,9 @@ func TestLess(t *testing.T) {
 
 func TestSliceConversions(t *testing.T) {
 	xs := []float64{0, 1, -2, 0.5}
-	back := ToSlice64(FromSlice64(xs))
+	half, back := make([]Num, len(xs)), make([]float64, len(xs))
+	FromSlice64Into(half, xs)
+	ToSlice64Into(back, half)
 	for i := range xs {
 		if back[i] != xs[i] {
 			t.Errorf("slice round trip [%d] = %v, want %v", i, back[i], xs[i])

@@ -14,7 +14,8 @@ import (
 // straddling the split agree, range errors match, and a write into the image
 // stays private to the machine that made it.
 func TestImageDRAM(t *testing.T) {
-	image := fp16.FromSlice64([]float64{1, 2, 3, 4, 5, 6})
+	image := make([]fp16.Num, 6)
+	fp16.FromSlice64Into(image, []float64{1, 2, 3, 4, 5, 6})
 	pristine := append([]fp16.Num{}, image...)
 	const words = 10
 	a, err := newImageDRAM(image, words)
@@ -52,7 +53,8 @@ func TestImageDRAM(t *testing.T) {
 		{6, nil},                   // empty write at the split
 		{9, []float64{99}},         // last word
 	} {
-		vals := fp16.FromSlice64(w.vals)
+		vals := make([]fp16.Num, len(w.vals))
+		fp16.FromSlice64Into(vals, w.vals)
 		if err := a.WriteWords(w.addr, vals); err != nil {
 			t.Fatal(err)
 		}

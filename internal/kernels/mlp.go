@@ -150,83 +150,3 @@ func BuildMLP(w *MLPWeights, tiles int) (*MLPKernel, error) {
 	k.Prog = p
 	return k, nil
 }
-
-// NewMachine builds a machine loaded with weights and matrix shapes.
-func (k *MLPKernel) NewMachine() (*accel.Machine, error) {
-	m, err := accel.New(k.Cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.DRAMPort().WriteWords(0, k.Image); err != nil {
-		return nil, err
-	}
-	for l := 0; l < k.Spec.Layers; l++ {
-		if err := m.ConfigureMatrix(l, k.Spec.Dim, k.Spec.Dim); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
-}
-
-// SetInput writes x into DRAM.
-func (k *MLPKernel) SetInput(m *accel.Machine, x []float64) error {
-	if len(x) != k.Spec.Dim {
-		return fmt.Errorf("kernels: MLP input length %d, want %d", len(x), k.Spec.Dim)
-	}
-	return m.DRAMPort().WriteWords(k.inputAddr, fp16.FromSlice64(x))
-}
-
-// ReadOutput reads y back.
-func (k *MLPKernel) ReadOutput(m *accel.Machine) ([]float64, error) {
-	words, err := m.DRAMPort().ReadWords(k.outAddr, k.Spec.Dim)
-	if err != nil {
-		return nil, err
-	}
-	return fp16.ToSlice64(words), nil
-}
-
-// ReferenceMLP evaluates the chain in float64.
-func ReferenceMLP(w *MLPWeights, x []float64) ([]float64, error) {
-	if len(x) != w.Spec.Dim {
-		return nil, fmt.Errorf("kernels: MLP input length %d, want %d", len(x), w.Spec.Dim)
-	}
-	dim := w.Spec.Dim
-	cur := append([]float64{}, x...)
-	for l := 0; l < w.Spec.Layers; l++ {
-		next := make([]float64, dim)
-		for i := 0; i < dim; i++ {
-			sum := w.B[l][i]
-			for j := 0; j < dim; j++ {
-				sum += w.W[l][i*dim+j] * cur[j]
-			}
-			next[i] = sum
-		}
-		if l < w.Spec.Layers-1 {
-			for i := range next {
-				next[i] = applyAct(w.Spec.Act, next[i])
-			}
-		}
-		cur = next
-	}
-	return cur, nil
-}
-
-func applyAct(a Activation, x float64) float64 {
-	switch a {
-	case ReLU:
-		if x < 0 {
-			return 0
-		}
-		return x
-	case SigmoidAct:
-		return sigmoid(x)
-	case TanhAct:
-		return tanh64(x)
-	}
-	return x
-}
-
-func tanh64(x float64) float64 {
-	// tanh via the sigmoid identity to avoid importing math twice here.
-	return 2*sigmoid(2*x) - 1
-}

@@ -1,10 +1,13 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"mlvfpga/internal/accel"
+	"mlvfpga/internal/fp16"
 	"mlvfpga/internal/isa"
 )
 
@@ -104,4 +107,88 @@ func TestActivationString(t *testing.T) {
 			t.Errorf("%d.String() = %q", int(a), a.String())
 		}
 	}
+}
+
+// NewMachine builds a machine loaded with weights and matrix shapes.
+func (k *MLPKernel) NewMachine() (*accel.Machine, error) {
+	m, err := accel.NewWithDRAM(k.Cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.DRAMPort().WriteWords(0, k.Image); err != nil {
+		return nil, err
+	}
+	for l := 0; l < k.Spec.Layers; l++ {
+		if err := m.ConfigureMatrix(l, k.Spec.Dim, k.Spec.Dim); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+// SetInput writes x into DRAM.
+func (k *MLPKernel) SetInput(m *accel.Machine, x []float64) error {
+	if len(x) != k.Spec.Dim {
+		return fmt.Errorf("kernels: MLP input length %d, want %d", len(x), k.Spec.Dim)
+	}
+	words := make([]fp16.Num, len(x))
+	fp16.FromSlice64Into(words, x)
+	return m.DRAMPort().WriteWords(k.inputAddr, words)
+}
+
+// ReadOutput reads y back.
+func (k *MLPKernel) ReadOutput(m *accel.Machine) ([]float64, error) {
+	words, err := m.DRAMPort().ReadWords(k.outAddr, k.Spec.Dim)
+	if err != nil {
+		return nil, err
+	}
+	y := make([]float64, len(words))
+	fp16.ToSlice64Into(y, words)
+	return y, nil
+}
+
+// ReferenceMLP evaluates the chain in float64.
+func ReferenceMLP(w *MLPWeights, x []float64) ([]float64, error) {
+	if len(x) != w.Spec.Dim {
+		return nil, fmt.Errorf("kernels: MLP input length %d, want %d", len(x), w.Spec.Dim)
+	}
+	dim := w.Spec.Dim
+	cur := append([]float64{}, x...)
+	for l := 0; l < w.Spec.Layers; l++ {
+		next := make([]float64, dim)
+		for i := 0; i < dim; i++ {
+			sum := w.B[l][i]
+			for j := 0; j < dim; j++ {
+				sum += w.W[l][i*dim+j] * cur[j]
+			}
+			next[i] = sum
+		}
+		if l < w.Spec.Layers-1 {
+			for i := range next {
+				next[i] = applyAct(w.Spec.Act, next[i])
+			}
+		}
+		cur = next
+	}
+	return cur, nil
+}
+
+func applyAct(a Activation, x float64) float64 {
+	switch a {
+	case ReLU:
+		if x < 0 {
+			return 0
+		}
+		return x
+	case SigmoidAct:
+		return sigmoid(x)
+	case TanhAct:
+		return tanh64(x)
+	}
+	return x
+}
+
+func tanh64(x float64) float64 {
+	// tanh via the sigmoid identity to avoid importing math twice here.
+	return 2*sigmoid(2*x) - 1
 }

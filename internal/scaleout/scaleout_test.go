@@ -55,7 +55,9 @@ func syncExchange(t *testing.T, n int) {
 	for i, s := range syncs {
 		own := []float64{float64(10 * i), float64(10*i + 1)}
 		want = append(want, own...)
-		if err := s.WriteWords(100, fp16.FromSlice64(own)); err != nil {
+		words := make([]fp16.Num, len(own))
+		fp16.FromSlice64Into(words, own)
+		if err := s.WriteWords(100, words); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -542,8 +544,8 @@ func groupVsSingle(kind kernels.RNNKind, hidden, steps, n, mantissa int, seed in
 			return err
 		}
 		// fp16 → float64 is exact, so the round trip recovers the words.
-		for i, word := range fp16.FromSlice64(got) {
-			if word != want[i] {
+		for i, x := range got {
+			if word := fp16.FromFloat64(x); word != want[i] {
 				return fmt.Errorf("step %d elem %d: group %#04x, single device %#04x", tt, i, word, want[i])
 			}
 		}

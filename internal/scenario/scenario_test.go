@@ -1,14 +1,19 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mlvfpga/internal/wdsl"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/scenarios/*.report.json")
 
 func loadSpec(t *testing.T, path string) *wdsl.Spec {
 	t.Helper()
@@ -42,7 +47,10 @@ func compileSrc(t *testing.T, src string) *wdsl.Spec {
 
 // TestCommittedScenarios runs every spec committed under
 // testdata/scenarios to completion: all invariant families green, the
-// report self-validates, and traffic actually flowed.
+// report self-validates, traffic actually flowed, and the report is byte
+// for byte the committed <spec>.report.json beside it (what `mlv scenario
+// run -out` writes). Run with -update only for an intended change of
+// behaviour.
 func TestCommittedScenarios(t *testing.T) {
 	paths, err := filepath.Glob("../../testdata/scenarios/*.mlw")
 	if err != nil || len(paths) == 0 {
@@ -71,6 +79,24 @@ func TestCommittedScenarios(t *testing.T) {
 				if v.Status != "green" {
 					t.Errorf("invariant %s: %s (%s)", v.Invariant, v.Status, v.Detail)
 				}
+			}
+			blob, err := json.MarshalIndent(rep, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob = append(blob, '\n')
+			golden := strings.TrimSuffix(path, ".mlw") + ".report.json"
+			if *update {
+				if err := os.WriteFile(golden, blob, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(blob, want) {
+				t.Errorf("report differs from %s:\n%s", golden, blob)
 			}
 		})
 	}

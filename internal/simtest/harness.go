@@ -343,7 +343,7 @@ func (s *Stack) exec(ev Event) {
 	}
 	switch ev.Kind {
 	case EvHeartbeat:
-		s.heartbeat()
+		s.beatAll(true)
 	case EvTick:
 		s.tick("tick")
 	case EvInfer:
@@ -404,27 +404,16 @@ func (s *Stack) exec(ev Event) {
 	s.checkInvariants()
 }
 
-// beatAll beats every device not currently killed and returns how many
-// beat, or false after recording a violation.
-func (s *Stack) beatAll() (int, bool) {
-	beat := 0
-	for _, d := range s.devices {
-		if s.killed[d] {
-			continue
-		}
-		if err := s.cp.Heartbeat(d); err != nil {
-			s.fail("heartbeat-error", "device %d: %v", d, err)
-			return beat, false
-		}
-		beat++
-	}
-	return beat, true
-}
-
-func (s *Stack) heartbeat() {
-	if beat, ok := s.beatAll(); ok {
+// beatAll beats every device not currently killed, in one registry pass,
+// tracing how many when trace is set; false after recording a violation.
+func (s *Stack) beatAll(trace bool) bool {
+	beat, err := s.cp.Registry().HeartbeatEach(s.devices, s.killed)
+	if err != nil {
+		s.fail("heartbeat-error", "%v", err)
+	} else if trace {
 		s.tracef("heartbeat n=%d", beat)
 	}
+	return err == nil
 }
 
 // tick runs one control-plane round and folds its report into the counter
@@ -737,7 +726,7 @@ func (s *Stack) kill(d int) {
 
 // revive brings a killed device back and beats it once immediately.
 func (s *Stack) revive(d int) bool {
-	delete(s.killed, d)
+	s.killed[d] = false
 	if err := s.cp.Heartbeat(d); err != nil {
 		s.fail("heartbeat-error", "device %d: %v", d, err)
 		return false
@@ -797,7 +786,7 @@ func (s *Stack) settle() {
 		return
 	}
 	s.settling = true
-	if _, ok := s.beatAll(); !ok {
+	if !s.beatAll(false) {
 		return
 	}
 	s.tick("settle")

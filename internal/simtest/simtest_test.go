@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -18,7 +19,57 @@ var (
 	flagSeeds = flag.Int("seeds", 8, "number of seeds TestSimSweep runs")
 	flagSteps = flag.Int("steps", 250, "schedule events per simulated run")
 	flagSeed  = flag.Int64("seed", 0, "single seed for TestSimSeed (0 = skip; use to reproduce a printed failure)")
+	update    = flag.Bool("update", false, "rewrite the pinned sweep's lines in "+sweepGolden)
 )
+
+// sweepGolden pins TestSimSweep's trace hash per seed at the two sweeps
+// that run routinely: the bare `go test` default (8 seeds × 250 steps) and
+// `make simtest` (20 × 500). One line per (seed, steps); other sweep sizes
+// are not compared.
+const sweepGolden = "testdata/sweep_trace.golden"
+
+var pinnedSweeps = map[[2]int]bool{{8, 250}: true, {20, 500}: true}
+
+// checkSweepGolden compares one sweep's lines ("seed=S steps=N trace=H")
+// with the golden's lines for the same steps, byte for byte. Under
+// -update it replaces those lines and keeps the other sweep's.
+func checkSweepGolden(t *testing.T, steps int, got []string) {
+	t.Helper()
+	raw, err := os.ReadFile(sweepGolden)
+	if err != nil && !(*update && os.IsNotExist(err)) {
+		t.Fatal(err)
+	}
+	suffix := fmt.Sprintf(" steps=%d ", steps)
+	var other, want []string
+	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		switch {
+		case line == "":
+		case strings.Contains(line, suffix):
+			want = append(want, line)
+		default:
+			other = append(other, line)
+		}
+	}
+	if *update {
+		all := append(other, got...)
+		key := func(line string) (seed, steps int) {
+			fmt.Sscanf(line, "seed=%d steps=%d", &seed, &steps)
+			return seed, steps
+		}
+		sort.SliceStable(all, func(i, j int) bool { // by steps, then seed
+			si, ni := key(all[i])
+			sj, nj := key(all[j])
+			return ni < nj || ni == nj && si < sj
+		})
+		if err := os.WriteFile(sweepGolden, []byte(strings.Join(all, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if g, w := strings.Join(got, "\n"), strings.Join(want, "\n"); g != w {
+		t.Errorf("sweep trace hashes differ from %s:\n%s\nwant:\n%s", sweepGolden, g, w)
+	}
+}
 
 // writeReport dumps a failing run's report (seed, violation, minimized
 // ddmin schedule, minimal trace) where CI can collect it as an artifact.
@@ -52,6 +103,7 @@ func TestSimSweep(t *testing.T) {
 			steps = 120
 		}
 	}
+	var hashes []string
 	for s := 1; s <= seeds; s++ {
 		o := DefaultOptions(int64(s))
 		o.Steps = steps
@@ -64,6 +116,10 @@ func TestSimSweep(t *testing.T) {
 			t.Fatalf("\n%s", res.Report())
 		}
 		t.Logf("%s", res.Report())
+		hashes = append(hashes, fmt.Sprintf("seed=%d steps=%d trace=%016x", s, steps, res.TraceHash))
+	}
+	if pinnedSweeps[[2]int{seeds, steps}] {
+		checkSweepGolden(t, steps, hashes)
 	}
 }
 

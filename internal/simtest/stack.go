@@ -68,7 +68,7 @@ type Stack struct {
 	armFail int
 
 	live    []int
-	killed  map[int]bool
+	killed  []bool // by device id: fleet ids are dense from 0
 	drained map[int]bool
 	golden  map[goldenKey]uint64
 	// inputRng draws every request's inputs (see inputsFor).
@@ -168,7 +168,6 @@ func NewStack(o Options) (*Stack, error) {
 		store:           store,
 		comp:            comp,
 		loads:           map[int]rms.LoadStats{},
-		killed:          map[int]bool{},
 		drained:         map[int]bool{},
 		golden:          map[goldenKey]uint64{},
 		inputRng:        rand.New(rand.NewSource(0)),
@@ -208,7 +207,7 @@ func NewStack(o Options) (*Stack, error) {
 		dp.InjectFaults(rms.Faults{RestoreAtZero: true})
 	}
 	fleet := svc.Devices()
-	s.devices = make([]int, len(fleet))
+	s.devices, s.killed = make([]int, len(fleet)), make([]bool, len(fleet))
 	for i := range fleet {
 		s.devices[i] = fleet[i].ID // ascending: the table is indexed by id
 	}
@@ -274,13 +273,7 @@ func (s *Stack) Drain(device int) bool { s.Step(); return s.drain(device) }
 func (s *Stack) Undrain(device int) bool { s.Step(); return s.undrain(device) }
 
 // HeartbeatAll beats every device not currently killed.
-func (s *Stack) HeartbeatAll() bool {
-	s.Step()
-	if s.violation == nil {
-		s.heartbeat()
-	}
-	return s.violation == nil
-}
+func (s *Stack) HeartbeatAll() bool { s.Step(); return s.violation == nil && s.beatAll(true) }
 
 // Tick runs one control-plane reconciliation round (health decay,
 // evacuations, autoscaling) and folds its report into the counter model.
