@@ -8,7 +8,6 @@ import (
 	"mlvfpga/internal/artifactstore"
 	"mlvfpga/internal/core"
 	"mlvfpga/internal/hsvital"
-	"mlvfpga/internal/isa"
 	"mlvfpga/internal/kernels"
 )
 
@@ -173,6 +172,3 @@ func FormatInstructionBufferFit(rows []InstructionBufferRow) string {
 	}
 	return sb.String()
 }
-
-// instrBytes is a compile-time assertion helper (kept for clarity).
-var _ = isa.InstrBytes

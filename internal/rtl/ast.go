@@ -204,11 +204,12 @@ type Instance struct {
 	Name       string
 	// Params are named parameter overrides (#(.N(8))).
 	Params map[string]Expr
-	// Conns maps formal port name -> actual expression. Positional
-	// connections are resolved to names during parsing when the target
-	// module is known, otherwise kept as "" keyed entries in Order.
+	// Conns maps a port to its actual expression (nil for an explicit
+	// .p()). The parser keys a positional connection $posN; NewDesign
+	// rewrites those to formal port names, so after it only blackbox
+	// primitives carry $posN keys.
 	Conns map[string]Expr
-	// Order preserves connection order for positional resolution.
+	// Order lists Conns' keys in source order.
 	Order []string
 }
 

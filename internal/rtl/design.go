@@ -19,8 +19,11 @@ type Design struct {
 
 // NewDesign builds a design from parsed modules. The top module must exist,
 // and every instance of a defined module must connect ports that module
-// declares (by name, or by a position inside its port list); instances of
-// undefined modules are blackbox primitives and are not checked.
+// declares (by name, or by a position inside its port list), each at most
+// once. Positional connections are rewritten in place to the port names
+// they reach, in Conns and Order, so every later pass reads Conns by
+// formal name. Instances of undefined modules are blackbox primitives and
+// are not checked.
 func NewDesign(mods []*Module, top string) (*Design, error) {
 	d := &Design{Modules: map[string]*Module{}, Top: top}
 	for _, m := range mods {
@@ -33,22 +36,36 @@ func NewDesign(mods []*Module, top string) (*Design, error) {
 		return nil, fmt.Errorf("%w: top module %q", ErrNotFound, top)
 	}
 	for _, name := range d.SortedModuleNames() {
-		for _, inst := range d.Modules[name].Instances {
+		for i := range d.Modules[name].Instances {
+			inst := &d.Modules[name].Instances[i]
 			child, defined := d.Modules[inst.ModuleName]
 			if !defined {
 				continue
 			}
-			for key := range inst.Conns {
-				if idx, pos := isPositionalKey(key); pos {
-					if idx >= len(child.Ports) {
-						return nil, fmt.Errorf("rtl: %s.%s: positional connection %d exceeds %d ports of %s",
-							name, inst.Name, idx, len(child.Ports), child.Name)
+			for _, key := range inst.Order {
+				idx, pos := isPositionalKey(key)
+				if !pos {
+					if _, ok := child.PortByName(key); !ok {
+						return nil, fmt.Errorf("rtl: %s.%s: no port %q on module %s",
+							name, inst.Name, key, child.Name)
 					}
 					continue
 				}
-				if _, ok := child.PortByName(key); !ok {
-					return nil, fmt.Errorf("rtl: %s.%s: no port %q on module %s",
-						name, inst.Name, key, child.Name)
+				if idx >= len(child.Ports) {
+					return nil, fmt.Errorf("rtl: %s.%s: positional connection %d exceeds %d ports of %s",
+						name, inst.Name, idx, len(child.Ports), child.Name)
+				}
+				if _, dup := inst.Conns[child.Ports[idx].Name]; dup {
+					return nil, fmt.Errorf("rtl: %s.%s: port %q of module %s connected twice",
+						name, inst.Name, child.Ports[idx].Name, child.Name)
+				}
+			}
+			for j, key := range inst.Order {
+				if idx, pos := isPositionalKey(key); pos {
+					port := child.Ports[idx].Name
+					inst.Conns[port] = inst.Conns[key]
+					delete(inst.Conns, key)
+					inst.Order[j] = port
 				}
 			}
 		}
@@ -97,113 +114,9 @@ func (d *Design) SortedModuleNames() []string {
 // ---------------------------------------------------------------------------
 // Constant evaluation
 
-// EvalConst evaluates a constant expression under a parameter environment.
-func EvalConst(e Expr, env map[string]uint64) (uint64, error) {
-	switch v := e.(type) {
-	case *Number:
-		return v.Value, nil
-	case *Ident:
-		if val, ok := env[v.Name]; ok {
-			return val, nil
-		}
-		return 0, fmt.Errorf("rtl: %q is not a constant", v.Name)
-	case *Unary:
-		x, err := EvalConst(v.X, env)
-		if err != nil {
-			return 0, err
-		}
-		switch v.Op {
-		case "-":
-			return -x, nil
-		case "~":
-			return ^x, nil
-		case "!":
-			if x == 0 {
-				return 1, nil
-			}
-			return 0, nil
-		default:
-			return 0, fmt.Errorf("rtl: unary %q not constant-foldable", v.Op)
-		}
-	case *Binary:
-		l, err := EvalConst(v.L, env)
-		if err != nil {
-			return 0, err
-		}
-		r, err := EvalConst(v.R, env)
-		if err != nil {
-			return 0, err
-		}
-		switch v.Op {
-		case "+":
-			return l + r, nil
-		case "-":
-			return l - r, nil
-		case "*":
-			return l * r, nil
-		case "/":
-			if r == 0 {
-				return 0, errors.New("rtl: constant division by zero")
-			}
-			return l / r, nil
-		case "%":
-			if r == 0 {
-				return 0, errors.New("rtl: constant modulo by zero")
-			}
-			return l % r, nil
-		case "<<":
-			if r >= 64 {
-				return 0, nil
-			}
-			return l << r, nil
-		case ">>":
-			if r >= 64 {
-				return 0, nil
-			}
-			return l >> r, nil
-		case "&":
-			return l & r, nil
-		case "|":
-			return l | r, nil
-		case "^":
-			return l ^ r, nil
-		case "==":
-			return b2u(l == r), nil
-		case "!=":
-			return b2u(l != r), nil
-		case "<":
-			return b2u(l < r), nil
-		case ">":
-			return b2u(l > r), nil
-		case "<=":
-			return b2u(l <= r), nil
-		case ">=":
-			return b2u(l >= r), nil
-		case "&&":
-			return b2u(l != 0 && r != 0), nil
-		case "||":
-			return b2u(l != 0 || r != 0), nil
-		}
-		return 0, fmt.Errorf("rtl: binary %q not constant-foldable", v.Op)
-	case *Cond:
-		c, err := EvalConst(v.If, env)
-		if err != nil {
-			return 0, err
-		}
-		if c != 0 {
-			return EvalConst(v.Then, env)
-		}
-		return EvalConst(v.Else, env)
-	}
-	return 0, fmt.Errorf("rtl: expression %s is not constant", e)
-}
-
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
+// EvalConst folds a constant expression under a parameter environment,
+// with the simulator's evaluator (see scope).
+func EvalConst(e Expr, env map[string]uint64) (uint64, error) { return scope{vals: env}.eval(e) }
 
 // rangeWidth returns the bit width of a resolved range under env.
 func rangeWidth(r Range, env map[string]uint64) (int, error) {
@@ -385,36 +298,6 @@ func (d *Design) elaborate(name string, overrides map[string]uint64, cache map[s
 	}
 	cache[key] = em
 	return em, nil
-}
-
-// resolveConns returns the instance's connections keyed by formal port name,
-// resolving positional connections against the child module's port order.
-// Without positional connections that is inst.Conns itself: callers must
-// not modify the map.
-func resolveConns(inst *Instance, child *Module) (map[string]Expr, error) {
-	positional := false
-	for key := range inst.Conns {
-		_, pos := isPositionalKey(key)
-		positional = positional || pos
-	}
-	if !positional {
-		return inst.Conns, nil
-	}
-	out := map[string]Expr{}
-	for key, val := range inst.Conns {
-		if idx, pos := isPositionalKey(key); pos {
-			if child == nil {
-				return nil, fmt.Errorf("rtl: positional connection on blackbox %s", inst.ModuleName)
-			}
-			if idx >= len(child.Ports) {
-				return nil, fmt.Errorf("rtl: instance %s: positional connection %d out of range", inst.Name, idx)
-			}
-			out[child.Ports[idx].Name] = val
-			continue
-		}
-		out[key] = val
-	}
-	return out, nil
 }
 
 // NetWidths resolves the width of every port and net of an elaborated

@@ -80,6 +80,12 @@ func TestValidate(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "positional connection 2") {
 		t.Errorf("third positional connection to a two-port module: err = %v", err)
 	}
+	_, err = ParseDesign(`
+		module child(input a, output y); assign y = a; endmodule
+		module top(input x, input z, output o); child u (x, .a(z), .y(o)); endmodule`, "top")
+	if err == nil || !strings.Contains(err.Error(), `port "a" of module child connected twice`) {
+		t.Errorf("port a by position and by name: err = %v", err)
+	}
 }
 
 func TestEvalConst(t *testing.T) {
@@ -114,6 +120,75 @@ func TestEvalConstErrors(t *testing.T) {
 	}
 	if _, err := EvalConst(mods[0].Params[1].Default, nil); err == nil {
 		t.Error("division by zero must error")
+	}
+}
+
+// TestEvalConstAgreesWithSimulation: folding an expression and simulating
+// `assign y = expr` give the same value, parameters read as 32 bits and
+// unsized literals as 32 bits wide. x/0 is where they differ by design: a
+// constant division or modulo by zero is an error, a simulated one is 0.
+func TestEvalConstAgreesWithSimulation(t *testing.T) {
+	exprs := []string{
+		"P >> 31", "~0", "-1", "~4'h5", "8'd200 + 8'd100", "{4'hA, 4'h5}", "{3{2'b10}}",
+		"&4'hF", "^3'b111", "P[35:30]", "W[3]", "P", "-W",
+		"1 + 2*3", "W - 1", "(W == 8) ? 4:2", "1 << W", "W / 2", "W % 3", "!(W > 4)", "W >= 8 && 1",
+	}
+	for _, src := range exprs {
+		d, err := ParseDesign("module m #(parameter W = 8, parameter P = 0 - 1) (output [63:0] y);\n"+
+			"  assign y = "+src+";\nendmodule", "m")
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		em := elab(t, d, "m")
+		folded, err := EvalConst(d.Modules["m"].Assigns[0].RHS, em.Env)
+		if err != nil {
+			t.Errorf("EvalConst(%q): %v", src, err)
+			continue
+		}
+		s, err := flatSim(d, "m", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Settle(); err != nil {
+			t.Fatal(err)
+		}
+		if simulated, _ := s.Peek("y"); simulated != folded {
+			t.Errorf("%s: folds to %#x, simulates to %#x", src, folded, simulated)
+		}
+	}
+	for _, src := range []string{"W / 0", "W % 0"} {
+		s := newSim(t, "module m(output [7:0] y); localparam W = 8; assign y = "+src+"; endmodule", "m")
+		if err := s.Settle(); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := s.Peek("y"); v != 0 {
+			t.Errorf("simulated %s = %d, want 0", src, v)
+		}
+		e := mustParse(t, "module m(); localparam X = "+src+"; endmodule")[0].Params[0].Default
+		if _, err := EvalConst(e, map[string]uint64{"W": 8}); err == nil {
+			t.Errorf("EvalConst(%q) folded, want an error", src)
+		}
+	}
+}
+
+// TestPositionalPorts: NewDesign rewrites positional connections of a
+// defined module to port names and keeps a blackbox's.
+func TestPositionalPorts(t *testing.T) {
+	d, err := ParseDesign(`
+		module sub(input a, output y); assign y = a; endmodule
+		module top(input x, output z, output w);
+		  sub u0 (x, .y(z));
+		  DSP48E2 u1 (x, w);
+		endmodule`, "top")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u0, u1 := d.Modules["top"].Instances[0], d.Modules["top"].Instances[1]
+	if strings.Join(u0.Order, ",") != "a,y" || len(u0.Conns) != 2 || u0.Conns["a"] == nil {
+		t.Errorf("u0: Order %q, Conns %v; want a, y", u0.Order, u0.Conns)
+	}
+	if strings.Join(u1.Order, ",") != "$pos0,$pos1" || len(u1.Conns) != 2 {
+		t.Errorf("blackbox u1: Order %q, Conns %v; want positional keys", u1.Order, u1.Conns)
 	}
 }
 

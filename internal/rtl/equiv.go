@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/fnv"
@@ -111,16 +112,10 @@ func (h *hasher) hash(em *ElabModule) string {
 			b = h.appendParams(append(append(b, "prim:"...), inst.ModuleName...), inst.Params, em.Env)
 		}
 		b = append(b, " ("...)
-		conns := inst.Conns
-		if child.Elab != nil {
-			if resolved, err := resolveConns(inst, child.Elab.Module); err == nil {
-				conns = resolved
-			}
-		}
-		for _, k := range h.sortedKeys(conns) {
+		for _, k := range h.sortedKeys(inst.Conns) {
 			b = append(append(append(b, '.'), k...), '(')
-			if conns[k] != nil {
-				b = h.appendCanon(b, conns[k], em.Env)
+			if actual := inst.Conns[k]; actual != nil {
+				b = h.appendCanon(b, actual, em.Env)
 			}
 			b = append(b, "),"...)
 		}
@@ -325,13 +320,12 @@ func (c *EquivChecker) Equivalent(a, b *ElabModule) (bool, error) {
 	metrics.EquivSimRuns.Add(1)
 
 	eq, err := c.simEquivalent(a, b, pairSeed(c.seed, memoKey))
+	if errors.Is(err, ErrNotSimulable) {
+		// Cannot decide functionally; structural mismatch stands.
+		eq, err = false, nil
+	}
 	if err != nil {
-		if err == ErrNotSimulable || strings.Contains(err.Error(), "blackbox") {
-			// Cannot decide functionally; structural mismatch stands.
-			eq, err = false, nil
-		} else {
-			return false, err
-		}
+		return false, err
 	}
 	c.mu.Lock()
 	c.simMemo[memoKey] = eq
@@ -434,20 +428,21 @@ func clockLike(name string) bool {
 }
 
 // simEquivalent applies c.Vectors random input vectors (plus c.Cycles
-// clock ticks each) to fresh simulators of a and b. The vector stream is
-// sharded into per-worker batches; every vector draws its stimulus from an
-// own *rand.Rand seeded by (pairSeed, vector index), so the verdict does
-// not depend on how many goroutines ran the batches.
+// clock ticks each) to simulators of a and b. Each side is flattened once;
+// the vector stream is sharded into per-worker batches, each simulating
+// the shared, read-only flat modules with its own pair of simulators.
+// Every vector draws its stimulus from an own *rand.Rand seeded by
+// (pairSeed, vector index), so the verdict does not depend on how many
+// goroutines ran the batches.
 func (c *EquivChecker) simEquivalent(a, b *ElabModule, seed int64) (bool, error) {
-	// Probe construction once, sequentially: ErrNotSimulable (blackbox
-	// primitives) must surface deterministically before any fan-out.
-	if _, err := NewSimulator(c.d, a.Module.Name, publicParams(a)); err != nil {
+	flatA, err := c.d.Flatten(a.Module.Name, publicParams(a))
+	if err != nil {
 		return false, err
 	}
-	if _, err := NewSimulator(c.d, b.Module.Name, publicParams(b)); err != nil {
+	flatB, err := c.d.Flatten(b.Module.Name, publicParams(b))
+	if err != nil {
 		return false, err
 	}
-
 	workers := c.Parallelism
 	if workers < 1 {
 		workers = 1
@@ -455,10 +450,9 @@ func (c *EquivChecker) simEquivalent(a, b *ElabModule, seed int64) (bool, error)
 	if workers > c.Vectors {
 		workers = c.Vectors
 	}
-	// Contiguous vector ranges, one batch per worker. Simulators carry
-	// state across SetInput/Settle/Tick, so each batch builds its own
-	// pair. A batch stops at its first mismatch or error; batches are
-	// reduced in index order so the reported outcome is deterministic.
+	// Contiguous vector ranges, one batch per worker. A batch stops at its
+	// first mismatch or error; batches are reduced in index order, so the
+	// reported outcome (ErrNotSimulable included) is deterministic.
 	type verdict struct {
 		mismatch bool
 		err      error
@@ -471,7 +465,7 @@ func (c *EquivChecker) simEquivalent(a, b *ElabModule, seed int64) (bool, error)
 		if hi > c.Vectors {
 			hi = c.Vectors
 		}
-		mismatch, err := c.simBatch(a, b, seed, lo, hi)
+		mismatch, err := c.simBatch(flatA, flatB, seed, lo, hi)
 		return verdict{mismatch: mismatch, err: err}, nil
 	})
 	if err != nil {
@@ -488,14 +482,14 @@ func (c *EquivChecker) simEquivalent(a, b *ElabModule, seed int64) (bool, error)
 	return true, nil
 }
 
-// simBatch runs vectors [lo, hi) against fresh simulators and reports
-// whether any vector exposed an output mismatch.
-func (c *EquivChecker) simBatch(a, b *ElabModule, seed int64, lo, hi int) (mismatch bool, err error) {
-	simA, err := NewSimulator(c.d, a.Module.Name, publicParams(a))
+// simBatch runs vectors [lo, hi) against fresh simulators of the two flat
+// modules and reports whether any vector exposed an output mismatch.
+func (c *EquivChecker) simBatch(flatA, flatB *Module, seed int64, lo, hi int) (mismatch bool, err error) {
+	simA, err := NewFlatSimulator(flatA)
 	if err != nil {
 		return false, err
 	}
-	simB, err := NewSimulator(c.d, b.Module.Name, publicParams(b))
+	simB, err := NewFlatSimulator(flatB)
 	if err != nil {
 		return false, err
 	}

@@ -1,6 +1,9 @@
 package rtl
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 // hashOf is structuralHash without a shared memo.
 func hashOf(d *Design, em *ElabModule) string {
@@ -195,10 +198,18 @@ func TestEquivalentBlackboxStructuralOnly(t *testing.T) {
 	if eq, err := c.Equivalent(elab(t, d, "m1"), elab(t, d, "m2")); err != nil || !eq {
 		t.Errorf("identical blackbox wrappers: %v, %v; want equivalent", eq, err)
 	}
-	// Swapped operands are structurally different and cannot be simulated:
-	// the checker must conservatively say no rather than fail.
-	if eq, err := c.Equivalent(elab(t, d, "m1"), elab(t, d, "m3")); err != nil || eq {
+	// Swapped operands are structurally different and cannot be simulated
+	// (simulation reports a wrapped ErrNotSimulable): the checker must
+	// conservatively say no rather than fail.
+	m1, m3 := elab(t, d, "m1"), elab(t, d, "m3")
+	if _, err := c.simEquivalent(m1, m3, 1); !errors.Is(err, ErrNotSimulable) || err == ErrNotSimulable {
+		t.Errorf("simEquivalent = %v, want a wrapped ErrNotSimulable", err)
+	}
+	if eq, err := c.Equivalent(m1, m3); err != nil || eq {
 		t.Errorf("swapped blackbox conns: %v, %v; want not equivalent", eq, err)
+	}
+	if st := c.Stats(); st.SimRuns != 1 {
+		t.Errorf("SimRuns = %d, want 1: the pair must reach simulation", st.SimRuns)
 	}
 }
 

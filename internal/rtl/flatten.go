@@ -129,10 +129,6 @@ func (d *Design) flattenInto(flat *Module, em *ElabModule, prefix string) error 
 		}
 
 		childPrefix := prefix + inst.Name + "."
-		conns, err := resolveConns(inst, child.Elab.Module)
-		if err != nil {
-			return err
-		}
 		// Declare the child's ports as nets of the flat module.
 		for _, p := range child.Elab.Module.Ports {
 			w := child.Elab.PortWidths[p.Name]
@@ -140,7 +136,7 @@ func (d *Design) flattenInto(flat *Module, em *ElabModule, prefix string) error 
 		}
 		// Bind connections.
 		for _, p := range child.Elab.Module.Ports {
-			actual, connected := conns[p.Name]
+			actual, connected := inst.Conns[p.Name]
 			formal := &Ident{Name: childPrefix + p.Name}
 			switch {
 			case !connected || actual == nil:

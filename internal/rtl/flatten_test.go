@@ -94,7 +94,7 @@ func TestFlattenOutputToSliceLValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSimulator(d, "top", nil)
+	s, err := flatSim(d, "top", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestFlattenDeepHierarchy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSimulator(d, "l2", nil)
+	s, err := flatSim(d, "l2", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

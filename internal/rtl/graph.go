@@ -209,13 +209,9 @@ func (b *graphBuilder) walk(m *ElabModule, scope int, prefix string) error {
 		}
 		b.scopes++
 		childScope := b.scopes
-		conns, err := resolveConns(inst, child.Elab.Module)
-		if err != nil {
-			return err
-		}
 		// Union each formal port with its actual's nets.
 		for _, p := range child.Elab.Module.Ports {
-			if actual := conns[p.Name]; actual != nil {
+			if actual := inst.Conns[p.Name]; actual != nil {
 				b.alias(b.net(childScope, p.Name), scope, actual, widths)
 			}
 		}

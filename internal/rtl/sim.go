@@ -3,6 +3,7 @@ package rtl
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrNotSimulable is returned when a design contains blackbox primitives
@@ -18,31 +19,22 @@ var ErrCombLoop = errors.New("rtl: combinational loop (assigns did not settle)")
 // to a fixpoint; clocked always blocks apply nonblocking assignments on
 // Tick.
 type Simulator struct {
-	flat    *Module
-	widths  map[string]int
-	vals    map[string]uint64
+	flat *Module
+	scope
 	inputs  map[string]bool
 	outputs []string
 }
 
-// NewSimulator flattens (top, overrides) and prepares a simulator.
-func NewSimulator(d *Design, top string, overrides map[string]uint64) (*Simulator, error) {
-	flat, err := d.Flatten(top, overrides)
-	if err != nil {
-		return nil, err
-	}
-	return NewFlatSimulator(flat)
-}
-
 // NewFlatSimulator prepares a simulator for an already-flattened module.
+// It only reads flat, so simulators of one flat module may run
+// concurrently.
 func NewFlatSimulator(flat *Module) (*Simulator, error) {
 	if len(flat.Instances) > 0 {
 		return nil, fmt.Errorf("%w: e.g. %s", ErrNotSimulable, flat.Instances[0].ModuleName)
 	}
 	s := &Simulator{
 		flat:   flat,
-		widths: map[string]int{},
-		vals:   map[string]uint64{},
+		scope:  scope{widths: map[string]int{}, vals: map[string]uint64{}},
 		inputs: map[string]bool{},
 	}
 	for _, p := range flat.Ports {
@@ -98,66 +90,84 @@ func (s *Simulator) SetInput(name string, v uint64) error {
 }
 
 // Peek reads the settled value of any net or port.
-func (s *Simulator) Peek(name string) (uint64, error) {
-	w, ok := s.widths[name]
+func (s *Simulator) Peek(name string) (uint64, error) { return s.read(name) }
+
+// scope is what the evaluator reads names from, and it decides all that
+// differs between constant folding and simulation. With widths nil it
+// folds constants: vals is a parameter environment whose names read as
+// 32-bit values (as InferWidth and Flatten treat them), and a name outside
+// it or a division or modulo by zero is an error. Otherwise it holds a
+// simulator's nets, and x/0 is 0.
+type scope struct {
+	widths map[string]int
+	vals   map[string]uint64
+}
+
+// read returns the value of a name.
+func (sc scope) read(name string) (uint64, error) {
+	if sc.widths == nil {
+		if v, ok := sc.vals[name]; ok {
+			return mask(v, 32), nil
+		}
+		return 0, fmt.Errorf("rtl: %q is not a constant", name)
+	}
+	w, ok := sc.widths[name]
 	if !ok {
 		return 0, fmt.Errorf("rtl: unknown net %q", name)
 	}
-	return mask(s.vals[name], w), nil
+	return mask(sc.vals[name], w), nil
 }
 
-// eval evaluates an expression against current values.
-func (s *Simulator) eval(e Expr) (uint64, error) {
+// width infers an expression's width in this scope.
+func (sc scope) width(e Expr) (int, error) {
+	if sc.widths == nil {
+		return InferWidth(e, nil, sc.vals)
+	}
+	return InferWidth(e, sc.widths, nil)
+}
+
+// eval evaluates an expression against the scope's values.
+func (sc scope) eval(e Expr) (uint64, error) {
 	switch v := e.(type) {
 	case *Ident:
-		w, ok := s.widths[v.Name]
-		if !ok {
-			return 0, fmt.Errorf("rtl: eval: unknown net %q", v.Name)
-		}
-		return mask(s.vals[v.Name], w), nil
+		return sc.read(v.Name)
 	case *Number:
 		if v.Width > 0 {
 			return mask(v.Value, v.Width), nil
 		}
 		return v.Value, nil
 	case *Unary:
-		x, err := s.eval(v.X)
+		x, err := sc.eval(v.X)
+		if err != nil {
+			return 0, err
+		}
+		switch v.Op {
+		case "!":
+			return b2u(x == 0), nil
+		case "|":
+			return b2u(x != 0), nil
+		case "^":
+			return uint64(bits.OnesCount64(x) & 1), nil
+		}
+		w, err := sc.width(v.X)
 		if err != nil {
 			return 0, err
 		}
 		switch v.Op {
 		case "~":
-			w, err := s.exprWidth(v.X)
-			if err != nil {
-				return 0, err
-			}
 			return mask(^x, w), nil
 		case "-":
-			w, err := s.exprWidth(v.X)
-			if err != nil {
-				return 0, err
-			}
 			return mask(-x, w), nil
-		case "!":
-			return b2u(x == 0), nil
 		case "&":
-			w, err := s.exprWidth(v.X)
-			if err != nil {
-				return 0, err
-			}
 			return b2u(x == mask(^uint64(0), w)), nil
-		case "|":
-			return b2u(x != 0), nil
-		case "^":
-			return uint64(popcount(x) & 1), nil
 		}
 		return 0, fmt.Errorf("rtl: eval: unknown unary %q", v.Op)
 	case *Binary:
-		l, err := s.eval(v.L)
+		l, err := sc.eval(v.L)
 		if err != nil {
 			return 0, err
 		}
-		r, err := s.eval(v.R)
+		r, err := sc.eval(v.R)
 		if err != nil {
 			return 0, err
 		}
@@ -168,14 +178,15 @@ func (s *Simulator) eval(e Expr) (uint64, error) {
 			return l - r, nil
 		case "*":
 			return l * r, nil
-		case "/":
+		case "/", "%":
 			if r == 0 {
+				if sc.widths == nil {
+					return 0, fmt.Errorf("rtl: constant %s by zero", v.Op)
+				}
 				return 0, nil // Verilog x/0 is X; two-valued subset yields 0
 			}
-			return l / r, nil
-		case "%":
-			if r == 0 {
-				return 0, nil
+			if v.Op == "/" {
+				return l / r, nil
 			}
 			return l % r, nil
 		case "<<":
@@ -213,20 +224,20 @@ func (s *Simulator) eval(e Expr) (uint64, error) {
 		}
 		return 0, fmt.Errorf("rtl: eval: unknown binary %q", v.Op)
 	case *Cond:
-		c, err := s.eval(v.If)
+		c, err := sc.eval(v.If)
 		if err != nil {
 			return 0, err
 		}
 		if c != 0 {
-			return s.eval(v.Then)
+			return sc.eval(v.Then)
 		}
-		return s.eval(v.Else)
+		return sc.eval(v.Else)
 	case *Index:
-		x, err := s.eval(v.X)
+		x, err := sc.eval(v.X)
 		if err != nil {
 			return 0, err
 		}
-		at, err := s.eval(v.At)
+		at, err := sc.eval(v.At)
 		if err != nil {
 			return 0, err
 		}
@@ -235,15 +246,15 @@ func (s *Simulator) eval(e Expr) (uint64, error) {
 		}
 		return x >> at & 1, nil
 	case *Slice:
-		x, err := s.eval(v.X)
+		x, err := sc.eval(v.X)
 		if err != nil {
 			return 0, err
 		}
-		msb, err := s.eval(v.Msb)
+		msb, err := sc.eval(v.Msb)
 		if err != nil {
 			return 0, err
 		}
-		lsb, err := s.eval(v.Lsb)
+		lsb, err := sc.eval(v.Lsb)
 		if err != nil {
 			return 0, err
 		}
@@ -254,11 +265,11 @@ func (s *Simulator) eval(e Expr) (uint64, error) {
 	case *Concat:
 		var out uint64
 		for _, p := range v.Parts {
-			w, err := s.exprWidth(p)
+			w, err := sc.width(p)
 			if err != nil {
 				return 0, err
 			}
-			pv, err := s.eval(p)
+			pv, err := sc.eval(p)
 			if err != nil {
 				return 0, err
 			}
@@ -266,15 +277,15 @@ func (s *Simulator) eval(e Expr) (uint64, error) {
 		}
 		return out, nil
 	case *Repl:
-		n, err := s.eval(v.Count)
+		n, err := sc.eval(v.Count)
 		if err != nil {
 			return 0, err
 		}
-		w, err := s.exprWidth(v.X)
+		w, err := sc.width(v.X)
 		if err != nil {
 			return 0, err
 		}
-		xv, err := s.eval(v.X)
+		xv, err := sc.eval(v.X)
 		if err != nil {
 			return 0, err
 		}
@@ -288,17 +299,11 @@ func (s *Simulator) eval(e Expr) (uint64, error) {
 	return 0, fmt.Errorf("rtl: eval: unknown node %T", e)
 }
 
-func (s *Simulator) exprWidth(e Expr) (int, error) {
-	return InferWidth(e, s.widths, nil)
-}
-
-func popcount(v uint64) int {
-	n := 0
-	for v != 0 {
-		v &= v - 1
-		n++
+func b2u(b bool) uint64 {
+	if b {
+		return 1
 	}
-	return n
+	return 0
 }
 
 // store writes value into an lvalue expression.
@@ -358,7 +363,7 @@ func (s *Simulator) store(lhs Expr, value uint64) error {
 		totalW := 0
 		partW := make([]int, len(v.Parts))
 		for i, p := range v.Parts {
-			w, err := s.exprWidth(p)
+			w, err := s.width(p)
 			if err != nil {
 				return err
 			}

@@ -7,13 +7,22 @@ import (
 	"testing/quick"
 )
 
+// flatSim flattens (top, overrides) and prepares a simulator for it.
+func flatSim(d *Design, top string, overrides map[string]uint64) (*Simulator, error) {
+	flat, err := d.Flatten(top, overrides)
+	if err != nil {
+		return nil, err
+	}
+	return NewFlatSimulator(flat)
+}
+
 func newSim(t *testing.T, src, top string) *Simulator {
 	t.Helper()
 	d, err := ParseDesign(src, top)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSimulator(d, top, nil)
+	s, err := flatSim(d, top, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +190,8 @@ func TestSimBlackboxRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSimulator(d, "m", nil); !errors.Is(err, ErrNotSimulable) {
-		t.Errorf("NewSimulator = %v, want ErrNotSimulable", err)
+	if _, err := flatSim(d, "m", nil); !errors.Is(err, ErrNotSimulable) {
+		t.Errorf("flatSim = %v, want ErrNotSimulable", err)
 	}
 }
 
@@ -235,7 +244,7 @@ func TestSimParameterized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSimulator(d, "counter", map[string]uint64{"W": 3})
+	s, err := flatSim(d, "counter", map[string]uint64{"W": 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,11 +127,11 @@ func TestWriterRoundTripSimulates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := NewSimulator(d1, "top", nil)
+	s1, err := flatSim(d1, "top", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewSimulator(d2, "top", nil)
+	s2, err := flatSim(d2, "top", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,8 +231,7 @@ func WriteModule(m *Module) string {
 				sb.WriteString(", ")
 			}
 			val := inst.Conns[key]
-			if idx, pos := isPositionalKey(key); pos {
-				_ = idx
+			if _, pos := isPositionalKey(key); pos {
 				if val != nil {
 					sb.WriteString(val.String())
 				}

@@ -45,10 +45,17 @@ func (v Value) String() string {
 	case IdentVal:
 		return v.Str
 	case StringVal:
-		return strconv.Quote(v.Str)
+		return quote(v.Str)
 	}
 	return "<invalid>"
 }
+
+// quoter escapes exactly what the lexer unescapes; every other rune,
+// printable or not, is written as it is and lexes back to itself.
+var quoter = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\t", `\t`)
+
+// quote renders s as a string literal that lexes back to s.
+func quote(s string) string { return `"` + quoter.Replace(s) + `"` }
 
 func formatFloat(f float64) string {
 	// 'f' (never scientific): the grammar has no exponent form. An

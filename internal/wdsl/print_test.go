@@ -2,7 +2,6 @@ package wdsl
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -12,7 +11,7 @@ import (
 func (f *File) Print() string {
 	var b strings.Builder
 	for _, m := range f.Models {
-		fmt.Fprintf(&b, "model %s {\n", strconv.Quote(m.Name))
+		fmt.Fprintf(&b, "model %s {\n", quote(m.Name))
 		for _, l := range m.Layers {
 			b.WriteString("  layer " + l.Kind)
 			printAttrs(&b, l.Attrs)
@@ -21,7 +20,7 @@ func (f *File) Print() string {
 		b.WriteString("}\n")
 	}
 	for _, t := range f.Tenants {
-		b.WriteString("tenant " + strconv.Quote(t.Name))
+		b.WriteString("tenant " + quote(t.Name))
 		printAttrs(&b, t.Attrs)
 		b.WriteString("\n")
 	}
@@ -40,7 +39,7 @@ func (f *File) Print() string {
 			fmt.Fprintf(&b, "  devices = %d\n", s.DeviceCount)
 		}
 		for _, d := range s.Deploys {
-			b.WriteString("  deploy " + strconv.Quote(d.Model))
+			b.WriteString("  deploy " + quote(d.Model))
 			printAttrs(&b, d.Attrs)
 			b.WriteString("\n")
 		}
