@@ -30,12 +30,14 @@ bench:
 		$(GO) run ./benchmark -workload $$w -seed 1 || exit 1; \
 	done
 
-# Static analysis beyond go vet. Uses staticcheck when installed (CI
-# installs the pinned STATICCHECK_VERSION below; locally:
+# Formatting and static analysis beyond go vet. gofmt must have nothing
+# to rewrite (the files it would rewrite are printed). Uses staticcheck
+# when installed (CI installs the pinned STATICCHECK_VERSION below; locally:
 # go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION))
 # and degrades to a notice when absent, so `make lint` never needs network.
 STATICCHECK_VERSION ?= 2024.1.1
 lint:
+	@files=$$(gofmt -l .); test -z "$$files" || { echo "lint: gofmt would rewrite:"; echo "$$files"; exit 1; }
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./... ; \
@@ -48,7 +50,7 @@ lint:
 # shrinks the tree lowers the ceiling to its own count rounded up to the
 # next 50; a PR that must grow it raises the ceiling in the same diff, where
 # a reviewer sees it.
-LOC_CEILING = 25750
+LOC_CEILING = 25600
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	echo "non-test lines: $$n (ceiling $(LOC_CEILING))"; \

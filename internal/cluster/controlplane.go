@@ -73,17 +73,6 @@ type TickReport struct {
 	Deferred int `json:"deferred,omitempty"`
 }
 
-// Faults enables deliberate bug injection for the deterministic
-// simulation harness (internal/simtest), mirroring rms.Faults: each flag
-// disables one bookkeeping mechanism so the harness's invariant checkers
-// can be validated against a known bug. Zero value injects nothing.
-type Faults struct {
-	// SkipMigrationMetric suppresses the mlv_migrations counter increment
-	// on successful migrations, breaking counter conservation — the
-	// harness's expvar invariant must catch the drift.
-	SkipMigrationMetric bool
-}
-
 // leaseState is the control plane's per-lease memory between ticks.
 type leaseState struct {
 	idleTicks    int
@@ -112,18 +101,10 @@ type ControlPlane struct {
 	leases  map[int]*leaseState
 	ticks   int
 	defrags int
-	faults  Faults
 
 	// A pass's scratch, refilled by each Tick or Defrag under mu.
 	view            rms.LeaseView
 	live, evacuated map[int]bool
-}
-
-// InjectFaults arms deliberate bugs for the simulation harness.
-func (cp *ControlPlane) InjectFaults(f Faults) {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	cp.faults = f
 }
 
 // New builds a control plane over the admission service, seeding the
@@ -342,9 +323,7 @@ func (cp *ControlPlane) landLocked(st *leaseState, ev *Event, now time.Time, err
 		return false
 	}
 	cp.okLocked(st)
-	if !cp.faults.SkipMigrationMetric {
-		metrics.Migrations.Add(1)
-	}
+	metrics.Migrations.Add(1)
 	if machines > 0 && cp.sizer != nil {
 		st.wantMachines = 0
 		if rerr := cp.sizer.Resize(ev.Lease, machines); rerr != nil {

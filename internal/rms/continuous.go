@@ -33,7 +33,6 @@ type contEngine struct {
 	leaseID int
 	kern    *kernels.Kernel
 	opts    InferOptions
-	faults  func() Faults
 
 	queue    *fairQueue
 	queueCap int
@@ -50,12 +49,6 @@ type contEngine struct {
 	// (posted by DataPlane.Preempt); each round consumes what it can evict.
 	preemptReq atomic.Int64
 
-	// leakedSlot arms the LeakSlot fault at most once per engine, so the
-	// injected capacity leak never starves serving outright; leakedSnap
-	// does the same for the LeakSnapshot fault.
-	leakedSlot atomic.Bool
-	leakedSnap atomic.Bool
-
 	// mu orders submits (shared) against stop (exclusive). stopped and
 	// halted only ever go from false to true (see stop and await).
 	mu      sync.RWMutex
@@ -70,8 +63,7 @@ type contMachine struct {
 	m *accel.Machine
 
 	slots    []contSlot // len MaxBatch; the zero value = free
-	occupied int        // non-free slots, including leaked ones
-	stepping int        // occupied minus leaked: the live cohort
+	occupied int        // non-free slots: the live cohort
 
 	// Scratch reused across rounds so the steady state is allocation-free;
 	// half carries one timestep between float64 and the machine's binary16.
@@ -81,14 +73,13 @@ type contMachine struct {
 }
 
 // contSlot is one admitted stream's residency in a batch slot. req is nil
-// in a free slot and in a leaked one.
+// in a free slot.
 type contSlot struct {
 	req      *inferRequest
 	tau      int // next timestep to execute
 	steps    int // total timesteps = len(req.inputs)
 	admitted time.Time
 	base     accel.ExecStats
-	leaked   bool // LeakSlot fault: slot permanently lost
 
 	// resumedFrom is the timestep this residency started at (0 for a
 	// fresh admission, the snapshot's tau for a restore). A slot is only
@@ -103,7 +94,7 @@ type contSlot struct {
 
 // newContEngine builds the lease's engine over kern, or if nil over per-lease
 // weights (Seed + lease id stands in for a real deployment's model upload).
-func newContEngine(lease *Lease, kern *kernels.Kernel, opts InferOptions, faults func() Faults) (*contEngine, error) {
+func newContEngine(lease *Lease, kern *kernels.Kernel, opts InferOptions) (*contEngine, error) {
 	if kern == nil {
 		var err error
 		if kern, err = kernels.BuildRandom(lease.Spec, opts.Tiles, opts.Seed+int64(lease.ID)); err != nil {
@@ -114,7 +105,6 @@ func newContEngine(lease *Lease, kern *kernels.Kernel, opts InferOptions, faults
 		leaseID:  lease.ID,
 		kern:     kern,
 		opts:     opts,
-		faults:   faults,
 		queue:    newFairQueue(),
 		queueCap: opts.MaxBatch * opts.Machines * 8,
 	}
@@ -288,7 +278,7 @@ func (e *contEngine) run(cm *contMachine) {
 // queue (it signals after) and stop holds to broadcast, so no wake-up can
 // fall between them.
 func (e *contEngine) await(cm *contMachine) bool {
-	if cm.stepping > 0 {
+	if cm.occupied > 0 {
 		return !e.halted.Load()
 	}
 	q := e.queue
@@ -330,7 +320,7 @@ func (e *contEngine) round(cm *contMachine) {
 			e.admitCohort(cm, cm.taken)
 		}
 	}
-	if cm.stepping == 0 {
+	if cm.occupied == 0 {
 		return
 	}
 
@@ -364,7 +354,7 @@ func (e *contEngine) round(cm *contMachine) {
 // holds and riders/batches is the mean cohort a request was admitted with.
 func (e *contEngine) admitCohort(cm *contMachine, reqs []*inferRequest) {
 	now := time.Now()
-	intoRunning := cm.stepping > 0
+	intoRunning := cm.occupied > 0
 	fresh := 0
 	riders := map[string]int64{}
 	for _, req := range reqs {
@@ -433,7 +423,6 @@ func (e *contEngine) install(cm *contMachine, slot int, sl *contSlot, now time.T
 	sl.admitted, sl.base = now, cm.m.Stats()
 	cm.slots[slot] = *sl
 	cm.occupied++
-	cm.stepping++
 	metrics.SlotsActive.Add(1)
 	ewmaUpdate(&e.waitEWMA, int64(now.Sub(sl.req.enqueued)))
 	metrics.AdmissionWaitNS.Set(e.waitEWMA.Load())
@@ -453,7 +442,6 @@ func (e *contEngine) initStream(cm *contMachine, slot int, req *inferRequest) er
 func (e *contEngine) vacate(cm *contMachine, s int) {
 	cm.slots[s] = contSlot{}
 	cm.occupied--
-	cm.stepping--
 	metrics.SlotsActive.Add(-1)
 }
 
@@ -476,19 +464,10 @@ func (e *contEngine) retire(cm *contMachine, s int, sl *contSlot, cohort int) {
 	res.BatchStats = cm.m.Stats().Minus(sl.base).Plus(sl.carry)
 	e.served.Add(1)
 	metrics.InfersServed.Add(1)
-	if req.tenant != "" && !(e.faults != nil && e.faults().SkipTenantServedMetric) {
+	if req.tenant != "" {
 		metrics.TenantServed.Add(req.tenant, 1)
 	}
-	if e.faults != nil && e.faults().LeakSlot && !e.leakedSlot.Swap(true) {
-		// Injected bug: skip vacate. The slot stays occupied for good (a
-		// one-off capacity loss the simtest slot-conservation invariant
-		// must catch: mlv_slots_active stays elevated at quiescence); it
-		// only leaves the live cohort, so the machine can still park.
-		sl.req, sl.leaked = nil, true
-		cm.stepping--
-	} else {
-		e.vacate(cm, s)
-	}
+	e.vacate(cm, s)
 	e.answer(req, rerr)
 }
 

@@ -410,7 +410,7 @@ func TestLeaseTilesPaidOnce(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		e, err := newContEngine(lease, nil, opts, nil)
+		e, err := newContEngine(lease, nil, opts)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)

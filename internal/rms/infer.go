@@ -148,51 +148,14 @@ func (r *inferRequest) free() {
 	requestPool.Put(r)
 }
 
-// Faults enables deliberate bug injection for the deterministic
-// simulation harness (internal/simtest): each flag disables one
-// correctness mechanism so the harness's invariant checkers and failure
-// minimizer can be validated against a known, reproducible bug. The zero
-// value injects nothing. Never set in production code paths.
-type Faults struct {
-	// SkipReleaseTombstone makes a release leave the lease's engine
-	// registered and un-tombstoned — recreating the engine-leak bug class
-	// the tombstone map exists to prevent. CheckInvariants must catch the
-	// orphaned engine on the next sweep.
-	SkipReleaseTombstone bool
-	// SkipTenantServedMetric makes retire skip the per-tenant served
-	// counter — recreating the accounting-drift bug class the simtest
-	// per-tenant counter invariant exists to catch (served deltas must
-	// equal the event model's answered-request count).
-	SkipTenantServedMetric bool
-	// LeakSlot makes the continuous plane leak one batch slot: the first
-	// stream to retire is answered but its slot is never freed —
-	// recreating the slot-leak bug class (permanent capacity loss) the
-	// simtest slot-conservation invariant exists to catch
-	// (mlv_slots_active must return to its baseline at quiescence).
-	LeakSlot bool
-	// LeakSnapshot makes the continuous plane drop one preemption
-	// checkpoint: the eviction counts its capture but the resume token is
-	// discarded, so the stream restarts from scratch — recreating the
-	// lost-checkpoint bug class the simtest snapshot-conservation
-	// invariant (mlv_snapshot_captures == mlv_snapshot_restores at
-	// quiescence) exists to catch.
-	LeakSnapshot bool
-	// RestoreAtZero makes a restore resume at timestep 0 instead of the
-	// checkpoint's saved stream PC — recreating the stale-PC bug class the
-	// golden preempted-twin invariant (restored outputs bit-identical to a
-	// never-preempted run) exists to catch.
-	RestoreAtZero bool
-}
-
 // DataPlane serves inferences against admitted leases: per-lease machine
 // pools with resident (weight-stationary) tiles and persistent batch
 // slots, fed by a fair-share queue (see contEngine).
 //
 // The submit path is de-contended: the engine table sits behind an
-// RWMutex taken shared on the hot path, fault flags and the tenant
-// registry are atomic pointers, and the per-tenant in-flight gate is
-// striped by tenant-id hash so unrelated tenants never serialize on one
-// lock.
+// RWMutex taken shared on the hot path, the tenant registry is an atomic
+// pointer, and the per-tenant in-flight gate is striped by tenant-id hash
+// so unrelated tenants never serialize on one lock.
 type DataPlane struct {
 	svc  *Service
 	opts InferOptions
@@ -203,8 +166,10 @@ type DataPlane struct {
 	// so a Resize or lazy engine build racing a Release can never install
 	// an engine for a lease whose placements are already freed.
 	released map[int]bool
+	// closed is set by Close/CloseWithin: a closed plane builds and
+	// installs no engine again.
+	closed bool
 
-	faults atomic.Pointer[Faults]
 	// tenants, when set, turns on per-tenant in-flight caps and fair-share
 	// weights for InferAs.
 	tenants atomic.Pointer[tenant.Registry]
@@ -237,11 +202,6 @@ func (dp *DataPlane) stripe(tenantID string) *inflightStripe {
 // restores anonymous serving.
 func (dp *DataPlane) SetTenants(reg *tenant.Registry) {
 	dp.tenants.Store(reg)
-}
-
-// InjectFaults arms deliberate bugs for the simulation harness.
-func (dp *DataPlane) InjectFaults(f Faults) {
-	dp.faults.Store(&f)
 }
 
 // CheckInvariants audits the data plane's engine and tombstone tables
@@ -365,7 +325,7 @@ func (dp *DataPlane) Resize(leaseID, machines int) error {
 	if old := dp.currentEngine(leaseID); old != nil {
 		kern = old.kern
 	}
-	e, err := newContEngine(lease, kern, opts, dp.faultState)
+	e, err := newContEngine(lease, kern, opts)
 	if err != nil {
 		return err
 	}
@@ -373,11 +333,15 @@ func (dp *DataPlane) Resize(leaseID, machines int) error {
 	slot.e.Store(e)
 	slot.resolved() // e is pre-built: engine() must not build another
 	dp.mu.Lock()
-	if dp.released[leaseID] {
-		// A concurrent Release drained the lease after the lookup above:
-		// installing now would leak an engine for a freed lease.
+	if dp.closed || dp.released[leaseID] {
+		// A concurrent Close or Release ran after the lookup above:
+		// installing now would leak an engine.
+		closed := dp.closed
 		dp.mu.Unlock()
 		e.close()
+		if closed {
+			return ErrLeaseClosing
+		}
 		return fmt.Errorf("%w: %d", ErrUnknownLease, leaseID)
 	}
 	old := dp.engines[leaseID]
@@ -409,15 +373,6 @@ func (dp *DataPlane) Preempt(leaseID, n int) (int, error) {
 	metrics.PreemptRequests.Add(1)
 	e.preemptReq.Add(int64(n))
 	return n, nil
-}
-
-// faultState reads the injected-fault flags (passed to engines as their
-// faults accessor).
-func (dp *DataPlane) faultState() Faults {
-	if f := dp.faults.Load(); f != nil {
-		return *f
-	}
-	return Faults{}
 }
 
 // InferAs runs the lease's layer on inputs (one vector of the layer's
@@ -547,15 +502,15 @@ func (dp *DataPlane) currentEngine(leaseID int) *contEngine {
 // The steady-state lookup takes the read lock only.
 func (dp *DataPlane) engine(lease *Lease) (*contEngine, error) {
 	dp.mu.RLock()
-	released := dp.released[lease.ID]
+	closing := dp.closed || dp.released[lease.ID]
 	slot, ok := dp.engines[lease.ID]
 	dp.mu.RUnlock()
-	if released {
+	if closing {
 		return nil, ErrLeaseClosing
 	}
 	if !ok {
 		dp.mu.Lock()
-		if dp.released[lease.ID] {
+		if dp.closed || dp.released[lease.ID] {
 			dp.mu.Unlock()
 			return nil, ErrLeaseClosing
 		}
@@ -568,7 +523,7 @@ func (dp *DataPlane) engine(lease *Lease) (*contEngine, error) {
 	}
 	slot.once.Do(func() {
 		var e *contEngine
-		if e, slot.err = newContEngine(lease, nil, dp.opts, dp.faultState); slot.err == nil {
+		if e, slot.err = newContEngine(lease, nil, dp.opts); slot.err == nil {
 			slot.e.Store(e)
 		}
 	})
@@ -578,9 +533,6 @@ func (dp *DataPlane) engine(lease *Lease) (*contEngine, error) {
 // drainEngine retires the lease's engine: admission stops, queued
 // requests are served, resident streams finish. Idempotent.
 func (dp *DataPlane) drainEngine(leaseID int) {
-	if dp.faultState().SkipReleaseTombstone {
-		return
-	}
 	dp.mu.Lock()
 	dp.released[leaseID] = true
 	slot := dp.engines[leaseID]
@@ -592,7 +544,8 @@ func (dp *DataPlane) drainEngine(leaseID int) {
 }
 
 // Close drains and stops every engine (leases stay admitted; pair with
-// Service.Release for a full teardown).
+// Service.Release for a full teardown). A closed plane stays closed:
+// InferAs and Resize answer ErrLeaseClosing.
 func (dp *DataPlane) Close() { dp.closeBy(time.Time{}) }
 
 // CloseWithin drains and stops every engine like Close, but bounded by
@@ -604,6 +557,7 @@ func (dp *DataPlane) CloseWithin(d time.Duration) int { return dp.closeBy(time.N
 
 func (dp *DataPlane) closeBy(deadline time.Time) int {
 	dp.mu.Lock()
+	dp.closed = true
 	slots := make([]*engineSlot, 0, len(dp.engines))
 	for id, s := range dp.engines {
 		slots = append(slots, s)

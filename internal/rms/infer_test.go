@@ -304,6 +304,30 @@ func TestInferHTTP(t *testing.T) {
 	}
 }
 
+// TestClosedPlaneStaysClosed holds Close to its word: a closed plane
+// builds no engine for a live lease, neither lazily for InferAs nor
+// through Resize, and the lease can still be released.
+func TestClosedPlaneStaysClosed(t *testing.T) {
+	svc, dp, lease := testPlane(t, DefaultInferOptions())
+	in := testInputs(lease.Spec, 2)
+	if _, err := dp.InferAs("", lease.ID, in); err != nil {
+		t.Fatal(err)
+	}
+	dp.Close()
+	if _, err := dp.InferAs("", lease.ID, in); !errors.Is(err, ErrLeaseClosing) {
+		t.Errorf("InferAs after Close: %v, want ErrLeaseClosing", err)
+	}
+	if err := dp.Resize(lease.ID, 2); !errors.Is(err, ErrLeaseClosing) {
+		t.Errorf("Resize after Close: %v, want ErrLeaseClosing", err)
+	}
+	if _, ok := dp.Load(lease.ID); ok {
+		t.Error("Load reports an engine on a closed plane")
+	}
+	if err := svc.Release(lease.ID); err != nil {
+		t.Errorf("Release after Close: %v", err)
+	}
+}
+
 func TestResizeRacingReleaseDoesNotLeakEngine(t *testing.T) {
 	svc, dp, lease := testPlane(t, DefaultInferOptions())
 	// Keep resizing while the lease is released; the loop stops at the

@@ -84,11 +84,6 @@ func (e *contEngine) evictOne(cm *contMachine, s int, sl *contSlot, preempted bo
 		wait:      sl.carryWait + sl.admitted.Sub(req.enqueued),
 		preempted: preempted,
 	}
-	if e.faults != nil && e.faults().LeakSnapshot && !e.leakedSnap.Swap(true) {
-		// Injected bug: the checkpoint is dropped and the stream restarts
-		// from scratch — the capture above never pairs with a restore.
-		tok = nil
-	}
 	req.resume = tok
 	req.enqueued = time.Now()
 	e.vacate(cm, s)
@@ -107,12 +102,6 @@ func (e *contEngine) restore(cm *contMachine, slot int, sl *contSlot, tok *resum
 		return err
 	}
 	sl.tau = int(snap.Tau)
-	if e.faults != nil && e.faults().RestoreAtZero {
-		// Injected bug: resume at timestep 0 instead of the saved PC; the
-		// restored register state is step-tau state, so outputs diverge
-		// from the never-preempted twin.
-		sl.tau = 0
-	}
 	sl.resumedFrom, sl.steps = sl.tau, int(snap.Steps)
 	sl.carry, sl.carryWait = tok.stats, tok.wait
 	metrics.SnapshotRestores.Add(1)

@@ -29,40 +29,6 @@ import (
 // retried as resize debt) apart from a migration that found no capacity.
 const resizeFailMsg = "simtest: injected resize failure"
 
-// Fault selects a deliberate bug to arm in the stack under test, used to
-// validate that the invariant checkers actually catch the bug classes
-// they claim to.
-type Fault string
-
-const (
-	// FaultSkipTombstone arms rms.Faults.SkipReleaseTombstone: releases
-	// leak the lease's engine. Caught by the engine/tombstone invariant.
-	FaultSkipTombstone Fault = "skip-tombstone"
-	// FaultSkipMigrationMetric arms cluster.Faults.SkipMigrationMetric:
-	// successful migrations stop incrementing mlv_migrations. Caught by
-	// the counter-conservation invariant.
-	FaultSkipMigrationMetric Fault = "skip-migration-metric"
-	// FaultSkipTenantServed arms rms.Faults.SkipTenantServedMetric:
-	// executed batches stop crediting the per-tenant served counter.
-	// Caught by the tenant-accounting invariant.
-	FaultSkipTenantServed Fault = "skip-tenant-served-metric"
-	// FaultLeakSlot arms rms.Faults.LeakSlot: the continuous plane's
-	// first retirement per engine leaves its batch slot permanently
-	// occupied — a real capacity leak. Caught by the slot-conservation
-	// invariant (mlv_slots_active fails to drain back to baseline).
-	FaultLeakSlot Fault = "leak-slot"
-	// FaultLeakSnapshot arms rms.Faults.LeakSnapshot: one eviction's
-	// checkpoint is dropped and the stream restarts from scratch. Caught
-	// by the snapshot-conservation invariant (a capture with no restore).
-	FaultLeakSnapshot Fault = "leak-snapshot"
-	// FaultRestoreAtZero arms rms.Faults.RestoreAtZero: restores resume
-	// at timestep 0 instead of the saved program counter, so the restored
-	// register state replays from the wrong place. Caught by the
-	// golden-equivalence invariant (outputs diverge from the
-	// never-preempted twin).
-	FaultRestoreAtZero Fault = "restore-at-zero"
-)
-
 // Options configures one simulated run. Everything that influences the
 // run is in here, so Run(o) is a pure function of o.
 type Options struct {
@@ -97,8 +63,6 @@ type Options struct {
 	// the control plane's 4 s backoff cap / SettleSteps so retries burn off).
 	SettleSteps  int
 	SettlePeriod time.Duration
-	// Fault arms a deliberate bug (see Fault).
-	Fault Fault
 }
 
 // DefaultOptions returns the sweep configuration: the paper's 4-device

@@ -260,55 +260,6 @@ func TestScheduleDeterministic(t *testing.T) {
 	}
 }
 
-// TestSimCatchesInjectedBugs validates the checkers against known bugs:
-// each armed fault must be caught by the invariant built to catch it,
-// and the shrinking pass must hand back a small reproduction.
-func TestSimCatchesInjectedBugs(t *testing.T) {
-	cases := []struct {
-		name      string
-		fault     Fault
-		invariant string
-	}{
-		{"skip-release-tombstone", FaultSkipTombstone, "engine-tombstone"},
-		{"skip-migration-metric", FaultSkipMigrationMetric, "counter-conservation"},
-		{"skip-tenant-served-metric", FaultSkipTenantServed, "tenant-accounting"},
-		{"leak-slot", FaultLeakSlot, "slot-conservation"},
-		{"leak-snapshot", FaultLeakSnapshot, "snapshot-conservation"},
-		{"restore-at-zero", FaultRestoreAtZero, "golden-equivalence"},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			var caught *Result
-			for seed := int64(1); seed <= 6; seed++ {
-				o := DefaultOptions(seed)
-				o.Steps = 120
-				o.Fault = tc.fault
-				res, err := Run(o)
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				if res.Violation != nil {
-					caught = res
-					break
-				}
-			}
-			if caught == nil {
-				t.Fatalf("no seed in 1..6 caught fault %q", tc.fault)
-			}
-			if caught.Violation.Invariant != tc.invariant {
-				t.Fatalf("fault %q caught by %q, want %q:\n%s",
-					tc.fault, caught.Violation.Invariant, tc.invariant, caught.Report())
-			}
-			if len(caught.Minimal) == 0 || len(caught.Minimal) >= len(caught.Schedule) {
-				t.Fatalf("shrinking did not reduce the schedule (%d of %d events):\n%s",
-					len(caught.Minimal), len(caught.Schedule), caught.Report())
-			}
-			t.Logf("fault %q caught and minimized:\n%s", tc.fault, caught.Report())
-		})
-	}
-}
-
 // TestStackCounterDeltasKeySet pins the 19 counter names every committed
 // scenario report embeds: 7 serving + 5 slot + 7 snapshot.
 func TestStackCounterDeltasKeySet(t *testing.T) {

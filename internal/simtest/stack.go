@@ -192,20 +192,6 @@ func NewStack(o Options) (*Stack, error) {
 	}
 	clk := cluster.DESClock{Engine: eng, Epoch: time.Unix(0, 0).UTC()}
 	s.cp = cluster.New(clk, o.Control, svc, simPlane{s})
-	switch o.Fault {
-	case FaultSkipTombstone:
-		dp.InjectFaults(rms.Faults{SkipReleaseTombstone: true})
-	case FaultSkipMigrationMetric:
-		s.cp.InjectFaults(cluster.Faults{SkipMigrationMetric: true})
-	case FaultSkipTenantServed:
-		dp.InjectFaults(rms.Faults{SkipTenantServedMetric: true})
-	case FaultLeakSlot:
-		dp.InjectFaults(rms.Faults{LeakSlot: true})
-	case FaultLeakSnapshot:
-		dp.InjectFaults(rms.Faults{LeakSnapshot: true})
-	case FaultRestoreAtZero:
-		dp.InjectFaults(rms.Faults{RestoreAtZero: true})
-	}
 	fleet := svc.Devices()
 	s.devices, s.killed = make([]int, len(fleet)), make([]bool, len(fleet))
 	for i := range fleet {

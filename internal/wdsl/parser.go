@@ -43,7 +43,7 @@ type parser struct {
 	i    int
 }
 
-func (p *parser) peek() token  { return p.toks[p.i] }
+func (p *parser) peek() token { return p.toks[p.i] }
 func (p *parser) peek2() token { // second token of lookahead
 	if p.i+1 < len(p.toks) {
 		return p.toks[p.i+1]
