@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -103,8 +105,7 @@ type ControlPlane struct {
 	defrags int
 
 	// A pass's scratch, refilled by each Tick or Defrag under mu.
-	view            rms.LeaseView
-	live, evacuated map[int]bool
+	view rms.LeaseView
 }
 
 // New builds a control plane over the admission service, seeding the
@@ -131,7 +132,6 @@ func New(clock Clock, cfg Config, svc *rms.Service, dp interface {
 		reg:    NewRegistry(clock),
 		svc:    svc,
 		leases: map[int]*leaseState{},
-		live:   map[int]bool{}, evacuated: map[int]bool{},
 	}
 	if dp != nil {
 		cp.loads = dp
@@ -178,20 +178,23 @@ func (cp *ControlPlane) Tick() *TickReport {
 	budget := migrationBudget
 	avoid := func(id int) bool { return !cp.reg.Placeable(id) }
 
-	leases := cp.svc.ReadLeases(&cp.view)
-	live, evacuated := cp.live, cp.evacuated
-	clear(live)
-	clear(evacuated)
+	leases := cp.svc.ReadLeases(&cp.view) // ascending by id
+	maps.DeleteFunc(cp.leases, func(id int, _ *leaseState) bool {
+		_, live := slices.BinarySearchFunc(leases, id, func(l *rms.Lease, id int) int { return cmp.Compare(l.ID, id) })
+		return !live
+	})
 	for _, l := range leases {
-		live[l.ID] = true
 		if cp.leases[l.ID] == nil {
 			cp.leases[l.ID] = &leaseState{}
 		}
 	}
-	maps.DeleteFunc(cp.leases, func(id int, _ *leaseState) bool { return !live[id] })
 
-	// Phase 1: evacuate leases touching dead or draining devices.
-	for _, l := range leases {
+	// Phase 1: evacuate leases touching dead or draining devices. Each
+	// landed move spends budget, so moved (the view indices of the leases
+	// it moved) never outgrows the array behind it.
+	var movedBuf [migrationBudget]int
+	moved := movedBuf[:0]
+	for i, l := range leases {
 		force := false
 		hit := false
 		for _, pl := range l.Placements {
@@ -245,13 +248,15 @@ func (cp *ControlPlane) Tick() *TickReport {
 		if ev.ToDepth != ev.FromDepth {
 			machines = ev.ToDepth * cp.cfg.MachinesPerPiece
 		}
-		evacuated[l.ID] = cp.landLocked(st, &ev, now, err, machines)
+		if cp.landLocked(st, &ev, now, err, machines) {
+			moved = append(moved, i)
+		}
 		rep.Events = append(rep.Events, ev)
 	}
 
 	// Phase 2: load-driven re-partitioning.
-	for _, l := range leases {
-		if evacuated[l.ID] {
+	for i, l := range leases {
+		if slices.Contains(moved, i) {
 			continue // one move per lease per tick
 		}
 		st := cp.leases[l.ID]

@@ -168,9 +168,10 @@ func (e *contEngine) accept(req *inferRequest, bound int) error {
 // false to true. stop does not wait: the caller joins the machines with
 // wg.Wait and then answers or moves what they left (closeBy, transplantTo).
 //
-// Each engine has exactly one stopper: whoever removed it from the data
-// plane's table, or Resize for an engine it never installed. So nothing
-// after wg.Wait races another caller over the machines' slots.
+// Each engine has exactly one stopper: whoever took it off its lease
+// record (Release, Close, or the Resize that replaced it), or whoever built
+// it and could not install it. So nothing after wg.Wait races another
+// caller over the machines' slots.
 func (e *contEngine) stop(halt bool) {
 	e.mu.Lock() // waits out submits that saw the engine serving
 	e.stopped.Store(true)

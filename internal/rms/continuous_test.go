@@ -342,7 +342,7 @@ func TestContinuousAdmitsIntoRunningBatch(t *testing.T) {
 	_, dp, lease := testPlane(t, opts)
 
 	base := metrics.AdmissionsIntoRunning.Value()
-	e, err := dp.engine(mustLease(t, dp.svc, lease.ID))
+	e, err := dp.engine(mustRecord(t, dp, lease.ID))
 	if err != nil {
 		t.Fatal(err)
 	}

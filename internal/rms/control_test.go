@@ -22,7 +22,7 @@ func TestServiceReleaseDrainsDataPlane(t *testing.T) {
 	opts.Machines = 1
 	opts.MaxBatch = 1
 	svc, dp, lease := preemptPlane(t, opts)
-	e, err := dp.engine(mustLease(t, svc, lease.ID))
+	e, err := dp.engine(mustRecord(t, dp, lease.ID))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,23 +150,18 @@ func (r *inferRequest) free() {
 
 // DataPlane serves inferences against admitted leases: per-lease machine
 // pools with resident (weight-stationary) tiles and persistent batch
-// slots, fed by a fair-share queue (see contEngine).
+// slots, fed by a fair-share queue (see contEngine). Each engine lives on
+// its lease's record in the service, so a service has one data plane.
 //
-// The submit path is de-contended: the engine table sits behind an
-// RWMutex taken shared on the hot path, the tenant registry is an atomic
-// pointer, and the per-tenant in-flight gate is striped by tenant-id hash
-// so unrelated tenants never serialize on one lock.
+// The submit path is de-contended: the engine is read under the service
+// lock taken shared, the tenant registry is an atomic pointer, and the
+// per-tenant in-flight gate is striped by tenant-id hash so unrelated
+// tenants never serialize on one lock.
 type DataPlane struct {
 	svc  *Service
 	opts InferOptions
 
-	mu      sync.RWMutex
-	engines map[int]*engineSlot
-	// released tombstones drained lease ids (lease ids are never reused),
-	// so a Resize or lazy engine build racing a Release can never install
-	// an engine for a lease whose placements are already freed.
-	released map[int]bool
-	// closed is set by Close/CloseWithin: a closed plane builds and
+	// closed is set by Close/CloseWithin, under svc.mu: a closed plane
 	// installs no engine again.
 	closed bool
 
@@ -204,50 +199,7 @@ func (dp *DataPlane) SetTenants(reg *tenant.Registry) {
 	dp.tenants.Store(reg)
 }
 
-// CheckInvariants audits the data plane's engine and tombstone tables
-// against the live-lease set, which the caller has proved equal to the
-// service's: every registered engine must belong to a live lease, and no
-// live lease may carry a release tombstone. The deterministic simulation
-// harness runs this after every event; any error is a consistency bug.
-func (dp *DataPlane) CheckInvariants(live func(id int) bool) error {
-	dp.mu.Lock()
-	defer dp.mu.Unlock()
-	for id := range dp.engines {
-		if !live(id) {
-			return fmt.Errorf("rms: engine registered for non-live lease %d", id)
-		}
-	}
-	for id := range dp.released {
-		if live(id) {
-			return fmt.Errorf("rms: release tombstone for live lease %d", id)
-		}
-	}
-	return nil
-}
-
-// engineSlot is one lease's entry in the engine table. e is nil until the
-// build has succeeded, so lock-free readers (currentEngine) need nothing
-// else; err is the failed build's error, read only after once has run.
-type engineSlot struct {
-	once sync.Once
-	e    atomic.Pointer[contEngine]
-	err  error
-}
-
-// resolved waits out a lazy build that may still be in flight and returns
-// the slot's engine: nil if the build failed or never started (in which
-// case it never will), or if there is no slot.
-func (s *engineSlot) resolved() *contEngine {
-	if s == nil {
-		return nil
-	}
-	s.once.Do(func() {})
-	return s.e.Load()
-}
-
-// NewDataPlane builds a data plane over the admission service and
-// registers its drain hook, so Service.Release (called directly or via
-// HTTP) always drains the lease's engine before freeing placements.
+// NewDataPlane builds a data plane over the admission service.
 func NewDataPlane(svc *Service, opts InferOptions) *DataPlane {
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 1
@@ -258,15 +210,10 @@ func NewDataPlane(svc *Service, opts InferOptions) *DataPlane {
 	if opts.Tiles <= 0 {
 		opts.Tiles = 1
 	}
-	dp := &DataPlane{
-		svc: svc, opts: opts,
-		engines:  map[int]*engineSlot{},
-		released: map[int]bool{},
-	}
+	dp := &DataPlane{svc: svc, opts: opts}
 	for i := range dp.inflight {
 		dp.inflight[i].n = map[string]int{}
 	}
-	svc.SetDrainer(dp.drainEngine)
 	return dp
 }
 
@@ -310,8 +257,8 @@ func (dp *DataPlane) Load(leaseID int) (LoadStats, bool) {
 // checkpointed and resume mid-sequence on the new pool instead of being
 // re-run.
 func (dp *DataPlane) Resize(leaseID, machines int) error {
-	lease, ok := dp.svc.Lease(leaseID)
-	if !ok {
+	rec, old := dp.record(leaseID)
+	if rec == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownLease, leaseID)
 	}
 	if machines <= 0 {
@@ -322,33 +269,29 @@ func (dp *DataPlane) Resize(leaseID, machines int) error {
 	// Reuse the immutable kernel (its image is copy-on-write) but not the old
 	// machines' tiles: ShareTiles needs them idle, and they are still running.
 	var kern *kernels.Kernel
-	if old := dp.currentEngine(leaseID); old != nil {
+	if old != nil {
 		kern = old.kern
 	}
-	e, err := newContEngine(lease, kern, opts)
+	e, err := newContEngine(&rec.Lease, kern, opts)
 	if err != nil {
 		return err
 	}
-	slot := &engineSlot{}
-	slot.e.Store(e)
-	slot.resolved() // e is pre-built: engine() must not build another
-	dp.mu.Lock()
-	if dp.closed || dp.released[leaseID] {
+	dp.svc.mu.Lock()
+	if dp.closed || rec.released {
 		// A concurrent Close or Release ran after the lookup above:
 		// installing now would leak an engine.
 		closed := dp.closed
-		dp.mu.Unlock()
+		dp.svc.mu.Unlock()
 		e.close()
 		if closed {
 			return ErrLeaseClosing
 		}
 		return fmt.Errorf("%w: %d", ErrUnknownLease, leaseID)
 	}
-	old := dp.engines[leaseID]
-	dp.engines[leaseID] = slot
-	dp.mu.Unlock()
-	if oe := old.resolved(); oe != nil {
-		oe.transplantTo(e)
+	old, rec.engine = rec.engine, e
+	dp.svc.mu.Unlock()
+	if old != nil {
+		old.transplantTo(e)
 	}
 	return nil
 }
@@ -360,13 +303,13 @@ func (dp *DataPlane) Resize(leaseID, machines int) error {
 // they evict), and returns the count it posted. A lease with no engine
 // yet has nothing resident and reports 0.
 func (dp *DataPlane) Preempt(leaseID, n int) (int, error) {
-	if _, ok := dp.svc.Lease(leaseID); !ok {
+	rec, e := dp.record(leaseID)
+	if rec == nil {
 		return 0, fmt.Errorf("%w: %d", ErrUnknownLease, leaseID)
 	}
 	if n <= 0 {
 		n = dp.opts.MaxBatch
 	}
-	e := dp.currentEngine(leaseID)
 	if e == nil {
 		return 0, nil
 	}
@@ -424,18 +367,13 @@ func (dp *DataPlane) inferInto(tenantID string, leaseID int, inputs [][]float64,
 			st.mu.Unlock()
 		}()
 	}
-	// A built engine implies a live lease (Release drains the engine before
-	// it deletes the lease) and holds the layer, so the steady state takes
-	// no service lock. Without one, inputs are checked before a build.
-	var spec kernels.LayerSpec
-	lease, e := (*Lease)(nil), dp.currentEngine(leaseID)
-	if e != nil {
-		spec = e.kern.Spec
-	} else if l, ok := dp.svc.Lease(leaseID); ok {
-		lease, spec = l, l.Spec
-	} else {
+	// The steady state is one shared lookup of the record and its engine.
+	// Without an engine, inputs are checked before a build.
+	rec, e := dp.record(leaseID)
+	if rec == nil {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownLease, leaseID)
 	}
+	spec := rec.Spec
 	if len(inputs) == 0 || len(inputs) > spec.TimeSteps {
 		return nil, fmt.Errorf("rms: got %d input vectors, layer takes 1..%d timesteps", len(inputs), spec.TimeSteps)
 	}
@@ -451,7 +389,7 @@ func (dp *DataPlane) inferInto(tenantID string, leaseID int, inputs [][]float64,
 	}
 	if e == nil {
 		var err error
-		if e, err = dp.engine(lease); err != nil {
+		if e, err = dp.engine(rec); err != nil {
 			return nil, err
 		}
 	}
@@ -487,60 +425,57 @@ func (dp *DataPlane) inferInto(tenantID string, leaseID int, inputs [][]float64,
 	return res, nil
 }
 
-// currentEngine returns the lease's engine if one is installed and built,
-// without building one (a released or closed plane must stay that way).
-func (dp *DataPlane) currentEngine(leaseID int) *contEngine {
-	dp.mu.RLock()
-	defer dp.mu.RUnlock()
-	if slot := dp.engines[leaseID]; slot != nil {
-		return slot.e.Load()
+// record returns the lease's record and its engine, or nil, nil if the
+// lease is unknown, under the service's shared lock.
+func (dp *DataPlane) record(leaseID int) (*leaseRecord, *contEngine) {
+	dp.svc.mu.RLock()
+	defer dp.svc.mu.RUnlock()
+	if rec := dp.svc.leases[leaseID]; rec != nil {
+		return rec, rec.engine
 	}
-	return nil
+	return nil, nil
 }
 
-// engine returns the lease's serving engine, building it on first use.
-// The steady-state lookup takes the read lock only.
-func (dp *DataPlane) engine(lease *Lease) (*contEngine, error) {
-	dp.mu.RLock()
-	closing := dp.closed || dp.released[lease.ID]
-	slot, ok := dp.engines[lease.ID]
-	dp.mu.RUnlock()
-	if closing {
-		return nil, ErrLeaseClosing
-	}
-	if !ok {
-		dp.mu.Lock()
-		if dp.closed || dp.released[lease.ID] {
-			dp.mu.Unlock()
-			return nil, ErrLeaseClosing
+// currentEngine returns the lease's engine if one is installed, without
+// building one (a released or closed plane must stay that way).
+func (dp *DataPlane) currentEngine(leaseID int) *contEngine {
+	_, e := dp.record(leaseID)
+	return e
+}
+
+// engine returns rec's serving engine, building it on first use. The one
+// build installs its engine only on a live record of an open plane and
+// never over one a Resize installed first; an engine it cannot install it
+// stops. So a build that loses to Release or Close answers
+// ErrLeaseClosing, and no caller ever gets a nil engine without an error.
+func (dp *DataPlane) engine(rec *leaseRecord) (*contEngine, error) {
+	s := dp.svc
+	rec.build.Do(func() {
+		e, err := newContEngine(&rec.Lease, nil, dp.opts)
+		if err != nil {
+			rec.buildErr = err
+			return
 		}
-		slot, ok = dp.engines[lease.ID]
-		if !ok {
-			slot = &engineSlot{}
-			dp.engines[lease.ID] = slot
+		s.mu.Lock()
+		installed := !rec.released && !dp.closed && rec.engine == nil
+		if installed {
+			rec.engine = e
 		}
-		dp.mu.Unlock()
-	}
-	slot.once.Do(func() {
-		var e *contEngine
-		if e, slot.err = newContEngine(lease, nil, dp.opts); slot.err == nil {
-			slot.e.Store(e)
+		s.mu.Unlock()
+		if !installed {
+			e.close()
 		}
 	})
-	return slot.e.Load(), slot.err
-}
-
-// drainEngine retires the lease's engine: admission stops, queued
-// requests are served, resident streams finish. Idempotent.
-func (dp *DataPlane) drainEngine(leaseID int) {
-	dp.mu.Lock()
-	dp.released[leaseID] = true
-	slot := dp.engines[leaseID]
-	delete(dp.engines, leaseID)
-	dp.mu.Unlock()
-	if e := slot.resolved(); e != nil {
-		e.close()
+	s.mu.RLock()
+	e := rec.engine
+	s.mu.RUnlock()
+	switch {
+	case e != nil:
+		return e, nil
+	case rec.buildErr != nil:
+		return nil, rec.buildErr
 	}
+	return nil, ErrLeaseClosing
 }
 
 // Close drains and stops every engine (leases stay admitted; pair with
@@ -556,19 +491,19 @@ func (dp *DataPlane) Close() { dp.closeBy(time.Time{}) }
 func (dp *DataPlane) CloseWithin(d time.Duration) int { return dp.closeBy(time.Now().Add(d)) }
 
 func (dp *DataPlane) closeBy(deadline time.Time) int {
-	dp.mu.Lock()
+	dp.svc.mu.Lock()
 	dp.closed = true
-	slots := make([]*engineSlot, 0, len(dp.engines))
-	for id, s := range dp.engines {
-		slots = append(slots, s)
-		delete(dp.engines, id)
-	}
-	dp.mu.Unlock()
-	abandoned := 0
-	for _, s := range slots {
-		if e := s.resolved(); e != nil {
-			abandoned += e.closeBy(deadline)
+	var engines []*contEngine
+	for _, rec := range dp.svc.leases {
+		if rec.engine != nil {
+			engines = append(engines, rec.engine)
+			rec.engine = nil
 		}
+	}
+	dp.svc.mu.Unlock()
+	abandoned := 0
+	for _, e := range engines {
+		abandoned += e.closeBy(deadline)
 	}
 	return abandoned
 }

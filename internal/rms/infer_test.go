@@ -132,11 +132,17 @@ func TestInferUnknownAndReleasedLease(t *testing.T) {
 	if _, err := dp.InferAs("", lease.ID, testInputs(lease.Spec, 1)); err != nil {
 		t.Fatal(err)
 	}
+	e := dp.currentEngine(lease.ID)
 	if err := dp.svc.Release(lease.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dp.InferAs("", lease.ID, testInputs(lease.Spec, 1)); !errors.Is(err, ErrUnknownLease) {
 		t.Errorf("released lease: %v", err)
+	}
+	// Release stops the engine it takes off the record: one captured before
+	// it serves nothing after it.
+	if err := e.submit(shapedRequest(testInputs(lease.Spec, 1), "", 0)); !errors.Is(err, ErrLeaseClosing) {
+		t.Errorf("engine captured before Release took a submit after it: %v, want ErrLeaseClosing", err)
 	}
 }
 
@@ -328,10 +334,51 @@ func TestClosedPlaneStaysClosed(t *testing.T) {
 	}
 }
 
+// recordEngine reads rec's engine as the data plane does, under the
+// service lock.
+func recordEngine(dp *DataPlane, rec *leaseRecord) *contEngine {
+	dp.svc.mu.RLock()
+	defer dp.svc.mu.RUnlock()
+	return rec.engine
+}
+
+// TestReleaseBeatsLazyBuild drives a first InferAs that found the record
+// before Release or Close through its engine build: the build finds the
+// record released or the plane closed, stops the engine it made, and
+// answers ErrLeaseClosing, never a nil engine with a nil error.
+func TestReleaseBeatsLazyBuild(t *testing.T) {
+	svc, dp, lease := testPlane(t, DefaultInferOptions())
+	second, err := svc.Deploy(kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 64, TimeSteps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	released, open := mustRecord(t, dp, lease.ID), mustRecord(t, dp, second.ID)
+	if err := svc.Release(lease.ID); err != nil {
+		t.Fatal(err)
+	}
+	if e, err := dp.engine(released); e != nil || !errors.Is(err, ErrLeaseClosing) {
+		t.Errorf("build on a released record: %v, %v; want nil, ErrLeaseClosing", e, err)
+	}
+	dp.Close()
+	if e, err := dp.engine(open); e != nil || !errors.Is(err, ErrLeaseClosing) {
+		t.Errorf("build on a closed plane: %v, %v; want nil, ErrLeaseClosing", e, err)
+	}
+	for _, rec := range []*leaseRecord{released, open} {
+		if recordEngine(dp, rec) != nil {
+			t.Errorf("lease %d: a losing build installed its engine", rec.ID)
+		}
+	}
+}
+
+// TestResizeRacingReleaseDoesNotLeakEngine races both ways an engine is
+// installed, a Resize and a first InferAs's lazy build, against Release
+// (and the build against Close): every answer is nil, ErrLeaseClosing or
+// ErrUnknownLease, and no engine is reachable through a released record.
 func TestResizeRacingReleaseDoesNotLeakEngine(t *testing.T) {
 	svc, dp, lease := testPlane(t, DefaultInferOptions())
+	rec := mustRecord(t, dp, lease.ID)
 	// Keep resizing while the lease is released; the loop stops at the
-	// first error (unknown lease, or the tombstone blocking the install).
+	// first error (the record released, or gone).
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -348,22 +395,63 @@ func TestResizeRacingReleaseDoesNotLeakEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-done
-	dp.mu.Lock()
-	_, leaked := dp.engines[lease.ID]
-	dp.mu.Unlock()
-	if leaked {
-		t.Fatal("engine installed for a released lease")
+	if recordEngine(dp, rec) != nil {
+		t.Fatal("engine installed on a released record")
 	}
 	if _, ok := dp.Load(lease.ID); ok {
 		t.Fatal("Load reports an engine for a released lease")
 	}
-	// The tombstone also blocks the lazy engine build from a stale lease
-	// snapshot (an Infer that looked the lease up before the release) and
-	// a Resize that passed its lease lookup before the drain.
-	if _, err := dp.engine(lease); !errors.Is(err, ErrLeaseClosing) {
-		t.Fatalf("engine() on released lease: %v, want ErrLeaseClosing", err)
-	}
 	if err := dp.Resize(lease.ID, 2); !errors.Is(err, ErrUnknownLease) {
 		t.Fatalf("Resize on released lease: %v, want ErrUnknownLease", err)
+	}
+
+	small := kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 64, TimeSteps: 2}
+	in := testInputs(small, 1)
+	for _, arm := range []string{"release", "close"} {
+		for i := 0; i < 20; i++ {
+			s, p := svc, dp
+			if arm == "close" { // a closed plane stays closed: one per iteration
+				s, p, _ = testPlane(t, DefaultInferOptions())
+			}
+			l, err := s.Deploy(small)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := mustRecord(t, p, l.ID)
+			errs := make([]error, 3)
+			var started, wg sync.WaitGroup
+			for g := range errs {
+				started.Add(1)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					started.Done()
+					_, errs[g] = p.InferAs("", l.ID, in)
+				}()
+			}
+			// Even iterations end the lease as the first lookups run, so the
+			// end lands before or during the build; odd ones once the engine
+			// serves.
+			if i%2 == 0 {
+				started.Wait()
+			} else {
+				waitFor(t, "the first engine", func() bool { return p.currentEngine(l.ID) != nil })
+			}
+			if arm == "close" {
+				p.Close()
+			}
+			if err := s.Release(l.ID); err != nil {
+				t.Fatal(err)
+			}
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil && !errors.Is(err, ErrLeaseClosing) && !errors.Is(err, ErrUnknownLease) {
+					t.Fatalf("%s: first InferAs answered %v", arm, err)
+				}
+			}
+			if recordEngine(p, rec) != nil {
+				t.Fatalf("%s: engine installed on a released record", arm)
+			}
+		}
 	}
 }

@@ -59,7 +59,7 @@ const backlogSteps = 48
 // mlv_slots_active gauge can rise and fall between two looks.
 func loadBacklog(t *testing.T, dp *DataPlane, lease *Lease, spare int, tenant string, weight int) *backlog {
 	t.Helper()
-	e, err := dp.engine(mustLease(t, dp.svc, lease.ID))
+	e, err := dp.engine(mustRecord(t, dp, lease.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestCloseWithinGenerousDeadlineIsClose(t *testing.T) {
 // rest when the response arrives.
 func TestAdmitFailureSettlesBeforeAnswering(t *testing.T) {
 	_, dp, lease := testPlane(t, DefaultInferOptions())
-	e, err := dp.engine(mustLease(t, dp.svc, lease.ID))
+	e, err := dp.engine(mustRecord(t, dp, lease.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestReleaseMidFlightCleansUp(t *testing.T) {
 	slotsBase := metrics.SlotsActive.Value()
 	base := metrics.Snapshot()
 
-	e, err := dp.engine(mustLease(t, dp.svc, lease.ID))
+	e, err := dp.engine(mustRecord(t, dp, lease.ID))
 	if err != nil {
 		t.Fatal(err)
 	}

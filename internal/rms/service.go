@@ -21,21 +21,20 @@ import (
 // task trace through virtual time, Service is the interactive admission
 // API a real deployment would integrate against.
 type Service struct {
-	mu      sync.Mutex
+	// mu guards the lease records whole, engines included: /infer's steady
+	// state takes it shared for one lookup.
+	mu      sync.RWMutex
 	ctrl    *hsvital.Controller
 	db      *Database
 	inv     map[string]int              // devices per type, fixed at construction
 	ladders map[kernels.LayerSpec][]int // FeasibleDepths' memo, guarded by mu
 
 	nextID int
-	leases map[int]*Lease
+	leases map[int]*leaseRecord
 
 	// filter, when set, vetoes devices for every placement (the cluster
 	// control plane installs its health view here).
 	filter func(fpgaID int) bool
-	// drainer, when set, runs before a lease's placements are freed so the
-	// data plane can drain in-flight batches (see SetDrainer).
-	drainer func(leaseID int)
 	// compiler, when set, ensures the layer's full compilation product is
 	// in the artifact store before placement (see SetCompiler).
 	compiler *Compiler
@@ -80,6 +79,22 @@ type Lease struct {
 	// WarmDeploy reports that the deploy was served from the compilation
 	// cache and skipped straight to placement.
 	WarmDeploy bool `json:"warm_deploy,omitempty"`
+}
+
+// leaseRecord is the one place a lease lives: its grant, and the serving
+// engine the data plane builds for it. Service.mu guards the Lease (past
+// its immutable ID and Spec), released and engine; buildErr is written
+// once, inside build.
+type leaseRecord struct {
+	Lease
+	// released is set when Release begins: from then on no engine may be
+	// installed, and the record leaves the table once its blocks are freed.
+	released bool
+	// engine is the data plane's engine, nil until the first InferAs or a
+	// Resize installs one (see DataPlane.engine).
+	engine   *contEngine
+	build    sync.Once
+	buildErr error
 }
 
 // ClusterStatus is a point-in-time occupancy snapshot.
@@ -134,7 +149,7 @@ func NewService(cluster map[string]int, db *Database) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Service{ctrl: ctrl, db: db, inv: inventory(ctrl), ladders: map[kernels.LayerSpec][]int{}, leases: map[int]*Lease{}}, nil
+	return &Service{ctrl: ctrl, db: db, inv: inventory(ctrl), ladders: map[kernels.LayerSpec][]int{}, leases: map[int]*leaseRecord{}}, nil
 }
 
 // PlaceOptions constrains a deployment beyond the default greedy policy.
@@ -160,8 +175,8 @@ func (s *Service) SetTenants(reg *tenant.Registry) {
 // TenantUsage reports a tenant's currently granted resources, summed over
 // its live leases.
 func (s *Service) TenantUsage(id string) (leases, devices, blocks int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.usageLocked(id, 0)
 }
 
@@ -218,16 +233,6 @@ func (s *Service) SetCompiler(c *Compiler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.compiler = c
-}
-
-// SetDrainer registers fn to run before Release frees a lease's
-// placements. The data plane installs its engine drain here so a release
-// can never race an enqueued micro-batch: queued requests are served and
-// in-flight batches finish before the virtual blocks are freed.
-func (s *Service) SetDrainer(fn func(leaseID int)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.drainer = fn
 }
 
 // Deploy admits an accelerator for the layer using the greedy policy
@@ -304,7 +309,7 @@ func (s *Service) DeployWith(spec kernels.LayerSpec, po PlaceOptions) (*Lease, e
 			return nil, fmt.Errorf("%w: %v", ErrNoCapacity, err)
 		}
 		s.nextID++
-		lease := &Lease{
+		rec := &leaseRecord{Lease: Lease{
 			ID:          s.nextID,
 			Tenant:      po.Tenant,
 			Spec:        spec,
@@ -314,10 +319,10 @@ func (s *Service) DeployWith(spec kernels.LayerSpec, po PlaceOptions) (*Lease, e
 			Depth:       dep.NumPieces(),
 			ArtifactKey: artifactKey,
 			WarmDeploy:  warmDeploy,
-		}
-		s.leases[lease.ID] = lease
+		}}
+		s.leases[rec.ID] = rec
 		metrics.LeasesActive.Add(1)
-		return lease, nil
+		return &rec.Lease, nil
 	}
 	if po.Depth > 0 && !sawDepth {
 		return nil, fmt.Errorf("%w: %d pieces for %v", ErrNoSuchDepth, po.Depth, spec)
@@ -384,10 +389,11 @@ func (s *Service) depths(spec kernels.LayerSpec, inv map[string]int) ([]int, err
 func (s *Service) Migrate(id, depth int, avoid func(fpgaID int) bool, force bool, accept func([]Placement) bool) (*Lease, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	lease, ok := s.leases[id]
+	rec, ok := s.leases[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownLease, id)
 	}
+	lease := &rec.Lease
 	opts, err := s.db.Options(lease.Spec)
 	if err != nil {
 		return nil, err
@@ -541,28 +547,28 @@ func (d Deployment) fitsInventory(inv map[string]int) bool {
 	return true
 }
 
-// Release frees a lease's virtual blocks, draining the lease's data-plane
-// engine first (when one is registered) so no enqueued micro-batch races
-// the deallocation.
+// Release frees a lease's virtual blocks, draining its data-plane engine
+// first, outside the lock, so no enqueued micro-batch races the
+// deallocation: queued requests are served and in-flight batches finish.
+// From its start the record refuses engines; a second Release of it
+// answers ErrUnknownLease.
 func (s *Service) Release(id int) error {
 	s.mu.Lock()
-	_, ok := s.leases[id]
-	drainer := s.drainer
-	s.mu.Unlock()
-	if !ok {
+	rec, ok := s.leases[id]
+	if !ok || rec.released {
+		s.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrUnknownLease, id)
 	}
-	if drainer != nil {
-		drainer(id)
+	rec.released = true
+	e := rec.engine
+	rec.engine = nil
+	s.mu.Unlock()
+	if e != nil {
+		e.close()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	lease, ok := s.leases[id]
-	if !ok {
-		// A concurrent Release won the race after the drain.
-		return fmt.Errorf("%w: %d", ErrUnknownLease, id)
-	}
-	release(s.ctrl, lease.Placements)
+	release(s.ctrl, rec.Placements)
 	delete(s.leases, id)
 	metrics.LeasesActive.Add(-1)
 	return nil
@@ -585,8 +591,8 @@ type LeaseView struct {
 // carved from one Lease and one Placement slab (each lease's placements
 // capped), which share nothing with the service and last until v's next read.
 func (s *Service) ReadLeases(v *LeaseView) []*Lease {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	n := 0
 	for _, l := range s.leases {
 		n += len(l.Placements)
@@ -598,7 +604,7 @@ func (s *Service) ReadLeases(v *LeaseView) []*Lease {
 	for _, l := range s.leases {
 		from := len(v.pls)
 		v.pls = append(v.pls, l.Placements...)
-		v.slab = append(v.slab, *l)
+		v.slab = append(v.slab, l.Lease)
 		v.slab[len(v.slab)-1].Placements = v.pls[from:len(v.pls):len(v.pls)]
 		v.out = append(v.out, &v.slab[len(v.slab)-1])
 	}
@@ -613,21 +619,21 @@ func (s *Service) Devices() []hsvital.PhysFPGA { return s.ctrl.Devices() }
 // Lease returns a snapshot of an active lease by id: a copy, so callers
 // never observe a concurrent migration mutating placements in place.
 func (s *Service) Lease(id int) (*Lease, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	l, ok := s.leases[id]
 	if !ok {
 		return nil, false
 	}
-	cp := *l
+	cp := l.Lease
 	cp.Placements = append([]Placement{}, l.Placements...)
 	return &cp, true
 }
 
 // Status snapshots the cluster.
 func (s *Service) Status() ClusterStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	devs := s.ctrl.Devices()
 	st := ClusterStatus{
 		FPGAs:        make([]FPGAStatus, 0, len(devs)),
@@ -649,8 +655,8 @@ func (s *Service) Status() ClusterStatus {
 // CheckInvariants audits placement conservation: each device's occupied
 // blocks equal the sum of the live leases' placements on it.
 func (s *Service) CheckInvariants() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	held := map[int]int{}
 	for _, l := range s.leases {
 		for _, pl := range l.Placements {

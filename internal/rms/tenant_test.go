@@ -292,7 +292,7 @@ func TestSubmitShedsAtQueueBound(t *testing.T) {
 	opts.Machines = 1
 	opts.MaxBatch = 1
 	_, dp, lease := testPlane(t, opts)
-	e, err := dp.engine(mustLease(t, dp.svc, lease.ID))
+	e, err := dp.engine(mustRecord(t, dp, lease.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,11 +306,11 @@ func TestSubmitShedsAtQueueBound(t *testing.T) {
 	e.pending.Store(0)
 }
 
-func mustLease(t *testing.T, svc *Service, id int) *Lease {
+func mustRecord(t *testing.T, dp *DataPlane, id int) *leaseRecord {
 	t.Helper()
-	l, ok := svc.Lease(id)
-	if !ok {
+	rec, _ := dp.record(id)
+	if rec == nil {
 		t.Fatalf("lease %d not found", id)
 	}
-	return l
+	return rec
 }

@@ -39,10 +39,12 @@ const (
 // schedule is shorter than the failing one.
 var mutants = []mutant{
 	{
-		name: "skip-release-tombstone",
-		file: "internal/rms/infer.go",
-		orig: "\tdelete(dp.engines, leaseID)\n", repl: "\n",
-		pkg: simtestPkg, run: sweepRun, want: `invariant "engine-tombstone"`,
+		// Release retires the record but never stops its engine.
+		name: "release-keeps-engine",
+		file: "internal/rms/service.go",
+		orig: "\t\te.close()\n", repl: "\n",
+		pkg: "./internal/rms", run: "^TestInferUnknownAndReleasedLease$",
+		want: "engine captured before Release took a submit after it",
 	},
 	{
 		name: "skip-migration-metric",

@@ -27,7 +27,6 @@ func InvariantFamilies() []string {
 		"duplicate-device",
 		"placement-conservation",
 		"feasible-depth",
-		"engine-tombstone",
 		"quota-conservation",
 		"tenant-accounting",
 		"artifact-cache",
@@ -78,11 +77,10 @@ type Stack struct {
 	base metrics.Values
 
 	// The audit's per-event scratch, and tracef's line buffer.
-	vals    metrics.Values
-	leases  rms.LeaseView
-	liveSet map[int]bool
-	owned   map[string]int
-	line    []byte
+	vals   metrics.Values
+	leases rms.LeaseView
+	owned  map[string]int
+	line   []byte
 
 	// Multi-spec model: which layer each live lease serves, and the set of
 	// distinct artifact keys ever sent to the deploy path. The compile runs
@@ -172,7 +170,6 @@ func NewStack(o Options) (*Stack, error) {
 		golden:          map[goldenKey]uint64{},
 		inputRng:        rand.New(rand.NewSource(0)),
 		excused:         map[int]bool{},
-		liveSet:         map[int]bool{},
 		owned:           map[string]int{},
 		leaseSpec:       map[int]kernels.LayerSpec{},
 		keySeen:         map[artifactstore.Key]bool{},
