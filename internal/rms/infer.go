@@ -11,6 +11,7 @@ import (
 	"mlvfpga/internal/fp16"
 	"mlvfpga/internal/kernels"
 	"mlvfpga/internal/metrics"
+	"mlvfpga/internal/parpool"
 	"mlvfpga/internal/tenant"
 )
 
@@ -164,6 +165,8 @@ type DataPlane struct {
 	// closed is set by Close/CloseWithin, under svc.mu: a closed plane
 	// installs no engine again.
 	closed bool
+	// builds holds one token per Prebuild build in flight.
+	builds chan struct{}
 
 	// tenants, when set, turns on per-tenant in-flight caps and fair-share
 	// weights for InferAs.
@@ -210,7 +213,7 @@ func NewDataPlane(svc *Service, opts InferOptions) *DataPlane {
 	if opts.Tiles <= 0 {
 		opts.Tiles = 1
 	}
-	dp := &DataPlane{svc: svc, opts: opts}
+	dp := &DataPlane{svc: svc, opts: opts, builds: make(chan struct{}, parpool.Workers(0))}
 	for i := range dp.inflight {
 		dp.inflight[i].n = map[string]int{}
 	}
@@ -239,8 +242,8 @@ type LoadStats struct {
 }
 
 // Load reports a lease's serving load. ok is false when the lease has no
-// engine yet (nothing inferred since deploy or resize) — callers should
-// treat that as an idle lease.
+// engine yet (nothing inferred, prebuilt or resized since deploy) —
+// callers should treat that as an idle lease.
 func (dp *DataPlane) Load(leaseID int) (LoadStats, bool) {
 	e := dp.currentEngine(leaseID)
 	if e == nil {
@@ -476,6 +479,24 @@ func (dp *DataPlane) engine(rec *leaseRecord) (*contEngine, error) {
 		return nil, rec.buildErr
 	}
 	return nil, ErrLeaseClosing
+}
+
+// Prebuild runs the lease's one engine build on a background goroutine,
+// at most parpool.Workers(0) at once, so its first InferAs finds the
+// engine built or waits on it; wg.Wait joins every build wg counted. An
+// unknown lease, or one already serving, starts nothing.
+func (dp *DataPlane) Prebuild(leaseID int, wg *sync.WaitGroup) {
+	rec, e := dp.record(leaseID)
+	if rec == nil || e != nil {
+		return
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		dp.builds <- struct{}{}
+		dp.engine(rec) // InferAs reports a failed build
+		<-dp.builds
+	}()
 }
 
 // Close drains and stops every engine (leases stay admitted; pair with

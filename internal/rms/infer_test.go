@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -451,6 +452,102 @@ func TestResizeRacingReleaseDoesNotLeakEngine(t *testing.T) {
 			}
 			if recordEngine(p, rec) != nil {
 				t.Fatalf("%s: engine installed on a released record", arm)
+			}
+		}
+	}
+}
+
+// runningMachines counts the machine goroutines of every engine not yet
+// stopped, in this test binary, started or not.
+func runningMachines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "created by mlvfpga/internal/rms.newContEngine")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestPrebuildLosesToLifecycle holds a background build to the lazy
+// build's rules. With every build slot held, a Prebuild waits while
+// Release, Close or a Resize lands first: once the slots free, its build
+// installs nothing on the released record or the closed plane and never
+// over the Resize's engine, it stops the engine it made, and its join
+// returns. Then Prebuild races Release and Close unheld.
+func TestPrebuildLosesToLifecycle(t *testing.T) {
+	small := kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 64, TimeSteps: 2}
+	in := testInputs(small, 1)
+	for _, arm := range []string{"release", "close", "resize"} {
+		svc, dp, _ := testPlane(t, DefaultInferOptions())
+		l, err := svc.Deploy(small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := mustRecord(t, dp, l.ID)
+		base := runningMachines()
+		for range cap(dp.builds) {
+			dp.builds <- struct{}{}
+		}
+		var wg sync.WaitGroup
+		dp.Prebuild(l.ID, &wg)
+		var resized *contEngine
+		switch arm {
+		case "release":
+			err = svc.Release(l.ID)
+		case "close":
+			dp.Close()
+		case "resize":
+			err = dp.Resize(l.ID, 1)
+			resized = recordEngine(dp, rec)
+			base++ // the resized engine's one machine
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range cap(dp.builds) {
+			<-dp.builds
+		}
+		wg.Wait()
+		if e := recordEngine(dp, rec); e != resized {
+			t.Errorf("%s first: the prebuild left engine %p on the record, want %p", arm, e, resized)
+		}
+		if got := runningMachines(); got != base {
+			t.Errorf("%s first: %d machines running after the prebuild joined, want %d: it did not stop its engine", arm, got, base)
+		}
+		_, err = dp.InferAs("", l.ID, in)
+		want := map[string]error{"release": ErrUnknownLease, "close": ErrLeaseClosing, "resize": nil}[arm]
+		if !errors.Is(err, want) {
+			t.Errorf("%s first: InferAs answered %v, want %v", arm, err, want)
+		}
+	}
+
+	for _, arm := range []string{"release", "close"} {
+		for i := 0; i < 20; i++ {
+			svc, dp, _ := testPlane(t, DefaultInferOptions())
+			l, err := svc.Deploy(small)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := mustRecord(t, dp, l.ID)
+			var wg sync.WaitGroup
+			dp.Prebuild(l.ID, &wg)
+			if i%2 == 1 { // odd iterations end the lease once the build is in
+				waitFor(t, "the prebuilt engine", func() bool { return dp.currentEngine(l.ID) != nil })
+			}
+			if arm == "close" {
+				dp.Close()
+			}
+			if err := svc.Release(l.ID); err != nil {
+				t.Fatal(err)
+			}
+			wg.Wait()
+			if recordEngine(dp, rec) != nil {
+				t.Fatalf("%s: engine installed on a released record", arm)
+			}
+			if _, err := dp.InferAs("", l.ID, in); !errors.Is(err, ErrUnknownLease) {
+				t.Fatalf("%s: InferAs on the released lease answered %v, want ErrUnknownLease", arm, err)
 			}
 		}
 	}

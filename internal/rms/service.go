@@ -90,8 +90,8 @@ type leaseRecord struct {
 	// released is set when Release begins: from then on no engine may be
 	// installed, and the record leaves the table once its blocks are freed.
 	released bool
-	// engine is the data plane's engine, nil until the first InferAs or a
-	// Resize installs one (see DataPlane.engine).
+	// engine is the data plane's engine, nil until the first InferAs, a
+	// Prebuild or a Resize installs one (see DataPlane.engine).
 	engine   *contEngine
 	build    sync.Once
 	buildErr error

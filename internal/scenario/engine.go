@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"mlvfpga/internal/simtest"
@@ -61,18 +61,23 @@ func Run(spec *wdsl.Spec, name string) (*Report, error) {
 		blockClass[bi] = cmp.Or(classOf[tr.Tenant], "latency") // a tenant without a class, or none
 	}
 
+	// The arrivals are drawn first, so a lease the sample will serve
+	// starts building its engine beside the DES once it is placed.
+	arrivals, served := genArrivals(spec)
+
 	stack, err := simtest.NewStack(o)
 	if err != nil {
 		return nil, err
 	}
 	defer stack.Close()
+	var builds sync.WaitGroup
+	defer builds.Wait() // before Close: no build outlives the Run
 	eng := stack.Engine()
 
 	// Deploy phase (virtual t=0): every replica of every layer of every
 	// deployed model becomes a lease. A shed deploy is a spec error (the
 	// described fleet cannot host the described models), not a violation.
-	var leases []leaseInfo
-	leasesByModel := map[string][]int{}
+	leases := make([]leaseInfo, 0, len(served))
 	for _, d := range ir.Deploys {
 		m := spec.ByName[d.Model]
 		for rep := 0; rep < d.Replicas; rep++ {
@@ -86,11 +91,13 @@ func Run(spec *wdsl.Spec, name string) (*Report, error) {
 					return nil, fmt.Errorf("scenario: deploy %q replica %d layer %d shed: fleet cannot host the described models",
 						d.Model, rep, li)
 				}
+				if served[len(leases)] {
+					stack.Prebuild(l.ID, &builds)
+				}
 				svc, _ := stack.LeaseLatency(l.ID)
 				if svc < minService {
 					svc = minService
 				}
-				leasesByModel[d.Model] = append(leasesByModel[d.Model], len(leases))
 				leases = append(leases, leaseInfo{id: l.ID, service: svc})
 			}
 		}
@@ -104,9 +111,6 @@ func Run(spec *wdsl.Spec, name string) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Arrivals: generate each traffic block's point process, then merge.
-	arrivals := genArrivals(ir, leasesByModel)
 
 	// --- Lay the timeline onto the DES engine. ---
 	for t := ir.Heartbeat; t <= ir.Duration; t += ir.Heartbeat {
@@ -273,42 +277,62 @@ func stormVictims(storms []wdsl.StormIR, devices []int, rng *rand.Rand) ([][]int
 	return out, nil
 }
 
-// genArrivals expands every traffic block into a merged, time-ordered
-// arrival sequence. Each block gets its own derived PRNG, so adding a
-// block never perturbs another block's draw sequence.
-func genArrivals(ir *wdsl.ScenarioIR, leasesByModel map[string][]int) []arrival {
-	var out []arrival
-	for bi, tr := range ir.Traffic {
-		rng := rand.New(rand.NewSource(ir.Seed ^ (int64(bi+1) * 0x9e3779b9)))
-		pool := leasesByModel[tr.Model]
-		var seq int32
-		// Poisson process at peak rate; diurnal blocks thin it against
-		// the day curve λ(t) = rate·(trough + (1−trough)·½(1−cos 2πt/T)).
-		for t := time.Duration(0); ; {
+// genArrivals merges every traffic block's arrivals into one sequence
+// ordered by (at, block, seq), which is unique per arrival, and marks each
+// lease, indexed in deploy order, that a sampled arrival will serve. Each
+// block draws a Poisson process at peak rate, in increasing time, from its
+// own derived PRNG, so adding a block never perturbs another block's draw
+// sequence; diurnal blocks thin it against the day curve
+// λ(t) = rate·(trough + (1−trough)·½(1−cos 2πt/T)). The merge takes the
+// earliest head, a tie going to the lower block.
+func genArrivals(spec *wdsl.Spec) ([]arrival, []bool) {
+	ir, leasesByModel, n := spec.Scenario, map[string][]int{}, 0
+	for _, d := range ir.Deploys {
+		for range d.Replicas * len(spec.ByName[d.Model].Layers) {
+			leasesByModel[d.Model] = append(leasesByModel[d.Model], n)
+			n++
+		}
+	}
+	rngs, heads := make([]*rand.Rand, len(ir.Traffic)), make([]arrival, len(ir.Traffic))
+	// next draws the arrival after prev in its block, at or past the
+	// duration once the block is spent.
+	next := func(prev arrival) arrival {
+		tr, rng := &ir.Traffic[prev.block], rngs[prev.block]
+		for t := prev.at; ; {
 			t += time.Duration(rng.ExpFloat64() / tr.Rate * float64(time.Second))
 			if t >= ir.Duration {
-				break
+				return arrival{at: t}
 			}
 			if tr.Shape == "diurnal" {
 				phase := 2 * math.Pi * float64(t) / float64(tr.Period)
-				accept := tr.Trough + (1-tr.Trough)*0.5*(1-math.Cos(phase))
-				if rng.Float64() >= accept {
+				if rng.Float64() >= tr.Trough+(1-tr.Trough)*0.5*(1-math.Cos(phase)) {
 					continue
 				}
 			}
-			out = append(out, arrival{
-				at:      t,
-				block:   int32(bi),
-				seq:     seq,
-				lease:   int32(pool[rng.Intn(len(pool))]),
-				sampled: rng.Float64() < ir.Sample,
-			})
-			seq++
+			pool := leasesByModel[tr.Model]
+			return arrival{at: t, block: prev.block, seq: prev.seq + 1,
+				lease: int32(pool[rng.Intn(len(pool))]), sampled: rng.Float64() < ir.Sample}
 		}
 	}
-	// (at, block, seq) is unique per arrival, so the order is total.
-	slices.SortFunc(out, func(a, b arrival) int {
-		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.block, b.block), cmp.Compare(a.seq, b.seq))
-	})
-	return out
+	for bi := range heads {
+		rngs[bi] = rand.New(rand.NewSource(ir.Seed ^ (int64(bi+1) * 0x9e3779b9)))
+		heads[bi] = next(arrival{block: int32(bi), seq: -1})
+	}
+	var out []arrival
+	served := make([]bool, n)
+	for {
+		bi := -1
+		for b, h := range heads {
+			if h.at < ir.Duration && (bi < 0 || h.at < heads[bi].at) {
+				bi = b
+			}
+		}
+		if bi < 0 {
+			return out, served
+		}
+		a := heads[bi]
+		out = append(out, a)
+		served[a.lease] = served[a.lease] || a.sampled
+		heads[bi] = next(a)
+	}
 }

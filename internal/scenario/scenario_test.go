@@ -2,11 +2,13 @@ package scenario
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -99,6 +101,36 @@ func TestCommittedScenarios(t *testing.T) {
 				t.Errorf("report differs from %s:\n%s", golden, blob)
 			}
 		})
+	}
+}
+
+// TestScenarioBuildsServedLeases pins which lease engines a Run builds
+// beside the DES: those of the leases a sampled arrival names, and no
+// other. The committed 1000-device spec serves all six of its leases, the
+// 1000-device replay spec below one of its four, and either spec sampling
+// nothing builds none. The arrivals stay merged in (at, block, seq) order.
+func TestScenarioBuildsServedLeases(t *testing.T) {
+	for _, spec := range []*wdsl.Spec{
+		loadSpec(t, "../../testdata/scenarios/diurnal-1000.mlw"),
+		compileSrc(t, detLarge),
+	} {
+		arrivals, built := genArrivals(spec)
+		want := make([]bool, len(built))
+		for _, a := range arrivals {
+			want[a.lease] = want[a.lease] || a.sampled
+		}
+		if !slices.Equal(built, want) {
+			t.Errorf("seed %d builds leases %v, want those with a sampled arrival: %v", spec.Scenario.Seed, built, want)
+		}
+		if !slices.IsSortedFunc(arrivals, func(a, b arrival) int {
+			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.block, b.block), cmp.Compare(a.seq, b.seq))
+		}) {
+			t.Errorf("seed %d: arrivals are not in (at, block, seq) order", spec.Scenario.Seed)
+		}
+		spec.Scenario.Sample = 0
+		if _, built = genArrivals(spec); slices.Contains(built, true) {
+			t.Errorf("seed %d at sample = 0%% builds leases %v, want none", spec.Scenario.Seed, built)
+		}
 	}
 }
 

@@ -47,6 +47,15 @@ var mutants = []mutant{
 		want: "engine captured before Release took a submit after it",
 	},
 	{
+		// Every deployed lease builds its engine ahead, served or not.
+		name: "prebuild-every-lease",
+		file: "internal/scenario/engine.go",
+		orig: "\tserved := make([]bool, n)\n",
+		repl: "\tserved := make([]bool, n)\n\tfor i := range served {\n\t\tserved[i] = true\n\t}\n",
+		pkg:  "./internal/scenario", run: "^TestScenarioBuildsServedLeases$",
+		want: "want none",
+	},
+	{
 		name: "skip-migration-metric",
 		file: "internal/cluster/controlplane.go",
 		orig: "\tmetrics.Migrations.Add(1)\n", repl: "\n",

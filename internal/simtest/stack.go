@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"mlvfpga/internal/artifactstore"
@@ -281,6 +282,10 @@ func (s *Stack) CheckStranded() bool {
 	}
 	return s.violation == nil
 }
+
+// Prebuild starts the lease's engine build beside the caller
+// (rms.DataPlane.Prebuild); it traces nothing and changes no result.
+func (s *Stack) Prebuild(id int, wg *sync.WaitGroup) { s.dp.Prebuild(id, wg) }
 
 // LeaseLatency returns the modelled per-inference latency of a live
 // lease — the scenario engine's queueing service time.
