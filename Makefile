@@ -14,7 +14,8 @@ test:
 	$(GO) test ./...
 
 # Full gate: build, vet, plain tests, then everything again under the race
-# detector — the parallel offline flow must stay race-clean.
+# detector — the concurrent catalog compiles and the serving layers must
+# stay race-clean.
 check: build test race
 
 race:
@@ -50,7 +51,7 @@ lint:
 # shrinks the tree lowers the ceiling to its own count rounded up to the
 # next 50; a PR that must grow it raises the ceiling in the same diff, where
 # a reviewer sees it.
-LOC_CEILING = 25600
+LOC_CEILING = 25350
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	echo "non-test lines: $$n (ceiling $(LOC_CEILING))"; \

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"mlvfpga/internal/bfp"
-	"mlvfpga/internal/core"
 	"mlvfpga/internal/experiments"
 	"mlvfpga/internal/fp16"
 	"mlvfpga/internal/kernels"
@@ -114,7 +113,7 @@ func BenchmarkCompileOverhead(b *testing.B) {
 	var r *experiments.CompileOverheadResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = experiments.CompileOverhead(0, nil)
+		r, err = experiments.CompileOverhead(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,31 +152,6 @@ func BenchmarkOfflineFlow(b *testing.B) {
 		if _, err := CompileInstance(8, 2); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkOfflineFlowParallel runs the §4.3 ten-instance catalog sweep
-// (tile counts up to 21) with one worker per available CPU and reports the
-// speedup over the strictly sequential flow, measured fresh in the same
-// process. Run with -cpu 1,2,4 to see the scaling curve; the catalog is
-// bit-identical at every worker count.
-func BenchmarkOfflineFlowParallel(b *testing.B) {
-	tiles := core.DefaultTileCounts()
-	t0 := time.Now()
-	if _, err := core.InstanceCatalog(tiles, 2, 1, 1, nil); err != nil {
-		b.Fatal(err)
-	}
-	seq := time.Since(t0)
-	workers := runtime.GOMAXPROCS(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.InstanceCatalog(tiles, 2, 1, workers, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	perOp := b.Elapsed().Seconds() / float64(b.N)
-	if perOp > 0 {
-		b.ReportMetric(seq.Seconds()/perOp, "speedup-vs-seq")
 	}
 }
 

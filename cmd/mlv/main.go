@@ -264,7 +264,6 @@ func compileCmd(fs *flag.FlagSet, args []string) {
 	tiles := fs.Int("tiles", 8, "tile engines")
 	n := fs.Int("n", 2, "partition iterations")
 	naive := fs.Bool("naive", false, "use the pattern-oblivious partitioner (ablation)")
-	jobs := fs.Int("j", 0, "worker goroutines (0 = one per CPU, 1 = sequential; output is identical)")
 	cacheDir := fs.String("cache-dir", "", "content-addressed artifact cache directory (empty = no cache); a warm hit skips the whole flow")
 	fs.Parse(args)
 
@@ -276,7 +275,7 @@ func compileCmd(fs *flag.FlagSet, args []string) {
 		}
 	}
 	c, _, warm, err := core.CompileAcceleratorCached(core.Options{
-		Tiles: *tiles, PartitionIterations: *n, Seed: 1, PatternAware: !*naive, Parallelism: *jobs,
+		Tiles: *tiles, PartitionIterations: *n, Seed: 1, PatternAware: !*naive,
 	}, store)
 	if err != nil {
 		fail(err)

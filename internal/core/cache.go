@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -28,7 +27,10 @@ import (
 // compiledSalt names the Compiled keyspace and its wire-format version.
 // Bump it whenever Options, the snapshot layout, or any serialized type
 // changes shape, so blobs written by older binaries miss cleanly instead
-// of decoding into a differently-shaped artifact.
+// of decoding into a differently-shaped artifact. Dropping a field the key
+// never covered is not a shape change: an older blob's extra "opts" key
+// is ignored on decode and the artifact it names is the same
+// (TestOldBlobStillDecodes).
 const compiledSalt = "mlvfpga/compiled/v1"
 
 // CompileKey derives the content address of the Compiled artifact for
@@ -36,8 +38,6 @@ const compiledSalt = "mlvfpga/compiled/v1"
 // determines the compilation product — the Options fields, the
 // per-device-type calibration (control and per-tile resource vectors,
 // virtual-block capacity and clock), and the format-version salt.
-// Parallelism is deliberately excluded: the Compiled result is identical
-// at every setting, so all settings share one artifact.
 func CompileKey(opts Options) artifactstore.Key {
 	h := rtl.NewCanonHash(compiledSalt)
 	h.Field("tiles", opts.Tiles)
@@ -222,28 +222,23 @@ func CompileAcceleratorCached(opts Options, store *artifactstore.Store) (c *Comp
 
 // InstanceCatalog compiles the set of accelerator instances the evaluation
 // provides (§4.3: "10 different accelerator instances are provided for the
-// two types of FPGAs"), returning one Compiled per tile count. Instances
-// compile over a bounded worker pool (parallelism < 1 defaults to one
-// worker per logical CPU; 1 is strictly sequential) and through the
-// artifact store when one is given: a repeat sweep over a warm store
-// performs zero compiles and is bound by cache lookups (a nil store
-// compiles cold). The catalog is identical at every setting.
-func InstanceCatalog(tileCounts []int, iterations int, seed int64, parallelism int, store *artifactstore.Store) ([]*Compiled, error) {
-	return parpool.Map(context.Background(), parpool.Workers(parallelism), len(tileCounts),
-		func(_ context.Context, i int) (*Compiled, error) {
-			c, _, _, err := CompileAcceleratorCached(Options{
-				Tiles:               tileCounts[i],
-				PartitionIterations: iterations,
-				Seed:                seed,
-				PatternAware:        true,
-				// The pool is saturated by instance-level jobs; nesting
-				// per-piece fan-out inside each would only oversubscribe
-				// the CPUs.
-				Parallelism: 1,
-			}, store)
-			if err != nil {
-				return nil, fmt.Errorf("core: instance with %d tiles: %w", tileCounts[i], err)
-			}
-			return c, nil
-		})
+// two types of FPGAs"), returning one Compiled per tile count. The
+// instances are independent, so they compile side by side on one worker
+// per logical CPU, each on its own goroutine, and through the artifact
+// store when one is given: a repeat sweep over a warm store performs zero
+// compiles and is bound by cache lookups (a nil store compiles cold). The
+// catalog equals compiling each instance in turn.
+func InstanceCatalog(tileCounts []int, iterations int, seed int64, store *artifactstore.Store) ([]*Compiled, error) {
+	return parpool.Map(parpool.Workers(0), len(tileCounts), func(i int) (*Compiled, error) {
+		c, _, _, err := CompileAcceleratorCached(Options{
+			Tiles:               tileCounts[i],
+			PartitionIterations: iterations,
+			Seed:                seed,
+			PatternAware:        true,
+		}, store)
+		if err != nil {
+			return nil, fmt.Errorf("core: instance with %d tiles: %w", tileCounts[i], err)
+		}
+		return c, nil
+	})
 }

@@ -8,20 +8,13 @@ import (
 )
 
 func testOpts() Options {
-	return Options{Tiles: 2, PartitionIterations: 2, Seed: 1, PatternAware: true, Parallelism: 1}
+	return Options{Tiles: 2, PartitionIterations: 2, Seed: 1, PatternAware: true}
 }
 
 func TestCompileKeyCanonical(t *testing.T) {
 	base := testOpts()
 	if CompileKey(base) != CompileKey(base) {
 		t.Fatal("key not stable for identical options")
-	}
-	// Parallelism never changes the compiled result, so it must not
-	// change the address either.
-	par := base
-	par.Parallelism = 8
-	if CompileKey(par) != CompileKey(base) {
-		t.Fatal("key depends on Parallelism")
 	}
 	// Every result-determining field must move the key.
 	for name, mut := range map[string]func(*Options){
@@ -72,6 +65,35 @@ func TestCompiledCodecRoundTrip(t *testing.T) {
 				t.Fatalf("%s image %q detached from decoded partition tree", dev, pi.Image.PieceID)
 			}
 		}
+	}
+}
+
+// TestOldBlobStillDecodes: blobs written while Options still carried a
+// Parallelism field (which the key never covered) keep their key and
+// decode to the same artifact, so an existing cache directory stays warm.
+func TestOldBlobStillDecodes(t *testing.T) {
+	if key := CompileKey(testOpts()); key != "compiled-facefb790976b1e0" {
+		t.Fatalf("key = %s: the compiled keyspace moved under the %s salt", key, compiledSalt)
+	}
+	cold, err := CompileAccelerator(testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := CompiledCodec.Encode(cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const opts = `"PatternAware":true}`
+	if !bytes.Contains(blob, []byte(opts)) {
+		t.Fatalf("blob opts do not end in %s", opts)
+	}
+	old := bytes.Replace(blob, []byte(opts), []byte(`"PatternAware":true,"Parallelism":1}`), 1)
+	v, err := CompiledCodec.Decode(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm := v.(*Compiled); warm.Opts != cold.Opts || compiledFingerprint(t, warm) != compiledFingerprint(t, cold) {
+		t.Fatal("a blob with the old Parallelism key decodes to a different artifact")
 	}
 }
 
@@ -141,14 +163,14 @@ func TestCompileAcceleratorCached(t *testing.T) {
 func TestInstanceCatalogCachedRepeatSweepIsCacheBound(t *testing.T) {
 	store := artifactstore.NewMemory(artifactstore.Options{})
 	tiles := []int{1, 2, 3}
-	first, err := InstanceCatalog(tiles, 2, 1, 1, store)
+	first, err := InstanceCatalog(tiles, 2, 1, store)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := store.Stats(); st.Computes != int64(len(tiles)) {
 		t.Fatalf("first sweep stats = %+v", st)
 	}
-	second, err := InstanceCatalog(tiles, 2, 1, 1, store)
+	second, err := InstanceCatalog(tiles, 2, 1, store)
 	if err != nil {
 		t.Fatal(err)
 	}

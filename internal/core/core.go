@@ -8,7 +8,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -16,7 +15,6 @@ import (
 	"mlvfpga/internal/bwrtl"
 	"mlvfpga/internal/decompose"
 	"mlvfpga/internal/hsvital"
-	"mlvfpga/internal/parpool"
 	"mlvfpga/internal/partition"
 	"mlvfpga/internal/resource"
 	"mlvfpga/internal/rtl"
@@ -34,13 +32,6 @@ type Options struct {
 	// PatternAware selects the framework's partition tool when mapping
 	// onto virtual blocks (§4.3); false falls back to ViTAL's own.
 	PatternAware bool
-	// Parallelism bounds the worker goroutines used across the offline
-	// flow: per-module RTL parsing, the decomposer's estimation pre-pass
-	// and equivalence-oracle simulation batches, and the per-device-type ×
-	// per-partition-piece HS compilation fan-out. Zero (the default) means
-	// one worker per logical CPU; 1 reproduces the strictly sequential
-	// flow. The Compiled result is identical at every setting.
-	Parallelism int
 }
 
 // PieceImage is one partition piece compiled for one device type.
@@ -87,15 +78,13 @@ func CompileAccelerator(opts Options) (*Compiled, error) {
 		return nil, fmt.Errorf("core: iterations = %d", opts.PartitionIterations)
 	}
 
-	workers := parpool.Workers(opts.Parallelism)
-
 	// Generate and parse the RTL (URAM variant as the canonical source;
 	// the memory module re-parameterizes per target, §3).
 	src, err := bwrtl.Generate(bwrtl.Profile{Tiles: opts.Tiles, UseURAM: true})
 	if err != nil {
 		return nil, err
 	}
-	design, err := rtl.ParseDesignParallel(src, bwrtl.TopModule, workers)
+	design, err := rtl.ParseDesign(src, bwrtl.TopModule)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +96,6 @@ func CompileAccelerator(opts Options) (*Compiled, error) {
 	dres, err := decompose.Decompose(design, bwrtl.TopModule, nil, decompose.Options{
 		ControlModules: bwrtl.ControlModules(),
 		Seed:           opts.Seed,
-		Parallelism:    workers,
 	})
 	if err != nil {
 		return nil, err
@@ -136,56 +124,31 @@ func CompileAccelerator(opts Options) (*Compiled, error) {
 	// type (Fig. 5), with per-target calibrated resources: the soft-block
 	// annotations from RTL estimation are relative; the Table 2
 	// calibration provides the absolute per-target implementation costs.
-	// Each (device type, partition piece) compile is independent — the
-	// paper's "embarrassingly parallel" offline cost — so the jobs fan out
-	// over a bounded pool and the results are reassembled in the same
-	// nested order the sequential loop produced.
-	specs := hsvital.AllSpecs()
 	pieces := c.Partition.AllPieces()
-	type pieceJob struct {
-		image       *hsvital.Image // nil: infeasible on this device type
-		lanes       int
-		withControl bool
-	}
-	jobs, err := parpool.Map(context.Background(), workers, len(specs)*len(pieces),
-		func(_ context.Context, j int) (pieceJob, error) {
-			spec := specs[j/len(pieces)]
-			i := j % len(pieces)
-			node := pieces[i]
-			perTile, err := hsvital.PerTileResources(spec.Device.Name)
-			if err != nil {
-				return pieceJob{}, err
-			}
+	for _, spec := range hsvital.AllSpecs() {
+		perTile, err := hsvital.PerTileResources(spec.Device.Name)
+		if err != nil {
+			return nil, err
+		}
+		var images []PieceImage
+		for i, node := range pieces {
 			lanes := countLanes(node.Block)
 			res := perTile.Scale(int64(lanes))
 			withControl := i == 0 // the root piece hosts the control block
 			if withControl {
 				ctrl, err := hsvital.ControlResources(spec.Device.Name)
 				if err != nil {
-					return pieceJob{}, err
+					return nil, err
 				}
 				res = res.Add(ctrl)
 			}
-			calibrated := calibratedBlock(node.Block, res)
-			img, err := hsvital.Compile(calibrated, spec, opts.PatternAware)
+			img, err := hsvital.Compile(calibratedBlock(node.Block, res), spec, opts.PatternAware)
 			if err != nil {
-				return pieceJob{}, nil // piece infeasible on this device type
+				continue // piece infeasible on this device type
 			}
-			return pieceJob{image: img, lanes: lanes, withControl: withControl}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	for si, spec := range specs {
-		var images []PieceImage
-		for i, node := range pieces {
-			job := jobs[si*len(pieces)+i]
-			if job.image == nil {
-				continue
-			}
-			c.HSCompileTime += job.image.CompileTime
+			c.HSCompileTime += img.CompileTime
 			images = append(images, PieceImage{
-				Piece: node, Image: job.image, Lanes: job.lanes, WithControl: job.withControl,
+				Piece: node, Image: img, Lanes: lanes, WithControl: withControl,
 			})
 		}
 		if len(images) > 0 {

@@ -85,7 +85,7 @@ func TestPatternAwareHopsBeatNaive(t *testing.T) {
 
 func TestInstanceCatalog(t *testing.T) {
 	counts := []int{1, 4}
-	cat, err := InstanceCatalog(counts, 1, 1, 0, nil)
+	cat, err := InstanceCatalog(counts, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestCompileAcceleratorErrors(t *testing.T) {
 	if _, err := CompileAccelerator(Options{Tiles: 2, PartitionIterations: -1}); err == nil {
 		t.Error("negative iterations must fail")
 	}
-	if _, err := InstanceCatalog([]int{0}, 1, 1, 0, nil); err == nil {
+	if _, err := InstanceCatalog([]int{0}, 1, 1, nil); err == nil {
 		t.Error("bad catalog must fail")
 	}
 }
@@ -146,47 +146,25 @@ func compiledFingerprint(t *testing.T, c *Compiled) string {
 	return string(blob)
 }
 
-// TestCompileDeterministicAcrossParallelism is the regression test for the
-// parallel offline flow: every Parallelism setting must produce the same
-// Compiled result, bit for bit.
-func TestCompileDeterministicAcrossParallelism(t *testing.T) {
-	base := Options{Tiles: 8, PartitionIterations: 2, Seed: 1, PatternAware: true, Parallelism: 1}
-	seq, err := CompileAccelerator(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := compiledFingerprint(t, seq)
-	for _, par := range []int{8, 0} {
-		opts := base
-		opts.Parallelism = par
-		got, err := CompileAccelerator(opts)
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
-		}
-		if fp := compiledFingerprint(t, got); fp != want {
-			t.Errorf("parallelism %d produced a different Compiled result", par)
-		}
-	}
-}
-
-// TestInstanceCatalogDeterministicAcrossParallelism extends the guarantee to
-// the catalog sweep.
+// TestInstanceCatalogDeterministicAcrossParallelism: the catalog's
+// instances compile side by side, and each equals the same instance
+// compiled alone on this goroutine, bit for bit.
 func TestInstanceCatalogDeterministicAcrossParallelism(t *testing.T) {
-	tiles := []int{1, 2, 4}
-	seq, err := InstanceCatalog(tiles, 2, 1, 1, nil)
+	tiles := []int{1, 2, 4, 8}
+	cat, err := InstanceCatalog(tiles, 2, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := InstanceCatalog(tiles, 2, 1, 8, nil)
-	if err != nil {
-		t.Fatal(err)
+	if len(cat) != len(tiles) {
+		t.Fatalf("catalog has %d instances, want %d", len(cat), len(tiles))
 	}
-	if len(seq) != len(par) {
-		t.Fatalf("catalog sizes differ: %d vs %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if compiledFingerprint(t, seq[i]) != compiledFingerprint(t, par[i]) {
-			t.Errorf("instance %d (tiles=%d) differs across parallelism", i, tiles[i])
+	for i, n := range tiles {
+		seq, err := CompileAccelerator(Options{Tiles: n, PartitionIterations: 2, Seed: 1, PatternAware: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if compiledFingerprint(t, cat[i]) != compiledFingerprint(t, seq) {
+			t.Errorf("instance %d (tiles=%d) differs from its sequential compile", i, n)
 		}
 	}
 }
@@ -196,11 +174,11 @@ func TestInstanceCatalogDeterministicAcrossParallelism(t *testing.T) {
 // rms compiler's options) allocates per module, not per token or AST leaf.
 // Tokens are source spans, AST leaves come from per-module slabs, the
 // structural hash is appended into one reused buffer and net widths are
-// resolved once per elaboration: it measures about 560 allocations and
-// 127 kB, where per-node allocation cost 1,835 and 248 kB.
+// resolved once per elaboration: it measures about 540 allocations and
+// 126 kB, where per-node allocation cost 1,835 and 248 kB.
 func TestCompileAllocations(t *testing.T) {
 	const maxAllocs, maxBytes = 800, 248_000
-	opts := Options{Tiles: 1, PartitionIterations: 2, Seed: 1, PatternAware: true, Parallelism: 1}
+	opts := Options{Tiles: 1, PartitionIterations: 2, Seed: 1, PatternAware: true}
 	if _, err := CompileAccelerator(opts); err != nil {
 		t.Fatal(err)
 	}

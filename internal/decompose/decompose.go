@@ -23,13 +23,11 @@
 package decompose
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
-	"mlvfpga/internal/parpool"
 	"mlvfpga/internal/resource"
 	"mlvfpga/internal/rtl"
 	"mlvfpga/internal/softblock"
@@ -44,11 +42,6 @@ type Options struct {
 	ControlModules []string
 	// Seed drives the random-simulation equivalence checker.
 	Seed int64
-	// Parallelism bounds the worker goroutines for the per-leaf resource
-	// estimation pre-pass and the equivalence oracle's simulation batches
-	// (1 strictly sequential; < 1 one worker per logical CPU). The result
-	// is identical at every setting.
-	Parallelism int
 }
 
 // Stats reports what each decomposition step did, for the compilation-
@@ -96,7 +89,6 @@ func Decompose(d *rtl.Design, top string, params map[string]uint64, opts Options
 		classes: map[string]string{},
 		classOf: map[string]*rtl.ElabModule{},
 	}
-	dec.checker.Parallelism = parpool.Workers(opts.Parallelism)
 	return dec.run(top, bg)
 }
 
@@ -165,30 +157,13 @@ func (dec *decomposer) run(top string, bg *rtl.BasicGraph) (*Result, error) {
 	g := newWorkGraph(len(bg.Insts) + 1)
 	boundary := g.addAnchor()
 
-	// Per-instance resource estimation is pure and independent, so it fans
-	// out over the worker pool; everything that mutates decomposer or
-	// work-graph state stays sequential below.
-	type leafInfo struct {
-		res             resource.Vector
-		inBits, outBits int
-	}
-	infos, err := parpool.Map(context.Background(), dec.opts.Parallelism, len(bg.Insts),
-		func(_ context.Context, i int) (leafInfo, error) {
-			res, err := dec.d.EstimateResources(bg.Insts[i].Elab)
-			if err != nil {
-				return leafInfo{}, err
-			}
-			in, out := portBits(bg.Insts[i].Elab)
-			return leafInfo{res: res, inBits: in, outBits: out}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-
 	dataCount := 0
 	for i, bi := range bg.Insts {
-		res := infos[i].res
-		inBits, outBits := infos[i].inBits, infos[i].outBits
+		res, err := dec.d.EstimateResources(bi.Elab)
+		if err != nil {
+			return nil, err
+		}
+		inBits, outBits := portBits(bi.Elab)
 		if dec.isControlModule(bi.Elab.Module.Name) {
 			controlRes = controlRes.Add(res)
 			controlKeys = append(controlKeys, bi.Elab.Key)

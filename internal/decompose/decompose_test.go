@@ -468,14 +468,4 @@ func TestDecomposeEquivCacheHits(t *testing.T) {
 	if st.Queries < st.StructuralHits+st.CacheHits+st.SimRuns {
 		t.Errorf("inconsistent counters: %+v", st)
 	}
-
-	// The stats — like the result — must not depend on the worker count.
-	d2 := design(t, cacheDesign, "top")
-	res2, err := Decompose(d2, "top", nil, Options{ControlModules: []string{"ctrl"}, Seed: 1, Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.EquivStats != st {
-		t.Errorf("parallel stats %+v != sequential %+v", res2.EquivStats, st)
-	}
 }

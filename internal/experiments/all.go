@@ -30,7 +30,7 @@ func All() []Experiment {
 			return FormatFig12(sum), nil
 		}},
 		{"compile", func(int) (string, error) {
-			r, err := CompileOverhead(0, nil)
+			r, err := CompileOverhead(nil)
 			if err != nil {
 				return "", err
 			}

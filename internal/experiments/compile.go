@@ -38,14 +38,13 @@ type CompileOverheadResult struct {
 
 // CompileOverhead runs the offline flow for the 10-instance catalog and
 // accounts compile time with piece reuse. The catalog sweep is the hot
-// path: the ten instances compile concurrently (§4.3's per-piece builds are
-// embarrassingly parallel; parallelism 1 is the sequential flow, < 1 one
-// worker per logical CPU) while the reuse accounting stays sequential, so
+// path: the ten independent instances compile side by side (see
+// core.InstanceCatalog) while the reuse accounting stays sequential, so
 // the result is deterministic. Over a warm store a repeat run performs zero
 // compiles with identical accounting: the decompose/partition wall-clock
 // rides in the cached artifact.
-func CompileOverhead(parallelism int, store *artifactstore.Store) (*CompileOverheadResult, error) {
-	catalog, err := core.InstanceCatalog(core.DefaultTileCounts(), 2, 1, parallelism, store)
+func CompileOverhead(store *artifactstore.Store) (*CompileOverheadResult, error) {
+	catalog, err := core.InstanceCatalog(core.DefaultTileCounts(), 2, 1, store)
 	if err != nil {
 		return nil, err
 	}

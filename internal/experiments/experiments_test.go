@@ -162,7 +162,7 @@ func TestFig12Headline(t *testing.T) {
 }
 
 func TestCompileOverhead(t *testing.T) {
-	r, err := CompileOverhead(0, nil)
+	r, err := CompileOverhead(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -66,8 +65,8 @@ type Fig12Summary struct {
 // the sequential run.
 func Fig12(opt Fig12Options) (*Fig12Summary, error) {
 	comps := workload.Table1()
-	rows, err := parpool.Map(context.Background(), opt.Parallelism, len(comps),
-		func(_ context.Context, i int) (Fig12Row, error) { return fig12Row(comps[i], opt) })
+	rows, err := parpool.Map(opt.Parallelism, len(comps),
+		func(i int) (Fig12Row, error) { return fig12Row(comps[i], opt) })
 	if err != nil {
 		return nil, err
 	}

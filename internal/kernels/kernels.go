@@ -96,6 +96,13 @@ func (k RNNKind) cell() (cell, bool) {
 	return cells[k], true
 }
 
+// ScalesDown reports whether the cell has a scaled step program, that is
+// whether BuildShard builds it across more than one device.
+func (k RNNKind) ScalesDown() bool {
+	c, ok := k.cell()
+	return ok && c.shardOwn != 0
+}
+
 // mats lists the cell's matrices in matrix-register order.
 func (c cell) mats() []string { return append(append([]string{}, c.wx...), c.uh...) }
 

@@ -1,7 +1,7 @@
 // Package parpool is a minimal bounded worker pool for the framework's
-// embarrassingly parallel offline work: per-device-type × per-piece HS
-// compilation, the §4.3 instance-catalog sweep, equivalence-oracle
-// simulation batches, and the Fig. 12 workload-set simulations.
+// independent offline jobs: the §4.3 instance-catalog compiles and the
+// Fig. 12 workload-set simulations. One compile runs on its caller's
+// goroutine; only whole, independent jobs fan out.
 //
 // The pool is deliberately tiny and stdlib-only. Jobs are identified by a
 // dense index range [0, n); results are collected positionally, so output
@@ -11,7 +11,6 @@
 package parpool
 
 import (
-	"context"
 	"runtime"
 	"sync"
 )
@@ -25,36 +24,27 @@ func Workers(n int) int {
 	return n
 }
 
-// ForEach runs fn(ctx, i) for every i in [0, n) on at most workers
-// goroutines. It returns the error of the lowest-indexed failing job (so
-// error propagation is deterministic regardless of scheduling); once any
-// job fails, the context passed to the remaining jobs is cancelled and
-// undispatched jobs are skipped. A nil ctx means context.Background().
-func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
+// Map runs fn(i) for every i in [0, n) on at most workers goroutines and
+// returns the results in index order. It returns the error of the
+// lowest-indexed failing job (so error propagation is deterministic
+// regardless of scheduling); once any job fails, undispatched jobs are
+// skipped and the partial results are discarded.
+func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
-		return nil
+		return nil, nil
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
+	out := make([]T, n)
+	workers = min(Workers(workers), n)
 	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
+		for i := range out {
+			v, err := fn(i)
+			if err != nil {
+				return nil, err
 			}
-			if err := fn(ctx, i); err != nil {
-				return err
-			}
+			out[i] = v
 		}
-		return nil
+		return out, nil
 	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 
 	var (
 		mu       sync.Mutex
@@ -62,71 +52,43 @@ func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i
 		errIdx   = n
 		next     int
 	)
-	fail := func(i int, err error) {
-		mu.Lock()
-		if i < errIdx {
-			firstErr, errIdx = err, i
-		}
-		mu.Unlock()
-		cancel()
-	}
+	// take hands out the next index, or reports false once the jobs are
+	// exhausted or one has failed.
 	take := func() (int, bool) {
 		mu.Lock()
 		defer mu.Unlock()
-		if next >= n {
+		if next >= n || firstErr != nil {
 			return 0, false
 		}
-		i := next
 		next++
-		return i, true
+		return next - 1, true
 	}
-
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		go func() {
 			defer wg.Done()
 			for {
-				if ctx.Err() != nil {
-					return
-				}
 				i, ok := take()
 				if !ok {
 					return
 				}
-				if err := fn(ctx, i); err != nil {
-					fail(i, err)
+				v, err := fn(i)
+				if err != nil {
+					mu.Lock()
+					if i < errIdx {
+						firstErr, errIdx = err, i
+					}
+					mu.Unlock()
 					return
 				}
+				out[i] = v
 			}
 		}()
 	}
 	wg.Wait()
-
 	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
-}
-
-// Map runs fn(ctx, i) for every i in [0, n) on at most workers goroutines
-// and returns the results in index order. Error semantics match ForEach;
-// on error the partial results are discarded.
-func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	out := make([]T, n)
-	err := ForEach(ctx, workers, n, func(ctx context.Context, i int) error {
-		v, err := fn(ctx, i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		return nil, firstErr
 	}
 	return out, nil
 }

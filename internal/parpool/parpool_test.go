@@ -1,11 +1,9 @@
 package parpool
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,7 +20,7 @@ func TestWorkersDefault(t *testing.T) {
 
 func TestMapOrderAndCompleteness(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
-		out, err := Map(context.Background(), workers, 100, func(_ context.Context, i int) (int, error) {
+		out, err := Map(workers, 100, func(i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -39,19 +37,19 @@ func TestMapOrderAndCompleteness(t *testing.T) {
 	}
 }
 
-func TestForEachEmpty(t *testing.T) {
-	if err := ForEach(context.Background(), 4, 0, func(context.Context, int) error {
+func TestMapEmpty(t *testing.T) {
+	if out, err := Map(4, 0, func(int) (int, error) {
 		t.Fatal("must not run")
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+		return 0, nil
+	}); out != nil || err != nil {
+		t.Fatal(out, err)
 	}
 }
 
 func TestBoundedConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int32
-	err := ForEach(context.Background(), workers, 50, func(_ context.Context, i int) error {
+	_, err := Map(workers, 50, func(i int) (int, error) {
 		n := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -61,7 +59,7 @@ func TestBoundedConcurrency(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 		cur.Add(-1)
-		return nil
+		return i, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,14 +72,14 @@ func TestBoundedConcurrency(t *testing.T) {
 func TestLowestIndexedErrorWins(t *testing.T) {
 	wantErr := errors.New("boom-10")
 	for _, workers := range []int{1, 4} {
-		err := ForEach(context.Background(), workers, 40, func(_ context.Context, i int) error {
+		_, err := Map(workers, 40, func(i int) (int, error) {
 			if i == 10 {
-				return wantErr
+				return 0, wantErr
 			}
 			if i == 30 {
-				return fmt.Errorf("boom-30")
+				return 0, fmt.Errorf("boom-30")
 			}
-			return nil
+			return i, nil
 		})
 		if !errors.Is(err, wantErr) {
 			t.Errorf("workers=%d: err = %v, want lowest-indexed boom-10", workers, err)
@@ -92,12 +90,12 @@ func TestLowestIndexedErrorWins(t *testing.T) {
 func TestErrorStopsDispatch(t *testing.T) {
 	var ran atomic.Int32
 	boom := errors.New("boom")
-	err := ForEach(context.Background(), 2, 10000, func(_ context.Context, i int) error {
+	_, err := Map(2, 10000, func(i int) (int, error) {
 		ran.Add(1)
 		if i == 0 {
-			return boom
+			return 0, boom
 		}
-		return nil
+		return i, nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
@@ -107,31 +105,8 @@ func TestErrorStopsDispatch(t *testing.T) {
 	}
 }
 
-func TestContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var mu sync.Mutex
-	started := 0
-	err := ForEach(ctx, 2, 1000, func(ctx context.Context, i int) error {
-		mu.Lock()
-		started++
-		if started == 5 {
-			cancel()
-		}
-		mu.Unlock()
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if started == 1000 {
-		t.Error("cancellation must stop dispatch")
-	}
-}
-
 func TestMapDiscardsOnError(t *testing.T) {
-	out, err := Map(context.Background(), 4, 10, func(_ context.Context, i int) (int, error) {
+	out, err := Map(4, 10, func(i int) (int, error) {
 		if i == 3 {
 			return 0, errors.New("nope")
 		}
@@ -144,7 +119,7 @@ func TestMapDiscardsOnError(t *testing.T) {
 
 func TestSequentialMatchesParallel(t *testing.T) {
 	run := func(workers int) []int {
-		out, err := Map(context.Background(), workers, 64, func(_ context.Context, i int) (int, error) {
+		out, err := Map(workers, 64, func(i int) (int, error) {
 			return 31*i + 7, nil
 		})
 		if err != nil {

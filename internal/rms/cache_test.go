@@ -28,7 +28,7 @@ func newCachedService(t *testing.T, cluster resource.ClusterSpec, store *artifac
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := NewCompiler(store, CompilerOptions{Parallelism: 1})
+	comp := NewCompiler(store, CompilerOptions{})
 	svc.SetCompiler(comp)
 	return svc, comp
 }

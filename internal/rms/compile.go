@@ -19,18 +19,15 @@ import (
 // structural hash, and relies on the store's singleflight guard so N
 // concurrent deploys of one design compile exactly once.
 
-// CompilerOptions configures Deploy-triggered compiles.
-type CompilerOptions struct {
-	// Parallelism bounds worker goroutines for cold compiles
-	// (0 = one per logical CPU).
-	Parallelism int
-}
+// CompilerOptions configures Deploy-triggered compiles and has no field:
+// a cold compile runs on the deploying goroutine. The type stays because
+// the benchmark names it in its calls to NewCompiler.
+type CompilerOptions struct{}
 
 // Compiler ensures the full compilation product of a layer's accelerator
 // instance is present in the artifact store. Safe for concurrent use.
 type Compiler struct {
 	store *artifactstore.Store
-	opts  CompilerOptions
 
 	mu    sync.Mutex
 	plans map[kernels.LayerSpec]planEntry
@@ -45,8 +42,8 @@ type planEntry struct {
 
 // NewCompiler builds a compiler over the store (nil store = compile cold
 // on every miss of the plan memo's instance, without persistence).
-func NewCompiler(store *artifactstore.Store, opts CompilerOptions) *Compiler {
-	return &Compiler{store: store, opts: opts, plans: map[kernels.LayerSpec]planEntry{}}
+func NewCompiler(store *artifactstore.Store, _ CompilerOptions) *Compiler {
+	return &Compiler{store: store, plans: map[kernels.LayerSpec]planEntry{}}
 }
 
 // optionsFor resolves a layer to the accelerator instance the offline
@@ -69,7 +66,6 @@ func (c *Compiler) optionsFor(spec kernels.LayerSpec) (core.Options, error) {
 			PartitionIterations: 2, // the database's 1/2/4-device deployments
 			Seed:                1,
 			PatternAware:        true,
-			Parallelism:         c.opts.Parallelism,
 		}
 	}
 	c.mu.Lock()

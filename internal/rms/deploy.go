@@ -137,9 +137,10 @@ func (db *Database) Options(spec kernels.LayerSpec) ([]Deployment, error) {
 		})
 	}
 
-	// Scaled-out deployments across 2 and 4 devices.
+	// Scaled-out deployments across 2 and 4 devices, for cells with a
+	// scaled step program.
 	for _, n := range []int{2, 4} {
-		if spec.Hidden%n != 0 {
+		if spec.Hidden%n != 0 || !spec.Kind.ScalesDown() {
 			continue
 		}
 		for _, combo := range deviceCombos(n, db.mode) {

@@ -243,3 +243,27 @@ func TestPolicyModeString(t *testing.T) {
 		t.Error("policy names wrong")
 	}
 }
+
+// TestOptionsBuildAtTheirDepth: every deployment the database offers runs,
+// i.e. each of its devices' shard program builds at the deployment's depth
+// (attention has no scaled step program, so it is offered on one device).
+func TestOptionsBuildAtTheirDepth(t *testing.T) {
+	db := testDB(Flexible)
+	for _, kind := range []kernels.RNNKind{kernels.LSTM, kernels.GRU, kernels.Attention} {
+		for _, hidden := range []int{64, 256} {
+			spec := kernels.LayerSpec{Kind: kind, Hidden: hidden, TimeSteps: 4}
+			opts, err := db.Options(spec)
+			if err != nil {
+				t.Fatalf("%v: %v", spec, err)
+			}
+			w := kernels.RandomWeights(kind, hidden, 1)
+			for _, o := range opts {
+				for dev := range o.NumPieces() {
+					if _, err := kernels.BuildShard(w, spec.TimeSteps, 1, dev, o.NumPieces()); err != nil {
+						t.Errorf("%v at depth %d: %v", spec, o.NumPieces(), err)
+					}
+				}
+			}
+		}
+	}
+}

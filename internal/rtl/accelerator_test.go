@@ -95,7 +95,7 @@ func hashGolden(t *testing.T) string {
 		if s.top != bwrtl.TopModule {
 			continue
 		}
-		res, err := decompose.Decompose(d, s.top, nil, decompose.Options{ControlModules: bwrtl.ControlModules(), Seed: 1, Parallelism: 1})
+		res, err := decompose.Decompose(d, s.top, nil, decompose.Options{ControlModules: bwrtl.ControlModules(), Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,16 +82,6 @@ func ParseDesign(src, top string) (*Design, error) {
 	return NewDesign(mods, top)
 }
 
-// ParseDesignParallel is ParseDesign with per-module parsing fanned out
-// over up to workers goroutines; the resulting design is identical.
-func ParseDesignParallel(src, top string, workers int) (*Design, error) {
-	mods, err := ParseParallel(src, workers)
-	if err != nil {
-		return nil, err
-	}
-	return NewDesign(mods, top)
-}
-
 // IsPrimitive reports whether name refers to a hard primitive cell rather
 // than a module of the design. Any instance whose module has no definition
 // in the design is treated as a blackbox primitive; the well-known Xilinx
@@ -302,8 +292,8 @@ func (d *Design) elaborate(name string, overrides map[string]uint64, cache map[s
 
 // NetWidths resolves the width of every port and net of an elaborated
 // module, keyed by name. They are resolved once, on first use, and the
-// map is shared by every caller (the decomposer's estimation workers read
-// it concurrently): callers must not modify it.
+// map is shared by every caller, from any goroutine: callers must not
+// modify it.
 func (em *ElabModule) NetWidths() (map[string]int, error) {
 	em.widthsOnce.Do(func() {
 		widths := make(map[string]int, len(em.PortWidths)+len(em.Module.Nets))

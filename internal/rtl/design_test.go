@@ -59,22 +59,17 @@ func TestValidate(t *testing.T) {
 		  sub u0 (.a(x), .y(m));
 		  sub u1 (.a(m), .nosuch(z));
 		endmodule`
-	for name, parse := range map[string]func() (*Design, error){
-		"ParseDesign":         func() (*Design, error) { return ParseDesign(bad, "top") },
-		"ParseDesignParallel": func() (*Design, error) { return ParseDesignParallel(bad, "top", 4) },
-	} {
-		_, err := parse()
-		if err == nil {
-			t.Errorf("%s: undeclared port accepted", name)
-			continue
-		}
+	_, err := ParseDesign(bad, "top")
+	if err == nil {
+		t.Error("undeclared port accepted")
+	} else {
 		for _, want := range []string{"top.u1", `"nosuch"`, "module sub"} {
 			if !strings.Contains(err.Error(), want) {
-				t.Errorf("%s: error %q does not name %s", name, err, want)
+				t.Errorf("error %q does not name %s", err, want)
 			}
 		}
 	}
-	_, err := ParseDesign(`
+	_, err = ParseDesign(`
 		module sub(input a, output y); assign y = a; endmodule
 		module top(input x, output z); sub u0 (x, z, x); endmodule`, "top")
 	if err == nil || !strings.Contains(err.Error(), "positional connection 2") {

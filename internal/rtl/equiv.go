@@ -1,7 +1,6 @@
 package rtl
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -15,7 +14,6 @@ import (
 	"sync"
 
 	"mlvfpga/internal/metrics"
-	"mlvfpga/internal/parpool"
 )
 
 // This file provides the "are these two blocks identical hardware" oracle
@@ -236,8 +234,8 @@ type EquivStats struct {
 
 // EquivChecker decides whether two elaborated modules implement identical
 // hardware. A checker is safe for concurrent use; every verdict is a pure
-// function of (seed, pair of modules), independent of query order and of
-// Parallelism, so cached and parallel runs reproduce sequential results.
+// function of (seed, pair of modules), independent of query order, so
+// cached runs reproduce uncached results.
 type EquivChecker struct {
 	d    *Design
 	seed int64
@@ -247,10 +245,6 @@ type EquivChecker struct {
 	// Cycles is the number of clock ticks applied after each vector to
 	// exercise sequential behaviour (default 4).
 	Cycles int
-	// Parallelism bounds the goroutines sharding one query's simulation
-	// batches (<= 1 sequential, < 1 never set here: the zero value keeps
-	// the sequential path so plain NewEquivChecker use stays single-core).
-	Parallelism int
 
 	mu      sync.Mutex
 	hashes  *hasher
@@ -261,13 +255,12 @@ type EquivChecker struct {
 // NewEquivChecker builds a checker with a deterministic random source.
 func NewEquivChecker(d *Design, seed int64) *EquivChecker {
 	return &EquivChecker{
-		d:           d,
-		seed:        seed,
-		Vectors:     64,
-		Cycles:      4,
-		Parallelism: 1,
-		hashes:      newHasher(),
-		simMemo:     map[[2]string]bool{},
+		d:       d,
+		seed:    seed,
+		Vectors: 64,
+		Cycles:  4,
+		hashes:  newHasher(),
+		simMemo: map[[2]string]bool{},
 	}
 }
 
@@ -335,8 +328,8 @@ func (c *EquivChecker) Equivalent(a, b *ElabModule) (bool, error) {
 
 // pairSeed derives the simulation seed for one hash pair. Keying the seed
 // on the (ordered) pair rather than on a shared stream makes every verdict
-// independent of query order, which is what lets the cache and the parallel
-// offline flow reproduce sequential results bit-for-bit.
+// independent of query order, which is what lets a cached verdict stand
+// for a fresh simulation bit-for-bit.
 func pairSeed(seed int64, memoKey [2]string) int64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%s|%s", seed, memoKey[0], memoKey[1])
@@ -428,12 +421,9 @@ func clockLike(name string) bool {
 }
 
 // simEquivalent applies c.Vectors random input vectors (plus c.Cycles
-// clock ticks each) to simulators of a and b. Each side is flattened once;
-// the vector stream is sharded into per-worker batches, each simulating
-// the shared, read-only flat modules with its own pair of simulators.
+// clock ticks each) to simulators of a and b, each side flattened once.
 // Every vector draws its stimulus from an own *rand.Rand seeded by
-// (pairSeed, vector index), so the verdict does not depend on how many
-// goroutines ran the batches.
+// (pairSeed, vector index).
 func (c *EquivChecker) simEquivalent(a, b *ElabModule, seed int64) (bool, error) {
 	flatA, err := c.d.Flatten(a.Module.Name, publicParams(a))
 	if err != nil {
@@ -443,48 +433,6 @@ func (c *EquivChecker) simEquivalent(a, b *ElabModule, seed int64) (bool, error)
 	if err != nil {
 		return false, err
 	}
-	workers := c.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > c.Vectors {
-		workers = c.Vectors
-	}
-	// Contiguous vector ranges, one batch per worker. A batch stops at its
-	// first mismatch or error; batches are reduced in index order, so the
-	// reported outcome (ErrNotSimulable included) is deterministic.
-	type verdict struct {
-		mismatch bool
-		err      error
-	}
-	per := (c.Vectors + workers - 1) / workers
-	batches := (c.Vectors + per - 1) / per
-	results, err := parpool.Map(context.Background(), workers, batches, func(_ context.Context, bi int) (verdict, error) {
-		lo := bi * per
-		hi := lo + per
-		if hi > c.Vectors {
-			hi = c.Vectors
-		}
-		mismatch, err := c.simBatch(flatA, flatB, seed, lo, hi)
-		return verdict{mismatch: mismatch, err: err}, nil
-	})
-	if err != nil {
-		return false, err
-	}
-	for _, v := range results {
-		if v.err != nil {
-			return false, v.err
-		}
-		if v.mismatch {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// simBatch runs vectors [lo, hi) against fresh simulators of the two flat
-// modules and reports whether any vector exposed an output mismatch.
-func (c *EquivChecker) simBatch(flatA, flatB *Module, seed int64, lo, hi int) (mismatch bool, err error) {
 	simA, err := NewFlatSimulator(flatA)
 	if err != nil {
 		return false, err
@@ -495,9 +443,7 @@ func (c *EquivChecker) simBatch(flatA, flatB *Module, seed int64, lo, hi int) (m
 	}
 	inputs := simA.InputPorts()
 	outputs := simA.OutputPorts()
-	for v := lo; v < hi; v++ {
-		// Per-vector source: stimulus depends only on (seed, v), never on
-		// batch boundaries.
+	for v := range c.Vectors {
 		rng := rand.New(rand.NewSource(seed + int64(v)*0x9E3779B9))
 		for _, in := range inputs {
 			if clockLike(in) {
@@ -528,7 +474,7 @@ func (c *EquivChecker) simBatch(flatA, flatB *Module, seed int64, lo, hi int) (m
 					return false, err
 				}
 				if va != vb {
-					return true, nil
+					return false, nil
 				}
 			}
 			if cyc < c.Cycles {
@@ -541,5 +487,5 @@ func (c *EquivChecker) simBatch(flatA, flatB *Module, seed int64, lo, hi int) (m
 			}
 		}
 	}
-	return false, nil
+	return true, nil
 }

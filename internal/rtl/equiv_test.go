@@ -269,44 +269,6 @@ func TestEquivStatsCounters(t *testing.T) {
 	}
 }
 
-// TestEquivalentParallelMatchesSequential pins the sharding contract: the
-// verdict is a pure function of (seed, pair), independent of Parallelism.
-func TestEquivalentParallelMatchesSequential(t *testing.T) {
-	src := statsSrc + `
-	module inc(input [7:0] x, output [8:0] y); assign y = {1'b0,x} + 9'd1; endmodule`
-	pairs := [][2]string{{"dbl1", "dbl2"}, {"dbl1", "inc"}, {"dbl2", "inc"}}
-	var want []bool
-	for _, par := range []int{1, 8} {
-		d, err := ParseDesign(src, "top")
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := NewEquivChecker(d, 7)
-		c.Parallelism = par
-		var got []bool
-		for _, p := range pairs {
-			eq, err := c.Equivalent(elab(t, d, p[0]), elab(t, d, p[1]))
-			if err != nil {
-				t.Fatalf("parallelism %d, pair %v: %v", par, p, err)
-			}
-			got = append(got, eq)
-		}
-		if par == 1 {
-			want = got
-			if !want[0] || want[1] || want[2] {
-				t.Fatalf("sequential verdicts %v, want [true false false]", want)
-			}
-			continue
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Errorf("pair %v: parallelism %d says %v, sequential says %v",
-					pairs[i], par, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestEquivalentParameterized(t *testing.T) {
 	d, err := ParseDesign(`
 		module pas #(parameter W = 8) (input [W-1:0] x, output [W-1:0] y);

@@ -1,12 +1,9 @@
 package rtl
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"strings"
-
-	"mlvfpga/internal/parpool"
 )
 
 // parser is a recursive-descent parser over a pre-lexed token stream.
@@ -55,60 +52,10 @@ func (s *slab[T]) take(n int) []T {
 
 // Parse parses Verilog-subset source text into a list of modules.
 func Parse(src string) ([]*Module, error) {
-	return ParseParallel(src, 1)
-}
-
-// ParseParallel parses like Parse but distributes per-module parsing over
-// up to workers goroutines (workers <= 1 is strictly sequential). Lexing
-// stays sequential; the token stream is then split at top-level
-// module/endmodule boundaries — the subset has no nested modules — and the
-// spans parse independently. The module list and any reported error are
-// identical to the sequential parse.
-func ParseParallel(src string, workers int) ([]*Module, error) {
 	toks, err := lexAll(src)
 	if err != nil {
 		return nil, err
 	}
-	spans, ok := moduleSpans(src, toks)
-	if !ok || len(spans) < 2 {
-		// Malformed top level (or nothing to fan out): the single-stream
-		// parser produces the canonical error positions.
-		return parseStream(src, toks)
-	}
-	return parpool.Map(context.Background(), workers, len(spans), func(_ context.Context, i int) (*Module, error) {
-		// The stream from the module's first token on is exactly what the
-		// sequential parser sees there, so the span needs no copy.
-		p := &parser{src: src, toks: toks[spans[i]:]}
-		return p.parseModule()
-	})
-}
-
-// moduleSpans splits a token stream at its top-level modules, returning
-// the index of each "module" token. It reports false when the stream does
-// not look like a plain module sequence.
-func moduleSpans(src string, toks []token) ([]int, bool) {
-	p := parser{src: src}
-	var spans []int
-	i := 0
-	for i < len(toks) && toks[i].kind != tokEOF {
-		if !p.is(toks[i], "module") {
-			return nil, false
-		}
-		j := i + 1
-		for j < len(toks) && !p.is(toks[j], "endmodule") && toks[j].kind != tokEOF {
-			j++
-		}
-		if j >= len(toks) || !p.is(toks[j], "endmodule") {
-			return nil, false
-		}
-		spans = append(spans, i)
-		i = j + 1
-	}
-	return spans, true
-}
-
-// parseStream parses a whole token stream module by module.
-func parseStream(src string, toks []token) ([]*Module, error) {
 	p := &parser{src: src, toks: toks}
 	var mods []*Module
 	for !p.at(tokEOF) {

@@ -1,7 +1,6 @@
 package rtl
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -342,32 +341,6 @@ func TestQuickExprStringStable(t *testing.T) {
 	}
 }
 
-// genManyModules emits n small modules with varied bodies so the parallel
-// splitter has real fan-out to chew on.
-func genManyModules(n int) string {
-	var sb strings.Builder
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&sb, `
-module m%d #(parameter W = %d) (input clk, input [W-1:0] a, output reg [W-1:0] q);
-  wire [W-1:0] t;
-  assign t = a ^ {W{1'b1}};
-  always @(posedge clk) q <= t + %d'd%d;
-endmodule
-`, i, 4+i%8, 4+i%8, i%7)
-	}
-	return sb.String()
-}
-
-// sequential parses src as one stream, module after module: the oracle
-// ParseParallel's per-module fan-out must match.
-func sequential(src string) ([]*Module, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	return parseStream(src, toks)
-}
-
 // bwSource generates the accelerator RTL of the given tile count.
 func bwSource(t *testing.T, tiles int) string {
 	t.Helper()
@@ -376,82 +349,6 @@ func bwSource(t *testing.T, tiles int) string {
 		t.Fatal(err)
 	}
 	return src
-}
-
-func TestParseParallelMatchesSequential(t *testing.T) {
-	srcs := []string{genManyModules(17)}
-	for _, tiles := range []int{1, 2, 4} {
-		srcs = append(srcs, bwSource(t, tiles))
-	}
-	for i, src := range srcs {
-		seq, err := sequential(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 8, 32} {
-			par, err := ParseParallel(src, workers)
-			if err != nil {
-				t.Fatalf("source %d, workers=%d: %v", i, workers, err)
-			}
-			if !reflect.DeepEqual(seq, par) {
-				t.Fatalf("source %d, workers=%d: parallel parse differs from sequential", i, workers)
-			}
-		}
-	}
-}
-
-func TestParseParallelErrorParity(t *testing.T) {
-	// Syntax errors inside two modules: the parallel parse must report the
-	// same (earliest-module) error the sequential scan stops at.
-	src := `
-module ok(input a, output y); assign y = a; endmodule
-module bad1(input a, output y); assign y = ; endmodule
-module bad2(input a, output y); assign = a; endmodule`
-	_, seqErr := ParseParallel(src, 1)
-	if seqErr == nil {
-		t.Fatal("expected error")
-	}
-	_, parErr := ParseParallel(src, 8)
-	if parErr == nil || parErr.Error() != seqErr.Error() {
-		t.Errorf("parallel error = %v, sequential = %v", parErr, seqErr)
-	}
-
-	// One malformed module in the middle of the accelerator's RTL (its
-	// header loses its ';'): every worker count reports the sequential
-	// parser's error.
-	src = bwSource(t, 2)
-	at := strings.Index(src, "module mvm_tile")
-	at += strings.Index(src[at:], ";")
-	src = src[:at] + src[at+1:]
-	_, seqErr = sequential(src)
-	if seqErr == nil {
-		t.Fatal("corrupted RTL parsed")
-	}
-	for _, workers := range []int{1, 2, 8} {
-		if _, err := ParseParallel(src, workers); err == nil || err.Error() != seqErr.Error() {
-			t.Errorf("workers=%d: error = %v, sequential = %v", workers, err, seqErr)
-		}
-	}
-}
-
-func TestParseParallelMalformedTopLevelFallsBack(t *testing.T) {
-	// A stray top-level token defeats the splitter; both paths must agree.
-	src := `
-module a(); endmodule
-garbage
-module b(); endmodule`
-	_, seqErr := ParseParallel(src, 1)
-	_, parErr := ParseParallel(src, 8)
-	if seqErr == nil || parErr == nil || parErr.Error() != seqErr.Error() {
-		t.Errorf("parallel error = %v, sequential = %v", parErr, seqErr)
-	}
-	// Same for a module missing its endmodule.
-	src = "module a(); endmodule\nmodule b(input x);"
-	_, seqErr = ParseParallel(src, 1)
-	_, parErr = ParseParallel(src, 8)
-	if seqErr == nil || parErr == nil || parErr.Error() != seqErr.Error() {
-		t.Errorf("truncated: parallel error = %v, sequential = %v", parErr, seqErr)
-	}
 }
 
 // TestReserveIsExact: reserve's counts are exact for the generated

@@ -156,7 +156,7 @@ func NewStack(o Options) (*Stack, error) {
 	// store, so every deploy after the preamble's first must be a cache
 	// hit — the artifact-cache and warm-deploy invariants pin that.
 	store := artifactstore.NewMemory(artifactstore.Options{})
-	comp := rms.NewCompiler(store, rms.CompilerOptions{Parallelism: 1})
+	comp := rms.NewCompiler(store, rms.CompilerOptions{})
 	svc.SetCompiler(comp)
 	dp := rms.NewDataPlane(svc, o.Infer)
 	s := &Stack{

@@ -55,10 +55,8 @@ type (
 	PartitionResult = partition.Result
 	// Compiled is the full offline-flow output for one instance.
 	Compiled = core.Compiled
-	// CompileOptions configures the offline flow, including the
-	// Parallelism knob bounding the worker goroutines (0 = one per
-	// logical CPU, 1 = strictly sequential; the Compiled result is
-	// identical at every setting).
+	// CompileOptions configures the offline flow; one compile runs on
+	// its caller's goroutine.
 	CompileOptions = core.Options
 	// LayerSpec identifies a GRU/LSTM benchmark layer.
 	LayerSpec = kernels.LayerSpec
@@ -136,8 +134,8 @@ func CompileInstance(tiles, partitionIterations int) (*Compiled, error) {
 	})
 }
 
-// CompileInstanceWithOptions runs the offline flow with explicit options,
-// including the Parallelism knob (see CompileOptions).
+// CompileInstanceWithOptions runs the offline flow with explicit options
+// (see CompileOptions).
 func CompileInstanceWithOptions(opts CompileOptions) (*Compiled, error) {
 	return core.CompileAccelerator(opts)
 }
@@ -297,7 +295,7 @@ var (
 	ReproduceTable4            = experiments.Table4
 	ReproduceFig11             = experiments.Fig11
 	ReproduceFig12             = experiments.Fig12
-	ReproduceCompileOverhead   = func() (*experiments.CompileOverheadResult, error) { return experiments.CompileOverhead(0, nil) }
+	ReproduceCompileOverhead   = func() (*experiments.CompileOverheadResult, error) { return experiments.CompileOverhead(nil) }
 	ReproduceInstructionBuffer = experiments.InstructionBufferFit
 	ReproduceAblationPartition = experiments.AblationPartition
 	ReproduceAblationNumerics  = experiments.AblationNumerics
