@@ -6,9 +6,9 @@
 //
 //	go run ./examples/scaleout-overlap
 //
-// The example runs the two linked accelerators functionally (goroutines +
-// the barrier in the sync module), validates against the float64
-// reference, and then reproduces the Fig. 11 sweep analytically.
+// The example runs the two linked accelerators functionally (in lockstep,
+// each receive a barrier in the sync module), validates against the
+// float64 reference, and then reproduces the Fig. 11 sweep analytically.
 package main
 
 import (

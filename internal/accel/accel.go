@@ -72,37 +72,13 @@ func (c Config) Validate() error {
 }
 
 // DRAM is the accelerator's memory port. The scale-out optimization wraps
-// it to trap predefined addresses (§2.3 Fig. 8b).
+// it to trap predefined addresses (§2.3 Fig. 8b). ReadWordsInto reads into
+// a caller-provided buffer, which keeps the execution engine's
+// steady-state v_rd and m_rd paths allocation-free.
 type DRAM interface {
 	ReadWords(addr, n int) ([]fp16.Num, error)
-	WriteWords(addr int, vals []fp16.Num) error
-}
-
-// ReaderInto is an optional DRAM extension: reading into a caller-provided
-// buffer lets the execution engine keep its steady-state v_rd path
-// allocation-free. Ports that do not implement it fall back to ReadWords
-// plus a copy.
-type ReaderInto interface {
 	ReadWordsInto(dst []fp16.Num, addr int) error
-}
-
-// Unwrapper is implemented by DRAM wrappers (such as the machine's
-// write-tracking port) that interpose on another DRAM.
-type Unwrapper interface {
-	Unwrap() DRAM
-}
-
-// UnwrapDRAM peels any wrapping layers off a DRAM port and returns the
-// innermost device — what callers that type-assert on a concrete port
-// (e.g. the scale-out sync modules) should inspect.
-func UnwrapDRAM(d DRAM) DRAM {
-	for {
-		u, ok := d.(Unwrapper)
-		if !ok {
-			return d
-		}
-		d = u.Unwrap()
-	}
+	WriteWords(addr int, vals []fp16.Num) error
 }
 
 // Memory is a plain in-memory DRAM.
@@ -159,11 +135,10 @@ type tileEntry struct {
 
 // trackedDRAM interposes on the machine's DRAM port so every write — from
 // programs and from the host alike — invalidates overlapping tile-cache
-// entries. Reads pass straight through; Unwrap exposes the inner port.
+// entries. Reads pass straight through.
 type trackedDRAM struct {
-	inner     DRAM
-	innerInto ReaderInto // non-nil when inner supports buffer reads
-	m         *Machine
+	inner DRAM
+	m     *Machine
 }
 
 func (t *trackedDRAM) ReadWords(addr, n int) ([]fp16.Num, error) {
@@ -171,24 +146,13 @@ func (t *trackedDRAM) ReadWords(addr, n int) ([]fp16.Num, error) {
 }
 
 func (t *trackedDRAM) ReadWordsInto(dst []fp16.Num, addr int) error {
-	if t.innerInto != nil {
-		return t.innerInto.ReadWordsInto(dst, addr)
-	}
-	vals, err := t.inner.ReadWords(addr, len(dst))
-	if err != nil {
-		return err
-	}
-	copy(dst, vals)
-	return nil
+	return t.inner.ReadWordsInto(dst, addr)
 }
 
 func (t *trackedDRAM) WriteWords(addr int, vals []fp16.Num) error {
 	t.m.invalidateTiles(addr, len(vals))
 	return t.inner.WriteWords(addr, vals)
 }
-
-// Unwrap returns the DRAM the tracker wraps.
-func (t *trackedDRAM) Unwrap() DRAM { return t.inner }
 
 // OpCounts counts executed instructions by opcode. An array, not a map, so
 // stats snapshots, deltas and sums are plain copies that never allocate.
@@ -329,8 +293,7 @@ type Machine struct {
 
 // NewWithDRAM builds a machine over the given DRAM port (nil allocates a
 // private Memory of cfg.DRAMWords). The machine's own port (DRAMPort)
-// wraps dram to track writes for tile-cache invalidation; use UnwrapDRAM
-// to reach the device underneath.
+// wraps dram to track writes for tile-cache invalidation.
 func NewWithDRAM(cfg Config, dram DRAM) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -352,15 +315,14 @@ func NewWithDRAM(cfg Config, dram DRAM) (*Machine, error) {
 		mrf:    make([]*bfp.PackedMatrix, cfg.MRegs),
 		tiles:  make([]tileEntry, cfg.MRegs),
 	}
-	inner, _ := dram.(ReaderInto)
-	m.dram = &trackedDRAM{inner: dram, innerInto: inner, m: m}
+	m.dram = &trackedDRAM{inner: dram, m: m}
 	m.sigm, m.tanh, m.exp, m.recip = actTables()
 	m.ensureStreams(1)
 	return m, nil
 }
 
 // DRAMPort returns the machine's DRAM port. Writes through it are tracked
-// for tile-cache invalidation; UnwrapDRAM recovers the wrapped device.
+// for tile-cache invalidation.
 func (m *Machine) DRAMPort() DRAM { return m.dram }
 
 // Stats returns execution statistics so far, a stable snapshot (usable as

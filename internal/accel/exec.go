@@ -76,6 +76,18 @@ func (m *Machine) ensureStreams(n int) {
 // buffer.
 var ErrProgramTooLarge = errors.New("accel: program exceeds instruction buffer")
 
+// ExecError locates a failed instruction: PC indexes the program the
+// machine was given.
+type ExecError struct {
+	PC    int
+	Instr isa.Instr
+	Err   error
+}
+
+func (e *ExecError) Error() string { return fmt.Sprintf("accel: pc %d (%s): %v", e.PC, e.Instr, e.Err) }
+
+func (e *ExecError) Unwrap() error { return e.Err }
+
 // ErrNoStreams is returned by RunStreams for an empty selection.
 var ErrNoStreams = errors.New("accel: RunStreams requires at least one stream")
 
@@ -141,7 +153,7 @@ func (m *Machine) exec(p isa.Program, scs []*streamCtx) error {
 	for pc, ins := range p {
 		done, err := m.stepAll(ins, scs)
 		if err != nil {
-			return fmt.Errorf("accel: pc %d (%s): %w", pc, ins, err)
+			return &ExecError{PC: pc, Instr: ins, Err: err}
 		}
 		if done {
 			return nil

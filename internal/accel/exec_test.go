@@ -416,24 +416,6 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestUnwrapDRAM(t *testing.T) {
-	m, err := New(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m.DRAMPort().(*Memory); ok {
-		t.Fatal("DRAMPort should be wrapped for write tracking")
-	}
-	if _, ok := UnwrapDRAM(m.DRAMPort()).(*Memory); !ok {
-		t.Errorf("UnwrapDRAM = %T, want *Memory", UnwrapDRAM(m.DRAMPort()))
-	}
-	// Unwrapping a bare DRAM is the identity.
-	mem := NewMemory(4)
-	if UnwrapDRAM(mem) != DRAM(mem) {
-		t.Error("UnwrapDRAM of a bare Memory must return it")
-	}
-}
-
 func TestStatsMinus(t *testing.T) {
 	m, p := mvmMachine(t)
 	if err := m.Run(p); err != nil {

@@ -327,11 +327,10 @@ func (k *Kernel) ReadOutput(m *accel.Machine, t int) ([]float64, error) {
 }
 
 // ReadOutputStream widens stream s's h_t — the device's rows of it — into
-// dst, reading through half; both hold at least that many words. (The
-// machine's DRAM port always reads into a buffer.)
+// dst, reading through half; both hold at least that many words.
 func (k *Kernel) ReadOutputStream(m *accel.Machine, s, t int, dst []float64, half []fp16.Num) error {
 	half = half[:k.rows]
-	if err := m.DRAMPort().(accel.ReaderInto).ReadWordsInto(half, k.StreamOutputAddr(s, t)); err != nil {
+	if err := m.DRAMPort().ReadWordsInto(half, k.StreamOutputAddr(s, t)); err != nil {
 		return err
 	}
 	fp16.ToSlice64Into(dst, half)

@@ -3,7 +3,6 @@ package scaleout
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"mlvfpga/internal/accel"
 	"mlvfpga/internal/isa"
@@ -102,29 +101,61 @@ func (sg *ScaledGroup) ReadOutput(ms []*accel.Machine, t int) ([]float64, error)
 	return out, nil
 }
 
-// Run executes all devices concurrently; a failing device aborts the
-// group so the others unblock. The originating failure is returned as a
-// *DeviceError naming the failed group member.
+// Run executes the devices in lockstep on the caller's goroutine. Each
+// device's program, read from sg.Progs now, is cut before every trapped
+// receive, and round k runs every device's k-th segment in device order:
+// a receive of round k finds the shards its peers sent in the rounds
+// before it, so the §2.3 barrier is this fixed schedule. Before anything
+// runs, every program must fit the instruction buffer and hold as many
+// sends as receives, and as many receives as device 0's. The first
+// failure returns at once as a *DeviceError naming its device.
 func (sg *ScaledGroup) Run(ms []*accel.Machine) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(ms))
-	for dev := range ms {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			errs[d] = ms[d].Run(sg.Progs[d])
-			if errs[d] != nil {
-				if s, ok := accel.UnwrapDRAM(ms[d].DRAMPort()).(*SyncModule); ok {
-					s.Abort()
-				}
-			}
-		}(dev)
+	cuts := make([][]int, len(ms))
+	for d := range ms {
+		p := sg.Progs[d]
+		if limit := sg.Kernels[d].Cfg.InstrBufBytes; limit > 0 && p.Bytes() > limit {
+			return &DeviceError{Device: d, Err: fmt.Errorf("%w: %d > %d bytes", accel.ErrProgramTooLarge, p.Bytes(), limit)}
+		}
+		var sends int
+		cuts[d], sends = sg.segments(p)
+		if recvs := len(cuts[d]) - 2; recvs != sends || recvs != len(cuts[0])-2 {
+			return &DeviceError{Device: d, Err: fmt.Errorf("%d sends, %d receives (device 0: %d receives)", sends, recvs, len(cuts[0])-2)}
+		}
 	}
-	wg.Wait()
-	return firstDeviceError(errs)
+	for k := 0; k+1 < len(cuts[0]); k++ {
+		for d, m := range ms {
+			from := cuts[d][k]
+			if err := m.Run(sg.Progs[d][from:cuts[d][k+1]]); err != nil {
+				if xe := (*accel.ExecError)(nil); errors.As(err, &xe) {
+					xe.PC += from
+				}
+				return &DeviceError{Device: d, Err: err}
+			}
+		}
+	}
+	return nil
 }
 
-// DeviceError reports which member of a scaled deployment failed mid-run.
+// segments returns the pcs that cut p before each trapped receive,
+// bracketed by 0 and the end of what runs (through the first end_chain),
+// and the number of trapped sends before that end.
+func (sg *ScaledGroup) segments(p isa.Program) (cuts []int, sends int) {
+	send, recv := uint32(sg.SyncCfg.SendAddr), uint32(sg.SyncCfg.RecvAddr)
+	cuts = []int{0}
+	for pc, ins := range p {
+		switch {
+		case ins.Op == isa.OpVRead && ins.Imm == recv:
+			cuts = append(cuts, pc)
+		case ins.Op == isa.OpVWrite && ins.Imm == send:
+			sends++
+		case ins.Op == isa.OpEndChain:
+			return append(cuts, pc+1), sends
+		}
+	}
+	return append(cuts, len(p)), sends
+}
+
+// DeviceError reports which member of a scaled deployment failed.
 // It wraps the device's own error, so errors.Is still matches the root
 // cause; errors.As surfaces the failed device index for placement logic.
 type DeviceError struct {
@@ -134,25 +165,6 @@ type DeviceError struct {
 	Err    error
 }
 
-func (e *DeviceError) Error() string {
-	return fmt.Sprintf("scaleout: device %d failed mid-group: %v", e.Device, e.Err)
-}
+func (e *DeviceError) Error() string { return fmt.Sprintf("scaleout: device %d: %v", e.Device, e.Err) }
 
 func (e *DeviceError) Unwrap() error { return e.Err }
-
-// firstDeviceError picks the originating failure of a group run: the first
-// non-abort error (devices that merely observed the abort barrier are
-// victims, not causes), falling back to the first abort error.
-func firstDeviceError(errs []error) error {
-	for d, err := range errs {
-		if err != nil && !errors.Is(err, ErrPeerAborted) {
-			return &DeviceError{Device: d, Err: err}
-		}
-	}
-	for d, err := range errs {
-		if err != nil {
-			return &DeviceError{Device: d, Err: err}
-		}
-	}
-	return nil
-}

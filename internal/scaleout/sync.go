@@ -6,13 +6,15 @@
 // inter-FPGA network and to realize barrier synchronization (Fig. 8); and
 // custom tools insert the communication instructions and reorder the
 // program under dependency constraints so communication overlaps
-// computation.
+// computation. A group runs functionally in lockstep on its caller's
+// goroutine (ScaledGroup.Run): the barrier is a fixed schedule, so a
+// program that breaks it fails instead of hanging.
 package scaleout
 
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
 
 	"mlvfpga/internal/accel"
 	"mlvfpga/internal/fp16"
@@ -29,11 +31,16 @@ type SyncStats struct {
 // SyncModule is the parameterized template module of Fig. 8b, interposed
 // on an accelerator's DRAM port. A write to SendAddr forwards the device's
 // shard to every peer accelerator over the inter-FPGA network; a read from
-// RecvAddr blocks until all peers' shards arrive (barrier synchronization
-// for an in-order processor) and returns the full vector assembled in
+// RecvAddr is the barrier of an in-order processor: it takes one shard from
+// every device, its own included, and returns the full vector assembled in
 // device order, the local shard placed by the index register. Both trapped
 // requests are invalidated against the real DRAM to preserve functional
 // correctness.
+//
+// The network is a FIFO per (from, to) device pair, shared by the group. A
+// receive that finds one of them empty fails naming that device; it never
+// waits, so a schedule that runs a receive before its peers' sends
+// (ScaledGroup.Run does not) is an error, not a deadlock.
 //
 // The module's parameters — buffer width, the predefined addresses and the
 // index register — are fixed at offline compilation time (§2.3), i.e. at
@@ -43,32 +50,15 @@ type SyncModule struct {
 
 	sendAddr, recvAddr int
 	shardWords         int
-	// index is the position of the local shard in the assembled vector,
-	// n the number of devices in the group.
-	index, n int
+	// index is the position of the local shard in the assembled vector.
+	index int
 
-	outs    []chan<- []fp16.Num // one per peer, indexed by peer id (own slot nil)
-	ins     []<-chan []fp16.Num
-	lastOwn []fp16.Num
-	abort   *abortState
+	// links[from][to] holds the shards device from sent that device to has
+	// not yet received, links[i][i] the device's own.
+	links [][][][]fp16.Num
 
 	stats SyncStats
 }
-
-// abortState propagates a peer failure so barrier waits unblock instead of
-// deadlocking when one device dies mid-chain.
-type abortState struct {
-	once sync.Once
-	ch   chan struct{}
-}
-
-func newAbortState() *abortState { return &abortState{ch: make(chan struct{})} }
-
-func (a *abortState) abort() { a.once.Do(func() { close(a.ch) }) }
-
-// ErrPeerAborted is returned from a blocked send/receive when the peer
-// accelerator aborted its chain.
-var ErrPeerAborted = errors.New("scaleout: peer accelerator aborted")
 
 // Config parameterizes the sync modules of one group.
 type Config struct {
@@ -102,34 +92,14 @@ func NewSyncGroup(inners []accel.DRAM, cfg Config) ([]*SyncModule, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// chans[from][to], capacity 1: every device sends before it receives,
-	// so the all-send phase must not block (the symmetric-send deadlock).
-	chans := make([][]chan []fp16.Num, n)
-	for i := range chans {
-		chans[i] = make([]chan []fp16.Num, n)
-		for j := range chans[i] {
-			if i != j {
-				chans[i][j] = make(chan []fp16.Num, 1)
-			}
-		}
-	}
-	shared := newAbortState()
+	links := make([][][][]fp16.Num, n)
 	out := make([]*SyncModule, n)
-	for i := 0; i < n; i++ {
-		outs := make([]chan<- []fp16.Num, n)
-		ins := make([]<-chan []fp16.Num, n)
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			outs[j] = chans[i][j]
-			ins[j] = chans[j][i]
-		}
+	for i := range out {
+		links[i] = make([][][]fp16.Num, n)
 		out[i] = &SyncModule{
 			inner:    inners[i],
 			sendAddr: cfg.SendAddr, recvAddr: cfg.RecvAddr,
-			shardWords: cfg.ShardWords, index: i, n: n,
-			outs: outs, ins: ins, abort: shared,
+			shardWords: cfg.ShardWords, index: i, links: links,
 		}
 	}
 	return out, nil
@@ -138,13 +108,9 @@ func NewSyncGroup(inners []accel.DRAM, cfg Config) ([]*SyncModule, error) {
 // Stats returns the traffic counters.
 func (s *SyncModule) Stats() SyncStats { return s.stats }
 
-// Abort unblocks every device's barrier waits; further sync accesses fail
-// with ErrPeerAborted.
-func (s *SyncModule) Abort() { s.abort.abort() }
-
-// WriteWords traps writes to the send address (broadcasting the shard to
-// every peer and invalidating the DRAM write) and passes everything else
-// through.
+// WriteWords traps writes to the send address (queueing the shard for
+// every device, this one included, and invalidating the DRAM write) and
+// passes everything else through.
 func (s *SyncModule) WriteWords(addr int, vals []fp16.Num) error {
 	if addr != s.sendAddr {
 		return s.inner.WriteWords(addr, vals)
@@ -152,50 +118,48 @@ func (s *SyncModule) WriteWords(addr int, vals []fp16.Num) error {
 	if len(vals) != s.shardWords {
 		return fmt.Errorf("scaleout: send of %d words, module configured for %d", len(vals), s.shardWords)
 	}
-	cp := append([]fp16.Num{}, vals...)
-	s.lastOwn = cp
-	for j, out := range s.outs {
-		if j == s.index || out == nil {
-			continue
+	shard := slices.Clone(vals)
+	for to, q := range s.links[s.index] {
+		s.links[s.index][to] = append(q, shard)
+		if to != s.index {
+			s.stats.WordsSent += int64(len(shard))
 		}
-		select {
-		case out <- cp:
-		case <-s.abort.ch:
-			return ErrPeerAborted
-		}
-		s.stats.WordsSent += int64(len(cp))
 	}
 	s.stats.Sends++
 	return nil
 }
 
-// ReadWords traps reads from the receive address: it blocks until every
-// peer's shard arrives (barrier) and assembles the full vector.
+// ReadWords is ReadWordsInto a fresh vector.
 func (s *SyncModule) ReadWords(addr, n int) ([]fp16.Num, error) {
 	if addr != s.recvAddr {
 		return s.inner.ReadWords(addr, n)
 	}
-	if n != s.n*s.shardWords {
-		return nil, fmt.Errorf("scaleout: receive of %d words, want %d", n, s.n*s.shardWords)
+	out := make([]fp16.Num, max(n, 0))
+	return out, s.ReadWordsInto(out, addr)
+}
+
+// ReadWordsInto traps reads from the receive address: it takes the oldest
+// shard from every device's link and assembles the full vector in dst.
+func (s *SyncModule) ReadWordsInto(dst []fp16.Num, addr int) error {
+	if addr != s.recvAddr {
+		return s.inner.ReadWordsInto(dst, addr)
 	}
-	if s.lastOwn == nil {
-		return nil, errors.New("scaleout: receive before any send (no local shard buffered)")
+	if want := len(s.links) * s.shardWords; len(dst) != want {
+		return fmt.Errorf("scaleout: receive of %d words, want %d", len(dst), want)
 	}
-	out := make([]fp16.Num, 0, n)
-	for j := 0; j < s.n; j++ {
-		if j == s.index {
-			out = append(out, s.lastOwn...)
-			continue
+	for from := range s.links {
+		if len(s.links[from][s.index]) == 0 {
+			return fmt.Errorf("scaleout: device %d received before device %d sent its shard", s.index, from)
 		}
-		var shard []fp16.Num
-		select {
-		case shard = <-s.ins[j]:
-		case <-s.abort.ch:
-			return nil, ErrPeerAborted
+	}
+	for from := range s.links {
+		q := s.links[from][s.index]
+		copy(dst[from*s.shardWords:], q[0])
+		s.links[from][s.index] = q[1:]
+		if from != s.index {
+			s.stats.WordsReceived += int64(s.shardWords)
 		}
-		s.stats.WordsReceived += int64(len(shard))
-		out = append(out, shard...)
 	}
 	s.stats.Receives++
-	return out, nil
+	return nil
 }

@@ -102,6 +102,27 @@ var mutants = []mutant{
 		pkg:  "./internal/rms", run: "^TestCloseWithinGenerousDeadlineIsClose$",
 		want: "answered with an error",
 	},
+	{
+		// The last device of a scaled group never receives: a lockstep
+		// run must refuse the group, where peers blocked on a barrier
+		// would hang it.
+		name: "drop-last-device-receives",
+		file: "internal/scaleout/group.go",
+		orig: "\t\tsg.Progs = append(sg.Progs, InsertSync(k.Prog, sg.SyncCfg))\n",
+		repl: "\t\tp := InsertSync(k.Prog, sg.SyncCfg)\n" +
+			"\t\tif len(sg.Progs) == n-1 {\n" +
+			"\t\t\tkept := p[:0]\n" +
+			"\t\t\tfor _, ins := range p {\n" +
+			"\t\t\t\tif ins.Op != isa.OpVRead || ins.Imm != uint32(sg.SyncCfg.RecvAddr) {\n" +
+			"\t\t\t\t\tkept = append(kept, ins)\n" +
+			"\t\t\t\t}\n" +
+			"\t\t\t}\n" +
+			"\t\t\tp = kept\n" +
+			"\t\t}\n" +
+			"\t\tsg.Progs = append(sg.Progs, p)\n",
+		pkg: "./internal/scaleout", run: "^TestScaledGroupMatchesSingleDevice$",
+		want: "scaleout: device 1: 4 sends, 0 receives",
+	},
 }
 
 // apply returns src with the mutation made, or an error naming the file
