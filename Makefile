@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check race cover bench lint loc allocs soak fuzz simtest scenario scenario-smoke repro examples clean
+.PHONY: all build test check race cover bench lint loc allocs stress soak fuzz simtest scenario scenario-smoke repro examples clean
 
 all: check
 
@@ -51,7 +51,7 @@ lint:
 # shrinks the tree lowers the ceiling to its own count rounded up to the
 # next 50; a PR that must grow it raises the ceiling in the same diff, where
 # a reviewer sees it.
-LOC_CEILING = 25300
+LOC_CEILING = 25250
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	echo "non-test lines: $$n (ceiling $(LOC_CEILING))"; \
@@ -64,6 +64,17 @@ loc:
 # runtime.MemStats delta.
 allocs:
 	$(GO) test -count=1 $$(grep -rl --include='*_test.go' -e AllocsPerRun -e ReadMemStats . | xargs -n1 dirname | sort -u)
+
+# The serving package's tests on a loaded host: -count=5 at one, two and
+# eight Ps, beside two busy-loop processes that this target starts and
+# kills on exit. It changes no machine setting.
+stress:
+	@sh -c 'while :; do :; done' & a=$$!; sh -c 'while :; do :; done' & b=$$!; \
+	trap 'kill $$a $$b' EXIT; \
+	for p in 1 2 8; do \
+		echo "GOMAXPROCS=$$p $(GO) test -count=5 ./internal/rms"; \
+		GOMAXPROCS=$$p $(GO) test -count=5 ./internal/rms || exit 1; \
+	done
 
 # Failure-injection soak: kill one device mid-run, drain another, assert
 # no request or lease is lost. -short keeps it CI-sized.

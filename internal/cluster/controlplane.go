@@ -282,7 +282,7 @@ func (cp *ControlPlane) Tick() *TickReport {
 		if cp.loads != nil {
 			load, _ = cp.loads.Load(l.ID) // ok=false reads as idle
 		}
-		if load.QueueDepth == 0 && load.InFlight == 0 {
+		if load.QueueDepth == 0 && load.Pending == 0 {
 			st.idleTicks++
 		} else {
 			st.idleTicks = 0

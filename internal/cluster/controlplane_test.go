@@ -414,7 +414,7 @@ func TestLeaseMoveOutcomes(t *testing.T) {
 			// quota cut below what the lease already holds.
 			cp, svc, fp, _ := testControlPlane(t, twoDevices, cfg)
 			first, second := fragment(t, svc)
-			fp.setLoad(second.ID, rms.LoadStats{InFlight: 1})
+			fp.setLoad(second.ID, rms.LoadStats{Pending: 1})
 			if migrateFails {
 				owner := tenant.Tenant{ID: "owner", Key: "k"}
 				setQuotas := func(q tenant.Quotas) {

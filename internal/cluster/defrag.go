@@ -116,7 +116,7 @@ func (cp *ControlPlane) Defrag() *DefragReport {
 		// Quiet gate: only leases with nothing queued and nothing resident
 		// are candidates — defrag is maintenance, not load management.
 		if cp.loads != nil {
-			if load, ok := cp.loads.Load(l.ID); ok && (load.QueueDepth > 0 || load.InFlight > 0) {
+			if load, ok := cp.loads.Load(l.ID); ok && (load.QueueDepth > 0 || load.Pending > 0) {
 				rep.Skipped++
 				continue
 			}

@@ -110,7 +110,7 @@ func TestDefragConsolidatesIdleLeases(t *testing.T) {
 func TestDefragSkipsBusyLeases(t *testing.T) {
 	cp, svc, fp, _ := testControlPlane(t, resource.ClusterSpec{resource.XCVU37P.Name: 4}, DefaultConfig())
 	first, second := fragment(t, svc)
-	fp.setLoad(first.ID, rms.LoadStats{InFlight: 1})
+	fp.setLoad(first.ID, rms.LoadStats{Pending: 1})
 	fp.setLoad(second.ID, rms.LoadStats{QueueDepth: 3})
 
 	rep := cp.Defrag()
@@ -249,7 +249,7 @@ func TestDefragNeverRaisesScore(t *testing.T) {
 func TestDefragSkipsWhenFleetFillsMidPass(t *testing.T) {
 	cp, svc, fp, _ := testControlPlane(t, resource.ClusterSpec{resource.XCVU37P.Name: 2}, DefaultConfig())
 	first, second := fragment(t, svc)
-	fp.setLoad(second.ID, rms.LoadStats{InFlight: 1})
+	fp.setLoad(second.ID, rms.LoadStats{Pending: 1})
 	fp.onLoad = func(id int) {
 		for err := error(nil); id == first.ID && err == nil; {
 			_, err = svc.Deploy(testSpec())

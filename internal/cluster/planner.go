@@ -10,7 +10,7 @@ type PlannerConfig struct {
 	// which a lease climbs one rung on the partition ladder.
 	ScaleUpQueue int
 	// ScaleDownIdleTicks is how many consecutive idle observations
-	// (empty queue, nothing in flight) a lease must accumulate before it
+	// (empty queue, nothing pending) a lease must accumulate before it
 	// descends one rung — hysteresis against burst edges.
 	ScaleDownIdleTicks int
 }
@@ -32,7 +32,7 @@ func (cfg PlannerConfig) TargetDepth(cur, idleTicks int, load rms.LoadStats, lad
 	if load.QueueDepth >= cfg.ScaleUpQueue && idx+1 < len(ladder) {
 		return ladder[idx+1]
 	}
-	if load.QueueDepth == 0 && load.InFlight == 0 && idleTicks >= cfg.ScaleDownIdleTicks && idx > 0 {
+	if load.QueueDepth == 0 && load.Pending == 0 && idleTicks >= cfg.ScaleDownIdleTicks && idx > 0 {
 		return ladder[idx-1]
 	}
 	return cur

@@ -31,8 +31,8 @@ func TestTargetDepth(t *testing.T) {
 	if got := cfg.TargetDepth(1, 100, idle, ladder); got != 1 {
 		t.Fatalf("idle lease at bottom rung -> %d, want 1", got)
 	}
-	// In-flight work blocks a scale-down even with an empty queue.
-	busy := rms.LoadStats{InFlight: 1}
+	// A resident stream blocks a scale-down even with an empty queue.
+	busy := rms.LoadStats{Pending: 1}
 	if got := cfg.TargetDepth(2, 100, busy, ladder); got != 2 {
 		t.Fatalf("busy lease scaled down to %d", got)
 	}

@@ -18,10 +18,12 @@ import (
 // compiled kernel, a DRR fair queue, and machines that keep persistent
 // batch slots. A stream that finishes retires its slot immediately and the
 // next request from the fair queue is admitted into the freed slot of the
-// already-running batch — no drain-to-empty between batches. Every machine
-// runs on its own goroutine (see run), and the Go scheduler spreads those
-// over the cores, so one lease's machines execute step rounds on every core
-// at once.
+// already-running batch — no drain-to-empty between batches. The engine is
+// built stopped. Where the data plane installs it, start runs every machine
+// on its own goroutine (see run), and the Go scheduler spreads those over
+// the cores, so one lease's machines execute step rounds on every core at
+// once. An engine that is never started is stepped by its owner, who calls
+// round itself.
 //
 // Bit-identity: the kernel's Step program reads and writes only the
 // slot's private banked window and vector registers, and mv_mul computes
@@ -37,11 +39,10 @@ type contEngine struct {
 	queue    *fairQueue
 	queueCap int
 	machines []*contMachine
-	wg       sync.WaitGroup // one count per machine goroutine
+	wg       sync.WaitGroup // one count per started machine goroutine
 
 	// Load observability (LoadStats).
 	served   atomic.Int64
-	cohorts  atomic.Int64 // fresh admission cohorts (LoadStats.Batches)
 	pending  atomic.Int64
 	waitEWMA atomic.Int64 // admission wait ns, alpha = 1/4
 
@@ -56,9 +57,10 @@ type contEngine struct {
 	halted  atomic.Bool
 }
 
-// contMachine is one machine and its batch slots. Only the machine's own
-// goroutine touches them, and the engine's stopper once that goroutine is
-// joined, so slot state needs no lock.
+// contMachine is one machine and its batch slots. Only the one caller of
+// its rounds touches them (its goroutine, or the owner of an engine never
+// started), and the engine's stopper once that goroutine is joined, so slot
+// state needs no lock.
 type contMachine struct {
 	m *accel.Machine
 
@@ -94,6 +96,7 @@ type contSlot struct {
 
 // newContEngine builds the lease's engine over kern, or if nil over per-lease
 // weights (Seed + lease id stands in for a real deployment's model upload).
+// It starts nothing (see start).
 func newContEngine(lease *Lease, kern *kernels.Kernel, opts InferOptions) (*contEngine, error) {
 	if kern == nil {
 		var err error
@@ -132,11 +135,18 @@ func newContEngine(lease *Lease, kern *kernels.Kernel, opts InferOptions) (*cont
 		}
 	}
 	e.machines = machines
-	e.wg.Add(len(machines))
-	for _, cm := range machines {
+	return e, nil
+}
+
+// start runs each machine on its own goroutine. The data plane calls it
+// under the service lock, where it installs the engine, so the engine's
+// one stopper never joins machines that have not started, and an engine
+// that loses its install starts none.
+func (e *contEngine) start() {
+	e.wg.Add(len(e.machines))
+	for _, cm := range e.machines {
 		go e.run(cm)
 	}
-	return e, nil
 }
 
 // submit enqueues a request, waking a parked machine, unless the engine is
@@ -169,9 +179,8 @@ func (e *contEngine) accept(req *inferRequest, bound int) error {
 // wg.Wait and then answers or moves what they left (closeBy, transplantTo).
 //
 // Each engine has exactly one stopper: whoever took it off its lease
-// record (Release, Close, or the Resize that replaced it), or whoever built
-// it and could not install it. So nothing after wg.Wait races another
-// caller over the machines' slots.
+// record (Release, Close, or the Resize that replaced it). So nothing after
+// wg.Wait races another caller over the machines' slots.
 func (e *contEngine) stop(halt bool) {
 	e.mu.Lock() // waits out submits that saw the engine serving
 	e.stopped.Store(true)
@@ -258,9 +267,9 @@ func (e *contEngine) abandon() int {
 	return n
 }
 
-// run is cm's goroutine, the only code that touches cm's slots while the
-// engine runs: rounds while there is work, parked in await while there is
-// none, until await's exit rule holds.
+// run is cm's goroutine once the engine is started, the only code that
+// touches cm's slots while the engine runs: rounds while there is work,
+// parked in await while there is none, until await's exit rule holds.
 func (e *contEngine) run(cm *contMachine) {
 	defer e.wg.Done()
 	for e.await(cm) {
@@ -286,14 +295,12 @@ func (e *contEngine) await(cm *contMachine) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.size == 0 && !e.stopped.Load() {
-		q.parked++
 		q.wake.Wait()
-		q.parked--
 	}
 	return q.size > 0 && !e.halted.Load()
 }
 
-// round is one turn of cm's goroutine: consume preemption demand, admit
+// round is one turn of cm: consume preemption demand, admit
 // from the fair queue into free slots, execute one step round over the
 // live cohort, and retire finished streams.
 func (e *contEngine) round(cm *contMachine) {
@@ -350,9 +357,9 @@ func (e *contEngine) round(cm *contMachine) {
 }
 
 // admitCohort installs a batch of freshly popped requests into free
-// slots. One taken cohort counts as one batch (mlv_batches_flushed,
-// LoadStats.Batches, the per-tenant batch counters), so batches ≤ served
-// holds and riders/batches is the mean cohort a request was admitted with.
+// slots. One taken cohort counts as one batch (mlv_batches_flushed and the
+// per-tenant batch counters), so batches ≤ served holds and
+// riders/batches is the mean cohort a request was admitted with.
 func (e *contEngine) admitCohort(cm *contMachine, reqs []*inferRequest) {
 	now := time.Now()
 	intoRunning := cm.occupied > 0
@@ -376,7 +383,6 @@ func (e *contEngine) admitCohort(cm *contMachine, reqs []*inferRequest) {
 	if fresh == 0 {
 		return
 	}
-	e.cohorts.Add(1)
 	metrics.BatchesFlushed.Add(1)
 	for id, n := range riders {
 		metrics.TenantBatchRiders.Add(id, n)
@@ -485,16 +491,13 @@ func (e *contEngine) failCohort(cm *contMachine, err error) {
 func (e *contEngine) load() LoadStats {
 	q := e.queue
 	q.mu.Lock()
-	depth, parked := q.size, q.parked
+	depth := q.size
 	q.mu.Unlock()
 	return LoadStats{
-		QueueDepth:   depth,
-		InFlight:     e.opts.Machines - parked,
-		Pending:      int(e.pending.Load()),
-		Served:       e.served.Load(),
-		Batches:      e.cohorts.Load(),
-		Machines:     e.opts.Machines,
-		AvgQueueWait: time.Duration(e.waitEWMA.Load()),
+		QueueDepth: depth,
+		Pending:    int(e.pending.Load()),
+		Served:     e.served.Load(),
+		Machines:   e.opts.Machines,
 	}
 }
 

@@ -19,6 +19,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"mlvfpga/internal/accel"
+	"mlvfpga/internal/isa"
 	"mlvfpga/internal/kernels"
 	"mlvfpga/internal/metrics"
 	"mlvfpga/internal/resource"
@@ -29,8 +31,7 @@ import (
 // has Ps must each return exactly the solo-machine answer (bit-identical
 // float64s from the same fp16 words), and slot accounting must conserve —
 // every admission retires and the active-slot gauge returns to its
-// baseline. Afterwards every machine parks: nothing queued, pending or in
-// flight.
+// baseline. Afterwards the lease is idle: nothing queued or pending.
 func TestContinuousInferMatchesSolo(t *testing.T) {
 	opts := DefaultInferOptions()
 	opts.Machines = 4
@@ -91,10 +92,11 @@ func TestContinuousInferMatchesSolo(t *testing.T) {
 	} else if occ := delta(metrics.SlotRoundOccupancy); occ < rounds {
 		t.Errorf("occupancy sum %d < rounds %d", occ, rounds)
 	}
-	waitFor(t, "every machine to park", func() bool {
-		st, ok := dp.Load(lease.ID)
-		return ok && st.InFlight == 0 && st.QueueDepth == 0 && st.Pending == 0
-	})
+	// answer settles pending before it answers, so the last response finds
+	// the lease idle.
+	if st, ok := dp.Load(lease.ID); !ok || st.QueueDepth != 0 || st.Pending != 0 {
+		t.Errorf("after every response: load = %+v, ok=%v, want nothing queued or pending", st, ok)
+	}
 }
 
 // TestStepRoundAllocatesNothing pins the steady state of a machine's
@@ -125,6 +127,53 @@ func TestStepRoundAllocatesNothing(t *testing.T) {
 	// built engine is reached without copying the lease.
 	if all > 3 {
 		t.Errorf("warmed anonymous InferAs allocates %v times, want ≤ 3", all)
+	}
+}
+
+// TestFailedRoundAnswersItsCohort reaches failCohort, the path a machine
+// error takes during a round: with a Step program the machine refuses
+// swapped into the engine's kernel, one round answers every member of the
+// cohort with that error, and the slots, pending and the slot gauge are
+// back at rest.
+func TestFailedRoundAnswersItsCohort(t *testing.T) {
+	opts := DefaultInferOptions()
+	opts.Machines = 1
+	opts.MaxBatch = 2
+	_, _, lease := testPlane(t, opts)
+	e := steppedEngine(t, lease, opts)
+	kern := *e.kern
+	kern.Step = isa.Program{{Op: isa.NumOpcodes}}
+	e.kern = &kern
+
+	slotsBase := metrics.SlotsActive.Value()
+	reqs := make([]*inferRequest, opts.MaxBatch)
+	for i := range reqs {
+		reqs[i] = shapedRequest(testInputs(lease.Spec, int64(i)), "", 0)
+		if err := e.submit(reqs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cm := e.machines[0]
+	e.round(cm)
+	for i, req := range reqs {
+		var xe *accel.ExecError
+		if err := req.wait(); !errors.As(err, &xe) || xe.Instr.Op != isa.NumOpcodes {
+			t.Errorf("request %d: answered %v, want the refused Step program's error", i, err)
+		}
+	}
+	if got := e.pending.Load(); got != 0 {
+		t.Errorf("pending = %d after the failed round", got)
+	}
+	if cm.occupied != 0 {
+		t.Errorf("%d slots occupied after the failed round", cm.occupied)
+	}
+	for s, sl := range cm.slots {
+		if sl != (contSlot{}) {
+			t.Errorf("slot %d still holds a stream after the failed round", s)
+		}
+	}
+	if got := metrics.SlotsActive.Value(); got != slotsBase {
+		t.Errorf("slot gauge residue after the failed round: %d", got-slotsBase)
 	}
 }
 
@@ -330,24 +379,47 @@ func shapedRequest(inputs [][]float64, tenantID string, weight int) *inferReques
 	return newRequest(inputs, res, tenantID, weight)
 }
 
+// steppedEngine builds lease's engine without starting it: the test alone
+// runs its machines' rounds (stepUntilIdle).
+func steppedEngine(t *testing.T, lease *Lease, opts InferOptions) *contEngine {
+	t.Helper()
+	e, err := newContEngine(lease, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// stepUntilIdle runs one round on each of e's machines in turn until
+// nothing is pending. Every request is answered by then (answer settles
+// pending first).
+func stepUntilIdle(t *testing.T, e *contEngine) {
+	t.Helper()
+	for turns := 0; e.pending.Load() > 0; turns++ {
+		if turns > 100_000 {
+			t.Fatalf("%d requests still pending after %d turns", e.pending.Load(), turns)
+		}
+		for _, cm := range e.machines {
+			e.round(cm)
+		}
+	}
+}
+
 // TestContinuousAdmitsIntoRunningBatch pins the tentpole behavior: with a
 // backlog of alternating short and long requests on one two-slot
 // machine, a short stream's retirement must open its slot to the next
 // queued request while the long co-rider is still mid-flight — an
-// admission into a running batch.
+// admission into a running batch. The test steps the engine, so the
+// count is exact.
 func TestContinuousAdmitsIntoRunningBatch(t *testing.T) {
 	opts := DefaultInferOptions()
 	opts.Machines = 1
 	opts.MaxBatch = 2
-	_, dp, lease := testPlane(t, opts)
+	_, _, lease := testPlane(t, opts)
+	e := steppedEngine(t, lease, opts)
 
 	base := metrics.AdmissionsIntoRunning.Value()
-	e, err := dp.engine(mustRecord(t, dp, lease.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Submit directly so queue order is deterministic: alternating
-	// lengths guarantee mixed-length cohorts.
+	// Alternating lengths (1, 2, 1, ...) guarantee mixed-length cohorts.
 	const N = 12
 	reqs := make([]*inferRequest, N)
 	for i := 0; i < N; i++ {
@@ -357,13 +429,17 @@ func TestContinuousAdmitsIntoRunningBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	stepUntilIdle(t, e)
 	for i, req := range reqs {
 		if err := req.wait(); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	if got := metrics.AdmissionsIntoRunning.Value() - base; got == 0 {
+	switch got := metrics.AdmissionsIntoRunning.Value() - base; {
+	case got == 0:
 		t.Error("no admissions into a running batch — slots drained to empty between cohorts")
+	case got != 5:
+		t.Errorf("%d admissions into a running batch, want 5", got)
 	}
 }
 

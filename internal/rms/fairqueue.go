@@ -34,9 +34,7 @@ type fairQueue struct {
 
 	// wake parks the engine's machines that have nothing to step (see
 	// contEngine.await): push signals one, contEngine.stop broadcasts.
-	// parked counts the machines waiting on it.
-	wake   sync.Cond
-	parked int
+	wake sync.Cond
 }
 
 type tenantFIFO struct {

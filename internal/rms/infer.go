@@ -225,20 +225,14 @@ func NewDataPlane(svc *Service, opts InferOptions) *DataPlane {
 type LoadStats struct {
 	// QueueDepth is the number of requests waiting for a slot right now.
 	QueueDepth int `json:"queue_depth"`
-	// InFlight is the number of machines not parked right now: stepping a
-	// cohort, or about to take from the queue.
-	InFlight int `json:"in_flight"`
 	// Pending is the number of requests admitted and not yet answered:
-	// queued or resident in a slot.
+	// queued or resident in a slot, so Pending ≥ QueueDepth. A lease with
+	// none pending is idle.
 	Pending int `json:"pending"`
-	// Served and Batches are lifetime totals for the engine: requests
-	// answered, and fresh admission cohorts.
-	Served  int64 `json:"served"`
-	Batches int64 `json:"batches"`
+	// Served is the engine's lifetime count of requests answered.
+	Served int64 `json:"served"`
 	// Machines is the engine's current pool size.
 	Machines int `json:"machines"`
-	// AvgQueueWait is an EWMA of request queue wait.
-	AvgQueueWait time.Duration `json:"avg_queue_wait_ns"`
 }
 
 // Load reports a lease's serving load. ok is false when the lease has no
@@ -281,17 +275,17 @@ func (dp *DataPlane) Resize(leaseID, machines int) error {
 	}
 	dp.svc.mu.Lock()
 	if dp.closed || rec.released {
-		// A concurrent Close or Release ran after the lookup above:
-		// installing now would leak an engine.
+		// A concurrent Close or Release ran after the lookup above: the
+		// engine stays uninstalled, and unstarted.
 		closed := dp.closed
 		dp.svc.mu.Unlock()
-		e.close()
 		if closed {
 			return ErrLeaseClosing
 		}
 		return fmt.Errorf("%w: %d", ErrUnknownLease, leaseID)
 	}
 	old, rec.engine = rec.engine, e
+	e.start()
 	dp.svc.mu.Unlock()
 	if old != nil {
 		old.transplantTo(e)
@@ -447,9 +441,9 @@ func (dp *DataPlane) currentEngine(leaseID int) *contEngine {
 }
 
 // engine returns rec's serving engine, building it on first use. The one
-// build installs its engine only on a live record of an open plane and
-// never over one a Resize installed first; an engine it cannot install it
-// stops. So a build that loses to Release or Close answers
+// build installs and starts its engine only on a live record of an open
+// plane and never over one a Resize installed first; an engine it cannot
+// install never starts. So a build that loses to Release or Close answers
 // ErrLeaseClosing, and no caller ever gets a nil engine without an error.
 func (dp *DataPlane) engine(rec *leaseRecord) (*contEngine, error) {
 	s := dp.svc
@@ -460,14 +454,11 @@ func (dp *DataPlane) engine(rec *leaseRecord) (*contEngine, error) {
 			return
 		}
 		s.mu.Lock()
-		installed := !rec.released && !dp.closed && rec.engine == nil
-		if installed {
+		if !rec.released && !dp.closed && rec.engine == nil {
 			rec.engine = e
+			e.start()
 		}
 		s.mu.Unlock()
-		if !installed {
-			e.close()
-		}
 	})
 	s.mu.RLock()
 	e := rec.engine

@@ -457,14 +457,14 @@ func TestResizeRacingReleaseDoesNotLeakEngine(t *testing.T) {
 	}
 }
 
-// runningMachines counts the machine goroutines of every engine not yet
-// stopped, in this test binary, started or not.
+// runningMachines counts the machine goroutines of every started engine
+// not yet joined, in this test binary.
 func runningMachines() int {
 	buf := make([]byte, 1<<16)
 	for {
 		n := runtime.Stack(buf, true)
 		if n < len(buf) {
-			return strings.Count(string(buf[:n]), "created by mlvfpga/internal/rms.newContEngine")
+			return strings.Count(string(buf[:n]), "created by mlvfpga/internal/rms.(*contEngine).start")
 		}
 		buf = make([]byte, 2*len(buf))
 	}
@@ -474,8 +474,8 @@ func runningMachines() int {
 // build's rules. With every build slot held, a Prebuild waits while
 // Release, Close or a Resize lands first: once the slots free, its build
 // installs nothing on the released record or the closed plane and never
-// over the Resize's engine, it stops the engine it made, and its join
-// returns. Then Prebuild races Release and Close unheld.
+// over the Resize's engine, the engine it made starts no machine, and its
+// join returns. Then Prebuild races Release and Close unheld.
 func TestPrebuildLosesToLifecycle(t *testing.T) {
 	small := kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 64, TimeSteps: 2}
 	in := testInputs(small, 1)
@@ -514,7 +514,7 @@ func TestPrebuildLosesToLifecycle(t *testing.T) {
 			t.Errorf("%s first: the prebuild left engine %p on the record, want %p", arm, e, resized)
 		}
 		if got := runningMachines(); got != base {
-			t.Errorf("%s first: %d machines running after the prebuild joined, want %d: it did not stop its engine", arm, got, base)
+			t.Errorf("%s first: %d machines running after the prebuild joined, want %d: it started its engine", arm, got, base)
 		}
 		_, err = dp.InferAs("", l.ID, in)
 		want := map[string]error{"release": ErrUnknownLease, "close": ErrLeaseClosing, "resize": nil}[arm]

@@ -54,24 +54,35 @@ type backlog struct {
 const backlogSteps = 48
 
 // loadBacklog submits all the queue holds, less spare, straight to the
-// engine under the given fair-queue tenant and waits until the machines
-// have filled once. It waits on mlv_admissions, which only grows: the
-// mlv_slots_active gauge can rise and fall between two looks.
+// lease's started engine and waits until the machines have filled once. It
+// waits on mlv_admissions, which only grows: the mlv_slots_active gauge
+// can rise and fall between two looks.
 func loadBacklog(t *testing.T, dp *DataPlane, lease *Lease, spare int, tenant string, weight int) *backlog {
 	t.Helper()
 	e, err := dp.engine(mustRecord(t, dp, lease.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := e.queueCap - spare
+	admitted := metrics.Admissions.Value()
+	b := submitBacklog(t, e, lease, e.queueCap-spare, tenant, weight)
+	full := int64(dp.opts.MaxBatch * dp.opts.Machines)
+	waitFor(t, "machines to fill", func() bool {
+		return metrics.Admissions.Value()-admitted >= full
+	})
+	return b
+}
+
+// submitBacklog submits n requests straight to e under the given
+// fair-queue tenant, cycling through four lengths.
+func submitBacklog(t *testing.T, e *contEngine, lease *Lease, n int, tenant string, weight int) *backlog {
+	t.Helper()
 	const patterns = 4
 	var ins, refs [patterns][][]float64
 	for p := range ins {
 		ins[p] = testInputs(lease.Spec, int64(900+p))[:lease.Spec.TimeSteps-p]
-		refs[p] = referenceOutputs(t, lease, dp.opts, ins[p])[:len(ins[p])]
+		refs[p] = referenceOutputs(t, lease, e.opts, ins[p])[:len(ins[p])]
 	}
 	b := &backlog{e: e}
-	admitted := metrics.Admissions.Value()
 	for i := 0; i < n; i++ {
 		req := shapedRequest(ins[i%patterns], tenant, weight)
 		if err := e.submit(req); err != nil {
@@ -80,10 +91,6 @@ func loadBacklog(t *testing.T, dp *DataPlane, lease *Lease, spare int, tenant st
 		b.reqs = append(b.reqs, req)
 		b.refs = append(b.refs, refs[i%patterns])
 	}
-	full := int64(dp.opts.MaxBatch * dp.opts.Machines)
-	waitFor(t, "machines to fill", func() bool {
-		return metrics.Admissions.Value()-admitted >= full
-	})
 	return b
 }
 
@@ -120,57 +127,48 @@ func snapDelta(base metrics.Values, v *expvar.Int) int64 {
 // evicted mid-sequence by explicit preemption and restored into whatever
 // slot frees up next must return outputs bit-identical to a
 // never-preempted solo run, and every checkpoint captured must be
-// matched by a restore.
+// matched by a restore. The test steps the engine and posts one slot of
+// demand before every round, so the eviction count is exact.
 func TestPreemptGoldenTwin(t *testing.T) {
 	opts := DefaultInferOptions()
 	opts.Machines = 1
 	opts.MaxBatch = 2
-	_, dp, lease := preemptPlane(t, opts)
+	_, _, lease := preemptPlane(t, opts)
+	e := steppedEngine(t, lease, opts)
 
 	base := metrics.Snapshot()
 	const N = 6
 	inputs := make([][][]float64, N)
-	results := make([]*InferResult, N)
-	var wg sync.WaitGroup
-	for i := 0; i < N; i++ {
+	reqs := make([]*inferRequest, N)
+	for i := range reqs {
 		inputs[i] = testInputs(lease.Spec, int64(300+i))
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := dp.InferAs("", lease.ID, inputs[i])
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[i] = res
-		}(i)
+		reqs[i] = shapedRequest(inputs[i], "", 0)
+		if err := e.submit(reqs[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Hammer explicit preemption while the backlog drains. The progress
 	// guard (one step minimum per residency) bounds the churn, so the
 	// backlog still finishes.
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	for snapDelta(base, metrics.PreemptEvictions) == 0 {
-		select {
-		case <-done:
-			t.Fatal("backlog drained before any preemption landed")
-		default:
+	for rounds := 0; e.pending.Load() > 0; rounds++ {
+		if rounds > 10_000 {
+			t.Fatalf("%d requests still pending after %d rounds", e.pending.Load(), rounds)
 		}
-		if _, err := dp.Preempt(lease.ID, 1); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(50 * time.Microsecond)
+		e.preemptReq.Add(1)
+		e.round(e.machines[0])
 	}
-	<-done
 
-	for i, res := range results {
-		if res == nil {
-			t.Fatal("missing result")
+	for i, req := range reqs {
+		if err := req.wait(); err != nil {
+			t.Fatalf("request %d: %v", i, err)
 		}
 		ref := referenceOutputs(t, lease, opts, inputs[i])
-		if !reflect.DeepEqual(res.Outputs, ref) {
+		if !reflect.DeepEqual(req.res.Outputs, ref) {
 			t.Errorf("request %d: restored stream differs from never-preempted twin", i)
 		}
+	}
+	if got := snapDelta(base, metrics.PreemptEvictions); got != 48 {
+		t.Errorf("%d preempt evictions, want 48", got)
 	}
 	// Snapshot conservation: by the time every request is answered, each
 	// capture has been consumed by exactly one restore.
@@ -280,34 +278,40 @@ func TestInferRacingResizeLandsOnNewEngine(t *testing.T) {
 // Preempt on, a full machine checkpoints a batch-class stream the moment
 // a latency-class request waits in the fair queue, instead of letting it
 // queue behind full-length sequences — and the displaced streams still
-// finish bit-identical.
+// finish bit-identical. The test steps the engine, so the round that
+// preempts is the first one the latency-class request waits through.
 func TestAutoPreemptFavorsLatencyClass(t *testing.T) {
 	opts := DefaultInferOptions()
 	opts.Machines = 1
 	opts.MaxBatch = 2
 	opts.Preempt = true
-	_, dp, lease := stepsPlane(t, opts, backlogSteps)
+	_, _, lease := stepsPlane(t, opts, backlogSteps)
+	e := steppedEngine(t, lease, opts)
+	cm := e.machines[0]
 
 	base := metrics.Snapshot()
-	// Leave room under the queue cap for the latency-class arrival.
-	b := loadBacklog(t, dp, lease, 1, "bulk", 1)
-	// The machine is full of batch-class streams and stays so while the
-	// backlog lasts: a latency-class arrival must preempt rather than wait
-	// for a retirement. An arrival can still land in the one round in ~30
-	// where a stream has just retired and take the free slot instead, so
-	// up to four arrive, one after the other, until one has preempted.
+	b := submitBacklog(t, e, lease, 4, "bulk", 1)
+	e.round(cm)
+	if cm.occupied != opts.MaxBatch {
+		t.Fatalf("%d of %d slots occupied after the first round", cm.occupied, opts.MaxBatch)
+	}
+	// The machine is full of batch-class streams with 44 or more steps to
+	// go: the latency-class arrival must preempt rather than wait for a
+	// retirement.
 	in := testInputs(lease.Spec, 799)
-	ref := referenceOutputs(t, lease, opts, in)
-	for try := 0; try < 4 && snapDelta(base, metrics.PreemptEvictions) == 0; try++ {
-		rt := shapedRequest(in, "rt", 8)
-		if err := b.e.submit(rt); err != nil {
-			t.Fatal(err)
-		}
-		if err := rt.wait(); err != nil {
-			t.Fatalf("latency-class request %d: %v", try, err)
-		} else if !reflect.DeepEqual(rt.res.Outputs, ref) {
-			t.Errorf("latency-class request %d: outputs differ from solo run", try)
-		}
+	rt := shapedRequest(in, "rt", 8)
+	if err := e.submit(rt); err != nil {
+		t.Fatal(err)
+	}
+	e.round(cm)
+	if got := snapDelta(base, metrics.PreemptEvictions); got != 1 {
+		t.Errorf("%d preempt evictions in the round after a latency-class arrival, want 1", got)
+	}
+	stepUntilIdle(t, e)
+	if err := rt.wait(); err != nil {
+		t.Fatalf("latency-class request: %v", err)
+	} else if !reflect.DeepEqual(rt.res.Outputs, referenceOutputs(t, lease, opts, in)) {
+		t.Error("latency-class request: outputs differ from solo run")
 	}
 	b.join(t)
 

@@ -103,6 +103,16 @@ var mutants = []mutant{
 		want: "answered with an error",
 	},
 	{
+		// A machine admits only into an empty batch: continuous batching
+		// degrades to drain-to-empty between cohorts.
+		name: "admit-only-when-empty",
+		file: "internal/rms/continuous.go",
+		orig: "\tif free := e.opts.MaxBatch - cm.occupied; free > 0 {\n",
+		repl: "\tif free := e.opts.MaxBatch - cm.occupied; free > 0 && cm.occupied == 0 {\n",
+		pkg:  "./internal/rms", run: "^TestContinuousAdmitsIntoRunningBatch$",
+		want: "no admissions into a running batch",
+	},
+	{
 		// The last device of a scaled group never receives: a lockstep
 		// run must refuse the group, where peers blocked on a barrier
 		// would hang it.

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -126,12 +127,22 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if seal {
 			blob = frame.Seal(Magic, data)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		s, err := Decode(blob)
-		runtime.ReadMemStats(&after)
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(blob)+4096); got > limit {
-			t.Fatalf("Decode of %d bytes allocated %d (limit %d)", len(blob), got, limit)
+		// TotalAlloc is process-wide, and under -fuzz the engine's own
+		// goroutines allocate beside Decode. Decode is deterministic and
+		// that noise only adds, so the input fails only when each of three
+		// readings exceeds the limit.
+		var s *Slot
+		var err error
+		limit, least := uint64(32*len(blob)+4096), uint64(math.MaxUint64)
+		for i := 0; i < 3 && least > limit; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s, err = Decode(blob)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least > limit {
+			t.Fatalf("Decode of %d bytes allocated at least %d in each of 3 readings (limit %d)", len(blob), least, limit)
 		}
 		if err == nil && !bytes.Equal(s.Encode(), blob) {
 			t.Fatalf("accepted blob % x re-encodes to % x", blob, s.Encode())

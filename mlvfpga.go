@@ -25,7 +25,6 @@ import (
 	"fmt"
 
 	"mlvfpga/internal/accel"
-	"mlvfpga/internal/artifactstore"
 	"mlvfpga/internal/bwrtl"
 	"mlvfpga/internal/core"
 	"mlvfpga/internal/decompose"
@@ -123,8 +122,8 @@ func Partition(acc *Accelerator, iterations int) (*PartitionResult, error) {
 
 // CompileInstance runs the whole offline flow (generate RTL, decompose,
 // partition, map onto every device type's virtual-block abstraction) for a
-// BrainWave-like instance. The flow parallelizes across one worker per
-// logical CPU; use CompileInstanceWithOptions to pin the worker count.
+// BrainWave-like instance, on the caller's goroutine, at seed 1 with
+// pattern-aware decomposition; CompileInstanceWithOptions sets the rest.
 func CompileInstance(tiles, partitionIterations int) (*Compiled, error) {
 	return CompileInstanceWithOptions(CompileOptions{
 		Tiles:               tiles,
@@ -138,37 +137,6 @@ func CompileInstance(tiles, partitionIterations int) (*Compiled, error) {
 // (see CompileOptions).
 func CompileInstanceWithOptions(opts CompileOptions) (*Compiled, error) {
 	return core.CompileAccelerator(opts)
-}
-
-// ArtifactStore is the persistent content-addressed compilation cache:
-// compiled artifacts are keyed by a canonical structural hash of
-// everything that determines the result and stored as checksummed blobs
-// on disk, with an in-process LRU in front.
-type ArtifactStore = artifactstore.Store
-
-// ArtifactStoreOptions is the option set an ArtifactStore is opened with;
-// it has no fields (the memory bound is fixed, the disk unbounded).
-type ArtifactStoreOptions = artifactstore.Options
-
-// OpenArtifactCache opens (creating if needed) the on-disk compilation
-// cache at dir. dir == "" yields a memory-only cache for the life of the
-// process.
-func OpenArtifactCache(dir string) (*ArtifactStore, error) {
-	return artifactstore.Open(dir, artifactstore.Options{})
-}
-
-// CompileInstanceCached is CompileInstance fronted by an artifact cache:
-// on a hit the whole offline flow is skipped and the returned artifact is
-// bit-identical to a cold compile. warm reports whether the artifact came
-// from the cache; a nil store degrades to a plain cold compile.
-func CompileInstanceCached(tiles, partitionIterations int, store *ArtifactStore) (c *Compiled, warm bool, err error) {
-	c, _, warm, err = core.CompileAcceleratorCached(CompileOptions{
-		Tiles:               tiles,
-		PartitionIterations: partitionIterations,
-		Seed:                1,
-		PatternAware:        true,
-	}, store)
-	return c, warm, err
 }
 
 // InferenceResult reports a functional-simulation run.

@@ -2,6 +2,7 @@ package mlvfpga
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -40,6 +41,26 @@ func TestCompileInstanceFacade(t *testing.T) {
 	}
 	if len(c.Images) == 0 {
 		t.Error("no images")
+	}
+}
+
+// TestCompileInstanceWithOptionsMatchesDefault: the README's explicit
+// options compile what CompileInstance(8, 2) does.
+func TestCompileInstanceWithOptionsMatchesDefault(t *testing.T) {
+	want, err := CompileInstance(8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := CompileInstanceWithOptions(CompileOptions{
+		Tiles: 8, PartitionIterations: 2, Seed: 1, PatternAware: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The two measured wall-clock fields differ run to run.
+	got.DecomposeTime, got.PartitionTime = want.DecomposeTime, want.PartitionTime
+	if !reflect.DeepEqual(got, want) {
+		t.Error("CompileInstanceWithOptions at the README's options differs from CompileInstance(8, 2)")
 	}
 }
 
