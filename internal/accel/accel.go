@@ -72,11 +72,10 @@ func (c Config) Validate() error {
 }
 
 // DRAM is the accelerator's memory port. The scale-out optimization wraps
-// it to trap predefined addresses (§2.3 Fig. 8b). ReadWordsInto reads into
-// a caller-provided buffer, which keeps the execution engine's
-// steady-state v_rd and m_rd paths allocation-free.
+// it to trap predefined addresses (§2.3 Fig. 8b). Its one read,
+// ReadWordsInto, reads into a caller-provided buffer, which keeps the
+// execution engine's steady-state v_rd and m_rd paths allocation-free.
 type DRAM interface {
-	ReadWords(addr, n int) ([]fp16.Num, error)
 	ReadWordsInto(dst []fp16.Num, addr int) error
 	WriteWords(addr int, vals []fp16.Num) error
 }
@@ -91,16 +90,6 @@ func NewMemory(n int) *Memory { return &Memory{words: make([]fp16.Num, n)} }
 
 // ErrDRAMRange is returned for out-of-range accesses.
 var ErrDRAMRange = errors.New("accel: DRAM access out of range")
-
-// ReadWords copies n words starting at addr.
-func (m *Memory) ReadWords(addr, n int) ([]fp16.Num, error) {
-	if addr < 0 || n < 0 || addr+n > len(m.words) {
-		return nil, fmt.Errorf("%w: read [%d,%d) of %d", ErrDRAMRange, addr, addr+n, len(m.words))
-	}
-	out := make([]fp16.Num, n)
-	copy(out, m.words[addr:addr+n])
-	return out, nil
-}
 
 // ReadWordsInto copies len(dst) words starting at addr into dst without
 // allocating.
@@ -139,10 +128,6 @@ type tileEntry struct {
 type trackedDRAM struct {
 	inner DRAM
 	m     *Machine
-}
-
-func (t *trackedDRAM) ReadWords(addr, n int) ([]fp16.Num, error) {
-	return t.inner.ReadWords(addr, n)
 }
 
 func (t *trackedDRAM) ReadWordsInto(dst []fp16.Num, addr int) error {

@@ -48,7 +48,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestMemoryBounds(t *testing.T) {
 	m := NewMemory(16)
-	if _, err := m.ReadWords(10, 10); !errors.Is(err, ErrDRAMRange) {
+	if _, err := readWords(m, 10, 10); !errors.Is(err, ErrDRAMRange) {
 		t.Error("overflow read must fail")
 	}
 	if err := m.WriteWords(-1, make([]fp16.Num, 1)); !errors.Is(err, ErrDRAMRange) {
@@ -58,7 +58,7 @@ func TestMemoryBounds(t *testing.T) {
 	if err := m.WriteWords(4, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.ReadWords(4, 3)
+	got, err := readWords(m, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestMVMul(t *testing.T) {
 		}
 	}
 	// Result also landed in DRAM.
-	back, err := m.DRAMPort().ReadWords(32, 4)
+	back, err := readWords(m.DRAMPort(), 32, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,4 +315,10 @@ func (m *Machine) readVectorStream(stream, reg int) ([]fp16.Num, error) {
 		return nil, fmt.Errorf("accel: vector register %d is empty", reg)
 	}
 	return append([]fp16.Num{}, sc.vrf[reg]...), nil
+}
+
+// readWords reads n words at addr through the port's one read method.
+func readWords(d DRAM, addr, n int) ([]fp16.Num, error) {
+	out := make([]fp16.Num, n)
+	return out, d.ReadWordsInto(out, addr)
 }

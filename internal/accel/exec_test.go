@@ -381,11 +381,11 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 			}
 		}
 		// Banked v_wr landed in the stream's window.
-		got, err := bm.DRAMPort().ReadWords(24+8*s, 4)
+		got, err := readWords(bm.DRAMPort(), 24+8*s, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := sm.DRAMPort().ReadWords(24, 4)
+		want, err := readWords(sm.DRAMPort(), 24, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -516,11 +516,11 @@ func TestRunStreamsMatchesRunBatch(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("stream %d r3 = %v, want %v (bit-exact)", s, got, want)
 		}
-		a, err := bm.DRAMPort().ReadWords(48+8*s, 4)
+		a, err := readWords(bm.DRAMPort(), 48+8*s, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := sm.DRAMPort().ReadWords(48+8*s, 4)
+		b, err := readWords(sm.DRAMPort(), 48+8*s, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -567,7 +567,7 @@ func TestRunStreamsPersistentState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := 0; s < 3; s++ {
-		got, err := m.DRAMPort().ReadWords(24+8*s, 4)
+		got, err := readWords(m.DRAMPort(), 24+8*s, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

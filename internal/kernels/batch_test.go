@@ -62,7 +62,7 @@ func TestRunBatchGolden(t *testing.T) {
 				}
 				seqOut[s] = make([][]fp16.Num, k.Spec.TimeSteps)
 				for tt := range seqOut[s] {
-					words, err := sm.DRAMPort().ReadWords(k.OutputAddr(tt), k.Spec.Hidden)
+					words, err := readWords(sm.DRAMPort(), k.OutputAddr(tt), k.Spec.Hidden)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -96,7 +96,7 @@ func TestRunBatchGolden(t *testing.T) {
 
 			for s := 0; s < B; s++ {
 				for tt := 0; tt < k.Spec.TimeSteps; tt++ {
-					words, err := bm.DRAMPort().ReadWords(k.StreamOutputAddr(s, tt), k.Spec.Hidden)
+					words, err := readWords(bm.DRAMPort(), k.StreamOutputAddr(s, tt), k.Spec.Hidden)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -50,15 +50,6 @@ func (d *imageDRAM) ReadWordsInto(dst []fp16.Num, addr int) error {
 	return nil
 }
 
-// ReadWords copies n words starting at addr.
-func (d *imageDRAM) ReadWords(addr, n int) ([]fp16.Num, error) {
-	if err := d.check("read", addr, n); err != nil {
-		return nil, err
-	}
-	out := make([]fp16.Num, n)
-	return out, d.ReadWordsInto(out, addr)
-}
-
 // WriteWords stores vals starting at addr.
 func (d *imageDRAM) WriteWords(addr int, vals []fp16.Num) error {
 	if err := d.check("write", addr, len(vals)); err != nil {

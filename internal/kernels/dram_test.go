@@ -34,8 +34,8 @@ func TestImageDRAM(t *testing.T) {
 		t.Helper()
 		for addr := 0; addr <= words; addr++ {
 			for n := 0; addr+n <= words; n++ {
-				got, err1 := a.ReadWords(addr, n)
-				want, err2 := ref.ReadWords(addr, n)
+				got, err1 := readWords(a, addr, n)
+				want, err2 := readWords(ref, addr, n)
 				if err1 != nil || err2 != nil || !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: read [%d,%d) = %v (%v), memory has %v (%v)", when, addr, addr+n, got, err1, want, err2)
 				}
@@ -69,11 +69,11 @@ func TestImageDRAM(t *testing.T) {
 	if !reflect.DeepEqual(image, pristine) {
 		t.Error("a machine's write reached the kernel's image")
 	}
-	if got, _ := b.ReadWords(0, 6); !reflect.DeepEqual(got, pristine) {
+	if got, _ := readWords(b, 0, 6); !reflect.DeepEqual(got, pristine) {
 		t.Errorf("a machine's write reached its sibling: %v", got)
 	}
-	for _, bad := range [][2]int{{-1, 2}, {9, 2}, {11, 0}, {0, -1}} {
-		if _, err := a.ReadWords(bad[0], bad[1]); !errors.Is(err, accel.ErrDRAMRange) {
+	for _, bad := range [][2]int{{-1, 2}, {9, 2}, {11, 0}} {
+		if _, err := readWords(a, bad[0], bad[1]); !errors.Is(err, accel.ErrDRAMRange) {
 			t.Errorf("read [%d,+%d) = %v, want ErrDRAMRange", bad[0], bad[1], err)
 		}
 	}
@@ -83,4 +83,10 @@ func TestImageDRAM(t *testing.T) {
 	if _, err := newImageDRAM(image, 5); !errors.Is(err, accel.ErrDRAMRange) {
 		t.Errorf("board smaller than the image = %v, want ErrDRAMRange", err)
 	}
+}
+
+// readWords reads n words at addr through the port's one read method.
+func readWords(d accel.DRAM, addr, n int) ([]fp16.Num, error) {
+	out := make([]fp16.Num, n)
+	return out, d.ReadWordsInto(out, addr)
 }

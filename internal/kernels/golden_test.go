@@ -29,7 +29,7 @@ func outputHash(t *testing.T, k *Kernel, seed int64) uint64 {
 	}
 	h := fnv.New64a()
 	for tt := 0; tt < k.Spec.TimeSteps; tt++ {
-		words, err := m.DRAMPort().ReadWords(k.OutputAddr(tt), k.Spec.Hidden)
+		words, err := readWords(m.DRAMPort(), k.OutputAddr(tt), k.Spec.Hidden)
 		if err != nil {
 			t.Fatal(err)
 		}

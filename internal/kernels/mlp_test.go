@@ -138,7 +138,7 @@ func (k *MLPKernel) SetInput(m *accel.Machine, x []float64) error {
 
 // ReadOutput reads y back.
 func (k *MLPKernel) ReadOutput(m *accel.Machine) ([]float64, error) {
-	words, err := m.DRAMPort().ReadWords(k.outAddr, k.Spec.Dim)
+	words, err := readWords(m.DRAMPort(), k.outAddr, k.Spec.Dim)
 	if err != nil {
 		return nil, err
 	}

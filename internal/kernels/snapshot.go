@@ -46,8 +46,8 @@ func (k *Kernel) SnapshotSlot(m *accel.Machine, slot, tau, steps int) (*snapshot
 		return nil, err
 	}
 	stride := k.StreamStride()
-	words, err := m.DRAMPort().ReadWords(k.WindowBase()+slot*stride, stride)
-	if err != nil {
+	words := make([]fp16.Num, stride)
+	if err := m.DRAMPort().ReadWordsInto(words, k.WindowBase()+slot*stride); err != nil {
 		return nil, err
 	}
 	s := &snapshot.Slot{

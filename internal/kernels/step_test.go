@@ -53,7 +53,7 @@ func TestStepProgramsMatchMonolithic(t *testing.T) {
 				}
 				ref[s] = make([][]fp16.Num, T)
 				for tt := 0; tt < T; tt++ {
-					words, err := rm.DRAMPort().ReadWords(k.OutputAddr(tt), k.Spec.Hidden)
+					words, err := readWords(rm.DRAMPort(), k.OutputAddr(tt), k.Spec.Hidden)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -97,7 +97,7 @@ func TestStepProgramsMatchMonolithic(t *testing.T) {
 					t.Fatal(err)
 				}
 				for slot, st := range slots {
-					words, err := m.DRAMPort().ReadWords(k.StreamOutputAddr(slot, st.tau), k.Spec.Hidden)
+					words, err := readWords(m.DRAMPort(), k.StreamOutputAddr(slot, st.tau), k.Spec.Hidden)
 					if err != nil {
 						t.Fatal(err)
 					}

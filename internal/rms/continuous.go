@@ -18,12 +18,11 @@ import (
 // compiled kernel, a DRR fair queue, and machines that keep persistent
 // batch slots. A stream that finishes retires its slot immediately and the
 // next request from the fair queue is admitted into the freed slot of the
-// already-running batch — no drain-to-empty between batches. The engine is
-// built stopped. Where the data plane installs it, start runs every machine
-// on its own goroutine (see run), and the Go scheduler spreads those over
-// the cores, so one lease's machines execute step rounds on every core at
-// once. An engine that is never started is stepped by its owner, who calls
-// round itself.
+// already-running batch — no drain-to-empty between batches. The engine
+// starts no goroutine: the callers waiting on its requests run its
+// machines' rounds themselves (see drive), one caller per machine at a
+// time, so one lease's machines step on as many cores as there are
+// callers driving them. Its stopper drains it the same way (closeBy).
 //
 // Bit-identity: the kernel's Step program reads and writes only the
 // slot's private banked window and vector registers, and mv_mul computes
@@ -39,7 +38,6 @@ type contEngine struct {
 	queue    *fairQueue
 	queueCap int
 	machines []*contMachine
-	wg       sync.WaitGroup // one count per started machine goroutine
 
 	// Load observability (LoadStats).
 	served   atomic.Int64
@@ -51,18 +49,19 @@ type contEngine struct {
 	preemptReq atomic.Int64
 
 	// mu orders submits (shared) against stop (exclusive). stopped and
-	// halted only ever go from false to true (see stop and await).
+	// halted only ever go from false to true (see stop).
 	mu      sync.RWMutex
 	stopped atomic.Bool
 	halted  atomic.Bool
 }
 
-// contMachine is one machine and its batch slots. Only the one caller of
-// its rounds touches them (its goroutine, or the owner of an engine never
-// started), and the engine's stopper once that goroutine is joined, so slot
-// state needs no lock.
+// contMachine is one machine and its batch slots. Its rounds run only
+// under mu, which a caller driving it takes with TryLock and the engine's
+// stopper with Lock (see drive and closeBy), so slot state needs no other
+// lock.
 type contMachine struct {
-	m *accel.Machine
+	mu sync.Mutex
+	m  *accel.Machine
 
 	slots    []contSlot // len MaxBatch; the zero value = free
 	occupied int        // non-free slots: the live cohort
@@ -96,7 +95,6 @@ type contSlot struct {
 
 // newContEngine builds the lease's engine over kern, or if nil over per-lease
 // weights (Seed + lease id stands in for a real deployment's model upload).
-// It starts nothing (see start).
 func newContEngine(lease *Lease, kern *kernels.Kernel, opts InferOptions) (*contEngine, error) {
 	if kern == nil {
 		var err error
@@ -138,20 +136,8 @@ func newContEngine(lease *Lease, kern *kernels.Kernel, opts InferOptions) (*cont
 	return e, nil
 }
 
-// start runs each machine on its own goroutine. The data plane calls it
-// under the service lock, where it installs the engine, so the engine's
-// one stopper never joins machines that have not started, and an engine
-// that loses its install starts none.
-func (e *contEngine) start() {
-	e.wg.Add(len(e.machines))
-	for _, cm := range e.machines {
-		go e.run(cm)
-	}
-}
-
-// submit enqueues a request, waking a parked machine, unless the engine is
-// stopping or the queue is at its bound (load shed: ErrBusy, never block
-// the caller).
+// submit enqueues a request, unless the engine is stopping or the queue is
+// at its bound (load shed: ErrBusy, never block the caller).
 func (e *contEngine) submit(req *inferRequest) error { return e.accept(req, e.queueCap) }
 
 // accept is submit under a given bound on pending. A transplant passes
@@ -171,16 +157,15 @@ func (e *contEngine) accept(req *inferRequest, bound int) error {
 	return nil
 }
 
-// stop is the one way an engine stops: refuse new submits, and wake every
-// parked machine to apply the exit rule in await. A stopped engine's
-// machines still serve everything already admitted; a halted one's leave
-// at their next await, whatever they hold. Both flags only ever go from
-// false to true. stop does not wait: the caller joins the machines with
-// wg.Wait and then answers or moves what they left (closeBy, transplantTo).
+// stop is the one way an engine stops: refuse new submits. A stopped
+// engine's machines still serve everything already admitted; a halted
+// one's take no further round, whatever they hold. Both flags only ever go
+// from false to true. stop does not wait: the caller takes the machines
+// and then answers or moves what they hold (closeBy, transplantTo).
 //
 // Each engine has exactly one stopper: whoever took it off its lease
-// record (Release, Close, or the Resize that replaced it). So nothing after
-// wg.Wait races another caller over the machines' slots.
+// record (Release, Close, or the Resize that replaced it). So once it
+// holds every machine, nothing races it over their slots.
 func (e *contEngine) stop(halt bool) {
 	e.mu.Lock() // waits out submits that saw the engine serving
 	e.stopped.Store(true)
@@ -188,11 +173,64 @@ func (e *contEngine) stop(halt bool) {
 		e.halted.Store(true)
 	}
 	e.mu.Unlock()
-	// Under the queue's mutex, so the broadcast cannot fall between a
-	// machine's check in await and its wait.
-	e.queue.mu.Lock()
-	e.queue.wake.Broadcast()
-	e.queue.mu.Unlock()
+}
+
+// drive runs rounds for the caller of req. It visits each machine once,
+// and steps one it finds free (TryLock) until req is answered or the
+// machine and the queue have nothing left to step. Leaving a machine with a
+// live cohort, or the queue with requests in it, it posts baton once it
+// has unlocked: a caller whose TryLock failed did so before that unlock,
+// so the baton is there when it waits. A halted engine is stepped no more
+// and needs no baton: its stopper answers or moves what it holds.
+func (e *contEngine) drive(req *inferRequest, baton chan struct{}) {
+	for _, cm := range e.machines {
+		if !cm.mu.TryLock() {
+			continue
+		}
+		e.steps(cm, req)
+		live := cm.occupied > 0
+		cm.mu.Unlock()
+		if (live || e.queue.depth() > 0) && !e.halted.Load() {
+			post(baton)
+		}
+	}
+}
+
+// steps runs rounds of cm, whose mutex the caller holds, while cm has a
+// live cohort or the queue holds requests, the engine is not halted, and
+// req is unanswered (the stopper passes nil).
+func (e *contEngine) steps(cm *contMachine, req *inferRequest) {
+	for !e.halted.Load() && !answered(req) && (cm.occupied > 0 || e.queue.depth() > 0) {
+		e.round(cm)
+	}
+}
+
+// answered reports whether req has been answered; done is buffered 1 and
+// sent on once. A nil req, the stopper's, never is.
+func answered(req *inferRequest) bool { return req != nil && len(req.done) > 0 }
+
+// post leaves the baton for a waiting caller; one already left is enough.
+func post(baton chan struct{}) {
+	select {
+	case baton <- struct{}{}:
+	default:
+	}
+}
+
+// hold is how the stopper takes the machines: each in turn, with Lock,
+// drained (see steps) unless the engine is halted, and kept.
+func (e *contEngine) hold() {
+	for _, cm := range e.machines {
+		cm.mu.Lock()
+		e.steps(cm, nil)
+	}
+}
+
+// unlockAll releases every machine hold took.
+func (e *contEngine) unlockAll() {
+	for _, cm := range e.machines {
+		cm.mu.Unlock()
+	}
 }
 
 // answer is the only place a request is answered, accounting first: a
@@ -206,32 +244,40 @@ func (e *contEngine) answer(req *inferRequest, err error) {
 	req.done <- struct{}{}
 }
 
-// close stops admission, serves everything already admitted, and joins the
-// machines.
+// close stops admission, serves everything already admitted, and takes
+// the machines.
 func (e *contEngine) close() { e.closeBy(time.Time{}) }
 
 // closeBy is close bounded by a deadline (the zero time: none): once it
-// passes the machines are halted, the streams still resident are
-// abandoned, and their callers, like those of every queued request, are
-// answered ErrLeaseClosing. Returns how many streams were abandoned (0 for
-// a clean drain).
+// passes the engine is halted, the streams still resident are abandoned,
+// and their callers, like those of every queued request, are answered
+// ErrLeaseClosing. Returns how many streams were abandoned (0 for a clean
+// drain).
+//
+// The stopper drains each machine as it takes it (hold). A stopped
+// engine's queue only grows by a machine's own evictions, so work can only
+// move from a machine to one not yet taken: once the stopper holds them
+// all, they are idle and the queue is empty, unless the engine halted.
+// Callers still drive the machines not yet taken meanwhile.
 func (e *contEngine) closeBy(deadline time.Time) int {
 	e.stop(false)
 	if !deadline.IsZero() {
 		timer := time.AfterFunc(time.Until(deadline), func() { e.stop(true) })
 		defer timer.Stop()
 	}
-	e.wg.Wait()
+	e.hold()
+	defer e.unlockAll()
 	return e.abandon()
 }
 
-// transplantTo halts the engine, joins its machines, and moves every
+// transplantTo halts the engine, takes its machines, and moves every
 // request it holds — resident in a slot or queued — to dst: residents are
 // checkpointed so they resume on dst's machines mid-sequence. A request
 // dst refuses (it is closing too) is answered with that error.
 func (e *contEngine) transplantTo(dst *contEngine) {
 	e.stop(true)
-	e.wg.Wait()
+	e.hold()
+	defer e.unlockAll()
 	for _, cm := range e.machines {
 		e.evictSlots(cm, len(cm.slots), 0, false)
 	}
@@ -244,11 +290,11 @@ func (e *contEngine) transplantTo(dst *contEngine) {
 	}
 }
 
-// abandon answers ErrLeaseClosing to every request a joined engine's
-// machines left: the streams still resident are abandoned — counted, not
-// checkpointed, since there is no restore coming — and so is every queued
-// caller. Returns the abandoned-stream count; after a clean drain nothing
-// is left and it returns 0.
+// abandon answers ErrLeaseClosing to every request the machines, all held
+// by the stopper, still hold: the streams still resident are abandoned —
+// counted, not checkpointed, since there is no restore coming — and so is
+// every queued caller. Returns the abandoned-stream count; after a clean
+// drain nothing is left and it returns 0.
 func (e *contEngine) abandon() int {
 	n := 0
 	for _, cm := range e.machines {
@@ -267,40 +313,7 @@ func (e *contEngine) abandon() int {
 	return n
 }
 
-// run is cm's goroutine once the engine is started, the only code that
-// touches cm's slots while the engine runs: rounds while there is work,
-// parked in await while there is none, until await's exit rule holds.
-func (e *contEngine) run(cm *contMachine) {
-	defer e.wg.Done()
-	for e.await(cm) {
-		e.round(cm)
-	}
-}
-
-// await returns true at once while cm has a live cohort. Otherwise it parks
-// cm on the queue's wake until a request is queued or the engine stops.
-// It returns false once the engine is halted, or once it is stopped and cm
-// has no live cohort and the queue is empty. That rule is local, yet the
-// last machine to leave finds nothing queued: a stopped engine's queue
-// only grows by a running machine's own evictions, and that machine takes
-// them back in the same round. The emptiness check and the wait are one
-// critical section under the queue's mutex, which push holds to grow the
-// queue (it signals after) and stop holds to broadcast, so no wake-up can
-// fall between them.
-func (e *contEngine) await(cm *contMachine) bool {
-	if cm.occupied > 0 {
-		return !e.halted.Load()
-	}
-	q := e.queue
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.size == 0 && !e.stopped.Load() {
-		q.wake.Wait()
-	}
-	return q.size > 0 && !e.halted.Load()
-}
-
-// round is one turn of cm: consume preemption demand, admit
+// round is one turn of cm, under cm.mu: consume preemption demand, admit
 // from the fair queue into free slots, execute one step round over the
 // live cohort, and retire finished streams.
 func (e *contEngine) round(cm *contMachine) {
@@ -489,12 +502,8 @@ func (e *contEngine) failCohort(cm *contMachine, err error) {
 }
 
 func (e *contEngine) load() LoadStats {
-	q := e.queue
-	q.mu.Lock()
-	depth := q.size
-	q.mu.Unlock()
 	return LoadStats{
-		QueueDepth: depth,
+		QueueDepth: e.queue.depth(),
 		Pending:    int(e.pending.Load()),
 		Served:     e.served.Load(),
 		Machines:   e.opts.Machines,

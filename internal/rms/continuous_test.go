@@ -16,8 +16,8 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 
 	"mlvfpga/internal/accel"
 	"mlvfpga/internal/isa"
@@ -78,11 +78,10 @@ func TestContinuousInferMatchesSolo(t *testing.T) {
 	}
 
 	// Slot conservation: admissions == retirements == served, and the
-	// gauge drains back to its baseline (retirement decrements may land
-	// just after the response, so poll).
-	waitFor(t, "slot gauge to drain", func() bool {
-		return metrics.SlotsActive.Value() == base.Int(metrics.SlotsActive)
-	})
+	// gauge is back at its baseline: retire vacates before it answers.
+	if got := metrics.SlotsActive.Value() - base.Int(metrics.SlotsActive); got != 0 {
+		t.Errorf("slot gauge residue after every response: %d", got)
+	}
 	delta := func(v *expvar.Int) int64 { return v.Value() - base.Int(v) }
 	if got := delta(metrics.Admissions); got != N {
 		t.Errorf("admissions delta = %d, want %d", got, N)
@@ -154,10 +153,10 @@ func TestFailedRoundAnswersItsCohort(t *testing.T) {
 		}
 	}
 	cm := e.machines[0]
-	e.round(cm)
+	step(e, cm)
 	for i, req := range reqs {
 		var xe *accel.ExecError
-		if err := req.wait(); !errors.As(err, &xe) || xe.Instr.Op != isa.NumOpcodes {
+		if err := reply(req); !errors.As(err, &xe) || xe.Instr.Op != isa.NumOpcodes {
 			t.Errorf("request %d: answered %v, want the refused Step program's error", i, err)
 		}
 	}
@@ -202,7 +201,7 @@ func TestPooledRequestAnswersItsOwnCaller(t *testing.T) {
 
 	slotsBase, base := metrics.SlotsActive.Value(), metrics.Snapshot()
 	const clients = 32
-	var served atomic.Int64
+	served := make(chan struct{}, clients) // a burst from every client between receives is counted
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		in := testInputs(lease.Spec, int64(2000+c))[:1+c%lease.Spec.TimeSteps]
@@ -223,16 +222,13 @@ func TestPooledRequestAnswersItsOwnCaller(t *testing.T) {
 					t.Errorf("client %d: answer is not its own inputs' solo run", c)
 					return
 				default:
-					served.Add(1)
+					tell(served)
 				}
 			}
 		}()
 	}
 	// Each lifecycle step lands while the clients are being served.
-	progress := func() {
-		n := served.Load()
-		waitFor(t, "more answers", func() bool { return served.Load() > n+clients })
-	}
+	progress := func() { awaitAnswers(t, served, clients+1) }
 	progress()
 	for i := 0; i < 3; i++ {
 		if _, err := dp.Preempt(lease.ID, 0); err != nil {
@@ -286,7 +282,7 @@ func TestInferScratchAnswersItsOwnCaller(t *testing.T) {
 
 	base := metrics.Snapshot()
 	const clients = 64
-	var served atomic.Int64
+	served := make(chan struct{}, clients) // a burst from every client between receives is counted
 	var wg sync.WaitGroup
 	// Each client's want is its solo run through the data plane, which
 	// TestContinuousInferMatchesSolo holds to the reference machine.
@@ -326,15 +322,12 @@ func TestInferScratchAnswersItsOwnCaller(t *testing.T) {
 					t.Errorf("client %d: answer is not its own inputs' solo run", c)
 					return
 				default:
-					served.Add(1)
+					tell(served)
 				}
 			}
 		}()
 	}
-	progress := func() {
-		n := served.Load()
-		waitFor(t, "more answers", func() bool { return served.Load() > n+clients })
-	}
+	progress := func() { awaitAnswers(t, served, clients+1) }
 	progress()
 	for i := 0; i < 3; i++ {
 		if _, err := dp.Preempt(lease.ID, 0); err != nil {
@@ -354,6 +347,32 @@ func TestInferScratchAnswersItsOwnCaller(t *testing.T) {
 	wg.Wait()
 	if snapDelta(base, metrics.SnapshotCaptures) == 0 {
 		t.Error("no stream was checkpointed: preemption and resize moved nothing")
+	}
+}
+
+// tell reports one answer to awaitAnswers, dropping it when nobody is
+// counting.
+func tell(answers chan struct{}) {
+	select {
+	case answers <- struct{}{}:
+	default:
+	}
+}
+
+// awaitAnswers blocks until n answers are told after the call, failing the
+// test if the lease stops answering.
+func awaitAnswers(t *testing.T, answers chan struct{}, n int) {
+	t.Helper()
+	for len(answers) > 0 {
+		<-answers
+	}
+	stalled := time.After(10 * time.Second)
+	for range n {
+		select {
+		case <-answers:
+		case <-stalled:
+			t.Fatal("the lease stopped answering")
+		}
 	}
 }
 
@@ -379,8 +398,9 @@ func shapedRequest(inputs [][]float64, tenantID string, weight int) *inferReques
 	return newRequest(inputs, res, tenantID, weight)
 }
 
-// steppedEngine builds lease's engine without starting it: the test alone
-// runs its machines' rounds (stepUntilIdle).
+// steppedEngine builds lease's engine off any lease record, so no caller
+// drives it: the test alone runs its machines' rounds (step,
+// stepUntilIdle).
 func steppedEngine(t *testing.T, lease *Lease, opts InferOptions) *contEngine {
 	t.Helper()
 	e, err := newContEngine(lease, nil, opts)
@@ -388,6 +408,13 @@ func steppedEngine(t *testing.T, lease *Lease, opts InferOptions) *contEngine {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// step runs one round of cm under its mutex, as a driving caller does.
+func step(e *contEngine, cm *contMachine) {
+	cm.mu.Lock()
+	defer cm.mu.Unlock()
+	e.round(cm)
 }
 
 // stepUntilIdle runs one round on each of e's machines in turn until
@@ -400,9 +427,15 @@ func stepUntilIdle(t *testing.T, e *contEngine) {
 			t.Fatalf("%d requests still pending after %d turns", e.pending.Load(), turns)
 		}
 		for _, cm := range e.machines {
-			e.round(cm)
+			step(e, cm)
 		}
 	}
+}
+
+// reply waits for req's answer and returns its error.
+func reply(req *inferRequest) error {
+	<-req.done
+	return req.err
 }
 
 // TestContinuousAdmitsIntoRunningBatch pins the tentpole behavior: with a
@@ -431,7 +464,7 @@ func TestContinuousAdmitsIntoRunningBatch(t *testing.T) {
 	}
 	stepUntilIdle(t, e)
 	for i, req := range reqs {
-		if err := req.wait(); err != nil {
+		if err := reply(req); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
@@ -440,6 +473,50 @@ func TestContinuousAdmitsIntoRunningBatch(t *testing.T) {
 		t.Error("no admissions into a running batch — slots drained to empty between cohorts")
 	case got != 5:
 		t.Errorf("%d admissions into a running batch, want 5", got)
+	}
+}
+
+// TestContinuousHandOff pins how a lease's machines pass between the
+// callers that drive them: one that leaves a machine with another caller's
+// stream resident posts the lease's baton, and the caller waiting on it
+// takes the machine over. One machine of two slots serves a one-step and a
+// two-step request in one cohort. The second caller found the machine
+// held, so it waits before it drives; the first drives until its own
+// answer, one round, and leaves the second's stream resident. The second
+// must then be answered, not left waiting on a machine nobody steps.
+func TestContinuousHandOff(t *testing.T) {
+	opts := DefaultInferOptions()
+	opts.Machines = 1
+	opts.MaxBatch = 2
+	_, dp, lease := testPlane(t, opts)
+	rec := mustRecord(t, dp, lease.ID)
+	e, err := dp.engine(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := testInputs(lease.Spec, 41)
+	first, second := shapedRequest(in[:1], "", 0), shapedRequest(in, "", 0)
+	for _, req := range []*inferRequest{first, second} {
+		if err := e.submit(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waited := make(chan error, 1)
+	go func() { waited <- dp.await(rec, nil, second) }()
+	e.drive(first, rec.baton)
+	if err := reply(first); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-waited:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first caller left the second's stream resident, and the second was never handed the machine")
+	}
+	if !reflect.DeepEqual(second.res.Outputs, referenceOutputs(t, lease, opts, in)) {
+		t.Error("the handed-off stream differs from its solo run")
 	}
 }
 
@@ -555,37 +632,39 @@ func TestContinuousReleaseDrains(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDataPlaneNeverSleeps is the gate on how this package waits: every
-// wait in the serving and shutdown paths blocks on a channel, a lock or a
-// WaitGroup that the awaited event signals. A time.Sleep or a
-// runtime.Gosched in non-test code is a poll loop — it burns the P the
-// awaited worker needs on a loaded host, and it is what made shutdown and
-// transplant latency a multiple of 20 µs.
+// TestDataPlaneNeverSleeps is the gate on how this package, and the
+// simulator that drives it, wait: every wait in the serving and shutdown
+// paths blocks on a channel or a lock that the awaited event signals. A
+// time.Sleep or a runtime.Gosched in non-test code is a poll loop — it
+// burns the P the awaited work needs on a loaded host, and it is what made
+// shutdown and transplant latency a multiple of 20 µs.
 func TestDataPlaneNeverSleeps(t *testing.T) {
 	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	files := 0
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			files++
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-					if x, ok := sel.X.(*ast.Ident); ok &&
-						(x.Name == "time" && sel.Sel.Name == "Sleep" || x.Name == "runtime" && sel.Sel.Name == "Gosched") {
-						t.Errorf("%s: %s.%s in the data plane", fset.Position(call.Pos()), x.Name, sel.Sel.Name)
+	for _, dir := range []string{".", "../simtest"} {
+		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				files++
+				ast.Inspect(f, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
 					}
-				}
-				return true
-			})
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+						if x, ok := sel.X.(*ast.Ident); ok &&
+							(x.Name == "time" && sel.Sel.Name == "Sleep" || x.Name == "runtime" && sel.Sel.Name == "Gosched") {
+							t.Errorf("%s: %s.%s in the data plane or its simulator", fset.Position(call.Pos()), x.Name, sel.Sel.Name)
+						}
+					}
+					return true
+				})
+			}
 		}
 	}
 	if files == 0 {

@@ -27,8 +27,9 @@ func TestServiceReleaseDrainsDataPlane(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Eight 16-step requests on one slot: one is resident and the rest are
-	// queued for tens of milliseconds, far longer than the submits take.
+	// Eight 16-step requests on one slot, submitted straight to the engine:
+	// no caller drives it, so all eight wait when Release lands, and its
+	// stopper alone serves them.
 	reqs := make([]*inferRequest, 8)
 	for i := range reqs {
 		reqs[i] = shapedRequest(testInputs(lease.Spec, int64(7+i)), "", 0)
@@ -36,8 +37,8 @@ func TestServiceReleaseDrainsDataPlane(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st, ok := dp.Load(lease.ID); !ok || st.Pending == 0 {
-		t.Fatalf("nothing resident or queued when Release lands: %+v, ok=%v", st, ok)
+	if st, ok := dp.Load(lease.ID); !ok || st.Pending != len(reqs) {
+		t.Fatalf("not all %d requests pending when Release lands: %+v, ok=%v", len(reqs), st, ok)
 	}
 
 	if err := svc.Release(lease.ID); err != nil {

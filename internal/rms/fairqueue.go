@@ -31,10 +31,6 @@ type fairQueue struct {
 	// tenants) — the automatic-preemption trigger: a machine with no free
 	// slots evicts batch-class streams only while latency work waits.
 	latency int
-
-	// wake parks the engine's machines that have nothing to step (see
-	// contEngine.await): push signals one, contEngine.stop broadcasts.
-	wake sync.Cond
 }
 
 type tenantFIFO struct {
@@ -46,15 +42,13 @@ type tenantFIFO struct {
 }
 
 func newFairQueue() *fairQueue {
-	q := &fairQueue{byID: map[string]*tenantFIFO{}}
-	q.wake.L = &q.mu
-	return q
+	return &fairQueue{byID: map[string]*tenantFIFO{}}
 }
 
-// push enqueues a request under its tenant and wakes one parked machine.
-// The tenant's depth gauge moves before the request becomes takeable: a
-// machine may take, serve and answer it before push returns, and its -1
-// must never land ahead of this +1.
+// push enqueues a request under its tenant. The tenant's depth gauge moves
+// before the request becomes takeable: a machine may take, serve and
+// answer it before push returns, and its -1 must never land ahead of this
+// +1.
 func (q *fairQueue) push(r *inferRequest) {
 	if r.tenant != "" {
 		metrics.TenantQueueDepth.Add(r.tenant, 1)
@@ -83,9 +77,6 @@ func (q *fairQueue) push(r *inferRequest) {
 	}
 	q.size++
 	q.mu.Unlock()
-	// Outside the lock, so the woken machine does not block on it. A
-	// machine that saw size == 0 under the lock is already on wake's list.
-	q.wake.Signal()
 }
 
 // take collects up to max requests by deficit round-robin into out[:0]
@@ -139,6 +130,13 @@ func (q *fairQueue) take(out []*inferRequest, max int) []*inferRequest {
 		}
 	}
 	return out
+}
+
+// depth reports how many requests are queued.
+func (q *fairQueue) depth() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.size
 }
 
 // latencyDepth reports how many queued requests carry a latency-class

@@ -137,12 +137,6 @@ func newRequest(inputs [][]float64, res *InferResult, tenantID string, weight in
 	return req
 }
 
-// wait blocks until the request is answered and returns its error.
-func (r *inferRequest) wait() error {
-	<-r.done
-	return r.err
-}
-
 // free clears every reference the request holds and returns it to the pool.
 func (r *inferRequest) free() {
 	*r = inferRequest{done: r.done}
@@ -276,7 +270,7 @@ func (dp *DataPlane) Resize(leaseID, machines int) error {
 	dp.svc.mu.Lock()
 	if dp.closed || rec.released {
 		// A concurrent Close or Release ran after the lookup above: the
-		// engine stays uninstalled, and unstarted.
+		// engine stays uninstalled.
 		closed := dp.closed
 		dp.svc.mu.Unlock()
 		if closed {
@@ -285,10 +279,11 @@ func (dp *DataPlane) Resize(leaseID, machines int) error {
 		return fmt.Errorf("%w: %d", ErrUnknownLease, leaseID)
 	}
 	old, rec.engine = rec.engine, e
-	e.start()
 	dp.svc.mu.Unlock()
 	if old != nil {
+		// The callers waiting on what moved take the baton to e.
 		old.transplantTo(e)
+		post(rec.baton)
 	}
 	return nil
 }
@@ -414,12 +409,32 @@ func (dp *DataPlane) inferInto(tenantID string, leaseID int, inputs [][]float64,
 		}
 		e = next
 	}
-	err := req.wait()
+	err := dp.await(rec, e, req)
 	req.free()
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// await drives e for req's caller (see contEngine.drive) and returns req's
+// error once it is answered. While others hold the machines it waits for
+// the answer or for the lease's baton, which a driver leaving work behind
+// posts, and then drives whichever engine the record holds: after a Resize
+// that is the one req moved to, and none once Release or Close took the
+// engine, whose stopper then drives.
+func (dp *DataPlane) await(rec *leaseRecord, e *contEngine, req *inferRequest) error {
+	for {
+		if e != nil {
+			e.drive(req, rec.baton)
+		}
+		select {
+		case <-req.done:
+			return req.err
+		case <-rec.baton:
+			e = dp.currentEngine(rec.ID)
+		}
+	}
 }
 
 // record returns the lease's record and its engine, or nil, nil if the
@@ -441,10 +456,10 @@ func (dp *DataPlane) currentEngine(leaseID int) *contEngine {
 }
 
 // engine returns rec's serving engine, building it on first use. The one
-// build installs and starts its engine only on a live record of an open
-// plane and never over one a Resize installed first; an engine it cannot
-// install never starts. So a build that loses to Release or Close answers
-// ErrLeaseClosing, and no caller ever gets a nil engine without an error.
+// build installs its engine only on a live record of an open plane and
+// never over one a Resize installed first. So a build that loses to
+// Release or Close answers ErrLeaseClosing, and no caller ever gets a nil
+// engine without an error.
 func (dp *DataPlane) engine(rec *leaseRecord) (*contEngine, error) {
 	s := dp.svc
 	rec.build.Do(func() {
@@ -456,13 +471,10 @@ func (dp *DataPlane) engine(rec *leaseRecord) (*contEngine, error) {
 		s.mu.Lock()
 		if !rec.released && !dp.closed && rec.engine == nil {
 			rec.engine = e
-			e.start()
 		}
 		s.mu.Unlock()
 	})
-	s.mu.RLock()
-	e := rec.engine
-	s.mu.RUnlock()
+	e := dp.currentEngine(rec.ID)
 	switch {
 	case e != nil:
 		return e, nil

@@ -26,8 +26,8 @@ type resumeToken struct {
 // to that DRR weight class (automatic preemption never displaces
 // latency-class streams); maxWeight == 0 allows any. An evacuation
 // (preempted false) takes every stream regardless of progress: it never
-// re-admits on this engine. Runs on cm's goroutine, or on the stopper's
-// once the machines are joined (transplantTo).
+// re-admits on this engine. Runs under cm.mu, held by a round's driver or
+// by the stopper (transplantTo).
 func (e *contEngine) evictSlots(cm *contMachine, max, maxWeight int, preempted bool) int {
 	if max <= 0 {
 		return 0

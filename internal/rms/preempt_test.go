@@ -37,14 +37,12 @@ func stepsPlane(t *testing.T, opts InferOptions, steps int) (*Service, *DataPlan
 }
 
 // backlog is a lease's engine loaded to its queue cap, for tests that act
-// on a transient state (a full machine, resident streams). The state has
-// to outlast a scheduler quantum by construction: with one P a machine's
-// goroutine keeps the P for the whole 10-20 ms quantum before the test
-// goroutine runs again, and a backlog it can finish in that time is gone by
-// then (tier-1 failed that way at GOMAXPROCS=1). So the sequences are 48 steps
-// long — a full queue is ~70 ms of work at two slots — and their lengths
-// differ (45..48 steps) so the slots never all retire in one round and
-// leave nothing resident.
+// on a state with streams resident and more queued. Only the test drives
+// the engine, so the state holds until it acts. The sequences are long (a
+// full queue is tens of milliseconds of rounds) so a halt that lands from
+// a timer's goroutine, as CloseWithin(0)'s does, finds streams still
+// resident, and their lengths differ (45..48 steps) so the slots never all
+// retire in one round.
 type backlog struct {
 	e    *contEngine
 	reqs []*inferRequest
@@ -54,21 +52,17 @@ type backlog struct {
 const backlogSteps = 48
 
 // loadBacklog submits all the queue holds, less spare, straight to the
-// lease's started engine and waits until the machines have filled once. It
-// waits on mlv_admissions, which only grows: the mlv_slots_active gauge
-// can rise and fall between two looks.
+// lease's engine and fills its machines by stepping each one round.
 func loadBacklog(t *testing.T, dp *DataPlane, lease *Lease, spare int, tenant string, weight int) *backlog {
 	t.Helper()
 	e, err := dp.engine(mustRecord(t, dp, lease.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
-	admitted := metrics.Admissions.Value()
 	b := submitBacklog(t, e, lease, e.queueCap-spare, tenant, weight)
-	full := int64(dp.opts.MaxBatch * dp.opts.Machines)
-	waitFor(t, "machines to fill", func() bool {
-		return metrics.Admissions.Value()-admitted >= full
-	})
+	for _, cm := range e.machines {
+		step(e, cm)
+	}
 	return b
 }
 
@@ -101,7 +95,7 @@ func (b *backlog) join(t *testing.T, allowed ...error) int {
 	t.Helper()
 	failed := 0
 	for i, req := range b.reqs {
-		err := req.wait()
+		err := reply(req)
 		if err != nil {
 			failed++
 			ok := false
@@ -155,11 +149,11 @@ func TestPreemptGoldenTwin(t *testing.T) {
 			t.Fatalf("%d requests still pending after %d rounds", e.pending.Load(), rounds)
 		}
 		e.preemptReq.Add(1)
-		e.round(e.machines[0])
+		step(e, e.machines[0])
 	}
 
 	for i, req := range reqs {
-		if err := req.wait(); err != nil {
+		if err := reply(req); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 		ref := referenceOutputs(t, lease, opts, inputs[i])
@@ -186,6 +180,7 @@ func TestPreemptGoldenTwin(t *testing.T) {
 // machine count, same bit-exact outputs, nothing re-run from scratch and
 // nothing answered with an error. The old engine is left with nothing:
 // no pending request, an empty queue, every slot free, and no admission.
+// The test drives the new engine, as its waiting callers would.
 func TestResizeTransplantsResidentStreams(t *testing.T) {
 	opts := DefaultInferOptions()
 	opts.Machines = 1
@@ -193,12 +188,13 @@ func TestResizeTransplantsResidentStreams(t *testing.T) {
 	_, dp, lease := stepsPlane(t, opts, backlogSteps)
 
 	base := metrics.Snapshot()
-	// The backlog outlasts Resize's engine build several times over, so
-	// the transplant finds the old pool's slots full.
+	// Nothing steps the old pool after loadBacklog: the transplant finds
+	// its slots full.
 	b := loadBacklog(t, dp, lease, 0, "", 0)
 	if err := dp.Resize(lease.ID, 2); err != nil {
 		t.Fatal(err)
 	}
+	stepUntilIdle(t, dp.currentEngine(lease.ID))
 	b.join(t)
 
 	if st, ok := dp.Load(lease.ID); !ok || st.Machines != 2 {
@@ -291,7 +287,7 @@ func TestAutoPreemptFavorsLatencyClass(t *testing.T) {
 
 	base := metrics.Snapshot()
 	b := submitBacklog(t, e, lease, 4, "bulk", 1)
-	e.round(cm)
+	step(e, cm)
 	if cm.occupied != opts.MaxBatch {
 		t.Fatalf("%d of %d slots occupied after the first round", cm.occupied, opts.MaxBatch)
 	}
@@ -303,12 +299,12 @@ func TestAutoPreemptFavorsLatencyClass(t *testing.T) {
 	if err := e.submit(rt); err != nil {
 		t.Fatal(err)
 	}
-	e.round(cm)
+	step(e, cm)
 	if got := snapDelta(base, metrics.PreemptEvictions); got != 1 {
 		t.Errorf("%d preempt evictions in the round after a latency-class arrival, want 1", got)
 	}
 	stepUntilIdle(t, e)
-	if err := rt.wait(); err != nil {
+	if err := reply(rt); err != nil {
 		t.Fatalf("latency-class request: %v", err)
 	} else if !reflect.DeepEqual(rt.res.Outputs, referenceOutputs(t, lease, opts, in)) {
 		t.Error("latency-class request: outputs differ from solo run")
@@ -363,9 +359,9 @@ func TestCloseWithinCheckpointsAtDeadline(t *testing.T) {
 // TestCloseWithinGenerousDeadlineIsClose pins the equivalence close()
 // relies on (close is closeBy with no deadline): a deadline the
 // backlog finishes well inside checkpoints nothing and every request is
-// answered with its solo run. At four machines the drain runs on more
-// machine goroutines than a GOMAXPROCS=1 or 2 run has Ps, and each machine
-// leaves on its own once it is idle and the queue is empty.
+// answered with its solo run. At four machines the stopper drains each
+// machine in turn, and work a later machine evicts can only land on one it
+// has not taken yet.
 func TestCloseWithinGenerousDeadlineIsClose(t *testing.T) {
 	for _, machines := range []int{1, 4} {
 		t.Run(fmt.Sprintf("machines=%d", machines), func(t *testing.T) {
@@ -409,7 +405,8 @@ func TestAdmitFailureSettlesBeforeAnswering(t *testing.T) {
 	if err := e.submit(req); err != nil {
 		t.Fatal(err)
 	}
-	if err := req.wait(); err == nil {
+	step(e, e.machines[0])
+	if err := reply(req); err == nil {
 		t.Fatal("a request with a short input vector was served")
 	}
 	if got := e.load().Pending; got != 0 {
@@ -489,7 +486,7 @@ func TestReleaseMidFlightCleansUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, req := range reqs {
-		if err := req.wait(); err != nil && !errors.Is(err, ErrLeaseClosing) {
+		if err := reply(req); err != nil && !errors.Is(err, ErrLeaseClosing) {
 			t.Errorf("request %d: %v", i, err)
 		}
 	}

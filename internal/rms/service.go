@@ -95,6 +95,10 @@ type leaseRecord struct {
 	engine   *contEngine
 	build    sync.Once
 	buildErr error
+	// baton (cap 1) hands the lease's machines from a caller that leaves
+	// work behind, or from a Resize, to a caller waiting on its answer
+	// (see contEngine.drive and DataPlane.await).
+	baton chan struct{}
 }
 
 // ClusterStatus is a point-in-time occupancy snapshot.
@@ -319,7 +323,7 @@ func (s *Service) DeployWith(spec kernels.LayerSpec, po PlaceOptions) (*Lease, e
 			Depth:       dep.NumPieces(),
 			ArtifactKey: artifactKey,
 			WarmDeploy:  warmDeploy,
-		}}
+		}, baton: make(chan struct{}, 1)}
 		s.leases[rec.ID] = rec
 		metrics.LeasesActive.Add(1)
 		return &rec.Lease, nil

@@ -22,13 +22,6 @@ type flakyDRAM struct {
 
 var errInjected = errors.New("injected DRAM failure")
 
-func (f *flakyDRAM) ReadWords(addr, n int) ([]fp16.Num, error) {
-	if f.remaining--; f.remaining < 0 {
-		return nil, errInjected
-	}
-	return f.inner.ReadWords(addr, n)
-}
-
 func (f *flakyDRAM) ReadWordsInto(dst []fp16.Num, addr int) error {
 	if f.remaining--; f.remaining < 0 {
 		return errInjected
@@ -175,4 +168,10 @@ func TestGroupRejectsUnpairedSync(t *testing.T) {
 			}
 		})
 	}
+}
+
+// readWords reads n words at addr through the port's one read method.
+func readWords(d accel.DRAM, addr, n int) ([]fp16.Num, error) {
+	out := make([]fp16.Num, n)
+	return out, d.ReadWordsInto(out, addr)
 }

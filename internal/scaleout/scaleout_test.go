@@ -62,7 +62,7 @@ func syncExchange(t *testing.T, n int) {
 		}
 	}
 	for i, s := range syncs {
-		got, err := s.ReadWords(101, n*shard)
+		got, err := readWords(s, 101, n*shard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestSyncPassThrough(t *testing.T) {
 		if err := s0.WriteWords(5, vals); err != nil {
 			t.Fatal(err)
 		}
-		got, err := s0.ReadWords(5, 1)
+		got, err := readWords(s0, 5, 1)
 		if err != nil || got[0] != 7 {
 			t.Errorf("n=%d: pass-through failed: %v %v", n, got, err)
 		}
@@ -97,7 +97,7 @@ func TestSyncPassThrough(t *testing.T) {
 		if err := s0.WriteWords(100, []fp16.Num{9, 9}); err != nil {
 			t.Fatal(err)
 		}
-		inner, _ := mems[0].ReadWords(0, 64)
+		inner, _ := readWords(mems[0], 0, 64)
 		for i, w := range inner {
 			if i == 5 {
 				continue
@@ -116,10 +116,10 @@ func TestSyncErrors(t *testing.T) {
 		if err := s0.WriteWords(100, make([]fp16.Num, 3)); err == nil {
 			t.Errorf("n=%d: wrong send size must fail", n)
 		}
-		if _, err := s0.ReadWords(101, 2*n-1); err == nil {
+		if _, err := readWords(s0, 101, 2*n-1); err == nil {
 			t.Errorf("n=%d: wrong receive size must fail", n)
 		}
-		if _, err := s0.ReadWords(101, 2*n); err == nil {
+		if _, err := readWords(s0, 101, 2*n); err == nil {
 			t.Errorf("n=%d: receive before send must fail", n)
 		}
 	}
@@ -535,7 +535,7 @@ func groupVsSingle(kind kernels.RNNKind, hidden, steps, n, mantissa int, seed in
 		return err
 	}
 	for tt := 0; tt < steps; tt++ {
-		want, err := m.DRAMPort().ReadWords(single.OutputAddr(tt), hidden)
+		want, err := readWords(m.DRAMPort(), single.OutputAddr(tt), hidden)
 		if err != nil {
 			return err
 		}

@@ -129,15 +129,6 @@ func (s *SyncModule) WriteWords(addr int, vals []fp16.Num) error {
 	return nil
 }
 
-// ReadWords is ReadWordsInto a fresh vector.
-func (s *SyncModule) ReadWords(addr, n int) ([]fp16.Num, error) {
-	if addr != s.recvAddr {
-		return s.inner.ReadWords(addr, n)
-	}
-	out := make([]fp16.Num, max(n, 0))
-	return out, s.ReadWordsInto(out, addr)
-}
-
 // ReadWordsInto traps reads from the receive address: it takes the oldest
 // shard from every device's link and assembles the full vector in dst.
 func (s *SyncModule) ReadWordsInto(dst []fp16.Num, addr int) error {

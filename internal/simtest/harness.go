@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -410,21 +409,17 @@ func (s *Stack) accountTick(rep *cluster.TickReport) {
 	}
 }
 
-// doPreempt serves a concurrent batch while firing explicit preemptions
-// into it: resident streams are checkpointed back into the fair queue and
-// resumed, and the outputs must not change. The eviction count is timing-
-// dependent, so it never enters the trace or the model — the snapshot-
-// conservation invariants pin the bookkeeping instead, and any demand
-// left unconsumed here preempts streams of later events (more coverage,
-// same invariants).
+// doPreempt serves a concurrent batch while posting explicit preemption
+// demand into it: resident streams are checkpointed back into the fair
+// queue and resumed, and the outputs must not change. The eviction count
+// is timing-dependent, so it never enters the trace or the model — the
+// snapshot-conservation invariants pin the bookkeeping instead, and any
+// demand left unconsumed here preempts streams of later events (more
+// coverage, same invariants).
 func (s *Stack) doPreempt(r uint64) {
 	s.serveBatch(r, "preempt", func(id int) {
-		for k := 0; k < 24; k++ {
-			if _, err := s.dp.Preempt(id, 1); err != nil {
-				s.fail("preempt-error", "lease %d: %v", id, err)
-				return
-			}
-			runtime.Gosched() // 1-CPU boxes: let workers hit the demand
+		if _, err := s.dp.Preempt(id, 24); err != nil {
+			s.fail("preempt-error", "lease %d: %v", id, err)
 		}
 	})
 }
@@ -443,7 +438,6 @@ func (s *Stack) doRestore(r uint64) {
 		if per <= 0 {
 			per = cluster.DefaultConfig().MachinesPerPiece
 		}
-		runtime.Gosched()
 		if err := s.dp.Resize(id, lease.Depth*per); err != nil {
 			s.fail("restore-error", "lease %d: %v", id, err)
 		}

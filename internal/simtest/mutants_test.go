@@ -93,14 +93,22 @@ var mutants = []mutant{
 		pkg: simtestPkg, run: sweepRun, want: `invariant "infer-served"`,
 	},
 	{
-		// An idle machine of a stopped engine leaves while the queue
-		// still holds work.
-		name: "await-exits-on-stop",
+		// The stopper takes each machine without draining it: a plain
+		// close abandons what the engine still holds.
+		name: "stopper-skips-drain",
 		file: "internal/rms/continuous.go",
-		orig: "return q.size > 0 && !e.halted.Load()",
-		repl: "return q.size > 0 && !e.stopped.Load()",
-		pkg:  "./internal/rms", run: "^TestCloseWithinGenerousDeadlineIsClose$",
+		orig: "\t\te.steps(cm, nil)\n", repl: "\n",
+		pkg: "./internal/rms", run: "^TestCloseWithinGenerousDeadlineIsClose$",
 		want: "answered with an error",
+	},
+	{
+		// A caller leaves work behind without handing it to the callers
+		// waiting on it.
+		name: "drop-baton",
+		file: "internal/rms/continuous.go",
+		orig: "\t\t\tpost(baton)\n", repl: "\n",
+		pkg: "./internal/rms", run: "^TestContinuousHandOff$",
+		want: "the second was never handed the machine",
 	},
 	{
 		// A machine admits only into an empty batch: continuous batching
