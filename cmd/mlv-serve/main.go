@@ -58,7 +58,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	restricted := flag.Bool("restricted", false, "use the same-type-only runtime policy")
 	maxBatch := flag.Int("max-batch", 8, "batch slots per machine: how many streams one machine steps together")
-	machines := flag.Int("machines", 2, "per-lease machine pool size")
+	machines := flag.Int("machines", 2, "machines per piece of a lease's depth")
 	preempt := flag.Bool("preempt", false, "preemptive scheduling: a full machine checkpoints batch-class streams while latency-class requests wait")
 	drainDeadline := flag.Duration("drain-deadline", 10*time.Second, "shutdown drain budget; streams still running at the deadline are abandoned instead of served (0 = drain unbounded)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this private address (empty = disabled); enables mutex and block profiling")

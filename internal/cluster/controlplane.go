@@ -18,19 +18,16 @@ type LoadSource interface {
 	Load(leaseID int) (rms.LoadStats, bool)
 }
 
-// Resizer adjusts a lease's data-plane concurrency after a depth change.
-// *rms.DataPlane implements it.
+// Resizer rebuilds a lease's data-plane machine pool at its depth after
+// a depth change. *rms.DataPlane implements it.
 type Resizer interface {
-	Resize(leaseID, machines int) error
+	Resize(leaseID int) error
 }
 
 // Config tunes the control plane.
 type Config struct {
 	// Planner tunes depth selection.
 	Planner PlannerConfig
-	// MachinesPerPiece sizes the data-plane machine pool as depth ×
-	// MachinesPerPiece on depth changes.
-	MachinesPerPiece int
 }
 
 const (
@@ -46,22 +43,19 @@ const (
 
 // DefaultConfig returns serving defaults.
 func DefaultConfig() Config {
-	return Config{
-		Planner:          DefaultPlannerConfig(),
-		MachinesPerPiece: 2,
-	}
+	return Config{Planner: DefaultPlannerConfig()}
 }
 
 // Event is one control action taken (or attempted) during a tick.
 type Event struct {
 	Lease int `json:"lease"`
-	// Kind is "evacuate", "scale_up", "scale_down" or "resize" (a retry
-	// of a machine-pool resize that failed after a successful migration).
+	// Kind is "evacuate", "scale_up", "scale_down" or "defrag".
 	Kind      string `json:"kind"`
 	FromDepth int    `json:"from_depth"`
 	ToDepth   int    `json:"to_depth"`
-	// Err is set when the action failed (the lease backs off and
-	// retries on a later tick).
+	// Err is set when the action failed: a failed migration (the lease
+	// backs off and retries on a later tick), or a landed one whose
+	// machine-pool resize failed (the migration stands).
 	Err string `json:"err,omitempty"`
 }
 
@@ -80,11 +74,6 @@ type leaseState struct {
 	idleTicks    int
 	backoff      time.Duration
 	backoffUntil time.Time
-	// wantMachines is a machine-pool size the data plane still owes the
-	// lease: set when a resize fails after a successful migration, cleared
-	// once a later tick's retry lands, so the pool never silently stays
-	// sized for the old depth.
-	wantMachines int
 }
 
 // ControlPlane is the fleet controller: it owns the device registry,
@@ -117,9 +106,6 @@ func New(clock Clock, cfg Config, svc *rms.Service, dp interface {
 	Resizer
 }) *ControlPlane {
 	def := DefaultConfig()
-	if cfg.MachinesPerPiece <= 0 {
-		cfg.MachinesPerPiece = def.MachinesPerPiece
-	}
 	if cfg.Planner.ScaleUpQueue <= 0 {
 		cfg.Planner.ScaleUpQueue = def.Planner.ScaleUpQueue
 	}
@@ -238,17 +224,7 @@ func (cp *ControlPlane) Tick() *TickReport {
 				break
 			}
 		}
-		// The pool is sized by depth alone, so a same-depth evacuation
-		// keeps its engine: the lease is usually under traffic and a rebuild
-		// would checkpoint every resident stream for nothing. Defrag's
-		// same-depth moves do rebuild: its leases are quiet, so it is free,
-		// and the transplant carries over any stream that slipped in since
-		// the quiet check.
-		machines := 0
-		if ev.ToDepth != ev.FromDepth {
-			machines = ev.ToDepth * cp.cfg.MachinesPerPiece
-		}
-		if cp.landLocked(st, &ev, now, err, machines) {
+		if cp.landLocked(st, &ev, now, err) {
 			moved = append(moved, i)
 		}
 		rep.Events = append(rep.Events, ev)
@@ -260,24 +236,6 @@ func (cp *ControlPlane) Tick() *TickReport {
 			continue // one move per lease per tick
 		}
 		st := cp.leases[l.ID]
-		if st.wantMachines > 0 && cp.sizer != nil {
-			// Settle the owed machine-pool resize before planning another
-			// depth change for this lease.
-			if now.Before(st.backoffUntil) {
-				rep.Deferred++
-				continue
-			}
-			ev := Event{Lease: l.ID, Kind: "resize", FromDepth: l.Depth, ToDepth: l.Depth}
-			if rerr := cp.sizer.Resize(l.ID, st.wantMachines); rerr != nil {
-				ev.Err = rerr.Error()
-				cp.failLocked(st, now)
-			} else {
-				st.wantMachines = 0
-				cp.okLocked(st)
-			}
-			rep.Events = append(rep.Events, ev)
-			continue
-		}
 		var load rms.LoadStats
 		if cp.loads != nil {
 			load, _ = cp.loads.Load(l.ID) // ok=false reads as idle
@@ -306,7 +264,7 @@ func (cp *ControlPlane) Tick() *TickReport {
 		}
 		ev := Event{Lease: l.ID, Kind: kind, FromDepth: l.Depth, ToDepth: target}
 		_, err = cp.svc.Migrate(l.ID, target, avoid, false, nil)
-		if cp.landLocked(st, &ev, now, err, target*cp.cfg.MachinesPerPiece) {
+		if cp.landLocked(st, &ev, now, err) {
 			st.idleTicks = 0
 		}
 		rep.Events = append(rep.Events, ev)
@@ -316,11 +274,13 @@ func (cp *ControlPlane) Tick() *TickReport {
 
 // landLocked records how a lease move — evacuation, depth change or
 // defrag — ended, in the lease's state, the event and the counters, and
-// reports whether the migration landed. A landed one rebuilds the
-// data-plane pool at machines (0: keep it); if that fails the migration
-// stands, the lease remembers the pool it is owed in wantMachines and
-// backs off, and a later tick retries the resize alone.
-func (cp *ControlPlane) landLocked(st *leaseState, ev *Event, now time.Time, err error, machines int) bool {
+// reports whether the migration landed. A landed one that changed the
+// lease's depth rebuilds its data-plane pool at the new depth; a
+// same-depth move keeps the engine, since the pool follows depth alone.
+// A resize error goes into the event and the migration stands: the error
+// is permanent (the lease was released, the plane closed, or the build
+// that served the lease so far failed), so there is nothing to retry.
+func (cp *ControlPlane) landLocked(st *leaseState, ev *Event, now time.Time, err error) bool {
 	if err != nil {
 		ev.Err = err.Error()
 		cp.failLocked(st, now)
@@ -329,12 +289,9 @@ func (cp *ControlPlane) landLocked(st *leaseState, ev *Event, now time.Time, err
 	}
 	cp.okLocked(st)
 	metrics.Migrations.Add(1)
-	if machines > 0 && cp.sizer != nil {
-		st.wantMachines = 0
-		if rerr := cp.sizer.Resize(ev.Lease, machines); rerr != nil {
+	if ev.ToDepth != ev.FromDepth && cp.sizer != nil {
+		if rerr := cp.sizer.Resize(ev.Lease); rerr != nil {
 			ev.Err = rerr.Error()
-			st.wantMachines = machines
-			cp.failLocked(st, now)
 		}
 	}
 	return true

@@ -16,14 +16,13 @@ import (
 	"mlvfpga/internal/tenant"
 )
 
-// fakePlane scripts load observations and records resizes, standing in for
+// fakePlane scripts load observations and counts resizes, standing in for
 // the rms.DataPlane in deterministic control-plane tests.
 type fakePlane struct {
 	mu        sync.Mutex
 	loads     map[int]rms.LoadStats
-	resized   map[int]int
+	resized   map[int]int // Resize calls by lease
 	resizeErr error
-	resizeCnt int
 	// onLoad, when set, runs at the start of every Load call (outside mu):
 	// a test's window into the middle of a control pass.
 	onLoad func(id int)
@@ -43,15 +42,11 @@ func (f *fakePlane) Load(id int) (rms.LoadStats, bool) {
 	return l, ok
 }
 
-func (f *fakePlane) Resize(id, machines int) error {
+func (f *fakePlane) Resize(id int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.resizeCnt++
-	if f.resizeErr != nil {
-		return f.resizeErr
-	}
-	f.resized[id] = machines
-	return nil
+	f.resized[id]++
+	return f.resizeErr
 }
 
 func (f *fakePlane) setResizeErr(err error) {
@@ -203,8 +198,8 @@ func TestDepthAdaptsToLoad(t *testing.T) {
 	if got.Depth != 2 || len(got.Placements) != 2 {
 		t.Fatalf("lease after burst: depth %d, %d placements", got.Depth, len(got.Placements))
 	}
-	if fp.resized[lease.ID] != 2*cfg.MachinesPerPiece {
-		t.Fatalf("resized to %d machines, want %d", fp.resized[lease.ID], 2*cfg.MachinesPerPiece)
+	if fp.resized[lease.ID] != 1 {
+		t.Fatalf("pool rebuilt %d times, want once", fp.resized[lease.ID])
 	}
 
 	// Burst persists: up to the top rung.
@@ -307,65 +302,72 @@ func TestFailedMigrationBacksOff(t *testing.T) {
 	}
 }
 
-func TestFailedResizeRetries(t *testing.T) {
+// TestResizeErrorLeavesTheMigrationStanding: a scale-up lands on a closed
+// data plane, whose Resize answers ErrLeaseClosing. The migration stands
+// and counts, the event carries the error, and since retrying cannot mend
+// it the lease neither backs off nor sees the resize again.
+func TestResizeErrorLeavesTheMigrationStanding(t *testing.T) {
 	cfg := DefaultConfig()
-	cp, svc, fp, clk := testControlPlane(t, resource.ClusterSpec{resource.XCVU37P.Name: 4}, cfg)
+	db := rms.NewDatabase(rms.Flexible, perf.DefaultParams(), scaleout.DefaultOptions())
+	svc, err := rms.NewService(resource.ClusterSpec{resource.XCVU37P.Name: 4}, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp := rms.NewDataPlane(svc, rms.DefaultInferOptions())
+	dp.Close()
+	fp := newFakePlane()
+	cp := New(NewFakeClock(time.Unix(1000, 0)), cfg, svc, struct {
+		LoadSource
+		Resizer
+	}{fp, dp})
 	lease, err := svc.Deploy(testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	fp.setLoad(lease.ID, rms.LoadStats{QueueDepth: cfg.Planner.ScaleUpQueue + 2})
-	fp.setResizeErr(fmt.Errorf("engine rebuild failed"))
 
-	// The migration lands but the pool resize fails: the event carries the
-	// error and the lease goes into backoff owing a resize.
+	base := metrics.Snapshot()
 	rep := cp.Tick()
-	if len(rep.Events) != 1 || rep.Events[0].Kind != "scale_up" || rep.Events[0].Err == "" {
-		t.Fatalf("events = %+v, want a scale_up with a resize error", rep.Events)
+	if len(rep.Events) != 1 || rep.Events[0].Kind != "scale_up" || rep.Events[0].Err != rms.ErrLeaseClosing.Error() {
+		t.Fatalf("events = %+v, want a scale_up carrying %q", rep.Events, rms.ErrLeaseClosing)
 	}
 	if got, _ := svc.Lease(lease.ID); got.Depth != 2 {
-		t.Fatalf("depth = %d, want 2 (migration itself succeeded)", got.Depth)
+		t.Fatalf("depth = %d, want 2 (the migration stands)", got.Depth)
+	}
+	moved := metrics.Snapshot().Sub(base)
+	if m, f := moved.Int(metrics.Migrations), moved.Int(metrics.MigrationFailures); m != 1 || f != 0 {
+		t.Errorf("mlv_migrations +%d, mlv_migration_failures +%d, want +1 and +0", m, f)
+	}
+	if st := cp.leases[lease.ID]; st.backoff != 0 || !st.backoffUntil.IsZero() {
+		t.Errorf("lease backs off %v until %v after a resize error", st.backoff, st.backoffUntil)
 	}
 
-	// Within the backoff window the owed resize is deferred, not retried,
-	// and no further depth change is planned for the lease.
-	rep = cp.Tick()
-	if len(rep.Events) != 0 || rep.Deferred != 1 {
-		t.Fatalf("tick inside backoff: %+v (deferred %d)", rep.Events, rep.Deferred)
-	}
-	if fp.resizeCnt != 1 {
-		t.Fatalf("resize called %d times during backoff, want 1", fp.resizeCnt)
-	}
-
-	// Past the window the resize (and only the resize) is retried, so the
-	// machine pool finally matches the depth.
-	fp.setResizeErr(nil)
-	clk.Advance(retryBackoff + time.Millisecond)
-	rep = cp.Tick()
-	if len(rep.Events) != 1 || rep.Events[0].Kind != "resize" || rep.Events[0].Err != "" {
-		t.Fatalf("events = %+v, want one clean resize retry", rep.Events)
-	}
-	if fp.resized[lease.ID] != 2*cfg.MachinesPerPiece {
-		t.Fatalf("pool sized to %d machines, want %d", fp.resized[lease.ID], 2*cfg.MachinesPerPiece)
+	// Busy but below the scale-up bar: the planner keeps the depth, and
+	// nothing is retried.
+	fp.setLoad(lease.ID, rms.LoadStats{QueueDepth: 1, Pending: 1})
+	if rep := cp.Tick(); len(rep.Events) != 0 || rep.Deferred != 0 {
+		t.Fatalf("later tick: %+v (deferred %d), want nothing", rep.Events, rep.Deferred)
 	}
 }
 
 // TestLeaseMoveOutcomes walks the three ways the control plane moves a
 // lease — evacuation, load-driven depth change, defrag — through the three
 // ways a move can end, and checks that each lands the same way: what the
-// event says, what the lease owes afterwards, whether it backs off, and
-// which counters moved.
+// event says, whether the pool is rebuilt, whether the lease backs off,
+// and which counters moved. Only a move that changes depth rebuilds the pool,
+// and a failed rebuild leaves the migration standing without a backoff.
 func TestLeaseMoveOutcomes(t *testing.T) {
 	cfg := DefaultConfig()
 	twoDevices := resource.ClusterSpec{resource.XCVU37P.Name: 2}
-	// Each move sets its scene and returns the lease that will move, the
-	// pool size a landed move asks for, and the pass that moves it.
-	// migrateFails arranges for svc.Migrate to refuse.
+	// Each move sets its scene and returns the lease that will move and the
+	// pass that moves it; rebuilds says whether a landed move changes the
+	// lease's depth. migrateFails arranges for svc.Migrate to refuse.
 	moves := []struct {
-		kind  string
-		stage func(t *testing.T, migrateFails bool) (cp *ControlPlane, fp *fakePlane, lease, machines int, pass func() []Event)
+		kind     string
+		rebuilds bool
+		stage    func(t *testing.T, migrateFails bool) (cp *ControlPlane, fp *fakePlane, lease int, pass func() []Event)
 	}{
-		{"evacuate", func(t *testing.T, migrateFails bool) (*ControlPlane, *fakePlane, int, int, func() []Event) {
+		{"evacuate", true, func(t *testing.T, migrateFails bool) (*ControlPlane, *fakePlane, int, func() []Event) {
 			// A two-piece lease loses one of its two devices: no room for
 			// depth 2, so the evacuation walks down to depth 1 — a depth
 			// change, the only kind of evacuation that resizes. With both
@@ -384,9 +386,9 @@ func TestLeaseMoveOutcomes(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			return cp, fp, l.ID, 1 * cfg.MachinesPerPiece, func() []Event { return cp.Tick().Events }
+			return cp, fp, l.ID, func() []Event { return cp.Tick().Events }
 		}},
-		{"scale_up", func(t *testing.T, migrateFails bool) (*ControlPlane, *fakePlane, int, int, func() []Event) {
+		{"scale_up", true, func(t *testing.T, migrateFails bool) (*ControlPlane, *fakePlane, int, func() []Event) {
 			// A deep queue asks for depth 2; a one-device quota refuses it.
 			cp, svc, fp, _ := testControlPlane(t, resource.ClusterSpec{resource.XCVU37P.Name: 4}, cfg)
 			owner := tenant.Tenant{ID: "owner", Key: "k"}
@@ -403,9 +405,9 @@ func TestLeaseMoveOutcomes(t *testing.T) {
 				t.Fatal(err)
 			}
 			fp.setLoad(l.ID, rms.LoadStats{QueueDepth: cfg.Planner.ScaleUpQueue + 2})
-			return cp, fp, l.ID, 2 * cfg.MachinesPerPiece, func() []Event { return cp.Tick().Events }
+			return cp, fp, l.ID, func() []Event { return cp.Tick().Events }
 		}},
-		{"defrag", func(t *testing.T, migrateFails bool) (*ControlPlane, *fakePlane, int, int, func() []Event) {
+		{"defrag", false, func(t *testing.T, migrateFails bool) (*ControlPlane, *fakePlane, int, func() []Event) {
 			// Two leases on two half-empty devices, the second one busy so
 			// only the first may move. The service places and the pass
 			// accepts in one step, so a layout that changes mid-pass is a
@@ -444,7 +446,7 @@ func TestLeaseMoveOutcomes(t *testing.T) {
 				}
 				setQuotas(tenant.Quotas{MaxBlocks: 1})
 			}
-			return cp, fp, first.ID, 1 * cfg.MachinesPerPiece, func() []Event { return cp.Defrag().Moves }
+			return cp, fp, first.ID, func() []Event { return cp.Defrag().Moves }
 		}},
 	}
 	outcomes := []struct {
@@ -458,7 +460,7 @@ func TestLeaseMoveOutcomes(t *testing.T) {
 	for _, mv := range moves {
 		for _, out := range outcomes {
 			t.Run(mv.kind+"/"+out.name, func(t *testing.T) {
-				cp, fp, lease, machines, pass := mv.stage(t, out.migrateFails)
+				cp, fp, lease, pass := mv.stage(t, out.migrateFails)
 				if out.resizeFails {
 					fp.setResizeErr(fmt.Errorf("engine rebuild failed"))
 				}
@@ -473,7 +475,8 @@ func TestLeaseMoveOutcomes(t *testing.T) {
 					t.Fatalf("the pass recorded no %s event for lease %d", mv.kind, lease)
 				}
 				landed := !out.migrateFails
-				failed := out.migrateFails || out.resizeFails
+				rebuilt := landed && mv.rebuilds
+				failed := out.migrateFails || rebuilt && out.resizeFails
 				if (ev.Err != "") != failed {
 					t.Errorf("event error = %q, want one: %v", ev.Err, failed)
 				}
@@ -481,26 +484,19 @@ func TestLeaseMoveOutcomes(t *testing.T) {
 				st := *cp.leases[lease]
 				now := cp.clock.Now()
 				cp.mu.Unlock()
-				owed := 0
-				if out.resizeFails {
-					owed = machines
+				if backedOff := st.backoff > 0 && st.backoffUntil.After(now); backedOff != out.migrateFails {
+					t.Errorf("backoff %v until %v (now %v), want backing off: %v", st.backoff, st.backoffUntil, now, out.migrateFails)
 				}
-				if st.wantMachines != owed {
-					t.Errorf("lease owes a pool of %d machines, want %d", st.wantMachines, owed)
-				}
-				if backedOff := st.backoff > 0 && st.backoffUntil.After(now); backedOff != failed {
-					t.Errorf("backoff %v until %v (now %v), want backing off: %v", st.backoff, st.backoffUntil, now, failed)
-				}
-				if landed && !out.resizeFails && fp.resized[lease] != machines {
-					t.Errorf("pool sized to %d machines, want %d", fp.resized[lease], machines)
-				}
-				moved := metrics.Snapshot().Sub(base)
 				count := func(b bool) int64 {
 					if b {
 						return 1
 					}
 					return 0
 				}
+				if got := int64(fp.resized[lease]); got != count(rebuilt) {
+					t.Errorf("pool rebuilt %d times, want %d", got, count(rebuilt))
+				}
+				moved := metrics.Snapshot().Sub(base)
 				if got := moved.Int(metrics.Migrations); got != count(landed) {
 					t.Errorf("mlv_migrations moved by %d, want %d", got, count(landed))
 				}

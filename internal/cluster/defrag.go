@@ -143,7 +143,7 @@ func (cp *ControlPlane) Defrag() *DefragReport {
 			continue
 		}
 		budget--
-		if cp.landLocked(st, &ev, now, err, l.Depth*cp.cfg.MachinesPerPiece) {
+		if cp.landLocked(st, &ev, now, err) {
 			tab.apply(l.Placements, moved.Placements)
 			metrics.DefragMoves.Add(1)
 		}

@@ -54,8 +54,7 @@ func fragment(t *testing.T, svc *rms.Service) (*rms.Lease, *rms.Lease) {
 }
 
 func TestDefragConsolidatesIdleLeases(t *testing.T) {
-	cfg := DefaultConfig()
-	cp, svc, fp, _ := testControlPlane(t, resource.ClusterSpec{resource.XCVU37P.Name: 4}, cfg)
+	cp, svc, fp, _ := testControlPlane(t, resource.ClusterSpec{resource.XCVU37P.Name: 4}, DefaultConfig())
 	first, second := fragment(t, svc)
 	runsBase := metrics.DefragRuns.Value()
 	movesBase := metrics.DefragMoves.Value()
@@ -86,11 +85,10 @@ func TestDefragConsolidatesIdleLeases(t *testing.T) {
 		t.Fatalf("migrations = %d+%d, want exactly one move",
 			gotFirst.Migrations, gotSecond.Migrations)
 	}
-	// The mover's engine pool was rebuilt against the new placement (the
-	// Resize transplant is what carries any in-flight streams across).
-	moved := rep.Moves[0].Lease
-	if fp.resized[moved] != 1*cfg.MachinesPerPiece {
-		t.Fatalf("resized[%d] = %d, want %d", moved, fp.resized[moved], cfg.MachinesPerPiece)
+	// The pool follows depth alone, so a same-depth move keeps the
+	// mover's engine.
+	if moved := rep.Moves[0].Lease; fp.resized[moved] != 0 {
+		t.Fatalf("same-depth move rebuilt lease %d's pool %d times", moved, fp.resized[moved])
 	}
 	if metrics.DefragRuns.Value()-runsBase != 1 || metrics.DefragMoves.Value()-movesBase != 1 {
 		t.Fatalf("counters: runs +%d moves +%d, want +1 +1",

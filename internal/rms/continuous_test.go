@@ -236,8 +236,8 @@ func TestPooledRequestAnswersItsOwnCaller(t *testing.T) {
 		}
 		progress()
 	}
-	for _, machines := range []int{1, 3, 1, 3} {
-		if err := dp.Resize(lease.ID, machines); err != nil {
+	for range 4 {
+		if err := dp.Resize(lease.ID); err != nil {
 			t.Fatal(err)
 		}
 		progress()
@@ -335,8 +335,8 @@ func TestInferScratchAnswersItsOwnCaller(t *testing.T) {
 		}
 		progress()
 	}
-	for _, machines := range []int{3, 2, 3} {
-		if err := dp.Resize(lease.ID, machines); err != nil {
+	for range 3 {
+		if err := dp.Resize(lease.ID); err != nil {
 			t.Fatal(err)
 		}
 		progress()
@@ -531,7 +531,8 @@ func TestContinuousResize(t *testing.T) {
 		t.Fatal(err)
 	}
 	kern := dp.currentEngine(lease.ID).kern
-	if err := dp.Resize(lease.ID, 3); err != nil {
+	deepen(t, dp, lease.ID)
+	if err := dp.Resize(lease.ID); err != nil {
 		t.Fatal(err)
 	}
 	if dp.currentEngine(lease.ID).kern != kern {
@@ -546,8 +547,8 @@ func TestContinuousResize(t *testing.T) {
 		t.Error("post-resize result differs from solo execution")
 	}
 	st, ok := dp.Load(lease.ID)
-	if !ok || st.Machines != 3 {
-		t.Errorf("post-resize load = %+v, ok=%v, want 3 machines", st, ok)
+	if !ok || st.Machines != 2 {
+		t.Errorf("post-resize load = %+v, ok=%v, want 2 machines", st, ok)
 	}
 }
 

@@ -237,7 +237,8 @@ func TestDataPlaneResize(t *testing.T) {
 	if st, _ := dp.Load(lease.ID); st.Machines != 1 {
 		t.Fatalf("machines = %d, want 1", st.Machines)
 	}
-	if err := dp.Resize(lease.ID, 3); err != nil {
+	deepen(t, dp, lease.ID)
+	if err := dp.Resize(lease.ID); err != nil {
 		t.Fatal(err)
 	}
 	got, err := dp.InferAs("", lease.ID, inputs)
@@ -255,14 +256,37 @@ func TestDataPlaneResize(t *testing.T) {
 		}
 	}
 	st, ok := dp.Load(lease.ID)
-	if !ok || st.Machines != 3 {
-		t.Errorf("after resize: %+v ok=%v, want 3 machines", st, ok)
+	if !ok || st.Machines != 2 {
+		t.Errorf("after resize: %+v ok=%v, want 2 machines", st, ok)
 	}
 	if st.Served != 1 {
 		t.Errorf("new engine served = %d, want 1", st.Served)
 	}
-	if err := dp.Resize(9999, 2); !errors.Is(err, ErrUnknownLease) {
+	if err := dp.Resize(9999); !errors.Is(err, ErrUnknownLease) {
 		t.Errorf("resize unknown lease: %v", err)
+	}
+}
+
+// TestFirstBuildFollowsDepth: a lease deployed two pieces deep runs
+// Machines machines per piece from its first request on, not only after
+// a Resize.
+func TestFirstBuildFollowsDepth(t *testing.T) {
+	svc, err := NewService(resource.PaperCluster(), testDB(Flexible))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease, err := svc.DeployWith(kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 256, TimeSteps: 2}, PlaceOptions{Depth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultInferOptions()
+	dp := NewDataPlane(svc, opts)
+	t.Cleanup(dp.Close)
+	if _, err := dp.InferAs("", lease.ID, testInputs(lease.Spec, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := dp.Load(lease.ID); !ok || st.Machines != 2*opts.Machines {
+		t.Errorf("first build at depth 2: %+v ok=%v, want %d machines", st, ok, 2*opts.Machines)
 	}
 }
 

@@ -46,8 +46,8 @@ type InferOptions struct {
 	// MaxBatch is the per-machine slot count: how many streams one
 	// machine steps together.
 	MaxBatch int
-	// Machines is the per-lease machine pool size: how many cohorts of a
-	// lease can step concurrently.
+	// Machines is the number of machines per piece: a lease at depth d
+	// runs d × Machines machines, so as many cohorts step concurrently.
 	Machines int
 	// Tiles is the simulated tile-engine count per machine.
 	Tiles int
@@ -240,30 +240,25 @@ func (dp *DataPlane) Load(leaseID int) (LoadStats, bool) {
 	return e.load(), true
 }
 
-// Resize swaps the lease's engine for one with the given machine-pool
-// size (the data-plane side of a depth migration: a deeper deployment
-// steps more cohorts concurrently). The swap is lossless and
-// make-before-break — new requests go to the new engine immediately, and
-// the old engine's queued and resident streams move over: residents are
-// checkpointed and resume mid-sequence on the new pool instead of being
-// re-run.
-func (dp *DataPlane) Resize(leaseID, machines int) error {
+// Resize swaps the lease's engine for one whose pool is sized for the
+// lease's current depth (the data-plane side of a depth migration: a
+// deeper deployment steps more cohorts concurrently). The swap is lossless
+// and make-before-break — new requests go to the new engine immediately,
+// and the old engine's queued and resident streams move over: residents
+// are checkpointed and resume mid-sequence on the new pool instead of
+// being re-run.
+func (dp *DataPlane) Resize(leaseID int) error {
 	rec, old := dp.record(leaseID)
 	if rec == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownLease, leaseID)
 	}
-	if machines <= 0 {
-		machines = 1
-	}
-	opts := dp.opts
-	opts.Machines = machines
 	// Reuse the immutable kernel (its image is copy-on-write) but not the old
 	// machines' tiles: ShareTiles needs them idle, and they are still running.
 	var kern *kernels.Kernel
 	if old != nil {
 		kern = old.kern
 	}
-	e, err := newContEngine(&rec.Lease, kern, opts)
+	e, err := newContEngine(&rec.Lease, kern, dp.poolOpts(rec))
 	if err != nil {
 		return err
 	}
@@ -455,6 +450,16 @@ func (dp *DataPlane) currentEngine(leaseID int) *contEngine {
 	return e
 }
 
+// poolOpts returns the data plane's options with the pool sized for rec's
+// depth, which a migration changes under the service lock.
+func (dp *DataPlane) poolOpts(rec *leaseRecord) InferOptions {
+	opts := dp.opts
+	dp.svc.mu.RLock()
+	opts.Machines *= rec.Depth
+	dp.svc.mu.RUnlock()
+	return opts
+}
+
 // engine returns rec's serving engine, building it on first use. The one
 // build installs its engine only on a live record of an open plane and
 // never over one a Resize installed first. So a build that loses to
@@ -463,7 +468,7 @@ func (dp *DataPlane) currentEngine(leaseID int) *contEngine {
 func (dp *DataPlane) engine(rec *leaseRecord) (*contEngine, error) {
 	s := dp.svc
 	rec.build.Do(func() {
-		e, err := newContEngine(&rec.Lease, nil, dp.opts)
+		e, err := newContEngine(&rec.Lease, nil, dp.poolOpts(rec))
 		if err != nil {
 			rec.buildErr = err
 			return

@@ -33,6 +33,15 @@ func testPlane(t *testing.T, opts InferOptions) (*Service, *DataPlane, *Lease) {
 	return svc, dp, lease
 }
 
+// deepen migrates the lease to depth 2, where its next engine runs two
+// machines per InferOptions.Machines.
+func deepen(t *testing.T, dp *DataPlane, id int) {
+	t.Helper()
+	if _, err := dp.svc.Migrate(id, 2, nil, false, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // testHandler is the HTTP surface over a service with a default data plane
 // behind it, closed with the test.
 func testHandler(t *testing.T, svc *Service) http.Handler {
@@ -307,7 +316,7 @@ func TestClosedPlaneStaysClosed(t *testing.T) {
 	if _, err := dp.InferAs("", lease.ID, in); !errors.Is(err, ErrLeaseClosing) {
 		t.Errorf("InferAs after Close: %v, want ErrLeaseClosing", err)
 	}
-	if err := dp.Resize(lease.ID, 2); !errors.Is(err, ErrLeaseClosing) {
+	if err := dp.Resize(lease.ID); !errors.Is(err, ErrLeaseClosing) {
 		t.Errorf("Resize after Close: %v, want ErrLeaseClosing", err)
 	}
 	if _, ok := dp.Load(lease.ID); ok {
@@ -366,7 +375,7 @@ func TestResizeRacingReleaseDoesNotLeakEngine(t *testing.T) {
 	landed, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
-		for n := 0; dp.Resize(lease.ID, 2) == nil; n++ {
+		for n := 0; dp.Resize(lease.ID) == nil; n++ {
 			if n == 0 {
 				close(landed)
 			}
@@ -389,7 +398,7 @@ func TestResizeRacingReleaseDoesNotLeakEngine(t *testing.T) {
 	if _, ok := dp.Load(lease.ID); ok {
 		t.Fatal("Load reports an engine for a released lease")
 	}
-	if err := dp.Resize(lease.ID, 2); !errors.Is(err, ErrUnknownLease) {
+	if err := dp.Resize(lease.ID); !errors.Is(err, ErrUnknownLease) {
 		t.Fatalf("Resize on released lease: %v, want ErrUnknownLease", err)
 	}
 
@@ -473,7 +482,7 @@ func TestPrebuildLosesToLifecycle(t *testing.T) {
 		case "close":
 			dp.Close()
 		case "resize":
-			err = dp.Resize(l.ID, 1)
+			err = dp.Resize(l.ID)
 			resized = recordEngine(dp, rec)
 		}
 		if err != nil {

@@ -191,7 +191,8 @@ func TestResizeTransplantsResidentStreams(t *testing.T) {
 	// Nothing steps the old pool after loadBacklog: the transplant finds
 	// its slots full.
 	b := loadBacklog(t, dp, lease, 0, "", 0)
-	if err := dp.Resize(lease.ID, 2); err != nil {
+	deepen(t, dp, lease.ID)
+	if err := dp.Resize(lease.ID); err != nil {
 		t.Fatal(err)
 	}
 	stepUntilIdle(t, dp.currentEngine(lease.ID))
@@ -262,7 +263,7 @@ func TestInferRacingResizeLandsOnNewEngine(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 40; i++ {
-		if err := dp.Resize(lease.ID, 1+i%2); err != nil {
+		if err := dp.Resize(lease.ID); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,13 +2,13 @@
 // simulator in the FoundationDB style: a PRNG-derived schedule of
 // interleaved control- and data-plane events — lease deploys and
 // releases, /infer batches, heartbeats, device kills, drains,
-// rebalance ticks, injected resize failures — executes against the real
-// stack (rms admission service + data plane, cluster control plane,
-// registry) on the discrete-event engine's virtual clock, and a set of
-// invariant checkers runs after every event. On a violation the sweep
-// re-executes with a shrinking pass (ddmin-style chunk removal) and
-// reports a minimal event schedule plus the seed, so any failure found
-// by a seed sweep is a one-line reproduction.
+// rebalance ticks, preemptions, restores, defrag passes — executes
+// against the real stack (rms admission service + data plane, cluster
+// control plane, registry) on the discrete-event engine's virtual clock,
+// and a set of invariant checkers runs after every event. On a violation
+// the sweep re-executes with a shrinking pass (ddmin-style chunk removal)
+// and reports a minimal event schedule plus the seed, so any failure
+// found by a seed sweep is a one-line reproduction.
 //
 // One type, Stack, is the simulator: the stack under test plus the model
 // the checkers compare it with. It has two clients — the random sweep
@@ -61,9 +61,6 @@ const (
 	// EvCondemn reports positive failure evidence for one shard of a live
 	// lease: the control plane marks the shard's device Dead.
 	EvCondemn
-	// EvResizeFail arms the resize interceptor to fail the next machine
-	// pool resizes, exercising the control plane's resize-debt retry.
-	EvResizeFail
 	// EvPreempt serves a concurrent batch on one lease while firing
 	// explicit preemptions into it: resident streams are checkpointed back
 	// into the fair queue mid-sequence and must finish bit-identical to a
@@ -81,22 +78,21 @@ const (
 )
 
 var eventNames = [...]string{
-	EvHeartbeat:  "heartbeat",
-	EvTick:       "tick",
-	EvInfer:      "infer",
-	EvLoad:       "load",
-	EvDeploy:     "deploy",
-	EvRelease:    "release",
-	EvRedeploy:   "redeploy",
-	EvKill:       "kill",
-	EvRevive:     "revive",
-	EvDrain:      "drain",
-	EvUndrain:    "undrain",
-	EvCondemn:    "condemn",
-	EvResizeFail: "resize_fail",
-	EvPreempt:    "preempt",
-	EvRestore:    "restore",
-	EvDefrag:     "defrag",
+	EvHeartbeat: "heartbeat",
+	EvTick:      "tick",
+	EvInfer:     "infer",
+	EvLoad:      "load",
+	EvDeploy:    "deploy",
+	EvRelease:   "release",
+	EvRedeploy:  "redeploy",
+	EvKill:      "kill",
+	EvRevive:    "revive",
+	EvDrain:     "drain",
+	EvUndrain:   "undrain",
+	EvCondemn:   "condemn",
+	EvPreempt:   "preempt",
+	EvRestore:   "restore",
+	EvDefrag:    "defrag",
 }
 
 func (k EventKind) String() string {
@@ -152,8 +148,6 @@ func Schedule(seed int64, steps int) []Event {
 			k = EvUndrain
 		case p < 941:
 			k = EvCondemn
-		case p < 950:
-			k = EvResizeFail
 		case p < 972:
 			k = EvPreempt
 		case p < 988:

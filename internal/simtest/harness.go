@@ -22,12 +22,6 @@ import (
 	"mlvfpga/internal/tenant"
 )
 
-// resizeFailMsg is the distinctive error the Stack's resize interceptor
-// injects. The counter-conservation checker matches it verbatim to tell
-// "migration landed but the pool resize failed" (counts as a migration,
-// retried as resize debt) apart from a migration that found no capacity.
-const resizeFailMsg = "simtest: injected resize failure"
-
 // Options configures one simulated run. Everything that influences the
 // run is in here, so Run(o) is a pure function of o.
 type Options struct {
@@ -71,7 +65,6 @@ func DefaultOptions(seed int64) Options {
 	ctl := cluster.DefaultConfig()
 	ctl.Planner.ScaleUpQueue = 4
 	ctl.Planner.ScaleDownIdleTicks = 2
-	ctl.MachinesPerPiece = 1
 	return Options{
 		Seed:    seed,
 		Steps:   500,
@@ -353,10 +346,6 @@ func (s *Stack) exec(ev Event) {
 		}
 	case EvCondemn:
 		s.doCondemn(ev.R)
-	case EvResizeFail:
-		k := 1 + int(ev.R%2)
-		s.armFail += k
-		s.tracef("resize_fail arm=%d", k)
 	case EvPreempt:
 		s.doPreempt(ev.R)
 	case EvRestore:
@@ -388,22 +377,18 @@ func (s *Stack) tick(label string) {
 	s.tracef("%s %s", label, b)
 }
 
-// accountTick folds a tick report into the expected-counter model. An
-// evacuate/scale event whose only error is the injected resize failure
-// still migrated (the resize is owed as debt); a "resize" retry event
-// touches no counter either way.
+// accountTick folds a tick report into the expected-counter model: each
+// event is one migration, landed unless it carries an error (no resize of
+// a live lease on an open plane fails).
 func (s *Stack) accountTick(rep *cluster.TickReport) {
 	s.expHbMisses += int64(len(rep.Transitions))
 	for _, ev := range rep.Events {
-		switch ev.Kind {
-		case "evacuate", "scale_up", "scale_down":
-			if ev.Err == "" || ev.Err == resizeFailMsg {
-				s.expMigrations++
-			} else {
-				s.expMigFailures++
-				if s.settling && ev.Kind == "evacuate" {
-					s.excused[ev.Lease] = true
-				}
+		if ev.Err == "" {
+			s.expMigrations++
+		} else {
+			s.expMigFailures++
+			if s.settling && ev.Kind == "evacuate" {
+				s.excused[ev.Lease] = true
 			}
 		}
 	}
@@ -429,16 +414,7 @@ func (s *Stack) doPreempt(r uint64) {
 // restores them onto the fresh machines, bit-identically.
 func (s *Stack) doRestore(r uint64) {
 	s.serveBatch(r, "restore", func(id int) {
-		lease, ok := s.svc.Lease(id)
-		if !ok {
-			s.fail("lease-conservation", "model says lease %d is live, service disagrees", id)
-			return
-		}
-		per := s.o.Control.MachinesPerPiece
-		if per <= 0 {
-			per = cluster.DefaultConfig().MachinesPerPiece
-		}
-		if err := s.dp.Resize(id, lease.Depth*per); err != nil {
+		if err := s.dp.Resize(id); err != nil {
 			s.fail("restore-error", "lease %d: %v", id, err)
 		}
 	})
@@ -537,9 +513,7 @@ func (s *Stack) doDefrag() {
 		s.fail("defrag-error", "pass %d raised the fragmentation score %d -> %d", rep.Run, rep.ScoreBefore, rep.ScoreAfter)
 	}
 	for _, ev := range rep.Moves {
-		if ev.Err == "" || ev.Err == resizeFailMsg {
-			// The consolidation migration landed (a resize failure is owed
-			// as debt and retried by a later tick's "resize" event).
+		if ev.Err == "" {
 			s.expMigrations++
 			s.expDefragMoves++
 		} else {

@@ -47,6 +47,15 @@ var mutants = []mutant{
 		want: "engine captured before Release took a submit after it",
 	},
 	{
+		// A lease's pool ignores its depth: one piece's worth of machines
+		// at any depth.
+		name: "pool-ignores-depth",
+		file: "internal/rms/infer.go",
+		orig: "\topts.Machines *= rec.Depth\n", repl: "\n",
+		pkg: "./internal/rms", run: "^TestDataPlaneResize$",
+		want: "want 2 machines",
+	},
+	{
 		// Every deployed lease builds its engine ahead, served or not.
 		name: "prebuild-every-lease",
 		file: "internal/scenario/engine.go",

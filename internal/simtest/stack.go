@@ -1,7 +1,6 @@
 package simtest
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -65,7 +64,6 @@ type Stack struct {
 
 	devices []int
 	loads   map[int]rms.LoadStats
-	armFail int
 
 	live    []int
 	killed  []bool // by device id: fleet ids are dense from 0
@@ -128,7 +126,7 @@ type Stack struct {
 // simPlane is the LoadSource/Resizer the control plane sees: loads come
 // from the schedule's scripted map (live queue depths are timing-
 // dependent and would break determinism) and resizes pass through to the
-// real data plane unless an injected failure is armed.
+// real data plane.
 type simPlane struct{ s *Stack }
 
 func (p simPlane) Load(leaseID int) (rms.LoadStats, bool) {
@@ -136,13 +134,7 @@ func (p simPlane) Load(leaseID int) (rms.LoadStats, bool) {
 	return l, ok
 }
 
-func (p simPlane) Resize(leaseID, machines int) error {
-	if p.s.armFail > 0 {
-		p.s.armFail--
-		return errors.New(resizeFailMsg)
-	}
-	return p.s.dp.Resize(leaseID, machines)
-}
+func (p simPlane) Resize(leaseID int) error { return p.s.dp.Resize(leaseID) }
 
 // NewStack builds a fresh, empty stack from the options.
 func NewStack(o Options) (*Stack, error) {
