@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -215,12 +216,18 @@ func TestSingleflightCoalesces(t *testing.T) {
 			results[i] = v
 		}(i)
 	}
-	// Let the flock pile onto the flight, then release the leader.
-	time.Sleep(10 * time.Millisecond)
+	// The leader holds the flight until released, so every other caller
+	// joins it; release the leader once all 31 have.
+	for s.Stats().SingleflightWaits < int64(len(results)-1) {
+		runtime.Gosched()
+	}
 	close(release)
 	wg.Wait()
 	if n := computes.Load(); n != 1 {
 		t.Fatalf("compute ran %d times, want 1", n)
+	}
+	if n := s.Stats().SingleflightWaits; n != int64(len(results)-1) {
+		t.Fatalf("%d callers joined the flight, want %d", n, len(results)-1)
 	}
 	for i, v := range results {
 		if v == nil || v.(map[string]int)["n"] != 11 {

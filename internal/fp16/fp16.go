@@ -11,7 +11,10 @@
 // rounding at the end of each operation.
 package fp16
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Num is an IEEE-754 binary16 value in wire format:
 // 1 sign bit, 5 exponent bits (bias 15), 10 mantissa bits.
@@ -113,10 +116,87 @@ func (n Num) Float32() float32 {
 	}
 }
 
-// FromFloat64 rounds a float64 to binary16. The double rounding through
-// float32 is harmless here because float32 has more than twice the mantissa
-// bits of binary16.
+// FromFloat64 rounds a float64 to binary32 and then to binary16, each to
+// nearest even. The two roundings can differ from one: 1 + 2^-11 + 2^-40
+// rounds to the binary32 1 + 2^-11, a binary16 tie, and so to 0x3C00, where
+// the binary16 nearest it is 0x3C01. Every weight image and golden is built
+// through this composition, and FromDecimal matches it.
 func FromFloat64(f float64) Num { return FromFloat32(float32(f)) }
+
+// FromDecimal returns FromFloat64(strconv.ParseFloat(s, 64)) for a decimal
+// text s of the value w·10^e, and true; or false when it cannot tell
+// cheaply: |e| > 22, or w·10^e within 2^-50 of a point where binary32
+// rounding changes.
+func FromDecimal(w uint64, e int) (Num, bool) {
+	if e < -22 || e > 22 {
+		return 0, false
+	}
+	// math.Pow10 is exact up to 10^22.
+	y := float64(w)
+	if e < 0 {
+		y /= math.Pow10(-e)
+	} else {
+		y *= math.Pow10(e)
+	}
+	// Two roundings put y within 2^-52 of w·10^e, relatively, so the float64
+	// nearest w·10^e, which ParseFloat returns, lies in [lo, hi]. Rounding
+	// is monotone: when both ends round to one binary32, that float64 does.
+	lo, hi := float32(y*(1-0x1p-50)), float32(y*(1+0x1p-50))
+	if lo != hi {
+		return 0, false
+	}
+	return FromFloat32(lo), true
+}
+
+// AppendDecimal appends v's exact decimal expansion and reports true when
+// v is 0 or 1e-6 ≤ |v| < 1e15 and the expansion has at most 15 significant
+// digits: distinct decimals of 15 digits round to distinct float64s, so no
+// shorter one names v, and this is strconv.AppendFloat(b, v, 'f', -1, 64),
+// encoding/json's text. Otherwise it appends nothing and reports false. A
+// binary16 value is m·2^q with m < 2^11: every one from 2^-6 up qualifies.
+func AppendDecimal(b []byte, v float64) ([]byte, bool) {
+	a := math.Abs(v)
+	if a != 0 && !(a >= 1e-6 && a < 1e15) {
+		return b, false
+	}
+	// a = m·2^-k with m odd has the digits d = m·5^k, k of them after the
+	// point; 5^k is 10^k, a uint64 up to k = 19, shifted k bits right.
+	d, k := uint64(0), 0
+	if fb := math.Float64bits(a); a != 0 {
+		m := fb&(1<<52-1) | 1<<52
+		tz := bits.TrailingZeros64(m)
+		switch m, k = m>>tz, 1075-int(fb>>52)-tz; {
+		case k <= 0:
+			d, k = m<<-k, 0
+		case k > 19:
+			return b, false
+		default:
+			hi, lo := bits.Mul64(m, uint64(math.Pow10(k))>>k)
+			if hi != 0 || lo >= 1e15 {
+				return b, false
+			}
+			d = lo
+		}
+	}
+	// Write d right to left, the point k digits in, at least one digit
+	// before it.
+	var buf [24]byte
+	i := len(buf)
+	for j := 0; d > 0 || j <= k; j++ {
+		if j == k && k > 0 {
+			i--
+			buf[i] = '.'
+		}
+		i--
+		buf[i] = byte('0' + d%10)
+		d /= 10
+	}
+	if math.Signbit(v) {
+		i--
+		buf[i] = '-'
+	}
+	return append(b, buf[i:]...), true
+}
 
 // Float64 converts to float64 exactly.
 func (n Num) Float64() float64 { return float64(n.Float32()) }

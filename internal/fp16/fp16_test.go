@@ -1,7 +1,9 @@
 package fp16
 
 import (
+	"encoding/json"
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -228,3 +230,80 @@ const (
 	negativeInfinity Num = 0xFC00
 	quietNaN         Num = 0x7E00 // the canonical quiet NaN the package produces
 )
+
+// TestFromFloat64RoundsThroughBinary32 pins FromFloat64 as two roundings,
+// to binary32 and then to binary16: 1 + 2^-11 + 2^-40 becomes the binary32
+// 1 + 2^-11, a binary16 tie that goes to even, 0x3C00, where the binary16
+// nearest the input is 0x3C01. FromDecimal matches the composition.
+func TestFromFloat64RoundsThroughBinary32(t *testing.T) {
+	if got := FromFloat64(1 + 0x1p-11 + 0x1p-40); got != 0x3C00 {
+		t.Fatalf("FromFloat64(1 + 2^-11 + 2^-40) = %#04x, want 0x3C00", uint16(got))
+	}
+	// 1.000488281250000091 is 1 + 2^-11 + 9.1e-17: the same two roundings.
+	if got, ok := FromDecimal(1000488281250000091, -18); !ok || got != 0x3C00 {
+		t.Fatalf("FromDecimal(1000488281250000091, -18) = %#04x, %v; want 0x3C00, true", uint16(got), ok)
+	}
+}
+
+// TestFromDecimal checks FromDecimal against FromFloat64(ParseFloat) on
+// exact values, ties and overflow, and that it declines exponents past
+// 10^±22 and a value that sits on a binary32 tie.
+func TestFromDecimal(t *testing.T) {
+	for _, c := range []struct {
+		w    uint64
+		e    int
+		text string
+	}{
+		{0, 0, "0"}, {0, -22, "0e-22"}, {1, 0, "1"}, {5, -1, "0.5"}, {65504, 0, "65504"},
+		{65519, 0, "65519"}, {65520, 0, "65520"}, {100048828125, -11, "1.00048828125"},
+		{1, 22, "1e22"}, {1, -22, "1e-22"}, {9999999999999999999, -19, "0.9999999999999999999"},
+		{12345678901234567, -21, "1.2345678901234567e-5"}, {59604644775390625, -22, "5.9604644775390625e-6"},
+	} {
+		want, err := strconv.ParseFloat(c.text, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := FromDecimal(c.w, c.e); !ok || got != FromFloat64(want) {
+			t.Errorf("FromDecimal(%d, %d) = %#04x, %v; %s rounds to %#04x", c.w, c.e, uint16(got), ok, c.text, uint16(FromFloat64(want)))
+		}
+	}
+	// 1.000000059604644775 lies 4e-19 below 1 + 2^-24, a binary32 tie.
+	for _, c := range [][2]int64{{1, 23}, {1, -23}, {1000000059604644775, -18}} {
+		if got, ok := FromDecimal(uint64(c[0]), int(c[1])); ok {
+			t.Errorf("FromDecimal(%d, %d) = %#04x, want a decline", c[0], c[1], uint16(got))
+		}
+	}
+}
+
+// TestAppendDecimalMatchesJSON: for every finite binary16, widened,
+// AppendDecimal writes encoding/json's bytes or declines, and it covers
+// every value from 2^-6 up (m·2^q with m < 2^11 and q ≥ -16 has
+// m·5^-q < 10^15) and declines
+// every value below 1e-6, which encoding/json writes with an exponent.
+func TestAppendDecimalMatchesJSON(t *testing.T) {
+	covered := 0
+	for i := 0; i < 1<<16; i++ {
+		n := Num(i)
+		if !n.IsFinite() {
+			continue
+		}
+		v := n.Float64()
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := AppendDecimal([]byte("x"), v)
+		switch a := math.Abs(v); {
+		case ok && string(got) != "x"+string(want):
+			t.Fatalf("AppendDecimal(%v) = %s, json.Marshal writes %s", v, got[1:], want)
+		case !ok && string(got) != "x":
+			t.Fatalf("AppendDecimal(%v) declined but appended %q", v, got[1:])
+		case !ok && a >= 0x1p-6, ok && a != 0 && a < 1e-6:
+			t.Fatalf("AppendDecimal(%v) = %s, %v", v, got[1:], ok)
+		}
+		if ok {
+			covered++
+		}
+	}
+	t.Logf("AppendDecimal covers %d of 63488 finite binary16 values", covered)
+}

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestWorkersDefault(t *testing.T) {
@@ -46,9 +45,13 @@ func TestMapEmpty(t *testing.T) {
 	}
 }
 
+// TestBoundedConcurrency: Map runs exactly workers jobs at once. The first
+// workers jobs to start wait for one another, so they all run together (a
+// pool that ran fewer would hang here), and no job ever sees more running.
 func TestBoundedConcurrency(t *testing.T) {
 	const workers = 3
-	var cur, peak atomic.Int32
+	var cur, peak, started atomic.Int32
+	all := make(chan struct{}) // closed once the first workers jobs all run
 	_, err := Map(workers, 50, func(i int) (int, error) {
 		n := cur.Add(1)
 		for {
@@ -57,15 +60,19 @@ func TestBoundedConcurrency(t *testing.T) {
 				break
 			}
 		}
-		time.Sleep(time.Millisecond)
+		if k := started.Add(1); k == workers {
+			close(all)
+		} else if k < workers {
+			<-all
+		}
 		cur.Add(-1)
 		return i, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := peak.Load(); p > workers {
-		t.Errorf("observed %d concurrent jobs, cap is %d", p, workers)
+	if p := peak.Load(); p != workers {
+		t.Errorf("observed %d concurrent jobs, want exactly %d", p, workers)
 	}
 }
 

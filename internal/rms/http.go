@@ -34,14 +34,22 @@ var responsePool = sync.Pool{New: func() any {
 	return rb
 }}
 
-// writeJSON answers code with v as encoding/json encodes it, in one Write.
+// writeJSON answers code with v as encoding/json encodes it, in one Write;
+// /infer's *InferResult goes through appendInferResult, not reflection.
 // v is encoded before anything is written, so a value encoding/json
 // refuses (NaN, ±Inf) is a 500 with its reason, not a 200 with no body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	rb := responsePool.Get().(*responseBuf)
 	defer responsePool.Put(rb)
 	rb.Reset()
-	if err := rb.enc.Encode(v); err != nil {
+	res, ok := v.(*InferResult)
+	var b []byte
+	if ok {
+		b, ok = appendInferResult(rb.AvailableBuffer(), res)
+	}
+	if ok {
+		_, _ = rb.Write(b) // b is rb's spare room unless it outgrew it
+	} else if err := rb.enc.Encode(v); err != nil {
 		rb.Reset()
 		code = http.StatusInternalServerError
 		_ = rb.enc.Encode(map[string]string{"error": "rms: encoding the response: " + err.Error()})
@@ -136,7 +144,7 @@ func (dp *DataPlane) Handler() http.Handler {
 		// An /infer body in the canonical shape skips encoding/json; any
 		// other is decoded by it into a fresh body.
 		if sc, ok := v.(*inferScratch); ok {
-			if scanInfer(body.Bytes(), sc) {
+			if scanInfer(body.Bytes(), sc, dp) {
 				return true
 			}
 			v = &sc.body
@@ -243,10 +251,7 @@ func (dp *DataPlane) Handler() http.Handler {
 			fail(w, err, http.StatusBadRequest)
 			return
 		}
-		ws := &sc.wire.BatchStats
-		sc.wire.InferResult, ws.ExecStats, ws.Instructions = res, &res.BatchStats, res.BatchStats.Instructions
-		ws.ByOp = res.BatchStats.ByOp.AppendJSON(ws.ByOp[:0])
-		writeJSON(w, http.StatusOK, &sc.wire)
+		writeJSON(w, http.StatusOK, res)
 	})
 
 	mux.HandleFunc("/preempt", func(w http.ResponseWriter, r *http.Request) {

@@ -132,11 +132,12 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 }
 
-// TestWriteJSONMatchesEncoder: a response body is encoding/json's,
-// byte for byte, for the values it prints differently (signed zero,
-// exponent form below 1e-6 and from 1e21, binary16's extremes), and a
-// value it refuses is a 500 with a JSON error where it was a 200 with an
-// empty body.
+// TestWriteJSONMatchesEncoder: a response body, from /infer's
+// appendInferResult or through reflection, is encoding/json's, byte for
+// byte, for the values it
+// prints differently (signed zero, exponent form below 1e-6 and from 1e21,
+// binary16's extremes), and a value it refuses is a 500 with a JSON error
+// where it was a 200 with an empty body.
 func TestWriteJSONMatchesEncoder(t *testing.T) {
 	row := []float64{0, math.Copysign(0, -1), 1e-7, 9.99e-7, 1e-6, 5e-324, 1e20, 1e21, -1.5e300,
 		65504, -65504, 6.103515625e-05, 5.960464477539063e-08, 0.1, 1.0 / 3}
@@ -147,25 +148,28 @@ func TestWriteJSONMatchesEncoder(t *testing.T) {
 	if err := json.NewEncoder(&want).Encode(&res); err != nil {
 		t.Fatal(err)
 	}
-	var wire inferWire
-	wire.InferResult, wire.BatchStats.ExecStats, wire.BatchStats.Instructions = &res, &res.BatchStats, res.BatchStats.Instructions
-	wire.BatchStats.ByOp = res.BatchStats.ByOp.AppendJSON(nil)
-	for _, v := range []any{&res, &wire} {
+	writers := map[string]func(http.ResponseWriter){
+		"appended":  func(w http.ResponseWriter) { writeJSON(w, http.StatusOK, &res) },
+		"reflected": func(w http.ResponseWriter) { writeJSON(w, http.StatusOK, res) },
+	}
+	for name, write := range writers {
 		w := httptest.NewRecorder()
-		writeJSON(w, http.StatusOK, v)
+		write(w)
 		if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want.Bytes()) {
-			t.Errorf("%T: %d %s\nencoding/json writes %s", v, w.Code, w.Body.Bytes(), want.Bytes())
+			t.Errorf("%s: %d %s\nencoding/json writes %s", name, w.Code, w.Body.Bytes(), want.Bytes())
 		}
 	}
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		res.Outputs[1][1] = v
-		w := httptest.NewRecorder()
-		writeJSON(w, http.StatusOK, &res)
-		var e struct {
-			Error string `json:"error"`
-		}
-		if err := json.Unmarshal(w.Body.Bytes(), &e); w.Code != http.StatusInternalServerError || err != nil || e.Error == "" {
-			t.Errorf("output %v: %d %q, want 500 and a JSON error", v, w.Code, w.Body.String())
+		for name, write := range writers {
+			w := httptest.NewRecorder()
+			write(w)
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &e); w.Code != http.StatusInternalServerError || err != nil || e.Error == "" {
+				t.Errorf("%s: output %v: %d %q, want 500 and a JSON error", name, v, w.Code, w.Body.String())
+			}
 		}
 	}
 }

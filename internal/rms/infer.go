@@ -361,8 +361,13 @@ func (dp *DataPlane) inferInto(tenantID string, leaseID int, inputs [][]float64,
 		return nil, fmt.Errorf("%w: %d", ErrUnknownLease, leaseID)
 	}
 	spec := rec.Spec
-	if len(inputs) == 0 || len(inputs) > spec.TimeSteps {
-		return nil, fmt.Errorf("rms: got %d input vectors, layer takes 1..%d timesteps", len(inputs), spec.TimeSteps)
+	// A scanned body may hold more vectors than it stored (inferScratch).
+	n, width := len(inputs), 0
+	if sc != nil && sc.n > n {
+		n, width = sc.n, sc.width
+	}
+	if n == 0 || n > spec.TimeSteps {
+		return nil, fmt.Errorf("rms: got %d input vectors, layer takes 1..%d timesteps", n, spec.TimeSteps)
 	}
 	for t, x := range inputs {
 		if len(x) != spec.Hidden {
@@ -373,6 +378,9 @@ func (dp *DataPlane) inferInto(tenantID string, leaseID int, inputs [][]float64,
 				return nil, &InputRangeError{Step: t, Elem: i, Value: v}
 			}
 		}
+	}
+	if n > len(inputs) {
+		return nil, fmt.Errorf("rms: input %d has %d elements, hidden size is %d", len(inputs), width, spec.Hidden)
 	}
 	if e == nil {
 		var err error
