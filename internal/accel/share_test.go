@@ -1,17 +1,21 @@
 package accel
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
+
+	"mlvfpga/internal/fp16"
 )
 
-// TestSharedTileHazard: two machines bind one tile set (ShareTiles) and read
-// it concurrently. A host write into one side's weight range invalidates
-// that side only, and its re-read lands in fresh storage: the other side
-// keeps the very same tile, its packed words unchanged, and its outputs stay
-// bit-identical to a machine that never shared. The write lands first on
-// the binding side, then on the source side.
+// TestSharedTileHazard: two machines bind one tile set (Tiles, BindTiles)
+// and read it concurrently. A host write into one side's weight range
+// invalidates that side only, and its re-read lands in fresh storage: the
+// other side keeps the very same tile, its packed words unchanged, and its
+// outputs stay bit-identical to a machine that never shared. The write
+// lands first on the binding side, then on the source side. Then the same
+// across engines: two machines bind a set whose loader is gone.
 func TestSharedTileHazard(t *testing.T) {
 	for _, onSource := range []bool{false, true} {
 		src, p := mvmMachine(t)
@@ -19,9 +23,9 @@ func TestSharedTileHazard(t *testing.T) {
 			t.Fatal(err)
 		}
 		bound, _ := mvmMachine(t)
-		bound.ShareTiles(src)
+		bound.BindTiles(src.Tiles())
 		if bound.mrf[0] != src.mrf[0] || !src.tiles[0].shared || !bound.tiles[0].shared {
-			t.Fatal("ShareTiles must bind the tile on both sides and mark it shared")
+			t.Fatal("binding must share the tile on both sides and mark it shared")
 		}
 		if err := bound.Run(p); err != nil {
 			t.Fatal(err)
@@ -76,4 +80,66 @@ func TestSharedTileHazard(t *testing.T) {
 			t.Errorf("onSource=%v: writer r2 = %v, want %v from its new weight", onSource, got, want)
 		}
 	}
+
+	// Across engines: one set, held apart from any machine that runs, bound
+	// by two, as every engine of a weight set binds it. One machine steps on
+	// another goroutine while the other has the shared tile invalidated and
+	// refilled under it, each time with a new weight; the stepped machine's
+	// outputs stay those of a machine that never shared, during and after.
+	t.Run("engines", func(t *testing.T) {
+		loader, p := mvmMachine(t)
+		if err := loader.Run(p); err != nil {
+			t.Fatal(err)
+		}
+		ts := loader.Tiles()
+		stepped, _ := mvmMachine(t)
+		refilled, _ := mvmMachine(t)
+		stepped.BindTiles(ts)
+		refilled.BindTiles(ts)
+		solo, _ := mvmMachine(t)
+		if err := solo.Run(p); err != nil {
+			t.Fatal(err)
+		}
+		want := readVecReg(t, solo, 2)
+		check := func() error {
+			if err := stepped.Run(p); err != nil {
+				return err
+			}
+			r2, err := stepped.readVectorStream(0, 2)
+			if err != nil {
+				return err
+			}
+			got := make([]float64, len(r2))
+			fp16.ToSlice64Into(got, r2)
+			if !reflect.DeepEqual(got, want) {
+				return fmt.Errorf("stepped engine's outputs changed: r2 = %v, never-shared machine %v", got, want)
+			}
+			return nil
+		}
+		errs := make(chan error, 1)
+		go func() {
+			for range 200 {
+				if err := check(); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+		for i := range 50 {
+			writeVec(t, refilled, 5, []float64{float64(3 + i%2)}) // matrix[1][1]: a new weight each time
+			if err := refilled.Run(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+		if err := check(); err != nil {
+			t.Fatal(err)
+		}
+		if st := stepped.Stats(); st.TileCacheMisses != 0 {
+			t.Errorf("stepped engine quantized %d tiles, want 0: it binds the set", st.TileCacheMisses)
+		}
+	})
 }

@@ -403,11 +403,22 @@ func shapedRequest(inputs [][]float64, tenantID string, weight int) *inferReques
 // stepUntilIdle).
 func steppedEngine(t *testing.T, lease *Lease, opts InferOptions) *contEngine {
 	t.Helper()
-	e, err := newContEngine(lease, nil, opts)
+	e, err := newContEngine(lease, testWeights(t, lease, opts), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// testWeights loads the weight set the data plane builds for lease, a
+// model of its own, under opts.
+func testWeights(t *testing.T, lease *Lease, opts InferOptions) *weightSet {
+	t.Helper()
+	w := &weightSet{key: weightKey{lease.Spec, opts.Tiles, opts.Seed + int64(lease.ID)}}
+	if err := w.load(); err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
 
 // step runs one round of cm under its mutex, as a driving caller does.
@@ -552,19 +563,20 @@ func TestContinuousResize(t *testing.T) {
 	}
 }
 
-// TestLeaseTilesPaidOnce: a lease's machines quantize its weights once. At
-// LSTM h=256 one machine's packed tiles take about 1 MB; an engine of four
-// machines allocates less than that more than an engine of one, where each
-// extra machine used to quantize its own copy (about 3 MB more).
+// TestLeaseTilesPaidOnce: an engine's machines bind their weight set's
+// tiles and quantize none. At LSTM h=256 one copy of the packed tiles takes
+// about 1 MB, which the set paid before the engines are built; an engine of
+// four machines allocates less than that in all.
 func TestLeaseTilesPaidOnce(t *testing.T) {
 	lease := &Lease{ID: 1, Spec: kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 256, TimeSteps: 2}}
+	w := testWeights(t, lease, DefaultInferOptions())
 	built := func(machines int) int64 {
 		opts := DefaultInferOptions()
 		opts.Machines = machines
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		e, err := newContEngine(lease, nil, opts)
+		e, err := newContEngine(lease, w, opts)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -574,8 +586,8 @@ func TestLeaseTilesPaidOnce(t *testing.T) {
 	}
 	one, four := built(1), built(4)
 	t.Logf("newContEngine: %d kB at one machine, %d kB at four", one>>10, four>>10)
-	if four-one >= 1<<20 {
-		t.Errorf("three more machines allocate %d kB more, want < 1024 kB: the tiles are paid per machine", (four-one)>>10)
+	if four >= 1<<20 {
+		t.Errorf("an engine of four machines allocates %d kB, want < 1024 kB: its machines quantize tiles", four>>10)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -264,6 +265,85 @@ func TestDataPlaneResize(t *testing.T) {
 	}
 	if err := dp.Resize(9999); !errors.Is(err, ErrUnknownLease) {
 		t.Errorf("resize unknown lease: %v", err)
+	}
+}
+
+// TestResizeQuantizesNothing: a Resize binds the lease's weight set and
+// quantizes no tile. The new engine's machines, twice as many after a
+// migration to depth 2, report no tile-cache miss before they serve and
+// after, and answer as the old engine did.
+func TestResizeQuantizesNothing(t *testing.T) {
+	_, dp, lease := testPlane(t, DefaultInferOptions())
+	inputs := testInputs(lease.Spec, 5)
+	want, err := dp.InferAs("", lease.ID, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deepen(t, dp, lease.ID)
+	if err := dp.Resize(lease.ID); err != nil {
+		t.Fatal(err)
+	}
+	misses := func() (n int64) {
+		e := dp.currentEngine(lease.ID)
+		for _, cm := range e.machines {
+			cm.mu.Lock()
+			n += cm.m.Stats().TileCacheMisses
+			cm.mu.Unlock()
+		}
+		return n
+	}
+	if n := misses(); n != 0 {
+		t.Errorf("the resized engine's machines quantized %d tiles, want 0", n)
+	}
+	got, err := dp.InferAs("", lease.ID, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Outputs, want.Outputs) {
+		t.Error("the resized engine answers differently")
+	}
+	if n, st := misses(), got.BatchStats; n != 0 || st.TileCacheMisses != 0 {
+		t.Errorf("after serving: %d misses on the machines, %d in the request's stats; want 0", n, st.TileCacheMisses)
+	}
+}
+
+// BenchmarkResize: an idle LSTM h=256 t=8 lease, served by two machines at
+// depth 1, resized to the four of depth 2. The migrations, and the way
+// back, run off the clock.
+func BenchmarkResize(b *testing.B) {
+	svc, err := NewService(resource.PaperCluster(), testDB(Flexible))
+	if err != nil {
+		b.Fatal(err)
+	}
+	lease, err := svc.DeployWith(kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 256, TimeSteps: 8}, PlaceOptions{Depth: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dp := NewDataPlane(svc, DefaultInferOptions())
+	defer dp.Close()
+	migrate := func(depth int) {
+		if _, err := svc.Migrate(lease.ID, depth, nil, false, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := dp.Resize(lease.ID); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		b.StopTimer()
+		migrate(2)
+		b.StartTimer()
+		if err := dp.Resize(lease.ID); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		migrate(1)
+		if err := dp.Resize(lease.ID); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }
 

@@ -202,7 +202,7 @@ func runSchedule(o Options, sched []Event) (*Stack, error) {
 	// configured they alternate owners, so both tenants hold state from
 	// step zero.
 	for i := 0; i < 2 && i < o.MaxLeases; i++ {
-		if l, _ := s.deployAs(o.Spec, s.tenantFor(uint64(i))); l == nil {
+		if l, _ := s.deployAs(o.Spec, s.tenantFor(uint64(i)), 0); l == nil {
 			return nil, fmt.Errorf("simtest: preamble deploy shed or failed: %v", s.violation)
 		}
 	}
@@ -312,7 +312,7 @@ func (s *Stack) exec(ev Event) {
 		if len(s.live) >= s.o.MaxLeases {
 			s.tracef("deploy noop (at cap)")
 		} else {
-			s.deploy(s.o.Spec, s.tenantFor(ev.R>>24))
+			s.deploy(s.o.Spec, s.tenantFor(ev.R>>24), 0)
 		}
 	case EvRelease:
 		if id, ok := s.pick("release", ev.R, s.live); ok {
@@ -530,8 +530,8 @@ func (s *Stack) offerLoad(id, queueDepth int) {
 }
 
 // deploy is deployAs plus the deploy event's trace line.
-func (s *Stack) deploy(spec kernels.LayerSpec, who string) (*rms.Lease, bool) {
-	l, ok := s.deployAs(spec, who)
+func (s *Stack) deploy(spec kernels.LayerSpec, who string, of int) (*rms.Lease, bool) {
+	l, ok := s.deployAs(spec, who, of)
 	if ok && l == nil {
 		s.tracef("deploy shed tenant=%s", who)
 	} else if ok {
@@ -554,11 +554,11 @@ func (s *Stack) markSpec(spec kernels.LayerSpec) bool {
 	return seen
 }
 
-// deployAs runs one attributed deploy and audits the admission decision
-// against the quota model. Returns (lease, true) on admission, (nil, true)
-// on a correctly-shed attempt (quota or capacity), and (nil, false) after
-// recording a violation.
-func (s *Stack) deployAs(spec kernels.LayerSpec, who string) (*rms.Lease, bool) {
+// deployAs runs one attributed deploy (replicating lease of, if not 0) and
+// audits the admission decision against the quota model. Returns (lease,
+// true) on admission, (nil, true) on a correctly-shed attempt (quota or
+// capacity), and (nil, false) after recording a violation.
+func (s *Stack) deployAs(spec kernels.LayerSpec, who string, of int) (*rms.Lease, bool) {
 	atCap := s.tenantAtLeaseCap(who)
 	if who != "" {
 		s.expTenantReq[who]++
@@ -568,7 +568,7 @@ func (s *Stack) deployAs(spec kernels.LayerSpec, who string) (*rms.Lease, bool) 
 	// seen before the attempt, and expect a warm lease exactly when its
 	// artifact was already ensured.
 	wantWarm := s.markSpec(spec)
-	l, err := s.svc.DeployWith(spec, rms.PlaceOptions{Tenant: who})
+	l, err := s.svc.DeployWith(spec, rms.PlaceOptions{Tenant: who, Replicates: of})
 	if errors.Is(err, rms.ErrQuotaExceeded) {
 		s.expTenantRej[who]++
 		if !atCap {
@@ -613,7 +613,7 @@ func (s *Stack) doRedeploy(r uint64) {
 	// The replacement lease may land on a different tenant than the one
 	// released, so redeploys also churn ownership.
 	who := s.tenantFor(r >> 24)
-	l, ok := s.deployAs(s.o.Spec, who)
+	l, ok := s.deployAs(s.o.Spec, who, 0)
 	if !ok {
 		return
 	}

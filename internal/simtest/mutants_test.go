@@ -65,6 +65,15 @@ var mutants = []mutant{
 		want: "want none",
 	},
 	{
+		// A machine refills an invalidated tile it shares into the set's
+		// storage, under every other machine bound to it.
+		name: "shared-refill-in-place",
+		file: "internal/accel/exec.go",
+		orig: "\tif t.shared {\n\t\told = nil\n\t}\n", repl: "\n",
+		pkg: "./internal/accel", run: "^TestSharedTileHazard$",
+		want: "stepped engine's outputs changed",
+	},
+	{
 		name: "skip-migration-metric",
 		file: "internal/cluster/controlplane.go",
 		orig: "\tmetrics.Migrations.Add(1)\n", repl: "\n",

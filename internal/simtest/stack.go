@@ -217,8 +217,14 @@ func (s *Stack) TraceHash() uint64 { return hashTrace(s.trace) }
 // (lease, true) on admission, (nil, true) on a correctly-shed attempt, and
 // (nil, false) after recording a violation.
 func (s *Stack) Deploy(spec kernels.LayerSpec, who string) (*rms.Lease, bool) {
+	return s.DeployReplica(spec, who, 0)
+}
+
+// DeployReplica is Deploy of a replica of live lease of, of the same spec
+// and tenant (rms.PlaceOptions.Replicates); of = 0 is Deploy.
+func (s *Stack) DeployReplica(spec kernels.LayerSpec, who string, of int) (*rms.Lease, bool) {
 	s.Step()
-	l, ok := s.deploy(spec, who)
+	l, ok := s.deploy(spec, who, of)
 	if l == nil {
 		return nil, ok
 	}
