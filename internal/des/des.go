@@ -4,7 +4,6 @@
 package des
 
 import (
-	"container/heap"
 	"errors"
 	"time"
 )
@@ -17,68 +16,74 @@ type Event struct {
 	seq int // tie-break: FIFO among equal timestamps
 }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
 // ErrPast is returned when scheduling before the current virtual time.
 var ErrPast = errors.New("des: cannot schedule event in the past")
 
 // Engine runs events in timestamp order. Events scheduled for the same
 // virtual time execute in FIFO order (the order they were scheduled): every
 // event carries a monotonically increasing sequence number used as the heap
-// tie-break. An Engine is not safe for concurrent use; concurrent
-// simulations (e.g. parallel workload sets) must each own an engine.
+// tie-break. The heap holds events by value, so once its array has grown a
+// scheduled event allocates nothing. An Engine is not safe for concurrent
+// use; concurrent simulations (e.g. parallel workload sets) must each own
+// an engine.
 type Engine struct {
 	now    time.Duration
-	queue  eventHeap
+	queue  []Event
 	nextID int
 }
 
 // New returns an engine at virtual time zero.
-func New() *Engine {
-	e := &Engine{}
-	heap.Init(&e.queue)
-	return e
-}
+func New() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
+
+func (e *Engine) less(i, j int) bool {
+	a, b := &e.queue[i], &e.queue[j]
+	return a.At < b.At || a.At == b.At && a.seq < b.seq
+}
 
 // At schedules fn at absolute virtual time t.
 func (e *Engine) At(t time.Duration, fn func(now time.Duration)) error {
 	if t < e.now {
 		return ErrPast
 	}
-	ev := &Event{At: t, Fn: fn, seq: e.nextID}
+	e.queue = append(e.queue, Event{At: t, Fn: fn, seq: e.nextID})
 	e.nextID++
-	heap.Push(&e.queue, ev)
+	for i := len(e.queue) - 1; i > 0; { // sift up
+		p := (i - 1) / 2
+		if !e.less(i, p) {
+			break
+		}
+		e.queue[i], e.queue[p] = e.queue[p], e.queue[i]
+		i = p
+	}
 	return nil
 }
 
 // Step executes the earliest pending event. It reports whether an event was
 // executed.
 func (e *Engine) Step() bool {
-	if e.queue.Len() == 0 {
+	n := len(e.queue) - 1
+	if n < 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*Event)
+	ev := e.queue[0]
+	e.queue[0], e.queue[n] = e.queue[n], Event{} // drop the popped Fn
+	e.queue = e.queue[:n]
+	for i := 0; ; { // sift down
+		m := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < n && e.less(c, m) {
+				m = c
+			}
+		}
+		if m == i {
+			break
+		}
+		e.queue[i], e.queue[m] = e.queue[m], e.queue[i]
+		i = m
+	}
 	e.now = ev.At
 	ev.Fn(e.now)
 	return true
@@ -88,9 +93,8 @@ func (e *Engine) Step() bool {
 // would pass horizon (0 means no horizon). It returns the virtual time at
 // which it stopped.
 func (e *Engine) Run(horizon time.Duration) time.Duration {
-	for e.queue.Len() > 0 {
-		next := e.queue[0].At
-		if horizon > 0 && next > horizon {
+	for len(e.queue) > 0 {
+		if horizon > 0 && e.queue[0].At > horizon {
 			e.now = horizon
 			return e.now
 		}

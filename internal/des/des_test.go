@@ -1,6 +1,9 @@
 package des
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -75,5 +78,64 @@ func TestStepOnEmpty(t *testing.T) {
 	e := New()
 	if e.Step() {
 		t.Error("Step on empty queue must return false")
+	}
+}
+
+// TestMatchesStableSort runs random schedules, with many equal timestamps
+// and events that schedule more events at their own instant or later,
+// against a reference that stable-sorts everything scheduled by time:
+// the engine must run each event in (At, scheduling order).
+func TestMatchesStableSort(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := New()
+		type rec struct {
+			at time.Duration
+			id int
+		}
+		var scheduled, ran []rec
+		var schedule func(at time.Duration)
+		schedule = func(at time.Duration) {
+			r := rec{at, len(scheduled)}
+			scheduled = append(scheduled, r)
+			if err := e.At(at, func(now time.Duration) {
+				if now != r.at {
+					t.Fatalf("seed %d: event %d at %v ran at %v", seed, r.id, r.at, now)
+				}
+				ran = append(ran, r)
+				if len(scheduled) < 400 && rng.Intn(3) == 0 {
+					schedule(now + time.Duration(rng.Intn(3))) // often now itself
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 100 {
+			schedule(time.Duration(rng.Intn(20)))
+		}
+		e.Run(0)
+		want := slices.Clone(scheduled)
+		slices.SortStableFunc(want, func(a, b rec) int { return cmp.Compare(a.at, b.at) })
+		if !slices.Equal(ran, want) {
+			t.Fatalf("seed %d: ran %v, want %v", seed, ran, want)
+		}
+	}
+}
+
+// TestWarmEventAllocatesNothing holds the by-value heap: once its array
+// has grown, scheduling and running an event allocates nothing.
+func TestWarmEventAllocatesNothing(t *testing.T) {
+	e := New()
+	fn := func(time.Duration) {}
+	for i := range 64 {
+		e.At(time.Duration(i%7), fn)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		e.At(e.Now()+3, fn)
+		e.At(e.Now(), fn)
+		e.Step()
+		e.Step()
+	}); got != 0 {
+		t.Errorf("a warmed At+Step allocates %v times, want 0", got)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func fqReq(tenant string, weight int) *inferRequest {
-	return newRequest(nil, nil, tenant, weight)
+	return newRequest(nil, tenant, weight)
 }
 
 func TestFairQueueFIFOWithinTenant(t *testing.T) {

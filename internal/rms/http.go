@@ -246,12 +246,11 @@ func (dp *DataPlane) Handler() http.Handler {
 			return
 		}
 		who, _ := caller(r)
-		res, err := dp.inferInto(who, sc.body.ID, sc.body.Inputs, sc)
-		if err != nil {
+		if _, err := dp.inferInto(who, sc.body.ID, sc.body.Inputs, sc); err != nil {
 			fail(w, err, http.StatusBadRequest)
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
+		writeJSON(w, http.StatusOK, &sc.res)
 	})
 
 	mux.HandleFunc("/preempt", func(w http.ResponseWriter, r *http.Request) {

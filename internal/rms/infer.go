@@ -105,14 +105,16 @@ func grow[T any](s []T, n int) []T {
 }
 
 // inferRequest is one request from submit to answer. It is pooled: the
-// submitter attaches res, shaped for its outputs; the engine writes res,
-// or err, then sends on done (buffered 1, made with the pooled request)
-// exactly once, and the caller frees it after reading them.
+// submitter shapes res (its own result, or one it attaches) for its
+// outputs; the engine writes res, or err, then sends on done (buffered 1,
+// made with the pooled request) exactly once, and the caller frees it
+// after reading them.
 type inferRequest struct {
 	inputs   [][]float64
 	enqueued time.Time
 	done     chan struct{}
 	res      *InferResult
+	own      InferResult
 	err      error
 	// tenant and weight drive the fair-share queue: requests are queued
 	// per tenant and drained by deficit round-robin with this DRR quantum.
@@ -129,10 +131,10 @@ type inferRequest struct {
 var requestPool = sync.Pool{New: func() any { return &inferRequest{done: make(chan struct{}, 1)} }}
 
 // newRequest takes a request from the pool, stamped as enqueued now, that
-// answers into res.
-func newRequest(inputs [][]float64, res *InferResult, tenantID string, weight int) *inferRequest {
+// answers into its own result.
+func newRequest(inputs [][]float64, tenantID string, weight int) *inferRequest {
 	req := requestPool.Get().(*inferRequest)
-	req.inputs, req.res, req.enqueued, req.tenant, req.weight = inputs, res, time.Now(), tenantID, weight
+	req.inputs, req.res, req.enqueued, req.tenant, req.weight = inputs, &req.own, time.Now(), tenantID, weight
 	return req
 }
 
@@ -301,15 +303,16 @@ func (dp *DataPlane) Preempt(leaseID, n int) (int, error) {
 // a batch with whatever else is in flight for the lease, scheduled by
 // weighted fair share across tenants; a tenant at its MaxInFlight cap is
 // shed with ErrTenantBusy. An empty tenantID is anonymous: weight 1, no
-// cap.
-func (dp *DataPlane) InferAs(tenantID string, leaseID int, inputs [][]float64) (*InferResult, error) {
+// cap. It holds inputs only until it returns.
+func (dp *DataPlane) InferAs(tenantID string, leaseID int, inputs [][]float64) (InferResult, error) {
 	return dp.inferInto(tenantID, leaseID, inputs, nil)
 }
 
 // inferInto is InferAs answering into sc's result, which retire fills in
-// place, or into a fresh one if sc is nil. The outputs are shaped only
-// once the inputs have passed every check.
-func (dp *DataPlane) inferInto(tenantID string, leaseID int, inputs [][]float64, sc *inferScratch) (*InferResult, error) {
+// place, or into the pooled request's, with fresh outputs, if sc is nil;
+// either is copied out. The outputs are shaped only once the inputs have
+// passed every check.
+func (dp *DataPlane) inferInto(tenantID string, leaseID int, inputs [][]float64, sc *inferScratch) (InferResult, error) {
 	weight := 0
 	if tenantID != "" {
 		st := dp.stripe(tenantID)
@@ -320,13 +323,13 @@ func (dp *DataPlane) inferInto(tenantID string, leaseID int, inputs [][]float64,
 				st.mu.Unlock()
 				metrics.TenantRequests.Add(unknownTenant, 1)
 				metrics.TenantRejections.Add(unknownTenant, 1)
-				return nil, fmt.Errorf("%w: %s", ErrUnknownTenant, tenantID)
+				return InferResult{}, fmt.Errorf("%w: %s", ErrUnknownTenant, tenantID)
 			}
 			metrics.TenantRequests.Add(tenantID, 1)
 			if limit := t.Quotas.MaxInFlight; limit > 0 && st.n[tenantID] >= limit {
 				st.mu.Unlock()
 				metrics.TenantRejections.Add(tenantID, 1)
-				return nil, fmt.Errorf("%w: %s", ErrTenantBusy, tenantID)
+				return InferResult{}, fmt.Errorf("%w: %s", ErrTenantBusy, tenantID)
 			}
 			weight = t.EffectiveWeight()
 		} else {
@@ -347,7 +350,7 @@ func (dp *DataPlane) inferInto(tenantID string, leaseID int, inputs [][]float64,
 	// Without an engine, inputs are checked before a build.
 	rec, e := dp.record(leaseID)
 	if rec == nil {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownLease, leaseID)
+		return InferResult{}, fmt.Errorf("%w: %d", ErrUnknownLease, leaseID)
 	}
 	spec := rec.Spec
 	// A scanned body may hold more vectors than it stored (inferScratch).
@@ -356,36 +359,34 @@ func (dp *DataPlane) inferInto(tenantID string, leaseID int, inputs [][]float64,
 		n, width = sc.n, sc.width
 	}
 	if n == 0 || n > spec.TimeSteps {
-		return nil, fmt.Errorf("rms: got %d input vectors, layer takes 1..%d timesteps", n, spec.TimeSteps)
+		return InferResult{}, fmt.Errorf("rms: got %d input vectors, layer takes 1..%d timesteps", n, spec.TimeSteps)
 	}
 	for t, x := range inputs {
 		if len(x) != spec.Hidden {
-			return nil, fmt.Errorf("rms: input %d has %d elements, hidden size is %d", t, len(x), spec.Hidden)
+			return InferResult{}, fmt.Errorf("rms: input %d has %d elements, hidden size is %d", t, len(x), spec.Hidden)
 		}
 		for i, v := range x {
 			if !fp16.FromFloat64(v).IsFinite() {
-				return nil, &InputRangeError{Step: t, Elem: i, Value: v}
+				return InferResult{}, &InputRangeError{Step: t, Elem: i, Value: v}
 			}
 		}
 	}
 	if n > len(inputs) {
-		return nil, fmt.Errorf("rms: input %d has %d elements, hidden size is %d", len(inputs), width, spec.Hidden)
+		return InferResult{}, fmt.Errorf("rms: input %d has %d elements, hidden size is %d", len(inputs), width, spec.Hidden)
 	}
 	if e == nil {
 		var err error
 		if e, err = dp.engine(rec); err != nil {
-			return nil, err
+			return InferResult{}, err
 		}
 	}
-	var res *InferResult
+	req := newRequest(inputs, tenantID, weight)
 	if sc == nil {
-		res = new(InferResult)
-		res.Outputs, _ = shapeRows(nil, nil, len(inputs), spec.Hidden)
+		req.own.Outputs, _ = shapeRows(nil, nil, len(inputs), spec.Hidden)
 	} else {
-		res = &sc.res
-		res.Outputs, sc.out = shapeRows(res.Outputs, sc.out, len(inputs), spec.Hidden)
+		req.res = &sc.res
+		sc.res.Outputs, sc.out = shapeRows(sc.res.Outputs, sc.out, len(inputs), spec.Hidden)
 	}
-	req := newRequest(inputs, res, tenantID, weight)
 	for {
 		err := e.submit(req)
 		if err == nil {
@@ -397,16 +398,17 @@ func (dp *DataPlane) inferInto(tenantID string, leaseID int, inputs [][]float64,
 		next := dp.currentEngine(leaseID)
 		if !errors.Is(err, ErrLeaseClosing) || next == nil || next == e {
 			req.free()
-			return nil, err
+			return InferResult{}, err
 		}
 		e = next
 	}
 	err := dp.await(rec, e, req)
+	out := *req.res
 	req.free()
 	if err != nil {
-		return nil, err
+		return InferResult{}, err
 	}
-	return res, nil
+	return out, nil
 }
 
 // await drives e for req's caller (see contEngine.drive) and returns req's

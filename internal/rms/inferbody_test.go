@@ -134,7 +134,7 @@ func FuzzInferHandler(f *testing.F) {
 		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/infer", bytes.NewReader(b)))
 
 		var body inferBody
-		var res *InferResult
+		var res InferResult
 		code, err := http.StatusOK, json.Unmarshal(b, &body)
 		if err != nil {
 			code, err = http.StatusBadRequest, fmt.Errorf("malformed JSON body: %w", err)

@@ -13,17 +13,25 @@ import (
 // registry is one slab and the controller's devices share one spec per
 // type; the audit and the tick refill lease views and scratch their owners
 // keep; the stack's one cold compile allocates per module, not per token
-// (core.TestCompileAllocations). One Run measures about 750 kB and 2,700
-// objects (about 785 kB and 3,015 under -race). Weights are paid once per
-// weight set, not once per lease: a deploy's replicas serve replica 0's
-// model, so the six leases (four echo replicas, two aft) build two sets.
-// Of the bytes, their binary16 weight images take about 90 kB and their
-// packed tiles, stored at their column width, about 75 kB; tiles are
-// quantized from their binary16 rows, with no float64 staging or scratch
-// block; the arrival sequence takes about 80 kB and the registry's device
-// slab about 55 kB.
+// (core.TestCompileAllocations). The simulator's own bookkeeping allocates
+// nothing per event once warm: the DES heap holds events by value, the
+// recurring events and the sampled serves share one func value each, the
+// trace is hashed as it is written and no line is kept, and serving
+// scratch (requests, inputs, output hashes) lives on the Stack. One Run
+// measures about 645 kB and 1,645 objects (about 665 kB and 1,840 under
+// -race; the bounds are the -race level plus under 5 %). Of the objects
+// the six deploys (compile, placement) take about 780, the prebuilt
+// engines about 270, serving about 225 (nearly all in the engines) and
+// the control ticks about 105: their reports about 60, and the trace's
+// JSON of their state transitions about 45 (cluster.State.MarshalJSON).
+// Weights are paid once per weight set, not once per lease: a deploy's
+// replicas serve replica 0's model, so the six leases (four echo
+// replicas, two aft) build two sets. Of the bytes, their binary16 weight
+// images take about 100 kB and their packed tiles, stored at their column
+// width, about 75 kB; the arrival sequence, presized at every block's
+// peak rate, about 45 kB and the registry's device slab about 55 kB.
 func TestScenarioAllocBudget(t *testing.T) {
-	const maxKB, maxObjects = 875, 3150
+	const maxKB, maxObjects = 695, 1920
 	spec := loadSpec(t, "../../testdata/scenarios/diurnal-1000.mlw")
 	if _, err := Run(spec, "warm-up"); err != nil {
 		t.Fatal(err)

@@ -98,10 +98,7 @@ func Run(spec *wdsl.Spec, name string) (*Report, error) {
 					stack.Prebuild(l.ID, &builds)
 				}
 				svc, _ := stack.LeaseLatency(l.ID)
-				if svc < minService {
-					svc = minService
-				}
-				leases = append(leases, leaseInfo{id: l.ID, service: svc})
+				leases = append(leases, leaseInfo{id: l.ID, service: max(svc, minService)})
 			}
 		}
 	}
@@ -115,12 +112,15 @@ func Run(spec *wdsl.Spec, name string) (*Report, error) {
 		return nil, err
 	}
 
-	// --- Lay the timeline onto the DES engine. ---
+	// --- Lay the timeline onto the DES engine: one func per recurring kind. ---
+	heartbeat := func(time.Duration) { stack.HeartbeatAll() }
+	tick := func(time.Duration) { stack.Tick() }
+	settle := func(time.Duration) { stack.Settle() }
 	for t := ir.Heartbeat; t <= ir.Duration; t += ir.Heartbeat {
-		eng.At(t, func(time.Duration) { stack.HeartbeatAll() })
+		eng.At(t, heartbeat)
 	}
 	for t := ir.Tick; t <= ir.Duration; t += ir.Tick {
-		eng.At(t, func(time.Duration) { stack.Tick() })
+		eng.At(t, tick)
 	}
 	for si, st := range ir.Storms {
 		vs := victims[si]
@@ -135,11 +135,7 @@ func Run(spec *wdsl.Spec, name string) (*Report, error) {
 			}
 		})
 		if st.For > 0 {
-			end := st.At + st.For
-			if end > ir.Duration {
-				end = ir.Duration
-			}
-			eng.At(end, func(time.Duration) {
+			eng.At(min(st.At+st.For, ir.Duration), func(time.Duration) {
 				for _, d := range vs {
 					if kind == "kill" {
 						stack.Revive(d)
@@ -153,23 +149,34 @@ func Run(spec *wdsl.Spec, name string) (*Report, error) {
 
 	// The queue plane prices every arrival now (it is virtual-time math,
 	// not stack work); sampled, un-shed arrivals additionally execute on
-	// the stack at their arrival instant.
+	// the stack at their arrival instant, in order, through one func value
+	// (the engine runs equal instants in scheduling order).
 	busyUntil := make([]time.Duration, len(leases))
 	tenants := map[string]*rollup{}
 	classes := map[string]*rollup{}
+	for _, a := range arrivals { // counted first, to size the sojourn samples once
+		getRollup(tenants, ir.Traffic[a.block].Tenant).requests++
+		getRollup(classes, blockClass[a.block]).requests++
+	}
+	for _, m := range [...]map[string]*rollup{tenants, classes} {
+		for _, r := range m {
+			r.sojourns = make([]float64, 0, r.requests)
+		}
+	}
+	var toServe []*arrival
+	seed := []int64{0}
+	serve := func(time.Duration) {
+		a := toServe[0]
+		toServe, seed[0] = toServe[1:], int64(a.seq%8)
+		stack.Serve(leases[a.lease].id, ir.Traffic[a.block].Tenant, seed)
+	}
 	sampled := 0
 	for i := range arrivals {
 		a := &arrivals[i]
 		li := leases[a.lease]
-		who := ir.Traffic[a.block].Tenant
-		tr := getRollup(tenants, who)
-		cr := getRollup(classes, blockClass[a.block])
-		tr.requests++
-		cr.requests++
-		wait := busyUntil[a.lease] - a.at
-		if wait < 0 {
-			wait = 0
-		}
+		tr := tenants[ir.Traffic[a.block].Tenant]
+		cr := classes[blockClass[a.block]]
+		wait := max(busyUntil[a.lease]-a.at, 0)
 		if wait > time.Duration(ir.QueueCap)*li.service {
 			tr.shed++
 			cr.shed++
@@ -183,8 +190,8 @@ func Run(spec *wdsl.Spec, name string) (*Report, error) {
 		cr.sojourns = append(cr.sojourns, sojournMs)
 		if a.sampled {
 			sampled++
-			id, seed := li.id, int64(a.seq%8)
-			eng.At(a.at, func(time.Duration) { stack.Serve(id, who, []int64{seed}) })
+			toServe = append(toServe, a)
+			eng.At(a.at, serve)
 		}
 	}
 
@@ -192,7 +199,7 @@ func Run(spec *wdsl.Spec, name string) (*Report, error) {
 	// period): heartbeats + ticks that let evacuations and retry backoffs
 	// quiesce before the stranded audit.
 	for k := 0; k < o.SettleSteps; k++ {
-		eng.At(ir.Duration+time.Duration(k+1)*o.SettlePeriod, func(time.Duration) { stack.Settle() })
+		eng.At(ir.Duration+time.Duration(k+1)*o.SettlePeriod, settle)
 	}
 
 	eng.Run(0)
@@ -321,7 +328,11 @@ func genArrivals(spec *wdsl.Spec) ([]arrival, []bool) {
 		rngs[bi] = rand.New(rand.NewSource(ir.Seed ^ (int64(bi+1) * 0x9e3779b9)))
 		heads[bi] = next(arrival{block: int32(bi), seq: -1})
 	}
-	var out []arrival
+	peak := 0.0 // Σ rate × duration: the arrivals' count at every block's peak rate
+	for _, tr := range ir.Traffic {
+		peak += tr.Rate * ir.Duration.Seconds()
+	}
+	out := make([]arrival, 0, int(peak))
 	served := make([]bool, n)
 	for {
 		bi := -1

@@ -113,49 +113,30 @@ type Event struct {
 
 func (e Event) String() string { return fmt.Sprintf("%s r=%#x", e.Kind, e.R) }
 
+// scheduleMix is the schedule's event mix: a draw p in [0, 1000) picks
+// the first kind whose bound exceeds p. Weights skew toward the serving
+// path (heartbeats, infers, ticks) with a steady trickle of fault and
+// lifecycle events.
+var scheduleMix = [...]struct {
+	below int
+	kind  EventKind
+}{
+	{270, EvHeartbeat}, {500, EvInfer}, {690, EvTick}, {780, EvLoad}, {813, EvDeploy},
+	{841, EvRedeploy}, {869, EvRelease}, {887, EvKill}, {903, EvRevive}, {916, EvDrain},
+	{929, EvUndrain}, {941, EvCondemn}, {972, EvPreempt}, {988, EvRestore}, {1000, EvDefrag},
+}
+
 // Schedule derives the event list for a seed: a pure function, so the
-// same (seed, steps) pair always yields the same schedule. Weights skew
-// toward the serving path (heartbeats, infers, ticks) with a steady
-// trickle of fault and lifecycle events.
+// same (seed, steps) pair always yields the same schedule.
 func Schedule(seed int64, steps int) []Event {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]Event, steps)
 	for i := range out {
-		p := rng.Intn(1000)
-		var k EventKind
-		switch {
-		case p < 270:
-			k = EvHeartbeat
-		case p < 500:
-			k = EvInfer
-		case p < 690:
-			k = EvTick
-		case p < 780:
-			k = EvLoad
-		case p < 813:
-			k = EvDeploy
-		case p < 841:
-			k = EvRedeploy
-		case p < 869:
-			k = EvRelease
-		case p < 887:
-			k = EvKill
-		case p < 903:
-			k = EvRevive
-		case p < 916:
-			k = EvDrain
-		case p < 929:
-			k = EvUndrain
-		case p < 941:
-			k = EvCondemn
-		case p < 972:
-			k = EvPreempt
-		case p < 988:
-			k = EvRestore
-		default:
-			k = EvDefrag
+		m, p := 0, rng.Intn(1000)
+		for scheduleMix[m].below <= p {
+			m++
 		}
-		out[i] = Event{Kind: k, R: rng.Uint64()}
+		out[i] = Event{Kind: scheduleMix[m].kind, R: rng.Uint64()}
 	}
 	return out
 }

@@ -1,17 +1,16 @@
 package simtest
 
 import (
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
+	"encoding/hex"
 	"errors"
 	"expvar"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"mlvfpga/internal/cluster"
@@ -164,14 +163,14 @@ func Run(o Options) (*Result, error) {
 	res := &Result{
 		Seed:      o.Seed,
 		Schedule:  sched,
-		Trace:     out.trace,
+		Trace:     out.lines,
 		TraceHash: out.TraceHash(),
 		Violation: out.violation,
 	}
 	if out.violation != nil {
 		res.Minimal, res.MinimalTrace, res.MinimizeRuns = minimize(o, sched, out.violation)
 		if res.MinimalTrace == nil {
-			res.MinimalTrace = out.trace // nothing shrank: the full run is minimal
+			res.MinimalTrace = out.lines // nothing shrank: the full run is minimal
 		}
 	}
 	return res, nil
@@ -190,13 +189,14 @@ type goldenKey struct {
 // two preamble leases, the events laid onto the DES engine at fixed
 // spacing and stamped with their schedule index, the settle rounds, the
 // stranded audit. It returns the finished (closed) Stack for its trace
-// and verdict.
+// lines, which it keeps, and verdict.
 func runSchedule(o Options, sched []Event) (*Stack, error) {
 	s, err := NewStack(o)
 	if err != nil {
 		return nil, err
 	}
 	defer s.Close()
+	s.keepLines = true
 	// Preamble: two leases exist before the first event, so even a
 	// one-event minimal schedule has something to act on. With tenants
 	// configured they alternate owners, so both tenants hold state from
@@ -227,15 +227,42 @@ func runSchedule(o Options, sched []Event) (*Stack, error) {
 	return s, nil
 }
 
-// tracef formats a "%04d "-stamped line in s.line and keeps its string.
-func (s *Stack) tracef(format string, args ...any) {
+// stamp starts a trace line in s.line with its "%04d " step stamp.
+func (s *Stack) stamp() []byte {
 	b := s.line[:0]
 	for w := 1000; w > 1 && s.step < w; w /= 10 {
 		b = append(b, '0')
 	}
-	b = append(strconv.AppendInt(b, int64(s.step), 10), ' ')
-	s.line = fmt.Appendf(b, format, args...)
-	s.trace = append(s.trace, string(s.line))
+	return append(strconv.AppendInt(b, int64(s.step), 10), ' ')
+}
+
+// emit folds a stamped line and its newline into the running trace hash,
+// and keeps the line itself only when keepLines is set.
+func (s *Stack) emit(b []byte) {
+	s.line = append(b, '\n')
+	s.traceHash = fnv64a(s.traceHash, s.line)
+	if s.keepLines {
+		s.lines = append(s.lines, string(b))
+	}
+}
+
+// tracef traces a stamped line that fmt formats.
+func (s *Stack) tracef(format string, args ...any) {
+	s.emit(fmt.Appendf(s.stamp(), format, args...))
+}
+
+// traceInt traces prefix followed by n, as tracef(prefix+"%d", n) would.
+func (s *Stack) traceInt(prefix string, n int) {
+	s.emit(strconv.AppendInt(append(s.stamp(), prefix...), int64(n), 10))
+}
+
+// traceJSON traces label and v's json.Marshal encoding, encoded into the
+// Stack's buffer (the encoder's trailing newline dropped).
+func (s *Stack) traceJSON(label string, v any) {
+	s.jbuf.Reset()
+	s.enc.Encode(v) // on an error the JSON is empty, as json.Marshal's nil was
+	b := append(append(s.stamp(), label...), ' ')
+	s.emit(append(b, bytes.TrimSuffix(s.jbuf.Bytes(), []byte{'\n'})...))
 }
 
 func (s *Stack) fail(invariant, format string, args ...any) {
@@ -363,7 +390,7 @@ func (s *Stack) beatAll(trace bool) bool {
 	if err != nil {
 		s.fail("heartbeat-error", "%v", err)
 	} else if trace {
-		s.tracef("heartbeat n=%d", beat)
+		s.traceInt("heartbeat n=", beat)
 	}
 	return err == nil
 }
@@ -373,8 +400,7 @@ func (s *Stack) beatAll(trace bool) bool {
 func (s *Stack) tick(label string) {
 	rep := s.cp.Tick()
 	s.accountTick(rep)
-	b, _ := json.Marshal(rep)
-	s.tracef("%s %s", label, b)
+	s.traceJSON(label, rep)
 }
 
 // accountTick folds a tick report into the expected-counter model: each
@@ -455,21 +481,20 @@ func (s *Stack) serveOn(id int, who string, seeds []int64, kind string, mid func
 		s.fail("lease-conservation", "serve on lease %d the model never deployed", id)
 		return
 	}
-	results := make([]*rms.InferResult, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for j := 0; j < n; j++ {
-		in := s.inputsFor(spec, id, seeds[j])
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[j], errs[j] = s.dp.InferAs(who, id, in)
-		}()
+	s.reqs = slices.Grow(s.reqs[:0], n)[:n]
+	for j := range s.reqs {
+		s.inputsFor(&s.reqs[j], spec, id, seeds[j])
+		if j < n-1 || mid != nil {
+			s.wg.Add(1)
+			go func() { defer s.wg.Done(); s.reqs[j].infer(s.dp, who, id) }()
+		} else {
+			s.reqs[j].infer(s.dp, who, id) // without a mid action, the last runs here
+		}
 	}
 	if mid != nil {
 		mid(id)
 	}
-	wg.Wait()
+	s.wg.Wait()
 	if who != "" {
 		// InferAs counts every attempt before shedding or serving.
 		s.expTenantReq[who] += int64(n)
@@ -477,14 +502,14 @@ func (s *Stack) serveOn(id int, who string, seeds []int64, kind string, mid func
 	if s.violation != nil {
 		return // mid already failed; the joined requests are accounted above
 	}
-	hashes := make([]string, n)
-	for j := 0; j < n; j++ {
-		if errs[j] != nil {
-			s.fail("infer-served", "lease %d seed %d tenant %s: %v", id, seeds[j], who, errs[j])
+	s.outs = s.outs[:0]
+	for j, r := range s.reqs {
+		if r.err != nil {
+			s.fail("infer-served", "lease %d seed %d tenant %s: %v", id, seeds[j], who, r.err)
 			return
 		}
-		hash := hashOutputs(results[j].Outputs)
-		hashes[j] = fmt.Sprintf("%016x", hash)
+		hash := hashOutputs(r.res.Outputs)
+		s.outs = append(s.outs, hash)
 		key := goldenKey{lease: id, seed: seeds[j]}
 		if prev, ok := s.golden[key]; ok {
 			if prev != hash {
@@ -501,7 +526,25 @@ func (s *Stack) serveOn(id int, who string, seeds []int64, kind string, mid func
 	}
 	s.expInfers += int64(n)
 	s.expInferEvents++
-	s.tracef("%s lease=%d tenant=%s n=%d seeds=%v out=%v", kind, id, who, n, seeds, hashes)
+	// tracef("%s lease=%d tenant=%s n=%d seeds=%v out=%016x", …), unboxed.
+	b := append(append(s.stamp(), kind...), " lease="...)
+	b = append(append(strconv.AppendInt(b, int64(id), 10), " tenant="...), who...)
+	b = append(strconv.AppendInt(append(b, " n="...), int64(n), 10), " seeds=["...)
+	for j, seed := range seeds {
+		if j > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, seed, 10)
+	}
+	b = append(b, "] out=["...)
+	var w [8]byte
+	for j, h := range s.outs {
+		if j > 0 {
+			b = append(b, ' ')
+		}
+		b = hex.AppendEncode(b, binary.BigEndian.AppendUint64(w[:0], h))
+	}
+	s.emit(append(b, ']'))
 }
 
 // doDefrag runs one consolidation pass. The report is deterministic (the
@@ -520,8 +563,7 @@ func (s *Stack) doDefrag() {
 			s.expMigFailures++
 		}
 	}
-	b, _ := json.Marshal(rep)
-	s.tracef("defrag %s", b)
+	s.traceJSON("defrag", rep)
 }
 
 func (s *Stack) offerLoad(id, queueDepth int) {
@@ -631,12 +673,7 @@ func (s *Stack) dropLease(id int) bool {
 		s.fail("release-error", "lease %d: %v", id, err)
 		return false
 	}
-	for i, v := range s.live {
-		if v == id {
-			s.live = append(s.live[:i], s.live[i+1:]...)
-			break
-		}
-	}
+	s.live = slices.DeleteFunc(s.live, func(v int) bool { return v == id })
 	delete(s.loads, id)
 	delete(s.leaseTenant, id)
 	delete(s.leaseSpec, id)
@@ -645,7 +682,7 @@ func (s *Stack) dropLease(id int) bool {
 
 func (s *Stack) release(id int) {
 	if s.dropLease(id) {
-		s.tracef("release lease=%d", id)
+		s.traceInt("release lease=", id)
 	}
 }
 
@@ -653,7 +690,7 @@ func (s *Stack) release(id int) {
 // after Control's SuspectAfter/DeadAfter windows.
 func (s *Stack) kill(d int) {
 	s.killed[d] = true
-	s.tracef("kill dev=%d", d)
+	s.traceInt("kill dev=", d)
 }
 
 // revive brings a killed device back and beats it once immediately.
@@ -663,7 +700,7 @@ func (s *Stack) revive(d int) bool {
 		s.fail("heartbeat-error", "device %d: %v", d, err)
 		return false
 	}
-	s.tracef("revive dev=%d", d)
+	s.traceInt("revive dev=", d)
 	return true
 }
 
@@ -673,7 +710,7 @@ func (s *Stack) drain(d int) bool {
 		return false
 	}
 	s.drained[d] = true
-	s.tracef("drain dev=%d", d)
+	s.traceInt("drain dev=", d)
 	return true
 }
 
@@ -683,7 +720,7 @@ func (s *Stack) undrain(d int) bool {
 		return false
 	}
 	delete(s.drained, d)
-	s.tracef("undrain dev=%d", d)
+	s.traceInt("undrain dev=", d)
 	return true
 }
 
@@ -961,41 +998,55 @@ func (s *Stack) auditInvariants() {
 	}
 }
 
+// request is one of serveOn's concurrent requests, kept on the Stack from
+// serve to serve: its input tensor and what InferAs answered.
+type request struct {
+	in   [][]float64
+	back []float64
+	res  rms.InferResult
+	err  error
+}
+
+func (r *request) infer(dp *rms.DataPlane, who string, id int) {
+	r.res, r.err = dp.InferAs(who, id, r.in)
+}
+
 // inputsFor derives a request's input tensor from (lease, seed) alone, so
 // replaying the pair replays the exact bits. Seed resets the Stack's one
 // generator exactly as NewSource would build a fresh one.
-func (s *Stack) inputsFor(spec kernels.LayerSpec, leaseID int, seed int64) [][]float64 {
+func (s *Stack) inputsFor(r *request, spec kernels.LayerSpec, leaseID int, seed int64) {
 	s.inputRng.Seed(seed<<20 ^ int64(leaseID))
 	h := spec.Hidden
-	back, in := make([]float64, spec.TimeSteps*h), make([][]float64, spec.TimeSteps)
-	for t := range in {
-		in[t] = back[t*h : (t+1)*h]
-		for i := range in[t] {
-			in[t][i] = s.inputRng.NormFloat64()
+	r.back = slices.Grow(r.back[:0], spec.TimeSteps*h)[:spec.TimeSteps*h]
+	r.in = slices.Grow(r.in[:0], spec.TimeSteps)[:spec.TimeSteps]
+	for t := range r.in {
+		r.in[t] = r.back[t*h : (t+1)*h]
+		for i := range r.in[t] {
+			r.in[t][i] = s.inputRng.NormFloat64()
 		}
 	}
-	return in
 }
 
 // hashOutputs folds an output tensor's exact bits, so equal hashes mean
 // bit-identical results.
 func hashOutputs(outs [][]float64) uint64 {
-	hsh := fnv.New64a()
+	h := uint64(fnvOffset)
 	var b [8]byte
 	for _, row := range outs {
 		for _, v := range row {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			hsh.Write(b[:])
+			h = fnv64a(h, binary.LittleEndian.AppendUint64(b[:0], math.Float64bits(v)))
 		}
 	}
-	return hsh.Sum64()
+	return h
 }
 
-func hashTrace(trace []string) uint64 {
-	hsh := fnv.New64a()
-	for _, line := range trace {
-		hsh.Write([]byte(line))
-		hsh.Write([]byte{'\n'})
+const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
+
+// fnv64a folds b into the FNV-64a hash h (hash/fnv's New64a, without an
+// interface for b to escape through).
+func fnv64a(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnvPrime
 	}
-	return hsh.Sum64()
+	return h
 }

@@ -18,16 +18,13 @@ func minimize(o Options, sched []Event, orig *Violation) (minimal []Event, trace
 		if err != nil || out.violation == nil || out.violation.Invariant != orig.Invariant {
 			return nil, false
 		}
-		return out.trace, true
+		return out.lines, true
 	}
 	cur := append([]Event(nil), sched...)
 	for chunk := (len(cur) + 1) / 2; chunk >= 1; {
 		removed := false
 		for start := 0; start < len(cur); {
-			end := start + chunk
-			if end > len(cur) {
-				end = len(cur)
-			}
+			end := min(start+chunk, len(cur))
 			cand := make([]Event, 0, len(cur)-(end-start))
 			cand = append(cand, cur[:start]...)
 			cand = append(cand, cur[end:]...)

@@ -1,15 +1,20 @@
 package simtest
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
+
+	"mlvfpga/internal/cluster"
 )
 
 // The sweep knobs. `make simtest` passes -seeds=20 -steps=500 (or the
@@ -116,6 +121,9 @@ func TestSimSweep(t *testing.T) {
 			t.Fatalf("\n%s", res.Report())
 		}
 		t.Logf("%s", res.Report())
+		if got := hashTrace(res.Trace); got != res.TraceHash {
+			t.Errorf("seed %d: the kept lines hash to %016x, the running trace hash is %016x", s, got, res.TraceHash)
+		}
 		hashes = append(hashes, fmt.Sprintf("seed=%d steps=%d trace=%016x", s, steps, res.TraceHash))
 	}
 	if pinnedSweeps[[2]int{seeds, steps}] {
@@ -174,23 +182,23 @@ func TestSimPreemptionSchedule(t *testing.T) {
 	}
 	a := run()
 	if a.violation != nil {
-		writeReport(t, &Result{Seed: o.Seed, Schedule: sched, Trace: a.trace,
-			TraceHash: hashTrace(a.trace), Violation: a.violation})
+		writeReport(t, &Result{Seed: o.Seed, Schedule: sched, Trace: a.lines,
+			TraceHash: a.TraceHash(), Violation: a.violation})
 		t.Fatalf("preemption schedule violated %q: %s", a.violation.Invariant, a.violation.Detail)
 	}
 	b := run()
 	if b.violation != nil {
 		t.Fatalf("replay violated %q: %s", b.violation.Invariant, b.violation.Detail)
 	}
-	if hashTrace(a.trace) != hashTrace(b.trace) {
-		for i := range a.trace {
-			if i < len(b.trace) && a.trace[i] != b.trace[i] {
-				t.Errorf("trace diverged at line %d:\n  run A: %s\n  run B: %s", i, a.trace[i], b.trace[i])
+	if a.TraceHash() != b.TraceHash() {
+		for i := range a.lines {
+			if i < len(b.lines) && a.lines[i] != b.lines[i] {
+				t.Errorf("trace diverged at line %d:\n  run A: %s\n  run B: %s", i, a.lines[i], b.lines[i])
 				break
 			}
 		}
 		t.Fatalf("preemption schedule is not deterministic: %016x vs %016x",
-			hashTrace(a.trace), hashTrace(b.trace))
+			a.TraceHash(), b.TraceHash())
 	}
 }
 
@@ -283,4 +291,66 @@ func TestStackCounterDeltasKeySet(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("CounterDeltas keys %v, want %v", got, want)
 	}
+}
+
+// hashTrace is the trace hash recomputed from kept lines with hash/fnv:
+// FNV-64a over each line and its newline.
+func hashTrace(lines []string) uint64 {
+	h := fnv.New64a()
+	for _, line := range lines {
+		h.Write([]byte(line + "\n"))
+	}
+	return h.Sum64()
+}
+
+// TestHotTraceLinesAllocateNothing holds the per-event trace lines to no
+// allocation once warm: a heartbeat line and a tick's JSON line are built
+// in the Stack's buffers and folded into the running hash, and a Stack
+// outside runSchedule keeps no line. The tick line is json.Marshal's
+// bytes. Its report carries no state transition: cluster.State's
+// MarshalJSON allocates.
+func TestHotTraceLinesAllocateNothing(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops items under -race") // encoding/json pools its encoder state
+	}
+	s, err := NewStack(DefaultOptions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rep := &cluster.TickReport{Tick: 12, Deferred: 1,
+		Events: []cluster.Event{{Lease: 3, Kind: "evacuate", FromDepth: 2, ToDepth: 1, Err: "no capacity"}}}
+	for _, line := range []struct {
+		name string
+		emit func()
+	}{
+		{"heartbeat", func() { s.beatAll(true) }},
+		{"tick", func() { s.traceJSON("tick", rep) }},
+	} {
+		line.emit()
+		if got := testing.AllocsPerRun(100, line.emit); got != 0 {
+			t.Errorf("a warmed %s trace line allocates %v times, want 0", line.name, got)
+		}
+	}
+	want, _ := json.Marshal(rep)
+	if got := string(s.line); got != "0000 tick "+string(want)+"\n" {
+		t.Errorf("tick line %q, want json.Marshal's bytes %s", got, want)
+	}
+	if len(s.lines) != 0 {
+		t.Errorf("a Stack outside runSchedule kept %d trace lines", len(s.lines))
+	}
+}
+
+// raceEnabled reports a -race build.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

@@ -1,6 +1,8 @@
 package simtest
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -75,11 +77,17 @@ type Stack struct {
 	// process-wide, so the checkers only ever look at deltas from it).
 	base metrics.Values
 
-	// The audit's per-event scratch, and tracef's line buffer.
+	// The audit's per-event scratch; the trace's line buffer and the JSON
+	// encoder over jbuf; serveOn's requests and their output hashes.
 	vals   metrics.Values
 	leases rms.LeaseView
 	owned  map[string]int
 	line   []byte
+	jbuf   bytes.Buffer
+	enc    *json.Encoder
+	reqs   []request
+	outs   []uint64
+	wg     sync.WaitGroup
 
 	// Multi-spec model: which layer each live lease serves, and the set of
 	// distinct artifact keys ever sent to the deploy path. The compile runs
@@ -114,7 +122,11 @@ type Stack struct {
 	// of capacity: they are allowed to end the run stranded.
 	excused map[int]bool
 
-	trace     []string
+	// traceHash is the running FNV-64a of the trace's lines, each with its
+	// newline; the lines are kept too only under keepLines (runSchedule).
+	traceHash uint64
+	lines     []string
+	keepLines bool
 	violation *Violation
 
 	// step is the event number stamped on trace lines and violations: the
@@ -170,7 +182,9 @@ func NewStack(o Options) (*Stack, error) {
 		expTenantReq:    map[string]int64{},
 		expTenantServed: map[string]int64{},
 		expTenantRej:    map[string]int64{},
+		traceHash:       fnvOffset,
 	}
+	s.enc = json.NewEncoder(&s.jbuf)
 	if len(o.Tenants) > 0 {
 		reg, rerr := tenant.NewRegistry(o.Tenants...)
 		if rerr != nil {
@@ -209,8 +223,9 @@ func (s *Stack) Devices() []int { return append([]int(nil), s.devices...) }
 // Violation returns the first invariant breach, or nil while green.
 func (s *Stack) Violation() *Violation { return s.violation }
 
-// TraceHash folds the trace into the same FNV-64a digest Result uses.
-func (s *Stack) TraceHash() uint64 { return hashTrace(s.trace) }
+// TraceHash returns the FNV-64a digest of the trace so far, as Result
+// carries it.
+func (s *Stack) TraceHash() uint64 { return s.traceHash }
 
 // Deploy deploys one lease of the given spec for the given tenant (empty
 // for a tenantless run) and audits the admission decision. Returns
