@@ -274,9 +274,8 @@ func compileCmd(fs *flag.FlagSet, args []string) {
 			fail(err)
 		}
 	}
-	c, _, warm, err := core.CompileAcceleratorCached(core.Options{
-		Tiles: *tiles, PartitionIterations: *n, Seed: 1, PatternAware: !*naive,
-	}, store)
+	opts := core.Options{Tiles: *tiles, PartitionIterations: *n, Seed: 1, PatternAware: !*naive}
+	c, warm, err := core.CompileAcceleratorCached(opts, core.CompileKey(opts), store)
 	if err != nil {
 		fail(err)
 	}

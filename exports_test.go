@@ -22,7 +22,7 @@ import (
 // members of one type kept for one reason.
 var allowedOrphans = map[string]string{
 	"cluster.FakeClock.Advance": "the test fake's only control: simulation harnesses outside the package drive time through it",
-	"simtest.Run":               "the `make simtest` harness (sweep, determinism and minimizer tests drive it); it lives in non-test files because Stack, which scenario and the benchmark build on, is its other half",
+	"simtest.Run":               "the `make simtest` harness (its sweep, seed-replay and determinism tests drive it; no test drives the minimizer); it lives in non-test files because Stack, which scenario and the benchmark build on, is its other half",
 	"simtest.Result.Report":     "the failure report of the simtest.Run harness above",
 	"simtest.Options.{Seed,Steps,Spec,Control,MaxLeases,Spacing,SettleSteps,SettlePeriod}": "the script of the simtest.Run harness above: its test flags (-seed, -seeds, -steps) fill them; scenario and the benchmark start from DefaultOptions and set the rest",
 	"experiments.Fig12Options.{MeanInterarrival,Seed}":                                     "re-exported by the facade as mlvfpga.Fig12Options, whose callers are outside the module; inside it every run uses DefaultFig12Options' values",

@@ -154,11 +154,11 @@ func (cp *ControlPlane) ReportDead(id int) error { return cp.reg.ReportDead(id) 
 // their load — all under the migration budget, with per-lease exponential
 // backoff on failure. Lease order is ascending by id and every time read
 // comes from the injected clock, so a scripted run replays exactly.
-func (cp *ControlPlane) Tick() *TickReport {
+func (cp *ControlPlane) Tick() TickReport {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	cp.ticks++
-	rep := &TickReport{Tick: cp.ticks}
+	rep := TickReport{Tick: cp.ticks}
 	rep.Transitions = cp.reg.Sweep()
 	now := cp.clock.Now()
 	budget := migrationBudget

@@ -145,6 +145,30 @@ func TestTickEvacuatesDrainedDevice(t *testing.T) {
 	}
 }
 
+// TestQuietTickAllocatesNothing: once a fleet has settled (every lease at
+// the depth its load asks for, every device beating), a control pass
+// returns its report by value and reads the leases into the plane's
+// scratch, so it allocates nothing.
+func TestQuietTickAllocatesNothing(t *testing.T) {
+	cp, svc, _, _ := testControlPlane(t, resource.PaperCluster(), DefaultConfig())
+	for i := 0; i < 2; i++ {
+		if _, err := svc.Deploy(testSpec()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ { // idle leases scale down, then hold
+		cp.Tick()
+	}
+	n := testing.AllocsPerRun(20, func() {
+		if rep := cp.Tick(); len(rep.Transitions)+len(rep.Events)+rep.Deferred != 0 {
+			t.Fatalf("a quiet fleet's tick acted: %+v", rep)
+		}
+	})
+	if n != 0 {
+		t.Errorf("a quiet tick allocates %v times, want 0", n)
+	}
+}
+
 func TestTickEvacuatesDeadDevice(t *testing.T) {
 	cp, svc, _, clk := testControlPlane(t, resource.PaperCluster(), DefaultConfig())
 	lease, err := svc.Deploy(testSpec())

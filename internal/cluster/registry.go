@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -51,9 +52,21 @@ func (s State) String() string {
 	return "healthy"
 }
 
-// MarshalJSON renders the state name for API clients.
+// stateJSON holds each state's quoted name, built once.
+var stateJSON = func() (q [Draining + 1][]byte) {
+	for s := range q {
+		q[s] = strconv.AppendQuote(nil, State(s).String())
+	}
+	return q
+}()
+
+// MarshalJSON renders the state name for API clients. The bytes are
+// shared and clipped: an append copies them; do not modify them.
 func (s State) MarshalJSON() ([]byte, error) {
-	return strconv.AppendQuote(nil, s.String()), nil
+	if s < Healthy || s > Draining {
+		return strconv.AppendQuote(nil, s.String()), nil
+	}
+	return slices.Clip(stateJSON[s]), nil
 }
 
 // UnmarshalJSON parses a state name (the CLI reads device snapshots).

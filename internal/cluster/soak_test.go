@@ -130,7 +130,7 @@ func TestControlLoopDeterministic(t *testing.T) {
 			ids = append(ids, l.ID)
 		}
 		rng := rand.New(rand.NewSource(7))
-		var log []*TickReport
+		var log []TickReport
 		for step := 0; step < 40; step++ {
 			clk.Advance(500 * time.Millisecond)
 			for _, d := range cp.Registry().Snapshot() {
@@ -237,7 +237,7 @@ type soakResult struct {
 	// evacuated or re-partitioned onto healthy members.
 	Stranded int
 	// Reports is the full control-loop decision log.
-	Reports []*TickReport
+	Reports []TickReport
 	// Devices is the final fleet snapshot.
 	Devices []DeviceInfo
 }

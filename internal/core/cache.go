@@ -1,8 +1,11 @@
 package core
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
+	"strconv"
 	"sync"
 	"time"
 
@@ -11,7 +14,6 @@ import (
 	"mlvfpga/internal/hsvital"
 	"mlvfpga/internal/parpool"
 	"mlvfpga/internal/partition"
-	"mlvfpga/internal/rtl"
 	"mlvfpga/internal/softblock"
 )
 
@@ -34,18 +36,24 @@ import (
 const compiledSalt = "mlvfpga/compiled/v1"
 
 // CompileKey derives the content address of the Compiled artifact for
-// opts: a canonical FNV-64a digest (rtl.CanonHash) over every input that
-// determines the compilation product — the Options fields, the
-// per-device-type calibration (control and per-tile resource vectors,
-// virtual-block capacity and clock), and the format-version salt.
+// opts: an FNV-64a digest over every input that determines the
+// compilation product — the Options fields, the per-device-type
+// calibration (control and per-tile resource vectors, virtual-block
+// capacity and clock), and the format-version salt. Each input folds in
+// as "name=value;" after "salt=<salt>;", so reordering, omitting or
+// renaming a field moves the key. It allocates once, for the key itself.
 func CompileKey(opts Options) artifactstore.Key {
-	h := rtl.NewCanonHash(compiledSalt)
-	h.Field("tiles", opts.Tiles)
-	h.Field("iterations", opts.PartitionIterations)
-	h.Field("seed", opts.Seed)
-	h.Field("pattern_aware", opts.PatternAware)
-	h.Raw(calibrationBlock())
-	return artifactstore.Key("compiled-" + h.Hex())
+	var buf [128]byte
+	b := append(buf[:0], "salt="+compiledSalt+";tiles="...)
+	b = strconv.AppendInt(b, int64(opts.Tiles), 10)
+	b = strconv.AppendInt(append(b, ";iterations="...), int64(opts.PartitionIterations), 10)
+	b = strconv.AppendInt(append(b, ";seed="...), opts.Seed, 10)
+	b = strconv.AppendBool(append(b, ";pattern_aware="...), opts.PatternAware)
+	h := fnv.New64a()
+	h.Write(append(b, ';'))
+	h.Write(calibrationBlock())
+	var sum [8]byte
+	return artifactstore.Key(hex.AppendEncode(append(buf[:0], "compiled-"...), h.Sum(sum[:0])))
 }
 
 var (
@@ -56,8 +64,7 @@ var (
 // calibrationBlock renders the per-device-type calibration fields once per
 // process (the tables are fixed at init): key derivation is on the warm
 // deploy path, and re-formatting the whole table per lookup would swamp
-// the cache hit itself. The byte stream matches emitting the same fields
-// through CanonHash.Field one by one.
+// the cache hit itself.
 func calibrationBlock() []byte {
 	calOnce.Do(func() {
 		var b []byte
@@ -199,25 +206,25 @@ func twoOrNoChildren(n *partition.Node) bool {
 }
 
 // CompileAcceleratorCached is CompileAccelerator fronted by the artifact
-// store: on hit (memory LRU or validated disk blob) the whole offline
-// pipeline is skipped, and concurrent calls for one key compile exactly
-// once via the store's singleflight guard. The returned artifact may be
-// shared between callers and must be treated as immutable. A nil store
-// degrades to a plain cold compile. warm reports whether the artifact came
-// from cache.
-func CompileAcceleratorCached(opts Options, store *artifactstore.Store) (c *Compiled, key artifactstore.Key, warm bool, err error) {
-	key = CompileKey(opts)
+// store under key, which must be CompileKey(opts) (a caller that resolves
+// opts once keeps it beside them, so a memory hit allocates nothing): on
+// hit (memory LRU or validated disk blob) the whole offline pipeline is
+// skipped, and concurrent calls for one key compile exactly once via the
+// store's singleflight guard. The returned artifact may be shared between
+// callers and must be treated as immutable. A nil store degrades to a
+// plain cold compile. warm reports whether the artifact came from cache.
+func CompileAcceleratorCached(opts Options, key artifactstore.Key, store *artifactstore.Store) (c *Compiled, warm bool, err error) {
 	if store == nil {
 		c, err = CompileAccelerator(opts)
-		return c, key, false, err
+		return c, false, err
 	}
 	v, hit, err := store.GetOrCompute(key, CompiledCodec, func() (any, error) {
 		return CompileAccelerator(opts)
 	})
 	if err != nil {
-		return nil, key, false, err
+		return nil, false, err
 	}
-	return v.(*Compiled), key, hit, nil
+	return v.(*Compiled), hit, nil
 }
 
 // InstanceCatalog compiles the set of accelerator instances the evaluation
@@ -230,12 +237,13 @@ func CompileAcceleratorCached(opts Options, store *artifactstore.Store) (c *Comp
 // catalog equals compiling each instance in turn.
 func InstanceCatalog(tileCounts []int, iterations int, seed int64, store *artifactstore.Store) ([]*Compiled, error) {
 	return parpool.Map(parpool.Workers(0), len(tileCounts), func(i int) (*Compiled, error) {
-		c, _, _, err := CompileAcceleratorCached(Options{
+		opts := Options{
 			Tiles:               tileCounts[i],
 			PartitionIterations: iterations,
 			Seed:                seed,
 			PatternAware:        true,
-		}, store)
+		}
+		c, _, err := CompileAcceleratorCached(opts, CompileKey(opts), store)
 		if err != nil {
 			return nil, fmt.Errorf("core: instance with %d tiles: %w", tileCounts[i], err)
 		}

@@ -115,17 +115,16 @@ func TestCompileAcceleratorCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, key, warm, err := CompileAcceleratorCached(testOpts(), store)
+	opts := testOpts()
+	key := CompileKey(opts)
+	cold, warm, err := CompileAcceleratorCached(opts, key, store)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm {
 		t.Fatal("cold-cache compile reported warm")
 	}
-	if key != CompileKey(testOpts()) {
-		t.Fatalf("key = %s", key)
-	}
-	hit, _, warm2, err := CompileAcceleratorCached(testOpts(), store)
+	hit, warm2, err := CompileAcceleratorCached(opts, key, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +144,7 @@ func TestCompileAcceleratorCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk, _, warm3, err := CompileAcceleratorCached(testOpts(), reopened)
+	disk, warm3, err := CompileAcceleratorCached(opts, key, reopened)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,28 +186,11 @@ func calibratedBlock(b *softblock.Block, res resource.Vector) *softblock.Block {
 	if lanes < 1 {
 		lanes = 1
 	}
-	perLane := resource.Vector{
-		LUTs:   res.LUTs / int64(lanes),
-		DFFs:   res.DFFs / int64(lanes),
-		BRAMKb: res.BRAMKb / int64(lanes),
-		URAMKb: res.URAMKb / int64(lanes),
-		DSPs:   res.DSPs / int64(lanes),
-	}
+	perLane := res.Div(int64(lanes))
 	// Overwrite the leaf annotations lane-by-lane, then roll up.
 	setLane := func(lane *softblock.Block) {
-		leaves := lane.Leaves()
-		if len(leaves) == 0 {
-			return
-		}
-		share := resource.Vector{
-			LUTs:   perLane.LUTs / int64(len(leaves)),
-			DFFs:   perLane.DFFs / int64(len(leaves)),
-			BRAMKb: perLane.BRAMKb / int64(len(leaves)),
-			URAMKb: perLane.URAMKb / int64(len(leaves)),
-			DSPs:   perLane.DSPs / int64(len(leaves)),
-		}
-		for _, l := range leaves {
-			l.Resources = share
+		if n := lane.NumLeaves(); n > 0 {
+			setLeaves(lane, perLane.Div(int64(n)))
 		}
 	}
 	if cp.Kind == softblock.DataParallel {
@@ -222,6 +205,17 @@ func calibratedBlock(b *softblock.Block, res resource.Vector) *softblock.Block {
 	// root annotation to the exact calibrated value.
 	cp.Resources = res
 	return cp
+}
+
+// setLeaves annotates every leaf of the subtree with res.
+func setLeaves(b *softblock.Block, res resource.Vector) {
+	if b.Kind == softblock.Leaf {
+		b.Resources = res
+		return
+	}
+	for _, c := range b.Children {
+		setLeaves(c, res)
+	}
 }
 
 // DefaultTileCounts is the 10-instance catalog of §4.3.

@@ -309,7 +309,8 @@ func (dec *decomposer) intraBlockSplit(b *softblock.Block, bg *rtl.BasicGraph) (
 	// scalar clock is allowed.
 	seen := map[string]bool{}
 	for _, inst := range m.Instances {
-		for _, e := range inst.Conns {
+		for _, c := range inst.Conns {
+			e := c.Expr
 			if e == nil {
 				continue
 			}
@@ -327,7 +328,7 @@ func (dec *decomposer) intraBlockSplit(b *softblock.Block, bg *rtl.BasicGraph) (
 	}
 	k := len(m.Instances)
 	lanes := make([]*softblock.Block, k)
-	laneRes := divideVector(b.Resources, k)
+	laneRes := b.Resources.Div(int64(k))
 	for i := range lanes {
 		lanes[i] = softblock.NewLeaf(
 			dec.blockID(),
@@ -374,16 +375,6 @@ func identsOf(e rtl.Expr) []string {
 	}
 	walk(e)
 	return out
-}
-
-func divideVector(v resource.Vector, n int) resource.Vector {
-	return resource.Vector{
-		LUTs:   v.LUTs / int64(n),
-		DFFs:   v.DFFs / int64(n),
-		BRAMKb: v.BRAMKb / int64(n),
-		URAMKb: v.URAMKb / int64(n),
-		DSPs:   v.DSPs / int64(n),
-	}
 }
 
 // interchangeable reports whether two block subtrees are interchangeable

@@ -111,3 +111,22 @@ func TestReadRefills(t *testing.T) {
 		t.Errorf("Read allocates %v times on a warm Values, want 0", n)
 	}
 }
+
+// TestQuotaHeadroom: the mlv_tenant_quota_headroom expvar renders the
+// installed callback's view, and reinstalling the previous callback
+// restores the previous rendering.
+func TestQuotaHeadroom(t *testing.T) {
+	v := expvar.Get("mlv_tenant_quota_headroom")
+	prev, _ := quotaHeadroom.Load().(func() any)
+	before := v.String()
+	SetQuotaHeadroom(func() any {
+		return map[string]map[string]int{"alice": {"leases_used": 1, "leases_free": 2}}
+	})
+	if got, want := v.String(), `{"alice":{"leases_free":2,"leases_used":1}}`; got != want {
+		t.Errorf("headroom renders %s, want %s", got, want)
+	}
+	SetQuotaHeadroom(prev)
+	if got := v.String(); got != before {
+		t.Errorf("after restoring the previous callback the headroom renders %s, want %s", got, before)
+	}
+}

@@ -125,7 +125,7 @@ func FuzzBisect(f *testing.F) {
 			prevBits = rung.CutBits
 		}
 
-		rootLeaves := root.Leaves()
+		rootLeaves := leaves(root)
 		for k := 1; k <= max; k++ {
 			fr, err := p.Frontier(k)
 			if err != nil {
@@ -137,7 +137,7 @@ func FuzzBisect(f *testing.F) {
 			var got []*softblock.Block
 			var luts, dsps int64
 			for i, n := range fr {
-				ls := n.Block.Leaves()
+				ls := leaves(n.Block)
 				if len(ls) == 0 {
 					t.Fatalf("Frontier(%d) piece %d is empty", k, i)
 				}
@@ -162,4 +162,16 @@ func FuzzBisect(f *testing.F) {
 			t.Fatalf("Frontier(MaxPieces+1) = %v, want ErrTooManyPieces", err)
 		}
 	})
+}
+
+// leaves returns the leaf blocks of the subtree in left-to-right order.
+func leaves(b *softblock.Block) []*softblock.Block {
+	if b.Kind == softblock.Leaf {
+		return []*softblock.Block{b}
+	}
+	var out []*softblock.Block
+	for _, c := range b.Children {
+		out = append(out, leaves(c)...)
+	}
+	return out
 }

@@ -93,6 +93,17 @@ func (v Vector) Scale(n int64) Vector {
 	}
 }
 
+// Div returns v / n element-wise, each element rounded toward zero.
+func (v Vector) Div(n int64) Vector {
+	return Vector{
+		LUTs:   v.LUTs / n,
+		DFFs:   v.DFFs / n,
+		BRAMKb: v.BRAMKb / n,
+		URAMKb: v.URAMKb / n,
+		DSPs:   v.DSPs / n,
+	}
+}
+
 // String renders the vector in table form, e.g.
 // "610000 LUT, 659000 DFF, 51500 BRAM(Kb), 22500 URAM(Kb), 7517 DSP".
 func (v Vector) String() string {

@@ -64,6 +64,28 @@ func TestDeployWarmStart(t *testing.T) {
 	}
 }
 
+// TestWarmEnsureAllocatesNothing pins the warm-deploy lookup: once a
+// spec's artifact is ensured, its plan key and a repeat Ensure come from
+// the plan memo and the store's memory tier without allocating.
+func TestWarmEnsureAllocatesNothing(t *testing.T) {
+	comp := NewCompiler(artifactstore.NewMemory(artifactstore.Options{}), CompilerOptions{})
+	spec := kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 64, TimeSteps: 2}
+	art, key, warm, err := comp.Ensure(spec)
+	if err != nil || warm {
+		t.Fatalf("cold Ensure: warm=%v, err %v", warm, err)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		pk, _ := comp.PlanKey(spec)
+		got, k, warm, err := comp.Ensure(spec)
+		if pk != key || k != key || got != art || !warm || err != nil {
+			t.Fatalf("warm lookup: key %s/%s (want %s), warm=%v, err %v", pk, k, key, warm, err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("a warm PlanKey and Ensure allocate %v times, want 0", n)
+	}
+}
+
 func TestDeployUndeployableWithCompiler(t *testing.T) {
 	store := artifactstore.NewMemory(artifactstore.Options{})
 	svc, _ := newCachedService(t, resource.PaperCluster(), store)

@@ -33,10 +33,12 @@ type Compiler struct {
 	plans map[kernels.LayerSpec]planEntry
 }
 
-// planEntry memoizes the layer→instance resolution (including a negative
-// verdict, so repeated deploys of an undeployable layer stay cheap).
+// planEntry memoizes the layer→instance resolution and its artifact key,
+// so a warm PlanKey or Ensure allocates nothing (or a negative verdict, so
+// repeated deploys of an undeployable layer stay cheap).
 type planEntry struct {
 	opts core.Options
+	key  artifactstore.Key
 	err  error
 }
 
@@ -46,20 +48,20 @@ func NewCompiler(store *artifactstore.Store, _ CompilerOptions) *Compiler {
 	return &Compiler{store: store, plans: map[kernels.LayerSpec]planEntry{}}
 }
 
-// optionsFor resolves a layer to the accelerator instance the offline
-// flow compiles for it: the smallest feasible single-device instance in
-// the database's largest-first device order, falling back to the scaled
+// plan resolves a layer to the accelerator instance the offline flow
+// compiles for it: the smallest feasible single-device instance in the
+// database's largest-first device order, falling back to the scaled
 // per-piece instance for layers no single device can host.
-func (c *Compiler) optionsFor(spec kernels.LayerSpec) (core.Options, error) {
+func (c *Compiler) plan(spec kernels.LayerSpec) planEntry {
 	c.mu.Lock()
-	if pe, ok := c.plans[spec]; ok {
-		c.mu.Unlock()
-		return pe.opts, pe.err
-	}
+	pe, ok := c.plans[spec]
 	c.mu.Unlock()
+	if ok {
+		return pe
+	}
 
 	tiles, err := chooseTiles(spec)
-	pe := planEntry{err: err}
+	pe = planEntry{err: err}
 	if err == nil {
 		pe.opts = core.Options{
 			Tiles:               tiles,
@@ -67,11 +69,12 @@ func (c *Compiler) optionsFor(spec kernels.LayerSpec) (core.Options, error) {
 			Seed:                1,
 			PatternAware:        true,
 		}
+		pe.key = core.CompileKey(pe.opts)
 	}
 	c.mu.Lock()
 	c.plans[spec] = pe
 	c.mu.Unlock()
-	return pe.opts, pe.err
+	return pe
 }
 
 // chooseTiles picks the instance tile count for a layer, mirroring the
@@ -101,11 +104,8 @@ func chooseTiles(spec kernels.LayerSpec) (int, error) {
 // compilation product — because the artifact is the virtualized
 // accelerator, not the model loaded onto it.
 func (c *Compiler) PlanKey(spec kernels.LayerSpec) (artifactstore.Key, error) {
-	opts, err := c.optionsFor(spec)
-	if err != nil {
-		return "", err
-	}
-	return core.CompileKey(opts), nil
+	pe := c.plan(spec)
+	return pe.key, pe.err
 }
 
 // Ensure makes the layer's full compilation product present in the
@@ -113,9 +113,10 @@ func (c *Compiler) PlanKey(spec kernels.LayerSpec) (artifactstore.Key, error) {
 // skip straight to placement. The returned artifact is shared and must be
 // treated as immutable.
 func (c *Compiler) Ensure(spec kernels.LayerSpec) (art *core.Compiled, key artifactstore.Key, warm bool, err error) {
-	opts, err := c.optionsFor(spec)
-	if err != nil {
-		return nil, "", false, err
+	pe := c.plan(spec)
+	if pe.err != nil {
+		return nil, "", false, pe.err
 	}
-	return core.CompileAcceleratorCached(opts, c.store)
+	art, warm, err = core.CompileAcceleratorCached(pe.opts, pe.key, c.store)
+	return art, pe.key, warm, err
 }

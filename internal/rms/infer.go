@@ -177,7 +177,7 @@ const inflightStripes = 32
 
 type inflightStripe struct {
 	mu sync.Mutex
-	n  map[string]int
+	n  map[string]int // made on the stripe's first admission
 }
 
 // stripe maps a tenant id to its in-flight stripe (FNV-1a).
@@ -208,11 +208,7 @@ func NewDataPlane(svc *Service, opts InferOptions) *DataPlane {
 	if opts.Tiles <= 0 {
 		opts.Tiles = 1
 	}
-	dp := &DataPlane{svc: svc, opts: opts, builds: make(chan struct{}, parpool.Workers(0))}
-	for i := range dp.inflight {
-		dp.inflight[i].n = map[string]int{}
-	}
-	return dp
+	return &DataPlane{svc: svc, opts: opts, builds: make(chan struct{}, parpool.Workers(0))}
 }
 
 // LoadStats is a lease's live serving load, the control plane's
@@ -334,6 +330,9 @@ func (dp *DataPlane) inferInto(tenantID string, leaseID int, inputs [][]float64,
 			weight = t.EffectiveWeight()
 		} else {
 			metrics.TenantRequests.Add(tenantID, 1)
+		}
+		if st.n == nil {
+			st.n = map[string]int{}
 		}
 		st.n[tenantID]++
 		st.mu.Unlock()

@@ -183,11 +183,16 @@ func TestInferAsInFlightCap(t *testing.T) {
 			}
 		}()
 	}
-	// Occupy both in-flight slots, then probe the third.
+	// Occupy both in-flight slots, then probe the third. Nothing was
+	// admitted yet, so the stripe has no table.
 	st := dp.stripe("capped")
 	st.mu.Lock()
-	st.n["capped"] = 2
+	fresh := st.n == nil
+	st.n = map[string]int{"capped": 2}
 	st.mu.Unlock()
+	if !fresh {
+		t.Fatal("the stripe has an in-flight table before any admission")
+	}
 	before := metrics.Snapshot()
 	if _, err := dp.InferAs("capped", lease.ID, inputs); !errors.Is(err, ErrTenantBusy) {
 		t.Fatalf("over-cap infer: %v, want ErrTenantBusy", err)

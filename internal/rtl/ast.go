@@ -204,13 +204,28 @@ type Instance struct {
 	Name       string
 	// Params are named parameter overrides (#(.N(8))).
 	Params map[string]Expr
-	// Conns maps a port to its actual expression (nil for an explicit
-	// .p()). The parser keys a positional connection $posN; NewDesign
-	// rewrites those to formal port names, so after it only blackbox
-	// primitives carry $posN keys.
-	Conns map[string]Expr
-	// Order lists Conns' keys in source order.
-	Order []string
+	// Conns are the port connections in source order, each port at most
+	// once. The parser names a positional connection's port $posN;
+	// NewDesign rewrites those to formal port names, so after it only
+	// blackbox primitives carry $posN ports.
+	Conns []Conn
+}
+
+// Conn connects one port of an instance to its actual expression (nil
+// for an explicit .p()).
+type Conn struct {
+	Port string
+	Expr Expr
+}
+
+// Conn returns port's expression and whether the port is connected.
+func (inst *Instance) Conn(port string) (Expr, bool) {
+	for _, c := range inst.Conns {
+		if c.Port == port {
+			return c.Expr, true
+		}
+	}
+	return nil, false
 }
 
 // Module is one parsed module definition.

@@ -21,9 +21,8 @@ type Design struct {
 // and every instance of a defined module must connect ports that module
 // declares (by name, or by a position inside its port list), each at most
 // once. Positional connections are rewritten in place to the port names
-// they reach, in Conns and Order, so every later pass reads Conns by
-// formal name. Instances of undefined modules are blackbox primitives and
-// are not checked.
+// they reach, so every later pass reads Conns by formal name. Instances
+// of undefined modules are blackbox primitives and are not checked.
 func NewDesign(mods []*Module, top string) (*Design, error) {
 	d := &Design{Modules: map[string]*Module{}, Top: top}
 	for _, m := range mods {
@@ -42,12 +41,12 @@ func NewDesign(mods []*Module, top string) (*Design, error) {
 			if !defined {
 				continue
 			}
-			for _, key := range inst.Order {
-				idx, pos := isPositionalKey(key)
+			for _, c := range inst.Conns {
+				idx, pos := isPositionalKey(c.Port)
 				if !pos {
-					if _, ok := child.PortByName(key); !ok {
+					if _, ok := child.PortByName(c.Port); !ok {
 						return nil, fmt.Errorf("rtl: %s.%s: no port %q on module %s",
-							name, inst.Name, key, child.Name)
+							name, inst.Name, c.Port, child.Name)
 					}
 					continue
 				}
@@ -55,17 +54,14 @@ func NewDesign(mods []*Module, top string) (*Design, error) {
 					return nil, fmt.Errorf("rtl: %s.%s: positional connection %d exceeds %d ports of %s",
 						name, inst.Name, idx, len(child.Ports), child.Name)
 				}
-				if _, dup := inst.Conns[child.Ports[idx].Name]; dup {
+				if _, dup := inst.Conn(child.Ports[idx].Name); dup {
 					return nil, fmt.Errorf("rtl: %s.%s: port %q of module %s connected twice",
 						name, inst.Name, child.Ports[idx].Name, child.Name)
 				}
 			}
-			for j, key := range inst.Order {
-				if idx, pos := isPositionalKey(key); pos {
-					port := child.Ports[idx].Name
-					inst.Conns[port] = inst.Conns[key]
-					delete(inst.Conns, key)
-					inst.Order[j] = port
+			for j, c := range inst.Conns {
+				if idx, pos := isPositionalKey(c.Port); pos {
+					inst.Conns[j].Port = child.Ports[idx].Name
 				}
 			}
 		}

@@ -5,9 +5,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -47,6 +47,7 @@ type hasher struct {
 	names map[string]int
 	next  int
 	keys  []string
+	conns []Conn
 }
 
 func newHasher() *hasher {
@@ -110,10 +111,12 @@ func (h *hasher) hash(em *ElabModule) string {
 			b = h.appendParams(append(append(b, "prim:"...), inst.ModuleName...), inst.Params, em.Env)
 		}
 		b = append(b, " ("...)
-		for _, k := range h.sortedKeys(inst.Conns) {
-			b = append(append(append(b, '.'), k...), '(')
-			if actual := inst.Conns[k]; actual != nil {
-				b = h.appendCanon(b, actual, em.Env)
+		h.conns = append(h.conns[:0], inst.Conns...)
+		slices.SortFunc(h.conns, func(a, b Conn) int { return strings.Compare(a.Port, b.Port) })
+		for _, c := range h.conns {
+			b = append(append(append(b, '.'), c.Port...), '(')
+			if c.Expr != nil {
+				b = h.appendCanon(b, c.Expr, em.Env)
 			}
 			b = append(b, "),"...)
 		}
@@ -335,47 +338,6 @@ func pairSeed(seed int64, memoKey [2]string) int64 {
 	fmt.Fprintf(h, "%d|%s|%s", seed, memoKey[0], memoKey[1])
 	return int64(h.Sum64())
 }
-
-// CanonHash generalizes this file's FNV-64a derivations (pairSeed, the
-// blob checksums built on it) into a canonical field hasher for
-// content-addressed keys: a salt names the keyspace and its format
-// version, and every field folds in as "name=value;" so reordering,
-// omitting, or renaming a field changes the digest. It is the key
-// machinery behind the artifact store (core.CompileKey hashes
-// kernels.LayerSpec / core.Options fields plus the per-device calibration
-// resource vectors through it).
-type CanonHash struct {
-	h hash.Hash64
-}
-
-// NewCanonHash starts a digest over the named keyspace. Bump the salt
-// (e.g. "compiled/v1" -> "compiled/v2") whenever the hashed structure or
-// the artifact's wire format changes, so stale cache entries miss instead
-// of decoding wrongly.
-func NewCanonHash(salt string) *CanonHash {
-	c := &CanonHash{h: fnv.New64a()}
-	fmt.Fprintf(c.h, "salt=%s;", salt)
-	return c
-}
-
-// Field folds one named value into the digest using its canonical %v
-// rendering (stable for ints, bools, strings, and flat structs of them).
-func (c *CanonHash) Field(name string, v any) *CanonHash {
-	fmt.Fprintf(c.h, "%s=%v;", name, v)
-	return c
-}
-
-// Raw folds pre-rendered canonical bytes — a memoized block of Field-
-// formatted pairs — without re-formatting them. The digest is identical
-// to emitting the same fields one by one.
-func (c *CanonHash) Raw(b []byte) *CanonHash {
-	c.h.Write(b)
-	return c
-}
-
-// Hex renders the digest as fixed-width lowercase hex, the form artifact
-// keys embed.
-func (c *CanonHash) Hex() string { return fmt.Sprintf("%016x", c.h.Sum64()) }
 
 // sameInterface reports whether two elaborations expose identical port
 // lists (name, direction, width), which data-parallel interchangeable

@@ -110,19 +110,18 @@ func (d *Design) flattenInto(flat *Module, em *ElabModule, prefix string) error 
 			kept := Instance{
 				ModuleName: inst.ModuleName,
 				Name:       prefix + inst.Name,
-				Conns:      map[string]Expr{},
-				Order:      append([]string{}, inst.Order...),
+				Conns:      make([]Conn, len(inst.Conns)),
 			}
-			for k, v := range inst.Conns {
-				if v == nil {
-					kept.Conns[k] = nil
+			for i, c := range inst.Conns {
+				kept.Conns[i].Port = c.Port
+				if c.Expr == nil {
 					continue
 				}
-				rv, err := rewrite(v)
+				rv, err := rewrite(c.Expr)
 				if err != nil {
 					return err
 				}
-				kept.Conns[k] = rv
+				kept.Conns[i].Expr = rv
 			}
 			flat.Instances = append(flat.Instances, kept)
 			continue
@@ -136,7 +135,7 @@ func (d *Design) flattenInto(flat *Module, em *ElabModule, prefix string) error 
 		}
 		// Bind connections.
 		for _, p := range child.Elab.Module.Ports {
-			actual, connected := inst.Conns[p.Name]
+			actual, connected := inst.Conn(p.Name)
 			formal := &Ident{Name: childPrefix + p.Name}
 			switch {
 			case !connected || actual == nil:

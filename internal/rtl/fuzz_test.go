@@ -138,16 +138,13 @@ func checkCarving(t *testing.T, m *Module) {
 		for _, e := range inst.Params {
 			walk(e)
 		}
-		keys := map[string]bool{}
-		for _, k := range inst.Order {
-			if _, ok := inst.Conns[k]; !ok || keys[k] {
-				t.Fatalf("module %s instance %s: Order %q against connections %v", m.Name, inst.Name, inst.Order, inst.Conns)
+		ports := map[string]bool{}
+		for _, c := range inst.Conns {
+			if ports[c.Port] {
+				t.Fatalf("module %s instance %s: port %q connected twice in %v", m.Name, inst.Name, c.Port, inst.Conns)
 			}
-			keys[k] = true
-			walk(inst.Conns[k])
-		}
-		if len(keys) != len(inst.Conns) {
-			t.Fatalf("module %s instance %s: Order %q against connections %v", m.Name, inst.Name, inst.Order, inst.Conns)
+			ports[c.Port] = true
+			walk(c.Expr)
 		}
 	}
 }

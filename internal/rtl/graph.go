@@ -211,7 +211,7 @@ func (b *graphBuilder) walk(m *ElabModule, scope int, prefix string) error {
 		childScope := b.scopes
 		// Union each formal port with its actual's nets.
 		for _, p := range child.Elab.Module.Ports {
-			if actual := inst.Conns[p.Name]; actual != nil {
+			if actual, _ := inst.Conn(p.Name); actual != nil {
 				b.alias(b.net(childScope, p.Name), scope, actual, widths)
 			}
 		}

@@ -7,11 +7,12 @@ import (
 )
 
 // parser is a recursive-descent parser over a pre-lexed token stream.
-// Each module's leaf nodes (identifiers, numbers, unary and binary
-// operators, selects), its sequential assignments and its instances'
-// connection orders are carved from slabs reserve sizes from the module's
-// tokens, so a module's AST costs a handful of allocations, not one per
-// node.
+// The modules, their leaf nodes (identifiers, numbers, unary and binary
+// operators, selects), sequential assignments and instances' connections
+// are carved from slabs reserve sizes in one pass over the source's
+// tokens, which also sizes each module's item slices, so a parse
+// allocates each slab once and a module's AST costs a handful of
+// allocations, not one per node.
 type parser struct {
 	src  string
 	toks []token
@@ -23,12 +24,14 @@ type parser struct {
 	binaries slab[Binary]
 	indexes  slab[Index]
 	slices   slab[Slice]
-	seqs     []SeqAssign  // backing of the module's Always bodies
-	order    slab[string] // backing of the module's Instance.Order lists
+	seqs     []SeqAssign // backing of the Always bodies
+	conns    []Conn      // backing of the Instance.Conns lists
+	mods     []Module    // the modules reserve sized, in source order
+	n        sizes       // the node counts reserve sums
 }
 
 // slab hands out elements of one backing array. reserve sizes it from an
-// upper bound on what the module needs; a short count only costs a fresh
+// upper bound on what the source needs; a short count only costs a fresh
 // array.
 type slab[T any] []T
 
@@ -40,16 +43,6 @@ func (s *slab[T]) next() *T {
 	return &(*s)[len(*s)-1]
 }
 
-// take returns an empty slice with room for exactly n elements.
-func (s *slab[T]) take(n int) []T {
-	if cap(*s)-len(*s) < n {
-		*s = make([]T, 0, max(n, cap(*s)))
-	}
-	l := len(*s)
-	*s = (*s)[:l+n]
-	return (*s)[l : l : l+n]
-}
-
 // Parse parses Verilog-subset source text into a list of modules.
 func Parse(src string) ([]*Module, error) {
 	toks, err := lexAll(src)
@@ -57,7 +50,8 @@ func Parse(src string) ([]*Module, error) {
 		return nil, err
 	}
 	p := &parser{src: src, toks: toks}
-	var mods []*Module
+	p.reserve()
+	mods := make([]*Module, 0, len(p.mods))
 	for !p.at(tokEOF) {
 		m, err := p.parseModule()
 		if err != nil {
@@ -141,31 +135,57 @@ func (p *parser) ident() (string, error) {
 	return name, nil
 }
 
-// reserve sizes the slabs and m's item slices from the tokens of the
-// module starting at p.pos, so that parsing it allocates each once. A
-// count is exact for the generated accelerator and at worst a little high
-// otherwise: an identifier in a name position (after ".", a declaration
-// keyword or a range; an instance's module and instance names) is no Ident
-// node, an operator after an operand is binary and before one unary, "["
-// after an operand opens a select, "<=" at depth 0 is a sequential
-// assignment, "else" negates a guard, and a declaration list's commas
-// bound its names. A count that falls short costs one more array.
-func (p *parser) reserve(m *Module) {
-	var idents, numbers, unaries, binaries, indexes, slices, seqs, conns int
+// sizes bounds the AST nodes of a source.
+type sizes struct {
+	idents, numbers, unaries, binaries, indexes, slices, seqs, conns int
+}
+
+// reserve sizes the slabs and every module of the source.
+func (p *parser) reserve() {
+	p.mods = make([]Module, 0, strings.Count(p.src, "endmodule"))
+	for i := 0; i < len(p.toks)-1; i++ {
+		if p.is(p.toks[i], "module") && p.toks[i+1].kind == tokIdent {
+			p.mods = append(p.mods, Module{})
+			i = p.count(i+1, &p.mods[len(p.mods)-1])
+		}
+	}
+	p.idents = make(slab[Ident], 0, p.n.idents)
+	p.numbers = make(slab[Number], 0, p.n.numbers)
+	p.unaries = make(slab[Unary], 0, p.n.unaries)
+	p.binaries = make(slab[Binary], 0, p.n.binaries)
+	p.indexes = make(slab[Index], 0, p.n.indexes)
+	p.slices = make(slab[Slice], 0, p.n.slices)
+	p.seqs = make([]SeqAssign, 0, p.n.seqs)
+	p.conns = make([]Conn, 0, p.n.conns)
+}
+
+// count adds the nodes of the module whose name is token at to p.n, sizes
+// m's item slices, and returns the index of its endmodule (or of the end
+// of input). A count is exact for the generated accelerator and at worst
+// a little high otherwise: an identifier in a name position (after ".", a
+// declaration keyword or a range; an instance's module and instance
+// names) is no Ident node, an operator after an operand is binary and
+// before one unary, "[" after an operand opens a select, "<=" at depth 0
+// is a sequential assignment, "else" negates a guard, and a declaration
+// list's commas bound its names. A count that falls short costs one more
+// array.
+func (p *parser) count(at int, m *Module) int {
+	n := &p.n
 	var ports, nets, params, assigns, alwayses, insts int
 	depth, header, netDecl := 0, true, false
-	toks := p.toks[p.pos-1:] // from the module's name on
-	for i := 1; toks[i].kind != tokEOF && !p.is(toks[i], "endmodule"); i++ {
+	toks := p.toks[at:] // from the module's name on
+	i := 1
+	for ; toks[i].kind != tokEOF && !p.is(toks[i], "endmodule"); i++ {
 		t, prev, next := toks[i], toks[i-1], toks[i+1]
 		operand := prev.kind == tokIdent || prev.kind == tokNumber ||
 			p.is(prev, ")") || p.is(prev, "]") || p.is(prev, "}")
 		switch t.kind {
 		case tokIdent:
 			if !p.isName(prev, next) {
-				idents++
+				n.idents++
 			}
 		case tokNumber:
-			numbers++
+			n.numbers++
 		case tokKeyword:
 			switch p.text(t) {
 			case "wire", "reg":
@@ -180,14 +200,14 @@ func (p *parser) reserve(m *Module) {
 			case "always":
 				alwayses++
 			case "else":
-				unaries++
+				n.unaries++
 			}
 		case tokPunct:
 			switch p.text(t) {
 			case "(":
 				if depth == 0 && !header && prev.kind == tokIdent {
-					n, _ := p.group(toks[i:]) // an instance's connections
-					insts, conns = insts+1, conns+n
+					c, _ := p.group(toks[i:]) // an instance's connections
+					insts, n.conns = insts+1, n.conns+c
 				}
 				depth++
 			case "{":
@@ -198,9 +218,9 @@ func (p *parser) reserve(m *Module) {
 					break
 				}
 				if _, slice := p.group(toks[i:]); slice {
-					slices++
+					n.slices++
 				} else {
-					indexes++
+					n.indexes++
 				}
 			case ")", "]", "}":
 				depth--
@@ -217,37 +237,30 @@ func (p *parser) reserve(m *Module) {
 				}
 			case "<=":
 				if depth == 0 {
-					seqs++
+					n.seqs++
 				} else {
-					binaries++
+					n.binaries++
 				}
 			case "-", "&", "|", "^":
 				if operand {
-					binaries++
+					n.binaries++
 				} else {
-					unaries++
+					n.unaries++
 				}
 			case "~", "!":
-				unaries++
+				n.unaries++
 			case "||", "&&", "==", "!=", "<", ">", ">=", "<<", ">>", "+", "*", "/", "%":
-				binaries++
+				n.binaries++
 			}
 		}
 	}
-	p.idents = make(slab[Ident], 0, idents)
-	p.numbers = make(slab[Number], 0, numbers)
-	p.unaries = make(slab[Unary], 0, unaries)
-	p.binaries = make(slab[Binary], 0, binaries)
-	p.indexes = make(slab[Index], 0, indexes)
-	p.slices = make(slab[Slice], 0, slices)
-	p.seqs = make([]SeqAssign, 0, seqs)
-	p.order = make(slab[string], 0, conns)
 	m.Params = make([]Param, 0, params)
 	m.Ports = make([]Port, 0, ports+1)
 	m.Nets = make([]Net, 0, nets)
 	m.Assigns = make([]Assign, 0, assigns)
 	m.Alwayses = make([]Always, 0, alwayses)
 	m.Instances = make([]Instance, 0, insts)
+	return at + i
 }
 
 // isName reports whether an identifier between prev and next names
@@ -312,8 +325,10 @@ func (p *parser) parseModule() (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Module{Name: name, SrcLine: srcLine}
-	p.reserve(m)
+	// reserve sized this module: both scans resume after an endmodule.
+	m := &p.mods[0]
+	p.mods = p.mods[1:]
+	m.Name, m.SrcLine = name, srcLine
 
 	// Optional parameter list: #(parameter N = 8, parameter M = 4)
 	if p.accept("#") {
@@ -662,9 +677,7 @@ func (p *parser) parseInstance(inst *Instance) error {
 	}
 	inst.Name = iname
 
-	n := p.entries()
-	inst.Conns = make(map[string]Expr, n)
-	inst.Order = p.order.take(n)
+	start := len(p.conns)
 	if err := p.expect("("); err != nil {
 		return err
 	}
@@ -689,21 +702,19 @@ func (p *parser) parseInstance(inst *Instance) error {
 				if err := p.expect(")"); err != nil {
 					return err
 				}
-				if _, dup := inst.Conns[pname]; dup {
+				if _, dup := inst.Conn(pname); dup {
 					return p.errorf("duplicate connection to port %q", pname)
 				}
-				inst.Conns[pname] = val
-				inst.Order = append(inst.Order, pname)
+				p.conns = append(p.conns, Conn{Port: pname, Expr: val})
 			} else {
 				val, err := p.parseExpr()
 				if err != nil {
 					return err
 				}
-				key := positionalKey(positional)
+				p.conns = append(p.conns, Conn{Port: positionalKey(positional), Expr: val})
 				positional++
-				inst.Conns[key] = val
-				inst.Order = append(inst.Order, key)
 			}
+			inst.Conns = p.conns[start:len(p.conns):len(p.conns)]
 			if p.accept(",") {
 				continue
 			}

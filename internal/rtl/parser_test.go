@@ -147,16 +147,16 @@ func TestParseInstances(t *testing.T) {
 	if len(top.Instances) != 3 {
 		t.Fatalf("instances = %d", len(top.Instances))
 	}
-	if top.Instances[0].Conns["a"] == nil {
+	if a, _ := top.Instances[0].Conn("a"); a == nil {
 		t.Error("named connection .a missing")
 	}
-	if _, ok := top.Instances[1].Conns["$pos0"]; !ok {
+	if _, ok := top.Instances[1].Conn("$pos0"); !ok {
 		t.Error("positional connection not recorded")
 	}
 	if top.Instances[2].Params["FOO"] == nil {
 		t.Error("parameter override missing")
 	}
-	if v, present := top.Instances[2].Conns["y"]; !present || v != nil {
+	if v, present := top.Instances[2].Conn("y"); !present || v != nil {
 		t.Error("explicitly unconnected port must be present with nil expr")
 	}
 }
@@ -351,11 +351,12 @@ func bwSource(t *testing.T, tiles int) string {
 	return src
 }
 
-// TestReserveIsExact: reserve's counts are exact for the generated
-// accelerator, so every module's node slabs and item slices are filled to
-// capacity; and a module whose counts are off (a comparison "<=" at depth
-// 0 counts as a sequential assignment, not a Binary node; a parameterized
-// instance's name counts as an operand) still parses whole.
+// TestReserveIsExact: the counts reserve sizes from are exact for the
+// generated accelerator, so the parse's node slabs and every module's
+// item slices are filled to capacity; and a module whose counts are off (a
+// comparison "<=" at depth 0 counts as a sequential assignment, not a
+// Binary node; a parameterized instance's name counts as an operand)
+// still parses whole.
 func TestReserveIsExact(t *testing.T) {
 	for _, tiles := range []int{1, 2, 4} {
 		src := bwSource(t, tiles)
@@ -364,24 +365,32 @@ func TestReserveIsExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := &parser{src: src, toks: toks}
+		p.reserve()
 		for !p.at(tokEOF) {
 			m, err := p.parseModule()
 			if err != nil {
 				t.Fatal(err)
 			}
 			spare := map[string]int{
-				"idents": cap(p.idents) - len(p.idents), "numbers": cap(p.numbers) - len(p.numbers),
-				"unaries": cap(p.unaries) - len(p.unaries), "binaries": cap(p.binaries) - len(p.binaries),
-				"indexes": cap(p.indexes) - len(p.indexes), "slices": cap(p.slices) - len(p.slices),
-				"seqs": cap(p.seqs) - len(p.seqs), "order": cap(p.order) - len(p.order),
 				"params": cap(m.Params) - len(m.Params), "ports": cap(m.Ports) - len(m.Ports),
 				"nets": cap(m.Nets) - len(m.Nets), "assigns": cap(m.Assigns) - len(m.Assigns),
 				"alwayses": cap(m.Alwayses) - len(m.Alwayses), "instances": cap(m.Instances) - len(m.Instances),
 			}
-			for slab, n := range spare {
+			for items, n := range spare {
 				if n != 0 {
-					t.Errorf("tiles=%d module %s: %d spare %s", tiles, m.Name, n, slab)
+					t.Errorf("tiles=%d module %s: %d spare %s", tiles, m.Name, n, items)
 				}
+			}
+		}
+		spare := map[string]int{
+			"idents": cap(p.idents) - len(p.idents), "numbers": cap(p.numbers) - len(p.numbers),
+			"unaries": cap(p.unaries) - len(p.unaries), "binaries": cap(p.binaries) - len(p.binaries),
+			"indexes": cap(p.indexes) - len(p.indexes), "slices": cap(p.slices) - len(p.slices),
+			"seqs": cap(p.seqs) - len(p.seqs), "conns": cap(p.conns) - len(p.conns),
+		}
+		for slab, n := range spare {
+			if n != 0 {
+				t.Errorf("tiles=%d: %d spare %s", tiles, n, slab)
 			}
 		}
 	}

@@ -226,11 +226,11 @@ func WriteModule(m *Module) string {
 			sb.WriteString(")")
 		}
 		fmt.Fprintf(&sb, " %s (", inst.Name)
-		for i, key := range inst.Order {
+		for i, c := range inst.Conns {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
-			val := inst.Conns[key]
+			key, val := c.Port, c.Expr
 			if _, pos := isPositionalKey(key); pos {
 				if val != nil {
 					sb.WriteString(val.String())

@@ -398,9 +398,9 @@ func (s *Stack) beatAll(trace bool) bool {
 // tick runs one control-plane round and folds its report into the counter
 // model; label names the trace line ("tick", or "settle" when quiescing).
 func (s *Stack) tick(label string) {
-	rep := s.cp.Tick()
-	s.accountTick(rep)
-	s.traceJSON(label, rep)
+	s.rep = s.cp.Tick()
+	s.accountTick(&s.rep)
+	s.traceJSON(label, &s.rep)
 }
 
 // accountTick folds a tick report into the expected-counter model: each

@@ -78,13 +78,15 @@ type Stack struct {
 	base metrics.Values
 
 	// The audit's per-event scratch; the trace's line buffer and the JSON
-	// encoder over jbuf; serveOn's requests and their output hashes.
+	// encoder over jbuf; the last tick's report; serveOn's requests and
+	// their output hashes.
 	vals   metrics.Values
 	leases rms.LeaseView
 	owned  map[string]int
 	line   []byte
 	jbuf   bytes.Buffer
 	enc    *json.Encoder
+	rep    cluster.TickReport
 	reqs   []request
 	outs   []uint64
 	wg     sync.WaitGroup

@@ -157,20 +157,17 @@ func (b *Block) Recompute() {
 	b.recompute()
 }
 
-// Leaves returns the leaf blocks of the subtree in left-to-right order.
-func (b *Block) Leaves() []*Block {
-	if b.Kind == Leaf {
-		return []*Block{b}
-	}
-	var out []*Block
-	for _, c := range b.Children {
-		out = append(out, c.Leaves()...)
-	}
-	return out
-}
-
 // NumLeaves counts leaf blocks.
-func (b *Block) NumLeaves() int { return len(b.Leaves()) }
+func (b *Block) NumLeaves() int {
+	if b.Kind == Leaf {
+		return 1
+	}
+	n := 0
+	for _, c := range b.Children {
+		n += c.NumLeaves()
+	}
+	return n
+}
 
 // Depth returns the tree height (a leaf has depth 1).
 func (b *Block) Depth() int {

@@ -103,6 +103,18 @@ func TestSignatureInterchangeability(t *testing.T) {
 	}
 }
 
+// leaves returns the leaf blocks of the subtree in left-to-right order.
+func leaves(b *Block) []*Block {
+	if b.Kind == Leaf {
+		return []*Block{b}
+	}
+	var out []*Block
+	for _, c := range b.Children {
+		out = append(out, leaves(c)...)
+	}
+	return out
+}
+
 func TestLeavesAndDepth(t *testing.T) {
 	nested := NewPipeline("root", []*Block{sampleData(), samplePipeline()}, []int{128})
 	if n := nested.NumLeaves(); n != 7 {
@@ -111,7 +123,7 @@ func TestLeavesAndDepth(t *testing.T) {
 	if d := nested.Depth(); d != 3 {
 		t.Errorf("Depth = %d, want 3", d)
 	}
-	got := nested.Leaves()
+	got := leaves(nested)
 	if got[0].ID != "x0" || got[6].ID != "c" {
 		t.Errorf("leaf order wrong: %v ... %v", got[0].ID, got[6].ID)
 	}
@@ -274,7 +286,7 @@ func TestQuickResourceRollup(t *testing.T) {
 		gen := 0
 		tree := randomTree(r, 3, &gen)
 		var sum resource.Vector
-		for _, l := range tree.Leaves() {
+		for _, l := range leaves(tree) {
 			sum = sum.Add(l.Resources)
 		}
 		return sum == tree.Resources
