@@ -112,17 +112,6 @@ func (m *Memory) WriteWords(addr int, vals []fp16.Num) error {
 	return nil
 }
 
-// tileEntry records which DRAM range a matrix register's current contents
-// were quantized from. While valid, an m_rd of the same range and shape is
-// served from the register without touching DRAM or requantizing — the
-// weight-stationary fast path. Any DRAM write overlapping the range (from
-// a program's v_wr or from the host through DRAMPort) invalidates it.
-type tileEntry struct {
-	addr, words int
-	valid       bool
-	shared      bool // the tile belongs to a TileSet other machines bind too
-}
-
 // trackedDRAM interposes on the machine's DRAM port so every write — from
 // programs and from the host alike — invalidates overlapping tile-cache
 // entries. Reads pass straight through.
@@ -251,18 +240,18 @@ func (s ExecStats) Plus(o ExecStats) ExecStats {
 // concurrent use; the serving layer pools machines so each executes one
 // (possibly batched) program at a time.
 type Machine struct {
-	cfg    Config
-	codec  *bfp.Codec
-	mshape []struct{ rows, cols int } // configured shapes for m_rd
-	mrf    []*bfp.PackedMatrix        // matrix registers: quantized tiles in the packed on-chip layout
-	tiles  []tileEntry
-	dram   *trackedDRAM
-	stats  ExecStats
+	cfg   Config
+	codec *bfp.Codec
+	mregs []mreg
+	dram  trackedDRAM
+	stats ExecStats
 
 	// streams holds per-stream register files and scratch arenas; stream 0
-	// is the default context Run executes in. See exec.go.
-	streams []*streamCtx
-	base    int // banked-window base of the current RunStreams
+	// is the default context Run executes in. A stream's state is cut on
+	// its first write, sized by writes and quant (see SizeStreams, exec.go).
+	streams       []streamCtx
+	base          int    // banked-window base of the current RunStreams
+	writes, quant uint64 // bit r: register r is written, read by mv_mul
 
 	// bvecs/bprods gather per-stream operands for the batched MVM without
 	// allocating per instruction.
@@ -270,11 +259,22 @@ type Machine struct {
 	bprods [][]float64
 	// rowHalf stages one tile row of fp16 words through an m_rd miss.
 	rowHalf []fp16.Num
-	// runScs gathers the stream contexts a RunStreams call selects, reused
-	// so slot-granular stepping stays allocation-free.
-	runScs []*streamCtx
 
 	sigm, tanh, exp, recip *[1 << 16]fp16.Num
+}
+
+// mreg is one matrix register: the shape m_rd loads into it, and its tile,
+// quantized in the packed on-chip layout from DRAM words [addr,
+// addr+words). While valid, an m_rd of the same range and shape is served
+// from the register without touching DRAM or requantizing — the
+// weight-stationary fast path. Any DRAM write overlapping the range (from
+// a program's v_wr or from the host through DRAMPort) invalidates it.
+type mreg struct {
+	rows, cols  int
+	mat         *bfp.PackedMatrix
+	addr, words int
+	valid       bool
+	shared      bool // the tile belongs to a TileSet other machines bind too
 }
 
 // NewWithDRAM builds a machine over the given DRAM port (nil allocates a
@@ -294,14 +294,8 @@ func NewWithDRAM(cfg Config, dram DRAM) (*Machine, error) {
 	if dram == nil {
 		dram = NewMemory(cfg.DRAMWords)
 	}
-	m := &Machine{
-		cfg:    cfg,
-		codec:  codec,
-		mshape: make([]struct{ rows, cols int }, cfg.MRegs),
-		mrf:    make([]*bfp.PackedMatrix, cfg.MRegs),
-		tiles:  make([]tileEntry, cfg.MRegs),
-	}
-	m.dram = &trackedDRAM{inner: dram, m: m}
+	m := &Machine{cfg: cfg, codec: codec, mregs: make([]mreg, cfg.MRegs)}
+	m.dram = trackedDRAM{inner: dram, m: m}
 	m.sigm, m.tanh, m.exp, m.recip = actTables()
 	m.ensureStreams(1)
 	return m, nil
@@ -309,7 +303,7 @@ func NewWithDRAM(cfg Config, dram DRAM) (*Machine, error) {
 
 // DRAMPort returns the machine's DRAM port. Writes through it are tracked
 // for tile-cache invalidation.
-func (m *Machine) DRAMPort() DRAM { return m.dram }
+func (m *Machine) DRAMPort() DRAM { return &m.dram }
 
 // Stats returns execution statistics so far, a stable snapshot (usable as
 // a Minus baseline).
@@ -320,8 +314,8 @@ func (m *Machine) invalidateTiles(addr, n int) {
 	if n <= 0 {
 		return
 	}
-	for i := range m.tiles {
-		t := &m.tiles[i]
+	for i := range m.mregs {
+		t := &m.mregs[i]
 		if t.valid && addr < t.addr+t.words && t.addr < addr+n {
 			t.valid = false
 		}
@@ -330,27 +324,26 @@ func (m *Machine) invalidateTiles(addr, n int) {
 
 // TileSet is a machine's loaded tiles, held apart for machines to bind read-only.
 type TileSet struct {
-	cfg   Config
-	mrf   []*bfp.PackedMatrix
-	tiles []tileEntry
+	cfg  Config
+	regs []mreg
 }
 
 // Tiles returns m's loaded tiles as a set, marked shared on m too: m refills
 // an invalidated one into fresh storage. m may not be running.
 func (m *Machine) Tiles() *TileSet {
-	for i := range m.tiles {
-		m.tiles[i].shared = true
+	for i := range m.mregs {
+		m.mregs[i].shared = true
 	}
-	return &TileSet{cfg: m.cfg, mrf: slices.Clone(m.mrf), tiles: slices.Clone(m.tiles)}
+	return &TileSet{cfg: m.cfg, regs: slices.Clone(m.mregs)}
 }
 
 // BindTiles binds ts's tiles into m where configuration and shape agree (m's
 // DRAM must hold their words), so m's m_rd of them hits; invalidated, a
 // bound register refills into fresh storage. m may not be running.
 func (m *Machine) BindTiles(ts *TileSet) {
-	for i, t := range ts.tiles {
-		if sh := m.mshape[i]; t.valid && m.cfg == ts.cfg && sh.rows == ts.mrf[i].Rows && sh.cols == ts.mrf[i].Cols {
-			m.mrf[i], m.tiles[i] = ts.mrf[i], t
+	for i, t := range ts.regs {
+		if r := &m.mregs[i]; t.valid && m.cfg == ts.cfg && r.rows == t.mat.Rows && r.cols == t.mat.Cols {
+			*r = t
 		}
 	}
 }
@@ -365,9 +358,8 @@ func (m *Machine) ConfigureMatrix(reg, rows, cols int) error {
 	if rows <= 0 || cols <= 0 {
 		return fmt.Errorf("accel: matrix shape %dx%d", rows, cols)
 	}
-	if m.mshape[reg].rows != rows || m.mshape[reg].cols != cols {
-		m.tiles[reg].valid = false
+	if r := &m.mregs[reg]; r.rows != rows || r.cols != cols {
+		r.rows, r.cols, r.valid = rows, cols, false
 	}
-	m.mshape[reg] = struct{ rows, cols int }{rows, cols}
 	return nil
 }

@@ -310,11 +310,11 @@ func (m *Machine) readVectorStream(stream, reg int) ([]fp16.Num, error) {
 	if reg < 0 || reg >= m.cfg.VRegs {
 		return nil, fmt.Errorf("accel: vector register %d out of range", reg)
 	}
-	sc := m.streams[stream]
-	if sc.vrf[reg] == nil {
+	sc := &m.streams[stream]
+	if reg >= len(sc.regs) || !sc.regs[reg].set { // no regs: nothing written yet
 		return nil, fmt.Errorf("accel: vector register %d is empty", reg)
 	}
-	return append([]fp16.Num{}, sc.vrf[reg]...), nil
+	return append([]fp16.Num{}, sc.regs[reg].val...), nil
 }
 
 // readWords reads n words at addr through the port's one read method.

@@ -3,6 +3,7 @@ package accel
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"mlvfpga/internal/bfp"
@@ -39,34 +40,75 @@ func actTables() (sigm, tanh, exp, recip *[1 << 16]fp16.Num) {
 type streamCtx struct {
 	off int // DRAM offset applied to banked (>= window base) addresses
 
-	vrf [][]fp16.Num
-	ver []uint64 // bumped on every write to the corresponding vreg
-
-	// qvec memoizes the BFP quantization of each vector register (with the
-	// facts the packed kernel checks); qver records the register version it
-	// was computed at. In an LSTM step the same x/h vector feeds four
-	// mv_muls, so the memo cuts vector quantization 4x.
-	qver []uint64
-	qvec []bfp.Vector
+	regs []vreg
 
 	f64  []float64 // float64 staging for vector quantization
 	prod []float64 // mv_mul product staging
 }
 
-func (m *Machine) newStream() *streamCtx {
-	return &streamCtx{
-		vrf:  make([][]fp16.Num, m.cfg.VRegs),
-		ver:  make([]uint64, m.cfg.VRegs),
-		qver: make([]uint64, m.cfg.VRegs),
-		qvec: make([]bfp.Vector, m.cfg.VRegs),
+// vreg is one vector register of a stream. Its storage outlives its value:
+// a register whose value is dropped (never written, a failed v_rd, a
+// restored nil) reads as an error until the next write fills the same
+// storage.
+type vreg struct {
+	val []fp16.Num
+	// q memoizes the BFP quantization of val (with the facts the packed
+	// kernel checks) while fresh; every write clears fresh. In an LSTM step
+	// the same x/h vector feeds four mv_muls, so the memo cuts vector
+	// quantization 4x.
+	q     bfp.Vector
+	set   bool // val holds a value
+	fresh bool
+}
+
+// SizeStreams sizes the streams m builds from now on to what progs use: of
+// the first 64 vector registers, those they write get VecLen words each and
+// those mv_mul reads a quantization memo, cut in a handful of allocations on
+// a stream's first write. Any other register, or a value longer than
+// VecLen, is allocated on its own first write.
+func (m *Machine) SizeStreams(progs ...isa.Program) {
+	for _, p := range progs {
+		for _, ins := range p {
+			switch ins.Op {
+			case isa.OpVWrite, isa.OpMRead, isa.OpEndChain:
+				continue
+			case isa.OpMVMul:
+				m.quant |= 1 << ins.Src2
+			}
+			m.writes |= 1 << ins.Dst
+		}
 	}
+}
+
+// newStream cuts sc's state from one slab per element type, on the
+// stream's first write: a machine that only loads tiles, or a stream never
+// used, holds none.
+func (m *Machine) newStream(sc *streamCtx) {
+	vl, nd, nq := m.cfg.VecLen, m.cfg.NativeDim, bits.OnesCount64(m.quant)
+	nb := (vl + nd - 1) / nd
+	sc.regs = make([]vreg, m.cfg.VRegs)
+	vals := make([]fp16.Num, bits.OnesCount64(m.writes)*vl)
+	blocks, mants := make([]bfp.Block, nq*nb), make([]int32, nq*vl)
+	for i := range sc.regs {
+		r := &sc.regs[i]
+		if m.writes>>i&1 != 0 {
+			r.val, vals = vals[:0:vl], vals[vl:]
+		}
+		if m.quant>>i&1 != 0 {
+			r.q.Blocks, blocks = blocks[:nb:nb], blocks[nb:]
+			for j := range r.q.Blocks {
+				n := min(nd, vl-j*nd)
+				r.q.Blocks[j].Mant, mants = mants[:0:n], mants[n:]
+			}
+		}
+	}
+	f := make([]float64, 2*vl)
+	sc.f64, sc.prod = f[:0:vl], f[vl:vl]
 }
 
 func (m *Machine) ensureStreams(n int) {
 	for len(m.streams) < n {
-		m.streams = append(m.streams, m.newStream())
-	}
-	for len(m.bvecs) < n {
+		m.streams = append(m.streams, streamCtx{})
 		m.bvecs = append(m.bvecs, bfp.Vector{})
 		m.bprods = append(m.bprods, nil)
 	}
@@ -96,12 +138,8 @@ var ErrNoStreams = errors.New("accel: RunStreams requires at least one stream")
 var ErrStreamRange = errors.New("accel: bad stream selection")
 
 // Run executes the program to completion (through end_chain or the end of
-// the sequence) in stream 0.
-func (m *Machine) Run(p isa.Program) error {
-	m.base = 0
-	m.streams[0].off = 0
-	return m.exec(p, m.streams[:1])
-}
+// the sequence) in stream 0, unbanked.
+func (m *Machine) Run(p isa.Program) error { return m.RunStreams(p, 0, stream0, stream0) }
 
 // RunStreams executes p over a selection of the machine's streams, banking
 // DRAM per stream: streams[i] selects a stream context (a private register
@@ -134,24 +172,23 @@ func (m *Machine) RunStreams(p isa.Program, base int, streams, offsets []int) er
 		}
 	}
 	m.ensureStreams(max + 1)
-	if cap(m.runScs) < len(streams) {
-		m.runScs = make([]*streamCtx, len(streams))
-	}
-	scs := m.runScs[:len(streams)]
 	for i, s := range streams {
-		scs[i] = m.streams[s]
-		scs[i].off = offsets[i]
+		m.streams[s].off = offsets[i]
 	}
 	m.base = base
-	return m.exec(p, scs)
+	return m.exec(p, streams)
 }
 
-func (m *Machine) exec(p isa.Program, scs []*streamCtx) error {
+// stream0 is Run's selection and offsets.
+var stream0 = []int{0}
+
+// exec runs p over the selected streams, which exist.
+func (m *Machine) exec(p isa.Program, streams []int) error {
 	if m.cfg.InstrBufBytes > 0 && p.Bytes() > m.cfg.InstrBufBytes {
 		return fmt.Errorf("%w: %d > %d bytes", ErrProgramTooLarge, p.Bytes(), m.cfg.InstrBufBytes)
 	}
 	for pc, ins := range p {
-		done, err := m.stepAll(ins, scs)
+		done, err := m.stepAll(ins, streams)
 		if err != nil {
 			return &ExecError{PC: pc, Instr: ins, Err: err}
 		}
@@ -165,8 +202,8 @@ func (m *Machine) exec(p isa.Program, scs []*streamCtx) error {
 // stepAll executes one instruction across every stream. Stats are counted
 // once per stream so a batched run accumulates exactly what the equivalent
 // sequential runs would.
-func (m *Machine) stepAll(ins isa.Instr, scs []*streamCtx) (done bool, err error) {
-	n := len(scs)
+func (m *Machine) stepAll(ins isa.Instr, streams []int) (done bool, err error) {
+	n := len(streams)
 	m.stats.Instructions += n
 	if ins.Op < isa.NumOpcodes { // an opcode past the ISA is step1's error, not a panic
 		m.stats.ByOp[ins.Op] += n
@@ -175,12 +212,12 @@ func (m *Machine) stepAll(ins isa.Instr, scs []*streamCtx) (done bool, err error
 	case isa.OpMRead:
 		return false, m.mRead(ins, n)
 	case isa.OpMVMul:
-		return false, m.mvMul(ins, scs)
+		return false, m.mvMul(ins, streams)
 	case isa.OpEndChain:
 		return true, nil
 	default:
-		for _, sc := range scs {
-			if err := m.step1(sc, ins); err != nil {
+		for _, s := range streams {
+			if err := m.step1(&m.streams[s], ins); err != nil {
 				return false, err
 			}
 		}
@@ -200,31 +237,29 @@ func (m *Machine) loadedV(sc *streamCtx, r uint8) ([]fp16.Num, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sc.vrf[idx] == nil {
+	if idx >= len(sc.regs) || !sc.regs[idx].set { // no regs: nothing written yet
 		return nil, fmt.Errorf("vector register r%d read before write", r)
 	}
-	return sc.vrf[idx], nil
+	return sc.regs[idx].val, nil
 }
 
 // dstBuf returns vector register idx resized to n elements, reusing its
-// backing array when capacity allows (the steady-state case: register
-// shapes are fixed by the program, so after the first run every write
-// lands in a preallocated buffer). The register's version is bumped,
-// invalidating its quantization memo.
+// storage when capacity allows (the steady-state case: register shapes
+// are fixed by the program, and a stream sized by SizeStreams starts with
+// VecLen words in each register its programs write). The write
+// invalidates the register's quantization memo.
 func (m *Machine) dstBuf(sc *streamCtx, idx, n int) []fp16.Num {
-	buf := sc.vrf[idx]
-	if cap(buf) >= n {
-		buf = buf[:n]
-	} else {
-		c := n
-		if c < m.cfg.VecLen {
-			c = m.cfg.VecLen
-		}
-		buf = make([]fp16.Num, n, c)
+	if sc.regs == nil {
+		m.newStream(sc)
 	}
-	sc.vrf[idx] = buf
-	sc.ver[idx]++
-	return buf
+	r := &sc.regs[idx]
+	if cap(r.val) >= n {
+		r.val = r.val[:n]
+	} else {
+		r.val = make([]fp16.Num, n, max(n, m.cfg.VecLen))
+	}
+	r.set, r.fresh = true, false
+	return r.val
 }
 
 func grow[T any](buf *[]T, n int) []T {
@@ -274,19 +309,18 @@ func LengthMode(n int) (uint8, error) {
 // register already holds the quantized tile for that DRAM range and shape;
 // on a miss the tile is read and quantized into the packed layout and the
 // cache entry recorded. Stats mirror nStreams sequential runs: the first
-// sequential run would miss and the remaining nStreams-1 would hit.
+// would miss and the rest hit.
 func (m *Machine) mRead(ins isa.Instr, nStreams int) error {
 	if int(ins.Dst) >= m.cfg.MRegs {
 		return fmt.Errorf("matrix register r%d out of range (%d)", ins.Dst, m.cfg.MRegs)
 	}
-	shape := m.mshape[ins.Dst]
-	if shape.rows == 0 {
+	t := &m.mregs[ins.Dst]
+	if t.rows == 0 {
 		return fmt.Errorf("matrix register r%d has no configured shape", ins.Dst)
 	}
 	// Matrix addresses are never banked: weights are shared by all streams.
 	addr := int(ins.Imm)
-	words := shape.rows * shape.cols
-	t := &m.tiles[ins.Dst]
+	words := t.rows * t.cols
 	if t.valid && t.addr == addr && t.words == words {
 		m.stats.TileCacheHits += int64(nStreams)
 		return nil
@@ -294,20 +328,19 @@ func (m *Machine) mRead(ins isa.Instr, nStreams int) error {
 	// The tile streams out of DRAM a row at a time, never widened, into the
 	// register's old storage when the shape matches and no other machine
 	// holds it. Until the last row lands the register holds no tile.
-	old := m.mrf[ins.Dst]
+	old := t.mat
 	if t.shared {
 		old = nil
 	}
-	m.mrf[ins.Dst], t.valid = nil, false
-	half := grow(&m.rowHalf, shape.cols)
-	mat, err := m.codec.QuantizeHalfPacked(old, shape.rows, shape.cols, m.cfg.NativeDim, func(r int) ([]fp16.Num, error) {
-		return half, m.dram.ReadWordsInto(half, addr+r*shape.cols)
+	t.mat, t.valid = nil, false
+	half := grow(&m.rowHalf, t.cols)
+	mat, err := m.codec.QuantizeHalfPacked(old, t.rows, t.cols, m.cfg.NativeDim, func(r int) ([]fp16.Num, error) {
+		return half, m.dram.ReadWordsInto(half, addr+r*t.cols)
 	})
 	if err != nil {
 		return err
 	}
-	m.mrf[ins.Dst] = mat
-	*t = tileEntry{addr: addr, words: words, valid: true}
+	t.mat, t.addr, t.words, t.valid, t.shared = mat, addr, words, true, false
 	m.stats.DRAMReads += int64(words)
 	m.stats.TileCacheMisses++
 	m.stats.TileCacheHits += int64(nStreams - 1)
@@ -318,17 +351,17 @@ func (m *Machine) mRead(ins isa.Instr, nStreams int) error {
 // stationary tile: per-stream vectors are quantized (through the per-
 // register memo), gathered, and multiplied row-groups-outer/streams-inner
 // so the packed tile streams through the cache once per batch.
-func (m *Machine) mvMul(ins isa.Instr, scs []*streamCtx) error {
+func (m *Machine) mvMul(ins isa.Instr, streams []int) error {
 	dst, err := m.vreg(ins.Dst)
 	if err != nil {
 		return err
 	}
-	if int(ins.Src1) >= m.cfg.MRegs || m.mrf[ins.Src1] == nil {
+	if int(ins.Src1) >= m.cfg.MRegs || m.mregs[ins.Src1].mat == nil {
 		return fmt.Errorf("matrix register r%d not loaded", ins.Src1)
 	}
-	mat := m.mrf[ins.Src1]
-	src := int(ins.Src2)
-	for si, sc := range scs {
+	mat := m.mregs[ins.Src1].mat
+	for si, s := range streams {
+		sc := &m.streams[s]
 		vec, err := m.loadedV(sc, ins.Src2)
 		if err != nil {
 			return err
@@ -336,24 +369,23 @@ func (m *Machine) mvMul(ins isa.Instr, scs []*streamCtx) error {
 		if len(vec) != mat.Cols {
 			return fmt.Errorf("mv_mul shape mismatch: matrix %dx%d, vector %d", mat.Rows, mat.Cols, len(vec))
 		}
-		if sc.qver[src] != sc.ver[src] {
+		if r := &sc.regs[ins.Src2]; !r.fresh {
 			f := grow(&sc.f64, len(vec))
 			fp16.ToSlice64Into(f, vec)
-			qb, err := m.codec.QuantizeVectorInto(sc.qvec[src].Blocks, f, m.cfg.NativeDim)
+			qb, err := m.codec.QuantizeVectorInto(r.q.Blocks, f, m.cfg.NativeDim)
 			if err != nil {
 				return err
 			}
-			sc.qvec[src] = bfp.Describe(qb)
-			sc.qver[src] = sc.ver[src]
+			r.q, r.fresh = bfp.Describe(qb), true
 		}
-		m.bvecs[si] = sc.qvec[src]
+		m.bvecs[si] = sc.regs[ins.Src2].q
 		m.bprods[si] = grow(&sc.prod, mat.Rows)
 	}
-	if err := mat.MatVecBatchInto(m.bprods[:len(scs)], m.bvecs[:len(scs)]); err != nil {
+	if err := mat.MatVecBatchInto(m.bprods[:len(streams)], m.bvecs[:len(streams)]); err != nil {
 		return err
 	}
-	for si, sc := range scs {
-		out := m.dstBuf(sc, dst, mat.Rows)
+	for si, s := range streams {
+		out := m.dstBuf(&m.streams[s], dst, mat.Rows)
 		fp16.FromSlice64Into(out, m.bprods[si])
 		m.stats.MACs += int64(mat.Rows) * int64(mat.Cols)
 	}
@@ -380,7 +412,7 @@ func (m *Machine) step1(sc *streamCtx, ins isa.Instr) error {
 		}
 		buf := m.dstBuf(sc, dst, n)
 		if err := m.dram.ReadWordsInto(buf, m.bankAddr(sc, ins.Imm)); err != nil {
-			sc.vrf[dst] = nil // failed load leaves the register unreadable
+			sc.regs[dst].set = false // failed load leaves the register unreadable
 			return err
 		}
 		m.stats.DRAMReads += int64(n)

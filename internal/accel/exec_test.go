@@ -71,12 +71,12 @@ func TestTileCacheInvalidatedByOverlappingWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Overwrite one word inside the cached tile through the host port.
-	tile := m.mrf[0]
+	tile := m.mregs[0].mat
 	writeVec(t, m, 5, []float64{3}) // matrix[1][1]: 1 -> 3
 	if err := m.Run(p); err != nil {
 		t.Fatal(err)
 	}
-	if m.mrf[0] != tile {
+	if m.mregs[0].mat != tile {
 		t.Error("same-shape re-read built a new tile instead of refilling the register's storage")
 	}
 	st := m.Stats()

@@ -24,7 +24,7 @@ func TestSharedTileHazard(t *testing.T) {
 		}
 		bound, _ := mvmMachine(t)
 		bound.BindTiles(src.Tiles())
-		if bound.mrf[0] != src.mrf[0] || !src.tiles[0].shared || !bound.tiles[0].shared {
+		if bound.mregs[0].mat != src.mregs[0].mat || !src.mregs[0].shared || !bound.mregs[0].shared {
 			t.Fatal("binding must share the tile on both sides and mark it shared")
 		}
 		if err := bound.Run(p); err != nil {
@@ -56,9 +56,9 @@ func TestSharedTileHazard(t *testing.T) {
 		if onSource {
 			w, keep = src, bound
 		}
-		tile := keep.mrf[0]
+		tile := keep.mregs[0].mat
 		writeVec(t, w, 5, []float64{3}) // matrix[1][1]: 1 -> 3
-		if w.tiles[0].valid || !keep.tiles[0].valid {
+		if w.mregs[0].valid || !keep.mregs[0].valid {
 			t.Fatalf("onSource=%v: the write must invalidate the writer's tile only", onSource)
 		}
 		for _, m := range []*Machine{w, keep} {
@@ -66,10 +66,10 @@ func TestSharedTileHazard(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if w.mrf[0] == tile || keep.mrf[0] != tile {
+		if w.mregs[0].mat == tile || keep.mregs[0].mat != tile {
 			t.Errorf("onSource=%v: the writer must refill into fresh storage and the other side keep its tile", onSource)
 		}
-		if !reflect.DeepEqual(keep.mrf[0], solo.mrf[0]) {
+		if !reflect.DeepEqual(keep.mregs[0].mat, solo.mregs[0].mat) {
 			t.Errorf("onSource=%v: the kept tile's packed words changed", onSource)
 		}
 		want, _ := solo.readVectorStream(0, 2)

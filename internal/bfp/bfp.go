@@ -36,17 +36,23 @@ type Codec struct {
 	maxMag   int32 // largest representable magnitude, 2^(mantBits-1)-1
 }
 
-// NewCodec returns a codec with the given mantissa width (including sign
-// bit). Width must be between 2 and 24.
+// NewCodec returns the codec with the given mantissa width (including
+// sign bit), which every caller of that width shares: a Codec is
+// immutable. Width must be between 2 and 24.
 func NewCodec(mantissaBits int) (*Codec, error) {
-	if mantissaBits < 2 || mantissaBits > 24 {
+	if mantissaBits < 2 || mantissaBits >= len(codecs) {
 		return nil, fmt.Errorf("%w: %d", ErrBadWidth, mantissaBits)
 	}
-	return &Codec{
-		mantBits: mantissaBits,
-		maxMag:   int32(1)<<(mantissaBits-1) - 1,
-	}, nil
+	return &codecs[mantissaBits], nil
 }
+
+// codecs holds the codec of each width up to 24, built once.
+var codecs = func() (cs [25]Codec) {
+	for w := 2; w < len(cs); w++ {
+		cs[w] = Codec{mantBits: w, maxMag: int32(1)<<(w-1) - 1}
+	}
+	return cs
+}()
 
 // Block is a quantized vector: integer mantissas scaled by 2^Exp.
 // value[i] = Mant[i] * 2^Exp.

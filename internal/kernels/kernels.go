@@ -249,7 +249,8 @@ func (k *Kernel) NewMachine() (*accel.Machine, error) {
 func (k *Kernel) NewDRAM() (accel.DRAM, error) { return newImageDRAM(k.Image, k.Cfg.DRAMWords) }
 
 // NewMachineOn builds the kernel's machine over dram, which must serve the
-// kernel's image at address 0.
+// kernel's image at address 0. Its streams are sized to the kernel's
+// programs (accel.Machine.SizeStreams).
 func (k *Kernel) NewMachineOn(dram accel.DRAM) (*accel.Machine, error) {
 	m, err := accel.NewWithDRAM(k.Cfg, dram)
 	if err != nil {
@@ -260,7 +261,23 @@ func (k *Kernel) NewMachineOn(dram accel.DRAM) (*accel.Machine, error) {
 			return nil, err
 		}
 	}
+	m.SizeStreams(k.StreamInit, k.Step)
 	return m, nil
+}
+
+// LoadTiles quantizes the kernel's tiles once, for every machine of the
+// kernel to bind (accel.Machine.BindTiles). The machine that loads them
+// holds the image alone; SharedInit only reads tiles, so it cuts no stream
+// state.
+func (k *Kernel) LoadTiles() (*accel.TileSet, error) {
+	m, err := k.NewMachineOn(&imageDRAM{image: k.Image})
+	if err != nil {
+		return nil, err
+	}
+	if err := m.Run(k.SharedInit); err != nil {
+		return nil, err
+	}
+	return m.Tiles(), nil
 }
 
 // NewBatchMachine builds a machine sized for RunStreams over up to batch
@@ -596,12 +613,19 @@ func attnStep(own uint8) isa.Program {
 // StepInstructions returns the number of instructions one timestep costs
 // (including the x_t load and h_t store), used by the timing model.
 func StepInstructions(kind RNNKind) int {
-	c, ok := kind.cell()
-	if !ok {
+	if _, ok := kind.cell(); !ok {
 		return 0
 	}
-	return len(c.step(HiddenReg)) + 2
+	return stepInstructions[kind]
 }
+
+// stepInstructions is StepInstructions per cell, counted once.
+var stepInstructions = func() (n [len(cells)]int) {
+	for k, c := range cells {
+		n[k] = len(c.step(HiddenReg)) + 2
+	}
+	return n
+}()
 
 // MVMsPerStep returns how many h x h matrix-vector products one timestep
 // performs: one per weight matrix the cell holds resident.

@@ -35,7 +35,7 @@ type contEngine struct {
 	kern    *kernels.Kernel
 	opts    InferOptions
 
-	queue    *fairQueue
+	queue    fairQueue
 	queueCap int
 	machines []*contMachine
 
@@ -113,18 +113,11 @@ type weightSet struct {
 	leases int
 }
 
-// load builds the set once: the kernel, then tiles a one-slot machine loads.
+// load builds the set once: the kernel, then its tiles.
 func (w *weightSet) load() error {
 	w.once.Do(func() {
-		var m *accel.Machine
 		if w.kern, w.err = kernels.BuildRandom(w.key.spec, w.key.tiles, w.key.seed); w.err == nil {
-			m, w.err = w.kern.NewBatchMachine(1)
-		}
-		if w.err == nil {
-			w.err = m.Run(w.kern.SharedInit)
-		}
-		if w.err == nil {
-			w.tiles = m.Tiles()
+			w.tiles, w.err = w.kern.LoadTiles()
 		}
 	})
 	return w.err
@@ -137,7 +130,6 @@ func newContEngine(lease *Lease, w *weightSet, opts InferOptions) (*contEngine, 
 		leaseID:  lease.ID,
 		kern:     w.kern,
 		opts:     opts,
-		queue:    newFairQueue(),
 		queueCap: opts.MaxBatch * opts.Machines * 8,
 	}
 	machines := make([]*contMachine, opts.Machines)
@@ -150,11 +142,12 @@ func newContEngine(lease *Lease, w *weightSet, opts InferOptions) (*contEngine, 
 		if err := m.Run(w.kern.SharedInit); err != nil {
 			return nil, fmt.Errorf("rms: warming lease %d: %w", lease.ID, err)
 		}
+		ints := make([]int, 2*opts.MaxBatch)
 		machines[i] = &contMachine{
 			m:       m,
 			slots:   make([]contSlot, opts.MaxBatch),
-			streams: make([]int, 0, opts.MaxBatch),
-			offs:    make([]int, 0, opts.MaxBatch),
+			streams: ints[:0:opts.MaxBatch],
+			offs:    ints[opts.MaxBatch:opts.MaxBatch],
 			half:    make([]fp16.Num, lease.Spec.Hidden),
 			taken:   make([]*inferRequest, 0, opts.MaxBatch),
 		}
@@ -481,8 +474,9 @@ func (e *contEngine) initStream(cm *contMachine, slot int, req *inferRequest) er
 			return err
 		}
 	}
-	return cm.m.RunStreams(e.kern.StreamInit, e.kern.WindowBase(),
-		[]int{slot}, []int{e.kern.SlotOffset(slot, 0)})
+	cm.streams = append(cm.streams[:0], slot)
+	cm.offs = append(cm.offs[:0], e.kern.SlotOffset(slot, 0))
+	return cm.m.RunStreams(e.kern.StreamInit, e.kern.WindowBase(), cm.streams, cm.offs)
 }
 
 // vacate frees slot s of cm; the caller answers or requeues its request.

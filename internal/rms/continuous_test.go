@@ -592,23 +592,76 @@ func TestLeaseTilesPaidOnce(t *testing.T) {
 	}
 }
 
-// TestLeaseTilesAtColumnWidth: the warm-up that quantizes a lease's tiles
-// stores each at its own width. An LSTM h=64 lease's eight 64×64 tiles take
-// 64 kB in the packed layout at NativeDim 128; padded to whole blocks they
-// took 128 kB.
-func TestLeaseTilesAtColumnWidth(t *testing.T) {
-	kern, err := kernels.BuildRandom(kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 64, TimeSteps: 2}, DefaultInferOptions().Tiles, 1)
+// TestEngineBuildAllocations prices what an online rebuild pays: an engine
+// built over an already-loaded weight set (a replica's deploy), carried
+// through its first answered request, with one machine of four slots at
+// LSTM h=64 t=2. The machine's stream state is cut from a few slabs sized
+// by the kernel's programs and the engine's cohort scratch from one, so
+// this takes 25 objects and 11,976 bytes; it took 52 objects and 12,352
+// bytes when a stream's registers and memos grew one slice at a time. The
+// object bound is half the old count, the byte bound the old bytes.
+func TestEngineBuildAllocations(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	const replicas, maxObjects, maxBytes = 8, 26, 12_352
+	opts := DefaultInferOptions()
+	opts.Machines, opts.MaxBatch = 1, 4
+	svc, err := NewService(resource.PaperCluster(), testDB(Flexible))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := kern.NewBatchMachine(DefaultInferOptions().MaxBatch)
+	spec := kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 64, TimeSteps: 2}
+	src, err := svc.Deploy(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp := NewDataPlane(svc, opts)
+	t.Cleanup(dp.Close)
+	in := testInputs(spec, 1)
+	if _, err := dp.InferAs("", src.ID, in); err != nil { // loads the weight set
+		t.Fatal(err)
+	}
+	var reps []*Lease
+	for range replicas {
+		l, err := svc.DeployWith(spec, PlaceOptions{Replicates: src.ID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, l)
+	}
+	// No GC before the count: it would empty the request pool, and the
+	// count would price refilling it.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, l := range reps {
+		if _, err := dp.InferAs("", l.ID, in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	objects := float64(after.Mallocs-before.Mallocs) / replicas
+	size := float64(after.TotalAlloc-before.TotalAlloc) / replicas
+	t.Logf("an engine build and its first answer: %.1f objects, %.0f bytes", objects, size)
+	if objects > maxObjects || size > maxBytes {
+		t.Errorf("an engine build and its first answer allocate %.1f objects and %.0f bytes, want ≤ %d and ≤ %d",
+			objects, size, maxObjects, maxBytes)
+	}
+}
+
+// TestLeaseTilesAtColumnWidth: the load that quantizes a lease's tiles
+// (its weight set's) stores each at its own width. An LSTM h=64 lease's
+// eight 64×64 tiles take 64 kB in the packed layout at NativeDim 128;
+// padded to whole blocks they took 128 kB.
+func TestLeaseTilesAtColumnWidth(t *testing.T) {
+	kern, err := kernels.BuildRandom(kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 64, TimeSteps: 2}, DefaultInferOptions().Tiles, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	err = m.Run(kern.SharedInit)
+	_, err = kern.LoadTiles()
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

@@ -98,14 +98,15 @@ func NewDatabase(mode PolicyMode, p perf.Params, net scaleout.TwoFPGAOptions) *D
 // ErrUndeployable is returned when no deployment exists for a layer.
 var ErrUndeployable = errors.New("rms: no feasible deployment for layer")
 
-// deviceTypes lists device type names largest-first.
-func deviceTypes() []string {
+// deviceTypes lists device type names largest-first, in one slice built
+// once that callers share and must not modify.
+var deviceTypes = sync.OnceValue(func() []string {
 	var out []string
 	for _, s := range hsvital.AllSpecs() {
 		out = append(out, s.Device.Name)
 	}
 	return out
-}
+})
 
 // Options returns the deployments for a layer, sorted by the greedy key:
 // ascending soft-block count (§2.3), then latency, then total blocks.

@@ -7,12 +7,12 @@ import (
 )
 
 // fairQueue is the weighted fair-share request queue feeding one lease's
-// slot admission: one FIFO per tenant, drained by deficit
-// round-robin. Each visit grants a tenant its weight in fresh deficit and
-// serves requests (cost 1 each) until the deficit or the FIFO runs out,
-// so over any window a tenant's share of batch slots converges to
-// weight/Σweights — a batch-class tenant with a deep backlog cannot push
-// a latency-class tenant's requests more than one round back.
+// slot admission: one FIFO per tenant, drained by deficit round-robin.
+// Each visit grants a tenant its weight in fresh deficit and serves
+// requests (cost 1 each) until the deficit or the FIFO runs out, so over
+// any window a tenant's share of batch slots converges to weight/Σweights
+// — a batch-class tenant with a deep backlog cannot push a latency-class
+// tenant's requests more than one round back. The zero value is empty.
 type fairQueue struct {
 	mu sync.Mutex
 
@@ -41,10 +41,6 @@ type tenantFIFO struct {
 	active     bool
 }
 
-func newFairQueue() *fairQueue {
-	return &fairQueue{byID: map[string]*tenantFIFO{}}
-}
-
 // push enqueues a request under its tenant. The tenant's depth gauge moves
 // before the request becomes takeable: a machine may take, serve and
 // answer it before push returns, and its -1 must never land ahead of this
@@ -56,6 +52,9 @@ func (q *fairQueue) push(r *inferRequest) {
 	q.mu.Lock()
 	tf := q.byID[r.tenant]
 	if tf == nil {
+		if q.byID == nil {
+			q.byID = map[string]*tenantFIFO{}
+		}
 		tf = &tenantFIFO{id: r.tenant, weight: 1}
 		q.byID[r.tenant] = tf
 	}

@@ -12,7 +12,7 @@ func fqReq(tenant string, weight int) *inferRequest {
 }
 
 func TestFairQueueFIFOWithinTenant(t *testing.T) {
-	q := newFairQueue()
+	q := new(fairQueue)
 	a1, a2, a3 := fqReq("a", 1), fqReq("a", 1), fqReq("a", 1)
 	q.push(a1)
 	q.push(a2)
@@ -33,7 +33,7 @@ func TestFairQueueWeightedShare(t *testing.T) {
 	// A latency tenant (weight 8) and a batch tenant (weight 1) both have
 	// deep backlogs: one DRR round over a 9-slot take must yield an 8:1
 	// split.
-	q := newFairQueue()
+	q := new(fairQueue)
 	for i := 0; i < 20; i++ {
 		q.push(fqReq("lat", 8))
 		q.push(fqReq("bat", 1))
@@ -51,7 +51,7 @@ func TestFairQueueWeightedShare(t *testing.T) {
 func TestFairQueueBatchTenantCannotStarve(t *testing.T) {
 	// The batch tenant floods first; a latency request arriving later must
 	// appear in the very next take, not behind the whole backlog.
-	q := newFairQueue()
+	q := new(fairQueue)
 	for i := 0; i < 64; i++ {
 		q.push(fqReq("bat", 1))
 	}
@@ -72,7 +72,7 @@ func TestFairQueueBatchTenantCannotStarve(t *testing.T) {
 func TestFairQueueDeficitCarriesAcrossTakes(t *testing.T) {
 	// A take that fills mid-tenant must resume the same tenant's leftover
 	// deficit on the next take rather than re-crediting from zero.
-	q := newFairQueue()
+	q := new(fairQueue)
 	for i := 0; i < 6; i++ {
 		q.push(fqReq("a", 4))
 	}
@@ -93,7 +93,7 @@ func TestFairQueueDeficitCarriesAcrossTakes(t *testing.T) {
 }
 
 func TestFairQueueIdleTenantBanksNoCredit(t *testing.T) {
-	q := newFairQueue()
+	q := new(fairQueue)
 	q.push(fqReq("a", 8))
 	if got := q.take(nil, 8); len(got) != 1 {
 		t.Fatalf("drain take = %d requests", len(got))
@@ -118,7 +118,7 @@ func TestFairQueueIdleTenantBanksNoCredit(t *testing.T) {
 // of continuous batching — and a batch-class request (weight 1) must
 // still be served within one DRR cycle, i.e. within Σweights = 9 pops.
 func TestFairQueueLatencyFloodQuantumBound(t *testing.T) {
-	q := newFairQueue()
+	q := new(fairQueue)
 	for i := 0; i < 64; i++ {
 		q.push(fqReq("lat", 8))
 	}
@@ -244,7 +244,7 @@ func TestFairQueueMatchesReferenceDRR(t *testing.T) {
 			ids[i] = fmt.Sprintf("drr%d", i)
 			ws = append(ws, weights[rng.Intn(len(weights))])
 		}
-		q, ref := newFairQueue(), &refQueue{byID: map[string]*refFIFO{}}
+		q, ref := new(fairQueue), &refQueue{byID: map[string]*refFIFO{}}
 		var buf []*inferRequest
 		take := func(step, max int) {
 			buf = q.take(buf, max)
@@ -282,7 +282,7 @@ func TestFairQueueMatchesReferenceDRR(t *testing.T) {
 // TestFairQueueAllocatesNothing: once the ring and the caller's slice have
 // grown, pushing requests and taking them back allocates nothing.
 func TestFairQueueAllocatesNothing(t *testing.T) {
-	q := newFairQueue()
+	q := new(fairQueue)
 	reqs := []*inferRequest{fqReq("a", 1), fqReq("b", 8), fqReq("a", 1), fqReq("", 0), fqReq("c", 2)}
 	buf := make([]*inferRequest, 0, len(reqs))
 	cycle := func() {

@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
+
+	"mlvfpga/internal/wdsl"
 )
 
 // TestScenarioAllocBudget holds the simulator's allocation diet: one
@@ -21,12 +24,17 @@ import (
 // deploy path derives a spec's artifact key once per plan (a warm lookup
 // allocates nothing), a control tick returns its report by value into
 // Stack scratch, and the data plane makes a tenant stripe's table on its
-// first admission. One Run measures about 625 kB and 1,240 objects (about
-// 645 kB and 1,375 under -race; the bounds are the -race level plus under
-// 5 %). Of the objects the six deploys (compile, placement) take about
-// 485, of which the stack's one cold compile about 360; the engine builds
-// and serving about 480; the stack's construction about 60; the control
-// ticks about 20 (their transitions and events).
+// first admission. An engine is built, not grown: a machine's stream state
+// is a few slabs sized by its kernel's programs, its per-register tables
+// one slice, its codec shared, and a weight set's tiles load on a machine
+// that cuts no stream slab. One Run measures about 611 kB and 1,019 objects
+// (about 630 kB and 1,130 under -race; the bounds are the -race level plus
+// under 5 %). Of the objects the six deploys (compile, placement) take
+// about 430, of which the stack's one cold compile about 360; the engine
+// builds and serving about 320 (the two weight-set loads about 110, the
+// six engine builds about 80, the sampled inferences, whose first write
+// cuts a stream's slabs, about 130); the stack's construction about 60;
+// the control ticks about 20 (their transitions and events).
 // Weights are paid once per weight set, not once per lease: a deploy's
 // replicas serve replica 0's model, so the six leases (four echo
 // replicas, two aft) build two sets. Of the bytes, their binary16 weight
@@ -34,7 +42,7 @@ import (
 // width, about 75 kB; the arrival sequence, presized at every block's
 // peak rate, about 45 kB and the registry's device slab about 55 kB.
 func TestScenarioAllocBudget(t *testing.T) {
-	const maxKB, maxObjects = 675, 1440
+	const maxKB, maxObjects = 660, 1185
 	spec := loadSpec(t, "../../testdata/scenarios/diurnal-1000.mlw")
 	if _, err := Run(spec, "warm-up"); err != nil {
 		t.Fatal(err)
@@ -54,5 +62,34 @@ func TestScenarioAllocBudget(t *testing.T) {
 	t.Logf("one Run: %d kB, %d objects", kb, objects)
 	if kb > maxKB || objects > maxObjects {
 		t.Errorf("one Run allocated %d kB and %d objects, budget %d kB and %d", kb, objects, maxKB, maxObjects)
+	}
+}
+
+// BenchmarkScenarioRun runs 16 differently-seeded instances of the
+// 1000-device diurnal spec in turn, the way the fleet_sim benchmark
+// workload cycles its instances, so one seed's Poisson draw does not set
+// the figure. Each instance runs once before the timer starts. Where a Run
+// allocates:
+//
+//	go test -run '^$' -bench ScenarioRun -benchmem -memprofile m.prof \
+//	    -memprofilerate=1 ./internal/scenario
+//	go tool pprof -sample_index=alloc_objects -top m.prof
+func BenchmarkScenarioRun(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var specs [16]*wdsl.Spec
+	for i := range specs {
+		specs[i] = loadSpec(b, "../../testdata/scenarios/diurnal-1000.mlw")
+		specs[i].Scenario.Seed = rng.Int63()
+		if _, err := Run(specs[i], "warm-up"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		rep, err := Run(specs[n%len(specs)], "bench")
+		if err != nil || !rep.Valid {
+			b.Fatalf("run %d: %v (valid %v)", n, err, rep != nil && rep.Valid)
+		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/scenarios/*.report.json")
 
-func loadSpec(t *testing.T, path string) *wdsl.Spec {
+func loadSpec(t testing.TB, path string) *wdsl.Spec {
 	t.Helper()
 	src, err := os.ReadFile(path)
 	if err != nil {
