@@ -51,7 +51,7 @@ lint:
 # shrinks the tree lowers the ceiling to its own count rounded up to the
 # next 50; a PR that must grow it raises the ceiling in the same diff, where
 # a reviewer sees it.
-LOC_CEILING = 25544
+LOC_CEILING = 25000
 loc:
 	@n=$$(find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	echo "non-test lines: $$n (ceiling $(LOC_CEILING))"; \

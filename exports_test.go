@@ -1,6 +1,7 @@
 package mlvfpga
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -21,11 +23,7 @@ import (
 // "pkg.Type.Method" or "pkg.Type.Field"; "pkg.Type.{A,B}" lists several
 // members of one type kept for one reason.
 var allowedOrphans = map[string]string{
-	"cluster.FakeClock.Advance": "the test fake's only control: simulation harnesses outside the package drive time through it",
-	"simtest.Run":               "the `make simtest` harness (its sweep, seed-replay and determinism tests drive it; no test drives the minimizer); it lives in non-test files because Stack, which scenario and the benchmark build on, is its other half",
-	"simtest.Result.Report":     "the failure report of the simtest.Run harness above",
-	"simtest.Options.{Seed,Steps,Spec,Control,MaxLeases,Spacing,SettleSteps,SettlePeriod}": "the script of the simtest.Run harness above: its test flags (-seed, -seeds, -steps) fill them; scenario and the benchmark start from DefaultOptions and set the rest",
-	"experiments.Fig12Options.{MeanInterarrival,Seed}":                                     "re-exported by the facade as mlvfpga.Fig12Options, whose callers are outside the module; inside it every run uses DefaultFig12Options' values",
+	"experiments.Fig12Options.{MeanInterarrival,Seed}": "re-exported by the facade as mlvfpga.Fig12Options, whose callers are outside the module; inside it every run uses DefaultFig12Options' values",
 }
 
 // reachedByName are methods the runtime or the standard library calls on
@@ -95,7 +93,10 @@ func (g *gateImporter) Import(p string) (*types.Package, error) {
 //     assignment of a constant inside the declaring package. Such a field
 //     has one value in every binary and is a constant with a longer name;
 //   - every entry of allowed that nothing needs: gone, reached without it,
-//     or an option field that non-test code sets.
+//     or an option field that non-test code sets;
+//   - every entry of allowed that no non-test code names and that test
+//     files name only in its own package: it belongs in those tests. Test
+//     files are not type-checked, so they are searched by spelling.
 //
 // Runs in about 3 s un-raced on the 2-vCPU reference box (17 s under
 // -race), nearly all of it the one pass over the standard library's source.
@@ -444,9 +445,45 @@ func orphans(module string, srcs map[string]string, allowed map[string]string) (
 		}
 		return nil
 	}
+	// Where test files name each allow-listed member, by spelling, and
+	// which objects non-test code names.
+	testDirs := map[string][]string{}
+	for key := range allowed {
+		testDirs[key[strings.LastIndex(key, ".")+1:]] = nil
+	}
+	for p, src := range srcs {
+		if !strings.HasSuffix(p, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(gateFset, p, src, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		named := map[string]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if _, want := testDirs[id.Name]; want && !named[id.Name] {
+					named[id.Name] = true
+					testDirs[id.Name] = append(testDirs[id.Name], path.Dir(p))
+				}
+			}
+			return true
+		})
+	}
+	used := map[types.Object]bool{}
+	for _, o := range g.info.Uses {
+		used[origin(o)] = true
+	}
 	var extra []types.Object
 	for key := range allowed {
 		o := resolve(key)
+		if o != nil && !used[origin(o)] {
+			dir := strings.TrimPrefix(strings.TrimPrefix(o.Pkg().Path(), module), "/")
+			dirs := testDirs[o.Name()]
+			if len(dirs) > 0 && !slices.ContainsFunc(dirs, func(d string) bool { return d != cmp.Or(dir, ".") }) {
+				problems = append(problems, fmt.Sprintf("allowedOrphans lists %s, which only its own package's tests use: move it into those tests and drop the entry", key))
+			}
+		}
 		if f, ok := o.(*types.Var); ok && f.IsField() {
 			continue
 		}
@@ -594,6 +631,10 @@ func TestOrphanGate(t *testing.T) {
 		{"an allow-listed oracle's private helpers are reached through its entry",
 			map[string]string{"internal/p/p.go": "package p\nfunc Used() {}\nfunc Oracle() int { return helper() }\nfunc helper() int { return 1 }\nfunc stray() {}\n", "cmd/x/main.go": user},
 			map[string]string{"p.Oracle": "reference"}, []string{"p.stray is reached from no"}},
+		{"an allow-listed orphan only its own package's tests use is reported; one another package's tests use passes",
+			map[string]string{"internal/p/p.go": "package p\nfunc Used() {}\nfunc Probe() {}\nfunc Oracle() {}\n", "internal/p/p_test.go": "package p\nfunc init() { Probe(); Oracle() }\n",
+				"internal/q/q_test.go": "package q\nimport \"m/internal/p\"\nfunc init() { p.Oracle() }\n", "cmd/x/main.go": user},
+			map[string]string{"p.Probe": "reference", "p.Oracle": "reference"}, []string{"allowedOrphans lists p.Probe, which only its own package's tests use"}},
 		{"an allow-listed orphan passes, grouped or single; a stale entry is reported",
 			map[string]string{"internal/p/p.go": "package p\nfunc Used() {}\ntype T int\nfunc (T) Oracle() {}\nfunc (T) Twin() {}\nfunc (T) Third() {}\n", "cmd/x/main.go": user},
 			map[string]string{"p.T.{Oracle,Twin}": "reference", "p.T.Third": "reference", "p.Used": "stale"}, []string{"allowedOrphans lists p.Used"}},

@@ -217,25 +217,6 @@ func (s ExecStats) Minus(prev ExecStats) ExecStats {
 	return d
 }
 
-// Plus returns the element-wise sum of two stat deltas — how a stream's
-// pre-preemption work is folded into the BatchStats its final retirement
-// reports.
-func (s ExecStats) Plus(o ExecStats) ExecStats {
-	d := ExecStats{
-		Instructions:    s.Instructions + o.Instructions,
-		MACs:            s.MACs + o.MACs,
-		VectorOps:       s.VectorOps + o.VectorOps,
-		DRAMReads:       s.DRAMReads + o.DRAMReads,
-		DRAMWrites:      s.DRAMWrites + o.DRAMWrites,
-		TileCacheHits:   s.TileCacheHits + o.TileCacheHits,
-		TileCacheMisses: s.TileCacheMisses + o.TileCacheMisses,
-	}
-	for op := range d.ByOp {
-		d.ByOp[op] = s.ByOp[op] + o.ByOp[op]
-	}
-	return d
-}
-
 // Machine is one simulated accelerator instance. A Machine is not safe for
 // concurrent use; the serving layer pools machines so each executes one
 // (possibly batched) program at a time.

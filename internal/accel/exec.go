@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"mlvfpga/internal/bfp"
@@ -133,8 +134,9 @@ func (e *ExecError) Unwrap() error { return e.Err }
 // ErrNoStreams is returned by RunStreams for an empty selection.
 var ErrNoStreams = errors.New("accel: RunStreams requires at least one stream")
 
-// ErrStreamRange is returned by RunStreams for a negative stream index or
-// mismatched streams/offsets lengths.
+// ErrStreamRange is returned by RunStreams for a negative stream index, a
+// stream named twice in one selection, or mismatched streams/offsets
+// lengths.
 var ErrStreamRange = errors.New("accel: bad stream selection")
 
 // Run executes the program to completion (through end_chain or the end of
@@ -143,18 +145,18 @@ func (m *Machine) Run(p isa.Program) error { return m.RunStreams(p, 0, stream0, 
 
 // RunStreams executes p over a selection of the machine's streams, banking
 // DRAM per stream: streams[i] selects a stream context (a private register
-// file), and its DRAM accesses at or above base are shifted by offsets[i];
-// lower addresses are shared (weights, biases, code constants). m_rd
-// addresses are never banked — the point of batching is that every stream
-// multiplies against the same stationary tile, fetched and quantized (or
-// served from cache) once for the whole selection. The selection need not
-// be a contiguous prefix and the offsets are free per call, so a
-// slot-granular serving engine can step a cohort of streams sitting at
-// different positions of their programs: register files persist across
-// calls. The results — register files, DRAM writes and accumulated
-// ExecStats — are bit-identical to running each stream's instruction
-// sequence alone, provided the per-stream DRAM ranges do not overlap each
-// other or the shared window.
+// file), each at most once, and its DRAM accesses at or above base are
+// shifted by offsets[i]; lower addresses are shared (weights, biases, code
+// constants). m_rd addresses are never banked — the point of batching is
+// that every stream multiplies against the same stationary tile, fetched
+// and quantized (or served from cache) once for the whole selection. The
+// selection need not be a contiguous prefix and the offsets are free per
+// call, so a slot-granular serving engine can step a cohort of streams
+// sitting at different positions of their programs: register files
+// persist across calls. The results — register files, DRAM writes and
+// accumulated ExecStats — are bit-identical to running each stream's
+// instruction sequence alone, provided the per-stream DRAM ranges do not
+// overlap each other or the shared window.
 func (m *Machine) RunStreams(p isa.Program, base int, streams, offsets []int) error {
 	if len(streams) == 0 {
 		return ErrNoStreams
@@ -163,8 +165,8 @@ func (m *Machine) RunStreams(p isa.Program, base int, streams, offsets []int) er
 		return fmt.Errorf("%w: %d streams, %d offsets", ErrStreamRange, len(streams), len(offsets))
 	}
 	max := 0
-	for _, s := range streams {
-		if s < 0 {
+	for i, s := range streams {
+		if s < 0 || slices.Contains(streams[:i], s) {
 			return fmt.Errorf("%w: stream %d", ErrStreamRange, s)
 		}
 		if s > max {

@@ -445,6 +445,12 @@ func TestRunStreamsValidation(t *testing.T) {
 	if err := m.RunStreams(p, 16, []int{-1}, []int{0}); !errors.Is(err, ErrStreamRange) {
 		t.Errorf("negative stream = %v, want ErrStreamRange", err)
 	}
+	// mv_mul gathers per selection position: a stream named twice must be
+	// refused before the gather tables, sized by the highest stream, are
+	// indexed past their end.
+	if err := m.RunStreams(p, 16, []int{0, 0}, []int{0, 0}); !errors.Is(err, ErrStreamRange) {
+		t.Errorf("repeated stream = %v, want ErrStreamRange", err)
+	}
 }
 
 // TestRunStreamsMatchesRunBatch runs the same program over the same banked

@@ -30,7 +30,8 @@ type WallClock struct{}
 // Now returns the wall-clock time.
 func (WallClock) Now() time.Time { return time.Now() }
 
-// FakeClock is a hand-advanced clock for deterministic tests.
+// FakeClock is a clock that moves only when the package's tests advance
+// it; to any other caller it is a clock stopped at its start.
 type FakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -46,13 +47,6 @@ func (c *FakeClock) Now() time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.t
-}
-
-// Advance moves the clock forward by d.
-func (c *FakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(d)
 }
 
 // DESClock adapts a discrete-event engine's virtual time: Now() is Epoch

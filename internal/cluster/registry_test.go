@@ -8,6 +8,13 @@ import (
 	"time"
 )
 
+// Advance moves the clock forward by d.
+func (c *FakeClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t = c.t.Add(d)
+}
+
 func testRegistry(t *testing.T) (*Registry, *FakeClock) {
 	t.Helper()
 	clk := NewFakeClock(time.Unix(1000, 0))

@@ -76,9 +76,14 @@ type contMachine struct {
 // contSlot is one admitted stream's residency in a batch slot. req is nil
 // in a free slot.
 type contSlot struct {
-	req      *inferRequest
-	tau      int // next timestep to execute
-	steps    int // total timesteps = len(req.inputs)
+	req   *inferRequest
+	tau   int // next timestep to execute
+	steps int // total timesteps = len(req.inputs)
+	// admitted and base are the admission time and the machine's stats
+	// then. A restored stream's admitted is moved forward by its earlier
+	// queue wait and its base back by its earlier work (its request's
+	// enqueued is reset at eviction), so a residency's deltas from them
+	// are the stream's totals.
 	admitted time.Time
 	base     accel.ExecStats
 
@@ -87,10 +92,6 @@ type contSlot struct {
 	// preemptible once tau > resumedFrom, so every admission cycle makes
 	// at least one step of progress — no preemption livelock.
 	resumedFrom int
-	// carry folds in the work and queue wait accrued in earlier
-	// residencies of a preempted stream.
-	carry     accel.ExecStats
-	carryWait time.Duration
 }
 
 // weightKey names a weight set: a layer at a tile count, and the seed its
@@ -453,14 +454,17 @@ func (e *contEngine) admit(cm *contMachine, req *inferRequest, now time.Time) bo
 		// each request once.
 		metrics.Admissions.Add(1)
 	}
-	e.install(cm, slot, &sl, now)
+	e.install(cm, slot, &sl, now, tok)
 	return true
 }
 
 // install makes sl resident in a free slot of cm, for a fresh stream and
-// a restored one alike.
-func (e *contEngine) install(cm *contMachine, slot int, sl *contSlot, now time.Time) {
+// a restored one (tok, its resume token) alike.
+func (e *contEngine) install(cm *contMachine, slot int, sl *contSlot, now time.Time, tok *resumeToken) {
 	sl.admitted, sl.base = now, cm.m.Stats()
+	if tok != nil {
+		sl.admitted, sl.base = now.Add(tok.wait), sl.base.Minus(tok.stats)
+	}
 	cm.slots[slot] = *sl
 	cm.occupied++
 	metrics.SlotsActive.Add(1)
@@ -499,10 +503,10 @@ func (e *contEngine) retire(cm *contMachine, s int, sl *contSlot, cohort int) {
 	// BatchSize is the retire round's co-resident cohort; BatchStats spans
 	// the slot's residency, so it includes the co-riders' overlapping work.
 	res.BatchSize, res.Stream = cohort, s
-	// A preempted stream's earlier residencies carry into the final report,
-	// so the totals match a never-preempted run's.
-	res.QueueWait = sl.carryWait + sl.admitted.Sub(req.enqueued)
-	res.BatchStats = cm.m.Stats().Minus(sl.base).Plus(sl.carry)
+	// A preempted stream's earlier residencies are folded into admitted
+	// and base, so the totals match a never-preempted run's.
+	res.QueueWait = sl.admitted.Sub(req.enqueued)
+	res.BatchStats = cm.m.Stats().Minus(sl.base)
 	e.served.Add(1)
 	metrics.InfersServed.Add(1)
 	if req.tenant != "" {

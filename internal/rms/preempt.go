@@ -80,8 +80,8 @@ func (e *contEngine) evictOne(cm *contMachine, s int, sl *contSlot, preempted bo
 	}
 	tok := &resumeToken{
 		data:      snap.Encode(),
-		stats:     cm.m.Stats().Minus(sl.base).Plus(sl.carry),
-		wait:      sl.carryWait + sl.admitted.Sub(req.enqueued),
+		stats:     cm.m.Stats().Minus(sl.base),
+		wait:      sl.admitted.Sub(req.enqueued),
 		preempted: preempted,
 	}
 	req.resume = tok
@@ -103,7 +103,6 @@ func (e *contEngine) restore(cm *contMachine, slot int, sl *contSlot, tok *resum
 	}
 	sl.tau = int(snap.Tau)
 	sl.resumedFrom, sl.steps = sl.tau, int(snap.Steps)
-	sl.carry, sl.carryWait = tok.stats, tok.wait
 	metrics.SnapshotRestores.Add(1)
 	if tok.preempted {
 		metrics.PreemptRestores.Add(1)

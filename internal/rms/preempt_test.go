@@ -121,14 +121,25 @@ func snapDelta(base metrics.Values, v *expvar.Int) int64 {
 // evicted mid-sequence by explicit preemption and restored into whatever
 // slot frees up next must return outputs bit-identical to a
 // never-preempted solo run, and every checkpoint captured must be
-// matched by a restore. The test steps the engine and posts one slot of
-// demand before every round, so the eviction count is exact.
+// matched by a restore. A restored stream's report carries its earlier
+// residencies' work, so it is never less than the solo run's. The test
+// steps the engine and posts one slot of demand before every round, so
+// the eviction count is exact.
 func TestPreemptGoldenTwin(t *testing.T) {
 	opts := DefaultInferOptions()
 	opts.Machines = 1
 	opts.MaxBatch = 2
 	_, _, lease := preemptPlane(t, opts)
 	e := steppedEngine(t, lease, opts)
+
+	solo := shapedRequest(testInputs(lease.Spec, 299), "", 0)
+	if err := e.submit(solo); err != nil {
+		t.Fatal(err)
+	}
+	stepUntilIdle(t, e)
+	if err := reply(solo); err != nil {
+		t.Fatal(err)
+	}
 
 	base := metrics.Snapshot()
 	const N = 6
@@ -160,6 +171,9 @@ func TestPreemptGoldenTwin(t *testing.T) {
 		if !reflect.DeepEqual(req.res.Outputs, ref) {
 			t.Errorf("request %d: restored stream differs from never-preempted twin", i)
 		}
+		if got, want := req.res.BatchStats.MACs, solo.res.BatchStats.MACs; got < want {
+			t.Errorf("request %d reports %d MACs, under the never-preempted run's %d", i, got, want)
+		}
 	}
 	if got := snapDelta(base, metrics.PreemptEvictions); got != 48 {
 		t.Errorf("%d preempt evictions, want 48", got)
@@ -171,6 +185,50 @@ func TestPreemptGoldenTwin(t *testing.T) {
 	}
 	if ev, re := snapDelta(base, metrics.PreemptEvictions), snapDelta(base, metrics.PreemptRestores); ev != re {
 		t.Errorf("preempt evictions %d != preempt restores %d", ev, re)
+	}
+}
+
+// TestRestoredStreamKeepsItsQueueWait pins the queue wait a preempted
+// stream reports: the wait of its earlier residencies carries into its
+// next token and into its final report, across every eviction. The test
+// evicts one stream twice and plants an hour of earlier wait in its
+// first token, so a wait that is dropped or subtracted shows.
+func TestRestoredStreamKeepsItsQueueWait(t *testing.T) {
+	opts := DefaultInferOptions()
+	opts.Machines = 1
+	_, _, lease := preemptPlane(t, opts)
+	e := steppedEngine(t, lease, opts)
+	cm := e.machines[0]
+	req := shapedRequest(testInputs(lease.Spec, 400), "", 0)
+	if err := e.submit(req); err != nil {
+		t.Fatal(err)
+	}
+	// evict admits req (or restores it) with one round, then checkpoints
+	// it back into the queue and returns its resume token.
+	evict := func() *resumeToken {
+		t.Helper()
+		step(e, cm)
+		cm.mu.Lock()
+		defer cm.mu.Unlock()
+		for s := range cm.slots {
+			if cm.slots[s].req == req {
+				e.evictOne(cm, s, &cm.slots[s], true)
+				return req.resume
+			}
+		}
+		t.Fatal("request not resident after a round")
+		return nil
+	}
+	evict().wait += time.Hour
+	if w := evict().wait; w < time.Hour {
+		t.Errorf("second eviction carries %v of queue wait, under the first's hour", w)
+	}
+	stepUntilIdle(t, e)
+	if err := reply(req); err != nil {
+		t.Fatal(err)
+	}
+	if w := req.res.QueueWait; w < time.Hour {
+		t.Errorf("restored stream reports %v of queue wait, under its earlier hour", w)
 	}
 }
 

@@ -51,7 +51,6 @@ func Run(spec *wdsl.Spec, name string) (*Report, error) {
 	o := simtest.DefaultOptions(ir.Seed)
 	o.Cluster = ir.Cluster
 	o.Tenants = spec.Tenants
-	o.Infer.Seed = ir.Seed
 	classOf := map[string]string{}
 	for _, t := range spec.Tenants {
 		classOf[t.ID] = t.Class.String()
@@ -195,11 +194,10 @@ func Run(spec *wdsl.Spec, name string) (*Report, error) {
 		}
 	}
 
-	// Settle rounds after the described duration (the sweep's count and
-	// period): heartbeats + ticks that let evacuations and retry backoffs
-	// quiesce before the stranded audit.
-	for k := 0; k < o.SettleSteps; k++ {
-		eng.At(ir.Duration+time.Duration(k+1)*o.SettlePeriod, settle)
+	// Settle rounds after the described duration: heartbeats + ticks that
+	// let evacuations and retry backoffs quiesce before the stranded audit.
+	for k := 1; k <= simtest.SettleSteps; k++ {
+		eng.At(ir.Duration+time.Duration(k)*simtest.SettlePeriod, settle)
 	}
 
 	eng.Run(0)

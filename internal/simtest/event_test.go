@@ -1,24 +1,3 @@
-// Package simtest is a seeded, fully deterministic whole-cluster
-// simulator in the FoundationDB style: a PRNG-derived schedule of
-// interleaved control- and data-plane events — lease deploys and
-// releases, /infer batches, heartbeats, device kills, drains,
-// rebalance ticks, preemptions, restores, defrag passes — executes
-// against the real stack (rms admission service + data plane, cluster
-// control plane, registry) on the discrete-event engine's virtual clock,
-// and a set of invariant checkers runs after every event. On a violation
-// the sweep re-executes with a shrinking pass (ddmin-style chunk removal)
-// and reports a minimal event schedule plus the seed, so any failure
-// found by a seed sweep is a one-line reproduction.
-//
-// One type, Stack, is the simulator: the stack under test plus the model
-// the checkers compare it with. It has two clients — the random sweep
-// here (Run: events drawn from the seed) and deterministic external
-// drivers that choose their own events (internal/scenario, benchmark).
-//
-// Everything time-dependent rides cluster.DESClock over des.Engine, and
-// every random choice derives from the schedule's seed, so the same seed
-// always produces the same event trace and the same pass/fail verdict —
-// the property `make simtest` asserts before sweeping seeds.
 package simtest
 
 import (
@@ -41,7 +20,7 @@ const (
 	// EvLoad scripts a lease's observed queue depth, driving the
 	// planner's scale-up/scale-down decisions at the next tick.
 	EvLoad
-	// EvDeploy admits a new lease (bounded by Options.MaxLeases).
+	// EvDeploy admits a new lease (bounded by the script's maxLeases).
 	EvDeploy
 	// EvRelease releases a live lease through the data plane's drain path.
 	EvRelease

@@ -10,171 +10,12 @@ import (
 	"math"
 	"slices"
 	"strconv"
-	"strings"
-	"time"
 
 	"mlvfpga/internal/cluster"
 	"mlvfpga/internal/kernels"
 	"mlvfpga/internal/metrics"
-	"mlvfpga/internal/resource"
 	"mlvfpga/internal/rms"
-	"mlvfpga/internal/tenant"
 )
-
-// Options configures one simulated run. Everything that influences the
-// run is in here, so Run(o) is a pure function of o.
-type Options struct {
-	// Seed derives the event schedule (and nothing else: the stack under
-	// test contains no randomness of its own at these settings).
-	Seed int64
-	// Steps is the number of schedule events.
-	Steps int
-	// Cluster is the simulated device inventory.
-	Cluster resource.ClusterSpec
-	// Spec is the layer every simulated lease serves.
-	Spec kernels.LayerSpec
-	// Infer tunes the data plane; Infer.Seed makes lease weights
-	// reproducible (weights derive from Infer.Seed + lease id).
-	Infer rms.InferOptions
-	// Control tunes the control plane under test.
-	Control cluster.Config
-	// MaxLeases caps concurrently live leases.
-	MaxLeases int
-	// Tenants, when non-empty, installs a tenant registry on the service
-	// and data plane: every deploy and infer is attributed to a tenant
-	// drawn from the schedule, lease quotas are enforced, and the
-	// quota-conservation and tenant-accounting invariants activate.
-	Tenants []tenant.Tenant
-	// Spacing is the virtual time between schedule events; against the
-	// registry's SuspectAfter/DeadAfter windows it sets how fast killed
-	// devices decay through the health state machine.
-	Spacing time.Duration
-	// SettleSteps heartbeat+tick rounds run after the schedule so
-	// evacuations and backoffs quiesce before the end-of-run stranded
-	// check; SettlePeriod is their spacing (it must comfortably exceed
-	// the control plane's 4 s backoff cap / SettleSteps so retries burn off).
-	SettleSteps  int
-	SettlePeriod time.Duration
-}
-
-// DefaultOptions returns the sweep configuration: the paper's 4-device
-// cluster, a small LSTM lease whose feasible ladder spans multiple
-// depths, and an eager planner so load events actually move leases.
-func DefaultOptions(seed int64) Options {
-	ctl := cluster.DefaultConfig()
-	ctl.Planner.ScaleUpQueue = 4
-	ctl.Planner.ScaleDownIdleTicks = 2
-	return Options{
-		Seed:    seed,
-		Steps:   500,
-		Cluster: resource.PaperCluster(),
-		Spec:    kernels.LayerSpec{Kind: kernels.LSTM, Hidden: 64, TimeSteps: 2},
-		Infer: rms.InferOptions{
-			MaxBatch: 4,
-			Machines: 1,
-			Tiles:    1,
-			Seed:     7,
-			// Automatic latency-class preemption stays on in the sweep:
-			// preempted streams resume bit-identically, so traces remain
-			// deterministic while the checkpoint path earns real coverage.
-			Preempt: true,
-		},
-		Control:   ctl,
-		MaxLeases: 4,
-		// Two tenants of opposite QoS class, each allowed 3 of the 4
-		// lease slots: quota rejections genuinely occur (one tenant can
-		// hold 3 while the other deploys) without starving the sim.
-		// In-flight and block quotas stay unlimited — their enforcement
-		// is timing-adjacent and belongs to the rms unit tests.
-		Tenants: []tenant.Tenant{
-			{ID: "sim-lat", Key: "sim-lat-key", Class: tenant.Latency, Quotas: tenant.Quotas{MaxLeases: 3}},
-			{ID: "sim-bat", Key: "sim-bat-key", Class: tenant.Batch, Quotas: tenant.Quotas{MaxLeases: 3}},
-		},
-		Spacing:      200 * time.Millisecond,
-		SettleSteps:  12,
-		SettlePeriod: time.Second,
-	}
-}
-
-// Violation is one invariant breach.
-type Violation struct {
-	// Step indexes the schedule event after which the breach was seen
-	// (settle rounds continue the numbering past the schedule).
-	Step int
-	// Invariant names the checker: one of InvariantFamilies, or an
-	// *-error for an operation that failed when the model says it cannot.
-	Invariant string
-	Detail    string
-}
-
-func (v *Violation) String() string {
-	return fmt.Sprintf("step %d: invariant %q: %s", v.Step, v.Invariant, v.Detail)
-}
-
-// Result is one run's verdict.
-type Result struct {
-	Seed     int64
-	Schedule []Event
-	// Trace is the resolved event log (deterministic fields only).
-	Trace     []string
-	TraceHash uint64
-	// Violation is nil when every invariant held.
-	Violation *Violation
-	// Minimal is the shrunken schedule still reproducing
-	// Violation.Invariant; MinimalTrace is its resolved log.
-	Minimal      []Event
-	MinimalTrace []string
-	// MinimizeRuns counts re-executions the shrinking pass spent.
-	MinimizeRuns int
-}
-
-// Report renders the result for humans, including the reproduction
-// command when the run failed.
-func (r *Result) Report() string {
-	if r.Violation == nil {
-		return fmt.Sprintf("seed %d: ok (%d events, trace %016x)", r.Seed, len(r.Schedule), r.TraceHash)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "seed %d: %s\n", r.Seed, r.Violation)
-	fmt.Fprintf(&b, "minimized schedule: %d of %d events (%d shrink runs):\n",
-		len(r.Minimal), len(r.Schedule), r.MinimizeRuns)
-	for i, ev := range r.Minimal {
-		fmt.Fprintf(&b, "  [%02d] %s\n", i, ev)
-	}
-	if len(r.MinimalTrace) > 0 {
-		b.WriteString("minimal trace:\n")
-		for _, line := range r.MinimalTrace {
-			b.WriteString("  " + line + "\n")
-		}
-	}
-	fmt.Fprintf(&b, "reproduce: go test ./internal/simtest -run TestSimSeed -seed=%d -steps=%d -v\n",
-		r.Seed, len(r.Schedule))
-	return b.String()
-}
-
-// Run executes the seed's schedule and, on a violation, shrinks it to a
-// minimal reproduction. Deterministic: same Options, same Result.
-func Run(o Options) (*Result, error) {
-	sched := Schedule(o.Seed, o.Steps)
-	out, err := runSchedule(o, sched)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Seed:      o.Seed,
-		Schedule:  sched,
-		Trace:     out.lines,
-		TraceHash: out.TraceHash(),
-		Violation: out.violation,
-	}
-	if out.violation != nil {
-		res.Minimal, res.MinimalTrace, res.MinimizeRuns = minimize(o, sched, out.violation)
-		if res.MinimalTrace == nil {
-			res.MinimalTrace = out.lines // nothing shrank: the full run is minimal
-		}
-	}
-	return res, nil
-}
 
 // goldenKey memoizes inference outputs by (lease, input seed): the same
 // lease has fixed weights, so the same input must produce bit-identical
@@ -182,49 +23,6 @@ func Run(o Options) (*Result, error) {
 type goldenKey struct {
 	lease int
 	seed  int64
-}
-
-// runSchedule executes an explicit schedule (used directly by the
-// minimizer; Run derives the schedule from the seed) as a client of Stack:
-// two preamble leases, the events laid onto the DES engine at fixed
-// spacing and stamped with their schedule index, the settle rounds, the
-// stranded audit. It returns the finished (closed) Stack for its trace
-// lines, which it keeps, and verdict.
-func runSchedule(o Options, sched []Event) (*Stack, error) {
-	s, err := NewStack(o)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	s.keepLines = true
-	// Preamble: two leases exist before the first event, so even a
-	// one-event minimal schedule has something to act on. With tenants
-	// configured they alternate owners, so both tenants hold state from
-	// step zero.
-	for i := 0; i < 2 && i < o.MaxLeases; i++ {
-		if l, _ := s.deployAs(o.Spec, s.tenantFor(uint64(i)), 0); l == nil {
-			return nil, fmt.Errorf("simtest: preamble deploy shed or failed: %v", s.violation)
-		}
-	}
-	at := func(when time.Duration, step int, op func()) error {
-		return s.eng.At(when, func(time.Duration) { s.step = step; op() })
-	}
-	for i := range sched {
-		ev := sched[i]
-		if err := at(time.Duration(i+1)*o.Spacing, i, func() { s.exec(ev) }); err != nil {
-			return nil, err
-		}
-	}
-	settleStart := time.Duration(len(sched)+1) * o.Spacing
-	for k := 0; k < o.SettleSteps; k++ {
-		if err := at(settleStart+time.Duration(k)*o.SettlePeriod, len(sched)+k, s.settle); err != nil {
-			return nil, err
-		}
-	}
-	s.eng.Run(0)
-	s.step = len(sched) + o.SettleSteps
-	s.checkStranded()
-	return s, nil
 }
 
 // stamp starts a trace line in s.line with its "%04d " step stamp.
@@ -271,36 +69,6 @@ func (s *Stack) fail(invariant, format string, args ...any) {
 	}
 }
 
-// pick resolves an event's PRNG draw to one of the candidates, or traces
-// the event's noop when there are none.
-func (s *Stack) pick(kind string, r uint64, from []int) (int, bool) {
-	if len(from) == 0 {
-		s.tracef("%s noop", kind)
-		return 0, false
-	}
-	return from[int(r%uint64(len(from)))], true
-}
-
-func (s *Stack) devicesWhere(ok func(d int) bool) []int {
-	var out []int
-	for _, d := range s.devices {
-		if ok(d) {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// tenantFor resolves a PRNG draw to a tenant id (empty when the run is
-// tenantless). Callers pass distinct shifted views of the event's R so the
-// tenant choice does not correlate with lease or seed choices.
-func (s *Stack) tenantFor(r uint64) string {
-	if len(s.o.Tenants) == 0 {
-		return ""
-	}
-	return s.o.Tenants[int(r%uint64(len(s.o.Tenants)))].ID
-}
-
 // tenantAtLeaseCap answers whether the model says the tenant has spent its
 // MaxLeases quota — the oracle the deploy path is checked against.
 func (s *Stack) tenantAtLeaseCap(who string) bool {
@@ -318,69 +86,6 @@ func (s *Stack) tenantAtLeaseCap(who string) bool {
 		}
 	}
 	return n >= t.Quotas.MaxLeases
-}
-
-func (s *Stack) exec(ev Event) {
-	if s.violation != nil {
-		return // fail-stop: later events would check against a broken model
-	}
-	switch ev.Kind {
-	case EvHeartbeat:
-		s.beatAll(true)
-	case EvTick:
-		s.tick("tick")
-	case EvInfer:
-		s.serveBatch(ev.R, "infer", nil)
-	case EvLoad:
-		if id, ok := s.pick("load", ev.R, s.live); ok {
-			s.offerLoad(id, int((ev.R>>8)%10))
-		}
-	case EvDeploy:
-		if len(s.live) >= s.o.MaxLeases {
-			s.tracef("deploy noop (at cap)")
-		} else {
-			s.deploy(s.o.Spec, s.tenantFor(ev.R>>24), 0)
-		}
-	case EvRelease:
-		if id, ok := s.pick("release", ev.R, s.live); ok {
-			s.release(id)
-		}
-	case EvRedeploy:
-		s.doRedeploy(ev.R)
-	case EvKill:
-		// Keep at least two devices beating, so the sim never collapses
-		// into a fleet that cannot host anything.
-		alive := s.devicesWhere(func(d int) bool { return !s.killed[d] })
-		if len(alive) <= 2 {
-			alive = nil
-		}
-		if d, ok := s.pick("kill", ev.R, alive); ok {
-			s.kill(d)
-		}
-	case EvRevive:
-		if d, ok := s.pick("revive", ev.R, s.devicesWhere(func(d int) bool { return s.killed[d] })); ok {
-			s.revive(d)
-		}
-	case EvDrain:
-		if len(s.drained) > 0 {
-			s.tracef("drain noop (one at a time)")
-		} else if d, ok := s.pick("drain", ev.R, s.devicesWhere(func(d int) bool { return !s.killed[d] })); ok {
-			s.drain(d)
-		}
-	case EvUndrain:
-		if d, ok := s.pick("undrain", ev.R, s.devicesWhere(func(d int) bool { return s.drained[d] })); ok {
-			s.undrain(d)
-		}
-	case EvCondemn:
-		s.doCondemn(ev.R)
-	case EvPreempt:
-		s.doPreempt(ev.R)
-	case EvRestore:
-		s.doRestore(ev.R)
-	case EvDefrag:
-		s.doDefrag()
-	}
-	s.checkInvariants()
 }
 
 // beatAll beats every device not currently killed, in one registry pass,
@@ -420,60 +125,9 @@ func (s *Stack) accountTick(rep *cluster.TickReport) {
 	}
 }
 
-// doPreempt serves a concurrent batch while posting explicit preemption
-// demand into it: resident streams are checkpointed back into the fair
-// queue and resumed, and the outputs must not change. The eviction count
-// is timing-dependent, so it never enters the trace or the model — the
-// snapshot-conservation invariants pin the bookkeeping instead, and any
-// demand left unconsumed here preempts streams of later events (more
-// coverage, same invariants).
-func (s *Stack) doPreempt(r uint64) {
-	s.serveBatch(r, "preempt", func(id int) {
-		if _, err := s.dp.Preempt(id, 24); err != nil {
-			s.fail("preempt-error", "lease %d: %v", id, err)
-		}
-	})
-}
-
-// doRestore rebuilds the lease's engine pool mid-batch at its current
-// size: the transplant checkpoints every queued and resident stream and
-// restores them onto the fresh machines, bit-identically.
-func (s *Stack) doRestore(r uint64) {
-	s.serveBatch(r, "restore", func(id int) {
-		if err := s.dp.Resize(id); err != nil {
-			s.fail("restore-error", "lease %d: %v", id, err)
-		}
-	})
-}
-
-// serveBatch is the shared body of the infer-shaped events: a small
-// concurrent request batch on one lease, optionally disturbed mid-flight
-// by mid (preemption, transplant), then joined and audited against the
-// golden memo.
-func (s *Stack) serveBatch(r uint64, kind string, mid func(id int)) {
-	id, ok := s.pick(kind, r, s.live)
-	if !ok {
-		return
-	}
-	// The submitting tenant is drawn independently of the lease, so
-	// requests routinely ride leases owned by the other tenant — exactly
-	// the cross-tenant traffic the golden memo must prove leak-free
-	// (outputs depend on (lease, seed) alone, never on the submitter).
-	who := s.tenantFor(r >> 48)
-	n := 1 + int((r>>16)%3)
-	seeds := make([]int64, n)
-	for j := range seeds {
-		// A small recurring seed space, so later events replay inputs the
-		// lease served before (often across a migration in between) and
-		// the golden memo gets real coverage.
-		seeds[j] = int64(((r >> 32) + uint64(j)) % 8)
-	}
-	s.serveOn(id, who, seeds, kind, mid)
-}
-
-// serveOn serves one explicit concurrent batch on a lease: the core of
-// serveBatch, also driven directly by the scenario engine with its own
-// (lease, tenant, seeds) choices.
+// serveOn serves one explicit concurrent batch on a lease, optionally
+// disturbed mid-flight by mid (the tests' preemption and transplant
+// events), then joins it and audits the outputs against the golden memo.
 func (s *Stack) serveOn(id int, who string, seeds []int64, kind string, mid func(id int)) {
 	n := len(seeds)
 	spec, ok := s.leaseSpec[id]
@@ -545,30 +199,6 @@ func (s *Stack) serveOn(id int, who string, seeds []int64, kind string, mid func
 		b = hex.AppendEncode(b, binary.BigEndian.AppendUint64(w[:0], h))
 	}
 	s.emit(append(b, ']'))
-}
-
-// doDefrag runs one consolidation pass. The report is deterministic (the
-// quiet gate reads the scripted load map, placements are a pure function
-// of event history), so it is traced whole.
-func (s *Stack) doDefrag() {
-	rep := s.cp.Defrag()
-	if rep.ScoreAfter > rep.ScoreBefore {
-		s.fail("defrag-error", "pass %d raised the fragmentation score %d -> %d", rep.Run, rep.ScoreBefore, rep.ScoreAfter)
-	}
-	for _, ev := range rep.Moves {
-		if ev.Err == "" {
-			s.expMigrations++
-			s.expDefragMoves++
-		} else {
-			s.expMigFailures++
-		}
-	}
-	s.traceJSON("defrag", rep)
-}
-
-func (s *Stack) offerLoad(id, queueDepth int) {
-	s.loads[id] = rms.LoadStats{QueueDepth: queueDepth}
-	s.tracef("load lease=%d queue=%d", id, queueDepth)
 }
 
 // deploy is deployAs plus the deploy event's trace line.
@@ -643,51 +273,8 @@ func (s *Stack) deployAs(spec kernels.LayerSpec, who string, of int) (*rms.Lease
 	return l, true
 }
 
-// doRedeploy cycles a live lease through the warm-start path: release it,
-// then deploy the same spec again. The preamble populated the artifact
-// store, so the replacement lease must come back warm — a redeploy that
-// compiles is an invariant breach, not just a slow path.
-func (s *Stack) doRedeploy(r uint64) {
-	id, ok := s.pick("redeploy", r, s.live)
-	if !ok || !s.dropLease(id) {
-		return
-	}
-	// The replacement lease may land on a different tenant than the one
-	// released, so redeploys also churn ownership.
-	who := s.tenantFor(r >> 24)
-	l, ok := s.deployAs(s.o.Spec, who, 0)
-	if !ok {
-		return
-	}
-	if l == nil {
-		s.tracef("redeploy out=%d shed tenant=%s", id, who)
-		return
-	}
-	s.tracef("redeploy out=%d in=%d depth=%d tenant=%s", id, l.ID, l.Depth, who)
-}
-
-// dropLease releases a lease through the data plane's drain path and
-// forgets it in the model; redeploy and release trace it differently.
-func (s *Stack) dropLease(id int) bool {
-	if err := s.svc.Release(id); err != nil {
-		s.fail("release-error", "lease %d: %v", id, err)
-		return false
-	}
-	s.live = slices.DeleteFunc(s.live, func(v int) bool { return v == id })
-	delete(s.loads, id)
-	delete(s.leaseTenant, id)
-	delete(s.leaseSpec, id)
-	return true
-}
-
-func (s *Stack) release(id int) {
-	if s.dropLease(id) {
-		s.traceInt("release lease=", id)
-	}
-}
-
 // kill silences a device's heartbeats until revive; the registry notices
-// after Control's SuspectAfter/DeadAfter windows.
+// after its suspect and dead windows.
 func (s *Stack) kill(d int) {
 	s.killed[d] = true
 	s.traceInt("kill dev=", d)
@@ -709,7 +296,6 @@ func (s *Stack) drain(d int) bool {
 		s.fail("drain-error", "device %d: %v", d, err)
 		return false
 	}
-	s.drained[d] = true
 	s.traceInt("drain dev=", d)
 	return true
 }
@@ -719,32 +305,8 @@ func (s *Stack) undrain(d int) bool {
 		s.fail("undrain-error", "device %d: %v", d, err)
 		return false
 	}
-	delete(s.drained, d)
 	s.traceInt("undrain dev=", d)
 	return true
-}
-
-func (s *Stack) doCondemn(r uint64) {
-	id, ok := s.pick("condemn", r, s.live)
-	if !ok {
-		return
-	}
-	lease, ok := s.svc.Lease(id)
-	if !ok {
-		s.fail("lease-conservation", "model says lease %d is live, service disagrees", id)
-		return
-	}
-	shard := int((r >> 8) % uint64(len(lease.Placements)))
-	want := lease.Placements[shard].FPGA
-	prev, _ := s.cp.Registry().State(want)
-	if err := s.cp.ReportDead(want); err != nil {
-		s.fail("condemn-error", "lease %d shard %d: fpga %d: %v", id, shard, want, err)
-		return
-	}
-	if prev != cluster.Dead {
-		s.expCondemned++
-	}
-	s.tracef("condemn lease=%d shard=%d fpga=%d prev=%s", id, shard, want, prev)
 }
 
 // settle is one post-schedule quiesce round: every surviving device

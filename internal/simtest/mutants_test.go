@@ -20,13 +20,20 @@ import (
 // in pkg must then fail with want in their output. The product carries no
 // switch for it; the bug exists only in an overlay for one nested
 // `go test` (mutation analysis: a check earns its place by failing on
-// the bug it names).
+// the bug it names). A simtest row's report must also shrink its failing
+// schedule: to exactly minimal events, the length measured when the row
+// was committed, or, where minimal is 0, to fewer events than failed. A
+// row whose failure needs an eviction or a transplant has minimal 0: the
+// eviction count rides goroutine timing and stays out of the trace, so
+// which candidate schedules reproduce, and the shrunk length, vary from
+// run to run.
 type mutant struct {
 	name       string
 	file       string // relative to the module root
 	orig, repl string
 	pkg, run   string
 	want       string
+	minimal    int
 }
 
 const (
@@ -35,8 +42,7 @@ const (
 )
 
 // mutants lists every bug class an invariant checker or lifecycle test
-// claims to catch. A simtest row must also shrink: its report's minimized
-// schedule is shorter than the failing one.
+// claims to catch.
 var mutants = []mutant{
 	{
 		// Release retires the record but never stops its engine.
@@ -77,19 +83,19 @@ var mutants = []mutant{
 		name: "skip-migration-metric",
 		file: "internal/cluster/controlplane.go",
 		orig: "\tmetrics.Migrations.Add(1)\n", repl: "\n",
-		pkg: simtestPkg, run: sweepRun, want: `invariant "counter-conservation"`,
+		pkg: simtestPkg, run: sweepRun, want: `invariant "counter-conservation"`, minimal: 1,
 	},
 	{
 		name: "skip-tenant-served-metric",
 		file: "internal/rms/continuous.go",
 		orig: "\t\tmetrics.TenantServed.Add(req.tenant, 1)\n", repl: "\n",
-		pkg: simtestPkg, run: sweepRun, want: `invariant "tenant-accounting"`,
+		pkg: simtestPkg, run: sweepRun, want: `invariant "tenant-accounting"`, minimal: 1,
 	},
 	{
 		name: "leak-slot",
 		file: "internal/rms/continuous.go",
 		orig: "\tmetrics.SlotsActive.Add(-1)\n", repl: "\n",
-		pkg: simtestPkg, run: sweepRun, want: `invariant "slot-conservation"`,
+		pkg: simtestPkg, run: sweepRun, want: `invariant "slot-conservation"`, minimal: 1,
 	},
 	{
 		name: "leak-snapshot",
@@ -192,6 +198,9 @@ func (m mutant) verdict(out string, failed bool) error {
 	}
 	k, _ := strconv.Atoi(sm[1])
 	n, _ := strconv.Atoi(sm[2])
+	if m.minimal > 0 && k != m.minimal {
+		return fmt.Errorf("mutant %s: shrank to %d of %d events, not the committed %d:\n%s", m.name, k, n, m.minimal, out)
+	}
 	if k == 0 || k >= n {
 		return fmt.Errorf("mutant %s: shrinking did not reduce the schedule (%d of %d events):\n%s", m.name, k, n, out)
 	}
@@ -261,7 +270,7 @@ func TestMutantsAreCaught(t *testing.T) {
 // reported as broken, never as caught.
 func TestMutantRunner(t *testing.T) {
 	m := mutant{name: "probe", file: "internal/x/x.go", orig: "a := 1\n", repl: "a := 2\n",
-		pkg: simtestPkg, want: `invariant "probe"`}
+		pkg: simtestPkg, want: `invariant "probe"`, minimal: 2}
 	for _, c := range []struct {
 		src, count string
 	}{{"b := 1\n", "0 times"}, {"a := 1\na := 1\n", "2 times"}} {
@@ -284,11 +293,20 @@ func TestMutantRunner(t *testing.T) {
 		{"# mlvfpga/internal/x\nx.go:3:2: declared and not used: a\nFAIL\tmlvfpga/internal/x [build failed]\n" + caught, true, "does not build"},
 		{"ok  \tmlvfpga/internal/simtest\t0.5s\n", false, "survived"},
 		{"--- FAIL: TestSimSweep\nsome other failure\nFAIL\n", true, "not with"},
-		{strings.Replace(caught, "2 of 120", "120 of 120", 1), true, "did not reduce"},
+		{strings.Replace(caught, "2 of 120", "3 of 120", 1), true, "shrank to 3 of 120 events, not the committed 2"},
+		{strings.Replace(caught, "minimized schedule", "schedule", 1), true, "no minimized schedule"},
 	} {
 		err := m.verdict(c.out, c.failed)
 		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
 			t.Errorf("verdict on %q: %v, want %q", c.out, err, c.want)
 		}
+	}
+	// A row with no committed length takes any shrink that reduced.
+	m.minimal = 0
+	if err := m.verdict(strings.Replace(caught, "2 of 120", "7 of 120", 1), true); err != nil {
+		t.Errorf("verdict at minimal 0 on a 7-event shrink: %v", err)
+	}
+	if err := m.verdict(strings.Replace(caught, "2 of 120", "120 of 120", 1), true); err == nil || !strings.Contains(err.Error(), "did not reduce") {
+		t.Errorf("verdict at minimal 0 on an unshrunk schedule: %v, want \"did not reduce\"", err)
 	}
 }

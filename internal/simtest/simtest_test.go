@@ -110,9 +110,9 @@ func TestSimSweep(t *testing.T) {
 	}
 	var hashes []string
 	for s := 1; s <= seeds; s++ {
-		o := DefaultOptions(int64(s))
-		o.Steps = steps
-		res, err := Run(o)
+		sc := defaultScript(int64(s))
+		sc.steps = steps
+		res, err := Run(sc)
 		if err != nil {
 			t.Fatalf("seed %d: %v", s, err)
 		}
@@ -137,9 +137,9 @@ func TestSimSeed(t *testing.T) {
 	if *flagSeed == 0 {
 		t.Skip("pass -seed=N to replay a single seed")
 	}
-	o := DefaultOptions(*flagSeed)
-	o.Steps = *flagSteps
-	res, err := Run(o)
+	sc := defaultScript(*flagSeed)
+	sc.steps = *flagSteps
+	res, err := Run(sc)
 	if err != nil {
 		t.Fatalf("seed %d: %v", *flagSeed, err)
 	}
@@ -158,7 +158,7 @@ func TestSimSeed(t *testing.T) {
 // golden (preempted streams finish bit-identical) and replay bit-for-bit
 // — this is the CI regression for the checkpoint/restore path as a whole.
 func TestSimPreemptionSchedule(t *testing.T) {
-	o := DefaultOptions(99)
+	sc := defaultScript(99)
 	rng := rand.New(rand.NewSource(99))
 	pattern := []EventKind{
 		EvHeartbeat, EvInfer, EvPreempt,
@@ -173,8 +173,8 @@ func TestSimPreemptionSchedule(t *testing.T) {
 	for i := range sched {
 		sched[i] = Event{Kind: pattern[i%len(pattern)], R: rng.Uint64()}
 	}
-	run := func() *Stack {
-		out, err := runSchedule(o, sched)
+	run := func() *harness {
+		out, err := runSchedule(sc, sched)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestSimPreemptionSchedule(t *testing.T) {
 	}
 	a := run()
 	if a.violation != nil {
-		writeReport(t, &Result{Seed: o.Seed, Schedule: sched, Trace: a.lines,
+		writeReport(t, &Result{Seed: sc.seed, Schedule: sched, Trace: a.lines,
 			TraceHash: a.TraceHash(), Violation: a.violation})
 		t.Fatalf("preemption schedule violated %q: %s", a.violation.Invariant, a.violation.Detail)
 	}
@@ -206,16 +206,16 @@ func TestSimPreemptionSchedule(t *testing.T) {
 // trace, bit for bit — the property every other guarantee (replay from a
 // printed seed, shrinking against a stable failure) rests on.
 func TestSimDeterminism(t *testing.T) {
-	o := DefaultOptions(3)
-	o.Steps = 200
+	sc := defaultScript(3)
+	sc.steps = 200
 	if testing.Short() {
-		o.Steps = 80
+		sc.steps = 80
 	}
-	a, err := Run(o)
+	a, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(o)
+	b, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,3 +1,17 @@
+// Package simtest is a fully deterministic whole-cluster simulator in the
+// FoundationDB style. One type, Stack, is the simulator: the real stack
+// (rms admission service + data plane, cluster control plane, registry)
+// on the discrete-event engine's virtual clock, plus the model the
+// invariant checkers compare it with after every operation. Its drivers
+// choose their own events through its exported operations: the scenario
+// engine (internal/scenario) and the benchmark.
+//
+// Everything time-dependent rides cluster.DESClock over des.Engine, and
+// nothing in the stack reads wall-clock time or real randomness, so the
+// same operations always produce the same trace and the same verdict. The
+// package's tests drive the Stack with seeded random schedules of
+// interleaved control- and data-plane events, and shrink a failing
+// schedule to a minimal one (ddmin) that they report with its seed.
 package simtest
 
 import (
@@ -14,10 +28,75 @@ import (
 	"mlvfpga/internal/kernels"
 	"mlvfpga/internal/metrics"
 	"mlvfpga/internal/perf"
+	"mlvfpga/internal/resource"
 	"mlvfpga/internal/rms"
 	"mlvfpga/internal/scaleout"
 	"mlvfpga/internal/tenant"
 )
+
+// Options configures one Stack.
+type Options struct {
+	// Cluster is the simulated device inventory.
+	Cluster resource.ClusterSpec
+	// Infer tunes the data plane; Infer.Seed makes lease weights
+	// reproducible (weights derive from Infer.Seed + lease id).
+	Infer rms.InferOptions
+	// Tenants, when non-empty, installs a tenant registry on the service
+	// and data plane: every deploy and infer is attributed to a tenant,
+	// lease quotas are enforced, and the quota-conservation and
+	// tenant-accounting invariants activate.
+	Tenants []tenant.Tenant
+}
+
+// DefaultOptions returns the paper's 4-device cluster, a data plane whose
+// lease weights derive from seed, and two tenants.
+func DefaultOptions(seed int64) Options {
+	return Options{
+		Cluster: resource.PaperCluster(),
+		Infer: rms.InferOptions{
+			MaxBatch: 4,
+			Machines: 1,
+			Tiles:    1,
+			Seed:     seed,
+			// Automatic latency-class preemption stays on: preempted
+			// streams resume bit-identically, so traces remain
+			// deterministic while the checkpoint path earns real coverage.
+			Preempt: true,
+		},
+		// Two tenants of opposite QoS class, each allowed 3 lease slots:
+		// on the 4-lease random schedules quota rejections genuinely occur
+		// (one tenant can hold 3 while the other deploys) without starving
+		// the sim. In-flight and block quotas stay unlimited — their
+		// enforcement is timing-adjacent and belongs to the rms unit tests.
+		Tenants: []tenant.Tenant{
+			{ID: "sim-lat", Key: "sim-lat-key", Class: tenant.Latency, Quotas: tenant.Quotas{MaxLeases: 3}},
+			{ID: "sim-bat", Key: "sim-bat-key", Class: tenant.Batch, Quotas: tenant.Quotas{MaxLeases: 3}},
+		},
+	}
+}
+
+// A driver ends its run with SettleSteps rounds of Settle, SettlePeriod
+// apart, so evacuations and retry backoffs quiesce before the stranded
+// audit: 12 s outlasts the control plane NewStack builds, whose backoff
+// caps at 4 s.
+const (
+	SettleSteps  = 12
+	SettlePeriod = time.Second
+)
+
+// Violation is one invariant breach.
+type Violation struct {
+	// Step is the event number after which the breach was seen.
+	Step int
+	// Invariant names the checker: one of InvariantFamilies, or an
+	// *-error for an operation that failed when the model says it cannot.
+	Invariant string
+	Detail    string
+}
+
+func (v *Violation) String() string {
+	return fmt.Sprintf("step %d: invariant %q: %s", v.Step, v.Invariant, v.Detail)
+}
 
 // InvariantFamilies lists every invariant the Stack audits after each
 // event, in the order checkInvariants runs them. Scenario reports embed
@@ -45,19 +124,15 @@ func InvariantFamilies() []string {
 
 // Stack is the simulator: one fresh service + data plane + control plane
 // wired to one DES engine, plus the model state the invariant checkers
-// compare the real stack against. It has two clients. The random-schedule
-// sweep in this package (Run) draws its events from a PRNG and stamps each
-// with its schedule index; deterministic external drivers (the scenario
-// engine, the benchmark) choose their own events — explicit devices,
-// explicit leases, explicit request seeds — through the exported
-// operations, each of which advances the step counter by one.
+// compare the real stack against. Its drivers choose their own events —
+// explicit devices, explicit leases, explicit request seeds — through the
+// exported operations, each of which advances the step counter by one.
 //
 // The Stack starts empty: no leases, no specs compiled. All methods must
 // be called from the DES goroutine (timer callbacks or between Run calls);
 // the only internal concurrency is inside a serve, which joins before
 // returning.
 type Stack struct {
-	o     Options
 	eng   *des.Engine
 	svc   *rms.Service
 	dp    *rms.DataPlane
@@ -65,12 +140,14 @@ type Stack struct {
 	store *artifactstore.Store
 
 	devices []int
-	loads   map[int]rms.LoadStats
+	// loads is the queue depth the control plane reads per lease: scripted
+	// (live depths are timing-dependent and would break determinism) by
+	// the package tests' load events, and empty for every other driver.
+	loads map[int]rms.LoadStats
 
-	live    []int
-	killed  []bool // by device id: fleet ids are dense from 0
-	drained map[int]bool
-	golden  map[goldenKey]uint64
+	live   []int
+	killed []bool // by device id: fleet ids are dense from 0
+	golden map[goldenKey]uint64
 	// inputRng draws every request's inputs (see inputsFor).
 	inputRng *rand.Rand
 	// base is the counter reading at the Stack's birth (the counters are
@@ -125,22 +202,21 @@ type Stack struct {
 	excused map[int]bool
 
 	// traceHash is the running FNV-64a of the trace's lines, each with its
-	// newline; the lines are kept too only under keepLines (runSchedule).
+	// newline; the lines are kept too only under keepLines, which the
+	// package's tests set.
 	traceHash uint64
 	lines     []string
 	keepLines bool
 	violation *Violation
 
-	// step is the event number stamped on trace lines and violations: the
-	// sweep sets it to the schedule index, external drivers advance it
-	// through Step.
+	// step is the event number stamped on trace lines and violations,
+	// advanced by every exported operation.
 	step int
 }
 
 // simPlane is the LoadSource/Resizer the control plane sees: loads come
-// from the schedule's scripted map (live queue depths are timing-
-// dependent and would break determinism) and resizes pass through to the
-// real data plane.
+// from the Stack's scripted map and resizes pass through to the real data
+// plane.
 type simPlane struct{ s *Stack }
 
 func (p simPlane) Load(leaseID int) (rms.LoadStats, bool) {
@@ -166,14 +242,12 @@ func NewStack(o Options) (*Stack, error) {
 	svc.SetCompiler(comp)
 	dp := rms.NewDataPlane(svc, o.Infer)
 	s := &Stack{
-		o:               o,
 		eng:             eng,
 		svc:             svc,
 		dp:              dp,
 		store:           store,
 		comp:            comp,
 		loads:           map[int]rms.LoadStats{},
-		drained:         map[int]bool{},
 		golden:          map[goldenKey]uint64{},
 		inputRng:        rand.New(rand.NewSource(0)),
 		excused:         map[int]bool{},
@@ -196,8 +270,13 @@ func NewStack(o Options) (*Stack, error) {
 		svc.SetTenants(reg)
 		dp.SetTenants(reg)
 	}
+	// The default control plane with an eager planner, so scripted load
+	// actually moves leases. Its backoff cap is what SettleSteps and
+	// SettlePeriod outlast.
+	ctl := cluster.DefaultConfig()
+	ctl.Planner.ScaleUpQueue, ctl.Planner.ScaleDownIdleTicks = 4, 2
 	clk := cluster.DESClock{Engine: eng, Epoch: time.Unix(0, 0).UTC()}
-	s.cp = cluster.New(clk, o.Control, svc, simPlane{s})
+	s.cp = cluster.New(clk, ctl, svc, simPlane{s})
 	fleet := svc.Devices()
 	s.devices, s.killed = make([]int, len(fleet)), make([]bool, len(fleet))
 	for i := range fleet {
@@ -225,8 +304,7 @@ func (s *Stack) Devices() []int { return append([]int(nil), s.devices...) }
 // Violation returns the first invariant breach, or nil while green.
 func (s *Stack) Violation() *Violation { return s.violation }
 
-// TraceHash returns the FNV-64a digest of the trace so far, as Result
-// carries it.
+// TraceHash returns the FNV-64a digest of the trace so far.
 func (s *Stack) TraceHash() uint64 { return s.traceHash }
 
 // Deploy deploys one lease of the given spec for the given tenant (empty
@@ -259,7 +337,7 @@ func (s *Stack) Serve(id int, who string, seeds []int64) bool {
 }
 
 // Kill marks a device dead: it stops heartbeating until Revive. The
-// registry notices after Control's SuspectAfter/DeadAfter windows.
+// registry notices after its suspect and dead windows.
 func (s *Stack) Kill(device int) { s.Step(); s.kill(device) }
 
 // Revive brings a killed device back and beats it once immediately.
