@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -74,11 +75,11 @@ func TestSoakDepthScalesUnderBurst(t *testing.T) {
 	}
 	o := defaultSoakOptions()
 	o.KillAtStep, o.DrainAtStep = -1, -1 // isolate the load signal
-	// The scale-up trigger needs one control tick to overlap a >=3-deep
-	// queue. The default burst can drain between two paced ticks on a fast
-	// machine, so sustain it: enough requests that the client phase spans
-	// many ticks.
+	// The scale-up trigger needs one control tick to see a >=3-deep
+	// queue: each client-phase tick waits for one, and the requests keep
+	// the client phase long enough for several.
 	o.Requests = 1280
+	o.Backlog = true
 	res, err := runSoak(o)
 	if err != nil {
 		t.Fatal(err)
@@ -203,6 +204,36 @@ type soakOptions struct {
 	// DrainAtStep drains another lease-hosting device at this step (-1
 	// disables).
 	DrainAtStep int
+	// Backlog holds each client-phase tick until a lease's queue is at
+	// the planner's scale-up depth; otherwise a tick also runs once a
+	// request was answered since the last.
+	Backlog bool
+}
+
+// loadGate is the soak's data plane as the control plane sees it: a tick
+// reads each lease's load as the gate last sampled it, so the tick a
+// backlog released acts on that backlog, however fast it drains.
+type loadGate struct {
+	*rms.DataPlane
+	seen map[int]rms.LoadStats
+}
+
+func (g *loadGate) Load(leaseID int) (rms.LoadStats, bool) {
+	load, ok := g.seen[leaseID]
+	return load, ok
+}
+
+// sample reads every lease's load: hot reports a queue at depth, served
+// sums the engines' answered counts.
+func (g *loadGate) sample(leases []*rms.Lease, depth int) (hot bool, served int64) {
+	clear(g.seen)
+	for _, l := range leases {
+		if load, ok := g.DataPlane.Load(l.ID); ok {
+			g.seen[l.ID] = load
+			hot, served = hot || load.QueueDepth >= depth, served+load.Served
+		}
+	}
+	return hot, served
 }
 
 // defaultSoakOptions is the acceptance scenario: one device killed
@@ -266,7 +297,8 @@ func runSoak(o soakOptions) (*soakResult, error) {
 	// backlog.
 	cfg.Planner.ScaleUpQueue = 3
 	clk := NewFakeClock(time.Unix(0, 0))
-	cp := New(clk, cfg, svc, dp)
+	gate := &loadGate{DataPlane: dp, seen: map[int]rms.LoadStats{}}
+	cp := New(clk, cfg, svc, gate)
 
 	reg, err := tenant.NewRegistry(soakTenants...)
 	if err != nil {
@@ -335,13 +367,26 @@ func runSoak(o soakOptions) (*soakResult, error) {
 	// and a cooldown of idle ticks has let scaled-up leases walk back down
 	// the ladder.
 	cooldown := 3*cfg.Planner.ScaleDownIdleTicks + 2
+	var served int64
 	for step := 0; ; step++ {
-		select {
-		case <-clientsDone:
-			if step >= o.Steps {
-				cooldown--
+		// Client-phase ticks wait on the plane, not the wall clock, so the
+		// serving load moves between control passes (see Backlog).
+		done := false
+		for {
+			select {
+			case <-clientsDone:
+				done = true
+			default:
 			}
-		default:
+			hot, n := gate.sample(leases, cfg.Planner.ScaleUpQueue)
+			if done || hot || (!o.Backlog && n != served) {
+				served = n
+				break
+			}
+			runtime.Gosched()
+		}
+		if done && step >= o.Steps {
+			cooldown--
 		}
 		if cooldown < 0 {
 			break
@@ -364,9 +409,6 @@ func runSoak(o soakOptions) (*soakResult, error) {
 				res.MaxDepth = l.Depth
 			}
 		}
-		// Pace the ticks so the serving load evolves between control
-		// passes (the fake clock still advances one beat per tick).
-		time.Sleep(2 * time.Millisecond)
 	}
 
 	res.Accepted = int(accepted.Load())

@@ -110,11 +110,12 @@ func CompileAccelerator(opts Options) (*Compiled, error) {
 	}
 	partitionTime := time.Since(t1)
 
+	specs := hsvital.AllSpecs()
 	c := &Compiled{
 		Opts:           opts,
 		Accelerator:    dres.Accelerator,
 		Partition:      pres,
-		Images:         map[string][]PieceImage{},
+		Images:         make(map[string][]PieceImage, len(specs)),
 		DecomposeTime:  decomposeTime,
 		PartitionTime:  partitionTime,
 		DecomposeStats: dres.Stats,
@@ -124,13 +125,17 @@ func CompileAccelerator(opts Options) (*Compiled, error) {
 	// type (Fig. 5), with per-target calibrated resources: the soft-block
 	// annotations from RTL estimation are relative; the Table 2
 	// calibration provides the absolute per-target implementation costs.
+	// Every device type's images are cut from one array of each.
 	pieces := c.Partition.AllPieces()
-	for _, spec := range hsvital.AllSpecs() {
+	all := make([]PieceImage, 0, len(specs)*len(pieces))
+	imgs := make([]hsvital.Image, 0, len(specs)*len(pieces))
+	var scratch softblock.Slab
+	for _, spec := range specs {
 		perTile, err := hsvital.PerTileResources(spec.Device.Name)
 		if err != nil {
 			return nil, err
 		}
-		var images []PieceImage
+		first := len(all)
 		for i, node := range pieces {
 			lanes := countLanes(node.Block)
 			res := perTile.Scale(int64(lanes))
@@ -142,17 +147,18 @@ func CompileAccelerator(opts Options) (*Compiled, error) {
 				}
 				res = res.Add(ctrl)
 			}
-			img, err := hsvital.Compile(calibratedBlock(node.Block, res), spec, opts.PatternAware)
+			img, err := hsvital.Compile(calibratedBlock(&scratch, node.Block, res), spec, opts.PatternAware)
 			if err != nil {
 				continue // piece infeasible on this device type
 			}
 			c.HSCompileTime += img.CompileTime
-			images = append(images, PieceImage{
-				Piece: node, Image: img, Lanes: lanes, WithControl: withControl,
+			imgs = append(imgs, img)
+			all = append(all, PieceImage{
+				Piece: node, Image: &imgs[len(imgs)-1], Lanes: lanes, WithControl: withControl,
 			})
 		}
-		if len(images) > 0 {
-			c.Images[spec.Device.Name] = images
+		if len(all) > first {
+			c.Images[spec.Device.Name] = all[first:len(all):len(all)]
 		}
 	}
 	if len(c.Images) == 0 {
@@ -178,8 +184,11 @@ func countLanes(b *softblock.Block) int {
 
 // calibratedBlock wraps a partition piece with calibrated absolute
 // resources for one target, preserving its structure for the hop analysis.
-func calibratedBlock(b *softblock.Block, res resource.Vector) *softblock.Block {
-	cp := b.Clone()
+// The copy lives in scratch until the next call: hsvital.Compile keeps
+// nothing of the block it maps.
+func calibratedBlock(scratch *softblock.Slab, b *softblock.Block, res resource.Vector) *softblock.Block {
+	scratch.Reset()
+	cp := scratch.Clone(b)
 	// Distribute the calibrated total uniformly over the lanes so the
 	// per-lane fit analysis in hsvital.Compile stays meaningful.
 	lanes := countLanes(cp)

@@ -25,6 +25,7 @@ package decompose
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -87,7 +88,6 @@ func Decompose(d *rtl.Design, top string, params map[string]uint64, opts Options
 		opts:    opts,
 		checker: rtl.NewEquivChecker(d, opts.Seed),
 		classes: map[string]string{},
-		classOf: map[string]*rtl.ElabModule{},
 	}
 	return dec.run(top, bg)
 }
@@ -98,10 +98,10 @@ type decomposer struct {
 	checker *rtl.EquivChecker
 	// classes maps module key -> representative key.
 	classes map[string]string
-	// classOf maps representative key -> a representative elaboration.
-	classOf map[string]*rtl.ElabModule
-	nextID  int
-	stats   Stats
+	// reps holds one elaboration per class, ascending by key.
+	reps   []*rtl.ElabModule
+	nextID int
+	stats  Stats
 }
 
 func (dec *decomposer) blockID() string {
@@ -115,23 +115,21 @@ func (dec *decomposer) classKey(emod *rtl.ElabModule) (string, error) {
 	if rep, ok := dec.classes[emod.Key]; ok {
 		return rep, nil
 	}
-	reps := make([]string, 0, len(dec.classOf))
-	for rep := range dec.classOf {
-		reps = append(reps, rep)
-	}
-	sort.Strings(reps)
-	for _, rep := range reps {
-		eq, err := dec.checker.Equivalent(emod, dec.classOf[rep])
+	for _, rep := range dec.reps {
+		eq, err := dec.checker.Equivalent(emod, rep)
 		if err != nil {
 			return "", err
 		}
 		if eq {
-			dec.classes[emod.Key] = rep
-			return rep, nil
+			dec.classes[emod.Key] = rep.Key
+			return rep.Key, nil
 		}
 	}
 	dec.classes[emod.Key] = emod.Key
-	dec.classOf[emod.Key] = emod
+	i, _ := slices.BinarySearchFunc(dec.reps, emod.Key, func(rep *rtl.ElabModule, key string) int {
+		return strings.Compare(rep.Key, key)
+	})
+	dec.reps = slices.Insert(dec.reps, i, emod)
 	return emod.Key, nil
 }
 
@@ -153,12 +151,12 @@ func (dec *decomposer) run(top string, bg *rtl.BasicGraph) (*Result, error) {
 	var controlRes resource.Vector
 	var controlKeys []string
 	controlBits := [2]int{}
-	nodeOf := map[int]int{} // basic-graph index -> work-graph node id
-	g := newWorkGraph(len(bg.Insts) + 1)
-	boundary := g.addAnchor()
+	// Node 0 is the boundary and node i+1 basic instance i, so a basic
+	// edge's end e maps to node e+1 (rtl.Boundary is -1).
+	g := newWorkGraph(len(bg.Insts)+1, len(bg.Edges))
+	g.addAnchor()
 
-	dataCount := 0
-	for i, bi := range bg.Insts {
+	for _, bi := range bg.Insts {
 		res, err := dec.d.EstimateResources(bi.Elab)
 		if err != nil {
 			return nil, err
@@ -173,45 +171,35 @@ func (dec *decomposer) run(top string, bg *rtl.BasicGraph) (*Result, error) {
 			// Control instances stay in the graph as anchors: parallel
 			// data blocks that all feed (or are fed by) the control path
 			// are siblings through these pseudo-nodes.
-			nodeOf[i] = g.addAnchor()
+			g.addAnchor()
 			continue
 		}
 		rep, err := dec.classKey(bi.Elab)
 		if err != nil {
 			return nil, err
 		}
-		leafBlock := softblock.NewLeaf(dec.blockID(), rep, bi.Path, res, inBits, outBits)
-		nodeOf[i] = g.addNode(leafBlock)
-		dataCount++
+		g.addNode(softblock.NewLeaf(dec.blockID(), rep, bi.Path, res, inBits, outBits))
 	}
-	if dataCount == 0 {
+	if g.dataSize() == 0 {
 		return nil, ErrEmptyDataPath
 	}
 	for _, e := range bg.Edges {
-		a, aok := nodeOf[e.From], e.From != rtl.Boundary
-		b, bok := nodeOf[e.To], e.To != rtl.Boundary
-		if !aok {
-			a = boundary
-		}
-		if !bok {
-			b = boundary
-		}
 		// Ignore 1-bit boundary fan-out (clock/reset distribution) so it
 		// does not tie every block to the boundary anchor.
-		if (!aok || !bok) && e.Bits <= 1 {
+		if (e.From == rtl.Boundary || e.To == rtl.Boundary) && e.Bits <= 1 {
 			continue
 		}
-		g.addEdge(a, b, e.Bits)
+		g.addEdge(e.From+1, e.To+1, e.Bits)
 	}
 
 	// Step 2: intra-block data parallelism inside each leaf.
 	for _, id := range g.dataIds() {
-		split, err := dec.intraBlockSplit(g.nodes[id], bg)
+		split, err := dec.intraBlockSplit(g.block(id), bg)
 		if err != nil {
 			return nil, err
 		}
 		if split != nil {
-			g.nodes[id] = split
+			g.nodes[id].block = split
 			dec.stats.IntraBlockSplit++
 		}
 	}
@@ -220,9 +208,9 @@ func (dec *decomposer) run(top string, bg *rtl.BasicGraph) (*Result, error) {
 	// parallelism to a fixpoint.
 	for {
 		dec.stats.Iterations++
-		merged := dec.stepDataParallel(g)
-		merged = dec.stepPipelinePairs(g) || merged
-		merged = dec.stepChains(g) || merged
+		merged := dec.toFixpoint(g, (*decomposer).dataParallelOnce, &dec.stats.DataMerges)
+		merged = dec.toFixpoint(g, (*decomposer).pipelinePairsOnce, &dec.stats.PipeMerges) || merged
+		merged = dec.toFixpoint(g, (*decomposer).chainOnce, &dec.stats.PipeMerges) || merged
 		if !merged {
 			break
 		}
@@ -252,8 +240,8 @@ func (dec *decomposer) run(top string, bg *rtl.BasicGraph) (*Result, error) {
 // portBits sums input and output port widths, excluding clock/reset-like
 // scalars.
 func portBits(em *rtl.ElabModule) (in, out int) {
-	for _, p := range em.Module.Ports {
-		w := em.PortWidths[p.Name]
+	for i, p := range em.Module.Ports {
+		w := em.PortWidths[i]
 		if w == 1 && isClockResetName(p.Name) {
 			continue
 		}
@@ -384,7 +372,18 @@ func interchangeable(a, b *softblock.Block) bool {
 	return a.Signature() == b.Signature()
 }
 
-// stepDataParallel implements step 3 (Fig. 4b). For every block c, each
+// toFixpoint applies once until it merges nothing, adds the merges to
+// count, and reports whether anything merged.
+func (dec *decomposer) toFixpoint(g *workGraph, once func(*decomposer, *workGraph) bool, count *int) bool {
+	n := 0
+	for once(dec, g) {
+		n++
+	}
+	*count += n
+	return n > 0
+}
+
+// dataParallelOnce implements step 3 (Fig. 4b). For every block c, each
 // pair of its producers (p1, p2) is examined:
 //
 //	case 1: p1 and p2 are interchangeable           -> new data parent
@@ -393,20 +392,8 @@ func interchangeable(a, b *softblock.Block) bool {
 //
 // One merge is applied per call; the caller iterates to fixpoint. Returns
 // whether anything merged.
-func (dec *decomposer) stepDataParallel(g *workGraph) bool {
-	mergedAny := false
-	for {
-		merged := dec.dataParallelOnce(g)
-		if !merged {
-			return mergedAny
-		}
-		dec.stats.DataMerges++
-		mergedAny = true
-	}
-}
-
 func (dec *decomposer) dataParallelOnce(g *workGraph) bool {
-	for _, c := range g.ids() {
+	for c := range g.nodes { // a merged-away node has no edges left
 		// Examine producers of a common consumer (the paper's formulation)
 		// and, symmetrically, consumers of a common producer — parallel
 		// lanes typically share both their source and their sink.
@@ -422,10 +409,10 @@ func (dec *decomposer) dataParallelOnce(g *workGraph) bool {
 
 // mergeSiblings applies the three Fig. 4b cases to one sibling set,
 // performing at most one merge.
-func (dec *decomposer) mergeSiblings(g *workGraph, sibs []int) bool {
+func (dec *decomposer) mergeSiblings(g *workGraph, sibs []edge) bool {
 	for i := 0; i < len(sibs); i++ {
 		for j := i + 1; j < len(sibs); j++ {
-			p1, p2 := sibs[i], sibs[j]
+			p1, p2 := sibs[i].node, sibs[j].node
 			if g.isAnchor(p1) || g.isAnchor(p2) {
 				continue
 			}
@@ -434,68 +421,51 @@ func (dec *decomposer) mergeSiblings(g *workGraph, sibs []int) bool {
 			if g.edgeBits(p1, p2) > 0 || g.edgeBits(p2, p1) > 0 {
 				continue
 			}
-			b1, b2 := g.nodes[p1], g.nodes[p2]
+			b1, b2 := g.block(p1), g.block(p2)
+			var kids []*softblock.Block
 			switch {
 			case b1.Kind == softblock.DataParallel && b2.Kind == softblock.DataParallel &&
 				len(b1.Children) > 0 && len(b2.Children) > 0 &&
 				interchangeable(b1.Children[0], b2.Children[0]):
 				// case 3: concatenate children under one data block.
-				kids := append(append([]*softblock.Block{}, b1.Children...), b2.Children...)
-				parent := softblock.NewDataParallel(dec.blockID(), kids)
-				g.merge([]int{p1, p2}, parent)
-				return true
+				kids = slices.Concat(b1.Children, b2.Children)
 			case b1.Kind == softblock.DataParallel && len(b1.Children) > 0 &&
 				interchangeable(b1.Children[0], b2):
 				// case 2: fold b2 into b1.
-				kids := append(append([]*softblock.Block{}, b1.Children...), b2)
-				parent := softblock.NewDataParallel(dec.blockID(), kids)
-				g.merge([]int{p1, p2}, parent)
-				return true
+				kids = append(slices.Clip(b1.Children), b2)
 			case b2.Kind == softblock.DataParallel && len(b2.Children) > 0 &&
 				interchangeable(b2.Children[0], b1):
 				// case 2 mirrored.
-				kids := append([]*softblock.Block{b1}, b2.Children...)
-				parent := softblock.NewDataParallel(dec.blockID(), kids)
-				g.merge([]int{p1, p2}, parent)
-				return true
+				kids = append([]*softblock.Block{b1}, b2.Children...)
 			case b1.Kind != softblock.DataParallel && b2.Kind != softblock.DataParallel &&
 				interchangeable(b1, b2):
 				// case 1: two identical inputs.
-				parent := softblock.NewDataParallel(dec.blockID(), []*softblock.Block{b1, b2})
-				g.merge([]int{p1, p2}, parent)
-				return true
+				kids = []*softblock.Block{b1, b2}
+			default:
+				continue
 			}
+			g.merge([]int{p1, p2}, softblock.NewDataParallel(dec.blockID(), kids))
+			return true
 		}
 	}
 	return false
 }
 
-// stepPipelinePairs implements step 4 (Fig. 4c): a data-parallel producer A
-// feeding a data-parallel consumer B with the same child count regroups
-// into data-parallel pairs of pipelines.
-func (dec *decomposer) stepPipelinePairs(g *workGraph) bool {
-	mergedAny := false
-	for {
-		merged := dec.pipelinePairsOnce(g)
-		if !merged {
-			return mergedAny
-		}
-		dec.stats.PipeMerges++
-		mergedAny = true
-	}
-}
-
+// pipelinePairsOnce implements step 4 (Fig. 4c): a data-parallel producer
+// A feeding a data-parallel consumer B with the same child count regroups
+// into data-parallel pairs of pipelines, one merge per call.
 func (dec *decomposer) pipelinePairsOnce(g *workGraph) bool {
 	for _, a := range g.dataIds() {
-		ba := g.nodes[a]
+		ba := g.block(a)
 		if ba.Kind != softblock.DataParallel {
 			continue
 		}
-		for _, b := range g.consumers(a) {
+		for _, e := range g.consumers(a) {
+			b := e.node
 			if g.isAnchor(b) {
 				continue
 			}
-			bb := g.nodes[b]
+			bb := g.block(b)
 			if bb.Kind != softblock.DataParallel {
 				continue
 			}
@@ -521,25 +491,12 @@ func (dec *decomposer) pipelinePairsOnce(g *workGraph) bool {
 	return false
 }
 
-// stepChains contracts linear producer/consumer chains into pipeline
-// blocks: A -> B where B is A's only consumer and A is B's only producer.
-func (dec *decomposer) stepChains(g *workGraph) bool {
-	mergedAny := false
-	for {
-		merged := dec.chainOnce(g)
-		if !merged {
-			return mergedAny
-		}
-		dec.stats.PipeMerges++
-		mergedAny = true
-	}
-}
-
 // joinPipeline builds a pipeline from producer x and consumer y connected
 // with bits, flattening nested pipelines so chains stay one level deep.
 func joinPipeline(id string, x, y *softblock.Block, bits int) *softblock.Block {
-	var children []*softblock.Block
-	var stageBits []int
+	n := stages(x) + stages(y)
+	children := make([]*softblock.Block, 0, n)
+	stageBits := make([]int, 0, n-1)
 	appendBlock := func(blk *softblock.Block) {
 		if blk.Kind == softblock.Pipeline {
 			children = append(children, blk.Children...)
@@ -554,6 +511,16 @@ func joinPipeline(id string, x, y *softblock.Block, bits int) *softblock.Block {
 	return softblock.NewPipeline(id, children, stageBits)
 }
 
+// stages counts the children joinPipeline takes from blk.
+func stages(blk *softblock.Block) int {
+	if blk.Kind == softblock.Pipeline {
+		return len(blk.Children)
+	}
+	return 1
+}
+
+// chainOnce contracts a linear producer/consumer chain into a pipeline
+// block: A -> B where B is A's only consumer and A is B's only producer.
 func (dec *decomposer) chainOnce(g *workGraph) bool {
 	if g.dataSize() < 2 {
 		return false
@@ -563,11 +530,11 @@ func (dec *decomposer) chainOnce(g *workGraph) bool {
 		if len(cons) != 1 {
 			continue
 		}
-		b := cons[0]
+		b := cons[0].node
 		if g.isAnchor(b) || len(g.producers(b)) != 1 {
 			continue
 		}
-		parent := joinPipeline(dec.blockID(), g.nodes[a], g.nodes[b], g.edgeBits(a, b))
+		parent := joinPipeline(dec.blockID(), g.block(a), g.block(b), cons[0].bits)
 		g.merge([]int{a, b}, parent)
 		return true
 	}
@@ -580,12 +547,12 @@ func (dec *decomposer) chainOnce(g *workGraph) bool {
 // edges.
 func (dec *decomposer) finalize(g *workGraph) *softblock.Block {
 	if ids := g.dataIds(); len(ids) == 1 {
-		return g.nodes[ids[0]]
+		return g.block(ids[0])
 	}
 	order := g.topoOrder()
 	children := make([]*softblock.Block, len(order))
 	for i, id := range order {
-		children[i] = g.nodes[id]
+		children[i] = g.block(id)
 	}
 	stageBits := make([]int, len(order)-1)
 	for i := 0; i+1 < len(order); i++ {

@@ -232,10 +232,7 @@ func BlocksFor(need resource.Vector, spec Spec) (int, error) {
 			return 0, fmt.Errorf("%w: needs %d %v, device %s has none",
 				ErrNoFit, n, k, spec.Device.Name)
 		}
-		b := int((n + cap - 1) / cap)
-		if b > blocks {
-			blocks = b
-		}
+		blocks = max(blocks, int((n+cap-1)/cap))
 	}
 	return blocks, nil
 }
@@ -245,20 +242,20 @@ func BlocksFor(need resource.Vector, spec Spec) (int, error) {
 // avoids placing a SIMD lane's internal pipeline across virtual blocks
 // (§4.3); false models ViTAL's pattern-oblivious partitioner, used as an
 // ablation baseline.
-func Compile(piece *softblock.Block, spec Spec, patternAware bool) (*Image, error) {
+func Compile(piece *softblock.Block, spec Spec, patternAware bool) (Image, error) {
 	if piece == nil {
-		return nil, errors.New("hsvital: nil soft block")
+		return Image{}, errors.New("hsvital: nil soft block")
 	}
 	blocks, err := BlocksFor(piece.Resources, spec)
 	if err != nil {
-		return nil, err
+		return Image{}, err
 	}
 	if blocks > spec.BlocksPerDevice {
-		return nil, fmt.Errorf("%w: needs %d virtual blocks, %s provides %d",
+		return Image{}, fmt.Errorf("%w: needs %d virtual blocks, %s provides %d",
 			ErrNoFit, blocks, spec.Device.Name, spec.BlocksPerDevice)
 	}
 	hops := boundaryHops(piece, spec, blocks, patternAware)
-	return &Image{
+	return Image{
 		PieceID:     piece.ID,
 		Device:      spec.Device.Name,
 		Blocks:      blocks,

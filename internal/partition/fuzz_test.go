@@ -67,7 +67,7 @@ func (d *treeDecoder) build(depth int) *softblock.Block {
 	proto := d.build(depth + 1)
 	kids := []*softblock.Block{proto}
 	for i := 1; i < n; i++ {
-		c := proto.Clone()
+		c := new(softblock.Slab).Clone(proto)
 		d.reID(c)
 		kids = append(kids, c)
 	}

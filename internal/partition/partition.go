@@ -62,10 +62,13 @@ func Partition(data *softblock.Block, iterations int) (*Result, error) {
 	if iterations < 0 {
 		return nil, fmt.Errorf("partition: negative iteration count %d", iterations)
 	}
-	root := &Node{Block: data}
-	frontier := []*Node{root}
+	// Every split halves a non-empty set of the tree's leaves, so the
+	// partition tree has fewer than twice as many nodes.
+	leaves := data.NumLeaves()
+	nodes := append(make([]Node, 0, 2*leaves), Node{Block: data})
+	frontier, next := append(make([]*Node, 0, leaves), &nodes[0]), make([]*Node, 0, leaves)
 	for it := 0; it < iterations; it++ {
-		var next []*Node
+		next = next[:0]
 		for _, n := range frontier {
 			l, r, cutBits, kind, err := bisect(n.Block)
 			if errors.Is(err, ErrAtomic) {
@@ -75,15 +78,15 @@ func Partition(data *softblock.Block, iterations int) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			n.Left = &Node{Block: l}
-			n.Right = &Node{Block: r}
+			nodes = append(nodes, Node{Block: l}, Node{Block: r})
+			n.Left, n.Right = &nodes[len(nodes)-2], &nodes[len(nodes)-1]
 			n.CutBits = cutBits
 			n.CutKind = kind
 			next = append(next, n.Left, n.Right)
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
-	return &Result{Root: root, Iterations: iterations}, nil
+	return &Result{Root: &nodes[0], Iterations: iterations}, nil
 }
 
 // bisect splits one soft block into two clusters following §2.2.2.
@@ -249,7 +252,7 @@ func (r *Result) Walk(fn func(*Node, int)) {
 // AllPieces lists every node in the tree (every deployable unit the
 // compiler must map onto each HS abstraction).
 func (r *Result) AllPieces() []*Node {
-	var out []*Node
+	out := make([]*Node, 0, 2*r.MaxPieces()-1)
 	r.Walk(func(n *Node, _ int) { out = append(out, n) })
 	return out
 }

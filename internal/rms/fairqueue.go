@@ -16,12 +16,13 @@ import (
 type fairQueue struct {
 	mu sync.Mutex
 
-	byID map[string]*tenantFIFO
-	// ring holds the tenants with queued requests in round-robin order;
-	// pos is the DRR cursor (persisted across takes so leftover deficit
-	// carries over).
-	ring []*tenantFIFO
-	pos  int
+	// tenants holds every tenant the queue has seen, found by a linear
+	// scan: a lease's queue serves one or a few. ring indexes the tenants
+	// with queued requests in round-robin order; pos is the DRR cursor
+	// (persisted across takes so leftover deficit carries over).
+	tenants []tenantFIFO
+	ring    []int
+	pos     int
 	// resuming marks that the last take filled up mid-visit with deficit
 	// left at ring[pos]; the next take finishes that visit without
 	// re-crediting the quantum.
@@ -50,14 +51,14 @@ func (q *fairQueue) push(r *inferRequest) {
 		metrics.TenantQueueDepth.Add(r.tenant, 1)
 	}
 	q.mu.Lock()
-	tf := q.byID[r.tenant]
-	if tf == nil {
-		if q.byID == nil {
-			q.byID = map[string]*tenantFIFO{}
-		}
-		tf = &tenantFIFO{id: r.tenant, weight: 1}
-		q.byID[r.tenant] = tf
+	i := 0
+	for i < len(q.tenants) && q.tenants[i].id != r.tenant {
+		i++
 	}
+	if i == len(q.tenants) {
+		q.tenants = append(q.tenants, tenantFIFO{id: r.tenant, weight: 1})
+	}
+	tf := &q.tenants[i]
 	if r.weight > 0 {
 		tf.weight = r.weight
 	}
@@ -72,7 +73,7 @@ func (q *fairQueue) push(r *inferRequest) {
 	}
 	if !tf.active {
 		tf.active = true
-		q.ring = append(q.ring, tf)
+		q.ring = append(q.ring, i)
 	}
 	q.size++
 	q.mu.Unlock()
@@ -87,7 +88,7 @@ func (q *fairQueue) take(out []*inferRequest, max int) []*inferRequest {
 		if q.pos >= len(q.ring) {
 			q.pos = 0
 		}
-		tf := q.ring[q.pos]
+		tf := &q.tenants[q.ring[q.pos]]
 		if !q.resuming {
 			tf.deficit += tf.weight
 		}

@@ -195,8 +195,9 @@ type ElabModule struct {
 	Env map[string]uint64
 	// Key identifies this elaboration uniquely within a design.
 	Key string
-	// PortWidths holds the resolved width of every port.
-	PortWidths map[string]int
+	// PortWidths holds the resolved width of every port, parallel to
+	// Module.Ports.
+	PortWidths []int
 	// Children are the elaborated sub-instances, in declaration order.
 	// Blackbox primitive instances have a nil Elab.
 	Children []ElabInstance
@@ -217,13 +218,31 @@ type ElabInstance struct {
 // *ElabModule via the cache, so elaboration of wide data-parallel designs is
 // cheap.
 func (d *Design) Elaborate(name string, overrides map[string]uint64) (*ElabModule, error) {
-	cache := map[string]*ElabModule{}
-	return d.elaborate(name, overrides, cache, 0)
+	var ports, insts int
+	for _, m := range d.Modules {
+		ports, insts = ports+len(m.Ports), insts+len(m.Instances)
+	}
+	return d.elaborate(name, overrides, &elaboration{
+		cache:  make(map[string]*ElabModule, len(d.Modules)),
+		mods:   make(slab[ElabModule], 0, len(d.Modules)),
+		widths: make(slab[int], 0, ports),
+		kids:   make(slab[ElabInstance], 0, insts),
+	}, 0)
+}
+
+// elaboration is one Elaborate call's cache and the slabs its modules,
+// port widths and children are cut from, sized for one elaboration of
+// every module of the design.
+type elaboration struct {
+	cache  map[string]*ElabModule
+	mods   slab[ElabModule]
+	widths slab[int]
+	kids   slab[ElabInstance]
 }
 
 const maxElabDepth = 64
 
-func (d *Design) elaborate(name string, overrides map[string]uint64, cache map[string]*ElabModule, depth int) (*ElabModule, error) {
+func (d *Design) elaborate(name string, overrides map[string]uint64, e *elaboration, depth int) (*ElabModule, error) {
 	if depth > maxElabDepth {
 		return nil, fmt.Errorf("rtl: module hierarchy deeper than %d (recursive instantiation?)", maxElabDepth)
 	}
@@ -243,21 +262,22 @@ func (d *Design) elaborate(name string, overrides map[string]uint64, cache map[s
 		}
 	}
 	key := ElabKey(name, public)
-	if em, hit := cache[key]; hit {
+	if em, hit := e.cache[key]; hit {
 		if em == nil {
 			return nil, fmt.Errorf("rtl: recursive instantiation of %s", key)
 		}
 		return em, nil
 	}
-	cache[key] = nil // mark in progress to detect recursion
-	em := &ElabModule{Module: m, Env: env, Key: key, PortWidths: make(map[string]int, len(m.Ports)),
-		Children: make([]ElabInstance, 0, len(m.Instances))}
+	e.cache[key] = nil // mark in progress to detect recursion
+	em := e.mods.next()
+	em.Module, em.Env, em.Key = m, env, key
+	em.PortWidths, em.Children = e.widths.cut(len(m.Ports)), e.kids.cut(len(m.Instances))
 	for _, p := range m.Ports {
 		w, err := rangeWidth(p.Range, env)
 		if err != nil {
 			return nil, fmt.Errorf("rtl: module %s port %s: %w", name, p.Name, err)
 		}
-		em.PortWidths[p.Name] = w
+		em.PortWidths = append(em.PortWidths, w)
 	}
 	for i := range m.Instances {
 		inst := &m.Instances[i]
@@ -276,13 +296,13 @@ func (d *Design) elaborate(name string, overrides map[string]uint64, cache map[s
 			}
 			childOverrides[pname] = v
 		}
-		child, err := d.elaborate(inst.ModuleName, childOverrides, cache, depth+1)
+		child, err := d.elaborate(inst.ModuleName, childOverrides, e, depth+1)
 		if err != nil {
 			return nil, err
 		}
 		em.Children = append(em.Children, ElabInstance{Inst: inst, Elab: child})
 	}
-	cache[key] = em
+	e.cache[key] = em
 	return em, nil
 }
 
@@ -293,8 +313,8 @@ func (d *Design) elaborate(name string, overrides map[string]uint64, cache map[s
 func (em *ElabModule) NetWidths() (map[string]int, error) {
 	em.widthsOnce.Do(func() {
 		widths := make(map[string]int, len(em.PortWidths)+len(em.Module.Nets))
-		for name, w := range em.PortWidths {
-			widths[name] = w
+		for i, p := range em.Module.Ports {
+			widths[p.Name] = em.PortWidths[i]
 		}
 		for _, n := range em.Module.Nets {
 			w, err := rangeWidth(n.Range, em.Env)
@@ -339,31 +359,9 @@ func InferWidth(e Expr, widths map[string]int, env map[string]uint64) (int, erro
 		case "<<", ">>":
 			return InferWidth(v.L, widths, env)
 		}
-		lw, err := InferWidth(v.L, widths, env)
-		if err != nil {
-			return 0, err
-		}
-		rw, err := InferWidth(v.R, widths, env)
-		if err != nil {
-			return 0, err
-		}
-		if lw > rw {
-			return lw, nil
-		}
-		return rw, nil
+		return widest(widths, env, v.L, v.R)
 	case *Cond:
-		tw, err := InferWidth(v.Then, widths, env)
-		if err != nil {
-			return 0, err
-		}
-		ew, err := InferWidth(v.Else, widths, env)
-		if err != nil {
-			return 0, err
-		}
-		if tw > ew {
-			return tw, nil
-		}
-		return ew, nil
+		return widest(widths, env, v.Then, v.Else)
 	case *Index:
 		return 1, nil
 	case *Slice:
@@ -401,4 +399,17 @@ func InferWidth(e Expr, widths map[string]int, env map[string]uint64) (int, erro
 		return int(n) * w, nil
 	}
 	return 0, fmt.Errorf("rtl: cannot infer width of %s", e)
+}
+
+// widest returns the largest width among es.
+func widest(widths map[string]int, env map[string]uint64, es ...Expr) (int, error) {
+	w := 0
+	for _, e := range es {
+		ew, err := InferWidth(e, widths, env)
+		if err != nil {
+			return 0, err
+		}
+		w = max(w, ew)
+	}
+	return w, nil
 }

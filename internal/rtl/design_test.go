@@ -209,19 +209,19 @@ func TestElaborateParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if em.PortWidths["x"] != 8 {
-		t.Errorf("top port width = %d, want 8", em.PortWidths["x"])
+	if em.PortWidths[0] != 8 {
+		t.Errorf("top port width = %d, want 8", em.PortWidths[0])
 	}
-	if em.Children[0].Elab.PortWidths["a"] != 8 {
-		t.Errorf("leaf elaborated width = %d, want 8", em.Children[0].Elab.PortWidths["a"])
+	if em.Children[0].Elab.PortWidths[0] != 8 {
+		t.Errorf("leaf elaborated width = %d, want 8", em.Children[0].Elab.PortWidths[0])
 	}
 	// Override at the top.
 	em16, err := d.Elaborate("top", map[string]uint64{"N": 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if em16.Children[0].Elab.PortWidths["a"] != 16 {
-		t.Errorf("override not propagated: %d", em16.Children[0].Elab.PortWidths["a"])
+	if em16.Children[0].Elab.PortWidths[0] != 16 {
+		t.Errorf("override not propagated: %d", em16.Children[0].Elab.PortWidths[0])
 	}
 	if em16.Key == em.Key {
 		t.Error("different params must give different keys")

@@ -69,9 +69,9 @@ func (h *hasher) hash(em *ElabModule) string {
 	h.next = 0
 	b := h.buf[:0]
 	// Ports: names are part of the interface and therefore of the hash.
-	for _, p := range em.Module.Ports {
+	for i, p := range em.Module.Ports {
 		b = append(append(append(append(b, "port "...), p.Name...), ' '), p.Dir.String()...)
-		b = strconv.AppendInt(append(b, ' '), int64(em.PortWidths[p.Name]), 10)
+		b = strconv.AppendInt(append(b, ' '), int64(em.PortWidths[i]), 10)
 		b = append(strconv.AppendBool(append(b, ' '), p.IsReg), ';')
 		h.names[p.Name] = -1
 	}
@@ -283,14 +283,10 @@ func (c *EquivChecker) Equivalent(a, b *ElabModule) (bool, error) {
 	c.mu.Lock()
 	c.stats.Queries++
 	metrics.EquivQueries.Add(1)
-	if a == b || a.Key == b.Key {
-		c.stats.StructuralHits++
-		c.mu.Unlock()
-		metrics.EquivStructuralHits.Add(1)
-		return true, nil
+	var ha, hb string // equal keys name one elaboration: no hash needed
+	if a != b && a.Key != b.Key {
+		ha, hb = c.hashes.hash(a), c.hashes.hash(b)
 	}
-	ha := c.hashes.hash(a)
-	hb := c.hashes.hash(b)
 	if ha == hb {
 		c.stats.StructuralHits++
 		c.mu.Unlock()
@@ -346,16 +342,9 @@ func sameInterface(a, b *ElabModule) bool {
 	if len(a.Module.Ports) != len(b.Module.Ports) {
 		return false
 	}
-	bports := map[string]Port{}
-	for _, p := range b.Module.Ports {
-		bports[p.Name] = p
-	}
-	for _, pa := range a.Module.Ports {
-		pb, ok := bports[pa.Name]
-		if !ok || pa.Dir != pb.Dir {
-			return false
-		}
-		if a.PortWidths[pa.Name] != b.PortWidths[pb.Name] {
+	for i, pa := range a.Module.Ports {
+		j := slices.IndexFunc(b.Module.Ports, func(pb Port) bool { return pb.Name == pa.Name })
+		if j < 0 || pa.Dir != b.Module.Ports[j].Dir || a.PortWidths[i] != b.PortWidths[j] {
 			return false
 		}
 	}

@@ -40,10 +40,11 @@ func PrimitiveCost(name string) (resource.Vector, bool) {
 // The estimate feeds the soft-block resource annotations that the
 // partitioner and the runtime manager pack against device capacities.
 func (d *Design) EstimateResources(em *ElabModule) (resource.Vector, error) {
-	memo := map[*ElabModule]resource.Vector{}
-	return d.estimate(em, memo)
+	return d.estimate(em, nil)
 }
 
+// estimate memoizes shared subtrees in memo, which the first module with
+// a module child makes: a basic module needs none.
 func (d *Design) estimate(em *ElabModule, memo map[*ElabModule]resource.Vector) (resource.Vector, error) {
 	if v, ok := memo[em]; ok {
 		return v, nil
@@ -55,9 +56,9 @@ func (d *Design) estimate(em *ElabModule, memo map[*ElabModule]resource.Vector) 
 	}
 
 	// Registers: one DFF per reg bit (ports and nets).
-	for _, p := range em.Module.Ports {
+	for i, p := range em.Module.Ports {
 		if p.IsReg {
-			total.DFFs += int64(em.PortWidths[p.Name])
+			total.DFFs += int64(em.PortWidths[i])
 		}
 	}
 	for _, n := range em.Module.Nets {
@@ -93,13 +94,18 @@ func (d *Design) estimate(em *ElabModule, memo map[*ElabModule]resource.Vector) 
 			}
 			continue
 		}
+		if memo == nil {
+			memo = map[*ElabModule]resource.Vector{}
+		}
 		sub, err := d.estimate(child.Elab, memo)
 		if err != nil {
 			return resource.Vector{}, err
 		}
 		total = total.Add(sub)
 	}
-	memo[em] = total
+	if memo != nil {
+		memo[em] = total
+	}
 	return total, nil
 }
 
@@ -135,10 +141,7 @@ func estimateExpr(e Expr, widths map[string]int, env map[string]uint64) resource
 	case *Binary:
 		total = estimateExpr(v.L, widths, env).Add(estimateExpr(v.R, widths, env))
 		wl, wr := w(v.L), w(v.R)
-		wmax := wl
-		if wr > wmax {
-			wmax = wr
-		}
+		wmax := max(wl, wr)
 		switch v.Op {
 		case "+", "-":
 			total.LUTs += wmax
@@ -159,11 +162,7 @@ func estimateExpr(e Expr, widths map[string]int, env map[string]uint64) resource
 		total = estimateExpr(v.If, widths, env).
 			Add(estimateExpr(v.Then, widths, env)).
 			Add(estimateExpr(v.Else, widths, env))
-		wt, we := w(v.Then), w(v.Else)
-		if we > wt {
-			wt = we
-		}
-		total.LUTs += wt // 2:1 mux per bit
+		total.LUTs += max(w(v.Then), w(v.Else)) // 2:1 mux per bit
 	case *Index:
 		total = estimateExpr(v.X, widths, env)
 		if _, isConst := v.At.(*Number); !isConst {

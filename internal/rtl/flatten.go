@@ -18,8 +18,8 @@ func (d *Design) Flatten(top string, overrides map[string]uint64) (*Module, erro
 		return nil, err
 	}
 	flat := &Module{Name: top + "$flat"}
-	for _, p := range em.Module.Ports {
-		w := em.PortWidths[p.Name]
+	for i, p := range em.Module.Ports {
+		w := em.PortWidths[i]
 		flat.Ports = append(flat.Ports, Port{Name: p.Name, Dir: p.Dir, Range: concreteRange(w), IsReg: p.IsReg})
 	}
 	if err := d.flattenInto(flat, em, ""); err != nil {
@@ -129,19 +129,19 @@ func (d *Design) flattenInto(flat *Module, em *ElabModule, prefix string) error 
 
 		childPrefix := prefix + inst.Name + "."
 		// Declare the child's ports as nets of the flat module.
-		for _, p := range child.Elab.Module.Ports {
-			w := child.Elab.PortWidths[p.Name]
+		for i, p := range child.Elab.Module.Ports {
+			w := child.Elab.PortWidths[i]
 			flat.Nets = append(flat.Nets, Net{Name: childPrefix + p.Name, Range: concreteRange(w), IsReg: p.IsReg})
 		}
 		// Bind connections.
-		for _, p := range child.Elab.Module.Ports {
+		for i, p := range child.Elab.Module.Ports {
 			actual, connected := inst.Conn(p.Name)
 			formal := &Ident{Name: childPrefix + p.Name}
 			switch {
 			case !connected || actual == nil:
 				if p.Dir == Input {
 					// Tie floating inputs low for determinism.
-					flat.Assigns = append(flat.Assigns, Assign{LHS: formal, RHS: &Number{Value: 0, Width: child.Elab.PortWidths[p.Name]}})
+					flat.Assigns = append(flat.Assigns, Assign{LHS: formal, RHS: &Number{Value: 0, Width: child.Elab.PortWidths[i]}})
 				}
 			case p.Dir == Input:
 				ra, err := rewrite(actual)
@@ -172,88 +172,47 @@ func (d *Design) flattenInto(flat *Module, em *ElabModule, prefix string) error 
 }
 
 // substExpr rewrites every identifier in e through fn, rebuilding the tree.
+// The first error stops the rewrite.
 func substExpr(e Expr, fn func(string) (Expr, error)) (Expr, error) {
+	var err error
+	sub := func(x Expr) Expr {
+		if err != nil {
+			return nil
+		}
+		x, err = substExpr(x, fn)
+		return x
+	}
+	var out Expr
 	switch v := e.(type) {
 	case *Ident:
 		return fn(v.Name)
 	case *Number:
 		return v, nil
 	case *Unary:
-		x, err := substExpr(v.X, fn)
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: v.Op, X: x}, nil
+		out = &Unary{Op: v.Op, X: sub(v.X)}
 	case *Binary:
-		l, err := substExpr(v.L, fn)
-		if err != nil {
-			return nil, err
-		}
-		r, err := substExpr(v.R, fn)
-		if err != nil {
-			return nil, err
-		}
-		return &Binary{Op: v.Op, L: l, R: r}, nil
+		out = &Binary{Op: v.Op, L: sub(v.L), R: sub(v.R)}
 	case *Cond:
-		c, err := substExpr(v.If, fn)
-		if err != nil {
-			return nil, err
-		}
-		t, err := substExpr(v.Then, fn)
-		if err != nil {
-			return nil, err
-		}
-		el, err := substExpr(v.Else, fn)
-		if err != nil {
-			return nil, err
-		}
-		return &Cond{If: c, Then: t, Else: el}, nil
+		out = &Cond{If: sub(v.If), Then: sub(v.Then), Else: sub(v.Else)}
 	case *Index:
-		x, err := substExpr(v.X, fn)
-		if err != nil {
-			return nil, err
-		}
-		at, err := substExpr(v.At, fn)
-		if err != nil {
-			return nil, err
-		}
-		return &Index{X: x, At: at}, nil
+		out = &Index{X: sub(v.X), At: sub(v.At)}
 	case *Slice:
-		x, err := substExpr(v.X, fn)
-		if err != nil {
-			return nil, err
-		}
-		msb, err := substExpr(v.Msb, fn)
-		if err != nil {
-			return nil, err
-		}
-		lsb, err := substExpr(v.Lsb, fn)
-		if err != nil {
-			return nil, err
-		}
-		return &Slice{X: x, Msb: msb, Lsb: lsb}, nil
+		out = &Slice{X: sub(v.X), Msb: sub(v.Msb), Lsb: sub(v.Lsb)}
 	case *Concat:
 		parts := make([]Expr, len(v.Parts))
 		for i, p := range v.Parts {
-			np, err := substExpr(p, fn)
-			if err != nil {
-				return nil, err
-			}
-			parts[i] = np
+			parts[i] = sub(p)
 		}
-		return &Concat{Parts: parts}, nil
+		out = &Concat{Parts: parts}
 	case *Repl:
-		c, err := substExpr(v.Count, fn)
-		if err != nil {
-			return nil, err
-		}
-		x, err := substExpr(v.X, fn)
-		if err != nil {
-			return nil, err
-		}
-		return &Repl{Count: c, X: x}, nil
+		out = &Repl{Count: sub(v.Count), X: sub(v.X)}
+	default:
+		return nil, fmt.Errorf("rtl: substExpr: unknown node %T", e)
 	}
-	return nil, fmt.Errorf("rtl: substExpr: unknown node %T", e)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // isLValue reports whether an expression may appear on the left-hand side of

@@ -124,16 +124,17 @@ func (d *Design) BasicGraph(em *ElabModule) (*BasicGraph, error) {
 	}
 	b := &graphBuilder{d: d, g: g, ids: make(map[scopedNet]int, size),
 		parent: make([]int, 0, size), atts: make([]attachment, 0, size)}
+	g.Insts = make([]BasicInst, 0, len(em.Children))
 
 	// Top-level ports attach to the boundary. From the graph's perspective
 	// a top input is driven by the boundary, so the boundary acts as an
 	// Output attachment (a driver), and vice versa.
-	for _, p := range em.Module.Ports {
+	for i, p := range em.Module.Ports {
 		boundaryDir := Output
 		if p.Dir == Output {
 			boundaryDir = Input
 		}
-		b.atts = append(b.atts, attachment{net: b.net(0, p.Name), inst: Boundary, dir: boundaryDir, width: em.PortWidths[p.Name]})
+		b.atts = append(b.atts, attachment{net: b.net(0, p.Name), inst: Boundary, dir: boundaryDir, width: em.PortWidths[i]})
 	}
 	if err := b.walk(em, 0, ""); err != nil {
 		return nil, err
@@ -141,6 +142,7 @@ func (d *Design) BasicGraph(em *ElabModule) (*BasicGraph, error) {
 
 	// Group the attachments by class; every driver (Output attachment)
 	// feeds every reader (Input attachment) in its class.
+	g.Edges = make([]BasicEdge, 0, len(b.atts))
 	for i := range b.atts {
 		b.atts[i].net = b.find(b.atts[i].net)
 	}
@@ -218,12 +220,12 @@ func (b *graphBuilder) walk(m *ElabModule, scope int, prefix string) error {
 		if child.Elab.Module.IsBasic(b.d.IsPrimitive) {
 			idx := len(b.g.Insts)
 			b.g.Insts = append(b.g.Insts, BasicInst{Path: prefix + inst.Name, Elab: child.Elab})
-			for _, p := range child.Elab.Module.Ports {
+			for i, p := range child.Elab.Module.Ports {
 				b.atts = append(b.atts, attachment{
 					net:   b.net(childScope, p.Name),
 					inst:  idx,
 					dir:   p.Dir,
-					width: child.Elab.PortWidths[p.Name],
+					width: child.Elab.PortWidths[i],
 				})
 			}
 			continue

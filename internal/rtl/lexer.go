@@ -165,19 +165,32 @@ func isHexDigit(b byte) bool {
 		b == 'x' || b == 'X' || b == 'z' || b == 'Z'
 }
 
-// lexAll tokenizes the whole input, returning the token stream.
+// lexAll tokenizes the whole input, returning the token stream. A
+// counting pass sizes the stream, so it is one exact allocation.
 func lexAll(src string) ([]token, error) {
+	n, err := lexInto(nil, src)
+	if err != nil {
+		return nil, err
+	}
+	toks := make([]token, n)
+	lexInto(toks, src) // the same source lexes the same
+	return toks, nil
+}
+
+// lexInto lexes src, storing its tokens in dst while dst has room, and
+// returns how many there are, the closing EOF included.
+func lexInto(dst []token, src string) (int, error) {
 	l := &lexer{src: src}
-	// Generated RTL runs about 3.4 bytes per token: one allocation covers it.
-	toks := make([]token, 0, len(src)/3+1)
-	for {
+	for n := 0; ; n++ {
 		t, err := l.next()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		toks = append(toks, t)
+		if n < len(dst) {
+			dst[n] = t
+		}
 		if t.kind == tokEOF {
-			return toks, nil
+			return n + 1, nil
 		}
 	}
 }

@@ -7,12 +7,12 @@ import (
 )
 
 // parser is a recursive-descent parser over a pre-lexed token stream.
-// The modules, their leaf nodes (identifiers, numbers, unary and binary
-// operators, selects), sequential assignments and instances' connections
-// are carved from slabs reserve sizes in one pass over the source's
-// tokens, which also sizes each module's item slices, so a parse
-// allocates each slab once and a module's AST costs a handful of
-// allocations, not one per node.
+// The modules, their items (parameters, ports, nets, assignments, always
+// blocks, instances), their leaf nodes (identifiers, numbers, unary and
+// binary operators, selects, concatenations), sequential assignments and
+// instances' connections are carved from design-wide slabs reserve sizes
+// in one pass over the source's tokens, so a parse allocates each slab
+// once, not once per module or node.
 type parser struct {
 	src  string
 	toks []token
@@ -24,10 +24,20 @@ type parser struct {
 	binaries slab[Binary]
 	indexes  slab[Index]
 	slices   slab[Slice]
-	seqs     []SeqAssign // backing of the Always bodies
-	conns    []Conn      // backing of the Instance.Conns lists
-	mods     []Module    // the modules reserve sized, in source order
-	n        sizes       // the node counts reserve sums
+	concats  slab[Concat]
+	parts    slab[Expr]   // backing of the Concat parts
+	seqs     []SeqAssign  // backing of the Always bodies
+	conns    []Conn       // backing of the Instance.Conns lists
+	mods     slab[Module] // in source order
+	// The module items, appended in source order; each module's lists are
+	// cut from them at its endmodule.
+	params   []Param
+	ports    []Port
+	nets     []Net
+	assigns  []Assign
+	alwayses []Always
+	insts    []Instance
+	n        sizes // the counts reserve sums
 }
 
 // slab hands out elements of one backing array. reserve sizes it from an
@@ -35,13 +45,21 @@ type parser struct {
 // array.
 type slab[T any] []T
 
-func (s *slab[T]) next() *T {
-	if len(*s) == cap(*s) {
-		*s = make([]T, 0, cap(*s)+8)
+func (s *slab[T]) next() *T { return &s.cut(1)[:1][0] }
+
+// cut hands out an empty list of capacity n.
+func (s *slab[T]) cut(n int) []T {
+	if cap(*s)-len(*s) < n {
+		*s = make([]T, 0, max(cap(*s), n+8))
 	}
-	*s = (*s)[:len(*s)+1]
-	return &(*s)[len(*s)-1]
+	l := len(*s)
+	*s = (*s)[:l+n]
+	return (*s)[l : l : l+n]
 }
+
+// from returns the elements of s appended since it held n, clipped so an
+// append to them cannot reach the next module's.
+func from[T any](s []T, n int) []T { return s[n:len(s):len(s)] }
 
 // Parse parses Verilog-subset source text into a list of modules.
 func Parse(src string) ([]*Module, error) {
@@ -51,7 +69,7 @@ func Parse(src string) ([]*Module, error) {
 	}
 	p := &parser{src: src, toks: toks}
 	p.reserve()
-	mods := make([]*Module, 0, len(p.mods))
+	mods := make([]*Module, 0, cap(p.mods))
 	for !p.at(tokEOF) {
 		m, err := p.parseModule()
 		if err != nil {
@@ -135,43 +153,48 @@ func (p *parser) ident() (string, error) {
 	return name, nil
 }
 
-// sizes bounds the AST nodes of a source.
+// sizes bounds the modules, their items and the AST nodes of a source.
 type sizes struct {
-	idents, numbers, unaries, binaries, indexes, slices, seqs, conns int
+	idents, numbers, unaries, binaries, indexes, slices, concats, parts, seqs, conns int
+	mods, params, ports, nets, assigns, alwayses, insts                              int
 }
 
-// reserve sizes the slabs and every module of the source.
+// reserve sizes the slabs of the source.
 func (p *parser) reserve() {
-	p.mods = make([]Module, 0, strings.Count(p.src, "endmodule"))
 	for i := 0; i < len(p.toks)-1; i++ {
 		if p.is(p.toks[i], "module") && p.toks[i+1].kind == tokIdent {
-			p.mods = append(p.mods, Module{})
-			i = p.count(i+1, &p.mods[len(p.mods)-1])
+			p.n.mods++
+			i = p.count(i + 1)
 		}
 	}
-	p.idents = make(slab[Ident], 0, p.n.idents)
-	p.numbers = make(slab[Number], 0, p.n.numbers)
-	p.unaries = make(slab[Unary], 0, p.n.unaries)
-	p.binaries = make(slab[Binary], 0, p.n.binaries)
-	p.indexes = make(slab[Index], 0, p.n.indexes)
-	p.slices = make(slab[Slice], 0, p.n.slices)
-	p.seqs = make([]SeqAssign, 0, p.n.seqs)
-	p.conns = make([]Conn, 0, p.n.conns)
+	n := p.n
+	p.mods = make(slab[Module], 0, n.mods)
+	p.params, p.ports, p.nets = make([]Param, 0, n.params), make([]Port, 0, n.ports), make([]Net, 0, n.nets)
+	p.assigns, p.alwayses, p.insts = make([]Assign, 0, n.assigns), make([]Always, 0, n.alwayses), make([]Instance, 0, n.insts)
+	p.concats, p.parts = make(slab[Concat], 0, n.concats), make(slab[Expr], 0, n.parts)
+	p.idents = make(slab[Ident], 0, n.idents)
+	p.numbers = make(slab[Number], 0, n.numbers)
+	p.unaries = make(slab[Unary], 0, n.unaries)
+	p.binaries = make(slab[Binary], 0, n.binaries)
+	p.indexes = make(slab[Index], 0, n.indexes)
+	p.slices = make(slab[Slice], 0, n.slices)
+	p.seqs = make([]SeqAssign, 0, n.seqs)
+	p.conns = make([]Conn, 0, n.conns)
 }
 
-// count adds the nodes of the module whose name is token at to p.n, sizes
-// m's item slices, and returns the index of its endmodule (or of the end
-// of input). A count is exact for the generated accelerator and at worst
-// a little high otherwise: an identifier in a name position (after ".", a
-// declaration keyword or a range; an instance's module and instance
-// names) is no Ident node, an operator after an operand is binary and
-// before one unary, "[" after an operand opens a select, "<=" at depth 0
-// is a sequential assignment, "else" negates a guard, and a declaration
-// list's commas bound its names. A count that falls short costs one more
-// array.
-func (p *parser) count(at int, m *Module) int {
+// count adds the items and nodes of the module whose name is token at to
+// p.n and returns the index of its endmodule (or of the end of input). A
+// count is exact for the generated accelerator and at worst a little high
+// otherwise: an identifier in a name position (after ".", a declaration
+// keyword or a range; an instance's module and instance names) is no
+// Ident node, an operator after an operand is binary and before one
+// unary, "[" after an operand opens a select and "{" not after one a
+// concatenation, "<=" at depth 0 is a sequential assignment, "else"
+// negates a guard, and a declaration list's commas bound its names. A
+// count that falls short costs one more array.
+func (p *parser) count(at int) int {
 	n := &p.n
-	var ports, nets, params, assigns, alwayses, insts int
+	n.ports++ // a port list's last entry has no comma
 	depth, header, netDecl := 0, true, false
 	toks := p.toks[at:] // from the module's name on
 	i := 1
@@ -190,15 +213,15 @@ func (p *parser) count(at int, m *Module) int {
 			switch p.text(t) {
 			case "wire", "reg":
 				if depth == 0 {
-					nets++
+					n.nets++
 					netDecl = true
 				}
 			case "parameter", "localparam":
-				params++
+				n.params++
 			case "assign":
-				assigns++
+				n.assigns++
 			case "always":
-				alwayses++
+				n.alwayses++
 			case "else":
 				n.unaries++
 			}
@@ -207,11 +230,15 @@ func (p *parser) count(at int, m *Module) int {
 			case "(":
 				if depth == 0 && !header && prev.kind == tokIdent {
 					c, _ := p.group(toks[i:]) // an instance's connections
-					insts, n.conns = insts+1, n.conns+c
+					n.insts, n.conns = n.insts+1, n.conns+c
 				}
 				depth++
 			case "{":
 				depth++
+				if !operand {
+					c, _ := p.group(toks[i:])
+					n.concats, n.parts = n.concats+1, n.parts+c
+				}
 			case "[":
 				depth++
 				if !operand {
@@ -231,9 +258,9 @@ func (p *parser) count(at int, m *Module) int {
 			case ",":
 				switch {
 				case header && depth == 1:
-					ports++
+					n.ports++
 				case netDecl && depth == 0:
-					nets++
+					n.nets++
 				}
 			case "<=":
 				if depth == 0 {
@@ -254,12 +281,6 @@ func (p *parser) count(at int, m *Module) int {
 			}
 		}
 	}
-	m.Params = make([]Param, 0, params)
-	m.Ports = make([]Port, 0, ports+1)
-	m.Nets = make([]Net, 0, nets)
-	m.Assigns = make([]Assign, 0, assigns)
-	m.Alwayses = make([]Always, 0, alwayses)
-	m.Instances = make([]Instance, 0, insts)
 	return at + i
 }
 
@@ -325,10 +346,10 @@ func (p *parser) parseModule() (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	// reserve sized this module: both scans resume after an endmodule.
-	m := &p.mods[0]
-	p.mods = p.mods[1:]
+	m := p.mods.next()
 	m.Name, m.SrcLine = name, srcLine
+	params, ports, nets := len(p.params), len(p.ports), len(p.nets)
+	assigns, alwayses, insts := len(p.assigns), len(p.alwayses), len(p.insts)
 
 	// Optional parameter list: #(parameter N = 8, parameter M = 4)
 	if p.accept("#") {
@@ -343,7 +364,7 @@ func (p *parser) parseModule() (*Module, error) {
 			if err != nil {
 				return nil, err
 			}
-			m.Params = append(m.Params, prm)
+			p.params = append(p.params, prm)
 			if p.accept(",") {
 				continue
 			}
@@ -358,7 +379,7 @@ func (p *parser) parseModule() (*Module, error) {
 	if p.accept("(") {
 		if !p.accept(")") {
 			for {
-				if err := p.parsePortDecl(m); err != nil {
+				if err := p.parsePortDecl(); err != nil {
 					return nil, err
 				}
 				if p.accept(",") {
@@ -380,11 +401,13 @@ func (p *parser) parseModule() (*Module, error) {
 		if p.at(tokEOF) {
 			return nil, p.errorf("unexpected end of input inside module %q", m.Name)
 		}
-		if err := p.parseModuleItem(m); err != nil {
+		if err := p.parseModuleItem(); err != nil {
 			return nil, err
 		}
 	}
 	p.pos++ // consume endmodule
+	m.Params, m.Ports, m.Nets = from(p.params, params), from(p.ports, ports), from(p.nets, nets)
+	m.Assigns, m.Alwayses, m.Instances = from(p.assigns, assigns), from(p.alwayses, alwayses), from(p.insts, insts)
 	return m, nil
 }
 
@@ -404,10 +427,10 @@ func (p *parser) parseParamDecl(isLocal bool) (Param, error) {
 	return Param{Name: name, Default: e, IsLocal: isLocal}, nil
 }
 
-// parsePortDecl parses one port declaration group into m.Ports: direction,
+// parsePortDecl parses one port declaration group into p.ports: direction,
 // optional reg, optional range, then one or more names (a, b, c). All
 // names share the declaration.
-func (p *parser) parsePortDecl(m *Module) error {
+func (p *parser) parsePortDecl() error {
 	var dir Dir
 	switch {
 	case p.accept("input"):
@@ -430,7 +453,7 @@ func (p *parser) parsePortDecl(m *Module) error {
 		if err != nil {
 			return err
 		}
-		m.Ports = append(m.Ports, Port{Name: name, Dir: dir, Range: rng, IsReg: isReg})
+		p.ports = append(p.ports, Port{Name: name, Dir: dir, Range: rng, IsReg: isReg})
 		// Multiple names within one decl group are separated by commas but a
 		// comma may also start a whole new decl; only continue if the next
 		// token after the comma is another identifier.
@@ -465,14 +488,14 @@ func (p *parser) parseOptRange() (Range, error) {
 }
 
 // parseModuleItem parses one item in the module body.
-func (p *parser) parseModuleItem(m *Module) error {
+func (p *parser) parseModuleItem() error {
 	switch {
 	case p.accept("parameter"):
 		prm, err := p.parseParamDecl(false)
 		if err != nil {
 			return err
 		}
-		m.Params = append(m.Params, prm)
+		p.params = append(p.params, prm)
 		return p.expect(";")
 
 	case p.accept("localparam"):
@@ -480,7 +503,7 @@ func (p *parser) parseModuleItem(m *Module) error {
 		if err != nil {
 			return err
 		}
-		m.Params = append(m.Params, prm)
+		p.params = append(p.params, prm)
 		return p.expect(";")
 
 	case p.is(p.cur(), "wire") || p.is(p.cur(), "reg"):
@@ -495,7 +518,7 @@ func (p *parser) parseModuleItem(m *Module) error {
 			if err != nil {
 				return err
 			}
-			m.Nets = append(m.Nets, Net{Name: name, Range: rng, IsReg: isReg})
+			p.nets = append(p.nets, Net{Name: name, Range: rng, IsReg: isReg})
 			if p.accept(",") {
 				continue
 			}
@@ -515,7 +538,7 @@ func (p *parser) parseModuleItem(m *Module) error {
 		if err != nil {
 			return err
 		}
-		m.Assigns = append(m.Assigns, Assign{LHS: lhs, RHS: rhs})
+		p.assigns = append(p.assigns, Assign{LHS: lhs, RHS: rhs})
 		return p.expect(";")
 
 	case p.accept("always"):
@@ -523,12 +546,12 @@ func (p *parser) parseModuleItem(m *Module) error {
 		if err != nil {
 			return err
 		}
-		m.Alwayses = append(m.Alwayses, alw)
+		p.alwayses = append(p.alwayses, alw)
 		return nil
 
 	case p.at(tokIdent):
-		m.Instances = append(m.Instances, Instance{})
-		return p.parseInstance(&m.Instances[len(m.Instances)-1])
+		p.insts = append(p.insts, Instance{})
+		return p.parseInstance(&p.insts[len(p.insts)-1])
 
 	default:
 		return p.errorf("unexpected %s in module body", p.describe(p.cur()))
@@ -882,18 +905,19 @@ func (p *parser) parsePrimary() (Expr, error) {
 			}
 			return &Repl{Count: first, X: x}, nil
 		}
-		parts := append(make([]Expr, 0, n), first)
+		c := p.concats.next()
+		c.Parts = append(p.parts.cut(n), first)
 		for p.accept(",") {
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			parts = append(parts, e)
+			c.Parts = append(c.Parts, e)
 		}
 		if err := p.expect("}"); err != nil {
 			return nil, err
 		}
-		return &Concat{Parts: parts}, nil
+		return c, nil
 
 	default:
 		return nil, p.errorf("expected expression, found %s", p.describe(p.cur()))

@@ -352,8 +352,8 @@ func bwSource(t *testing.T, tiles int) string {
 }
 
 // TestReserveIsExact: the counts reserve sizes from are exact for the
-// generated accelerator, so the parse's node slabs and every module's
-// item slices are filled to capacity; and a module whose counts are off (a
+// generated accelerator, so the parse's design-wide slabs (modules, their
+// items, AST nodes) and every module's item slices are filled to capacity; and a module whose counts are off (a
 // comparison "<=" at depth 0 counts as a sequential assignment, not a
 // Binary node; a parameterized instance's name counts as an operand)
 // still parses whole.
@@ -387,6 +387,11 @@ func TestReserveIsExact(t *testing.T) {
 			"unaries": cap(p.unaries) - len(p.unaries), "binaries": cap(p.binaries) - len(p.binaries),
 			"indexes": cap(p.indexes) - len(p.indexes), "slices": cap(p.slices) - len(p.slices),
 			"seqs": cap(p.seqs) - len(p.seqs), "conns": cap(p.conns) - len(p.conns),
+			"concats": cap(p.concats) - len(p.concats), "parts": cap(p.parts) - len(p.parts),
+			"modules": cap(p.mods) - len(p.mods), "params": cap(p.params) - len(p.params),
+			"ports": cap(p.ports) - len(p.ports), "nets": cap(p.nets) - len(p.nets),
+			"assigns": cap(p.assigns) - len(p.assigns), "alwayses": cap(p.alwayses) - len(p.alwayses),
+			"instances": cap(p.insts) - len(p.insts),
 		}
 		for slab, n := range spare {
 			if n != 0 {

@@ -15,8 +15,8 @@ import (
 // copy of the 1000-device table breaks the byte budget at once. The device
 // registry is one slab and the controller's devices share one spec per
 // type; the audit and the tick refill lease views and scratch their owners
-// keep; the stack's one cold compile allocates per module, not per token
-// (core.TestCompileAllocations). The simulator's own bookkeeping allocates
+// keep; the stack's one cold compile allocates per design, not per
+// module, node or edge (core.TestCompileAllocations). The simulator's own bookkeeping allocates
 // nothing per event once warm: the DES heap holds events by value, the
 // recurring events and the sampled serves share one func value each, the
 // trace is hashed as it is written and no line is kept, and serving
@@ -27,14 +27,15 @@ import (
 // first admission. An engine is built, not grown: a machine's stream state
 // is a few slabs sized by its kernel's programs, its per-register tables
 // one slice, its codec shared, and a weight set's tiles load on a machine
-// that cuts no stream slab. One Run measures about 611 kB and 1,019 objects
-// (about 630 kB and 1,130 under -race; the bounds are the -race level plus
+// that cuts no stream slab. One Run measures about 580 kB and 767 objects
+// (about 600 kB and 900 under -race; the bounds are the -race level plus
 // under 5 %). Of the objects the six deploys (compile, placement) take
-// about 430, of which the stack's one cold compile about 360; the engine
-// builds and serving about 320 (the two weight-set loads about 110, the
-// six engine builds about 80, the sampled inferences, whose first write
-// cuts a stream's slabs, about 130); the stack's construction about 60;
-// the control ticks about 20 (their transitions and events).
+// about 270, of which the stack's one cold compile, which allocates per
+// design, about 150; the engine builds and serving about 300 (the two
+// weight-set loads about 110, the six engine builds about 80, the sampled
+// inferences, whose first write cuts a stream's slabs, about 115, a fair
+// queue's first push making 2 objects); the stack's construction about
+// 60; the control ticks about 20 (their transitions and events).
 // Weights are paid once per weight set, not once per lease: a deploy's
 // replicas serve replica 0's model, so the six leases (four echo
 // replicas, two aft) build two sets. Of the bytes, their binary16 weight
@@ -42,7 +43,7 @@ import (
 // width, about 75 kB; the arrival sequence, presized at every block's
 // peak rate, about 45 kB and the registry's device slab about 55 kB.
 func TestScenarioAllocBudget(t *testing.T) {
-	const maxKB, maxObjects = 660, 1185
+	const maxKB, maxObjects = 625, 940
 	spec := loadSpec(t, "../../testdata/scenarios/diurnal-1000.mlw")
 	if _, err := Run(spec, "warm-up"); err != nil {
 		t.Fatal(err)

@@ -165,6 +165,16 @@ var mutants = []mutant{
 		pkg: "./internal/scaleout", run: "^TestScaledGroupMatchesSingleDevice$",
 		want: "scaleout: device 1: 4 sends, 0 receives",
 	},
+	{
+		// A merge keeps the edges between its members as edges of the
+		// contracted node.
+		name: "merge-keeps-internal-edges",
+		file: "internal/decompose/workgraph.go",
+		orig: "\t\t\tif !slices.Contains(members, e.node) {\n\t\t\t\tout = g.link(out, e.node, e.bits)\n\t\t\t}\n",
+		repl: "\t\t\tout = g.link(out, e.node, e.bits)\n",
+		pkg:  "./internal/decompose", run: "^TestWorkGraph$",
+		want: "node 4: out [{1 2} {2 16} {3 12}], want [{3 12}]",
+	},
 }
 
 // apply returns src with the mutation made, or an error naming the file

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"mlvfpga/internal/resource"
@@ -171,30 +172,43 @@ func (b *Block) NumLeaves() int {
 
 // Depth returns the tree height (a leaf has depth 1).
 func (b *Block) Depth() int {
-	max := 0
+	d := 0
 	for _, c := range b.Children {
-		if d := c.Depth(); d > max {
-			max = d
-		}
+		d = max(d, c.Depth())
 	}
-	return max + 1
+	return d + 1
 }
 
-// Clone deep-copies the subtree.
-func (b *Block) Clone() *Block {
-	cp := *b
-	cp.StageBits = append([]int{}, b.StageBits...)
-	cp.Children = make([]*Block, len(b.Children))
-	for i, c := range b.Children {
-		cp.Children[i] = c.Clone()
+// Slab holds deep copies of subtrees in three arrays, for blocks, child
+// lists and stage bandwidths, that it reuses from Reset to Reset.
+type Slab struct {
+	blocks []Block
+	kids   []*Block
+	bits   []int
+}
+
+// Reset empties the slab; the copies it held must no longer be used.
+func (s *Slab) Reset() { s.blocks, s.kids, s.bits = s.blocks[:0], s.kids[:0], s.bits[:0] }
+
+// Clone deep-copies the subtree into the slab. A valid tree of n leaves
+// has at most 2n blocks, so the arrays grow at most once per copy.
+func (s *Slab) Clone(b *Block) *Block {
+	n := 2 * b.NumLeaves()
+	s.blocks, s.kids, s.bits = slices.Grow(s.blocks, n), slices.Grow(s.kids, n), slices.Grow(s.bits, n)
+	return s.clone(b)
+}
+
+func (s *Slab) clone(b *Block) *Block {
+	s.blocks = append(s.blocks, *b)
+	cp := &s.blocks[len(s.blocks)-1]
+	s.bits = append(s.bits, b.StageBits...)
+	cp.StageBits = slices.Clip(s.bits[len(s.bits)-len(b.StageBits):])
+	s.kids = append(s.kids, b.Children...)
+	cp.Children = slices.Clip(s.kids[len(s.kids)-len(b.Children):])
+	for i, c := range cp.Children {
+		cp.Children[i] = s.clone(c)
 	}
-	if len(cp.Children) == 0 {
-		cp.Children = nil
-	}
-	if len(cp.StageBits) == 0 {
-		cp.StageBits = nil
-	}
-	return &cp
+	return cp
 }
 
 // Validation errors.

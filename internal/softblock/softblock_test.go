@@ -140,7 +140,7 @@ func TestWalkOrder(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	p := samplePipeline()
-	cp := p.Clone()
+	cp := new(Slab).Clone(p)
 	cp.Children[0].Resources = resource.Vector{LUTs: 999}
 	cp.StageBits[0] = 1
 	if p.Children[0].Resources.LUTs == 999 || p.StageBits[0] == 1 {
@@ -232,7 +232,7 @@ func randomTree(r *rand.Rand, depth int, idGen *int) *Block {
 	kids := make([]*Block, n)
 	kids[0] = proto
 	for i := 1; i < n; i++ {
-		c := proto.Clone()
+		c := new(Slab).Clone(proto)
 		var relabel func(b *Block)
 		relabel = func(b *Block) {
 			b.ID = mk()
@@ -269,7 +269,7 @@ func TestQuickTreeInvariants(t *testing.T) {
 			t.Logf("invalid random tree: %v\n%s", err, tree)
 			return false
 		}
-		cp := tree.Clone()
+		cp := new(Slab).Clone(tree)
 		return cp.Signature() == tree.Signature() &&
 			cp.NumLeaves() == tree.NumLeaves() &&
 			cp.Resources == tree.Resources
