@@ -36,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -55,7 +56,7 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
+	addr := flag.String("addr", ":8080", "listen address (port 0 picks a free port; the banner shows the one bound)")
 	restricted := flag.Bool("restricted", false, "use the same-type-only runtime policy")
 	maxBatch := flag.Int("max-batch", 8, "batch slots per machine: how many streams one machine steps together")
 	machines := flag.Int("machines", 2, "machines per piece of a lease's depth")
@@ -207,7 +208,6 @@ func main() {
 		authNote = fmt.Sprintf("signed-request auth, %d tenants", len(reg.List()))
 	}
 	srv := &http.Server{
-		Addr:              *addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
@@ -219,11 +219,17 @@ func main() {
 	if *cacheDir != "" {
 		cacheNote = "compilation cache at " + *cacheDir
 	}
+	// Bind before the banner, so a line naming the address means the
+	// server takes connections on it.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("mlv-serve: system controller for 3x XCVU37P + 1x XCKU115 (%s policy) on %s, %s, %s\n",
-		mode, *addr, cacheNote, authNote)
+		mode, ln.Addr(), cacheNote, authNote)
 
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
+	go func() { errCh <- srv.Serve(ln) }()
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)

@@ -1,8 +1,9 @@
 package mlvfpga
 
 import (
+	"bufio"
 	"encoding/json"
-	"net"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -155,26 +156,34 @@ func TestSignedClientsAgainstGuard(t *testing.T) {
 		{"id": "alice", "key": "alice-secret"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	srv := exec.Command(filepath.Join(bin, "mlv-serve"), "-addr", "127.0.0.1:0", "-tenants", tenants, "-tick", "0")
+	stdout, err := srv.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := l.Addr().String()
-	l.Close()
-	srv := exec.Command(filepath.Join(bin, "mlv-serve"), "-addr", addr, "-tenants", tenants, "-tick", "0")
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Process.Kill(); srv.Wait() })
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Millisecond) {
-		resp, err := http.Get("http://" + addr + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			break
+	// The banner names the bound address, and the server listens on it
+	// before printing it.
+	banner := make(chan string, 1)
+	go func() {
+		sc := bufio.NewScanner(stdout)
+		for sc.Scan() {
+			if _, rest, ok := strings.Cut(sc.Text(), " policy) on "); ok {
+				addr, _, _ := strings.Cut(rest, ",")
+				banner <- addr
+				break
+			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("mlv-serve did not come up on %s: %v", addr, err)
-		}
+		io.Copy(io.Discard, stdout)
+	}()
+	var addr string
+	select {
+	case addr = <-banner:
+	case <-time.After(10 * time.Second):
+		t.Fatal("mlv-serve printed no banner in 10s")
 	}
 
 	mlv := func(wantExit int, args ...string) string {

@@ -170,27 +170,35 @@ func TestInstanceCatalogDeterministicAcrossParallelism(t *testing.T) {
 }
 
 // TestCompileAllocations holds the offline flow's allocation diet: one
-// cold compile allocates per design, not per token, module, AST node or
-// graph edge. Tokens are source spans counted before they are stored;
-// modules, their items, AST nodes and instance connections come from
-// design-wide slabs sized in one pass per parse; elaborated modules,
-// their port widths and children from slabs sized from the design; the
-// structural hash is appended into one reused buffer; the decomposer's
-// graph keeps its edge lists in one backing; and calibration clones each
-// piece into one reused slab. The instance the simulator's layers deploy
-// (1 tile, the rms compiler's options) measures about 152 allocations
-// and 90 kB (170 and 93 kB under -race), where per-module allocation cost
-// 380 and 112 kB and per-node allocation 1,835 and 248 kB; the 4-tile
-// row, about 322 allocations and 129 kB (up to 404 and 144 kB under
-// -race), pins the cost per tile. The bounds are the -race level plus
-// under 5 %.
+// cold compile allocates per design, not per token, module, AST node,
+// graph edge or name lookup. Tokens are source spans counted before they
+// are stored; modules, their items, AST nodes and instance connections
+// come from design-wide slabs sized in one pass per parse, and each
+// module's names resolve once, at its endmodule, to net indices;
+// elaborated modules, their widths (a slice over those indices) and
+// children come from slabs sized from the design; the structural hash is
+// appended into one reused buffer; the block graph's union-find is one
+// array over the nets; the decomposer's graph keeps its edge lists in one
+// backing, compares soft blocks by shape without rendering them and makes
+// each block id in one allocation; and calibration clones each piece into
+// one reused slab. The instance the simulator's layers deploy (1 tile,
+// the rms compiler's options) measures about 118 allocations and 83 kB
+// (up to 131 and 85 kB under -race), from 152 and 90 kB when widths were
+// a map per module and soft blocks compared by rendered string. The
+// 4-tile row, about 202 allocations and 116 kB (229 and 125 kB under
+// -race), pins the cost per tile; the 21-tile row, about 621 and 306 kB
+// (721 and 346 kB), and the 64-tile row, about 1,636 and 790 kB (1,954
+// and 918 kB), were 1,183 and 3,575 allocations before. The bounds are
+// the -race level plus under 5 %.
 func TestCompileAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		tiles               int
 		maxAllocs, maxBytes uint64
 	}{
-		{1, 177, 97_000},
-		{4, 420, 150_000},
+		{1, 137, 89_000},
+		{4, 239, 130_000},
+		{21, 750, 360_000},
+		{64, 2_040, 955_000},
 	} {
 		opts := Options{Tiles: tc.tiles, PartitionIterations: 2, Seed: 1, PatternAware: true}
 		if _, err := CompileAccelerator(opts); err != nil {

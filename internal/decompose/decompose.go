@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"mlvfpga/internal/resource"
@@ -79,10 +80,7 @@ func Decompose(d *rtl.Design, top string, params map[string]uint64, opts Options
 	if err != nil {
 		return nil, err
 	}
-	bg, err := d.BasicGraph(em)
-	if err != nil {
-		return nil, err
-	}
+	bg := d.BasicGraph(em)
 	dec := &decomposer{
 		d:       d,
 		opts:    opts,
@@ -104,8 +102,10 @@ type decomposer struct {
 	stats  Stats
 }
 
+// blockID returns the next id, sb0, sb1, ..., in one allocation.
 func (dec *decomposer) blockID() string {
-	id := fmt.Sprintf("sb%d", dec.nextID)
+	var buf [24]byte
+	id := string(strconv.AppendInt(append(buf[:0], "sb"...), int64(dec.nextID), 10))
 	dec.nextID++
 	return id
 }
@@ -367,9 +367,9 @@ func identsOf(e rtl.Expr) []string {
 
 // interchangeable reports whether two block subtrees are interchangeable
 // copies. Leaf module keys are already canonicalized to equivalence-class
-// representatives, so the structural signature decides.
+// representatives, so their shape decides.
 func interchangeable(a, b *softblock.Block) bool {
-	return a.Signature() == b.Signature()
+	return softblock.SameShape(a, b)
 }
 
 // toFixpoint applies once until it merges nothing, adds the merges to

@@ -331,10 +331,7 @@ func TestDecomposeResourceConservation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bg, err := d.BasicGraph(em)
-		if err != nil {
-			t.Fatal(err)
-		}
+		bg := d.BasicGraph(em)
 		var want int64
 		for _, bi := range bg.Insts {
 			r, err := d.EstimateResources(bi.Elab)

@@ -13,6 +13,7 @@ import (
 	"mlvfpga/internal/bwrtl"
 	"mlvfpga/internal/decompose"
 	"mlvfpga/internal/rtl"
+	"mlvfpga/internal/softblock"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/structural_hash.golden")
@@ -160,8 +161,165 @@ func TestWriterRoundTripDecomposesSame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Accelerator.Data.Signature() != r2.Accelerator.Data.Signature() {
+	if !softblock.SameShape(r1.Accelerator.Data, r2.Accelerator.Data) {
 		t.Errorf("decomposition changed after round trip:\n%s\nvs\n%s",
 			r1.Accelerator.Data, r2.Accelerator.Data)
+	}
+}
+
+// TestRenamingInvariance renames every instance and every internal wire
+// of the generated accelerator, writes and re-parses it, and decomposes
+// it: names are no part of a design's structure, so the soft-block tree
+// keeps its shape, block ids and kinds, and every elaborated module its
+// structural hash.
+func TestRenamingInvariance(t *testing.T) {
+	opts := decompose.Options{ControlModules: bwrtl.ControlModules(), Seed: 1}
+	for _, tiles := range []int{1, 4, 21} {
+		src, err := bwrtl.Generate(bwrtl.Profile{Tiles: tiles, UseURAM: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		orig, err := rtl.ParseDesign(src, bwrtl.TopModule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		renamed, err := rtl.ParseDesign(src, bwrtl.TopModule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wires := 0
+		for _, m := range renamed.Modules {
+			wires += renameInternals(m)
+		}
+		if wires == 0 {
+			t.Fatalf("%d tiles: no internal wire to rename", tiles)
+		}
+		renamed, err = rtl.ParseDesign(rtl.WriteDesign(renamed), bwrtl.TopModule)
+		if err != nil {
+			t.Fatalf("%d tiles: renamed design does not re-parse: %v", tiles, err)
+		}
+
+		r1, err := decompose.Decompose(orig, bwrtl.TopModule, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := decompose.Decompose(renamed, bwrtl.TopModule, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !softblock.SameShape(r1.Accelerator.Data, r2.Accelerator.Data) {
+			t.Errorf("%d tiles: renaming changed the tree:\n%s\nvs\n%s", tiles, r1.Accelerator.Data, r2.Accelerator.Data)
+		}
+		if a, b := idsAndKinds(r1.Accelerator), idsAndKinds(r2.Accelerator); a != b {
+			t.Errorf("%d tiles: renaming changed the block ids or kinds:\n%s\nvs\n%s", tiles, a, b)
+		}
+
+		e1, err := orig.Elaborate(bwrtl.TopModule, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e2, err := renamed.Elaborate(bwrtl.TopModule, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h1, h2 := map[string]string{}, map[string]string{}
+		hashAll(orig, e1, h1)
+		hashAll(renamed, e2, h2)
+		if len(h1) != len(h2) {
+			t.Fatalf("%d tiles: %d elaborations, %d after renaming", tiles, len(h1), len(h2))
+		}
+		for key, h := range h1 {
+			if h2[key] != h {
+				t.Errorf("%d tiles: %s hashes %s, %s after renaming", tiles, key, h, h2[key])
+			}
+		}
+	}
+}
+
+// renameInternals renames m's instances and the nets that are not ports,
+// with every reference to them, and returns how many nets it renamed.
+func renameInternals(m *rtl.Module) int {
+	names := make([]string, len(m.Ports)+len(m.Nets))
+	for i := range m.Nets {
+		names[len(m.Ports)+i] = fmt.Sprintf("renamed_w%d", i)
+		m.Nets[i].Name = names[len(m.Ports)+i]
+	}
+	for _, a := range m.Assigns {
+		renameIdents(names, a.LHS, a.RHS)
+	}
+	for i := range m.Alwayses {
+		alw := &m.Alwayses[i]
+		if alw.ClockNet >= 0 && names[alw.ClockNet] != "" {
+			alw.Clock = names[alw.ClockNet]
+		}
+		for _, sa := range alw.Body {
+			renameIdents(names, sa.Guard...)
+			renameIdents(names, sa.LHS, sa.RHS)
+		}
+	}
+	for i := range m.Instances {
+		inst := &m.Instances[i]
+		inst.Name = fmt.Sprintf("renamed_u%d", i)
+		for _, c := range inst.Conns {
+			renameIdents(names, c.Expr)
+		}
+	}
+	return len(m.Nets)
+}
+
+// renameIdents gives each Ident in es that reads a net with a new name
+// in names (indexed by Ident.Net) that name.
+func renameIdents(names []string, es ...rtl.Expr) {
+	for _, e := range es {
+		switch v := e.(type) {
+		case *rtl.Ident:
+			if v.Net >= 0 && names[v.Net] != "" {
+				v.Name = names[v.Net]
+			}
+		case *rtl.Unary:
+			renameIdents(names, v.X)
+		case *rtl.Binary:
+			renameIdents(names, v.L, v.R)
+		case *rtl.Cond:
+			renameIdents(names, v.If, v.Then, v.Else)
+		case *rtl.Index:
+			renameIdents(names, v.X, v.At)
+		case *rtl.Slice:
+			renameIdents(names, v.X, v.Msb, v.Lsb)
+		case *rtl.Concat:
+			renameIdents(names, v.Parts...)
+		case *rtl.Repl:
+			renameIdents(names, v.Count, v.X)
+		}
+	}
+}
+
+// idsAndKinds lists an accelerator's blocks, control first, as id:kind
+// in depth-first order.
+func idsAndKinds(acc *softblock.Accelerator) string {
+	var sb strings.Builder
+	var walk func(b *softblock.Block)
+	walk = func(b *softblock.Block) {
+		fmt.Fprintf(&sb, "%s:%s ", b.ID, b.Kind)
+		for _, c := range b.Children {
+			walk(c)
+		}
+	}
+	walk(acc.Control)
+	walk(acc.Data)
+	return sb.String()
+}
+
+// hashAll records the structural hash of em and of every elaboration
+// below it, by key.
+func hashAll(d *rtl.Design, em *rtl.ElabModule, out map[string]string) {
+	if _, seen := out[em.Key]; seen {
+		return
+	}
+	out[em.Key] = d.StructuralHash(em)
+	for _, c := range em.Children {
+		if c.Elab != nil {
+			hashAll(d, c.Elab, out)
+		}
 	}
 }

@@ -60,7 +60,14 @@ type Expr interface {
 }
 
 // Ident is a net, port or parameter reference.
-type Ident struct{ Name string }
+type Ident struct {
+	Name string
+	// Net indexes the module's ports, then its nets, by the name's
+	// declaration; it is -1 for a name that declares neither (a
+	// parameter, or an unknown name). The parser resolves it at a
+	// module's endmodule; an Ident built by hand must set it.
+	Net int
+}
 
 // Number is a literal. Width 0 means unsized.
 type Number struct {
@@ -193,9 +200,10 @@ type SeqAssign struct {
 // Always is a clocked process. The subset supports a single posedge/negedge
 // clock with optional if/else chains of nonblocking assignments.
 type Always struct {
-	Clock   string // clock signal name
-	Negedge bool
-	Body    []SeqAssign
+	Clock    string // clock signal name
+	ClockNet int    // Clock's net index, as Ident.Net
+	Negedge  bool
+	Body     []SeqAssign
 }
 
 // Instance instantiates another module (or a blackbox primitive).
@@ -249,6 +257,16 @@ func (m *Module) PortByName(name string) (Port, bool) {
 		}
 	}
 	return Port{}, false
+}
+
+// declared returns the name and range of the port or net with index i
+// (Ident.Net): the ports first, then the nets.
+func (m *Module) declared(i int) (string, Range) {
+	if i < len(m.Ports) {
+		return m.Ports[i].Name, m.Ports[i].Range
+	}
+	n := m.Nets[i-len(m.Ports)]
+	return n.Name, n.Range
 }
 
 // IsBasic reports whether the module instantiates no other module — the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // ErrNotFound is returned when a referenced module does not exist.
@@ -102,7 +101,7 @@ func (d *Design) SortedModuleNames() []string {
 
 // EvalConst folds a constant expression under a parameter environment,
 // with the simulator's evaluator (see scope).
-func EvalConst(e Expr, env map[string]uint64) (uint64, error) { return scope{vals: env}.eval(e) }
+func EvalConst(e Expr, env map[string]uint64) (uint64, error) { return scope{env: env}.eval(e) }
 
 // rangeWidth returns the bit width of a resolved range under env.
 func rangeWidth(r Range, env map[string]uint64) (int, error) {
@@ -195,16 +194,14 @@ type ElabModule struct {
 	Env map[string]uint64
 	// Key identifies this elaboration uniquely within a design.
 	Key string
-	// PortWidths holds the resolved width of every port, parallel to
-	// Module.Ports.
+	// Widths holds the resolved width of every port, then of every net:
+	// the width of an Ident in Module is Widths[Ident.Net].
+	Widths []int
+	// PortWidths is the leading part of Widths, parallel to Module.Ports.
 	PortWidths []int
 	// Children are the elaborated sub-instances, in declaration order.
 	// Blackbox primitive instances have a nil Elab.
 	Children []ElabInstance
-
-	widthsOnce sync.Once // guards widths and widthsErr (NetWidths)
-	widths     map[string]int
-	widthsErr  error
 }
 
 // ElabInstance is one instantiation inside an elaborated module.
@@ -218,21 +215,21 @@ type ElabInstance struct {
 // *ElabModule via the cache, so elaboration of wide data-parallel designs is
 // cheap.
 func (d *Design) Elaborate(name string, overrides map[string]uint64) (*ElabModule, error) {
-	var ports, insts int
+	var nets, insts int
 	for _, m := range d.Modules {
-		ports, insts = ports+len(m.Ports), insts+len(m.Instances)
+		nets, insts = nets+len(m.Ports)+len(m.Nets), insts+len(m.Instances)
 	}
 	return d.elaborate(name, overrides, &elaboration{
 		cache:  make(map[string]*ElabModule, len(d.Modules)),
 		mods:   make(slab[ElabModule], 0, len(d.Modules)),
-		widths: make(slab[int], 0, ports),
+		widths: make(slab[int], 0, nets),
 		kids:   make(slab[ElabInstance], 0, insts),
 	}, 0)
 }
 
 // elaboration is one Elaborate call's cache and the slabs its modules,
-// port widths and children are cut from, sized for one elaboration of
-// every module of the design.
+// widths and children are cut from, sized for one elaboration of every
+// module of the design.
 type elaboration struct {
 	cache  map[string]*ElabModule
 	mods   slab[ElabModule]
@@ -271,14 +268,22 @@ func (d *Design) elaborate(name string, overrides map[string]uint64, e *elaborat
 	e.cache[key] = nil // mark in progress to detect recursion
 	em := e.mods.next()
 	em.Module, em.Env, em.Key = m, env, key
-	em.PortWidths, em.Children = e.widths.cut(len(m.Ports)), e.kids.cut(len(m.Instances))
+	em.Widths, em.Children = e.widths.cut(len(m.Ports)+len(m.Nets)), e.kids.cut(len(m.Instances))
 	for _, p := range m.Ports {
 		w, err := rangeWidth(p.Range, env)
 		if err != nil {
 			return nil, fmt.Errorf("rtl: module %s port %s: %w", name, p.Name, err)
 		}
-		em.PortWidths = append(em.PortWidths, w)
+		em.Widths = append(em.Widths, w)
 	}
+	for _, n := range m.Nets {
+		w, err := rangeWidth(n.Range, env)
+		if err != nil {
+			return nil, fmt.Errorf("rtl: module %s net %s: %w", name, n.Name, err)
+		}
+		em.Widths = append(em.Widths, w)
+	}
+	em.PortWidths = em.Widths[:len(m.Ports)]
 	for i := range m.Instances {
 		inst := &m.Instances[i]
 		if d.IsPrimitive(inst.ModuleName) {
@@ -306,36 +311,14 @@ func (d *Design) elaborate(name string, overrides map[string]uint64, e *elaborat
 	return em, nil
 }
 
-// NetWidths resolves the width of every port and net of an elaborated
-// module, keyed by name. They are resolved once, on first use, and the
-// map is shared by every caller, from any goroutine: callers must not
-// modify it.
-func (em *ElabModule) NetWidths() (map[string]int, error) {
-	em.widthsOnce.Do(func() {
-		widths := make(map[string]int, len(em.PortWidths)+len(em.Module.Nets))
-		for i, p := range em.Module.Ports {
-			widths[p.Name] = em.PortWidths[i]
-		}
-		for _, n := range em.Module.Nets {
-			w, err := rangeWidth(n.Range, em.Env)
-			if err != nil {
-				em.widthsErr = fmt.Errorf("rtl: module %s net %s: %w", em.Module.Name, n.Name, err)
-				return
-			}
-			widths[n.Name] = w
-		}
-		em.widths = widths
-	})
-	return em.widths, em.widthsErr
-}
-
-// InferWidth computes the bit width of an expression given net widths and
-// the parameter environment. Parameters evaluate as 32-bit values.
-func InferWidth(e Expr, widths map[string]int, env map[string]uint64) (int, error) {
+// InferWidth computes the bit width of an expression given its module's
+// widths (indexed by Ident.Net, as ElabModule.Widths) and the parameter
+// environment. Parameters evaluate as 32-bit values.
+func InferWidth(e Expr, widths []int, env map[string]uint64) (int, error) {
 	switch v := e.(type) {
 	case *Ident:
-		if w, ok := widths[v.Name]; ok {
-			return w, nil
+		if v.Net >= 0 && v.Net < len(widths) {
+			return widths[v.Net], nil
 		}
 		if _, ok := env[v.Name]; ok {
 			return 32, nil
@@ -402,7 +385,7 @@ func InferWidth(e Expr, widths map[string]int, env map[string]uint64) (int, erro
 }
 
 // widest returns the largest width among es.
-func widest(widths map[string]int, env map[string]uint64, es ...Expr) (int, error) {
+func widest(widths []int, env map[string]uint64, es ...Expr) (int, error) {
 	w := 0
 	for _, e := range es {
 		ew, err := InferWidth(e, widths, env)

@@ -277,7 +277,7 @@ func TestElabKey(t *testing.T) {
 }
 
 func TestInferWidth(t *testing.T) {
-	widths := map[string]int{"a": 8, "b": 16, "c": 1}
+	widths := []int{8, 16, 1, 32} // a, b, c, y: the ports' net indices
 	cases := []struct {
 		src  string
 		want int

@@ -34,24 +34,22 @@ import (
 
 // hasher computes canonical structural hashes of elaborations, memoized
 // per elaboration. Two elaborations with identical structure — up to net
-// names, instance names and child module names — share a hash. A module's
-// canonical text is appended into one buffer that, like the net renaming
-// and the key scratch, is reused from module to module; the text also
-// seeds random simulation (pairSeed), so its bytes are pinned by
-// testdata/structural_hash.golden.
+// names, instance names and child module names — share a hash: a port
+// keeps its name, the i-th net of a module reads as n<i>, and a name that
+// declares neither and is no parameter stays as written. A module's
+// canonical text is appended into one buffer that, like the key scratch,
+// is reused from module to module; the text also seeds random simulation
+// (pairSeed), so its bytes are pinned by testdata/structural_hash.golden.
 type hasher struct {
-	memo map[*ElabModule]string
-	buf  []byte
-	// names maps a net to its canonical index in first-use order; ports
-	// map to -1 and are rendered verbatim.
-	names map[string]int
-	next  int
+	memo  map[*ElabModule]string
+	buf   []byte
+	ports int // the hashed module's port count
 	keys  []string
 	conns []Conn
 }
 
 func newHasher() *hasher {
-	return &hasher{memo: map[*ElabModule]string{}, names: map[string]int{}}
+	return &hasher{memo: map[*ElabModule]string{}}
 }
 
 // hash returns em's structural hash.
@@ -65,24 +63,17 @@ func (h *hasher) hash(em *ElabModule) string {
 			h.hash(child.Elab)
 		}
 	}
-	clear(h.names)
-	h.next = 0
+	h.ports = len(em.Module.Ports)
 	b := h.buf[:0]
 	// Ports: names are part of the interface and therefore of the hash.
 	for i, p := range em.Module.Ports {
 		b = append(append(append(append(b, "port "...), p.Name...), ' '), p.Dir.String()...)
-		b = strconv.AppendInt(append(b, ' '), int64(em.PortWidths[i]), 10)
+		b = strconv.AppendInt(append(b, ' '), int64(em.Widths[i]), 10)
 		b = append(strconv.AppendBool(append(b, ' '), p.IsReg), ';')
-		h.names[p.Name] = -1
 	}
-	widths, err := em.NetWidths()
-	if err != nil {
-		// Width errors surface during elaboration; treat as unique.
-		b = append(append(append(b, "widtherr "...), err.Error()...), ';')
-	}
-	for _, n := range em.Module.Nets {
-		b = h.appendName(append(b, "net "...), n.Name)
-		b = strconv.AppendInt(append(b, ' '), int64(widths[n.Name]), 10)
+	for i, n := range em.Module.Nets {
+		b = h.appendNet(append(b, "net "...), h.ports+i, n.Name)
+		b = strconv.AppendInt(append(b, ' '), int64(em.Widths[h.ports+i]), 10)
 		b = append(strconv.AppendBool(append(b, ' '), n.IsReg), ';')
 	}
 	for _, a := range em.Module.Assigns {
@@ -90,7 +81,7 @@ func (h *hasher) hash(em *ElabModule) string {
 		b = append(h.appendCanon(append(b, " = "...), a.RHS, em.Env), ';')
 	}
 	for _, alw := range em.Module.Alwayses {
-		b = h.appendName(append(b, "always "...), alw.Clock)
+		b = h.appendNet(append(b, "always "...), alw.ClockNet, alw.Clock)
 		b = append(strconv.AppendBool(append(b, ' '), alw.Negedge), " {"...)
 		for _, sa := range alw.Body {
 			for _, g := range sa.Guard {
@@ -139,19 +130,13 @@ func (h *hasher) sortedKeys(m map[string]Expr) []string {
 	return h.keys
 }
 
-// appendName appends a net's canonical name: ports verbatim, other nets
-// numbered n0, n1, ... in first-use order.
-func (h *hasher) appendName(b []byte, name string) []byte {
-	i, ok := h.names[name]
-	if !ok {
-		i = h.next
-		h.next++
-		h.names[name] = i
-	}
-	if i < 0 {
+// appendNet appends the canonical name of net index i (Ident.Net) named
+// name.
+func (h *hasher) appendNet(b []byte, i int, name string) []byte {
+	if i < h.ports {
 		return append(b, name...)
 	}
-	return strconv.AppendInt(append(b, 'n'), int64(i), 10)
+	return strconv.AppendInt(append(b, 'n'), int64(i-h.ports), 10)
 }
 
 // appendCanon appends an expression with canonical net names and
@@ -159,12 +144,10 @@ func (h *hasher) appendName(b []byte, name string) []byte {
 func (h *hasher) appendCanon(b []byte, e Expr, env map[string]uint64) []byte {
 	switch v := e.(type) {
 	case *Ident:
-		if val, isParam := env[v.Name]; isParam {
-			if _, alsoNet := h.names[v.Name]; !alsoNet {
-				return strconv.AppendUint(append(b, '#'), val, 10)
-			}
+		if val, isParam := env[v.Name]; v.Net < 0 && isParam {
+			return strconv.AppendUint(append(b, '#'), val, 10)
 		}
-		return h.appendName(b, v.Name)
+		return h.appendNet(b, v.Net, v.Name)
 	case *Number:
 		b = strconv.AppendUint(append(b, '#'), v.Value, 10)
 		return strconv.AppendInt(append(b, '/'), int64(v.Width), 10)

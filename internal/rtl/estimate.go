@@ -50,20 +50,17 @@ func (d *Design) estimate(em *ElabModule, memo map[*ElabModule]resource.Vector) 
 		return v, nil
 	}
 	var total resource.Vector
-	widths, err := em.NetWidths()
-	if err != nil {
-		return resource.Vector{}, err
-	}
+	widths := em.Widths
 
 	// Registers: one DFF per reg bit (ports and nets).
 	for i, p := range em.Module.Ports {
 		if p.IsReg {
-			total.DFFs += int64(em.PortWidths[i])
+			total.DFFs += int64(widths[i])
 		}
 	}
-	for _, n := range em.Module.Nets {
+	for i, n := range em.Module.Nets {
 		if n.IsReg {
-			total.DFFs += int64(widths[n.Name])
+			total.DFFs += int64(widths[len(em.Module.Ports)+i])
 		}
 	}
 
@@ -116,7 +113,7 @@ func (d *Design) estimate(em *ElabModule, memo map[*ElabModule]resource.Vector) 
 //	multiply         ceil(wl/18)*ceil(wr/18) DSP slices
 //	variable shift   2*width LUTs (barrel shifter stages)
 //	reductions       width/4 LUTs
-func estimateExpr(e Expr, widths map[string]int, env map[string]uint64) resource.Vector {
+func estimateExpr(e Expr, widths []int, env map[string]uint64) resource.Vector {
 	var total resource.Vector
 	w := func(x Expr) int64 {
 		ww, err := InferWidth(x, widths, env)

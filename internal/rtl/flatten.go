@@ -22,7 +22,7 @@ func (d *Design) Flatten(top string, overrides map[string]uint64) (*Module, erro
 		w := em.PortWidths[i]
 		flat.Ports = append(flat.Ports, Port{Name: p.Name, Dir: p.Dir, Range: concreteRange(w), IsReg: p.IsReg})
 	}
-	if err := d.flattenInto(flat, em, ""); err != nil {
+	if err := d.flattenInto(flat, em, "", 0); err != nil {
 		return nil, err
 	}
 	return flat, nil
@@ -37,31 +37,33 @@ func concreteRange(w int) Range {
 }
 
 // flattenInto appends em's resolved contents into flat under the given
-// instance prefix ("" for the top level).
-func (d *Design) flattenInto(flat *Module, em *ElabModule, prefix string) error {
-	widths, err := em.NetWidths()
-	if err != nil {
-		return err
+// instance prefix ("" for the top level). em's ports are flat's ports or
+// nets from net index ports on, in flat's numbering (Ident.Net), and its
+// nets are appended to flat's here.
+func (d *Design) flattenInto(flat *Module, em *ElabModule, prefix string, ports int) error {
+	nports, nets := len(em.Module.Ports), len(flat.Ports)+len(flat.Nets)
+	// flatNet maps a net index of em to flat's.
+	flatNet := func(i int) int {
+		if i < nports {
+			return ports + i
+		}
+		return nets + i - nports
 	}
 	// rewrite substitutes parameters with constants and prefixes net names.
 	rewrite := func(e Expr) (Expr, error) {
-		return substExpr(e, func(name string) (Expr, error) {
-			if _, isNet := widths[name]; isNet {
-				return &Ident{Name: prefix + name}, nil
+		return substExpr(e, func(id *Ident) (Expr, error) {
+			if id.Net >= 0 {
+				return &Ident{Name: prefix + id.Name, Net: flatNet(id.Net)}, nil
 			}
-			if v, isParam := em.Env[name]; isParam {
+			if v, isParam := em.Env[id.Name]; isParam {
 				return &Number{Value: v, Width: 32}, nil
 			}
-			return nil, fmt.Errorf("rtl: module %s: unknown identifier %q", em.Module.Name, name)
+			return nil, fmt.Errorf("rtl: module %s: unknown identifier %q", em.Module.Name, id.Name)
 		})
 	}
 
-	for _, n := range em.Module.Nets {
-		w, err := rangeWidth(n.Range, em.Env)
-		if err != nil {
-			return err
-		}
-		flat.Nets = append(flat.Nets, Net{Name: prefix + n.Name, Range: concreteRange(w), IsReg: n.IsReg})
+	for i, n := range em.Module.Nets {
+		flat.Nets = append(flat.Nets, Net{Name: prefix + n.Name, Range: concreteRange(em.Widths[nports+i]), IsReg: n.IsReg})
 	}
 
 	for _, a := range em.Module.Assigns {
@@ -77,10 +79,10 @@ func (d *Design) flattenInto(flat *Module, em *ElabModule, prefix string) error 
 	}
 
 	for _, alw := range em.Module.Alwayses {
-		out := Always{Clock: prefix + alw.Clock, Negedge: alw.Negedge}
-		if _, isNet := widths[alw.Clock]; !isNet {
+		if alw.ClockNet < 0 {
 			return fmt.Errorf("rtl: module %s: clock %q is not a net", em.Module.Name, alw.Clock)
 		}
+		out := Always{Clock: prefix + alw.Clock, ClockNet: flatNet(alw.ClockNet), Negedge: alw.Negedge}
 		for _, sa := range alw.Body {
 			lhs, err := rewrite(sa.LHS)
 			if err != nil {
@@ -128,6 +130,7 @@ func (d *Design) flattenInto(flat *Module, em *ElabModule, prefix string) error 
 		}
 
 		childPrefix := prefix + inst.Name + "."
+		childPorts := len(flat.Ports) + len(flat.Nets)
 		// Declare the child's ports as nets of the flat module.
 		for i, p := range child.Elab.Module.Ports {
 			w := child.Elab.PortWidths[i]
@@ -136,7 +139,7 @@ func (d *Design) flattenInto(flat *Module, em *ElabModule, prefix string) error 
 		// Bind connections.
 		for i, p := range child.Elab.Module.Ports {
 			actual, connected := inst.Conn(p.Name)
-			formal := &Ident{Name: childPrefix + p.Name}
+			formal := &Ident{Name: childPrefix + p.Name, Net: childPorts + i}
 			switch {
 			case !connected || actual == nil:
 				if p.Dir == Input {
@@ -164,7 +167,7 @@ func (d *Design) flattenInto(flat *Module, em *ElabModule, prefix string) error 
 					prefix, inst.Name, p.Name)
 			}
 		}
-		if err := d.flattenInto(flat, child.Elab, childPrefix); err != nil {
+		if err := d.flattenInto(flat, child.Elab, childPrefix, childPorts); err != nil {
 			return err
 		}
 	}
@@ -173,7 +176,7 @@ func (d *Design) flattenInto(flat *Module, em *ElabModule, prefix string) error 
 
 // substExpr rewrites every identifier in e through fn, rebuilding the tree.
 // The first error stops the rewrite.
-func substExpr(e Expr, fn func(string) (Expr, error)) (Expr, error) {
+func substExpr(e Expr, fn func(*Ident) (Expr, error)) (Expr, error) {
 	var err error
 	sub := func(x Expr) Expr {
 		if err != nil {
@@ -185,7 +188,7 @@ func substExpr(e Expr, fn func(string) (Expr, error)) (Expr, error) {
 	var out Expr
 	switch v := e.(type) {
 	case *Ident:
-		return fn(v.Name)
+		return fn(v)
 	case *Number:
 		return v, nil
 	case *Unary:

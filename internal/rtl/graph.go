@@ -2,7 +2,6 @@ package rtl
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 )
 
@@ -44,14 +43,6 @@ type BasicGraph struct {
 	Edges []BasicEdge
 }
 
-// scopedNet names a net by the instance scope it lives in (0 is the
-// design's top, every walked instance opens a new one) and its local name,
-// so the walk builds no hierarchical name strings.
-type scopedNet struct {
-	scope int
-	name  string
-}
-
 // attachment is one point where a basic instance or the boundary touches a
 // net class.
 type attachment struct {
@@ -62,27 +53,25 @@ type attachment struct {
 }
 
 // graphBuilder is a union-find over the design's nets plus the points
-// where basic instances and the boundary attach to them.
+// where basic instances and the boundary attach to them. Every walked
+// instance (and the top) is a scope whose nets hold consecutive ids from
+// the scope's base on, in the order of their indices (Ident.Net), so the
+// walk looks up no names.
 type graphBuilder struct {
 	d      *Design
 	g      *BasicGraph
-	ids    map[scopedNet]int
 	parent []int
 	atts   []attachment
-	refs   []netRef // scratch for referencedNets
-	scopes int
+	refs   []int // scratch for referencedNets
 }
 
-// net returns the id of a net, adding it as its own class on first use.
-func (b *graphBuilder) net(scope int, name string) int {
-	k := scopedNet{scope, name}
-	id, ok := b.ids[k]
-	if !ok {
-		id = len(b.parent)
-		b.ids[k] = id
-		b.parent = append(b.parent, id)
+// scope opens a scope of n nets, each its own class, and returns its base.
+func (b *graphBuilder) scope(n int) int {
+	base := len(b.parent)
+	for i := range n {
+		b.parent = append(b.parent, base+i)
 	}
-	return id
+	return base
 }
 
 func (b *graphBuilder) find(x int) int {
@@ -99,32 +88,32 @@ func (b *graphBuilder) union(x, y int) {
 	}
 }
 
-// alias joins every net e references in scope with anchor.
-func (b *graphBuilder) alias(anchor, scope int, e Expr, widths map[string]int) {
-	b.refs = referencedNets(b.refs[:0], e, 0, widths)
+// alias joins every net e references in the scope at base with anchor.
+func (b *graphBuilder) alias(anchor, base int, e Expr) {
+	b.refs = referencedNets(b.refs[:0], e)
 	for _, n := range b.refs {
-		b.union(anchor, b.net(scope, n.name))
+		b.union(anchor, base+n)
 	}
 }
 
 // BasicGraph builds the block graph of the elaborated design em.
-func (d *Design) BasicGraph(em *ElabModule) (*BasicGraph, error) {
+func (d *Design) BasicGraph(em *ElabModule) *BasicGraph {
 	g := &BasicGraph{}
 	if em.Module.IsBasic(d.IsPrimitive) {
 		// A design whose top is already basic decomposes to one node.
 		g.Insts = append(g.Insts, BasicInst{Path: em.Module.Name, Elab: em})
-		return g, nil
+		return g
 	}
 	// The top's nets and its children's ports: all of a two-level design.
-	size := len(em.Module.Ports) + len(em.Module.Nets)
+	size := len(em.Widths)
 	for _, c := range em.Children {
 		if c.Elab != nil {
 			size += len(c.Elab.Module.Ports)
 		}
 	}
-	b := &graphBuilder{d: d, g: g, ids: make(map[scopedNet]int, size),
-		parent: make([]int, 0, size), atts: make([]attachment, 0, size)}
+	b := &graphBuilder{d: d, g: g, parent: make([]int, 0, size), atts: make([]attachment, 0, size)}
 	g.Insts = make([]BasicInst, 0, len(em.Children))
+	top := b.scope(len(em.Widths))
 
 	// Top-level ports attach to the boundary. From the graph's perspective
 	// a top input is driven by the boundary, so the boundary acts as an
@@ -134,11 +123,9 @@ func (d *Design) BasicGraph(em *ElabModule) (*BasicGraph, error) {
 		if p.Dir == Output {
 			boundaryDir = Input
 		}
-		b.atts = append(b.atts, attachment{net: b.net(0, p.Name), inst: Boundary, dir: boundaryDir, width: em.PortWidths[i]})
+		b.atts = append(b.atts, attachment{net: top + i, inst: Boundary, dir: boundaryDir, width: em.PortWidths[i]})
 	}
-	if err := b.walk(em, 0, ""); err != nil {
-		return nil, err
-	}
+	b.walk(em, top, "")
 
 	// Group the attachments by class; every driver (Output attachment)
 	// feeds every reader (Input attachment) in its class.
@@ -180,28 +167,24 @@ func (d *Design) BasicGraph(em *ElabModule) (*BasicGraph, error) {
 		n++
 	}
 	g.Edges = g.Edges[:n]
-	return g, nil
+	return g
 }
 
-// walk unions m's nets (in scope, under the instance path prefix) with its
-// children's ports, records basic instances and their attachments, and
-// descends into the other children.
-func (b *graphBuilder) walk(m *ElabModule, scope int, prefix string) error {
-	widths, err := m.NetWidths()
-	if err != nil {
-		return err
-	}
+// walk unions m's nets (in the scope at base, under the instance path
+// prefix) with its children's ports, records basic instances and their
+// attachments, and descends into the other children.
+func (b *graphBuilder) walk(m *ElabModule, base int, prefix string) {
 	// Glue assigns alias their nets conservatively.
 	for _, a := range m.Module.Assigns {
-		b.refs = referencedNets(b.refs[:0], a.LHS, 0, widths)
+		b.refs = referencedNets(b.refs[:0], a.LHS)
 		if len(b.refs) == 0 {
 			continue
 		}
-		anchor := b.net(scope, b.refs[0].name)
+		anchor := base + b.refs[0]
 		for _, n := range b.refs[1:] {
-			b.union(anchor, b.net(scope, n.name))
+			b.union(anchor, base+n)
 		}
-		b.alias(anchor, scope, a.RHS, widths)
+		b.alias(anchor, base, a.RHS)
 	}
 	for ci := range m.Children {
 		child := &m.Children[ci]
@@ -209,20 +192,25 @@ func (b *graphBuilder) walk(m *ElabModule, scope int, prefix string) error {
 		if child.Elab == nil {
 			continue // primitive cells inside non-basic modules: decoration
 		}
-		b.scopes++
-		childScope := b.scopes
+		basic := child.Elab.Module.IsBasic(b.d.IsPrimitive)
+		// A basic child's nets are never walked: its scope is its ports.
+		n := len(child.Elab.Widths)
+		if basic {
+			n = len(child.Elab.PortWidths)
+		}
+		childBase := b.scope(n)
 		// Union each formal port with its actual's nets.
-		for _, p := range child.Elab.Module.Ports {
+		for i, p := range child.Elab.Module.Ports {
 			if actual, _ := inst.Conn(p.Name); actual != nil {
-				b.alias(b.net(childScope, p.Name), scope, actual, widths)
+				b.alias(childBase+i, base, actual)
 			}
 		}
-		if child.Elab.Module.IsBasic(b.d.IsPrimitive) {
+		if basic {
 			idx := len(b.g.Insts)
 			b.g.Insts = append(b.g.Insts, BasicInst{Path: prefix + inst.Name, Elab: child.Elab})
 			for i, p := range child.Elab.Module.Ports {
 				b.atts = append(b.atts, attachment{
-					net:   b.net(childScope, p.Name),
+					net:   childBase + i,
 					inst:  idx,
 					dir:   p.Dir,
 					width: child.Elab.PortWidths[i],
@@ -230,70 +218,34 @@ func (b *graphBuilder) walk(m *ElabModule, scope int, prefix string) error {
 			}
 			continue
 		}
-		if err := b.walk(child.Elab, childScope, prefix+inst.Name+"."); err != nil {
-			return err
-		}
+		b.walk(child.Elab, childBase, prefix+inst.Name+".")
 	}
-	return nil
 }
 
-// netRef is one net referenced by an expression with the bit width of the
-// reference.
-type netRef struct {
-	name string
-	bits int
-}
-
-// referencedNets appends the nets e touches to dst. Widths are
-// best-effort (full net width for plain identifiers, slice width for part
-// selects); bits is the width the enclosing select imposes, 0 for none.
-func referencedNets(dst []netRef, e Expr, bits int, widths map[string]int) []netRef {
+// referencedNets appends the indices (Ident.Net) of the nets e touches
+// to dst.
+func referencedNets(dst []int, e Expr) []int {
 	switch v := e.(type) {
 	case *Ident:
-		if w, ok := widths[v.Name]; ok {
-			if bits <= 0 || bits > w {
-				bits = w
-			}
-			dst = append(dst, netRef{v.Name, bits})
+		if v.Net >= 0 {
+			dst = append(dst, v.Net)
 		}
 	case *Unary:
-		dst = referencedNets(dst, v.X, 0, widths)
+		dst = referencedNets(dst, v.X)
 	case *Binary:
-		dst = referencedNets(dst, v.L, 0, widths)
-		dst = referencedNets(dst, v.R, 0, widths)
+		dst = referencedNets(referencedNets(dst, v.L), v.R)
 	case *Cond:
-		dst = referencedNets(dst, v.If, 0, widths)
-		dst = referencedNets(dst, v.Then, 0, widths)
-		dst = referencedNets(dst, v.Else, 0, widths)
+		dst = referencedNets(referencedNets(referencedNets(dst, v.If), v.Then), v.Else)
 	case *Index:
-		dst = referencedNets(dst, v.X, 1, widths)
-		dst = referencedNets(dst, v.At, 0, widths)
+		dst = referencedNets(referencedNets(dst, v.X), v.At)
 	case *Slice:
-		w := 0
-		if msb, err := EvalConst(v.Msb, nil); err == nil {
-			if lsb, err := EvalConst(v.Lsb, nil); err == nil && msb >= lsb {
-				w = int(msb-lsb) + 1
-			}
-		}
-		dst = referencedNets(dst, v.X, w, widths)
+		dst = referencedNets(dst, v.X)
 	case *Concat:
 		for _, p := range v.Parts {
-			dst = referencedNets(dst, p, 0, widths)
+			dst = referencedNets(dst, p)
 		}
 	case *Repl:
-		dst = referencedNets(dst, v.X, 0, widths)
+		dst = referencedNets(dst, v.X)
 	}
 	return dst
-}
-
-// String renders the graph for debugging.
-func (g *BasicGraph) String() string {
-	s := fmt.Sprintf("BasicGraph{%d insts, %d edges}\n", len(g.Insts), len(g.Edges))
-	for i, n := range g.Insts {
-		s += fmt.Sprintf("  [%d] %s : %s\n", i, n.Path, n.Elab.Key)
-	}
-	for _, e := range g.Edges {
-		s += fmt.Sprintf("  %d -> %d (%d bits)\n", e.From, e.To, e.Bits)
-	}
-	return s
 }

@@ -1,6 +1,7 @@
 package rtl
 
 import (
+	"fmt"
 	"testing"
 
 	"mlvfpga/internal/resource"
@@ -27,10 +28,7 @@ func TestBasicGraphChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := d.BasicGraph(elab(t, d, "top"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := d.BasicGraph(elab(t, d, "top"))
 	if len(g.Insts) != 3 {
 		t.Fatalf("insts = %d, want 3\n%s", len(g.Insts), g)
 	}
@@ -76,10 +74,7 @@ func TestBasicGraphHierarchical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := d.BasicGraph(elab(t, d, "top"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := d.BasicGraph(elab(t, d, "top"))
 	if len(g.Insts) != 2 {
 		t.Fatalf("insts = %d, want 2\n%s", len(g.Insts), g)
 	}
@@ -96,10 +91,7 @@ func TestBasicGraphTopIsBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := d.BasicGraph(elab(t, d, "solo"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := d.BasicGraph(elab(t, d, "solo"))
 	if len(g.Insts) != 1 || len(g.Edges) != 0 {
 		t.Errorf("solo graph = %s", g)
 	}
@@ -118,10 +110,7 @@ func TestBasicGraphFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := d.BasicGraph(elab(t, d, "top"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := d.BasicGraph(elab(t, d, "top"))
 	byPath := map[string]int{}
 	for i, n := range g.Insts {
 		byPath[n.Path] = i
@@ -252,4 +241,16 @@ func (g *BasicGraph) bandwidth(a, b int) int {
 		}
 	}
 	return total
+}
+
+// String renders the graph for test failures.
+func (g *BasicGraph) String() string {
+	s := fmt.Sprintf("BasicGraph{%d insts, %d edges}\n", len(g.Insts), len(g.Edges))
+	for i, n := range g.Insts {
+		s += fmt.Sprintf("  [%d] %s : %s\n", i, n.Path, n.Elab.Key)
+	}
+	for _, e := range g.Edges {
+		s += fmt.Sprintf("  %d -> %d (%d bits)\n", e.From, e.To, e.Bits)
+	}
+	return s
 }

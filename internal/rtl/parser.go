@@ -18,17 +18,19 @@ type parser struct {
 	toks []token
 	pos  int
 
-	idents   slab[Ident]
-	numbers  slab[Number]
-	unaries  slab[Unary]
-	binaries slab[Binary]
-	indexes  slab[Index]
-	slices   slab[Slice]
-	concats  slab[Concat]
-	parts    slab[Expr]   // backing of the Concat parts
-	seqs     []SeqAssign  // backing of the Always bodies
-	conns    []Conn       // backing of the Instance.Conns lists
-	mods     slab[Module] // in source order
+	idents    slab[Ident]
+	modIdents []*Ident       // the Idents of the module being parsed
+	netIdx    map[string]int // its ports' and nets' indices plus one, by name
+	numbers   slab[Number]
+	unaries   slab[Unary]
+	binaries  slab[Binary]
+	indexes   slab[Index]
+	slices    slab[Slice]
+	concats   slab[Concat]
+	parts     slab[Expr]   // backing of the Concat parts
+	seqs      []SeqAssign  // backing of the Always bodies
+	conns     []Conn       // backing of the Instance.Conns lists
+	mods      slab[Module] // in source order
 	// The module items, appended in source order; each module's lists are
 	// cut from them at its endmodule.
 	params   []Param
@@ -161,13 +163,18 @@ type sizes struct {
 
 // reserve sizes the slabs of the source.
 func (p *parser) reserve() {
+	idents, nets := 0, 0 // the most of one module
 	for i := 0; i < len(p.toks)-1; i++ {
 		if p.is(p.toks[i], "module") && p.toks[i+1].kind == tokIdent {
+			before := p.n
 			p.n.mods++
 			i = p.count(i + 1)
+			idents = max(idents, p.n.idents-before.idents)
+			nets = max(nets, p.n.ports+p.n.nets-before.ports-before.nets)
 		}
 	}
 	n := p.n
+	p.modIdents, p.netIdx = make([]*Ident, 0, idents), make(map[string]int, nets)
 	p.mods = make(slab[Module], 0, n.mods)
 	p.params, p.ports, p.nets = make([]Param, 0, n.params), make([]Port, 0, n.ports), make([]Net, 0, n.nets)
 	p.assigns, p.alwayses, p.insts = make([]Assign, 0, n.assigns), make([]Always, 0, n.alwayses), make([]Instance, 0, n.insts)
@@ -408,7 +415,30 @@ func (p *parser) parseModule() (*Module, error) {
 	p.pos++ // consume endmodule
 	m.Params, m.Ports, m.Nets = from(p.params, params), from(p.ports, ports), from(p.nets, nets)
 	m.Assigns, m.Alwayses, m.Instances = from(p.assigns, assigns), from(p.alwayses, alwayses), from(p.insts, insts)
-	return m, nil
+	return m, p.resolve(m)
+}
+
+// resolve gives every Ident and clock of m its net index, so no later
+// pass looks a net up by name. A name declared twice, as ports or nets,
+// is an error: it would have no one index.
+func (p *parser) resolve(m *Module) error {
+	clear(p.netIdx)
+	for i := range len(m.Ports) + len(m.Nets) {
+		name, _ := m.declared(i)
+		if _, dup := p.netIdx[name]; dup {
+			return fmt.Errorf("rtl: module %s declares %q twice", m.Name, name)
+		}
+		p.netIdx[name] = i + 1
+	}
+	// A name that declares nothing reads 0, so its index is -1.
+	for _, id := range p.modIdents {
+		id.Net = p.netIdx[id.Name] - 1
+	}
+	for i := range m.Alwayses {
+		m.Alwayses[i].ClockNet = p.netIdx[m.Alwayses[i].Clock] - 1
+	}
+	p.modIdents = p.modIdents[:0]
+	return nil
 }
 
 // parseParamDecl parses NAME = expr after the parameter/localparam keyword.
@@ -860,6 +890,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 	case p.at(tokIdent):
 		id := p.idents.next()
 		id.Name = p.text(p.cur())
+		p.modIdents = append(p.modIdents, id)
 		p.pos++
 		return p.parseSelects(id)
 

@@ -107,6 +107,36 @@ func TestParseAlways(t *testing.T) {
 	}
 }
 
+// TestParseNetIndices: every Ident and clock reads its net index, ports
+// first, then nets, whatever the order of use and declaration; a
+// parameter or an unknown name reads -1.
+func TestParseNetIndices(t *testing.T) {
+	m := mustParse(t, `
+		module m #(parameter N = 2) (input clk, input [7:0] a, output [7:0] y);
+		  assign t = a + N + u;
+		  wire [7:0] t;
+		  reg g;
+		  always @(posedge g) g <= clk;
+		  assign y = t;
+		endmodule`)[0]
+	sum := m.Assigns[0].RHS.(*Binary) // (a + N) + u
+	lhs := sum.L.(*Binary)
+	for _, c := range []struct {
+		id   Expr
+		want int
+	}{
+		{m.Assigns[0].LHS, 3}, {lhs.L, 1}, {lhs.R, -1}, {sum.R, -1},
+		{m.Alwayses[0].Body[0].LHS, 4}, {m.Alwayses[0].Body[0].RHS, 0}, {m.Assigns[1].LHS, 2},
+	} {
+		if id := c.id.(*Ident); id.Net != c.want {
+			t.Errorf("%s: net %d, want %d", id.Name, id.Net, c.want)
+		}
+	}
+	if m.Alwayses[0].ClockNet != 4 {
+		t.Errorf("clock g: net %d, want 4", m.Alwayses[0].ClockNet)
+	}
+}
+
 // TestParseNestedGuards: each branch of a deep if/else chain keeps its
 // own guard chain; a then-branch's guards sharing an array with the
 // else-branch's would read the else's negated condition.
@@ -233,6 +263,8 @@ func TestParseErrors(t *testing.T) {
 		"module m(); assign y = 8'q3; endmodule",
 		"module m(); /* unterminated",
 		"module m(input a, input a2); assign y = 4'b; endmodule", // no digits
+		"module m(input a); wire a; endmodule",                   // port redeclared
+		"module m(); wire b; reg b; endmodule",                   // net redeclared
 	}
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {

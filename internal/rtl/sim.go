@@ -21,8 +21,7 @@ var ErrCombLoop = errors.New("rtl: combinational loop (assigns did not settle)")
 type Simulator struct {
 	flat *Module
 	scope
-	inputs  map[string]bool
-	outputs []string
+	nets map[string]int // every port's and net's index plus one, by name
 }
 
 // NewFlatSimulator prepares a simulator for an already-flattened module.
@@ -32,46 +31,35 @@ func NewFlatSimulator(flat *Module) (*Simulator, error) {
 	if len(flat.Instances) > 0 {
 		return nil, fmt.Errorf("%w: e.g. %s", ErrNotSimulable, flat.Instances[0].ModuleName)
 	}
-	s := &Simulator{
-		flat:   flat,
-		scope:  scope{widths: map[string]int{}, vals: map[string]uint64{}},
-		inputs: map[string]bool{},
-	}
-	for _, p := range flat.Ports {
-		w, err := rangeWidth(p.Range, nil)
+	n := len(flat.Ports) + len(flat.Nets)
+	s := &Simulator{flat: flat, nets: make(map[string]int, n)}
+	s.widths, s.vals = make([]int, n), make([]uint64, n)
+	for i := range n {
+		name, r := flat.declared(i)
+		w, err := rangeWidth(r, nil)
 		if err != nil {
 			return nil, err
 		}
-		s.widths[p.Name] = w
-		if p.Dir == Input {
-			s.inputs[p.Name] = true
-		} else {
-			s.outputs = append(s.outputs, p.Name)
-		}
-	}
-	for _, n := range flat.Nets {
-		w, err := rangeWidth(n.Range, nil)
-		if err != nil {
-			return nil, err
-		}
-		s.widths[n.Name] = w
+		s.nets[name], s.widths[i] = i+1, w
 	}
 	return s, nil
 }
 
 // InputPorts returns the names of input ports in declaration order.
-func (s *Simulator) InputPorts() []string {
+func (s *Simulator) InputPorts() []string { return s.ports(true) }
+
+// OutputPorts returns the names of the other ports in declaration order.
+func (s *Simulator) OutputPorts() []string { return s.ports(false) }
+
+func (s *Simulator) ports(inputs bool) []string {
 	var out []string
 	for _, p := range s.flat.Ports {
-		if p.Dir == Input {
+		if (p.Dir == Input) == inputs {
 			out = append(out, p.Name)
 		}
 	}
 	return out
 }
-
-// OutputPorts returns the names of output ports in declaration order.
-func (s *Simulator) OutputPorts() []string { return append([]string{}, s.outputs...) }
 
 func mask(v uint64, w int) uint64 {
 	if w >= 64 {
@@ -82,55 +70,62 @@ func mask(v uint64, w int) uint64 {
 
 // SetInput drives an input port. The value is masked to the port width.
 func (s *Simulator) SetInput(name string, v uint64) error {
-	if !s.inputs[name] {
+	i := s.nets[name] - 1
+	if i < 0 || i >= len(s.flat.Ports) || s.flat.Ports[i].Dir != Input {
 		return fmt.Errorf("rtl: %q is not an input port", name)
 	}
-	s.vals[name] = mask(v, s.widths[name])
+	s.vals[i] = mask(v, s.widths[i])
 	return nil
 }
 
 // Peek reads the settled value of any net or port.
-func (s *Simulator) Peek(name string) (uint64, error) { return s.read(name) }
+func (s *Simulator) Peek(name string) (uint64, error) {
+	return s.read(&Ident{Name: name, Net: s.nets[name] - 1})
+}
 
 // scope is what the evaluator reads names from, and it decides all that
 // differs between constant folding and simulation. With widths nil it
-// folds constants: vals is a parameter environment whose names read as
+// folds constants: env is a parameter environment whose names read as
 // 32-bit values (as InferWidth and Flatten treat them), and a name outside
 // it or a division or modulo by zero is an error. Otherwise it holds a
-// simulator's nets, and x/0 is 0.
+// simulator's nets, widths and values by net index (Ident.Net), and x/0
+// is 0.
 type scope struct {
-	widths map[string]int
-	vals   map[string]uint64
+	widths []int
+	vals   []uint64
+	env    map[string]uint64
+}
+
+// net returns id's net index, and whether it is one of a simulator's.
+func (sc scope) net(id *Ident) (int, bool) {
+	return id.Net, id.Net >= 0 && id.Net < len(sc.widths)
 }
 
 // read returns the value of a name.
-func (sc scope) read(name string) (uint64, error) {
+func (sc scope) read(id *Ident) (uint64, error) {
 	if sc.widths == nil {
-		if v, ok := sc.vals[name]; ok {
+		if v, ok := sc.env[id.Name]; ok {
 			return mask(v, 32), nil
 		}
-		return 0, fmt.Errorf("rtl: %q is not a constant", name)
+		return 0, fmt.Errorf("rtl: %q is not a constant", id.Name)
 	}
-	w, ok := sc.widths[name]
+	i, ok := sc.net(id)
 	if !ok {
-		return 0, fmt.Errorf("rtl: unknown net %q", name)
+		return 0, fmt.Errorf("rtl: unknown net %q", id.Name)
 	}
-	return mask(sc.vals[name], w), nil
+	return mask(sc.vals[i], sc.widths[i]), nil
 }
 
 // width infers an expression's width in this scope.
 func (sc scope) width(e Expr) (int, error) {
-	if sc.widths == nil {
-		return InferWidth(e, nil, sc.vals)
-	}
-	return InferWidth(e, sc.widths, nil)
+	return InferWidth(e, sc.widths, sc.env)
 }
 
 // eval evaluates an expression against the scope's values.
 func (sc scope) eval(e Expr) (uint64, error) {
 	switch v := e.(type) {
 	case *Ident:
-		return sc.read(v.Name)
+		return sc.read(v)
 	case *Number:
 		if v.Width > 0 {
 			return mask(v.Value, v.Width), nil
@@ -310,16 +305,20 @@ func b2u(b bool) uint64 {
 func (s *Simulator) store(lhs Expr, value uint64) error {
 	switch v := lhs.(type) {
 	case *Ident:
-		w, ok := s.widths[v.Name]
+		i, ok := s.net(v)
 		if !ok {
 			return fmt.Errorf("rtl: store: unknown net %q", v.Name)
 		}
-		s.vals[v.Name] = mask(value, w)
+		s.vals[i] = mask(value, s.widths[i])
 		return nil
 	case *Index:
 		id, ok := v.X.(*Ident)
 		if !ok {
 			return fmt.Errorf("rtl: store: unsupported lvalue %s", lhs)
+		}
+		i, known := s.net(id)
+		if !known {
+			return fmt.Errorf("rtl: store: unknown net %q", id.Name)
 		}
 		at, err := s.eval(v.At)
 		if err != nil {
@@ -328,19 +327,22 @@ func (s *Simulator) store(lhs Expr, value uint64) error {
 		if at >= 64 {
 			return fmt.Errorf("rtl: store: index %d out of range", at)
 		}
-		old := s.vals[id.Name]
 		bit := uint64(1) << at
 		if value&1 != 0 {
-			s.vals[id.Name] = old | bit
+			s.vals[i] |= bit
 		} else {
-			s.vals[id.Name] = old &^ bit
+			s.vals[i] &^= bit
 		}
-		s.vals[id.Name] = mask(s.vals[id.Name], s.widths[id.Name])
+		s.vals[i] = mask(s.vals[i], s.widths[i])
 		return nil
 	case *Slice:
 		id, ok := v.X.(*Ident)
 		if !ok {
 			return fmt.Errorf("rtl: store: unsupported lvalue %s", lhs)
+		}
+		i, known := s.net(id)
+		if !known {
+			return fmt.Errorf("rtl: store: unknown net %q", id.Name)
 		}
 		msb, err := s.eval(v.Msb)
 		if err != nil {
@@ -354,9 +356,8 @@ func (s *Simulator) store(lhs Expr, value uint64) error {
 			return fmt.Errorf("rtl: store: bad slice [%d:%d]", msb, lsb)
 		}
 		w := int(msb-lsb) + 1
-		old := s.vals[id.Name]
 		fieldMask := mask(^uint64(0), w) << lsb
-		s.vals[id.Name] = mask(old&^fieldMask|(mask(value, w)<<lsb), s.widths[id.Name])
+		s.vals[i] = mask(s.vals[i]&^fieldMask|(mask(value, w)<<lsb), s.widths[i])
 		return nil
 	case *Concat:
 		// MSB-first split.

@@ -134,10 +134,7 @@ func TestGraphString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := d.BasicGraph(elab(t, d, "top"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := d.BasicGraph(elab(t, d, "top"))
 	s := g.String()
 	if len(s) == 0 || g.bandwidth(0, 99) != 0 {
 		t.Error("graph debug output or bandwidth lookup broken")

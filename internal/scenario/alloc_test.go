@@ -27,11 +27,12 @@ import (
 // first admission. An engine is built, not grown: a machine's stream state
 // is a few slabs sized by its kernel's programs, its per-register tables
 // one slice, its codec shared, and a weight set's tiles load on a machine
-// that cuts no stream slab. One Run measures about 580 kB and 767 objects
-// (about 600 kB and 900 under -race; the bounds are the -race level plus
+// that cuts no stream slab. One Run measures about 575 kB and 735 objects
+// (about 595 kB and 857 under -race; the bounds are the -race level plus
 // under 5 %). Of the objects the six deploys (compile, placement) take
-// about 270, of which the stack's one cold compile, which allocates per
-// design, about 150; the engine builds and serving about 300 (the two
+// about 235, of which the stack's one cold compile, which allocates per
+// design and resolves each name once, about 118; the engine builds and
+// serving about 300 (the two
 // weight-set loads about 110, the six engine builds about 80, the sampled
 // inferences, whose first write cuts a stream's slabs, about 115, a fair
 // queue's first push making 2 objects); the stack's construction about
@@ -43,7 +44,7 @@ import (
 // width, about 75 kB; the arrival sequence, presized at every block's
 // peak rate, about 45 kB and the registry's device slab about 55 kB.
 func TestScenarioAllocBudget(t *testing.T) {
-	const maxKB, maxObjects = 625, 940
+	const maxKB, maxObjects = 620, 895
 	spec := loadSpec(t, "../../testdata/scenarios/diurnal-1000.mlw")
 	if _, err := Run(spec, "warm-up"); err != nil {
 		t.Fatal(err)

@@ -135,6 +135,26 @@ type harness struct {
 	drained map[int]bool
 	// ran lists the events executed so far, in order.
 	ran []Event
+	// lines is the trace, one line per operation that emitted one;
+	// multi counts operations that emitted more than one.
+	lines []string
+	multi int
+}
+
+// record runs one operation and keeps the trace line it emitted. An
+// operation emits at most one line, so the running hash either stays or
+// moves by exactly the Stack's last line; any other move is counted in
+// multi.
+func (h *harness) record(op func()) {
+	before := h.TraceHash()
+	op()
+	switch after := h.TraceHash(); after {
+	case before:
+	case fnv64a(before, h.line):
+		h.lines = append(h.lines, string(h.line[:len(h.line)-1]))
+	default:
+		h.multi++
+	}
 }
 
 // runSchedule executes an explicit schedule (used directly by the
@@ -142,14 +162,14 @@ type harness struct {
 // two preamble leases, the events laid onto the DES engine at fixed
 // spacing and stamped with their schedule index, the settle rounds, the
 // stranded audit. It returns the finished (closed) run for its trace
-// lines, which it keeps, and verdict.
+// lines, which it records op by op, and verdict; an operation that
+// emitted more than one line is an error.
 func runSchedule(sc script, sched []Event) (*harness, error) {
 	s, err := NewStack(sc.Options)
 	if err != nil {
 		return nil, err
 	}
 	defer s.Close()
-	s.keepLines = true
 	h := &harness{Stack: s, sc: sc, drained: map[int]bool{}}
 	// Preamble: two leases exist before the first event, so even a
 	// one-event minimal schedule has something to act on. With tenants
@@ -161,7 +181,7 @@ func runSchedule(sc script, sched []Event) (*harness, error) {
 		}
 	}
 	at := func(when time.Duration, step int, op func()) error {
-		return s.eng.At(when, func(time.Duration) { s.step = step; op() })
+		return s.eng.At(when, func(time.Duration) { s.step = step; h.record(op) })
 	}
 	for i := range sched {
 		ev := sched[i]
@@ -177,7 +197,10 @@ func runSchedule(sc script, sched []Event) (*harness, error) {
 	}
 	s.eng.Run(0)
 	s.step = len(sched) + SettleSteps
-	s.checkStranded()
+	h.record(s.checkStranded)
+	if h.multi > 0 {
+		return nil, fmt.Errorf("simtest: %d operations emitted more than one trace line", h.multi)
+	}
 	return h, nil
 }
 

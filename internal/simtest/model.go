@@ -34,14 +34,11 @@ func (s *Stack) stamp() []byte {
 	return append(strconv.AppendInt(b, int64(s.step), 10), ' ')
 }
 
-// emit folds a stamped line and its newline into the running trace hash,
-// and keeps the line itself only when keepLines is set.
+// emit folds a stamped line and its newline into the running trace hash;
+// the line stays in s.line until the next one.
 func (s *Stack) emit(b []byte) {
 	s.line = append(b, '\n')
 	s.traceHash = fnv64a(s.traceHash, s.line)
-	if s.keepLines {
-		s.lines = append(s.lines, string(b))
-	}
 }
 
 // tracef traces a stamped line that fmt formats.

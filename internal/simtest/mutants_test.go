@@ -175,6 +175,15 @@ var mutants = []mutant{
 		pkg:  "./internal/decompose", run: "^TestWorkGraph$",
 		want: "node 4: out [{1 2} {2 16} {3 12}], want [{3 12}]",
 	},
+	{
+		// Soft-block shapes compare without their pipelines' stage
+		// bandwidths: differently wired pipelines read as copies.
+		name: "shape-ignores-stage-bits",
+		file: "internal/softblock/softblock.go",
+		orig: "\tif !slices.Equal(a.StageBits, b.StageBits) {\n\t\treturn false\n\t}\n", repl: "\n",
+		pkg: "./internal/softblock", run: "^TestSameShape$",
+		want: "stage bandwidth 8 vs 16: SameShape = true, want false",
+	},
 }
 
 // apply returns src with the mutation made, or an error naming the file

@@ -305,9 +305,8 @@ func hashTrace(lines []string) uint64 {
 
 // TestHotTraceLinesAllocateNothing holds the per-event trace lines to no
 // allocation once warm: a heartbeat line and a tick's JSON line are built
-// in the Stack's buffers and folded into the running hash, and a Stack
-// outside runSchedule keeps no line. The tick line is json.Marshal's
-// bytes. Its report carries no state transition: cluster.State's
+// in the Stack's buffers and folded into the running hash. The tick line
+// is json.Marshal's bytes. Its report carries no state transition: cluster.State's
 // MarshalJSON allocates.
 func TestHotTraceLinesAllocateNothing(t *testing.T) {
 	if raceEnabled() {
@@ -336,9 +335,6 @@ func TestHotTraceLinesAllocateNothing(t *testing.T) {
 	if got := string(s.line); got != "0000 tick "+string(want)+"\n" {
 		t.Errorf("tick line %q, want json.Marshal's bytes %s", got, want)
 	}
-	if len(s.lines) != 0 {
-		t.Errorf("a Stack outside runSchedule kept %d trace lines", len(s.lines))
-	}
 }
 
 // raceEnabled reports a -race build.
@@ -353,4 +349,43 @@ func raceEnabled() bool {
 		}
 	}
 	return false
+}
+
+// TestOneTraceLinePerOperation pins what runSchedule's recording rests
+// on: an operation emits at most one trace line. record keeps the line an
+// operation emits, nothing for a silent one, and counts one that emits
+// two; and a schedule that runs every event kind three times records
+// exactly the lines its running hash folds in.
+func TestOneTraceLinePerOperation(t *testing.T) {
+	s, err := NewStack(DefaultOptions(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := &harness{Stack: s}
+	h.record(func() {})
+	h.record(func() { s.traceInt("one n=", 1) })
+	h.record(func() { s.traceInt("two n=", 1); s.traceInt("two n=", 2) })
+	if len(h.lines) != 1 || h.lines[0] != "0000 one n=1" || h.multi != 1 {
+		t.Errorf("recorded %q with %d multi-line operations, want [\"0000 one n=1\"] and 1", h.lines, h.multi)
+	}
+
+	sc := defaultScript(5)
+	rng := rand.New(rand.NewSource(5))
+	var sched []Event
+	for range 3 {
+		for k := range numEventKinds {
+			sched = append(sched, Event{Kind: k, R: rng.Uint64()})
+		}
+	}
+	out, err := runSchedule(sc, sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.violation != nil {
+		t.Fatalf("violated %q: %s", out.violation.Invariant, out.violation.Detail)
+	}
+	if got := hashTrace(out.lines); got != out.TraceHash() {
+		t.Errorf("the %d recorded lines hash to %016x, the running trace hash is %016x", len(out.lines), got, out.TraceHash())
+	}
 }

@@ -202,11 +202,8 @@ type Stack struct {
 	excused map[int]bool
 
 	// traceHash is the running FNV-64a of the trace's lines, each with its
-	// newline; the lines are kept too only under keepLines, which the
-	// package's tests set.
+	// newline.
 	traceHash uint64
-	lines     []string
-	keepLines bool
 	violation *Violation
 
 	// step is the event number stamped on trace lines and violations,

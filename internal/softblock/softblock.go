@@ -253,9 +253,8 @@ func (b *Block) validate(seen map[string]bool) error {
 		if len(b.Children) < 2 {
 			return fmt.Errorf("%w: data %q has %d", ErrTooFewChildren, b.ID, len(b.Children))
 		}
-		sig := b.Children[0].Signature()
 		for _, c := range b.Children[1:] {
-			if c.Signature() != sig {
+			if !SameShape(b.Children[0], c) {
 				return fmt.Errorf("%w: under %q", ErrDataMismatch, b.ID)
 			}
 		}
@@ -270,38 +269,33 @@ func (b *Block) validate(seen map[string]bool) error {
 	return nil
 }
 
-// Signature returns a canonical string describing the subtree's structure
-// (kinds and module keys, ignoring IDs and paths). Data-parallel siblings
-// must share a signature.
-func (b *Block) Signature() string {
-	var sb strings.Builder
-	b.signature(&sb)
-	return sb.String()
-}
-
-func (b *Block) signature(sb *strings.Builder) {
-	switch b.Kind {
-	case Leaf:
-		fmt.Fprintf(sb, "L<%s>", b.ModuleKey)
-	case Pipeline:
-		sb.WriteString("P(")
-		for i, c := range b.Children {
-			if i > 0 {
-				fmt.Fprintf(sb, "-%d-", b.StageBits[i-1])
-			}
-			c.signature(sb)
-		}
-		sb.WriteString(")")
-	case DataParallel:
-		fmt.Fprintf(sb, "D%d(", len(b.Children))
-		if len(b.Children) > 0 {
-			b.Children[0].signature(sb)
-		}
-		sb.WriteString(")")
+// SameShape reports whether two subtrees have the same structure: kinds,
+// child counts, leaf module keys and pipeline stage bandwidths, following
+// only the first child of a data-parallel block, whose copies are alike.
+// IDs, paths and annotations are ignored. Data-parallel siblings must
+// have the same shape.
+func SameShape(a, b *Block) bool {
+	if a.Kind != b.Kind || len(a.Children) != len(b.Children) {
+		return false
 	}
+	switch a.Kind {
+	case Leaf:
+		return a.ModuleKey == b.ModuleKey
+	case DataParallel:
+		return len(a.Children) == 0 || SameShape(a.Children[0], b.Children[0])
+	}
+	if !slices.Equal(a.StageBits, b.StageBits) {
+		return false
+	}
+	for i, c := range a.Children {
+		if !SameShape(c, b.Children[i]) {
+			return false
+		}
+	}
+	return true
 }
 
-// String renders the tree in indented form for debugging.
+// String renders the tree in indented form, as `mlv decompose` prints it.
 func (b *Block) String() string {
 	var sb strings.Builder
 	b.render(&sb, 0)

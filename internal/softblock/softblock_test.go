@@ -91,15 +91,78 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
-func TestSignatureInterchangeability(t *testing.T) {
-	a := NewPipeline("p1", []*Block{leafOf("a", "m", 1), leafOf("b", "n", 1)}, []int{8})
-	b := NewPipeline("p2", []*Block{leafOf("c", "m", 1), leafOf("d", "n", 1)}, []int{8})
-	if a.Signature() != b.Signature() {
-		t.Error("same structure must share signature")
+func TestSameShape(t *testing.T) {
+	pipe := func(ids string, a, b string, bits int) *Block {
+		return NewPipeline("p"+ids, []*Block{leafOf(ids+"0", a, 1), leafOf(ids+"1", b, 2)}, []int{bits})
 	}
-	c := NewPipeline("p3", []*Block{leafOf("c", "m", 1), leafOf("d", "n", 1)}, []int{16})
-	if a.Signature() == c.Signature() {
-		t.Error("different stage bandwidth must change signature")
+	data := func(ids string, n int, key string) *Block {
+		kids := make([]*Block, n)
+		for i := range kids {
+			kids[i] = leafOf(ids+itoa(i), key, 1)
+		}
+		return NewDataParallel("d"+ids, kids)
+	}
+	for _, c := range []struct {
+		name string
+		a, b *Block
+		want bool
+	}{
+		{"ids, paths and resources are ignored", pipe("a", "m", "n", 8), pipe("b", "m", "n", 8), true},
+		{"stage bandwidth 8 vs 16", pipe("a", "m", "n", 8), pipe("b", "m", "n", 16), false},
+		{"leaf module m vs k", pipe("a", "m", "n", 8), pipe("b", "k", "n", 8), false},
+		{"stage order", pipe("a", "m", "n", 8), pipe("b", "n", "m", 8), false},
+		{"leaf vs pipeline", leafOf("a", "m", 1), pipe("b", "m", "n", 8), false},
+		{"data over 4 vs 3 copies", data("a", 4, "m"), data("b", 3, "m"), false},
+		{"data copies of m vs k", data("a", 2, "m"), data("b", 2, "k"), false},
+		{"data over alike copies", data("a", 2, "m"), data("b", 2, "m"), true},
+	} {
+		if got := SameShape(c.a, c.b); got != c.want {
+			t.Errorf("%s: SameShape = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// signature renders a subtree's structure as text, as the shape
+// SameShape compares: kinds and module keys, pipeline stage bandwidths,
+// a data block's copy count and its first copy.
+func signature(b *Block) string {
+	switch b.Kind {
+	case Leaf:
+		return "L<" + b.ModuleKey + ">"
+	case Pipeline:
+		s := "P("
+		for i, c := range b.Children {
+			if i > 0 {
+				s += "-" + itoa(b.StageBits[i-1]) + "-"
+			}
+			s += signature(c)
+		}
+		return s + ")"
+	}
+	return "D" + itoa(len(b.Children)) + "(" + signature(b.Children[0]) + ")"
+}
+
+// Property: SameShape agrees with comparing rendered signatures, on a
+// random tree against a copy with at most one leaf key or stage
+// bandwidth changed.
+func TestQuickSameShapeMatchesSignature(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		gen := 0
+		tree := randomTree(r, 3, &gen)
+		cp := new(Slab).Clone(tree)
+		var nodes []*Block
+		cp.Walk(func(b *Block) { nodes = append(nodes, b) })
+		switch n := nodes[r.Intn(len(nodes))]; {
+		case n.Kind == Leaf && r.Intn(2) == 0:
+			n.ModuleKey = "mod" + itoa(r.Intn(4))
+		case n.Kind == Pipeline:
+			n.StageBits[r.Intn(len(n.StageBits))] += 8 * r.Intn(2)
+		}
+		return SameShape(tree, cp) == (signature(tree) == signature(cp))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -146,7 +209,8 @@ func TestCloneIndependence(t *testing.T) {
 	if p.Children[0].Resources.LUTs == 999 || p.StageBits[0] == 1 {
 		t.Error("Clone must deep-copy")
 	}
-	if cp.Signature() == "" || p.NumLeaves() != cp.NumLeaves() {
+	cp.StageBits[0] = p.StageBits[0]
+	if !SameShape(cp, p) {
 		t.Error("clone shape differs")
 	}
 }
@@ -171,7 +235,7 @@ func TestAcceleratorValidateAndJSON(t *testing.T) {
 	if err := back.Validate(); err != nil {
 		t.Fatalf("round-tripped accelerator invalid: %v", err)
 	}
-	if back.Data.Signature() != acc.Data.Signature() {
+	if !SameShape(back.Data, acc.Data) {
 		t.Error("JSON round trip changed structure")
 	}
 	if back.Data.Kind != Pipeline {
@@ -258,7 +322,7 @@ func itoa(n int) string {
 	return string(b)
 }
 
-// Property: random trees validate, and clone preserves signature, leaves
+// Property: random trees validate, and clone preserves shape, leaves
 // and resources.
 func TestQuickTreeInvariants(t *testing.T) {
 	f := func(seed int64) bool {
@@ -270,7 +334,7 @@ func TestQuickTreeInvariants(t *testing.T) {
 			return false
 		}
 		cp := new(Slab).Clone(tree)
-		return cp.Signature() == tree.Signature() &&
+		return SameShape(cp, tree) &&
 			cp.NumLeaves() == tree.NumLeaves() &&
 			cp.Resources == tree.Resources
 	}
