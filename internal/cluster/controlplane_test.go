@@ -61,7 +61,7 @@ func (f *fakePlane) setLoad(id int, l rms.LoadStats) {
 	f.loads[id] = l
 }
 
-func testControlPlane(t *testing.T, cluster resource.ClusterSpec, cfg Config) (*ControlPlane, *rms.Service, *fakePlane, *FakeClock) {
+func testControlPlane(t testing.TB, cluster resource.ClusterSpec, cfg Config) (*ControlPlane, *rms.Service, *fakePlane, *FakeClock) {
 	t.Helper()
 	db := rms.NewDatabase(rms.Flexible, perf.DefaultParams(), scaleout.DefaultOptions())
 	svc, err := rms.NewService(cluster, db)

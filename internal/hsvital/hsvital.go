@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"mlvfpga/internal/resource"
@@ -222,6 +223,19 @@ type Image struct {
 // a device type, the quantity the runtime manager packs against free
 // blocks.
 func BlocksFor(need resource.Vector, spec Spec) (int, error) {
+	if blocks, ok := blocksFor(need, spec); ok {
+		return blocks, nil
+	}
+	i := slices.IndexFunc(resource.Kinds[:], func(k resource.Kind) bool {
+		return need.Get(k) != 0 && spec.BlockUsable.Get(k) == 0
+	})
+	return 0, fmt.Errorf("%w: needs %d %v, device %s has none",
+		ErrNoFit, need.Get(resource.Kinds[i]), resource.Kinds[i], spec.Device.Name)
+}
+
+// blocksFor is BlocksFor without the message: false means the device
+// lacks a resource the demand needs.
+func blocksFor(need resource.Vector, spec Spec) (int, bool) {
 	blocks := 1
 	for _, k := range resource.Kinds {
 		n, cap := need.Get(k), spec.BlockUsable.Get(k)
@@ -229,30 +243,26 @@ func BlocksFor(need resource.Vector, spec Spec) (int, error) {
 			continue
 		}
 		if cap == 0 {
-			return 0, fmt.Errorf("%w: needs %d %v, device %s has none",
-				ErrNoFit, n, k, spec.Device.Name)
+			return 0, false
 		}
 		blocks = max(blocks, int((n+cap-1)/cap))
 	}
-	return blocks, nil
+	return blocks, true
 }
 
 // Compile maps a soft block onto the virtual-block abstraction of one
 // device type. patternAware selects the paper's partition tool, which
 // avoids placing a SIMD lane's internal pipeline across virtual blocks
 // (§4.3); false models ViTAL's pattern-oblivious partitioner, used as an
-// ablation baseline.
+// ablation baseline. A misfit gets the bare ErrNoFit: its one caller skips
+// it, so a message would be built for nobody.
 func Compile(piece *softblock.Block, spec Spec, patternAware bool) (Image, error) {
 	if piece == nil {
 		return Image{}, errors.New("hsvital: nil soft block")
 	}
-	blocks, err := BlocksFor(piece.Resources, spec)
-	if err != nil {
-		return Image{}, err
-	}
-	if blocks > spec.BlocksPerDevice {
-		return Image{}, fmt.Errorf("%w: needs %d virtual blocks, %s provides %d",
-			ErrNoFit, blocks, spec.Device.Name, spec.BlocksPerDevice)
+	blocks, ok := blocksFor(piece.Resources, spec)
+	if !ok || blocks > spec.BlocksPerDevice {
+		return Image{}, ErrNoFit
 	}
 	hops := boundaryHops(piece, spec, blocks, patternAware)
 	return Image{
@@ -284,8 +294,8 @@ func boundaryHops(piece *softblock.Block, spec Spec, blocks int, patternAware bo
 	if piece.Kind == softblock.DataParallel && len(piece.Children) > 0 {
 		lane = piece.Children[0]
 	}
-	laneBlocks, err := BlocksFor(lane.Resources, spec)
-	if err != nil || laneBlocks < 1 {
+	laneBlocks, ok := blocksFor(lane.Resources, spec)
+	if !ok || laneBlocks < 1 {
 		laneBlocks = 1
 	}
 	return laneBlocks + 1

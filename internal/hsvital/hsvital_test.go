@@ -3,6 +3,7 @@ package hsvital
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"mlvfpga/internal/resource"
@@ -177,6 +178,11 @@ func TestCompileNoFit(t *testing.T) {
 	}
 	if _, err := Compile(nil, k115, true); err == nil {
 		t.Error("nil piece must error")
+	}
+	// BlocksFor, which deployment reports, names what the device lacks.
+	_, err := BlocksFor(resource.Vector{LUTs: 10, URAMKb: 100}, k115)
+	if want := "needs 100 URAM"; !errors.Is(err, ErrNoFit) || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "XCKU115") {
+		t.Errorf("BlocksFor(URAM on KU115) = %v, want ErrNoFit naming %q and XCKU115", err, want)
 	}
 }
 

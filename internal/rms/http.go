@@ -75,7 +75,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // requests that up to slots resident streams of the lease be checkpointed
 // back into its fair queue, which busy machines do at their next round.
 //
-// Behind a tenant.Guard the authenticated tenant in the request context
+// Behind a tenant.Guard the authenticated tenant (tenant.FromRequest)
 // attributes deploys, gates releases (owner or admin only) and drives
 // quota and fair-share decisions. Without a guard (the -insecure server)
 // requests are anonymous.
@@ -124,7 +124,7 @@ func (dp *DataPlane) Handler() http.Handler {
 	// caller resolves the authenticated tenant id ("" when no guard is
 	// installed, i.e. anonymous -insecure mode).
 	caller := func(r *http.Request) (string, bool) {
-		t, _ := tenant.FromContext(r.Context())
+		t, _ := tenant.FromRequest(r)
 		return t.ID, t.Admin
 	}
 	// post refuses anything but a POST (405), reads its body into a pooled
@@ -156,9 +156,9 @@ func (dp *DataPlane) Handler() http.Handler {
 		return true
 	}
 	// owns gates /release and /preempt: an authenticated tenant may only
-	// act on its own leases, admins on any. Anonymous mode (no tenant in
-	// context) keeps the historical allow-all behaviour. false means the
-	// 403 has been written and counted.
+	// act on its own leases, admins on any. Anonymous mode (no tenant)
+	// keeps the historical allow-all behaviour. false means the 403 has
+	// been written and counted.
 	owns := func(w http.ResponseWriter, r *http.Request, leaseID int) bool {
 		who, admin := caller(r)
 		if who == "" || admin {

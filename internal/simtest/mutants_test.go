@@ -176,6 +176,15 @@ var mutants = []mutant{
 		want: "node 4: out [{1 2} {2 16} {3 12}], want [{3 12}]",
 	},
 	{
+		// The guard admits a signed request but lends its body without the
+		// tenant it verified: every handler sees an anonymous caller.
+		name: "guard-lends-no-identity",
+		file: "internal/tenant/auth.go",
+		orig: "\t\tbody.who = t\n", repl: "\n",
+		pkg: "./internal/tenant", run: "^TestGuardAcceptsSignedRequest$",
+		want: `signed request: code 200 body "anon"`,
+	},
+	{
 		// Soft-block shapes compare without their pipelines' stage
 		// bandwidths: differently wired pipelines read as copies.
 		name: "shape-ignores-stage-bits",

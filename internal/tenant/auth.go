@@ -73,10 +73,16 @@ func sign[K string | []byte](key K, method, path string, body []byte, unixTS int
 }
 
 // SignRequest stamps the four auth headers onto an outgoing request whose
-// body bytes are supplied explicitly (the caller keeps r.Body readable).
+// body bytes are supplied explicitly (the caller keeps r.Body readable),
+// in two allocations: one string holding the timestamp and signature, and
+// the four values' backing array.
 func SignRequest(r *http.Request, id string, key []byte, body []byte, now time.Time, nonce string) {
 	ts := now.Unix()
-	v := []string{id, strconv.FormatInt(ts, 10), nonce, Sign(key, r.Method, r.URL.Path, body, ts, nonce)}
+	sig := sign(key, r.Method, r.URL.Path, body, ts, nonce)
+	var buf [len("-9223372036854775808") + len(sig)]byte
+	s := string(append(strconv.AppendInt(buf[:0], ts, 10), sig[:]...))
+	n := len(s) - len(sig)
+	v := []string{id, s[:n], nonce, s[n:]}
 	h := r.Header
 	h[keyTenant], h[keyTimestamp], h[keyNonce], h[keySignature] = v[0:1:1], v[1:2:2], v[2:3:3], v[3:4:4]
 }
@@ -89,11 +95,14 @@ func WithTenant(ctx context.Context, t Tenant) context.Context {
 	return context.WithValue(ctx, ctxKey{}, &t)
 }
 
-// FromContext returns the authenticated tenant, if any. Handlers behind a
-// guard always see one on mutating requests; in insecure (anonymous) mode
-// ok is false.
-func FromContext(ctx context.Context) (Tenant, bool) {
-	if t, ok := ctx.Value(ctxKey{}).(*Tenant); ok {
+// FromRequest returns the authenticated tenant, if any: the one riding on
+// the body a guard lent r while its handler runs, else one WithTenant put
+// in r's context. Unguarded (insecure) requests are anonymous.
+func FromRequest(r *http.Request) (Tenant, bool) {
+	if b, ok := r.Body.(*Body); ok && b.who != nil {
+		return *b.who, true
+	}
+	if t, ok := r.Context().Value(ctxKey{}).(*Tenant); ok {
 		return *t, true
 	}
 	return Tenant{}, false
@@ -119,11 +128,13 @@ const MaxBody = 64 << 20
 var ErrBodyTooLarge = errors.New("request body exceeds 64 MiB")
 
 // Body is a request body read whole into a pooled buffer. It is also an
-// io.ReadCloser, so the guard hands it on as the request's body.
+// io.ReadCloser, so the guard hands it on as the request's body, carrying
+// the tenant it verified.
 type Body struct {
 	bytes.Buffer
 	lim  io.LimitedReader
-	lent bool // handed on by a guard, which frees it after the handler
+	lent bool    // handed on by a guard, which frees it after the handler
+	who  *Tenant // the verified caller, set by the guard while lent
 }
 
 // Close does nothing; FreeBody is what returns the buffer.
@@ -173,10 +184,11 @@ type GuardOptions struct {
 	Now func() time.Time
 }
 
-// Guard authenticates signed requests against a Registry and injects the
-// tenant into the request context. Read-only requests (GET, HEAD) pass
-// through unauthenticated — the mutating surface (/deploy, /release,
-// /infer, /cluster/* ops) is what the signature protects.
+// Guard authenticates signed requests against a Registry and lends the
+// handler the request's body, read once, carrying the verified tenant
+// (FromRequest). Read-only requests (GET, HEAD) pass through
+// unauthenticated — the mutating surface (/deploy, /release, /infer,
+// /cluster/* ops) is what the signature protects.
 type Guard struct {
 	reg  *Registry
 	opts GuardOptions
@@ -257,8 +269,11 @@ func (g *Guard) Wrap(next http.Handler) http.Handler {
 			g.reject(w, http.StatusUnauthorized, id, "unreadable body")
 			return
 		}
-		body.lent = true // so the handler's FreeBody leaves it to this one
-		defer func() { body.lent = false; FreeBody(body) }()
+		// Lent, the handler's FreeBody leaves it to this one; r gets its own
+		// body back, so nothing reads the pooled one or its tenant after.
+		raw := r.Body
+		body.lent = true
+		defer func() { r.Body, body.lent, body.who = raw, false, nil; FreeBody(body) }()
 		want := sign(t.Key, r.Method, r.URL.Path, body.Bytes(), ts, nonce)
 		r.Body = body
 		// Constant-time compare of fixed-length hex, so the comparison leaks
@@ -277,7 +292,8 @@ func (g *Guard) Wrap(next http.Handler) http.Handler {
 			g.reject(w, http.StatusForbidden, id, "admin tenant required")
 			return
 		}
-		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), ctxKey{}, t)))
+		body.who = t
+		next.ServeHTTP(w, r)
 	})
 }
 

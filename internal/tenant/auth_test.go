@@ -36,7 +36,7 @@ func testRegistry(t *testing.T) *Registry {
 // echoTenant answers 200 with the authenticated tenant id (or "anon").
 var echoTenant = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 	id := "anon"
-	if t, ok := FromContext(r.Context()); ok {
+	if t, ok := FromRequest(r); ok {
 		id = t.ID
 	}
 	_, _ = w.Write([]byte(id))
@@ -256,15 +256,20 @@ func TestGuardRejectBoundsMetricKeys(t *testing.T) {
 }
 
 // TestGuardConcurrentBodies sends distinct signed bodies from 64
-// goroutines through the guard. The handler reads its body again with
-// ReadBody, as the rms and cluster handlers do, and must get the guard's
-// buffer back rather than a second copy; every fourth request goes to a
-// handler that never reads it. The pooled buffers must never carry one
-// request's bytes into another, which a buffer put back twice would.
+// goroutines, half as alice and half as bob, through the guard. The
+// handler answers with the tenant FromRequest names, then reads its body
+// again with ReadBody, as the rms and cluster handlers do, and must get
+// the guard's buffer back rather than a second copy; every fourth request
+// goes to a handler that never reads it. The pooled buffers must never
+// carry one request's bytes or tenant into another, which a buffer put
+// back twice would, and once the guard returns its request names no
+// tenant.
 func TestGuardConcurrentBodies(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	g := NewGuard(testRegistry(t), GuardOptions{Now: func() time.Time { return now }})
 	h := g.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		who, _ := FromRequest(r)
+		_, _ = w.Write([]byte(who.ID + ":"))
 		if r.URL.Path == "/skip" {
 			return
 		}
@@ -285,22 +290,95 @@ func TestGuardConcurrentBodies(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
+			id, key := "alice", "alice-secret"
+			if c%2 == 1 {
+				id, key = "bob", "bob-secret"
+			}
 			for i := 0; i < 40; i++ {
 				body := bytes.Repeat([]byte{byte('a' + c%26), byte('0' + c/26)}, 50+25*c+i)
-				path, want := "/infer", body
+				path, want := "/infer", append([]byte(id+":"), body...)
 				if i%4 == 3 {
-					path, want = "/skip", nil
+					path, want = "/skip", []byte(id+":")
 				}
 				w := httptest.NewRecorder()
-				h.ServeHTTP(w, signedReq("bob", "bob-secret", path, body, now, fmt.Sprintf("c%d-%d", c, i)))
+				r := signedReq(id, key, path, body, now, fmt.Sprintf("c%d-%d", c, i))
+				h.ServeHTTP(w, r)
 				if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want) {
 					t.Errorf("client %d request %d: code %d, body %.20q…", c, i, w.Code, w.Body.String())
+					return
+				}
+				if who, ok := FromRequest(r); ok {
+					t.Errorf("client %d request %d: after the guard returned, FromRequest = %q", c, i, who.ID)
 					return
 				}
 			}
 		}(c)
 	}
 	wg.Wait()
+}
+
+// TestGuardLendsIdentityOnlyToAdmitted: a tenant reaches a handler only
+// on a request the guard admitted, and only while that handler runs. A
+// refused request never reaches the handler; an unguarded handler that
+// reads its own pooled body, one the guard lent before, sees no tenant;
+// and the request the guard admitted names none once it returns.
+func TestGuardLendsIdentityOnlyToAdmitted(t *testing.T) {
+	now := time.Unix(1_700_000_000, 0)
+	g := NewGuard(testRegistry(t), GuardOptions{Now: func() time.Time { return now }})
+	reached := 0
+	h := g.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		reached++
+		echoTenant(w, r)
+	}))
+	body := []byte(`{"id":0}`)
+
+	admitted := signedReq("bob", "bob-secret", "/infer", body, now, "once")
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, admitted)
+	if w.Code != http.StatusOK || w.Body.String() != "bob" || reached != 1 {
+		t.Fatalf("signed request: code %d body %q, reached %d", w.Code, w.Body.String(), reached)
+	}
+	if who, ok := FromRequest(admitted); ok {
+		t.Errorf("after the guard returned, FromRequest = %q", who.ID)
+	}
+
+	for _, tc := range []struct {
+		name string
+		r    *http.Request
+		code int
+	}{
+		{"bad signature", signedReq("bob", "not-bobs-key", "/infer", body, now, "n1"), http.StatusUnauthorized},
+		{"replayed nonce", signedReq("bob", "bob-secret", "/infer", body, now, "once"), http.StatusUnauthorized},
+		{"non-admin on /cluster/", signedReq("bob", "bob-secret", "/cluster/kill", body, now, "n2"), http.StatusForbidden},
+	} {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, tc.r)
+		if w.Code != tc.code || reached != 1 {
+			t.Errorf("%s: code %d, want %d; the handler ran %d times, want once", tc.name, w.Code, tc.code, reached)
+		}
+		if who, ok := FromRequest(tc.r); ok {
+			t.Errorf("%s: after the guard returned, FromRequest = %q", tc.name, who.ID)
+		}
+	}
+
+	// The pool now holds bodies the guard lent; one read without it
+	// carries no tenant, even put on the request as the guard puts its own.
+	unguarded := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b, err := ReadBody(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer FreeBody(b)
+		r.Body = b
+		echoTenant(w, r)
+	})
+	for i := 0; i < 8; i++ {
+		w := httptest.NewRecorder()
+		unguarded.ServeHTTP(w, signedReq("alice", "alice-secret", "/infer", body, now, "u"+strconv.Itoa(i)))
+		if w.Body.String() != "anon" {
+			t.Fatalf("unguarded handler %d sees tenant %q", i, w.Body.String())
+		}
+	}
 }
 
 func TestGuardReplayedNonce(t *testing.T) {
@@ -416,6 +494,28 @@ func FuzzSign(f *testing.F) {
 	})
 }
 
+// TestSignRequestValues: the four headers SignRequest cuts from one
+// string are the tenant, the decimal timestamp, the nonce and Sign's
+// signature, byte for byte, at timestamps of every sign and length.
+func TestSignRequestValues(t *testing.T) {
+	body := []byte(`{"id":1}`)
+	for _, ts := range []int64{1_700_000_000, 0, -1, 7, -62_135_596_800, 253_402_300_799} {
+		r := httptest.NewRequest(http.MethodPost, "/deploy", bytes.NewReader(body))
+		SignRequest(r, "bob", []byte("bob-secret"), body, time.Unix(ts, 0), "n-"+strconv.FormatInt(ts, 10))
+		want := map[string]string{
+			HeaderTenant:    "bob",
+			HeaderTimestamp: strconv.FormatInt(ts, 10),
+			HeaderNonce:     "n-" + strconv.FormatInt(ts, 10),
+			HeaderSignature: Sign([]byte("bob-secret"), http.MethodPost, "/deploy", body, ts, "n-"+strconv.FormatInt(ts, 10)),
+		}
+		for name, v := range want {
+			if got := r.Header.Values(name); len(got) != 1 || got[0] != v {
+				t.Errorf("ts %d: %s = %q, want [%q]", ts, name, got, v)
+			}
+		}
+	}
+}
+
 // The guard reads the headers by their canonical keys, which must be the
 // exported names as http.Header keys them, or no request would verify.
 func TestCanonicalHeaderKeys(t *testing.T) {
@@ -429,11 +529,13 @@ func TestCanonicalHeaderKeys(t *testing.T) {
 }
 
 // TestSignAndVerifyAllocations: signing a request allocates its header
-// values (3), and the guard's verify path into a handler that never reads
-// the body allocates only WithContext and WithValue (2), at key lengths
-// on both sides of the 64-byte block. The handler not reading shows the
-// guard puts the body back: a body left unfreed would be a pool miss per
-// request.
+// values (2: one string the timestamp and signature are cut from, and the
+// []string backing all four; 3 when the timestamp was a string of its
+// own), and the guard's verify path into a handler that never reads the
+// body allocates nothing (2 when the tenant rode in a copied request's
+// context), at key lengths on both sides of the 64-byte block. The handler
+// not reading shows the guard puts the body back: a body left unfreed
+// would be a pool miss per request.
 func TestSignAndVerifyAllocations(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("sync.Pool drops items under -race")
@@ -441,8 +543,8 @@ func TestSignAndVerifyAllocations(t *testing.T) {
 	body := []byte(`{"id":1,"inputs":[[0.5,0.25]]}`)
 	now := time.Unix(1_700_000_000, 0)
 	r := signedReq("bob", "bob-secret", "/infer", body, now, "n")
-	if n := testing.AllocsPerRun(100, func() { SignRequest(r, "bob", []byte("bob-secret"), body, now, "n") }); n > 3 {
-		t.Errorf("SignRequest allocates %v times, want ≤ 3", n)
+	if n := testing.AllocsPerRun(100, func() { SignRequest(r, "bob", []byte("bob-secret"), body, now, "n") }); n > 2 {
+		t.Errorf("SignRequest allocates %v times, want ≤ 2", n)
 	}
 
 	for _, klen := range []int{7, 64, 100} {
@@ -470,8 +572,8 @@ func TestSignAndVerifyAllocations(t *testing.T) {
 		if w.Code != http.StatusOK {
 			t.Fatalf("key length %d: code %d (%s)", klen, w.Code, w.Body.String())
 		}
-		if allocs > 2 {
-			t.Errorf("key length %d: the guard allocates %v times per request, want ≤ 2", klen, allocs)
+		if allocs != 0 {
+			t.Errorf("key length %d: the guard allocates %v times per request, want 0", klen, allocs)
 		}
 	}
 }
